@@ -8,14 +8,23 @@
 //!
 //! Usage: `cargo run -p bsp-bench --release --bin exp_initializers --
 //!         [--scale smoke|reduced|full] [--seed N]`
+//!
+//! With `--scaling [--smoke]` it instead checks that schedule construction
+//! is near-linear: `BSPg`, `Source`, `Cilk` (simulation + BSP conversion) and
+//! `HDagg` are timed on a fine-grained `spmv` and a coarse-grained `pagerank`
+//! DAG at size n and 4n, and the run fails if any µs/node grows by more than
+//! 2x (a quadratic routine gives about 4x).  The ratio compares the host with
+//! itself, so the check does not depend on how fast the host is.
 
 use bsp_bench::{scaled_dataset, CliArgs, Table};
-use bsp_model::Machine;
+use bsp_model::{Dag, Machine};
 use bsp_sched::ilp::IlpInitScheduler;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
-use bsp_sched::Scheduler;
+use bsp_sched::{CilkScheduler, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
+use dag_gen::{coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, SpmvConfig};
 use rayon::prelude::*;
+use std::time::Instant;
 
 const PROCS: [usize; 3] = [4, 8, 16];
 const GS: [u64; 3] = [1, 3, 5];
@@ -37,8 +46,100 @@ struct Win {
     winner: &'static str,
 }
 
+/// Largest allowed growth of a constructor's µs/node from n to 4n.
+const MAX_SCALING_RATIO: f64 = 2.0;
+
+/// µs/node of `scheduler` on `dag`: the fastest of five runs, since
+/// interference from the host only ever adds time.
+fn us_per_node(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> f64 {
+    let fastest = (0..5)
+        .map(|_| {
+            let clock = Instant::now();
+            std::hint::black_box(scheduler.schedule(std::hint::black_box(dag), machine));
+            clock.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    fastest * 1e6 / dag.n() as f64
+}
+
+/// The `--scaling` mode; `true` if every constructor stayed near-linear.
+fn scaling_holds(smoke: bool, seed: u64) -> bool {
+    // `spmv` rows keep 8 non-zeros each, so both sizes have the same local
+    // shape; a `pagerank` DAG is one short block per iteration, so `Source`
+    // needs one superstep per iteration.
+    let (spmv_n, pagerank_iterations) = if smoke { (300, 1000) } else { (1200, 4000) };
+    let families: [(&str, [Dag; 2]); 2] = [
+        (
+            "spmv",
+            [1, 4].map(|k| {
+                spmv(&SpmvConfig {
+                    n: k * spmv_n,
+                    density: 8.0 / (k * spmv_n) as f64,
+                    seed,
+                })
+            }),
+        ),
+        (
+            "pagerank",
+            [1, 4].map(|k| {
+                coarse_dag(&CoarseConfig {
+                    algorithm: CoarseAlgorithm::PageRank,
+                    iterations: k * pagerank_iterations,
+                })
+            }),
+        ),
+    ];
+    let schedulers: [&dyn Scheduler; 4] = [
+        &BspgScheduler,
+        &SourceScheduler,
+        &CilkScheduler::default(),
+        &HDaggScheduler::default(),
+    ];
+    let machine = Machine::numa_binary_tree(8, 3, 5, 3);
+    let mut table = Table::new(
+        "Schedule construction, us/node at n and 4n (P = 8)",
+        [
+            "family",
+            "constructor",
+            "n",
+            "us/node",
+            "4n",
+            "us/node",
+            "ratio",
+        ],
+    );
+    let mut holds = true;
+    for (family, dags) in &families {
+        for scheduler in schedulers {
+            let [small, large] = [&dags[0], &dags[1]].map(|d| us_per_node(scheduler, d, &machine));
+            let ratio = large / small;
+            holds &= ratio <= MAX_SCALING_RATIO;
+            table.add_row(vec![
+                family.to_string(),
+                scheduler.name().to_string(),
+                dags[0].n().to_string(),
+                format!("{small:.3}"),
+                dags[1].n().to_string(),
+                format!("{large:.3}"),
+                format!("{ratio:.2}"),
+            ]);
+        }
+    }
+    table.print();
+    holds
+}
+
 fn main() {
     let args = CliArgs::from_env();
+    if args.flag("scaling") {
+        if !scaling_holds(args.flag("smoke"), args.seed()) {
+            eprintln!(
+                "FAIL: a constructor's us/node grew by more than {MAX_SCALING_RATIO}x from n to 4n"
+            );
+            std::process::exit(1);
+        }
+        return;
+    }
     let scale = args.scale();
     let seed = args.seed();
     println!(

@@ -13,6 +13,7 @@ use bsp_model::{BspSchedule, ClassicalSchedule, Dag, Machine};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
 
 /// The work-stealing baseline.  Deterministic for a fixed `seed`.
 #[derive(Debug, Clone, Copy)]
@@ -39,8 +40,10 @@ impl CilkScheduler {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
 
         let mut remaining_preds: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-        // Per-processor stack of ready tasks.
-        let mut stacks: Vec<Vec<usize>> = vec![Vec::new(); p];
+        // Per-processor stack of ready tasks: own pops from the back (top),
+        // steals from the front (bottom).
+        let mut stacks: Vec<VecDeque<usize>> = vec![VecDeque::new(); p];
+        let mut victims: Vec<usize> = Vec::with_capacity(p);
         // All sources start on processor 0's stack (in reverse topological-rank
         // order so the "oldest" task sits at the bottom, available to thieves).
         let mut sources = dag.sources();
@@ -62,17 +65,13 @@ impl CilkScheduler {
                     if busy_until[q].is_some() {
                         continue;
                     }
-                    let task = if let Some(v) = stacks[q].pop() {
-                        Some(v)
-                    } else {
+                    let task = stacks[q].pop_back().or_else(|| {
                         // Steal from the bottom of a random non-empty stack.
-                        let victims: Vec<usize> = (0..p)
-                            .filter(|&r| r != q && !stacks[r].is_empty())
-                            .collect();
-                        victims
-                            .choose(&mut rng)
-                            .map(|&victim| stacks[victim].remove(0))
-                    };
+                        victims.clear();
+                        victims.extend((0..p).filter(|&r| r != q && !stacks[r].is_empty()));
+                        let &victim = victims.choose(&mut rng)?;
+                        stacks[victim].pop_front()
+                    });
                     if let Some(v) = task {
                         start[v] = now;
                         proc[v] = q;
@@ -103,7 +102,7 @@ impl CilkScheduler {
                         for &w in dag.successors(v) {
                             remaining_preds[w] -= 1;
                             if remaining_preds[w] == 0 {
-                                stacks[q].push(w);
+                                stacks[q].push_back(w);
                             }
                         }
                     }

@@ -15,6 +15,8 @@
 
 use crate::Scheduler;
 use bsp_model::{BspSchedule, ClassicalSchedule, Dag, Machine};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Node-selection rule of a list scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +39,13 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
     let bottom_level = dag.bottom_level();
 
     let mut remaining_preds: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-    let mut ready: Vec<usize> = dag.sources();
+    // Keyed for `BL-EST`, which pops the highest bottom level (ties: smaller
+    // node id); `ETF` re-evaluates every ready node and ignores the order.
+    let mut ready: BinaryHeap<(u64, Reverse<usize>)> = dag
+        .sources()
+        .into_iter()
+        .map(|v| (bottom_level[v], Reverse(v)))
+        .collect();
     let mut proc_free = vec![0u64; p];
     let mut start = vec![0u64; n];
     let mut proc = vec![usize::MAX; n];
@@ -59,15 +67,11 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
     };
 
     while scheduled < n {
-        debug_assert!(!ready.is_empty(), "ready list empty with nodes remaining");
         // Select (node, processor).
         let (v, q, t) = match selection {
             Selection::BottomLevelFirst => {
                 // Highest bottom level first (ties: smaller node id).
-                let &v = ready
-                    .iter()
-                    .max_by_key(|&&v| (bottom_level[v], std::cmp::Reverse(v)))
-                    .expect("ready list is non-empty");
+                let (_, Reverse(v)) = ready.pop().expect("ready list is non-empty");
                 let (q, t) = (0..p)
                     .map(|q| (q, est(v, q, &proc, &finish, &proc_free)))
                     .min_by_key(|&(q, t)| (t, q))
@@ -75,23 +79,23 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
                 (v, q, t)
             }
             Selection::EarliestTaskFirst => {
-                let mut best: Option<(u64, std::cmp::Reverse<u64>, usize, usize)> = None;
-                for &v in &ready {
+                let mut best: Option<(u64, Reverse<u64>, usize, usize)> = None;
+                for &(_, Reverse(v)) in &ready {
                     for q in 0..p {
                         let t = est(v, q, &proc, &finish, &proc_free);
-                        let key = (t, std::cmp::Reverse(bottom_level[v]), v, q);
+                        let key = (t, Reverse(bottom_level[v]), v, q);
                         if best.is_none_or(|b| key < b) {
                             best = Some(key);
                         }
                     }
                 }
                 let (t, _, v, q) = best.expect("ready list is non-empty");
+                ready.retain(|&(_, Reverse(x))| x != v);
                 (v, q, t)
             }
         };
 
         // Place the node.
-        ready.retain(|&x| x != v);
         proc[v] = q;
         start[v] = t;
         finish[v] = t + dag.work(v);
@@ -100,7 +104,7 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
         for &w in dag.successors(v) {
             remaining_preds[w] -= 1;
             if remaining_preds[w] == 0 {
-                ready.push(w);
+                ready.push((bottom_level[w], Reverse(w)));
             }
         }
     }

@@ -15,11 +15,131 @@
 
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The `BSPg` greedy initializer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BspgScheduler;
+
+/// Max-heap entry of a ready pool: highest score first, ties to the smaller
+/// node id.  Scores are finite and non-negative, so their bit patterns order
+/// exactly like the values.
+type Entry = (u64, Reverse<usize>);
+
+/// `pool` marker of a node that is in no ready pool.
+const NO_POOL: usize = usize::MAX;
+
+/// The assignment so far plus the ready pools of the current superstep.
+///
+/// A pool is a lazy-deletion max-heap: a node's score on a processor only
+/// ever grows (terms join the sum, none leave), and every growth pushes a
+/// fresh entry, so the topmost entry of a node that is still in the pool
+/// carries its current score; entries of nodes that left are skipped.
+struct Pools<'a> {
+    dag: &'a Dag,
+    p: usize,
+    proc: Vec<usize>,
+    superstep_of: Vec<usize>,
+    /// `succ_on[u * p + q]`: a direct successor of `u` is assigned to `q`.
+    succ_on: Vec<bool>,
+    /// Pool of each node: `q < p` for `ready_proc[q]` (at most one, the
+    /// processor it became ready on), `p` for `ready_all`, else [`NO_POOL`].
+    pool: Vec<usize>,
+    /// Nodes assignable to a specific processor within the current superstep.
+    ready_proc: Vec<BinaryHeap<Entry>>,
+    /// Nodes assignable to every processor within the current superstep,
+    /// once per processor because the score depends on it.
+    ready_all: Vec<BinaryHeap<Entry>>,
+    /// Live size of each `ready_proc[q]`, and of `ready_all` at index `p`.
+    len: Vec<usize>,
+}
+
+impl Pools<'_> {
+    /// Score of assigning `v` to processor `q` (higher is better).
+    fn entry(&self, v: usize, q: usize) -> Entry {
+        let dag = self.dag;
+        let mut s = 0.0;
+        for &u in dag.predecessors(v) {
+            if self.proc[u] == q || self.succ_on[u * self.p + q] {
+                s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
+            }
+        }
+        (s.to_bits(), Reverse(v))
+    }
+
+    /// Pushes the current score of the pooled node `w` on processor `q`.
+    fn push(&mut self, w: usize, q: usize) {
+        let entry = self.entry(w, q);
+        if self.pool[w] == self.p {
+            self.ready_all[q].push(entry);
+        } else {
+            self.ready_proc[q].push(entry);
+        }
+    }
+
+    /// Puts the ready node `v` into `ready_proc[q]` (`q < p`) or `ready_all`.
+    fn insert(&mut self, v: usize, pool: usize) {
+        self.pool[v] = pool;
+        self.len[pool] += 1;
+        if pool < self.p {
+            self.push(v, pool);
+        } else {
+            (0..self.p).for_each(|q| self.push(v, q));
+        }
+    }
+
+    /// The best node for the free processor `q`: from `ready_proc[q]` if it
+    /// has any, else from `ready_all`.
+    fn pick(&mut self, q: usize) -> usize {
+        let (heap, pool) = if self.len[q] > 0 {
+            (&mut self.ready_proc[q], q)
+        } else {
+            (&mut self.ready_all[q], self.p)
+        };
+        loop {
+            let &(_, Reverse(v)) = heap.peek().expect("pool is non-empty");
+            if self.pool[v] == pool {
+                return v;
+            }
+            heap.pop();
+        }
+    }
+
+    /// Assigns `v` to `(q, superstep)` and re-scores the pooled nodes whose
+    /// score on `q` this changes: the ready successors of every predecessor
+    /// `u` of `v` that had no successor on `q` before.
+    fn assign(&mut self, v: usize, q: usize, superstep: usize) {
+        let dag = self.dag;
+        self.len[self.pool[v]] -= 1;
+        self.pool[v] = NO_POOL;
+        self.proc[v] = q;
+        self.superstep_of[v] = superstep;
+        for &u in dag.predecessors(v) {
+            if std::mem::replace(&mut self.succ_on[u * self.p + q], true) || self.proc[u] == q {
+                continue;
+            }
+            for &w in dag.successors(u) {
+                if self.pool[w] == q || self.pool[w] == self.p {
+                    self.push(w, q);
+                }
+            }
+        }
+    }
+
+    /// Empties the pools and moves the still unassigned nodes of `ready`
+    /// into the new `ready_all`.
+    fn start_superstep(&mut self, ready: &mut Vec<usize>) {
+        self.ready_proc.iter_mut().for_each(BinaryHeap::clear);
+        self.ready_all.iter_mut().for_each(BinaryHeap::clear);
+        self.len.fill(0);
+        for v in ready.drain(..) {
+            if self.proc[v] == usize::MAX {
+                self.insert(v, self.p);
+            }
+        }
+    }
+}
 
 impl BspgScheduler {
     /// Computes the `(π, τ)` assignment (the communication schedule is the
@@ -27,8 +147,6 @@ impl BspgScheduler {
     pub fn assignment(&self, dag: &Dag, machine: &Machine) -> Assignment {
         let n = dag.n();
         let p = machine.p();
-        let mut proc = vec![usize::MAX; n];
-        let mut superstep_of = vec![usize::MAX; n];
         if n == 0 {
             return Assignment {
                 proc: vec![],
@@ -36,13 +154,23 @@ impl BspgScheduler {
             };
         }
 
+        let mut pools = Pools {
+            dag,
+            p,
+            proc: vec![usize::MAX; n],
+            superstep_of: vec![usize::MAX; n],
+            succ_on: vec![false; n * p],
+            pool: vec![NO_POOL; n],
+            ready_proc: vec![BinaryHeap::new(); p],
+            ready_all: vec![BinaryHeap::new(); p],
+            len: vec![0; p + 1],
+        };
         let mut unfinished_preds: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-        // Nodes with all predecessors finished, not yet assigned.
-        let mut ready: BTreeSet<usize> = dag.sources().into_iter().collect();
-        // Nodes assignable to a specific processor within the current superstep.
-        let mut ready_proc: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); p];
-        // Nodes assignable to every processor within the current superstep.
-        let mut ready_all: BTreeSet<usize> = ready.clone();
+        // Nodes that became ready since the current superstep started.  Every
+        // member of `ready_all` is assigned before the superstep can end, so
+        // the unassigned ones among these are all the ready nodes at its end.
+        let mut ready: Vec<usize> = dag.sources();
+        pools.start_superstep(&mut ready);
 
         let mut superstep = 0usize;
         let mut end_step = false;
@@ -52,26 +180,10 @@ impl BspgScheduler {
         finish_events.insert(0, Vec::new());
         let mut assigned = 0usize;
 
-        // Score of assigning `v` to processor `q` (higher is better).
-        let score = |v: usize, q: usize, proc: &[usize]| -> f64 {
-            let mut s = 0.0;
-            for &u in dag.predecessors(v) {
-                let u_here = proc[u] == q;
-                let succ_here = dag.successors(u).iter().any(|&w| proc[w] == q);
-                if u_here || succ_here {
-                    s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
-                }
-            }
-            s
-        };
-
         while assigned < n {
             if end_step && finish_events.is_empty() {
                 // Start the next superstep.
-                for set in &mut ready_proc {
-                    set.clear();
-                }
-                ready_all = ready.clone();
+                pools.start_superstep(&mut ready);
                 superstep += 1;
                 end_step = false;
                 finish_events.insert(0, Vec::new());
@@ -84,50 +196,30 @@ impl BspgScheduler {
                 .expect("finish event queue cannot be empty here");
 
             for &v in &finishing {
-                free[proc[v]] = true;
+                let q = pools.proc[v];
+                free[q] = true;
                 for &u in dag.successors(v) {
                     unfinished_preds[u] -= 1;
                     if unfinished_preds[u] == 0 {
-                        ready.insert(u);
+                        ready.push(u);
                         let assignable_here = dag
                             .predecessors(u)
                             .iter()
-                            .all(|&u0| proc[u0] == proc[v] || superstep_of[u0] < superstep);
+                            .all(|&u0| pools.proc[u0] == q || pools.superstep_of[u0] < superstep);
                         if assignable_here {
-                            ready_proc[proc[v]].insert(u);
+                            pools.insert(u, q);
                         }
                     }
                 }
             }
 
             if !end_step {
-                loop {
-                    // A free processor that can still receive a node.
-                    let candidate = (0..p)
-                        .find(|&q| free[q] && (!ready_proc[q].is_empty() || !ready_all.is_empty()));
-                    let Some(q) = candidate else { break };
-                    let pool: Vec<usize> = if !ready_proc[q].is_empty() {
-                        ready_proc[q].iter().copied().collect()
-                    } else {
-                        ready_all.iter().copied().collect()
-                    };
-                    let v = pool
-                        .into_iter()
-                        .map(|v| (v, score(v, q, &proc)))
-                        .max_by(|a, b| {
-                            a.1.partial_cmp(&b.1)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then(b.0.cmp(&a.0))
-                        })
-                        .map(|(v, _)| v)
-                        .expect("pool is non-empty");
-                    ready.remove(&v);
-                    ready_all.remove(&v);
-                    for set in &mut ready_proc {
-                        set.remove(&v);
-                    }
-                    proc[v] = q;
-                    superstep_of[v] = superstep;
+                // A free processor that can still receive a node.
+                while let Some(q) =
+                    (0..p).find(|&q| free[q] && (pools.len[q] > 0 || pools.len[p] > 0))
+                {
+                    let v = pools.pick(q);
+                    pools.assign(v, q, superstep);
                     assigned += 1;
                     finish_events.entry(t + dag.work(v)).or_default().push(v);
                     free[q] = false;
@@ -137,14 +229,14 @@ impl BspgScheduler {
             // Close the computation phase when at least half the processors are
             // idle and no node is assignable to every processor.
             let idle = (0..p).filter(|&q| free[q]).count();
-            if ready_all.is_empty() && 2 * idle >= p {
+            if pools.len[p] == 0 && 2 * idle >= p {
                 end_step = true;
             }
         }
 
         Assignment {
-            proc,
-            superstep: superstep_of,
+            proc: pools.proc,
+            superstep: pools.superstep_of,
         }
     }
 }

@@ -15,40 +15,49 @@ use bsp_model::{Assignment, BspSchedule, Dag, Machine};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SourceScheduler;
 
+/// The assignment so far and the "shrinking" DAG of the unassigned nodes.
+struct Shrinking<'a> {
+    dag: &'a Dag,
+    proc: Vec<usize>,
+    superstep_of: Vec<usize>,
+    /// In-degree of each node counting unassigned predecessors only.
+    remaining_indeg: Vec<usize>,
+    /// Nodes whose remaining in-degree hit 0 and that the pull-in has not
+    /// examined yet.
+    freed: Vec<usize>,
+}
+
+impl Shrinking<'_> {
+    /// Assigns `v` and removes it from the remaining DAG.
+    fn assign(&mut self, v: usize, q: usize, superstep: usize) {
+        self.proc[v] = q;
+        self.superstep_of[v] = superstep;
+        for &w in self.dag.successors(v) {
+            self.remaining_indeg[w] -= 1;
+            if self.remaining_indeg[w] == 0 {
+                self.freed.push(w);
+            }
+        }
+    }
+}
+
 impl SourceScheduler {
     /// Computes the `(π, τ)` assignment.
     pub fn assignment(&self, dag: &Dag, machine: &Machine) -> Assignment {
         let n = dag.n();
         let p = machine.p();
-        let mut proc = vec![usize::MAX; n];
-        let mut superstep_of = vec![usize::MAX; n];
-        if n == 0 {
-            return Assignment {
-                proc: vec![],
-                superstep: vec![],
-            };
-        }
-
-        // Remaining in-degree in the "shrinking" DAG (assigned nodes removed).
-        let mut remaining_indeg: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-        let mut assigned_count = 0usize;
+        let mut st = Shrinking {
+            dag,
+            proc: vec![usize::MAX; n],
+            superstep_of: vec![usize::MAX; n],
+            remaining_indeg: (0..n).map(|v| dag.in_degree(v)).collect(),
+            freed: Vec::new(),
+        };
+        // Sources of the remaining DAG: the next superstep's round-robin set.
+        let mut sources: Vec<usize> = dag.sources();
         let mut superstep = 0usize;
 
-        // Removes an assigned node from the remaining DAG.
-        fn remove_node(dag: &Dag, v: usize, remaining_indeg: &mut [usize]) {
-            for &w in dag.successors(v) {
-                remaining_indeg[w] = remaining_indeg[w].saturating_sub(1);
-            }
-        }
-
-        while assigned_count < n {
-            let sources: Vec<usize> = (0..n)
-                .filter(|&v| proc[v] == usize::MAX && remaining_indeg[v] == 0)
-                .collect();
-            debug_assert!(
-                !sources.is_empty(),
-                "no sources but unassigned nodes remain"
-            );
+        while !sources.is_empty() {
             let mut next_proc = 0usize;
 
             if superstep == 0 {
@@ -64,7 +73,7 @@ impl SourceScheduler {
                     let mut target_cluster: Option<usize> = None;
                     'outer: for &succ in dag.successors(v) {
                         for &u in dag.predecessors(succ) {
-                            if u != v && proc[u] == usize::MAX && remaining_indeg[u] == 0 {
+                            if u != v && dag.in_degree(u) == 0 {
                                 if let Some(c) = cluster_of[u] {
                                     target_cluster = Some(c);
                                     break 'outer;
@@ -85,11 +94,7 @@ impl SourceScheduler {
                             cluster_of[v] = Some(c);
                             for &succ in dag.successors(v) {
                                 for &u in dag.predecessors(succ) {
-                                    if u != v
-                                        && proc[u] == usize::MAX
-                                        && remaining_indeg[u] == 0
-                                        && cluster_of[u].is_none()
-                                    {
+                                    if u != v && dag.in_degree(u) == 0 && cluster_of[u].is_none() {
                                         clusters[c].push(u);
                                         cluster_of[u] = Some(c);
                                     }
@@ -100,49 +105,30 @@ impl SourceScheduler {
                 }
                 for cluster in clusters {
                     for v in cluster {
-                        proc[v] = next_proc;
-                        superstep_of[v] = superstep;
-                        assigned_count += 1;
-                        remove_node(dag, v, &mut remaining_indeg);
+                        st.assign(v, next_proc, superstep);
                     }
                     next_proc = (next_proc + 1) % p;
                 }
             } else {
                 // Decreasing work weight, round-robin.
-                let mut order = sources.clone();
-                order.sort_by_key(|&v| (std::cmp::Reverse(dag.work(v)), v));
-                for v in order {
-                    proc[v] = next_proc;
-                    superstep_of[v] = superstep;
-                    assigned_count += 1;
-                    remove_node(dag, v, &mut remaining_indeg);
+                sources.sort_unstable_by_key(|&v| (std::cmp::Reverse(dag.work(v)), v));
+                for &v in &sources {
+                    st.assign(v, next_proc, superstep);
                     next_proc = (next_proc + 1) % p;
                 }
             }
+            sources.clear();
 
-            // Pull in successors whose predecessors all live on one processor.
-            // (Iterate to a fixed point so chains of such nodes are absorbed.)
-            loop {
-                let mut pulled = false;
-                for u in 0..n {
-                    if proc[u] != usize::MAX || remaining_indeg[u] != 0 {
-                        continue;
-                    }
-                    let preds = dag.predecessors(u);
-                    if preds.is_empty() {
-                        continue;
-                    }
-                    let target = proc[preds[0]];
-                    if preds.iter().all(|&w| proc[w] == target) {
-                        proc[u] = target;
-                        superstep_of[u] = superstep;
-                        assigned_count += 1;
-                        remove_node(dag, u, &mut remaining_indeg);
-                        pulled = true;
-                    }
-                }
-                if !pulled {
-                    break;
+            // Pull in successors whose predecessors all live on one processor;
+            // the rest are the sources of the next superstep.  (A pulled-in
+            // node frees its own successors, so chains are absorbed.)
+            while let Some(u) = st.freed.pop() {
+                let preds = dag.predecessors(u);
+                let target = st.proc[preds[0]];
+                if preds.iter().all(|&w| st.proc[w] == target) {
+                    st.assign(u, target, superstep);
+                } else {
+                    sources.push(u);
                 }
             }
 
@@ -150,8 +136,8 @@ impl SourceScheduler {
         }
 
         Assignment {
-            proc,
-            superstep: superstep_of,
+            proc: st.proc,
+            superstep: st.superstep_of,
         }
     }
 }

@@ -450,7 +450,12 @@ impl Pipeline {
     ) -> (BranchReport, BspSchedule, Vec<PhaseSample>) {
         let branch_start = origin.map(|o| o.elapsed());
         let mut schedule = init.schedule(dag, machine);
-        schedule.normalize(dag);
+        debug_assert_eq!(
+            schedule.normalize(dag),
+            0,
+            "{} must return a normalized schedule",
+            init.name()
+        );
         let init_done = origin.map(|o| o.elapsed());
         let init_cost = schedule.cost(dag, machine);
         // The paper gives 90% of the local-search budget to HC, 10% to HCcs;

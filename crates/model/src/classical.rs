@@ -79,6 +79,14 @@ impl ClassicalSchedule {
         true
     }
 
+    /// `true` if `v` has a predecessor on a different processor that has no
+    /// superstep yet.
+    fn is_blocked(&self, dag: &Dag, v: usize, superstep: &[usize]) -> bool {
+        dag.predecessors(v)
+            .iter()
+            .any(|&u| superstep[u] == usize::MAX && self.proc[u] != self.proc[v])
+    }
+
     /// Converts this classical schedule into a BSP assignment by cutting the
     /// timeline into supersteps (Appendix A.1), keeping the processor
     /// assignment unchanged.
@@ -89,48 +97,42 @@ impl ClassicalSchedule {
 
         let mut superstep = vec![usize::MAX; n];
         let mut current = 0usize;
-        let mut remaining: Vec<usize> = order.clone();
-        while !remaining.is_empty() {
+        // `order[begin..]` is unassigned.  `order[begin..scan]` is known to be
+        // unblocked, and stays so as more nodes get assigned, so each node is
+        // examined once, plus once per cut made at it.
+        let mut begin = 0usize;
+        let mut scan = 0usize;
+        while begin < n {
             // Earliest start time t of an unassigned node with an unassigned
             // predecessor on a different processor.
-            let mut cut: Option<u64> = None;
-            for &v in &remaining {
-                let blocked = dag
-                    .predecessors(v)
-                    .iter()
-                    .any(|&u| superstep[u] == usize::MAX && self.proc[u] != self.proc[v]);
-                if blocked {
-                    cut = Some(self.start[v]);
-                    break;
-                }
+            while scan < n && !self.is_blocked(dag, order[scan], &superstep) {
+                scan += 1;
             }
-            match cut {
-                None => {
-                    // No more communication needed: everything left goes into
-                    // the current superstep.
-                    for &v in &remaining {
-                        superstep[v] = current;
-                    }
-                    remaining.clear();
+            if scan == n {
+                // No more communication needed: everything left goes into
+                // the current superstep.
+                for &v in &order[begin..] {
+                    superstep[v] = current;
                 }
-                Some(t) => {
-                    let (now, later): (Vec<usize>, Vec<usize>) =
-                        remaining.iter().partition(|&&v| self.start[v] < t);
-                    if now.is_empty() {
-                        // Degenerate case (zero-length predecessors starting at
-                        // the same instant): force progress by taking the first
-                        // remaining node.
-                        let v = remaining.remove(0);
-                        superstep[v] = current;
-                    } else {
-                        for &v in &now {
-                            superstep[v] = current;
-                        }
-                        remaining = later;
-                    }
-                    current += 1;
-                }
+                break;
             }
+            let t = self.start[order[scan]];
+            let mut end = begin;
+            while self.start[order[end]] < t {
+                end += 1;
+            }
+            if end == begin {
+                // Degenerate case (zero-length predecessors starting at
+                // the same instant): force progress by taking the first
+                // remaining node.
+                end += 1;
+            }
+            for &v in &order[begin..end] {
+                superstep[v] = current;
+            }
+            begin = end;
+            scan = scan.max(begin);
+            current += 1;
         }
         Assignment {
             proc: self.proc.clone(),

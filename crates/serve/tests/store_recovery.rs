@@ -21,8 +21,15 @@ const CASES: u64 = 48;
 const RECORDS: usize = 6;
 
 fn temp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("bsp-store-recovery-{}-{name}", std::process::id()));
+    // Keyed by the running test as well as the process: libtest gives each
+    // test a thread named after it, and the tests here run side by side and
+    // both want a "pristine" directory.
+    let thread = std::thread::current();
+    let test = thread.name().unwrap_or("main");
+    let dir = std::env::temp_dir().join(format!(
+        "bsp-store-recovery-{}-{test}-{name}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&dir);
     dir
 }

@@ -14,6 +14,7 @@ use bsp_sched::Scheduler;
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 struct CountingAllocator;
@@ -41,8 +42,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The counters are process-wide (lane threads must be counted too), so a
+/// test that allocates while another measures would be counted against it.
+/// Every test holds this lock from its first allocation to its last assert.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock must not fail the others.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn try_move_is_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
     let dag = spmv(&SpmvConfig {
         n: 48,
         density: 0.2,
@@ -111,6 +125,7 @@ fn try_move_is_allocation_free_after_warmup() {
 /// the thread-spawn machinery itself.
 #[test]
 fn parallel_gain_evaluation_is_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
     let dag = spmv(&SpmvConfig {
         n: 48,
         density: 0.2,
@@ -189,6 +204,7 @@ fn parallel_gain_evaluation_is_allocation_free_after_warmup() {
 /// the warm-up rounds cover the apply path's growth.)
 #[test]
 fn batch_coarsening_scan_and_select_is_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
     let dag = spmv(&SpmvConfig {
         n: 400,
         density: 0.05,
@@ -236,6 +252,7 @@ fn batch_coarsening_scan_and_select_is_allocation_free_after_warmup() {
 /// from scratch per phase, allocating `O(n + m)` every time.
 #[test]
 fn multilevel_refinement_phase_is_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
     let dag = spmv(&SpmvConfig {
         n: 48,
         density: 0.2,

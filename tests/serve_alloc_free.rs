@@ -13,6 +13,7 @@ use bsp_serve::{
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 struct CountingAllocator;
@@ -40,8 +41,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The counters are process-wide, so a second test in this binary that
+/// allocated while this one measures would be counted against it.  Every
+/// test here holds this lock from its first allocation to its last assert.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock must not fail the others.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn exact_cache_hit_response_path_is_allocation_free() {
+    let _serial = one_at_a_time();
     let dag = spmv(&SpmvConfig {
         n: 48,
         density: 0.2,
