@@ -59,11 +59,12 @@ pub struct HillClimbConfig {
     /// Both searches are anytime, so a cancelled run still returns a valid
     /// schedule no worse than its input.  Inert by default.
     pub cancel: crate::cancel::CancelToken,
-    /// Evaluation threads *inside* one search.  `1` (the default) runs the
-    /// classical serial work-list driver; `> 1` runs the batch-speculative
-    /// parallel driver ([`ParallelHc`]) with that many lanes; `0` means one
-    /// lane per available core.  The parallel driver is deterministic for a
-    /// fixed input regardless of the lane count.
+    /// Evaluation threads *inside* one search: `1` (the default) is serial,
+    /// `> 1` that many lanes, `0` one lane per available core.  Only `HCcs`
+    /// reads it.  `HC` always runs the serial work-list driver, which is
+    /// several times faster than the batch-speculative [`ParallelHc`] where
+    /// the two were measured (ROADMAP item 3); drive that type directly to
+    /// use it.
     pub threads: usize,
 }
 
@@ -130,14 +131,17 @@ pub struct HillClimbOutcome {
 }
 
 /// Atomic instrumentation counters for perf work, compiled in only with the
-/// `hc-debug-counters` feature: node visits, pruning-gate passes, and
-/// candidate-move evaluations of the `HC` driver.
+/// `hc-debug-counters` feature: node visits, pruning-gate passes, lifts, and
+/// candidate destinations of the `HC` driver (`EVALS` = `PRUNED` + `DROPS`).
 #[cfg(feature = "hc-debug-counters")]
 pub mod debug_counters {
     use std::sync::atomic::AtomicU64;
     pub static VISITS: AtomicU64 = AtomicU64::new(0);
     pub static GATE_PASS: AtomicU64 = AtomicU64::new(0);
     pub static EVALS: AtomicU64 = AtomicU64::new(0);
+    pub static LIFTS: AtomicU64 = AtomicU64::new(0);
+    pub static DROPS: AtomicU64 = AtomicU64::new(0);
+    pub static PRUNED: AtomicU64 = AtomicU64::new(0);
 }
 
 /// Reusable work-list buffers for [`hc_search`].  Owning these outside the
@@ -196,21 +200,62 @@ impl SearchScratch {
     }
 }
 
+/// Bumps one of the [`debug_counters`]; compiles to nothing without the
+/// `hc-debug-counters` feature.
+macro_rules! count {
+    ($counter:ident) => {
+        #[cfg(feature = "hc-debug-counters")]
+        debug_counters::$counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    };
+}
+
+/// Costs one admissible destination of `v`; `true` if moving there lowers the
+/// total cost.  `v` is lifted out of the tallies at its first admissible
+/// destination (on chain-like DAGs most gated nodes have none) and every
+/// destination is costed as a drop onto that lifted state; one whose `O(1)`
+/// lower bound is already non-negative cannot improve and is not evaluated.
+/// Out of line: keeps the enumeration loop of [`try_improve_node`], which most
+/// visits never leave, small.
+#[inline(never)]
+fn destination_improves<G: DagView>(
+    graph: &G,
+    state: &mut HcState<'_>,
+    lifted: &mut bool,
+    v: usize,
+    p_new: usize,
+    s_new: usize,
+) -> bool {
+    count!(EVALS);
+    let (core, scratch) = state.parts_mut();
+    if !*lifted {
+        core.lift(scratch, graph, v);
+        *lifted = true;
+        count!(LIFTS);
+    }
+    let bound = core.drop_lower_bound(scratch, graph, v, p_new, s_new);
+    if bound.is_some_and(|b| b >= 0) {
+        count!(PRUNED);
+        return false;
+    }
+    count!(DROPS);
+    core.drop_eval(scratch, graph, v, p_new, s_new) < 0
+}
+
 /// Tries the candidate moves of node `v` in the canonical order (superstep
 /// `s−1`, `s`, `s+1`; processors ascending) and applies the first improving
 /// one.  Returns `true` if a move was accepted.
 fn try_improve_node<G: DagView>(graph: &G, state: &mut HcState<'_>, v: usize, p: usize) -> bool {
-    #[cfg(feature = "hc-debug-counters")]
-    debug_counters::VISITS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    count!(VISITS);
     if !state.node_can_gain(graph, v) {
         return false;
     }
-    #[cfg(feature = "hc-debug-counters")]
-    debug_counters::GATE_PASS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    count!(GATE_PASS);
     let (p_old, s_old) = (state.proc_of(v), state.step_of(v));
     let window = state.move_window(graph, v);
+    let mut lifted = false;
+    let mut found = None;
     let s_candidates = [s_old.wrapping_sub(1), s_old, s_old + 1];
-    for &s_new in &s_candidates {
+    'search: for &s_new in &s_candidates {
         if s_new == usize::MAX {
             continue; // wrapped below superstep 0
         }
@@ -221,15 +266,20 @@ fn try_improve_node<G: DagView>(graph: &G, state: &mut HcState<'_>, v: usize, p:
             if !window.allows(p_new, s_new) {
                 continue;
             }
-            #[cfg(feature = "hc-debug-counters")]
-            debug_counters::EVALS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if state.try_move(graph, v, p_new, s_new) < 0 {
-                state.apply_move(graph, v, p_new, s_new);
-                return true;
+            if destination_improves(graph, state, &mut lifted, v, p_new, s_new) {
+                found = Some((p_new, s_new));
+                break 'search;
             }
         }
     }
-    false
+    if lifted {
+        let (core, scratch) = state.parts_mut();
+        core.unlift(scratch, graph, v);
+    }
+    if let Some((p_new, s_new)) = found {
+        state.apply_move(graph, v, p_new, s_new);
+    }
+    found.is_some()
 }
 
 /// Re-enqueues everything whose best move can have changed after an accepted
@@ -280,16 +330,13 @@ pub fn hc_improve(
     config: &HillClimbConfig,
 ) -> HillClimbOutcome {
     schedule.relax_to_lazy(dag);
-    let mut state = HcState::new(dag, machine, schedule.assignment.clone())
+    // Taken rather than copied: `schedule.assignment` is rewritten from the
+    // state below.
+    let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
         .expect("hc_improve requires a precedence-feasible assignment");
     let mut scratch = SearchScratch::new();
     scratch.enqueue_all(dag);
-    let threads = config.effective_threads();
-    let mut outcome = if threads > 1 {
-        ParallelHc::new(threads).search(dag, machine, &mut state, config, &mut scratch, true)
-    } else {
-        hc_search(dag, machine, &mut state, config, &mut scratch, true)
-    };
+    let mut outcome = hc_search(dag, machine, &mut state, config, &mut scratch, true);
     schedule.assignment = state.into_assignment();
     schedule.relax_to_lazy(dag);
     schedule.normalize(dag);
@@ -381,10 +428,13 @@ pub fn hc_search<G: DagView>(
         use std::sync::atomic::Ordering::Relaxed;
         eprintln!("[hc] search done at {:?}, steps {steps}", start.elapsed());
         eprintln!(
-            "[hc] visits {} gate-pass {} evals {}",
+            "[hc] visits {} gate-pass {} evals {} lifts {} drops {} pruned {}",
             debug_counters::VISITS.swap(0, Relaxed),
             debug_counters::GATE_PASS.swap(0, Relaxed),
             debug_counters::EVALS.swap(0, Relaxed),
+            debug_counters::LIFTS.swap(0, Relaxed),
+            debug_counters::DROPS.swap(0, Relaxed),
+            debug_counters::PRUNED.swap(0, Relaxed),
         );
     }
     HillClimbOutcome {
@@ -484,6 +534,29 @@ mod tests {
         assert!(outcome.reached_local_minimum);
     }
 
+    /// [`hc_improve`] with the search handed to a [`ParallelHc`] of `threads`
+    /// lanes (`hc_improve` itself always runs the serial driver).
+    fn parallel_hc_improve(
+        dag: &Dag,
+        machine: &Machine,
+        schedule: &mut BspSchedule,
+        config: &HillClimbConfig,
+        threads: usize,
+    ) -> HillClimbOutcome {
+        schedule.relax_to_lazy(dag);
+        let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
+            .expect("feasible assignment");
+        let mut scratch = SearchScratch::new();
+        scratch.enqueue_all(dag);
+        let mut outcome =
+            ParallelHc::new(threads).search(dag, machine, &mut state, config, &mut scratch, true);
+        schedule.assignment = state.into_assignment();
+        schedule.relax_to_lazy(dag);
+        schedule.normalize(dag);
+        outcome.final_cost = schedule.cost(dag, machine);
+        outcome
+    }
+
     #[test]
     fn parallel_hc_is_valid_and_deterministic_across_lane_counts() {
         let dag = cg(&IterConfig {
@@ -498,8 +571,8 @@ mod tests {
 
         let run = |threads: usize| {
             let mut sched = init.clone();
-            let config = HillClimbConfig::default().with_threads(threads);
-            let outcome = hc_improve(&dag, &machine, &mut sched, &config);
+            let config = HillClimbConfig::default();
+            let outcome = parallel_hc_improve(&dag, &machine, &mut sched, &config, threads);
             assert!(sched.validate(&dag, &machine).is_ok());
             assert!(outcome.final_cost <= before);
             assert!(outcome.reached_local_minimum);
@@ -529,8 +602,8 @@ mod tests {
         });
         let machine = Machine::uniform(4, 3, 5);
         let mut sched = CilkScheduler::default().schedule(&dag, &machine);
-        let config = HillClimbConfig::with_max_steps(3).with_threads(4);
-        let outcome = hc_improve(&dag, &machine, &mut sched, &config);
+        let config = HillClimbConfig::with_max_steps(3);
+        let outcome = parallel_hc_improve(&dag, &machine, &mut sched, &config, 4);
         assert!(outcome.steps <= 3);
         assert!(sched.validate(&dag, &machine).is_ok());
     }

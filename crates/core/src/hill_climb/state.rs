@@ -3,22 +3,51 @@
 //! The paper (§4.3, Appendix A.3) stresses that recomputing the full cost for
 //! every candidate move would be far too slow; instead the search keeps
 //! per-superstep, per-processor work / send / receive tallies under the lazy
-//! communication schedule and updates only the supersteps a move actually
-//! touches.
+//! communication schedule, with cached row maxima and body costs (work +
+//! `g`·h-relation), and updates only the supersteps a move actually touches.
 //!
-//! This implementation goes one step further than "incremental": evaluating a
-//! candidate move performs **zero heap allocation**.  All intermediate results
-//! live in scratch buffers reused across moves:
+//! ## Lift once, drop per candidate
 //!
-//! * the "earliest superstep each processor needs a value" map is a pair of
-//!   generation-stamped arrays (`need_step` / `need_mark`) instead of a fresh
-//!   `vec![usize::MAX; P]` per call;
-//! * old/new lazy-communication contributions go into reusable scratch vecs;
-//! * the set of supersteps a move touches is deduplicated with a second
-//!   generation stamp (`step_mark`) instead of sort+dedup on a fresh vec;
-//! * per-superstep body costs (work + `g`·h-relation) are cached and patched
-//!   incrementally, so a move's delta only recomputes the few touched rows of
-//!   the flat `[superstep × processor]` tally matrices.
+//! The driver costs up to `3 · P` destinations for one node `v`, and all but
+//! about one in a hundred are rejected.  What a move *removes* — `v`'s work,
+//! `v`'s own sends, and the sends of predecessors that `v` alone anchored —
+//! is the same for every destination, so it is done once:
+//!
+//! * [`HcCore::lift`] takes `v` out of the tallies.  Its sends are removed;
+//!   a predecessor whose unique earliest consumer on `π(v)` was `v` has that
+//!   one send re-anchored for the runner-up consumer (read off the cached
+//!   `ConsumerSummary`, no successor scan).  The tallies then describe the
+//!   schedule of `G ∖ {v}`, and the exact cost change — the *lift gain* — is
+//!   kept.
+//! * [`HcCore::drop_eval`] costs one destination on that lifted state: one
+//!   work patch, `v`'s sends re-anchored at the new processor, and per
+//!   predecessor at most "pull its send to the new processor earlier" or
+//!   "add one".  It returns `lift gain + Δrows + latency term` — exactly the
+//!   delta of the whole move — and undoes only its own few patches.
+//! * [`HcCore::drop_lower_bound`] needs no patch at all.  When no
+//!   predecessor send would move earlier, a drop only *adds* to the lifted
+//!   tallies, so no row gets cheaper and the destination row pays at least
+//!   the rise of its work maximum.  Because the lift gain is exact, `lift
+//!   gain + rise + latency term ≥ 0` rejects most destinations in `O(1)`.
+//!   The driver only asks `delta < 0`, so pruning never changes which move
+//!   is accepted.
+//! * [`HcCore::unlift`] puts `v` back, bit for bit.
+//!
+//! Lift and drop log their patches and the row-max caches of the rows they
+//! touch, so undoing is exact inverse arithmetic plus restoring saved caches:
+//! a rejected candidate never rescans a row.  `body`, `body_sum` and the
+//! assignment are not touched until a move commits.
+//!
+//! [`HcCore::apply_move`] is the only commit path, and it deliberately does
+//! *not* go through lift/drop: it patches the full old and new contribution
+//! sets of `v` and its predecessors, so the `affected` superstep set it
+//! leaves behind names every superstep such a contribution sits in, changed
+//! or not.  The work-list re-enqueues the nodes of exactly those supersteps;
+//! narrowing the set would reorder the queue and with it the trajectory.
+//!
+//! Every step of this performs **zero heap allocation** once the scratch is
+//! sized: need maps and touched-superstep marks are generation-stamped
+//! arrays, and contribution gathers and op logs are reusable vecs.
 //!
 //! ## The snapshot/scratch split
 //!
@@ -29,21 +58,20 @@
 //!   the persistent per-node consumer-summary caches — everything candidate
 //!   evaluation *reads*.
 //! * [`EvalScratch`] is the **per-thread work area**: the generation-stamped
-//!   need maps, the contribution gather buffers, and the touched-superstep
-//!   dedup marks — everything evaluation *writes*.
+//!   need maps, the contribution gather buffers, the lift/drop op logs and
+//!   the touched-superstep dedup marks — everything evaluation *writes*.
 //!
-//! Read-only gain evaluation is therefore `&HcCore + &mut EvalScratch`
-//! ([`HcCore::speculate_move`], [`HcCore::can_gain`]) and safe to run from
-//! many threads at once against one snapshot, which is what the
-//! batch-speculative parallel driver ([`crate::hill_climb::ParallelHc`])
-//! does.  The classical mutating path ([`HcState::try_move`] /
-//! [`HcState::apply_move`]) still exists: it patches the tallies and rolls
-//! them back (or commits), and remains the serial driver's work-horse and the
-//! parallel driver's commit/re-validation step.  Both paths compute the exact
-//! same delta — a property test pins them against each other.
+//! The serial driver mutates the core in place (lift / drop / unlift, then
+//! [`HcCore::apply_move`]).  The batch-speculative parallel driver
+//! ([`crate::hill_climb::ParallelHc`]) instead evaluates read-only,
+//! `&HcCore + &mut EvalScratch` ([`HcCore::speculate_move`],
+//! [`HcCore::can_gain`]), from many threads against one snapshot, and uses
+//! the mutating path only to commit and re-validate.  Both compute the exact
+//! same delta — property tests pin each against a full recomputation and
+//! against each other.
 //!
 //! [`HcState`] owns one core plus one scratch and exposes the classical
-//! single-threaded API unchanged.
+//! single-threaded API; [`HcState::try_move`] is lift → exact drop → unlift.
 //!
 //! ## Graph-per-call and warm starts
 //!
@@ -95,6 +123,33 @@ struct ConsumerSummary {
     /// Second-smallest distinct consuming superstep (`usize::MAX` if none).
     runner_up: usize,
 }
+
+impl ConsumerSummary {
+    /// Earliest consuming superstep on `to` once one consumer at `(q, s)` is
+    /// taken away (`usize::MAX` if it was the only consumer there).
+    #[inline(always)]
+    fn min_without(&self, q: usize, s: usize) -> usize {
+        if self.to == q && self.min_step == s && self.min_cnt == 1 {
+            self.runner_up
+        } else {
+            self.min_step
+        }
+    }
+}
+
+/// Undo record of one lift or one drop: the row-max caches of every touched
+/// superstep as they were on first touch, `(row, work_max, work_max_cnt,
+/// hrel_max, hrel_max_cnt)`, and the contribution patches in application
+/// order (`true` = added).
+#[derive(Debug, Clone, Default)]
+struct OpLog {
+    rows: Vec<(usize, u64, u32, u64, u32)>,
+    ops: Vec<(Contribution, bool)>,
+}
+
+/// Indices into [`EvalScratch::logs`].
+const LIFT: usize = 0;
+const DROP: usize = 1;
 
 /// Precomputed feasibility window for all candidate moves of one node: the
 /// binding predecessor/successor superstep and, when every binding neighbour
@@ -161,9 +216,15 @@ pub struct EvalScratch {
     contribs_new: Vec<Contribution>,
     /// Supersteps whose tallies the last evaluated move touched.
     affected: Vec<usize>,
-    /// Cached row state of `affected` before the move (for O(1) rollback):
-    /// `(body, work_max, work_max_cnt, hrel_max, hrel_max_cnt)`.
-    affected_saved: Vec<(u64, u64, u32, u64, u32)>,
+    /// Undo records of the current lift and of the drop being evaluated.
+    logs: [OpLog; 2],
+    /// The exact cost change the current lift made.
+    lift_gain: i64,
+    /// Per processor `q`: the latest superstep a predecessor's send to `q`
+    /// is anchored for in the lifted state (`0` if none).  Dropping the node
+    /// on `q` in an earlier superstep pulls that send earlier; at or past it,
+    /// the drop only adds to the tallies.
+    move_below: Vec<usize>,
     /// Node whose `contribs_old` are currently cached.  The old contributions
     /// of node `v` (its own plus its predecessors') are identical across all
     /// `3 · P` candidate destinations the driver evaluates for `v`, so they
@@ -205,8 +266,9 @@ impl EvalScratch {
         if self.affected.capacity() < step_bound {
             self.affected.reserve(step_bound);
         }
-        if self.affected_saved.capacity() < step_bound {
-            self.affected_saved.reserve(step_bound);
+        for log in &mut self.logs {
+            log.rows.reserve(step_bound.saturating_sub(log.rows.len()));
+            log.ops.reserve(bound.saturating_sub(log.ops.len()));
         }
     }
 
@@ -217,6 +279,7 @@ impl EvalScratch {
             self.need_second.resize(p, 0);
             self.need_mark.resize(p, 0);
             self.need_touched.reserve(p);
+            self.move_below.resize(p, 0);
             self.delta_work.resize(p, 0);
             self.delta_send.resize(p, 0);
             self.delta_recv.resize(p, 0);
@@ -228,6 +291,29 @@ impl EvalScratch {
         if self.step_mark.len() < cap {
             self.step_mark.resize(cap, 0);
         }
+    }
+
+    /// Fills `affected` with the supersteps a move between `s_old` and
+    /// `s_new` touches given the gathered contributions — those two first,
+    /// then the old and the new contributions' — deduplicated with the
+    /// generation stamp.
+    fn mark_affected(&mut self, s_old: usize, s_new: usize) {
+        self.affected.clear();
+        self.step_stamp += 1;
+        let contribs = self.contribs_old.iter().chain(&self.contribs_new);
+        for s in [s_old, s_new].into_iter().chain(contribs.map(|c| c.step)) {
+            if self.step_mark[s] != self.step_stamp {
+                self.step_mark[s] = self.step_stamp;
+                self.affected.push(s);
+            }
+        }
+    }
+
+    /// Starts a fresh undo log `which` under a new row-mark generation.
+    fn begin_log(&mut self, which: usize) {
+        self.step_stamp += 1;
+        self.logs[which].rows.clear();
+        self.logs[which].ops.clear();
     }
 
     /// Forgets the per-node gather cache.  The parallel driver calls this at
@@ -670,6 +756,30 @@ impl<'a> HcCore<'a> {
         self.body_sum + self.machine.latency() * self.num_steps as u64
     }
 
+    /// `true` if both cores hold bit-equal derived state: tally and fused
+    /// h-relation cells, row-max caches with their attain counts, body costs,
+    /// their sum and the superstep count.  Rows past a core's capacity count
+    /// as empty.  Test support: pins the incremental state against a fresh
+    /// rebuild of the same assignment.
+    #[doc(hidden)]
+    pub fn same_tallies(&self, other: &Self) -> bool {
+        fn padded<T: Copy + PartialEq>(a: &[T], b: &[T], empty: T) -> bool {
+            let at = |x: &[T], i: usize| x.get(i).copied().unwrap_or(empty);
+            (0..a.len().max(b.len())).all(|i| at(a, i) == at(b, i))
+        }
+        let p = self.machine.p() as u32;
+        let cells = [&self.work, &self.send, &self.recv, &self.hrel];
+        let other_cells = [&other.work, &other.send, &other.recv, &other.hrel];
+        (cells.iter().zip(other_cells)).all(|(a, b)| padded(a, b, 0))
+            && padded(&self.work_max, &other.work_max, 0)
+            && padded(&self.hrel_max, &other.hrel_max, 0)
+            && padded(&self.body, &other.body, 0)
+            && padded(&self.work_max_cnt, &other.work_max_cnt, p)
+            && padded(&self.hrel_max_cnt, &other.hrel_max_cnt, p)
+            && self.body_sum == other.body_sum
+            && self.num_steps == other.num_steps
+    }
+
     /// Rebuilds node `u`'s cached consumer summaries if a committed move
     /// invalidated them.
     fn refresh_summaries<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, u: usize) {
@@ -757,8 +867,8 @@ impl<'a> HcCore<'a> {
 
     /// Fills `scratch.contribs_old` / `scratch.contribs_new` with the lazy
     /// contributions removed and added by moving `v` to `(p_new, s_new)`.
-    /// Pure with respect to the core; shared by the mutating
-    /// [`HcCore::eval_move`] and the read-only [`HcCore::speculate_move`], so
+    /// Pure with respect to the core; shared by the committing
+    /// [`HcCore::apply_move`] and the read-only [`HcCore::speculate_move`], so
     /// the two paths cannot drift apart on the communication model.
     fn gather_move_contribs<G: DagView>(
         &self,
@@ -813,16 +923,7 @@ impl<'a> HcCore<'a> {
                 if sm.to == pu {
                     continue;
                 }
-                let mut eff = sm.min_step;
-                if sm.to == p_old && sm.min_step == s_old {
-                    // v attains the minimum here; excluding it leaves either
-                    // the tied consumers or the runner-up step.
-                    eff = if sm.min_cnt > 1 {
-                        sm.min_step
-                    } else {
-                        sm.runner_up
-                    };
-                }
+                let mut eff = sm.min_without(p_old, s_old);
                 if sm.to == p_new {
                     eff = eff.min(s_new);
                 }
@@ -1046,30 +1147,7 @@ impl<'a> HcCore<'a> {
         scratch.fit_steps(self.body.len().max(s_new + 1) + 1);
         self.gather_move_contribs(scratch, graph, v, p_new, s_new);
 
-        // Deduplicate the touched supersteps with the generation stamp.
-        scratch.affected.clear();
-        scratch.step_stamp += 1;
-        let stamp = scratch.step_stamp;
-        for s in [s_old, s_new] {
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
-        for i in 0..scratch.contribs_old.len() {
-            let s = scratch.contribs_old[i].step;
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
-        for i in 0..scratch.contribs_new.len() {
-            let s = scratch.contribs_new[i].step;
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
+        scratch.mark_affected(s_old, s_new);
 
         // Per affected superstep: accumulate the cell deltas in the stamped
         // per-processor arrays, then recompute the row maxima in one scan
@@ -1137,18 +1215,7 @@ impl<'a> HcCore<'a> {
             after += wm + g * hm;
         }
 
-        // The new superstep count, accounting for the occupancy shift.
-        let occupancy = |s: usize| {
-            self.nodes_in_step.get(s).copied().unwrap_or(0) + usize::from(s == s_new)
-                - usize::from(s == s_old)
-        };
-        let mut new_num_steps = self.num_steps.max(s_new + 1);
-        while new_num_steps > 0 && occupancy(new_num_steps - 1) == 0 {
-            new_num_steps -= 1;
-        }
-        let latency_delta =
-            self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64);
-        after as i64 - before as i64 + latency_delta
+        after as i64 - before as i64 + self.latency_delta(v, s_new)
     }
 
     /// Grows the tally matrices to hold at least `steps` supersteps.
@@ -1219,16 +1286,274 @@ impl<'a> HcCore<'a> {
         );
     }
 
-    /// Shared move evaluation; `commit` decides whether the move sticks.
-    /// See [`HcState::try_move`] / [`HcState::apply_move`].
-    pub fn eval_move<G: DagView>(
+    /// Adds (`add`) or removes one lazy contribution on both of its tallies.
+    #[inline(always)]
+    fn patch_contrib(&mut self, c: Contribution, add: bool) {
+        let row = c.step * self.machine.p();
+        self.patch_comm(Side::Send, c.step, row + c.from, c.weight, add);
+        self.patch_comm(Side::Recv, c.step, row + c.to, c.weight, add);
+    }
+
+    /// The superstep count after moving `v` to superstep `s_new`: the
+    /// occupancy shift may open a superstep at the end or drain trailing ones.
+    #[inline]
+    fn steps_after_move(&self, v: usize, s_new: usize) -> usize {
+        let s_old = self.step[v];
+        let occupancy = |s: usize| {
+            self.nodes_in_step.get(s).copied().unwrap_or(0) + usize::from(s == s_new)
+                - usize::from(s == s_old)
+        };
+        let mut steps = self.num_steps.max(s_new + 1);
+        while steps > 0 && occupancy(steps - 1) == 0 {
+            steps -= 1;
+        }
+        steps
+    }
+
+    /// Latency term of the cost change of moving `v` to superstep `s_new`.
+    #[inline]
+    fn latency_delta(&self, v: usize, s_new: usize) -> i64 {
+        self.machine.latency() as i64
+            * (self.steps_after_move(v, s_new) as i64 - self.num_steps as i64)
+    }
+
+    /// Saves row `s`'s max caches in log `which` the first time it is touched.
+    #[inline(always)]
+    fn touch_row(&self, scratch: &mut EvalScratch, which: usize, s: usize) {
+        if scratch.step_mark[s] != scratch.step_stamp {
+            scratch.step_mark[s] = scratch.step_stamp;
+            let (wm, hm) = (self.work_max[s], self.hrel_max[s]);
+            let saved = (s, wm, self.work_max_cnt[s], hm, self.hrel_max_cnt[s]);
+            scratch.logs[which].rows.push(saved);
+        }
+    }
+
+    /// Applies one contribution patch and records it in log `which`.
+    #[inline(always)]
+    fn patch_logged(
+        &mut self,
+        scratch: &mut EvalScratch,
+        which: usize,
+        c: Contribution,
+        add: bool,
+    ) {
+        self.touch_row(scratch, which, c.step);
+        self.patch_contrib(c, add);
+        scratch.logs[which].ops.push((c, add));
+    }
+
+    /// Removes (`LIFT`) or adds (`DROP`) the sends of `v`'s value, weight
+    /// `cv`, from processor `from` to every other processor hosting a consumer.
+    #[inline(always)]
+    fn patch_own_sends(
+        &mut self,
+        scratch: &mut EvalScratch,
+        which: usize,
+        v: usize,
+        cv: u64,
+        from: usize,
+    ) {
+        for i in 0..self.contrib_cache[v].len() {
+            let sm = self.contrib_cache[v][i];
+            if sm.to != from {
+                debug_assert!(sm.min_step > 0, "consumer of a moved value in superstep 0");
+                let weight = cv * self.machine.lambda(from, sm.to);
+                let c = Contribution {
+                    step: sm.min_step - 1,
+                    from,
+                    to: sm.to,
+                    weight,
+                };
+                self.patch_logged(scratch, which, c, which == DROP);
+            }
+        }
+    }
+
+    /// Body-cost change of the rows in `log` since their first touch.
+    #[inline]
+    fn log_delta(&self, log: &OpLog) -> i64 {
+        let g = self.machine.g();
+        let mut delta = 0i64;
+        for &(s, wm, _, hm, _) in &log.rows {
+            delta += (self.work_max[s] + g * self.hrel_max[s]) as i64 - (wm + g * hm) as i64;
+        }
+        delta
+    }
+
+    /// Reverts the contribution patches of `log` (cells by exact inverse
+    /// arithmetic, newest first) and restores the saved row-max caches, so no
+    /// row is ever rescanned on the way back.
+    #[inline]
+    fn undo_log(&mut self, log: &OpLog) {
+        let p = self.machine.p();
+        for &(c, added) in log.ops.iter().rev() {
+            let (from, to) = (c.step * p + c.from, c.step * p + c.to);
+            if added {
+                self.send[from] -= c.weight;
+                self.recv[to] -= c.weight;
+            } else {
+                self.send[from] += c.weight;
+                self.recv[to] += c.weight;
+            }
+            self.hrel[from] = self.send[from].max(self.recv[from]);
+            self.hrel[to] = self.send[to].max(self.recv[to]);
+        }
+        for &(s, wm, wc, hm, hc) in &log.rows {
+            (self.work_max[s], self.work_max_cnt[s]) = (wm, wc);
+            (self.hrel_max[s], self.hrel_max_cnt[s]) = (hm, hc);
+        }
+    }
+
+    /// Takes `v` out of the tallies: its work leaves `(τ(v), π(v))`, its own
+    /// sends are removed, and each predecessor send that `v` alone anchored
+    /// is re-anchored for the runner-up consumer.  The tallies then describe
+    /// the schedule of `G ∖ {v}`; the exact cost change is kept as the lift
+    /// gain every [`HcCore::drop_eval`] of `v` starts from.  `body`,
+    /// `body_sum` and the assignment are left alone.  Must be paired with
+    /// [`HcCore::unlift`] before any other mutation.  `O(deg)`.
+    pub fn lift<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
+        debug_assert!(self.split_pending.is_none());
+        let p = self.machine.p();
+        scratch.fit_procs(p);
+        scratch.fit_steps(self.body.len() + 1);
+        self.warm_summaries(scratch, graph, v);
+        let (p_old, s_old) = (self.proc[v], self.step[v]);
+        scratch.begin_log(LIFT);
+        scratch.move_below[..p].fill(0);
+
+        self.touch_row(scratch, LIFT, s_old);
+        self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - graph.work(v));
+        self.patch_own_sends(scratch, LIFT, v, graph.comm(v), p_old);
+        for &u in graph.predecessors(v) {
+            let pu = self.proc[u];
+            for i in 0..self.contrib_cache[u].len() {
+                let sm = self.contrib_cache[u][i];
+                if sm.to == pu {
+                    continue;
+                }
+                let eff = sm.min_without(p_old, s_old);
+                if eff != sm.min_step {
+                    // v alone anchored u's send to `p_old`.
+                    let weight = graph.comm(u) * self.machine.lambda(pu, p_old);
+                    let mut c = Contribution {
+                        step: s_old - 1,
+                        from: pu,
+                        to: p_old,
+                        weight,
+                    };
+                    self.patch_logged(scratch, LIFT, c, false);
+                    if eff != usize::MAX {
+                        c.step = eff - 1;
+                        self.patch_logged(scratch, LIFT, c, true);
+                    }
+                }
+                if eff != usize::MAX {
+                    scratch.move_below[sm.to] = scratch.move_below[sm.to].max(eff);
+                }
+            }
+        }
+        scratch.lift_gain = self.log_delta(&scratch.logs[LIFT]);
+    }
+
+    /// Puts the lifted node `v` back where it was; every tally and row cache
+    /// is bit-equal to the state before [`HcCore::lift`].
+    pub fn unlift<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
+        let cell = self.step[v] * self.machine.p() + self.proc[v];
+        self.work[cell] += graph.work(v);
+        self.undo_log(&scratch.logs[LIFT]);
+    }
+
+    /// `O(1)` lower bound on the cost change of dropping the lifted node `v`
+    /// at `(p_new, s_new)`, or `None` when the drop would pull a predecessor's
+    /// send earlier.  Otherwise the drop only *adds* to the lifted tallies, so
+    /// no row gets cheaper and the destination row pays at least the rise of
+    /// its work maximum: `delta ≥ lift gain + rise + latency term`.
+    #[inline]
+    pub fn drop_lower_bound<G: DagView>(
+        &self,
+        scratch: &EvalScratch,
+        graph: &G,
+        v: usize,
+        p_new: usize,
+        s_new: usize,
+    ) -> Option<i64> {
+        if s_new < scratch.move_below[p_new] {
+            return None;
+        }
+        let row_max = self.work_max.get(s_new).copied().unwrap_or(0);
+        let rise = (self.work_at(s_new, p_new) + graph.work(v)).saturating_sub(row_max);
+        Some(scratch.lift_gain + rise as i64 + self.latency_delta(v, s_new))
+    }
+
+    /// Costs destination `(p_new, s_new)` for the lifted node `v`: patches
+    /// the drop onto the lifted tallies — `v`'s work, `v`'s sends re-anchored
+    /// at `p_new`, and per predecessor at most "pull its send to `p_new`
+    /// earlier" or "add one for `s_new`" — reads the exact change in total
+    /// cost of the whole move (negative = improvement) off the row caches,
+    /// and undoes its own patches.  No heap allocation once the scratch is
+    /// sized.
+    pub fn drop_eval<G: DagView>(
         &mut self,
         scratch: &mut EvalScratch,
         graph: &G,
         v: usize,
         p_new: usize,
         s_new: usize,
-        commit: bool,
+    ) -> i64 {
+        let (p_old, s_old) = (self.proc[v], self.step[v]);
+        if p_old == p_new && s_old == s_new {
+            return 0;
+        }
+        self.ensure_capacity(s_new + 1);
+        scratch.fit_steps(self.body.len() + 1);
+        scratch.begin_log(DROP);
+
+        let (wv, cell) = (graph.work(v), s_new * self.machine.p() + p_new);
+        self.touch_row(scratch, DROP, s_new);
+        self.patch_work(s_new, p_new, self.work[cell] + wv);
+        self.patch_own_sends(scratch, DROP, v, graph.comm(v), p_new);
+        for &u in graph.predecessors(v) {
+            let pu = self.proc[u];
+            if pu == p_new {
+                continue;
+            }
+            // Where u's send to `p_new` is anchored with v lifted, if any.
+            let eff = (self.contrib_cache[u].iter().find(|sm| sm.to == p_new))
+                .map_or(usize::MAX, |sm| sm.min_without(p_old, s_old));
+            if s_new < eff {
+                debug_assert!(s_new > 0, "cross-processor predecessor with s_new == 0");
+                let weight = graph.comm(u) * self.machine.lambda(pu, p_new);
+                let mut c = Contribution {
+                    step: s_new - 1,
+                    from: pu,
+                    to: p_new,
+                    weight,
+                };
+                self.patch_logged(scratch, DROP, c, true);
+                if eff != usize::MAX {
+                    c.step = eff - 1;
+                    self.patch_logged(scratch, DROP, c, false);
+                }
+            }
+        }
+        let rows_delta = self.log_delta(&scratch.logs[DROP]);
+        self.work[cell] -= wv;
+        self.undo_log(&scratch.logs[DROP]);
+        scratch.lift_gain + rows_delta + self.latency_delta(v, s_new)
+    }
+
+    /// Commits the move of node `v` to `(p_new, s_new)` and returns the exact
+    /// change in total cost; see [`HcState::apply_move`].  Patches the full
+    /// old/new contribution sets, so [`EvalScratch::affected_steps`] names
+    /// every superstep a contribution of `v` or a predecessor sits in — the
+    /// work-list's dirty rule depends on that set, not only on changed rows.
+    pub fn apply_move<G: DagView>(
+        &mut self,
+        scratch: &mut EvalScratch,
+        graph: &G,
+        v: usize,
+        p_new: usize,
+        s_new: usize,
     ) -> i64 {
         debug_assert!(self.split_pending.is_none());
         let p_old = self.proc[v];
@@ -1243,153 +1568,57 @@ impl<'a> HcCore<'a> {
 
         self.warm_summaries(scratch, graph, v);
         self.gather_move_contribs(scratch, graph, v, p_new, s_new);
+        let new_num_steps = self.steps_after_move(v, s_new);
 
         // Mutate the assignment.
         self.proc[v] = p_new;
         self.step[v] = s_new;
 
-        // Deduplicate the touched supersteps with the generation stamp.
-        scratch.affected.clear();
-        scratch.step_stamp += 1;
-        let stamp = scratch.step_stamp;
-        for s in [s_old, s_new] {
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
-        for i in 0..scratch.contribs_old.len() {
-            let s = scratch.contribs_old[i].step;
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
-        for i in 0..scratch.contribs_new.len() {
-            let s = scratch.contribs_new[i].step;
-            if scratch.step_mark[s] != stamp {
-                scratch.step_mark[s] = stamp;
-                scratch.affected.push(s);
-            }
-        }
-
-        // Body cost of the affected supersteps before the tally updates
-        // (cached, so this is O(|affected|)); remember the full row caches so
-        // a rejected move rolls back without recomputing any row maximum.
-        scratch.affected_saved.clear();
-        let mut before = 0u64;
-        for i in 0..scratch.affected.len() {
-            let s = scratch.affected[i];
-            let b = self.body[s];
-            scratch.affected_saved.push((
-                b,
-                self.work_max[s],
-                self.work_max_cnt[s],
-                self.hrel_max[s],
-                self.hrel_max_cnt[s],
-            ));
-            before += b;
-        }
+        scratch.mark_affected(s_old, s_new);
 
         // Patch the tallies, maintaining the row-max caches.
         let wv = graph.work(v);
         self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - wv);
         self.patch_work(s_new, p_new, self.work[s_new * p + p_new] + wv);
-        for i in 0..scratch.contribs_old.len() {
-            let c = scratch.contribs_old[i];
-            self.patch_comm(Side::Send, c.step, c.step * p + c.from, c.weight, false);
-            self.patch_comm(Side::Recv, c.step, c.step * p + c.to, c.weight, false);
+        for &c in &scratch.contribs_old {
+            self.patch_contrib(c, false);
         }
-        for i in 0..scratch.contribs_new.len() {
-            let c = scratch.contribs_new[i];
-            self.patch_comm(Side::Send, c.step, c.step * p + c.from, c.weight, true);
-            self.patch_comm(Side::Recv, c.step, c.step * p + c.to, c.weight, true);
+        for &c in &scratch.contribs_new {
+            self.patch_contrib(c, true);
         }
 
-        // The new superstep count, accounting for the occupancy shift.
-        let occupancy = |state: &Self, s: usize| {
-            state.nodes_in_step[s] + usize::from(s == s_new) - usize::from(s == s_old)
-        };
-        let mut new_num_steps = self.num_steps.max(s_new + 1);
-        while new_num_steps > 0 && occupancy(self, new_num_steps - 1) == 0 {
-            new_num_steps -= 1;
-        }
-
-        // Body cost after, straight from the row-max caches (`O(1)` per step).
+        // Body costs straight from the row-max caches (`O(1)` per step).
         let g = self.machine.g();
-        let mut after = 0u64;
-        for i in 0..scratch.affected.len() {
-            let s = scratch.affected[i];
+        let mut delta =
+            self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64);
+        for &s in &scratch.affected {
             let cost = self.work_max[s] + g * self.hrel_max[s];
+            delta += cost as i64 - self.body[s] as i64;
             self.body_sum = self.body_sum - self.body[s] + cost;
             self.body[s] = cost;
-            after += cost;
         }
 
-        let latency_delta =
-            self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64);
-        let delta = after as i64 - before as i64 + latency_delta;
-
-        if commit {
-            // Move v between superstep buckets (swap-remove + push).
-            let pos = self.bucket_pos[v];
-            let bucket = &mut self.step_nodes[s_old];
-            bucket.swap_remove(pos);
-            if pos < bucket.len() {
-                let moved = bucket[pos];
-                self.bucket_pos[moved] = pos;
-            }
-            self.bucket_pos[v] = self.step_nodes[s_new].len();
-            self.step_nodes[s_new].push(v);
-            self.nodes_in_step[s_old] -= 1;
-            self.nodes_in_step[s_new] += 1;
-            self.num_steps = new_num_steps;
-            // The committed move changed v's position: the cached
-            // contributions of v (sender moved) and of its predecessors
-            // (consumer moved) are stale.
-            self.contrib_valid[v] = false;
-            for &u in graph.predecessors(v) {
-                self.contrib_valid[u] = false;
-            }
-            scratch.prepared_node = None;
-            return delta;
+        // Move v between superstep buckets (swap-remove + push).
+        let pos = self.bucket_pos[v];
+        let bucket = &mut self.step_nodes[s_old];
+        bucket.swap_remove(pos);
+        if pos < bucket.len() {
+            let moved = bucket[pos];
+            self.bucket_pos[moved] = pos;
         }
-
-        // Roll everything back.  Cells are restored directly (the inverse
-        // arithmetic is exact) and the row caches come back from the saved
-        // snapshots, so no row is ever rescanned on rejection.
-        self.proc[v] = p_old;
-        self.step[v] = s_old;
-        self.work[s_old * p + p_old] += wv;
-        self.work[s_new * p + p_new] -= wv;
-        for i in 0..scratch.contribs_old.len() {
-            let c = scratch.contribs_old[i];
-            let from = c.step * p + c.from;
-            let to = c.step * p + c.to;
-            self.send[from] += c.weight;
-            self.recv[to] += c.weight;
-            self.hrel[from] = self.send[from].max(self.recv[from]);
-            self.hrel[to] = self.send[to].max(self.recv[to]);
+        self.bucket_pos[v] = self.step_nodes[s_new].len();
+        self.step_nodes[s_new].push(v);
+        self.nodes_in_step[s_old] -= 1;
+        self.nodes_in_step[s_new] += 1;
+        self.num_steps = new_num_steps;
+        // The committed move changed v's position: the cached contributions
+        // of v (sender moved) and of its predecessors (consumer moved) are
+        // stale.
+        self.contrib_valid[v] = false;
+        for &u in graph.predecessors(v) {
+            self.contrib_valid[u] = false;
         }
-        for i in 0..scratch.contribs_new.len() {
-            let c = scratch.contribs_new[i];
-            let from = c.step * p + c.from;
-            let to = c.step * p + c.to;
-            self.send[from] -= c.weight;
-            self.recv[to] -= c.weight;
-            self.hrel[from] = self.send[from].max(self.recv[from]);
-            self.hrel[to] = self.send[to].max(self.recv[to]);
-        }
-        for i in 0..scratch.affected.len() {
-            let s = scratch.affected[i];
-            let (body, wm, wc, hm, hc) = scratch.affected_saved[i];
-            self.body_sum = self.body_sum - self.body[s] + body;
-            self.body[s] = body;
-            self.work_max[s] = wm;
-            self.work_max_cnt[s] = wc;
-            self.hrel_max[s] = hm;
-            self.hrel_max_cnt[s] = hc;
-        }
+        scratch.prepared_node = None;
         delta
     }
 
@@ -1397,7 +1626,6 @@ impl<'a> HcCore<'a> {
     pub fn pre_split<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, kept: usize) {
         debug_assert!(self.split_pending.is_none());
         self.refresh_summaries(scratch, graph, kept);
-        let p = self.machine.p();
         scratch.fit_steps(self.body.len() + 1);
         let mut old = std::mem::take(&mut scratch.contribs_old);
         old.clear();
@@ -1416,8 +1644,7 @@ impl<'a> HcCore<'a> {
                 scratch.step_mark[c.step] = stamp;
                 scratch.affected.push(c.step);
             }
-            self.patch_comm(Side::Send, c.step, c.step * p + c.from, c.weight, false);
-            self.patch_comm(Side::Recv, c.step, c.step * p + c.to, c.weight, false);
+            self.patch_contrib(c, false);
         }
         scratch.contribs_old = old;
         scratch.prepared_node = None;
@@ -1434,7 +1661,6 @@ impl<'a> HcCore<'a> {
     ) {
         debug_assert_eq!(self.split_pending, Some(kept));
         self.split_pending = None;
-        let p = self.machine.p();
         let (pk, sk) = (self.proc[kept], self.step[kept]);
         self.proc[removed] = pk;
         self.step[removed] = sk;
@@ -1479,8 +1705,7 @@ impl<'a> HcCore<'a> {
                 scratch.step_mark[c.step] = stamp;
                 scratch.affected.push(c.step);
             }
-            self.patch_comm(Side::Send, c.step, c.step * p + c.from, c.weight, true);
-            self.patch_comm(Side::Recv, c.step, c.step * p + c.to, c.weight, true);
+            self.patch_contrib(c, true);
         }
         scratch.contribs_new = new_out;
 
@@ -1496,10 +1721,10 @@ impl<'a> HcCore<'a> {
 
 /// Incremental cost state of an assignment under the lazy communication rule:
 /// one [`HcCore`] snapshot plus one [`EvalScratch`], exposing the classical
-/// single-threaded API.  [`HcState::try_move`] evaluates a move and rolls
-/// every tally back; [`HcState::apply_move`] commits it.  Both return the
+/// single-threaded API.  [`HcState::try_move`] evaluates a move and leaves
+/// the state as it was; [`HcState::apply_move`] commits it.  Both return the
 /// exact cost delta, and applying the inverse move restores the previous
-/// state exactly (the property the search uses to reject candidates cheaply).
+/// state exactly.
 #[derive(Debug, Clone)]
 pub struct HcState<'a> {
     core: HcCore<'a>,
@@ -1582,8 +1807,8 @@ impl<'a> HcState<'a> {
         self.core.nodes_in_superstep(s)
     }
 
-    /// The supersteps whose tallies the most recent `try_move`/`apply_move`
-    /// touched (deduplicated, unordered).  The work-list driver re-enqueues
+    /// The supersteps whose tallies the most recent `apply_move` (or split
+    /// patch) touched (deduplicated, unordered).  The work-list driver re-enqueues
     /// the nodes of these supersteps after an accepted move.
     pub fn last_affected_steps(&self) -> &[usize] {
         &self.scratch.affected
@@ -1635,14 +1860,19 @@ impl<'a> HcState<'a> {
     }
 
     /// Evaluates the move of node `v` to `(p_new, s_new)` without committing
-    /// it: every tally is rolled back before returning.  Returns the exact
-    /// change in total cost (negative = improvement).
+    /// it — [`HcCore::lift`], one exact [`HcCore::drop_eval`],
+    /// [`HcCore::unlift`] — and returns the exact change in total cost
+    /// (negative = improvement).  The driver's inner loop shares one lift
+    /// across all destinations of `v` instead ([`HcState::parts_mut`]).
     ///
     /// Performs no heap allocation (after the state's scratch buffers have
     /// warmed up to the move's superstep range).
     pub fn try_move<G: DagView>(&mut self, graph: &G, v: usize, p_new: usize, s_new: usize) -> i64 {
-        self.core
-            .eval_move(&mut self.scratch, graph, v, p_new, s_new, false)
+        let (core, scratch) = (&mut self.core, &mut self.scratch);
+        core.lift(scratch, graph, v);
+        let delta = core.drop_eval(scratch, graph, v, p_new, s_new);
+        core.unlift(scratch, graph, v);
+        delta
     }
 
     /// Applies the move of node `v` to `(p_new, s_new)` and returns the change
@@ -1657,7 +1887,7 @@ impl<'a> HcState<'a> {
         s_new: usize,
     ) -> i64 {
         self.core
-            .eval_move(&mut self.scratch, graph, v, p_new, s_new, true)
+            .apply_move(&mut self.scratch, graph, v, p_new, s_new)
     }
 
     /// First half of the warm-start *split* patch: removes the lazy

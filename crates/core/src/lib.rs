@@ -64,12 +64,11 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Measured break-even of the batch-speculative parallel `HC` driver: below
-/// this many lanes the batching overhead loses to the serial driver.  Since
-/// commits reuse the speculative evaluation, deferrals park instead of
-/// re-examining, and the driver adaptively falls back to the serial search on
-/// narrow batches, single-lane overhead is ≤2x (BENCH_hc.json
-/// `speedup_parallel`) and two lanes already pay — down from ~4 before.
+/// Fewest lanes worth fanning a phase out over (coarsening scans, the
+/// parallel `HCcs` driver); also what the batch-speculative
+/// [`hill_climb::ParallelHc`] derives its fallback width from.  `hc_improve`
+/// and multilevel refinement do not dispatch `ParallelHc`: it loses to the
+/// serial lift/drop driver where the two were measured (ROADMAP item 3).
 pub const MIN_PARALLEL_LANES: usize = 2;
 
 /// Clamps a *derived* thread share to what is actually worth parallelizing:

@@ -18,9 +18,7 @@
 //! dedup), re-projected the assignment, and constructed a fresh `HcState`
 //! for every phase.
 
-use crate::hill_climb::{
-    hc_search, HcState, HillClimbConfig, HillClimbOutcome, ParallelHc, SearchScratch,
-};
+use crate::hill_climb::{hc_search, HcState, HillClimbConfig, HillClimbOutcome, SearchScratch};
 use bsp_model::{Assignment, DagView, Machine, NodeId, QuotientDag, ValidityError};
 
 /// Warm uncoarsening state: a mutable quotient graph plus the hill-climbing
@@ -43,10 +41,6 @@ pub struct IncrementalRefiner<'a> {
     /// per-split expansion made uncontraction cost `O(step size)` each time.
     dirty_steps: Vec<usize>,
     dirty_step_mark: Vec<bool>,
-    /// Batch-speculative parallel driver, created on the first refinement
-    /// phase that asks for more than one thread and reused (lanes and all)
-    /// across every later phase, so warm parallel phases allocate nothing.
-    parallel: Option<ParallelHc>,
 }
 
 impl<'a> IncrementalRefiner<'a> {
@@ -73,7 +67,6 @@ impl<'a> IncrementalRefiner<'a> {
             dirty_mark: vec![false; n],
             dirty_steps: Vec::with_capacity(num_steps + 16),
             dirty_step_mark: vec![false; num_steps + 16],
-            parallel: None,
         })
     }
 
@@ -198,39 +191,17 @@ impl<'a> IncrementalRefiner<'a> {
         self.search(config, false)
     }
 
-    /// Runs the seeded work-list search with the driver
-    /// [`HillClimbConfig::threads`] selects: the serial first-improvement
-    /// loop, or the batch-speculative parallel driver (kept warm across
-    /// phases).
+    /// Runs the seeded work-list search (always the serial driver, like
+    /// [`crate::hill_climb::hc_improve`]).
     fn search(&mut self, config: &HillClimbConfig, full_sweep: bool) -> HillClimbOutcome {
-        let threads = config.effective_threads();
-        if threads > 1 {
-            if self
-                .parallel
-                .as_ref()
-                .is_none_or(|p| p.threads() != threads)
-            {
-                self.parallel = Some(ParallelHc::new(threads));
-            }
-            let driver = self.parallel.as_mut().expect("created above");
-            driver.search(
-                &self.quotient,
-                self.machine,
-                &mut self.state,
-                config,
-                &mut self.scratch,
-                full_sweep,
-            )
-        } else {
-            hc_search(
-                &self.quotient,
-                self.machine,
-                &mut self.state,
-                config,
-                &mut self.scratch,
-                full_sweep,
-            )
-        }
+        hc_search(
+            &self.quotient,
+            self.machine,
+            &mut self.state,
+            config,
+            &mut self.scratch,
+            full_sweep,
+        )
     }
 
     /// Runs a *full* refinement phase: every active node is enqueued and the

@@ -109,10 +109,11 @@ pub struct MultilevelConfig {
     /// Time limit of the final `HCcs` pass on the uncoarsened DAG.
     pub final_comm_time_limit: Duration,
     /// Total thread budget of one multilevel solve: the ratio portfolio fans
-    /// out across it and each ratio run refines with `threads / #ratios`
-    /// intra-search lanes (floored to serial below the parallel driver's
-    /// break-even — see [`crate::parallel_budget`]), so the whole solve
-    /// never uses more than `threads` cores.  `0` (the default) budgets one
+    /// out across it and each ratio run gets `threads / #ratios` lanes for
+    /// its coarsening scans and `HCcs` pass (floored to serial below the
+    /// parallel drivers' break-even — see [`crate::parallel_budget`]; `HC`
+    /// refinement is always serial), so the whole solve never uses more
+    /// than `threads` cores.  `0` (the default) budgets one
     /// thread per available core; `1` runs everything — portfolio included —
     /// sequentially, which is what a serving worker with a one-core budget
     /// wants.
@@ -180,8 +181,8 @@ impl MultilevelConfig {
         crate::resolve_threads(self.threads)
     }
 
-    /// Intra-search lanes each ratio run refines with: the budget divided by
-    /// the portfolio width, floored to serial below the parallel driver's
+    /// Lanes each ratio run may use inside a phase: the budget divided by
+    /// the portfolio width, floored to serial below the parallel drivers'
     /// break-even (a budget is a cap; under-using it is always legal).
     fn threads_per_ratio(&self) -> usize {
         crate::parallel_budget(self.effective_threads() / self.coarsen_ratios.len().max(1))
@@ -435,8 +436,8 @@ impl MultilevelScheduler {
             time_limit: self.config.refine_time_limit,
             max_steps: self.config.refine_max_steps,
             cancel: self.config.base.effective_cancel(),
-            // Each portfolio member refines with its share of the solve-wide
-            // budget, so #ratios × refine-lanes never exceeds it.
+            // The member's share of the solve-wide budget; `HC` refinement
+            // itself is serial (see `HillClimbConfig::threads`).
             threads: self.config.threads_per_ratio(),
         };
         let mut since_refine = 0usize;

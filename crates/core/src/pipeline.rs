@@ -350,15 +350,20 @@ impl Pipeline {
             .expect("at least one initializer is always enabled");
         let selected_init = branch_results[best_idx].0.init_name.clone();
         let local_search_cost = branch_results[best_idx].0.local_search_cost;
-        let mut schedule = branch_results[best_idx].1.clone();
         let mut phases: Vec<PhaseSample> = Vec::new();
+        let mut winner = None;
         let branches = branch_results
             .into_iter()
-            .map(|(b, _, p)| {
+            .enumerate()
+            .map(|(i, (b, s, p))| {
                 phases.extend(p);
+                if i == best_idx {
+                    winner = Some(s);
+                }
                 b
             })
             .collect();
+        let mut schedule = winner.expect("best_idx indexes branch_results");
 
         let mut used_ilp_full = false;
         let mut ilp_part_windows_improved = 0;
@@ -436,9 +441,9 @@ impl Pipeline {
     }
 
     /// Runs one initialization branch: initializer, then `HC`, then `HCcs`,
-    /// searching with `threads` intra-search lanes (this branch's share of
-    /// the solve budget).  When `origin` is set the branch reports its phase
-    /// breakdown relative to that clock.
+    /// with `threads` — this branch's share of the solve budget — as `HCcs`'s
+    /// lane count (`HC` is always serial).  When `origin` is set the branch
+    /// reports its phase breakdown relative to that clock.
     fn run_branch(
         &self,
         dag: &Dag,

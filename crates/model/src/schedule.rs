@@ -10,7 +10,7 @@ use crate::validity;
 use serde::{Deserialize, Serialize};
 
 /// The node-to-processor map `π` and node-to-superstep map `τ`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
     /// `proc[v] = π(v)`.
     pub proc: Vec<usize>,

@@ -7,7 +7,8 @@
 //! or deallocate at all.
 
 use bsp_model::Machine;
-use bsp_sched::hill_climb::{EvalScratch, HcState, HillClimbConfig};
+use bsp_sched::baselines::CilkScheduler;
+use bsp_sched::hill_climb::{hc_search, EvalScratch, HcState, HillClimbConfig, SearchScratch};
 use bsp_sched::init::SourceScheduler;
 use bsp_sched::multilevel::{coarsen, BatchCoarsener, CoarsenConfig, IncrementalRefiner};
 use bsp_sched::Scheduler;
@@ -49,9 +50,32 @@ static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn one_at_a_time() -> MutexGuard<'static, ()> {
     // A test that failed while holding the lock must not fail the others.
-    ONE_AT_A_TIME
+    let guard = ONE_AT_A_TIME
         .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    // The lock changes hands when a test ends, which is also when the harness
+    // tears that test's thread down and starts the next one — both allocate,
+    // on threads this file cannot fence.  Every test body runs under the
+    // lock, so that burst is the only foreign activity there is: give the
+    // counters up to half a second to stand still before the new holder
+    // measures.  The wait is bounded — if something keeps allocating, the
+    // test goes ahead and fails on its own count instead of hanging.
+    let counts = || {
+        (
+            ALLOCATIONS.load(Ordering::SeqCst),
+            DEALLOCATIONS.load(Ordering::SeqCst),
+        )
+    };
+    let mut seen = counts();
+    for _ in 0..50 {
+        std::thread::sleep(Duration::from_millis(10));
+        let now = counts();
+        if now == seen {
+            break;
+        }
+        seen = now;
+    }
+    guard
 }
 
 #[test]
@@ -113,6 +137,109 @@ fn try_move_is_allocation_free_after_warmup() {
             allocs,
             deallocs,
             moves.len()
+        );
+    }
+}
+
+/// The serial driver's evaluation kernel — gate, one [`HcCore::lift`], the
+/// `O(1)` bound and a [`HcCore::drop_eval`] for each of the `3 · P`
+/// destinations, [`HcCore::unlift`] — performs **zero** heap allocation in
+/// steady state, and so does a complete bounded [`hc_search`] phase built on
+/// it (accepted moves, dirty re-enqueues and all).
+#[test]
+fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
+    let dag = spmv(&SpmvConfig {
+        n: 48,
+        density: 0.2,
+        seed: 9,
+    });
+    for machine in [
+        Machine::uniform(4, 3, 5),
+        Machine::numa_binary_tree(8, 2, 5, 3),
+    ] {
+        let init = SourceScheduler.schedule(&dag, &machine);
+        let mut state = HcState::new(&dag, &machine, init.assignment.clone())
+            .expect("scheduler output is feasible");
+
+        let cycle_all = |state: &mut HcState<'_>| {
+            let (mut drops, mut checksum) = (0usize, 0i64);
+            for v in 0..dag.n() {
+                if !state.node_can_gain(&dag, v) {
+                    continue;
+                }
+                let s_old = state.step_of(v);
+                let window = state.move_window(&dag, v);
+                let (core, scratch) = state.parts_mut();
+                core.lift(scratch, &dag, v);
+                for s_new in [s_old.wrapping_sub(1), s_old, s_old + 1] {
+                    if s_new == usize::MAX {
+                        continue;
+                    }
+                    for p_new in 0..machine.p() {
+                        if !window.allows(p_new, s_new) {
+                            continue;
+                        }
+                        let bound = core.drop_lower_bound(scratch, &dag, v, p_new, s_new);
+                        checksum = checksum.wrapping_add(bound.unwrap_or(0));
+                        checksum =
+                            checksum.wrapping_add(core.drop_eval(scratch, &dag, v, p_new, s_new));
+                        drops += 1;
+                    }
+                }
+                core.unlift(scratch, &dag, v);
+            }
+            std::hint::black_box(checksum);
+            drops
+        };
+        // Warm-up: the op logs and tally matrices reach steady-state capacity.
+        let warm = cycle_all(&mut state);
+        assert!(warm > 100, "not enough destinations to be meaningful");
+
+        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
+        let measured = cycle_all(&mut state);
+        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+        assert_eq!(measured, warm);
+        assert_eq!(
+            (allocs, deallocs),
+            (0, 0),
+            "lift/drop/unlift allocated on machine P={}: {allocs} allocs / {deallocs} deallocs \
+             over {measured} drops",
+            machine.p(),
+        );
+
+        // A bounded search phase, from a start with more to improve: warm
+        // one up, measure the next.
+        let init = CilkScheduler::default().schedule(&dag, &machine);
+        let mut state = HcState::new(&dag, &machine, init.assignment.clone())
+            .expect("scheduler output is feasible");
+        let config = HillClimbConfig::with_max_steps(10);
+        let mut scratch = SearchScratch::new();
+        scratch.reserve(dag.n());
+        let phase = |state: &mut HcState<'_>, scratch: &mut SearchScratch| {
+            for v in 0..dag.n() {
+                scratch.enqueue(v);
+            }
+            hc_search(&dag, &machine, state, &config, scratch, false)
+        };
+        let warm = phase(&mut state, &mut scratch);
+        assert_eq!(warm.steps, 10, "warm-up phase ran out of improving moves");
+
+        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
+        let measured = phase(&mut state, &mut scratch);
+        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+        assert!(measured.steps > 0, "measured phase accepted nothing");
+        assert_eq!(
+            (allocs, deallocs),
+            (0, 0),
+            "warm hc_search phase allocated on machine P={}: {allocs} allocs / {deallocs} \
+             deallocs over {} accepted moves",
+            machine.p(),
+            measured.steps,
         );
     }
 }

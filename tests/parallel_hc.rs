@@ -15,9 +15,10 @@
 
 mod common;
 
-use bsp_model::{Dag, Machine};
+use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{
-    hc_improve, hccs_improve, EvalScratch, HcState, HillClimbConfig, ParallelHc, SearchScratch,
+    hc_improve, hccs_improve, EvalScratch, HcState, HillClimbConfig, HillClimbOutcome, ParallelHc,
+    SearchScratch,
 };
 use bsp_sched::init::SourceScheduler;
 use bsp_sched::Scheduler;
@@ -25,6 +26,29 @@ use common::{random_dag, random_machine, rng_for_case};
 use rand::Rng;
 
 const CASES: u64 = 24;
+
+/// `hc_improve` with the search handed to a [`ParallelHc`] of `threads` lanes
+/// (`hc_improve` itself always runs the serial driver).
+fn parallel_hc_improve(
+    dag: &Dag,
+    machine: &Machine,
+    schedule: &mut BspSchedule,
+    threads: usize,
+) -> HillClimbOutcome {
+    schedule.relax_to_lazy(dag);
+    let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
+        .expect("Source schedules are lazily feasible");
+    let mut scratch = SearchScratch::new();
+    scratch.enqueue_all(dag);
+    let config = HillClimbConfig::default();
+    let mut outcome =
+        ParallelHc::new(threads).search(dag, machine, &mut state, &config, &mut scratch, true);
+    schedule.assignment = state.into_assignment();
+    schedule.relax_to_lazy(dag);
+    schedule.normalize(dag);
+    outcome.final_cost = schedule.cost(dag, machine);
+    outcome
+}
 
 #[test]
 fn parallel_hc_is_valid_improving_and_certified() {
@@ -36,8 +60,7 @@ fn parallel_hc_is_valid_improving_and_certified() {
         let before = init.cost(&dag, &machine);
 
         let mut sched = init.clone();
-        let config = HillClimbConfig::default().with_threads(3);
-        let outcome = hc_improve(&dag, &machine, &mut sched, &config);
+        let outcome = parallel_hc_improve(&dag, &machine, &mut sched, 3);
         assert!(
             sched.validate(&dag, &machine).is_ok(),
             "case {case}: invalid schedule"
@@ -64,8 +87,7 @@ fn parallel_hc_is_deterministic_across_lane_counts() {
 
         let run = |threads: usize| {
             let mut sched = init.clone();
-            let config = HillClimbConfig::default().with_threads(threads);
-            let outcome = hc_improve(&dag, &machine, &mut sched, &config);
+            let outcome = parallel_hc_improve(&dag, &machine, &mut sched, threads);
             (outcome, sched.assignment)
         };
         let (out_a, asg_a) = run(2);
@@ -199,7 +221,7 @@ fn parallel_driver_reuse_across_searches_stays_consistent() {
         let reused_assignment = state.into_assignment();
 
         let mut sched_fresh = init.clone();
-        let fresh = hc_improve(&dag, &machine, &mut sched_fresh, &config);
+        let fresh = parallel_hc_improve(&dag, &machine, &mut sched_fresh, 3);
         assert_eq!(reused.steps, fresh.steps, "case {case}");
         assert_eq!(reused_assignment, sched_fresh.assignment, "case {case}");
     }

@@ -6,7 +6,7 @@
 
 mod common;
 
-use bsp_model::{Assignment, BspSchedule, CommSchedule, Machine};
+use bsp_model::{Assignment, BspSchedule, CommSchedule, Dag, Machine};
 use bsp_sched::baselines::{CilkScheduler, HDaggScheduler, TrivialScheduler};
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HcState, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
@@ -276,4 +276,181 @@ fn hc_move_deltas_match_full_recomputation() {
         total_moves_checked >= 300,
         "property exercised only {total_moves_checked} moves; generator too restrictive"
     );
+}
+
+/// Random small states for the lift/drop properties: a DAG with zero-work
+/// and zero-communication nodes among the rest, on a machine that may have a
+/// single processor, started either from `Source` or from one node per
+/// superstep on random processors (every node alone in its superstep).
+fn lift_drop_case(rng: &mut rand_chacha::ChaCha8Rng, case: u64) -> (Dag, Machine, Assignment) {
+    let n = rng.gen_range(2usize..=10);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for v in (u + 1)..n {
+            if rng.gen_range(0u32..10) < 3 {
+                edges.push((u, v));
+            }
+        }
+    }
+    let work: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..6)).collect();
+    let comm: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..5)).collect();
+    let dag = Dag::from_edges(n, &edges, work, comm).expect("construction is acyclic");
+    let machine = match case % 4 {
+        0 => Machine::uniform(1, 2, 3),
+        1 => Machine::uniform(4, 3, 5),
+        _ => random_machine(rng),
+    };
+    let assignment = if case.is_multiple_of(2) {
+        SourceScheduler.schedule(&dag, &machine).assignment
+    } else {
+        Assignment {
+            proc: (0..n).map(|_| rng.gen_range(0..machine.p())).collect(),
+            superstep: (0..n).collect(),
+        }
+    };
+    (dag, machine, assignment)
+}
+
+/// Every destination the driver's window admits for `v`, plus the superstep
+/// past the current last one.
+fn window_destinations(
+    dag: &Dag,
+    machine: &Machine,
+    state: &HcState<'_>,
+    v: usize,
+) -> Vec<(usize, usize)> {
+    let (p_old, s_old) = (state.proc_of(v), state.step_of(v));
+    let window = state.move_window(dag, v);
+    let mut steps = vec![s_old + 1, s_old, state.num_supersteps()];
+    if s_old > 0 {
+        steps.push(s_old - 1);
+    }
+    steps.sort_unstable();
+    steps.dedup();
+    let mut out = Vec::new();
+    for s_new in steps {
+        for p_new in 0..machine.p() {
+            if (p_new, s_new) != (p_old, s_old) && window.allows(p_new, s_new) {
+                out.push((p_new, s_new));
+            }
+        }
+    }
+    out
+}
+
+/// Applies one random window-allowed move (if the drawn node has any), so
+/// the walk leaves the scheduler's output behind.
+fn random_walk_step(
+    rng: &mut rand_chacha::ChaCha8Rng,
+    dag: &Dag,
+    machine: &Machine,
+    state: &mut HcState<'_>,
+) {
+    let v = rng.gen_range(0..dag.n());
+    let dests = window_destinations(dag, machine, state, v);
+    if !dests.is_empty() {
+        let (p_new, s_new) = dests[rng.gen_range(0..dests.len())];
+        state.apply_move(dag, v, p_new, s_new);
+    }
+}
+
+/// On the lifted state, the exact `drop_eval` of every window-allowed
+/// destination equals the full-recompute delta, and whenever the `O(1)`
+/// lower bound exists the full-recompute delta is at least the bound — so a
+/// destination the driver prunes (bound ≥ 0) can never have been improving.
+/// Covers nodes alone in their superstep, moves that open superstep
+/// `num_steps`, zero-work nodes and `P = 1`.
+#[test]
+fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
+    let (mut drops, mut bounded, mut pruned, mut alone, mut opened, mut zero_work) =
+        (0usize, 0usize, 0usize, 0usize, 0usize, 0usize);
+    for case in 0..48u64 {
+        let mut rng = rng_for_case(0x11F7, case);
+        let (dag, machine, assignment) = lift_drop_case(&mut rng, case);
+        let mut state = HcState::new(&dag, &machine, assignment).expect("feasible start");
+        for round in 0..6 {
+            let cost = state.total_cost() as i64;
+            for v in 0..dag.n() {
+                let dests = window_destinations(&dag, &machine, &state, v);
+                let before = state.assignment();
+                let alone_now = state.nodes_in_superstep(state.step_of(v)).len() == 1;
+                let last = state.num_supersteps();
+                let (core, scratch) = state.parts_mut();
+                core.lift(scratch, &dag, v);
+                for &(p_new, s_new) in &dests {
+                    let mut moved = before.clone();
+                    moved.proc[v] = p_new;
+                    moved.superstep[v] = s_new;
+                    let recomputed =
+                        BspSchedule::from_assignment_lazy(&dag, moved).cost(&dag, &machine) as i64;
+                    let what = format!(
+                        "case {case} round {round}: node {v} -> (p{p_new}, s{s_new}) on P = {}",
+                        machine.p()
+                    );
+                    let bound = core.drop_lower_bound(scratch, &dag, v, p_new, s_new);
+                    let delta = core.drop_eval(scratch, &dag, v, p_new, s_new);
+                    assert_eq!(delta, recomputed - cost, "{what}: drop_eval");
+                    if let Some(bound) = bound {
+                        assert!(delta >= bound, "{what}: delta {delta} < bound {bound}");
+                        bounded += 1;
+                        pruned += usize::from(bound >= 0);
+                    }
+                    drops += 1;
+                    alone += usize::from(alone_now);
+                    opened += usize::from(s_new == last);
+                    zero_work += usize::from(dag.work(v) == 0);
+                }
+                core.unlift(scratch, &dag, v);
+                assert_eq!(state.total_cost() as i64, cost, "case {case}: unlift");
+            }
+            random_walk_step(&mut rng, &dag, &machine, &mut state);
+        }
+    }
+    assert!(
+        drops > 5000 && pruned > 1000 && bounded > pruned,
+        "{drops} drops, {bounded} bounded, {pruned} pruned"
+    );
+    assert!(
+        alone > 100 && opened > 100 && zero_work > 100,
+        "corner cases under-sampled: {alone} alone, {opened} opening, {zero_work} zero-work"
+    );
+}
+
+/// `lift` → any number of `drop_eval`s → `unlift` leaves every tally, fused
+/// h-relation cell, row-max cache and count, body cost and their sum
+/// bit-equal to a fresh state built from the same assignment.
+#[test]
+fn lift_unlift_restores_the_state_bit_for_bit() {
+    let mut cycles = 0usize;
+    for case in 0..48u64 {
+        let mut rng = rng_for_case(0x0F17, case);
+        let (dag, machine, assignment) = lift_drop_case(&mut rng, case);
+        let mut state = HcState::new(&dag, &machine, assignment).expect("feasible start");
+        for round in 0..8 {
+            let fresh = HcState::new(&dag, &machine, state.assignment()).expect("still feasible");
+            assert!(
+                state.core().same_tallies(fresh.core()),
+                "case {case} round {round}: walked state diverged from a fresh one"
+            );
+            for v in 0..dag.n() {
+                let dests = window_destinations(&dag, &machine, &state, v);
+                let (core, scratch) = state.parts_mut();
+                core.lift(scratch, &dag, v);
+                for _ in 0..rng.gen_range(0usize..4) {
+                    if let Some(&(p_new, s_new)) = dests.get(rng.gen_range(0..dests.len().max(1))) {
+                        core.drop_eval(scratch, &dag, v, p_new, s_new);
+                    }
+                }
+                core.unlift(scratch, &dag, v);
+                assert!(
+                    state.core().same_tallies(fresh.core()),
+                    "case {case} round {round}: lift/unlift of node {v} left a trace"
+                );
+                assert_eq!(state.assignment(), fresh.assignment());
+                cycles += 1;
+            }
+            random_walk_step(&mut rng, &dag, &machine, &mut state);
+        }
+    }
+    assert!(cycles > 1500, "only {cycles} lift/unlift cycles");
 }
