@@ -1,13 +1,11 @@
 //! Criterion benches: throughput of the `HC` hill-climbing hot path — single
-//! candidate-move evaluation (try / apply+revert), the full search to a local
-//! minimum, and the same search through the pre-refactor baseline
-//! (`bsp_bench::legacy_hc`) for an at-a-glance speedup comparison.
+//! candidate-move evaluation (try / apply+revert) and the full search to a
+//! local minimum.
 //!
 //! The headline numbers (10k-node instances, wall-clock to local minimum,
 //! JSON trajectory point) come from the `exp_hc` binary; these benches are
 //! the fast-feedback companions for day-to-day optimization work.
 
-use bsp_bench::legacy_hc::legacy_hc_improve;
 use bsp_model::Machine;
 use bsp_sched::hill_climb::{hc_improve, HcState, HillClimbConfig};
 use bsp_sched::init::SourceScheduler;
@@ -99,14 +97,6 @@ fn bench_search_to_local_minimum(c: &mut Criterion) {
         b.iter(|| {
             let mut s = sched.clone();
             let outcome = hc_improve(&dag, &machine, &mut s, &config);
-            black_box(outcome.final_cost)
-        })
-    });
-
-    group.bench_function(BenchmarkId::new("legacy_full_sweeps", dag.n()), |b| {
-        b.iter(|| {
-            let mut s = sched.clone();
-            let outcome = legacy_hc_improve(&dag, &machine, &mut s, &config);
             black_box(outcome.final_cost)
         })
     });

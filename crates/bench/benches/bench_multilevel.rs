@@ -1,13 +1,10 @@
 //! Criterion benches for the multilevel outer loop: incremental coarsening
-//! throughput, the full coarsen–solve–refine pipeline, and both measured
-//! against the pre-rearchitecture baseline (`bsp_bench::legacy_multilevel`)
-//! for an at-a-glance speedup comparison.
+//! throughput and the full coarsen–solve–refine pipeline.
 //!
 //! The headline numbers (≈10k-node instances, full `run_report` wall-clock,
 //! JSON trajectory point) come from `exp_multilevel --speedup`; these benches
 //! are the fast-feedback companions for day-to-day optimization work.
 
-use bsp_bench::legacy_multilevel::LegacyMultilevelScheduler;
 use bsp_model::Machine;
 use bsp_sched::multilevel::{coarsen, MultilevelConfig, MultilevelScheduler};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -47,8 +44,7 @@ fn bench_multilevel_pipeline(c: &mut Criterion) {
     });
     let machine = Machine::numa_binary_tree(8, 1, 5, 4);
     let config = MultilevelConfig::fast().with_single_ratio(0.3);
-    let incremental = MultilevelScheduler::new(config.clone());
-    let legacy = LegacyMultilevelScheduler::new(config);
+    let incremental = MultilevelScheduler::new(config);
     let mut group = c.benchmark_group("multilevel");
     group
         .measurement_time(Duration::from_millis(1200))
@@ -56,9 +52,6 @@ fn bench_multilevel_pipeline(c: &mut Criterion) {
         .sample_size(10);
     group.bench_function("coarsen_solve_refine_c30", |b| {
         b.iter(|| black_box(incremental.run(&dag, &machine)))
-    });
-    group.bench_function("legacy_coarsen_solve_refine_c30", |b| {
-        b.iter(|| black_box(legacy.run_report(&dag, &machine).schedule))
     });
     group.finish();
 }

@@ -18,8 +18,6 @@
 pub mod args;
 pub mod eval;
 pub mod instances;
-pub mod legacy_hc;
-pub mod legacy_multilevel;
 pub mod stats;
 pub mod table;
 

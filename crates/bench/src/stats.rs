@@ -46,26 +46,6 @@ impl BenchReport {
         self.summary = Some(json.into());
     }
 
-    /// The standard speedup summary object: geometric-mean and minimum
-    /// speedup over `speedups`, the run count, plus any `extra`
-    /// (key, encoded-JSON-value) fields.  Returns `None` for no runs.
-    pub fn speedup_summary(speedups: &[f64], extra: &[(&str, String)]) -> Option<String> {
-        if speedups.is_empty() {
-            return None;
-        }
-        let geomean = geo_mean(speedups.iter().copied());
-        let min = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-        let mut out = format!(
-            "{{\"geomean_speedup\": {geomean:.2}, \"min_speedup\": {min:.2}, \"runs\": {}",
-            speedups.len()
-        );
-        for (key, value) in extra {
-            out.push_str(&format!(", \"{key}\": {value}"));
-        }
-        out.push('}');
-        Some(out)
-    }
-
     /// Renders the complete JSON document.
     pub fn to_json(&self) -> String {
         let mut json = String::new();
@@ -91,9 +71,19 @@ impl BenchReport {
         json
     }
 
-    /// Writes the document to `path`.
+    /// Writes the document to `path`.  A `"frozen_seed"` line in the file
+    /// being replaced — numbers recorded with the seed engines, which no
+    /// longer exist to be re-run — is carried into the new document verbatim.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
+        let mut json = self.to_json();
+        let old = std::fs::read_to_string(path).unwrap_or_default();
+        if let Some(frozen) = old.lines().find(|l| l.starts_with("  \"frozen_seed\": ")) {
+            json.truncate(json.len() - "\n}\n".len());
+            json.push_str(",\n");
+            json.push_str(frozen.trim_end_matches(','));
+            json.push_str("\n}\n");
+        }
+        std::fs::write(path, json)
     }
 }
 
@@ -238,21 +228,29 @@ mod tests {
         report.set_config_json("{\"target\": 10}");
         report.push_result_json("    {\"a\": 1}");
         report.push_result_json("    {\"a\": 2}");
-        report.set_summary_json(
-            BenchReport::speedup_summary(&[2.0, 8.0], &[("worst_cost_ratio", "1.01".into())])
-                .unwrap(),
-        );
+        report.set_summary_json("{\"runs\": 2}");
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"demo\""));
         assert!(json.contains("\"unix_time\": "));
         assert!(json.contains("\"config\": {\"target\": 10}"));
         assert!(json.contains("{\"a\": 1},\n"));
-        // geomean(2, 8) = 4.
-        assert!(json.contains("\"geomean_speedup\": 4.00"));
-        assert!(json.contains("\"min_speedup\": 2.00"));
-        assert!(json.contains("\"runs\": 2"));
-        assert!(json.contains("\"worst_cost_ratio\": 1.01"));
-        assert!(BenchReport::speedup_summary(&[], &[]).is_none());
+        assert!(json.contains("\"summary\": {\"runs\": 2}\n}\n"));
+    }
+
+    #[test]
+    fn write_carries_the_frozen_seed_block_over() {
+        let path = std::env::temp_dir().join(format!("bench_report_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let frozen = "  \"frozen_seed\": {\"rows\": [1, 2]}";
+        std::fs::write(path, format!("{{\n{frozen},\n  \"results\": []\n}}\n")).unwrap();
+        let mut report = BenchReport::new("demo");
+        report.push_result_json("    {\"a\": 1}");
+        report.write(path).unwrap();
+        report.write(path).unwrap();
+        let json = std::fs::read_to_string(path).unwrap();
+        std::fs::remove_file(path).unwrap();
+        assert!(json.ends_with(&format!("\n  ],\n{frozen}\n}}\n")), "{json}");
+        assert_eq!(json.matches("frozen_seed").count(), 1);
     }
 
     #[test]

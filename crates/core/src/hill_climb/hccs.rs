@@ -13,25 +13,9 @@
 //! patched incrementally, and a dirty work-list over requirements (re-enqueue
 //! only the transfers whose placement window covers a phase the last accepted
 //! move touched), with a verification sweep certifying the local minimum.
-//!
-//! With [`HillClimbConfig::threads`] above one the search runs the same
-//! batch-speculative scheme as the parallel `HC` driver: the dirty list is
-//! drained into batches of requirements with *disjoint placement windows*
-//! (two such requirements can never touch the same phase row), gain
-//! evaluation fans out read-only on the rayon pool
-//! ([`CsState::speculate`]), and winners commit serially in batch order.
-//! Window disjointness makes intra-batch staleness impossible, so a commit
-//! applies the speculative result directly (no second evaluation), with an
-//! exact-inverse undo as the backstop — a non-improving candidate is
-//! re-enqueued, never mis-applied.  A requirement whose window collides with
-//! the current batch is *parked*, not retried every round: the commit step's
-//! phase-indexed re-enqueue wakes it when a move touches its window, and a
-//! drained queue unparks everything still waiting.
 
-use super::parallel::{BATCH_TARGET, EXAMINE_CAP};
 use super::{HillClimbConfig, HillClimbOutcome};
 use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -110,88 +94,11 @@ impl<'a> CsState<'a> {
         }
         None
     }
-
-    /// The h-relation cost of phase `s` with `dw` added to `from`'s send and
-    /// `to`'s receive tallies — a read-only row scan, so it can run from many
-    /// threads at once.
-    fn phase_cost_with(&self, s: usize, from: usize, to: usize, dw: i64) -> u64 {
-        let p = self.machine.p();
-        let row = s * p;
-        let mut m = 0u64;
-        for q in 0..p {
-            let mut sd = self.send[row + q] as i64;
-            let mut rc = self.recv[row + q] as i64;
-            if q == from {
-                sd += dw;
-            }
-            if q == to {
-                rc += dw;
-            }
-            debug_assert!(sd >= 0 && rc >= 0, "speculative phase tally underflow");
-            m = m.max(sd.max(rc) as u64);
-        }
-        m
-    }
-
-    /// Read-only counterpart of [`CsState::apply`]: the exact change in the
-    /// total h-relation cost of moving requirement `i` to phase `s_new`,
-    /// without touching any tally.  `O(P)` per touched phase.
-    fn speculate(&self, i: usize, s_new: usize) -> i64 {
-        let req = self.reqs[i];
-        let s_old = req.current;
-        if s_new == s_old {
-            return 0;
-        }
-        let w = req.weight as i64;
-        let before = self.phase_cost[s_old] + self.phase_cost[s_new];
-        let after = self.phase_cost_with(s_old, req.from, req.to, -w)
-            + self.phase_cost_with(s_new, req.from, req.to, w);
-        after as i64 - before as i64
-    }
-
-    /// First improving phase in requirement `i`'s window (the same canonical
-    /// order as [`CsState::try_improve_req`]), evaluated read-only.
-    fn speculate_improve_req(&self, i: usize) -> Option<(usize, i64)> {
-        let CsReq {
-            earliest,
-            latest,
-            current,
-            ..
-        } = self.reqs[i];
-        for s_new in earliest..=latest {
-            if s_new == current {
-                continue;
-            }
-            let delta = self.speculate(i, s_new);
-            if delta < 0 {
-                return Some((s_new, delta));
-            }
-        }
-        None
-    }
 }
 
-/// One evaluation lane of the parallel `HCcs` driver: this round's share of
-/// the batch plus the per-candidate results (`found[i]` belongs to
-/// `candidates[i]`).
-#[derive(Debug, Default)]
-struct CsLane {
-    candidates: Vec<usize>,
-    found: Vec<Option<(usize, i64)>>,
-}
-
-impl CsLane {
-    fn evaluate(&mut self, state: &CsState<'_>) {
-        for idx in 0..self.candidates.len() {
-            let i = self.candidates[idx];
-            self.found.push(state.speculate_improve_req(i));
-        }
-    }
-}
-
-/// The classical single-threaded first-improvement search: dirty work-list
-/// plus verification sweeps.  Returns `(steps, certified)`.
-fn serial_cs_search(
+/// The first-improvement search: dirty work-list plus verification sweeps.
+/// Returns `(steps, certified)`.
+fn cs_search(
     state: &mut CsState<'_>,
     phase_reqs: &[Vec<usize>],
     config: &HillClimbConfig,
@@ -242,219 +149,6 @@ fn serial_cs_search(
             }
         }
         if !sweep_improved {
-            reached_local_minimum = true;
-            break;
-        }
-    }
-    (steps, reached_local_minimum)
-}
-
-/// Mutable driver buffers of [`parallel_cs_search`], bundled so one round can
-/// be expressed as a single reusable call.
-struct CsDriver {
-    queue: VecDeque<usize>,
-    in_queue: Vec<bool>,
-    lanes: Vec<CsLane>,
-    batch: Vec<usize>,
-    claim: Vec<u64>,
-    stamp: u64,
-    /// Requirements parked by a window collision, in parking order; an entry
-    /// is live iff its `parked_flag` is still set (lazy deletion).
-    parked: Vec<usize>,
-    parked_flag: Vec<bool>,
-}
-
-impl CsDriver {
-    fn enqueue(&mut self, i: usize) {
-        if !self.in_queue[i] {
-            self.in_queue[i] = true;
-            self.queue.push_back(i);
-        }
-    }
-
-    /// Re-enqueues every live parked requirement in parking order and empties
-    /// the park list.
-    fn unpark_all(&mut self) {
-        for idx in 0..self.parked.len() {
-            let i = self.parked[idx];
-            if self.parked_flag[i] {
-                self.parked_flag[i] = false;
-                if !self.in_queue[i] {
-                    self.in_queue[i] = true;
-                    self.queue.push_back(i);
-                }
-            }
-        }
-        self.parked.clear();
-    }
-
-    /// One drain → window-disjoint batch → fan-out → commit cycle.
-    fn run_round(
-        &mut self,
-        state: &mut CsState<'_>,
-        phase_reqs: &[Vec<usize>],
-        max_steps: usize,
-        steps: &mut usize,
-    ) {
-        // Window-disjoint batch off the head of the dirty list: a
-        // requirement claims its whole placement window, so no two batch
-        // members can ever touch the same phase row — intra-batch
-        // evaluations stay exact.  The drain is bounded by the same
-        // lane-count-independent limits as the `HC` driver's (shared
-        // `BATCH_TARGET`/`EXAMINE_CAP`): re-running the claim check over
-        // the whole backlog every round is quadratic when windows overlap
-        // heavily, and batch composition (and with it the result) must
-        // never depend on `threads`.  A requirement that loses a collision
-        // is *parked* — one deferral decision, not one per retry round:
-        // the commit step's phase-indexed re-enqueue wakes it as soon as a
-        // move touches a phase in its window, and the drain loop unparks
-        // everything once the queue empties.
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.batch.clear();
-        let mut examined = 0usize;
-        while self.batch.len() < BATCH_TARGET && examined < EXAMINE_CAP {
-            let Some(i) = self.queue.pop_front() else {
-                break;
-            };
-            self.in_queue[i] = false;
-            // Back in circulation: its park-list entry goes stale.
-            self.parked_flag[i] = false;
-            examined += 1;
-            let r = state.reqs[i];
-            if (r.earliest..=r.latest).any(|s| self.claim[s] == stamp) {
-                self.parked_flag[i] = true;
-                self.parked.push(i);
-                continue;
-            }
-            for s in r.earliest..=r.latest {
-                self.claim[s] = stamp;
-            }
-            self.batch.push(i);
-        }
-        // Fan gain evaluation out (inline for tiny batches: spawning threads
-        // for a handful of candidates costs more than it saves).
-        let nl = self.lanes.len();
-        for lane in &mut self.lanes {
-            lane.candidates.clear();
-            lane.found.clear();
-        }
-        for k in 0..self.batch.len() {
-            let i = self.batch[k];
-            self.lanes[k % nl].candidates.push(i);
-        }
-        if self.batch.len() < 2 * nl {
-            for lane in &mut self.lanes {
-                lane.evaluate(state);
-            }
-        } else {
-            let shared: &CsState<'_> = state;
-            self.lanes
-                .par_iter_mut()
-                .for_each(|lane| lane.evaluate(shared));
-        }
-        // Serial commit in batch order, reusing the speculative result
-        // directly: window disjointness means no commit of this round can
-        // have touched any phase a later batch member's evaluation read, so
-        // the speculative delta is exact and a second evaluation would be
-        // pure waste.  `apply` returns the true delta as it patches, and the
-        // inverse move is an exact undo — so even a broken disjointness
-        // argument could not leave a worsening move applied.
-        for k in 0..self.batch.len() {
-            let i = self.batch[k];
-            let Some((s_target, delta)) = self.lanes[k % nl].found[k / nl] else {
-                continue;
-            };
-            if *steps >= max_steps {
-                self.enqueue(i);
-                continue;
-            }
-            let s_old = state.reqs[i].current;
-            let actual = state.apply(i, s_target);
-            debug_assert_eq!(
-                actual, delta,
-                "window-disjoint commit drifted from its speculation"
-            );
-            if actual >= 0 {
-                state.apply(i, s_old);
-                self.enqueue(i);
-                continue;
-            }
-            *steps += 1;
-            for s in [s_old, s_target] {
-                for idx in 0..phase_reqs[s].len() {
-                    self.enqueue(phase_reqs[s][idx]);
-                }
-            }
-        }
-    }
-}
-
-/// The batch-speculative parallel `HCcs` search: same semantics as the serial
-/// loop in [`hccs_improve`], with window-disjoint batches evaluated on the
-/// rayon pool and serial re-validated commits.  Returns `(steps, certified)`.
-fn parallel_cs_search(
-    state: &mut CsState<'_>,
-    phase_reqs: &[Vec<usize>],
-    config: &HillClimbConfig,
-    threads: usize,
-    start: Instant,
-) -> (usize, bool) {
-    let num_reqs = state.reqs.len();
-    let mut driver = CsDriver {
-        queue: (0..num_reqs).collect(),
-        in_queue: vec![true; num_reqs],
-        lanes: (0..threads.max(1)).map(|_| CsLane::default()).collect(),
-        // The bounded drain caps what one round can hold, so the batch
-        // buffer is sized to the round bound, not the requirement count.
-        batch: Vec::with_capacity(BATCH_TARGET),
-        claim: vec![0u64; phase_reqs.len()],
-        stamp: 0,
-        parked: Vec::new(),
-        parked_flag: vec![false; num_reqs],
-    };
-    let mut steps = 0usize;
-    let mut reached_local_minimum = false;
-    let over_limit = |start: &Instant, steps: usize| {
-        steps >= config.max_steps
-            || start.elapsed() > config.time_limit
-            || config.cancel.is_cancelled()
-    };
-
-    'outer: loop {
-        // Drain to empty; a drained queue unparks everything still waiting,
-        // so every enqueued requirement is eventually examined.
-        loop {
-            while !driver.queue.is_empty() {
-                if over_limit(&start, steps) {
-                    break 'outer;
-                }
-                driver.run_round(state, phase_reqs, config.max_steps, &mut steps);
-            }
-            if driver.parked.is_empty() {
-                break;
-            }
-            driver.unpark_all();
-        }
-        // Verification sweep, expressed as a full re-enqueue: a cycle that
-        // accepts nothing certifies the local minimum.
-        let before = steps;
-        for i in 0..num_reqs {
-            driver.enqueue(i);
-        }
-        loop {
-            while !driver.queue.is_empty() {
-                if over_limit(&start, steps) {
-                    break 'outer;
-                }
-                driver.run_round(state, phase_reqs, config.max_steps, &mut steps);
-            }
-            if driver.parked.is_empty() {
-                break;
-            }
-            driver.unpark_all();
-        }
-        if steps == before {
             reached_local_minimum = true;
             break;
         }
@@ -536,12 +230,7 @@ pub fn hccs_improve(
         }
     }
 
-    let threads = config.effective_threads();
-    let (steps, reached_local_minimum) = if threads > 1 {
-        parallel_cs_search(&mut state, &phase_reqs, config, threads, start)
-    } else {
-        serial_cs_search(&mut state, &phase_reqs, config, start)
-    };
+    let (steps, reached_local_minimum) = cs_search(&mut state, &phase_reqs, config, start);
 
     // Materialize the optimized communication schedule.
     let comm_steps: Vec<CommStep> = requirements

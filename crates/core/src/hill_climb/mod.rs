@@ -36,11 +36,9 @@
 //! accepts nothing.
 
 mod hccs;
-mod parallel;
 mod state;
 
 pub use hccs::hccs_improve;
-pub use parallel::{ParallelHc, ParallelStats};
 pub use state::{EvalScratch, HcCore, HcState, MoveWindow};
 
 use bsp_model::{BspSchedule, Dag, DagView, Machine};
@@ -59,13 +57,6 @@ pub struct HillClimbConfig {
     /// Both searches are anytime, so a cancelled run still returns a valid
     /// schedule no worse than its input.  Inert by default.
     pub cancel: crate::cancel::CancelToken,
-    /// Evaluation threads *inside* one search: `1` (the default) is serial,
-    /// `> 1` that many lanes, `0` one lane per available core.  Only `HCcs`
-    /// reads it.  `HC` always runs the serial work-list driver, which is
-    /// several times faster than the batch-speculative [`ParallelHc`] where
-    /// the two were measured (ROADMAP item 3); drive that type directly to
-    /// use it.
-    pub threads: usize,
 }
 
 impl Default for HillClimbConfig {
@@ -74,7 +65,6 @@ impl Default for HillClimbConfig {
             time_limit: Duration::from_secs(5),
             max_steps: usize::MAX,
             cancel: crate::cancel::CancelToken::inert(),
-            threads: 1,
         }
     }
 }
@@ -96,23 +86,12 @@ impl HillClimbConfig {
         }
     }
 
-    /// Sets the intra-search thread count (see [`HillClimbConfig::threads`])
-    /// and returns the configuration.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Identity: a search has no thread knob.  Kept because the frozen
+    /// `benchmark/` package calls it; goes with that package's
+    /// `hc.parallel_speedup_2lanes` row.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The concrete lane count `threads` resolves to: itself when explicit,
-    /// or — for `0` (auto) — one lane per available core when the host
-    /// clears the parallel driver's break-even ([`crate::MIN_PARALLEL_LANES`])
-    /// and the serial driver otherwise.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            crate::parallel_budget(crate::resolve_threads(0))
-        } else {
-            self.threads
-        }
     }
 }
 
@@ -532,108 +511,6 @@ mod tests {
         let mut sched = BspgScheduler.schedule(&dag, &machine);
         let outcome = hc_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
         assert!(outcome.reached_local_minimum);
-    }
-
-    /// [`hc_improve`] with the search handed to a [`ParallelHc`] of `threads`
-    /// lanes (`hc_improve` itself always runs the serial driver).
-    fn parallel_hc_improve(
-        dag: &Dag,
-        machine: &Machine,
-        schedule: &mut BspSchedule,
-        config: &HillClimbConfig,
-        threads: usize,
-    ) -> HillClimbOutcome {
-        schedule.relax_to_lazy(dag);
-        let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
-            .expect("feasible assignment");
-        let mut scratch = SearchScratch::new();
-        scratch.enqueue_all(dag);
-        let mut outcome =
-            ParallelHc::new(threads).search(dag, machine, &mut state, config, &mut scratch, true);
-        schedule.assignment = state.into_assignment();
-        schedule.relax_to_lazy(dag);
-        schedule.normalize(dag);
-        outcome.final_cost = schedule.cost(dag, machine);
-        outcome
-    }
-
-    #[test]
-    fn parallel_hc_is_valid_and_deterministic_across_lane_counts() {
-        let dag = cg(&IterConfig {
-            n: 14,
-            density: 0.3,
-            iterations: 2,
-            seed: 7,
-        });
-        let machine = Machine::numa_binary_tree(8, 2, 5, 3);
-        let init = SourceScheduler.schedule(&dag, &machine);
-        let before = init.cost(&dag, &machine);
-
-        let run = |threads: usize| {
-            let mut sched = init.clone();
-            let config = HillClimbConfig::default();
-            let outcome = parallel_hc_improve(&dag, &machine, &mut sched, &config, threads);
-            assert!(sched.validate(&dag, &machine).is_ok());
-            assert!(outcome.final_cost <= before);
-            assert!(outcome.reached_local_minimum);
-            (outcome, sched)
-        };
-        let (out2, sched2) = run(2);
-        let (out4, sched4) = run(4);
-        // Batch composition, evaluation, and commit order are all independent
-        // of the lane count, so any two parallel runs agree move for move.
-        assert_eq!(out2, out4);
-        assert_eq!(sched2.assignment, sched4.assignment);
-
-        // And the parallel local minimum is certified: the serial driver
-        // cannot improve on it.
-        let (_, mut sched_par) = run(2);
-        let serial_after = hc_improve(&dag, &machine, &mut sched_par, &HillClimbConfig::default());
-        assert_eq!(serial_after.steps, 0, "parallel minimum was not minimal");
-    }
-
-    #[test]
-    fn parallel_hc_respects_the_step_limit() {
-        let dag = cg(&IterConfig {
-            n: 10,
-            density: 0.3,
-            iterations: 2,
-            seed: 3,
-        });
-        let machine = Machine::uniform(4, 3, 5);
-        let mut sched = CilkScheduler::default().schedule(&dag, &machine);
-        let config = HillClimbConfig::with_max_steps(3);
-        let outcome = parallel_hc_improve(&dag, &machine, &mut sched, &config, 4);
-        assert!(outcome.steps <= 3);
-        assert!(sched.validate(&dag, &machine).is_ok());
-    }
-
-    #[test]
-    fn parallel_hccs_is_valid_improving_and_certified() {
-        let dag = cg(&IterConfig {
-            n: 12,
-            density: 0.3,
-            iterations: 2,
-            seed: 9,
-        });
-        let machine = Machine::numa_binary_tree(4, 2, 5, 3);
-        let init = BspgScheduler.schedule(&dag, &machine);
-        let mut parallel = init.clone();
-        let parallel_out = hccs_improve(
-            &dag,
-            &machine,
-            &mut parallel,
-            &HillClimbConfig::default().with_threads(4),
-        );
-        assert!(parallel.validate(&dag, &machine).is_ok());
-        assert!(parallel_out.final_cost <= parallel_out.initial_cost);
-        // The certification is real: the serial driver finds nothing left.
-        // (Serial and parallel certify minima of the same first-improvement
-        // landscape but visit in different orders, so their *final costs*
-        // may legitimately differ — only certification is comparable.)
-        assert!(parallel_out.reached_local_minimum);
-        let serial_after = hccs_improve(&dag, &machine, &mut parallel, &HillClimbConfig::default());
-        assert_eq!(serial_after.steps, 0, "parallel minimum was not minimal");
     }
 
     #[test]

@@ -51,27 +51,22 @@
 //!
 //! ## The snapshot/scratch split
 //!
-//! The state is split in two so one solve can use every core:
+//! The state is held in two halves that lift and drop borrow disjointly:
 //!
-//! * [`HcCore`] is the **shared snapshot**: the assignment, the superstep
+//! * [`HcCore`] is the **snapshot**: the assignment, the superstep
 //!   membership lists, the flat tally matrices with their row-max caches, and
-//!   the persistent per-node consumer-summary caches — everything candidate
-//!   evaluation *reads*.
-//! * [`EvalScratch`] is the **per-thread work area**: the generation-stamped
-//!   need maps, the contribution gather buffers, the lift/drop op logs and
-//!   the touched-superstep dedup marks — everything evaluation *writes*.
+//!   the persistent per-node consumer-summary caches — what a candidate is
+//!   costed against.
+//! * [`EvalScratch`] is the **work area**: the generation-stamped need maps,
+//!   the contribution gather buffers, the lift/drop op logs and the
+//!   touched-superstep dedup marks — what costing one fills and undoes from.
 //!
-//! The serial driver mutates the core in place (lift / drop / unlift, then
-//! [`HcCore::apply_move`]).  The batch-speculative parallel driver
-//! ([`crate::hill_climb::ParallelHc`]) instead evaluates read-only,
-//! `&HcCore + &mut EvalScratch` ([`HcCore::speculate_move`],
-//! [`HcCore::can_gain`]), from many threads against one snapshot, and uses
-//! the mutating path only to commit and re-validate.  Both compute the exact
-//! same delta — property tests pin each against a full recomputation and
-//! against each other.
+//! The driver mutates the core in place (lift / drop / unlift, then
+//! [`HcCore::apply_move`]); property tests pin each delta against a full
+//! recomputation.
 //!
 //! [`HcState`] owns one core plus one scratch and exposes the classical
-//! single-threaded API; [`HcState::try_move`] is lift → exact drop → unlift.
+//! API; [`HcState::try_move`] is lift → exact drop → unlift.
 //!
 //! ## Graph-per-call and warm starts
 //!
@@ -188,11 +183,9 @@ impl MoveWindow {
     }
 }
 
-/// Per-thread work area of candidate-move evaluation: generation-stamped need
-/// maps, contribution gather buffers, touched-superstep dedup marks, and the
-/// speculative per-row delta accumulators.  One instance per evaluating
-/// thread; the shared [`HcCore`] is never written during read-only
-/// evaluation.
+/// Work area of candidate-move evaluation: generation-stamped need maps,
+/// contribution gather buffers, touched-superstep dedup marks, and the
+/// lift/drop undo logs.
 ///
 /// Buffers grow on demand ([`EvalScratch::fit`]) and are reused across moves,
 /// so steady-state evaluation performs zero heap allocation.
@@ -232,13 +225,6 @@ pub struct EvalScratch {
     prepared_node: Option<usize>,
     /// Old-step → new-step map scratch for [`HcState::compact_steps`].
     compact_map: Vec<usize>,
-    /// Speculative per-processor deltas of the row currently being rescanned
-    /// (read-only evaluation); valid iff `delta_mark[q] == delta_stamp`.
-    delta_work: Vec<i64>,
-    delta_send: Vec<i64>,
-    delta_recv: Vec<i64>,
-    delta_mark: Vec<u64>,
-    delta_stamp: u64,
 }
 
 impl EvalScratch {
@@ -280,10 +266,6 @@ impl EvalScratch {
             self.need_mark.resize(p, 0);
             self.need_touched.reserve(p);
             self.move_below.resize(p, 0);
-            self.delta_work.resize(p, 0);
-            self.delta_send.resize(p, 0);
-            self.delta_recv.resize(p, 0);
-            self.delta_mark.resize(p, 0);
         }
     }
 
@@ -315,32 +297,12 @@ impl EvalScratch {
         self.logs[which].rows.clear();
         self.logs[which].ops.clear();
     }
-
-    /// Forgets the per-node gather cache.  The parallel driver calls this at
-    /// the start of every batch: the scratch may hold contributions gathered
-    /// against a previous snapshot.
-    pub fn invalidate_prepared(&mut self) {
-        self.prepared_node = None;
-    }
-
-    /// Superstep rows the most recent evaluation through this scratch read
-    /// and re-aggregated (deduplicated, unordered).  The parallel driver
-    /// records them per speculative winner: a commit whose recorded rows no
-    /// earlier commit of the same round dirtied can reuse the speculative
-    /// delta instead of re-evaluating.
-    pub fn affected_steps(&self) -> &[usize] {
-        &self.affected
-    }
 }
 
-/// The shared snapshot of the incremental cost state: assignment, superstep
+/// The snapshot of the incremental cost state: assignment, superstep
 /// membership, flat tallies with row-max caches, cached body costs, and the
-/// persistent per-node consumer-summary caches.
-///
-/// All *mutating* operations take an [`EvalScratch`] for their intermediate
-/// buffers; all *read-only* evaluation ([`HcCore::speculate_move`],
-/// [`HcCore::can_gain`]) takes `&self` plus a scratch, so any number of
-/// threads can evaluate candidates against one core concurrently.
+/// persistent per-node consumer-summary caches.  Every operation takes an
+/// [`EvalScratch`] for its intermediate buffers.
 #[derive(Debug, Clone)]
 pub struct HcCore<'a> {
     machine: &'a Machine,
@@ -807,26 +769,12 @@ impl<'a> HcCore<'a> {
     }
 
     /// Refreshes the consumer-summary caches of `v` and its predecessors —
-    /// everything the read-only evaluation of `v`'s candidate moves reads.
-    /// The parallel driver calls this serially for each batch member before
-    /// fanning evaluation out, so the concurrent phase never has to write the
-    /// shared cache.
+    /// everything the evaluation of `v`'s candidate moves reads.
     pub fn warm_summaries<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
         self.refresh_summaries(scratch, graph, v);
         for &u in graph.predecessors(v) {
             self.refresh_summaries(scratch, graph, u);
         }
-    }
-
-    /// `true` while the consumer-summary caches of `v` and all its
-    /// predecessors are still valid — i.e. no move committed since `v`'s
-    /// [`HcCore::warm_summaries`] has invalidated anything `v`'s candidate
-    /// evaluation gathered.  The parallel driver's commit-reuse freshness
-    /// check needs this *in addition to* its row-dirty check: a commit
-    /// elsewhere can change a shared predecessor's summary counts (who else
-    /// attains the minimum receive step) without changing any tally row.
-    pub fn summaries_current<G: DagView>(&self, graph: &G, v: usize) -> bool {
-        self.contrib_valid[v] && graph.predecessors(v).iter().all(|&u| self.contrib_valid[u])
     }
 
     /// Gathers into `scratch.contribs_old` the lazy contributions of `v` and
@@ -867,9 +815,7 @@ impl<'a> HcCore<'a> {
 
     /// Fills `scratch.contribs_old` / `scratch.contribs_new` with the lazy
     /// contributions removed and added by moving `v` to `(p_new, s_new)`.
-    /// Pure with respect to the core; shared by the committing
-    /// [`HcCore::apply_move`] and the read-only [`HcCore::speculate_move`], so
-    /// the two paths cannot drift apart on the communication model.
+    /// Pure with respect to the core.
     fn gather_move_contribs<G: DagView>(
         &self,
         scratch: &mut EvalScratch,
@@ -953,8 +899,7 @@ impl<'a> HcCore<'a> {
 
     /// Sound pruning gate: `false` guarantees that *no* candidate move of `v`
     /// can lower the total cost, so the driver may skip all `3 · P`
-    /// destinations outright.  `O(deg)`; read-only on the core, so safe to
-    /// run concurrently.  Requires warm summary caches
+    /// destinations outright.  `O(deg)`.  Requires warm summary caches
     /// ([`HcCore::warm_summaries`]).
     ///
     /// Soundness: a move only removes tallies at `v`'s own work cell and at
@@ -1096,126 +1041,6 @@ impl<'a> HcCore<'a> {
             }
         }
         true
-    }
-
-    /// Work tally at `(s, q)`, treating rows past the allocated capacity as
-    /// empty (a speculative move may target the first unmaterialized step).
-    #[inline(always)]
-    fn work_at(&self, s: usize, q: usize) -> u64 {
-        let p = self.machine.p();
-        self.work.get(s * p + q).copied().unwrap_or(0)
-    }
-
-    #[inline(always)]
-    fn send_at(&self, s: usize, q: usize) -> u64 {
-        let p = self.machine.p();
-        self.send.get(s * p + q).copied().unwrap_or(0)
-    }
-
-    #[inline(always)]
-    fn recv_at(&self, s: usize, q: usize) -> u64 {
-        let p = self.machine.p();
-        self.recv.get(s * p + q).copied().unwrap_or(0)
-    }
-
-    /// Evaluates the move of node `v` to `(p_new, s_new)` **without touching
-    /// the core**: the delta is assembled from fresh row scans over the
-    /// speculative per-processor deltas held in `scratch`.  Returns the exact
-    /// change in total cost (negative = improvement) — identical to
-    /// [`HcState::try_move`] on the same state.
-    ///
-    /// Requires warm summary caches for `v` and its predecessors
-    /// ([`HcCore::warm_summaries`]); the candidate must be feasible
-    /// ([`MoveWindow::allows`]).  Performs no heap allocation once the
-    /// scratch is sized.  `O(|affected rows| · P)`.
-    pub fn speculate_move<G: DagView>(
-        &self,
-        scratch: &mut EvalScratch,
-        graph: &G,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> i64 {
-        debug_assert!(self.split_pending.is_none());
-        let p_old = self.proc[v];
-        let s_old = self.step[v];
-        if p_old == p_new && s_old == s_new {
-            return 0;
-        }
-        let p = self.machine.p();
-        scratch.fit_procs(p);
-        scratch.fit_steps(self.body.len().max(s_new + 1) + 1);
-        self.gather_move_contribs(scratch, graph, v, p_new, s_new);
-
-        scratch.mark_affected(s_old, s_new);
-
-        // Per affected superstep: accumulate the cell deltas in the stamped
-        // per-processor arrays, then recompute the row maxima in one scan
-        // that reads the shared tallies and applies the deltas on the fly.
-        let wv = graph.work(v) as i64;
-        let g = self.machine.g();
-        let mut before = 0u64;
-        let mut after = 0u64;
-        for ai in 0..scratch.affected.len() {
-            let s = scratch.affected[ai];
-            before += self.body.get(s).copied().unwrap_or(0);
-            scratch.delta_stamp += 1;
-            let ds = scratch.delta_stamp;
-            let touch = |scratch: &mut EvalScratch, q: usize| {
-                if scratch.delta_mark[q] != ds {
-                    scratch.delta_mark[q] = ds;
-                    scratch.delta_work[q] = 0;
-                    scratch.delta_send[q] = 0;
-                    scratch.delta_recv[q] = 0;
-                }
-            };
-            if s == s_old {
-                touch(scratch, p_old);
-                scratch.delta_work[p_old] -= wv;
-            }
-            if s == s_new {
-                touch(scratch, p_new);
-                scratch.delta_work[p_new] += wv;
-            }
-            for i in 0..scratch.contribs_old.len() {
-                let c = scratch.contribs_old[i];
-                if c.step != s {
-                    continue;
-                }
-                touch(scratch, c.from);
-                scratch.delta_send[c.from] -= c.weight as i64;
-                touch(scratch, c.to);
-                scratch.delta_recv[c.to] -= c.weight as i64;
-            }
-            for i in 0..scratch.contribs_new.len() {
-                let c = scratch.contribs_new[i];
-                if c.step != s {
-                    continue;
-                }
-                touch(scratch, c.from);
-                scratch.delta_send[c.from] += c.weight as i64;
-                touch(scratch, c.to);
-                scratch.delta_recv[c.to] += c.weight as i64;
-            }
-            let mut wm = 0u64;
-            let mut hm = 0u64;
-            for q in 0..p {
-                let (wq, sq, rq) = if scratch.delta_mark[q] == ds {
-                    let wq = self.work_at(s, q) as i64 + scratch.delta_work[q];
-                    let sq = self.send_at(s, q) as i64 + scratch.delta_send[q];
-                    let rq = self.recv_at(s, q) as i64 + scratch.delta_recv[q];
-                    debug_assert!(wq >= 0 && sq >= 0 && rq >= 0, "speculative tally underflow");
-                    (wq as u64, sq as u64, rq as u64)
-                } else {
-                    (self.work_at(s, q), self.send_at(s, q), self.recv_at(s, q))
-                };
-                wm = wm.max(wq);
-                hm = hm.max(sq.max(rq));
-            }
-            after += wm + g * hm;
-        }
-
-        after as i64 - before as i64 + self.latency_delta(v, s_new)
     }
 
     /// Grows the tally matrices to hold at least `steps` supersteps.
@@ -1480,8 +1305,11 @@ impl<'a> HcCore<'a> {
         if s_new < scratch.move_below[p_new] {
             return None;
         }
+        // Rows past the allocated capacity are empty.
         let row_max = self.work_max.get(s_new).copied().unwrap_or(0);
-        let rise = (self.work_at(s_new, p_new) + graph.work(v)).saturating_sub(row_max);
+        let cell = s_new * self.machine.p() + p_new;
+        let work = self.work.get(cell).copied().unwrap_or(0);
+        let rise = (work + graph.work(v)).saturating_sub(row_max);
         Some(scratch.lift_gain + rise as i64 + self.latency_delta(v, s_new))
     }
 
@@ -1544,7 +1372,7 @@ impl<'a> HcCore<'a> {
 
     /// Commits the move of node `v` to `(p_new, s_new)` and returns the exact
     /// change in total cost; see [`HcState::apply_move`].  Patches the full
-    /// old/new contribution sets, so [`EvalScratch::affected_steps`] names
+    /// old/new contribution sets, so [`HcState::last_affected_steps`] names
     /// every superstep a contribution of `v` or a predecessor sits in — the
     /// work-list's dirty rule depends on that set, not only on changed rows.
     pub fn apply_move<G: DagView>(
@@ -1721,10 +1549,9 @@ impl<'a> HcCore<'a> {
 
 /// Incremental cost state of an assignment under the lazy communication rule:
 /// one [`HcCore`] snapshot plus one [`EvalScratch`], exposing the classical
-/// single-threaded API.  [`HcState::try_move`] evaluates a move and leaves
-/// the state as it was; [`HcState::apply_move`] commits it.  Both return the
-/// exact cost delta, and applying the inverse move restores the previous
-/// state exactly.
+/// API.  [`HcState::try_move`] evaluates a move and leaves the state as it
+/// was; [`HcState::apply_move`] commits it.  Both return the exact cost
+/// delta, and applying the inverse move restores the previous state exactly.
 #[derive(Debug, Clone)]
 pub struct HcState<'a> {
     core: HcCore<'a>,
@@ -1754,15 +1581,14 @@ impl<'a> HcState<'a> {
         Ok(HcState { core, scratch })
     }
 
-    /// The shared snapshot, for concurrent read-only evaluation against
-    /// per-thread [`EvalScratch`] instances.
+    /// The snapshot half of the state.
     #[inline]
     pub fn core(&self) -> &HcCore<'a> {
         &self.core
     }
 
     /// Mutable access to the snapshot and the state's own scratch as separate
-    /// borrows (the parallel driver's serial phases use this).
+    /// borrows (lift / drop / unlift take the two halves disjointly).
     #[inline]
     pub fn parts_mut(&mut self) -> (&mut HcCore<'a>, &mut EvalScratch) {
         (&mut self.core, &mut self.scratch)
@@ -1974,37 +1800,6 @@ mod tests {
         assert_eq!(state.assignment(), assignment_before);
         let applied = state.apply_move(&dag, 4, 1, 2);
         assert_eq!(tried, applied);
-    }
-
-    #[test]
-    fn speculate_move_matches_try_move_on_every_candidate() {
-        let (dag, machine, assignment) = sample();
-        let mut state = HcState::new(&dag, &machine, assignment).unwrap();
-        let mut side_scratch = EvalScratch::new();
-        for v in 0..dag.n() {
-            for s_new in 0..=state.num_supersteps() {
-                for p_new in 0..machine.p() {
-                    if !state.move_is_valid(&dag, v, p_new, s_new) {
-                        continue;
-                    }
-                    // Warm the summary caches the read-only path requires.
-                    {
-                        let (core, scratch) = state.parts_mut();
-                        core.warm_summaries(scratch, &dag, v);
-                    }
-                    side_scratch.invalidate_prepared();
-                    let speculated =
-                        state
-                            .core()
-                            .speculate_move(&mut side_scratch, &dag, v, p_new, s_new);
-                    let tried = state.try_move(&dag, v, p_new, s_new);
-                    assert_eq!(
-                        speculated, tried,
-                        "speculate/try disagree at v={v} p={p_new} s={s_new}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

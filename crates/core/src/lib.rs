@@ -49,11 +49,12 @@ pub fn evaluate(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> (u64
 
 /// Resolves a thread-budget knob to a concrete count: `0` means one thread
 /// per available core, anything else passes through.  The single definition
-/// every budget layer shares ([`hill_climb::HillClimbConfig::threads`],
-/// [`multilevel::MultilevelConfig::threads`],
-/// [`pipeline::PipelineConfig::solve_threads`], and `bsp_serve`'s derived
-/// per-worker budget), so a future cap — an env var, cgroup-aware counting —
-/// lands everywhere at once.
+/// every budget layer shares ([`multilevel::MultilevelConfig::threads`],
+/// [`pipeline::PipelineConfig::solve_threads`],
+/// [`multilevel::CoarsenConfig::threads`] and `bsp_serve`'s derived
+/// per-worker budget).  A budget splits three things — the pipeline's
+/// init-branch fan-out, the multilevel ratio portfolio and the coarsener's
+/// scan lanes — and no search reads it.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
@@ -61,29 +62,6 @@ pub fn resolve_threads(requested: usize) -> usize {
             .unwrap_or(1)
     } else {
         requested
-    }
-}
-
-/// Fewest lanes worth fanning a phase out over (coarsening scans, the
-/// parallel `HCcs` driver); also what the batch-speculative
-/// [`hill_climb::ParallelHc`] derives its fallback width from.  `hc_improve`
-/// and multilevel refinement do not dispatch `ParallelHc`: it loses to the
-/// serial lift/drop driver where the two were measured (ROADMAP item 3).
-pub const MIN_PARALLEL_LANES: usize = 2;
-
-/// Clamps a *derived* thread share to what is actually worth parallelizing:
-/// shares below [`MIN_PARALLEL_LANES`] fall back to `1` (serial), larger
-/// shares pass through.  Budget-splitting layers (multilevel's per-ratio
-/// share, the pipeline's per-branch share, the server's per-worker
-/// derivation) apply this so auto budgets on small hosts never dispatch the
-/// parallel driver below its break-even — a budget is a cap, so using fewer
-/// threads is always legal.  Explicitly requested lane counts are honored
-/// verbatim and bypass this.
-pub fn parallel_budget(share: usize) -> usize {
-    if share >= MIN_PARALLEL_LANES {
-        share
-    } else {
-        1
     }
 }
 

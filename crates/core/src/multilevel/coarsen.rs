@@ -30,12 +30,11 @@
 //!    rule is applied batch-wide: an `O(k)` partition (`select_nth_unstable`)
 //!    isolates the first third by merged work weight, which is then ordered
 //!    by descending comm weight.  Walking that canonical order, a greedy pass
-//!    claims an **endpoint-disjoint** batch (the same discipline as
-//!    `ParallelHc`'s cell claiming), capped so the round never overshoots the
-//!    cluster target.  A final *rank-window* sweep classifies the claimed
-//!    windows `[rank(u), rank(v)]` as nested/disjoint/crossing — see the
-//!    lemma below for why all three are safe here — and counts the crossing
-//!    pairs into [`CoarsenStats::window_crossings`].
+//!    claims an **endpoint-disjoint** batch, capped so the round never
+//!    overshoots the cluster target.  A final *rank-window* sweep classifies
+//!    the claimed windows `[rank(u), rank(v)]` as nested/disjoint/crossing —
+//!    see the lemma below for why all three are safe here — and counts the
+//!    crossing pairs into [`CoarsenStats::window_crossings`].
 //! 3. **Apply** — the batch is contracted against the persistent
 //!    [`QuotientDag`] in canonical order.  Each edge is its source's
 //!    minimum-rank successor and batch members are endpoint-disjoint, and a

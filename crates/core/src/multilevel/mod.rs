@@ -38,9 +38,8 @@
 //!   re-projected the assignment, and reconstructed the search state from
 //!   scratch — `O(n + m)` — for every phase.
 //!
-//! The pre-rearchitecture implementation is preserved verbatim as
-//! `bsp_bench::legacy_multilevel`; `exp_multilevel --speedup` benchmarks the
-//! two against each other and writes `BENCH_multilevel.json`.
+//! `exp_multilevel --speedup` times the scheduler and writes
+//! `BENCH_multilevel.json`.
 
 mod coarsen;
 mod engine;
@@ -109,14 +108,13 @@ pub struct MultilevelConfig {
     /// Time limit of the final `HCcs` pass on the uncoarsened DAG.
     pub final_comm_time_limit: Duration,
     /// Total thread budget of one multilevel solve: the ratio portfolio fans
-    /// out across it and each ratio run gets `threads / #ratios` lanes for
-    /// its coarsening scans and `HCcs` pass (floored to serial below the
-    /// parallel drivers' break-even — see [`crate::parallel_budget`]; `HC`
-    /// refinement is always serial), so the whole solve never uses more
-    /// than `threads` cores.  `0` (the default) budgets one
-    /// thread per available core; `1` runs everything — portfolio included —
-    /// sequentially, which is what a serving worker with a one-core budget
-    /// wants.
+    /// out across it and each ratio run gets `threads / #ratios` (at least
+    /// one) for its coarsening scan lanes and its base pipeline's branch
+    /// fan-out, so the whole solve never uses more than `threads` cores.  No
+    /// search reads it, so the schedule is the same for every budget.  `0`
+    /// (the default) budgets one thread per available core; `1` runs
+    /// everything — portfolio included — sequentially, which is what a
+    /// serving worker with a one-core budget wants.
     pub threads: usize,
 }
 
@@ -181,11 +179,10 @@ impl MultilevelConfig {
         crate::resolve_threads(self.threads)
     }
 
-    /// Lanes each ratio run may use inside a phase: the budget divided by
-    /// the portfolio width, floored to serial below the parallel drivers'
-    /// break-even (a budget is a cap; under-using it is always legal).
+    /// Threads each ratio run may use: the budget divided by the portfolio
+    /// width, at least one.
     fn threads_per_ratio(&self) -> usize {
-        crate::parallel_budget(self.effective_threads() / self.coarsen_ratios.len().max(1))
+        (self.effective_threads() / self.coarsen_ratios.len().max(1)).max(1)
     }
 }
 
@@ -436,9 +433,6 @@ impl MultilevelScheduler {
             time_limit: self.config.refine_time_limit,
             max_steps: self.config.refine_max_steps,
             cancel: self.config.base.effective_cancel(),
-            // The member's share of the solve-wide budget; `HC` refinement
-            // itself is serial (see `HillClimbConfig::threads`).
-            threads: self.config.threads_per_ratio(),
         };
         let mut since_refine = 0usize;
         // Adaptive interval: one phase every `max(refine_interval,
@@ -493,15 +487,13 @@ impl MultilevelScheduler {
 
     /// The communication-schedule optimization that Figure 4 runs after
     /// uncoarsening: `HCcs` followed by `ILPcs` (when the base pipeline has
-    /// its ILP stage enabled).  `HCcs` runs with each ratio run's share of
-    /// the thread budget (the pass is called once per portfolio member).
+    /// its ILP stage enabled).
     fn final_comm_optimization(&self, dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) {
         let cancel = self.config.base.effective_cancel();
         let hccs_cfg = HillClimbConfig {
             time_limit: self.config.final_comm_time_limit,
             max_steps: usize::MAX,
             cancel: cancel.clone(),
-            threads: self.config.threads_per_ratio(),
         };
         hccs_improve(dag, machine, schedule, &hccs_cfg);
         if self.config.base.use_ilp {

@@ -54,15 +54,14 @@ pub struct PipelineConfig {
     /// Run the initialization branches on the rayon thread pool instead of
     /// sequentially.
     pub parallel_branches: bool,
-    /// Thread budget of one pipeline run.  `1` (the default) keeps the local
-    /// searches serial and leaves the historical branch fan-out untouched;
-    /// any other value is a **hard budget**: branches fan out only when the
-    /// budget covers one thread per branch (each searching with
-    /// `budget / #branches` lanes), and otherwise run sequentially with the
-    /// whole budget each, so peak concurrency never exceeds the budget.
-    /// `0` budgets one thread per available core.  Serving workers set this
-    /// from the server-wide budget so `workers × solve-threads` never
-    /// oversubscribes the host.
+    /// Thread budget of one pipeline run; it decides only whether the
+    /// initialization branches fan out, and no search reads it.  `1` (the
+    /// default) leaves the fan-out to [`Self::parallel_branches`]; any other
+    /// value is a **hard budget**: branches fan out only when the budget
+    /// covers one thread per branch and otherwise run sequentially, so peak
+    /// concurrency never exceeds the budget.  `0` budgets one thread per
+    /// available core.  Serving workers set this from the server-wide budget
+    /// so `workers × solve-threads` never oversubscribes the host.
     pub solve_threads: usize,
     /// Collect a per-phase wall-clock breakdown ([`PipelineReport::phases`])
     /// during the run.  `false` (the default) is zero-cost: no clock is read
@@ -163,9 +162,9 @@ impl PipelineConfig {
         }
     }
 
-    /// Constrains the whole run — branch fan-out *and* intra-search lanes —
-    /// to at most `budget` threads: sets [`Self::solve_threads`] and turns
-    /// the branch fan-out off entirely when the budget is a single thread.
+    /// Constrains the whole run to at most `budget` threads: sets
+    /// [`Self::solve_threads`] and turns the branch fan-out off entirely
+    /// when the budget is a single thread.
     /// This is the knob serving workers derive from the server-wide budget.
     pub fn with_thread_budget(mut self, budget: usize) -> Self {
         self.solve_threads = budget;
@@ -304,37 +303,22 @@ impl Pipeline {
         };
         let cancel = self.config.effective_cancel();
         let initializers = self.initializers(dag, machine);
-        // Split the solve-thread budget across the branch fan-out so the run
-        // as a whole never exceeds it.  `solve_threads == 1` is the legacy
-        // default — serial searches, historical branch fan-out untouched;
-        // any other value is a hard budget: branches fan out only when the
-        // budget covers one thread per branch (each then searching with its
-        // share), and otherwise run sequentially with the whole budget each,
-        // so peak concurrency never exceeds the budget.
+        // `solve_threads == 1` leaves the fan-out to `parallel_branches`;
+        // any other value is a hard budget: branches fan out only when it
+        // covers one thread per branch, and otherwise run sequentially.
         let budget = self.config.effective_solve_threads();
         let fan_out = self.config.parallel_branches
             && (self.config.solve_threads == 1 || budget >= initializers.len());
-        // Shares below the parallel driver's break-even fall back to serial
-        // searches (the budget is a cap, not a target).
-        let branch_threads = if fan_out {
-            crate::parallel_budget(budget / initializers.len().max(1))
-        } else {
-            crate::parallel_budget(budget)
-        };
         type BranchResult = (BranchReport, BspSchedule, Vec<PhaseSample>);
         let branch_results: Vec<BranchResult> = if fan_out {
             initializers
                 .par_iter()
-                .map(|init| {
-                    self.run_branch(dag, machine, init.as_ref(), &cancel, branch_threads, origin)
-                })
+                .map(|init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin))
                 .collect()
         } else {
             initializers
                 .iter()
-                .map(|init| {
-                    self.run_branch(dag, machine, init.as_ref(), &cancel, branch_threads, origin)
-                })
+                .map(|init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin))
                 .collect()
         };
 
@@ -440,17 +424,15 @@ impl Pipeline {
         inits
     }
 
-    /// Runs one initialization branch: initializer, then `HC`, then `HCcs`,
-    /// with `threads` — this branch's share of the solve budget — as `HCcs`'s
-    /// lane count (`HC` is always serial).  When `origin` is set the branch
-    /// reports its phase breakdown relative to that clock.
+    /// Runs one initialization branch: initializer, then `HC`, then `HCcs`.
+    /// When `origin` is set the branch reports its phase breakdown relative
+    /// to that clock.
     fn run_branch(
         &self,
         dag: &Dag,
         machine: &Machine,
         init: &dyn Scheduler,
         cancel: &CancelToken,
-        threads: usize,
         origin: Option<Instant>,
     ) -> (BranchReport, BspSchedule, Vec<PhaseSample>) {
         let branch_start = origin.map(|o| o.elapsed());
@@ -471,13 +453,11 @@ impl Pipeline {
         let hc_cfg = HillClimbConfig {
             time_limit: hc_budget,
             cancel: cancel.clone(),
-            threads,
             ..self.config.hill_climb.clone()
         };
         let hccs_cfg = HillClimbConfig {
             time_limit: hccs_budget,
             cancel: cancel.clone(),
-            threads,
             ..self.config.hill_climb.clone()
         };
         hc_improve(dag, machine, &mut schedule, &hc_cfg);

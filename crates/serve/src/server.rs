@@ -120,10 +120,7 @@ impl ServerConfig {
             return self.solve_threads;
         }
         let cores = bsp_sched::resolve_threads(0);
-        // Shares below the parallel driver's break-even run serial solves:
-        // a 2-lane speculative search loses to the serial driver, so e.g.
-        // 8 cores / 4 workers budgets 1, not 2 (the budget is a cap).
-        bsp_sched::parallel_budget(cores / self.workers.max(1))
+        (cores / self.workers.max(1)).max(1)
     }
 }
 

@@ -695,15 +695,12 @@ impl ScheduleService {
         if schedule.validate(&request.dag, &request.machine).is_err() {
             return None;
         }
-        // The same 90/10 HC/HCcs split as the pipeline branches; the warm
-        // improvement is a single search, so it gets the whole per-request
-        // thread budget.
+        // The same 90/10 HC/HCcs split as the pipeline branches.
         let budget = self.config.warm_budget;
         let hc_cfg = HillClimbConfig {
             time_limit: budget.mul_f64(0.9),
             max_steps: usize::MAX,
             cancel: cancel.clone(),
-            threads: self.config.solve_threads,
         };
         let hccs_cfg = HillClimbConfig {
             time_limit: budget.mul_f64(0.1),

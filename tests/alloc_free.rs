@@ -8,7 +8,7 @@
 
 use bsp_model::Machine;
 use bsp_sched::baselines::CilkScheduler;
-use bsp_sched::hill_climb::{hc_search, EvalScratch, HcState, HillClimbConfig, SearchScratch};
+use bsp_sched::hill_climb::{hc_search, HcState, HillClimbConfig, SearchScratch};
 use bsp_sched::init::SourceScheduler;
 use bsp_sched::multilevel::{coarsen, BatchCoarsener, CoarsenConfig, IncrementalRefiner};
 use bsp_sched::Scheduler;
@@ -240,84 +240,6 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
              deallocs over {} accepted moves",
             machine.p(),
             measured.steps,
-        );
-    }
-}
-
-/// The parallel driver's evaluation kernel — the gate ([`HcCore::can_gain`])
-/// plus the read-only speculative gain ([`HcCore::speculate_move`]) against a
-/// shared snapshot with a private [`EvalScratch`] — performs **zero** heap
-/// allocation in steady state.  This is exactly the work one lane does for
-/// its share of a batch, so warm parallel rounds allocate nothing outside
-/// the thread-spawn machinery itself.
-#[test]
-fn parallel_gain_evaluation_is_allocation_free_after_warmup() {
-    let _serial = one_at_a_time();
-    let dag = spmv(&SpmvConfig {
-        n: 48,
-        density: 0.2,
-        seed: 9,
-    });
-    for machine in [
-        Machine::uniform(4, 3, 5),
-        Machine::numa_binary_tree(8, 2, 5, 3),
-    ] {
-        let init = SourceScheduler.schedule(&dag, &machine);
-        let mut state = HcState::new(&dag, &machine, init.assignment.clone())
-            .expect("scheduler output is feasible");
-        // Serial pre-pass, as the driver runs it before fanning out: warm
-        // the shared summary caches for every candidate.
-        for v in 0..dag.n() {
-            let (core, scratch) = state.parts_mut();
-            core.warm_summaries(scratch, &dag, v);
-        }
-        // The lane-private scratch, pre-sized once.
-        let mut lane = EvalScratch::new();
-        lane.fit(state.core());
-
-        let evaluate_all = |state: &HcState<'_>, lane: &mut EvalScratch| {
-            let core = state.core();
-            let mut improving = 0usize;
-            for v in 0..dag.n() {
-                if !core.can_gain(lane, &dag, v) {
-                    continue;
-                }
-                let s_old = core.step_of(v);
-                let p_old = core.proc_of(v);
-                let window = core.move_window(&dag, v);
-                for s_new in [s_old.wrapping_sub(1), s_old, s_old + 1] {
-                    if s_new == usize::MAX {
-                        continue;
-                    }
-                    for p_new in 0..machine.p() {
-                        if (p_new == p_old && s_new == s_old) || !window.allows(p_new, s_new) {
-                            continue;
-                        }
-                        if core.speculate_move(lane, &dag, v, p_new, s_new) < 0 {
-                            improving += 1;
-                        }
-                    }
-                }
-            }
-            improving
-        };
-
-        // Warm-up pass: lets the lane scratch reach steady-state capacity.
-        let warm = evaluate_all(&state, &mut lane);
-        assert!(warm > 0, "instance has no improving moves to evaluate");
-
-        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-        let measured = evaluate_all(&state, &mut lane);
-        std::hint::black_box(measured);
-        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
-        assert_eq!(
-            (allocs, deallocs),
-            (0, 0),
-            "parallel gain evaluation allocated on machine P={}: \
-             {allocs} allocs / {deallocs} deallocs",
-            machine.p(),
         );
     }
 }

@@ -123,7 +123,6 @@ fn hill_climbing_respects_a_pre_fired_token() {
             time_limit: Duration::from_secs(3600),
             max_steps: usize::MAX,
             cancel,
-            ..Default::default()
         };
         let mut sched = SourceScheduler.schedule(&dag, &machine);
         let before = sched.cost(&dag, &machine);

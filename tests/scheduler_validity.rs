@@ -194,3 +194,59 @@ fn pipeline_never_loses_to_its_own_initializers() {
         }
     }
 }
+
+#[test]
+fn a_thread_budget_never_changes_the_schedule() {
+    // A budget splits the branch fan-out, the ratio portfolio and the
+    // coarsener's scan lanes; no search reads it.  The DAGs are small enough
+    // that no time limit binds, so every run is deterministic.
+    let dags = [
+        spmv(&SpmvConfig {
+            n: 40,
+            density: 0.15,
+            seed: 21,
+        }),
+        cg(&IterConfig {
+            n: 12,
+            density: 0.3,
+            iterations: 2,
+            seed: 22,
+        }),
+        coarse(&CoarseConfig {
+            algorithm: CoarseAlgorithm::PageRank,
+            iterations: 12,
+        }),
+    ];
+    let machines = [
+        Machine::uniform(4, 3, 5),
+        Machine::numa_binary_tree(8, 3, 5, 3),
+    ];
+    let pipeline =
+        |budget| Pipeline::new(PipelineConfig::heuristics_only().with_thread_budget(budget));
+    let multilevel = |threads| {
+        MultilevelScheduler::new(MultilevelConfig {
+            base: PipelineConfig::heuristics_only(),
+            threads,
+            ..MultilevelConfig::default()
+        })
+    };
+    for dag in &dags {
+        assert!(dag.n() >= multilevel(1).config().min_nodes_to_coarsen);
+        for machine in &machines {
+            assert_eq!(
+                pipeline(1).run(dag, machine),
+                pipeline(4).run(dag, machine),
+                "pipeline, n={} P={}",
+                dag.n(),
+                machine.p()
+            );
+            assert_eq!(
+                multilevel(1).run(dag, machine),
+                multilevel(4).run(dag, machine),
+                "multilevel, n={} P={}",
+                dag.n(),
+                machine.p()
+            );
+        }
+    }
+}
