@@ -26,9 +26,7 @@
 //! invalid) and, as a gross-regression backstop, costs at most 1.05x the
 //! trivial single-processor schedule (the worst recorded row, `bicgstab`,
 //! sits at 1.003).  With `--huge` the coarsen phase must additionally take
-//! < 50 % of wall-clock on the `spmv`/p4-class rows and the batch coarsener
-//! must produce bit-identical contraction sequences across lane counts with
-//! full-run cost parity ≤ 1.05 between thread budgets.
+//! < 50 % of wall-clock on the `spmv`/p4-class rows.
 //!
 //! Usage:
 //!
@@ -244,8 +242,7 @@ impl RunStats {
              \"final_sweep\": {:.6}, \"final_comm\": {:.6}}}, \
              \"coarsen_stats\": {{\"rounds\": {}, \"contractions\": {}, \
              \"max_batch\": {}, \"avg_batch\": {:.1}, \
-             \"endpoint_conflicts\": {}, \"window_crossings\": {}, \
-             \"tail_contractions\": {}, \
+             \"endpoint_conflicts\": {}, \"tail_contractions\": {}, \
              \"scan_seconds\": {:.6}, \"select_seconds\": {:.6}, \
              \"apply_seconds\": {:.6}}}}}",
             self.seconds,
@@ -263,7 +260,6 @@ impl RunStats {
             c.max_batch,
             c.avg_batch(),
             c.endpoint_conflicts,
-            c.window_crossings,
             c.tail_contractions,
             c.scan_seconds,
             c.select_seconds,
@@ -497,9 +493,6 @@ fn run_speedup(args: &CliArgs) {
             worst_vs_trivial <= 1.05,
             "worst row costs {worst_vs_trivial:.4}x the trivial schedule (> 1.05)"
         );
-        if huge {
-            smoke_lane_checks(&spmv_dag, &machines[0].1, &config);
-        }
         eprintln!("smoke gates passed");
     }
 
@@ -533,64 +526,4 @@ fn run_speedup(args: &CliArgs) {
         .write(&out_path)
         .expect("failed to write the benchmark JSON");
     eprintln!("wrote {out_path}");
-}
-
-/// The `--huge --smoke` lane gates: batch coarsening must be bit-identical
-/// across lane counts (the acceptance criterion — the scan writes to
-/// positional slots, so the contraction sequence cannot depend on the
-/// schedule), and a full multilevel run's final cost must stay within 1.05×
-/// between thread budgets (full runs are *not* bit-identical — the
-/// time-limited refinement phases are timer-dependent — so this is a parity
-/// bound, not an equality).
-fn smoke_lane_checks(dag: &Dag, machine: &Machine, config: &MultilevelConfig) {
-    use bsp_sched::multilevel::{coarsen_with, CoarsenConfig};
-
-    eprintln!("-- huge smoke: lane-count determinism of batch coarsening");
-    let coarse_target = (dag.n() as f64 * 0.3).round() as usize;
-    // `tail_width: 0`: the determinism gate targets the batch scan (the
-    // sequential tail is trivially lane-independent).
-    let narrow_config = CoarsenConfig {
-        threads: 2,
-        tail_width: 0,
-    };
-    let wide_config = CoarsenConfig {
-        threads: 5,
-        tail_width: 0,
-    };
-    let mut narrow = coarsen_with(dag, coarse_target, &narrow_config);
-    let mut wide = coarsen_with(dag, coarse_target, &wide_config);
-    assert_eq!(
-        narrow.num_clusters(),
-        wide.num_clusters(),
-        "lane counts coarsened to different depths"
-    );
-    loop {
-        match (narrow.uncontract_one(), wide.uncontract_one()) {
-            (None, None) => break,
-            (a, b) => assert_eq!(a, b, "contraction sequences diverged across lane counts"),
-        }
-    }
-
-    eprintln!("-- huge smoke: full-run cost parity across thread budgets");
-    let run = |threads: usize| {
-        MultilevelScheduler::new(config.clone().with_threads(threads)).run_report(dag, machine)
-    };
-    let two = run(2);
-    let five = run(5);
-    two.schedule
-        .validate(dag, machine)
-        .expect("threads=2 run produced an invalid schedule");
-    five.schedule
-        .validate(dag, machine)
-        .expect("threads=5 run produced an invalid schedule");
-    let ratio = (two.final_cost.max(five.final_cost) as f64)
-        / (two.final_cost.min(five.final_cost).max(1) as f64);
-    eprintln!(
-        "   cost threads=2 {} vs threads=5 {} (ratio {ratio:.4})",
-        two.final_cost, five.final_cost
-    );
-    assert!(
-        ratio <= 1.05,
-        "thread budgets disagree on final cost: ratio {ratio:.4} > 1.05"
-    );
 }

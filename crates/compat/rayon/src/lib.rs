@@ -1,27 +1,25 @@
 //! Offline stand-in for `rayon`, restricted to what the workspace uses:
-//! `slice.par_iter().map(f).collect::<Vec<_>>()` and
-//! `slice.par_iter_mut().for_each(f)`.
+//! `slice.par_iter().map(f).collect::<Vec<_>>()`.
 //!
-//! Unlike most of the compat crates this is not a sequential fake — both
-//! entry points fan the closure out over `std::thread::scope`, so the
-//! pipeline's parallel initialization branches, the hill-climbing lane
-//! fan-out, and the experiment harness's per-instance parallelism genuinely
-//! run concurrently.  Work distribution is **stealing**, not static
+//! Unlike most of the compat crates this is not a sequential fake — the
+//! map fans the closure out over `std::thread::scope`, so the pipeline's
+//! parallel initialization branches, the multilevel ratio portfolio, and the
+//! experiment harness's per-instance parallelism genuinely run
+//! concurrently.  Work distribution is **stealing**, not static
 //! chunking: every worker claims small index blocks from one shared atomic
 //! cursor, so a skewed batch (one expensive element among cheap ones) keeps
 //! the remaining lanes busy instead of idling them behind a pre-assigned
 //! chunk boundary.  Claiming is exactly-once by construction (`fetch_add` on
-//! the cursor), which is also what makes handing out disjoint `&mut`
-//! elements sound.
+//! the cursor), which is what makes writing each result into its own output
+//! slot sound.
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The traits needed for `.par_iter().map(...).collect()` and
-/// `.par_iter_mut().for_each(...)`, mirroring `rayon::prelude`.
+/// The trait needed for `.par_iter().map(...).collect()`, mirroring
+/// `rayon::prelude`.
 pub mod prelude {
     pub use crate::IntoParallelRefIterator;
-    pub use crate::IntoParallelRefMutIterator;
 }
 
 /// Borrowing parallel iteration over a collection, mirroring rayon's trait of
@@ -93,49 +91,6 @@ impl<'a, T: Sync, F> ParMap<'a, T, F> {
     }
 }
 
-/// Exclusive parallel iteration over a collection, mirroring rayon's trait of
-/// the same name.  Each element is visited by exactly one thread, so the
-/// closure gets `&mut` access — what per-thread scratch/lane state needs.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Element type yielded by mutable reference.
-    type Item: Send + 'a;
-
-    /// A parallel iterator over `&mut Self::Item`.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { items: self }
-    }
-}
-
-/// A parallel iterator over a mutable slice.
-pub struct ParIterMut<'a, T> {
-    items: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Runs `f` on every element, distributed by work stealing.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        let threads = host_threads(self.items.len());
-        for_each_mut_with_threads(self.items, &f, threads);
-    }
-}
-
 /// One worker thread per available core, capped by the element count.
 fn host_threads(len: usize) -> usize {
     std::thread::available_parallelism()
@@ -154,50 +109,11 @@ fn steal_block(len: usize, threads: usize) -> usize {
 
 /// A raw pointer that may cross thread boundaries.  Soundness is the
 /// caller's obligation: every index is claimed exactly once off the atomic
-/// cursor, so no two workers ever touch the same element.
+/// cursor, so no two workers ever touch the same output slot.
 struct SendPtr<T>(*mut T);
 
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
-
-/// Exclusive visit of every slice element, `threads` stealing workers.
-/// Exposed with an explicit thread count so tests can force the concurrent
-/// path on single-core hosts.
-fn for_each_mut_with_threads<T: Send, F: Fn(&mut T) + Sync>(
-    items: &mut [T],
-    f: &F,
-    threads: usize,
-) {
-    let len = items.len();
-    if threads <= 1 || len <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let block = steal_block(len, threads);
-    let cursor = AtomicUsize::new(0);
-    let base = SendPtr(items.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let base = &base;
-            let cursor = &cursor;
-            scope.spawn(move || loop {
-                let start = cursor.fetch_add(block, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + block).min(len);
-                for i in start..end {
-                    // SAFETY: `i` was claimed exactly once (fetch_add), so
-                    // this worker holds the only reference to element `i`,
-                    // and `i < len` keeps it in bounds.
-                    f(unsafe { &mut *base.0.add(i) });
-                }
-            });
-        }
-    });
-}
 
 /// Order-preserving parallel map with `threads` stealing workers: each
 /// worker writes `f(items[i])` directly into output slot `i`.  Exposed with
@@ -274,23 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_visits_every_element_exactly_once() {
-        let mut lanes: Vec<(u64, u64)> = (0..37).map(|i| (i, 0)).collect();
-        lanes
-            .par_iter_mut()
-            .for_each(|lane| lane.1 = lane.0 * 3 + 1);
-        for (i, lane) in lanes.iter().enumerate() {
-            assert_eq!(lane.1, i as u64 * 3 + 1);
-        }
-        // Empty and single-element inputs take the sequential path.
-        let mut empty: Vec<u32> = Vec::new();
-        empty.par_iter_mut().for_each(|_| unreachable!());
-        let mut one = [5u32];
-        one.par_iter_mut().for_each(|x| *x += 1);
-        assert_eq!(one, [6]);
-    }
-
-    #[test]
     fn actually_runs_on_multiple_threads_when_available() {
         use std::collections::HashSet;
         use std::sync::Mutex;
@@ -323,25 +222,6 @@ mod tests {
                 (0..517).map(|x: u64| x * x).collect::<Vec<_>>(),
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn forced_thread_for_each_is_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for threads in [2, 4, 7] {
-            let mut counts: Vec<u32> = vec![0; 203];
-            let visits = AtomicUsize::new(0);
-            super::for_each_mut_with_threads(
-                &mut counts,
-                &|c| {
-                    *c += 1;
-                    visits.fetch_add(1, Ordering::Relaxed);
-                },
-                threads,
-            );
-            assert!(counts.iter().all(|&c| c == 1), "threads={threads}");
-            assert_eq!(visits.into_inner(), 203, "threads={threads}");
         }
     }
 

@@ -28,6 +28,7 @@ pub mod multilevel;
 pub mod pipeline;
 
 use bsp_model::{BspSchedule, Dag, Machine};
+use rayon::prelude::*;
 
 /// A scheduling algorithm: consumes a DAG and a machine description and
 /// produces a valid BSP schedule.
@@ -50,11 +51,10 @@ pub fn evaluate(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> (u64
 /// Resolves a thread-budget knob to a concrete count: `0` means one thread
 /// per available core, anything else passes through.  The single definition
 /// every budget layer shares ([`multilevel::MultilevelConfig::threads`],
-/// [`pipeline::PipelineConfig::solve_threads`],
-/// [`multilevel::CoarsenConfig::threads`] and `bsp_serve`'s derived
-/// per-worker budget).  A budget splits three things — the pipeline's
-/// init-branch fan-out, the multilevel ratio portfolio and the coarsener's
-/// scan lanes — and no search reads it.
+/// [`pipeline::PipelineConfig::solve_threads`] and `bsp_serve`'s derived
+/// per-worker budget).  A budget means one thing — how many independent
+/// solves (the pipeline's init branches, the multilevel ratio portfolio) may
+/// run at once — and nothing below a whole solve reads it.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
@@ -62,6 +62,22 @@ pub fn resolve_threads(requested: usize) -> usize {
             .unwrap_or(1)
     } else {
         requested
+    }
+}
+
+/// The one fork rule behind both fan-out sites: maps `f` over `items` on the
+/// rayon pool when a resolved `budget` covers one thread per item, and one
+/// item after the other on the calling thread when it does not.  Results come
+/// back in input order either way.
+pub(crate) fn map_within_budget<'a, T: Sync, R: Send>(
+    budget: usize,
+    items: &'a [T],
+    f: impl Fn(&'a T) -> R + Sync,
+) -> Vec<R> {
+    if budget >= items.len() {
+        items.par_iter().map(f).collect()
+    } else {
+        items.iter().map(f).collect()
     }
 }
 

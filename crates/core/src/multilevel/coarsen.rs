@@ -21,20 +21,17 @@
 //!
 //! 1. **Scan** — one fresh Kahn sweep re-anchors the topological ranks
 //!    (reusable buffers, no allocation), then every active cluster is scanned
-//!    for its minimum-rank contractable out-edge.  The scan is embarrassingly
-//!    parallel: with a thread budget `> 1` it fans out over compat-rayon
-//!    lanes, each lane writing into its own pre-chunked slice of a flat
-//!    positional output array — results are **identical for every lane
-//!    count** by construction.
-//! 2. **Select** — candidates are compacted into a flat array and the paper's
-//!    rule is applied batch-wide: an `O(k)` partition (`select_nth_unstable`)
-//!    isolates the first third by merged work weight, which is then ordered
-//!    by descending comm weight.  Walking that canonical order, a greedy pass
-//!    claims an **endpoint-disjoint** batch, capped so the round never
-//!    overshoots the cluster target.  A final *rank-window* sweep classifies
-//!    the claimed windows `[rank(u), rank(v)]` as nested/disjoint/crossing —
-//!    see the lemma below for why all three are safe here — and counts the
-//!    crossing pairs into [`CoarsenStats::window_crossings`].
+//!    for its minimum-rank contractable out-edge into one flat candidate
+//!    array.  The scan is a single serial pass: fanning it out over lanes
+//!    measured 0.9–1.0x on 2 cores at n ≈ 2·10⁵ (OS threads spawned every
+//!    round, for a phase that is 13–18 % of coarsening), so a thread budget
+//!    buys whole solves and never reaches this module.
+//! 2. **Select** — the paper's rule is applied to the candidate array
+//!    batch-wide: an `O(k)` partition (`select_nth_unstable`) isolates the
+//!    first third by merged work weight, which is then ordered by descending
+//!    comm weight.  Walking that canonical order, a greedy pass claims an
+//!    **endpoint-disjoint** batch, capped so the round never overshoots the
+//!    cluster target.
 //! 3. **Apply** — the batch is contracted against the persistent
 //!    [`QuotientDag`] in canonical order.  Each edge is its source's
 //!    minimum-rank successor and batch members are endpoint-disjoint, and a
@@ -60,20 +57,25 @@
 //! contraction only raises the ranks a neighbour observes and batch members
 //! share no endpoints, so each member's target is still its source's
 //! min-rank successor when its turn comes.  Batch safety needs
-//! endpoint-disjointness and nothing else — crossing rank windows included.
+//! endpoint-disjointness and nothing else — batch members whose rank windows
+//! `[rank(u), rank(v)]` cross included.
 //!
 //! # The sequential quality tail
 //!
 //! Batch rounds buy their throughput by freezing the selection keys for a
 //! whole round: every contraction of a batch is chosen against the *same*
 //! snapshot, whereas the sequential rule repairs the pool after every single
-//! merge.  On wide levels the two walks are statistically indistinguishable
-//! (cluster counts, quotient edge counts, depth, and weight profiles agree to
-//! within a percent), but the last few thousand clusters are exactly where
-//! the coarse solve's search basin is decided, and there the snapshot drift
-//! measurably perturbs final schedule costs on basin-sensitive instances.
-//! [`CoarsenConfig::tail_width`] therefore bounds the batch engine from
-//! below: rounds run while more than `max(target, tail_width)` clusters are
+//! merge.  The last few thousand clusters are where the coarse solve's search
+//! basin is decided, and batching them was measured and does not hold cost:
+//! with `tail_width: 0` the recorded 10⁴-node rows move `exp/uniform_p4`
+//! 8145 → 16284 (the trivial schedule), `exp/numa_p4` 12533 → 16284,
+//! `spmv/uniform_p4` 4522 → 4952 and `cg/numa_p8` 17187 → 15063, and on the
+//! benchmark's `ml_fine` workload per-row cost ratios spread over 0.38–2.39
+//! (geomean 0.973 / 0.955 on its two seeds) with 58 rather than 42 rows
+//! collapsing onto one processor — for a coarsening phase of 0.13 s instead
+//! of 1.08 s.  So both engines stay, and [`CoarsenConfig::tail_width`]
+//! bounds the batch engine from below: rounds run while more than
+//! `max(target, tail_width)` clusters are
 //! active, and the remaining gap down to the target is closed by the exact
 //! pool-based sequential coarsener this module used to be — the
 //! `BTreeSet`-backed [`CandidatePool`](self) with per-contraction repair and
@@ -91,7 +93,6 @@
 //! [`CoarsenStats`]).
 
 use bsp_model::{Dag, DagBuilder, DagView, NodeId, QuotientDag};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -311,10 +312,6 @@ impl Coarsening {
 /// Knobs of the batch coarsener.
 #[derive(Debug, Clone)]
 pub struct CoarsenConfig {
-    /// Scan-lane budget: `1` scans serially, `0` uses one lane per available
-    /// core, anything else that many lanes.  The result is identical for
-    /// every value — lanes write to disjoint positional slots.
-    pub threads: usize,
     /// Active-cluster count at (and below) which coarsening switches from
     /// batch rounds to the exact sequential pool tail (see the module docs).
     /// `0` disables the tail — pure batch rounds all the way to the target.
@@ -323,10 +320,7 @@ pub struct CoarsenConfig {
 
 impl Default for CoarsenConfig {
     fn default() -> Self {
-        CoarsenConfig {
-            threads: 1,
-            tail_width: 4096,
-        }
+        CoarsenConfig { tail_width: 4096 }
     }
 }
 
@@ -342,12 +336,6 @@ pub struct CoarsenStats {
     /// Canonical-order candidates skipped because an endpoint was already
     /// claimed by an earlier candidate of the same round.
     pub endpoint_conflicts: usize,
-    /// Crossing rank-window pairs detected by the window sweep.  Crossing
-    /// windows are the configuration that would be unsafe for arbitrary edge
-    /// contractions; for min-rank-successor candidates the rank-monotonicity
-    /// lemma (see the module docs) proves them benign, so the sweep counts
-    /// them for observability instead of deferring.
-    pub window_crossings: usize,
     /// Contractions applied by the sequential quality tail (each also counts
     /// as a width-1 round in `rounds` / `contractions`).
     pub tail_contractions: usize,
@@ -367,7 +355,6 @@ impl CoarsenStats {
         self.contractions += other.contractions;
         self.max_batch = self.max_batch.max(other.max_batch);
         self.endpoint_conflicts += other.endpoint_conflicts;
-        self.window_crossings += other.window_crossings;
         self.tail_contractions += other.tail_contractions;
         self.scan_seconds += other.scan_seconds;
         self.select_seconds += other.select_seconds;
@@ -385,8 +372,7 @@ impl CoarsenStats {
 }
 
 /// A scanned candidate edge: `u`'s minimum-rank successor `v` with the
-/// selection keys (merged work, source comm) frozen at scan time.  The
-/// sentinel [`NO_CAND`] marks sinks.
+/// selection keys (merged work, source comm) frozen at scan time.
 #[derive(Debug, Clone, Copy)]
 struct Cand {
     u: NodeId,
@@ -397,32 +383,10 @@ struct Cand {
     comm: u64,
 }
 
-/// Scan output for a sink (no contractable out-edge).
-const NO_CAND: Cand = Cand {
-    u: usize::MAX,
-    v: usize::MAX,
-    key: u64::MAX,
-    comm: 0,
-};
-
-/// A claimed batch member, with both endpoint ranks frozen at selection time
-/// for the rank-window guard.
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    u: NodeId,
-    v: NodeId,
-    rank_u: usize,
-    rank_v: usize,
-}
-
-/// Below this many active clusters a parallel scan costs more in lane
-/// bring-up than it saves; the scan stays serial.
-const PAR_SCAN_MIN_NODES: usize = 2048;
-
 /// `u`'s candidate edge under the current ranks: the minimum-rank successor,
-/// or [`NO_CAND`] for sinks.
+/// or `None` for sinks.
 #[inline]
-fn scan_one(quotient: &QuotientDag, u: NodeId) -> Cand {
+fn scan_one(quotient: &QuotientDag, u: NodeId) -> Option<Cand> {
     let mut best = usize::MAX;
     let mut best_rank = usize::MAX;
     for &w in quotient.successors(u) {
@@ -433,14 +397,14 @@ fn scan_one(quotient: &QuotientDag, u: NodeId) -> Cand {
         }
     }
     if best == usize::MAX {
-        return NO_CAND;
+        return None;
     }
-    Cand {
+    Some(Cand {
         u,
         v: best,
         key: quotient.work(u) + quotient.work(best),
         comm: quotient.comm(u),
-    }
+    })
 }
 
 /// One registered tail candidate edge: `u`'s minimum-rank successor `v`, with
@@ -580,7 +544,6 @@ pub struct BatchCoarsener {
     clustering: Clustering,
     quotient: QuotientDag,
     target: usize,
-    threads: usize,
     tail_width: usize,
     /// The sequential tail's candidate pool, built lazily on the first tail
     /// step (never, when the target sits above the tail width).
@@ -589,17 +552,10 @@ pub struct BatchCoarsener {
     since_refresh: usize,
     /// Active cluster ids, ascending; pruned in place after each apply.
     actives: Vec<NodeId>,
-    /// Positional scan output: slot `i` belongs to `actives[i]`.
-    slots: Vec<Cand>,
-    /// Compacted candidates of the current round.
+    /// Candidates of the current round, scanned in `actives` order.
     cands: Vec<Cand>,
-    /// The selected batch, in canonical application order.
-    pending: Vec<Pending>,
-    /// Rank windows `(rank_u, rank_v)` of the selected batch, sorted for the
-    /// crossing-classification sweep.
-    windows: Vec<(usize, usize)>,
-    /// Open window stack (closing ranks) for the sweep.
-    win_stack: Vec<usize>,
+    /// The selected batch `(u, v)`, in canonical application order.
+    pending: Vec<(NodeId, NodeId)>,
     /// Endpoint-claim flags, cleared via `pending` after every selection.
     used: Vec<bool>,
     /// Scratch for the per-round Kahn rank sweep.
@@ -617,16 +573,12 @@ impl BatchCoarsener {
             clustering: Clustering::identity(n),
             quotient: QuotientDag::from_dag(dag),
             target: target_clusters.max(1),
-            threads: crate::resolve_threads(config.threads),
             tail_width: config.tail_width,
             pool: None,
             since_refresh: 0,
             actives: (0..n).collect(),
-            slots: vec![NO_CAND; n],
             cands: Vec::with_capacity(n),
             pending: Vec::with_capacity(n),
-            windows: Vec::with_capacity(n),
-            win_stack: Vec::with_capacity(n),
             used: vec![false; n],
             indeg: Vec::with_capacity(n),
             kahn_queue: Vec::with_capacity(n),
@@ -659,9 +611,8 @@ impl BatchCoarsener {
     /// order.  Returns the batch size; `0` means the coarsener is done (the
     /// target is reached or no contractable edge remains).
     ///
-    /// With warm buffers this performs no heap allocation when the scan-lane
-    /// budget is `1` (the counting-allocator test holds it to that); a
-    /// parallel scan builds one `threads`-element chunk list per round.
+    /// With warm buffers this performs no heap allocation (the
+    /// counting-allocator test holds it to that).
     pub fn scan_and_select(&mut self) -> usize {
         debug_assert!(self.pending.is_empty(), "apply the previous batch first");
         let active = self.quotient.num_active();
@@ -676,39 +627,14 @@ impl BatchCoarsener {
         let scan_start = Instant::now();
         self.quotient
             .recompute_ranks_into(&mut self.indeg, &mut self.kahn_queue);
-        let k = self.actives.len();
-        debug_assert_eq!(k, active);
-        {
-            let quotient = &self.quotient;
-            let actives = &self.actives;
-            let slots = &mut self.slots;
-            if self.threads > 1 && k >= PAR_SCAN_MIN_NODES {
-                // Static pre-chunking by the *configured* lane budget with
-                // positional writes: however the runtime schedules the
-                // chunks, slot `i` always receives `scan_one(actives[i])`,
-                // so the round's output is lane-count independent.
-                let chunk = k.div_ceil(self.threads);
-                let mut jobs: Vec<(&[NodeId], &mut [Cand])> = actives
-                    .chunks(chunk)
-                    .zip(slots[..k].chunks_mut(chunk))
-                    .collect();
-                jobs.par_iter_mut().for_each(|job| {
-                    for (slot, &u) in job.0.iter().enumerate() {
-                        job.1[slot] = scan_one(quotient, u);
-                    }
-                });
-            } else {
-                for (slot, &u) in actives.iter().enumerate() {
-                    slots[slot] = scan_one(quotient, u);
-                }
-            }
+        debug_assert_eq!(self.actives.len(), active);
+        self.cands.clear();
+        for &u in &self.actives {
+            self.cands.extend(scan_one(&self.quotient, u));
         }
         self.stats.scan_seconds += scan_start.elapsed().as_secs_f64();
 
         let select_start = Instant::now();
-        self.cands.clear();
-        self.cands
-            .extend(self.slots[..k].iter().filter(|c| c.v != usize::MAX));
         let kc = self.cands.len();
         if kc == 0 {
             self.stats.select_seconds += select_start.elapsed().as_secs_f64();
@@ -729,74 +655,25 @@ impl BatchCoarsener {
         });
 
         // Greedy endpoint-disjoint claiming in canonical order, capped so the
-        // round cannot overshoot the target.
-        {
-            let Self {
-                quotient,
-                cands,
-                pending,
-                windows,
-                win_stack,
-                used,
-                stats,
-                ..
-            } = self;
-            for c in &cands[..prefix] {
-                if pending.len() >= budget {
-                    break;
-                }
-                if used[c.u] || used[c.v] {
-                    stats.endpoint_conflicts += 1;
-                    continue;
-                }
-                used[c.u] = true;
-                used[c.v] = true;
-                pending.push(Pending {
-                    u: c.u,
-                    v: c.v,
-                    rank_u: quotient.rank(c.u),
-                    rank_v: quotient.rank(c.v),
-                });
+        // round cannot overshoot the target.  Disjointness is all batch
+        // safety needs (the rank-monotonicity lemma of the module docs).
+        for c in &self.cands[..prefix] {
+            if self.pending.len() >= budget {
+                break;
             }
-            for p in pending.iter() {
-                used[p.u] = false;
-                used[p.v] = false;
+            if self.used[c.u] || self.used[c.v] {
+                self.stats.endpoint_conflicts += 1;
+                continue;
             }
-
-            // Rank-window sweep: contracting `(u, v)` merges the rank window
-            // `[rank_u, rank_v]`.  Two selected windows that *cross*
-            // (partially overlap) are the configuration that could close a
-            // path through another selected contraction for an *arbitrary*
-            // edge batch — but every candidate here is its source's
-            // minimum-rank successor, and the rank-monotonicity lemma (see
-            // the module docs) makes even crossing windows safe: any path
-            // between merged clusters exits each one strictly above its
-            // merge point, so it can never return.  The sweep therefore
-            // only classifies the batch — one sort plus a stack of open
-            // windows counts the crossing pairs into
-            // [`CoarsenStats::window_crossings`] — while safety is enforced
-            // where it is provable: `QuotientDag::contract` debug-asserts
-            // the min-rank-successor precondition for every batch member as
-            // it applies.  All window endpoints are distinct ranks of
-            // distinct nodes (the batch is endpoint-disjoint), so the sweep
-            // order is total and the count lane-count independent.
-            windows.clear();
-            windows.extend(pending.iter().map(|p| (p.rank_u, p.rank_v)));
-            windows.sort_unstable();
-            win_stack.clear();
-            for &(ru, rv) in windows.iter() {
-                while win_stack.last().is_some_and(|&open_rv| open_rv < ru) {
-                    win_stack.pop();
-                }
-                match win_stack.last() {
-                    // `ru` lies inside the open window but `rv` does not:
-                    // the two windows cross.
-                    Some(&open_rv) if rv > open_rv => stats.window_crossings += 1,
-                    _ => win_stack.push(rv),
-                }
-            }
-            debug_assert!(!pending.is_empty(), "claiming emptied a batch");
+            self.used[c.u] = true;
+            self.used[c.v] = true;
+            self.pending.push((c.u, c.v));
         }
+        for &(u, v) in &self.pending {
+            self.used[u] = false;
+            self.used[v] = false;
+        }
+        debug_assert!(!self.pending.is_empty(), "claiming emptied a batch");
         self.stats.select_seconds += select_start.elapsed().as_secs_f64();
         self.pending.len()
     }
@@ -810,13 +687,13 @@ impl BatchCoarsener {
         }
         let apply_start = Instant::now();
         let mut pending = std::mem::take(&mut self.pending);
-        for p in &pending {
+        for &(u, v) in &pending {
             // Endpoint-disjointness keeps every batch member's target its
             // source's minimum-rank successor while earlier members apply
             // (a contraction only raises the ranks a neighbour observes);
             // `QuotientDag::contract` debug-asserts exactly that.
-            self.quotient.contract(p.u, p.v);
-            self.clustering.contract(p.u, p.v);
+            self.quotient.contract(u, v);
+            self.clustering.contract(u, v);
         }
         let applied = pending.len();
         pending.clear();
@@ -932,7 +809,7 @@ pub fn coarsen_with(dag: &Dag, target_clusters: usize, config: &CoarsenConfig) -
     BatchCoarsener::new(dag, target_clusters, config).finish()
 }
 
-/// [`coarsen_with`] under the default configuration (serial scan).
+/// [`coarsen_with`] under the default configuration.
 pub fn coarsen(dag: &Dag, target_clusters: usize) -> Coarsening {
     coarsen_with(dag, target_clusters, &CoarsenConfig::default())
 }
@@ -1114,14 +991,7 @@ mod tests {
         for target in [1, 2, 7, 20, 45] {
             // `tail_width: 0` so the overshoot guard under test is the batch
             // budget cap, not the one-at-a-time tail.
-            let mut c = BatchCoarsener::new(
-                &dag,
-                target,
-                &CoarsenConfig {
-                    threads: 1,
-                    tail_width: 0,
-                },
-            );
+            let mut c = BatchCoarsener::new(&dag, target, &CoarsenConfig { tail_width: 0 });
             while c.round() > 0 {
                 assert!(c.num_clusters() >= target, "target {target} overshot");
             }
@@ -1156,14 +1026,7 @@ mod tests {
             seed: 23,
         });
         let (target, tail_width) = (40, 120);
-        let mut c = coarsen_with(
-            &dag,
-            target,
-            &CoarsenConfig {
-                threads: 1,
-                tail_width,
-            },
-        );
+        let mut c = coarsen_with(&dag, target, &CoarsenConfig { tail_width });
         assert_eq!(c.num_clusters(), target, "instance must reach the target");
         let s = c.stats;
         // Batch rounds stop exactly at the tail floor; the sequential tail
@@ -1176,50 +1039,7 @@ mod tests {
         assert_eq!(c.num_clusters(), dag.n());
         assert_eq!(c.clustering.num_contractions(), 0);
 
-        let pure_batch = coarsen_with(
-            &dag,
-            target,
-            &CoarsenConfig {
-                threads: 1,
-                tail_width: 0,
-            },
-        );
+        let pure_batch = coarsen_with(&dag, target, &CoarsenConfig { tail_width: 0 });
         assert_eq!(pure_batch.stats.tail_contractions, 0);
-    }
-
-    #[test]
-    fn coarsen_with_is_lane_count_independent() {
-        let dag = cg(&IterConfig {
-            n: 40,
-            density: 0.2,
-            iterations: 3,
-            seed: 11,
-        });
-        // `tail_width: 0` keeps the whole run in batch rounds — the lane
-        // independence under test is the batch scan's.
-        let serial = coarsen_with(
-            &dag,
-            25,
-            &CoarsenConfig {
-                threads: 1,
-                tail_width: 0,
-            },
-        );
-        let wide = coarsen_with(
-            &dag,
-            25,
-            &CoarsenConfig {
-                threads: 5,
-                tail_width: 0,
-            },
-        );
-        let mut a = serial;
-        let mut b = wide;
-        loop {
-            match (a.uncontract_one(), b.uncontract_one()) {
-                (None, None) => break,
-                (pa, pb) => assert_eq!(pa, pb, "contraction histories diverged"),
-            }
-        }
     }
 }

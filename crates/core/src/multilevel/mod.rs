@@ -12,7 +12,7 @@
 //! As in the paper, the scheduler is run for several coarsening ratios
 //! (30 % and 15 % by default) and the cheapest resulting schedule is kept;
 //! the per-ratio runs are independent and execute in parallel on the rayon
-//! pool.
+//! pool when the thread budget covers them.
 //!
 //! ## The incremental engine
 //!
@@ -20,14 +20,12 @@
 //!
 //! * **Coarsening** ([`coarsen`] / [`coarsen_with`]) is *round-based batch
 //!   contraction* on the persistent [`bsp_model::QuotientDag`]: each round
-//!   scans every active cluster for its minimum-rank contractable out-edge
-//!   (in parallel lanes when the thread budget allows — the result is
-//!   lane-count independent by construction), selects an endpoint-disjoint
-//!   batch in the paper's canonical order, and applies the whole batch with
-//!   one rank re-anchoring — flat candidate arrays, no `BTreeSet`, no
-//!   per-contraction pool repair.  [`CoarsenStats`] (rounds, batch widths,
-//!   conflicts, phase times) surfaces through [`PhaseTimings`] into the
-//!   bench reports.
+//!   scans every active cluster for its minimum-rank contractable out-edge,
+//!   selects an endpoint-disjoint batch in the paper's canonical order, and
+//!   applies the whole batch with one rank re-anchoring — flat candidate
+//!   arrays, no `BTreeSet`, no per-contraction pool repair.  [`CoarsenStats`]
+//!   (rounds, batch widths, conflicts, phase times) surfaces through
+//!   [`PhaseTimings`] into the bench reports.
 //! * **Uncoarsening** hands the same `QuotientDag` to the
 //!   [`IncrementalRefiner`], which keeps one warm
 //!   [`crate::hill_climb::HcState`] across all refinement phases: every
@@ -55,7 +53,6 @@ use crate::ilp::ilp_cs_improve;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine};
-use rayon::prelude::*;
 use std::time::Duration;
 
 /// Configuration of the multilevel scheduler.
@@ -108,13 +105,14 @@ pub struct MultilevelConfig {
     /// Time limit of the final `HCcs` pass on the uncoarsened DAG.
     pub final_comm_time_limit: Duration,
     /// Total thread budget of one multilevel solve: the ratio portfolio fans
-    /// out across it and each ratio run gets `threads / #ratios` (at least
-    /// one) for its coarsening scan lanes and its base pipeline's branch
-    /// fan-out, so the whole solve never uses more than `threads` cores.  No
-    /// search reads it, so the schedule is the same for every budget.  `0`
-    /// (the default) budgets one thread per available core; `1` runs
-    /// everything — portfolio included — sequentially, which is what a
-    /// serving worker with a one-core budget wants.
+    /// out when it covers one thread per ratio (and runs in order otherwise)
+    /// and each ratio run gets `threads / #ratios` (at least one) for its
+    /// base pipeline's branch fan-out, so the whole solve never uses more
+    /// than `threads` cores.  Nothing below a whole solve reads it, so the
+    /// schedule is the same for every budget.  `0` (the default) budgets one
+    /// thread per available core; `1` runs everything — portfolio included —
+    /// sequentially, which is what a serving worker with a one-core budget
+    /// wants.
     pub threads: usize,
 }
 
@@ -317,24 +315,15 @@ impl MultilevelScheduler {
             };
         }
 
-        // The per-ratio runs are completely independent — fan them out on the
-        // rayon pool and keep the cheapest result (ties favour the first
-        // configured ratio, as the sequential loop did).  A thread budget of
-        // one runs the portfolio sequentially instead: a serving worker that
-        // was handed a single core must not fan out underneath its caller.
-        let runs: Vec<(BspSchedule, usize, PhaseTimings)> = if self.config.effective_threads() > 1 {
-            self.config
-                .coarsen_ratios
-                .par_iter()
-                .map(|&ratio| self.run_single_ratio(dag, machine, &base_pipeline, ratio))
-                .collect()
-        } else {
-            self.config
-                .coarsen_ratios
-                .iter()
-                .map(|&ratio| self.run_single_ratio(dag, machine, &base_pipeline, ratio))
-                .collect()
-        };
+        // The per-ratio runs are completely independent — fan them out when
+        // the budget covers them and keep the cheapest result (ties favour
+        // the first configured ratio).  A serving worker that was handed a
+        // single core must not fan out underneath its caller.
+        let runs = crate::map_within_budget(
+            self.config.effective_threads(),
+            &self.config.coarsen_ratios,
+            |&ratio| self.run_single_ratio(dag, machine, &base_pipeline, ratio),
+        );
         let mut ratio_outcomes = Vec::new();
         let mut best: Option<BspSchedule> = None;
         let mut best_cost = u64::MAX;
@@ -387,14 +376,7 @@ impl MultilevelScheduler {
             .max(self.config.min_coarse_nodes)
             .clamp(2, dag.n().saturating_sub(1).max(2));
         let clock = std::time::Instant::now();
-        let coarsening = coarsen_with(
-            dag,
-            target,
-            &CoarsenConfig {
-                threads: self.config.threads_per_ratio(),
-                ..CoarsenConfig::default()
-            },
-        );
+        let coarsening = coarsen(dag, target);
         timings.coarsen_seconds = clock.elapsed().as_secs_f64();
         timings.coarsen_stats = coarsening.stats;
         let (clustering, quotient) = coarsening.into_parts();

@@ -20,7 +20,6 @@ use crate::ilp::{
 use crate::init::{BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
 /// Configuration of the combined pipeline (Figure 3).
@@ -51,17 +50,14 @@ pub struct PipelineConfig {
     /// Overall wall-clock budget for the ILP improvement stage
     /// (`ILPpart` windows stop once it is exhausted).
     pub ilp_stage_budget: Duration,
-    /// Run the initialization branches on the rayon thread pool instead of
-    /// sequentially.
-    pub parallel_branches: bool,
-    /// Thread budget of one pipeline run; it decides only whether the
-    /// initialization branches fan out, and no search reads it.  `1` (the
-    /// default) leaves the fan-out to [`Self::parallel_branches`]; any other
-    /// value is a **hard budget**: branches fan out only when the budget
-    /// covers one thread per branch and otherwise run sequentially, so peak
-    /// concurrency never exceeds the budget.  `0` budgets one thread per
-    /// available core.  Serving workers set this from the server-wide budget
-    /// so `workers × solve-threads` never oversubscribes the host.
+    /// Thread budget of one pipeline run: how many initialization branches
+    /// may run at once.  The branches fan out when the budget covers one
+    /// thread per branch and run one after the other otherwise, so peak
+    /// concurrency never exceeds the budget; no search reads it, so the
+    /// schedule is the same for every value.  `0` (the default) budgets one
+    /// thread per available core.  Serving workers set this from the
+    /// server-wide budget so `workers × solve-threads` never oversubscribes
+    /// the host.
     pub solve_threads: usize,
     /// Collect a per-phase wall-clock breakdown ([`PipelineReport::phases`])
     /// during the run.  `false` (the default) is zero-cost: no clock is read
@@ -90,8 +86,7 @@ impl Default for PipelineConfig {
             ilp_init_max_procs: 4,
             ilp_init_max_nodes: 400,
             ilp_stage_budget: Duration::from_secs(20),
-            parallel_branches: true,
-            solve_threads: 1,
+            solve_threads: 0,
             collect_phases: false,
             deadline: None,
             cancel: CancelToken::inert(),
@@ -111,8 +106,7 @@ impl PipelineConfig {
             ilp_init_max_procs: 4,
             ilp_init_max_nodes: 150,
             ilp_stage_budget: Duration::from_secs(2),
-            parallel_branches: true,
-            solve_threads: 1,
+            solve_threads: 0,
             collect_phases: false,
             deadline: None,
             cancel: CancelToken::inert(),
@@ -162,15 +156,11 @@ impl PipelineConfig {
         }
     }
 
-    /// Constrains the whole run to at most `budget` threads: sets
-    /// [`Self::solve_threads`] and turns the branch fan-out off entirely
-    /// when the budget is a single thread.
-    /// This is the knob serving workers derive from the server-wide budget.
+    /// Sets the thread budget ([`Self::solve_threads`]) and returns the
+    /// configuration.  This is the knob serving workers derive from the
+    /// server-wide budget.
     pub fn with_thread_budget(mut self, budget: usize) -> Self {
         self.solve_threads = budget;
-        if budget == 1 {
-            self.parallel_branches = false;
-        }
         self
     }
 
@@ -303,24 +293,11 @@ impl Pipeline {
         };
         let cancel = self.config.effective_cancel();
         let initializers = self.initializers(dag, machine);
-        // `solve_threads == 1` leaves the fan-out to `parallel_branches`;
-        // any other value is a hard budget: branches fan out only when it
-        // covers one thread per branch, and otherwise run sequentially.
-        let budget = self.config.effective_solve_threads();
-        let fan_out = self.config.parallel_branches
-            && (self.config.solve_threads == 1 || budget >= initializers.len());
-        type BranchResult = (BranchReport, BspSchedule, Vec<PhaseSample>);
-        let branch_results: Vec<BranchResult> = if fan_out {
-            initializers
-                .par_iter()
-                .map(|init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin))
-                .collect()
-        } else {
-            initializers
-                .iter()
-                .map(|init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin))
-                .collect()
-        };
+        let branch_results = crate::map_within_budget(
+            self.config.effective_solve_threads(),
+            &initializers,
+            |init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin),
+        );
 
         let init_cost = branch_results
             .iter()
@@ -637,7 +614,7 @@ mod tests {
         // depth-1 children, and child durations tile the branch span.
         let mut config = PipelineConfig::fast();
         config.collect_phases = true;
-        config.parallel_branches = false;
+        config.solve_threads = 1;
         let report = Pipeline::new(config).run_report(&dag, &machine);
         assert!(!report.phases.is_empty());
         for branch in &report.branches {
@@ -679,16 +656,8 @@ mod tests {
             ..Default::default()
         };
         cfg.use_ilp = false;
-        let par = Pipeline::new(PipelineConfig {
-            parallel_branches: true,
-            ..cfg.clone()
-        })
-        .run_report(&dag, &machine);
-        let seq = Pipeline::new(PipelineConfig {
-            parallel_branches: false,
-            ..cfg
-        })
-        .run_report(&dag, &machine);
+        let par = Pipeline::new(cfg.clone().with_thread_budget(2)).run_report(&dag, &machine);
+        let seq = Pipeline::new(cfg.with_thread_budget(1)).run_report(&dag, &machine);
         assert_eq!(par.final_cost, seq.final_cost);
         assert_eq!(par.selected_init, seq.selected_init);
     }

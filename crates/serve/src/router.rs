@@ -83,7 +83,7 @@ use crate::protocol::{
     encode_slow_reply, encode_trace_reply, read_incoming, read_raw_reply, Incoming, RawReply,
     ServeError, WireSpan, WireTrace,
 };
-use crate::server::{register_conn_thread, writer_loop};
+use crate::server::{acceptor_loop, register_conn_thread, writer_loop, AcceptState};
 use crate::service::ServiceStats;
 use bsp_model::request_key;
 use std::collections::HashMap;
@@ -265,7 +265,6 @@ struct RouterShared {
     backends: Vec<Backend>,
     pending: Mutex<HashMap<u64, PendingRoute>>,
     next_backend_id: AtomicU64,
-    next_conn_id: AtomicU64,
     shutting_down: AtomicBool,
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -383,7 +382,6 @@ impl Router {
                 backends,
                 pending: Mutex::new(HashMap::new()),
                 next_backend_id: AtomicU64::new(1),
-                next_conn_id: AtomicU64::new(0),
                 shutting_down: AtomicBool::new(false),
                 conns: Mutex::new(HashMap::new()),
                 conn_threads: Mutex::new(Vec::new()),
@@ -435,7 +433,20 @@ impl Router {
             let listener = self.listener;
             std::thread::Builder::new()
                 .name("bsp-router-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &shared))?
+                .spawn(move || {
+                    acceptor_loop(
+                        &listener,
+                        &shared,
+                        |s| AcceptState {
+                            shutting_down: &s.shutting_down,
+                            max_connections: s.config.max_connections,
+                            conns: &s.conns,
+                            conn_threads: &s.conn_threads,
+                        },
+                        "bsp-router-conn",
+                        route_connection,
+                    )
+                })?
         };
         let probe = match shared.config.health_probe_interval {
             Some(interval) => {
@@ -542,56 +553,6 @@ impl RouterHandle {
         };
         for handle in handles {
             let _ = handle.join();
-        }
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let at_capacity = {
-            let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            conns.len() >= shared.config.max_connections.max(1)
-        };
-        if at_capacity {
-            let mut reply = String::new();
-            encode_error(&mut reply, 0, &ServeError::Busy);
-            let mut stream = stream;
-            let _ = stream.write_all(reply.as_bytes());
-            continue;
-        }
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let Ok(registered) = stream.try_clone() else {
-            continue;
-        };
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(conn_id, registered);
-        let thread_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("bsp-router-conn-{conn_id}"))
-            .spawn(move || {
-                let _ = route_connection(&thread_shared, stream);
-                thread_shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&conn_id);
-            });
-        match spawned {
-            Ok(handle) => register_conn_thread(&shared.conn_threads, handle),
-            Err(_) => {
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&conn_id);
-            }
         }
     }
 }

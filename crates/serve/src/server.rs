@@ -156,7 +156,6 @@ struct Shared {
     /// reader thread handles, keyed by connection id.
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    next_conn_id: AtomicU64,
     /// Finished-request traces (`TRACE <id>`, `STATS SLOW`).
     journal: TraceJournal,
     /// Ids for requests that arrive without one.
@@ -198,7 +197,6 @@ impl Server {
                 config,
                 conns: Mutex::new(HashMap::new()),
                 conn_threads: Mutex::new(Vec::new()),
-                next_conn_id: AtomicU64::new(0),
                 journal: TraceJournal::new(TRACE_RING_CAP, SLOW_LOG_CAP),
                 trace_ids: TraceIdGen::new(),
                 queue_wait,
@@ -229,7 +227,20 @@ impl Server {
             let listener = self.listener;
             std::thread::Builder::new()
                 .name("bsp-serve-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &shared))?
+                .spawn(move || {
+                    acceptor_loop(
+                        &listener,
+                        &shared,
+                        |s| AcceptState {
+                            shutting_down: &s.shutting_down,
+                            max_connections: s.config.max_connections,
+                            conns: &s.conns,
+                            conn_threads: &s.conn_threads,
+                        },
+                        "bsp-serve-conn",
+                        |s, stream| serve_connection(s, stream),
+                    )
+                })?
         };
         Ok(ServerHandle {
             addr,
@@ -323,15 +334,44 @@ pub(crate) fn register_conn_thread(threads: &Mutex<Vec<JoinHandle<()>>>, handle:
     threads.push(handle);
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// The connection bookkeeping of a listener's shared state, as the accept
+/// loop sees it.
+pub(crate) struct AcceptState<'a> {
+    pub(crate) shutting_down: &'a AtomicBool,
+    pub(crate) max_connections: usize,
+    /// Live connection sockets (for shutdown-time unblocking), by id.
+    pub(crate) conns: &'a Mutex<HashMap<u64, TcpStream>>,
+    pub(crate) conn_threads: &'a Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Accepts connections until shutdown: refuses with `busy` at the
+/// connection cap, otherwise registers the socket and hands it to `serve` on
+/// a named thread that deregisters it when the connection ends.  Shared with
+/// the router, whose client side has the same shape.
+pub(crate) fn acceptor_loop<S: Send + Sync + 'static>(
+    listener: &TcpListener,
+    shared: &Arc<S>,
+    state: fn(&S) -> AcceptState<'_>,
+    thread_prefix: &str,
+    serve: fn(&Arc<S>, TcpStream) -> io::Result<()>,
+) {
+    let accept = state(shared);
+    let deregister = move |shared: &S, conn_id: u64| {
+        state(shared)
+            .conns
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&conn_id);
+    };
+    let mut next_conn_id = 0u64;
     for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if accept.shutting_down.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = conn else { continue };
         let at_capacity = {
-            let conns = shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            conns.len() >= shared.config.max_connections.max(1)
+            let conns = accept.conns.lock().unwrap_or_else(|e| e.into_inner());
+            conns.len() >= accept.max_connections.max(1)
         };
         if at_capacity {
             let mut reply = String::new();
@@ -340,35 +380,26 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             let _ = stream.write_all(reply.as_bytes());
             continue; // dropping the stream closes the refused connection
         }
-        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        let conn_id = next_conn_id;
+        next_conn_id += 1;
         let Ok(registered) = stream.try_clone() else {
             continue;
         };
-        shared
+        accept
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(conn_id, registered);
         let thread_shared = Arc::clone(shared);
         let spawned = std::thread::Builder::new()
-            .name(format!("bsp-serve-conn-{conn_id}"))
+            .name(format!("{thread_prefix}-{conn_id}"))
             .spawn(move || {
-                let _ = serve_connection(&thread_shared, stream);
-                thread_shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&conn_id);
+                let _ = serve(&thread_shared, stream);
+                deregister(&thread_shared, conn_id);
             });
         match spawned {
-            Ok(handle) => register_conn_thread(&shared.conn_threads, handle),
-            Err(_) => {
-                shared
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&conn_id);
-            }
+            Ok(handle) => register_conn_thread(accept.conn_threads, handle),
+            Err(_) => deregister(shared, conn_id),
         }
     }
 }
@@ -656,7 +687,9 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::client::{Client, Completion, PipelinedClient};
-    use crate::protocol::{Mode, RequestOptions, ScheduleSource};
+    use crate::protocol::{
+        encode_request, read_reply, Mode, Reply, RequestOptions, ScheduleSource,
+    };
     use bsp_model::{Dag, Machine};
     use std::io::BufRead;
     use std::time::Duration;
@@ -893,21 +926,26 @@ mod tests {
             .collect();
         let dag = Dag::from_edges(n, &edges, vec![3; n], vec![2; n]).unwrap();
         let machine = Machine::numa_binary_tree(8, 2, 5, 3);
-        let mut client = Client::connect(server.addr()).expect("connect");
+        // Encode before connecting: the idle clock starts at `connect`, and
+        // encoding 20 000 nodes in a debug build can outlast it on a slow
+        // host — the server would close a connection that never sent a byte.
+        let mut frame = String::new();
+        let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+        encode_request(&mut frame, 1, &dag, &machine, &options).expect("encode");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let start = std::time::Instant::now();
-        let response = client
-            .schedule(
-                &dag,
-                &machine,
-                &RequestOptions::new().with_mode(Mode::HeuristicsOnly),
-            )
+        stream.write_all(frame.as_bytes()).expect("send");
+        let reply = read_reply(&mut BufReader::new(&stream))
             .expect("slow request must not be killed by the idle timeout");
+        let Reply::Ok(response) = reply else {
+            panic!("slow request was refused: {reply:?}");
+        };
         assert!(response.schedule.validate(&dag, &machine).is_ok());
         assert!(
             start.elapsed() > Duration::from_millis(100),
             "test instance solved too fast to exercise the idle window"
         );
-        drop(client);
+        drop(stream);
         server.shutdown();
     }
 

@@ -43,8 +43,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The counters are process-wide (lane threads must be counted too), so a
-/// test that allocates while another measures would be counted against it.
+/// The counters are process-wide (threads a solve spawns must be counted
+/// too), so a test that allocates while another measures would be counted
+/// against it.
 /// Every test holds this lock from its first allocation to its last assert.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -245,10 +246,9 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
 }
 
 /// The batch coarsener's steady-state scan — per-round rank re-anchoring,
-/// the candidate scan over every active cluster, canonical-order selection,
-/// and the rank-window guard — performs **zero** heap allocation with a
-/// single scan lane: every buffer is sized to `n` at construction and the
-/// working set only shrinks from there.  (Applying a batch pushes onto the
+/// the candidate scan over every active cluster and canonical-order
+/// selection — performs **zero** heap allocation: every buffer is sized to
+/// `n` at construction and the working set only shrinks from there.  (Applying a batch pushes onto the
 /// contraction history, so the measured window is `scan_and_select` alone;
 /// the warm-up rounds cover the apply path's growth.)
 #[test]
@@ -262,14 +262,7 @@ fn batch_coarsening_scan_and_select_is_allocation_free_after_warmup() {
     // `tail_width: 0`: the property under test is the *batch* scan's
     // allocation-freedom (the sequential tail's BTreeSet pool allocates by
     // design, which is exactly why it only runs on the narrow final stretch).
-    let mut coarsener = BatchCoarsener::new(
-        &dag,
-        dag.n() / 8,
-        &CoarsenConfig {
-            threads: 1,
-            tail_width: 0,
-        },
-    );
+    let mut coarsener = BatchCoarsener::new(&dag, dag.n() / 8, &CoarsenConfig { tail_width: 0 });
     for _ in 0..2 {
         assert!(
             coarsener.round() > 0,

@@ -10,11 +10,10 @@ use bsp_model::{BspSchedule, Dag, DagView};
 use bsp_sched::hill_climb::{HcState, HillClimbConfig};
 use bsp_sched::init::SourceScheduler;
 use bsp_sched::multilevel::{
-    coarsen, coarsen_with, BatchCoarsener, CoarsenConfig, Coarsening, IncrementalRefiner,
+    coarsen, BatchCoarsener, CoarsenConfig, Coarsening, IncrementalRefiner,
 };
 use bsp_sched::Scheduler;
 use common::{random_dag, random_machine, rng_for_case};
-use dag_gen::fine::{spmv, SpmvConfig};
 use rand::Rng;
 use std::time::Duration;
 
@@ -97,14 +96,7 @@ fn batch_rounds_preserve_acyclicity_at_every_level() {
         let target = rng.gen_range(1..=dag.n().max(2) - 1);
         // `tail_width: 0` keeps every level on batch rounds — the per-round
         // invariant under test is the batch engine's.
-        let mut coarsener = BatchCoarsener::new(
-            &dag,
-            target,
-            &CoarsenConfig {
-                threads: 1,
-                tail_width: 0,
-            },
-        );
+        let mut coarsener = BatchCoarsener::new(&dag, target, &CoarsenConfig { tail_width: 0 });
         let mut round = 0usize;
         loop {
             let applied = coarsener.round();
@@ -134,52 +126,6 @@ fn batch_rounds_preserve_acyclicity_at_every_level() {
             coarsener.num_clusters() >= target.min(dag.n()),
             "case {case}: overshot the target"
         );
-    }
-}
-
-/// The batch coarsener is lane-count independent on an instance large enough
-/// to actually take the parallel scan path (the serial fallback engages
-/// below 2048 active clusters, so the in-crate unit test cannot exercise
-/// this): identical cluster count, identical LIFO contraction history, and
-/// identical structural stats between 2 and 5 scan lanes.
-#[test]
-fn batch_coarsening_is_lane_count_independent_beyond_the_parallel_threshold() {
-    let dag = spmv(&SpmvConfig {
-        n: 2600,
-        density: 4.0 / 2600.0,
-        seed: 31,
-    });
-    assert!(dag.n() >= 2048, "instance too small for the parallel scan");
-    let target = dag.n() / 4;
-    // `tail_width: 0`: the sequential tail is trivially lane-independent, so
-    // keep the whole run (2600 -> 650 clusters) in the batch scan under test.
-    let mut a = coarsen_with(
-        &dag,
-        target,
-        &CoarsenConfig {
-            threads: 2,
-            tail_width: 0,
-        },
-    );
-    let mut b = coarsen_with(
-        &dag,
-        target,
-        &CoarsenConfig {
-            threads: 5,
-            tail_width: 0,
-        },
-    );
-    assert_eq!(a.num_clusters(), b.num_clusters());
-    assert_eq!(a.stats.rounds, b.stats.rounds);
-    assert_eq!(a.stats.contractions, b.stats.contractions);
-    assert_eq!(a.stats.max_batch, b.stats.max_batch);
-    assert_eq!(a.stats.endpoint_conflicts, b.stats.endpoint_conflicts);
-    assert_eq!(a.stats.window_crossings, b.stats.window_crossings);
-    loop {
-        match (a.uncontract_one(), b.uncontract_one()) {
-            (None, None) => break,
-            (pa, pb) => assert_eq!(pa, pb, "contraction histories diverged"),
-        }
     }
 }
 

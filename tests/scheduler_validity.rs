@@ -197,9 +197,9 @@ fn pipeline_never_loses_to_its_own_initializers() {
 
 #[test]
 fn a_thread_budget_never_changes_the_schedule() {
-    // A budget splits the branch fan-out, the ratio portfolio and the
-    // coarsener's scan lanes; no search reads it.  The DAGs are small enough
-    // that no time limit binds, so every run is deterministic.
+    // A budget decides how many whole solves (init branches, portfolio
+    // ratios) run at once and nothing else reads it.  The DAGs are small
+    // enough that no time limit binds, so every run is deterministic.
     let dags = [
         spmv(&SpmvConfig {
             n: 40,
@@ -248,5 +248,58 @@ fn a_thread_budget_never_changes_the_schedule() {
                 machine.p()
             );
         }
+    }
+}
+
+#[test]
+fn a_budget_of_one_runs_the_branches_back_to_back() {
+    // One rule decides the fan-out, however the budget was set: a budget of
+    // one never has two initialization branches in flight, so the `BSPg` and
+    // `Source` windows of the phase report cannot overlap.  The DAG is large
+    // enough for each branch to take milliseconds (an overlap would show) and
+    // small enough that no time limit binds (the schedules are comparable).
+    let dag = spmv(&SpmvConfig {
+        n: 150,
+        density: 0.05,
+        seed: 33,
+    });
+    let machine = Machine::uniform(4, 3, 5);
+    let traced = |config: PipelineConfig| {
+        Pipeline::new(PipelineConfig {
+            collect_phases: true,
+            ..config
+        })
+        .run_report(&dag, &machine)
+    };
+    let wide = traced(PipelineConfig::heuristics_only().with_thread_budget(4));
+    for (how, config) in [
+        (
+            "field",
+            PipelineConfig {
+                solve_threads: 1,
+                ..PipelineConfig::heuristics_only()
+            },
+        ),
+        (
+            "builder",
+            PipelineConfig::heuristics_only().with_thread_budget(1),
+        ),
+    ] {
+        let report = traced(config);
+        let window = |name: &str| {
+            let span = report
+                .phases
+                .iter()
+                .find(|p| p.name == name && p.depth == 0)
+                .unwrap_or_else(|| panic!("{how}: no {name} span"));
+            (span.start_us, span.start_us + span.dur_us)
+        };
+        let (bspg, source) = (window("BSPg"), window("Source"));
+        assert!(bspg.1 > bspg.0 && source.1 > source.0, "{how}: empty span");
+        assert!(
+            bspg.1 <= source.0 || source.1 <= bspg.0,
+            "{how}: branches overlap at budget 1: BSPg {bspg:?}, Source {source:?}"
+        );
+        assert_eq!(report.schedule, wide.schedule, "{how}: schedule differs");
     }
 }
