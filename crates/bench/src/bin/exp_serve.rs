@@ -41,6 +41,10 @@
 //!   --cache-mb MB      schedule-cache byte budget per shard (default 64)
 //!   --depth N          pipeline depth per client, sharded phase (default 8)
 //!   --shards N         shard servers behind the router (default 2)
+//!   --reps N           repetitions of the serial, sharded and restart phases
+//!                      (default 1); the rows are those of the repetition
+//!                      with the median sharded throughput, every
+//!                      repetition's headline numbers go to `summary.reps`
 //!   --huge-target N    huge-phase DAG size in nodes (default 100000)
 //!   --huge-deadline-ms huge-phase request deadline (default 15000)
 //!   --smoke            tiny workload + hard assertions (CI gate: 2-shard
@@ -55,7 +59,7 @@ use bsp_model::{Dag, Machine};
 use bsp_serve::{
     Client, Completion, LatencyHistogram, MetricsSnapshot, Mode, PipelinedClient, PlacementScope,
     RequestOptions, Router, RouterConfig, RouterHandle, ScheduleSource, Server, ServerConfig,
-    ServerHandle, ServiceConfig,
+    ServerHandle, ServiceConfig, ServiceStats,
 };
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
@@ -645,6 +649,17 @@ fn source_name(source: ScheduleSource) -> &'static str {
     }
 }
 
+/// What one repetition of the serial, sharded and restart phases measured.
+struct Measured {
+    serial: PhaseOutcome,
+    serial_stats: ServiceStats,
+    sharded: PhaseOutcome,
+    shard_stats: Vec<ServiceStats>,
+    /// The router's merged exposition, scraped while the deployment was live.
+    metrics: MetricsSnapshot,
+    restart: RestartOutcome,
+}
+
 fn main() {
     let args = CliArgs::from_env();
     let smoke = args.flag("smoke");
@@ -668,6 +683,7 @@ fn main() {
     let cache_mb = args.u64_or("cache-mb", 64) as usize;
     let depth = args.usize_or("depth", if smoke { 4 } else { 8 }).max(1);
     let shards = args.usize_or("shards", 2).max(1);
+    let reps = args.usize_or("reps", 1).max(1);
 
     eprintln!(
         "exp_serve: target {target} nodes, {requests} requests, {clients} clients, \
@@ -690,51 +706,111 @@ fn main() {
     let pool = Arc::new(pool);
     let config = server_config(workers, clients, deadline, cache_mb);
 
-    // ---- Phase 1: serial single-process baseline -------------------------
-    let server = Server::bind("127.0.0.1:0", config.clone())
-        .expect("bind an ephemeral loopback port")
-        .spawn()
-        .expect("spawn server threads");
-    eprintln!("serial baseline on {}", server.addr());
-    let serial = run_serial_phase(
-        server.addr(),
-        &pool,
-        &stream,
-        clients,
-        deadline,
-        "serial baseline",
-    );
-    let serial_stats = server.stats();
-    server.shutdown();
+    let measure = |rep: usize| -> Measured {
+        eprintln!("---- repetition {} of {reps} ----", rep + 1);
+        // ---- Phase 1: serial single-process baseline -------------------------
+        let server = Server::bind("127.0.0.1:0", config.clone())
+            .expect("bind an ephemeral loopback port")
+            .spawn()
+            .expect("spawn server threads");
+        eprintln!("serial baseline on {}", server.addr());
+        let serial = run_serial_phase(
+            server.addr(),
+            &pool,
+            &stream,
+            clients,
+            deadline,
+            "serial baseline",
+        );
+        let serial_stats = server.stats();
+        server.shutdown();
 
-    // ---- Phase 2: pipelined clients against the sharded router ----------
-    let (shard_handles, router) = spawn_deployment(shards, &config);
-    eprintln!(
-        "{shards}-shard router on {} (shards: {:?})",
-        router.addr(),
-        shard_handles.iter().map(|s| s.addr()).collect::<Vec<_>>()
-    );
-    let sharded = run_pipelined_phase(
-        router.addr(),
-        &pool,
-        &stream,
-        clients,
-        depth,
-        deadline,
-        "sharded pipelined",
-    );
-    let shard_stats: Vec<_> = shard_handles.iter().map(|s| s.stats()).collect();
-    // Scrape the router's merged exposition while the deployment is live:
-    // the same series a Prometheus scraper would pull, pooled across shards.
-    let metrics = Client::connect(router.addr())
-        .expect("connect a metrics scraper to the router")
-        .metrics()
-        .expect("scrape METRICS through the router");
-    let metrics = MetricsSnapshot::parse(&metrics).expect("the exposition parses");
-    router.shutdown();
-    for shard in shard_handles {
-        shard.shutdown();
-    }
+        // ---- Phase 2: pipelined clients against the sharded router ----------
+        let (shard_handles, router) = spawn_deployment(shards, &config);
+        eprintln!(
+            "{shards}-shard router on {} (shards: {:?})",
+            router.addr(),
+            shard_handles.iter().map(|s| s.addr()).collect::<Vec<_>>()
+        );
+        let sharded = run_pipelined_phase(
+            router.addr(),
+            &pool,
+            &stream,
+            clients,
+            depth,
+            deadline,
+            "sharded pipelined",
+        );
+        let shard_stats: Vec<_> = shard_handles.iter().map(|s| s.stats()).collect();
+        // Scrape the router's merged exposition while the deployment is live:
+        // the same series a Prometheus scraper would pull, pooled across shards.
+        let metrics = Client::connect(router.addr())
+            .expect("connect a metrics scraper to the router")
+            .metrics()
+            .expect("scrape METRICS through the router");
+        let metrics = MetricsSnapshot::parse(&metrics).expect("the exposition parses");
+        router.shutdown();
+        for shard in shard_handles {
+            shard.shutdown();
+        }
+
+        // ---- Phase 3: durable-store restart ---------------------------------
+        eprintln!("restart phase: populate a store-backed server, restart it, replay");
+        let restart = run_restart_phase(&config, &pool[..base_len], deadline);
+        eprintln!(
+            "restart: {} appended, {} loaded back ({} bytes, {} dropped), \
+             exact p50 {}us before vs {}us after, {} fp fallbacks, {} non-exact replays",
+            restart.appended,
+            restart.loaded,
+            restart.recovered_bytes,
+            restart.dropped_corrupt,
+            restart.pre_exact.quantile_micros(0.5),
+            restart.post_exact.quantile_micros(0.5),
+            restart.fp_fallbacks,
+            restart.post_non_exact,
+        );
+
+        Measured {
+            serial,
+            serial_stats,
+            sharded,
+            shard_stats,
+            metrics,
+            restart,
+        }
+    };
+    // The rows come from the repetition with the median sharded throughput;
+    // every repetition's headline numbers are kept beside them.
+    let mut runs: Vec<Measured> = (0..reps).map(measure).collect();
+    let exact_p50 = |phase: &PhaseOutcome| phase.merged[1].quantile_micros(0.5);
+    let reps_json: Vec<String> = runs
+        .iter()
+        .map(|m| {
+            format!(
+                "{{\"serial_throughput_rps\": {:.1}, \"sharded_throughput_rps\": {:.1}, \
+                 \"serial_exact_p50_us\": {}, \"sharded_exact_p50_us\": {}, \
+                 \"restart_post_exact_p50_us\": {}}}",
+                m.serial.throughput_rps,
+                m.sharded.throughput_rps,
+                exact_p50(&m.serial),
+                exact_p50(&m.sharded),
+                m.restart.post_exact.quantile_micros(0.5),
+            )
+        })
+        .collect();
+    runs.sort_by(|a, b| {
+        a.sharded
+            .throughput_rps
+            .total_cmp(&b.sharded.throughput_rps)
+    });
+    let Measured {
+        serial,
+        serial_stats,
+        sharded,
+        shard_stats,
+        metrics,
+        restart,
+    } = runs.swap_remove(runs.len() / 2);
     let queue_wait = metrics.histogram("bsp_queue_wait_micros");
     let (qw_p50, qw_p99) = queue_wait.map_or((0, 0), |h| {
         (h.quantile_micros(0.5), h.quantile_micros(0.99))
@@ -744,22 +820,6 @@ fn main() {
         "router metrics: {} requests, queue wait p50 {qw_p50}us / p99 {qw_p99}us, \
          {solve_phase_micros}us of attributed solver phase time",
         metrics.counter_sum("bsp_requests_total"),
-    );
-
-    // ---- Phase 3: durable-store restart ---------------------------------
-    eprintln!("restart phase: populate a store-backed server, restart it, replay");
-    let restart = run_restart_phase(&config, &pool[..base_len], deadline);
-    eprintln!(
-        "restart: {} appended, {} loaded back ({} bytes, {} dropped), \
-         exact p50 {}us before vs {}us after, {} fp fallbacks, {} non-exact replays",
-        restart.appended,
-        restart.loaded,
-        restart.recovered_bytes,
-        restart.dropped_corrupt,
-        restart.pre_exact.quantile_micros(0.5),
-        restart.post_exact.quantile_micros(0.5),
-        restart.fp_fallbacks,
-        restart.post_non_exact,
     );
 
     // ---- Phase 4: huge-instance multilevel request ----------------------
@@ -858,7 +918,7 @@ fn main() {
         "{{\"target_nodes\": {target}, \"requests\": {requests}, \"clients\": {clients}, \
          \"workers\": {workers}, \"repeat_pct\": {repeat_pct}, \"warm_pct\": {warm_pct}, \
          \"deadline_ms\": {}, \"cache_mb\": {cache_mb}, \"depth\": {depth}, \
-         \"shards\": {shards}, \"host_cores\": {cores}}}",
+         \"shards\": {shards}, \"host_cores\": {cores}, \"reps\": {reps}}}",
         deadline.as_millis()
     ));
     for (phase_name, phase) in [("serial", &serial), ("sharded", &sharded)] {
@@ -965,7 +1025,8 @@ fn main() {
          \"router_metrics\": {{\"requests_total\": {}, \"queue_wait_p50_us\": {qw_p50}, \
          \"queue_wait_p99_us\": {qw_p99}, \"solve_phase_micros\": {solve_phase_micros}}}, \
          \"huge\": {huge_json}, \
-         \"warm_locality\": {warm_locality}}}",
+         \"warm_locality\": {warm_locality}, \
+         \"reps\": [{}]}}",
         serial.throughput_rps,
         sharded.throughput_rps,
         serial.wall.as_secs_f64(),
@@ -986,6 +1047,7 @@ fn main() {
         restart.fp_fallbacks,
         restart.post_non_exact,
         metrics.counter_sum("bsp_requests_total"),
+        reps_json.join(", "),
     ));
     report
         .write(&out_path)

@@ -18,10 +18,31 @@
 //!
 //! Hyperedge `h` is rooted at a node; by convention its first listed pin is
 //! the source node whose value the hyperedge represents.
+//!
+//! ## Grammar
+//!
+//! Lines end in `\n` or `\r\n`.  Numbers are ASCII digits with an optional
+//! leading `+` ([`bsp_model::decimal`]), separated by ASCII blanks (space,
+//! tab, `\r`, vertical tab, form feed); blank lines and `%` comment lines may
+//! appear anywhere and a comment may hold any UTF-8.  A non-ASCII byte
+//! anywhere else is [`HyperDagError::Malformed`] — the parser scans bytes, so
+//! Unicode blanks such as U+00A0 are not separators.
+//!
+//! ## Cost and allocation bounds
+//!
+//! [`read_hyperdag`] is one pass over `text.as_bytes()`: no line or token is
+//! materialized, a second look at a line happens only to name an error.  It
+//! allocates a fixed number of buffers whatever the size of the DAG — one
+//! source slot per hyperedge, the edge list, the two weight vectors, and the
+//! CSR arrays of [`Dag::from_edges`] — and each is sized from the header only
+//! after the header has been held against the input's length: a data line
+//! takes at least two bytes, so `pins + nodes` beyond half the remaining
+//! bytes is rejected before anything is allocated, and every buffer is
+//! `O(text.len())`.  [`write_hyperdag`] reserves its output once from the
+//! node and pin counts and pushes decimals into it without `fmt`.
 
+use bsp_model::decimal::{is_blank, parse_u64, push_line, push_u64, scan_u64};
 use bsp_model::{Dag, DagError, NodeId};
-use std::fmt::Write as _;
-use std::num::ParseIntError;
 
 /// Errors when parsing the hyperDAG text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,35 +75,212 @@ impl From<DagError> for HyperDagError {
     }
 }
 
-fn parse_num(tok: &str, line: usize) -> Result<u64, HyperDagError> {
-    tok.parse()
-        .map_err(|_: ParseIntError| HyperDagError::Number { line })
+/// `(hyperedges, pins)` of `dag`'s hyperDAG form: one hyperedge per non-sink
+/// node, holding the node and its successors.
+fn hyperedge_counts(dag: &Dag) -> (usize, usize) {
+    (0..dag.n())
+        .map(|v| dag.out_degree(v))
+        .filter(|&d| d > 0)
+        .fold((0, 0), |(he, pins), d| (he + 1, pins + 1 + d))
+}
+
+/// Number of lines [`append_hyperdag`] writes for `dag` (what a `DAG <n>`
+/// wire header must announce).
+pub fn hyperdag_line_count(dag: &Dag) -> usize {
+    2 + hyperedge_counts(dag).1 + dag.n()
 }
 
 /// Serializes a DAG into the hyperDAG text format.
 pub fn write_hyperdag(dag: &Dag) -> String {
+    let mut out = Vec::new();
+    append_hyperdag(&mut out, dag);
+    String::from_utf8(out).expect("the hyperDAG encoder writes ASCII only")
+}
+
+/// Appends `dag` in the hyperDAG text format to `out`, every line
+/// newline-terminated.
+pub fn append_hyperdag(out: &mut Vec<u8>, dag: &Dag) {
     let n = dag.n();
-    let hyperedges: Vec<NodeId> = (0..n).filter(|&v| dag.out_degree(v) > 0).collect();
-    let num_pins: usize = hyperedges.iter().map(|&v| 1 + dag.out_degree(v)).sum();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "% hyperDAG export: {} nodes, {} hyperedges",
-        n,
-        hyperedges.len()
-    );
-    let _ = writeln!(out, "{} {} {}", hyperedges.len(), n, num_pins);
-    for (h, &v) in hyperedges.iter().enumerate() {
-        let _ = writeln!(out, "{h} {v}");
-        for &w in dag.successors(v) {
-            let _ = writeln!(out, "{h} {w}");
+    let (hyperedges, num_pins) = hyperedge_counts(dag);
+    let digits = n.max(1).ilog10() as usize + 1;
+    out.reserve(64 + num_pins * (2 * digits + 2) + n * (digits + 8));
+    out.extend_from_slice(b"% hyperDAG export: ");
+    push_u64(out, n as u64);
+    out.extend_from_slice(b" nodes, ");
+    push_u64(out, hyperedges as u64);
+    out.extend_from_slice(b" hyperedges\n");
+    push_line(out, [hyperedges as u64, n as u64, num_pins as u64]);
+    let mut h = 0u64;
+    for v in 0..n {
+        let successors = dag.successors(v);
+        if successors.is_empty() {
+            continue;
         }
+        push_line(out, [h, v as u64]);
+        for &w in successors {
+            push_line(out, [h, w as u64]);
+        }
+        h += 1;
     }
     for v in 0..n {
-        let _ = writeln!(out, "{v} {} {}", dag.work(v), dag.comm(v));
+        push_line(out, [v as u64, dag.work(v), dag.comm(v)]);
     }
-    out
 }
+
+const HEADER_SHAPE: &str = "header must be `<hyperedges> <nodes> <pins>`";
+const PIN_SHAPE: &str = "pin line must be `<hyperedge> <node>`";
+const NODE_SHAPE: &str = "node line must be `<node> <work> <comm>`";
+
+/// What is left of the text, and the 1-based number of the line it starts on.
+#[derive(Clone)]
+struct Cursor<'a> {
+    rest: &'a [u8],
+    line: usize,
+}
+
+impl Cursor<'_> {
+    /// Skips blanks on the current line (its `\n` is not one).
+    #[inline]
+    fn skip_blanks(&mut self) {
+        while let Some((&byte, tail)) = self.rest.split_first() {
+            if !is_blank(byte) {
+                break;
+            }
+            self.rest = tail;
+        }
+    }
+
+    /// Moves past the end of the current line.
+    fn end_line(&mut self) {
+        match self.rest.iter().position(|&b| b == b'\n') {
+            Some(newline) => {
+                self.rest = &self.rest[newline + 1..];
+                self.line += 1;
+            }
+            None => self.rest = &[],
+        }
+    }
+
+    /// Moves to the first token of the next data line, over blank lines and
+    /// `%` comments; `false` at the end of the text.
+    fn next_data_line(&mut self) -> bool {
+        loop {
+            self.skip_blanks();
+            match self.rest.first() {
+                None => return false,
+                Some(b'\n' | b'%') => self.end_line(),
+                Some(_) => return true,
+            }
+        }
+    }
+
+    /// Data lines from the cursor to the end of the text.  Only error paths
+    /// count lines; a well-formed file is never looked at twice.
+    fn data_lines(&self) -> usize {
+        let mut rest = self.clone();
+        let mut count = 0;
+        while rest.next_data_line() {
+            count += 1;
+            rest.end_line();
+        }
+        count
+    }
+
+    /// Reads the data line at the cursor as exactly `K` numbers and moves
+    /// past it; `None`, without moving, if it is anything else.
+    #[inline]
+    fn numbers<const K: usize>(&mut self) -> Option<[u64; K]> {
+        let mut cur = self.clone();
+        let mut fields = [0u64; K];
+        for field in &mut fields {
+            cur.skip_blanks();
+            // A line that ends early has no number here.
+            let (value, len) = scan_u64(cur.rest)?;
+            cur.rest = &cur.rest[len..];
+            if cur
+                .rest
+                .first()
+                .is_some_and(|&b| b != b'\n' && !is_blank(b))
+            {
+                return None;
+            }
+            *field = value;
+        }
+        cur.skip_blanks();
+        match cur.rest.split_first() {
+            None => {}
+            Some((b'\n', tail)) => {
+                cur.rest = tail;
+                cur.line += 1;
+            }
+            Some(_) => return None,
+        }
+        *self = cur;
+        Some(fields)
+    }
+
+    /// Reads the data line at the cursor as a record of `K` numbers.
+    /// `check(i, fields)` may reject the record once fields `0..=i` are
+    /// known; errors come in the order a field-by-field reader would find
+    /// them (field count, then per field: number, then `check`).
+    #[inline]
+    fn record<const K: usize>(
+        &mut self,
+        shape: &str,
+        check: impl Fn(usize, &[u64; K]) -> Option<String>,
+    ) -> Result<[u64; K], HyperDagError> {
+        let line = self.line;
+        match self.numbers::<K>() {
+            Some(fields) => match (0..K).find_map(|i| check(i, &fields)) {
+                None => Ok(fields),
+                Some(reason) => Err(HyperDagError::Malformed { line, reason }),
+            },
+            None => Err(self.diagnose(shape, check)),
+        }
+    }
+
+    /// The error of the line at the cursor, which [`Cursor::numbers`] could
+    /// not read.
+    #[cold]
+    fn diagnose<const K: usize>(
+        &self,
+        shape: &str,
+        check: impl Fn(usize, &[u64; K]) -> Option<String>,
+    ) -> HyperDagError {
+        let line = self.line;
+        let malformed = |reason: String| HyperDagError::Malformed { line, reason };
+        let end = self.rest.iter().position(|&b| b == b'\n');
+        let text = &self.rest[..end.unwrap_or(self.rest.len())];
+        if !text.is_ascii() {
+            return malformed("non-ASCII byte outside a comment".into());
+        }
+        let mut tokens = text.split(|&b| is_blank(b)).filter(|t| !t.is_empty());
+        let mut raw = [&text[..0]; K];
+        for slot in &mut raw {
+            match tokens.next() {
+                Some(token) => *slot = token,
+                None => return malformed(shape.into()),
+            }
+        }
+        if tokens.next().is_some() {
+            return malformed(shape.into());
+        }
+        let mut fields = [0u64; K];
+        for (i, token) in raw.iter().enumerate() {
+            match parse_u64(token) {
+                Some(value) => fields[i] = value,
+                None => return HyperDagError::Number { line },
+            }
+            if let Some(reason) = check(i, &fields) {
+                return malformed(reason);
+            }
+        }
+        malformed(shape.into())
+    }
+}
+
+/// Marks a hyperedge whose source pin has not been read yet.
+const NO_SOURCE: NodeId = NodeId::MAX;
 
 /// Parses the hyperDAG text format back into a DAG.
 ///
@@ -93,46 +291,41 @@ pub fn write_hyperdag(dag: &Dag) -> String {
 /// attempting a multi-gigabyte allocation.  This is the function the
 /// `bsp_serve` service boundary parses untrusted request payloads with.
 pub fn read_hyperdag(text: &str) -> Result<Dag, HyperDagError> {
-    let is_data = |l: &str| !l.is_empty() && !l.starts_with('%');
-    let data_line_count = text.lines().map(str::trim).filter(|l| is_data(l)).count();
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| is_data(l));
-
-    let (header_line, header) = lines.next().ok_or(HyperDagError::Malformed {
-        line: 0,
-        reason: "empty file".into(),
-    })?;
-    let mut it = header.split_whitespace();
-    let (he, nodes, pins) = match (it.next(), it.next(), it.next(), it.next()) {
-        (Some(a), Some(b), Some(c), None) => (
-            parse_num(a, header_line)? as usize,
-            parse_num(b, header_line)? as usize,
-            parse_num(c, header_line)? as usize,
-        ),
-        _ => {
-            return Err(HyperDagError::Malformed {
-                line: header_line,
-                reason: "header must be `<hyperedges> <nodes> <pins>`".into(),
-            })
-        }
+    let mut cur = Cursor {
+        rest: text.as_bytes(),
+        line: 1,
     };
-
-    // Sanity-check the declared counts against the data that is actually
-    // there: one line per pin plus one line per node must fit in the input,
-    // and every hyperedge needs at least one pin.  These bounds make the
-    // allocations below proportional to the input size, whatever the header
-    // claims.
-    let body_lines = data_line_count - 1;
-    if pins.saturating_add(nodes) > body_lines {
+    if !cur.next_data_line() {
         return Err(HyperDagError::Malformed {
+            line: 0,
+            reason: "empty file".into(),
+        });
+    }
+    let header_line = cur.line;
+    let [he, nodes, pins] = cur.record::<3>(HEADER_SHAPE, |_, _| None)?;
+    let (he, nodes, pins) = (he as usize, nodes as usize, pins as usize);
+
+    // One line per pin plus one line per node must fit in the input, and
+    // every hyperedge needs at least one pin.  A data line is at least one
+    // byte and its newline, so the first test needs no line count when the
+    // header is far off — and it is what makes every allocation below
+    // proportional to the input size, whatever the header claims.  A header
+    // that passes it is held against the real count as soon as a line goes
+    // wrong (`too_short`), which a file with too few lines always does.
+    let declared = pins.saturating_add(nodes);
+    let too_short = |at: &Cursor, read: usize| {
+        let body_lines = read + at.data_lines();
+        (declared > body_lines).then(|| HyperDagError::Malformed {
             line: header_line,
             reason: format!(
                 "header declares {pins} pins + {nodes} nodes but only {body_lines} data lines follow"
             ),
-        });
+        })
+    };
+    if declared > cur.rest.len().div_ceil(2) {
+        if let Some(err) = too_short(&cur, 0) {
+            return Err(err);
+        }
     }
     if he > pins {
         return Err(HyperDagError::Malformed {
@@ -141,78 +334,62 @@ pub fn read_hyperdag(text: &str) -> Result<Dag, HyperDagError> {
         });
     }
 
-    // Pins.
-    let mut hyperedge_pins: Vec<Vec<NodeId>> = vec![Vec::new(); he];
-    for _ in 0..pins {
-        let (line_no, line) = lines.next().ok_or(HyperDagError::Malformed {
-            line: header_line,
-            reason: "fewer pin lines than declared".into(),
-        })?;
-        let mut it = line.split_whitespace();
-        let (h, v) = match (it.next(), it.next(), it.next()) {
-            (Some(a), Some(b), None) => (
-                parse_num(a, line_no)? as usize,
-                parse_num(b, line_no)? as usize,
-            ),
-            _ => {
-                return Err(HyperDagError::Malformed {
-                    line: line_no,
-                    reason: "pin line must be `<hyperedge> <node>`".into(),
-                })
-            }
+    // Pins.  The first pin of a hyperedge is its source; every later one is
+    // an edge out of it, wherever in the pin list it comes.
+    let mut source = vec![NO_SOURCE; he];
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(pins - he);
+    let mut increasing = true;
+    for read in 0..pins {
+        let more = cur.next_data_line();
+        let at = cur.clone();
+        let pin = if more {
+            cur.record::<2>(PIN_SHAPE, |i, &[h, v]| {
+                (i == 1 && (h >= he as u64 || v >= nodes as u64))
+                    .then(|| format!("pin ({h}, {v}) out of range"))
+            })
+        } else {
+            Err(HyperDagError::Malformed {
+                line: header_line,
+                reason: "fewer pin lines than declared".into(),
+            })
         };
-        if h >= he || v >= nodes {
-            return Err(HyperDagError::Malformed {
-                line: line_no,
-                reason: format!("pin ({h}, {v}) out of range"),
-            });
+        let [h, v] = pin.map_err(|err| too_short(&at, read).unwrap_or(err))?;
+        let (h, v) = (h as usize, v as usize);
+        let src = source[h];
+        if src == NO_SOURCE {
+            source[h] = v;
+        } else if src != v {
+            increasing &= edges.last().is_none_or(|&last| last < (src, v));
+            edges.push((src, v));
         }
-        hyperedge_pins[h].push(v);
     }
+    drop(source);
 
     // Node weights.
     let mut work = vec![1u64; nodes];
     let mut comm = vec![1u64; nodes];
-    for _ in 0..nodes {
-        let (line_no, line) = lines.next().ok_or(HyperDagError::Malformed {
-            line: header_line,
-            reason: "fewer node lines than declared".into(),
-        })?;
-        let mut it = line.split_whitespace();
-        match (it.next(), it.next(), it.next(), it.next()) {
-            (Some(a), Some(b), Some(c), None) => {
-                let v = parse_num(a, line_no)? as usize;
-                if v >= nodes {
-                    return Err(HyperDagError::Malformed {
-                        line: line_no,
-                        reason: format!("node {v} out of range"),
-                    });
-                }
-                work[v] = parse_num(b, line_no)?;
-                comm[v] = parse_num(c, line_no)?;
-            }
-            _ => {
-                return Err(HyperDagError::Malformed {
-                    line: line_no,
-                    reason: "node line must be `<node> <work> <comm>`".into(),
-                })
-            }
-        }
+    for read in 0..nodes {
+        let more = cur.next_data_line();
+        let at = cur.clone();
+        let node = if more {
+            cur.record::<3>(NODE_SHAPE, |i, &[v, _, _]| {
+                (i == 0 && v >= nodes as u64).then(|| format!("node {v} out of range"))
+            })
+        } else {
+            Err(HyperDagError::Malformed {
+                line: header_line,
+                reason: "fewer node lines than declared".into(),
+            })
+        };
+        let [v, w, c] = node.map_err(|err| too_short(&at, pins + read).unwrap_or(err))?;
+        work[v as usize] = w;
+        comm[v as usize] = c;
     }
 
-    // Hyperedges back to edges: the first pin of a hyperedge is the source.
-    let mut edges = Vec::new();
-    for pins in &hyperedge_pins {
-        if let Some((&src, rest)) = pins.split_first() {
-            for &dst in rest {
-                if src != dst {
-                    edges.push((src, dst));
-                }
-            }
-        }
+    if !increasing {
+        edges.sort_unstable();
+        edges.dedup();
     }
-    edges.sort_unstable();
-    edges.dedup();
     Ok(Dag::from_edges(nodes, &edges, work, comm)?)
 }
 

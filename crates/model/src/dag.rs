@@ -13,7 +13,6 @@
 
 use crate::error::DagError;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Index of a node in a [`Dag`]; nodes are always `0..n`.
 pub type NodeId = usize;
@@ -188,6 +187,29 @@ impl DagBuilder {
     }
 }
 
+/// The error of the first edge of `edges` that is out of range, a self-loop
+/// or a repeat of an earlier edge: the sequential walk [`Dag::from_edges`]
+/// falls back to once its bulk checks have found that there is one.
+#[cold]
+fn first_edge_defect(n: usize, edges: &[(NodeId, NodeId)]) -> DagError {
+    let mut seen = std::collections::HashSet::with_capacity(edges.len());
+    for &(u, v) in edges {
+        if u >= n {
+            return DagError::NodeOutOfRange { node: u, n };
+        }
+        if v >= n {
+            return DagError::NodeOutOfRange { node: v, n };
+        }
+        if u == v {
+            return DagError::SelfLoop { node: u };
+        }
+        if !seen.insert((u, v)) {
+            return DagError::DuplicateEdge { from: u, to: v };
+        }
+    }
+    unreachable!("first_edge_defect is only called on an edge list with a defect")
+}
+
 impl Dag {
     /// Builds a DAG from an explicit edge list and weight vectors.
     pub fn from_edges(
@@ -208,28 +230,20 @@ impl Dag {
                 got: comm.len(),
             });
         }
-        let mut seen = std::collections::HashSet::with_capacity(edges.len());
-        for &(u, v) in edges {
-            if u >= n {
-                return Err(DagError::NodeOutOfRange { node: u, n });
-            }
-            if v >= n {
-                return Err(DagError::NodeOutOfRange { node: v, n });
-            }
-            if u == v {
-                return Err(DagError::SelfLoop { node: u });
-            }
-            if !seen.insert((u, v)) {
-                return Err(DagError::DuplicateEdge { from: u, to: v });
-            }
-        }
-        let num_edges = seen.len();
-
         // Two counting-sort passes build each CSR side; per-node neighbour
-        // order is edge insertion order, as with the nested-Vec layout.
+        // order is edge insertion order, as with the nested-Vec layout.  The
+        // counting pass also checks every endpoint, and a duplicate edge
+        // shows up as a repeated entry of one successor row, found with a
+        // stamp per node instead of a hash set of all edges.  Which defect
+        // comes *first* in the list only matters once there is one:
+        // `first_edge_defect` walks the list again to name it.
+        let num_edges = edges.len();
         let mut succ_off = vec![0usize; n + 1];
         let mut pred_off = vec![0usize; n + 1];
         for &(u, v) in edges {
+            if u >= n || v >= n || u == v {
+                return Err(first_edge_defect(n, edges));
+            }
             succ_off[u + 1] += 1;
             pred_off[v + 1] += 1;
         }
@@ -246,6 +260,18 @@ impl Dag {
             succ_cursor[u] += 1;
             pred_adj[pred_cursor[v]] = u;
             pred_cursor[v] += 1;
+        }
+        // `succ_cursor` has done its job; reuse it as the stamp array
+        // (`stamp[v] == u + 1` iff `v` was already seen in `u`'s row).
+        let stamp = &mut succ_cursor;
+        stamp.fill(0);
+        for u in 0..n {
+            for &v in &succ_adj[succ_off[u]..succ_off[u + 1]] {
+                if stamp[v] == u + 1 {
+                    return Err(first_edge_defect(n, edges));
+                }
+                stamp[v] = u + 1;
+            }
         }
 
         let dag = Dag {
@@ -369,14 +395,17 @@ impl Dag {
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
         let n = self.n();
         let mut indeg: Vec<usize> = (0..n).map(|v| self.in_degree(v)).collect();
-        let mut queue: VecDeque<NodeId> = (0..n).filter(|&v| indeg[v] == 0).collect();
+        // `order` doubles as the FIFO queue: nodes before `head` are done,
+        // the rest are ready and waiting.
         let mut order = Vec::with_capacity(n);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
+        order.extend((0..n).filter(|&v| indeg[v] == 0));
+        let mut head = 0;
+        while let Some(&v) = order.get(head) {
+            head += 1;
             for &w in self.successors(v) {
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
-                    queue.push_back(w);
+                    order.push(w);
                 }
             }
         }

@@ -46,6 +46,8 @@ pub enum ValidityError {
     ProcessorOutOfRange { node: usize, proc: usize, p: usize },
     /// A communication step references a processor index `>= P`.
     CommProcessorOutOfRange { node: usize, proc: usize, p: usize },
+    /// A communication step references a node index `>= n`.
+    CommNodeOutOfRange { node: usize, n: usize },
     /// A communication step sends a value from a processor to itself.
     CommSelfSend { node: usize, proc: usize },
     /// A precedence constraint `(u, v)` with `π(u) = π(v)` has `τ(u) > τ(v)`.
@@ -75,6 +77,12 @@ impl fmt::Display for ValidityError {
                 write!(
                     f,
                     "communication step for node {node} uses processor {proc} but P = {p}"
+                )
+            }
+            ValidityError::CommNodeOutOfRange { node, n } => {
+                write!(
+                    f,
+                    "communication step references node {node} but the DAG has {n} nodes"
                 )
             }
             ValidityError::CommSelfSend { node, proc } => {

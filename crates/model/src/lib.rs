@@ -25,6 +25,8 @@
 //! * [`record`] — the checksummed, length-framed on-disk record codec of the
 //!   `bsp_serve` durable schedule store (torn and corrupt frames decode to
 //!   typed errors, never to a schedule).
+//! * [`decimal`] — the byte-level decimal grammar the text codecs (hyperDAG
+//!   format, wire protocol) share.
 //! * [`classical`] — conversion of classical time-based schedules (as produced
 //!   by `Cilk`, `BL-EST`, `ETF`) into BSP schedules.
 //! * [`render`] — plain-text rendering of schedules for debugging and examples.
@@ -33,6 +35,7 @@ pub mod classical;
 pub mod comm;
 pub mod cost;
 pub mod dag;
+pub mod decimal;
 pub mod error;
 pub mod fingerprint;
 pub mod machine;

@@ -7,19 +7,76 @@
 //! 2. for every `(v, p1, p2, s) ∈ Γ`: either `π(v) = p1` and `τ(v) ≤ s`, or
 //!    there is another entry `(v, p', p1, s') ∈ Γ` with `s' < s` (the value was
 //!    forwarded to `p1` before being sent onwards).
+//!
+//! ## Cost and allocation bounds
+//!
+//! [`validate`] runs in `O(n + m + |Γ| log d)` (`d` the largest number of
+//! steps of one node) without hashing: Γ is grouped by node with a counting
+//! sort and a node's arrivals live in a `P`-wide stamp array that is never
+//! cleared.  It makes four allocations whatever the input — `n + 1` offsets,
+//! `|Γ|` grouped steps, two `P`-wide arrays — and each is sized only after
+//! every index it will be addressed with has been range-checked, so a
+//! schedule decoded from the wire cannot make it panic.
 
 use crate::dag::Dag;
 use crate::error::ValidityError;
 use crate::machine::Machine;
-use crate::schedule::BspSchedule;
-use std::collections::HashMap;
+use crate::schedule::{Assignment, BspSchedule};
+
+/// A node's arrivals: `at[q]` is the earliest superstep in which `q`
+/// receives the value of the node `stamp[q] - 1`; slots stamped for another
+/// node are empty, so moving on to the next node clears nothing.
+struct Arrivals {
+    stamp: Vec<usize>,
+    at: Vec<usize>,
+}
+
+impl Arrivals {
+    #[inline]
+    fn get(&self, node: usize, q: usize) -> Option<usize> {
+        (self.stamp[q] == node + 1).then(|| self.at[q])
+    }
+
+    #[inline]
+    fn record(&mut self, node: usize, q: usize, step: usize) {
+        if self.stamp[q] == node + 1 {
+            self.at[q] = self.at[q].min(step);
+        } else {
+            self.stamp[q] = node + 1;
+            self.at[q] = step;
+        }
+    }
+}
+
+/// Condition 1 for the edge `(u, v)`, given the earliest superstep in which
+/// `u`'s value arrives at `π(v)`.
+#[inline]
+fn check_edge(
+    assignment: &Assignment,
+    u: usize,
+    v: usize,
+    arrival: impl FnOnce(usize) -> Option<usize>,
+) -> Result<(), ValidityError> {
+    if assignment.proc[u] == assignment.proc[v] {
+        if assignment.superstep[u] > assignment.superstep[v] {
+            return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: v });
+        }
+    } else if arrival(assignment.proc[v]).is_none_or(|s| s >= assignment.superstep[v]) {
+        return Err(ValidityError::MissingCommunication { pred: u, node: v });
+    }
+    Ok(())
+}
 
 /// Validates a schedule against a DAG and machine.  Returns the first
-/// violation found (deterministically, in node order).
+/// violation found, deterministically: range checks first (assignment in
+/// node order, then Γ in step order), then condition 2 by node and, within
+/// a node, by `(superstep, from, to)`, then condition 1 by node and, within
+/// a node, in predecessor order.
 pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(), ValidityError> {
     let n = dag.n();
     let p = machine.p();
     let assignment = &sched.assignment;
+    let steps = sched.comm.steps();
 
     if assignment.proc.len() != n || assignment.superstep.len() != n {
         return Err(ValidityError::AssignmentLengthMismatch {
@@ -36,7 +93,12 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
             });
         }
     }
-    for cs in sched.comm.steps() {
+    // The same pass counts Γ per node for the grouping below.
+    let mut offset = vec![0usize; n + 1];
+    for cs in steps {
+        if cs.node >= n {
+            return Err(ValidityError::CommNodeOutOfRange { node: cs.node, n });
+        }
         if cs.from >= p {
             return Err(ValidityError::CommProcessorOutOfRange {
                 node: cs.node,
@@ -57,43 +119,47 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
                 proc: cs.from,
             });
         }
+        offset[cs.node + 1] += 1;
     }
 
-    // earliest_arrival[(v, q)] = earliest superstep s such that (v, *, q, s) ∈ Γ.
-    let mut earliest_arrival: HashMap<(usize, usize), usize> = HashMap::new();
-    for cs in sched.comm.steps() {
-        earliest_arrival
-            .entry((cs.node, cs.to))
-            .and_modify(|s| *s = (*s).min(cs.step))
-            .or_insert(cs.step);
+    // Group Γ by node (counting sort); `offset[v]..offset[v + 1]` is node
+    // `v`'s run of `(superstep, from, to)` once the cursors have advanced.
+    for v in 0..n {
+        offset[v + 1] += offset[v];
     }
+    let mut grouped = vec![(0usize, 0usize, 0usize); steps.len()];
+    for cs in steps {
+        grouped[offset[cs.node]] = (cs.step, cs.from, cs.to);
+        offset[cs.node] += 1;
+    }
+    offset.copy_within(0..n, 1);
+    offset[0] = 0;
 
-    // Condition 2: every communication step sends a value that is present on
-    // its source processor.  Process each node's steps in increasing superstep
-    // order; a value is available for sending from processor q in superstep s
-    // if it was computed there (π(v) = q, τ(v) ≤ s) or received there in some
-    // strictly earlier superstep.
-    let mut by_node: HashMap<usize, Vec<(usize, usize, usize)>> = HashMap::new();
-    for cs in sched.comm.steps() {
-        by_node
-            .entry(cs.node)
-            .or_default()
-            .push((cs.step, cs.from, cs.to));
-    }
-    for (&v, steps) in by_node.iter_mut() {
-        steps.sort_unstable();
-        // received_before[q] = earliest superstep at which q received v (among
-        // steps already processed, i.e. strictly earlier supersteps).
-        let mut received_before: HashMap<usize, usize> = HashMap::new();
+    let mut arrivals = Arrivals {
+        stamp: vec![0; p],
+        at: vec![0; p],
+    };
+    // Lowest node with an unsatisfied incoming edge, if any.
+    let mut broken: Option<usize> = None;
+    for v in 0..n {
+        // Condition 2: every communication step sends a value that is
+        // present on its source processor.  Process the node's steps in
+        // increasing superstep order; a value is available for sending from
+        // processor q in superstep s if it was computed there (π(v) = q,
+        // τ(v) ≤ s) or received there in some strictly earlier superstep.
+        let run = &mut grouped[offset[v]..offset[v + 1]];
+        if !run.is_sorted() {
+            run.sort_unstable();
+        }
         let mut i = 0;
-        while i < steps.len() {
-            let s = steps[i].0;
+        while i < run.len() {
+            let s = run[i].0;
             // Validate the whole group of steps with superstep == s first.
             let mut j = i;
-            while j < steps.len() && steps[j].0 == s {
-                let (_, from, _) = steps[j];
+            while j < run.len() && run[j].0 == s {
+                let from = run[j].1;
                 let computed_here = assignment.proc[v] == from && assignment.superstep[v] <= s;
-                let received_here = received_before.get(&from).is_some_and(|&r| r < s);
+                let received_here = arrivals.get(v, from).is_some_and(|r| r < s);
                 if !computed_here && !received_here {
                     return Err(ValidityError::SourceValueNotPresent {
                         node: v,
@@ -104,34 +170,35 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
                 j += 1;
             }
             // Now record this group's receptions.
-            for &(step, _, to) in &steps[i..j] {
-                received_before
-                    .entry(to)
-                    .and_modify(|r| *r = (*r).min(step))
-                    .or_insert(step);
+            for &(step, _, to) in &run[i..j] {
+                arrivals.record(v, to, step);
             }
             i = j;
         }
-    }
-
-    // Condition 1: precedence constraints.
-    for v in 0..n {
-        for &u in dag.predecessors(v) {
-            if assignment.proc[u] == assignment.proc[v] {
-                if assignment.superstep[u] > assignment.superstep[v] {
-                    return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: v });
-                }
-            } else {
-                let ok = earliest_arrival
-                    .get(&(u, assignment.proc[v]))
-                    .is_some_and(|&s| s < assignment.superstep[v]);
-                if !ok {
-                    return Err(ValidityError::MissingCommunication { pred: u, node: v });
-                }
+        // Condition 1 for the edges out of `v`, while its arrivals are at
+        // hand.  A failure must not pre-empt a condition-2 failure of a
+        // later node, and the edge to report is the first in *consumer*
+        // order, so only the lowest consumer is remembered here.
+        for &w in dag.successors(v) {
+            if broken.is_none_or(|b| w < b)
+                && check_edge(assignment, v, w, |q| arrivals.get(v, q)).is_err()
+            {
+                broken = Some(w);
             }
         }
     }
 
+    // Condition 1, reported as a walk over consumers would find it: the
+    // first failing predecessor of the lowest failing node.  Γ is grouped
+    // and sorted by now, so one edge's arrival is a scan of one run.
+    if let Some(v) = broken {
+        for &u in dag.predecessors(v) {
+            let run = &grouped[offset[u]..offset[u + 1]];
+            check_edge(assignment, u, v, |q| {
+                run.iter().find(|&&(_, _, to)| to == q).map(|&(s, _, _)| s)
+            })?;
+        }
+    }
     Ok(())
 }
 
@@ -322,5 +389,61 @@ mod tests {
                 p: 2
             })
         ));
+    }
+
+    #[test]
+    fn comm_step_for_a_node_out_of_range_is_a_typed_error() {
+        // Wire-decoded schedules reach `validate` on the client side: a step
+        // naming node 7 of a 3-node DAG used to index out of bounds.
+        let dag = chain();
+        let machine = Machine::uniform(2, 1, 1);
+        let assignment = Assignment {
+            proc: vec![0, 0, 0],
+            superstep: vec![0, 0, 0],
+        };
+        let comm = CommSchedule::from_steps(vec![CommStep {
+            node: 7,
+            from: 0,
+            to: 1,
+            step: 0,
+        }]);
+        let sched = BspSchedule { assignment, comm };
+        assert_eq!(
+            sched.validate(&dag, &machine),
+            Err(ValidityError::CommNodeOutOfRange { node: 7, n: 3 })
+        );
+    }
+
+    #[test]
+    fn the_first_violation_is_the_lowest_node_every_time() {
+        // Two nodes each send a value from a processor that never held it.
+        let n = 40;
+        let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+        let dag = Dag::from_edges(n, &edges, vec![1; n], vec![1; n]).unwrap();
+        let machine = Machine::uniform(4, 1, 1);
+        let assignment = Assignment {
+            proc: vec![0; n],
+            superstep: vec![0; n],
+        };
+        let bad = |node| CommStep {
+            node,
+            from: 2,
+            to: 3,
+            step: 1,
+        };
+        let sched = BspSchedule {
+            assignment,
+            comm: CommSchedule::from_steps(vec![bad(31), bad(5)]),
+        };
+        for _ in 0..64 {
+            assert_eq!(
+                sched.validate(&dag, &machine),
+                Err(ValidityError::SourceValueNotPresent {
+                    node: 5,
+                    from: 2,
+                    step: 1
+                })
+            );
+        }
     }
 }

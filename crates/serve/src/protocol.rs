@@ -60,11 +60,37 @@
 //! counts, cyclic DAGs, out-of-range machine parameters — is answered with a
 //! typed [`ServeError`], never a panic: the parsing layer is the service's
 //! trust boundary.
+//!
+//! ## Grammar
+//!
+//! Numbers are ASCII digits with an optional leading `+`
+//! ([`bsp_model::decimal`]); tokens are separated by blanks or tabs; lines
+//! end in `\n` or `\r\n`.  Inside a `DAG` block the hyperDAG grammar applies
+//! (blank lines and `%` comments anywhere, non-ASCII text only in comments).
+//!
+//! ## Cost and allocation bounds
+//!
+//! Every byte of a message is looked at once.  On the request side (the
+//! trust boundary) nothing is sized from a number the peer declares: a line
+//! is read into a buffer that stops growing at [`MAX_REQUEST_LINE_BYTES`],
+//! a `DAG <n>` block (`n` ≤ 4 M lines) is copied out of the reader's buffer
+//! a buffer-full at a time into a text that grows only with the bytes that
+//! have arrived — one ASCII test per buffer-full and one UTF-8 check per
+//! block instead of one per line, the line cap and the early-`END` check
+//! kept per line — and [`read_hyperdag`] bounds its own buffers by that
+//! text's length.  [`read_incoming_verbatim`] keeps one copy of the
+//! message's bytes so a proxy can forward a request as it was received
+//! ([`reframe_request`]) instead of encoding it again.  On the response
+//! side (a trusted server) `PROC` / `STEP` / `COMM` are parsed from bytes
+//! into vectors sized from the line being parsed, `COMM <k>` reserves at
+//! most 2^20 steps up front, and the encoders push decimals straight into
+//! the output buffer without `fmt`.
 
+use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
 use bsp_model::{BspSchedule, CommStep, Dag, Machine, NumaTopology};
-use dag_gen::hyperdag::{read_hyperdag, write_hyperdag, HyperDagError};
+use dag_gen::hyperdag::{append_hyperdag, hyperdag_line_count, read_hyperdag, HyperDagError};
 use std::fmt;
-use std::io::{BufRead, Read as _};
+use std::io::{self, BufRead, Read};
 use std::time::Duration;
 
 /// How the service solved (or retrieved) a schedule.
@@ -342,6 +368,11 @@ pub enum Incoming {
     Ping,
 }
 
+/// A blank or a line end: what separates the tokens of a message.
+fn is_space(byte: &u8) -> bool {
+    is_blank(*byte) || *byte == b'\n'
+}
+
 fn malformed(line: &str, reason: impl Into<String>) -> ServeError {
     ServeError::Malformed {
         line: line.to_string(),
@@ -491,13 +522,13 @@ pub fn encode_request(
     if let Some(trace_id) = options.trace {
         let _ = writeln!(out, "OPTION trace {trace_id:x}");
     }
-    let dag_text = write_hyperdag(dag);
-    let _ = writeln!(out, "DAG {}", dag_text.lines().count());
-    out.push_str(&dag_text);
-    if !dag_text.ends_with('\n') {
-        out.push('\n');
-    }
-    out.push_str("END\n");
+    with_bytes(out, |bytes| {
+        bytes.extend_from_slice(b"DAG ");
+        push_u64(bytes, hyperdag_line_count(dag) as u64);
+        bytes.push(b'\n');
+        append_hyperdag(bytes, dag);
+        bytes.extend_from_slice(b"END\n");
+    });
     Ok(())
 }
 
@@ -540,6 +571,84 @@ pub fn read_incoming<R: BufRead>(reader: &mut R) -> Result<Option<Incoming>, Ser
             "expected REQ, STATS, METRICS, TRACE or PING",
         )),
     }
+}
+
+/// A `BufRead` that keeps a copy of every byte read through it.
+struct Tee<'a, R> {
+    inner: &'a mut R,
+    copy: &'a mut Vec<u8>,
+}
+
+impl<R: BufRead> Read for Tee<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let available = self.fill_buf()?;
+        let n = available.len().min(buf.len());
+        buf[..n].copy_from_slice(&available[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl<R: BufRead> BufRead for Tee<'_, R> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amount: usize) {
+        // `consume` follows a `fill_buf` that returned at least `amount`
+        // bytes, so for `amount > 0` this one returns them without reading.
+        if amount > 0 {
+            if let Ok(buffered) = self.inner.fill_buf() {
+                self.copy
+                    .extend_from_slice(&buffered[..amount.min(buffered.len())]);
+            }
+        }
+        self.inner.consume(amount);
+    }
+}
+
+/// [`read_incoming`], which also leaves the message's bytes in `raw` exactly
+/// as they were read (`raw` is cleared first).  A proxy parses a request
+/// once — it needs the request key for placement — and forwards what it
+/// received ([`reframe_request`]) instead of encoding it again.
+pub fn read_incoming_verbatim<R: BufRead>(
+    reader: &mut R,
+    raw: &mut Vec<u8>,
+) -> Result<Option<Incoming>, ServeError> {
+    raw.clear();
+    read_incoming(&mut Tee {
+        inner: reader,
+        copy: raw,
+    })
+}
+
+/// Re-frames a full request captured by [`read_incoming_verbatim`] for
+/// forwarding: the `REQ` line carries `id`, every line between it and `END`
+/// is kept byte for byte, and `trace`, if given, is appended as the last
+/// `OPTION trace` line before `END` (the last one wins).  `raw` must have
+/// parsed as [`Incoming::Request`].
+pub fn reframe_request(raw: &[u8], id: u64, trace: Option<u64>) -> Vec<u8> {
+    use std::io::Write as _;
+    // The body starts after the first non-blank line (`REQ <id>`) and stops
+    // where the last one (`END`) starts.
+    let req = raw.iter().position(|b| !is_space(b)).unwrap_or(raw.len());
+    let body_start = raw[req..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(raw.len(), |i| req + i + 1);
+    let end = raw.iter().rposition(|b| !is_space(b)).unwrap_or(body_start);
+    let body_end = raw[..end]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(body_start, |i| (i + 1).max(body_start));
+    let mut out = Vec::with_capacity(raw.len() + 64);
+    let _ = writeln!(out, "REQ {id}");
+    out.extend_from_slice(&raw[body_start..body_end]);
+    if let Some(trace_id) = trace {
+        let _ = writeln!(out, "OPTION trace {trace_id:x}");
+    }
+    out.extend_from_slice(b"END\n");
+    out
 }
 
 /// Parses the lines of a request after its `REQ <id>` line (either a full
@@ -612,19 +721,7 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
                 if n_lines > 4_000_000 {
                     return Err(malformed(&line, "DAG payload exceeds the service limit"));
                 }
-                let mut text = String::new();
-                for _ in 0..n_lines {
-                    let before = text.len();
-                    if read_request_line(reader, &mut text)? == 0 {
-                        return Err(ServeError::UnexpectedEof);
-                    }
-                    if text[before..].trim() == "END" {
-                        return Err(malformed(
-                            "END",
-                            "DAG payload shorter than its declared line count",
-                        ));
-                    }
-                }
+                let text = read_dag_block(reader, n_lines)?;
                 dag = Some(read_hyperdag(&text)?);
             }
             _ => return Err(malformed(&line, "unknown request line")),
@@ -652,6 +749,118 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
         machine,
         options,
     })))
+}
+
+/// The error `read_line` raises on bytes that are not UTF-8.
+fn invalid_utf8() -> ServeError {
+    ServeError::Io("stream did not contain valid UTF-8".into())
+}
+
+/// The per-line checks of a `DAG` block: the line is UTF-8 (looked at only
+/// when `ascii` could not vouch for it) and is not an early `END`.
+fn check_dag_line(line: &[u8], ascii: bool) -> Result<(), ServeError> {
+    if !ascii && std::str::from_utf8(line).is_err() {
+        return Err(invalid_utf8());
+    }
+    // `END` and blanks around it; a hyperDAG line starts with a digit or a
+    // `%`, so this is settled at the first non-blank byte.
+    let start = line.iter().position(|b| !is_space(b)).unwrap_or(line.len());
+    if let Some(rest) = line[start..].strip_prefix(b"END") {
+        if rest.iter().all(is_space) {
+            return Err(malformed(
+                "END",
+                "DAG payload shorter than its declared line count",
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The error of a request line that reached [`MAX_REQUEST_LINE_BYTES`]
+/// without a newline (`line` is those bytes).
+fn line_too_long(line: &[u8], ascii: bool) -> ServeError {
+    if !ascii && std::str::from_utf8(line).is_err() {
+        return invalid_utf8();
+    }
+    malformed(
+        "",
+        format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+    )
+}
+
+/// Most bytes [`read_dag_block`] copies out of the reader's buffer before
+/// looking at them.  A `BufReader` hands out less than this anyway; the cap
+/// matters for a reader whose buffer is the whole stream (`&[u8]`), where
+/// everything behind the block would be copied only to be dropped again.
+const DAG_COPY_BYTES: usize = 64 << 10;
+
+/// Reads the `n_lines` lines of a `DAG` block, copying them out of the
+/// reader's buffer a buffer-full at a time instead of a line at a time.
+///
+/// What a line-at-a-time reader would check is still checked per line, and
+/// the stream is left where such a reader would leave it: a line longer
+/// than [`MAX_REQUEST_LINE_BYTES`] is an error once that many bytes are
+/// read, an `END` inside the block is an error that reads nothing past it,
+/// a line that is not UTF-8 is an error at that line.  The text grows only
+/// with bytes that have arrived, never from `n_lines`.
+fn read_dag_block<R: BufRead>(reader: &mut R, n_lines: usize) -> Result<String, ServeError> {
+    let cap = MAX_REQUEST_LINE_BYTES as usize;
+    // `text[..line_start]` is `lines` whole lines, the rest the line being
+    // read; `line_ascii` says whether every buffer-full that line came from
+    // was pure ASCII (one bulk test per buffer-full stands in for a UTF-8
+    // check per line).
+    let mut text: Vec<u8> = Vec::new();
+    let (mut lines, mut line_start) = (0usize, 0usize);
+    let mut line_ascii = true;
+    while lines < n_lines {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if chunk.is_empty() {
+            // End of stream: an unterminated last line still counts as one.
+            if text.len() == line_start {
+                return Err(ServeError::UnexpectedEof);
+            }
+            check_dag_line(&text[line_start..], line_ascii)?;
+            lines += 1;
+            line_start = text.len();
+            continue;
+        }
+        // Copy first, look second; what lies behind the block's last line
+        // is cut off again and stays in the reader.
+        let chunk = &chunk[..chunk.len().min(DAG_COPY_BYTES)];
+        let chunk_ascii = chunk.is_ascii();
+        line_ascii &= chunk_ascii;
+        let copied_from = text.len();
+        text.extend_from_slice(chunk);
+        let mut seen = copied_from;
+        let mut outcome = Ok(());
+        while outcome.is_ok() && lines < n_lines && seen < text.len() {
+            let window = &text[seen..text.len().min(line_start + cap)];
+            match window.iter().position(|&b| b == b'\n') {
+                Some(newline) => {
+                    seen += newline + 1;
+                    outcome = check_dag_line(&text[line_start..seen], line_ascii);
+                    lines += 1;
+                    line_start = seen;
+                    line_ascii = chunk_ascii;
+                }
+                None => {
+                    seen += window.len();
+                    if seen - line_start == cap {
+                        outcome = Err(line_too_long(&text[line_start..seen], line_ascii));
+                    }
+                    break;
+                }
+            }
+        }
+        text.truncate(seen);
+        reader.consume(seen - copied_from);
+        outcome?;
+    }
+    String::from_utf8(text).map_err(|_| invalid_utf8())
 }
 
 /// Writes a fingerprint-only replay request in wire form into `out`.  With
@@ -703,22 +912,29 @@ pub fn encode_response_parts(
         let _ = write!(out, " trace {trace_id:x}");
     }
     out.push('\n');
-    out.push_str("PROC");
-    for &p in &schedule.assignment.proc {
-        let _ = write!(out, " {p}");
-    }
-    out.push('\n');
-    out.push_str("STEP");
-    for &s in &schedule.assignment.superstep {
-        let _ = write!(out, " {s}");
-    }
-    out.push('\n');
-    let steps = schedule.comm.steps();
-    let _ = writeln!(out, "COMM {}", steps.len());
-    for cs in steps {
-        let _ = writeln!(out, "{} {} {} {}", cs.node, cs.from, cs.to, cs.step);
-    }
-    out.push_str("END\n");
+    with_bytes(out, |bytes| {
+        let steps = schedule.comm.steps();
+        let n = schedule.assignment.proc.len();
+        bytes.reserve(8 * n + 16 * steps.len() + 32);
+        for (verb, list) in [
+            (&b"PROC"[..], &schedule.assignment.proc),
+            (&b"STEP"[..], &schedule.assignment.superstep),
+        ] {
+            bytes.extend_from_slice(verb);
+            for &x in list {
+                bytes.push(b' ');
+                push_u64(bytes, x as u64);
+            }
+            bytes.push(b'\n');
+        }
+        bytes.extend_from_slice(b"COMM ");
+        push_u64(bytes, steps.len() as u64);
+        bytes.push(b'\n');
+        for cs in steps {
+            push_line(bytes, [cs.node, cs.from, cs.to, cs.step].map(|x| x as u64));
+        }
+        bytes.extend_from_slice(b"END\n");
+    });
 }
 
 /// Writes `response` in wire form into `out`.
@@ -1062,17 +1278,49 @@ pub fn read_slow_reply<R: BufRead>(reader: &mut R) -> Result<Vec<SlowEntry>, Ser
     }
 }
 
-fn parse_usize_list(line: &str, expect: &str) -> Result<Vec<usize>, ServeError> {
-    let mut it = line.split_whitespace();
-    let verb = it.next().unwrap_or("");
-    if verb != expect {
-        return Err(malformed(line, format!("expected {expect} line")));
+/// The blank-separated tokens of one reply line, read off its bytes as
+/// numbers (`None` for a token that is not one).
+struct Numbers<'a>(&'a [u8]);
+
+impl Iterator for Numbers<'_> {
+    type Item = Option<u64>;
+
+    fn next(&mut self) -> Option<Option<u64>> {
+        let start = self.0.iter().position(|b| !is_space(b))?;
+        let rest = &self.0[start..];
+        match scan_u64(rest) {
+            Some((value, len)) if rest.get(len).is_none_or(is_space) => {
+                self.0 = &rest[len..];
+                Some(Some(value))
+            }
+            _ => {
+                let len = rest.iter().position(is_space).unwrap_or(rest.len());
+                self.0 = &rest[len..];
+                Some(None)
+            }
+        }
     }
-    it.map(|tok| {
-        tok.parse()
-            .map_err(|_| malformed(line, format!("bad {expect} entry")))
-    })
-    .collect()
+}
+
+/// [`malformed`] for a line held as bytes (error paths only).
+fn malformed_bytes(line: &[u8], reason: impl Into<String>) -> ServeError {
+    malformed(String::from_utf8_lossy(line).trim(), reason)
+}
+
+/// Parses `<expect> <x0> <x1> ...`.  The list is sized from the line it is
+/// read from, never from a count the peer declares.
+fn parse_usize_list(line: &[u8], expect: &str) -> Result<Vec<usize>, ServeError> {
+    let body = line
+        .trim_ascii_start()
+        .strip_prefix(expect.as_bytes())
+        .filter(|rest| rest.first().is_none_or(is_space))
+        .ok_or_else(|| malformed_bytes(line, format!("expected {expect} line")))?;
+    let mut list = Vec::with_capacity(body.len() / 2);
+    for entry in Numbers(body) {
+        let entry = entry.ok_or_else(|| malformed_bytes(line, format!("bad {expect} entry")))?;
+        list.push(entry as usize);
+    }
+    Ok(list)
 }
 
 /// A reply frame captured verbatim for proxying: the router reads a frame
@@ -1244,18 +1492,20 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
                     _ => {} // forward-compatible: ignore unknown keys
                 }
             }
-            let mut line = String::new();
-            reader.read_line(&mut line)?;
-            let proc = parse_usize_list(line.trim(), "PROC")?;
+            // The schedule is parsed from bytes: no UTF-8 pass and no
+            // tokenizer over what can be megabytes of digits.
+            let mut line: Vec<u8> = Vec::new();
+            reader.read_until(b'\n', &mut line)?;
+            let proc = parse_usize_list(&line, "PROC")?;
             line.clear();
-            reader.read_line(&mut line)?;
-            let superstep = parse_usize_list(line.trim(), "STEP")?;
+            reader.read_until(b'\n', &mut line)?;
+            let superstep = parse_usize_list(&line, "STEP")?;
             if proc.len() != superstep.len() {
-                return Err(malformed(&line, "PROC and STEP lengths differ"));
+                return Err(malformed_bytes(&line, "PROC and STEP lengths differ"));
             }
             line.clear();
-            reader.read_line(&mut line)?;
-            let comm_header = line.trim().to_string();
+            reader.read_until(b'\n', &mut line)?;
+            let comm_header = String::from_utf8_lossy(&line).trim().to_string();
             let mut cit = comm_header.split_whitespace();
             if cit.next() != Some("COMM") {
                 return Err(malformed(&comm_header, "expected COMM line"));
@@ -1267,26 +1517,27 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
             let mut steps = Vec::with_capacity(k.min(1 << 20));
             for _ in 0..k {
                 line.clear();
-                if reader.read_line(&mut line)? == 0 {
+                if reader.read_until(b'\n', &mut line)? == 0 {
                     return Err(ServeError::UnexpectedEof);
                 }
-                let t = line.trim();
-                let mut sit = t.split_whitespace();
-                let node = parse_u64(t, sit.next(), "comm node")? as usize;
-                let from = parse_u64(t, sit.next(), "comm from")? as usize;
-                let to = parse_u64(t, sit.next(), "comm to")? as usize;
-                let step = parse_u64(t, sit.next(), "comm step")? as usize;
+                // Tokens beyond the four are ignored, as everywhere.
+                let mut fields = Numbers(&line);
+                let mut field = |what: &str| match fields.next() {
+                    Some(Some(x)) => Ok(x as usize),
+                    Some(None) => Err(malformed_bytes(&line, format!("{what} is not a number"))),
+                    None => Err(malformed_bytes(&line, format!("missing {what}"))),
+                };
                 steps.push(CommStep {
-                    node,
-                    from,
-                    to,
-                    step,
+                    node: field("comm node")?,
+                    from: field("comm from")?,
+                    to: field("comm to")?,
+                    step: field("comm step")?,
                 });
             }
             line.clear();
-            reader.read_line(&mut line)?;
-            if line.trim() != "END" {
-                return Err(malformed(line.trim(), "expected END after response body"));
+            reader.read_until(b'\n', &mut line)?;
+            if line.trim_ascii() != b"END" {
+                return Err(malformed_bytes(&line, "expected END after response body"));
             }
             Ok(Reply::Ok(ScheduleResponse {
                 id,

@@ -20,7 +20,11 @@
 //!
 //! Per *client* connection: a reader thread (parses requests, fingerprints
 //! them, picks the owning shard) and a writer thread (serializes completed
-//! responses back, in completion order).  Per *shard*: one multiplexed
+//! responses back, in completion order).  A full request is parsed once —
+//! placement needs its key — and forwarded **as received**
+//! ([`crate::protocol::reframe_request`]): only the `REQ` line is rewritten
+//! and a minted trace option added, the mirror image of how answers come
+//! back; nothing is encoded a second time.  Per *shard*: one multiplexed
 //! backend connection shared by all clients — the router re-tags each
 //! request with a router-global backend id, remembers `backend id →
 //! (connection, client id)` in a pending table, and a per-shard demux
@@ -79,9 +83,9 @@ use crate::obs::{
 };
 use crate::placement::{Decision, LoadView, Placement};
 use crate::protocol::{
-    encode_error, encode_fingerprint_request, encode_metrics_reply, encode_request,
-    encode_slow_reply, encode_trace_reply, read_incoming, read_raw_reply, Incoming, RawReply,
-    ServeError, WireSpan, WireTrace,
+    encode_error, encode_fingerprint_request, encode_metrics_reply, encode_slow_reply,
+    encode_trace_reply, read_incoming_verbatim, read_raw_reply, reframe_request, Incoming,
+    RawReply, ServeError, WireSpan, WireTrace,
 };
 use crate::server::{acceptor_loop, register_conn_thread, writer_loop, AcceptState};
 use crate::service::ServiceStats;
@@ -173,14 +177,16 @@ impl PendingRoute {
 }
 
 enum Payload {
-    /// Encoded full request (already tagged with the backend id).
-    Full(Arc<String>),
+    /// A full request as the client sent it, re-framed once (backend id on
+    /// the `REQ` line, trace option before `END`): what goes to the owning
+    /// shard and, unchanged, to its failover successor.
+    Full(Arc<Vec<u8>>),
     /// A fingerprint-only replay.
     Fp(u128),
 }
 
 impl Payload {
-    fn encode(&self, backend_id: u64, trace: u64) -> Arc<String> {
+    fn encode(&self, backend_id: u64, trace: u64) -> Arc<Vec<u8>> {
         match self {
             Payload::Full(bytes) => Arc::clone(bytes),
             Payload::Fp(fp) => {
@@ -188,7 +194,7 @@ impl Payload {
                 // No structure token on the forwarded frame: routing already
                 // happened here, and the shard serves from whatever it holds.
                 encode_fingerprint_request(&mut out, backend_id, *fp, None, Some(trace));
-                Arc::new(out)
+                Arc::new(out.into_bytes())
             }
         }
     }
@@ -210,10 +216,10 @@ struct Backend {
 impl Backend {
     /// Writes one frame; marks the shard dead (and reports `false`) on
     /// failure.
-    fn try_send(&self, bytes: &str) -> bool {
+    fn try_send(&self, bytes: &[u8]) -> bool {
         let mut guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(writer) = guard.as_mut() {
-            if writer.write_all(bytes.as_bytes()).is_ok() && writer.flush().is_ok() {
+            if writer.write_all(bytes).is_ok() && writer.flush().is_ok() {
                 return true;
             }
             *guard = None;
@@ -1172,6 +1178,9 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
     register_conn_thread(&shared.conn_threads, writer);
     let in_flight = Arc::new(AtomicU64::new(0));
     let mut reader = BufReader::new(stream);
+    // The bytes of the message being read, kept so that a full request is
+    // forwarded as it was received instead of being encoded again.
+    let mut raw: Vec<u8> = Vec::new();
     loop {
         // Same idle-vs-working distinction as the server's reader: a read
         // timeout only closes the connection when nothing is pending on the
@@ -1199,7 +1208,7 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
             }
             Err(_) => break,
         }
-        match read_incoming(&mut reader) {
+        match read_incoming_verbatim(&mut reader, &mut raw) {
             Ok(None) => break,
             Ok(Some(Incoming::Ping)) => {
                 if tx.send("PONG\n".to_string()).is_err() {
@@ -1243,31 +1252,21 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                     break;
                 }
             }
-            Ok(Some(Incoming::Request(mut request))) => {
+            Ok(Some(Incoming::Request(request))) => {
+                // Parsed once, for the key that places it; the shard gets
+                // the client's own bytes.
                 let key = request_key(&request.dag, &request.machine);
                 let backend_id = shared.next_backend_id.fetch_add(1, Ordering::Relaxed);
-                // Mint (or adopt) the trace id *before* encoding, so the
-                // forwarded payload carries it and the shard journals under
-                // the same id the client is told.
+                // Adopt the client's trace id or mint one; a minted id is
+                // injected into the forwarded frame so the shard journals
+                // under the same id the client is told.
                 let trace = request
                     .options
                     .trace
                     .unwrap_or_else(|| shared.trace_ids.mint());
-                request.options.trace = Some(trace);
+                let minted = request.options.trace.is_none().then_some(trace);
                 shared.series.full.fetch_add(1, Ordering::Relaxed);
-                let mut payload = String::new();
-                if let Err(err) = encode_request(
-                    &mut payload,
-                    backend_id,
-                    &request.dag,
-                    &request.machine,
-                    &request.options,
-                ) {
-                    let mut out = String::new();
-                    encode_error(&mut out, request.id, &err);
-                    let _ = tx.send(out);
-                    continue;
-                }
+                let payload = reframe_request(&raw, backend_id, minted);
                 let load = fresh_load_view(shared);
                 let (shard, decision) =
                     shared.placement.place_request(key.structure, load.as_ref());

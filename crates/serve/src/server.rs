@@ -897,28 +897,33 @@ mod tests {
     fn idle_timeout_spares_connections_with_requests_in_flight() {
         // Regression: the pipelined reader re-arms its read timeout between
         // frames, so a client quietly waiting on a slow solve used to be
-        // torn down as "idle" mid-request.  A large instance with a solve
-        // budget far beyond the idle timeout must still be answered.
-        let config = ServerConfig {
-            workers: 1,
-            queue_capacity: 4,
-            max_connections: 4,
-            admission_batch: 1,
-            idle_timeout: Duration::from_millis(100),
-            solve_threads: 0,
-            service: ServiceConfig {
-                local_search_budget: Duration::from_secs(5),
-                warm_budget: Duration::from_millis(40),
-                ..Default::default()
-            },
-            store_dir: None,
+        // torn down as "idle" mid-request.  A request whose solve outlasts
+        // the idle timeout several times over must still be answered.
+        //
+        // "Outlasts" is measured, not assumed: the instance is solved once
+        // on a server with a generous timeout, and the server under test
+        // gets a quarter of that solve as its idle timeout.  How fast the
+        // codec or the host is does not enter into it.
+        let spawn = |idle_timeout: Duration| {
+            let config = ServerConfig {
+                workers: 1,
+                queue_capacity: 4,
+                max_connections: 4,
+                admission_batch: 1,
+                idle_timeout,
+                solve_threads: 0,
+                service: ServiceConfig {
+                    local_search_budget: Duration::from_secs(5),
+                    warm_budget: Duration::from_millis(40),
+                    ..Default::default()
+                },
+                store_dir: None,
+            };
+            Server::bind("127.0.0.1:0", config)
+                .expect("bind")
+                .spawn()
+                .expect("spawn")
         };
-        let server = Server::bind("127.0.0.1:0", config)
-            .expect("bind")
-            .spawn()
-            .expect("spawn");
-        // Large enough that initializers + local search comfortably outlast
-        // the 100 ms idle timeout on any host.
         let n = 20_000;
         let edges: Vec<_> = (0..n - 1)
             .flat_map(|i| [(i, i + 1)])
@@ -926,27 +931,38 @@ mod tests {
             .collect();
         let dag = Dag::from_edges(n, &edges, vec![3; n], vec![2; n]).unwrap();
         let machine = Machine::numa_binary_tree(8, 2, 5, 3);
-        // Encode before connecting: the idle clock starts at `connect`, and
-        // encoding 20 000 nodes in a debug build can outlast it on a slow
-        // host — the server would close a connection that never sent a byte.
+        // Encode before connecting: the idle clock starts at `connect`.
         let mut frame = String::new();
         let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
         encode_request(&mut frame, 1, &dag, &machine, &options).expect("encode");
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        let start = std::time::Instant::now();
-        stream.write_all(frame.as_bytes()).expect("send");
-        let reply = read_reply(&mut BufReader::new(&stream))
-            .expect("slow request must not be killed by the idle timeout");
-        let Reply::Ok(response) = reply else {
-            panic!("slow request was refused: {reply:?}");
+        // One cold solve on `server`; returns the server-side handling time
+        // (the stretch during which the connection's reader sees no bytes).
+        let solve = |server: &ServerHandle| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(frame.as_bytes()).expect("send");
+            let reply = read_reply(&mut BufReader::new(&stream))
+                .expect("slow request must not be killed by the idle timeout");
+            let Reply::Ok(response) = reply else {
+                panic!("slow request was refused: {reply:?}");
+            };
+            assert!(response.schedule.validate(&dag, &machine).is_ok());
+            Duration::from_micros(response.micros)
         };
-        assert!(response.schedule.validate(&dag, &machine).is_ok());
-        assert!(
-            start.elapsed() > Duration::from_millis(100),
-            "test instance solved too fast to exercise the idle window"
-        );
-        drop(stream);
-        server.shutdown();
+        let reference = spawn(Duration::from_secs(30));
+        let mut handled = solve(&reference);
+        reference.shutdown();
+        // The solve is deterministic but the host is not: if a run ends up
+        // inside its idle window after all, re-derive the window from it.
+        for _ in 0..3 {
+            let idle_timeout = (handled / 4).max(Duration::from_millis(1));
+            let server = spawn(idle_timeout);
+            handled = solve(&server);
+            server.shutdown();
+            if handled > idle_timeout {
+                return;
+            }
+        }
+        panic!("no run outlasted an idle timeout of a quarter of the previous run ({handled:?})");
     }
 
     #[test]

@@ -362,3 +362,50 @@ fn multilevel_refinement_phase_is_allocation_free_after_warmup() {
         "warm refinement phase allocated: {allocs} allocs / {deallocs} deallocs"
     );
 }
+
+/// The text data path makes a fixed number of allocations per call, sized
+/// once from counts it has checked: parsing a hyperDAG and validating a
+/// schedule must not allocate more often for 16× the nodes (no per-line
+/// `String`, no per-hyperedge or per-node `Vec`, no hash table growing).
+#[test]
+fn read_hyperdag_and_validate_allocation_counts_do_not_grow_with_n() {
+    let _serial = one_at_a_time();
+    let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+    let counts_at = |n: usize| {
+        let dag = spmv(&SpmvConfig {
+            n,
+            density: 4.0 / n as f64,
+            seed: 21,
+        });
+        let text = dag_gen::write_hyperdag(&dag);
+        let schedule = SourceScheduler.schedule(&dag, &machine);
+        assert!(!schedule.comm.is_empty(), "the schedule must carry a Γ");
+
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let parsed = dag_gen::read_hyperdag(&text).expect("own output parses");
+        let parse_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert_eq!(parsed.n(), dag.n());
+
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let verdict = schedule.validate(&dag, &machine);
+        let validate_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert!(verdict.is_ok());
+        (dag.n(), parse_allocs, validate_allocs)
+    };
+    let (small_n, small_parse, small_validate) = counts_at(85);
+    let (large_n, large_parse, large_validate) = counts_at(1400);
+    assert!(
+        (900..2000).contains(&small_n) && large_n >= 16 * small_n,
+        "instance sizes drifted: {small_n} and {large_n} nodes"
+    );
+    assert_eq!(
+        (small_parse, small_validate),
+        (large_parse, large_validate),
+        "allocations grew with n ({small_n} -> {large_n} nodes): \
+         read_hyperdag {small_parse} -> {large_parse}, validate {small_validate} -> {large_validate}"
+    );
+    assert!(
+        small_validate <= 4,
+        "validate made {small_validate} allocations"
+    );
+}

@@ -9,6 +9,8 @@
 //! failures trivially reproducible — rerun with the printed seed.
 #![allow(dead_code)]
 
+pub mod reference_codec;
+
 use bsp_model::{Dag, Machine};
 use rand::Rng;
 use rand::SeedableRng;
