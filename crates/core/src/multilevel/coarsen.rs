@@ -92,7 +92,7 @@
 //! shrinks geometrically with the batch widths (tracked in
 //! [`CoarsenStats`]).
 
-use bsp_model::{Dag, DagBuilder, DagView, NodeId, QuotientDag};
+use bsp_model::{Dag, DagView, NodeId, QuotientDag};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Unbounded};
@@ -101,7 +101,7 @@ use std::time::Instant;
 /// One contraction step: the cluster represented by `removed` was merged into
 /// the cluster represented by `kept`.  `moved` lists the original nodes that
 /// changed cluster, which is all the information needed to undo the step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Contraction {
     /// Representative (original node id) of the surviving cluster.
     pub kept: NodeId,
@@ -156,6 +156,11 @@ impl Clustering {
     /// Number of recorded contraction steps not yet undone.
     pub fn num_contractions(&self) -> usize {
         self.history.len()
+    }
+
+    /// The contraction steps not yet undone, oldest first.
+    pub fn history(&self) -> &[Contraction] {
+        &self.history
     }
 
     /// Representative of the cluster containing original node `v`.
@@ -251,22 +256,55 @@ impl Clustering {
     /// and the property tests use it as the reference the incremental
     /// [`QuotientDag`] must stay isomorphic to.
     pub fn quotient_dag(&self, dag: &Dag) -> (Dag, Vec<NodeId>) {
-        let mut builder = DagBuilder::new();
-        for &r in &self.reps {
-            let work = self.members[r].iter().map(|&v| dag.work(v)).sum();
-            let comm = self.members[r].iter().map(|&v| dag.comm(v)).sum();
-            builder.add_node(work, comm);
-        }
-        let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
+        let k = self.reps.len();
+        let summed = |weight: fn(&Dag, NodeId) -> u64| -> Vec<u64> {
+            let total = |&r: &NodeId| self.members[r].iter().map(|&v| weight(dag, v)).sum();
+            self.reps.iter().map(total).collect()
+        };
+        let (work, comm) = (summed(Dag::work), summed(Dag::comm));
+
+        // The quotient's edge list is the first occurrence of every cluster
+        // pair in `dag.edges()` order — the order decides the neighbour order
+        // of the coarse `Dag`, which the base pipeline's schedulers observe.
+        // A stable counting sort groups the crossing edges by source cluster
+        // without disturbing that order inside a group, so one stamp per
+        // target cluster finds the repeats of each group; the survivors are
+        // then emitted in their original positions.
+        let coarse = |v: NodeId| self.rep_pos[self.cluster_of[v]];
+        let mut offset = vec![0usize; k + 1];
+        let mut mapped = Vec::new();
         for (a, b) in dag.edges() {
-            let ca = self.rep_pos[self.cluster_of[a]];
-            let cb = self.rep_pos[self.cluster_of[b]];
-            if ca != cb && seen.insert((ca, cb)) {
-                builder.add_edge(ca, cb);
+            let (ca, cb) = (coarse(a), coarse(b));
+            if ca != cb {
+                offset[ca + 1] += 1;
+                mapped.push((ca, cb));
             }
         }
-        let quotient = builder
-            .build()
+        for c in 0..k {
+            offset[c + 1] += offset[c];
+        }
+        let mut grouped = vec![0usize; mapped.len()];
+        for (position, &(ca, _)) in mapped.iter().enumerate() {
+            grouped[offset[ca]] = position;
+            offset[ca] += 1;
+        }
+        // `offset[c]` now ends group `c`; groups are walked back to back.
+        let mut first = vec![false; mapped.len()];
+        let mut stamp = vec![0usize; k];
+        let mut begin = 0usize;
+        for (ca, &end) in offset[..k].iter().enumerate() {
+            for &position in &grouped[begin..end] {
+                let cb = mapped[position].1;
+                if stamp[cb] != ca + 1 {
+                    stamp[cb] = ca + 1;
+                    first[position] = true;
+                }
+            }
+            begin = end;
+        }
+        let mut keep = first.iter();
+        mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
+        let quotient = Dag::from_edges(k, &mapped, work, comm)
             .expect("contractions preserve acyclicity, so the quotient is a DAG");
         (quotient, self.reps.clone())
     }

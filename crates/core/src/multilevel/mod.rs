@@ -9,10 +9,43 @@
 //! fully uncoarsened solution, since the coarse DAG only over-estimates
 //! communication volumes.
 //!
+//! ## One coarsening, one portfolio
+//!
 //! As in the paper, the scheduler is run for several coarsening ratios
-//! (30 % and 15 % by default) and the cheapest resulting schedule is kept;
-//! the per-ratio runs are independent and execute in parallel on the rayon
-//! pool when the thread budget covers them.
+//! (30 % and 15 % by default) and the cheapest resulting schedule is kept.
+//! One solve does each piece of that work once:
+//!
+//! * **A shared contraction log.**  The DAG is coarsened once, to the deepest
+//!   target, and every ratio works at its own level of that one log.  The
+//!   coarsener is deterministic and reads its target only to decide when to
+//!   stop — the tail pool never looks at it, and a batch round the target
+//!   truncates claims a prefix of the untruncated round's canonical walk — so
+//!   the log of a shallower target is a prefix of the log of a deeper one and
+//!   each ratio sees exactly the coarse DAG a coarsening of its own would
+//!   have produced.  A ratio's coarse [`Dag`] comes from walking one
+//!   [`Clustering`] back up the log before the portfolio forks; its
+//!   [`bsp_model::QuotientDag`] is derived lazily (a copy of the deepest
+//!   level, uncontracted to the ratio's own) and only when the ratio
+//!   refines at all.
+//! * **A trivial base schedule is a fixed point.**  When the base pipeline
+//!   puts every cluster on one processor in one superstep, no refinement
+//!   phase of the uncoarsening walk can accept a move (see
+//!   `trivial_is_a_fixed_point` for the argument), so such a ratio answers with
+//!   the trivial schedule directly: no quotient, no [`IncrementalRefiner`],
+//!   no walk.
+//! * **The flat pipeline is a member.**  Next to the ratios the portfolio
+//!   runs the base pipeline on the uncoarsened DAG ([`Member::Flat`]), so a
+//!   multilevel solve never returns worse than `Pipeline` alone — outside the
+//!   communication-dominated regime of §7.3 coarsening tends to lose to it.
+//!   The cheapest member wins, ties going to the earlier one (the ratios in
+//!   configured order, then the flat pipeline).  A ratio whose schedule turns
+//!   out infeasible is dropped from the race and named in
+//!   [`MultilevelReport::failed`] instead of taking the solve down.
+//!
+//! The members are independent once the log exists and run on
+//! `min(thread budget, members)` lanes, each lane taking the next member
+//! that has not started: three members at a budget of two keep two cores
+//! busy.
 //!
 //! ## The incremental engine
 //!
@@ -25,7 +58,7 @@
 //!   applies the whole batch with one rank re-anchoring — flat candidate
 //!   arrays, no `BTreeSet`, no per-contraction pool repair.  [`CoarsenStats`]
 //!   (rounds, batch widths, conflicts, phase times) surfaces through
-//!   [`PhaseTimings`] into the bench reports.
+//!   [`MultilevelReport::coarsen_stats`] into the bench reports.
 //! * **Uncoarsening** hands the same `QuotientDag` to the
 //!   [`IncrementalRefiner`], which keeps one warm
 //!   [`crate::hill_climb::HcState`] across all refinement phases: every
@@ -52,8 +85,10 @@ use crate::hill_climb::{hccs_improve, HillClimbConfig};
 use crate::ilp::ilp_cs_improve;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::Scheduler;
-use bsp_model::{Assignment, BspSchedule, Dag, Machine};
-use std::time::Duration;
+use bsp_model::{Assignment, BspSchedule, Dag, Machine, NodeId, QuotientDag, ValidityError};
+use std::fmt;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Configuration of the multilevel scheduler.
 #[derive(Debug, Clone)]
@@ -104,15 +139,15 @@ pub struct MultilevelConfig {
     pub base: PipelineConfig,
     /// Time limit of the final `HCcs` pass on the uncoarsened DAG.
     pub final_comm_time_limit: Duration,
-    /// Total thread budget of one multilevel solve: the ratio portfolio fans
-    /// out when it covers one thread per ratio (and runs in order otherwise)
-    /// and each ratio run gets `threads / #ratios` (at least one) for its
-    /// base pipeline's branch fan-out, so the whole solve never uses more
-    /// than `threads` cores.  Nothing below a whole solve reads it, so the
-    /// schedule is the same for every budget.  `0` (the default) budgets one
-    /// thread per available core; `1` runs everything — portfolio included —
-    /// sequentially, which is what a serving worker with a one-core budget
-    /// wants.
+    /// Total thread budget of one multilevel solve: the portfolio (one
+    /// member per ratio plus the flat pipeline) runs on
+    /// `min(threads, members)` lanes and each member gets `threads / lanes`
+    /// for its base pipeline's branch fan-out, so the whole solve never uses
+    /// more than `threads` cores.  Nothing below a whole solve reads it, so
+    /// the schedule is the same for every budget.  `0` (the default) budgets
+    /// one thread per available core; `1` runs everything — portfolio
+    /// included — sequentially, which is what a serving worker with a
+    /// one-core budget wants.
     pub threads: usize,
 }
 
@@ -176,12 +211,6 @@ impl MultilevelConfig {
     pub fn effective_threads(&self) -> usize {
         crate::resolve_threads(self.threads)
     }
-
-    /// Threads each ratio run may use: the budget divided by the portfolio
-    /// width, at least one.
-    fn threads_per_ratio(&self) -> usize {
-        (self.effective_threads() / self.coarsen_ratios.len().max(1)).max(1)
-    }
 }
 
 /// Wall-clock breakdown of one coarsening-ratio run, by phase.  This is what
@@ -190,9 +219,11 @@ impl MultilevelConfig {
 /// profiler session.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Contracting the DAG down to the coarse target.
+    /// Coarsening.  In a [`RatioOutcome`]: bringing the shared contraction
+    /// log to this ratio's level (the solve's one coarsening run is
+    /// [`MultilevelReport::coarsen_seconds`]).
     pub coarsen_seconds: f64,
-    /// The base pipeline on the coarse DAG.
+    /// Building the coarse DAG and running the base pipeline on it.
     pub base_solve_seconds: f64,
     /// Undoing contractions (split patches), across all levels.
     pub uncontract_seconds: f64,
@@ -201,12 +232,15 @@ pub struct PhaseTimings {
     pub refine_seconds: f64,
     /// Number of interleaved refinement phases that ran.
     pub refine_phases: usize,
+    /// `HC` moves the refinement phases and the final sweep accepted.
+    pub refine_moves: usize,
     /// The final full refinement sweep over the uncoarsened DAG.
     pub final_sweep_seconds: f64,
     /// The final communication-schedule optimization (`HCcs` + optional
     /// `ILPcs`).
     pub final_comm_seconds: f64,
-    /// Round/batch counters of the batch coarsener (see [`CoarsenStats`]).
+    /// Round/batch counters of the batch coarsener (see [`CoarsenStats`]);
+    /// zero in a [`RatioOutcome`], whose ratio shares the solve's one log.
     pub coarsen_stats: CoarsenStats,
 }
 
@@ -218,10 +252,59 @@ impl PhaseTimings {
         self.uncontract_seconds += other.uncontract_seconds;
         self.refine_seconds += other.refine_seconds;
         self.refine_phases += other.refine_phases;
+        self.refine_moves += other.refine_moves;
         self.final_sweep_seconds += other.final_sweep_seconds;
         self.final_comm_seconds += other.final_comm_seconds;
         self.coarsen_stats.add(&other.coarsen_stats);
     }
+}
+
+/// A member of the portfolio one multilevel solve races.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Member {
+    /// Coarsen to this ratio of the node count, solve, uncoarsen and refine.
+    Ratio(f64),
+    /// The base pipeline on the uncoarsened DAG.
+    Flat,
+}
+
+impl fmt::Display for Member {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Member::Ratio(ratio) => write!(f, "ratio {ratio}"),
+            Member::Flat => write!(f, "flat"),
+        }
+    }
+}
+
+/// Why a ratio member dropped out of the race.
+#[derive(Debug, Clone, PartialEq)]
+pub enum MemberError {
+    /// The base schedule is not feasible over the coarse DAG under the lazy
+    /// communication schedule, so refinement could not start from it.
+    InfeasibleBase(ValidityError),
+    /// The uncoarsened, refined schedule failed [`BspSchedule::validate`].
+    InvalidSchedule(ValidityError),
+}
+
+impl fmt::Display for MemberError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemberError::InfeasibleBase(err) => write!(f, "infeasible base schedule: {err}"),
+            MemberError::InvalidSchedule(err) => write!(f, "invalid final schedule: {err}"),
+        }
+    }
+}
+
+impl std::error::Error for MemberError {}
+
+/// A member that produced no schedule, and why.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemberFailure {
+    /// The member that was dropped.
+    pub member: Member,
+    /// What went wrong.
+    pub error: MemberError,
 }
 
 /// Result of one coarsening-ratio run inside the multilevel scheduler.
@@ -233,18 +316,51 @@ pub struct RatioOutcome {
     pub coarse_nodes: usize,
     /// Cost of the final (uncoarsened, refined) schedule of this run.
     pub cost: u64,
+    /// The base pipeline left every cluster on one processor: the
+    /// one-processor collapse was decided in the base solve, not by
+    /// refinement draining a processor.
+    pub base_one_proc: bool,
+    /// The base schedule is the trivial one — one processor *and* one
+    /// superstep.  Unless the coarse DAG has an edge-free cluster the run
+    /// then skipped the uncoarsening walk (see the module docs).
+    pub base_trivial: bool,
     /// Where this run's wall-clock went.
     pub timings: PhaseTimings,
+    /// The final schedule of this run.
+    pub schedule: BspSchedule,
+}
+
+/// Cost and wall-clock of the flat member.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FlatOutcome {
+    /// Cost of the base pipeline's schedule of the uncoarsened DAG, after the
+    /// final communication-schedule optimization.
+    pub cost: u64,
+    /// Wall-clock of the member.
+    pub seconds: f64,
 }
 
 /// Report of a multilevel run.
 #[derive(Debug, Clone)]
 pub struct MultilevelReport {
-    /// One entry per coarsening ratio attempted (empty when the DAG was too
-    /// small to coarsen and the base pipeline ran directly).
+    /// One entry per coarsening ratio that produced a schedule, in configured
+    /// order (empty when the DAG was too small to coarsen).
     pub ratio_outcomes: Vec<RatioOutcome>,
-    /// `true` if coarsening was skipped because the DAG is too small.
+    /// `true` if coarsening was skipped because the DAG is too small: the
+    /// flat member was the whole portfolio.
     pub used_base_only: bool,
+    /// The member whose schedule was selected.
+    pub winner: Member,
+    /// The flat member's result; `None` when it was skipped because the
+    /// cancel token had fired by the time its turn came.
+    pub flat: Option<FlatOutcome>,
+    /// Ratio members that were dropped because their schedule was
+    /// infeasible.
+    pub failed: Vec<MemberFailure>,
+    /// Wall-clock of the one coarsening run every ratio shares.
+    pub coarsen_seconds: f64,
+    /// Round/batch counters of that run.
+    pub coarsen_stats: CoarsenStats,
     /// Cost of the selected schedule.
     pub final_cost: u64,
     /// The selected schedule.
@@ -252,15 +368,110 @@ pub struct MultilevelReport {
 }
 
 impl MultilevelReport {
-    /// Phase timings summed across the portfolio's ratio runs (CPU-time-like:
-    /// parallel ratio runs overlap on the wall clock).
+    /// Phase timings of the shared coarsening plus the portfolio's ratio runs
+    /// (CPU-time-like: parallel ratio runs overlap on the wall clock).  The
+    /// flat member's seconds are in [`MultilevelReport::flat`].
     pub fn total_timings(&self) -> PhaseTimings {
-        let mut total = PhaseTimings::default();
+        let mut total = PhaseTimings {
+            coarsen_seconds: self.coarsen_seconds,
+            coarsen_stats: self.coarsen_stats,
+            ..PhaseTimings::default()
+        };
         for outcome in &self.ratio_outcomes {
             total.add(&outcome.timings);
         }
         total
     }
+}
+
+/// One ratio's level of the shared contraction log.
+struct Level {
+    ratio: f64,
+    /// Length of the log prefix that leads to this level.
+    contractions: usize,
+    coarse_dag: Dag,
+    /// `reps[i]` is the original node representing coarse node `i`.
+    reps: Vec<NodeId>,
+    /// What the level has cost so far: walking the clustering up to it
+    /// (`coarsen_seconds`) and building `coarse_dag` (`base_solve_seconds`).
+    timings: PhaseTimings,
+}
+
+/// The quotient side of the shared contraction log, positioned at the deepest
+/// level, with the number of ratio members that have not yet said whether
+/// they need it.  Every ratio member calls [`SharedLog::level`] exactly once;
+/// the last one to ask takes the quotient instead of copying it, so a solve
+/// holds at most one quotient per running member plus this one, and none at
+/// all once every base schedule turned out trivial.
+struct SharedLog {
+    slot: Mutex<(Option<QuotientDag>, usize)>,
+    /// Wall-clock and counters of the one coarsening run behind the log.
+    coarsen_seconds: f64,
+    coarsen_stats: CoarsenStats,
+}
+
+impl SharedLog {
+    /// The quotient after the first `contractions` steps of the log, or
+    /// `None` for a member that does not refine.
+    fn level(&self, contractions: Option<usize>) -> Option<QuotientDag> {
+        let held = {
+            let mut slot = self.slot.lock().expect("no member panics inside the log");
+            slot.1 = slot.1.saturating_sub(1);
+            if slot.1 == 0 {
+                slot.0.take()
+            } else if contractions.is_some() {
+                slot.0.clone()
+            } else {
+                None
+            }
+        };
+        // A member that does not refine drops what it holds: nothing, or —
+        // as the last one to ask — the quotient itself.
+        let contractions = contractions?;
+        let mut quotient = held.expect("the log keeps the quotient until its last member asked");
+        while quotient.num_contractions() > contractions {
+            quotient.uncontract_one();
+        }
+        Some(quotient)
+    }
+}
+
+/// What a lane hands back for one member.
+enum Ran {
+    Ratio(Result<RatioOutcome, MemberFailure>),
+    /// `None`: skipped, the cancel token had fired.
+    Flat(Option<(BspSchedule, FlatOutcome)>),
+}
+
+/// Whether the uncoarsening walk cannot improve the *trivial* schedule of
+/// `coarse_dag` — every coarse node on one processor in one superstep.  It
+/// cannot, unless a coarse node has no edge.
+///
+/// This is exact, not a heuristic.  A split puts both halves where the merged
+/// cluster was, so at every finer level the schedule is still the trivial
+/// one.  A refinement phase moves a single node `v` to one of `3·P`
+/// destinations and accepts only a strict gain.  If `v` has a neighbour, that
+/// neighbour shares `v`'s processor and superstep, so
+///
+/// * another processor in the same superstep is invalid — the value crossing
+///   the edge would have to be sent and received within one superstep;
+/// * a new superstep, on any processor, costs one more latency `ℓ` and, off
+///   the processor, the communication across every edge of `v`, and saves no
+///   work: the one processor's `W − w(v)` in the old superstep plus `w(v)` in
+///   the new one is the `W` paid before.
+///
+/// No move gains, none is accepted, and the schedule the walk ends with is
+/// the trivial one it started from.  The condition on edges is what carries
+/// the induction down the levels: a contraction follows an edge, so the two
+/// halves of a split are neighbours and every other node keeps a neighbour in
+/// one half or the other.  A coarse node *without* an edge — an edge-free
+/// node of the DAG, which contraction never merges, or a whole component
+/// contracted into one cluster — can move to an idle processor within the
+/// superstep for a work gain, so a coarse DAG that has one takes the normal
+/// walk.  So does a one-processor base schedule with several supersteps:
+/// merging two of them is a gain the argument above does not rule out.
+fn trivial_is_a_fixed_point(coarse_dag: &Dag) -> bool {
+    (0..coarse_dag.n()).all(|v| coarse_dag.in_degree(v) + coarse_dag.out_degree(v) > 0)
 }
 
 /// The multilevel scheduler (Figure 4).
@@ -286,112 +497,250 @@ impl MultilevelScheduler {
     }
 
     /// Runs the multilevel scheduler and returns the schedule together with
-    /// per-ratio statistics.
+    /// per-member statistics.
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> MultilevelReport {
-        let base_only =
-            dag.n() < self.config.min_nodes_to_coarsen || self.config.coarsen_ratios.is_empty();
-        // The base pipeline inherits this solve's thread budget — the whole
-        // budget when it runs alone, each portfolio member's share otherwise.
-        // Without this the coarse solves would fan their init branches out to
-        // available_parallelism underneath whatever budget the caller set.
-        let base_budget = if base_only {
-            self.config.effective_threads()
+        let ratios: &[f64] = if dag.n() < self.config.min_nodes_to_coarsen {
+            &[]
         } else {
-            self.config.threads_per_ratio()
+            &self.config.coarsen_ratios
         };
+        // The base pipeline inherits this solve's thread budget, split over
+        // the lanes the portfolio runs on.  Without this the members would
+        // fan their init branches out to available_parallelism underneath
+        // whatever budget the caller set.
+        let budget = self.config.effective_threads();
+        let lanes = budget.min(ratios.len() + 1).max(1);
         let base_pipeline = Pipeline::new(PipelineConfig {
             use_ilp_cs: false,
-            ..self.config.base.clone().with_thread_budget(base_budget)
+            ..self.config.base.clone().with_thread_budget(budget / lanes)
         });
-        if base_only {
-            let mut schedule = base_pipeline.run(dag, machine);
-            self.final_comm_optimization(dag, machine, &mut schedule);
-            let final_cost = schedule.cost(dag, machine);
-            return MultilevelReport {
-                ratio_outcomes: Vec::new(),
-                used_base_only: true,
-                final_cost,
-                schedule,
-            };
-        }
+        self.race(dag, machine, ratios, &|d: &Dag| {
+            base_pipeline.run(d, machine)
+        })
+    }
 
-        // The per-ratio runs are completely independent — fan them out when
-        // the budget covers them and keep the cheapest result (ties favour
-        // the first configured ratio).  A serving worker that was handed a
-        // single core must not fan out underneath its caller.
-        let runs = crate::map_within_budget(
-            self.config.effective_threads(),
-            &self.config.coarsen_ratios,
-            |&ratio| self.run_single_ratio(dag, machine, &base_pipeline, ratio),
-        );
-        let mut ratio_outcomes = Vec::new();
-        let mut best: Option<BspSchedule> = None;
-        let mut best_cost = u64::MAX;
-        for (&ratio, (schedule, coarse_nodes, timings)) in
-            self.config.coarsen_ratios.iter().zip(runs)
-        {
-            let cost = schedule.cost(dag, machine);
-            ratio_outcomes.push(RatioOutcome {
-                ratio,
-                coarse_nodes,
-                cost,
-                timings,
+    /// Runs the portfolio — one member per ratio, then the flat pipeline —
+    /// with `base_solve` as the base pipeline, and keeps the cheapest answer.
+    fn race<B>(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        ratios: &[f64],
+        base_solve: &B,
+    ) -> MultilevelReport
+    where
+        B: Fn(&Dag) -> BspSchedule + Sync,
+    {
+        let (log, levels) = self.shared_log(dag, ratios);
+        // The portfolio in the order ties are broken: the ratios' levels, then
+        // `None` for the flat member.
+        let members: Vec<Option<&Level>> = levels.iter().map(Some).chain([None]).collect();
+        let results =
+            crate::map_within_budget(self.config.effective_threads(), &members, |member| {
+                match member {
+                    Some(level) => {
+                        Ran::Ratio(self.run_ratio(dag, machine, base_solve, &log, level))
+                    }
+                    None => Ran::Flat(self.run_flat(dag, machine, base_solve, false)),
+                }
             });
-            if cost < best_cost {
-                best_cost = cost;
-                best = Some(schedule);
+
+        let mut ratio_outcomes = Vec::new();
+        let mut failed = Vec::new();
+        let mut flat_run = None;
+        for result in results {
+            match result {
+                Ran::Ratio(Ok(outcome)) => ratio_outcomes.push(outcome),
+                Ran::Ratio(Err(failure)) => failed.push(failure),
+                Ran::Flat(run) => flat_run = run,
             }
         }
-        let schedule = best.expect("at least one coarsening ratio configured");
+        if ratio_outcomes.is_empty() && flat_run.is_none() {
+            // A cancelled solve skips the flat member to answer sooner, but
+            // not when nothing else answered.
+            flat_run = self.run_flat(dag, machine, base_solve, true);
+        }
+        // `min_by_key` keeps the first of equal minima and the flat member
+        // has to be strictly cheaper: ties go to the earlier member.
+        let best_ratio = ratio_outcomes.iter().min_by_key(|o| o.cost);
+        let flat = flat_run.as_ref().map(|&(_, outcome)| outcome);
+        let (winner, final_cost, schedule) = match (best_ratio, flat_run) {
+            (Some(best), Some((schedule, flat))) if flat.cost < best.cost => {
+                (Member::Flat, flat.cost, schedule)
+            }
+            (Some(best), _) => (Member::Ratio(best.ratio), best.cost, best.schedule.clone()),
+            (None, Some((schedule, flat))) => (Member::Flat, flat.cost, schedule),
+            (None, None) => unreachable!("the flat member ran as the last resort"),
+        };
         MultilevelReport {
             ratio_outcomes,
-            used_base_only: false,
-            final_cost: best_cost,
+            used_base_only: ratios.is_empty(),
+            winner,
+            flat,
+            failed,
+            coarsen_seconds: log.coarsen_seconds,
+            coarsen_stats: log.coarsen_stats,
+            final_cost,
             schedule,
         }
     }
 
-    /// One full coarsen–solve–refine run at a single coarsening ratio.
-    /// Returns the final schedule and the coarse node count.
-    ///
-    /// The uncoarsening side is fully incremental: the [`IncrementalRefiner`]
-    /// keeps one warm hill-climbing state over the persistent quotient graph,
-    /// so nothing is rebuilt between refinement phases.  Because every split
-    /// places both halves at the merged cluster's processor and superstep,
-    /// the engine's final assignment *is* the original-node assignment once
-    /// uncoarsening completes — no member projection pass is needed either.
-    fn run_single_ratio(
-        &self,
-        dag: &Dag,
-        machine: &Machine,
-        base_pipeline: &Pipeline,
-        ratio: f64,
-    ) -> (BspSchedule, usize, PhaseTimings) {
-        let mut timings = PhaseTimings::default();
+    /// Coarsens once, to the deepest of the ratios' targets, and derives
+    /// every ratio's coarse DAG from that one log (see the module docs for
+    /// why a shallower target's log is a prefix of it).
+    fn shared_log(&self, dag: &Dag, ratios: &[f64]) -> (SharedLog, Vec<Level>) {
+        let n = dag.n();
         // Coarsen-depth policy: the ratio's target, floored by
         // `min_coarse_nodes` — past that point one more contraction costs
         // more projected uncontraction/refinement work than it saves in the
         // base solve (see the config field's docs).
-        let target = ((dag.n() as f64 * ratio).round() as usize)
-            .max(self.config.min_coarse_nodes)
-            .clamp(2, dag.n().saturating_sub(1).max(2));
-        let clock = std::time::Instant::now();
-        let coarsening = coarsen(dag, target);
-        timings.coarsen_seconds = clock.elapsed().as_secs_f64();
-        timings.coarsen_stats = coarsening.stats;
-        let (clustering, quotient) = coarsening.into_parts();
-        let coarse_nodes = clustering.num_clusters();
+        let targets: Vec<usize> = ratios
+            .iter()
+            .map(|&ratio| {
+                ((n as f64 * ratio).round() as usize)
+                    .max(self.config.min_coarse_nodes)
+                    .clamp(2, n.saturating_sub(1).max(2))
+            })
+            .collect();
+        let Some(&deepest) = targets.iter().min() else {
+            let log = SharedLog {
+                slot: Mutex::new((None, 0)),
+                coarsen_seconds: 0.0,
+                coarsen_stats: CoarsenStats::default(),
+            };
+            return (log, Vec::new());
+        };
+        let clock = Instant::now();
+        let coarsening = coarsen(dag, deepest);
+        let coarsen_seconds = clock.elapsed().as_secs_f64();
+        let coarsen_stats = coarsening.stats;
+        let (mut clustering, quotient) = coarsening.into_parts();
 
-        // Solve on the coarse DAG (the one from-scratch quotient build of the
-        // whole run: the base pipeline's schedulers want an immutable `Dag`).
-        let clock = std::time::Instant::now();
-        let (coarse_dag, reps) = clustering.quotient_dag(dag);
-        let coarse_schedule = base_pipeline.run(&coarse_dag, machine);
-        timings.base_solve_seconds = clock.elapsed().as_secs_f64();
+        // The clustering walks back *up* the log, so the levels are built
+        // deepest first and handed out in configured order.
+        let mut order: Vec<usize> = (0..ratios.len()).collect();
+        order.sort_by_key(|&i| targets[i]);
+        let mut levels: Vec<Option<Level>> = ratios.iter().map(|_| None).collect();
+        for i in order {
+            let mut timings = PhaseTimings::default();
+            let clock = Instant::now();
+            while clustering.num_clusters() < targets[i] && clustering.uncontract_one() {}
+            timings.coarsen_seconds = clock.elapsed().as_secs_f64();
+            // The one from-scratch quotient build of a ratio's run: the base
+            // pipeline's schedulers want an immutable `Dag`.
+            let clock = Instant::now();
+            let (coarse_dag, reps) = clustering.quotient_dag(dag);
+            timings.base_solve_seconds = clock.elapsed().as_secs_f64();
+            levels[i] = Some(Level {
+                ratio: ratios[i],
+                contractions: clustering.num_contractions(),
+                coarse_dag,
+                reps,
+                timings,
+            });
+        }
+        let log = SharedLog {
+            slot: Mutex::new((Some(quotient), ratios.len())),
+            coarsen_seconds,
+            coarsen_stats,
+        };
+        let levels = levels
+            .into_iter()
+            .map(|level| level.expect("every ratio got its level"))
+            .collect();
+        (log, levels)
+    }
 
-        // Thread the coarse schedule onto the quotient's representatives.
-        let mut proc = vec![0usize; dag.n()];
-        let mut step = vec![0usize; dag.n()];
+    /// One ratio member: base-solve the ratio's coarse DAG, then uncoarsen
+    /// and refine — or answer directly when the base schedule is a fixed
+    /// point of that walk.
+    fn run_ratio<B>(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        base_solve: &B,
+        log: &SharedLog,
+        level: &Level,
+    ) -> Result<RatioOutcome, MemberFailure>
+    where
+        B: Fn(&Dag) -> BspSchedule,
+    {
+        let failure = |error| MemberFailure {
+            member: Member::Ratio(level.ratio),
+            error,
+        };
+        let mut timings = level.timings;
+        let clock = Instant::now();
+        let coarse_schedule = base_solve(&level.coarse_dag);
+        timings.base_solve_seconds += clock.elapsed().as_secs_f64();
+        let base = &coarse_schedule.assignment;
+        let all_equal = |values: &[usize]| values.iter().all(|&v| v == values[0]);
+        let base_one_proc = all_equal(&base.proc);
+        let base_trivial = base_one_proc && all_equal(&base.superstep);
+        let walks = !(base_trivial && trivial_is_a_fixed_point(&level.coarse_dag));
+
+        let clock = Instant::now();
+        let quotient = log.level(walks.then_some(level.contractions));
+        timings.coarsen_seconds += clock.elapsed().as_secs_f64();
+        let assignment = match quotient {
+            Some(quotient) => self
+                .uncoarsen(
+                    machine,
+                    quotient,
+                    &level.reps,
+                    &coarse_schedule,
+                    &mut timings,
+                )
+                .map_err(|err| failure(MemberError::InfeasibleBase(err)))?,
+            None => Assignment {
+                proc: vec![base.proc.first().copied().unwrap_or(0); dag.n()],
+                superstep: vec![0; dag.n()],
+            },
+        };
+
+        let mut schedule = BspSchedule::from_assignment_lazy(dag, assignment);
+        schedule.normalize(dag);
+        let clock = Instant::now();
+        self.final_comm_optimization(dag, machine, &mut schedule);
+        timings.final_comm_seconds = clock.elapsed().as_secs_f64();
+        // A broken uncoarsening projection must not ship silently in release
+        // builds: validate the one final schedule of this member.
+        schedule
+            .validate(dag, machine)
+            .map_err(|err| failure(MemberError::InvalidSchedule(err)))?;
+        Ok(RatioOutcome {
+            ratio: level.ratio,
+            coarse_nodes: level.coarse_dag.n(),
+            cost: schedule.cost(dag, machine),
+            base_one_proc,
+            base_trivial,
+            timings,
+            schedule,
+        })
+    }
+
+    /// Threads `coarse_schedule` onto `quotient`'s representatives and undoes
+    /// the contractions one by one, refining every `refine_interval` steps.
+    ///
+    /// The walk is fully incremental: the [`IncrementalRefiner`] keeps one
+    /// warm hill-climbing state over the persistent quotient graph, so
+    /// nothing is rebuilt between refinement phases.  Because every split
+    /// places both halves at the merged cluster's processor and superstep,
+    /// the engine's final assignment *is* the original-node assignment once
+    /// uncoarsening completes — no member projection pass is needed either.
+    fn uncoarsen(
+        &self,
+        machine: &Machine,
+        quotient: QuotientDag,
+        reps: &[NodeId],
+        coarse_schedule: &BspSchedule,
+        timings: &mut PhaseTimings,
+    ) -> Result<Assignment, ValidityError> {
+        use bsp_model::DagView;
+        let n = quotient.n();
+        let mut active = quotient.num_active();
+        let mut proc = vec![0usize; n];
+        let mut step = vec![0usize; n];
         for (i, &rep) in reps.iter().enumerate() {
             proc[rep] = coarse_schedule.proc(i);
             step[rep] = coarse_schedule.superstep(i);
@@ -403,10 +752,8 @@ impl MultilevelScheduler {
                 proc,
                 superstep: step,
             },
-        )
-        .expect("the base pipeline produces lazily-feasible schedules");
+        )?;
 
-        // Uncoarsen step by step, refining every `refine_interval` steps.
         // Uncontractions themselves always run to completion (the assignment
         // is only meaningful over the original node space once fully
         // uncoarsened); under cancellation the refinement phases between them
@@ -417,54 +764,63 @@ impl MultilevelScheduler {
             cancel: self.config.base.effective_cancel(),
         };
         let mut since_refine = 0usize;
-        // Adaptive interval: one phase every `max(refine_interval,
-        // active / refine_interval_scale)` splits (see the config docs) —
-        // the split batch a phase absorbs grows with the level, keeping the
-        // number of phases per size doubling constant.
-        let mut active = coarse_nodes;
         loop {
-            let clock = std::time::Instant::now();
+            let clock = Instant::now();
             let more = refiner.uncontract_one().is_some();
             timings.uncontract_seconds += clock.elapsed().as_secs_f64();
             since_refine += 1;
             active += 1;
-            let fully_uncoarsened = !more;
-            if fully_uncoarsened {
-                // Mirror the previous implementation's last phase: one global
-                // refinement pass over the fully uncoarsened DAG.
-                let clock = std::time::Instant::now();
-                refiner.refine_full(&refine_config);
+            if !more {
+                // One global refinement pass over the fully uncoarsened DAG.
+                let clock = Instant::now();
+                timings.refine_moves += refiner.refine_full(&refine_config).steps;
                 timings.final_sweep_seconds = clock.elapsed().as_secs_f64();
                 break;
             }
+            // Adaptive interval: one phase every `max(refine_interval,
+            // active / refine_interval_scale)` splits (see the config docs)
+            // — the split batch a phase absorbs grows with the level,
+            // keeping the number of phases per size doubling constant.
             // `checked_div` doubles as the `scale == 0` disable switch.
             let interval = match active.checked_div(self.config.refine_interval_scale) {
                 Some(scaled) => self.config.refine_interval.max(scaled),
                 None => self.config.refine_interval,
             };
             if since_refine >= interval {
-                let clock = std::time::Instant::now();
-                refiner.refine(&refine_config);
+                let clock = Instant::now();
+                timings.refine_moves += refiner.refine(&refine_config).steps;
                 timings.refine_seconds += clock.elapsed().as_secs_f64();
                 timings.refine_phases += 1;
                 since_refine = 0;
             }
         }
+        Ok(refiner.into_assignment())
+    }
 
-        let mut schedule = BspSchedule::from_assignment_lazy(dag, refiner.into_assignment());
-        schedule.normalize(dag);
-        let clock = std::time::Instant::now();
-        self.final_comm_optimization(dag, machine, &mut schedule);
-        timings.final_comm_seconds = clock.elapsed().as_secs_f64();
-        // A broken uncoarsening projection must not ship silently in release
-        // builds: validate the one final schedule of this ratio run and name
-        // the offending edge if anything went wrong.
-        if let Err(err) = schedule.validate(dag, machine) {
-            panic!(
-                "multilevel run at coarsening ratio {ratio} produced an invalid schedule: {err}"
-            );
+    /// The flat member: the base pipeline on the uncoarsened DAG plus the
+    /// final communication-schedule optimization.  Skipped (`None`) when the
+    /// cancel token has already fired, unless `last_resort`.
+    fn run_flat<B>(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        base_solve: &B,
+        last_resort: bool,
+    ) -> Option<(BspSchedule, FlatOutcome)>
+    where
+        B: Fn(&Dag) -> BspSchedule,
+    {
+        if !last_resort && self.config.base.effective_cancel().is_cancelled() {
+            return None;
         }
-        (schedule, coarse_nodes, timings)
+        let clock = Instant::now();
+        let mut schedule = base_solve(dag);
+        self.final_comm_optimization(dag, machine, &mut schedule);
+        let outcome = FlatOutcome {
+            cost: schedule.cost(dag, machine),
+            seconds: clock.elapsed().as_secs_f64(),
+        };
+        Some((schedule, outcome))
     }
 
     /// The communication-schedule optimization that Figure 4 runs after
@@ -552,10 +908,137 @@ mod tests {
         let report = fast_ml().run_report(&dag, &machine);
         assert!(!report.used_base_only);
         assert_eq!(report.ratio_outcomes.len(), 2);
+        assert!(report.failed.is_empty());
+        let flat = report.flat.expect("nothing cancelled the flat member");
         let min_ratio_cost = report.ratio_outcomes.iter().map(|o| o.cost).min().unwrap();
-        assert_eq!(report.final_cost, min_ratio_cost);
+        assert_eq!(report.final_cost, min_ratio_cost.min(flat.cost));
+        // Ties go to the earlier member: the ratios in order, then flat.
+        let expected = report
+            .ratio_outcomes
+            .iter()
+            .find(|o| o.cost == report.final_cost)
+            .map_or(Member::Flat, |o| Member::Ratio(o.ratio));
+        assert_eq!(report.winner, expected);
         for outcome in &report.ratio_outcomes {
             assert!(outcome.coarse_nodes < dag.n());
+            assert_eq!(outcome.cost, outcome.schedule.cost(&dag, &machine));
+        }
+    }
+
+    /// A base solver that is right on the DAG itself and, on every coarse
+    /// DAG, splits the nodes over two processors inside one superstep — not
+    /// feasible as soon as an edge crosses.
+    fn infeasible_on_coarse_dags<'a>(
+        dag: &'a Dag,
+        machine: &'a Machine,
+    ) -> impl Fn(&Dag) -> BspSchedule + Sync + 'a {
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        move |d: &Dag| {
+            if d.n() == dag.n() {
+                return pipeline.run(d, machine);
+            }
+            BspSchedule {
+                assignment: Assignment {
+                    proc: (0..d.n()).map(|v| v % 2).collect(),
+                    superstep: vec![0; d.n()],
+                },
+                comm: bsp_model::CommSchedule::empty(),
+            }
+        }
+    }
+
+    #[test]
+    fn an_infeasible_base_schedule_drops_the_ratio_and_the_flat_member_answers() {
+        let dag = cg(&IterConfig {
+            n: 10,
+            density: 0.3,
+            iterations: 2,
+            seed: 9,
+        });
+        let machine = Machine::uniform(4, 3, 5);
+        let ml = fast_ml();
+        let base_solve = infeasible_on_coarse_dags(&dag, &machine);
+        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &base_solve);
+        assert!(report.ratio_outcomes.is_empty());
+        assert_eq!(report.failed.len(), 2);
+        for (failure, &ratio) in report.failed.iter().zip(&ml.config.coarsen_ratios) {
+            assert_eq!(failure.member, Member::Ratio(ratio));
+            assert!(matches!(failure.error, MemberError::InfeasibleBase(_)));
+        }
+        assert_eq!(report.winner, Member::Flat);
+        let flat = ml.run_flat(&dag, &machine, &base_solve, false).unwrap();
+        assert_eq!(report.schedule, flat.0);
+        assert_eq!(report.final_cost, flat.1.cost);
+        assert!(report.schedule.validate(&dag, &machine).is_ok());
+    }
+
+    #[test]
+    fn a_cancelled_solve_whose_ratios_all_fail_still_answers() {
+        let dag = cg(&IterConfig {
+            n: 10,
+            density: 0.3,
+            iterations: 2,
+            seed: 9,
+        });
+        let machine = Machine::uniform(4, 3, 5);
+        let mut config = MultilevelConfig::fast();
+        config.base.cancel = crate::CancelToken::new();
+        config.base.cancel.cancel();
+        let ml = MultilevelScheduler::new(config);
+        let base_solve = infeasible_on_coarse_dags(&dag, &machine);
+        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &base_solve);
+        assert_eq!(report.failed.len(), 2);
+        assert_eq!(report.winner, Member::Flat);
+        assert!(report.schedule.validate(&dag, &machine).is_ok());
+    }
+
+    #[test]
+    fn the_fixed_point_exit_wants_one_superstep_and_no_edge_free_cluster() {
+        let chain = Dag::from_edge_list_unit_weights(3, &[(0, 1), (1, 2)]).unwrap();
+        assert!(trivial_is_a_fixed_point(&chain));
+        // An edge-free node could move to an idle processor for a work gain.
+        let with_loner = Dag::from_edge_list_unit_weights(3, &[(0, 1)]).unwrap();
+        assert!(!trivial_is_a_fixed_point(&with_loner));
+
+        // One processor but several supersteps: the normal walk.
+        let dag = cg(&IterConfig {
+            n: 10,
+            density: 0.3,
+            iterations: 2,
+            seed: 9,
+        });
+        let machine = Machine::uniform(4, 3, 5);
+        let ml = fast_ml();
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let stepped = |d: &Dag| {
+            if d.n() == dag.n() {
+                return pipeline.run(d, &machine);
+            }
+            let mut schedule = BspSchedule::trivial(d);
+            for v in 0..d.n() {
+                schedule.assignment.superstep[v] = usize::from(d.in_degree(v) > 0);
+            }
+            schedule
+        };
+        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &stepped);
+        assert!(report.failed.is_empty(), "{:?}", report.failed);
+        for outcome in &report.ratio_outcomes {
+            assert!(outcome.base_one_proc && !outcome.base_trivial);
+            assert!(outcome.timings.refine_phases > 0);
+        }
+        // The trivial base schedule itself takes the exit.
+        let trivial = |d: &Dag| {
+            if d.n() == dag.n() {
+                return pipeline.run(d, &machine);
+            }
+            BspSchedule::trivial(d)
+        };
+        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &trivial);
+        let trivial_cost = BspSchedule::trivial(&dag).cost(&dag, &machine);
+        for outcome in &report.ratio_outcomes {
+            assert!(outcome.base_trivial);
+            assert_eq!(outcome.timings.refine_phases, 0);
+            assert_eq!(outcome.cost, trivial_cost);
         }
     }
 

@@ -51,8 +51,8 @@ pub struct PipelineConfig {
     /// (`ILPpart` windows stop once it is exhausted).
     pub ilp_stage_budget: Duration,
     /// Thread budget of one pipeline run: how many initialization branches
-    /// may run at once.  The branches fan out when the budget covers one
-    /// thread per branch and run one after the other otherwise, so peak
+    /// may run at once.  The branches run on `min(budget, branches)` lanes,
+    /// each lane taking the next branch nobody has started, so peak
     /// concurrency never exceeds the budget; no search reads it, so the
     /// schedule is the same for every value.  `0` (the default) budgets one
     /// thread per available core.  Serving workers set this from the

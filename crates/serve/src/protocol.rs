@@ -72,7 +72,7 @@
 //!
 //! Every byte of a message is looked at once.  On the request side (the
 //! trust boundary) nothing is sized from a number the peer declares: a line
-//! is read into a buffer that stops growing at [`MAX_REQUEST_LINE_BYTES`],
+//! is read into a buffer that stops growing at `MAX_REQUEST_LINE_BYTES`,
 //! a `DAG <n>` block (`n` ≤ 4 M lines) is copied out of the reader's buffer
 //! a buffer-full at a time into a text that grows only with the bytes that
 //! have arrived — one ASCII test per buffer-full and one UTF-8 check per

@@ -60,6 +60,9 @@ fn main() {
             outcome.coarse_nodes
         );
     }
-    println!("  multilevel (best)      : {}", report.final_cost);
+    println!(
+        "  multilevel (best)      : {}  (won by {})",
+        report.final_cost, report.winner
+    );
     assert!(report.schedule.validate(&dag, &machine).is_ok());
 }

@@ -110,15 +110,19 @@ fn multilevel_report_is_consistent_on_a_medium_instance() {
     let report = ml.run_report(&dag, &machine);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+    // The cheapest member wins: a ratio, or the flat pipeline.
+    let flat = report.flat.expect("nothing cancelled the flat member");
     assert_eq!(
         report.final_cost,
         report
             .ratio_outcomes
             .iter()
             .map(|o| o.cost)
+            .chain([flat.cost])
             .min()
-            .expect("coarsening ran")
+            .expect("the flat member ran")
     );
+    assert_eq!(report.ratio_outcomes.len(), 2);
     // The coarse DAGs respect the requested ratios approximately.
     for outcome in &report.ratio_outcomes {
         let target = (dag.n() as f64 * outcome.ratio).round() as usize;
