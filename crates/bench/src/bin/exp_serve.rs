@@ -1120,6 +1120,13 @@ fn main() {
             queue_wait.is_some_and(|h| h.count > 0),
             "smoke: the queue-wait histogram recorded nothing"
         );
+        for kind in ["invalid_schedule", "ml_member_failed"] {
+            assert_eq!(
+                metrics.counter(&format!("bsp_solver_fallbacks_total{{kind=\"{kind}\"}}")),
+                Some(0),
+                "smoke: a solver result was discarded ({kind}), or the series is missing"
+            );
+        }
         // Placement gates: the router's decision counters were live in the
         // mid-workload scrape, and structure-affinity routing kept sharded
         // warm hits within 10% of the serial baseline.

@@ -425,22 +425,11 @@ struct Cand {
 /// or `None` for sinks.
 #[inline]
 fn scan_one(quotient: &QuotientDag, u: NodeId) -> Option<Cand> {
-    let mut best = usize::MAX;
-    let mut best_rank = usize::MAX;
-    for &w in quotient.successors(u) {
-        let r = quotient.rank(w);
-        if r < best_rank {
-            best_rank = r;
-            best = w;
-        }
-    }
-    if best == usize::MAX {
-        return None;
-    }
+    let v = quotient.min_rank_successor(u)?;
     Some(Cand {
         u,
-        v: best,
-        key: quotient.work(u) + quotient.work(best),
+        v,
+        key: quotient.work(u) + quotient.work(v),
         comm: quotient.comm(u),
     })
 }

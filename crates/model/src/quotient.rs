@@ -155,7 +155,8 @@ impl QuotientDag {
 
     /// The successor of `u` with the smallest topological rank, i.e. the
     /// contraction partner the coarsening rule considers for `u`.  `None` for
-    /// sinks (and inactive nodes).
+    /// sinks (and inactive nodes).  Ties go to the first such successor.
+    #[inline]
     pub fn min_rank_successor(&self, u: NodeId) -> Option<NodeId> {
         self.succ[u].iter().copied().min_by_key(|&w| self.rank[w])
     }

@@ -1,26 +1,29 @@
 //! Client handles for the wire protocol: the blocking serial [`Client`] and
 //! the windowed [`PipelinedClient`].
 //!
-//! The serial client sends one request and blocks for its response — simple,
-//! and exactly what tests want.  The pipelined client exploits the id-tagged
-//! protocol: any number of requests may be in flight on one connection
-//! ([`PipelinedClient::submit`]), and completions are collected in whatever
-//! order the server finishes them ([`PipelinedClient::recv`]).  Both clients
-//! keep the content-addressed fast path: a request whose fingerprint was
-//! already submitted in full replays as `FP <hex>` (no DAG payload on the
-//! wire), falling back transparently when the server evicted the entry.
+//! [`Client`] owns the connection: socket setup, id allocation, the set of
+//! fingerprints the server is known to hold, encode-and-send, the full
+//! resend after an `unknown-fp` answer, and the control verbs.
+//! [`Client::schedule`] sends one request and blocks for its response.
+//! [`PipelinedClient`] is the same connection plus a table of what is in
+//! flight: any number of id-tagged requests share it
+//! ([`PipelinedClient::submit`]) and complete in whatever order the server
+//! finishes them ([`PipelinedClient::recv`]).  Either way a request already
+//! submitted in full replays as `FP <hex>` (no DAG payload on the wire),
+//! falling back transparently when the server evicted the entry.
 
+use crate::obs::MetricsSnapshot;
 use crate::protocol::{
-    encode_fingerprint_request, encode_request, read_metrics_reply, read_reply, read_response,
-    read_slow_reply, read_trace_reply, Reply, RequestOptions, ScheduleResponse, ServeError,
-    SlowEntry, WireTrace,
+    encode_fingerprint_request, encode_request, read_metrics_reply, read_reply, read_slow_reply,
+    read_trace_reply, Reply, RequestOptions, ScheduleResponse, ServeError, SlowEntry, WireTrace,
 };
 use crate::service::ServiceStats;
 use bsp_model::{Dag, Machine};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A blocking client for the wire protocol, usable from tests and the bench
 /// harness in the same process as the server (loopback TCP) or from another
@@ -38,20 +41,26 @@ pub struct Client {
     fp_fallbacks: u64,
 }
 
+/// One request as it went on the wire.
+#[derive(Clone, Copy)]
+struct Sent {
+    id: u64,
+    fingerprint: u128,
+    /// Whether the last wire form was a fingerprint-only replay (and may
+    /// therefore need a full resend).
+    fp_only: bool,
+}
+
 impl Client {
     /// Connects to a server.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Self::from_stream(stream)
+        Self::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Connects with a bound on both the connect and every read — for
-    /// control-plane calls (the router's `STATS` fan-out) that must not
+    /// control-plane calls (the router's `METRICS` fan-out) that must not
     /// hang on a wedged peer.
-    pub fn connect_with_timeout(
-        addr: std::net::SocketAddr,
-        timeout: std::time::Duration,
-    ) -> io::Result<Client> {
+    pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
         Self::from_stream(stream)
@@ -81,9 +90,85 @@ impl Client {
     }
 
     /// How many fingerprint replays came back `unknown-fp` and were resent
-    /// in full (see [`PipelinedClient::fp_fallbacks`]).
+    /// in full.  Zero means every replay landed on a server that still held
+    /// the entry — on a router, that every replay reached its owning shard.
     pub fn fp_fallbacks(&self) -> u64 {
         self.fp_fallbacks
+    }
+
+    /// Writes the scratch buffer to the socket.
+    fn flush_scratch(&mut self) -> Result<(), ServeError> {
+        self.writer.write_all(self.scratch.as_bytes())?;
+        self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Puts one request on the wire under a fresh id: by fingerprint when
+    /// the server is known to hold it and may answer from its cache, in full
+    /// otherwise.
+    fn send(
+        &mut self,
+        dag: &Dag,
+        machine: &Machine,
+        options: &RequestOptions,
+    ) -> Result<Sent, ServeError> {
+        let key = bsp_model::request_key(dag, machine);
+        let sent = Sent {
+            id: self.next_id,
+            fingerprint: key.full,
+            fp_only: options.use_cache && self.known_fingerprints.contains(&key.full),
+        };
+        self.next_id += 1;
+        self.scratch.clear();
+        if sent.fp_only {
+            // The structure key rides along so a sharded deployment routes
+            // the replay to the structural family's home shard.
+            encode_fingerprint_request(
+                &mut self.scratch,
+                sent.id,
+                sent.fingerprint,
+                Some(key.structure),
+                options.trace,
+            );
+        } else {
+            encode_request(&mut self.scratch, sent.id, dag, machine, options)?;
+        }
+        self.flush_scratch()?;
+        Ok(sent)
+    }
+
+    /// If `error` is the `unknown-fp` answer to a fingerprint replay — the
+    /// server (or the failed-over shard) no longer holds the entry — resends
+    /// the full payload under the same id and reports `true`: the caller
+    /// keeps waiting for that id.
+    fn resent_in_full(
+        &mut self,
+        sent: &mut Sent,
+        error: &ServeError,
+        dag: &Dag,
+        machine: &Machine,
+        options: &RequestOptions,
+    ) -> Result<bool, ServeError> {
+        if !sent.fp_only
+            || !matches!(error, ServeError::Remote { kind, .. } if kind == "unknown-fp")
+        {
+            return Ok(false);
+        }
+        self.known_fingerprints.remove(&sent.fingerprint);
+        self.fp_fallbacks += 1;
+        sent.fp_only = false;
+        self.scratch.clear();
+        encode_request(&mut self.scratch, sent.id, dag, machine, options)?;
+        self.flush_scratch()?;
+        Ok(true)
+    }
+
+    /// Notes that `sent` was answered `OK`: with the cache enabled the server
+    /// now holds the entry, so the next identical request replays.
+    fn answered(&mut self, sent: &Sent, options: &RequestOptions) {
+        if options.use_cache {
+            self.known_fingerprints.insert(sent.fingerprint);
+        }
     }
 
     /// Sends one scheduling request and blocks for the response.
@@ -98,73 +183,57 @@ impl Client {
         machine: &Machine,
         options: &RequestOptions,
     ) -> Result<ScheduleResponse, ServeError> {
-        let key = bsp_model::request_key(dag, machine);
-        let fingerprint = key.full;
-        if options.use_cache && self.known_fingerprints.contains(&fingerprint) {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.scratch.clear();
-            // The structure key rides along so a sharded deployment routes
-            // the replay to the structural family's home shard.
-            encode_fingerprint_request(
-                &mut self.scratch,
-                id,
-                fingerprint,
-                Some(key.structure),
-                options.trace,
-            );
-            self.writer.write_all(self.scratch.as_bytes())?;
-            self.writer.flush()?;
-            match self.read_matching_response(id) {
-                Ok(response) => return Ok(response),
-                Err(ServeError::Remote { kind, .. }) if kind == "unknown-fp" => {
-                    self.known_fingerprints.remove(&fingerprint);
-                    self.fp_fallbacks += 1;
+        let mut sent = self.send(dag, machine, options)?;
+        loop {
+            match read_reply(&mut self.reader)? {
+                Reply::Ok(response) if response.id == sent.id => {
+                    self.answered(&sent, options);
+                    return Ok(response);
                 }
-                Err(err) => return Err(err),
+                Reply::Ok(response) => {
+                    return Err(ServeError::Malformed {
+                        line: format!("OK {}", response.id),
+                        reason: format!(
+                            "response id {} does not match request id {}",
+                            response.id, sent.id
+                        ),
+                    });
+                }
+                Reply::Err { error, .. } => {
+                    if !self.resent_in_full(&mut sent, &error, dag, machine, options)? {
+                        return Err(error);
+                    }
+                }
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
+    }
+
+    /// Sends a one-line control verb.
+    fn send_verb(&mut self, verb: &str) -> Result<(), ServeError> {
         self.scratch.clear();
-        encode_request(&mut self.scratch, id, dag, machine, options)?;
-        self.writer.write_all(self.scratch.as_bytes())?;
-        self.writer.flush()?;
-        let response = self.read_matching_response(id)?;
-        if options.use_cache {
-            self.known_fingerprints.insert(fingerprint);
-        }
-        Ok(response)
+        self.scratch.push_str(verb);
+        self.scratch.push('\n');
+        self.flush_scratch()
     }
 
-    fn read_matching_response(&mut self, id: u64) -> Result<ScheduleResponse, ServeError> {
-        let response = read_response(&mut self.reader)?;
-        if response.id != id {
-            return Err(ServeError::Malformed {
-                line: format!("OK {}", response.id),
-                reason: format!("response id {} does not match request id {id}", response.id),
-            });
-        }
-        Ok(response)
-    }
-
-    /// Fetches the server's statistics snapshot.
+    /// Fetches the server's statistics: one `METRICS` scrape read as a
+    /// [`ServiceStats`].  On a router the quantiles are those of the shards'
+    /// pooled observations.
     pub fn stats(&mut self) -> Result<ServiceStats, ServeError> {
-        self.writer.write_all(b"STATS\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ServeError::UnexpectedEof);
-        }
-        ServiceStats::from_wire(line.trim())
+        let exposition = self.metrics()?;
+        let snapshot =
+            MetricsSnapshot::parse(&exposition).map_err(|reason| ServeError::Malformed {
+                line: String::new(),
+                reason,
+            })?;
+        Ok(ServiceStats::from_snapshot(&snapshot))
     }
 
     /// Fetches the Prometheus-style text exposition (`METRICS` verb).  On a
     /// router this is the bucket-merged aggregate across every live shard
     /// plus the router's own series.
     pub fn metrics(&mut self) -> Result<String, ServeError> {
-        self.writer.write_all(b"METRICS\n")?;
-        self.writer.flush()?;
+        self.send_verb("METRICS")?;
         read_metrics_reply(&mut self.reader)
     }
 
@@ -173,26 +242,19 @@ impl Client {
     /// Returns [`ServeError::UnknownTrace`] when the trace has aged out of
     /// the server's bounded journal.
     pub fn trace(&mut self, trace_id: u64) -> Result<WireTrace, ServeError> {
-        self.scratch.clear();
-        self.scratch.push_str("TRACE ");
-        self.scratch.push_str(&format!("{trace_id:x}"));
-        self.scratch.push('\n');
-        self.writer.write_all(self.scratch.as_bytes())?;
-        self.writer.flush()?;
+        self.send_verb(&format!("TRACE {trace_id:x}"))?;
         read_trace_reply(&mut self.reader)
     }
 
     /// Fetches the slow-request journal (`STATS SLOW` verb), slowest first.
     pub fn slow_stats(&mut self) -> Result<Vec<SlowEntry>, ServeError> {
-        self.writer.write_all(b"STATS SLOW\n")?;
-        self.writer.flush()?;
+        self.send_verb("STATS SLOW")?;
         read_slow_reply(&mut self.reader)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        self.writer.write_all(b"PING\n")?;
-        self.writer.flush()?;
+        self.send_verb("PING")?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(ServeError::UnexpectedEof);
@@ -229,10 +291,7 @@ struct InFlight {
     dag: Arc<Dag>,
     machine: Machine,
     options: RequestOptions,
-    fingerprint: u128,
-    /// Whether the last wire form of this request was a fingerprint-only
-    /// replay (and may therefore need a full resend).
-    sent_fp_only: bool,
+    sent: Sent,
 }
 
 /// A pipelined client: many id-tagged requests in flight on one connection,
@@ -249,28 +308,16 @@ struct InFlight {
 /// the client resend the full payload *under the same id*, so callers never
 /// observe the fallback — except through [`PipelinedClient::fp_fallbacks`].
 pub struct PipelinedClient {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    next_id: u64,
-    scratch: String,
+    conn: Client,
     pending: HashMap<u64, InFlight>,
-    known_fingerprints: HashSet<u128>,
-    fp_fallbacks: u64,
 }
 
 impl PipelinedClient {
     /// Connects to a server (or router).
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<PipelinedClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
         Ok(PipelinedClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
-            next_id: 1,
-            scratch: String::new(),
+            conn: Client::connect(addr)?,
             pending: HashMap::new(),
-            known_fingerprints: HashSet::new(),
-            fp_fallbacks: 0,
         })
     }
 
@@ -286,36 +333,17 @@ impl PipelinedClient {
         machine: &Machine,
         options: &RequestOptions,
     ) -> Result<u64, ServeError> {
-        let key = bsp_model::request_key(dag, machine);
-        let fingerprint = key.full;
-        let id = self.next_id;
-        self.next_id += 1;
-        let fp_only = options.use_cache && self.known_fingerprints.contains(&fingerprint);
-        self.scratch.clear();
-        if fp_only {
-            encode_fingerprint_request(
-                &mut self.scratch,
-                id,
-                fingerprint,
-                Some(key.structure),
-                options.trace,
-            );
-        } else {
-            encode_request(&mut self.scratch, id, dag, machine, options)?;
-        }
-        self.writer.write_all(self.scratch.as_bytes())?;
-        self.writer.flush()?;
+        let sent = self.conn.send(dag, machine, options)?;
         self.pending.insert(
-            id,
+            sent.id,
             InFlight {
                 dag: Arc::clone(dag),
                 machine: machine.clone(),
                 options: options.clone(),
-                fingerprint,
-                sent_fp_only: fp_only,
+                sent,
             },
         );
-        Ok(id)
+        Ok(sent.id)
     }
 
     /// Number of requests submitted but not yet completed.
@@ -324,10 +352,9 @@ impl PipelinedClient {
     }
 
     /// How many fingerprint replays came back `unknown-fp` and were resent
-    /// in full.  Zero means every replay landed on a server that still held
-    /// the entry — on a router, that every replay reached its owning shard.
+    /// in full (see [`Client::fp_fallbacks`]).
     pub fn fp_fallbacks(&self) -> u64 {
-        self.fp_fallbacks
+        self.conn.fp_fallbacks()
     }
 
     /// Blocks for the next completion, in whatever order the server finishes
@@ -336,7 +363,7 @@ impl PipelinedClient {
     /// [`Completion::Failed`].
     pub fn recv(&mut self) -> Result<Completion, ServeError> {
         loop {
-            match read_reply(&mut self.reader)? {
+            match read_reply(&mut self.conn.reader)? {
                 Reply::Ok(response) => {
                     let Some(entry) = self.pending.remove(&response.id) else {
                         return Err(ServeError::Malformed {
@@ -344,41 +371,22 @@ impl PipelinedClient {
                             reason: "response id matches no in-flight request".into(),
                         });
                     };
-                    if entry.options.use_cache {
-                        self.known_fingerprints.insert(entry.fingerprint);
-                    }
+                    self.conn.answered(&entry.sent, &entry.options);
                     return Ok(Completion::Ok(response));
                 }
                 Reply::Err { id, error } => {
-                    let Some(entry) = self.pending.remove(&id) else {
+                    let Some(mut entry) = self.pending.remove(&id) else {
                         // id 0 (or unknown): a connection-level error.
                         return Err(error);
                     };
-                    if entry.sent_fp_only
-                        && matches!(&error, ServeError::Remote { kind, .. } if kind == "unknown-fp")
-                    {
-                        // The server (or the failed-over shard) no longer
-                        // holds the fingerprint: resend the full payload
-                        // under the same id and keep waiting.
-                        self.known_fingerprints.remove(&entry.fingerprint);
-                        self.fp_fallbacks += 1;
-                        self.scratch.clear();
-                        encode_request(
-                            &mut self.scratch,
-                            id,
-                            &entry.dag,
-                            &entry.machine,
-                            &entry.options,
-                        )?;
-                        self.writer.write_all(self.scratch.as_bytes())?;
-                        self.writer.flush()?;
-                        self.pending.insert(
-                            id,
-                            InFlight {
-                                sent_fp_only: false,
-                                ..entry
-                            },
-                        );
+                    if self.conn.resent_in_full(
+                        &mut entry.sent,
+                        &error,
+                        &entry.dag,
+                        &entry.machine,
+                        &entry.options,
+                    )? {
+                        self.pending.insert(id, entry);
                         continue;
                     }
                     return Ok(Completion::Failed { id, error });

@@ -28,8 +28,8 @@
 //!   connection and completions return **out of order**; per-outcome
 //!   latency histograms ([`metrics`]) and graceful shutdown.
 //! * [`client`] — the blocking serial [`Client`] and the windowed
-//!   [`PipelinedClient`] (`submit`/`recv`), both with the transparent
-//!   `FP <hex>` content-addressed replay fast path.
+//!   [`PipelinedClient`] (`submit`/`recv`), one connection engine with the
+//!   transparent `FP <hex>` content-addressed replay fast path.
 //! * [`placement`] — the ownership policy: the **only** code that maps a
 //!   request key to a shard.  A structure-key range map with a sticky
 //!   affinity directory keeps warm structural families on one shard, a
@@ -42,8 +42,8 @@
 //!   shared [`placement::Placement`] policy and dispatch onto multiplexed
 //!   per-shard backend connections; a dead shard's pending requests are
 //!   re-run on its placement successor (content addressing makes the
-//!   re-run safe), and `STATS` / `METRICS` aggregate across shards by
-//!   merging histogram buckets.
+//!   re-run safe), and `METRICS` aggregates across shards by merging
+//!   histogram buckets — the one way numbers leave a server or a router.
 //! * [`obs`] — the observability layer: a [`obs::MetricsRegistry`] of
 //!   named, labeled series rendered as Prometheus-style text (`METRICS`
 //!   verb), mergeable [`obs::MetricsSnapshot`]s for router aggregation, and

@@ -16,7 +16,8 @@ use std::time::Duration;
 
 /// Live counters of the durable schedule store ([`crate::store`]), updated
 /// lock-free from the store's writer thread and its startup recovery scan,
-/// and snapshotted into [`StoreStats`] for the `STATS` wire line.
+/// and snapshotted into [`StoreStats`]; on the wire they are the
+/// `bsp_store_*` series of `METRICS`.
 #[derive(Debug, Default)]
 pub struct StoreCounters {
     /// Entries recovered at startup and repopulated into the cache.
@@ -63,7 +64,7 @@ impl StoreCounters {
 }
 
 /// Snapshot of [`StoreCounters`]; all-zero when the service runs without a
-/// durable store.  Summed across shards by the router's `STATS` aggregation.
+/// durable store.  Summed across shards by the router's `METRICS` aggregation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Entries recovered at startup and repopulated into the cache.

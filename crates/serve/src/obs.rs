@@ -570,7 +570,7 @@ pub struct MetricsSnapshot {
 }
 
 /// Splits a series key into `(name, label_body)`.
-fn split_key(key: &str) -> (&str, &str) {
+pub(crate) fn split_key(key: &str) -> (&str, &str) {
     match key.split_once('{') {
         Some((name, rest)) => (name, rest.strip_suffix('}').unwrap_or(rest)),
         None => (key, ""),

@@ -80,7 +80,7 @@ const STEER_RATIO: u64 = 2;
 const STEER_MIN_GAP_US: u64 = 10_000;
 
 /// Why the policy picked the shard it picked.  Rendered as the `decision`
-/// label on `bsp_placement_total` and as `placement_<decision>` STATS keys.
+/// label on `bsp_placement_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Directory hit: the structure already has a home shard.
@@ -110,7 +110,7 @@ impl Decision {
         Decision::Failover,
     ];
 
-    /// The stable label used on metrics and the STATS tail.
+    /// The stable label used on metrics.
     pub fn as_str(self) -> &'static str {
         match self {
             Decision::Affinity => "affinity",

@@ -28,11 +28,14 @@
 //! ```
 //!
 //! Errors come back as a single `ERR <id> <kind> <message...>` line.  The
-//! auxiliary verbs are `STATS` (one `STATS key value ...` line back),
-//! `PING`/`PONG`, and the observability verbs:
+//! auxiliary verbs are `PING`/`PONG` and the observability verbs, whose
+//! replies share one frame (a header declaring a line count, the lines,
+//! `END`) and one reader:
 //!
 //! * `METRICS` — Prometheus-style text exposition, framed as
-//!   `METRICS <n_lines>` + the lines + `END` (see [`crate::obs`]).
+//!   `METRICS <n_lines>` + the lines + `END` (see [`crate::obs`]): the only
+//!   way numbers leave a server or a router (the README maps every key of
+//!   the former `STATS` line to its series).
 //! * `TRACE <hex>` — one finished request's span tree:
 //!   `TRACE <hex> source <src> shard <s> total_us <t> spans <n>` followed by
 //!   `SPAN <depth> <start_us> <dur_us> <name>` lines and `END`; an unknown
@@ -48,14 +51,6 @@
 //! tokens beyond the ones they know, so the one-token legacy form and
 //! new-form requests against old servers both keep working.
 //!
-//! The `STATS` line includes the durable-store counters
-//! (`store_loaded`, `store_recovered_bytes`, `store_dropped_corrupt`,
-//! `store_compactions`, `store_write_errors`, `store_appended`,
-//! `store_dropped_foreign`, `store_adopted_foreign`; all zero on
-//! a memory-only server), and readers ignore unknown keys so the set can
-//! keep growing without a protocol rev.  When sharded, the router appends
-//! placement-decision counters (`placement_<decision>`) and the load-view
-//! scrape age (`placement_scrape_age_ms`) to its aggregated `STATS` line.
 //! Malformed input of any shape — bad verbs, hostile header
 //! counts, cyclic DAGs, out-of-range machine parameters — is answered with a
 //! typed [`ServeError`], never a panic: the parsing layer is the service's
@@ -84,7 +79,9 @@
 //! side (a trusted server) `PROC` / `STEP` / `COMM` are parsed from bytes
 //! into vectors sized from the line being parsed, `COMM <k>` reserves at
 //! most 2^20 steps up front, and the encoders push decimals straight into
-//! the output buffer without `fmt`.
+//! the output buffer without `fmt`.  A control reply (`TRACE`, `METRICS`,
+//! `SLOW`) caps the line count its header declares and grows only with the
+//! lines that arrive.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
 use bsp_model::{BspSchedule, CommStep, Dag, Machine, NumaTopology};
@@ -356,8 +353,6 @@ pub enum Incoming {
         /// Trace id the replay runs under (`None` = untraced).
         trace: Option<u64>,
     },
-    /// A statistics query.
-    Stats,
     /// The slow-request journal (`STATS SLOW`).
     SlowStats,
     /// A Prometheus-style metrics scrape (`METRICS`).
@@ -384,6 +379,19 @@ fn parse_u64(line: &str, tok: Option<&str>, what: &str) -> Result<u64, ServeErro
     tok.ok_or_else(|| malformed(line, format!("missing {what}")))?
         .parse()
         .map_err(|_| malformed(line, format!("{what} is not a number")))
+}
+
+/// The hex trace id of a control line (`TRACE <hex>`, `TRACESUM <hex> ...`).
+fn parse_trace_id(line: &str, tok: Option<&str>) -> Result<u64, ServeError> {
+    let hex = tok.ok_or_else(|| malformed(line, "missing trace id"))?;
+    u64::from_str_radix(hex, 16).map_err(|_| malformed(line, "trace id is not hex"))
+}
+
+/// The shard index of a control line (`-1` = unsharded).
+fn parse_shard(line: &str, tok: Option<&str>) -> Result<i32, ServeError> {
+    tok.ok_or_else(|| malformed(line, "missing shard"))?
+        .parse()
+        .map_err(|_| malformed(line, "shard is not a number"))
 }
 
 /// Longest protocol line the *request* parser accepts.  Every legitimate
@@ -547,20 +555,9 @@ pub fn read_incoming<R: BufRead>(reader: &mut R) -> Result<Option<Incoming>, Ser
     };
     let mut it = first.split_whitespace();
     match it.next() {
-        Some("STATS") => match it.next() {
-            None => Ok(Some(Incoming::Stats)),
-            Some("SLOW") => Ok(Some(Incoming::SlowStats)),
-            Some(_) => Err(malformed(&first, "expected STATS or STATS SLOW")),
-        },
+        Some("STATS") if it.next() == Some("SLOW") => Ok(Some(Incoming::SlowStats)),
         Some("METRICS") => Ok(Some(Incoming::Metrics)),
-        Some("TRACE") => {
-            let hex = it
-                .next()
-                .ok_or_else(|| malformed(&first, "missing trace id"))?;
-            let trace_id = u64::from_str_radix(hex, 16)
-                .map_err(|_| malformed(&first, "trace id is not hex"))?;
-            Ok(Some(Incoming::Trace(trace_id)))
-        }
+        Some("TRACE") => Ok(Some(Incoming::Trace(parse_trace_id(&first, it.next())?))),
         Some("PING") => Ok(Some(Incoming::Ping)),
         Some("REQ") => {
             let id = parse_u64(&first, it.next(), "request id")?;
@@ -568,7 +565,7 @@ pub fn read_incoming<R: BufRead>(reader: &mut R) -> Result<Option<Incoming>, Ser
         }
         _ => Err(malformed(
             &first,
-            "expected REQ, STATS, METRICS, TRACE or PING",
+            "expected REQ, STATS SLOW, METRICS, TRACE or PING",
         )),
     }
 }
@@ -1043,15 +1040,32 @@ pub fn encode_trace_reply(out: &mut String, trace: &WireTrace) {
     out.push_str("END\n");
 }
 
-/// Reads a `TRACE` reply (or the `ERR` line answering an unknown id).
-pub fn read_trace_reply<R: BufRead>(reader: &mut R) -> Result<WireTrace, ServeError> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Err(ServeError::UnexpectedEof);
-    }
-    let header = header.trim().to_string();
+/// Reads one control reply — the frame the `TRACE`, `METRICS` and
+/// `STATS SLOW` answers share: a header `<verb> ...`, from which `head` takes
+/// the verb's state and the declared number of body lines (at most
+/// `max_lines`), that many lines, each handed to `body` as read, and `END`.
+/// An `ERR` line in place of the header is the server's error; a stream that
+/// ends anywhere before `END` is [`ServeError::UnexpectedEof`].  Nothing is
+/// sized from the declared count: the state grows with the lines that arrive.
+fn read_control_reply<R: BufRead, T>(
+    reader: &mut R,
+    verb: &str,
+    max_lines: u64,
+    head: impl FnOnce(&str, &mut std::str::SplitWhitespace<'_>) -> Result<(T, u64), ServeError>,
+    mut body: impl FnMut(&mut T, &str) -> Result<(), ServeError>,
+) -> Result<T, ServeError> {
+    let mut next_line = |line: &mut String| -> Result<(), ServeError> {
+        line.clear();
+        match reader.read_line(line)? {
+            0 => Err(ServeError::UnexpectedEof),
+            _ => Ok(()),
+        }
+    };
+    let mut line = String::new();
+    next_line(&mut line)?;
+    let header = line.trim().to_string();
     let mut it = header.split_whitespace();
-    match it.next() {
+    let (mut state, declared) = match it.next() {
         Some("ERR") => {
             let _id = it.next();
             let kind = it.next().unwrap_or("unknown").to_string();
@@ -1059,81 +1073,80 @@ pub fn read_trace_reply<R: BufRead>(reader: &mut R) -> Result<WireTrace, ServeEr
                 return Err(ServeError::UnknownTrace);
             }
             let message = it.collect::<Vec<_>>().join(" ");
-            Err(ServeError::Remote { kind, message })
+            return Err(ServeError::Remote { kind, message });
         }
-        Some("TRACE") => {
-            let hex = it
-                .next()
-                .ok_or_else(|| malformed(&header, "missing trace id"))?;
-            let trace_id = u64::from_str_radix(hex, 16)
-                .map_err(|_| malformed(&header, "trace id is not hex"))?;
-            let mut source = String::new();
-            let mut shard = -1i32;
-            let mut total_us = 0u64;
-            let mut n_spans = 0usize;
-            let mut truncated = false;
+        Some(tok) if tok == verb => head(&header, &mut it)?,
+        _ => return Err(malformed(&header, format!("expected {verb} or ERR"))),
+    };
+    if declared > max_lines {
+        return Err(malformed(
+            &header,
+            format!("{verb} line count exceeds sanity limit"),
+        ));
+    }
+    for _ in 0..declared {
+        next_line(&mut line)?;
+        body(&mut state, &line)?;
+    }
+    next_line(&mut line)?;
+    if line.trim() != "END" {
+        return Err(malformed(
+            line.trim(),
+            format!("expected END after {verb} reply"),
+        ));
+    }
+    Ok(state)
+}
+
+/// Reads a `TRACE` reply (or the `ERR` line answering an unknown id).
+pub fn read_trace_reply<R: BufRead>(reader: &mut R) -> Result<WireTrace, ServeError> {
+    read_control_reply(
+        reader,
+        "TRACE",
+        100_000,
+        |header, it| {
+            let mut trace = WireTrace {
+                trace_id: parse_trace_id(header, it.next())?,
+                source: String::new(),
+                shard: -1,
+                total_us: 0,
+                truncated: false,
+                spans: Vec::new(),
+            };
+            let mut n_spans = 0;
             while let Some(key) = it.next() {
                 let value = it
                     .next()
-                    .ok_or_else(|| malformed(&header, format!("missing value for {key}")))?;
+                    .ok_or_else(|| malformed(header, format!("missing value for {key}")))?;
                 match key {
-                    "source" => source = value.to_string(),
-                    "shard" => {
-                        shard = value
-                            .parse()
-                            .map_err(|_| malformed(&header, "shard is not a number"))?
-                    }
-                    "total_us" => total_us = parse_u64(&header, Some(value), "total_us")?,
-                    "spans" => n_spans = parse_u64(&header, Some(value), "spans")? as usize,
-                    "truncated" => truncated = value != "0",
+                    "source" => trace.source = value.to_string(),
+                    "shard" => trace.shard = parse_shard(header, Some(value))?,
+                    "total_us" => trace.total_us = parse_u64(header, Some(value), "total_us")?,
+                    "spans" => n_spans = parse_u64(header, Some(value), "spans")?,
+                    "truncated" => trace.truncated = value != "0",
                     _ => {} // forward-compatible: ignore unknown keys
                 }
             }
-            if n_spans > 100_000 {
-                return Err(malformed(&header, "span count exceeds sanity limit"));
+            Ok((trace, n_spans))
+        },
+        |trace, line| {
+            let line = line.trim();
+            let mut it = line.split_whitespace();
+            if it.next() != Some("SPAN") {
+                return Err(malformed(line, "expected SPAN line"));
             }
-            let mut spans = Vec::with_capacity(n_spans);
-            let mut line = String::new();
-            for _ in 0..n_spans {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    return Err(ServeError::UnexpectedEof);
-                }
-                let t = line.trim();
-                let mut sit = t.split_whitespace();
-                if sit.next() != Some("SPAN") {
-                    return Err(malformed(t, "expected SPAN line"));
-                }
-                let depth = parse_u64(t, sit.next(), "span depth")? as u8;
-                let start_us = parse_u64(t, sit.next(), "span start")?;
-                let dur_us = parse_u64(t, sit.next(), "span duration")?;
-                let name = sit
+            trace.spans.push(WireSpan {
+                depth: parse_u64(line, it.next(), "span depth")? as u8,
+                start_us: parse_u64(line, it.next(), "span start")?,
+                dur_us: parse_u64(line, it.next(), "span duration")?,
+                name: it
                     .next()
-                    .ok_or_else(|| malformed(t, "missing span name"))?
-                    .to_string();
-                spans.push(WireSpan {
-                    name,
-                    depth,
-                    start_us,
-                    dur_us,
-                });
-            }
-            line.clear();
-            reader.read_line(&mut line)?;
-            if line.trim() != "END" {
-                return Err(malformed(line.trim(), "expected END after trace reply"));
-            }
-            Ok(WireTrace {
-                trace_id,
-                source,
-                shard,
-                total_us,
-                truncated,
-                spans,
-            })
-        }
-        _ => Err(malformed(&header, "expected TRACE or ERR")),
-    }
+                    .ok_or_else(|| malformed(line, "missing span name"))?
+                    .to_string(),
+            });
+            Ok(())
+        },
+    )
 }
 
 /// Writes a `METRICS` reply (the exposition text, framed by a line count) in
@@ -1150,42 +1163,19 @@ pub fn encode_metrics_reply(out: &mut String, exposition: &str) {
 
 /// Reads a `METRICS` reply, returning the exposition text.
 pub fn read_metrics_reply<R: BufRead>(reader: &mut R) -> Result<String, ServeError> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Err(ServeError::UnexpectedEof);
-    }
-    let header = header.trim().to_string();
-    let mut it = header.split_whitespace();
-    match it.next() {
-        Some("ERR") => {
-            let _id = it.next();
-            let kind = it.next().unwrap_or("unknown").to_string();
-            let message = it.collect::<Vec<_>>().join(" ");
-            Err(ServeError::Remote { kind, message })
-        }
-        Some("METRICS") => {
-            let n_lines = parse_u64(&header, it.next(), "METRICS line count")? as usize;
-            if n_lines > 1_000_000 {
-                return Err(malformed(
-                    &header,
-                    "METRICS line count exceeds sanity limit",
-                ));
-            }
-            let mut text = String::new();
-            for _ in 0..n_lines {
-                if reader.read_line(&mut text)? == 0 {
-                    return Err(ServeError::UnexpectedEof);
-                }
-            }
-            let mut end = String::new();
-            reader.read_line(&mut end)?;
-            if end.trim() != "END" {
-                return Err(malformed(end.trim(), "expected END after METRICS reply"));
-            }
-            Ok(text)
-        }
-        _ => Err(malformed(&header, "expected METRICS or ERR")),
-    }
+    read_control_reply(
+        reader,
+        "METRICS",
+        1_000_000,
+        |header, it| {
+            let n_lines = parse_u64(header, it.next(), "METRICS line count")?;
+            Ok((String::new(), n_lines))
+        },
+        |text, line| {
+            text.push_str(line);
+            Ok(())
+        },
+    )
 }
 
 /// One entry of the slow-request journal summary (`STATS SLOW`).
@@ -1217,65 +1207,29 @@ pub fn encode_slow_reply(out: &mut String, entries: &[crate::obs::TraceRecord]) 
 
 /// Reads a `STATS SLOW` reply.
 pub fn read_slow_reply<R: BufRead>(reader: &mut R) -> Result<Vec<SlowEntry>, ServeError> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Err(ServeError::UnexpectedEof);
-    }
-    let header = header.trim().to_string();
-    let mut it = header.split_whitespace();
-    match it.next() {
-        Some("ERR") => {
-            let _id = it.next();
-            let kind = it.next().unwrap_or("unknown").to_string();
-            let message = it.collect::<Vec<_>>().join(" ");
-            Err(ServeError::Remote { kind, message })
-        }
-        Some("SLOW") => {
-            let n = parse_u64(&header, it.next(), "SLOW count")? as usize;
-            if n > 100_000 {
-                return Err(malformed(&header, "SLOW count exceeds sanity limit"));
+    read_control_reply(
+        reader,
+        "SLOW",
+        100_000,
+        |header, it| Ok((Vec::new(), parse_u64(header, it.next(), "SLOW count")?)),
+        |entries, line| {
+            let line = line.trim();
+            let mut it = line.split_whitespace();
+            if it.next() != Some("TRACESUM") {
+                return Err(malformed(line, "expected TRACESUM line"));
             }
-            let mut entries = Vec::with_capacity(n);
-            let mut line = String::new();
-            for _ in 0..n {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    return Err(ServeError::UnexpectedEof);
-                }
-                let t = line.trim();
-                let mut sit = t.split_whitespace();
-                if sit.next() != Some("TRACESUM") {
-                    return Err(malformed(t, "expected TRACESUM line"));
-                }
-                let hex = sit.next().ok_or_else(|| malformed(t, "missing trace id"))?;
-                let trace_id = u64::from_str_radix(hex, 16)
-                    .map_err(|_| malformed(t, "trace id is not hex"))?;
-                let source = sit
+            entries.push(SlowEntry {
+                trace_id: parse_trace_id(line, it.next())?,
+                source: it
                     .next()
-                    .ok_or_else(|| malformed(t, "missing source"))?
-                    .to_string();
-                let shard: i32 = sit
-                    .next()
-                    .ok_or_else(|| malformed(t, "missing shard"))?
-                    .parse()
-                    .map_err(|_| malformed(t, "shard is not a number"))?;
-                let total_us = parse_u64(t, sit.next(), "total_us")?;
-                entries.push(SlowEntry {
-                    trace_id,
-                    source,
-                    shard,
-                    total_us,
-                });
-            }
-            line.clear();
-            reader.read_line(&mut line)?;
-            if line.trim() != "END" {
-                return Err(malformed(line.trim(), "expected END after SLOW reply"));
-            }
-            Ok(entries)
-        }
-        _ => Err(malformed(&header, "expected SLOW or ERR")),
-    }
+                    .ok_or_else(|| malformed(line, "missing source"))?
+                    .to_string(),
+                shard: parse_shard(line, it.next())?,
+                total_us: parse_u64(line, it.next(), "total_us")?,
+            });
+            Ok(())
+        },
+    )
 }
 
 /// The blank-separated tokens of one reply line, read off its bytes as
@@ -1434,15 +1388,6 @@ pub enum Reply {
         /// The error, as a [`ServeError::Remote`].
         error: ServeError,
     },
-}
-
-/// Reads a response (either `OK ...` + schedule or `ERR ...`) from `reader`,
-/// surfacing errors without their correlation id (serial-client behaviour).
-pub fn read_response<R: BufRead>(reader: &mut R) -> Result<ScheduleResponse, ServeError> {
-    match read_reply(reader)? {
-        Reply::Ok(response) => Ok(response),
-        Reply::Err { error, .. } => Err(error),
-    }
 }
 
 /// Reads the next reply (in wire order, which under pipelining is completion
@@ -1634,8 +1579,10 @@ mod tests {
         };
         let mut wire = String::new();
         encode_response(&mut wire, &response);
-        let parsed = read_response(&mut BufReader::new(wire.as_bytes())).unwrap();
-        assert_eq!(parsed, response);
+        match read_reply(&mut BufReader::new(wire.as_bytes())).unwrap() {
+            Reply::Ok(parsed) => assert_eq!(parsed, response),
+            other => panic!("expected the response back, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1700,39 +1647,111 @@ mod tests {
                 .unwrap()
         };
         assert!(matches!(parse_one("METRICS\n"), Incoming::Metrics));
-        assert!(matches!(parse_one("STATS\n"), Incoming::Stats));
         assert!(matches!(parse_one("STATS SLOW\n"), Incoming::SlowStats));
         match parse_one("TRACE ff0a\n") {
             Incoming::Trace(id) => assert_eq!(id, 0xff0a),
             other => panic!("expected a trace query, got {other:?}"),
         }
         assert!(read_incoming(&mut BufReader::new("TRACE zz\n".as_bytes())).is_err());
-        assert!(read_incoming(&mut BufReader::new("STATS FAST\n".as_bytes())).is_err());
+        // `STATS` exists only as `STATS SLOW`; the bare verb is as unknown
+        // as any other.
+        for wire in ["STATS\n", "STATS FAST\n", "BOGUS\n"] {
+            match read_incoming(&mut BufReader::new(wire.as_bytes())) {
+                Err(ServeError::Malformed { reason, .. }) => {
+                    assert_eq!(reason, "expected REQ, STATS SLOW, METRICS, TRACE or PING")
+                }
+                other => panic!("{wire:?} was not refused as an unknown verb: {other:?}"),
+            }
+        }
+    }
+
+    /// Two journal records, the second from an unsharded server.
+    fn journal_records() -> [crate::obs::TraceRecord; 2] {
+        let mut spans = crate::obs::SpanSet::new();
+        spans.push("queue_wait", 0, 0, 12);
+        spans.push("ml_coarsen", 1, 12, 900);
+        let cold = crate::obs::TraceRecord {
+            trace_id: 0x10,
+            source: "cold",
+            shard: 1,
+            total_us: 900,
+            spans,
+        };
+        let warm = crate::obs::TraceRecord {
+            trace_id: 0x11,
+            source: "warm",
+            shard: -1,
+            total_us: 300,
+            spans,
+        };
+        [cold, warm]
+    }
+
+    const EXPOSITION: &str =
+        "# TYPE x counter\nx 7\n# TYPE lat histogram\nlat_bucket{le=\"40\"} 2\n";
+
+    /// One well-formed reply per control verb, and its reader reduced to the
+    /// error it returns (`None` = the reply was read).
+    fn control_replies() -> [(String, fn(&[u8]) -> Option<ServeError>); 3] {
+        let records = journal_records();
+        let (mut trace, mut metrics, mut slow) = (String::new(), String::new(), String::new());
+        encode_trace_reply(&mut trace, &WireTrace::from_record(&records[0]));
+        encode_metrics_reply(&mut metrics, EXPOSITION);
+        encode_slow_reply(&mut slow, &records);
+        [
+            (trace, |mut wire| read_trace_reply(&mut wire).err()),
+            (metrics, |mut wire| read_metrics_reply(&mut wire).err()),
+            (slow, |mut wire| read_slow_reply(&mut wire).err()),
+        ]
+    }
+
+    #[test]
+    fn a_control_reply_cut_off_at_any_line_boundary_is_an_unexpected_eof() {
+        for (wire, read) in control_replies() {
+            assert_eq!(read(wire.as_bytes()), None, "{wire:?}");
+            let boundaries = wire.match_indices('\n').map(|(i, _)| i + 1);
+            for cut in std::iter::once(0).chain(boundaries.filter(|&cut| cut < wire.len())) {
+                assert_eq!(
+                    read(&wire.as_bytes()[..cut]),
+                    Some(ServeError::UnexpectedEof),
+                    "cut after {:?}",
+                    &wire[..cut]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_declared_count_is_a_bound_on_the_body_not_an_allocation() {
+        // 100 000 spans declared, two sent: the reader finds `END` where the
+        // third span should be, having grown its vector by two entries.
+        let wire = "TRACE 10 source cold shard 0 total_us 9 spans 100000\n\
+                    SPAN 0 0 5 solve\nSPAN 1 1 3 hc\nEND\n";
+        match read_trace_reply(&mut wire.as_bytes()) {
+            Err(ServeError::Malformed { line, reason }) => {
+                assert_eq!((&*line, &*reason), ("END", "expected SPAN line"))
+            }
+            other => panic!("expected the early END to be refused, got {other:?}"),
+        }
+        // Past the sanity limit the header itself is refused.
+        let headers = [
+            "TRACE 10 spans 100001\n",
+            "METRICS 1000001\n",
+            "SLOW 100001\n",
+        ];
+        for ((_, read), header) in control_replies().into_iter().zip(headers) {
+            let err = read(header.as_bytes());
+            assert!(
+                matches!(&err, Some(ServeError::Malformed { reason, .. }) if reason.contains("sanity limit")),
+                "{header:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn trace_replies_roundtrip() {
-        let trace = WireTrace {
-            trace_id: 0xbeef,
-            source: "cold".to_string(),
-            shard: 2,
-            total_us: 1500,
-            truncated: false,
-            spans: vec![
-                WireSpan {
-                    name: "queue_wait".to_string(),
-                    depth: 0,
-                    start_us: 0,
-                    dur_us: 12,
-                },
-                WireSpan {
-                    name: "ml_coarsen".to_string(),
-                    depth: 1,
-                    start_us: 12,
-                    dur_us: 900,
-                },
-            ],
-        };
+        let trace = WireTrace::from_record(&journal_records()[0]);
+        assert_eq!((trace.shard, trace.spans.len()), (1, 2));
         let mut wire = String::new();
         encode_trace_reply(&mut wire, &trace);
         let parsed = read_trace_reply(&mut BufReader::new(wire.as_bytes())).unwrap();
@@ -1748,42 +1767,25 @@ mod tests {
 
     #[test]
     fn metrics_replies_roundtrip() {
-        let exposition = "# TYPE x counter\nx 7\n# TYPE lat histogram\nlat_bucket{le=\"40\"} 2\n";
         let mut wire = String::new();
-        encode_metrics_reply(&mut wire, exposition);
+        encode_metrics_reply(&mut wire, EXPOSITION);
         let text = read_metrics_reply(&mut BufReader::new(wire.as_bytes())).unwrap();
-        assert_eq!(text, exposition);
+        assert_eq!(text, EXPOSITION);
     }
 
     #[test]
     fn slow_replies_roundtrip() {
-        use crate::obs::{SpanSet, TraceRecord};
-        let mut spans = SpanSet::new();
-        spans.push("solve", 0, 0, 800);
-        let recs = vec![
-            TraceRecord {
-                trace_id: 0x10,
-                source: "cold",
-                shard: 1,
-                total_us: 900,
-                spans,
-            },
-            TraceRecord {
-                trace_id: 0x11,
-                source: "warm",
-                shard: -1,
-                total_us: 300,
-                spans,
-            },
-        ];
+        let records = journal_records();
         let mut wire = String::new();
-        encode_slow_reply(&mut wire, &recs);
+        encode_slow_reply(&mut wire, &records);
         let parsed = read_slow_reply(&mut BufReader::new(wire.as_bytes())).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].trace_id, 0x10);
-        assert_eq!(parsed[0].source, "cold");
-        assert_eq!(parsed[1].shard, -1);
-        assert_eq!(parsed[1].total_us, 300);
+        assert_eq!(parsed.len(), records.len());
+        for (entry, rec) in parsed.iter().zip(&records) {
+            assert_eq!(
+                (entry.trace_id, &*entry.source, entry.shard, entry.total_us),
+                (rec.trace_id, rec.source, rec.shard, rec.total_us)
+            );
+        }
     }
 
     #[test]
@@ -1834,10 +1836,12 @@ mod tests {
     fn error_responses_surface_as_remote_errors() {
         let mut wire = String::new();
         encode_error(&mut wire, 3, &ServeError::Busy);
-        let err = read_response(&mut BufReader::new(wire.as_bytes())).unwrap_err();
-        match err {
-            ServeError::Remote { kind, .. } => assert_eq!(kind, "busy"),
-            other => panic!("expected a remote error, got {other:?}"),
+        match read_reply(&mut BufReader::new(wire.as_bytes())).unwrap() {
+            Reply::Err {
+                id: 3,
+                error: ServeError::Remote { kind, .. },
+            } => assert_eq!(kind, "busy"),
+            other => panic!("expected a remote error for request 3, got {other:?}"),
         }
     }
 

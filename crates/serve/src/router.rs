@@ -53,19 +53,22 @@
 //!
 //! ## Observability
 //!
-//! `STATS` and `METRICS` fan out to every live shard over short-lived
-//! control connections and aggregate by **merging histogram buckets**
+//! `METRICS` fans out to every live shard over short-lived control
+//! connections and aggregates by **merging histogram buckets**
 //! ([`crate::obs::MetricsSnapshot`]): counters and gauges sum, and an
 //! aggregated quantile is computed over the pooled observations — not
-//! approximated from per-shard quantiles.  The `STATS` line additionally
-//! carries per-shard store counters (`s<i>_store_*`), the health probe's
-//! current view of every backend (`s<i>_up`, `s<i>_probe_failures`,
-//! `s<i>_backoff_ms`), and the placement policy's decision counts
-//! (`placement_<decision>`, plus `placement_scrape_age_ms` — the age of the
-//! load view steering decisions consult), so one line shows the aggregate,
-//! which shard is misbehaving, and why traffic went where it went.  A *live* shard that fails to answer turns the whole
-//! aggregate into an error rather than a silently partial sum.  `PING` is
-//! answered locally.
+//! approximated from per-shard quantiles ([`crate::Client::stats`] reads
+//! this exposition, so it works through a router as against one server).  It
+//! additionally carries every shard's own store counters
+//! (`bsp_shard_store_*{shard="i"}`), the health probe's view of every backend
+//! (`bsp_backend_up`, `bsp_backend_probe_failures`,
+//! `bsp_backend_probe_backoff_ms`, all `{backend="i"}`), and the placement
+//! policy's decision counts (`bsp_placement_total{decision=…}`, plus
+//! `bsp_placement_scrape_age_ms`, the age of the load view steering
+//! consults), so one scrape shows the aggregate, which shard is misbehaving,
+//! and why traffic went where it went.  A *live* shard that fails to answer
+//! turns the aggregate into an error rather than a silently partial sum.
+//! `PING` is answered locally.
 //!
 //! Every routed request gets a **trace id** (minted here unless the client
 //! supplied one via `OPTION trace`), injected into the forwarded payload so
@@ -74,12 +77,9 @@
 //! tree (fetched over a control connection) under the router's dispatch
 //! span; `STATS SLOW` reports the router-side slow log.
 
-use crate::cache::CacheStats;
 use crate::client::Client;
-use crate::metrics::StoreStats;
 use crate::obs::{
-    write_sample, write_type, MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal,
-    TraceRecord,
+    split_key, MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal, TraceRecord,
 };
 use crate::placement::{Decision, LoadView, Placement};
 use crate::protocol::{
@@ -87,23 +87,19 @@ use crate::protocol::{
     encode_trace_reply, read_incoming_verbatim, read_raw_reply, reframe_request, Incoming,
     RawReply, ServeError, WireSpan, WireTrace,
 };
-use crate::server::{acceptor_loop, register_conn_thread, writer_loop, AcceptState};
-use crate::service::ServiceStats;
+use crate::server::{
+    acceptor_loop, frame_ready, register_conn_thread, writer_loop, AcceptState, SLOW_LOG_CAP,
+    TRACE_RING_CAP,
+};
 use bsp_model::request_key;
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Capacity of the router's recent-trace ring (`TRACE <id>`).
-const TRACE_RING_CAP: usize = 256;
-
-/// Worst-N slow-log capacity (`STATS SLOW`).
-const SLOW_LOG_CAP: usize = 16;
 
 /// Configuration of the router's client-facing side.
 #[derive(Debug, Clone)]
@@ -236,7 +232,7 @@ impl Backend {
 }
 
 /// The health probe's current view of one backend, kept shared (not probe-
-/// thread-local) so `STATS` can report how hard each backend is backing off.
+/// thread-local) so `METRICS` can report how hard each backend is backing off.
 #[derive(Clone, Copy)]
 struct ProbeStatus {
     /// Consecutive failed probes since the backend was last seen live.
@@ -254,9 +250,6 @@ struct RouterSeries {
     failovers: Arc<AtomicU64>,
     /// `bsp_placement_total{decision=...}`, indexed like [`Decision::ALL`].
     placement: [Arc<AtomicU64>; Decision::ALL.len()],
-    /// `bsp_placement_scrape_age_ms` gauge: age of the load view the policy
-    /// consults (`u64::MAX` before the first scrape).
-    scrape_age_ms: Arc<AtomicU64>,
 }
 
 /// The router's view of per-shard load, written by the health-probe thread
@@ -278,7 +271,7 @@ struct RouterShared {
     /// probe exits without waiting out its interval.
     probe_lock: Mutex<()>,
     probe_wakeup: Condvar,
-    /// Per-backend probe state, written by the probe thread, read by `STATS`.
+    /// Per-backend probe state, written by the probe thread, read by `METRICS`.
     probe_state: Mutex<Vec<ProbeStatus>>,
     /// Router-side trace journal: one record per routed request, with the
     /// owning shard recorded so `TRACE` can graft the shard's span tree.
@@ -315,35 +308,15 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        let mut backends = Vec::with_capacity(shard_addrs.len());
-        let mut live = 0usize;
-        for &addr in shard_addrs {
-            let conn = TcpStream::connect(addr).ok().and_then(|s| {
-                s.set_nodelay(true).ok()?;
-                let clone = s.try_clone().ok()?;
-                Some((BufWriter::new(s), clone))
-            });
-            let (writer, stream) = match conn {
-                Some((w, s)) => {
-                    live += 1;
-                    (Some(w), Some(s))
-                }
-                None => (None, None),
-            };
-            let generation = u64::from(writer.is_some());
-            backends.push(Backend {
+        let backends: Vec<Backend> = shard_addrs
+            .iter()
+            .map(|&addr| Backend {
                 addr,
-                writer: Mutex::new(writer),
-                stream: Mutex::new(stream),
-                generation: AtomicU64::new(generation),
-            });
-        }
-        if live == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionRefused,
-                "no shard is reachable",
-            ));
-        }
+                writer: Mutex::new(None),
+                stream: Mutex::new(None),
+                generation: AtomicU64::new(0),
+            })
+            .collect();
         let registry = Arc::new(MetricsRegistry::new());
         let series = RouterSeries {
             full: registry.counter(
@@ -368,11 +341,6 @@ impl Router {
                     &[("decision", d.as_str())],
                 )
             }),
-            scrape_age_ms: registry.gauge(
-                "bsp_placement_scrape_age_ms",
-                "age of the load view consulted by load-aware placement",
-                &[],
-            ),
         };
         let probe_state = (0..backends.len())
             .map(|_| ProbeStatus {
@@ -381,30 +349,39 @@ impl Router {
             })
             .collect();
         let shards = backends.len();
-        Ok(Router {
-            listener,
-            shared: Arc::new(RouterShared {
-                config,
-                backends,
-                pending: Mutex::new(HashMap::new()),
-                next_backend_id: AtomicU64::new(1),
-                shutting_down: AtomicBool::new(false),
-                conns: Mutex::new(HashMap::new()),
-                conn_threads: Mutex::new(Vec::new()),
-                probe_lock: Mutex::new(()),
-                probe_wakeup: Condvar::new(),
-                probe_state: Mutex::new(probe_state),
-                journal: TraceJournal::new(TRACE_RING_CAP, SLOW_LOG_CAP),
-                trace_ids: TraceIdGen::new(),
-                registry,
-                series,
-                placement: Placement::new(shards),
-                load: Mutex::new(LoadState {
-                    view: LoadView::default(),
-                    refreshed_at: None,
-                }),
+        let shared = Arc::new(RouterShared {
+            config,
+            backends,
+            pending: Mutex::new(HashMap::new()),
+            next_backend_id: AtomicU64::new(1),
+            shutting_down: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            conn_threads: Mutex::new(Vec::new()),
+            probe_lock: Mutex::new(()),
+            probe_wakeup: Condvar::new(),
+            probe_state: Mutex::new(probe_state),
+            journal: TraceJournal::new(TRACE_RING_CAP, SLOW_LOG_CAP),
+            trace_ids: TraceIdGen::new(),
+            registry,
+            series,
+            placement: Placement::new(shards),
+            load: Mutex::new(LoadState {
+                view: LoadView::default(),
+                refreshed_at: None,
             }),
-        })
+        });
+        // Every backend starts dead and is connected the way a dead one is
+        // revived later, demux thread included.
+        for shard in 0..shards {
+            ensure_live(&shared, shard);
+        }
+        if shared.backends.iter().all(|backend| !backend.is_live()) {
+            return Err(io::Error::new(
+                io::ErrorKind::ConnectionRefused,
+                "no shard is reachable",
+            ));
+        }
+        Ok(Router { listener, shared })
     }
 
     /// The bound client-facing address.
@@ -412,28 +389,11 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// Starts the demux and acceptor threads; returns the controlling handle.
+    /// Starts the acceptor and health-probe threads; returns the controlling
+    /// handle.
     pub fn spawn(self) -> io::Result<RouterHandle> {
         let addr = self.listener.local_addr()?;
         let shared = self.shared;
-        let mut demuxers = Vec::new();
-        for shard in 0..shared.backends.len() {
-            let stream = {
-                let guard = shared.backends[shard]
-                    .stream
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                guard.as_ref().and_then(|s| s.try_clone().ok())
-            };
-            let Some(stream) = stream else { continue };
-            let generation = shared.backends[shard].generation.load(Ordering::SeqCst);
-            let shared = Arc::clone(&shared);
-            demuxers.push(
-                std::thread::Builder::new()
-                    .name(format!("bsp-router-demux-{shard}"))
-                    .spawn(move || demux_loop(&shared, shard, generation, stream))?,
-            );
-        }
         let acceptor = {
             let shared = Arc::clone(&shared);
             let listener = self.listener;
@@ -454,22 +414,17 @@ impl Router {
                     )
                 })?
         };
-        let probe = match shared.config.health_probe_interval {
-            Some(interval) => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("bsp-router-health-probe".into())
-                        .spawn(move || probe_loop(&shared, interval))?,
-                )
-            }
-            None => None,
-        };
+        let probe = shared.config.health_probe_interval.map(|interval| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("bsp-router-health-probe".into())
+                .spawn(move || probe_loop(&shared, interval))
+        });
+        let probe = probe.transpose()?;
         Ok(RouterHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
-            demuxers,
             probe,
         })
     }
@@ -480,7 +435,6 @@ pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
     acceptor: Option<JoinHandle<()>>,
-    demuxers: Vec<JoinHandle<()>>,
     probe: Option<JoinHandle<()>>,
 }
 
@@ -539,11 +493,10 @@ impl RouterHandle {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
-        for demux in self.demuxers.drain(..) {
-            let _ = demux.join();
-        }
         // Dropping the pending table releases the last writer-channel
-        // senders, letting every connection writer thread exit.
+        // senders, letting every connection writer thread exit; the demux
+        // threads (registered with the connection threads) exit on their
+        // closed sockets.
         self.shared
             .pending
             .lock()
@@ -567,11 +520,12 @@ impl RouterHandle {
 /// same box refuses instantly; a dead box must not stall dispatch).
 const RECONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Lazily revives a dead backend connection.  Backend connections die for
-/// mundane reasons — the shard server's own idle timeout closes a quiet
-/// multiplexed connection, shard processes get restarted — and the router
-/// must not treat either as permanent: the next request owned by the shard
-/// reconnects instead of failing over forever.
+/// Connects a dead backend: the one place a backend connection is made, at
+/// [`Router::bind`] (every backend starts dead) and whenever one is revived.
+/// Backend connections die for mundane reasons — the shard server's own idle
+/// timeout closes a quiet multiplexed connection, shard processes get
+/// restarted — and the router must not treat either as permanent: the next
+/// request owned by the shard reconnects instead of failing over forever.
 fn ensure_live(shared: &Arc<RouterShared>, shard: usize) {
     let backend = &shared.backends[shard];
     if backend.is_live() || shared.shutting_down.load(Ordering::SeqCst) {
@@ -700,7 +654,7 @@ fn probe_loop(shared: &Arc<RouterShared>, interval: Duration) {
     }
 }
 
-/// Writes one backend's probe view; `STATS` reads it via `router_stats_line`.
+/// Writes one backend's probe view; `METRICS` renders it (`router_metrics`).
 fn set_probe_status(shared: &RouterShared, shard: usize, failures: u32, next_attempt: Instant) {
     let mut state = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(slot) = state.get_mut(shard) {
@@ -718,7 +672,7 @@ const LOAD_SCRAPE_TIMEOUT: Duration = Duration::from_millis(500);
 /// shard that is dead or does not answer gets a `None` slot (placement
 /// never steers *to* an unknown shard and never steers *away* from an
 /// unknown owner), because a mostly-fresh view beats no view for load
-/// balancing, while an aggregate stat line must never be silently partial.
+/// balancing, while an aggregate exposition must never be silently partial.
 fn refresh_load_view(shared: &RouterShared) {
     let p50s: Vec<Option<u64>> = shared
         .backends
@@ -727,14 +681,9 @@ fn refresh_load_view(shared: &RouterShared) {
             if !backend.is_live() {
                 return None;
             }
-            Client::connect_with_timeout(backend.addr, LOAD_SCRAPE_TIMEOUT)
-                .ok()
-                .and_then(|mut client| client.metrics().ok())
-                .and_then(|text| MetricsSnapshot::parse(&text).ok())
-                .and_then(|snap| {
-                    snap.histogram("bsp_queue_wait_micros")
-                        .map(|h| h.quantile_micros(0.5))
-                })
+            let snap = scrape_shard(backend, LOAD_SCRAPE_TIMEOUT)?;
+            let queue_wait = snap.histogram("bsp_queue_wait_micros")?;
+            Some(queue_wait.quantile_micros(0.5))
         })
         .collect();
     let mut load = shared.load.lock().unwrap_or_else(|e| e.into_inner());
@@ -919,28 +868,29 @@ fn demux_loop(shared: &Arc<RouterShared>, shard: usize, generation: u64, stream:
     fail_over(shared, shard, generation);
 }
 
-/// Scrapes the `METRICS` exposition of every live shard over fresh control
-/// connections (the multiplexed backend connections carry only id-tagged
-/// frames).  A live shard that fails to answer makes the scrape an error,
-/// never a silently partial aggregate a dashboard would misread as a
-/// traffic drop.  Connects and reads are bounded so a wedged shard cannot
-/// hang the client connection's reader inside this fan-out.
+/// One shard's parsed `METRICS` exposition, fetched over a fresh control
+/// connection (the multiplexed backend connections carry only id-tagged
+/// frames) whose connect and reads are bounded by `timeout`, so a wedged
+/// shard cannot hang the caller.  `None` if it does not answer.
+fn scrape_shard(backend: &Backend, timeout: Duration) -> Option<MetricsSnapshot> {
+    let mut client = Client::connect_with_timeout(backend.addr, timeout).ok()?;
+    MetricsSnapshot::parse(&client.metrics().ok()?).ok()
+}
+
+/// Scrapes every live shard.  A live shard that fails to answer makes the
+/// scrape an error, never a silently partial aggregate a dashboard would
+/// misread as a traffic drop.
 fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>, ServeError> {
     let mut snaps = Vec::new();
     for (i, backend) in shared.backends.iter().enumerate() {
         if !backend.is_live() {
             continue;
         }
-        let text = Client::connect_with_timeout(backend.addr, shared.config.idle_timeout)
-            .ok()
-            .and_then(|mut client| client.metrics().ok());
-        let Some(text) = text else {
+        let Some(snap) = scrape_shard(backend, shared.config.idle_timeout) else {
             return Err(ServeError::Io(format!(
                 "live shard {i} did not answer METRICS; refusing a partial aggregate"
             )));
         };
-        let snap = MetricsSnapshot::parse(&text)
-            .map_err(|e| ServeError::Io(format!("shard {i} exposition: {e}")))?;
         snaps.push((i, snap));
     }
     if snaps.is_empty() {
@@ -949,169 +899,49 @@ fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>,
     Ok(snaps)
 }
 
-/// Merges per-shard snapshots into one (counters and gauges sum, histogram
-/// buckets pool).
-fn merge_snapshots(snaps: &[(usize, MetricsSnapshot)]) -> MetricsSnapshot {
-    let mut merged = MetricsSnapshot::default();
-    for (_, snap) in snaps {
-        merged.merge_from(snap);
-    }
-    merged
-}
-
-/// Rebuilds the `STATS` wire view from a merged exposition.  The payoff over
-/// the old scalar aggregation: the quantiles are computed from the *pooled*
-/// histogram buckets of every shard, not the per-shard maximum — a p50 over
-/// the union of observations, exactly what a single unsharded server would
-/// report.
-fn stats_from_snapshot(merged: &MetricsSnapshot) -> ServiceStats {
-    let c = |key: &str| merged.counter(key).unwrap_or(0);
-    let g = |key: &str| merged.gauges.get(key).copied().unwrap_or(0);
-    let q = |source: &str| {
-        merged
-            .histogram(&format!(
-                "bsp_request_latency_micros{{source=\"{source}\"}}"
-            ))
-            .map_or((0, 0), |h| {
-                (h.quantile_micros(0.5), h.quantile_micros(0.99))
-            })
-    };
-    ServiceStats {
-        requests: merged.counter_sum("bsp_requests_total"),
-        cache: CacheStats {
-            hits: c("bsp_cache_ops_total{op=\"hit\"}"),
-            misses: c("bsp_cache_ops_total{op=\"miss\"}"),
-            warm_hits: c("bsp_cache_ops_total{op=\"warm_hit\"}"),
-            warm_fallbacks: c("bsp_cache_ops_total{op=\"warm_fallback\"}"),
-            insertions: c("bsp_cache_ops_total{op=\"insertion\"}"),
-            evictions: c("bsp_cache_ops_total{op=\"eviction\"}"),
-            bytes_used: g("bsp_cache_bytes") as usize,
-            entries: g("bsp_cache_entries") as usize,
-        },
-        cold_us: q("cold"),
-        exact_us: q("exact"),
-        warm_us: q("warm"),
-        store: StoreStats {
-            loaded: c("bsp_store_events_total{event=\"loaded\"}"),
-            recovered_bytes: c("bsp_store_recovered_bytes_total"),
-            dropped_corrupt: c("bsp_store_events_total{event=\"dropped_corrupt\"}"),
-            compactions: c("bsp_store_events_total{event=\"compaction\"}"),
-            write_errors: c("bsp_store_events_total{event=\"write_error\"}"),
-            appended: c("bsp_store_events_total{event=\"appended\"}"),
-            dropped_foreign: c("bsp_store_events_total{event=\"dropped_foreign\"}"),
-            adopted_foreign: c("bsp_store_events_total{event=\"adopted_foreign\"}"),
-        },
-    }
-}
-
-/// Builds the router's `STATS` reply: the aggregate line (pooled-histogram
-/// quantiles), then per-shard store counters (`s<i>_store_*` — a shard-local
-/// write-error burst must not hide inside the fleet sum), then the probe's
-/// view of every backend (`s<i>_up`, `s<i>_probe_failures`,
-/// `s<i>_backoff_ms`), then the placement tail: one `placement_<decision>`
-/// count per [`Decision`] and `placement_scrape_age_ms`, the age of the
-/// load view steering consults (`u64::MAX` before the first scrape).  All
-/// additions ride the wire line's unknown-keys-ignored forward
-/// compatibility.
-fn router_stats_line(shared: &RouterShared) -> Result<String, ServeError> {
-    use std::fmt::Write as _;
+/// Builds the router's `METRICS` exposition: the pooled shard series, every
+/// shard's own store counters under a `shard` label (a shard-local
+/// write-error burst must not hide inside the fleet sum), the health probe's
+/// view of every backend, and the router's own registry.
+fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
     let snaps = scrape_shards(shared)?;
-    let merged = merge_snapshots(&snaps);
-    let mut line = stats_from_snapshot(&merged).to_wire();
+    // Counters and gauges sum, histogram buckets pool.
+    let mut merged = MetricsSnapshot::default();
     for (i, snap) in &snaps {
-        let c = |key: &str| snap.counter(key).unwrap_or(0);
-        for (suffix, value) in [
-            (
-                "store_loaded",
-                c("bsp_store_events_total{event=\"loaded\"}"),
-            ),
-            (
-                "store_recovered_bytes",
-                c("bsp_store_recovered_bytes_total"),
-            ),
-            (
-                "store_dropped_corrupt",
-                c("bsp_store_events_total{event=\"dropped_corrupt\"}"),
-            ),
-            (
-                "store_compactions",
-                c("bsp_store_events_total{event=\"compaction\"}"),
-            ),
-            (
-                "store_write_errors",
-                c("bsp_store_events_total{event=\"write_error\"}"),
-            ),
-            (
-                "store_appended",
-                c("bsp_store_events_total{event=\"appended\"}"),
-            ),
-            (
-                "store_dropped_foreign",
-                c("bsp_store_events_total{event=\"dropped_foreign\"}"),
-            ),
-            (
-                "store_adopted_foreign",
-                c("bsp_store_events_total{event=\"adopted_foreign\"}"),
-            ),
-        ] {
-            let _ = write!(line, " s{i}_{suffix} {value}");
+        merged.merge_from(snap);
+        for (key, &value) in &snap.counters {
+            let (name, labels) = split_key(key);
+            if let Some(counter) = name.strip_prefix("bsp_store_") {
+                let sep = if labels.is_empty() { "" } else { "," };
+                merged.counters.insert(
+                    format!("bsp_shard_store_{counter}{{shard=\"{i}\"{sep}{labels}}}"),
+                    value,
+                );
+            }
         }
     }
     let now = Instant::now();
     let probe = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
-    for (i, backend) in shared.backends.iter().enumerate() {
-        let up = u64::from(backend.is_live());
-        let (failures, backoff_ms) = probe.get(i).map_or((0, 0), |p| {
-            (
-                u64::from(p.failures),
-                u64::try_from(p.next_attempt.saturating_duration_since(now).as_millis())
-                    .unwrap_or(u64::MAX),
-            )
-        });
-        let _ = write!(
-            line,
-            " s{i}_up {up} s{i}_probe_failures {failures} s{i}_backoff_ms {backoff_ms}"
-        );
+    for (i, (backend, status)) in shared.backends.iter().zip(probe.iter()).enumerate() {
+        let backoff = status.next_attempt.saturating_duration_since(now);
+        for (name, value) in [
+            ("up", u64::from(backend.is_live())),
+            ("probe_failures", u64::from(status.failures)),
+            ("probe_backoff_ms", backoff.as_millis() as u64),
+        ] {
+            merged
+                .gauges
+                .insert(format!("bsp_backend_{name}{{backend=\"{i}\"}}"), value);
+        }
     }
     drop(probe);
-    for (idx, decision) in Decision::ALL.iter().enumerate() {
-        let _ = write!(
-            line,
-            " placement_{} {}",
-            decision.as_str(),
-            shared.series.placement[idx].load(Ordering::Relaxed)
-        );
-    }
-    let _ = write!(
-        line,
-        " placement_scrape_age_ms {}",
-        load_scrape_age_ms(shared)
+    merged.gauges.insert(
+        "bsp_placement_scrape_age_ms".to_string(),
+        load_scrape_age_ms(shared),
     );
-    line.push('\n');
-    Ok(line)
-}
-
-/// Builds the router's `METRICS` exposition: the pooled shard series, the
-/// router's own registry, and a `bsp_backend_up` gauge per backend.
-fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
-    let snaps = scrape_shards(shared)?;
-    let merged = merge_snapshots(&snaps);
     let mut out = String::new();
     merged.render(&mut out);
-    shared
-        .series
-        .scrape_age_ms
-        .store(load_scrape_age_ms(shared), Ordering::Relaxed);
     shared.registry.render(&mut out);
-    write_type(&mut out, "bsp_backend_up", "gauge");
-    for (i, backend) in shared.backends.iter().enumerate() {
-        write_sample(
-            &mut out,
-            "bsp_backend_up",
-            &format!("backend=\"{i}\""),
-            u64::from(backend.is_live()),
-        );
-    }
     Ok(out)
 }
 
@@ -1151,16 +981,27 @@ fn router_trace(shared: &RouterShared, trace_id: u64, out: &mut String) {
         encode_trace_reply(out, &wire);
         return;
     }
-    for (i, backend) in shared.backends.iter().enumerate() {
-        if !backend.is_live() {
-            continue;
-        }
-        if let Some(wire) = fetch_shard_trace(shared, i, trace_id) {
+    for shard in 0..shared.backends.len() {
+        if let Some(wire) = fetch_shard_trace(shared, shard, trace_id) {
             encode_trace_reply(out, &wire);
             return;
         }
     }
     encode_error(out, 0, &ServeError::UnknownTrace);
+}
+
+/// Registers one placed request in the pending table (holding an in-flight
+/// slot of its connection) and sends it to the shard placement chose.
+fn admit(shared: &Arc<RouterShared>, backend_id: u64, decision: Decision, route: PendingRoute) {
+    count_decision(shared, decision);
+    let shard = route.shard;
+    route.in_flight.fetch_add(1, Ordering::SeqCst);
+    shared
+        .pending
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .insert(backend_id, route);
+    dispatch(shared, backend_id, shard);
 }
 
 /// The per-client-connection reader: fingerprints requests, registers them
@@ -1181,77 +1022,21 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
     // The bytes of the message being read, kept so that a full request is
     // forwarded as it was received instead of being encoded again.
     let mut raw: Vec<u8> = Vec::new();
-    loop {
-        // Same idle-vs-working distinction as the server's reader: a read
-        // timeout only closes the connection when nothing is pending on the
-        // shards for it.
-        match reader.fill_buf() {
-            Ok([]) => break,
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if in_flight.load(Ordering::SeqCst) > 0 {
-                    continue;
-                }
-                let mut out = String::new();
-                encode_error(
-                    &mut out,
-                    0,
-                    &ServeError::Io("connection idle timeout".into()),
-                );
-                let _ = tx.send(out);
-                break;
-            }
-            Err(_) => break,
-        }
+    while frame_ready(&mut reader, &in_flight, &tx) {
+        // Control verbs are answered here; `out` stays empty for a routed
+        // request, whose answer comes back through its shard's demux.
+        let mut out = String::new();
         match read_incoming_verbatim(&mut reader, &mut raw) {
             Ok(None) => break,
-            Ok(Some(Incoming::Ping)) => {
-                if tx.send("PONG\n".to_string()).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(Incoming::Stats)) => {
-                let out = match router_stats_line(shared) {
-                    Ok(line) => line,
-                    Err(err) => {
-                        let mut line = String::new();
-                        encode_error(&mut line, 0, &err);
-                        line
-                    }
-                };
-                if tx.send(out).is_err() {
-                    break;
-                }
-            }
+            Ok(Some(Incoming::Ping)) => out.push_str("PONG\n"),
             Ok(Some(Incoming::SlowStats)) => {
-                let mut out = String::new();
                 encode_slow_reply(&mut out, &shared.journal.snapshot_slow());
-                if tx.send(out).is_err() {
-                    break;
-                }
             }
-            Ok(Some(Incoming::Metrics)) => {
-                let mut out = String::new();
-                match router_metrics(shared) {
-                    Ok(exposition) => encode_metrics_reply(&mut out, &exposition),
-                    Err(err) => encode_error(&mut out, 0, &err),
-                }
-                if tx.send(out).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(Incoming::Trace(trace_id))) => {
-                let mut out = String::new();
-                router_trace(shared, trace_id, &mut out);
-                if tx.send(out).is_err() {
-                    break;
-                }
-            }
+            Ok(Some(Incoming::Metrics)) => match router_metrics(shared) {
+                Ok(exposition) => encode_metrics_reply(&mut out, &exposition),
+                Err(err) => encode_error(&mut out, 0, &err),
+            },
+            Ok(Some(Incoming::Trace(trace_id))) => router_trace(shared, trace_id, &mut out),
             Ok(Some(Incoming::Request(request))) => {
                 // Parsed once, for the key that places it; the shard gets
                 // the client's own bytes.
@@ -1270,25 +1055,20 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                 let load = fresh_load_view(shared);
                 let (shard, decision) =
                     shared.placement.place_request(key.structure, load.as_ref());
-                count_decision(shared, decision);
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                shared
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(
-                        backend_id,
-                        PendingRoute {
-                            client_tx: tx.clone(),
-                            client_id: request.id,
-                            payload: Payload::Full(Arc::new(payload)),
-                            shard,
-                            trace,
-                            accepted: Instant::now(),
-                            in_flight: Arc::clone(&in_flight),
-                        },
-                    );
-                dispatch(shared, backend_id, shard);
+                admit(
+                    shared,
+                    backend_id,
+                    decision,
+                    PendingRoute {
+                        client_tx: tx.clone(),
+                        client_id: request.id,
+                        payload: Payload::Full(Arc::new(payload)),
+                        shard,
+                        trace,
+                        accepted: Instant::now(),
+                        in_flight: Arc::clone(&in_flight),
+                    },
+                );
             }
             Ok(Some(Incoming::FingerprintRequest {
                 id,
@@ -1297,37 +1077,31 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                 trace,
             })) => {
                 let backend_id = shared.next_backend_id.fetch_add(1, Ordering::Relaxed);
-                let trace = trace.unwrap_or_else(|| shared.trace_ids.mint());
                 shared.series.fp.fetch_add(1, Ordering::Relaxed);
                 let (shard, decision) = shared.placement.place_replay(fingerprint, structure);
-                count_decision(shared, decision);
-                in_flight.fetch_add(1, Ordering::SeqCst);
-                shared
-                    .pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(
-                        backend_id,
-                        PendingRoute {
-                            client_tx: tx.clone(),
-                            client_id: id,
-                            payload: Payload::Fp(fingerprint),
-                            shard,
-                            trace,
-                            accepted: Instant::now(),
-                            in_flight: Arc::clone(&in_flight),
-                        },
-                    );
-                dispatch(shared, backend_id, shard);
+                admit(
+                    shared,
+                    backend_id,
+                    decision,
+                    PendingRoute {
+                        client_tx: tx.clone(),
+                        client_id: id,
+                        payload: Payload::Fp(fingerprint),
+                        shard,
+                        trace: trace.unwrap_or_else(|| shared.trace_ids.mint()),
+                        accepted: Instant::now(),
+                        in_flight: Arc::clone(&in_flight),
+                    },
+                );
             }
             Err(err) => {
-                let mut out = String::new();
                 encode_error(&mut out, 0, &err);
                 let _ = tx.send(out);
                 break;
             }
         }
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if (!out.is_empty() && tx.send(out).is_err()) || shared.shutting_down.load(Ordering::SeqCst)
+        {
             break;
         }
     }

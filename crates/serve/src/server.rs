@@ -15,7 +15,7 @@
 //! connection's **writer** thread over a channel; since several workers can
 //! be solving jobs of the same connection concurrently, responses complete
 //! **out of order** and the id tags are what lets the client match them up
-//! (see [`crate::PipelinedClient`]).  Cheap verbs (`PING`, `STATS`) are
+//! (see [`crate::PipelinedClient`]).  Cheap verbs (`PING`, `METRICS`) are
 //! answered by the reader directly, also through the writer channel so wire
 //! frames never interleave.
 //!
@@ -54,10 +54,10 @@ use std::time::{Duration, Instant};
 
 /// Capacity of the recent-trace ring ([`TraceJournal`]): every request is
 /// traced, so this bounds how far back `TRACE <id>` can look.
-const TRACE_RING_CAP: usize = 256;
+pub(crate) const TRACE_RING_CAP: usize = 256;
 
 /// Worst-N slow-log capacity (`STATS SLOW`).
-const SLOW_LOG_CAP: usize = 16;
+pub(crate) const SLOW_LOG_CAP: usize = 16;
 
 /// Configuration of the TCP serving layer.
 #[derive(Debug, Clone)]
@@ -462,76 +462,25 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         .spawn(move || writer_loop(writer_stream, &rx))?;
     let in_flight = Arc::new(AtomicU64::new(0));
     let mut reader = BufReader::new(stream);
-    loop {
-        // Peek before parsing so a read timeout can be told apart from a
-        // frame: the idle timeout may only close a connection that has
-        // nothing in flight — a client quietly waiting on a slow solve is
-        // working, not idle.  (A timeout *mid-frame* still falls through to
-        // `read_incoming`'s error path below: a peer that stalls inside a
-        // frame is broken, not patient.)
-        match reader.fill_buf() {
-            Ok([]) => break, // clean EOF between frames
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if in_flight.load(Ordering::SeqCst) > 0 {
-                    continue;
-                }
-                let mut out = String::new();
-                encode_error(
-                    &mut out,
-                    0,
-                    &ServeError::Io("connection idle timeout".into()),
-                );
-                let _ = tx.send(out);
-                break;
-            }
-            Err(_) => break,
-        }
+    while frame_ready(&mut reader, &in_flight, &tx) {
+        // Cheap verbs are answered here, through the writer channel so wire
+        // frames never interleave; `out` stays empty for a scheduling request.
+        let mut out = String::new();
         match read_incoming(&mut reader) {
             Ok(None) => break,
-            Ok(Some(Incoming::Ping)) => {
-                if tx.send("PONG\n".to_string()).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(Incoming::Stats)) => {
-                let mut out = shared.service.stats().to_wire();
-                out.push('\n');
-                if tx.send(out).is_err() {
-                    break;
-                }
-            }
+            Ok(Some(Incoming::Ping)) => out.push_str("PONG\n"),
             Ok(Some(Incoming::SlowStats)) => {
-                let mut out = String::new();
                 encode_slow_reply(&mut out, &shared.journal.snapshot_slow());
-                if tx.send(out).is_err() {
-                    break;
-                }
             }
             Ok(Some(Incoming::Metrics)) => {
                 let mut exposition = String::new();
                 shared.service.render_metrics(&mut exposition);
-                let mut out = String::new();
                 encode_metrics_reply(&mut out, &exposition);
-                if tx.send(out).is_err() {
-                    break;
-                }
             }
-            Ok(Some(Incoming::Trace(trace_id))) => {
-                let mut out = String::new();
-                match shared.journal.lookup(trace_id) {
-                    Some(rec) => encode_trace_reply(&mut out, &WireTrace::from_record(&rec)),
-                    None => encode_error(&mut out, 0, &ServeError::UnknownTrace),
-                }
-                if tx.send(out).is_err() {
-                    break;
-                }
-            }
+            Ok(Some(Incoming::Trace(trace_id))) => match shared.journal.lookup(trace_id) {
+                Some(rec) => encode_trace_reply(&mut out, &WireTrace::from_record(&rec)),
+                None => encode_error(&mut out, 0, &ServeError::UnknownTrace),
+            },
             Ok(Some(Incoming::Request(request))) => {
                 let trace = request.options.trace;
                 submit_job(shared, JobKind::Full(request), trace, &tx, &in_flight);
@@ -555,13 +504,13 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Err(err) => {
                 // Typed error back to the peer, then close: after a framing
                 // error the stream position is unreliable.
-                let mut out = String::new();
                 encode_error(&mut out, 0, &err);
                 let _ = tx.send(out);
                 break;
             }
         }
-        if shared.shutting_down.load(Ordering::SeqCst) {
+        if (!out.is_empty() && tx.send(out).is_err()) || shared.shutting_down.load(Ordering::SeqCst)
+        {
             break;
         }
     }
@@ -570,6 +519,42 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     drop(tx);
     let _ = writer.join();
     Ok(())
+}
+
+/// Waits for the next frame on a client connection; `false` means close it
+/// (clean EOF between frames, a transport error, or the idle timeout).
+///
+/// Peeking before parsing lets a read timeout be told apart from a frame:
+/// the idle timeout may only close a connection that has nothing in flight —
+/// a client quietly waiting on a slow solve is working, not idle.  (A timeout
+/// *mid-frame* still surfaces as the parser's error: a peer that stalls
+/// inside a frame is broken, not patient.)  Shared with the router.
+pub(crate) fn frame_ready(
+    reader: &mut BufReader<TcpStream>,
+    in_flight: &AtomicU64,
+    tx: &Sender<String>,
+) -> bool {
+    loop {
+        match reader.fill_buf() {
+            Ok(buffered) => return !buffered.is_empty(),
+            Err(e) => {
+                let timed_out = matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                );
+                if timed_out && in_flight.load(Ordering::SeqCst) > 0 {
+                    continue;
+                }
+                if timed_out {
+                    let mut out = String::new();
+                    let idle = ServeError::Io("connection idle timeout".into());
+                    encode_error(&mut out, 0, &idle);
+                    let _ = tx.send(out);
+                }
+                return false;
+            }
+        }
+    }
 }
 
 /// The per-connection writer: serializes response frames onto the socket in
@@ -772,10 +757,22 @@ mod tests {
             .expect("warm run");
         assert_eq!(warm.source, ScheduleSource::CacheWarm);
 
+        // A replay the server never saw: `unknown-fp`, then the full payload.
+        let (unseen, narrow) = (small_dag(5), Machine::uniform(2, 1, 1));
+        client.assume_cached(&unseen, &narrow);
+        client
+            .schedule(&unseen, &narrow, &options)
+            .expect("fallback run");
+        assert_eq!(client.fp_fallbacks(), 1);
+
+        // What the client reads off a `METRICS` scrape is what the service
+        // reads off its own counters, quantiles included.
         let stats = client.stats().expect("stats");
+        assert_eq!(stats, server.stats());
         assert_eq!(stats.cache.hits, 1);
         assert_eq!(stats.cache.warm_hits, 1);
-        assert_eq!(stats.requests, 3);
+        assert_eq!(stats.requests, 4);
+        assert!(stats.cold_us.0 > 0 && stats.cold_us.1 >= stats.cold_us.0);
 
         drop(client);
         server.shutdown();
@@ -988,15 +985,28 @@ mod tests {
     #[test]
     fn malformed_wire_input_gets_a_typed_error_and_close() {
         let server = test_server();
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream.write_all(b"GARBAGE\n").expect("write");
-        stream.flush().expect("flush");
-        let mut reply = String::new();
-        BufReader::new(&stream)
-            .read_line(&mut reply)
-            .expect("read error line");
-        assert!(reply.starts_with("ERR 0 malformed"), "got {reply:?}");
-        drop(stream);
+        // The bare `STATS` verb is gone: it is as unknown as any other.
+        for verb in ["GARBAGE\n", "STATS\n"] {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream.write_all(b"STATS SLOW\n").expect("write");
+            stream.write_all(verb.as_bytes()).expect("write");
+            stream.flush().expect("flush");
+            let mut reader = BufReader::new(&stream);
+            let mut reply = String::new();
+            for expected in ["SLOW 0\n", "END\n"] {
+                reply.clear();
+                reader.read_line(&mut reply).expect("read the slow log");
+                assert_eq!(reply, expected, "`STATS SLOW` still answers");
+            }
+            reply.clear();
+            reader.read_line(&mut reply).expect("read error line");
+            assert!(
+                reply.starts_with("ERR 0 malformed"),
+                "{verb:?} got {reply:?}"
+            );
+            reply.clear();
+            assert_eq!(reader.read_line(&mut reply).expect("read eof"), 0);
+        }
         server.shutdown();
     }
 

@@ -23,7 +23,7 @@
 
 use crate::cache::{CacheStats, ScheduleCache};
 use crate::metrics::{LatencyHistogram, StoreStats};
-use crate::obs::{write_sample, write_type, MetricsRegistry, SpanSet};
+use crate::obs::{write_sample, write_type, MetricsRegistry, MetricsSnapshot, SpanSet};
 use crate::placement::PlacementScope;
 use crate::protocol::{Mode, ScheduleRequest, ScheduleSource, ServeError};
 use crate::store::{Store, StoreConfig};
@@ -97,8 +97,8 @@ impl Default for ServiceConfig {
 
 /// Latency histograms per schedule source, plus the total request count.
 /// The histograms are shared with the service's [`MetricsRegistry`] (series
-/// `bsp_request_latency_micros{source=…}`), so `STATS` quantiles and the
-/// `METRICS` exposition read the same data.
+/// `bsp_request_latency_micros{source=…}`), so [`ServiceStats`] quantiles and
+/// the `METRICS` exposition read the same data.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     /// Cold (full pipeline) requests.
@@ -109,10 +109,41 @@ pub struct ServiceMetrics {
     pub warm: Arc<LatencyHistogram>,
     /// `bsp_requests_total{source=…}` counters, same order of sources.
     requests: [Arc<AtomicU64>; 3],
+    /// `bsp_solver_fallbacks_total{kind="invalid_schedule"}`: solver answers
+    /// that failed the boundary's `validate` and were replaced by the trivial
+    /// schedule.
+    invalid_schedules: Arc<AtomicU64>,
+    /// `bsp_solver_fallbacks_total{kind="ml_member_failed"}`: multilevel
+    /// portfolio members dropped for an infeasible schedule.
+    ml_members_failed: Arc<AtomicU64>,
 }
 
 const LATENCY_HELP: &str = "request handling latency in microseconds";
 const REQUESTS_HELP: &str = "requests answered";
+const FALLBACKS_HELP: &str = "solver results the service had to discard, by kind";
+
+/// `bsp_cache_ops_total{op=…}`: each label and the [`CacheStats`] counter it
+/// carries — the one mapping [`ScheduleService::render_metrics`] writes and
+/// [`ServiceStats::from_snapshot`] reads back.
+const CACHE_OPS: [(&str, fn(&mut CacheStats) -> &mut u64); 6] = [
+    ("eviction", |c| &mut c.evictions),
+    ("hit", |c| &mut c.hits),
+    ("insertion", |c| &mut c.insertions),
+    ("miss", |c| &mut c.misses),
+    ("warm_fallback", |c| &mut c.warm_fallbacks),
+    ("warm_hit", |c| &mut c.warm_hits),
+];
+
+/// `bsp_store_events_total{event=…}`, likewise for [`StoreStats`].
+const STORE_EVENTS: [(&str, fn(&mut StoreStats) -> &mut u64); 7] = [
+    ("adopted_foreign", |s| &mut s.adopted_foreign),
+    ("appended", |s| &mut s.appended),
+    ("compaction", |s| &mut s.compactions),
+    ("dropped_corrupt", |s| &mut s.dropped_corrupt),
+    ("dropped_foreign", |s| &mut s.dropped_foreign),
+    ("loaded", |s| &mut s.loaded),
+    ("write_error", |s| &mut s.write_errors),
+];
 
 impl ServiceMetrics {
     /// Registers the per-source series in `registry` and returns the shared
@@ -127,36 +158,38 @@ impl ServiceMetrics {
         };
         let counter =
             |source| registry.counter("bsp_requests_total", REQUESTS_HELP, &[("source", source)]);
+        let fallback = |kind| {
+            registry.counter(
+                "bsp_solver_fallbacks_total",
+                FALLBACKS_HELP,
+                &[("kind", kind)],
+            )
+        };
         ServiceMetrics {
             cold: hist("cold"),
             exact: hist("exact"),
             warm: hist("warm"),
             requests: [counter("cold"), counter("exact"), counter("warm")],
-        }
-    }
-
-    fn histogram(&self, source: ScheduleSource) -> &LatencyHistogram {
-        match source {
-            ScheduleSource::Cold => &self.cold,
-            ScheduleSource::CacheExact => &self.exact,
-            ScheduleSource::CacheWarm => &self.warm,
+            invalid_schedules: fallback("invalid_schedule"),
+            ml_members_failed: fallback("ml_member_failed"),
         }
     }
 
     /// Records one answered request: latency histogram + request counter.
     fn observe(&self, source: ScheduleSource, elapsed: Duration) {
-        self.histogram(source).record(elapsed);
-        let idx = match source {
-            ScheduleSource::Cold => 0,
-            ScheduleSource::CacheExact => 1,
-            ScheduleSource::CacheWarm => 2,
+        let (histogram, requests) = match source {
+            ScheduleSource::Cold => (&self.cold, &self.requests[0]),
+            ScheduleSource::CacheExact => (&self.exact, &self.requests[1]),
+            ScheduleSource::CacheWarm => (&self.warm, &self.requests[2]),
         };
-        self.requests[idx].fetch_add(1, Ordering::Relaxed);
+        histogram.record(elapsed);
+        requests.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// A point-in-time statistics snapshot, also the payload of the wire `STATS`
-/// verb.
+/// A point-in-time statistics snapshot: what [`ScheduleService::stats`]
+/// reads off the live counters and [`crate::Client::stats`] off a `METRICS`
+/// scrape.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests answered (all sources).
@@ -174,87 +207,37 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Encodes the snapshot as the one-line wire form (without a newline).
-    pub fn to_wire(&self) -> String {
-        format!(
-            "STATS requests {} hits {} misses {} warm_hits {} warm_fallbacks {} insertions {} \
-             evictions {} bytes {} entries {} cold_p50_us {} cold_p99_us {} exact_p50_us {} \
-             exact_p99_us {} warm_p50_us {} warm_p99_us {} store_loaded {} \
-             store_recovered_bytes {} store_dropped_corrupt {} store_compactions {} \
-             store_write_errors {} store_appended {} store_dropped_foreign {} \
-             store_adopted_foreign {}",
-            self.requests,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.warm_hits,
-            self.cache.warm_fallbacks,
-            self.cache.insertions,
-            self.cache.evictions,
-            self.cache.bytes_used,
-            self.cache.entries,
-            self.cold_us.0,
-            self.cold_us.1,
-            self.exact_us.0,
-            self.exact_us.1,
-            self.warm_us.0,
-            self.warm_us.1,
-            self.store.loaded,
-            self.store.recovered_bytes,
-            self.store.dropped_corrupt,
-            self.store.compactions,
-            self.store.write_errors,
-            self.store.appended,
-            self.store.dropped_foreign,
-            self.store.adopted_foreign,
-        )
-    }
-
-    /// Parses the wire form produced by [`ServiceStats::to_wire`].
-    pub fn from_wire(line: &str) -> Result<Self, ServeError> {
-        let mut it = line.split_whitespace();
-        if it.next() != Some("STATS") {
-            return Err(ServeError::Malformed {
-                line: line.to_string(),
-                reason: "expected STATS line".into(),
-            });
+    /// Reads the statistics out of a parsed `METRICS` exposition — one
+    /// server's, or a router's bucket-merged aggregate, whose quantiles are
+    /// then those of the shards' pooled observations.
+    pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
+        let counter = |key: &str| snapshot.counter(key).unwrap_or(0);
+        let gauge = |key: &str| snapshot.gauges.get(key).copied().unwrap_or(0) as usize;
+        let quantiles = |source: &str| {
+            snapshot
+                .histogram(&format!(
+                    "bsp_request_latency_micros{{source=\"{source}\"}}"
+                ))
+                .map_or((0, 0), |h| h.to_histogram().p50_p99_micros())
+        };
+        let mut stats = ServiceStats {
+            requests: snapshot.counter_sum("bsp_requests_total"),
+            cold_us: quantiles("cold"),
+            exact_us: quantiles("exact"),
+            warm_us: quantiles("warm"),
+            ..Default::default()
+        };
+        for (op, field) in CACHE_OPS {
+            *field(&mut stats.cache) = counter(&format!("bsp_cache_ops_total{{op=\"{op}\"}}"));
         }
-        let mut stats = ServiceStats::default();
-        while let Some(key) = it.next() {
-            let value: u64 =
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| ServeError::Malformed {
-                        line: line.to_string(),
-                        reason: format!("missing or bad value for {key}"),
-                    })?;
-            match key {
-                "requests" => stats.requests = value,
-                "hits" => stats.cache.hits = value,
-                "misses" => stats.cache.misses = value,
-                "warm_hits" => stats.cache.warm_hits = value,
-                "warm_fallbacks" => stats.cache.warm_fallbacks = value,
-                "insertions" => stats.cache.insertions = value,
-                "evictions" => stats.cache.evictions = value,
-                "bytes" => stats.cache.bytes_used = value as usize,
-                "entries" => stats.cache.entries = value as usize,
-                "cold_p50_us" => stats.cold_us.0 = value,
-                "cold_p99_us" => stats.cold_us.1 = value,
-                "exact_p50_us" => stats.exact_us.0 = value,
-                "exact_p99_us" => stats.exact_us.1 = value,
-                "warm_p50_us" => stats.warm_us.0 = value,
-                "warm_p99_us" => stats.warm_us.1 = value,
-                "store_loaded" => stats.store.loaded = value,
-                "store_recovered_bytes" => stats.store.recovered_bytes = value,
-                "store_dropped_corrupt" => stats.store.dropped_corrupt = value,
-                "store_compactions" => stats.store.compactions = value,
-                "store_write_errors" => stats.store.write_errors = value,
-                "store_appended" => stats.store.appended = value,
-                "store_dropped_foreign" => stats.store.dropped_foreign = value,
-                "store_adopted_foreign" => stats.store.adopted_foreign = value,
-                _ => {} // forward-compatible
-            }
+        stats.cache.bytes_used = gauge("bsp_cache_bytes");
+        stats.cache.entries = gauge("bsp_cache_entries");
+        for (event, field) in STORE_EVENTS {
+            *field(&mut stats.store) =
+                counter(&format!("bsp_store_events_total{{event=\"{event}\"}}"));
         }
-        Ok(stats)
+        stats.store.recovered_bytes = counter("bsp_store_recovered_bytes_total");
+        stats
     }
 }
 
@@ -382,45 +365,27 @@ impl ScheduleService {
     /// series plus the cache and store counters sampled at call time.
     pub fn render_metrics(&self, out: &mut String) {
         self.registry.render(out);
-        let cache = self.lock_cache().stats();
+        let mut cache = self.lock_cache().stats();
         out.push_str("# HELP bsp_cache_ops_total cache operations by kind\n");
         write_type(out, "bsp_cache_ops_total", "counter");
-        for (op, value) in [
-            ("eviction", cache.evictions),
-            ("hit", cache.hits),
-            ("insertion", cache.insertions),
-            ("miss", cache.misses),
-            ("warm_fallback", cache.warm_fallbacks),
-            ("warm_hit", cache.warm_hits),
-        ] {
-            write_sample(out, "bsp_cache_ops_total", &format!("op=\"{op}\""), value);
+        for (op, field) in CACHE_OPS {
+            let labels = format!("op=\"{op}\"");
+            write_sample(out, "bsp_cache_ops_total", &labels, *field(&mut cache));
         }
         write_type(out, "bsp_cache_bytes", "gauge");
         write_sample(out, "bsp_cache_bytes", "", cache.bytes_used as u64);
         write_type(out, "bsp_cache_entries", "gauge");
         write_sample(out, "bsp_cache_entries", "", cache.entries as u64);
-        let store = self
+        let mut store = self
             .store
             .as_ref()
             .map(|s| s.counters().snapshot())
             .unwrap_or_default();
         out.push_str("# HELP bsp_store_events_total durable-store events by kind\n");
         write_type(out, "bsp_store_events_total", "counter");
-        for (event, value) in [
-            ("adopted_foreign", store.adopted_foreign),
-            ("appended", store.appended),
-            ("compaction", store.compactions),
-            ("dropped_corrupt", store.dropped_corrupt),
-            ("dropped_foreign", store.dropped_foreign),
-            ("loaded", store.loaded),
-            ("write_error", store.write_errors),
-        ] {
-            write_sample(
-                out,
-                "bsp_store_events_total",
-                &format!("event=\"{event}\""),
-                value,
-            );
+        for (event, field) in STORE_EVENTS {
+            let labels = format!("event=\"{event}\"");
+            write_sample(out, "bsp_store_events_total", &labels, *field(&mut store));
         }
         write_type(out, "bsp_store_recovered_bytes_total", "counter");
         write_sample(
@@ -568,6 +533,9 @@ impl ScheduleService {
         let schedule = if schedule.validate(&request.dag, &request.machine).is_ok() {
             schedule
         } else {
+            self.metrics
+                .invalid_schedules
+                .fetch_add(1, Ordering::Relaxed);
             BspSchedule::trivial(&request.dag)
         };
         let cost = schedule.cost(&request.dag, &request.machine);
@@ -750,6 +718,9 @@ impl ScheduleService {
             config.base.cancel = cancel.clone();
             let report =
                 MultilevelScheduler::new(config).run_report(&request.dag, &request.machine);
+            self.metrics
+                .ml_members_failed
+                .fetch_add(report.failed.len() as u64, Ordering::Relaxed);
             let timings = report.total_timings();
             let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);
             if let Some(spans) = spans.as_deref_mut() {
@@ -955,9 +926,6 @@ mod tests {
         );
         assert_eq!(stats.cache.warm_hits, 0);
         assert_eq!(service.metrics().cold.count(), 1);
-        // And the counter survives the wire roundtrip.
-        let parsed = ServiceStats::from_wire(&stats.to_wire()).unwrap();
-        assert_eq!(parsed.cache.warm_fallbacks, 1);
     }
 
     #[test]
@@ -1004,39 +972,6 @@ mod tests {
             service.handle(&req),
             Err(ServeError::ShuttingDown)
         ));
-    }
-
-    #[test]
-    fn stats_roundtrip_through_the_wire_encoding() {
-        let stats = ServiceStats {
-            requests: 10,
-            cache: CacheStats {
-                hits: 4,
-                misses: 5,
-                warm_hits: 1,
-                warm_fallbacks: 2,
-                insertions: 6,
-                evictions: 2,
-                bytes_used: 12345,
-                entries: 4,
-            },
-            cold_us: (1024, 8192),
-            exact_us: (8, 16),
-            warm_us: (256, 512),
-            store: crate::metrics::StoreStats {
-                loaded: 3,
-                recovered_bytes: 4096,
-                dropped_corrupt: 1,
-                compactions: 2,
-                write_errors: 5,
-                appended: 9,
-                dropped_foreign: 7,
-                adopted_foreign: 3,
-            },
-        };
-        let parsed = ServiceStats::from_wire(&stats.to_wire()).unwrap();
-        assert_eq!(parsed, stats);
-        assert!(ServiceStats::from_wire("NOPE").is_err());
     }
 
     fn store_dir(name: &str) -> std::path::PathBuf {

@@ -272,7 +272,7 @@ impl Store {
         *self.fail.lock().unwrap_or_else(|e| e.into_inner()) = point;
     }
 
-    /// The store's live counters (shared with the service's `STATS`).
+    /// The store's live counters (rendered by the service's `METRICS`).
     pub fn counters(&self) -> &Arc<StoreCounters> {
         &self.counters
     }

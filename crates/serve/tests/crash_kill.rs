@@ -8,8 +8,8 @@
 //! signal handler, no flush, no `Drop`), restarted on the same store
 //! directory, and interrogated over the real wire protocol.
 //!
-//! The durability contract under test: `store_appended` (visible in `STATS`)
-//! counts frames that were written *and* fsynced — every one of them must be
+//! The durability contract under test: `bsp_store_events_total{event="appended"}`
+//! (`ServiceStats::store.appended` off a `METRICS` scrape) counts frames that were written *and* fsynced — every one of them must be
 //! recovered by the next boot, served as an exact cache hit, and validate.
 
 #![cfg(unix)]
@@ -96,7 +96,7 @@ fn dag_with_seed(seed: u64) -> Dag {
     Dag::from_edges(n, &edges, vec![seed + 1; n], vec![2; n]).unwrap()
 }
 
-/// Polls the server's `STATS` until `store_appended` reaches `want`.
+/// Polls the server's `METRICS` until `store_appended` reaches `want`.
 fn wait_for_appended(addr: SocketAddr, want: u64) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {

@@ -9,8 +9,9 @@
 //!   serving garbage;
 //! * a crash *between* the durable flush and the in-memory index update
 //!   loses nothing — the frame is on disk and the next boot adopts it;
-//! * every injected failure is visible in the `STATS` counters a fleet
-//!   dashboard would watch (`store_write_errors`, `store_dropped_corrupt`).
+//! * every injected failure is visible in the `METRICS` counters a fleet
+//!   dashboard would watch (`bsp_store_events_total{event="write_error"}`,
+//!   `{event="dropped_corrupt"}`).
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{

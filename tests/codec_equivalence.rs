@@ -643,7 +643,7 @@ fn dag_block_reader_keeps_every_error_and_every_stream_position() {
                 "malformed: request line exceeds 1048576 bytes [{} bytes]",
                 head + 6 + mib
             ),
-            "malformed: expected REQ, STATS, METRICS, TRACE or PING [2 bytes]".to_string(),
+            "malformed: expected REQ, STATS SLOW, METRICS, TRACE or PING [2 bytes]".to_string(),
             "ping [5 bytes]".to_string(),
             "eof".to_string()
         ]
@@ -669,7 +669,7 @@ fn dag_block_reader_keeps_every_error_and_every_stream_position() {
             format!(
                 "io: transport error: stream did not contain valid UTF-8 [{bad_line_end} bytes]"
             ),
-            "malformed: expected REQ, STATS, METRICS, TRACE or PING [4 bytes]".to_string(),
+            "malformed: expected REQ, STATS SLOW, METRICS, TRACE or PING [4 bytes]".to_string(),
             "eof".to_string()
         ]
     );

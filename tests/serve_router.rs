@@ -10,12 +10,13 @@
 //! * a dead shard **fails over**: its structure families degrade to the
 //!   survivor (content addressing makes the re-run safe) and **re-home**
 //!   once the owner rejoins;
-//! * `STATS` aggregates across shards (counters summed).
+//! * `METRICS` aggregates across shards (counters summed, per-shard and
+//!   per-backend series alongside), and `Client::stats` reads it.
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Completion, Mode, PipelinedClient, Placement, RequestOptions, Router, RouterConfig,
-    ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig,
+    Client, Completion, MetricsSnapshot, Mode, PipelinedClient, Placement, RequestOptions, Router,
+    RouterConfig, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -347,6 +348,43 @@ fn health_probe_rejoins_a_restarted_shard_without_traffic() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
+    // The router's exposition says so: the backend is down, its failed
+    // probes are counted, and the survivor's store counters are its own.
+    let mut client = Client::connect(router.addr()).expect("connect via router");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let exposition = client.metrics().expect("router METRICS");
+        let snap = MetricsSnapshot::parse(&exposition).expect("exposition parses");
+        let gauge = |name: &str, backend: usize| {
+            let key = format!("bsp_backend_{name}{{backend=\"{backend}\"}}");
+            *snap.gauges.get(&key).unwrap_or_else(|| panic!("no {key}"))
+        };
+        assert_eq!((gauge("up", 0), gauge("up", 1)), (1, 0));
+        assert_eq!(gauge("probe_failures", 0), 0);
+        assert_eq!(gauge("probe_backoff_ms", 0), 0);
+        assert_eq!(
+            snap.counter("bsp_shard_store_events_total{shard=\"0\",event=\"write_error\"}"),
+            Some(0)
+        );
+        assert_eq!(
+            snap.counter("bsp_shard_store_recovered_bytes_total{shard=\"0\"}"),
+            Some(0)
+        );
+        assert!(
+            !snap.counters.keys().any(|key| key.contains("shard=\"1\"")),
+            "a dead shard has no series of its own"
+        );
+        if gauge("probe_failures", 1) >= 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the failed probes of the dead backend were never counted"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(client);
+
     // Restart a shard process on the same address.  The port was just freed,
     // but give the OS a few tries to hand it back.
     let mut restarted = None;
@@ -477,7 +515,7 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
     assert_eq!(replayer.fp_fallbacks(), 0);
     assert_eq!(survivor.stats().cache.hits, survivor_hits);
 
-    // The aggregate STATS line carries the summed store counters.
+    // The aggregate carries the summed store counters.
     let agg = replayer.stats().expect("aggregated stats");
     assert_eq!(agg.store.loaded, 1);
     assert!(agg.store.recovered_bytes > 0);

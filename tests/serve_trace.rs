@@ -212,6 +212,11 @@ fn router_trace_shows_dispatch_queue_wait_and_every_multilevel_phase() {
     );
     assert_eq!(snap.gauges.get("bsp_backend_up{backend=\"0\"}"), Some(&1));
     assert_eq!(snap.gauges.get("bsp_backend_up{backend=\"1\"}"), Some(&1));
+    // Nothing was discarded: both fallback kinds are present, at 0.
+    for kind in ["invalid_schedule", "ml_member_failed"] {
+        let key = format!("bsp_solver_fallbacks_total{{kind=\"{kind}\"}}");
+        assert_eq!(snap.counter(&key), Some(0), "{key}");
+    }
 
     // The router's slow log knows both requests.
     let slow = client.slow_stats().expect("STATS SLOW");
@@ -221,8 +226,7 @@ fn router_trace_shows_dispatch_queue_wait_and_every_multilevel_phase() {
         "slow log is sorted worst-first"
     );
 
-    // The STATS line still parses (pooled quantiles + per-shard keys ride
-    // the forward-compatible tail).
+    // `Client::stats` reads the same exposition: pooled quantiles.
     let agg = client.stats().expect("aggregated stats");
     assert!(agg.requests >= 2);
     assert_eq!(agg.cache.hits, 1);
@@ -271,6 +275,12 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     assert!(
         snap.histograms.contains_key("bsp_queue_wait_micros"),
         "queue-wait histogram is registered"
+    );
+    assert_eq!(snap.counter_sum("bsp_solver_fallbacks_total"), 0);
+    assert_eq!(
+        snap.counter("bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}"),
+        Some(0),
+        "the fallback series is exported before anything falls back"
     );
 
     drop(client);
