@@ -9,7 +9,7 @@
 //! Usage: `cargo run -p bsp-bench --release --bin exp_algorithm_breakdown --
 //!         [--scale smoke|reduced|full] [--seed N]`
 
-use bsp_bench::eval::{evaluate_dataset, EvalOptions};
+use bsp_bench::eval::{evaluate_dataset, placement_summary, EvalOptions};
 use bsp_bench::stats::Aggregate;
 use bsp_bench::table::ratio;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
@@ -70,9 +70,10 @@ fn main() {
                     ]);
                 }
                 eprintln!(
-                    "  done dataset={} P={p} g={g} ({} instances)",
+                    "  done dataset={} P={p} g={g} ({} instances): {}",
                     dataset.name(),
-                    agg.len()
+                    agg.len(),
+                    placement_summary(&results)
                 );
                 if g == 5 {
                     g5_agg.extend_from(&agg);

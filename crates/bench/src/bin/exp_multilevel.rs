@@ -29,11 +29,12 @@
 //!
 //! `--smoke` turns the run into a CI gate: every schedule is validated (zero
 //! invalid), no row costs more than the flat pipeline's answer on that row
-//! (`cost_vs_flat <= 1.0`, row by row) and, as a gross-regression backstop,
-//! every row costs at most 1.05x the trivial single-processor schedule (the
-//! worst recorded row, `bicgstab`, sits at 1.003).  With `--huge` the coarsen
-//! phase must additionally take < 50 % of wall-clock on the `spmv`/p4-class
-//! rows.
+//! (`cost_vs_flat <= 1.0`, row by row) and none more than the trivial
+//! single-processor schedule (`<= 1.00`: the flat member ends on the
+//! pipeline's trivial-schedule floor, so this holds by construction and a
+//! violation means the floor or the portfolio's selection broke).  With
+//! `--huge` the coarsen phase must additionally take < 50 % of wall-clock on
+//! the `spmv`/p4-class rows.
 //!
 //! Usage:
 //!
@@ -567,11 +568,11 @@ fn run_speedup(args: &CliArgs) {
             invalid_schedules, 0,
             "{invalid_schedules} invalid schedules produced"
         );
-        // A backstop against gross regressions only: the trivial schedule
-        // is what a broken refinement or projection would lose to.
+        // The flat member ends on the pipeline's trivial-schedule floor, so
+        // no row can cost more than one processor doing everything.
         assert!(
-            worst_vs_trivial <= 1.05,
-            "worst row costs {worst_vs_trivial:.4}x the trivial schedule (> 1.05)"
+            worst_vs_trivial <= 1.0,
+            "worst row costs {worst_vs_trivial:.4}x the trivial schedule (> 1.00)"
         );
         // ROADMAP item 1's gate, row by row and not in the mean: multilevel
         // never returns worse than the flat pipeline.

@@ -12,7 +12,7 @@
 //! Usage: `cargo run -p bsp-bench --release --bin exp_numa --
 //!         [--scale smoke|reduced|full] [--seed N] [--detailed] [--stages] [--with-ml]`
 
-use bsp_bench::eval::{evaluate_dataset, EvalOptions};
+use bsp_bench::eval::{evaluate_dataset, placement_summary, EvalOptions};
 use bsp_bench::stats::Aggregate;
 use bsp_bench::table::pct_pair;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
@@ -72,9 +72,10 @@ fn main() {
                     ]);
                 }
                 eprintln!(
-                    "  done dataset={} P={p} delta={delta} ({} instances)",
+                    "  done dataset={} P={p} delta={delta} ({} instances): {}",
                     dataset.name(),
-                    agg.len()
+                    agg.len(),
+                    placement_summary(&results)
                 );
                 cells.push(Cell {
                     dataset,

@@ -9,6 +9,8 @@ use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use dag_gen::dataset::NamedDag;
 use rayon::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 /// Which schedulers to run on each instance.
 #[derive(Debug, Clone)]
@@ -85,6 +87,12 @@ pub struct InstanceResult {
     pub nodes: usize,
     /// Costs of all schedulers.
     pub costs: AlgoCosts,
+    /// Processors the pipeline's initializers placed nodes on (the width its
+    /// sweep over processor prefixes kept).
+    pub placement_width: usize,
+    /// The pipeline branch whose schedule was selected, `"trivial"` when the
+    /// floor replaced it.
+    pub selected_init: String,
 }
 
 /// Runs every configured scheduler on one instance and collects the costs.
@@ -153,7 +161,34 @@ pub fn evaluate_instance(
             ilp: report.final_cost,
             multilevel,
         },
+        placement_width: report.placement_width,
+        selected_init: report.selected_init,
     }
+}
+
+/// How the pipeline placed and what it selected over `results`, for the
+/// progress line of an experiment cell: `width 8×3 2×5, selected BSPg×6
+/// trivial×2`.
+pub fn placement_summary(results: &[InstanceResult]) -> String {
+    let mut widths: BTreeMap<Reverse<usize>, usize> = BTreeMap::new();
+    let mut selected: BTreeMap<&str, usize> = BTreeMap::new();
+    for r in results {
+        *widths.entry(Reverse(r.placement_width)).or_default() += 1;
+        *selected.entry(&r.selected_init).or_default() += 1;
+    }
+    let widths: Vec<String> = widths
+        .iter()
+        .map(|(Reverse(w), count)| format!("{w}×{count}"))
+        .collect();
+    let selected: Vec<String> = selected
+        .iter()
+        .map(|(name, count)| format!("{name}×{count}"))
+        .collect();
+    format!(
+        "width {}, selected {}",
+        widths.join(" "),
+        selected.join(" ")
+    )
 }
 
 /// Evaluates every instance of a dataset on the same machine, in parallel
@@ -194,6 +229,14 @@ mod tests {
         assert!(c.local_search <= c.init);
         assert!(c.ilp <= c.local_search);
         assert_eq!(result.nodes, dag.n());
+        assert!((2..=machine.p()).contains(&result.placement_width));
+        assert_eq!(
+            placement_summary(&[result.clone(), result.clone()]),
+            format!(
+                "width {}×2, selected {}×2",
+                result.placement_width, result.selected_init
+            )
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use super::{HillClimbConfig, HillClimbOutcome};
 use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -177,15 +178,11 @@ pub fn hccs_improve(
         };
     }
 
-    // Where does the existing schedule place each requirement?  (Fall back to
-    // the lazy placement if the transfer is missing, e.g. for a fresh lazy
-    // schedule they coincide anyway.)
-    let existing: std::collections::HashMap<(usize, usize, usize), usize> = schedule
-        .comm
-        .steps()
-        .iter()
-        .map(|cs| ((cs.node, cs.from, cs.to), cs.step))
-        .collect();
+    // Where does the existing schedule place each requirement?  Both lists
+    // are sorted by `(node, from, to)` — a requirement's `from` is `π(node)`
+    // — so one cursor over the schedule's steps finds them all.
+    let existing = schedule.comm.steps();
+    let mut cursor = 0usize;
 
     let num_steps = schedule.num_supersteps().max(1);
     let p = machine.p();
@@ -199,9 +196,20 @@ pub fn hccs_improve(
     for r in &requirements {
         let earliest = r.earliest_step();
         let latest = r.latest_step();
-        let current = existing
-            .get(&(r.node, r.source, r.target))
-            .copied()
+        let key = (r.node, r.source, r.target);
+        let mut placed = None;
+        while let Some(cs) = existing.get(cursor) {
+            match (cs.node, cs.from, cs.to).cmp(&key) {
+                Ordering::Less => {}
+                // Of several transfers of one value the latest counts.
+                Ordering::Equal => placed = Some(cs.step),
+                Ordering::Greater => break,
+            }
+            cursor += 1;
+        }
+        // Fall back to the lazy placement if the transfer is missing or sits
+        // outside its window (for a fresh lazy schedule they coincide anyway).
+        let current = placed
             .filter(|&s| s >= earliest && s <= latest)
             .unwrap_or(latest);
         let w = dag.comm(r.node) * machine.lambda(r.source, r.target);
@@ -309,6 +317,37 @@ mod tests {
             assert!(sched.validate(&dag, &machine).is_ok());
             assert!(outcome.final_cost <= before);
         }
+    }
+
+    #[test]
+    fn hccs_starts_from_the_placements_the_schedule_carries() {
+        // After one run both transfers sit in phase 0, which is not where the
+        // lazy schedule puts the second.  A second run that found them there
+        // has nothing to do; one that fell back to the lazy placement would
+        // repeat the move.
+        let (dag, machine, mut sched) = spreading_example();
+        let first = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        assert_eq!(first.steps, 1);
+        let placed = sched.clone();
+        let second = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        assert_eq!(second.steps, 0);
+        assert!(second.reached_local_minimum);
+        assert_eq!(sched, placed);
+
+        // A transfer outside its window, and one the assignment does not
+        // call for, are ignored: the requirement starts at its lazy phase.
+        let mut steps = placed.comm.steps().to_vec();
+        steps[1].step = 7;
+        steps.push(CommStep {
+            node: 3,
+            from: 0,
+            to: 1,
+            step: 0,
+        });
+        sched.comm = CommSchedule::from_steps(steps);
+        let third = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        assert_eq!(third.steps, 1);
+        assert_eq!(sched, placed);
     }
 
     #[test]

@@ -308,9 +308,8 @@ pub fn hc_improve(
     schedule: &mut BspSchedule,
     config: &HillClimbConfig,
 ) -> HillClimbOutcome {
-    schedule.relax_to_lazy(dag);
     // Taken rather than copied: `schedule.assignment` is rewritten from the
-    // state below.
+    // state below, and the lazy `Γ` of that assignment replaces `comm`.
     let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
         .expect("hc_improve requires a precedence-feasible assignment");
     let mut scratch = SearchScratch::new();

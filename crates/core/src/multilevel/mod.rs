@@ -37,6 +37,13 @@
 //!   runs the base pipeline on the uncoarsened DAG ([`Member::Flat`]), so a
 //!   multilevel solve never returns worse than `Pipeline` alone — outside the
 //!   communication-dominated regime of §7.3 coarsening tends to lose to it.
+//!   The flat member is also where the pipeline's trivial-schedule floor
+//!   enters: it runs [`Pipeline::run_report`], so the solve never costs more
+//!   than the one-processor schedule.  The ratios base-solve their coarse
+//!   DAGs through [`Pipeline::run_report_on_prefix`], at the placement width
+//!   the pipeline's sweep keeps for the *uncoarsened* DAG and without the
+//!   floor — a coarse DAG over-states communication, so a sweep on it
+//!   narrows and a floor under it ends ratios that refinement still wins.
 //!   The cheapest member wins, ties going to the earlier one (the ratios in
 //!   configured order, then the flat pipeline).  A ratio whose schedule turns
 //!   out infeasible is dropped from the race and named in
@@ -83,7 +90,7 @@ pub use engine::IncrementalRefiner;
 
 use crate::hill_climb::{hccs_improve, HillClimbConfig};
 use crate::ilp::ilp_cs_improve;
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::{placement_width, Pipeline, PipelineConfig};
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine, NodeId, QuotientDag, ValidityError};
 use std::fmt;
@@ -514,22 +521,40 @@ impl MultilevelScheduler {
             use_ilp_cs: false,
             ..self.config.base.clone().with_thread_budget(budget / lanes)
         });
-        self.race(dag, machine, ratios, &|d: &Dag| {
-            base_pipeline.run(d, machine)
-        })
+        // A coarse DAG over-states communication: judged on it, the
+        // pipeline's width sweep would narrow and its floor would win too
+        // early.  So the width is worked out once, on the DAG itself, the
+        // ratio members base-solve at that width without the floor (their
+        // own fixed-point exit covers a base solve that *finds* the trivial
+        // schedule), and the flat member is the pipeline as it stands.
+        let width = placement_width(dag, machine);
+        self.race(
+            dag,
+            machine,
+            ratios,
+            &|coarse: &Dag| {
+                base_pipeline
+                    .run_report_on_prefix(coarse, machine, width)
+                    .schedule
+            },
+            &|| base_pipeline.run(dag, machine),
+        )
     }
 
     /// Runs the portfolio — one member per ratio, then the flat pipeline —
-    /// with `base_solve` as the base pipeline, and keeps the cheapest answer.
-    fn race<B>(
+    /// with `base_solve` scheduling the coarse DAGs and `flat_solve` the DAG
+    /// itself, and keeps the cheapest answer.
+    fn race<B, F>(
         &self,
         dag: &Dag,
         machine: &Machine,
         ratios: &[f64],
         base_solve: &B,
+        flat_solve: &F,
     ) -> MultilevelReport
     where
         B: Fn(&Dag) -> BspSchedule + Sync,
+        F: Fn() -> BspSchedule + Sync,
     {
         let (log, levels) = self.shared_log(dag, ratios);
         // The portfolio in the order ties are broken: the ratios' levels, then
@@ -541,7 +566,7 @@ impl MultilevelScheduler {
                     Some(level) => {
                         Ran::Ratio(self.run_ratio(dag, machine, base_solve, &log, level))
                     }
-                    None => Ran::Flat(self.run_flat(dag, machine, base_solve, false)),
+                    None => Ran::Flat(self.run_flat(dag, machine, flat_solve, false)),
                 }
             });
 
@@ -558,7 +583,7 @@ impl MultilevelScheduler {
         if ratio_outcomes.is_empty() && flat_run.is_none() {
             // A cancelled solve skips the flat member to answer sooner, but
             // not when nothing else answered.
-            flat_run = self.run_flat(dag, machine, base_solve, true);
+            flat_run = self.run_flat(dag, machine, flat_solve, true);
         }
         // `min_by_key` keeps the first of equal minima and the flat member
         // has to be strictly cheaper: ties go to the earlier member.
@@ -800,21 +825,21 @@ impl MultilevelScheduler {
     /// The flat member: the base pipeline on the uncoarsened DAG plus the
     /// final communication-schedule optimization.  Skipped (`None`) when the
     /// cancel token has already fired, unless `last_resort`.
-    fn run_flat<B>(
+    fn run_flat<F>(
         &self,
         dag: &Dag,
         machine: &Machine,
-        base_solve: &B,
+        flat_solve: &F,
         last_resort: bool,
     ) -> Option<(BspSchedule, FlatOutcome)>
     where
-        B: Fn(&Dag) -> BspSchedule,
+        F: Fn() -> BspSchedule,
     {
         if !last_resort && self.config.base.effective_cancel().is_cancelled() {
             return None;
         }
         let clock = Instant::now();
-        let mut schedule = base_solve(dag);
+        let mut schedule = flat_solve();
         self.final_comm_optimization(dag, machine, &mut schedule);
         let outcome = FlatOutcome {
             cost: schedule.cost(dag, machine),
@@ -925,26 +950,23 @@ mod tests {
         }
     }
 
-    /// A base solver that is right on the DAG itself and, on every coarse
-    /// DAG, splits the nodes over two processors inside one superstep — not
-    /// feasible as soon as an edge crosses.
-    fn infeasible_on_coarse_dags<'a>(
-        dag: &'a Dag,
-        machine: &'a Machine,
-    ) -> impl Fn(&Dag) -> BspSchedule + Sync + 'a {
-        let pipeline = Pipeline::new(PipelineConfig::fast());
-        move |d: &Dag| {
-            if d.n() == dag.n() {
-                return pipeline.run(d, machine);
-            }
-            BspSchedule {
-                assignment: Assignment {
-                    proc: (0..d.n()).map(|v| v % 2).collect(),
-                    superstep: vec![0; d.n()],
-                },
-                comm: bsp_model::CommSchedule::empty(),
-            }
+    /// A base solver that splits the nodes of every coarse DAG over two
+    /// processors inside one superstep — not feasible as soon as an edge
+    /// crosses.
+    fn infeasible_base_solve(d: &Dag) -> BspSchedule {
+        BspSchedule {
+            assignment: Assignment {
+                proc: (0..d.n()).map(|v| v % 2).collect(),
+                superstep: vec![0; d.n()],
+            },
+            comm: bsp_model::CommSchedule::empty(),
         }
+    }
+
+    /// The flat member's solver of the tests that replace the base solver.
+    fn fast_flat<'a>(dag: &'a Dag, machine: &'a Machine) -> impl Fn() -> BspSchedule + Sync + 'a {
+        let pipeline = Pipeline::new(PipelineConfig::fast());
+        move || pipeline.run(dag, machine)
     }
 
     #[test]
@@ -957,8 +979,14 @@ mod tests {
         });
         let machine = Machine::uniform(4, 3, 5);
         let ml = fast_ml();
-        let base_solve = infeasible_on_coarse_dags(&dag, &machine);
-        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &base_solve);
+        let flat_solve = fast_flat(&dag, &machine);
+        let report = ml.race(
+            &dag,
+            &machine,
+            &ml.config.coarsen_ratios,
+            &infeasible_base_solve,
+            &flat_solve,
+        );
         assert!(report.ratio_outcomes.is_empty());
         assert_eq!(report.failed.len(), 2);
         for (failure, &ratio) in report.failed.iter().zip(&ml.config.coarsen_ratios) {
@@ -966,7 +994,7 @@ mod tests {
             assert!(matches!(failure.error, MemberError::InfeasibleBase(_)));
         }
         assert_eq!(report.winner, Member::Flat);
-        let flat = ml.run_flat(&dag, &machine, &base_solve, false).unwrap();
+        let flat = ml.run_flat(&dag, &machine, &flat_solve, false).unwrap();
         assert_eq!(report.schedule, flat.0);
         assert_eq!(report.final_cost, flat.1.cost);
         assert!(report.schedule.validate(&dag, &machine).is_ok());
@@ -985,8 +1013,13 @@ mod tests {
         config.base.cancel = crate::CancelToken::new();
         config.base.cancel.cancel();
         let ml = MultilevelScheduler::new(config);
-        let base_solve = infeasible_on_coarse_dags(&dag, &machine);
-        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &base_solve);
+        let report = ml.race(
+            &dag,
+            &machine,
+            &ml.config.coarsen_ratios,
+            &infeasible_base_solve,
+            &fast_flat(&dag, &machine),
+        );
         assert_eq!(report.failed.len(), 2);
         assert_eq!(report.winner, Member::Flat);
         assert!(report.schedule.validate(&dag, &machine).is_ok());
@@ -1009,31 +1042,34 @@ mod tests {
         });
         let machine = Machine::uniform(4, 3, 5);
         let ml = fast_ml();
-        let pipeline = Pipeline::new(PipelineConfig::fast());
+        let flat_solve = fast_flat(&dag, &machine);
         let stepped = |d: &Dag| {
-            if d.n() == dag.n() {
-                return pipeline.run(d, &machine);
-            }
             let mut schedule = BspSchedule::trivial(d);
             for v in 0..d.n() {
                 schedule.assignment.superstep[v] = usize::from(d.in_degree(v) > 0);
             }
             schedule
         };
-        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &stepped);
+        let report = ml.race(
+            &dag,
+            &machine,
+            &ml.config.coarsen_ratios,
+            &stepped,
+            &flat_solve,
+        );
         assert!(report.failed.is_empty(), "{:?}", report.failed);
         for outcome in &report.ratio_outcomes {
             assert!(outcome.base_one_proc && !outcome.base_trivial);
             assert!(outcome.timings.refine_phases > 0);
         }
         // The trivial base schedule itself takes the exit.
-        let trivial = |d: &Dag| {
-            if d.n() == dag.n() {
-                return pipeline.run(d, &machine);
-            }
-            BspSchedule::trivial(d)
-        };
-        let report = ml.race(&dag, &machine, &ml.config.coarsen_ratios, &trivial);
+        let report = ml.race(
+            &dag,
+            &machine,
+            &ml.config.coarsen_ratios,
+            &BspSchedule::trivial,
+            &flat_solve,
+        );
         let trivial_cost = BspSchedule::trivial(&dag).cost(&dag, &machine);
         for outcome in &report.ratio_outcomes {
             assert!(outcome.base_trivial);

@@ -8,6 +8,38 @@
 //! window-based `ILPpart`, followed in either case by the
 //! communication-schedule ILP `ILPcs`.
 //!
+//! Two steps around the branches are this repository's own:
+//!
+//! * **The placement-width sweep.**  `BSPg` and `Source` read neither `λ` nor
+//!   `g`: they spread the DAG over all `P` processors, and single-node `HC`
+//!   moves cannot pull such a schedule back together when communication is
+//!   what it pays for.  So before the branches fork, `Source` (the cheap
+//!   initializer) is run on the machine's processor prefixes `P`, `P/2`,
+//!   `P/4`, … ≥ 2 ([`Machine::prefix`]; on a binary tree these are
+//!   subtrees), each assignment is costed on the *full* machine, the sweep
+//!   stops at the first width that does not lower the cost and keeps the
+//!   cheapest width `w`, ties going to the wider.  Every initializer then
+//!   builds its schedule on `prefix(w)` — the `Source` branch reuses the
+//!   sweep's — while `HC`, `HCcs` and the ILP stage run on the full machine,
+//!   free to move nodes onto the processors the initializer left idle.  The
+//!   width is a result ([`PipelineReport::placement_width`]), not a setting;
+//!   where no narrower width is cheaper the schedules are what they would be
+//!   without the sweep.
+//! * **The trivial-schedule floor.**  After the branches,
+//!   [`Pipeline::run_report`] keeps [`BspSchedule::trivial`] when it is
+//!   strictly cheaper than the best branch ([`trivial_floor`]), so the
+//!   pipeline never answers with more than the one-processor cost.
+//!
+//! Both steps judge a schedule of the DAG that is being solved.  The
+//! multilevel scheduler base-solves *coarse* DAGs, which over-state
+//! communication (a cluster's `c` is the sum of its members'): there the
+//! sweep would narrow and the floor would win too early.  Its ratio members
+//! therefore enter through [`Pipeline::run_report_on_prefix`] — no sweep, no
+//! floor, the initializers on the width [`placement_width`] keeps for the
+//! uncoarsened DAG — a function boundary, not a switch:
+//! `run_report` = sweep + `run_report_on_prefix` with the floor in between
+//! the branches and the ILP stage.
+//!
 //! [`Pipeline::run_report`] additionally returns the intermediate costs used
 //! by the paper's Figures 5–7 (the `Init`, `HCcs` and `ILP` bars).
 
@@ -215,7 +247,8 @@ pub struct PipelineReport {
     pub branches: Vec<BranchReport>,
     /// Cost of the best *raw* initial schedule — the `Init` bars of Figures 5–7.
     pub init_cost: u64,
-    /// Cost of the best schedule after `HC` + `HCcs` — the `HCcs` bars.
+    /// Cost of the best schedule after `HC` + `HCcs` — the `HCcs` bars — or
+    /// of the trivial schedule when the floor replaced it.
     pub local_search_cost: u64,
     /// Cost after `ILPfull` / `ILPpart` but before `ILPcs` (the `ILPpart`
     /// column of the paper's Table 7).  Equal to `local_search_cost` when the
@@ -224,8 +257,13 @@ pub struct PipelineReport {
     /// Final cost after the ILP stage — the `ILP` bars.  Equal to
     /// `local_search_cost` when the ILP stage is disabled.
     pub final_cost: u64,
-    /// Name of the initializer whose branch produced the selected schedule.
+    /// Name of the initializer whose branch produced the selected schedule;
+    /// `"trivial"` when the floor replaced it ([`trivial_floor`]).
     pub selected_init: String,
+    /// Number of processors the initializers placed nodes on: the width the
+    /// sweep over the machine's processor prefixes kept (see the module
+    /// docs).  `P` when no narrower prefix was cheaper.
+    pub placement_width: usize,
     /// `true` if `ILPfull` was attempted (i.e. its estimated variable count
     /// fit the configured budget).
     pub used_ilp_full: bool,
@@ -239,6 +277,34 @@ pub struct PipelineReport {
     pub phases: Vec<PhaseSample>,
     /// The final schedule.
     pub schedule: BspSchedule,
+}
+
+/// Replaces `schedule` (of cost `cost`) by [`BspSchedule::trivial`] when that
+/// is strictly cheaper and says whether it did.  `O(n)`.  This is the floor
+/// under every schedule that leaves the solver: [`Pipeline::run_report`]
+/// applies it after the branch search, the serving layer to its warm-started
+/// answers.
+pub fn trivial_floor(
+    dag: &Dag,
+    machine: &Machine,
+    schedule: &mut BspSchedule,
+    cost: &mut u64,
+) -> bool {
+    let trivial = BspSchedule::trivial(dag);
+    let trivial_cost = trivial.cost(dag, machine);
+    let cheaper = trivial_cost < *cost;
+    if cheaper {
+        *schedule = trivial;
+        *cost = trivial_cost;
+    }
+    cheaper
+}
+
+/// One initialization branch: the heuristic and, for the `Source` branch, the
+/// schedule the width sweep already built with it.
+struct Branch {
+    init: Box<dyn Scheduler + Send + Sync>,
+    swept: Option<BspSchedule>,
 }
 
 /// The combined scheduling framework of Figure 3.
@@ -263,9 +329,74 @@ impl Pipeline {
         self.run_report(dag, machine).schedule
     }
 
-    /// Runs the pipeline and returns the final schedule together with the
+    /// Runs the pipeline — width sweep, branch search, trivial-schedule floor,
+    /// ILP stage — and returns the final schedule together with the
     /// intermediate stage costs (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
+        let origin = self.phase_clock();
+        let (width, swept) = width_sweep(dag, machine);
+        let sweep_us = origin.map(|o| o.elapsed().as_micros() as u64);
+        let mut report = self.branch_search(dag, machine, origin, width, Some(swept));
+        if let Some(dur_us) = sweep_us {
+            report.phases.insert(
+                0,
+                PhaseSample {
+                    name: "width_sweep",
+                    depth: 0,
+                    start_us: 0,
+                    dur_us,
+                },
+            );
+        }
+        if trivial_floor(
+            dag,
+            machine,
+            &mut report.schedule,
+            &mut report.local_search_cost,
+        ) {
+            report.selected_init = "trivial".to_string();
+        }
+        self.ilp_stage(dag, machine, origin, report)
+    }
+
+    /// The branch search and the ILP stage with the initializers placing on
+    /// the machine's first `width` processors, and without the floor.  This
+    /// is what the multilevel scheduler base-solves a *coarse* DAG with, at
+    /// the width [`placement_width`] gives for the DAG it was coarsened from
+    /// (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= width <= P` ([`Machine::prefix`]).
+    pub fn run_report_on_prefix(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        width: usize,
+    ) -> PipelineReport {
+        let origin = self.phase_clock();
+        let report = self.branch_search(dag, machine, origin, width, None);
+        self.ilp_stage(dag, machine, origin, report)
+    }
+
+    /// The phase clock only exists when the caller opted in; `None` keeps
+    /// the default path free of any `Instant::now` calls.
+    fn phase_clock(&self) -> Option<Instant> {
+        self.config.collect_phases.then(Instant::now)
+    }
+
+    /// The initialization branches on `prefix(placement_width)`: a report
+    /// whose ILP fields say "no ILP stage ran" and whose schedule is the
+    /// cheapest branch's.  `swept` is the `Source` schedule at that width
+    /// when the sweep already built it.
+    fn branch_search(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        origin: Option<Instant>,
+        placement_width: usize,
+        swept: Option<BspSchedule>,
+    ) -> PipelineReport {
         if dag.n() == 0 {
             let schedule = TrivialScheduler.schedule(dag, machine);
             let cost = schedule.cost(dag, machine);
@@ -276,6 +407,7 @@ impl Pipeline {
                 ilp_part_cost: cost,
                 final_cost: cost,
                 selected_init: "trivial".to_string(),
+                placement_width,
                 used_ilp_full: false,
                 ilp_part_windows_improved: 0,
                 ilp_cs_improved: false,
@@ -284,20 +416,15 @@ impl Pipeline {
             };
         }
 
-        // The phase clock only exists when the caller opted in; `None` keeps
-        // the default path free of any `Instant::now` calls.
-        let origin = if self.config.collect_phases {
-            Some(Instant::now())
-        } else {
-            None
-        };
         let cancel = self.config.effective_cancel();
-        let initializers = self.initializers(dag, machine);
-        let branch_results = crate::map_within_budget(
-            self.config.effective_solve_threads(),
-            &initializers,
-            |init| self.run_branch(dag, machine, init.as_ref(), &cancel, origin),
-        );
+        let mut phases: Vec<PhaseSample> = Vec::new();
+        let narrowed = (placement_width < machine.p()).then(|| machine.prefix(placement_width));
+        let placement = narrowed.as_ref().unwrap_or(machine);
+        let branches = self.branches(dag, machine, swept);
+        let branch_results =
+            crate::map_within_budget(self.config.effective_solve_threads(), &branches, |branch| {
+                self.run_branch(dag, machine, placement, branch, &cancel, origin)
+            });
 
         let init_cost = branch_results
             .iter()
@@ -311,7 +438,6 @@ impl Pipeline {
             .expect("at least one initializer is always enabled");
         let selected_init = branch_results[best_idx].0.init_name.clone();
         let local_search_cost = branch_results[best_idx].0.local_search_cost;
-        let mut phases: Vec<PhaseSample> = Vec::new();
         let mut winner = None;
         let branches = branch_results
             .into_iter()
@@ -324,14 +450,36 @@ impl Pipeline {
                 b
             })
             .collect();
-        let mut schedule = winner.expect("best_idx indexes branch_results");
+        PipelineReport {
+            branches,
+            init_cost,
+            local_search_cost,
+            ilp_part_cost: local_search_cost,
+            final_cost: local_search_cost,
+            selected_init,
+            placement_width,
+            used_ilp_full: false,
+            ilp_part_windows_improved: 0,
+            ilp_cs_improved: false,
+            phases,
+            schedule: winner.expect("best_idx indexes branch_results"),
+        }
+    }
 
-        let mut used_ilp_full = false;
-        let mut ilp_part_windows_improved = 0;
-        let mut ilp_cs_improved = false;
-        let mut ilp_part_cost = local_search_cost;
+    /// Hands the searched schedule to the ILP stage (when enabled and not
+    /// cancelled) and closes the report.
+    fn ilp_stage(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        origin: Option<Instant>,
+        mut report: PipelineReport,
+    ) -> PipelineReport {
+        let cancel = self.config.effective_cancel();
+        let schedule = &mut report.schedule;
+        report.ilp_part_cost = report.local_search_cost;
         let ilp_started = origin.map(|o| o.elapsed());
-        if self.config.use_ilp && !cancel.is_cancelled() {
+        if self.config.use_ilp && dag.n() > 0 && !cancel.is_cancelled() {
             let stage_budget = clip_budget(self.config.ilp_stage_budget, &cancel);
             let deadline = Instant::now() + stage_budget;
             let ilp_config = IlpConfig {
@@ -341,22 +489,22 @@ impl Pipeline {
             // ILPfull first, warm-started from the incumbent; it internally
             // bails out when the variable estimate exceeds the budget.
             let s_max = schedule.assignment.num_supersteps();
-            if let Some(full) = ilp_full_schedule(dag, machine, s_max, &ilp_config, Some(&schedule))
+            if let Some(full) = ilp_full_schedule(dag, machine, s_max, &ilp_config, Some(schedule))
             {
-                used_ilp_full = true;
+                report.used_ilp_full = true;
                 if full.cost(dag, machine) < schedule.cost(dag, machine) {
-                    schedule = full;
+                    *schedule = full;
                 }
             } else {
-                ilp_part_windows_improved =
-                    ilp_part_improve(dag, machine, &mut schedule, &ilp_config, Some(deadline));
+                report.ilp_part_windows_improved =
+                    ilp_part_improve(dag, machine, schedule, &ilp_config, Some(deadline));
             }
-            ilp_part_cost = schedule.cost(dag, machine);
+            report.ilp_part_cost = schedule.cost(dag, machine);
             if self.config.use_ilp_cs {
-                ilp_cs_improved = ilp_cs_improve(dag, machine, &mut schedule, &ilp_config);
+                report.ilp_cs_improved = ilp_cs_improve(dag, machine, schedule, &ilp_config);
             }
             if let (Some(o), Some(started)) = (origin, ilp_started) {
-                phases.push(PhaseSample {
+                report.phases.push(PhaseSample {
                     name: "ilp_stage",
                     depth: 0,
                     start_us: started.as_micros() as u64,
@@ -366,54 +514,59 @@ impl Pipeline {
         }
 
         schedule.normalize(dag);
-        let final_cost = schedule.cost(dag, machine);
+        report.final_cost = schedule.cost(dag, machine);
         debug_assert!(schedule.validate(dag, machine).is_ok());
-
-        PipelineReport {
-            branches,
-            init_cost,
-            local_search_cost,
-            ilp_part_cost,
-            final_cost,
-            selected_init,
-            used_ilp_full,
-            ilp_part_windows_improved,
-            ilp_cs_improved,
-            phases,
-            schedule,
-        }
+        report
     }
 
-    /// The initialization heuristics enabled under the current configuration
-    /// for the given DAG and machine.
-    fn initializers(&self, dag: &Dag, machine: &Machine) -> Vec<Box<dyn Scheduler + Send + Sync>> {
-        let mut inits: Vec<Box<dyn Scheduler + Send + Sync>> =
-            vec![Box::new(BspgScheduler), Box::new(SourceScheduler)];
+    /// The initialization branches enabled under the current configuration
+    /// for the given DAG and machine; `swept` is the `Source` schedule the
+    /// width sweep kept, if it ran.
+    fn branches(&self, dag: &Dag, machine: &Machine, swept: Option<BspSchedule>) -> Vec<Branch> {
+        let mut branches = vec![
+            Branch {
+                init: Box::new(BspgScheduler),
+                swept: None,
+            },
+            Branch {
+                init: Box::new(SourceScheduler),
+                swept,
+            },
+        ];
         if self.config.use_ilp
             && machine.p() <= self.config.ilp_init_max_procs
             && dag.n() <= self.config.ilp_init_max_nodes
         {
-            inits.push(Box::new(IlpInitScheduler::new(IlpConfig {
-                cancel: self.config.effective_cancel(),
-                ..self.config.ilp.clone()
-            })));
+            branches.push(Branch {
+                init: Box::new(IlpInitScheduler::new(IlpConfig {
+                    cancel: self.config.effective_cancel(),
+                    ..self.config.ilp.clone()
+                })),
+                swept: None,
+            });
         }
-        inits
+        branches
     }
 
-    /// Runs one initialization branch: initializer, then `HC`, then `HCcs`.
-    /// When `origin` is set the branch reports its phase breakdown relative
-    /// to that clock.
+    /// Runs one initialization branch: the initializer on `placement` (the
+    /// processor prefix the sweep kept), then `HC` and `HCcs` on the full
+    /// machine.  When `origin` is set the branch reports its phase breakdown
+    /// relative to that clock.
     fn run_branch(
         &self,
         dag: &Dag,
         machine: &Machine,
-        init: &dyn Scheduler,
+        placement: &Machine,
+        branch: &Branch,
         cancel: &CancelToken,
         origin: Option<Instant>,
     ) -> (BranchReport, BspSchedule, Vec<PhaseSample>) {
+        let init = branch.init.as_ref();
         let branch_start = origin.map(|o| o.elapsed());
-        let mut schedule = init.schedule(dag, machine);
+        let mut schedule = match &branch.swept {
+            Some(swept) => swept.clone(),
+            None => init.schedule(dag, placement),
+        };
         debug_assert_eq!(
             schedule.normalize(dag),
             0,
@@ -482,6 +635,36 @@ impl Pipeline {
             phases,
         )
     }
+}
+
+/// The number of processors the pipeline's initializers would place the nodes
+/// of `dag` on: the width its sweep over the machine's processor prefixes
+/// keeps (see the module docs).  [`Pipeline::run_report`] works it out for
+/// itself; the multilevel scheduler asks once per solve, for the uncoarsened
+/// DAG, and base-solves every coarse DAG at that width.
+pub fn placement_width(dag: &Dag, machine: &Machine) -> usize {
+    width_sweep(dag, machine).0
+}
+
+/// The placement-width sweep (see the module docs): `Source` on the machine's
+/// processor prefixes `P`, `P/2`, `P/4`, … ≥ 2, costed on the full machine,
+/// until a width does not lower the cost.  Returns the cheapest width — ties
+/// to the wider — and `Source`'s schedule at that width.
+fn width_sweep(dag: &Dag, machine: &Machine) -> (usize, BspSchedule) {
+    let mut best_width = machine.p();
+    let mut best = SourceScheduler.schedule(dag, machine);
+    let mut best_cost = best.cost(dag, machine);
+    let mut width = machine.p() / 2;
+    while width >= 2 {
+        let candidate = SourceScheduler.schedule(dag, &machine.prefix(width));
+        let cost = candidate.cost(dag, machine);
+        if cost >= best_cost {
+            break;
+        }
+        (best_width, best, best_cost) = (width, candidate, cost);
+        width /= 2;
+    }
+    (best_width, best)
 }
 
 impl Scheduler for Pipeline {
@@ -638,6 +821,14 @@ mod tests {
         }
         assert!(report.phases.iter().any(|p| p.name == "hc"));
         assert!(report.phases.iter().any(|p| p.name == "ilp_stage"));
+        // The sweep is timed on its own, ahead of every branch.
+        let sweep = report.phases[0];
+        assert_eq!(
+            (sweep.name, sweep.depth, sweep.start_us),
+            ("width_sweep", 0, 0)
+        );
+        let first_branch = report.phases.iter().find(|p| p.name == "BSPg").unwrap();
+        assert!(sweep.dur_us <= first_branch.start_us);
     }
 
     #[test]
@@ -647,7 +838,6 @@ mod tests {
             density: 0.25,
             seed: 13,
         });
-        let machine = Machine::uniform(4, 3, 5);
         let mut cfg = PipelineConfig::fast();
         // Remove the time dependence so both runs are deterministic.
         cfg.hill_climb = HillClimbConfig {
@@ -656,9 +846,44 @@ mod tests {
             ..Default::default()
         };
         cfg.use_ilp = false;
-        let par = Pipeline::new(cfg.clone().with_thread_budget(2)).run_report(&dag, &machine);
-        let seq = Pipeline::new(cfg.with_thread_budget(1)).run_report(&dag, &machine);
-        assert_eq!(par.final_cost, seq.final_cost);
-        assert_eq!(par.selected_init, seq.selected_init);
+        // On the tree the sweep narrows the placement, which happens before
+        // the branches fork and must not depend on how they run either.
+        for machine in [
+            Machine::uniform(4, 3, 5),
+            Machine::numa_binary_tree(8, 3, 5, 3),
+        ] {
+            let par = Pipeline::new(cfg.clone().with_thread_budget(2)).run_report(&dag, &machine);
+            let seq = Pipeline::new(cfg.clone().with_thread_budget(1)).run_report(&dag, &machine);
+            assert_eq!(par.schedule, seq.schedule);
+            assert_eq!(par.final_cost, seq.final_cost);
+            assert_eq!(par.selected_init, seq.selected_init);
+            assert_eq!(par.placement_width, seq.placement_width);
+            assert_eq!(par.branches, seq.branches);
+        }
+    }
+
+    #[test]
+    fn the_floor_replaces_only_a_strictly_costlier_schedule() {
+        // Two independent nodes: spreading them saves work, no edge to pay.
+        let dag = Dag::from_edges(2, &[], vec![10, 10], vec![1, 1]).unwrap();
+        let machine = Machine::uniform(2, 1, 5);
+        let trivial = BspSchedule::trivial(&dag);
+        let trivial_cost = trivial.cost(&dag, &machine);
+
+        let mut schedule = BspgScheduler.schedule(&dag, &machine);
+        let spread = schedule.clone();
+        let mut cost = schedule.cost(&dag, &machine);
+        assert!(cost < trivial_cost);
+        assert!(!trivial_floor(&dag, &machine, &mut schedule, &mut cost));
+        assert_eq!(schedule, spread);
+
+        // Equal cost is not cheaper: the schedule at hand stays.
+        let mut cost = trivial_cost;
+        assert!(!trivial_floor(&dag, &machine, &mut schedule, &mut cost));
+        assert_eq!(schedule, spread);
+
+        let mut cost = trivial_cost + 1;
+        assert!(trivial_floor(&dag, &machine, &mut schedule, &mut cost));
+        assert_eq!((schedule, cost), (trivial, trivial_cost));
     }
 }

@@ -11,7 +11,6 @@
 use crate::dag::{Dag, NodeId};
 use crate::schedule::Assignment;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One entry `(v, p1, p2, s)` of a communication schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -77,32 +76,44 @@ impl CommSchedule {
     /// The communication requirements implied by an assignment under direct
     /// (source-to-target) sending: one entry per `(node, target processor)`
     /// pair such that some direct successor of `node` lives on a different
-    /// processor than `node`.
+    /// processor than `node`, sorted by `(node, target)`.
     pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> {
-        // (node, target) -> earliest superstep in which it is needed there.
-        let mut needed: BTreeMap<(NodeId, usize), usize> = BTreeMap::new();
-        for v in 0..dag.n() {
-            let pv = assignment.proc[v];
-            let sv = assignment.superstep[v];
-            for &u in dag.predecessors(v) {
-                if assignment.proc[u] != pv {
-                    needed
-                        .entry((u, pv))
-                        .and_modify(|s| *s = (*s).min(sv))
-                        .or_insert(sv);
+        // One slot per processor, reused for every node: `seen[q] == u + 1`
+        // while the successors of `u` are walked and one of them lives on
+        // `q`, and `needed[q]` is then the earliest superstep of those.
+        let p = assignment.proc.iter().max().map_or(0, |&q| q + 1);
+        let mut seen = vec![0usize; p];
+        let mut needed = vec![0usize; p];
+        let mut targets: Vec<usize> = Vec::new();
+        let mut requirements = Vec::new();
+        for u in 0..dag.n() {
+            let source = assignment.proc[u];
+            targets.clear();
+            for &v in dag.successors(u) {
+                let q = assignment.proc[v];
+                if q == source {
+                    continue;
+                }
+                let step = assignment.superstep[v];
+                if seen[q] != u + 1 {
+                    seen[q] = u + 1;
+                    needed[q] = step;
+                    targets.push(q);
+                } else if step < needed[q] {
+                    needed[q] = step;
                 }
             }
-        }
-        needed
-            .into_iter()
-            .map(|((node, target), needed_by)| CommRequirement {
-                node,
-                source: assignment.proc[node],
+            // Ascending `(node, target)`, the order every consumer relies on.
+            targets.sort_unstable();
+            requirements.extend(targets.iter().map(|&target| CommRequirement {
+                node: u,
+                source,
                 target,
-                computed: assignment.superstep[node],
-                needed_by,
-            })
-            .collect()
+                computed: assignment.superstep[u],
+                needed_by: needed[target],
+            }));
+        }
+        requirements
     }
 
     /// The *lazy* communication schedule for an assignment: every required

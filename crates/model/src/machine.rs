@@ -172,6 +172,42 @@ impl Machine {
             .unwrap_or(0)
     }
 
+    /// The machine restricted to its first `k` processors: same `g` and `ℓ`,
+    /// the top-left `k × k` block of `λ`.  A processor assignment made for
+    /// the prefix is a valid assignment on `self` at the same coefficients —
+    /// the remaining processors simply stay idle.  On a binary tree a
+    /// power-of-two prefix is a subtree and stays a [`NumaTopology::BinaryTree`];
+    /// a uniform machine stays uniform; anything else becomes
+    /// [`NumaTopology::Explicit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= k <= P`.
+    pub fn prefix(&self, k: usize) -> Self {
+        assert!(
+            (1..=self.p).contains(&k),
+            "a prefix keeps between 1 and P processors"
+        );
+        let block = |matrix: &[Vec<u64>]| -> Vec<Vec<u64>> {
+            matrix[..k].iter().map(|row| row[..k].to_vec()).collect()
+        };
+        let topology = match &self.topology {
+            NumaTopology::Uniform => NumaTopology::Uniform,
+            NumaTopology::BinaryTree { delta } if k.is_power_of_two() => {
+                NumaTopology::BinaryTree { delta: *delta }
+            }
+            NumaTopology::BinaryTree { .. } => NumaTopology::Explicit(block(&self.lambda)),
+            NumaTopology::Explicit(matrix) => NumaTopology::Explicit(block(matrix)),
+        };
+        Machine {
+            p: k,
+            g: self.g,
+            latency: self.latency,
+            topology,
+            lambda: block(&self.lambda),
+        }
+    }
+
     /// Returns a copy of this machine with a different latency (used by the
     /// latency sweep of Table 9).
     pub fn with_latency(&self, l: u64) -> Self {
@@ -256,6 +292,64 @@ mod tests {
         assert_eq!(m.with_latency(20).latency(), 20);
         assert_eq!(m.with_g(7).g(), 7);
         assert_eq!(m.with_g(7).latency(), 5);
+    }
+
+    #[test]
+    fn prefix_keeps_the_top_left_block_of_every_topology() {
+        let explicit = Machine::with_numa_matrix(
+            4,
+            2,
+            7,
+            vec![
+                vec![9, 1, 2, 3],
+                vec![4, 9, 5, 6],
+                vec![7, 8, 9, 1],
+                vec![2, 3, 4, 9],
+            ],
+        );
+        let machines = [
+            Machine::uniform(6, 3, 5),
+            Machine::numa_binary_tree(8, 3, 5, 3),
+            explicit,
+        ];
+        for m in &machines {
+            assert_eq!(&m.prefix(m.p()), m);
+            for k in 1..=m.p() {
+                let prefix = m.prefix(k);
+                assert_eq!(prefix.p(), k);
+                assert_eq!(prefix.g(), m.g());
+                assert_eq!(prefix.latency(), m.latency());
+                for a in 0..k {
+                    for b in 0..k {
+                        assert_eq!(prefix.lambda(a, b), m.lambda(a, b), "k = {k}");
+                    }
+                }
+            }
+        }
+        // Uniform stays uniform; a power-of-two prefix of a tree is the tree
+        // on that many processors, any other prefix an explicit matrix.
+        assert_eq!(machines[0].prefix(3), Machine::uniform(3, 3, 5));
+        for k in [1, 2, 4] {
+            assert_eq!(
+                machines[1].prefix(k),
+                Machine::numa_binary_tree(k, 3, 5, 3),
+                "k = {k}"
+            );
+        }
+        assert!(matches!(
+            machines[1].prefix(6).topology(),
+            NumaTopology::Explicit(_)
+        ));
+        assert!(matches!(
+            machines[2].prefix(2).topology(),
+            NumaTopology::Explicit(_)
+        ));
+    }
+
+    #[test]
+    #[should_panic]
+    fn prefix_rejects_more_processors_than_the_machine_has() {
+        let _ = Machine::uniform(4, 1, 5).prefix(5);
     }
 
     #[test]

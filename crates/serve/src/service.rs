@@ -32,7 +32,7 @@ use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler, PhaseTimings};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -648,8 +648,9 @@ impl ScheduleService {
     }
 
     /// Warm path: improve the cached assignment with `HC` + `HCcs` under the
-    /// warm budget.  Returns `None` when the seed does not actually fit the
-    /// request (fingerprint collision paranoia) so the caller can run cold.
+    /// warm budget, then apply the pipeline's trivial-schedule floor.
+    /// Returns `None` when the seed does not actually fit the request
+    /// (fingerprint collision paranoia) so the caller can run cold.
     fn solve_warm(
         &self,
         request: &ScheduleRequest,
@@ -675,7 +676,11 @@ impl ScheduleService {
             ..hc_cfg.clone()
         };
         hc_improve(&request.dag, &request.machine, &mut schedule, &hc_cfg);
-        hccs_improve(&request.dag, &request.machine, &mut schedule, &hccs_cfg);
+        let mut cost =
+            hccs_improve(&request.dag, &request.machine, &mut schedule, &hccs_cfg).final_cost;
+        // The same floor a cold run ends on: re-weighting can leave the seed
+        // costlier than one processor doing everything.
+        trivial_floor(&request.dag, &request.machine, &mut schedule, &mut cost);
         Some(schedule)
     }
 

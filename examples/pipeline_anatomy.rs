@@ -60,6 +60,11 @@ fn main() {
     // --- The same thing through the combined pipeline ---------------------
     println!("\nthe combined pipeline (all branches, Figure 3):");
     let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
+    println!(
+        "  initializers placed on {} of {} processors (the width sweep)",
+        report.placement_width,
+        machine.p()
+    );
     for branch in &report.branches {
         println!(
             "  branch {:<8}: init {} -> after HC/HCcs {}",

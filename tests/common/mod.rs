@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 pub mod reference_codec;
+pub mod reference_comm;
 pub mod reference_multilevel;
 
 use bsp_model::{Dag, Machine};

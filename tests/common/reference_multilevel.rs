@@ -9,7 +9,7 @@ use bsp_model::{Assignment, BspSchedule, Dag, DagBuilder, Machine, NodeId};
 use bsp_sched::hill_climb::{hccs_improve, HillClimbConfig};
 use bsp_sched::ilp::{ilp_cs_improve, IlpConfig};
 use bsp_sched::multilevel::{coarsen, Clustering, IncrementalRefiner, MultilevelConfig};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{placement_width, Pipeline, PipelineConfig};
 use std::collections::BTreeSet;
 
 /// The coarse DAG of `clustering` through `DagBuilder` and a `BTreeSet` over
@@ -81,7 +81,11 @@ pub fn ratio_run(
     let (clustering, quotient) = coarsen(dag, target(config, dag.n(), ratio)).into_parts();
     let coarse_nodes = clustering.num_clusters();
     let (coarse_dag, reps) = quotient_dag(&clustering, dag);
-    let coarse_schedule = base_pipeline.run(&coarse_dag, machine);
+    // The ratio members' base solve: no sweep on the coarse DAG and no
+    // floor under it, the initializers on the width kept for `dag` itself.
+    let coarse_schedule = base_pipeline
+        .run_report_on_prefix(&coarse_dag, machine, placement_width(dag, machine))
+        .schedule;
 
     let mut proc = vec![0usize; dag.n()];
     let mut step = vec![0usize; dag.n()];

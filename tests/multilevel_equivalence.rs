@@ -13,7 +13,7 @@
 
 mod common;
 
-use bsp_model::{Assignment, Dag, DagView, Machine};
+use bsp_model::{Assignment, BspSchedule, Dag, DagView, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::multilevel::{
     coarsen, Coarsening, IncrementalRefiner, MultilevelConfig, MultilevelScheduler, RatioOutcome,
@@ -126,6 +126,13 @@ fn assert_matches_the_reference(name: &str, dag: &Dag, machine: &Machine) -> (us
         report.final_cost
     );
     assert!(report.flat.expect("nothing cancelled the flat member").cost <= flat);
+    // The flat member carries the pipeline's floor into the portfolio.
+    let trivial = BspSchedule::trivial(dag).cost(dag, machine);
+    assert!(
+        report.final_cost <= trivial,
+        "{context}: {} is worse than the trivial schedule's {trivial}",
+        report.final_cost
+    );
     assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
     report
         .schedule

@@ -11,7 +11,7 @@ use bsp_sched::baselines::{CilkScheduler, HDaggScheduler, TrivialScheduler};
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HcState, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::Scheduler;
-use common::{random_dag, random_machine, rng_for_case};
+use common::{random_dag, random_machine, reference_comm, rng_for_case};
 use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use rand::Rng;
@@ -139,6 +139,43 @@ fn eager_and_lazy_communication_schedules_agree_on_volume() {
         };
         assert!(eager_sched.validate(&dag, &machine).is_ok(), "case {case}");
     }
+}
+
+/// `CommSchedule::requirements` (a stamp array per node, no map) lists what
+/// the `BTreeMap` routine it replaced listed, in the same `(node, target)`
+/// order, for any assignment — valid or not — so the lazy communication
+/// schedule built from it is the same too.
+#[test]
+fn requirements_match_the_btreemap_reference_on_random_assignments() {
+    for case in 0..4 * CASES {
+        let mut rng = rng_for_case(0xD555, case);
+        let dag = random_dag(&mut rng, 24);
+        let p = random_machine(&mut rng).p();
+        let steps = rng.gen_range(1usize..=6);
+        let assignment = Assignment {
+            proc: (0..dag.n()).map(|_| rng.gen_range(0..p)).collect(),
+            superstep: (0..dag.n()).map(|_| rng.gen_range(0..steps)).collect(),
+        };
+        assert_eq!(
+            CommSchedule::requirements(&dag, &assignment),
+            reference_comm::requirements(&dag, &assignment),
+            "case {case}"
+        );
+    }
+    // The benchmark's families under a real initializer, where one node has
+    // successors on many processors.
+    let dag = cg(&IterConfig {
+        n: 12,
+        density: 0.3,
+        iterations: 2,
+        seed: 3,
+    });
+    let machine = Machine::numa_binary_tree(8, 3, 5, 3);
+    let assignment = BspgScheduler.schedule(&dag, &machine).assignment;
+    assert_eq!(
+        CommSchedule::requirements(&dag, &assignment),
+        reference_comm::requirements(&dag, &assignment)
+    );
 }
 
 /// The hyperDAG text format round-trips every DAG exactly.
