@@ -25,7 +25,10 @@
 //! Every row also names the portfolio member that won it (a ratio or the
 //! flat pipeline) and says, per ratio, whether the base solve already sat on
 //! one processor (`base_one_proc`) or on the trivial schedule
-//! (`base_trivial`).
+//! (`base_trivial`), and how many nodes the funnel reduction left for the
+//! portfolio to race on (`funnel_nodes`).  The summary counts, per machine,
+//! the rows a ratio member won outright (`ratio_wins`: strictly cheaper than
+//! the flat member — ROADMAP item 1's "share of rows a ratio wins").
 //!
 //! `--smoke` turns the run into a CI gate: every schedule is validated (zero
 //! invalid), no row costs more than the flat pipeline's answer on that row
@@ -53,7 +56,7 @@ use bsp_bench::{scaled_dataset, size_to_target, CliArgs, Table};
 use bsp_model::{Dag, Machine};
 use bsp_sched::baselines::{CilkScheduler, HDaggScheduler, TrivialScheduler};
 use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::multilevel::{FlatOutcome, MultilevelConfig, MultilevelScheduler};
+use bsp_sched::multilevel::{FlatOutcome, Member, MultilevelConfig, MultilevelScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig as CoarseGenConfig};
@@ -238,7 +241,10 @@ struct RunStats {
     seconds: f64,
     final_cost: u64,
     /// The member that won (`"ratio 0.3"`, `"flat"`).
-    winner: String,
+    winner: Member,
+    /// Node count of the DAG the portfolio raced on (after the funnel
+    /// reduction).
+    funnel_nodes: usize,
     /// The flat member's cost and seconds.
     flat: Option<FlatOutcome>,
     ratios: Vec<RatioRow>,
@@ -296,6 +302,7 @@ impl RunStats {
         };
         format!(
             "{{\"seconds\": {:.6}, \"final_cost\": {}, \"winner\": \"{}\", \
+             \"funnel_nodes\": {}, \
              \"flat\": {flat}, \"ratios\": [{}], \"coarse_nodes\": {:?}, \
              \"phases\": {{\"coarsen\": {:.6}, \"base_solve\": {:.6}, \
              \"uncontract\": {:.6}, \"refine\": {:.6}, \"refine_phases\": {}, \
@@ -309,6 +316,7 @@ impl RunStats {
             self.seconds,
             self.final_cost,
             self.winner,
+            self.funnel_nodes,
             ratios.join(", "),
             coarse_nodes,
             t.coarsen_seconds,
@@ -349,7 +357,8 @@ fn measure(
         let stats = RunStats {
             seconds,
             final_cost: report.final_cost,
-            winner: report.winner.to_string(),
+            winner: report.winner,
+            funnel_nodes: report.funnel_nodes,
             flat: report.flat,
             ratios: report
                 .ratio_outcomes
@@ -496,8 +505,11 @@ fn run_speedup(args: &CliArgs) {
     let mut worst_vs_trivial = 0.0f64;
     let mut worst_vs_flat = (String::new(), 0.0f64);
     let mut invalid_schedules = 0usize;
+    // Rows a ratio member won outright, per machine (ROADMAP item 1's
+    // question).
+    let mut ratio_wins = vec![0usize; machines.len()];
     for (inst_name, dag) in &instances {
-        for (machine_name, machine) in &machines {
+        for (m, (machine_name, machine)) in machines.iter().enumerate() {
             eprintln!("== {inst_name} ({} nodes) on {machine_name}", dag.n());
 
             let (inc, inc_report) = measure(reps, || incremental.run_report(dag, machine));
@@ -512,14 +524,17 @@ fn run_speedup(args: &CliArgs) {
             // The flat member only sits out a cancelled solve; a row without
             // it counts as beaten.
             let vs_flat = inc.cost_vs_flat().unwrap_or(f64::INFINITY);
+            // A tie goes to the earlier member, a ratio; only a strictly
+            // cheaper answer counts as the ratio members' win.
+            ratio_wins[m] += usize::from(inc.winner != Member::Flat && vs_flat < 1.0);
             if vs_flat > worst_vs_flat.1 {
                 worst_vs_flat = (format!("{inst_name}/{machine_name}"), vs_flat);
             }
             let bases: Vec<&str> = inc.ratios.iter().map(RatioRow::base_shape).collect();
             eprintln!(
                 "   {:.3}s, cost {} ({vs_trivial:.3}x trivial, {vs_flat:.3}x flat), \
-                 winner {}, base solves {bases:?}",
-                inc.seconds, inc.final_cost, inc.winner
+                 winner {}, funnel {} nodes, base solves {bases:?}",
+                inc.seconds, inc.final_cost, inc.winner, inc.funnel_nodes
             );
             if smoke && huge && *inst_name == "spmv" && machine_name.contains("p4") {
                 // Huge-only gate: above the tail width the batch rounds must
@@ -603,11 +618,24 @@ fn run_speedup(args: &CliArgs) {
         bsp_bench::stats::host_cores(),
         config.effective_threads(),
     ));
+    let wins: Vec<String> = machines
+        .iter()
+        .zip(&ratio_wins)
+        .map(|((name, _), wins)| format!("\"{name}\": {wins}"))
+        .collect();
     report.set_summary_json(format!(
-        "{{\"runs\": {}, \"total_seconds\": {total_seconds:.6}}}",
-        rows.len()
+        "{{\"runs\": {}, \"total_seconds\": {total_seconds:.6}, \
+         \"rows_per_machine\": {}, \"ratio_wins\": {{{}}}}}",
+        rows.len(),
+        instances.len(),
+        wins.join(", ")
     ));
-    eprintln!("{} runs, {total_seconds:.3}s in total", rows.len());
+    eprintln!(
+        "{} runs, {total_seconds:.3}s in total; rows a ratio member won, of {} a machine: {}",
+        rows.len(),
+        instances.len(),
+        wins.join(", ")
+    );
     for row in rows {
         report.push_result_json(row);
     }

@@ -7,6 +7,22 @@
 //! round-robin to balance the work.  After the round-robin pass, any direct
 //! successor whose predecessors all ended up on the same processor is pulled
 //! into the current superstep as well (avoiding unnecessary extra supersteps).
+//!
+//! # The cluster bound
+//!
+//! A first-superstep cluster holds at most `⌈Σ w(sources) / P⌉` work — a
+//! processor's share of the sources: a source joins a cluster, or is pulled
+//! into a new one, only while the cluster stays within it.  "Shares a
+//! successor" is transitive, so without the bound a DAG whose sources are the
+//! *shared* inputs — a funnel DAG ([`crate::funnel`]: the `u_j` of `spmv`
+//! once every `a_ij` has folded into its row), a multilevel coarse DAG —
+//! puts every source in one cluster on one processor, the pull-in absorbs
+//! the rest and `Source` returns the one-processor schedule; the pipeline's
+//! width sweep then compares trivial with trivial and never narrows.  On the
+//! fine-grained benchmark DAGs themselves a cluster is a matrix column of
+//! ≈ 9 unit nodes and the bound never binds (`flat_hc` without the funnel
+//! reduction keeps its cost to the digit); where a handful of sources share
+//! everything it does (coarse `pagerank`: three unit sources, bound 1).
 
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine};
@@ -61,22 +77,29 @@ impl SourceScheduler {
             let mut next_proc = 0usize;
 
             if superstep == 0 {
-                // Cluster sources that share a direct successor.
+                // Cluster sources that share a direct successor, a cluster
+                // holding at most a processor's share of the sources' work
+                // (see "The cluster bound" in the module docs).
+                let source_work: u64 = sources.iter().map(|&v| dag.work(v)).sum();
+                let bound = source_work.div_ceil(p as u64);
                 let mut cluster_of: Vec<Option<usize>> = vec![None; n];
                 let mut clusters: Vec<Vec<usize>> = Vec::new();
+                let mut cluster_work: Vec<u64> = Vec::new();
                 for &v in &sources {
                     if cluster_of[v].is_some() {
                         continue;
                     }
-                    // Does v share an out-neighbour with an already-clustered or
-                    // later source?
+                    // The first cluster with room for v among those of the
+                    // sources v shares an out-neighbour with.
                     let mut target_cluster: Option<usize> = None;
                     'outer: for &succ in dag.successors(v) {
                         for &u in dag.predecessors(succ) {
                             if u != v && dag.in_degree(u) == 0 {
                                 if let Some(c) = cluster_of[u] {
-                                    target_cluster = Some(c);
-                                    break 'outer;
+                                    if cluster_work[c] + dag.work(v) <= bound {
+                                        target_cluster = Some(c);
+                                        break 'outer;
+                                    }
                                 }
                             }
                         }
@@ -85,18 +108,25 @@ impl SourceScheduler {
                         Some(c) => {
                             clusters[c].push(v);
                             cluster_of[v] = Some(c);
+                            cluster_work[c] += dag.work(v);
                         }
                         None => {
-                            // Start a new cluster; pull in sharing partners that
-                            // are not yet clustered.
+                            // Start a new cluster; pull in the sharing
+                            // partners that are not yet clustered and fit.
                             let c = clusters.len();
                             clusters.push(vec![v]);
                             cluster_of[v] = Some(c);
+                            cluster_work.push(dag.work(v));
                             for &succ in dag.successors(v) {
                                 for &u in dag.predecessors(succ) {
-                                    if u != v && dag.in_degree(u) == 0 && cluster_of[u].is_none() {
+                                    if u != v
+                                        && dag.in_degree(u) == 0
+                                        && cluster_of[u].is_none()
+                                        && cluster_work[c] + dag.work(u) <= bound
+                                    {
                                         clusters[c].push(u);
                                         cluster_of[u] = Some(c);
+                                        cluster_work[c] += dag.work(u);
                                     }
                                 }
                             }

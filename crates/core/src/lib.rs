@@ -10,6 +10,8 @@
 //! * [`cancel`] — the cooperative [`CancelToken`] polled by every anytime
 //!   search loop (deadline-aware requests and graceful shutdown in
 //!   `bsp_serve` are built on it).
+//! * [`funnel`] — the exact funnel (in-tree) reduction both schedulers apply
+//!   to the DAG before they solve it.
 //! * [`init`] — the `BSPg` and `Source` initialization heuristics.
 //! * [`hill_climb`] — the `HC` (node moves) and `HCcs` (communication
 //!   schedule) hill-climbing local searches.
@@ -21,6 +23,7 @@
 
 pub mod baselines;
 pub mod cancel;
+pub mod funnel;
 pub mod hill_climb;
 pub mod ilp;
 pub mod init;
@@ -109,6 +112,7 @@ pub use baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
 pub use cancel::CancelToken;
+pub use funnel::Funnel;
 pub use hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 pub use init::{BspgScheduler, SourceScheduler};
 pub use multilevel::{MultilevelConfig, MultilevelScheduler};

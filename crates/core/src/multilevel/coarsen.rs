@@ -247,67 +247,85 @@ impl Clustering {
     /// Builds the quotient DAG of the current clustering: one node per
     /// cluster, work/communication weights summed over the members, an edge
     /// between two clusters whenever the original DAG has an edge between
-    /// members of the two.  Returns the quotient DAG together with the list of
-    /// representatives, where representative `reps[i]` corresponds to quotient
-    /// node `i`.
+    /// members of the two (`quotient_of`).  Returns the quotient DAG
+    /// together with the list of representatives, where representative
+    /// `reps[i]` corresponds to quotient node `i`.
     ///
     /// This is the *from-scratch* construction: the multilevel scheduler calls
     /// it once per ratio run (to hand the base pipeline an immutable [`Dag`])
     /// and the property tests use it as the reference the incremental
     /// [`QuotientDag`] must stay isomorphic to.
     pub fn quotient_dag(&self, dag: &Dag) -> (Dag, Vec<NodeId>) {
-        let k = self.reps.len();
         let summed = |weight: fn(&Dag, NodeId) -> u64| -> Vec<u64> {
             let total = |&r: &NodeId| self.members[r].iter().map(|&v| weight(dag, v)).sum();
             self.reps.iter().map(total).collect()
         };
-        let (work, comm) = (summed(Dag::work), summed(Dag::comm));
-
-        // The quotient's edge list is the first occurrence of every cluster
-        // pair in `dag.edges()` order — the order decides the neighbour order
-        // of the coarse `Dag`, which the base pipeline's schedulers observe.
-        // A stable counting sort groups the crossing edges by source cluster
-        // without disturbing that order inside a group, so one stamp per
-        // target cluster finds the repeats of each group; the survivors are
-        // then emitted in their original positions.
-        let coarse = |v: NodeId| self.rep_pos[self.cluster_of[v]];
-        let mut offset = vec![0usize; k + 1];
-        let mut mapped = Vec::new();
-        for (a, b) in dag.edges() {
-            let (ca, cb) = (coarse(a), coarse(b));
-            if ca != cb {
-                offset[ca + 1] += 1;
-                mapped.push((ca, cb));
-            }
-        }
-        for c in 0..k {
-            offset[c + 1] += offset[c];
-        }
-        let mut grouped = vec![0usize; mapped.len()];
-        for (position, &(ca, _)) in mapped.iter().enumerate() {
-            grouped[offset[ca]] = position;
-            offset[ca] += 1;
-        }
-        // `offset[c]` now ends group `c`; groups are walked back to back.
-        let mut first = vec![false; mapped.len()];
-        let mut stamp = vec![0usize; k];
-        let mut begin = 0usize;
-        for (ca, &end) in offset[..k].iter().enumerate() {
-            for &position in &grouped[begin..end] {
-                let cb = mapped[position].1;
-                if stamp[cb] != ca + 1 {
-                    stamp[cb] = ca + 1;
-                    first[position] = true;
-                }
-            }
-            begin = end;
-        }
-        let mut keep = first.iter();
-        mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
-        let quotient = Dag::from_edges(k, &mapped, work, comm)
-            .expect("contractions preserve acyclicity, so the quotient is a DAG");
+        let quotient = quotient_of(
+            dag,
+            |v| self.rep_pos[self.cluster_of[v]],
+            summed(Dag::work),
+            summed(Dag::comm),
+        );
         (quotient, self.reps.clone())
     }
+}
+
+/// The quotient of `dag` under `cluster_of` (node → cluster index): one node
+/// per cluster with the given weights (`work.len()` clusters), and as edge
+/// list the first occurrence of every cluster pair in `dag.edges()` order.
+/// That order decides the neighbour order of the coarse [`Dag`], which the
+/// initializers observe, so this is the one rule every quotient in the crate
+/// is built by: the coarsener passes weights summed over the members, the
+/// funnel reduction ([`crate::funnel`]) a cluster's work and its root's `c`.
+///
+/// # Panics
+///
+/// Panics when the clusters do not form a DAG.
+pub(crate) fn quotient_of(
+    dag: &Dag,
+    cluster_of: impl Fn(NodeId) -> usize,
+    work: Vec<u64>,
+    comm: Vec<u64>,
+) -> Dag {
+    let k = work.len();
+    // A stable counting sort groups the crossing edges by source cluster
+    // without disturbing their order inside a group, so one stamp per target
+    // cluster finds the repeats of each group; the survivors are then
+    // emitted in their original positions.
+    let mut offset = vec![0usize; k + 1];
+    let mut mapped = Vec::new();
+    for (a, b) in dag.edges() {
+        let (ca, cb) = (cluster_of(a), cluster_of(b));
+        if ca != cb {
+            offset[ca + 1] += 1;
+            mapped.push((ca, cb));
+        }
+    }
+    for c in 0..k {
+        offset[c + 1] += offset[c];
+    }
+    let mut grouped = vec![0usize; mapped.len()];
+    for (position, &(ca, _)) in mapped.iter().enumerate() {
+        grouped[offset[ca]] = position;
+        offset[ca] += 1;
+    }
+    // `offset[c]` now ends group `c`; groups are walked back to back.
+    let mut first = vec![false; mapped.len()];
+    let mut stamp = vec![0usize; k];
+    let mut begin = 0usize;
+    for (ca, &end) in offset[..k].iter().enumerate() {
+        for &position in &grouped[begin..end] {
+            let cb = mapped[position].1;
+            if stamp[cb] != ca + 1 {
+                stamp[cb] = ca + 1;
+                first[position] = true;
+            }
+        }
+        begin = end;
+    }
+    let mut keep = first.iter();
+    mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
+    Dag::from_edges(k, &mapped, work, comm).expect("the clusters form a DAG")
 }
 
 /// A coarsening result: the member-level [`Clustering`] and the structural

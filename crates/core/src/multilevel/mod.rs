@@ -9,6 +9,21 @@
 //! fully uncoarsened solution, since the coarse DAG only over-estimates
 //! communication volumes.
 //!
+//! ## The funnel reduction comes first
+//!
+//! [`MultilevelScheduler::run_report`] contracts the DAG along its funnels
+//! ([`crate::funnel`]) once, races the whole portfolio described below on the
+//! funnel DAG and projects the winner (and every ratio's schedule) back.  The
+//! reduction is exact, so "the DAG" in the rest of this page is the funnel
+//! DAG and every cost on it is the cost on the caller's.  Two things still
+//! refer to the caller's DAG: a ratio's target is a fraction of *its* node
+//! count, and a ratio whose target the funnel DAG has already reached is not
+//! run — on `spmv`, where the reduction leaves a tenth of the nodes, the flat
+//! member is then the whole portfolio
+//! ([`MultilevelReport::used_base_only`]).  The reduction's seconds are
+//! counted into [`MultilevelReport::coarsen_seconds`];
+//! [`MultilevelReport::funnel_nodes`] says what it left.
+//!
 //! ## One coarsening, one portfolio
 //!
 //! As in the paper, the scheduler is run for several coarsening ratios
@@ -38,12 +53,14 @@
 //!   multilevel solve never returns worse than `Pipeline` alone — outside the
 //!   communication-dominated regime of §7.3 coarsening tends to lose to it.
 //!   The flat member is also where the pipeline's trivial-schedule floor
-//!   enters: it runs [`Pipeline::run_report`], so the solve never costs more
-//!   than the one-processor schedule.  The ratios base-solve their coarse
+//!   enters: it is [`Pipeline::run_report`] from the width sweep on (the
+//!   reduction is already done), so the solve never costs more than the
+//!   one-processor schedule.  The ratios base-solve their coarse
 //!   DAGs through [`Pipeline::run_report_on_prefix`], at the placement width
-//!   the pipeline's sweep keeps for the *uncoarsened* DAG and without the
-//!   floor — a coarse DAG over-states communication, so a sweep on it
-//!   narrows and a floor under it ends ratios that refinement still wins.
+//!   the pipeline's sweep keeps for the *uncoarsened* (funnel) DAG and
+//!   without the floor — a coarse DAG over-states communication, so a sweep
+//!   on it narrows and a floor under it ends ratios that refinement still
+//!   wins.
 //!   The cheapest member wins, ties going to the earlier one (the ratios in
 //!   configured order, then the flat pipeline).  A ratio whose schedule turns
 //!   out infeasible is dropped from the race and named in
@@ -82,15 +99,17 @@
 mod coarsen;
 mod engine;
 
+pub(crate) use coarsen::quotient_of;
 pub use coarsen::{
     coarsen, coarsen_with, BatchCoarsener, Clustering, CoarsenConfig, CoarsenStats, Coarsening,
     Contraction,
 };
 pub use engine::IncrementalRefiner;
 
+use crate::funnel::Funnel;
 use crate::hill_climb::{hccs_improve, HillClimbConfig};
 use crate::ilp::ilp_cs_improve;
-use crate::pipeline::{placement_width, Pipeline, PipelineConfig};
+use crate::pipeline::{width_sweep, Pipeline, PipelineConfig};
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine, NodeId, QuotientDag, ValidityError};
 use std::fmt;
@@ -353,9 +372,14 @@ pub struct MultilevelReport {
     /// One entry per coarsening ratio that produced a schedule, in configured
     /// order (empty when the DAG was too small to coarsen).
     pub ratio_outcomes: Vec<RatioOutcome>,
-    /// `true` if coarsening was skipped because the DAG is too small: the
-    /// flat member was the whole portfolio.
+    /// `true` if no ratio ran — the DAG is too small to coarsen, or the
+    /// funnel reduction had already reached every ratio's target: the flat
+    /// member was the whole portfolio.
     pub used_base_only: bool,
+    /// Node count of the DAG the portfolio raced on: what the funnel
+    /// reduction ([`crate::funnel`]) left of the caller's DAG, `dag.n()` when
+    /// nothing contracted.
+    pub funnel_nodes: usize,
     /// The member whose schedule was selected.
     pub winner: Member,
     /// The flat member's result; `None` when it was skipped because the
@@ -364,7 +388,8 @@ pub struct MultilevelReport {
     /// Ratio members that were dropped because their schedule was
     /// infeasible.
     pub failed: Vec<MemberFailure>,
-    /// Wall-clock of the one coarsening run every ratio shares.
+    /// Wall-clock of the funnel reduction (contraction and projection) plus
+    /// the one coarsening run every ratio shares.
     pub coarsen_seconds: f64,
     /// Round/batch counters of that run.
     pub coarsen_stats: CoarsenStats,
@@ -503,52 +528,98 @@ impl MultilevelScheduler {
         self.run_report(dag, machine).schedule
     }
 
-    /// Runs the multilevel scheduler and returns the schedule together with
-    /// per-member statistics.
+    /// Runs the multilevel scheduler — funnel reduction, the portfolio on the
+    /// funnel DAG, projection back onto `dag` — and returns the schedule
+    /// together with per-member statistics.
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> MultilevelReport {
-        let ratios: &[f64] = if dag.n() < self.config.min_nodes_to_coarsen {
-            &[]
-        } else {
-            &self.config.coarsen_ratios
-        };
+        let clock = Instant::now();
+        let funnel = Funnel::contract(dag, machine.p());
+        let contract_seconds = clock.elapsed().as_secs_f64();
+        let solved = funnel.as_ref().map_or(dag, Funnel::dag);
+
+        let targets = self.ratio_targets(dag.n(), solved.n());
         // The base pipeline inherits this solve's thread budget, split over
         // the lanes the portfolio runs on.  Without this the members would
         // fan their init branches out to available_parallelism underneath
         // whatever budget the caller set.
         let budget = self.config.effective_threads();
-        let lanes = budget.min(ratios.len() + 1).max(1);
+        let lanes = budget.min(targets.len() + 1).max(1);
         let base_pipeline = Pipeline::new(PipelineConfig {
             use_ilp_cs: false,
             ..self.config.base.clone().with_thread_budget(budget / lanes)
         });
         // A coarse DAG over-states communication: judged on it, the
         // pipeline's width sweep would narrow and its floor would win too
-        // early.  So the width is worked out once, on the DAG itself, the
-        // ratio members base-solve at that width without the floor (their
-        // own fixed-point exit covers a base solve that *finds* the trivial
-        // schedule), and the flat member is the pipeline as it stands.
-        let width = placement_width(dag, machine);
-        self.race(
-            dag,
+        // early.  So the width is worked out once, on the funnel DAG (which
+        // is exact), the ratio members base-solve at that width without the
+        // floor (their own fixed-point exit covers a base solve that *finds*
+        // the trivial schedule), and the flat member is the pipeline as it
+        // stands.
+        let width = width_sweep(solved, machine).0;
+        let mut report = self.race(
+            solved,
             machine,
-            ratios,
+            &targets,
             &|coarse: &Dag| {
                 base_pipeline
                     .run_report_on_prefix(coarse, machine, width)
                     .schedule
             },
-            &|| base_pipeline.run(dag, machine),
-        )
+            &|| base_pipeline.run_reduced(solved, machine, None).schedule,
+        );
+
+        let clock = Instant::now();
+        if let Some(funnel) = &funnel {
+            report.schedule = funnel.project(&report.schedule);
+            for outcome in &mut report.ratio_outcomes {
+                outcome.schedule = funnel.project(&outcome.schedule);
+            }
+        }
+        // The reduction is a coarsening step, and counting it there keeps
+        // the six phase names tiling the solve.
+        report.coarsen_seconds += contract_seconds + clock.elapsed().as_secs_f64();
+        debug_assert!(report.schedule.validate(dag, machine).is_ok());
+        debug_assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
+        report
+    }
+
+    /// The ratio members of a solve: every configured ratio with the number
+    /// of clusters it asks for — a fraction of `fine_nodes`, the node count
+    /// *before* the funnel reduction, which left `funnel_nodes`.  A DAG too
+    /// small to coarsen has none, and a ratio whose target the reduction has
+    /// already reached is not run.  (Targets taken from the funnel DAG's own
+    /// size would send the 10–16 k-cluster funnel DAGs of `ml_kernels` deep
+    /// into the coarsener's sequential tail: `ml.coarsen_s` 1.4 s against
+    /// 0.31 s.)
+    fn ratio_targets(&self, fine_nodes: usize, funnel_nodes: usize) -> Vec<(f64, usize)> {
+        if fine_nodes < self.config.min_nodes_to_coarsen {
+            return Vec::new();
+        }
+        // Coarsen-depth policy: the ratio's target, floored by
+        // `min_coarse_nodes` — past that point one more contraction costs
+        // more projected uncontraction/refinement work than it saves in the
+        // base solve (see the config field's docs).
+        let target = |ratio: f64| {
+            ((fine_nodes as f64 * ratio).round() as usize)
+                .max(self.config.min_coarse_nodes)
+                .clamp(2, fine_nodes.saturating_sub(1).max(2))
+        };
+        let ratios = self.config.coarsen_ratios.iter();
+        ratios
+            .map(|&ratio| (ratio, target(ratio)))
+            .filter(|&(_, target)| target < funnel_nodes)
+            .collect()
     }
 
     /// Runs the portfolio — one member per ratio, then the flat pipeline —
     /// with `base_solve` scheduling the coarse DAGs and `flat_solve` the DAG
-    /// itself, and keeps the cheapest answer.
+    /// itself, and keeps the cheapest answer.  `targets` are the ratio
+    /// members ([`Self::ratio_targets`]).
     fn race<B, F>(
         &self,
         dag: &Dag,
         machine: &Machine,
-        ratios: &[f64],
+        targets: &[(f64, usize)],
         base_solve: &B,
         flat_solve: &F,
     ) -> MultilevelReport
@@ -556,7 +627,7 @@ impl MultilevelScheduler {
         B: Fn(&Dag) -> BspSchedule + Sync,
         F: Fn() -> BspSchedule + Sync,
     {
-        let (log, levels) = self.shared_log(dag, ratios);
+        let (log, levels) = self.shared_log(dag, targets);
         // The portfolio in the order ties are broken: the ratios' levels, then
         // `None` for the flat member.
         let members: Vec<Option<&Level>> = levels.iter().map(Some).chain([None]).collect();
@@ -599,7 +670,8 @@ impl MultilevelScheduler {
         };
         MultilevelReport {
             ratio_outcomes,
-            used_base_only: ratios.is_empty(),
+            used_base_only: levels.is_empty(),
+            funnel_nodes: dag.n(),
             winner,
             flat,
             failed,
@@ -613,21 +685,8 @@ impl MultilevelScheduler {
     /// Coarsens once, to the deepest of the ratios' targets, and derives
     /// every ratio's coarse DAG from that one log (see the module docs for
     /// why a shallower target's log is a prefix of it).
-    fn shared_log(&self, dag: &Dag, ratios: &[f64]) -> (SharedLog, Vec<Level>) {
-        let n = dag.n();
-        // Coarsen-depth policy: the ratio's target, floored by
-        // `min_coarse_nodes` — past that point one more contraction costs
-        // more projected uncontraction/refinement work than it saves in the
-        // base solve (see the config field's docs).
-        let targets: Vec<usize> = ratios
-            .iter()
-            .map(|&ratio| {
-                ((n as f64 * ratio).round() as usize)
-                    .max(self.config.min_coarse_nodes)
-                    .clamp(2, n.saturating_sub(1).max(2))
-            })
-            .collect();
-        let Some(&deepest) = targets.iter().min() else {
+    fn shared_log(&self, dag: &Dag, targets: &[(f64, usize)]) -> (SharedLog, Vec<Level>) {
+        let Some(deepest) = targets.iter().map(|&(_, target)| target).min() else {
             let log = SharedLog {
                 slot: Mutex::new((None, 0)),
                 coarsen_seconds: 0.0,
@@ -643,13 +702,14 @@ impl MultilevelScheduler {
 
         // The clustering walks back *up* the log, so the levels are built
         // deepest first and handed out in configured order.
-        let mut order: Vec<usize> = (0..ratios.len()).collect();
-        order.sort_by_key(|&i| targets[i]);
-        let mut levels: Vec<Option<Level>> = ratios.iter().map(|_| None).collect();
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        order.sort_by_key(|&i| targets[i].1);
+        let mut levels: Vec<Option<Level>> = targets.iter().map(|_| None).collect();
         for i in order {
+            let (ratio, target) = targets[i];
             let mut timings = PhaseTimings::default();
             let clock = Instant::now();
-            while clustering.num_clusters() < targets[i] && clustering.uncontract_one() {}
+            while clustering.num_clusters() < target && clustering.uncontract_one() {}
             timings.coarsen_seconds = clock.elapsed().as_secs_f64();
             // The one from-scratch quotient build of a ratio's run: the base
             // pipeline's schedulers want an immutable `Dag`.
@@ -657,7 +717,7 @@ impl MultilevelScheduler {
             let (coarse_dag, reps) = clustering.quotient_dag(dag);
             timings.base_solve_seconds = clock.elapsed().as_secs_f64();
             levels[i] = Some(Level {
-                ratio: ratios[i],
+                ratio,
                 contractions: clustering.num_contractions(),
                 coarse_dag,
                 reps,
@@ -665,7 +725,7 @@ impl MultilevelScheduler {
             });
         }
         let log = SharedLog {
-            slot: Mutex::new((Some(quotient), ratios.len())),
+            slot: Mutex::new((Some(quotient), targets.len())),
             coarsen_seconds,
             coarsen_stats,
         };
@@ -983,7 +1043,7 @@ mod tests {
         let report = ml.race(
             &dag,
             &machine,
-            &ml.config.coarsen_ratios,
+            &ml.ratio_targets(dag.n(), dag.n()),
             &infeasible_base_solve,
             &flat_solve,
         );
@@ -1016,7 +1076,7 @@ mod tests {
         let report = ml.race(
             &dag,
             &machine,
-            &ml.config.coarsen_ratios,
+            &ml.ratio_targets(dag.n(), dag.n()),
             &infeasible_base_solve,
             &fast_flat(&dag, &machine),
         );
@@ -1053,7 +1113,7 @@ mod tests {
         let report = ml.race(
             &dag,
             &machine,
-            &ml.config.coarsen_ratios,
+            &ml.ratio_targets(dag.n(), dag.n()),
             &stepped,
             &flat_solve,
         );
@@ -1066,7 +1126,7 @@ mod tests {
         let report = ml.race(
             &dag,
             &machine,
-            &ml.config.coarsen_ratios,
+            &ml.ratio_targets(dag.n(), dag.n()),
             &BspSchedule::trivial,
             &flat_solve,
         );
@@ -1106,9 +1166,11 @@ mod tests {
 
     #[test]
     fn single_ratio_configuration_runs_one_outcome() {
-        let dag = spmv(&SpmvConfig {
-            n: 16,
-            density: 0.25,
+        // Not `spmv`: its funnel DAG is already below the ratio's target.
+        let dag = cg(&IterConfig {
+            n: 10,
+            density: 0.3,
+            iterations: 2,
             seed: 4,
         });
         let machine = Machine::uniform(4, 5, 5);

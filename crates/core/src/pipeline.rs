@@ -8,8 +8,18 @@
 //! window-based `ILPpart`, followed in either case by the
 //! communication-schedule ILP `ILPcs`.
 //!
-//! Two steps around the branches are this repository's own:
+//! Three steps around the branches are this repository's own:
 //!
+//! * **The funnel reduction.**  [`Pipeline::run_report`] first contracts the
+//!   DAG along its funnels ([`crate::funnel`]: every node whose successors
+//!   all lie in one cluster joins it), runs everything below on the funnel
+//!   DAG and projects the answer back.  The reduction is *exact* — every
+//!   schedule of the funnel DAG is a schedule of the DAG at the identical
+//!   cost — so the sweep, the floor, the ILP stage and every size gate judge
+//!   the DAG that is being solved and are right to; a coarse node is the
+//!   multi-node move single-node `HC` lacks.  It is a function of the DAG and
+//!   `P`, not a setting: a DAG with nothing to contract is solved as it is
+//!   ([`PipelineReport::funnel_nodes`] says what was left).
 //! * **The placement-width sweep.**  `BSPg` and `Source` read neither `λ` nor
 //!   `g`: they spread the DAG over all `P` processors, and single-node `HC`
 //!   moves cannot pull such a schedule back together when communication is
@@ -30,21 +40,23 @@
 //!   strictly cheaper than the best branch ([`trivial_floor`]), so the
 //!   pipeline never answers with more than the one-processor cost.
 //!
-//! Both steps judge a schedule of the DAG that is being solved.  The
+//! Sweep and floor judge a schedule of the DAG that is being solved.  The
 //! multilevel scheduler base-solves *coarse* DAGs, which over-state
-//! communication (a cluster's `c` is the sum of its members'): there the
-//! sweep would narrow and the floor would win too early.  Its ratio members
-//! therefore enter through [`Pipeline::run_report_on_prefix`] — no sweep, no
-//! floor, the initializers on the width [`placement_width`] keeps for the
-//! uncoarsened DAG — a function boundary, not a switch:
-//! `run_report` = sweep + `run_report_on_prefix` with the floor in between
-//! the branches and the ILP stage.
+//! communication (a coarsener's cluster has many exits and its `c` is the sum
+//! of its members' — unlike a funnel cluster, whose one exit is its root):
+//! there the sweep would narrow and the floor would win too early.  Its ratio
+//! members therefore enter through [`Pipeline::run_report_on_prefix`] — no
+//! reduction, no sweep, no floor, the initializers on the width
+//! [`placement_width`] keeps for the uncoarsened DAG — a function boundary,
+//! not a switch: `run_report` = reduction + sweep + `run_report_on_prefix`
+//! with the floor in between the branches and the ILP stage, projected back.
 //!
 //! [`Pipeline::run_report`] additionally returns the intermediate costs used
 //! by the paper's Figures 5–7 (the `Init`, `HCcs` and `ILP` bars).
 
 use crate::baselines::TrivialScheduler;
 use crate::cancel::CancelToken;
+use crate::funnel::Funnel;
 use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use crate::ilp::{
     ilp_cs_improve, ilp_full_schedule, ilp_part_improve, IlpConfig, IlpInitScheduler,
@@ -228,6 +240,19 @@ pub struct PhaseSample {
     pub dur_us: u64,
 }
 
+impl PhaseSample {
+    /// A depth-0 sample from `start` to `end`, both measured from the start
+    /// of the run.
+    fn spanning(name: &'static str, start: Duration, end: Duration) -> Self {
+        PhaseSample {
+            name,
+            depth: 0,
+            start_us: start.as_micros() as u64,
+            dur_us: end.saturating_sub(start).as_micros() as u64,
+        }
+    }
+}
+
 /// Cost of one initialization branch before and after local search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchReport {
@@ -264,6 +289,10 @@ pub struct PipelineReport {
     /// sweep over the machine's processor prefixes kept (see the module
     /// docs).  `P` when no narrower prefix was cheaper.
     pub placement_width: usize,
+    /// Node count of the DAG that was solved: what the funnel reduction
+    /// ([`crate::funnel`]) left of the caller's DAG, `dag.n()` when nothing
+    /// contracted.
+    pub funnel_nodes: usize,
     /// `true` if `ILPfull` was attempted (i.e. its estimated variable count
     /// fit the configured budget).
     pub used_ilp_full: bool,
@@ -329,24 +358,48 @@ impl Pipeline {
         self.run_report(dag, machine).schedule
     }
 
-    /// Runs the pipeline — width sweep, branch search, trivial-schedule floor,
-    /// ILP stage — and returns the final schedule together with the
-    /// intermediate stage costs (Figures 5–7).
+    /// Runs the pipeline — funnel reduction, width sweep, branch search,
+    /// trivial-schedule floor, ILP stage, projection back onto `dag` — and
+    /// returns the final schedule together with the intermediate stage costs
+    /// (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
         let origin = self.phase_clock();
+        let funnel = Funnel::contract(dag, machine.p());
+        let contracted = origin.map(|o| o.elapsed());
+        let mut report =
+            self.run_reduced(funnel.as_ref().map_or(dag, Funnel::dag), machine, origin);
+        let solved = origin.map(|o| o.elapsed());
+        if let Some(funnel) = &funnel {
+            report.schedule = funnel.project(&report.schedule);
+        }
+        if let (Some(o), Some(contracted), Some(solved)) = (origin, contracted, solved) {
+            // One sample for both halves of the reduction, so that the
+            // depth-0 samples still add up to the run.
+            let projected = o.elapsed().saturating_sub(solved);
+            let funnel = PhaseSample::spanning("funnel", Duration::ZERO, contracted + projected);
+            report.phases.insert(0, funnel);
+        }
+        debug_assert!(report.schedule.validate(dag, machine).is_ok());
+        debug_assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
+        report
+    }
+
+    /// [`Pipeline::run_report`] on a DAG the funnel reduction has already
+    /// been applied to (the multilevel scheduler reduces once for its whole
+    /// portfolio): width sweep, branch search, floor, ILP stage.
+    pub(crate) fn run_reduced(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        origin: Option<Instant>,
+    ) -> PipelineReport {
+        let sweep_started = origin.map(|o| o.elapsed());
         let (width, swept) = width_sweep(dag, machine);
-        let sweep_us = origin.map(|o| o.elapsed().as_micros() as u64);
+        let swept_at = origin.map(|o| o.elapsed());
         let mut report = self.branch_search(dag, machine, origin, width, Some(swept));
-        if let Some(dur_us) = sweep_us {
-            report.phases.insert(
-                0,
-                PhaseSample {
-                    name: "width_sweep",
-                    depth: 0,
-                    start_us: 0,
-                    dur_us,
-                },
-            );
+        if let (Some(started), Some(end)) = (sweep_started, swept_at) {
+            let sweep = PhaseSample::spanning("width_sweep", started, end);
+            report.phases.insert(0, sweep);
         }
         if trivial_floor(
             dag,
@@ -408,6 +461,7 @@ impl Pipeline {
                 final_cost: cost,
                 selected_init: "trivial".to_string(),
                 placement_width,
+                funnel_nodes: dag.n(),
                 used_ilp_full: false,
                 ilp_part_windows_improved: 0,
                 ilp_cs_improved: false,
@@ -458,6 +512,7 @@ impl Pipeline {
             final_cost: local_search_cost,
             selected_init,
             placement_width,
+            funnel_nodes: dag.n(),
             used_ilp_full: false,
             ilp_part_windows_improved: 0,
             ilp_cs_improved: false,
@@ -504,12 +559,8 @@ impl Pipeline {
                 report.ilp_cs_improved = ilp_cs_improve(dag, machine, schedule, &ilp_config);
             }
             if let (Some(o), Some(started)) = (origin, ilp_started) {
-                report.phases.push(PhaseSample {
-                    name: "ilp_stage",
-                    depth: 0,
-                    start_us: started.as_micros() as u64,
-                    dur_us: o.elapsed().saturating_sub(started).as_micros() as u64,
-                });
+                let stage = PhaseSample::spanning("ilp_stage", started, o.elapsed());
+                report.phases.push(stage);
             }
         }
 
@@ -639,18 +690,18 @@ impl Pipeline {
 
 /// The number of processors the pipeline's initializers would place the nodes
 /// of `dag` on: the width its sweep over the machine's processor prefixes
-/// keeps (see the module docs).  [`Pipeline::run_report`] works it out for
-/// itself; the multilevel scheduler asks once per solve, for the uncoarsened
-/// DAG, and base-solves every coarse DAG at that width.
+/// keeps for the funnel DAG (see the module docs).  [`Pipeline::run_report`]
+/// works it out for itself.
 pub fn placement_width(dag: &Dag, machine: &Machine) -> usize {
-    width_sweep(dag, machine).0
+    let funnel = Funnel::contract(dag, machine.p());
+    width_sweep(funnel.as_ref().map_or(dag, Funnel::dag), machine).0
 }
 
 /// The placement-width sweep (see the module docs): `Source` on the machine's
 /// processor prefixes `P`, `P/2`, `P/4`, … ≥ 2, costed on the full machine,
 /// until a width does not lower the cost.  Returns the cheapest width — ties
 /// to the wider — and `Source`'s schedule at that width.
-fn width_sweep(dag: &Dag, machine: &Machine) -> (usize, BspSchedule) {
+pub(crate) fn width_sweep(dag: &Dag, machine: &Machine) -> (usize, BspSchedule) {
     let mut best_width = machine.p();
     let mut best = SourceScheduler.schedule(dag, machine);
     let mut best_cost = best.cost(dag, machine);
@@ -821,14 +872,17 @@ mod tests {
         }
         assert!(report.phases.iter().any(|p| p.name == "hc"));
         assert!(report.phases.iter().any(|p| p.name == "ilp_stage"));
-        // The sweep is timed on its own, ahead of every branch.
-        let sweep = report.phases[0];
+        // The reduction (contraction plus projection) and the sweep are
+        // timed on their own, ahead of every branch.
+        let (funnel, sweep) = (report.phases[0], report.phases[1]);
         assert_eq!(
-            (sweep.name, sweep.depth, sweep.start_us),
-            ("width_sweep", 0, 0)
+            (funnel.name, funnel.depth, funnel.start_us),
+            ("funnel", 0, 0)
         );
+        assert_eq!((sweep.name, sweep.depth), ("width_sweep", 0));
         let first_branch = report.phases.iter().find(|p| p.name == "BSPg").unwrap();
-        assert!(sweep.dur_us <= first_branch.start_us);
+        assert!(sweep.start_us + sweep.dur_us <= first_branch.start_us);
+        assert!(report.funnel_nodes < dag.n());
     }
 
     #[test]

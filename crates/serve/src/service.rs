@@ -732,8 +732,10 @@ impl ScheduleService {
                 spans.push("solve", 0, solve_start, solve_dur);
             }
             if report.used_base_only {
-                // Too small to coarsen: the whole solve was one base run, and
-                // the report carries no per-ratio timings to break down.
+                // Too small to coarsen, or the funnel reduction had already
+                // reached every ratio's target: the whole solve was one base
+                // run, and the report carries no per-ratio timings to break
+                // down.
                 self.note_phase_micros("ml_base_solve", solve_dur);
                 if let Some(spans) = spans.as_deref_mut() {
                     spans.push("ml_base_solve", 1, solve_start, solve_dur);

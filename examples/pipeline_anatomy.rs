@@ -61,6 +61,11 @@ fn main() {
     println!("\nthe combined pipeline (all branches, Figure 3):");
     let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
     println!(
+        "  solved a DAG of {} nodes (the funnel reduction of {})",
+        report.funnel_nodes,
+        dag.n()
+    );
+    println!(
         "  initializers placed on {} of {} processors (the width sweep)",
         report.placement_width,
         machine.p()

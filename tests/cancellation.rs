@@ -81,6 +81,50 @@ fn pipeline_with_an_already_expired_deadline_still_returns_a_valid_schedule() {
     }
 }
 
+/// The funnel reduction sits in front of everything a token can stop, so a
+/// run cancelled before its branches search still answers for the caller's
+/// DAG: the cheaper raw initializer schedule of the funnel DAG (or the
+/// trivial one, if the floor fires), projected.
+#[test]
+fn a_run_cancelled_before_the_branches_returns_the_projected_initializer_schedule() {
+    use bsp_model::{BspSchedule, Machine};
+    use bsp_sched::init::{BspgScheduler, SourceScheduler};
+    use bsp_sched::pipeline::placement_width;
+    use bsp_sched::{Funnel, Scheduler};
+    let dag = dag_gen::spmv(&dag_gen::SpmvConfig {
+        n: 40,
+        density: 0.2,
+        seed: 3,
+    });
+    for machine in [
+        Machine::uniform(4, 3, 5),
+        Machine::numa_binary_tree(8, 3, 5, 3),
+    ] {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let config = PipelineConfig::heuristics_only().with_cancel(cancel);
+        let report = Pipeline::new(config).run_report(&dag, &machine);
+        assert!(report.schedule.validate(&dag, &machine).is_ok());
+        assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+
+        let funnel = Funnel::contract(&dag, machine.p()).expect("spmv is all funnels");
+        let coarse = funnel.dag();
+        assert_eq!(report.funnel_nodes, coarse.n());
+        assert!(coarse.n() * 4 < dag.n(), "{} clusters", coarse.n());
+        let placement = machine.prefix(placement_width(&dag, &machine));
+        let raw = [
+            BspgScheduler.schedule(coarse, &placement),
+            SourceScheduler.schedule(coarse, &placement),
+            BspSchedule::trivial(coarse),
+        ];
+        // `min_by_key` keeps the first of equal minima: ties go to the
+        // earlier branch, and the floor wants strictly less.
+        let best = raw.iter().min_by_key(|s| s.cost(coarse, &machine)).unwrap();
+        assert_eq!(report.schedule, funnel.project(best));
+        assert_eq!(report.final_cost, best.cost(coarse, &machine));
+    }
+}
+
 #[test]
 fn cancelled_multilevel_runs_stay_valid() {
     for case in 0..CASES {

@@ -12,6 +12,7 @@
 pub mod reference_codec;
 pub mod reference_comm;
 pub mod reference_multilevel;
+pub mod reference_source;
 
 use bsp_model::{Dag, Machine};
 use rand::Rng;

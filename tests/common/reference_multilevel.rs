@@ -3,7 +3,10 @@
 //! own target, build the coarse DAG with a `BTreeSet` edge dedup, run the
 //! base pipeline, and always walk the whole log back up.  Kept as the
 //! reference `tests/multilevel_equivalence.rs` holds the scheduler's
-//! per-ratio answers against; it goes through public API only.
+//! per-ratio answers against; it goes through public API only.  The DAG it
+//! is handed is the one the portfolio races on — what the funnel reduction
+//! left of the caller's — and the target is worked out by the caller, from
+//! the caller's node count ([`target`]).
 
 use bsp_model::{Assignment, BspSchedule, Dag, DagBuilder, Machine, NodeId};
 use bsp_sched::hill_climb::{hccs_improve, HillClimbConfig};
@@ -66,19 +69,19 @@ fn final_comm_optimization(
     }
 }
 
-/// One full coarsen–solve–refine run at a single coarsening ratio, with one
+/// One full coarsen–solve–refine run down to `target` clusters, with one
 /// thread for the base pipeline.
 pub fn ratio_run(
     config: &MultilevelConfig,
     dag: &Dag,
     machine: &Machine,
-    ratio: f64,
+    target: usize,
 ) -> BspSchedule {
     let base_pipeline = Pipeline::new(PipelineConfig {
         use_ilp_cs: false,
         ..config.base.clone().with_thread_budget(1)
     });
-    let (clustering, quotient) = coarsen(dag, target(config, dag.n(), ratio)).into_parts();
+    let (clustering, quotient) = coarsen(dag, target).into_parts();
     let coarse_nodes = clustering.num_clusters();
     let (coarse_dag, reps) = quotient_dag(&clustering, dag);
     // The ratio members' base solve: no sweep on the coarse DAG and no

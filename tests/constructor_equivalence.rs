@@ -5,13 +5,18 @@
 //! form to near-linear time under the promise that their output does not
 //! change by a single bit.  The [`oracle`] module below keeps the replaced
 //! routines verbatim; every test asserts that the library's constructors
-//! return exactly the oracle's `Assignment` / `ClassicalSchedule`.
+//! return exactly the oracle's `Assignment` / `ClassicalSchedule`.  `Source`'s
+//! old form lives in [`common::reference_source`] and applies the same
+//! first-superstep cluster bound as the library: the claim is "the
+//! near-linear constructor equals the straightforward one", not "clusters
+//! are unbounded".
 
 mod common;
 
 use bsp_model::{ClassicalSchedule, Dag, Machine};
 use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
+use common::reference_source::{source_assignment, source_assignment_unbounded};
 use common::rng_for_case;
 use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
 use rand::seq::SliceRandom;
@@ -144,145 +149,6 @@ mod oracle {
             if ready_all.is_empty() && 2 * idle >= p {
                 end_step = true;
             }
-        }
-
-        Assignment {
-            proc,
-            superstep: superstep_of,
-        }
-    }
-
-    /// `SourceScheduler::assignment`.
-    pub fn source_assignment(dag: &Dag, machine: &Machine) -> Assignment {
-        let n = dag.n();
-        let p = machine.p();
-        let mut proc = vec![usize::MAX; n];
-        let mut superstep_of = vec![usize::MAX; n];
-        if n == 0 {
-            return Assignment {
-                proc: vec![],
-                superstep: vec![],
-            };
-        }
-
-        // Remaining in-degree in the "shrinking" DAG (assigned nodes removed).
-        let mut remaining_indeg: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-        let mut assigned_count = 0usize;
-        let mut superstep = 0usize;
-
-        // Removes an assigned node from the remaining DAG.
-        fn remove_node(dag: &Dag, v: usize, remaining_indeg: &mut [usize]) {
-            for &w in dag.successors(v) {
-                remaining_indeg[w] = remaining_indeg[w].saturating_sub(1);
-            }
-        }
-
-        while assigned_count < n {
-            let sources: Vec<usize> = (0..n)
-                .filter(|&v| proc[v] == usize::MAX && remaining_indeg[v] == 0)
-                .collect();
-            debug_assert!(
-                !sources.is_empty(),
-                "no sources but unassigned nodes remain"
-            );
-            let mut next_proc = 0usize;
-
-            if superstep == 0 {
-                // Cluster sources that share a direct successor.
-                let mut cluster_of: Vec<Option<usize>> = vec![None; n];
-                let mut clusters: Vec<Vec<usize>> = Vec::new();
-                for &v in &sources {
-                    if cluster_of[v].is_some() {
-                        continue;
-                    }
-                    // Does v share an out-neighbour with an already-clustered or
-                    // later source?
-                    let mut target_cluster: Option<usize> = None;
-                    'outer: for &succ in dag.successors(v) {
-                        for &u in dag.predecessors(succ) {
-                            if u != v && proc[u] == usize::MAX && remaining_indeg[u] == 0 {
-                                if let Some(c) = cluster_of[u] {
-                                    target_cluster = Some(c);
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                    match target_cluster {
-                        Some(c) => {
-                            clusters[c].push(v);
-                            cluster_of[v] = Some(c);
-                        }
-                        None => {
-                            // Start a new cluster; pull in sharing partners that
-                            // are not yet clustered.
-                            let c = clusters.len();
-                            clusters.push(vec![v]);
-                            cluster_of[v] = Some(c);
-                            for &succ in dag.successors(v) {
-                                for &u in dag.predecessors(succ) {
-                                    if u != v
-                                        && proc[u] == usize::MAX
-                                        && remaining_indeg[u] == 0
-                                        && cluster_of[u].is_none()
-                                    {
-                                        clusters[c].push(u);
-                                        cluster_of[u] = Some(c);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                for cluster in clusters {
-                    for v in cluster {
-                        proc[v] = next_proc;
-                        superstep_of[v] = superstep;
-                        assigned_count += 1;
-                        remove_node(dag, v, &mut remaining_indeg);
-                    }
-                    next_proc = (next_proc + 1) % p;
-                }
-            } else {
-                // Decreasing work weight, round-robin.
-                let mut order = sources.clone();
-                order.sort_by_key(|&v| (std::cmp::Reverse(dag.work(v)), v));
-                for v in order {
-                    proc[v] = next_proc;
-                    superstep_of[v] = superstep;
-                    assigned_count += 1;
-                    remove_node(dag, v, &mut remaining_indeg);
-                    next_proc = (next_proc + 1) % p;
-                }
-            }
-
-            // Pull in successors whose predecessors all live on one processor.
-            // (Iterate to a fixed point so chains of such nodes are absorbed.)
-            loop {
-                let mut pulled = false;
-                for u in 0..n {
-                    if proc[u] != usize::MAX || remaining_indeg[u] != 0 {
-                        continue;
-                    }
-                    let preds = dag.predecessors(u);
-                    if preds.is_empty() {
-                        continue;
-                    }
-                    let target = proc[preds[0]];
-                    if preds.iter().all(|&w| proc[w] == target) {
-                        proc[u] = target;
-                        superstep_of[u] = superstep;
-                        assigned_count += 1;
-                        remove_node(dag, u, &mut remaining_indeg);
-                        pulled = true;
-                    }
-                }
-                if !pulled {
-                    break;
-                }
-            }
-
-            superstep += 1;
         }
 
         Assignment {
@@ -629,7 +495,7 @@ fn assert_all_match(dag: &Dag, machine: &Machine, what: &str) {
     );
     assert_eq!(
         SourceScheduler.assignment(dag, machine),
-        oracle::source_assignment(dag, machine),
+        source_assignment(dag, machine),
         "Source differs on {what}"
     );
     let classical = [
@@ -667,7 +533,7 @@ fn assert_all_match(dag: &Dag, machine: &Machine, what: &str) {
 #[test]
 fn constructors_match_the_oracle_on_random_dags() {
     let machines = machines();
-    let mut dags = 0;
+    let (mut dags, mut bound_binds) = (0, 0);
     for (s, &shape) in SHAPES.iter().enumerate() {
         for case in 0..44 {
             let mut rng = rng_for_case(0xC0_57 + s as u64, case);
@@ -681,10 +547,33 @@ fn constructors_match_the_oracle_on_random_dags() {
                     machine.is_numa()
                 );
                 assert_all_match(&dag, machine, &what);
+                let bounded = source_assignment(&dag, machine);
+                bound_binds += usize::from(bounded != source_assignment_unbounded(&dag, machine));
             }
         }
     }
     assert!(dags >= 200, "the issue asks for at least 200 DAGs");
+    // `Source` was held to the oracle where its cluster bound decides, too.
+    assert!(
+        bound_binds >= 20,
+        "the bound decided only {bound_binds} inputs"
+    );
+}
+
+/// The smallest input on which `Source`'s cluster bound binds: four unit
+/// sources that all feed both sinks.  Unbounded they are one cluster and the
+/// pull-in makes the schedule the one-processor one; bounded at
+/// `⌈4 / 2⌉ = 2` they are two clusters on two processors.
+#[test]
+fn source_splits_a_cluster_at_the_bound_and_matches_the_oracle_there() {
+    let edges: Vec<(usize, usize)> = (0..4).flat_map(|u| [(u, 4), (u, 5)]).collect();
+    let dag = Dag::from_edge_list_unit_weights(6, &edges).unwrap();
+    let machine = Machine::uniform(2, 3, 5);
+    let unbounded = source_assignment_unbounded(&dag, &machine);
+    assert_eq!(unbounded.proc, vec![0; 6]);
+    let bounded = source_assignment(&dag, &machine);
+    assert_eq!(bounded.proc[..4], [0, 0, 1, 1]);
+    assert_eq!(SourceScheduler.assignment(&dag, &machine), bounded);
 }
 
 /// The conversion takes any `(proc, start)` pair, consistent or not, so it

@@ -5,7 +5,10 @@
 //! up, and races the flat pipeline.  None of that may change what a ratio
 //! returns: [`common::reference_multilevel`] keeps the old from-scratch
 //! per-ratio run, and the tests here hold the scheduler's per-ratio cost and
-//! schedule to it on the benchmark's families and machines, next to the
+//! schedule to it on the benchmark's families and machines — both sides
+//! taken from the funnel DAG the portfolio races on, the targets from the
+//! caller's node count, a ratio whose target the funnel DAG has already
+//! reached not run on either side — next to the
 //! properties the three changes rest on — a shallower target's log is a
 //! prefix of a deeper one's, the trivial schedule is a fixed point of the
 //! uncoarsening walk, the answer is never worse than any member's, and the
@@ -16,9 +19,11 @@ mod common;
 use bsp_model::{Assignment, BspSchedule, Dag, DagView, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::multilevel::{
-    coarsen, Coarsening, IncrementalRefiner, MultilevelConfig, MultilevelScheduler, RatioOutcome,
+    coarsen, Coarsening, IncrementalRefiner, Member, MultilevelConfig, MultilevelScheduler,
+    RatioOutcome,
 };
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::Funnel;
 use common::reference_multilevel as reference;
 use common::{random_dag, random_machine, rng_for_case};
 use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
@@ -94,10 +99,23 @@ fn assert_matches_the_reference(name: &str, dag: &Dag, machine: &Machine) -> (us
     let report = MultilevelScheduler::new(config.clone()).run_report(dag, machine);
     let context = format!("{name} ({} nodes) on P = {}", dag.n(), machine.p());
     assert!(report.failed.is_empty(), "{context}: {:?}", report.failed);
-    assert_eq!(report.ratio_outcomes.len(), config.coarsen_ratios.len());
-    for (outcome, &ratio) in report.ratio_outcomes.iter().zip(&config.coarsen_ratios) {
+    let funnel = Funnel::contract(dag, machine.p());
+    let solved = funnel.as_ref().map_or(dag, Funnel::dag);
+    assert_eq!(report.funnel_nodes, solved.n(), "{context}");
+    // The ratios that run: those whose target the funnel DAG is still above.
+    let ratios = config.coarsen_ratios.iter();
+    let live: Vec<(f64, usize)> = ratios
+        .map(|&ratio| (ratio, reference::target(&config, dag.n(), ratio)))
+        .filter(|&(_, target)| target < solved.n())
+        .collect();
+    assert_eq!(report.ratio_outcomes.len(), live.len(), "{context}");
+    assert_eq!(report.used_base_only, live.is_empty(), "{context}");
+    for (outcome, &(ratio, target)) in report.ratio_outcomes.iter().zip(&live) {
         assert_eq!(outcome.ratio, ratio);
-        let expected = reference::ratio_run(&config, dag, machine, ratio);
+        let expected = reference::ratio_run(&config, solved, machine, target);
+        let expected = funnel
+            .as_ref()
+            .map_or(expected.clone(), |f| f.project(&expected));
         assert_eq!(
             outcome.cost,
             expected.cost(dag, machine),
@@ -107,7 +125,7 @@ fn assert_matches_the_reference(name: &str, dag: &Dag, machine: &Machine) -> (us
             outcome.schedule, expected,
             "{context}: schedule at ratio {ratio}"
         );
-        assert!(outcome.coarse_nodes <= reference::target(&config, dag.n(), ratio));
+        assert!(outcome.coarse_nodes <= target);
         assert!(
             report.final_cost <= outcome.cost,
             "{context}: worse than ratio {ratio}"
@@ -145,25 +163,51 @@ fn assert_matches_the_reference(name: &str, dag: &Dag, machine: &Machine) -> (us
 
 #[test]
 fn every_ratio_answers_what_its_own_coarsening_would_have_on_the_fine_families() {
-    let (mut walks, mut exits) = (0, 0);
+    let mut walks = 0;
     for (name, dag) in fine_families() {
         for machine in machines() {
-            let (walked, exited) = assert_matches_the_reference(name, &dag, &machine);
-            walks += walked;
-            exits += exited;
+            walks += assert_matches_the_reference(name, &dag, &machine).0;
         }
     }
-    // Both ways through a ratio member were held to the reference.
-    assert!(walks >= 2 && exits >= 2, "{walks} walks, {exits} exits");
+    assert!(walks >= 4, "{walks} walks");
 }
 
 #[test]
 fn every_ratio_answers_what_its_own_coarsening_would_have_on_the_kernels() {
+    let mut exits = 0;
     for (name, dag) in kernel_families() {
         assert!(dag.n() > 4096, "{name} must start in the batch engine");
         for machine in machines() {
-            assert_matches_the_reference(name, &dag, &machine);
+            exits += assert_matches_the_reference(name, &dag, &machine).1;
         }
+    }
+    // Both ways through a ratio member were held to the reference: the fine
+    // families walk the log back up, the kernels' base solves are trivial.
+    assert!(exits >= 4, "{exits} exits");
+}
+
+/// `spmv` contracts to its row sums and shared inputs, a tenth of its nodes:
+/// both ratios' targets are already reached, none runs, and the report is the
+/// flat member's.
+#[test]
+fn a_ratio_whose_target_the_funnel_has_reached_is_not_run() {
+    let (name, dag) = fine_families().swap_remove(2);
+    assert_eq!(name, "spmv");
+    let config = config();
+    for machine in machines() {
+        let funnel = Funnel::contract(&dag, machine.p()).expect("spmv is all funnels");
+        let deepest = reference::target(&config, dag.n(), 0.3);
+        assert!(funnel.dag().n() <= deepest, "{} clusters", funnel.dag().n());
+        let report = MultilevelScheduler::new(config.clone()).run_report(&dag, &machine);
+        assert!(report.ratio_outcomes.is_empty() && report.failed.is_empty());
+        assert!(report.used_base_only);
+        assert_eq!(report.winner, Member::Flat);
+        assert_eq!(report.coarsen_stats.contractions, 0);
+        let flat =
+            Pipeline::new(config.base.clone().with_thread_budget(1)).run_report(&dag, &machine);
+        assert_eq!(report.schedule, flat.schedule);
+        assert_eq!(report.final_cost, flat.final_cost);
+        assert_eq!(report.flat.map(|f| f.cost), Some(flat.final_cost));
     }
 }
 

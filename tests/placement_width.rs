@@ -8,7 +8,9 @@
 //! machines — that the answer validates on the full machine, that the report
 //! is the hand-composed `initializer on prefix(w) → HC → HCcs` of every
 //! branch bit for bit (at `w = P` that is the pipeline without the sweep),
-//! and that the width follows the stated rule.
+//! and that the width follows the stated rule.  All of it is composed on the
+//! DAG the pipeline solves — what the funnel reduction leaves of the input —
+//! and projected back.
 
 mod common;
 
@@ -16,7 +18,7 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{placement_width, Pipeline, PipelineConfig, PipelineReport};
-use bsp_sched::Scheduler;
+use bsp_sched::{Funnel, Scheduler};
 use common::{random_dag, rng_for_case};
 use dag_gen::{cg, coarse_dag, CoarseAlgorithm, CoarseConfig, IterConfig};
 use rand::Rng;
@@ -126,12 +128,18 @@ fn branch_by_hand(
     (raw, schedule)
 }
 
+/// `report` is the pipeline's answer for the DAG `funnel` was contracted
+/// from, `dag` what the contraction left of it (the DAG itself when nothing
+/// contracted).
 fn assert_report_is_the_hand_composition(
     context: &str,
     report: &PipelineReport,
+    funnel: Option<&Funnel>,
     dag: &Dag,
     machine: &Machine,
 ) {
+    let project = |s: &BspSchedule| funnel.map_or_else(|| s.clone(), |f| f.project(s));
+    assert_eq!(report.funnel_nodes, dag.n(), "{context}: funnel_nodes");
     let width = report.placement_width;
     assert_eq!(width, expected_width(dag, machine), "{context}: width");
     let placement = machine.prefix(width);
@@ -162,14 +170,15 @@ fn assert_report_is_the_hand_composition(
     let searched_cost = searched.cost(dag, machine);
     if report.selected_init == "trivial" {
         assert!(trivial_cost(dag, machine) < searched_cost, "{context}");
-        assert_eq!(report.schedule, BspSchedule::trivial(dag), "{context}");
+        let trivial = project(&BspSchedule::trivial(dag));
+        assert_eq!(report.schedule, trivial, "{context}");
     } else {
         assert!(searched_cost <= trivial_cost(dag, machine), "{context}");
         assert_eq!(
             report.selected_init, report.branches[winner].init_name,
             "{context}"
         );
-        assert_eq!(&report.schedule, searched, "{context}: schedule");
+        assert_eq!(report.schedule, project(searched), "{context}: schedule");
         assert_eq!(report.local_search_cost, searched_cost, "{context}");
     }
 }
@@ -179,6 +188,7 @@ fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
     let pipeline = Pipeline::new(config());
     // How often each regime came up: the property must not hold vacuously.
     let (mut narrowed, mut full_width, mut floored, mut searched) = (0, 0, 0, 0);
+    let (mut contracted, mut untouched) = (0, 0);
     for case in 0..24 {
         let mut rng = rng_for_case(0x91DE, case);
         // Every second DAG is sparse: dense ones are communication-bound on
@@ -209,16 +219,24 @@ fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
                 report.final_cost <= trivial_cost(&dag, &machine),
                 "{context}: above the trivial schedule"
             );
-            assert_report_is_the_hand_composition(&context, &report, &dag, &machine);
+            let funnel = Funnel::contract(&dag, machine.p());
+            let solved = funnel.as_ref().map_or(&dag, Funnel::dag);
+            assert_report_is_the_hand_composition(
+                &context,
+                &report,
+                funnel.as_ref(),
+                solved,
+                &machine,
+            );
 
             // The entry the multilevel ratio members use is the same branch
-            // search at a width handed in, with no floor under it.
+            // search at a width handed in, with neither reduction nor floor.
             assert_eq!(
                 placement_width(&dag, &machine),
                 report.placement_width,
                 "{context}"
             );
-            let unfloored = pipeline.run_report_on_prefix(&dag, &machine, report.placement_width);
+            let unfloored = pipeline.run_report_on_prefix(solved, &machine, report.placement_width);
             assert_eq!(unfloored.branches, report.branches, "{context}");
             assert_ne!(unfloored.selected_init, "trivial", "{context}");
             assert!(report.final_cost <= unfloored.final_cost, "{context}");
@@ -233,11 +251,20 @@ fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
             } else {
                 searched += 1;
             }
+            if funnel.is_some() {
+                contracted += 1;
+            } else {
+                untouched += 1;
+            }
         }
     }
     assert!(
         narrowed > 0 && full_width > 0 && floored > 0 && searched > 0,
         "a regime never came up: narrowed {narrowed}, full width {full_width}, \
          floored {floored}, searched {searched}"
+    );
+    assert!(
+        contracted > 0 && untouched > 0,
+        "the reduction contracted {contracted} inputs and left {untouched} alone"
     );
 }

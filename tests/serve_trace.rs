@@ -12,7 +12,6 @@ use bsp_serve::{
     Client, MetricsSnapshot, Mode, RequestOptions, Router, RouterConfig, ScheduleRequest,
     ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
 };
-use dag_gen::fine::{spmv, SpmvConfig};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -35,15 +34,28 @@ fn test_dag(seed: u64) -> Dag {
     .unwrap()
 }
 
-/// A DAG big enough for the multilevel scheduler to actually coarsen
-/// (`min_nodes_to_coarsen` is 30), so traces carry the full phase breakdown.
+/// A DAG the multilevel scheduler actually coarsens, so traces carry the
+/// full phase breakdown: 60 nodes (`min_nodes_to_coarsen` is 30) in six
+/// layers, every node above the last with two successors in the next.  The
+/// sinks are clusters of their own, so by induction up the layers no node has
+/// all its successors in one cluster — the funnel reduction leaves the DAG
+/// whole and both ratios run.
 fn coarsenable_dag(seed: u64) -> Dag {
-    let dag = spmv(&SpmvConfig {
-        n: 48,
-        density: 0.2,
-        seed,
-    });
-    assert!(dag.n() >= 30, "spmv instance must be coarsenable");
+    const WIDTH: usize = 10;
+    const LAYERS: usize = 6;
+    let stride = 1 + seed as usize % (WIDTH - 1);
+    let mut edges = Vec::new();
+    for v in 0..WIDTH * (LAYERS - 1) {
+        let (layer, i) = (v / WIDTH, v % WIDTH);
+        // Ascending, the order a hyperDAG round trip gives back: the request
+        // key reads the adjacency order, and the router keys the parsed DAG.
+        let mut next = [i, (i + stride) % WIDTH];
+        next.sort_unstable();
+        edges.extend(next.map(|j| (v, (layer + 1) * WIDTH + j)));
+    }
+    let n = WIDTH * LAYERS;
+    let dag = Dag::from_edges(n, &edges, vec![seed % 5 + 1; n], vec![1; n]).unwrap();
+    assert!(bsp_sched::Funnel::contract(&dag, 4).is_none());
     dag
 }
 
