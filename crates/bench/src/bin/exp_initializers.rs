@@ -6,21 +6,26 @@
 //! * **Table 5** — the same counts on the remaining training DAGs
 //!   (`exp`/`cg`/`kNN`), separated by P and DAG size.
 //!
+//! A third table puts each initializer's raw schedule next to the one the
+//! pipeline starts from — the same schedule after `place_sources` — as wins
+//! and as a geometric-mean cost ratio.
+//!
 //! Usage: `cargo run -p bsp-bench --release --bin exp_initializers --
 //!         [--scale smoke|reduced|full] [--seed N]`
 //!
 //! With `--scaling [--smoke]` it instead checks that schedule construction
 //! is near-linear: `BSPg`, `Source`, `Cilk` (simulation + BSP conversion),
-//! `HDagg` and the funnel reduction (`Funnel::contract` + `project`) are
-//! timed on a fine-grained `spmv` and a coarse-grained `pagerank` DAG at size
-//! n and 4n, and the run fails if any µs/node grows by more than 2x (a
-//! quadratic routine gives about 4x).  The ratio compares the host with
-//! itself, so the check does not depend on how fast the host is.
+//! `HDagg`, the funnel reduction (`Funnel::contract` + `project`) and
+//! `place_sources` (on `BSPg`'s schedule) are timed on a fine-grained `spmv`
+//! and a coarse-grained `pagerank` DAG — whose matrix source has n/2
+//! successors — at size n and 4n, and the run fails if any µs/node grows by
+//! more than 2x (a quadratic routine gives about 4x).  The ratio compares the
+//! host with itself, so the check does not depend on how fast the host is.
 
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::ilp::IlpInitScheduler;
-use bsp_sched::init::{BspgScheduler, SourceScheduler};
+use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::{CilkScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, SpmvConfig};
@@ -45,6 +50,9 @@ struct Win {
     p: usize,
     nodes: usize,
     winner: &'static str,
+    /// Cost per initializer, raw and after `place_sources`.
+    raw: [u64; 3],
+    placed: [u64; 3],
 }
 
 /// Largest allowed growth of a constructor's µs/node from n to 4n.
@@ -67,17 +75,17 @@ impl Scheduler for FunnelRoundTrip {
     }
 }
 
-/// µs/node of `scheduler` on `dag`: the fastest of five runs, since
-/// interference from the host only ever adds time.
-fn us_per_node(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> f64 {
+/// µs/node of `construct` on a DAG of `nodes` nodes: the fastest of five
+/// runs, since interference from the host only ever adds time.
+fn us_per_node(nodes: usize, construct: impl Fn() -> BspSchedule) -> f64 {
     let fastest = (0..5)
         .map(|_| {
             let clock = Instant::now();
-            std::hint::black_box(scheduler.schedule(std::hint::black_box(dag), machine));
+            std::hint::black_box(construct());
             clock.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min);
-    fastest * 1e6 / dag.n() as f64
+    fastest * 1e6 / nodes as f64
 }
 
 /// The `--scaling` mode; `true` if every constructor stayed near-linear.
@@ -138,20 +146,37 @@ fn scaling_holds(smoke: bool, seed: u64) -> bool {
     );
     let mut holds = true;
     for (family, dags) in &families {
-        for scheduler in schedulers {
-            let [small, large] = [&dags[0], &dags[1]].map(|d| us_per_node(scheduler, d, &machine));
+        let mut add_row = |constructor: &str, [small, large]: [f64; 2]| {
             let ratio = large / small;
             holds &= ratio <= MAX_SCALING_RATIO;
             table.add_row(vec![
                 family.to_string(),
-                scheduler.name().to_string(),
+                constructor.to_string(),
                 dags[0].n().to_string(),
                 format!("{small:.3}"),
                 dags[1].n().to_string(),
                 format!("{large:.3}"),
                 format!("{ratio:.2}"),
             ]);
+        };
+        for scheduler in schedulers {
+            let time = |dag: &Dag| {
+                let dag = std::hint::black_box(dag);
+                us_per_node(dag.n(), || scheduler.schedule(dag, &machine))
+            };
+            add_row(scheduler.name(), [time(&dags[0]), time(&dags[1])]);
         }
+        // The placement pass, on a schedule built outside the clock (the
+        // copy it works on is inside, and linear).
+        let time = |dag: &Dag| {
+            let start = BspgScheduler.schedule(dag, &machine);
+            us_per_node(dag.n(), || {
+                let mut schedule = start.clone();
+                place_sources(dag, &machine, &mut schedule);
+                schedule
+            })
+        };
+        add_row("place_sources", [time(&dags[0]), time(&dags[1])]);
     }
     table.print();
     holds
@@ -196,24 +221,22 @@ fn main() {
                 .expect("run built from instances");
             let machine = Machine::uniform(*p, *g, LATENCY);
             let dag = &inst.dag;
-            let costs = [
-                BspgScheduler.schedule(dag, &machine).cost(dag, &machine),
-                SourceScheduler.schedule(dag, &machine).cost(dag, &machine),
-                IlpInitScheduler::new(ilp_config.clone())
-                    .schedule(dag, &machine)
-                    .cost(dag, &machine),
-            ];
-            let best = costs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &c)| c)
-                .map(|(i, _)| i)
-                .expect("three initializers");
+            let ilp_init = IlpInitScheduler::new(ilp_config.clone());
+            let initializers: [&dyn Scheduler; 3] = [&BspgScheduler, &SourceScheduler, &ilp_init];
+            let (mut raw, mut placed) = ([0; 3], [0; 3]);
+            for (i, init) in initializers.into_iter().enumerate() {
+                let mut schedule = init.schedule(dag, &machine);
+                raw[i] = schedule.cost(dag, &machine);
+                place_sources(dag, &machine, &mut schedule);
+                placed[i] = schedule.cost(dag, &machine);
+            }
             Win {
                 is_spmv: name.contains("spmv"),
                 p: *p,
                 nodes: dag.n(),
-                winner: INITIALIZERS[best],
+                winner: INITIALIZERS[best_of(&raw)],
+                raw,
+                placed,
             }
         })
         .collect();
@@ -239,6 +262,14 @@ fn main() {
 
     print_table4(&wins);
     print_table5(&wins);
+    print_placed(&wins);
+}
+
+/// Index of the cheapest of three costs, ties to the earlier.
+fn best_of(costs: &[u64; 3]) -> usize {
+    (0..3)
+        .min_by_key(|&i| costs[i])
+        .expect("three initializers")
 }
 
 fn count(wins: &[Win], init: &str, filter: impl Fn(&Win) -> bool) -> usize {
@@ -282,6 +313,29 @@ fn print_table5(wins: &[Win]) {
             table.add_row(row);
         }
         lower = upper;
+    }
+    table.print();
+}
+
+/// Each initializer's raw schedule against the one the pipeline starts from.
+fn print_placed(wins: &[Win]) {
+    let mut table = Table::new(
+        "Source placement: raw initial schedules vs the same after place_sources",
+        ["initializer", "best raw", "best placed", "placed / raw"],
+    );
+    for (i, init) in INITIALIZERS.into_iter().enumerate() {
+        let best =
+            |costs: fn(&Win) -> &[u64; 3]| wins.iter().filter(|w| best_of(costs(w)) == i).count();
+        let log_ratio: f64 = wins
+            .iter()
+            .map(|w| (w.placed[i] as f64 / w.raw[i] as f64).ln())
+            .sum();
+        table.add_row(vec![
+            init.to_string(),
+            best(|w| &w.raw).to_string(),
+            best(|w| &w.placed).to_string(),
+            format!("{:.3}", (log_ratio / wins.len() as f64).exp()),
+        ]);
     }
     table.print();
 }

@@ -240,8 +240,8 @@ fn print_table14(cells: &[Cell]) {
 struct RunStats {
     seconds: f64,
     final_cost: u64,
-    /// The member that won (`"ratio 0.3"`, `"flat"`).
-    winner: Member,
+    /// Who answered (`"ratio 0.3"`, `"flat"`, `"trivial"`): [`winner_label`].
+    winner: String,
     /// Node count of the DAG the portfolio raced on (after the funnel
     /// reduction).
     funnel_nodes: usize,
@@ -340,12 +340,30 @@ impl RunStats {
     }
 }
 
+/// Who answered a row.  The portfolio breaks a tie towards the earlier
+/// member, a ratio, but a ratio member only *wins* a row it is strictly
+/// cheaper on (what `ratio_wins` counts): a tie with the trivial schedule or
+/// with the flat member is theirs.
+fn winner_label(report: &bsp_sched::multilevel::MultilevelReport, trivial: u64) -> String {
+    if report.final_cost == trivial {
+        "trivial".to_string()
+    } else if report
+        .flat
+        .is_some_and(|flat| flat.cost == report.final_cost)
+    {
+        Member::Flat.to_string()
+    } else {
+        report.winner.to_string()
+    }
+}
+
 /// Runs `f` `reps` times and keeps the fastest wall-clock (the runs are
 /// deterministic up to thread scheduling, so the minimum isolates OS noise).
 /// Also returns the last repetition's report so smoke mode can validate the
 /// schedule without paying for an extra run.
 fn measure(
     reps: usize,
+    trivial: u64,
     f: impl Fn() -> bsp_sched::multilevel::MultilevelReport,
 ) -> (RunStats, bsp_sched::multilevel::MultilevelReport) {
     let mut best: Option<RunStats> = None;
@@ -357,7 +375,7 @@ fn measure(
         let stats = RunStats {
             seconds,
             final_cost: report.final_cost,
-            winner: report.winner,
+            winner: winner_label(&report, trivial),
             funnel_nodes: report.funnel_nodes,
             flat: report.flat,
             ratios: report
@@ -512,21 +530,21 @@ fn run_speedup(args: &CliArgs) {
         for (m, (machine_name, machine)) in machines.iter().enumerate() {
             eprintln!("== {inst_name} ({} nodes) on {machine_name}", dag.n());
 
-            let (inc, inc_report) = measure(reps, || incremental.run_report(dag, machine));
+            let trivial = TrivialScheduler.schedule(dag, machine).cost(dag, machine);
+            let (inc, inc_report) = measure(reps, trivial, || incremental.run_report(dag, machine));
             if let Err(e) = inc_report.schedule.validate(dag, machine) {
                 eprintln!("   INVALID schedule on {inst_name}/{machine_name}: {e:?}");
                 invalid_schedules += 1;
             }
             total_seconds += inc.seconds;
-            let trivial = TrivialScheduler.schedule(dag, machine).cost(dag, machine);
             let vs_trivial = inc.final_cost as f64 / trivial.max(1) as f64;
             worst_vs_trivial = worst_vs_trivial.max(vs_trivial);
             // The flat member only sits out a cancelled solve; a row without
             // it counts as beaten.
             let vs_flat = inc.cost_vs_flat().unwrap_or(f64::INFINITY);
-            // A tie goes to the earlier member, a ratio; only a strictly
-            // cheaper answer counts as the ratio members' win.
-            ratio_wins[m] += usize::from(inc.winner != Member::Flat && vs_flat < 1.0);
+            // Only a strictly cheaper answer counts as the ratio members'
+            // win (a row without the flat member counts as beaten).
+            ratio_wins[m] += usize::from(vs_flat < 1.0);
             if vs_flat > worst_vs_flat.1 {
                 worst_vs_flat = (format!("{inst_name}/{machine_name}"), vs_flat);
             }

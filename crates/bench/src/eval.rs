@@ -87,9 +87,9 @@ pub struct InstanceResult {
     pub nodes: usize,
     /// Costs of all schedulers.
     pub costs: AlgoCosts,
-    /// Processors the pipeline's initializers placed nodes on (the width its
-    /// sweep over processor prefixes kept).
-    pub placement_width: usize,
+    /// Per pipeline branch, the processors its initializer placed nodes on
+    /// (the width that branch's sweep over processor prefixes kept).
+    pub branch_widths: Vec<(String, usize)>,
     /// The pipeline branch whose schedule was selected, `"trivial"` when the
     /// floor replaced it.
     pub selected_init: String,
@@ -161,24 +161,35 @@ pub fn evaluate_instance(
             ilp: report.final_cost,
             multilevel,
         },
-        placement_width: report.placement_width,
+        branch_widths: report
+            .branches
+            .iter()
+            .map(|b| (b.init_name.clone(), b.width))
+            .collect(),
         selected_init: report.selected_init,
     }
 }
 
-/// How the pipeline placed and what it selected over `results`, for the
-/// progress line of an experiment cell: `width 8×3 2×5, selected BSPg×6
-/// trivial×2`.
+/// How the pipeline's branches placed and what it selected over `results`,
+/// for the progress line of an experiment cell: `width BSPg 8×3 4×5, Source
+/// 8×1 2×7, selected BSPg×6 trivial×2`.
 pub fn placement_summary(results: &[InstanceResult]) -> String {
-    let mut widths: BTreeMap<Reverse<usize>, usize> = BTreeMap::new();
+    // Per branch, widest first — the order the sweep goes in.
+    let mut widths: BTreeMap<&str, BTreeMap<Reverse<usize>, usize>> = BTreeMap::new();
     let mut selected: BTreeMap<&str, usize> = BTreeMap::new();
     for r in results {
-        *widths.entry(Reverse(r.placement_width)).or_default() += 1;
+        for (init, width) in &r.branch_widths {
+            let of_branch = widths.entry(init).or_default();
+            *of_branch.entry(Reverse(*width)).or_default() += 1;
+        }
         *selected.entry(&r.selected_init).or_default() += 1;
     }
     let widths: Vec<String> = widths
         .iter()
-        .map(|(Reverse(w), count)| format!("{w}×{count}"))
+        .map(|(init, counts)| {
+            let cells = counts.iter().map(|(Reverse(w), n)| format!(" {w}×{n}"));
+            format!("{init}{}", cells.collect::<String>())
+        })
         .collect();
     let selected: Vec<String> = selected
         .iter()
@@ -186,7 +197,7 @@ pub fn placement_summary(results: &[InstanceResult]) -> String {
         .collect();
     format!(
         "width {}, selected {}",
-        widths.join(" "),
+        widths.join(", "),
         selected.join(" ")
     )
 }
@@ -229,12 +240,13 @@ mod tests {
         assert!(c.local_search <= c.init);
         assert!(c.ilp <= c.local_search);
         assert_eq!(result.nodes, dag.n());
-        assert!((2..=machine.p()).contains(&result.placement_width));
+        let widths: Vec<usize> = result.branch_widths.iter().map(|(_, w)| *w).collect();
+        assert!(widths.iter().all(|w| (2..=machine.p()).contains(w)));
         assert_eq!(
             placement_summary(&[result.clone(), result.clone()]),
             format!(
-                "width {}×2, selected {}×2",
-                result.placement_width, result.selected_init
+                "width BSPg {}×2, ILPinit {}×2, Source {}×2, selected {}×2",
+                widths[0], widths[2], widths[1], result.selected_init
             )
         );
     }

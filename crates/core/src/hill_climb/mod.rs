@@ -354,12 +354,13 @@ pub fn hc_search<G: DagView>(
     let mut reached_local_minimum = false;
 
     // Reading the clock (or the cancel token) per visit would dominate gated
-    // visits; poll both every 64th visit instead (the step limit stays exact).
+    // visits; poll both on the first visit — a token fired before the search
+    // moves nothing — and every 64th after it (the step limit stays exact).
     let mut visit = 0u32;
     let over_limit = |visit: &mut u32, steps: usize| {
         *visit = visit.wrapping_add(1);
         steps >= config.max_steps
-            || (*visit & 63 == 0
+            || (*visit & 63 == 1
                 && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
     };
 

@@ -10,11 +10,17 @@
 //!   layer of source nodes into a superstep with round-robin, work-balanced
 //!   processor assignment.
 //!
+//! [`place_sources`] is the pass the pipeline sends each of their schedules
+//! through before the local search: it moves the sources next to the nodes
+//! that read them.
+//!
 //! (The third initializer of the paper, `ILPinit`, lives in
 //! [`crate::ilp::init`] because it shares the ILP machinery.)
 
 mod bspg;
+mod place;
 mod source;
 
 pub use bspg::BspgScheduler;
+pub use place::place_sources;
 pub use source::SourceScheduler;

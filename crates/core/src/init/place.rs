@@ -1,0 +1,224 @@
+//! Consumer-aware source placement: the pass every initializer's schedule
+//! goes through before the local search sees it.
+//!
+//! `BSPg` scores a ready node by the predecessors it already has on a
+//! processor, so a *source* — no predecessors, score 0 — goes to whichever
+//! processor is idle, and `Source` places its first layer by its own
+//! clustering.  On a funnel DAG ([`crate::funnel`]) the sources are most of
+//! the nodes and the communication phase that ships them is the largest
+//! single term of the cost, yet single-node `HC` cannot repair it: the
+//! superstep is work-balanced to the unit and every move raises a maximum.
+//! [`place_sources`] re-places them all at once, each next to the nodes that
+//! read it (the rule of the hypergraph model of sparse matrix–vector
+//! multiplication: a vector entry lives with the rows that read it).
+
+use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
+use std::cmp::Reverse;
+
+/// Moves the sources of `schedule` to the processors of their consumers and
+/// says whether it did; the schedule is left untouched unless the result is
+/// strictly cheaper on `machine`.
+///
+/// Per superstep, a source whose successors all lie in strictly later
+/// supersteps is *movable* (any processor keeps the schedule valid).  Each
+/// processor's *room* is the superstep's current work maximum minus its
+/// non-movable work, so no work term rises.  The movable sources are taken by
+/// regret — second-cheapest minus cheapest processor, ties to the smaller
+/// node id — and each goes to the processor with room that minimises
+/// `c(v) · Σ λ(q, r)` over the other processors `r` hosting a consumer, ties
+/// to the processor it is on and then to the smaller index.  `λ` is that of
+/// `machine`, the full one: a schedule built on a processor prefix may spill
+/// onto a processor its initializer left idle.  A superstep in which some
+/// source finds no room (possible with non-unit work weights) keeps its
+/// sources where they were.  `Γ` is rebuilt lazily.
+///
+/// Only in-degree-0 nodes change processor and no node changes superstep; a
+/// second application returns `false`.  `O(n + m + S·P)` plus `O(P · hosts)`
+/// per movable source and the sort by regret.
+pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -> bool {
+    let p = machine.p();
+    if p < 2 {
+        return false;
+    }
+    let step = &schedule.assignment.superstep;
+    let proc = &schedule.assignment.proc;
+
+    // One walk over the successors of every source: is it movable, which
+    // processors host a consumer, and what would each processor cost
+    // (`costs[i·P + q]` for `sources[i]`).  No consumer is a source, so the
+    // costs stand while sources move.
+    let mut sources: Vec<Movable> = Vec::new();
+    let mut costs: Vec<u64> = Vec::new();
+    let mut hosts: Vec<usize> = Vec::with_capacity(p);
+    let mut hosted = vec![usize::MAX; p];
+    for v in 0..dag.n() {
+        if dag.in_degree(v) > 0 || dag.comm(v) == 0 {
+            continue;
+        }
+        hosts.clear();
+        let mut movable = dag.out_degree(v) > 0;
+        for &w in dag.successors(v) {
+            movable &= step[w] > step[v];
+            if std::mem::replace(&mut hosted[proc[w]], v) != v {
+                hosts.push(proc[w]);
+            }
+        }
+        if !movable {
+            continue;
+        }
+        let (mut cheapest, mut second) = (u64::MAX, u64::MAX);
+        for q in 0..p {
+            let others = hosts.iter().filter(|&&r| r != q);
+            let cost = dag.comm(v) * others.map(|&r| machine.lambda(q, r)).sum::<u64>();
+            costs.push(cost);
+            if cost < cheapest {
+                (cheapest, second) = (cost, cheapest);
+            } else if cost < second {
+                second = cost;
+            }
+        }
+        sources.push(Movable {
+            regret: Reverse(second - cheapest),
+            node: v,
+            index: sources.len(),
+            from: proc[v],
+        });
+    }
+    if sources.is_empty() {
+        return false;
+    }
+    sources.sort_unstable();
+
+    // room[s·P + q]: the work maximum of superstep `s` minus the non-movable
+    // work of processor `q` in it.
+    let mut room = vec![0u64; schedule.assignment.num_supersteps() * p];
+    for v in 0..dag.n() {
+        room[step[v] * p + proc[v]] += dag.work(v);
+    }
+    for row in room.chunks_mut(p) {
+        let max = row.iter().copied().max().unwrap_or(0);
+        row.iter_mut().for_each(|load| *load = max - *load);
+    }
+    for source in &sources {
+        room[step[source.node] * p + source.from] += dag.work(source.node);
+    }
+
+    // A superstep in which a source found no room keeps all of its own.
+    let mut proc = proc.clone();
+    let mut stuck = vec![false; room.len() / p];
+    for source in &sources {
+        let (v, from, s) = (source.node, source.from, step[source.node]);
+        if stuck[s] {
+            continue;
+        }
+        let (room, cost) = (&mut room[s * p..][..p], &costs[source.index * p..][..p]);
+        let fits = (0..p).filter(|&q| room[q] >= dag.work(v));
+        match fits.min_by_key(|&q| (cost[q], q != from, q)) {
+            Some(q) => {
+                room[q] -= dag.work(v);
+                proc[v] = q;
+            }
+            None => stuck[s] = true,
+        }
+    }
+    let mut moved = false;
+    for source in &sources {
+        if stuck[step[source.node]] {
+            proc[source.node] = source.from;
+        }
+        moved |= proc[source.node] != source.from;
+    }
+    if !moved {
+        return false;
+    }
+
+    // Keep the result only when it is strictly cheaper than the schedule as
+    // it came in, bespoke `Γ` included.
+    let before = schedule.cost(dag, machine);
+    let old_proc = std::mem::replace(&mut schedule.assignment.proc, proc);
+    let lazy = CommSchedule::lazy(dag, &schedule.assignment);
+    let old_comm = std::mem::replace(&mut schedule.comm, lazy);
+    if schedule.cost(dag, machine) < before {
+        return true;
+    }
+    schedule.assignment.proc = old_proc;
+    schedule.comm = old_comm;
+    false
+}
+
+/// A movable source, ordered by regret (most first), then by node id.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Movable {
+    regret: Reverse<u64>,
+    node: usize,
+    /// Row of the cost table.
+    index: usize,
+    /// The processor it came from.
+    from: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsp_model::Assignment;
+
+    /// Sources 0–3 feed the consumers 4 and 5, which sit on processors 0
+    /// and 1 in superstep 1; `proc` places the sources in superstep 0.
+    fn two_consumers(proc: [usize; 4]) -> (Dag, BspSchedule) {
+        let edges = [(0, 4), (1, 4), (2, 5), (3, 5)];
+        let dag = Dag::from_edges(6, &edges, vec![1; 6], vec![2; 6]).unwrap();
+        let assignment = Assignment {
+            proc: proc.into_iter().chain([0, 1]).collect(),
+            superstep: vec![0, 0, 0, 0, 1, 1],
+        };
+        let schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        (dag, schedule)
+    }
+
+    #[test]
+    fn sources_move_to_their_consumers_within_the_work_maximum() {
+        let machine = Machine::uniform(2, 3, 5);
+        // Every source on the wrong side: four transfers, none needed.
+        let (dag, mut schedule) = two_consumers([1, 1, 0, 0]);
+        let before = schedule.cost(&dag, &machine);
+        assert!(place_sources(&dag, &machine, &mut schedule));
+        assert_eq!(schedule.assignment.proc, [0, 0, 1, 1, 0, 1]);
+        assert!(schedule.comm.is_empty());
+        assert!(schedule.validate(&dag, &machine).is_ok());
+        // One phase of two values each way at g = 3, c = 2.
+        assert_eq!(schedule.cost(&dag, &machine), before - 3 * 4);
+        assert!(!place_sources(&dag, &machine, &mut schedule));
+    }
+
+    #[test]
+    fn a_full_processor_takes_no_more_than_the_maximum_allows() {
+        let machine = Machine::uniform(2, 3, 5);
+        // Superstep 0 holds at most three units a processor; all four
+        // sources would like processor 0.
+        let edges = [(0, 4), (1, 4), (2, 4), (3, 4)];
+        let dag = Dag::from_edges(6, &edges, vec![1; 6], vec![2; 6]).unwrap();
+        let assignment = Assignment {
+            proc: vec![1, 1, 1, 0, 0, 1],
+            superstep: vec![0, 0, 0, 0, 1, 1],
+        };
+        let mut schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        assert!(place_sources(&dag, &machine, &mut schedule));
+        // Equal regret: the smaller node ids go first and fill the room.
+        assert_eq!(schedule.assignment.proc, [0, 0, 0, 1, 0, 1]);
+        assert!(schedule.validate(&dag, &machine).is_ok());
+    }
+
+    #[test]
+    fn a_source_with_a_consumer_in_its_own_superstep_stays() {
+        let machine = Machine::uniform(2, 3, 5);
+        let dag = Dag::from_edges(3, &[(0, 1), (0, 2)], vec![1; 3], vec![2; 3]).unwrap();
+        let assignment = Assignment {
+            proc: vec![0, 0, 1],
+            superstep: vec![0, 0, 1],
+        };
+        let mut schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        let untouched = schedule.clone();
+        assert!(!place_sources(&dag, &machine, &mut schedule));
+        assert_eq!(schedule, untouched);
+    }
+}

@@ -53,11 +53,11 @@
 //!   multilevel solve never returns worse than `Pipeline` alone — outside the
 //!   communication-dominated regime of §7.3 coarsening tends to lose to it.
 //!   The flat member is also where the pipeline's trivial-schedule floor
-//!   enters: it is [`Pipeline::run_report`] from the width sweep on (the
+//!   enters: it is [`Pipeline::run_report`] from the branch search on (the
 //!   reduction is already done), so the solve never costs more than the
 //!   one-processor schedule.  The ratios base-solve their coarse
-//!   DAGs through [`Pipeline::run_report_on_prefix`], at the placement width
-//!   the pipeline's sweep keeps for the *uncoarsened* (funnel) DAG and
+//!   DAGs through [`Pipeline::run_report_on_prefix`], at the width of the
+//!   cheapest swept initial schedule of the *uncoarsened* (funnel) DAG and
 //!   without the floor — a coarse DAG over-states communication, so a sweep
 //!   on it narrows and a floor under it ends ratios that refinement still
 //!   wins.
@@ -109,7 +109,7 @@ pub use engine::IncrementalRefiner;
 use crate::funnel::Funnel;
 use crate::hill_climb::{hccs_improve, HillClimbConfig};
 use crate::ilp::ilp_cs_improve;
-use crate::pipeline::{width_sweep, Pipeline, PipelineConfig};
+use crate::pipeline::{swept_width, Pipeline, PipelineConfig};
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine, NodeId, QuotientDag, ValidityError};
 use std::fmt;
@@ -554,8 +554,12 @@ impl MultilevelScheduler {
         // is exact), the ratio members base-solve at that width without the
         // floor (their own fixed-point exit covers a base solve that *finds*
         // the trivial schedule), and the flat member is the pipeline as it
-        // stands.
-        let width = width_sweep(solved, machine).0;
+        // stands.  Without ratio members nobody reads it.
+        let width = if targets.is_empty() {
+            machine.p()
+        } else {
+            swept_width(solved, machine)
+        };
         let mut report = self.race(
             solved,
             machine,

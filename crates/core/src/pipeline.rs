@@ -2,13 +2,16 @@
 //!
 //! The pipeline runs every enabled initialization heuristic (`BSPg`, `Source`
 //! and — on machines with few processors — `ILPinit`), improves each candidate
-//! independently with the `HC` + `HCcs` local searches, keeps the cheapest
-//! schedule found this way, and finally hands it to the ILP stage:
+//! independently with the `HC` local search, keeps the cheapest schedule
+//! found this way, optimises its communication schedule with `HCcs` and
+//! finally hands it to the ILP stage:
 //! `ILPfull` when the full formulation is small enough, otherwise the
 //! window-based `ILPpart`, followed in either case by the
 //! communication-schedule ILP `ILPcs`.
 //!
-//! Three steps around the branches are this repository's own:
+//! The order of a run is funnel → per-branch sweep with source placement →
+//! `HC` → floor → `HCcs` → ILP stage; everything around the paper's
+//! `initializer → HC → HCcs` is this repository's own:
 //!
 //! * **The funnel reduction.**  [`Pipeline::run_report`] first contracts the
 //!   DAG along its funnels ([`crate::funnel`]: every node whose successors
@@ -20,25 +23,34 @@
 //!   multi-node move single-node `HC` lacks.  It is a function of the DAG and
 //!   `P`, not a setting: a DAG with nothing to contract is solved as it is
 //!   ([`PipelineReport::funnel_nodes`] says what was left).
-//! * **The placement-width sweep.**  `BSPg` and `Source` read neither `λ` nor
-//!   `g`: they spread the DAG over all `P` processors, and single-node `HC`
-//!   moves cannot pull such a schedule back together when communication is
-//!   what it pays for.  So before the branches fork, `Source` (the cheap
-//!   initializer) is run on the machine's processor prefixes `P`, `P/2`,
-//!   `P/4`, … ≥ 2 ([`Machine::prefix`]; on a binary tree these are
-//!   subtrees), each assignment is costed on the *full* machine, the sweep
-//!   stops at the first width that does not lower the cost and keeps the
-//!   cheapest width `w`, ties going to the wider.  Every initializer then
-//!   builds its schedule on `prefix(w)` — the `Source` branch reuses the
-//!   sweep's — while `HC`, `HCcs` and the ILP stage run on the full machine,
-//!   free to move nodes onto the processors the initializer left idle.  The
-//!   width is a result ([`PipelineReport::placement_width`]), not a setting;
-//!   where no narrower width is cheaper the schedules are what they would be
-//!   without the sweep.
-//! * **The trivial-schedule floor.**  After the branches,
-//!   [`Pipeline::run_report`] keeps [`BspSchedule::trivial`] when it is
-//!   strictly cheaper than the best branch ([`trivial_floor`]), so the
-//!   pipeline never answers with more than the one-processor cost.
+//! * **Source placement.**  On a funnel DAG the sources are most of the
+//!   nodes, and neither `BSPg` (a source has no predecessor to score) nor
+//!   `Source` (its own clustering) puts them where they are read.  Every
+//!   initial schedule therefore goes through [`place_sources`], which moves
+//!   each source next to its consumers without raising any superstep's work
+//!   maximum and keeps the result only when it is strictly cheaper.
+//! * **The placement-width sweep, per branch.**  `BSPg` and `Source` read
+//!   neither `λ` nor `g`: they spread the DAG over all `P` processors, and
+//!   single-node `HC` moves cannot pull such a schedule back together when
+//!   communication is what it pays for.  So each heuristic branch builds its
+//!   schedule on the machine's processor prefixes `P`, `P/2`, `P/4`, … ≥ 2
+//!   ([`Machine::prefix`]; on a binary tree these are subtrees), places the
+//!   sources and costs the result on the *full* machine, stops at the first
+//!   width that does not lower the cost and starts from the cheapest, ties
+//!   going to the wider — one sweep, generic over the initializer, judged on
+//!   the schedule that branch's `HC` starts from.  `ILPinit`, too expensive
+//!   to run per width, builds on the width of the cheapest heuristic start.
+//!   `HC`, `HCcs` and the ILP stage run on the full machine, free to move
+//!   nodes onto the processors an initializer left idle.  The width is a
+//!   result ([`BranchReport::width`], [`PipelineReport::placement_width`]),
+//!   not a setting.
+//! * **The trivial-schedule floor.**  The cheapest branch after `HC` meets
+//!   [`BspSchedule::trivial`], which replaces it when strictly cheaper
+//!   ([`trivial_floor`]), so the pipeline never answers with more than the
+//!   one-processor cost.
+//! * **`HCcs` once.**  Only a winner that survived the floor has its
+//!   communication schedule optimised; the losing branches' would be thrown
+//!   away, and the trivial schedule has none.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved.  The
 //! multilevel scheduler base-solves *coarse* DAGs, which over-state
@@ -46,22 +58,20 @@
 //! of its members' — unlike a funnel cluster, whose one exit is its root):
 //! there the sweep would narrow and the floor would win too early.  Its ratio
 //! members therefore enter through [`Pipeline::run_report_on_prefix`] — no
-//! reduction, no sweep, no floor, the initializers on the width
-//! [`placement_width`] keeps for the uncoarsened DAG — a function boundary,
-//! not a switch: `run_report` = reduction + sweep + `run_report_on_prefix`
-//! with the floor in between the branches and the ILP stage, projected back.
+//! reduction, no sweep, no floor, the initializers (and the placement pass)
+//! on the width [`placement_width`] keeps for the uncoarsened DAG — a
+//! function boundary, not a switch.
 //!
 //! [`Pipeline::run_report`] additionally returns the intermediate costs used
 //! by the paper's Figures 5–7 (the `Init`, `HCcs` and `ILP` bars).
 
-use crate::baselines::TrivialScheduler;
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
 use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use crate::ilp::{
     ilp_cs_improve, ilp_full_schedule, ilp_part_improve, IlpConfig, IlpInitScheduler,
 };
-use crate::init::{BspgScheduler, SourceScheduler};
+use crate::init::{place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
 use std::time::{Duration, Instant};
@@ -69,8 +79,9 @@ use std::time::{Duration, Instant};
 /// Configuration of the combined pipeline (Figure 3).
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Time/step limits of the `HC` + `HCcs` local searches (run once per
-    /// initialization branch).
+    /// Time/step limits of the `HC` + `HCcs` local searches (`HC` once per
+    /// initialization branch with nine tenths of the time, `HCcs` once on
+    /// the winner with the rest).
     pub hill_climb: HillClimbConfig,
     /// Configuration of the ILP stage (`ILPfull` / `ILPpart` / `ILPcs` and
     /// `ILPinit`).
@@ -258,9 +269,14 @@ impl PhaseSample {
 pub struct BranchReport {
     /// Name of the initialization heuristic (`"BSPg"`, `"Source"`, `"ILPinit"`).
     pub init_name: String,
-    /// Cost of the raw initial schedule.
+    /// Number of processors the initializer placed nodes on: the width this
+    /// branch's sweep kept (see the module docs), or the one it was handed.
+    pub width: usize,
+    /// Cost of the initial schedule `HC` started from: the initializer's on
+    /// `prefix(width)` after [`place_sources`], on the full machine.
     pub init_cost: u64,
-    /// Cost after `HC` + `HCcs`.
+    /// Cost after `HC`.  (`HCcs` runs once, on the winning branch only:
+    /// [`PipelineReport::local_search_cost`].)
     pub local_search_cost: u64,
 }
 
@@ -270,7 +286,8 @@ pub struct BranchReport {
 pub struct PipelineReport {
     /// Per-initializer costs (raw and after local search).
     pub branches: Vec<BranchReport>,
-    /// Cost of the best *raw* initial schedule — the `Init` bars of Figures 5–7.
+    /// Cost of the best initial schedule ([`BranchReport::init_cost`]) — the
+    /// `Init` bars of Figures 5–7.
     pub init_cost: u64,
     /// Cost of the best schedule after `HC` + `HCcs` — the `HCcs` bars — or
     /// of the trivial schedule when the floor replaced it.
@@ -285,9 +302,8 @@ pub struct PipelineReport {
     /// Name of the initializer whose branch produced the selected schedule;
     /// `"trivial"` when the floor replaced it ([`trivial_floor`]).
     pub selected_init: String,
-    /// Number of processors the initializers placed nodes on: the width the
-    /// sweep over the machine's processor prefixes kept (see the module
-    /// docs).  `P` when no narrower prefix was cheaper.
+    /// The selected branch's [`BranchReport::width`] (of the cheapest branch
+    /// when the floor replaced it): `P` when no narrower prefix was cheaper.
     pub placement_width: usize,
     /// Node count of the DAG that was solved: what the funnel reduction
     /// ([`crate::funnel`]) left of the caller's DAG, `dag.n()` when nothing
@@ -329,12 +345,53 @@ pub fn trivial_floor(
     cheaper
 }
 
-/// One initialization branch: the heuristic and, for the `Source` branch, the
-/// schedule the width sweep already built with it.
-struct Branch {
-    init: Box<dyn Scheduler + Send + Sync>,
-    swept: Option<BspSchedule>,
+/// The schedule a branch's `HC` starts from: an initializer's schedule on
+/// the machine's first `width` processors after [`place_sources`], with its
+/// cost on the full machine.
+struct Start {
+    width: usize,
+    schedule: BspSchedule,
+    cost: u64,
 }
+
+impl Start {
+    fn on_prefix(init: &dyn Scheduler, dag: &Dag, machine: &Machine, width: usize) -> Self {
+        let mut schedule = init.schedule(dag, &machine.prefix(width));
+        debug_assert_eq!(
+            schedule.normalize(dag),
+            0,
+            "{} must return a normalized schedule",
+            init.name()
+        );
+        place_sources(dag, machine, &mut schedule);
+        let cost = schedule.cost(dag, machine);
+        Start {
+            width,
+            schedule,
+            cost,
+        }
+    }
+}
+
+/// The placement-width sweep (see the module docs): `init` on the machine's
+/// processor prefixes `P`, `P/2`, `P/4`, … ≥ 2, sources placed, costed on the
+/// full machine, until a width does not lower the cost.  Returns the
+/// cheapest start, ties to the wider.
+fn width_sweep(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> Start {
+    let mut best = Start::on_prefix(init, dag, machine, machine.p());
+    while best.width / 2 >= 2 {
+        let candidate = Start::on_prefix(init, dag, machine, best.width / 2);
+        if candidate.cost >= best.cost {
+            break;
+        }
+        best = candidate;
+    }
+    best
+}
+
+/// What one initialization branch hands back: its report, the schedule after
+/// `HC` and, when asked for, its phase samples.
+type BranchResult = (BranchReport, BspSchedule, Vec<PhaseSample>);
 
 /// The combined scheduling framework of Figure 3.
 #[derive(Debug, Clone, Default)]
@@ -358,10 +415,10 @@ impl Pipeline {
         self.run_report(dag, machine).schedule
     }
 
-    /// Runs the pipeline — funnel reduction, width sweep, branch search,
-    /// trivial-schedule floor, ILP stage, projection back onto `dag` — and
-    /// returns the final schedule together with the intermediate stage costs
-    /// (Figures 5–7).
+    /// Runs the pipeline — funnel reduction, branch search (sweep → `HC`),
+    /// trivial-schedule floor, `HCcs`, ILP stage, projection back onto `dag`
+    /// — and returns the final schedule together with the intermediate stage
+    /// costs (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
         let origin = self.phase_clock();
         let funnel = Funnel::contract(dag, machine.p());
@@ -386,21 +443,15 @@ impl Pipeline {
 
     /// [`Pipeline::run_report`] on a DAG the funnel reduction has already
     /// been applied to (the multilevel scheduler reduces once for its whole
-    /// portfolio): width sweep, branch search, floor, ILP stage.
+    /// portfolio): branch search with every heuristic branch sweeping its
+    /// own width, floor, `HCcs` on a surviving winner, ILP stage.
     pub(crate) fn run_reduced(
         &self,
         dag: &Dag,
         machine: &Machine,
         origin: Option<Instant>,
     ) -> PipelineReport {
-        let sweep_started = origin.map(|o| o.elapsed());
-        let (width, swept) = width_sweep(dag, machine);
-        let swept_at = origin.map(|o| o.elapsed());
-        let mut report = self.branch_search(dag, machine, origin, width, Some(swept));
-        if let (Some(started), Some(end)) = (sweep_started, swept_at) {
-            let sweep = PhaseSample::spanning("width_sweep", started, end);
-            report.phases.insert(0, sweep);
-        }
+        let mut report = self.branch_search(dag, machine, origin, None);
         if trivial_floor(
             dag,
             machine,
@@ -408,15 +459,17 @@ impl Pipeline {
             &mut report.local_search_cost,
         ) {
             report.selected_init = "trivial".to_string();
+        } else {
+            self.comm_search(dag, machine, origin, &mut report);
         }
         self.ilp_stage(dag, machine, origin, report)
     }
 
-    /// The branch search and the ILP stage with the initializers placing on
-    /// the machine's first `width` processors, and without the floor.  This
-    /// is what the multilevel scheduler base-solves a *coarse* DAG with, at
-    /// the width [`placement_width`] gives for the DAG it was coarsened from
-    /// (see the module docs).
+    /// The branch search, `HCcs` and the ILP stage with the initializers
+    /// placing on the machine's first `width` processors — no reduction, no
+    /// sweep, no floor.  This is what the multilevel scheduler base-solves a
+    /// *coarse* DAG with, at the width [`placement_width`] gives for the DAG
+    /// it was coarsened from (see the module docs).
     ///
     /// # Panics
     ///
@@ -428,7 +481,8 @@ impl Pipeline {
         width: usize,
     ) -> PipelineReport {
         let origin = self.phase_clock();
-        let report = self.branch_search(dag, machine, origin, width, None);
+        let mut report = self.branch_search(dag, machine, origin, Some(width));
+        self.comm_search(dag, machine, origin, &mut report);
         self.ilp_stage(dag, machine, origin, report)
     }
 
@@ -438,86 +492,108 @@ impl Pipeline {
         self.config.collect_phases.then(Instant::now)
     }
 
-    /// The initialization branches on `prefix(placement_width)`: a report
-    /// whose ILP fields say "no ILP stage ran" and whose schedule is the
-    /// cheapest branch's.  `swept` is the `Source` schedule at that width
-    /// when the sweep already built it.
+    /// The initialization branches, each `start → HC`: a report whose later
+    /// stages say "did not run" and whose schedule is the cheapest branch's
+    /// after `HC`.  With a `width` every initializer builds on that prefix;
+    /// without, the heuristic branches sweep and `ILPinit` takes the width
+    /// of the cheaper of their starts.
     fn branch_search(
         &self,
         dag: &Dag,
         machine: &Machine,
         origin: Option<Instant>,
-        placement_width: usize,
-        swept: Option<BspSchedule>,
+        width: Option<usize>,
     ) -> PipelineReport {
-        if dag.n() == 0 {
-            let schedule = TrivialScheduler.schedule(dag, machine);
-            let cost = schedule.cost(dag, machine);
-            return PipelineReport {
-                branches: Vec::new(),
-                init_cost: cost,
-                local_search_cost: cost,
-                ilp_part_cost: cost,
-                final_cost: cost,
-                selected_init: "trivial".to_string(),
-                placement_width,
-                funnel_nodes: dag.n(),
-                used_ilp_full: false,
-                ilp_part_windows_improved: 0,
-                ilp_cs_improved: false,
-                phases: Vec::new(),
-                schedule,
-            };
-        }
-
-        let cancel = self.config.effective_cancel();
-        let mut phases: Vec<PhaseSample> = Vec::new();
-        let narrowed = (placement_width < machine.p()).then(|| machine.prefix(placement_width));
-        let placement = narrowed.as_ref().unwrap_or(machine);
-        let branches = self.branches(dag, machine, swept);
-        let branch_results =
-            crate::map_within_budget(self.config.effective_solve_threads(), &branches, |branch| {
-                self.run_branch(dag, machine, placement, branch, &cancel, origin)
-            });
-
-        let init_cost = branch_results
-            .iter()
-            .map(|(b, _, _)| b.init_cost)
-            .min()
-            .expect("at least one initializer is always enabled");
-        let (best_idx, _) = branch_results
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (b, _, _))| b.local_search_cost)
-            .expect("at least one initializer is always enabled");
-        let selected_init = branch_results[best_idx].0.init_name.clone();
-        let local_search_cost = branch_results[best_idx].0.local_search_cost;
-        let mut winner = None;
-        let branches = branch_results
-            .into_iter()
-            .enumerate()
-            .map(|(i, (b, s, p))| {
-                phases.extend(p);
-                if i == best_idx {
-                    winner = Some(s);
-                }
-                b
-            })
-            .collect();
-        PipelineReport {
-            branches,
-            init_cost,
-            local_search_cost,
-            ilp_part_cost: local_search_cost,
-            final_cost: local_search_cost,
-            selected_init,
-            placement_width,
+        let mut report = PipelineReport {
+            branches: Vec::new(),
+            init_cost: 0,
+            local_search_cost: 0,
+            ilp_part_cost: 0,
+            final_cost: 0,
+            selected_init: "trivial".to_string(),
+            placement_width: width.unwrap_or(machine.p()),
             funnel_nodes: dag.n(),
             used_ilp_full: false,
             ilp_part_windows_improved: 0,
             ilp_cs_improved: false,
-            phases,
-            schedule: winner.expect("best_idx indexes branch_results"),
+            phases: Vec::new(),
+            schedule: BspSchedule::trivial(dag),
+        };
+        if dag.n() == 0 {
+            let cost = report.schedule.cost(dag, machine);
+            report.init_cost = cost;
+            report.local_search_cost = cost;
+            return report;
+        }
+
+        let cancel = self.config.effective_cancel();
+        let heuristics: [&(dyn Scheduler + Sync); 2] = [&BspgScheduler, &SourceScheduler];
+        let mut results: Vec<BranchResult> = crate::map_within_budget(
+            self.config.effective_solve_threads(),
+            &heuristics,
+            |&init| self.run_branch(dag, machine, init, width, &cancel, origin),
+        );
+        if self.config.use_ilp
+            && machine.p() <= self.config.ilp_init_max_procs
+            && dag.n() <= self.config.ilp_init_max_nodes
+        {
+            let init = IlpInitScheduler::new(IlpConfig {
+                cancel: cancel.clone(),
+                ..self.config.ilp.clone()
+            });
+            // `min_by_key` keeps the first of equal minima.
+            let cheapest = results.iter().min_by_key(|(b, _, _)| b.init_cost);
+            let width = cheapest.map(|(b, _, _)| b.width);
+            results.push(self.run_branch(dag, machine, &init, width, &cancel, origin));
+        }
+
+        let costs = results.iter().map(|(b, _, _)| b.init_cost);
+        report.init_cost = costs.min().expect("two branches always run");
+        let (best_idx, _) = results
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, (b, _, _))| b.local_search_cost)
+            .expect("two branches always run");
+        for (i, (branch, schedule, phases)) in results.into_iter().enumerate() {
+            report.phases.extend(phases);
+            if i == best_idx {
+                report.selected_init = branch.init_name.clone();
+                report.placement_width = branch.width;
+                report.local_search_cost = branch.local_search_cost;
+                report.schedule = schedule;
+            }
+            report.branches.push(branch);
+        }
+        report
+    }
+
+    /// The local-search configuration with `share` of its time limit (the
+    /// paper gives nine tenths to `HC`, one to `HCcs`), additionally clipped
+    /// to the wall clock `cancel`'s deadline leaves; the search polls `cancel`.
+    fn search_config(&self, share: f64, cancel: &CancelToken) -> HillClimbConfig {
+        HillClimbConfig {
+            time_limit: clip_budget(self.config.hill_climb.time_limit.mul_f64(share), cancel),
+            cancel: cancel.clone(),
+            ..self.config.hill_climb.clone()
+        }
+    }
+
+    /// `HCcs` on the searched schedule, with the tenth of the local-search
+    /// budget the paper gives it.
+    fn comm_search(
+        &self,
+        dag: &Dag,
+        machine: &Machine,
+        origin: Option<Instant>,
+        report: &mut PipelineReport,
+    ) {
+        let started = origin.map(|o| o.elapsed());
+        let config = self.search_config(0.1, &self.config.effective_cancel());
+        let outcome = hccs_improve(dag, machine, &mut report.schedule, &config);
+        report.local_search_cost = outcome.final_cost;
+        if let (Some(o), Some(started)) = (origin, started) {
+            let sample = PhaseSample::spanning("hccs", started, o.elapsed());
+            report.phases.push(sample);
         }
     }
 
@@ -570,152 +646,72 @@ impl Pipeline {
         report
     }
 
-    /// The initialization branches enabled under the current configuration
-    /// for the given DAG and machine; `swept` is the `Source` schedule the
-    /// width sweep kept, if it ran.
-    fn branches(&self, dag: &Dag, machine: &Machine, swept: Option<BspSchedule>) -> Vec<Branch> {
-        let mut branches = vec![
-            Branch {
-                init: Box::new(BspgScheduler),
-                swept: None,
-            },
-            Branch {
-                init: Box::new(SourceScheduler),
-                swept,
-            },
-        ];
-        if self.config.use_ilp
-            && machine.p() <= self.config.ilp_init_max_procs
-            && dag.n() <= self.config.ilp_init_max_nodes
-        {
-            branches.push(Branch {
-                init: Box::new(IlpInitScheduler::new(IlpConfig {
-                    cancel: self.config.effective_cancel(),
-                    ..self.config.ilp.clone()
-                })),
-                swept: None,
-            });
-        }
-        branches
-    }
-
-    /// Runs one initialization branch: the initializer on `placement` (the
-    /// processor prefix the sweep kept), then `HC` and `HCcs` on the full
-    /// machine.  When `origin` is set the branch reports its phase breakdown
-    /// relative to that clock.
+    /// Runs one initialization branch: the start — swept, or on the `width`
+    /// handed in — then `HC` on the full machine with the nine tenths of the
+    /// local-search budget the paper gives it.  When `origin` is set the
+    /// branch reports its phase breakdown relative to that clock.
     fn run_branch(
         &self,
         dag: &Dag,
         machine: &Machine,
-        placement: &Machine,
-        branch: &Branch,
+        init: &dyn Scheduler,
+        width: Option<usize>,
         cancel: &CancelToken,
         origin: Option<Instant>,
-    ) -> (BranchReport, BspSchedule, Vec<PhaseSample>) {
-        let init = branch.init.as_ref();
+    ) -> BranchResult {
         let branch_start = origin.map(|o| o.elapsed());
-        let mut schedule = match &branch.swept {
-            Some(swept) => swept.clone(),
-            None => init.schedule(dag, placement),
+        let Start {
+            width,
+            mut schedule,
+            cost: init_cost,
+        } = match width {
+            Some(width) => Start::on_prefix(init, dag, machine, width),
+            None => width_sweep(init, dag, machine),
         };
-        debug_assert_eq!(
-            schedule.normalize(dag),
-            0,
-            "{} must return a normalized schedule",
-            init.name()
-        );
         let init_done = origin.map(|o| o.elapsed());
-        let init_cost = schedule.cost(dag, machine);
-        // The paper gives 90% of the local-search budget to HC, 10% to HCcs;
-        // under a deadline both are additionally clipped to the remaining
-        // wall clock and poll the cancel token.
-        let hc_budget = clip_budget(self.config.hill_climb.time_limit.mul_f64(0.9), cancel);
-        let hccs_budget = clip_budget(self.config.hill_climb.time_limit.mul_f64(0.1), cancel);
-        let hc_cfg = HillClimbConfig {
-            time_limit: hc_budget,
-            cancel: cancel.clone(),
-            ..self.config.hill_climb.clone()
-        };
-        let hccs_cfg = HillClimbConfig {
-            time_limit: hccs_budget,
-            cancel: cancel.clone(),
-            ..self.config.hill_climb.clone()
-        };
-        hc_improve(dag, machine, &mut schedule, &hc_cfg);
-        let hc_done = origin.map(|o| o.elapsed());
-        hccs_improve(dag, machine, &mut schedule, &hccs_cfg);
-        let local_search_cost = schedule.cost(dag, machine);
+        let config = self.search_config(0.9, cancel);
+        let local_search_cost = hc_improve(dag, machine, &mut schedule, &config).final_cost;
         let mut phases = Vec::new();
-        if let (Some(o), Some(start), Some(init_done), Some(hc_done)) =
-            (origin, branch_start, init_done, hc_done)
-        {
+        if let (Some(o), Some(start), Some(init_done)) = (origin, branch_start, init_done) {
             let end = o.elapsed();
-            let us = |d: Duration| d.as_micros() as u64;
-            phases.push(PhaseSample {
-                name: init.name(),
-                depth: 0,
-                start_us: us(start),
-                dur_us: us(end.saturating_sub(start)),
-            });
-            phases.push(PhaseSample {
-                name: "init_schedule",
-                depth: 1,
-                start_us: us(start),
-                dur_us: us(init_done.saturating_sub(start)),
-            });
-            phases.push(PhaseSample {
-                name: "hc",
-                depth: 1,
-                start_us: us(init_done),
-                dur_us: us(hc_done.saturating_sub(init_done)),
-            });
-            phases.push(PhaseSample {
-                name: "hccs",
-                depth: 1,
-                start_us: us(hc_done),
-                dur_us: us(end.saturating_sub(hc_done)),
-            });
+            phases.push(PhaseSample::spanning(init.name(), start, end));
+            for (name, from, to) in [("init_schedule", start, init_done), ("hc", init_done, end)] {
+                phases.push(PhaseSample {
+                    depth: 1,
+                    ..PhaseSample::spanning(name, from, to)
+                });
+            }
         }
-        (
-            BranchReport {
-                init_name: init.name().to_string(),
-                init_cost,
-                local_search_cost,
-            },
-            schedule,
-            phases,
-        )
+        let report = BranchReport {
+            init_name: init.name().to_string(),
+            width,
+            init_cost,
+            local_search_cost,
+        };
+        (report, schedule, phases)
     }
 }
 
 /// The number of processors the pipeline's initializers would place the nodes
-/// of `dag` on: the width its sweep over the machine's processor prefixes
-/// keeps for the funnel DAG (see the module docs).  [`Pipeline::run_report`]
-/// works it out for itself.
+/// of `dag` on: the width of the cheapest swept initial schedule of the
+/// funnel DAG (see the module docs).  [`Pipeline::run_report`] works its
+/// widths out for itself; this is what the multilevel ratio members
+/// base-solve at.
 pub fn placement_width(dag: &Dag, machine: &Machine) -> usize {
     let funnel = Funnel::contract(dag, machine.p());
-    width_sweep(funnel.as_ref().map_or(dag, Funnel::dag), machine).0
+    swept_width(funnel.as_ref().map_or(dag, Funnel::dag), machine)
 }
 
-/// The placement-width sweep (see the module docs): `Source` on the machine's
-/// processor prefixes `P`, `P/2`, `P/4`, … ≥ 2, costed on the full machine,
-/// until a width does not lower the cost.  Returns the cheapest width — ties
-/// to the wider — and `Source`'s schedule at that width.
-pub(crate) fn width_sweep(dag: &Dag, machine: &Machine) -> (usize, BspSchedule) {
-    let mut best_width = machine.p();
-    let mut best = SourceScheduler.schedule(dag, machine);
-    let mut best_cost = best.cost(dag, machine);
-    let mut width = machine.p() / 2;
-    while width >= 2 {
-        let candidate = SourceScheduler.schedule(dag, &machine.prefix(width));
-        let cost = candidate.cost(dag, machine);
-        if cost >= best_cost {
-            break;
-        }
-        (best_width, best, best_cost) = (width, candidate, cost);
-        width /= 2;
+/// [`placement_width`] of a DAG the funnel reduction has been applied to.
+pub(crate) fn swept_width(dag: &Dag, machine: &Machine) -> usize {
+    let bspg = width_sweep(&BspgScheduler, dag, machine);
+    let source = width_sweep(&SourceScheduler, dag, machine);
+    // Ties go to the earlier branch, as they do in the pipeline.
+    if source.cost < bspg.cost {
+        source.width
+    } else {
+        bspg.width
     }
-    (best_width, best)
 }
 
 impl Scheduler for Pipeline {
@@ -844,7 +840,7 @@ mod tests {
         // Off by default: no samples.
         let silent = fast_pipeline().run_report(&dag, &machine);
         assert!(silent.phases.is_empty());
-        // On: every branch reports its initializer span plus the three
+        // On: every branch reports its initializer span plus the two
         // depth-1 children, and child durations tile the branch span.
         let mut config = PipelineConfig::fast();
         config.collect_phases = true;
@@ -855,33 +851,41 @@ mod tests {
             let top = report
                 .phases
                 .iter()
-                .find(|p| p.name == branch.init_name && p.depth == 0)
+                .position(|p| p.name == branch.init_name && p.depth == 0)
                 .expect("branch has a top-level span");
-            let children: u64 = report
-                .phases
-                .iter()
-                .filter(|p| p.depth == 1 && p.start_us >= top.start_us)
-                .filter(|p| p.start_us < top.start_us + top.dur_us.max(1))
-                .map(|p| p.dur_us)
-                .sum();
+            // A branch's children follow it directly, sweep then search.
+            let [top, init, hc] = [0, 1, 2].map(|i| report.phases[top + i]);
+            assert_eq!((init.name, init.depth), ("init_schedule", 1));
+            assert_eq!((hc.name, hc.depth), ("hc", 1));
+            assert_eq!(init.start_us, top.start_us);
+            let children = init.dur_us + hc.dur_us;
             assert!(
                 children <= top.dur_us + 3,
                 "children {children} exceed branch span {}",
                 top.dur_us
             );
         }
-        assert!(report.phases.iter().any(|p| p.name == "hc"));
-        assert!(report.phases.iter().any(|p| p.name == "ilp_stage"));
-        // The reduction (contraction plus projection) and the sweep are
-        // timed on their own, ahead of every branch.
-        let (funnel, sweep) = (report.phases[0], report.phases[1]);
+        // The reduction (contraction plus projection) is timed on its own,
+        // ahead of every branch; `HCcs` runs once, after all of them, and
+        // the ILP stage last.
+        let funnel = report.phases[0];
         assert_eq!(
             (funnel.name, funnel.depth, funnel.start_us),
             ("funnel", 0, 0)
         );
-        assert_eq!((sweep.name, sweep.depth), ("width_sweep", 0));
-        let first_branch = report.phases.iter().find(|p| p.name == "BSPg").unwrap();
-        assert!(sweep.start_us + sweep.dur_us <= first_branch.start_us);
+        let hccs: Vec<&PhaseSample> = report.phases.iter().filter(|p| p.name == "hccs").collect();
+        assert_eq!(hccs.len(), 1);
+        assert_eq!(hccs[0].depth, 0);
+        let ends = |name: &str| {
+            let of = |p: &&PhaseSample| p.name == name && p.depth == 0;
+            let span = report.phases.iter().find(of).expect("a span by that name");
+            span.start_us + span.dur_us
+        };
+        for branch in &report.branches {
+            assert!(ends(&branch.init_name) <= hccs[0].start_us);
+        }
+        assert_eq!(report.phases.last().unwrap().name, "ilp_stage");
+        assert!(ends("hccs") <= report.phases.last().unwrap().start_us);
         assert!(report.funnel_nodes < dag.n());
     }
 

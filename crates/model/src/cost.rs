@@ -71,37 +71,33 @@ impl CostBreakdown {
 
 /// Computes the per-superstep work costs `C_work(s)` of a schedule.
 pub fn work_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let steps = sched.num_supersteps();
     let p = machine.p();
-    let mut per_proc = vec![vec![0u64; p]; steps];
+    // One row of `p` cells per superstep.
+    let mut per_proc = vec![0u64; sched.num_supersteps() * p];
     for v in 0..dag.n() {
-        per_proc[sched.superstep(v)][sched.proc(v)] += dag.work(v);
+        per_proc[sched.superstep(v) * p + sched.proc(v)] += dag.work(v);
     }
     per_proc
-        .into_iter()
-        .map(|row| row.into_iter().max().unwrap_or(0))
+        .chunks(p)
+        .map(|row| row.iter().copied().max().unwrap_or(0))
         .collect()
 }
 
 /// Computes the per-superstep communication costs `C_comm(s)` (NUMA-weighted
 /// `h`-relations, not yet multiplied by `g`).
 pub fn comm_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let steps = sched.num_supersteps();
     let p = machine.p();
-    let mut send = vec![vec![0u64; p]; steps];
-    let mut recv = vec![vec![0u64; p]; steps];
+    // Sends in the even cells, receives in the odd ones: one row of `2p`
+    // cells per superstep, whose maximum is the `h`-relation.
+    let mut traffic = vec![0u64; sched.num_supersteps() * 2 * p];
     for cs in sched.comm.steps() {
         let weighted = dag.comm(cs.node) * machine.lambda(cs.from, cs.to);
-        send[cs.step][cs.from] += weighted;
-        recv[cs.step][cs.to] += weighted;
+        traffic[2 * (cs.step * p + cs.from)] += weighted;
+        traffic[2 * (cs.step * p + cs.to) + 1] += weighted;
     }
-    (0..steps)
-        .map(|s| {
-            (0..p)
-                .map(|q| send[s][q].max(recv[s][q]))
-                .max()
-                .unwrap_or(0)
-        })
+    traffic
+        .chunks(2 * p)
+        .map(|row| row.iter().copied().max().unwrap_or(0))
         .collect()
 }
 
@@ -129,7 +125,9 @@ pub fn cost_breakdown(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Cost
 
 /// Total cost of a schedule: `Σ_s (C_work(s) + g · C_comm(s) + ℓ)`.
 pub fn total_cost(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> u64 {
-    cost_breakdown(dag, machine, sched).total()
+    let work: u64 = work_costs(dag, machine, sched).iter().sum();
+    let comm: u64 = comm_costs(dag, machine, sched).iter().sum();
+    work + machine.g() * comm + machine.latency() * sched.num_supersteps() as u64
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! `n` separate heap allocations) is what keeps that hot path cache-friendly.
 
 use crate::error::DagError;
+use crate::machine::Machine;
 use serde::{Deserialize, Serialize};
 
 /// Index of a node in a [`Dag`]; nodes are always `0..n`.
@@ -481,6 +482,20 @@ impl Dag {
     /// Work weight of the critical path (longest path) of the DAG.
     pub fn critical_path_work(&self) -> u64 {
         self.top_level().into_iter().max().unwrap_or(0)
+    }
+
+    /// A lower bound on the cost of every valid schedule of this DAG on
+    /// `machine`: `max(⌈W/P⌉, critical path) + ℓ`.  The work terms of a
+    /// schedule add up to at least the fullest processor's share of the
+    /// total work `W`, and to at least the critical path (nodes of a path
+    /// that share a superstep share a processor); a non-empty DAG needs at
+    /// least one superstep.  `O(n + m)`; communication is not bounded.
+    pub fn lower_bound(&self, machine: &Machine) -> u64 {
+        if self.n() == 0 {
+            return 0;
+        }
+        let share = self.total_work().div_ceil(machine.p() as u64);
+        share.max(self.critical_path_work()) + machine.latency()
     }
 
     /// `true` if there is a directed path from `u` to `v` (including `u == v`).

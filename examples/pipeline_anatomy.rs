@@ -65,20 +65,20 @@ fn main() {
         report.funnel_nodes,
         dag.n()
     );
-    println!(
-        "  initializers placed on {} of {} processors (the width sweep)",
-        report.placement_width,
-        machine.p()
-    );
     for branch in &report.branches {
         println!(
-            "  branch {:<8}: init {} -> after HC/HCcs {}",
-            branch.init_name, branch.init_cost, branch.local_search_cost
+            "  branch {:<8}: placed on {} of {} processors (its width sweep), \
+             start {} -> after HC {}",
+            branch.init_name,
+            branch.width,
+            machine.p(),
+            branch.init_cost,
+            branch.local_search_cost
         );
     }
     println!(
-        "  selected branch: {} ; final cost after ILP stage: {}",
-        report.selected_init, report.final_cost
+        "  selected branch: {} (width {}) ; after HCcs {} ; after the ILP stage {}",
+        report.selected_init, report.placement_width, report.local_search_cost, report.final_cost
     );
 
     // For reference: what the raw BSPg initializer alone would give.

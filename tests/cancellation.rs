@@ -83,13 +83,13 @@ fn pipeline_with_an_already_expired_deadline_still_returns_a_valid_schedule() {
 
 /// The funnel reduction sits in front of everything a token can stop, so a
 /// run cancelled before its branches search still answers for the caller's
-/// DAG: the cheaper raw initializer schedule of the funnel DAG (or the
+/// DAG: the cheapest schedule a branch started from — its initializer's on
+/// the width its sweep kept, sources placed — on the funnel DAG (or the
 /// trivial one, if the floor fires), projected.
 #[test]
 fn a_run_cancelled_before_the_branches_returns_the_projected_initializer_schedule() {
     use bsp_model::{BspSchedule, Machine};
     use bsp_sched::init::{BspgScheduler, SourceScheduler};
-    use bsp_sched::pipeline::placement_width;
     use bsp_sched::{Funnel, Scheduler};
     let dag = dag_gen::spmv(&dag_gen::SpmvConfig {
         n: 40,
@@ -111,15 +111,23 @@ fn a_run_cancelled_before_the_branches_returns_the_projected_initializer_schedul
         let coarse = funnel.dag();
         assert_eq!(report.funnel_nodes, coarse.n());
         assert!(coarse.n() * 4 < dag.n(), "{} clusters", coarse.n());
-        let placement = machine.prefix(placement_width(&dag, &machine));
-        let raw = [
-            BspgScheduler.schedule(coarse, &placement),
-            SourceScheduler.schedule(coarse, &placement),
-            BspSchedule::trivial(coarse),
-        ];
+        let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+        let mut starts = Vec::new();
+        for (init, branch) in inits.into_iter().zip(&report.branches) {
+            assert_eq!(branch.init_name, init.name());
+            let start = common::placed_start(init, coarse, &machine, branch.width);
+            // No search moved anything.
+            assert_eq!(branch.init_cost, start.cost(coarse, &machine));
+            assert_eq!(branch.local_search_cost, branch.init_cost);
+            starts.push(start);
+        }
+        starts.push(BspSchedule::trivial(coarse));
         // `min_by_key` keeps the first of equal minima: ties go to the
         // earlier branch, and the floor wants strictly less.
-        let best = raw.iter().min_by_key(|s| s.cost(coarse, &machine)).unwrap();
+        let best = starts
+            .iter()
+            .min_by_key(|s| s.cost(coarse, &machine))
+            .unwrap();
         assert_eq!(report.schedule, funnel.project(best));
         assert_eq!(report.final_cost, best.cost(coarse, &machine));
     }

@@ -14,7 +14,9 @@ pub mod reference_comm;
 pub mod reference_multilevel;
 pub mod reference_source;
 
-use bsp_model::{Dag, Machine};
+use bsp_model::{BspSchedule, Dag, Machine};
+use bsp_sched::init::place_sources;
+use bsp_sched::Scheduler;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -70,4 +72,18 @@ pub fn machine_grid() -> Vec<Machine> {
         Machine::numa_binary_tree(8, 1, 5, 2),
         Machine::numa_binary_tree(16, 1, 5, 4),
     ]
+}
+
+/// What a pipeline branch of `init` starts its `HC` from at `width`: the
+/// initializer's schedule on the machine's first `width` processors with the
+/// sources placed on the full machine.
+pub fn placed_start(
+    init: &dyn Scheduler,
+    dag: &Dag,
+    machine: &Machine,
+    width: usize,
+) -> BspSchedule {
+    let mut schedule = init.schedule(dag, &machine.prefix(width));
+    place_sources(dag, machine, &mut schedule);
+    schedule
 }

@@ -16,11 +16,11 @@ mod common;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine};
 use bsp_sched::baselines::CilkScheduler;
 use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::init::SourceScheduler;
+use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{placement_width, Pipeline, PipelineConfig};
 use bsp_sched::{Funnel, Scheduler};
 use common::reference_source::source_assignment_unbounded;
-use common::{random_dag, random_machine, rng_for_case};
+use common::{placed_start, random_dag, random_machine, rng_for_case};
 use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -278,14 +278,16 @@ fn layered_dag(rng: &mut ChaCha8Rng) -> Dag {
     Dag::from_edges(n, &edges, work, comm).expect("edges run down the layers")
 }
 
-/// With nothing to contract `Pipeline::run_report` is the pipeline as it
-/// stood: the branch search at the swept width, then the floor.  (That this
-/// composition is the by-hand `initializer on prefix(w) → HC → HCcs` of every
-/// branch, bit for bit, is `tests/placement_width.rs`, which counts its
-/// uncontracted inputs.)
+/// With nothing to contract `Pipeline::run_report` solves the DAG it was
+/// handed: every branch starts from its initializer's schedule of *that* DAG
+/// (on the width it reports, sources placed), and the answer keeps the bounds
+/// of any other.  (What a report stands for in general — the width rule per
+/// branch, the floor, `par == seq` — is `tests/placement_width.rs`, which
+/// counts its uncontracted inputs.)
 #[test]
 fn a_dag_with_nothing_to_contract_takes_the_pipeline_as_it_stood() {
     let pipeline = pipeline(2000);
+    let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     for case in 0..16 {
         let mut rng = rng_for_case(0x2D06, case);
         let dag = layered_dag(&mut rng);
@@ -294,19 +296,31 @@ fn a_dag_with_nothing_to_contract_takes_the_pipeline_as_it_stood() {
 
         let report = pipeline.run_report(&dag, &machine);
         assert_eq!(report.funnel_nodes, dag.n(), "case {case}");
-        let width = placement_width(&dag, &machine);
-        assert_eq!(report.placement_width, width, "case {case}");
-        let unfloored = pipeline.run_report_on_prefix(&dag, &machine, width);
-        assert_eq!(report.branches, unfloored.branches, "case {case}");
-        let trivial = BspSchedule::trivial(&dag);
-        if trivial.cost(&dag, &machine) < unfloored.final_cost {
-            assert_eq!(report.selected_init, "trivial", "case {case}");
-            assert_eq!(report.schedule, trivial, "case {case}");
-        } else {
-            assert_eq!(report.selected_init, unfloored.selected_init, "case {case}");
-            assert_eq!(report.schedule, unfloored.schedule, "case {case}");
-            assert_eq!(report.final_cost, unfloored.final_cost, "case {case}");
+        assert!(report.schedule.validate(&dag, &machine).is_ok());
+        assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+        let trivial = BspSchedule::trivial(&dag).cost(&dag, &machine);
+        assert!(report.final_cost <= trivial, "case {case}");
+        assert_eq!(report.branches.len(), inits.len(), "case {case}");
+        for (init, branch) in inits.into_iter().zip(&report.branches) {
+            let start = placed_start(init, &dag, &machine, branch.width);
+            assert_eq!(
+                branch.init_cost,
+                start.cost(&dag, &machine),
+                "case {case}: {} did not start on the DAG itself",
+                init.name()
+            );
+            assert!(report.final_cost <= branch.local_search_cost, "case {case}");
         }
+        assert_eq!(
+            placement_width(&dag, &machine),
+            report
+                .branches
+                .iter()
+                .min_by_key(|b| b.init_cost)
+                .unwrap()
+                .width,
+            "case {case}"
+        );
     }
 }
 

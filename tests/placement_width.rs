@@ -1,25 +1,27 @@
-//! The placement-width sweep and the trivial-schedule floor of `Pipeline`.
+//! The per-branch placement-width sweep and the trivial-schedule floor of
+//! `Pipeline`.
 //!
-//! Before its branches fork the pipeline runs `Source` on the machine's
-//! processor prefixes and keeps the width that is cheapest on the full
-//! machine; after them it keeps the trivial schedule when that is cheaper.
-//! The tests here hold two rows that lost to the trivial schedule before
-//! either step existed, and — over random DAGs on uniform, tree and explicit
-//! machines — that the answer validates on the full machine, that the report
-//! is the hand-composed `initializer on prefix(w) → HC → HCcs` of every
-//! branch bit for bit (at `w = P` that is the pipeline without the sweep),
-//! and that the width follows the stated rule.  All of it is composed on the
-//! DAG the pipeline solves — what the funnel reduction leaves of the input —
-//! and projected back.
+//! Each heuristic branch builds its initializer's schedule on the machine's
+//! processor prefixes, places the sources and starts from the width that is
+//! cheapest on the full machine; after `HC` the cheapest branch meets the
+//! trivial schedule.  The tests here hold two rows that lost to the trivial
+//! schedule before either step existed, and — over random DAGs on uniform,
+//! tree and explicit machines — the properties a report stands for, whatever
+//! composes it: the answer validates on the full machine, its `final_cost`
+//! is a from-scratch recompute and no more than the trivial cost or any
+//! branch's, every branch's width follows the stated rule for *its*
+//! initializer and its `init_cost` is that start's, and the thread budget
+//! shows nowhere.  All of it is judged on the DAG the pipeline solves — what
+//! the funnel reduction leaves of the input.
 
 mod common;
 
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
+use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{placement_width, Pipeline, PipelineConfig, PipelineReport};
 use bsp_sched::{Funnel, Scheduler};
-use common::{random_dag, rng_for_case};
+use common::{placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, coarse_dag, CoarseAlgorithm, CoarseConfig, IterConfig};
 use rand::Rng;
 use std::time::Duration;
@@ -28,16 +30,12 @@ use std::time::Duration;
 /// than by the clock, so a run is a function of its input.
 fn config() -> PipelineConfig {
     let mut config = PipelineConfig::heuristics_only().with_thread_budget(1);
-    config.hill_climb = search_config();
-    config
-}
-
-fn search_config() -> HillClimbConfig {
-    HillClimbConfig {
+    config.hill_climb = HillClimbConfig {
         time_limit: Duration::from_secs(3600),
         max_steps: 2000,
         ..HillClimbConfig::default()
-    }
+    };
+    config
 }
 
 fn trivial_cost(dag: &Dag, machine: &Machine) -> u64 {
@@ -97,98 +95,75 @@ fn machines(rng: &mut impl Rng) -> Vec<Machine> {
     machines
 }
 
+/// Cost on the full machine of what a branch of `init` starts from at width
+/// `k`.
+fn start_cost(init: &dyn Scheduler, dag: &Dag, machine: &Machine, k: usize) -> u64 {
+    placed_start(init, dag, machine, k).cost(dag, machine)
+}
+
 /// The width rule, restated: halve while the next prefix is strictly cheaper
-/// for `Source`, costed on the full machine, and never go below two.
-fn expected_width(dag: &Dag, machine: &Machine) -> usize {
-    let cost = |k: usize| {
-        SourceScheduler
-            .schedule(dag, &machine.prefix(k))
-            .cost(dag, machine)
-    };
+/// for this initializer, and never go below two.
+fn expected_width(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> usize {
     let mut width = machine.p();
-    while width / 2 >= 2 && cost(width / 2) < cost(width) {
+    while width / 2 >= 2
+        && start_cost(init, dag, machine, width / 2) < start_cost(init, dag, machine, width)
+    {
         width /= 2;
     }
     width
 }
 
-/// One branch by hand: the initializer on `placement`, then `HC` and `HCcs`
-/// on the full machine.  Returns the raw cost and the searched schedule.
-fn branch_by_hand(
-    init: &dyn Scheduler,
-    dag: &Dag,
-    machine: &Machine,
-    placement: &Machine,
-) -> (u64, BspSchedule) {
-    let mut schedule = init.schedule(dag, placement);
-    let raw = schedule.cost(dag, machine);
-    // No time limit binds, so the pipeline's 90/10 split of it does not show.
-    hc_improve(dag, machine, &mut schedule, &search_config());
-    hccs_improve(dag, machine, &mut schedule, &search_config());
-    (raw, schedule)
-}
-
-/// `report` is the pipeline's answer for the DAG `funnel` was contracted
-/// from, `dag` what the contraction left of it (the DAG itself when nothing
-/// contracted).
-fn assert_report_is_the_hand_composition(
+/// The properties of a report for `dag` (what the reduction left of the
+/// caller's DAG) that do not depend on how the branches are composed.
+/// `swept` says whether the branches chose their widths themselves.
+fn assert_branches_hold(
     context: &str,
     report: &PipelineReport,
-    funnel: Option<&Funnel>,
     dag: &Dag,
     machine: &Machine,
+    swept: bool,
 ) {
-    let project = |s: &BspSchedule| funnel.map_or_else(|| s.clone(), |f| f.project(s));
+    let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     assert_eq!(report.funnel_nodes, dag.n(), "{context}: funnel_nodes");
-    let width = report.placement_width;
-    assert_eq!(width, expected_width(dag, machine), "{context}: width");
-    let placement = machine.prefix(width);
-    let by_hand = [
-        branch_by_hand(&BspgScheduler, dag, machine, &placement),
-        branch_by_hand(&SourceScheduler, dag, machine, &placement),
-    ];
-    assert_eq!(report.branches.len(), by_hand.len(), "{context}");
-    for (branch, (raw, searched)) in report.branches.iter().zip(&by_hand) {
-        let name = &branch.init_name;
-        assert_eq!(branch.init_cost, *raw, "{context}: {name} raw");
-        assert_eq!(
-            branch.local_search_cost,
-            searched.cost(dag, machine),
-            "{context}: {name} searched"
+    assert_eq!(report.branches.len(), inits.len(), "{context}");
+    for (init, branch) in inits.into_iter().zip(&report.branches) {
+        let name = init.name();
+        assert_eq!(branch.init_name, name, "{context}");
+        if swept {
+            let width = expected_width(init, dag, machine);
+            assert_eq!(branch.width, width, "{context}: {name} width");
+        }
+        let start = start_cost(init, dag, machine, branch.width);
+        assert_eq!(branch.init_cost, start, "{context}: {name} start");
+        assert!(branch.local_search_cost <= start, "{context}: {name} HC");
+        assert!(
+            report.final_cost <= branch.local_search_cost,
+            "{context}: above {name}"
         );
     }
-    // `init_cost` is the raw cost the branches started from.
-    let raw_best = by_hand.iter().map(|(raw, _)| *raw).min().unwrap();
-    assert_eq!(report.init_cost, raw_best, "{context}: init_cost");
+    let starts = report.branches.iter().map(|b| b.init_cost);
+    assert_eq!(report.init_cost, starts.min().unwrap(), "{context}");
 
-    // The cheapest branch, ties to the earlier — unless the floor fired.
-    let (winner, (_, searched)) = by_hand
+    // The cheapest branch after `HC`, ties to the earlier.
+    let cheapest = report
+        .branches
         .iter()
-        .enumerate()
-        .min_by_key(|(_, (_, s))| s.cost(dag, machine))
+        .min_by_key(|b| b.local_search_cost)
         .unwrap();
-    let searched_cost = searched.cost(dag, machine);
-    if report.selected_init == "trivial" {
-        assert!(trivial_cost(dag, machine) < searched_cost, "{context}");
-        let trivial = project(&BspSchedule::trivial(dag));
-        assert_eq!(report.schedule, trivial, "{context}");
-    } else {
-        assert!(searched_cost <= trivial_cost(dag, machine), "{context}");
-        assert_eq!(
-            report.selected_init, report.branches[winner].init_name,
-            "{context}"
-        );
-        assert_eq!(report.schedule, project(searched), "{context}: schedule");
-        assert_eq!(report.local_search_cost, searched_cost, "{context}");
+    assert_eq!(report.placement_width, cheapest.width, "{context}");
+    if report.selected_init != "trivial" {
+        assert_eq!(report.selected_init, cheapest.init_name, "{context}");
     }
+    assert_eq!(report.local_search_cost, report.final_cost, "{context}");
 }
 
 #[test]
-fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
+fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
     let pipeline = Pipeline::new(config());
+    let two_lanes = Pipeline::new(config().with_thread_budget(2));
     // How often each regime came up: the property must not hold vacuously.
     let (mut narrowed, mut full_width, mut floored, mut searched) = (0, 0, 0, 0);
-    let (mut contracted, mut untouched) = (0, 0);
+    let (mut contracted, mut untouched, mut apart) = (0, 0, 0);
     for case in 0..24 {
         let mut rng = rng_for_case(0x91DE, case);
         // Every second DAG is sparse: dense ones are communication-bound on
@@ -215,32 +190,49 @@ fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
                 report.schedule.cost(&dag, &machine),
                 "{context}: final_cost"
             );
+            let trivial = trivial_cost(&dag, &machine);
             assert!(
-                report.final_cost <= trivial_cost(&dag, &machine),
+                report.final_cost <= trivial,
                 "{context}: above the trivial schedule"
             );
             let funnel = Funnel::contract(&dag, machine.p());
             let solved = funnel.as_ref().map_or(&dag, Funnel::dag);
-            assert_report_is_the_hand_composition(
-                &context,
-                &report,
-                funnel.as_ref(),
-                solved,
-                &machine,
-            );
+            assert_branches_hold(&context, &report, solved, &machine, true);
+            let cheapest = report.branches.iter().map(|b| b.local_search_cost).min();
+            if report.selected_init == "trivial" {
+                assert!(trivial < cheapest.unwrap(), "{context}: the floor fired");
+                let projected = funnel.as_ref().map_or_else(
+                    || BspSchedule::trivial(&dag),
+                    |f| f.project(&BspSchedule::trivial(solved)),
+                );
+                assert_eq!(report.schedule, projected, "{context}");
+            }
 
-            // The entry the multilevel ratio members use is the same branch
-            // search at a width handed in, with neither reduction nor floor.
+            let par = two_lanes.run_report(&dag, &machine);
+            assert_eq!(par.schedule, report.schedule, "{context}: par == seq");
+            assert_eq!(par.branches, report.branches, "{context}: par == seq");
+            assert_eq!(par.selected_init, report.selected_init, "{context}");
+
+            // What the multilevel ratio members base-solve at is the width
+            // of the cheapest start, ties to the earlier branch; their entry
+            // is the same branch search at a width handed in, with neither
+            // reduction nor sweep nor floor.
+            let start = report.branches.iter().min_by_key(|b| b.init_cost).unwrap();
+            let width = placement_width(&dag, &machine);
+            assert_eq!(width, start.width, "{context}");
+            let unfloored = pipeline.run_report_on_prefix(solved, &machine, width);
+            assert!(unfloored.schedule.validate(solved, &machine).is_ok());
+            assert!(unfloored.branches.iter().all(|b| b.width == width));
+            assert_branches_hold(&context, &unfloored, solved, &machine, false);
+            assert_ne!(unfloored.selected_init, "trivial", "{context}");
             assert_eq!(
-                placement_width(&dag, &machine),
-                report.placement_width,
+                unfloored.final_cost,
+                unfloored.schedule.cost(solved, &machine),
                 "{context}"
             );
-            let unfloored = pipeline.run_report_on_prefix(solved, &machine, report.placement_width);
-            assert_eq!(unfloored.branches, report.branches, "{context}");
-            assert_ne!(unfloored.selected_init, "trivial", "{context}");
-            assert!(report.final_cost <= unfloored.final_cost, "{context}");
 
+            let widths: Vec<usize> = report.branches.iter().map(|b| b.width).collect();
+            apart += usize::from(widths[0] != widths[1]);
             if report.placement_width < machine.p() {
                 narrowed += 1;
             } else {
@@ -259,9 +251,9 @@ fn the_report_is_the_hand_composed_branches_on_the_kept_prefix() {
         }
     }
     assert!(
-        narrowed > 0 && full_width > 0 && floored > 0 && searched > 0,
-        "a regime never came up: narrowed {narrowed}, full width {full_width}, \
-         floored {floored}, searched {searched}"
+        narrowed > 0 && full_width > 0 && floored > 0 && searched > 0 && apart > 0,
+        "a regime never came up: narrowed {narrowed}, full width {full_width}, floored \
+         {floored}, searched {searched}, branches at different widths {apart}"
     );
     assert!(
         contracted > 0 && untouched > 0,

@@ -7,9 +7,13 @@
 mod common;
 
 use bsp_model::{Assignment, BspSchedule, CommSchedule, Dag, Machine};
-use bsp_sched::baselines::{CilkScheduler, HDaggScheduler, TrivialScheduler};
+use bsp_sched::baselines::{
+    BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
+};
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HcState, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
+use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler};
+use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use common::{random_dag, random_machine, reference_comm, rng_for_case};
 use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
@@ -198,23 +202,41 @@ fn hyperdag_round_trip_preserves_the_dag() {
     }
 }
 
-/// Schedule costs respect the universal lower bounds: the critical path
-/// and the perfectly balanced work distribution.
+/// Every scheduler's cost respects `Dag::lower_bound`: the fullest
+/// processor's share of the work or the critical path, plus one latency.
+/// On a chain the trivial schedule meets it.
 #[test]
 fn costs_respect_lower_bounds() {
+    let mut pipeline = PipelineConfig::fast();
+    pipeline.ilp_stage_budget = Duration::from_millis(200);
+    let multilevel = MultilevelConfig {
+        base: PipelineConfig::heuristics_only(),
+        min_nodes_to_coarsen: 4,
+        ..MultilevelConfig::fast()
+    };
+    let schedulers: [&dyn Scheduler; 9] = [
+        &TrivialScheduler,
+        &CilkScheduler::default(),
+        &BlEstScheduler,
+        &EtfScheduler,
+        &HDaggScheduler::default(),
+        &BspgScheduler,
+        &SourceScheduler,
+        &Pipeline::new(pipeline),
+        &MultilevelScheduler::new(multilevel),
+    ];
     for case in 0..CASES {
         let mut rng = rng_for_case(0xF666, case);
         let dag = random_dag(&mut rng, 14);
         let machine = random_machine(&mut rng);
-        let lower = dag
-            .critical_path_work()
-            .max(dag.total_work().div_ceil(machine.p() as u64));
-        for scheduler in [
-            &CilkScheduler::default() as &dyn Scheduler,
-            &HDaggScheduler::default(),
-            &BspgScheduler,
-            &SourceScheduler,
-        ] {
+        let lower = dag.lower_bound(&machine);
+        let share = dag.total_work().div_ceil(machine.p() as u64);
+        assert_eq!(
+            lower,
+            share.max(dag.critical_path_work()) + machine.latency(),
+            "case {case}"
+        );
+        for scheduler in schedulers {
             let cost = scheduler.schedule(&dag, &machine).cost(&dag, &machine);
             assert!(
                 cost >= lower,
@@ -223,6 +245,12 @@ fn costs_respect_lower_bounds() {
             );
         }
     }
+    let chain = Dag::from_edges(3, &[(0, 1), (1, 2)], vec![2, 3, 4], vec![1; 3]).unwrap();
+    let machine = Machine::uniform(4, 3, 5);
+    let trivial = BspSchedule::trivial(&chain).cost(&chain, &machine);
+    assert_eq!(chain.lower_bound(&machine), trivial);
+    let empty = Dag::from_edge_list_unit_weights(0, &[]).unwrap();
+    assert_eq!(empty.lower_bound(&machine), 0);
 }
 
 /// The incremental `try_move`/`apply_move` deltas equal a full
