@@ -4,13 +4,10 @@
 //!   for P ∈ {8, 16} and NUMA multipliers Δ ∈ {2, 3, 4}.
 //! * **Table 10** (`--detailed`) — the same reductions per dataset.
 //! * **Figure 6** (`--stages`) — per-algorithm cost ratios normalized to
-//!   `Cilk` for every (P, Δ).  The multilevel (`ML`) column is only populated
-//!   when `--with-ml` is also given (it is expensive; the same data is
-//!   produced by `exp_multilevel`); as in the paper, it excludes the *tiny*
-//!   dataset.
+//!   `Cilk` for every (P, Δ).
 //!
 //! Usage: `cargo run -p bsp-bench --release --bin exp_numa --
-//!         [--scale smoke|reduced|full] [--seed N] [--detailed] [--stages] [--with-ml]`
+//!         [--scale smoke|reduced|full] [--seed N] [--detailed] [--stages]`
 
 use bsp_bench::eval::{evaluate_dataset, placement_summary, EvalOptions};
 use bsp_bench::stats::Aggregate;
@@ -23,7 +20,7 @@ const PROCS: [usize; 2] = [8, 16];
 const DELTAS: [u64; 3] = [2, 3, 4];
 const G: u64 = 1;
 const LATENCY: u64 = 5;
-const COLUMNS: [&str; 6] = ["cilk", "hdagg", "init", "hccs", "ilp", "ml"];
+const COLUMNS: [&str; 5] = ["cilk", "hdagg", "init", "hccs", "ilp"];
 
 struct Cell {
     dataset: DatasetKind,
@@ -36,8 +33,7 @@ fn main() {
     let args = CliArgs::from_env();
     let scale = args.scale();
     let seed = args.seed();
-    let with_ml = args.flag("with-ml");
-    let base_options = EvalOptions::pipeline_only(scale.pipeline_config());
+    let options = EvalOptions::pipeline_only(scale.pipeline_config());
 
     println!(
         "# Experiment: NUMA grid (Tables 2/10, Figure 6) — scale={}, seed={seed}, g={G}, l={LATENCY}",
@@ -47,15 +43,6 @@ fn main() {
     let mut cells = Vec::new();
     for dataset in DatasetKind::MAIN {
         let instances = scaled_dataset(dataset, scale, seed);
-        // The multilevel scheduler is only evaluated on small/medium/large
-        // (the tiny DAGs cannot be meaningfully coarsened, §7.3).
-        let options = if with_ml && dataset != DatasetKind::Tiny {
-            base_options
-                .clone()
-                .with_multilevel(scale.multilevel_config())
-        } else {
-            base_options.clone()
-        };
         for p in PROCS {
             for delta in DELTAS {
                 let machine = Machine::numa_binary_tree(p, G, LATENCY, delta);
@@ -68,7 +55,6 @@ fn main() {
                         r.costs.init,
                         r.costs.local_search,
                         r.costs.ilp,
-                        r.costs.multilevel,
                     ]);
                 }
                 eprintln!(
@@ -160,24 +146,12 @@ fn print_table10(cells: &[Cell]) {
 
 fn print_figure6(cells: &[Cell]) {
     let mut table = Table::new(
-        "Figure 6: mean cost ratios normalized to Cilk, per (P, Δ); ML over small/medium/large only",
-        ["P", "Δ", "Cilk", "HDagg", "Init", "HCcs", "ILP", "ML"],
+        "Figure 6: mean cost ratios normalized to Cilk, per (P, Δ)",
+        ["P", "Δ", "Cilk", "HDagg", "Init", "HCcs", "ILP"],
     );
     for p in PROCS {
         for delta in DELTAS {
             let agg = merged(cells.iter().filter(|c| c.p == p && c.delta == delta));
-            let ml_agg = merged(
-                cells
-                    .iter()
-                    .filter(|c| c.p == p && c.delta == delta && c.dataset != DatasetKind::Tiny),
-            );
-            // The ML column was only populated when --with-ml was given;
-            // otherwise the sentinel u64::MAX would distort the ratio.
-            let ml_ratio = if ml_agg.raw_column("ml").iter().all(|&v| v != u64::MAX) {
-                format!("{:.3}", ml_agg.ratio("ml", "cilk"))
-            } else {
-                "-".to_string()
-            };
             table.add_row([
                 format!("{p}"),
                 format!("{delta}"),
@@ -186,7 +160,6 @@ fn print_figure6(cells: &[Cell]) {
                 format!("{:.3}", agg.ratio("init", "cilk")),
                 format!("{:.3}", agg.ratio("hccs", "cilk")),
                 format!("{:.3}", agg.ratio("ilp", "cilk")),
-                ml_ratio,
             ]);
         }
     }

@@ -23,11 +23,11 @@
 //! latencies and the `store_*` counters.
 //!
 //! A fourth **huge** phase (skipped under `--smoke`) submits one ~10⁵-node
-//! `spmv` request in `Mode::Multilevel` under a realistic deadline against
-//! a server whose `min_coarse_nodes` floor is raised to 2048, reads the
-//! request's trace back over the wire, and records the per-phase solve
-//! breakdown (`ml_coarsen` … `ml_final_comm`) as a `huge` row plus a
-//! `huge` summary object.
+//! `spmv` request in `heuristics` mode (the one solver: the pipeline) under
+//! a realistic deadline, reads the request's trace back over the wire, and
+//! records the per-phase solve breakdown (`funnel`, the branches with their
+//! `init_schedule` / `hc`, `hccs`) as a `huge` row plus a `huge` summary
+//! object.
 //!
 //! Flags:
 //!   --out PATH         output JSON path (default BENCH_serve.json)
@@ -426,8 +426,8 @@ fn server_config(
             default_deadline: Some(deadline),
             solve_threads: 1, // overwritten by the server's derived budget
             store: None,
-            placement: None,     // per-shard scopes are set in spawn_deployment
-            min_coarse_nodes: 0, // raised in the huge phase only
+            placement: None, // per-shard scopes are set in spawn_deployment
+            ..ServiceConfig::default()
         },
         store_dir: None,
     }
@@ -572,24 +572,22 @@ fn spawn_deployment(shards: usize, config: &ServerConfig) -> (Vec<ServerHandle>,
 }
 
 /// Outcome of the huge-instance phase: one ~10⁵-node cold request in
-/// `Mode::Multilevel` under a realistic deadline, plus the server-side trace
-/// spans that break the solve down per multilevel phase.
+/// `heuristics` mode under a realistic deadline, plus the server-side trace
+/// spans that break the solve down per pipeline phase.
 struct HugeOutcome {
     nodes: usize,
     latency: Duration,
     valid: bool,
     source: ScheduleSource,
-    /// `solve` + `ml_*` span durations (µs), in recording order.
+    /// Durations (µs) of `solve` and the spans beneath it, summed per name, in
+    /// recording order.
     spans: Vec<(String, u64)>,
 }
 
-/// Phase 4: a single huge request against a dedicated server.  The service
-/// gets a coarsen-depth floor (`min_coarse_nodes`): at 10⁵ nodes the ratio
-/// ladder's deepest target is far past the point where further coarsening
-/// pays for itself, and the floor is exactly the knob a deadline-bound
-/// deployment would set.  The request carries a trace id, so the span
-/// breakdown comes back over the wire (`TRACE <hex>`) — the same telemetry
-/// an operator would pull from a live deployment.
+/// Phase 4: a single huge request against a dedicated server.  The request
+/// carries a trace id, so the span breakdown comes back over the wire
+/// (`TRACE <hex>`) — the same telemetry an operator would pull from a live
+/// deployment.
 fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> HugeOutcome {
     let dag = size_to_target(target, |n| {
         spmv(&SpmvConfig {
@@ -604,7 +602,6 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
     config.service.default_deadline = Some(deadline);
     config.service.local_search_budget = deadline.mul_f64(0.8);
     config.service.warm_budget = deadline / 4;
-    config.service.min_coarse_nodes = 2048;
     let server = Server::bind("127.0.0.1:0", config)
         .expect("bind the huge-phase server")
         .spawn()
@@ -613,7 +610,7 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
     // Any non-zero id works: the trace is read back on the same connection.
     let trace_id = 0xb16u64;
     let options = RequestOptions::new()
-        .with_mode(Mode::Multilevel)
+        .with_mode(Mode::HeuristicsOnly)
         .with_deadline(deadline)
         .with_trace(trace_id);
     let start = Instant::now();
@@ -626,12 +623,20 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
         .trace(trace_id)
         .expect("read the huge request's trace");
     server.shutdown();
-    let spans = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "solve" || s.name.starts_with("ml_"))
-        .map(|s| (s.name.clone(), s.dur_us))
-        .collect();
+    // `solve` and the subtree the pipeline's phases hang beneath it, one
+    // entry per name (every branch has an `init_schedule` and an `hc`).
+    let from_solve = trace.spans.iter().skip_while(|s| s.name != "solve");
+    let solve_depth = from_solve.clone().next().map_or(0, |s| s.depth);
+    let subtree = from_solve
+        .enumerate()
+        .take_while(|(i, s)| *i == 0 || s.depth > solve_depth);
+    let mut spans: Vec<(String, u64)> = Vec::new();
+    for (_, span) in subtree {
+        match spans.iter_mut().find(|(name, _)| *name == span.name) {
+            Some((_, dur)) => *dur += span.dur_us,
+            None => spans.push((span.name.clone(), span.dur_us)),
+        }
+    }
     HugeOutcome {
         nodes: dag.n(),
         latency,
@@ -822,14 +827,14 @@ fn main() {
         metrics.counter_sum("bsp_requests_total"),
     );
 
-    // ---- Phase 4: huge-instance multilevel request ----------------------
+    // ---- Phase 4: huge-instance request ---------------------------------
     // Skipped under --smoke: a 10⁵-node cold solve is minutes of CI time.
     let huge = if smoke {
         None
     } else {
         let huge_target = args.usize_or("huge-target", 100_000);
         let huge_deadline = Duration::from_millis(args.u64_or("huge-deadline-ms", 15_000));
-        eprintln!("huge phase: one cold Mode::Multilevel request with a trace");
+        eprintln!("huge phase: one cold heuristics-mode request with a trace");
         let outcome = run_huge_phase(&config, huge_target, huge_deadline);
         let span_us = |name: &str| {
             outcome
@@ -839,20 +844,15 @@ fn main() {
                 .map_or(0, |(_, d)| *d)
         };
         let solve_us = span_us("solve");
-        let coarsen_us = span_us("ml_coarsen");
-        let coarsen_share = if solve_us > 0 {
-            coarsen_us as f64 / solve_us as f64
-        } else {
-            0.0
-        };
+        let funnel_us = span_us("funnel");
         eprintln!(
             "huge: {} nodes in {:.2?} ({}, valid: {}) | solve {solve_us}us, \
-             ml_coarsen {coarsen_us}us ({:.1}% of solve)",
+             funnel {funnel_us}us ({:.1}% of solve)",
             outcome.nodes,
             outcome.latency,
             source_name(outcome.source),
             outcome.valid,
-            coarsen_share * 100.0,
+            funnel_us as f64 / solve_us.max(1) as f64 * 100.0,
         );
         Some((outcome, huge_deadline))
     };
@@ -1120,13 +1120,11 @@ fn main() {
             queue_wait.is_some_and(|h| h.count > 0),
             "smoke: the queue-wait histogram recorded nothing"
         );
-        for kind in ["invalid_schedule", "ml_member_failed"] {
-            assert_eq!(
-                metrics.counter(&format!("bsp_solver_fallbacks_total{{kind=\"{kind}\"}}")),
-                Some(0),
-                "smoke: a solver result was discarded ({kind}), or the series is missing"
-            );
-        }
+        assert_eq!(
+            metrics.counter("bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}"),
+            Some(0),
+            "smoke: a solver result was discarded, or the series is missing"
+        );
         // Placement gates: the router's decision counters were live in the
         // mid-workload scrape, and structure-affinity routing kept sharded
         // warm hits within 10% of the serial baseline.

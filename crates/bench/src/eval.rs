@@ -4,7 +4,6 @@ use bsp_model::{Dag, Machine};
 use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
-use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use dag_gen::dataset::NamedDag;
@@ -17,8 +16,6 @@ use std::collections::BTreeMap;
 pub struct EvalOptions {
     /// Configuration of our pipeline (Figure 3).
     pub pipeline: PipelineConfig,
-    /// When set, also run the multilevel scheduler with this configuration.
-    pub multilevel: Option<MultilevelConfig>,
     /// Whether to also run the `BL-EST` and `ETF` list-scheduler baselines
     /// (needed only by the Table 7/8 experiments; `HDagg` dominates them
     /// elsewhere).
@@ -30,15 +27,8 @@ impl EvalOptions {
     pub fn pipeline_only(pipeline: PipelineConfig) -> Self {
         EvalOptions {
             pipeline,
-            multilevel: None,
             list_baselines: false,
         }
-    }
-
-    /// Adds the multilevel scheduler.
-    pub fn with_multilevel(mut self, config: MultilevelConfig) -> Self {
-        self.multilevel = Some(config);
-        self
     }
 
     /// Adds the `BL-EST` / `ETF` baselines.
@@ -74,8 +64,6 @@ pub struct AlgoCosts {
     pub ilp_part: u64,
     /// Final pipeline cost (after the ILP stage) — "our scheduler".
     pub ilp: u64,
-    /// The multilevel scheduler (`u64::MAX` when not run).
-    pub multilevel: u64,
 }
 
 /// One evaluated instance.
@@ -136,16 +124,6 @@ pub fn evaluate_instance(
             machine.p()
         );
     }
-    let multilevel = options
-        .multilevel
-        .as_ref()
-        .map(|cfg| {
-            MultilevelScheduler::new(cfg.clone())
-                .run(dag, machine)
-                .cost(dag, machine)
-        })
-        .unwrap_or(u64::MAX);
-
     InstanceResult {
         name: name.to_string(),
         nodes: dag.n(),
@@ -159,7 +137,6 @@ pub fn evaluate_instance(
             local_search: report.local_search_cost,
             ilp_part: report.ilp_part_cost,
             ilp: report.final_cost,
-            multilevel,
         },
         branch_widths: report
             .branches
@@ -236,7 +213,6 @@ mod tests {
         let c = result.costs;
         assert!(c.trivial > 0 && c.cilk > 0 && c.hdagg > 0);
         assert_eq!(c.bl_est, u64::MAX);
-        assert_eq!(c.multilevel, u64::MAX);
         assert!(c.local_search <= c.init);
         assert!(c.ilp <= c.local_search);
         assert_eq!(result.nodes, dag.n());
@@ -252,20 +228,17 @@ mod tests {
     }
 
     #[test]
-    fn list_baselines_and_multilevel_are_opt_in() {
+    fn list_baselines_are_opt_in() {
         let dag = spmv(&SpmvConfig {
             n: 10,
             density: 0.3,
             seed: 8,
         });
         let machine = Machine::numa_binary_tree(8, 1, 5, 2);
-        let options = fast_options()
-            .with_list_baselines()
-            .with_multilevel(MultilevelConfig::fast());
+        let options = fast_options().with_list_baselines();
         let result = evaluate_instance("t", &dag, &machine, &options);
         assert_ne!(result.costs.bl_est, u64::MAX);
         assert_ne!(result.costs.etf, u64::MAX);
-        assert_ne!(result.costs.multilevel, u64::MAX);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::ilp::IlpConfig;
-use bsp_sched::multilevel::MultilevelConfig;
 use bsp_sched::pipeline::PipelineConfig;
 use dag_gen::dataset::{Dataset, DatasetKind, NamedDag};
 use dag_gen::fine::{cg, exp, knn, spmv, IterConfig, SpmvConfig};
@@ -73,23 +72,6 @@ impl Scale {
             use_ilp: false,
             ilp_init_max_procs: 0,
             ..self.pipeline_config()
-        }
-    }
-
-    /// The multilevel configuration appropriate for this scale.
-    pub fn multilevel_config(&self) -> MultilevelConfig {
-        let base = self.pipeline_config();
-        match self {
-            Scale::Smoke => MultilevelConfig {
-                base,
-                refine_time_limit: Duration::from_millis(100),
-                final_comm_time_limit: Duration::from_millis(300),
-                ..MultilevelConfig::fast()
-            },
-            Scale::Reduced | Scale::Full => MultilevelConfig {
-                base,
-                ..MultilevelConfig::default()
-            },
         }
     }
 

@@ -71,13 +71,14 @@ impl BenchReport {
         json
     }
 
-    /// Writes the document to `path`.  A `"frozen_seed"` line in the file
-    /// being replaced — numbers recorded with the seed engines, which no
-    /// longer exist to be re-run — is carried into the new document verbatim.
+    /// Writes the document to `path`.  The `"frozen_…"` lines of the file
+    /// being replaced — numbers recorded with engines that no longer exist to
+    /// be re-run (`frozen_seed`, `frozen_ratio_members`) — are carried into
+    /// the new document verbatim.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         let mut json = self.to_json();
         let old = std::fs::read_to_string(path).unwrap_or_default();
-        if let Some(frozen) = old.lines().find(|l| l.starts_with("  \"frozen_seed\": ")) {
+        for frozen in old.lines().filter(|l| l.starts_with("  \"frozen_")) {
             json.truncate(json.len() - "\n}\n".len());
             json.push_str(",\n");
             json.push_str(frozen.trim_end_matches(','));

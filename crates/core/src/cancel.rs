@@ -2,8 +2,7 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle that every long-running
 //! stage of the scheduling pipeline polls: the `HC` work-list loop, the
-//! `HCcs` loop, the multilevel refinement phases, and the ILP branch-&-bound
-//! (between branch nodes).  All of those stages are *anytime* — they hold a
+//! `HCcs` loop and the ILP branch-&-bound (between branch nodes).  All of those stages are *anytime* — they hold a
 //! valid schedule at every step and only ever replace it with a cheaper one —
 //! so cancellation is safe at any poll point: the caller always gets back its
 //! best-so-far **valid** schedule.

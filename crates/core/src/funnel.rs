@@ -1,5 +1,5 @@
-//! The funnel (in-tree) reduction: an *exact* problem reduction both
-//! schedulers apply before they solve.
+//! The funnel (in-tree) reduction: an *exact* problem reduction the pipeline
+//! applies before it solves.
 //!
 //! `HC` moves one node at a time (§4.3).  Fine-grained DAGs are full of
 //! nodes a single move cannot carry anywhere useful: in `spmv` a matrix entry
@@ -30,10 +30,11 @@
 //! With `w` = Σ members and `c` = `c(root)` every `(π, τ, Γ)` of the coarse
 //! DAG is therefore a schedule of the DAG at the identical cost
 //! ([`Funnel::project`]), work, communication and latency term by term.
-//! This is what sets the reduction apart from the multilevel coarsener, whose
-//! clusters have many exits and whose summed `c` over-states communication:
-//! the pipeline's width sweep, its trivial-schedule floor and its ILP stage
-//! all judge the funnel DAG, and are right to.  The quotient is a DAG: every
+//! This is what sets the reduction apart from the paper's multilevel
+//! coarsening (§4.5, contraction along any edge), whose clusters have many
+//! exits and whose summed `c` over-states communication: the pipeline's width
+//! sweep, its trivial-schedule floor and its ILP stage all judge the funnel
+//! DAG, and are right to.  The quotient is a DAG: every
 //! member reaches its root inside the cluster, so a cycle through clusters
 //! would be a cycle through their roots in the DAG itself.
 //!
@@ -56,7 +57,6 @@
 //! DAG is `None`): a root that had its successors in two clusters still has,
 //! and one the bound kept out meets a cluster that has only grown.
 
-use crate::multilevel::quotient_of;
 use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, NodeId};
 
 /// A cluster may hold at most `total_work / (MAX_CLUSTER_SHARE · P)` work:
@@ -161,6 +161,62 @@ impl Funnel {
             comm: CommSchedule::from_steps(steps.collect()),
         }
     }
+}
+
+/// The quotient of `dag` under `cluster_of` (node → cluster index): one node
+/// per cluster with the given weights (`work.len()` clusters), and as edge
+/// list the first occurrence of every cluster pair in `dag.edges()` order.
+/// That order decides the neighbour order of the coarse [`Dag`], which the
+/// initializers observe.
+///
+/// # Panics
+///
+/// Panics when the clusters do not form a DAG.
+fn quotient_of(
+    dag: &Dag,
+    cluster_of: impl Fn(NodeId) -> usize,
+    work: Vec<u64>,
+    comm: Vec<u64>,
+) -> Dag {
+    let k = work.len();
+    // A stable counting sort groups the crossing edges by source cluster
+    // without disturbing their order inside a group, so one stamp per target
+    // cluster finds the repeats of each group; the survivors are then
+    // emitted in their original positions.
+    let mut offset = vec![0usize; k + 1];
+    let mut mapped = Vec::new();
+    for (a, b) in dag.edges() {
+        let (ca, cb) = (cluster_of(a), cluster_of(b));
+        if ca != cb {
+            offset[ca + 1] += 1;
+            mapped.push((ca, cb));
+        }
+    }
+    for c in 0..k {
+        offset[c + 1] += offset[c];
+    }
+    let mut grouped = vec![0usize; mapped.len()];
+    for (position, &(ca, _)) in mapped.iter().enumerate() {
+        grouped[offset[ca]] = position;
+        offset[ca] += 1;
+    }
+    // `offset[c]` now ends group `c`; groups are walked back to back.
+    let mut first = vec![false; mapped.len()];
+    let mut stamp = vec![0usize; k];
+    let mut begin = 0usize;
+    for (ca, &end) in offset[..k].iter().enumerate() {
+        for &position in &grouped[begin..end] {
+            let cb = mapped[position].1;
+            if stamp[cb] != ca + 1 {
+                stamp[cb] = ca + 1;
+                first[position] = true;
+            }
+        }
+        begin = end;
+    }
+    let mut keep = first.iter();
+    mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
+    Dag::from_edges(k, &mapped, work, comm).expect("the clusters form a DAG")
 }
 
 #[cfg(test)]

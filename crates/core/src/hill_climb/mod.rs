@@ -15,10 +15,9 @@
 //! after its preliminary experiments, and stop at a local minimum or when the
 //! time limit expires.
 //!
-//! [`hc_improve`] is the cold-start entry point over a [`Dag`];
-//! [`hc_search`] is the underlying work-list driver over any
-//! [`bsp_model::DagView`] and an existing [`HcState`], which the incremental
-//! multilevel engine warm-starts with externally seeded queues.
+//! [`hc_improve`] is the entry point; [`hc_search`] is the work-list driver
+//! under it, over an existing [`HcState`] and a caller-seeded queue (what the
+//! oracle and allocation tests drive directly).
 //!
 //! ## Work-list driving
 //!
@@ -41,7 +40,7 @@ mod state;
 pub use hccs::hccs_improve;
 pub use state::{EvalScratch, HcCore, HcState, MoveWindow};
 
-use bsp_model::{BspSchedule, Dag, DagView, Machine};
+use bsp_model::{BspSchedule, Dag, Machine};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -51,7 +50,7 @@ pub struct HillClimbConfig {
     /// Wall-clock limit for the search.
     pub time_limit: Duration,
     /// Upper bound on the number of accepted improvement steps
-    /// (`usize::MAX` = unlimited); the multilevel refinement phases use this.
+    /// (`usize::MAX` = unlimited).
     pub max_steps: usize,
     /// Cooperative cancellation, polled at the same cadence as the clock.
     /// Both searches are anytime, so a cancelled run still returns a valid
@@ -124,8 +123,8 @@ pub mod debug_counters {
 }
 
 /// Reusable work-list buffers for [`hc_search`].  Owning these outside the
-/// search is what lets the multilevel engine run one refinement phase per
-/// uncontraction batch without re-allocating the queue each time.
+/// search lets a caller run search after search without re-allocating the
+/// queue each time.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     queue: VecDeque<usize>,
@@ -139,8 +138,7 @@ impl SearchScratch {
     }
 
     /// Pre-sizes the buffers for graphs of `n` nodes, so later enqueues never
-    /// reallocate (the multilevel engine calls this once up front to keep its
-    /// refinement phases allocation-free).
+    /// reallocate.
     pub fn reserve(&mut self, n: usize) {
         if self.in_queue.len() < n {
             self.in_queue.resize(n, false);
@@ -159,17 +157,11 @@ impl SearchScratch {
         }
     }
 
-    /// Enqueues every active node of `graph`.
-    pub fn enqueue_all<G: DagView>(&mut self, graph: &G) {
-        let n = graph.n();
-        if self.in_queue.len() < n {
-            self.in_queue.resize(n, false);
-        }
-        self.queue.reserve(n);
-        for v in 0..n {
-            if graph.is_active(v) {
-                self.enqueue(v);
-            }
+    /// Enqueues every node of `graph`.
+    pub fn enqueue_all(&mut self, graph: &Dag) {
+        self.reserve(graph.n());
+        for v in 0..graph.n() {
+            self.enqueue(v);
         }
     }
 
@@ -196,8 +188,8 @@ macro_rules! count {
 /// Out of line: keeps the enumeration loop of [`try_improve_node`], which most
 /// visits never leave, small.
 #[inline(never)]
-fn destination_improves<G: DagView>(
-    graph: &G,
+fn destination_improves(
+    graph: &Dag,
     state: &mut HcState<'_>,
     lifted: &mut bool,
     v: usize,
@@ -223,7 +215,7 @@ fn destination_improves<G: DagView>(
 /// Tries the candidate moves of node `v` in the canonical order (superstep
 /// `s−1`, `s`, `s+1`; processors ascending) and applies the first improving
 /// one.  Returns `true` if a move was accepted.
-fn try_improve_node<G: DagView>(graph: &G, state: &mut HcState<'_>, v: usize, p: usize) -> bool {
+fn try_improve_node(graph: &Dag, state: &mut HcState<'_>, v: usize, p: usize) -> bool {
     count!(VISITS);
     if !state.node_can_gain(graph, v) {
         return false;
@@ -264,9 +256,9 @@ fn try_improve_node<G: DagView>(graph: &G, state: &mut HcState<'_>, v: usize, p:
 /// Re-enqueues everything whose best move can have changed after an accepted
 /// move of `v`: the node itself, its DAG neighbours, and every node of the
 /// supersteps whose tallies the move touched.
-fn enqueue_dirty<G: DagView>(
+fn enqueue_dirty(
     state: &HcState<'_>,
-    graph: &G,
+    graph: &Dag,
     v: usize,
     queue: &mut VecDeque<usize>,
     in_queue: &mut [bool],
@@ -322,20 +314,18 @@ pub fn hc_improve(
     outcome
 }
 
-/// The work-list `HC` search itself, operating on an existing [`HcState`]
-/// over any [`DagView`].  This is the warm-start entry point the incremental
-/// multilevel engine drives: the caller seeds `scratch` with the nodes whose
-/// best move may have changed (or [`SearchScratch::enqueue_all`] for a cold
-/// start) and the search examines only those plus whatever accepted moves
-/// dirty.
+/// The work-list `HC` search itself, operating on an existing [`HcState`]:
+/// the caller seeds `scratch` with the nodes whose best move may have changed
+/// (or [`SearchScratch::enqueue_all`] for a cold start) and the search
+/// examines only those plus whatever accepted moves dirty.
 ///
 /// With `full_sweep` set, a drained work-list triggers verification sweeps
-/// over all active nodes until one accepts nothing, which certifies the local
+/// over all nodes until one accepts nothing, which certifies the local
 /// minimum; without it the search stops as soon as the work-list drains
-/// (`reached_local_minimum` is then always `false`), keeping the phase cost
-/// proportional to the local change — what bounded refinement phases want.
-pub fn hc_search<G: DagView>(
-    graph: &G,
+/// (`reached_local_minimum` is then always `false`), keeping the cost
+/// proportional to the local change.
+pub fn hc_search(
+    graph: &Dag,
     machine: &Machine,
     state: &mut HcState<'_>,
     config: &HillClimbConfig,
@@ -380,9 +370,6 @@ pub fn hc_search<G: DagView>(
         }
         let mut sweep_improved = false;
         for v in 0..n {
-            if !graph.is_active(v) {
-                continue;
-            }
             if over_limit(&mut visit, steps) {
                 break 'outer;
             }

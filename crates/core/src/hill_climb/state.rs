@@ -68,20 +68,13 @@
 //! [`HcState`] owns one core plus one scratch and exposes the classical
 //! API; [`HcState::try_move`] is lift → exact drop → unlift.
 //!
-//! ## Graph-per-call and warm starts
+//! ## Graph-per-call
 //!
-//! The state does **not** borrow the graph: every graph-touching method takes
-//! a [`DagView`] argument instead.  This is what lets the incremental
-//! multilevel engine interleave quotient-graph mutations with refinement — it
-//! owns a mutable `QuotientDag` and an `HcState`, and after each
-//! uncontraction patches the state with [`HcState::pre_split`] /
-//! [`HcState::post_split`] (an `O(deg)` delta: one node is split into two at
-//! the same processor and superstep, and only the touched communication
-//! tallies are rewritten) instead of rebuilding it from scratch.  Callers must
-//! pass a view consistent with the assignment the state currently tracks;
-//! views may contain inactive nodes, which the state skips entirely.
+//! The state does **not** borrow the DAG: every graph-touching method takes
+//! the [`Dag`] as an argument.  Callers must pass the DAG the state was built
+//! over.
 
-use bsp_model::{Assignment, DagView, Machine, ValidityError};
+use bsp_model::{Assignment, Dag, Machine, ValidityError};
 
 /// One lazy-communication contribution: the value of some node is sent
 /// `from -> to` in the communication phase of `step`, with NUMA-weighted
@@ -223,8 +216,6 @@ pub struct EvalScratch {
     /// `3 · P` candidate destinations the driver evaluates for `v`, so they
     /// are collected once per node visit; any committed move invalidates.
     prepared_node: Option<usize>,
-    /// Old-step → new-step map scratch for [`HcState::compact_steps`].
-    compact_map: Vec<usize>,
 }
 
 impl EvalScratch {
@@ -347,9 +338,6 @@ pub struct HcCore<'a> {
     /// Worst-case contribution gather size, `(max_in_deg + 1) · P`; scratch
     /// buffers are pre-reserved to it.
     contrib_bound: usize,
-    /// Node whose contributions [`HcCore::pre_split`] removed; the matching
-    /// [`HcCore::post_split`] must follow before any other operation.
-    split_pending: Option<usize>,
 }
 
 /// Maintains a cached row maximum (`max`, with `cnt` cells attaining it)
@@ -394,8 +382,8 @@ fn bump_row_max(max: &mut u64, cnt: &mut u32, row: &[u64], old: u64, new: u64) {
 /// A free function over disjoint field borrows so callers can stream into the
 /// scratch's own vec without fighting the borrow checker.
 #[allow(clippy::too_many_arguments)]
-fn collect_summaries<G: DagView>(
-    graph: &G,
+fn collect_summaries(
+    graph: &Dag,
     proc: &[usize],
     step: &[usize],
     need_step: &mut [usize],
@@ -471,8 +459,8 @@ impl<'a> HcCore<'a> {
     /// Builds the shared core from an assignment, using `scratch` for the
     /// initial tally construction.  See [`HcState::new`] for the feasibility
     /// contract.
-    pub fn new<G: DagView>(
-        graph: &G,
+    pub fn new(
+        graph: &Dag,
         machine: &'a Machine,
         assignment: Assignment,
         scratch: &mut EvalScratch,
@@ -492,7 +480,7 @@ impl<'a> HcCore<'a> {
             });
         }
         for (v, &q) in assignment.proc.iter().enumerate() {
-            if q >= p && graph.is_active(v) {
+            if q >= p {
                 return Err(ValidityError::ProcessorOutOfRange {
                     node: v,
                     proc: q,
@@ -501,9 +489,6 @@ impl<'a> HcCore<'a> {
             }
         }
         for u in 0..n {
-            if !graph.is_active(u) {
-                continue;
-            }
             for &w in graph.successors(u) {
                 if assignment.proc[u] == assignment.proc[w] {
                     if assignment.superstep[u] > assignment.superstep[w] {
@@ -519,12 +504,7 @@ impl<'a> HcCore<'a> {
         // One spare superstep so the common "move to s+1" candidate at the
         // schedule frontier does not have to grow the arrays.
         let capacity = num_steps.max(1) + 1;
-        let mut max_in = 0usize;
-        for v in 0..n {
-            if graph.is_active(v) {
-                max_in = max_in.max(graph.predecessors(v).len());
-            }
-        }
+        let max_in = (0..n).map(|v| graph.in_degree(v)).max().unwrap_or(0);
         let contrib_bound = (max_in + 1) * p;
         let mut core = HcCore {
             machine,
@@ -544,43 +524,29 @@ impl<'a> HcCore<'a> {
             body: vec![0; capacity],
             body_sum: 0,
             num_steps,
-            // Reserved to `p` entries so warm-start splits that activate a
-            // node never have to grow its summary cache.
+            // Reserved to `p` entries: one summary per consuming processor.
             contrib_cache: (0..n).map(|_| Vec::with_capacity(p)).collect(),
             contrib_valid: vec![false; n],
             contrib_bound,
-            split_pending: None,
         };
         scratch.fit(&core);
-        core.rebuild_tallies(scratch, graph);
-        // Headroom so the first splits/moves into a bucket don't reallocate.
+        core.build_tallies(scratch, graph);
+        // Headroom so the first moves into a bucket don't reallocate.
         for bucket in &mut core.step_nodes {
             bucket.reserve(bucket.len() + 8);
         }
         Ok(core)
     }
 
-    /// Rebuilds every derived tally — superstep buckets, work and
-    /// communication matrices, row-max caches, body costs — from the current
-    /// `proc`/`step` arrays, reusing the existing buffers.  `O(n + m +
-    /// steps · P)`; performs no heap allocation once the buffers are warm.
-    fn rebuild_tallies<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G) {
+    /// Builds every derived tally — superstep buckets, work and communication
+    /// matrices, row-max caches, body costs — of a freshly zeroed core from
+    /// its `proc`/`step` arrays.  `O(n + m + steps · P)`.
+    fn build_tallies(&mut self, scratch: &mut EvalScratch, graph: &Dag) {
         let p = self.machine.p();
         let n = graph.n();
         let capacity = self.body.len();
-        for s in 0..capacity {
-            self.nodes_in_step[s] = 0;
-            self.step_nodes[s].clear();
-        }
-        self.work.fill(0);
-        self.send.fill(0);
-        self.recv.fill(0);
-        self.hrel.fill(0);
         let mut num_steps = 0usize;
         for v in 0..n {
-            if !graph.is_active(v) {
-                continue;
-            }
             let s = self.step[v];
             self.nodes_in_step[s] += 1;
             self.bucket_pos[v] = self.step_nodes[s].len();
@@ -592,9 +558,6 @@ impl<'a> HcCore<'a> {
         scratch.prepared_node = None;
         let mut materialized = std::mem::take(&mut scratch.contribs_new);
         for u in 0..n {
-            if !graph.is_active(u) {
-                continue;
-            }
             self.refresh_summaries(scratch, graph, u);
             materialized.clear();
             push_contributions(
@@ -644,36 +607,6 @@ impl<'a> HcCore<'a> {
             self.body[s] = cost;
             self.body_sum += cost;
         }
-    }
-
-    /// Removes supersteps without any computation and renumbers the remaining
-    /// ones contiguously — see [`HcState::compact_steps`].
-    pub fn compact_steps<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G) -> usize {
-        debug_assert!(self.split_pending.is_none());
-        let total = self.num_steps;
-        if scratch.compact_map.len() < total {
-            scratch.compact_map.resize(total, 0);
-        }
-        let mut next = 0usize;
-        for s in 0..total {
-            scratch.compact_map[s] = next;
-            if self.nodes_in_step[s] > 0 {
-                next += 1;
-            }
-        }
-        let removed = total - next;
-        if removed == 0 {
-            return 0;
-        }
-        for v in 0..graph.n() {
-            if graph.is_active(v) {
-                self.step[v] = scratch.compact_map[self.step[v]];
-            }
-        }
-        // Every consumer superstep moved, so every cached summary is stale.
-        self.contrib_valid.fill(false);
-        self.rebuild_tallies(scratch, graph);
-        removed
     }
 
     /// Current processor of a node.
@@ -744,7 +677,7 @@ impl<'a> HcCore<'a> {
 
     /// Rebuilds node `u`'s cached consumer summaries if a committed move
     /// invalidated them.
-    fn refresh_summaries<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, u: usize) {
+    fn refresh_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, u: usize) {
         if self.contrib_valid[u] {
             return;
         }
@@ -770,7 +703,7 @@ impl<'a> HcCore<'a> {
 
     /// Refreshes the consumer-summary caches of `v` and its predecessors —
     /// everything the evaluation of `v`'s candidate moves reads.
-    pub fn warm_summaries<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
+    pub fn warm_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
         self.refresh_summaries(scratch, graph, v);
         for &u in graph.predecessors(v) {
             self.refresh_summaries(scratch, graph, u);
@@ -785,7 +718,7 @@ impl<'a> HcCore<'a> {
     ///
     /// Requires the summary caches of `v` and its predecessors to be valid
     /// ([`HcCore::warm_summaries`]).
-    fn prepare_node<G: DagView>(&self, scratch: &mut EvalScratch, graph: &G, v: usize) {
+    fn prepare_node(&self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
         if scratch.prepared_node == Some(v) {
             return;
         }
@@ -816,10 +749,10 @@ impl<'a> HcCore<'a> {
     /// Fills `scratch.contribs_old` / `scratch.contribs_new` with the lazy
     /// contributions removed and added by moving `v` to `(p_new, s_new)`.
     /// Pure with respect to the core.
-    fn gather_move_contribs<G: DagView>(
+    fn gather_move_contribs(
         &self,
         scratch: &mut EvalScratch,
-        graph: &G,
+        graph: &Dag,
         v: usize,
         p_new: usize,
         s_new: usize,
@@ -909,7 +842,7 @@ impl<'a> HcCore<'a> {
     /// of those removed-from cells currently attains its row maximum.  The
     /// latency term can only decrease when `v`'s superstep empties, i.e. `v`
     /// is alone in it.  If none of these hold, every candidate has `delta ≥ 0`.
-    pub fn can_gain<G: DagView>(&self, scratch: &mut EvalScratch, graph: &G, v: usize) -> bool {
+    pub fn can_gain(&self, scratch: &mut EvalScratch, graph: &Dag, v: usize) -> bool {
         let p = self.machine.p();
         let s_old = self.step[v];
         let p_old = self.proc[v];
@@ -962,7 +895,7 @@ impl<'a> HcCore<'a> {
 
     /// Precomputes the feasibility window of node `v`'s candidate moves in
     /// one `O(deg)` scan; check candidates with [`MoveWindow::allows`].
-    pub fn move_window<G: DagView>(&self, graph: &G, v: usize) -> MoveWindow {
+    pub fn move_window(&self, graph: &Dag, v: usize) -> MoveWindow {
         let mut pred_step = None;
         let mut pred_proc = None;
         for &u in graph.predecessors(v) {
@@ -1013,13 +946,7 @@ impl<'a> HcCore<'a> {
     /// valid: predecessors must be available (strictly earlier superstep, or
     /// the same superstep on the same processor), and symmetrically for
     /// successors.
-    pub fn move_is_valid<G: DagView>(
-        &self,
-        graph: &G,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> bool {
+    pub fn move_is_valid(&self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> bool {
         for &u in graph.predecessors(v) {
             let ok = if self.proc[u] == p_new {
                 self.step[u] <= s_new
@@ -1236,8 +1163,7 @@ impl<'a> HcCore<'a> {
     /// gain every [`HcCore::drop_eval`] of `v` starts from.  `body`,
     /// `body_sum` and the assignment are left alone.  Must be paired with
     /// [`HcCore::unlift`] before any other mutation.  `O(deg)`.
-    pub fn lift<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
-        debug_assert!(self.split_pending.is_none());
+    pub fn lift(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
         let p = self.machine.p();
         scratch.fit_procs(p);
         scratch.fit_steps(self.body.len() + 1);
@@ -1282,7 +1208,7 @@ impl<'a> HcCore<'a> {
 
     /// Puts the lifted node `v` back where it was; every tally and row cache
     /// is bit-equal to the state before [`HcCore::lift`].
-    pub fn unlift<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, v: usize) {
+    pub fn unlift(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
         let cell = self.step[v] * self.machine.p() + self.proc[v];
         self.work[cell] += graph.work(v);
         self.undo_log(&scratch.logs[LIFT]);
@@ -1294,10 +1220,10 @@ impl<'a> HcCore<'a> {
     /// no row gets cheaper and the destination row pays at least the rise of
     /// its work maximum: `delta ≥ lift gain + rise + latency term`.
     #[inline]
-    pub fn drop_lower_bound<G: DagView>(
+    pub fn drop_lower_bound(
         &self,
         scratch: &EvalScratch,
-        graph: &G,
+        graph: &Dag,
         v: usize,
         p_new: usize,
         s_new: usize,
@@ -1320,10 +1246,10 @@ impl<'a> HcCore<'a> {
     /// cost of the whole move (negative = improvement) off the row caches,
     /// and undoes its own patches.  No heap allocation once the scratch is
     /// sized.
-    pub fn drop_eval<G: DagView>(
+    pub fn drop_eval(
         &mut self,
         scratch: &mut EvalScratch,
-        graph: &G,
+        graph: &Dag,
         v: usize,
         p_new: usize,
         s_new: usize,
@@ -1375,15 +1301,14 @@ impl<'a> HcCore<'a> {
     /// old/new contribution sets, so [`HcState::last_affected_steps`] names
     /// every superstep a contribution of `v` or a predecessor sits in — the
     /// work-list's dirty rule depends on that set, not only on changed rows.
-    pub fn apply_move<G: DagView>(
+    pub fn apply_move(
         &mut self,
         scratch: &mut EvalScratch,
-        graph: &G,
+        graph: &Dag,
         v: usize,
         p_new: usize,
         s_new: usize,
     ) -> i64 {
-        debug_assert!(self.split_pending.is_none());
         let p_old = self.proc[v];
         let s_old = self.step[v];
         if p_old == p_new && s_old == s_new {
@@ -1449,102 +1374,6 @@ impl<'a> HcCore<'a> {
         scratch.prepared_node = None;
         delta
     }
-
-    /// First half of the warm-start *split* patch; see [`HcState::pre_split`].
-    pub fn pre_split<G: DagView>(&mut self, scratch: &mut EvalScratch, graph: &G, kept: usize) {
-        debug_assert!(self.split_pending.is_none());
-        self.refresh_summaries(scratch, graph, kept);
-        scratch.fit_steps(self.body.len() + 1);
-        let mut old = std::mem::take(&mut scratch.contribs_old);
-        old.clear();
-        push_contributions(
-            self.machine,
-            self.proc[kept],
-            graph.comm(kept),
-            &self.contrib_cache[kept],
-            &mut old,
-        );
-        scratch.affected.clear();
-        scratch.step_stamp += 1;
-        let stamp = scratch.step_stamp;
-        for &c in &old {
-            if scratch.step_mark[c.step] != stamp {
-                scratch.step_mark[c.step] = stamp;
-                scratch.affected.push(c.step);
-            }
-            self.patch_contrib(c, false);
-        }
-        scratch.contribs_old = old;
-        scratch.prepared_node = None;
-        self.split_pending = Some(kept);
-    }
-
-    /// Second half of the warm-start split patch; see [`HcState::post_split`].
-    pub fn post_split<G: DagView>(
-        &mut self,
-        scratch: &mut EvalScratch,
-        graph: &G,
-        kept: usize,
-        removed: usize,
-    ) {
-        debug_assert_eq!(self.split_pending, Some(kept));
-        self.split_pending = None;
-        let (pk, sk) = (self.proc[kept], self.step[kept]);
-        self.proc[removed] = pk;
-        self.step[removed] = sk;
-        self.bucket_pos[removed] = self.step_nodes[sk].len();
-        self.step_nodes[sk].push(removed);
-        self.nodes_in_step[sk] += 1;
-
-        // The halves are new consumer nodes for their predecessors (the
-        // per-processor consumer *counts* change even though the materialized
-        // contributions do not), so those summaries must be rebuilt on demand.
-        // Invalidate before refreshing the halves: `kept` is itself a
-        // predecessor of `removed` through the internal edge.
-        self.contrib_valid[kept] = false;
-        self.contrib_valid[removed] = false;
-        for &u in graph.predecessors(kept) {
-            self.contrib_valid[u] = false;
-        }
-        for &u in graph.predecessors(removed) {
-            self.contrib_valid[u] = false;
-        }
-        self.refresh_summaries(scratch, graph, kept);
-        self.refresh_summaries(scratch, graph, removed);
-        let mut new_out = std::mem::take(&mut scratch.contribs_new);
-        new_out.clear();
-        push_contributions(
-            self.machine,
-            pk,
-            graph.comm(kept),
-            &self.contrib_cache[kept],
-            &mut new_out,
-        );
-        push_contributions(
-            self.machine,
-            pk,
-            graph.comm(removed),
-            &self.contrib_cache[removed],
-            &mut new_out,
-        );
-        let stamp = scratch.step_stamp;
-        for &c in &new_out {
-            if scratch.step_mark[c.step] != stamp {
-                scratch.step_mark[c.step] = stamp;
-                scratch.affected.push(c.step);
-            }
-            self.patch_contrib(c, true);
-        }
-        scratch.contribs_new = new_out;
-
-        let g = self.machine.g();
-        for i in 0..scratch.affected.len() {
-            let s = scratch.affected[i];
-            let cost = self.work_max[s] + g * self.hrel_max[s];
-            self.body_sum = self.body_sum - self.body[s] + cost;
-            self.body[s] = cost;
-        }
-    }
 }
 
 /// Incremental cost state of an assignment under the lazy communication rule:
@@ -1567,12 +1396,8 @@ impl<'a> HcState<'a> {
     /// reach `π(w)` in time — for `τ(w) = 0` this is the case that used to
     /// underflow `s - 1`).  Infeasible assignments yield a [`ValidityError`]
     /// naming the offending edge.
-    ///
-    /// The view may contain inactive nodes (a quotient graph mid-coarsening):
-    /// they are skipped everywhere and their assignment entries are ignored
-    /// (by convention the caller should leave them at `(0, 0)`).
-    pub fn new<G: DagView>(
-        graph: &G,
+    pub fn new(
+        graph: &Dag,
         machine: &'a Machine,
         assignment: Assignment,
     ) -> Result<Self, ValidityError> {
@@ -1592,22 +1417,6 @@ impl<'a> HcState<'a> {
     #[inline]
     pub fn parts_mut(&mut self) -> (&mut HcCore<'a>, &mut EvalScratch) {
         (&mut self.core, &mut self.scratch)
-    }
-
-    /// See [`HcCore::compact_steps`]: removes supersteps without any
-    /// computation and renumbers the remaining ones contiguously — the
-    /// state-level counterpart of [`bsp_model::BspSchedule::normalize`] under
-    /// the lazy communication schedule (lazy phases re-anchor to the
-    /// consumers' new indices, which is exactly where `normalize` shifts
-    /// them).  Returns the number of supersteps removed.
-    ///
-    /// `O(num_steps)` when nothing is dead; a rebuild of the derived tallies
-    /// (`O(n + m)`, allocation-free) when compaction happens.  The multilevel
-    /// engine calls this between refinement phases: supersteps drain rarely,
-    /// and mostly at coarse levels where `n` is small, so the amortized cost
-    /// stays far below the per-phase rebuild it replaces.
-    pub fn compact_steps<G: DagView>(&mut self, graph: &G) -> usize {
-        self.core.compact_steps(&mut self.scratch, graph)
     }
 
     /// Current processor of a node.
@@ -1633,9 +1442,9 @@ impl<'a> HcState<'a> {
         self.core.nodes_in_superstep(s)
     }
 
-    /// The supersteps whose tallies the most recent `apply_move` (or split
-    /// patch) touched (deduplicated, unordered).  The work-list driver re-enqueues
-    /// the nodes of these supersteps after an accepted move.
+    /// The supersteps whose tallies the most recent `apply_move` touched
+    /// (deduplicated, unordered).  The work-list driver re-enqueues the nodes
+    /// of these supersteps after an accepted move.
     pub fn last_affected_steps(&self) -> &[usize] {
         &self.scratch.affected
     }
@@ -1662,26 +1471,20 @@ impl<'a> HcState<'a> {
     /// can lower the total cost (see [`HcCore::can_gain`]).  `O(deg)` (and it
     /// warms the per-node contribution cache that candidate evaluation
     /// reuses).
-    pub fn node_can_gain<G: DagView>(&mut self, graph: &G, v: usize) -> bool {
+    pub fn node_can_gain(&mut self, graph: &Dag, v: usize) -> bool {
         self.core.warm_summaries(&mut self.scratch, graph, v);
         self.core.can_gain(&mut self.scratch, graph, v)
     }
 
     /// Precomputes the feasibility window of node `v`'s candidate moves in
     /// one `O(deg)` scan; check candidates with [`MoveWindow::allows`].
-    pub fn move_window<G: DagView>(&self, graph: &G, v: usize) -> MoveWindow {
+    pub fn move_window(&self, graph: &Dag, v: usize) -> MoveWindow {
         self.core.move_window(graph, v)
     }
 
     /// `true` if moving node `v` to `(p_new, s_new)` keeps the lazy schedule
     /// valid (see [`HcCore::move_is_valid`]).
-    pub fn move_is_valid<G: DagView>(
-        &self,
-        graph: &G,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> bool {
+    pub fn move_is_valid(&self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> bool {
         self.core.move_is_valid(graph, v, p_new, s_new)
     }
 
@@ -1693,7 +1496,7 @@ impl<'a> HcState<'a> {
     ///
     /// Performs no heap allocation (after the state's scratch buffers have
     /// warmed up to the move's superstep range).
-    pub fn try_move<G: DagView>(&mut self, graph: &G, v: usize, p_new: usize, s_new: usize) -> i64 {
+    pub fn try_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
         let (core, scratch) = (&mut self.core, &mut self.scratch);
         core.lift(scratch, graph, v);
         let delta = core.drop_eval(scratch, graph, v, p_new, s_new);
@@ -1705,43 +1508,9 @@ impl<'a> HcState<'a> {
     /// in total cost (negative = improvement).  Applying the inverse move
     /// afterwards restores the exact previous state and returns the negated
     /// delta.
-    pub fn apply_move<G: DagView>(
-        &mut self,
-        graph: &G,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> i64 {
+    pub fn apply_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
         self.core
             .apply_move(&mut self.scratch, graph, v, p_new, s_new)
-    }
-
-    /// First half of the warm-start *split* patch: removes the lazy
-    /// contributions of cluster `kept` from the tallies, ahead of the quotient
-    /// graph splitting `kept` in two.  Must be called with the **pre-split**
-    /// view (so `kept`'s successor set and communication weight are still the
-    /// merged ones) and followed by [`HcState::post_split`] before any other
-    /// operation on the state.  `O(deg(kept))`, allocation-free once warm.
-    ///
-    /// The work tallies need no patching at all: the two halves stay on
-    /// `kept`'s processor and superstep, so their summed work sits in the same
-    /// cell before and after the split.  Predecessors' materialized
-    /// contributions are likewise unchanged (their consumers keep their
-    /// positions); only their cached summaries go stale, which
-    /// [`HcState::post_split`] records.
-    pub fn pre_split<G: DagView>(&mut self, graph: &G, kept: usize) {
-        self.core.pre_split(&mut self.scratch, graph, kept);
-    }
-
-    /// Second half of the warm-start split patch, called with the
-    /// **post-split** view: activates `removed` at `kept`'s processor and
-    /// superstep, adds both halves' lazy contributions to the tallies, and
-    /// refreshes the body-cost cache of the touched supersteps.  After this
-    /// the state is exactly what [`HcState::new`] would build from the split
-    /// graph and the extended assignment.  `O(deg(kept) + deg(removed))`.
-    pub fn post_split<G: DagView>(&mut self, graph: &G, kept: usize, removed: usize) {
-        self.core
-            .post_split(&mut self.scratch, graph, kept, removed);
     }
 }
 

@@ -15,8 +15,7 @@
 //! into a new one, only while the cluster stays within it.  "Shares a
 //! successor" is transitive, so without the bound a DAG whose sources are the
 //! *shared* inputs — a funnel DAG ([`crate::funnel`]: the `u_j` of `spmv`
-//! once every `a_ij` has folded into its row), a multilevel coarse DAG —
-//! puts every source in one cluster on one processor, the pull-in absorbs
+//! once every `a_ij` has folded into its row) — puts every source in one cluster on one processor, the pull-in absorbs
 //! the rest and `Source` returns the one-processor schedule; the pipeline's
 //! width sweep then compares trivial with trivial and never narrows.  On the
 //! fine-grained benchmark DAGs themselves a cluster is a matrix column of

@@ -10,16 +10,15 @@
 //! * [`cancel`] — the cooperative [`CancelToken`] polled by every anytime
 //!   search loop (deadline-aware requests and graceful shutdown in
 //!   `bsp_serve` are built on it).
-//! * [`funnel`] — the exact funnel (in-tree) reduction both schedulers apply
-//!   to the DAG before they solve it.
+//! * [`funnel`] — the exact funnel (in-tree) reduction the pipeline applies to
+//!   the DAG before it solves it: the multilevel idea of §4.5 ("a coarse node
+//!   is a multi-node move") in the one form that pays here.
 //! * [`init`] — the `BSPg` and `Source` initialization heuristics.
 //! * [`hill_climb`] — the `HC` (node moves) and `HCcs` (communication
 //!   schedule) hill-climbing local searches.
 //! * [`ilp`] — the `ILPfull`, `ILPpart`, `ILPcs` and `ILPinit` formulations,
 //!   solved with the [`micro_ilp`] branch-&-bound solver.
-//! * [`multilevel`] — the coarsen–solve–refine multilevel scheduler.
-//! * [`pipeline`] — the combined framework of Figure 3 (and the multilevel
-//!   variant of Figure 4).
+//! * [`pipeline`] — the combined framework of Figure 3, the one scheduler.
 
 pub mod baselines;
 pub mod cancel;
@@ -27,6 +26,7 @@ pub mod funnel;
 pub mod hill_climb;
 pub mod ilp;
 pub mod init;
+#[doc(hidden)]
 pub mod multilevel;
 pub mod pipeline;
 
@@ -55,11 +55,10 @@ pub fn evaluate(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> (u64
 
 /// Resolves a thread-budget knob to a concrete count: `0` means one thread
 /// per available core, anything else passes through.  The single definition
-/// every budget layer shares ([`multilevel::MultilevelConfig::threads`],
-/// [`pipeline::PipelineConfig::solve_threads`] and `bsp_serve`'s derived
-/// per-worker budget).  A budget means one thing — how many independent
-/// solves (the pipeline's init branches, the multilevel ratio portfolio) may
-/// run at once — and nothing below a whole solve reads it.
+/// every budget layer shares ([`pipeline::PipelineConfig::solve_threads`] and
+/// `bsp_serve`'s derived per-worker budget).  A budget means one thing — how
+/// many of the pipeline's init branches may run at once — and no search
+/// reads it.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
         std::thread::available_parallelism()
@@ -70,7 +69,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The one fork rule behind both fan-out sites: maps `f` over `items` on
+/// The fork rule of the pipeline's branch fan-out: maps `f` over `items` on
 /// `min(budget, items)` lanes of the rayon pool, each lane taking the next
 /// item nobody has started, so a budget that covers only some of the items
 /// still keeps that many cores busy.  One lane is the calling thread going
@@ -115,6 +114,7 @@ pub use cancel::CancelToken;
 pub use funnel::Funnel;
 pub use hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 pub use init::{BspgScheduler, SourceScheduler};
+#[doc(hidden)]
 pub use multilevel::{MultilevelConfig, MultilevelScheduler};
 pub use pipeline::{PhaseSample, Pipeline, PipelineConfig};
 

@@ -52,15 +52,8 @@
 //!   communication schedule optimised; the losing branches' would be thrown
 //!   away, and the trivial schedule has none.
 //!
-//! Sweep and floor judge a schedule of the DAG that is being solved.  The
-//! multilevel scheduler base-solves *coarse* DAGs, which over-state
-//! communication (a coarsener's cluster has many exits and its `c` is the sum
-//! of its members' — unlike a funnel cluster, whose one exit is its root):
-//! there the sweep would narrow and the floor would win too early.  Its ratio
-//! members therefore enter through [`Pipeline::run_report_on_prefix`] — no
-//! reduction, no sweep, no floor, the initializers (and the placement pass)
-//! on the width [`placement_width`] keeps for the uncoarsened DAG — a
-//! function boundary, not a switch.
+//! Sweep and floor judge a schedule of the DAG that is being solved, and the
+//! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`].
 //!
 //! [`Pipeline::run_report`] additionally returns the intermediate costs used
 //! by the paper's Figures 5–7 (the `Init`, `HCcs` and `ILP` bars).
@@ -89,10 +82,6 @@ pub struct PipelineConfig {
     /// Whether the ILP stage runs at all.  The huge-dataset experiments of
     /// §7.1 disable it and use only the heuristics plus local search.
     pub use_ilp: bool,
-    /// Whether the communication-schedule ILP (`ILPcs`) runs at the end of the
-    /// ILP stage.  The multilevel framework (Figure 4) disables it here and
-    /// runs it separately after uncoarsening.
-    pub use_ilp_cs: bool,
     /// `ILPinit` is only attempted when `P` is at most this value (the paper
     /// settles on 4 after the training-set experiments of Appendix C.1).
     /// Set to 0 to disable `ILPinit` entirely.
@@ -125,8 +114,8 @@ pub struct PipelineConfig {
     /// schedule found so far (at minimum the raw initializer schedules, which
     /// are not deadline-gated).  `None` disables deadline awareness.
     pub deadline: Option<Instant>,
-    /// Cooperative cancellation threaded through every stage (`HC`, `HCcs`,
-    /// the multilevel refinement phases, and the ILP branch-&-bound).  The
+    /// Cooperative cancellation threaded through every stage (`HC`, `HCcs`
+    /// and the ILP branch-&-bound).  The
     /// effective token of a run is this one tightened to [`Self::deadline`].
     pub cancel: CancelToken,
 }
@@ -137,7 +126,6 @@ impl Default for PipelineConfig {
             hill_climb: HillClimbConfig::default(),
             ilp: IlpConfig::default(),
             use_ilp: true,
-            use_ilp_cs: true,
             ilp_init_max_procs: 4,
             ilp_init_max_nodes: 400,
             ilp_stage_budget: Duration::from_secs(20),
@@ -157,7 +145,6 @@ impl PipelineConfig {
             hill_climb: HillClimbConfig::with_time_limit(Duration::from_millis(200)),
             ilp: IlpConfig::fast(),
             use_ilp: true,
-            use_ilp_cs: true,
             ilp_init_max_procs: 4,
             ilp_init_max_nodes: 150,
             ilp_stage_budget: Duration::from_secs(2),
@@ -423,8 +410,19 @@ impl Pipeline {
         let origin = self.phase_clock();
         let funnel = Funnel::contract(dag, machine.p());
         let contracted = origin.map(|o| o.elapsed());
-        let mut report =
-            self.run_reduced(funnel.as_ref().map_or(dag, Funnel::dag), machine, origin);
+        let solved_dag = funnel.as_ref().map_or(dag, Funnel::dag);
+        let mut report = self.branch_search(solved_dag, machine, origin);
+        if trivial_floor(
+            solved_dag,
+            machine,
+            &mut report.schedule,
+            &mut report.local_search_cost,
+        ) {
+            report.selected_init = "trivial".to_string();
+        } else {
+            self.comm_search(solved_dag, machine, origin, &mut report);
+        }
+        let mut report = self.ilp_stage(solved_dag, machine, origin, report);
         let solved = origin.map(|o| o.elapsed());
         if let Some(funnel) = &funnel {
             report.schedule = funnel.project(&report.schedule);
@@ -441,51 +439,6 @@ impl Pipeline {
         report
     }
 
-    /// [`Pipeline::run_report`] on a DAG the funnel reduction has already
-    /// been applied to (the multilevel scheduler reduces once for its whole
-    /// portfolio): branch search with every heuristic branch sweeping its
-    /// own width, floor, `HCcs` on a surviving winner, ILP stage.
-    pub(crate) fn run_reduced(
-        &self,
-        dag: &Dag,
-        machine: &Machine,
-        origin: Option<Instant>,
-    ) -> PipelineReport {
-        let mut report = self.branch_search(dag, machine, origin, None);
-        if trivial_floor(
-            dag,
-            machine,
-            &mut report.schedule,
-            &mut report.local_search_cost,
-        ) {
-            report.selected_init = "trivial".to_string();
-        } else {
-            self.comm_search(dag, machine, origin, &mut report);
-        }
-        self.ilp_stage(dag, machine, origin, report)
-    }
-
-    /// The branch search, `HCcs` and the ILP stage with the initializers
-    /// placing on the machine's first `width` processors — no reduction, no
-    /// sweep, no floor.  This is what the multilevel scheduler base-solves a
-    /// *coarse* DAG with, at the width [`placement_width`] gives for the DAG
-    /// it was coarsened from (see the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= width <= P` ([`Machine::prefix`]).
-    pub fn run_report_on_prefix(
-        &self,
-        dag: &Dag,
-        machine: &Machine,
-        width: usize,
-    ) -> PipelineReport {
-        let origin = self.phase_clock();
-        let mut report = self.branch_search(dag, machine, origin, Some(width));
-        self.comm_search(dag, machine, origin, &mut report);
-        self.ilp_stage(dag, machine, origin, report)
-    }
-
     /// The phase clock only exists when the caller opted in; `None` keeps
     /// the default path free of any `Instant::now` calls.
     fn phase_clock(&self) -> Option<Instant> {
@@ -494,15 +447,13 @@ impl Pipeline {
 
     /// The initialization branches, each `start → HC`: a report whose later
     /// stages say "did not run" and whose schedule is the cheapest branch's
-    /// after `HC`.  With a `width` every initializer builds on that prefix;
-    /// without, the heuristic branches sweep and `ILPinit` takes the width
-    /// of the cheaper of their starts.
+    /// after `HC`.  The heuristic branches sweep their width and `ILPinit`
+    /// takes the width of the cheaper of their starts.
     fn branch_search(
         &self,
         dag: &Dag,
         machine: &Machine,
         origin: Option<Instant>,
-        width: Option<usize>,
     ) -> PipelineReport {
         let mut report = PipelineReport {
             branches: Vec::new(),
@@ -511,7 +462,7 @@ impl Pipeline {
             ilp_part_cost: 0,
             final_cost: 0,
             selected_init: "trivial".to_string(),
-            placement_width: width.unwrap_or(machine.p()),
+            placement_width: machine.p(),
             funnel_nodes: dag.n(),
             used_ilp_full: false,
             ilp_part_windows_improved: 0,
@@ -531,7 +482,7 @@ impl Pipeline {
         let mut results: Vec<BranchResult> = crate::map_within_budget(
             self.config.effective_solve_threads(),
             &heuristics,
-            |&init| self.run_branch(dag, machine, init, width, &cancel, origin),
+            |&init| self.run_branch(dag, machine, init, None, &cancel, origin),
         );
         if self.config.use_ilp
             && machine.p() <= self.config.ilp_init_max_procs
@@ -631,9 +582,7 @@ impl Pipeline {
                     ilp_part_improve(dag, machine, schedule, &ilp_config, Some(deadline));
             }
             report.ilp_part_cost = schedule.cost(dag, machine);
-            if self.config.use_ilp_cs {
-                report.ilp_cs_improved = ilp_cs_improve(dag, machine, schedule, &ilp_config);
-            }
+            report.ilp_cs_improved = ilp_cs_improve(dag, machine, schedule, &ilp_config);
             if let (Some(o), Some(started)) = (origin, ilp_started) {
                 let stage = PhaseSample::spanning("ilp_stage", started, o.elapsed());
                 report.phases.push(stage);
@@ -689,28 +638,6 @@ impl Pipeline {
             local_search_cost,
         };
         (report, schedule, phases)
-    }
-}
-
-/// The number of processors the pipeline's initializers would place the nodes
-/// of `dag` on: the width of the cheapest swept initial schedule of the
-/// funnel DAG (see the module docs).  [`Pipeline::run_report`] works its
-/// widths out for itself; this is what the multilevel ratio members
-/// base-solve at.
-pub fn placement_width(dag: &Dag, machine: &Machine) -> usize {
-    let funnel = Funnel::contract(dag, machine.p());
-    swept_width(funnel.as_ref().map_or(dag, Funnel::dag), machine)
-}
-
-/// [`placement_width`] of a DAG the funnel reduction has been applied to.
-pub(crate) fn swept_width(dag: &Dag, machine: &Machine) -> usize {
-    let bspg = width_sweep(&BspgScheduler, dag, machine);
-    let source = width_sweep(&SourceScheduler, dag, machine);
-    // Ties go to the earlier branch, as they do in the pipeline.
-    if source.cost < bspg.cost {
-        source.width
-    } else {
-        bspg.width
     }
 }
 

@@ -18,74 +18,6 @@ use serde::{Deserialize, Serialize};
 /// Index of a node in a [`Dag`]; nodes are always `0..n`.
 pub type NodeId = usize;
 
-/// Read access to a weighted DAG, abstracting over the immutable [`Dag`] and
-/// mutable views such as [`crate::QuotientDag`].
-///
-/// The hill-climbing state and its work-list drivers are written against this
-/// trait, which is what lets the multilevel scheduler refine directly on its
-/// persistent quotient graph instead of materializing a fresh [`Dag`] per
-/// refinement phase.
-///
-/// A view may carry *inactive* nodes (`is_active` returns `false`): node ids
-/// that exist in the index space `0..n` but are not part of the current graph.
-/// Inactive nodes must report empty successor and predecessor lists, and no
-/// active node's adjacency may reference an inactive node.
-pub trait DagView {
-    /// Size of the node index space (active nodes all lie in `0..n`).
-    fn n(&self) -> usize;
-
-    /// `true` if `v` is part of the current graph.
-    #[inline]
-    fn is_active(&self, v: NodeId) -> bool {
-        let _ = v;
-        true
-    }
-
-    /// Number of active nodes.
-    fn num_active(&self) -> usize {
-        self.n()
-    }
-
-    /// Work weight `w(v)`.
-    fn work(&self, v: NodeId) -> u64;
-
-    /// Communication weight `c(v)`.
-    fn comm(&self, v: NodeId) -> u64;
-
-    /// Direct successors of `v` (empty for inactive nodes).
-    fn successors(&self, v: NodeId) -> &[NodeId];
-
-    /// Direct predecessors of `v` (empty for inactive nodes).
-    fn predecessors(&self, v: NodeId) -> &[NodeId];
-}
-
-impl DagView for Dag {
-    #[inline]
-    fn n(&self) -> usize {
-        Dag::n(self)
-    }
-
-    #[inline]
-    fn work(&self, v: NodeId) -> u64 {
-        Dag::work(self, v)
-    }
-
-    #[inline]
-    fn comm(&self, v: NodeId) -> u64 {
-        Dag::comm(self, v)
-    }
-
-    #[inline]
-    fn successors(&self, v: NodeId) -> &[NodeId] {
-        Dag::successors(self, v)
-    }
-
-    #[inline]
-    fn predecessors(&self, v: NodeId) -> &[NodeId] {
-        Dag::predecessors(self, v)
-    }
-}
-
 /// An immutable computational DAG.
 ///
 /// Construct one through [`DagBuilder`], [`Dag::from_edges`] or

@@ -15,10 +15,6 @@
 //! * [`BspSchedule`] — an assignment plus a communication schedule, with
 //!   validity checking ([`BspSchedule::validate`]) and the BSP/NUMA cost
 //!   function ([`BspSchedule::cost`], [`BspSchedule::cost_breakdown`]).
-//! * [`QuotientDag`] — a persistent mutable quotient graph over a DAG's node
-//!   space with `O(deg)` contraction and uncontraction, the substrate of the
-//!   incremental multilevel scheduler (both it and [`Dag`] implement the
-//!   [`DagView`] read trait the local searches are written against).
 //! * [`fingerprint`] — allocation-free content fingerprints of scheduling
 //!   requests (DAG structure + weights + machine), the keys of the
 //!   `bsp_serve` schedule cache.
@@ -39,7 +35,6 @@ pub mod decimal;
 pub mod error;
 pub mod fingerprint;
 pub mod machine;
-pub mod quotient;
 pub mod record;
 pub mod render;
 pub mod schedule;
@@ -48,10 +43,9 @@ pub mod validity;
 pub use classical::ClassicalSchedule;
 pub use comm::{CommSchedule, CommStep};
 pub use cost::{CostBreakdown, SuperstepCost};
-pub use dag::{Dag, DagBuilder, DagView, NodeId};
+pub use dag::{Dag, DagBuilder, NodeId};
 pub use error::{DagError, ValidityError};
 pub use fingerprint::{request_key, Fnv64, RequestKey};
 pub use machine::{Machine, NumaTopology};
-pub use quotient::QuotientDag;
 pub use record::{decode_record, encode_record, RecordError, StoreRecord};
 pub use schedule::{Assignment, BspSchedule};

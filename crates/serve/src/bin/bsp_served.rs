@@ -25,9 +25,6 @@
 //! * `--addr <host:port>` — listen address (default `127.0.0.1:0`).
 //! * `--store-dir <path>` — durable store directory; omitted = memory-only.
 //! * `--workers <n>` — worker threads (default 2).
-//! * `--min-coarse-nodes <n>` — multilevel coarsen-depth floor for cold
-//!   solves (default 0 = no floor); deadline-bound deployments raise it so
-//!   huge DAGs stop coarsening once the coarse solve is already cheap.
 
 use bsp_serve::{Server, ServerConfig};
 use std::io::{BufRead, Write};
@@ -38,7 +35,6 @@ fn main() -> ExitCode {
     let mut addr = "127.0.0.1:0".to_string();
     let mut store_dir: Option<PathBuf> = None;
     let mut workers = 2usize;
-    let mut min_coarse_nodes = 0usize;
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -57,12 +53,6 @@ fn main() -> ExitCode {
                     std::process::exit(2);
                 });
             }
-            "--min-coarse-nodes" => {
-                min_coarse_nodes = value("--min-coarse-nodes").parse().unwrap_or_else(|e| {
-                    eprintln!("bsp_served: bad --min-coarse-nodes: {e}");
-                    std::process::exit(2);
-                });
-            }
             other => {
                 eprintln!("bsp_served: unknown flag {other}");
                 return ExitCode::from(2);
@@ -70,12 +60,11 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut config = ServerConfig {
+    let config = ServerConfig {
         workers: workers.max(1),
         store_dir,
         ..Default::default()
     };
-    config.service.min_coarse_nodes = min_coarse_nodes;
     let server = match Server::bind(addr.as_str(), config) {
         Ok(server) => server,
         Err(e) => {

@@ -28,10 +28,10 @@ use std::sync::{Arc, Mutex};
 
 use crate::metrics::LatencyHistogram;
 
-/// Maximum spans kept per trace.  A cold multilevel solve uses ~20 (router
-/// dispatch, queue wait, cache lookup, per-ratio coarsen/base/uncontract/
-/// refine/sweep, comm-opt, validate, insert, store offer, respond); anything
-/// beyond the cap sets the `truncated` flag instead of allocating.
+/// Maximum spans kept per trace.  A cold solve uses ~20 (router dispatch,
+/// queue wait, cache lookup, solve, funnel, three spans per branch, hccs,
+/// ILP stage, validate, insert, store offer, respond); anything beyond the
+/// cap sets the `truncated` flag instead of allocating.
 pub const MAX_SPANS: usize = 48;
 
 /// One timed region of a request's lifetime.  `start_us` is the offset from
@@ -39,7 +39,7 @@ pub const MAX_SPANS: usize = 48;
 /// server otherwise), so spans from different layers compose by offsetting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanRec {
-    /// Static span name (e.g. `"queue_wait"`, `"ml_coarsen"`).
+    /// Static span name (e.g. `"queue_wait"`, `"funnel"`).
     pub name: &'static str,
     /// Nesting depth: 0 for top-level request phases, children below.
     pub depth: u8,

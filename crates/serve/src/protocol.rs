@@ -8,7 +8,8 @@
 //! REQ <id>
 //! MACHINE uniform <p> <g> <l>            (or: tree <p> <g> <l> <delta>)
 //! OPTION deadline_ms <n>                 (optional; 0 = no deadline)
-//! OPTION mode <default|fast|heuristics|multilevel>  (optional; default heuristics)
+//! OPTION mode <default|fast|heuristics>  (optional; default heuristics;
+//!                                         `multilevel` is read as `heuristics`)
 //! OPTION cache <on|off>                  (optional; default on)
 //! OPTION trace <hex>                     (optional; router-assigned trace id)
 //! DAG <num_lines>
@@ -133,10 +134,6 @@ pub enum Mode {
     /// the right default for latency-bounded serving.
     #[default]
     HeuristicsOnly,
-    /// The coarsen–solve–refine multilevel scheduler (Figure 4) — the
-    /// strongest solver on large DAGs, with a per-phase timing breakdown
-    /// that traced requests surface span by span.
-    Multilevel,
 }
 
 impl Mode {
@@ -146,7 +143,6 @@ impl Mode {
             Mode::Default => "default",
             Mode::Fast => "fast",
             Mode::HeuristicsOnly => "heuristics",
-            Mode::Multilevel => "multilevel",
         }
     }
 
@@ -154,8 +150,10 @@ impl Mode {
         match tok {
             "default" => Some(Mode::Default),
             "fast" => Some(Mode::Fast),
-            "heuristics" => Some(Mode::HeuristicsOnly),
-            "multilevel" => Some(Mode::Multilevel),
+            // `multilevel` named the coarsen–solve–refine scheduler, which
+            // was the pipeline plus members that never won; old clients may
+            // still send it.
+            "heuristics" | "multilevel" => Some(Mode::HeuristicsOnly),
             _ => None,
         }
     }
@@ -1669,7 +1667,7 @@ mod tests {
     fn journal_records() -> [crate::obs::TraceRecord; 2] {
         let mut spans = crate::obs::SpanSet::new();
         spans.push("queue_wait", 0, 0, 12);
-        spans.push("ml_coarsen", 1, 12, 900);
+        spans.push("funnel", 1, 12, 900);
         let cold = crate::obs::TraceRecord {
             trace_id: 0x10,
             source: "cold",

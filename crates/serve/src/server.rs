@@ -81,8 +81,8 @@ pub struct ServerConfig {
     /// Per-request solve-thread budget handed to the service.  `0` (the
     /// default) derives it from the host: `max(1, host_cores / workers)`, so
     /// `workers × solve-threads` never oversubscribes the machine — the
-    /// multilevel ratio portfolio and the pipeline's init-branch fan-out
-    /// previously spread to `available_parallelism` *per worker*.  A nonzero
+    /// pipeline's init-branch fan-out would otherwise spread to
+    /// `available_parallelism` *per worker*.  A nonzero
     /// value overrides the derivation (it is passed through verbatim).
     pub solve_threads: usize,
     /// Configuration of the underlying [`ScheduleService`].  Its

@@ -31,7 +31,6 @@ use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
-use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler, PhaseTimings};
 use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
@@ -71,12 +70,9 @@ pub struct ServiceConfig {
     /// marker) and the adoption path counts recovered entries this shard is
     /// not the range owner of (`adopted_foreign`).
     pub placement: Option<PlacementScope>,
-    /// Coarsen-depth floor for multilevel solves
-    /// (`MultilevelConfig::min_coarse_nodes`): never coarsen a request's DAG
-    /// below this many clusters.  `0` (the default) keeps the ratio targets.
-    /// Deadline-bound deployments raise this so huge DAGs stop coarsening
-    /// once the coarse solve is already cheap, instead of spending the
-    /// deadline contracting further for marginal gain.
+    /// Read by nothing.  The frozen `benchmark/` names it in a struct
+    /// literal; delete with ROADMAP item 2.
+    #[doc(hidden)]
     pub min_coarse_nodes: usize,
 }
 
@@ -113,9 +109,6 @@ pub struct ServiceMetrics {
     /// that failed the boundary's `validate` and were replaced by the trivial
     /// schedule.
     invalid_schedules: Arc<AtomicU64>,
-    /// `bsp_solver_fallbacks_total{kind="ml_member_failed"}`: multilevel
-    /// portfolio members dropped for an infeasible schedule.
-    ml_members_failed: Arc<AtomicU64>,
 }
 
 const LATENCY_HELP: &str = "request handling latency in microseconds";
@@ -171,7 +164,6 @@ impl ServiceMetrics {
             warm: hist("warm"),
             requests: [counter("cold"), counter("exact"), counter("warm")],
             invalid_schedules: fallback("invalid_schedule"),
-            ml_members_failed: fallback("ml_member_failed"),
         }
     }
 
@@ -711,52 +703,8 @@ impl ScheduleService {
         spans: &mut Option<&mut SpanSet>,
     ) -> BspSchedule {
         let solve_start = start.elapsed().as_micros() as u64;
-        if request.options.mode == Mode::Multilevel {
-            // The fast profile, re-budgeted from the service's knobs: serving
-            // is latency-bounded, so the base solves get the same local-search
-            // budget a heuristics-only request would, not the offline
-            // pipeline's ILP budgets.
-            let mut config = MultilevelConfig::fast()
-                .with_threads(self.config.solve_threads)
-                .with_min_coarse_nodes(self.config.min_coarse_nodes);
-            config.base.hill_climb.time_limit = self.config.local_search_budget;
-            config.base.cancel = cancel.clone();
-            let report =
-                MultilevelScheduler::new(config).run_report(&request.dag, &request.machine);
-            self.metrics
-                .ml_members_failed
-                .fetch_add(report.failed.len() as u64, Ordering::Relaxed);
-            let timings = report.total_timings();
-            let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);
-            if let Some(spans) = spans.as_deref_mut() {
-                spans.push("solve", 0, solve_start, solve_dur);
-            }
-            if report.used_base_only {
-                // Too small to coarsen, or the funnel reduction had already
-                // reached every ratio's target: the whole solve was one base
-                // run, and the report carries no per-ratio timings to break
-                // down.
-                self.note_phase_micros("ml_base_solve", solve_dur);
-                if let Some(spans) = spans.as_deref_mut() {
-                    spans.push("ml_base_solve", 1, solve_start, solve_dur);
-                }
-                return report.schedule;
-            }
-            // Ratio runs may overlap in wall-clock; the per-phase offsets
-            // below are synthesized as if sequential, which preserves every
-            // duration and the phase order.
-            let mut offset = solve_start;
-            for (name, dur_us) in ml_phase_durations(&timings) {
-                self.note_phase_micros(name, dur_us);
-                if let Some(spans) = spans.as_deref_mut() {
-                    spans.push(name, 1, offset, dur_us);
-                }
-                offset = offset.saturating_add(dur_us);
-            }
-            return report.schedule;
-        }
         let mut config = match request.options.mode {
-            Mode::Default | Mode::Multilevel => PipelineConfig::default(),
+            Mode::Default => PipelineConfig::default(),
             Mode::Fast => PipelineConfig::fast(),
             Mode::HeuristicsOnly => PipelineConfig::heuristics_only(),
         };
@@ -784,20 +732,6 @@ impl ScheduleService {
         }
         report.schedule
     }
-}
-
-/// Flattens a multilevel [`PhaseTimings`] into `(phase, µs)` pairs, in
-/// pipeline order.
-fn ml_phase_durations(timings: &PhaseTimings) -> [(&'static str, u64); 6] {
-    let us = |seconds: f64| (seconds * 1e6) as u64;
-    [
-        ("ml_coarsen", us(timings.coarsen_seconds)),
-        ("ml_base_solve", us(timings.base_solve_seconds)),
-        ("ml_uncontract", us(timings.uncontract_seconds)),
-        ("ml_refine", us(timings.refine_seconds)),
-        ("ml_final_sweep", us(timings.final_sweep_seconds)),
-        ("ml_final_comm", us(timings.final_comm_seconds)),
-    ]
 }
 
 /// Turns a checksum-valid recovered record into a cache entry — or `None`,

@@ -16,7 +16,7 @@
 //! * [`sched`] — the scheduling algorithms: baselines (`Cilk`, `BL-EST`, `ETF`,
 //!   `HDagg`), initialization heuristics (`BSPg`, `Source`, `ILPinit`), hill
 //!   climbing (`HC`, `HCcs`), ILP formulations (`ILPfull`, `ILPpart`, `ILPcs`),
-//!   the multilevel scheduler, and the combined pipeline.
+//!   the exact funnel reduction, and the combined pipeline.
 //!
 //! ## Quickstart
 //!

@@ -10,7 +10,6 @@ use bsp_model::Machine;
 use bsp_sched::baselines::CilkScheduler;
 use bsp_sched::hill_climb::{hc_search, HcState, HillClimbConfig, SearchScratch};
 use bsp_sched::init::SourceScheduler;
-use bsp_sched::multilevel::{coarsen, BatchCoarsener, CoarsenConfig, IncrementalRefiner};
 use bsp_sched::Scheduler;
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -243,124 +242,6 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
             measured.steps,
         );
     }
-}
-
-/// The batch coarsener's steady-state scan — per-round rank re-anchoring,
-/// the candidate scan over every active cluster and canonical-order
-/// selection — performs **zero** heap allocation: every buffer is sized to
-/// `n` at construction and the working set only shrinks from there.  (Applying a batch pushes onto the
-/// contraction history, so the measured window is `scan_and_select` alone;
-/// the warm-up rounds cover the apply path's growth.)
-#[test]
-fn batch_coarsening_scan_and_select_is_allocation_free_after_warmup() {
-    let _serial = one_at_a_time();
-    let dag = spmv(&SpmvConfig {
-        n: 400,
-        density: 0.05,
-        seed: 17,
-    });
-    // `tail_width: 0`: the property under test is the *batch* scan's
-    // allocation-freedom (the sequential tail's BTreeSet pool allocates by
-    // design, which is exactly why it only runs on the narrow final stretch).
-    let mut coarsener = BatchCoarsener::new(&dag, dag.n() / 8, &CoarsenConfig { tail_width: 0 });
-    for _ in 0..2 {
-        assert!(
-            coarsener.round() > 0,
-            "instance must coarsen for at least two warm-up rounds"
-        );
-    }
-
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-    let batch = coarsener.scan_and_select();
-    std::hint::black_box(batch);
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
-    assert!(batch > 0, "nothing left to select after warm-up");
-    assert_eq!(
-        (allocs, deallocs),
-        (0, 0),
-        "steady-state scan allocated: {allocs} allocs / {deallocs} deallocs \
-         selecting a batch of {batch}"
-    );
-    assert_eq!(coarsener.apply_pending(), batch);
-}
-
-/// The headline property of the incremental multilevel engine: once the
-/// engine is warm (first uncontraction batch + first refinement phase done),
-/// a subsequent refinement phase — splits, dirty-seeded work-list search,
-/// step compaction and all — performs **zero** heap allocation.  The
-/// previous implementation rebuilt the quotient DAG and the search state
-/// from scratch per phase, allocating `O(n + m)` every time.
-#[test]
-fn multilevel_refinement_phase_is_allocation_free_after_warmup() {
-    let _serial = one_at_a_time();
-    let dag = spmv(&SpmvConfig {
-        n: 48,
-        density: 0.2,
-        seed: 11,
-    });
-    let machine = Machine::uniform(4, 3, 5);
-    let target = dag.n() / 4;
-    let (clustering, quotient) = coarsen(&dag, target).into_parts();
-    assert!(
-        quotient.num_contractions() >= 10,
-        "instance too small to exercise two refinement phases"
-    );
-
-    // Project a deterministic coarse schedule onto the representatives.
-    let (coarse_dag, reps) = clustering.quotient_dag(&dag);
-    let coarse_schedule = SourceScheduler.schedule(&coarse_dag, &machine);
-    let mut proc = vec![0usize; dag.n()];
-    let mut step = vec![0usize; dag.n()];
-    for (i, &rep) in reps.iter().enumerate() {
-        proc[rep] = coarse_schedule.proc(i);
-        step[rep] = coarse_schedule.superstep(i);
-    }
-    let mut refiner = IncrementalRefiner::new(
-        &machine,
-        quotient,
-        bsp_model::Assignment {
-            proc,
-            superstep: step,
-        },
-    )
-    .expect("coarse Source schedule is feasible");
-
-    let config = HillClimbConfig {
-        time_limit: Duration::from_secs(5),
-        max_steps: 20,
-        ..Default::default()
-    };
-    // Warm-up: the first refinement phases let every scratch buffer reach its
-    // steady-state capacity.  Cluster degrees (and with them the split-patch
-    // contribution sets) are largest at the coarsest levels, so the early
-    // phases bound everything the later ones touch — but buffer growth is
-    // amortized (capacity doubling), so a phase or two more than the strict
-    // minimum is needed before every vector has doubled past its high-water
-    // mark.
-    for _ in 0..4 {
-        for _ in 0..5 {
-            refiner.uncontract_one();
-        }
-        refiner.refine(&config);
-    }
-
-    // Measured: a complete later phase must not touch the allocator.
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..5 {
-        refiner.uncontract_one();
-    }
-    let outcome = refiner.refine(&config);
-    std::hint::black_box(outcome.final_cost);
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
-    assert_eq!(
-        (allocs, deallocs),
-        (0, 0),
-        "warm refinement phase allocated: {allocs} allocs / {deallocs} deallocs"
-    );
 }
 
 /// The text data path makes a fixed number of allocations per call, sized

@@ -11,7 +11,6 @@
 
 pub mod reference_codec;
 pub mod reference_comm;
-pub mod reference_multilevel;
 pub mod reference_source;
 
 use bsp_model::{BspSchedule, Dag, Machine};

@@ -1,5 +1,5 @@
-//! End-to-end integration tests of the combined pipeline (Figure 3) and the
-//! multilevel framework (Figure 4) on generated dataset instances.
+//! End-to-end integration tests of the combined pipeline (Figure 3) on
+//! generated dataset instances.
 
 mod common;
 
@@ -97,6 +97,10 @@ fn numa_improvement_grows_with_the_hierarchy_multiplier() {
     );
 }
 
+/// `MultilevelScheduler` is the name the frozen benchmark's `ml_fine` /
+/// `ml_kernels` workloads solve through (`crates/core/src/multilevel.rs`):
+/// it must answer exactly what the pipeline answers, and the six seconds of
+/// its old phase breakdown must fit inside the run they describe.
 #[test]
 fn multilevel_report_is_consistent_on_a_medium_instance() {
     let dag = exp(&IterConfig {
@@ -105,28 +109,41 @@ fn multilevel_report_is_consistent_on_a_medium_instance() {
         iterations: 3,
         seed: 5,
     });
-    let machine = Machine::numa_binary_tree(16, 1, 5, 3);
-    let ml = MultilevelScheduler::new(MultilevelConfig::fast());
-    let report = ml.run_report(&dag, &machine);
-    assert!(report.schedule.validate(&dag, &machine).is_ok());
-    assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
-    // The cheapest member wins: a ratio, or the flat pipeline.
-    let flat = report.flat.expect("nothing cancelled the flat member");
-    assert_eq!(
-        report.final_cost,
-        report
-            .ratio_outcomes
-            .iter()
-            .map(|o| o.cost)
-            .chain([flat.cost])
-            .min()
-            .expect("the flat member ran")
-    );
-    assert_eq!(report.ratio_outcomes.len(), 2);
-    // The coarse DAGs respect the requested ratios approximately.
-    for outcome in &report.ratio_outcomes {
-        let target = (dag.n() as f64 * outcome.ratio).round() as usize;
-        assert!(outcome.coarse_nodes <= target + 1);
+    // Deterministic budgets: bound by steps, not wall-clock.
+    let mut base = PipelineConfig::heuristics_only();
+    base.hill_climb.time_limit = std::time::Duration::from_secs(3600);
+    base.hill_climb.max_steps = 2_000;
+    for machine in [
+        Machine::numa_binary_tree(16, 1, 5, 4),
+        Machine::uniform(4, 3, 5),
+    ] {
+        let ml = MultilevelScheduler::new(MultilevelConfig {
+            base: base.clone(),
+            threads: 1,
+        });
+        let clock = std::time::Instant::now();
+        let report = ml.run_report(&dag, &machine);
+        let wall = clock.elapsed().as_secs_f64();
+        let flat = Pipeline::new(base.clone().with_thread_budget(1)).run_report(&dag, &machine);
+        assert_eq!(report.schedule, flat.schedule);
+        assert_eq!(report.final_cost, flat.final_cost);
+        assert!(report.schedule.validate(&dag, &machine).is_ok());
+        assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+
+        let t = report.total_timings();
+        let seconds = [
+            t.coarsen_seconds,
+            t.base_solve_seconds,
+            t.uncontract_seconds,
+            t.refine_seconds,
+            t.final_sweep_seconds,
+            t.final_comm_seconds,
+        ];
+        assert!(seconds.iter().all(|&s| s >= 0.0), "{seconds:?}");
+        assert!(seconds.iter().sum::<f64>() <= wall, "{seconds:?} > {wall}");
+        assert!(t.coarsen_seconds > 0.0 && t.refine_phases == 0);
+        assert_eq!(t.coarsen_stats.contractions, dag.n() - flat.funnel_nodes);
+        assert_eq!(t.coarsen_stats.rounds, 1);
     }
 }
 

@@ -19,7 +19,7 @@ mod common;
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{placement_width, Pipeline, PipelineConfig, PipelineReport};
+use bsp_sched::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use bsp_sched::{Funnel, Scheduler};
 use common::{placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, coarse_dag, CoarseAlgorithm, CoarseConfig, IterConfig};
@@ -115,24 +115,15 @@ fn expected_width(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> usize {
 
 /// The properties of a report for `dag` (what the reduction left of the
 /// caller's DAG) that do not depend on how the branches are composed.
-/// `swept` says whether the branches chose their widths themselves.
-fn assert_branches_hold(
-    context: &str,
-    report: &PipelineReport,
-    dag: &Dag,
-    machine: &Machine,
-    swept: bool,
-) {
+fn assert_branches_hold(context: &str, report: &PipelineReport, dag: &Dag, machine: &Machine) {
     let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     assert_eq!(report.funnel_nodes, dag.n(), "{context}: funnel_nodes");
     assert_eq!(report.branches.len(), inits.len(), "{context}");
     for (init, branch) in inits.into_iter().zip(&report.branches) {
         let name = init.name();
         assert_eq!(branch.init_name, name, "{context}");
-        if swept {
-            let width = expected_width(init, dag, machine);
-            assert_eq!(branch.width, width, "{context}: {name} width");
-        }
+        let width = expected_width(init, dag, machine);
+        assert_eq!(branch.width, width, "{context}: {name} width");
         let start = start_cost(init, dag, machine, branch.width);
         assert_eq!(branch.init_cost, start, "{context}: {name} start");
         assert!(branch.local_search_cost <= start, "{context}: {name} HC");
@@ -197,7 +188,7 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
             );
             let funnel = Funnel::contract(&dag, machine.p());
             let solved = funnel.as_ref().map_or(&dag, Funnel::dag);
-            assert_branches_hold(&context, &report, solved, &machine, true);
+            assert_branches_hold(&context, &report, solved, &machine);
             let cheapest = report.branches.iter().map(|b| b.local_search_cost).min();
             if report.selected_init == "trivial" {
                 assert!(trivial < cheapest.unwrap(), "{context}: the floor fired");
@@ -212,24 +203,6 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
             assert_eq!(par.schedule, report.schedule, "{context}: par == seq");
             assert_eq!(par.branches, report.branches, "{context}: par == seq");
             assert_eq!(par.selected_init, report.selected_init, "{context}");
-
-            // What the multilevel ratio members base-solve at is the width
-            // of the cheapest start, ties to the earlier branch; their entry
-            // is the same branch search at a width handed in, with neither
-            // reduction nor sweep nor floor.
-            let start = report.branches.iter().min_by_key(|b| b.init_cost).unwrap();
-            let width = placement_width(&dag, &machine);
-            assert_eq!(width, start.width, "{context}");
-            let unfloored = pipeline.run_report_on_prefix(solved, &machine, width);
-            assert!(unfloored.schedule.validate(solved, &machine).is_ok());
-            assert!(unfloored.branches.iter().all(|b| b.width == width));
-            assert_branches_hold(&context, &unfloored, solved, &machine, false);
-            assert_ne!(unfloored.selected_init, "trivial", "{context}");
-            assert_eq!(
-                unfloored.final_cost,
-                unfloored.schedule.cost(solved, &machine),
-                "{context}"
-            );
 
             let widths: Vec<usize> = report.branches.iter().map(|b| b.width).collect();
             apart += usize::from(widths[0] != widths[1]);

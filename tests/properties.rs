@@ -12,7 +12,6 @@ use bsp_sched::baselines::{
 };
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HcState, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
-use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use common::{random_dag, random_machine, reference_comm, rng_for_case};
@@ -209,11 +208,6 @@ fn hyperdag_round_trip_preserves_the_dag() {
 fn costs_respect_lower_bounds() {
     let mut pipeline = PipelineConfig::fast();
     pipeline.ilp_stage_budget = Duration::from_millis(200);
-    let multilevel = MultilevelConfig {
-        base: PipelineConfig::heuristics_only(),
-        min_nodes_to_coarsen: 4,
-        ..MultilevelConfig::fast()
-    };
     let schedulers: [&dyn Scheduler; 9] = [
         &TrivialScheduler,
         &CilkScheduler::default(),
@@ -223,7 +217,7 @@ fn costs_respect_lower_bounds() {
         &BspgScheduler,
         &SourceScheduler,
         &Pipeline::new(pipeline),
-        &MultilevelScheduler::new(multilevel),
+        &Pipeline::new(PipelineConfig::heuristics_only()),
     ];
     for case in 0..CASES {
         let mut rng = rng_for_case(0xF666, case);
@@ -236,12 +230,18 @@ fn costs_respect_lower_bounds() {
             share.max(dag.critical_path_work()) + machine.latency(),
             "case {case}"
         );
+        let trivial = BspSchedule::trivial(&dag).cost(&dag, &machine);
         for scheduler in schedulers {
             let cost = scheduler.schedule(&dag, &machine).cost(&dag, &machine);
             assert!(
                 cost >= lower,
                 "{} cost {cost} below lower bound {lower} (case {case})",
                 scheduler.name()
+            );
+            // Both pipelines end on the trivial-schedule floor.
+            assert!(
+                scheduler.name() != "Pipeline" || cost <= trivial,
+                "pipeline cost {cost} above the trivial schedule's {trivial} (case {case})"
             );
         }
     }

@@ -10,7 +10,6 @@ use bsp_sched::baselines::{
 };
 use bsp_sched::ilp::IlpInitScheduler;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
-use bsp_sched::multilevel::{MultilevelConfig, MultilevelScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use common::machine_grid;
@@ -165,15 +164,12 @@ fn ilp_init_is_valid_on_small_instances() {
 }
 
 #[test]
-fn pipeline_and_multilevel_are_valid_across_the_machine_grid() {
+fn pipeline_is_valid_across_the_machine_grid() {
     let pipeline = Pipeline::new(PipelineConfig::fast());
-    let multilevel = MultilevelScheduler::new(MultilevelConfig::fast());
     for (dag_name, dag) in dag_zoo().into_iter().take(4) {
         for machine in machine_grid().into_iter().step_by(2) {
             let sched = pipeline.schedule(&dag, &machine);
             assert_valid("Pipeline", &dag_name, &machine, &dag, &sched);
-            let sched = multilevel.schedule(&dag, &machine);
-            assert_valid("Multilevel", &dag_name, &machine, &dag, &sched);
         }
     }
 }
@@ -197,9 +193,9 @@ fn pipeline_never_loses_to_its_own_initializers() {
 
 #[test]
 fn a_thread_budget_never_changes_the_schedule() {
-    // A budget decides how many whole solves (init branches, portfolio
-    // ratios) run at once and nothing else reads it.  The DAGs are small
-    // enough that no time limit binds, so every run is deterministic.
+    // A budget decides how many init branches run at once and nothing else
+    // reads it.  The DAGs are small enough that no time limit binds, so
+    // every run is deterministic.
     let dags = [
         spmv(&SpmvConfig {
             n: 40,
@@ -223,27 +219,12 @@ fn a_thread_budget_never_changes_the_schedule() {
     ];
     let pipeline =
         |budget| Pipeline::new(PipelineConfig::heuristics_only().with_thread_budget(budget));
-    let multilevel = |threads| {
-        MultilevelScheduler::new(MultilevelConfig {
-            base: PipelineConfig::heuristics_only(),
-            threads,
-            ..MultilevelConfig::default()
-        })
-    };
     for dag in &dags {
-        assert!(dag.n() >= multilevel(1).config().min_nodes_to_coarsen);
         for machine in &machines {
             assert_eq!(
                 pipeline(1).run(dag, machine),
                 pipeline(4).run(dag, machine),
                 "pipeline, n={} P={}",
-                dag.n(),
-                machine.p()
-            );
-            assert_eq!(
-                multilevel(1).run(dag, machine),
-                multilevel(4).run(dag, machine),
-                "multilevel, n={} P={}",
                 dag.n(),
                 machine.p()
             );

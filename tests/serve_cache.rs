@@ -24,9 +24,7 @@ fn service(cache_bytes: usize) -> ScheduleService {
         warm_budget: Duration::from_secs(30),
         default_deadline: None,
         solve_threads: 1,
-        min_coarse_nodes: 0,
-        store: None,
-        placement: None,
+        ..Default::default()
     })
 }
 

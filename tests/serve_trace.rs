@@ -2,17 +2,20 @@
 //! server, and the router, plus the `METRICS` / `TRACE` / `STATS SLOW` wire
 //! verbs.
 //!
-//! The headline scenario is the ISSUE's acceptance criterion: a cold
-//! multilevel request sent **through the router** yields a trace whose span
-//! tree shows the router dispatch, the shard's queue wait, the cache miss,
-//! and every multilevel phase.
+//! The headline scenario: a cold request sent **through the router** yields a
+//! trace whose span tree shows the router dispatch, the shard's queue wait,
+//! the cache miss, and every pipeline phase — also when it asks for the
+//! retired `multilevel` mode, which the wire still accepts and reads as
+//! `heuristics`.
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, MetricsSnapshot, Mode, RequestOptions, Router, RouterConfig, ScheduleRequest,
-    ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
+    Client, MetricsSnapshot, Mode, RequestOptions, Router, RouterConfig, RouterHandle,
+    ScheduleRequest, ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle,
+    ServiceConfig, SpanSet,
 };
-use std::net::SocketAddr;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 fn test_dag(seed: u64) -> Dag {
@@ -34,13 +37,11 @@ fn test_dag(seed: u64) -> Dag {
     .unwrap()
 }
 
-/// A DAG the multilevel scheduler actually coarsens, so traces carry the
-/// full phase breakdown: 60 nodes (`min_nodes_to_coarsen` is 30) in six
-/// layers, every node above the last with two successors in the next.  The
-/// sinks are clusters of their own, so by induction up the layers no node has
-/// all its successors in one cluster — the funnel reduction leaves the DAG
-/// whole and both ratios run.
-fn coarsenable_dag(seed: u64) -> Dag {
+/// 60 nodes in six layers, every node above the last with two successors in
+/// the next.  The sinks are clusters of their own, so by induction up the
+/// layers no node has all its successors in one cluster: the funnel reduction
+/// leaves the DAG whole and the branches search all of it.
+fn layered_dag(seed: u64) -> Dag {
     const WIDTH: usize = 10;
     const LAYERS: usize = 6;
     let stride = 1 + seed as usize % (WIDTH - 1);
@@ -84,6 +85,17 @@ fn shard_server() -> ServerHandle {
         .expect("spawn shard")
 }
 
+/// Two shards behind a router.
+fn routed_deployment() -> (Vec<ServerHandle>, RouterHandle) {
+    let shards = vec![shard_server(), shard_server()];
+    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr()).collect();
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
+        .expect("bind router")
+        .spawn()
+        .expect("spawn router");
+    (shards, router)
+}
+
 /// Property: with a sequential solve (`solve_threads == 1`), the spans a
 /// traced request records are consistent — every span fits inside the
 /// measured wall-clock, and the solver's child phases sum to no more than
@@ -91,15 +103,15 @@ fn shard_server() -> ServerHandle {
 #[test]
 fn traced_phase_durations_fit_inside_the_wall_clock() {
     let machine = Machine::uniform(4, 1, 2);
-    for (seed, mode) in [(1u64, Mode::HeuristicsOnly), (2, Mode::Multilevel)] {
-        // Fresh service per mode: a shared cache would turn the second
+    for seed in [1u64, 2] {
+        // Fresh service per DAG: a shared cache would turn the second
         // request into a warm structural hit instead of a cold solve.
         let service = ScheduleService::new(service_config());
         let request = ScheduleRequest {
             id: seed,
-            dag: coarsenable_dag(seed),
+            dag: layered_dag(seed),
             machine: machine.clone(),
-            options: RequestOptions::new().with_mode(mode),
+            options: RequestOptions::new().with_mode(Mode::HeuristicsOnly),
         };
         let mut spans = SpanSet::new();
         let wall = Instant::now();
@@ -114,7 +126,7 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
             .iter()
             .find(|s| s.name == "solve")
             .copied()
-            .unwrap_or_else(|| panic!("mode {mode:?} records a solve span"));
+            .expect("a cold solve records a solve span");
         let mut child_sum = 0u64;
         for span in spans.spans() {
             assert!(
@@ -131,36 +143,76 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
         assert!(
             child_sum <= solve.dur_us.max(1),
             "sequential solver phases ({child_sum}µs) exceed their parent solve span \
-             ({}µs) in mode {mode:?}",
+             ({}µs)",
             solve.dur_us
         );
-        if mode == Mode::Multilevel {
-            for phase in ["ml_coarsen", "ml_base_solve", "ml_uncontract", "ml_refine"] {
-                assert!(
-                    spans.spans().iter().any(|s| s.name == phase),
-                    "multilevel trace is missing the {phase} span"
-                );
-            }
-        }
     }
 }
 
-/// The acceptance scenario: a cold multilevel request through the router,
-/// traced end to end, plus the `METRICS` and `STATS SLOW` verbs answered by
-/// the router from pooled shard scrapes.
+/// Sends `dag` as a cache-bypassing request with the literal mode token
+/// `mode` and returns the reply's trace id and its schedule lines (`PROC`
+/// through `END`) as they came off the wire.
+fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u64, String) {
+    let options = RequestOptions::new().with_cache(false);
+    let mut wire = String::new();
+    bsp_serve::protocol::encode_request(&mut wire, 1, dag, machine, &options).expect("encodes");
+    let default_mode = format!("OPTION mode {}\n", options.mode.as_str());
+    assert!(wire.contains(&default_mode));
+    let wire = wire.replace(&default_mode, &format!("OPTION mode {mode}\n"));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(wire.as_bytes()).expect("send");
+    let reply = bsp_serve::protocol::read_raw_reply(&mut BufReader::new(stream))
+        .expect("a reply frame")
+        .expect("the connection stays open");
+    assert!(!reply.is_err, "{mode}: {}", reply.header_rest);
+    let trace = reply.header_rest.rsplit_once("trace ").expect("traced").1;
+    let trace_id = u64::from_str_radix(trace, 16).expect("a hex trace id");
+    (trace_id, reply.body)
+}
+
+/// `OPTION mode multilevel` is still a legal request: it is answered by the
+/// pipeline, with the schedule `heuristics` gives byte for byte, and its trace
+/// names the pipeline's phases and none of the retired `ml_*` ones.
 #[test]
-fn router_trace_shows_dispatch_queue_wait_and_every_multilevel_phase() {
-    let shards = vec![shard_server(), shard_server()];
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr()).collect();
-    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
-        .expect("bind router")
-        .spawn()
-        .expect("spawn router");
+fn a_multilevel_mode_request_is_a_heuristics_request() {
+    let (shards, router) = routed_deployment();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::Multilevel);
+    let dag = layered_dag(4);
+
+    let (ml_trace, ml_schedule) = raw_request(router.addr(), &dag, &machine, "multilevel");
+    let (_, schedule) = raw_request(router.addr(), &dag, &machine, "heuristics");
+    assert_eq!(ml_schedule, schedule);
+
+    let mut client = Client::connect(router.addr()).expect("connect via router");
+    let trace = client.trace(ml_trace).expect("TRACE answers");
+    assert_eq!(trace.source, "cold");
+    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
+    for expected in ["solve", "funnel", "BSPg", "Source", "hc", "hccs"] {
+        assert!(
+            names.contains(&expected),
+            "the trace is missing the {expected} span; got {names:?}"
+        );
+    }
+    assert!(!names.iter().any(|n| n.starts_with("ml_")), "{names:?}");
+
+    drop(client);
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+/// The acceptance scenario: a cold request through the router, traced end to
+/// end, plus the `METRICS` and `STATS SLOW` verbs answered by the router from
+/// pooled shard scrapes.
+#[test]
+fn router_trace_shows_dispatch_queue_wait_and_every_pipeline_phase() {
+    let (shards, router) = routed_deployment();
+    let machine = Machine::uniform(4, 1, 2);
+    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
     let mut client = Client::connect(router.addr()).expect("connect via router");
 
-    let dag = coarsenable_dag(3);
+    let dag = layered_dag(3);
     let cold = client.schedule(&dag, &machine, &options).expect("cold");
     assert_eq!(cold.source, ScheduleSource::Cold);
     assert_ne!(cold.trace_id, 0, "the router mints a trace id");
@@ -175,10 +227,12 @@ fn router_trace_shows_dispatch_queue_wait_and_every_multilevel_phase() {
         "queue_wait",
         "cache_miss",
         "solve",
-        "ml_coarsen",
-        "ml_base_solve",
-        "ml_uncontract",
-        "ml_refine",
+        "funnel",
+        "BSPg",
+        "Source",
+        "init_schedule",
+        "hc",
+        "hccs",
         "respond",
     ] {
         assert!(
@@ -224,11 +278,9 @@ fn router_trace_shows_dispatch_queue_wait_and_every_multilevel_phase() {
     );
     assert_eq!(snap.gauges.get("bsp_backend_up{backend=\"0\"}"), Some(&1));
     assert_eq!(snap.gauges.get("bsp_backend_up{backend=\"1\"}"), Some(&1));
-    // Nothing was discarded: both fallback kinds are present, at 0.
-    for kind in ["invalid_schedule", "ml_member_failed"] {
-        let key = format!("bsp_solver_fallbacks_total{{kind=\"{kind}\"}}");
-        assert_eq!(snap.counter(&key), Some(0), "{key}");
-    }
+    // Nothing was discarded: the fallback series is present, at 0.
+    let key = "bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}";
+    assert_eq!(snap.counter(key), Some(0), "{key}");
 
     // The router's slow log knows both requests.
     let slow = client.slow_stats().expect("STATS SLOW");
