@@ -1,10 +1,13 @@
 //! Regenerates the per-algorithm breakdown of Appendix C.2:
 //!
 //! * **Table 7** — mean cost ratios (normalized to `Cilk`) of every
-//!   algorithm/stage — `BL-EST`, `ETF`, `Cilk`, `HDagg`, `Init`, `HCcs`,
-//!   `ILPpart`, `ILPcs` — for g = 5, per dataset.
+//!   algorithm/stage — `BL-EST`, `ETF`, `Cilk`, `HDagg`, `Init`, `HCcs` —
+//!   for g = 5, per dataset.
 //! * **Table 8** — reduction of our scheduler vs `ETF` on the *tiny* dataset
 //!   for every (g, P) combination.
+//!
+//! Exits 1 unless every Table 7 row reads `HCcs ≤ Init` and
+//! `HCcs < HDagg < Cilk` (the paper's ordering; CI runs this at smoke scale).
 //!
 //! Usage: `cargo run -p bsp-bench --release --bin exp_algorithm_breakdown --
 //!         [--scale smoke|reduced|full] [--seed N]`
@@ -19,9 +22,7 @@ use dag_gen::dataset::DatasetKind;
 const PROCS: [usize; 3] = [4, 8, 16];
 const GS: [u64; 3] = [1, 3, 5];
 const LATENCY: u64 = 5;
-const COLUMNS: [&str; 8] = [
-    "blest", "etf", "cilk", "hdagg", "init", "hccs", "ilppart", "ilpcs",
-];
+const COLUMNS: [&str; 6] = ["blest", "etf", "cilk", "hdagg", "init", "hccs"];
 
 fn main() {
     let args = CliArgs::from_env();
@@ -37,10 +38,9 @@ fn main() {
     // Table 7: g = 5, aggregated over P, one row per dataset.
     let mut table7 = Table::new(
         "\nTable 7: mean cost ratios normalized to Cilk, g = 5",
-        [
-            "dataset", "BL-EST", "ETF", "Cilk", "HDagg", "Init", "HCcs", "ILPpart", "ILPcs",
-        ],
+        ["dataset", "BL-EST", "ETF", "Cilk", "HDagg", "Init", "HCcs"],
     );
+    let mut out_of_order: Vec<&str> = Vec::new();
     // Keep the tiny-dataset per-(g,P) aggregates around for Table 8.
     let mut tiny_cells: Vec<(u64, usize, Aggregate)> = Vec::new();
 
@@ -64,9 +64,7 @@ fn main() {
                         r.costs.cilk,
                         r.costs.hdagg,
                         r.costs.init,
-                        r.costs.local_search,
-                        r.costs.ilp_part,
-                        r.costs.ilp,
+                        r.costs.ours,
                     ]);
                 }
                 eprintln!(
@@ -83,16 +81,18 @@ fn main() {
                 }
             }
         }
+        let [hdagg, init, hccs] = ["hdagg", "init", "hccs"].map(|c| g5_agg.ratio(c, "cilk"));
+        if !(hccs <= init && hccs < hdagg && hdagg < 1.0) {
+            out_of_order.push(dataset.name());
+        }
         table7.add_row([
             dataset.name().to_string(),
             ratio(g5_agg.ratio("blest", "cilk")),
             ratio(g5_agg.ratio("etf", "cilk")),
             "1.000".to_string(),
-            ratio(g5_agg.ratio("hdagg", "cilk")),
-            ratio(g5_agg.ratio("init", "cilk")),
-            ratio(g5_agg.ratio("hccs", "cilk")),
-            ratio(g5_agg.ratio("ilppart", "cilk")),
-            ratio(g5_agg.ratio("ilpcs", "cilk")),
+            ratio(hdagg),
+            ratio(init),
+            ratio(hccs),
         ]);
     }
     table7.print();
@@ -109,9 +109,14 @@ fn main() {
                 .find(|(cg, cp, _)| *cg == g && *cp == p)
                 .map(|(_, _, agg)| agg)
                 .expect("tiny cell computed above");
-            row.push(format!("{:.0}%", cell.reduction("ilpcs", "etf")));
+            row.push(format!("{:.0}%", cell.reduction("hccs", "etf")));
         }
         table8.add_row(row);
     }
     table8.print();
+
+    if !out_of_order.is_empty() {
+        eprintln!("Table 7 is not HCcs <= Init, HCcs < HDagg < Cilk on: {out_of_order:?}");
+        std::process::exit(1);
+    }
 }

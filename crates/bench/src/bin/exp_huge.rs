@@ -1,6 +1,6 @@
 //! Regenerates the *huge*-dataset experiments of §7.1/§7.2 and Appendix C.5,
-//! where only the lightweight part of the framework runs
-//! (`BSPg`/`Source` + `HC`/`HCcs`, no ILP):
+//! where the paper too runs only the lightweight part of its framework
+//! (`BSPg`/`Source` + `HC`/`HCcs`):
 //!
 //! * **Table 11** — reduction of `Init+HC+HCcs` vs `Cilk` / `HDagg` without
 //!   NUMA, for P ∈ {4, 8, 16} and g ∈ {1, 3, 5}.
@@ -30,11 +30,10 @@ fn main() {
     let args = CliArgs::from_env();
     let scale = args.scale();
     let seed = args.seed();
-    // Heuristics only: the paper does not run the ILP methods on this dataset.
-    let options = EvalOptions::pipeline_only(scale.heuristics_config());
+    let options = EvalOptions::pipeline_only(scale.pipeline_config());
 
     println!(
-        "# Experiment: huge dataset, heuristics only (Tables 11/12, Figure 7) — scale={}, seed={seed}",
+        "# Experiment: huge dataset (Tables 11/12, Figure 7) — scale={}, seed={seed}",
         scale.name()
     );
 
@@ -49,7 +48,7 @@ fn main() {
             let results = evaluate_dataset(&instances, &machine, &options);
             let mut agg = Aggregate::new(COLUMNS);
             for r in &results {
-                agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ilp]);
+                agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ours]);
             }
             eprintln!("  done P={p} g={g}");
             cells.push((p, g, agg));
@@ -110,7 +109,7 @@ fn main() {
                 let results = evaluate_dataset(&instances, &machine, &options);
                 let mut agg = Aggregate::new(COLUMNS);
                 for r in &results {
-                    agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ilp]);
+                    agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ours]);
                 }
                 eprintln!("  done NUMA P={p} delta={delta}");
                 row.push(pct_pair(

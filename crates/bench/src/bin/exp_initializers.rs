@@ -1,8 +1,8 @@
 //! Regenerates the training-set initializer comparison of Appendix C.1:
 //!
-//! * **Table 4** — how often each initialization heuristic (`BSPg`, `Source`,
-//!   `ILPinit`) produces the best schedule on the *spmv* training DAGs,
-//!   separated by P.
+//! * **Table 4** — how often each initialization heuristic (`BSPg`, `Source`;
+//!   the paper's third, `ILPinit`, is not reproduced) produces the best
+//!   schedule on the *spmv* training DAGs, separated by P.
 //! * **Table 5** — the same counts on the remaining training DAGs
 //!   (`exp`/`cg`/`kNN`), separated by P and DAG size.
 //!
@@ -24,7 +24,6 @@
 
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::ilp::IlpInitScheduler;
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::{CilkScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
@@ -35,7 +34,7 @@ use std::time::Instant;
 const PROCS: [usize; 3] = [4, 8, 16];
 const GS: [u64; 3] = [1, 3, 5];
 const LATENCY: u64 = 5;
-const INITIALIZERS: [&str; 3] = ["BSPg", "Source", "ILPinit"];
+const INITIALIZERS: [&str; 2] = ["BSPg", "Source"];
 
 /// Size buckets used by Table 5 (node-count upper bounds, paper-style).
 const SIZE_BUCKETS: [(usize, &str); 3] = [
@@ -51,8 +50,8 @@ struct Win {
     nodes: usize,
     winner: &'static str,
     /// Cost per initializer, raw and after `place_sources`.
-    raw: [u64; 3],
-    placed: [u64; 3],
+    raw: [u64; 2],
+    placed: [u64; 2],
 }
 
 /// Largest allowed growth of a constructor's µs/node from n to 4n.
@@ -201,7 +200,6 @@ fn main() {
     );
 
     let instances = scaled_dataset(DatasetKind::Training, scale, seed);
-    let ilp_config = scale.pipeline_config().ilp;
 
     let runs: Vec<(String, usize, u64)> = instances
         .iter()
@@ -221,9 +219,8 @@ fn main() {
                 .expect("run built from instances");
             let machine = Machine::uniform(*p, *g, LATENCY);
             let dag = &inst.dag;
-            let ilp_init = IlpInitScheduler::new(ilp_config.clone());
-            let initializers: [&dyn Scheduler; 3] = [&BspgScheduler, &SourceScheduler, &ilp_init];
-            let (mut raw, mut placed) = ([0; 3], [0; 3]);
+            let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+            let (mut raw, mut placed) = ([0; 2], [0; 2]);
             for (i, init) in initializers.into_iter().enumerate() {
                 let mut schedule = init.schedule(dag, &machine);
                 raw[i] = schedule.cost(dag, &machine);
@@ -256,7 +253,7 @@ fn main() {
         })
         .collect();
     println!(
-        "Overall best-initializer counts: {} (paper: BSPg 44, Source 20, ILPinit 26)\n",
+        "Overall best-initializer counts: {} (paper, three-way: BSPg 44, Source 20, ILPinit 26)\n",
         overall.join(", ")
     );
 
@@ -265,11 +262,9 @@ fn main() {
     print_placed(&wins);
 }
 
-/// Index of the cheapest of three costs, ties to the earlier.
-fn best_of(costs: &[u64; 3]) -> usize {
-    (0..3)
-        .min_by_key(|&i| costs[i])
-        .expect("three initializers")
+/// Index of the cheaper of the two costs, ties to the earlier.
+fn best_of(costs: &[u64; 2]) -> usize {
+    usize::from(costs[1] < costs[0])
 }
 
 fn count(wins: &[Win], init: &str, filter: impl Fn(&Win) -> bool) -> usize {
@@ -325,7 +320,7 @@ fn print_placed(wins: &[Win]) {
     );
     for (i, init) in INITIALIZERS.into_iter().enumerate() {
         let best =
-            |costs: fn(&Win) -> &[u64; 3]| wins.iter().filter(|w| best_of(costs(w)) == i).count();
+            |costs: fn(&Win) -> &[u64; 2]| wins.iter().filter(|w| best_of(costs(w)) == i).count();
         let log_ratio: f64 = wins
             .iter()
             .map(|w| (w.placed[i] as f64 / w.raw[i] as f64).ln())

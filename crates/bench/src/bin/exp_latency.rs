@@ -39,7 +39,7 @@ fn main() {
         let results = evaluate_dataset(&instances, &machine, &options);
         let mut agg = Aggregate::new(["cilk", "hdagg", "ours"]);
         for r in &results {
-            agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.ilp]);
+            agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.ours]);
         }
         eprintln!("  done l={l} ({} instances)", agg.len());
         row.push(pct_pair(

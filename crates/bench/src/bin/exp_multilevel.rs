@@ -46,13 +46,12 @@ use std::time::{Duration, Instant};
 /// clock).
 const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
 
-/// Heuristics only (ILP budgets would swamp the signal at 10⁴ nodes), auto
-/// thread budget, phase clock on.
+/// Two seconds of local search, auto thread budget, phase clock on.
 fn sweep_config() -> PipelineConfig {
     PipelineConfig {
         hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
         collect_phases: true,
-        ..PipelineConfig::heuristics_only()
+        ..PipelineConfig::default()
     }
 }
 

@@ -20,7 +20,7 @@ use dag_gen::dataset::DatasetKind;
 const PROCS: [usize; 3] = [4, 8, 16];
 const GS: [u64; 3] = [1, 3, 5];
 const LATENCY: u64 = 5;
-const COLUMNS: [&str; 5] = ["cilk", "hdagg", "init", "hccs", "ilp"];
+const COLUMNS: [&str; 4] = ["cilk", "hdagg", "init", "ours"];
 
 /// One experiment cell: all instances of one dataset under one (P, g).
 struct Cell {
@@ -50,13 +50,7 @@ fn main() {
                 let results = evaluate_dataset(&instances, &machine, &options);
                 let mut agg = Aggregate::new(COLUMNS);
                 for r in &results {
-                    agg.push(&[
-                        r.costs.cilk,
-                        r.costs.hdagg,
-                        r.costs.init,
-                        r.costs.local_search,
-                        r.costs.ilp,
-                    ]);
+                    agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ours]);
                 }
                 eprintln!(
                     "  done dataset={} P={p} g={g} ({} instances)",
@@ -92,13 +86,13 @@ fn print_overall(cells: &[Cell]) {
     let all = merged(cells.iter());
     println!(
         "\nOverall (all datasets, P, g): cost ratio ours/Cilk = {:.2}, ours/HDagg = {:.2}",
-        all.ratio("ilp", "cilk"),
-        all.ratio("ilp", "hdagg")
+        all.ratio("ours", "cilk"),
+        all.ratio("ours", "hdagg")
     );
     println!(
         "  i.e. {:.0}% reduction vs Cilk and {:.0}% vs HDagg (paper: 44% / 24%)",
-        all.reduction("ilp", "cilk"),
-        all.reduction("ilp", "hdagg")
+        all.reduction("ours", "cilk"),
+        all.reduction("ours", "hdagg")
     );
 }
 
@@ -112,8 +106,8 @@ fn print_table1(cells: &[Cell]) {
         for g in GS {
             let agg = merged(cells.iter().filter(|c| c.p == p && c.g == g));
             row.push(pct_pair(
-                agg.reduction("ilp", "cilk"),
-                agg.reduction("ilp", "hdagg"),
+                agg.reduction("ours", "cilk"),
+                agg.reduction("ours", "hdagg"),
             ));
         }
         left.add_row(row);
@@ -129,8 +123,8 @@ fn print_table1(cells: &[Cell]) {
         for g in GS {
             let agg = merged(cells.iter().filter(|c| c.dataset == dataset && c.g == g));
             row.push(pct_pair(
-                agg.reduction("ilp", "cilk"),
-                agg.reduction("ilp", "hdagg"),
+                agg.reduction("ours", "cilk"),
+                agg.reduction("ours", "hdagg"),
             ));
         }
         right.add_row(row);
@@ -153,8 +147,8 @@ fn print_table6(cells: &[Cell]) {
                         .filter(|c| c.dataset == dataset && c.g == g && c.p == p),
                 );
                 row.push(pct_pair(
-                    agg.reduction("ilp", "cilk"),
-                    agg.reduction("ilp", "hdagg"),
+                    agg.reduction("ours", "cilk"),
+                    agg.reduction("ours", "hdagg"),
                 ));
             }
             table.add_row(row);
@@ -166,7 +160,7 @@ fn print_table6(cells: &[Cell]) {
 fn print_figure5(cells: &[Cell]) {
     let mut table = Table::new(
         "Figure 5: mean cost ratios normalized to Cilk, by g",
-        ["g", "Cilk", "HDagg", "Init", "HCcs", "ILP"],
+        ["g", "Cilk", "HDagg", "Init", "HCcs"],
     );
     for g in GS {
         let agg = merged(cells.iter().filter(|c| c.g == g));
@@ -175,8 +169,7 @@ fn print_figure5(cells: &[Cell]) {
             "1.000".to_string(),
             format!("{:.3}", agg.ratio("hdagg", "cilk")),
             format!("{:.3}", agg.ratio("init", "cilk")),
-            format!("{:.3}", agg.ratio("hccs", "cilk")),
-            format!("{:.3}", agg.ratio("ilp", "cilk")),
+            format!("{:.3}", agg.ratio("ours", "cilk")),
         ]);
     }
     table.print();

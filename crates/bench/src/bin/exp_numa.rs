@@ -20,7 +20,7 @@ const PROCS: [usize; 2] = [8, 16];
 const DELTAS: [u64; 3] = [2, 3, 4];
 const G: u64 = 1;
 const LATENCY: u64 = 5;
-const COLUMNS: [&str; 5] = ["cilk", "hdagg", "init", "hccs", "ilp"];
+const COLUMNS: [&str; 4] = ["cilk", "hdagg", "init", "ours"];
 
 struct Cell {
     dataset: DatasetKind,
@@ -49,13 +49,7 @@ fn main() {
                 let results = evaluate_dataset(&instances, &machine, &options);
                 let mut agg = Aggregate::new(COLUMNS);
                 for r in &results {
-                    agg.push(&[
-                        r.costs.cilk,
-                        r.costs.hdagg,
-                        r.costs.init,
-                        r.costs.local_search,
-                        r.costs.ilp,
-                    ]);
+                    agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.init, r.costs.ours]);
                 }
                 eprintln!(
                     "  done dataset={} P={p} delta={delta} ({} instances): {}",
@@ -95,8 +89,8 @@ fn print_overall(cells: &[Cell]) {
     let all = merged(cells.iter());
     println!(
         "\nOverall (all datasets, P, Δ): {:.0}% reduction vs Cilk, {:.0}% vs HDagg (paper: 60% / 43%)",
-        all.reduction("ilp", "cilk"),
-        all.reduction("ilp", "hdagg")
+        all.reduction("ours", "cilk"),
+        all.reduction("ours", "hdagg")
     );
 }
 
@@ -110,8 +104,8 @@ fn print_table2(cells: &[Cell]) {
         for delta in DELTAS {
             let agg = merged(cells.iter().filter(|c| c.p == p && c.delta == delta));
             row.push(pct_pair(
-                agg.reduction("ilp", "cilk"),
-                agg.reduction("ilp", "hdagg"),
+                agg.reduction("ours", "cilk"),
+                agg.reduction("ours", "hdagg"),
             ));
         }
         table.add_row(row);
@@ -134,8 +128,8 @@ fn print_table10(cells: &[Cell]) {
                         .filter(|c| c.dataset == dataset && c.p == p && c.delta == delta),
                 );
                 row.push(pct_pair(
-                    agg.reduction("ilp", "cilk"),
-                    agg.reduction("ilp", "hdagg"),
+                    agg.reduction("ours", "cilk"),
+                    agg.reduction("ours", "hdagg"),
                 ));
             }
             table.add_row(row);
@@ -147,7 +141,7 @@ fn print_table10(cells: &[Cell]) {
 fn print_figure6(cells: &[Cell]) {
     let mut table = Table::new(
         "Figure 6: mean cost ratios normalized to Cilk, per (P, Δ)",
-        ["P", "Δ", "Cilk", "HDagg", "Init", "HCcs", "ILP"],
+        ["P", "Δ", "Cilk", "HDagg", "Init", "HCcs"],
     );
     for p in PROCS {
         for delta in DELTAS {
@@ -158,8 +152,7 @@ fn print_figure6(cells: &[Cell]) {
                 "1.000".to_string(),
                 format!("{:.3}", agg.ratio("hdagg", "cilk")),
                 format!("{:.3}", agg.ratio("init", "cilk")),
-                format!("{:.3}", agg.ratio("hccs", "cilk")),
-                format!("{:.3}", agg.ratio("ilp", "cilk")),
+                format!("{:.3}", agg.ratio("ours", "cilk")),
             ]);
         }
     }

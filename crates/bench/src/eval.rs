@@ -40,9 +40,9 @@ impl EvalOptions {
 
 /// Schedule costs of every algorithm on one (DAG, machine) instance.
 ///
-/// `init`, `local_search` and `ilp` are the pipeline's intermediate stage
-/// costs — the `Init`, `HCcs` and `ILP` bars of the paper's figures; `ilp` is
-/// also the final cost of "our scheduler" used in the tables.
+/// `init` and `ours` are the pipeline's stage costs — the `Init` and `HCcs`
+/// bars of the paper's figures; `ours` is the cost of "our scheduler" used in
+/// the tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgoCosts {
     /// Everything on one processor in one superstep.
@@ -57,13 +57,8 @@ pub struct AlgoCosts {
     pub hdagg: u64,
     /// Best initialization heuristic (raw).
     pub init: u64,
-    /// After `HC` + `HCcs`.
-    pub local_search: u64,
-    /// After `ILPfull` / `ILPpart` but before `ILPcs` (Table 7's `ILPpart`
-    /// column).
-    pub ilp_part: u64,
-    /// Final pipeline cost (after the ILP stage) — "our scheduler".
-    pub ilp: u64,
+    /// Final pipeline cost, after `HC` + `HCcs` — "our scheduler".
+    pub ours: u64,
 }
 
 /// One evaluated instance.
@@ -134,9 +129,7 @@ pub fn evaluate_instance(
             etf,
             hdagg,
             init: report.init_cost,
-            local_search: report.local_search_cost,
-            ilp_part: report.ilp_part_cost,
-            ilp: report.final_cost,
+            ours: report.final_cost,
         },
         branch_widths: report
             .branches
@@ -213,16 +206,15 @@ mod tests {
         let c = result.costs;
         assert!(c.trivial > 0 && c.cilk > 0 && c.hdagg > 0);
         assert_eq!(c.bl_est, u64::MAX);
-        assert!(c.local_search <= c.init);
-        assert!(c.ilp <= c.local_search);
+        assert!(c.ours <= c.init);
         assert_eq!(result.nodes, dag.n());
         let widths: Vec<usize> = result.branch_widths.iter().map(|(_, w)| *w).collect();
         assert!(widths.iter().all(|w| (2..=machine.p()).contains(w)));
         assert_eq!(
             placement_summary(&[result.clone(), result.clone()]),
             format!(
-                "width BSPg {}×2, ILPinit {}×2, Source {}×2, selected {}×2",
-                widths[0], widths[2], widths[1], result.selected_init
+                "width BSPg {}×2, Source {}×2, selected {}×2",
+                widths[0], widths[1], result.selected_init
             )
         );
     }

@@ -1,8 +1,8 @@
 //! Scaled versions of the paper's datasets.
 //!
-//! The paper's experiments run for days on a workstation (1-hour ILP budgets,
-//! DAGs up to 100 000 nodes).  The experiment binaries therefore support three
-//! scales:
+//! The paper's experiments run for days on a workstation (DAGs up to 100 000
+//! nodes, 1-hour budgets for an ILP stage this repository no longer has).  The
+//! experiment binaries therefore support three scales:
 //!
 //! * [`Scale::Smoke`] — surrogate instances whose node counts are capped but
 //!   whose *relative* sizes (tiny < small < medium < large < huge) and shapes
@@ -13,8 +13,6 @@
 //!   instance per dataset.
 //! * [`Scale::Full`] — the complete regenerated datasets.
 
-use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::ilp::IlpConfig;
 use bsp_sched::pipeline::PipelineConfig;
 use dag_gen::dataset::{Dataset, DatasetKind, NamedDag};
 use dag_gen::fine::{cg, exp, knn, spmv, IterConfig, SpmvConfig};
@@ -41,38 +39,13 @@ impl Scale {
         }
     }
 
-    /// The pipeline configuration appropriate for this scale.
+    /// The pipeline configuration of this scale: its local-search budget.
     pub fn pipeline_config(&self) -> PipelineConfig {
-        match self {
-            Scale::Smoke => PipelineConfig {
-                hill_climb: HillClimbConfig::with_time_limit(Duration::from_millis(250)),
-                ilp: IlpConfig::fast(),
-                ilp_init_max_nodes: 120,
-                ilp_stage_budget: Duration::from_millis(1500),
-                ..PipelineConfig::default()
-            },
-            Scale::Reduced => PipelineConfig {
-                hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(3)),
-                ilp: IlpConfig::with_time_limit(Duration::from_secs(3)),
-                ilp_stage_budget: Duration::from_secs(15),
-                ..PipelineConfig::default()
-            },
-            Scale::Full => PipelineConfig {
-                hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(30)),
-                ilp: IlpConfig::with_time_limit(Duration::from_secs(30)),
-                ilp_stage_budget: Duration::from_secs(180),
-                ..PipelineConfig::default()
-            },
-        }
-    }
-
-    /// The heuristics-only pipeline configuration (huge dataset experiments).
-    pub fn heuristics_config(&self) -> PipelineConfig {
-        PipelineConfig {
-            use_ilp: false,
-            ilp_init_max_procs: 0,
-            ..self.pipeline_config()
-        }
+        PipelineConfig::default().with_hill_climb_time(match self {
+            Scale::Smoke => Duration::from_millis(250),
+            Scale::Reduced => Duration::from_secs(3),
+            Scale::Full => Duration::from_secs(30),
+        })
     }
 
     /// Cap applied to fine-grained matrix dimensions at smoke scale, per
@@ -212,12 +185,5 @@ mod tests {
                 assert!(inst.dag.n() >= 5);
             }
         }
-    }
-
-    #[test]
-    fn scale_configs_disable_what_they_promise() {
-        assert!(!Scale::Smoke.heuristics_config().use_ilp);
-        assert!(Scale::Smoke.pipeline_config().use_ilp);
-        assert_eq!(Scale::Smoke.name(), "smoke");
     }
 }

@@ -1,11 +1,11 @@
 //! Cooperative cancellation for the anytime search loops.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle that every long-running
-//! stage of the scheduling pipeline polls: the `HC` work-list loop, the
-//! `HCcs` loop and the ILP branch-&-bound (between branch nodes).  All of those stages are *anytime* — they hold a
-//! valid schedule at every step and only ever replace it with a cheaper one —
-//! so cancellation is safe at any poll point: the caller always gets back its
-//! best-so-far **valid** schedule.
+//! stage of the scheduling pipeline polls: the `HC` work-list loop and the
+//! `HCcs` loop.  Both are *anytime* — they hold a valid schedule at every
+//! step and only ever replace it with a cheaper one — so cancellation is safe
+//! at any poll point: the caller always gets back its best-so-far **valid**
+//! schedule.
 //!
 //! A token can fire two ways:
 //!
@@ -96,14 +96,6 @@ impl CancelToken {
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// The shared flag, for handing down to [`micro_ilp::MipConfig::cancel`].
-    /// `None` for inert tokens.  Note the flag alone does not see the
-    /// deadline; callers that pass it down must bound the callee by wall
-    /// clock separately (the ILP wrappers clip their time limits).
-    pub fn shared_flag(&self) -> Option<Arc<AtomicBool>> {
-        self.flag.clone()
     }
 }
 

@@ -1,46 +1,64 @@
-//! `ILPcs`: the communication-scheduling sub-problem as an ILP (§4.4).
+//! `ILPcs`: the communication-scheduling sub-problem as an ILP (§4.4), kept
+//! as the exact check on `HCcs`.
 //!
 //! The assignment `(π, τ)` is fixed; each required transfer (the value of `v`
 //! from `π(v)` to a processor `q` that uses it) gets one binary variable per
 //! admissible communication phase, and the per-superstep `h`-relation costs
-//! are minimized globally.  Because the degrees of freedom are small, this ILP
-//! is applicable to much larger DAGs than `ILPfull`/`ILPpart`.
+//! are minimized globally.  The degrees of freedom are few, so this is the one
+//! formulation of the paper the [`micro_ilp`] branch-&-bound solver closes at
+//! the sizes of the test datasets.  It is not a pipeline stage: on every
+//! instance it has proven optimal, `HCcs` had already returned the optimum
+//! (`tests/ilp_oracle.rs` holds that; README, *ILP: a negative result*, has
+//! what `ILPfull`, `ILPpart` and `ILPinit` measured before they were deleted).
 
-use super::IlpConfig;
 use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
-use micro_ilp::{Model, VarId};
+use micro_ilp::{MipConfig, MipStatus, Model, VarId};
 
-/// Optimizes the communication schedule of `schedule` with an ILP; keeps the
-/// original schedule whenever the ILP does not find something strictly better.
-/// Returns `true` if the schedule was improved.
+/// Largest model (choice plus `h`-relation variables) handed to the solver.
+/// The dense-tableau simplex of `micro_ilp` needs `O((vars + constraints)²)`
+/// memory, so unlike CBC it cannot take the communication-scheduling ILP of
+/// arbitrarily large instances.
+const MAX_VARIABLES: usize = 2_000;
+
+/// What [`ilp_cs_improve`] established about a schedule's `Γ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IlpCsOutcome {
+    /// Cost of the schedule as the call leaves it.
+    pub cost: u64,
+    /// `true` when `cost` is the optimum over every communication schedule
+    /// of the assignment: the search tree was exhausted, or there is nothing
+    /// to send.  `false` when the solver stopped on a limit or the model was
+    /// too large to build.
+    pub proven: bool,
+}
+
+/// Optimizes the communication schedule of `schedule` with an ILP, warm-started
+/// from the `Γ` it has; replaces it only by a strictly cheaper one.
 pub fn ilp_cs_improve(
     dag: &Dag,
     machine: &Machine,
     schedule: &mut BspSchedule,
-    config: &IlpConfig,
-) -> bool {
-    if config.cancel.is_cancelled() {
-        return false;
-    }
+    config: &MipConfig,
+) -> IlpCsOutcome {
+    let outcome = |schedule: &BspSchedule, proven| IlpCsOutcome {
+        cost: schedule.cost(dag, machine),
+        proven,
+    };
     let requirements = CommSchedule::requirements(dag, &schedule.assignment);
     if requirements.is_empty() {
-        return false;
+        return outcome(schedule, true);
     }
     let num_steps = schedule.num_supersteps().max(1);
     let p = machine.p();
     let g = machine.g() as f64;
 
-    // The dense-tableau simplex of `micro-ilp` needs O((vars + constraints)^2)
-    // memory, so unlike CBC it cannot take the communication-scheduling ILP of
-    // arbitrarily large instances.  Skip the ILP when the model would exceed
-    // the same variable budget that gates `ILPfull`.
     let estimated_vars: usize = requirements
         .iter()
         .map(|r| r.latest_step() - r.earliest_step() + 1)
         .sum::<usize>()
         + num_steps;
-    if estimated_vars > config.full_max_variables {
-        return false;
+    if estimated_vars > MAX_VARIABLES {
+        return outcome(schedule, false);
     }
 
     let mut model = Model::new();
@@ -122,9 +140,9 @@ pub fn ilp_cs_improve(
         warm[h[s].index()] = hmax as f64;
     }
 
-    let result = micro_ilp::solve_mip(&model, &config.mip_config(), Some(&warm));
+    let result = micro_ilp::solve_mip(&model, config, Some(&warm));
     if !result.has_solution() {
-        return false;
+        return outcome(schedule, false);
     }
     // Build the candidate communication schedule.
     let steps: Vec<CommStep> = requirements
@@ -145,14 +163,12 @@ pub fn ilp_cs_improve(
     let mut candidate = schedule.clone();
     candidate.comm = CommSchedule::from_steps(steps);
     if candidate.validate(dag, machine).is_err() {
-        return false;
+        return outcome(schedule, false);
     }
     if candidate.cost(dag, machine) < schedule.cost(dag, machine) {
         *schedule = candidate;
-        true
-    } else {
-        false
     }
+    outcome(schedule, result.status == MipStatus::Optimal)
 }
 
 #[cfg(test)]
@@ -175,27 +191,26 @@ mod tests {
         };
         let mut sched = BspSchedule::from_assignment_lazy(&dag, assignment);
         let before = sched.cost(&dag, &machine);
-        let improved = ilp_cs_improve(&dag, &machine, &mut sched, &IlpConfig::fast());
+        let outcome = ilp_cs_improve(&dag, &machine, &mut sched, &MipConfig::default());
         assert!(sched.validate(&dag, &machine).is_ok());
+        assert!(outcome.proven);
+        assert_eq!(outcome.cost, sched.cost(&dag, &machine));
         assert!(
-            improved,
+            outcome.cost < before,
             "ILPcs should overlap the two transfers in phase 0"
         );
-        assert!(sched.cost(&dag, &machine) < before);
         assert!(sched.comm.steps().iter().all(|s| s.step == 0));
     }
 
     #[test]
-    fn no_communication_means_no_change() {
+    fn nothing_to_send_is_proven_at_the_lazy_cost() {
         let dag = Dag::from_edges(2, &[(0, 1)], vec![1, 1], vec![1, 1]).unwrap();
         let machine = Machine::uniform(2, 1, 1);
         let mut sched = BspSchedule::trivial(&dag);
-        assert!(!ilp_cs_improve(
-            &dag,
-            &machine,
-            &mut sched,
-            &IlpConfig::fast()
-        ));
+        let lazy = sched.cost(&dag, &machine);
+        let outcome = ilp_cs_improve(&dag, &machine, &mut sched, &MipConfig::default());
+        assert_eq!((outcome.cost, outcome.proven), (lazy, true));
+        assert_eq!(sched, BspSchedule::trivial(&dag));
     }
 
     #[test]
@@ -208,8 +223,9 @@ mod tests {
         };
         let mut sched = BspSchedule::from_assignment_lazy(&dag, assignment);
         let before = sched.cost(&dag, &machine);
-        ilp_cs_improve(&dag, &machine, &mut sched, &IlpConfig::fast());
+        let outcome = ilp_cs_improve(&dag, &machine, &mut sched, &MipConfig::default());
         assert!(sched.validate(&dag, &machine).is_ok());
-        assert!(sched.cost(&dag, &machine) <= before);
+        assert_eq!(outcome.cost, sched.cost(&dag, &machine));
+        assert!(outcome.cost <= before);
     }
 }

@@ -1,7 +1,7 @@
 //! Initialization heuristics (§4.2, Algorithms 1 and 2 of the paper).
 //!
-//! These produce the starting BSP schedules that the local search and ILP
-//! stages of the pipeline then improve:
+//! These produce the starting BSP schedules that the local search of the
+//! pipeline then improves:
 //!
 //! * [`BspgScheduler`] — the BSP-tailored greedy `BSPg` that assigns nodes as
 //!   processors become idle and closes a superstep when half of the
@@ -14,8 +14,8 @@
 //! through before the local search: it moves the sources next to the nodes
 //! that read them.
 //!
-//! (The third initializer of the paper, `ILPinit`, lives in
-//! [`crate::ilp::init`] because it shares the ILP machinery.)
+//! (The third initializer of the paper, `ILPinit`, was deleted with the ILP
+//! stage: README, *ILP: a negative result*.)
 
 mod bspg;
 mod place;

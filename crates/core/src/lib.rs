@@ -16,8 +16,8 @@
 //! * [`init`] — the `BSPg` and `Source` initialization heuristics.
 //! * [`hill_climb`] — the `HC` (node moves) and `HCcs` (communication
 //!   schedule) hill-climbing local searches.
-//! * [`ilp`] — the `ILPfull`, `ILPpart`, `ILPcs` and `ILPinit` formulations,
-//!   solved with the [`micro_ilp`] branch-&-bound solver.
+//! * [`ilp`] — `ILPcs` over the [`micro_ilp`] branch-&-bound solver: the exact
+//!   check on `HCcs`, the one ILP formulation of the paper that solver closes.
 //! * [`pipeline`] — the combined framework of Figure 3, the one scheduler.
 
 pub mod baselines;

@@ -1,16 +1,16 @@
 //! The combined scheduling framework of Figure 3 of the paper.
 //!
-//! The pipeline runs every enabled initialization heuristic (`BSPg`, `Source`
-//! and — on machines with few processors — `ILPinit`), improves each candidate
-//! independently with the `HC` local search, keeps the cheapest schedule
-//! found this way, optimises its communication schedule with `HCcs` and
-//! finally hands it to the ILP stage:
-//! `ILPfull` when the full formulation is small enough, otherwise the
-//! window-based `ILPpart`, followed in either case by the
-//! communication-schedule ILP `ILPcs`.
+//! The pipeline runs both initialization heuristics (`BSPg`, `Source`),
+//! improves each candidate independently with the `HC` local search, keeps
+//! the cheapest schedule found this way and optimises its communication
+//! schedule with `HCcs`.  The paper's ILP stage after it (`ILPfull` /
+//! `ILPpart` / `ILPcs`) and its third initializer `ILPinit` are not here:
+//! over the repository's own solver they never moved a cost and were deleted
+//! (README, *ILP: a negative result*); `ILPcs` stays as the exact check on
+//! `HCcs` ([`crate::ilp`]).
 //!
 //! The order of a run is funnel → per-branch sweep with source placement →
-//! `HC` → floor → `HCcs` → ILP stage; everything around the paper's
+//! `HC` → floor → `HCcs`; everything around the paper's
 //! `initializer → HC → HCcs` is this repository's own:
 //!
 //! * **The funnel reduction.**  [`Pipeline::run_report`] first contracts the
@@ -18,10 +18,10 @@
 //!   all lie in one cluster joins it), runs everything below on the funnel
 //!   DAG and projects the answer back.  The reduction is *exact* — every
 //!   schedule of the funnel DAG is a schedule of the DAG at the identical
-//!   cost — so the sweep, the floor, the ILP stage and every size gate judge
-//!   the DAG that is being solved and are right to; a coarse node is the
-//!   multi-node move single-node `HC` lacks.  It is a function of the DAG and
-//!   `P`, not a setting: a DAG with nothing to contract is solved as it is
+//!   cost — so the sweep and the floor judge the DAG that is being solved
+//!   and are right to; a coarse node is the multi-node move single-node `HC`
+//!   lacks.  It is a function of the DAG and `P`, not a setting: a DAG with
+//!   nothing to contract is solved as it is
 //!   ([`PipelineReport::funnel_nodes`] says what was left).
 //! * **Source placement.**  On a funnel DAG the sources are most of the
 //!   nodes, and neither `BSPg` (a source has no predecessor to score) nor
@@ -38,12 +38,10 @@
 //!   sources and costs the result on the *full* machine, stops at the first
 //!   width that does not lower the cost and starts from the cheapest, ties
 //!   going to the wider — one sweep, generic over the initializer, judged on
-//!   the schedule that branch's `HC` starts from.  `ILPinit`, too expensive
-//!   to run per width, builds on the width of the cheapest heuristic start.
-//!   `HC`, `HCcs` and the ILP stage run on the full machine, free to move
-//!   nodes onto the processors an initializer left idle.  The width is a
-//!   result ([`BranchReport::width`], [`PipelineReport::placement_width`]),
-//!   not a setting.
+//!   the schedule that branch's `HC` starts from.  `HC` and `HCcs` run on
+//!   the full machine, free to move nodes onto the processors an initializer
+//!   left idle.  The width is a result ([`BranchReport::width`],
+//!   [`PipelineReport::placement_width`]), not a setting.
 //! * **The trivial-schedule floor.**  The cheapest branch after `HC` meets
 //!   [`BspSchedule::trivial`], which replaces it when strictly cheaper
 //!   ([`trivial_floor`]), so the pipeline never answers with more than the
@@ -56,14 +54,11 @@
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`].
 //!
 //! [`Pipeline::run_report`] additionally returns the intermediate costs used
-//! by the paper's Figures 5–7 (the `Init`, `HCcs` and `ILP` bars).
+//! by the paper's Figures 5–7 (the `Init` and `HCcs` bars).
 
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
 use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
-use crate::ilp::{
-    ilp_cs_improve, ilp_full_schedule, ilp_part_improve, IlpConfig, IlpInitScheduler,
-};
 use crate::init::{place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
@@ -76,24 +71,6 @@ pub struct PipelineConfig {
     /// initialization branch with nine tenths of the time, `HCcs` once on
     /// the winner with the rest).
     pub hill_climb: HillClimbConfig,
-    /// Configuration of the ILP stage (`ILPfull` / `ILPpart` / `ILPcs` and
-    /// `ILPinit`).
-    pub ilp: IlpConfig,
-    /// Whether the ILP stage runs at all.  The huge-dataset experiments of
-    /// §7.1 disable it and use only the heuristics plus local search.
-    pub use_ilp: bool,
-    /// `ILPinit` is only attempted when `P` is at most this value (the paper
-    /// settles on 4 after the training-set experiments of Appendix C.1).
-    /// Set to 0 to disable `ILPinit` entirely.
-    pub ilp_init_max_procs: usize,
-    /// `ILPinit` is only attempted when the DAG has at most this many nodes;
-    /// with the `micro-ilp` solver its batch-by-batch ILPs become too slow on
-    /// larger DAGs (the paper faces the same trade-off with CBC and therefore
-    /// also restricts where `ILPinit` runs).
-    pub ilp_init_max_nodes: usize,
-    /// Overall wall-clock budget for the ILP improvement stage
-    /// (`ILPpart` windows stop once it is exhausted).
-    pub ilp_stage_budget: Duration,
     /// Thread budget of one pipeline run: how many initialization branches
     /// may run at once.  The branches run on `min(budget, branches)` lanes,
     /// each lane taking the next branch nobody has started, so peak
@@ -114,9 +91,9 @@ pub struct PipelineConfig {
     /// schedule found so far (at minimum the raw initializer schedules, which
     /// are not deadline-gated).  `None` disables deadline awareness.
     pub deadline: Option<Instant>,
-    /// Cooperative cancellation threaded through every stage (`HC`, `HCcs`
-    /// and the ILP branch-&-bound).  The
-    /// effective token of a run is this one tightened to [`Self::deadline`].
+    /// Cooperative cancellation threaded through both searches (`HC`,
+    /// `HCcs`).  The effective token of a run is this one tightened to
+    /// [`Self::deadline`].
     pub cancel: CancelToken,
 }
 
@@ -124,11 +101,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             hill_climb: HillClimbConfig::default(),
-            ilp: IlpConfig::default(),
-            use_ilp: true,
-            ilp_init_max_procs: 4,
-            ilp_init_max_nodes: 400,
-            ilp_stage_budget: Duration::from_secs(20),
             solve_threads: 0,
             collect_phases: false,
             deadline: None,
@@ -139,41 +111,21 @@ impl Default for PipelineConfig {
 
 impl PipelineConfig {
     /// A small configuration suitable for unit tests, doc tests and quick
-    /// experiments: sub-second local search, tiny ILP budgets.
+    /// experiments: the default with a 200 ms local search.
     pub fn fast() -> Self {
-        PipelineConfig {
-            hill_climb: HillClimbConfig::with_time_limit(Duration::from_millis(200)),
-            ilp: IlpConfig::fast(),
-            use_ilp: true,
-            ilp_init_max_procs: 4,
-            ilp_init_max_nodes: 150,
-            ilp_stage_budget: Duration::from_secs(2),
-            solve_threads: 0,
-            collect_phases: false,
-            deadline: None,
-            cancel: CancelToken::inert(),
-        }
+        Self::default().with_hill_climb_time(Duration::from_millis(200))
     }
 
-    /// A heuristics-only configuration (`BSPg`/`Source` + `HC`/`HCcs`), as used
-    /// on the paper's *huge* dataset where the ILP methods are too expensive.
+    /// The default: there is no other pipeline.  Kept because the frozen
+    /// `benchmark/` package calls it.
+    #[doc(hidden)]
     pub fn heuristics_only() -> Self {
-        PipelineConfig {
-            use_ilp: false,
-            ilp_init_max_procs: 0,
-            ..Default::default()
-        }
+        Self::default()
     }
 
     /// Sets the local-search time limit and returns the configuration.
     pub fn with_hill_climb_time(mut self, time_limit: Duration) -> Self {
         self.hill_climb.time_limit = time_limit;
-        self
-    }
-
-    /// Enables or disables the ILP stage and returns the configuration.
-    pub fn with_ilp(mut self, use_ilp: bool) -> Self {
-        self.use_ilp = use_ilp;
         self
     }
 
@@ -228,7 +180,7 @@ fn clip_budget(budget: Duration, cancel: &CancelToken) -> Duration {
 /// serving layer can copy samples into its allocation-free span sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSample {
-    /// Static phase name (an initializer name, `"hc"`, `"ilp_stage"`, …).
+    /// Static phase name (`"funnel"`, an initializer name, `"hc"`, `"hccs"`, …).
     pub name: &'static str,
     /// Nesting depth below the solve (0 = direct child).
     pub depth: u8,
@@ -254,16 +206,16 @@ impl PhaseSample {
 /// Cost of one initialization branch before and after local search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchReport {
-    /// Name of the initialization heuristic (`"BSPg"`, `"Source"`, `"ILPinit"`).
+    /// Name of the initialization heuristic (`"BSPg"`, `"Source"`).
     pub init_name: String,
     /// Number of processors the initializer placed nodes on: the width this
-    /// branch's sweep kept (see the module docs), or the one it was handed.
+    /// branch's sweep kept (see the module docs).
     pub width: usize,
     /// Cost of the initial schedule `HC` started from: the initializer's on
     /// `prefix(width)` after [`place_sources`], on the full machine.
     pub init_cost: u64,
     /// Cost after `HC`.  (`HCcs` runs once, on the winning branch only:
-    /// [`PipelineReport::local_search_cost`].)
+    /// [`PipelineReport::final_cost`].)
     pub local_search_cost: u64,
 }
 
@@ -276,15 +228,8 @@ pub struct PipelineReport {
     /// Cost of the best initial schedule ([`BranchReport::init_cost`]) — the
     /// `Init` bars of Figures 5–7.
     pub init_cost: u64,
-    /// Cost of the best schedule after `HC` + `HCcs` — the `HCcs` bars — or
-    /// of the trivial schedule when the floor replaced it.
-    pub local_search_cost: u64,
-    /// Cost after `ILPfull` / `ILPpart` but before `ILPcs` (the `ILPpart`
-    /// column of the paper's Table 7).  Equal to `local_search_cost` when the
-    /// ILP stage is disabled.
-    pub ilp_part_cost: u64,
-    /// Final cost after the ILP stage — the `ILP` bars.  Equal to
-    /// `local_search_cost` when the ILP stage is disabled.
+    /// Cost of the final schedule: the best branch after `HC` + `HCcs` — the
+    /// `HCcs` bars — or the trivial schedule when the floor replaced it.
     pub final_cost: u64,
     /// Name of the initializer whose branch produced the selected schedule;
     /// `"trivial"` when the floor replaced it ([`trivial_floor`]).
@@ -296,13 +241,6 @@ pub struct PipelineReport {
     /// ([`crate::funnel`]) left of the caller's DAG, `dag.n()` when nothing
     /// contracted.
     pub funnel_nodes: usize,
-    /// `true` if `ILPfull` was attempted (i.e. its estimated variable count
-    /// fit the configured budget).
-    pub used_ilp_full: bool,
-    /// Number of `ILPpart` windows whose reassignment was adopted.
-    pub ilp_part_windows_improved: usize,
-    /// `true` if `ILPcs` improved the communication schedule.
-    pub ilp_cs_improved: bool,
     /// Per-phase wall-clock breakdown (empty unless
     /// [`PipelineConfig::collect_phases`] is set).  Branches that ran in
     /// parallel have overlapping spans.
@@ -403,8 +341,8 @@ impl Pipeline {
     }
 
     /// Runs the pipeline — funnel reduction, branch search (sweep → `HC`),
-    /// trivial-schedule floor, `HCcs`, ILP stage, projection back onto `dag`
-    /// — and returns the final schedule together with the intermediate stage
+    /// trivial-schedule floor, `HCcs`, projection back onto `dag` — and
+    /// returns the final schedule together with the intermediate stage
     /// costs (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
         let origin = self.phase_clock();
@@ -416,13 +354,15 @@ impl Pipeline {
             solved_dag,
             machine,
             &mut report.schedule,
-            &mut report.local_search_cost,
+            &mut report.final_cost,
         ) {
             report.selected_init = "trivial".to_string();
         } else {
             self.comm_search(solved_dag, machine, origin, &mut report);
         }
-        let mut report = self.ilp_stage(solved_dag, machine, origin, report);
+        // The searches can leave a superstep without computation.
+        report.schedule.normalize(solved_dag);
+        report.final_cost = report.schedule.cost(solved_dag, machine);
         let solved = origin.map(|o| o.elapsed());
         if let Some(funnel) = &funnel {
             report.schedule = funnel.project(&report.schedule);
@@ -445,10 +385,9 @@ impl Pipeline {
         self.config.collect_phases.then(Instant::now)
     }
 
-    /// The initialization branches, each `start → HC`: a report whose later
-    /// stages say "did not run" and whose schedule is the cheapest branch's
-    /// after `HC`.  The heuristic branches sweep their width and `ILPinit`
-    /// takes the width of the cheaper of their starts.
+    /// The initialization branches, each `sweep → HC`: a report whose
+    /// schedule and [`PipelineReport::final_cost`] are the cheapest branch's
+    /// after `HC`.
     fn branch_search(
         &self,
         dag: &Dag,
@@ -458,45 +397,27 @@ impl Pipeline {
         let mut report = PipelineReport {
             branches: Vec::new(),
             init_cost: 0,
-            local_search_cost: 0,
-            ilp_part_cost: 0,
             final_cost: 0,
             selected_init: "trivial".to_string(),
             placement_width: machine.p(),
             funnel_nodes: dag.n(),
-            used_ilp_full: false,
-            ilp_part_windows_improved: 0,
-            ilp_cs_improved: false,
             phases: Vec::new(),
             schedule: BspSchedule::trivial(dag),
         };
         if dag.n() == 0 {
             let cost = report.schedule.cost(dag, machine);
             report.init_cost = cost;
-            report.local_search_cost = cost;
+            report.final_cost = cost;
             return report;
         }
 
         let cancel = self.config.effective_cancel();
         let heuristics: [&(dyn Scheduler + Sync); 2] = [&BspgScheduler, &SourceScheduler];
-        let mut results: Vec<BranchResult> = crate::map_within_budget(
+        let results: Vec<BranchResult> = crate::map_within_budget(
             self.config.effective_solve_threads(),
             &heuristics,
-            |&init| self.run_branch(dag, machine, init, None, &cancel, origin),
+            |&init| self.run_branch(dag, machine, init, &cancel, origin),
         );
-        if self.config.use_ilp
-            && machine.p() <= self.config.ilp_init_max_procs
-            && dag.n() <= self.config.ilp_init_max_nodes
-        {
-            let init = IlpInitScheduler::new(IlpConfig {
-                cancel: cancel.clone(),
-                ..self.config.ilp.clone()
-            });
-            // `min_by_key` keeps the first of equal minima.
-            let cheapest = results.iter().min_by_key(|(b, _, _)| b.init_cost);
-            let width = cheapest.map(|(b, _, _)| b.width);
-            results.push(self.run_branch(dag, machine, &init, width, &cancel, origin));
-        }
 
         let costs = results.iter().map(|(b, _, _)| b.init_cost);
         report.init_cost = costs.min().expect("two branches always run");
@@ -510,7 +431,7 @@ impl Pipeline {
             if i == best_idx {
                 report.selected_init = branch.init_name.clone();
                 report.placement_width = branch.width;
-                report.local_search_cost = branch.local_search_cost;
+                report.final_cost = branch.local_search_cost;
                 report.schedule = schedule;
             }
             report.branches.push(branch);
@@ -530,7 +451,7 @@ impl Pipeline {
     }
 
     /// `HCcs` on the searched schedule, with the tenth of the local-search
-    /// budget the paper gives it.
+    /// budget the paper gives it ([`Pipeline::run_report`] costs the result).
     fn comm_search(
         &self,
         dag: &Dag,
@@ -540,71 +461,22 @@ impl Pipeline {
     ) {
         let started = origin.map(|o| o.elapsed());
         let config = self.search_config(0.1, &self.config.effective_cancel());
-        let outcome = hccs_improve(dag, machine, &mut report.schedule, &config);
-        report.local_search_cost = outcome.final_cost;
+        hccs_improve(dag, machine, &mut report.schedule, &config);
         if let (Some(o), Some(started)) = (origin, started) {
             let sample = PhaseSample::spanning("hccs", started, o.elapsed());
             report.phases.push(sample);
         }
     }
 
-    /// Hands the searched schedule to the ILP stage (when enabled and not
-    /// cancelled) and closes the report.
-    fn ilp_stage(
-        &self,
-        dag: &Dag,
-        machine: &Machine,
-        origin: Option<Instant>,
-        mut report: PipelineReport,
-    ) -> PipelineReport {
-        let cancel = self.config.effective_cancel();
-        let schedule = &mut report.schedule;
-        report.ilp_part_cost = report.local_search_cost;
-        let ilp_started = origin.map(|o| o.elapsed());
-        if self.config.use_ilp && dag.n() > 0 && !cancel.is_cancelled() {
-            let stage_budget = clip_budget(self.config.ilp_stage_budget, &cancel);
-            let deadline = Instant::now() + stage_budget;
-            let ilp_config = IlpConfig {
-                cancel: cancel.tightened(deadline),
-                ..self.config.ilp.clone()
-            };
-            // ILPfull first, warm-started from the incumbent; it internally
-            // bails out when the variable estimate exceeds the budget.
-            let s_max = schedule.assignment.num_supersteps();
-            if let Some(full) = ilp_full_schedule(dag, machine, s_max, &ilp_config, Some(schedule))
-            {
-                report.used_ilp_full = true;
-                if full.cost(dag, machine) < schedule.cost(dag, machine) {
-                    *schedule = full;
-                }
-            } else {
-                report.ilp_part_windows_improved =
-                    ilp_part_improve(dag, machine, schedule, &ilp_config, Some(deadline));
-            }
-            report.ilp_part_cost = schedule.cost(dag, machine);
-            report.ilp_cs_improved = ilp_cs_improve(dag, machine, schedule, &ilp_config);
-            if let (Some(o), Some(started)) = (origin, ilp_started) {
-                let stage = PhaseSample::spanning("ilp_stage", started, o.elapsed());
-                report.phases.push(stage);
-            }
-        }
-
-        schedule.normalize(dag);
-        report.final_cost = schedule.cost(dag, machine);
-        debug_assert!(schedule.validate(dag, machine).is_ok());
-        report
-    }
-
-    /// Runs one initialization branch: the start — swept, or on the `width`
-    /// handed in — then `HC` on the full machine with the nine tenths of the
-    /// local-search budget the paper gives it.  When `origin` is set the
-    /// branch reports its phase breakdown relative to that clock.
+    /// Runs one initialization branch: the width sweep, then `HC` on the full
+    /// machine with the nine tenths of the local-search budget the paper
+    /// gives it.  When `origin` is set the branch reports its phase breakdown
+    /// relative to that clock.
     fn run_branch(
         &self,
         dag: &Dag,
         machine: &Machine,
         init: &dyn Scheduler,
-        width: Option<usize>,
         cancel: &CancelToken,
         origin: Option<Instant>,
     ) -> BranchResult {
@@ -613,10 +485,7 @@ impl Pipeline {
             width,
             mut schedule,
             cost: init_cost,
-        } = match width {
-            Some(width) => Start::on_prefix(init, dag, machine, width),
-            None => width_sweep(init, dag, machine),
-        };
+        } = width_sweep(init, dag, machine);
         let init_done = origin.map(|o| o.elapsed());
         let config = self.search_config(0.9, cancel);
         let local_search_cost = hc_improve(dag, machine, &mut schedule, &config).final_cost;
@@ -689,9 +558,7 @@ mod tests {
         });
         let machine = Machine::uniform(4, 3, 5);
         let report = fast_pipeline().run_report(&dag, &machine);
-        assert!(report.local_search_cost <= report.init_cost);
-        assert!(report.ilp_part_cost <= report.local_search_cost);
-        assert!(report.final_cost <= report.ilp_part_cost);
+        assert!(report.final_cost <= report.init_cost);
         for branch in &report.branches {
             assert!(branch.local_search_cost <= branch.init_cost);
         }
@@ -714,37 +581,6 @@ mod tests {
             .cost(&dag, &machine);
         assert!(ours <= cilk, "pipeline {ours} worse than Cilk {cilk}");
         assert!(ours <= hdagg, "pipeline {ours} worse than HDagg {hdagg}");
-    }
-
-    #[test]
-    fn ilp_init_branch_only_runs_on_few_processors() {
-        let dag = spmv(&SpmvConfig {
-            n: 10,
-            density: 0.3,
-            seed: 2,
-        });
-        let p4 = fast_pipeline().run_report(&dag, &Machine::uniform(4, 1, 5));
-        assert!(p4.branches.iter().any(|b| b.init_name == "ILPinit"));
-        let p8 = fast_pipeline().run_report(&dag, &Machine::uniform(8, 1, 5));
-        assert!(!p8.branches.iter().any(|b| b.init_name == "ILPinit"));
-    }
-
-    #[test]
-    fn heuristics_only_configuration_skips_the_ilp_stage() {
-        let dag = cg(&IterConfig {
-            n: 8,
-            density: 0.3,
-            iterations: 1,
-            seed: 6,
-        });
-        let machine = Machine::uniform(4, 1, 5);
-        let mut config = PipelineConfig::heuristics_only();
-        config.hill_climb.time_limit = Duration::from_millis(100);
-        let report = Pipeline::new(config).run_report(&dag, &machine);
-        assert!(!report.used_ilp_full);
-        assert_eq!(report.ilp_part_windows_improved, 0);
-        assert!(!report.ilp_cs_improved);
-        assert_eq!(report.final_cost, report.local_search_cost);
     }
 
     #[test]
@@ -794,7 +630,7 @@ mod tests {
         }
         // The reduction (contraction plus projection) is timed on its own,
         // ahead of every branch; `HCcs` runs once, after all of them, and
-        // the ILP stage last.
+        // is the last thing timed.
         let funnel = report.phases[0];
         assert_eq!(
             (funnel.name, funnel.depth, funnel.start_us),
@@ -811,8 +647,7 @@ mod tests {
         for branch in &report.branches {
             assert!(ends(&branch.init_name) <= hccs[0].start_us);
         }
-        assert_eq!(report.phases.last().unwrap().name, "ilp_stage");
-        assert!(ends("hccs") <= report.phases.last().unwrap().start_us);
+        assert_eq!(report.phases.last(), Some(hccs[0]));
         assert!(report.funnel_nodes < dag.n());
     }
 
@@ -830,7 +665,6 @@ mod tests {
             max_steps: 200,
             ..Default::default()
         };
-        cfg.use_ilp = false;
         // On the tree the sweep narrows the placement, which happens before
         // the branches fork and must not depend on how they run either.
         for machine in [

@@ -28,10 +28,10 @@ use std::sync::{Arc, Mutex};
 
 use crate::metrics::LatencyHistogram;
 
-/// Maximum spans kept per trace.  A cold solve uses ~20 (router dispatch,
-/// queue wait, cache lookup, solve, funnel, three spans per branch, hccs,
-/// ILP stage, validate, insert, store offer, respond); anything beyond the
-/// cap sets the `truncated` flag instead of allocating.
+/// Maximum spans kept per trace.  A cold solve uses ~16 (router dispatch,
+/// queue wait, cache lookup, solve, funnel, three spans for each of the two
+/// branches, hccs, validate, insert, store offer, respond); anything beyond
+/// the cap sets the `truncated` flag instead of allocating.
 pub const MAX_SPANS: usize = 48;
 
 /// One timed region of a request's lifetime.  `start_us` is the offset from

@@ -123,15 +123,18 @@ impl ScheduleSource {
     }
 }
 
-/// Which solver configuration a request asks for.
+/// Which local-search budget a request asks for.  There is one pipeline
+/// (initializers → `HC` → `HCcs`); the modes differ in nothing but the
+/// `HC` + `HCcs` time limit a cold solve gets, all of them clipped to the
+/// request's deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// The full pipeline with its default budgets (ILP stage included).
+    /// [`bsp_sched::PipelineConfig::default`]: 5 s of local search.
     Default,
-    /// [`bsp_sched::PipelineConfig::fast`]: sub-second local search, tiny ILPs.
+    /// [`bsp_sched::PipelineConfig::fast`]: 200 ms of local search.
     Fast,
-    /// Heuristics + local search only — the paper's huge-dataset setting and
-    /// the right default for latency-bounded serving.
+    /// The server's own `ServiceConfig::local_search_budget` — the right
+    /// default for latency-bounded serving.
     #[default]
     HeuristicsOnly,
 }

@@ -689,7 +689,8 @@ impl ScheduleService {
             .fetch_add(micros, Ordering::Relaxed);
     }
 
-    /// Cold path: the pipeline under the request's mode, deadline-aware and
+    /// Cold path: the pipeline with the request mode's `HC` + `HCcs` budget
+    /// (the one thing the modes differ in), deadline-aware and
     /// constrained to this worker's per-request thread budget (a budget of
     /// one runs the branch fan-out sequentially too, so `workers ×
     /// solve-threads` bounds the server's total parallelism).  Per-phase
@@ -706,12 +707,11 @@ impl ScheduleService {
         let mut config = match request.options.mode {
             Mode::Default => PipelineConfig::default(),
             Mode::Fast => PipelineConfig::fast(),
-            Mode::HeuristicsOnly => PipelineConfig::heuristics_only(),
-        };
-        if request.options.mode == Mode::HeuristicsOnly {
-            config.hill_climb.time_limit = self.config.local_search_budget;
+            Mode::HeuristicsOnly => {
+                PipelineConfig::default().with_hill_climb_time(self.config.local_search_budget)
+            }
         }
-        config = config.with_thread_budget(self.config.solve_threads);
+        .with_thread_budget(self.config.solve_threads);
         config.cancel = cancel.clone();
         config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);

@@ -27,7 +27,7 @@ fn main() {
     let cilk = CilkScheduler::default().schedule(&dag, &machine);
     let hdagg = HDaggScheduler::default().schedule(&dag, &machine);
 
-    // The paper's framework: initialization heuristics, hill climbing, ILP.
+    // The paper's framework: initialization heuristics, then hill climbing.
     let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
     let ours = &report.schedule;
     assert!(ours.validate(&dag, &machine).is_ok());
@@ -36,8 +36,7 @@ fn main() {
     println!("  Cilk              : {}", cilk.cost(&dag, &machine));
     println!("  HDagg             : {}", hdagg.cost(&dag, &machine));
     println!("  ours (init)       : {}", report.init_cost);
-    println!("  ours (+HC/HCcs)   : {}", report.local_search_cost);
-    println!("  ours (+ILP, final): {}", report.final_cost);
+    println!("  ours (+HC/HCcs)   : {}", report.final_cost);
     println!("  selected initializer: {}", report.selected_init);
 
     let breakdown = ours.cost_breakdown(&dag, &machine);

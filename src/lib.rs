@@ -4,7 +4,8 @@
 //! Scheduling in Increasingly Realistic Models"* (Papp, Anegg, Karanasiou,
 //! Yzelman — SPAA 2024).
 //!
-//! The workspace implements the paper's full scheduling framework:
+//! The workspace implements the paper's scheduling framework (its ILP stage
+//! measured and then deleted — README, *ILP: a negative result*):
 //!
 //! * [`model`] — computational DAGs, the BSP + NUMA machine model, BSP schedules
 //!   (`π`, `τ`, `Γ`), the cost function, and validity checking.
@@ -14,9 +15,9 @@
 //! * [`ilp`] — a small from-scratch LP/ILP solver (simplex + branch & bound),
 //!   the stand-in for the CBC solver used in the paper.
 //! * [`sched`] — the scheduling algorithms: baselines (`Cilk`, `BL-EST`, `ETF`,
-//!   `HDagg`), initialization heuristics (`BSPg`, `Source`, `ILPinit`), hill
-//!   climbing (`HC`, `HCcs`), ILP formulations (`ILPfull`, `ILPpart`, `ILPcs`),
-//!   the exact funnel reduction, and the combined pipeline.
+//!   `HDagg`), initialization heuristics (`BSPg`, `Source`), hill climbing
+//!   (`HC`, `HCcs`), the exact funnel reduction, the combined pipeline, and
+//!   `ILPcs` as the exact check on `HCcs`.
 //!
 //! ## Quickstart
 //!

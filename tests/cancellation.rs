@@ -37,10 +37,7 @@ fn cancelled_pipeline_runs_stay_valid_and_never_beat_the_initializer_bound() {
         let dag = random_dag(&mut rng, 24);
         let machine = random_machine(&mut rng);
         let cancel = CancelToken::new();
-        let mut config = PipelineConfig::fast();
-        // Odd cases exercise the ILP stage's cancellation points too.
-        config.use_ilp = case % 2 == 1;
-        config.cancel = cancel.clone();
+        let config = PipelineConfig::fast().with_cancel(cancel.clone());
         let delay = Duration::from_micros(rng.gen_range(0..8_000));
         let report = with_cancellation(cancel, delay, || {
             Pipeline::new(config).run_report(&dag, &machine)
@@ -100,7 +97,7 @@ fn a_run_cancelled_before_the_branches_returns_the_projected_initializer_schedul
     ] {
         let cancel = CancelToken::new();
         cancel.cancel();
-        let config = PipelineConfig::heuristics_only().with_cancel(cancel);
+        let config = PipelineConfig::default().with_cancel(cancel);
         let report = Pipeline::new(config).run_report(&dag, &machine);
         assert!(report.schedule.validate(&dag, &machine).is_ok());
         assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
@@ -132,8 +129,7 @@ fn a_run_cancelled_before_the_branches_returns_the_projected_initializer_schedul
 }
 
 /// Larger DAGs and later tokens than the case above: the token lands in the
-/// sweep, in `HC` or in `HCcs` of a heuristics-only run rather than before
-/// them.
+/// sweep, in `HC` or in `HCcs` rather than before them.
 #[test]
 fn cancelled_heuristics_runs_on_larger_dags_stay_valid() {
     for case in 0..CASES {
@@ -144,8 +140,7 @@ fn cancelled_heuristics_runs_on_larger_dags_stay_valid() {
         }
         let machine = random_machine(&mut rng);
         let cancel = CancelToken::new();
-        let mut config = PipelineConfig::fast().with_ilp(false);
-        config.cancel = cancel.clone();
+        let config = PipelineConfig::fast().with_cancel(cancel.clone());
         let delay = Duration::from_micros(rng.gen_range(0..12_000));
         let report = with_cancellation(cancel, delay, || {
             Pipeline::new(config).run_report(&dag, &machine)

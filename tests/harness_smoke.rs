@@ -21,8 +21,8 @@ fn smoke_scale_no_numa_cell_produces_sensible_reductions() {
 
     let mut agg = Aggregate::new(["cilk", "hdagg", "ours"]);
     for r in &results {
-        assert!(r.costs.ilp <= r.costs.init);
-        agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.ilp]);
+        assert!(r.costs.ours <= r.costs.init);
+        agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.ours]);
     }
     let vs_cilk = agg.reduction("ours", "cilk");
     let vs_hdagg = agg.reduction("ours", "hdagg");
@@ -45,7 +45,7 @@ fn numa_cell_shows_larger_gains_than_the_uniform_cell() {
         let results = evaluate_dataset(&instances, machine, &options);
         let mut agg = Aggregate::new(["cilk", "ours"]);
         for r in &results {
-            agg.push(&[r.costs.cilk, r.costs.ilp]);
+            agg.push(&[r.costs.cilk, r.costs.ours]);
         }
         agg.reduction("ours", "cilk")
     };

@@ -110,7 +110,7 @@ fn multilevel_report_is_consistent_on_a_medium_instance() {
         seed: 5,
     });
     // Deterministic budgets: bound by steps, not wall-clock.
-    let mut base = PipelineConfig::heuristics_only();
+    let mut base = PipelineConfig::default();
     base.hill_climb.time_limit = std::time::Duration::from_secs(3600);
     base.hill_climb.max_steps = 2_000;
     for machine in [
@@ -160,7 +160,6 @@ fn pipeline_scheduler_trait_and_report_agree() {
     // Deterministic budgets: bound by steps, not wall-clock.
     config.hill_climb.time_limit = std::time::Duration::from_secs(3600);
     config.hill_climb.max_steps = 300;
-    config.use_ilp = false;
     let pipeline = Pipeline::new(config);
     let via_trait = pipeline.schedule(&dag, &machine).cost(&dag, &machine);
     let via_report = pipeline.run_report(&dag, &machine).final_cost;

@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Heuristics only, one thread, and a local search bounded by steps rather
 /// than by the clock, so a run is a function of its input.
 fn config() -> PipelineConfig {
-    let mut config = PipelineConfig::heuristics_only().with_thread_budget(1);
+    let mut config = PipelineConfig::default().with_thread_budget(1);
     config.hill_climb = HillClimbConfig {
         time_limit: Duration::from_secs(3600),
         max_steps: 2000,
@@ -61,7 +61,7 @@ fn rows_that_lost_to_one_processor_no_longer_do() {
         iterations: 200,
     });
     let uniform = Machine::uniform(4, 3, 5);
-    let pipeline = Pipeline::new(PipelineConfig::heuristics_only().with_thread_budget(1));
+    let pipeline = Pipeline::new(PipelineConfig::default().with_thread_budget(1));
     for (name, dag, machine) in [("cg", &fine, &tree), ("pagerank", &kernel, &uniform)] {
         let report = pipeline.run_report(dag, machine);
         assert!(report.schedule.validate(dag, machine).is_ok(), "{name}");
@@ -145,7 +145,6 @@ fn assert_branches_hold(context: &str, report: &PipelineReport, dag: &Dag, machi
     if report.selected_init != "trivial" {
         assert_eq!(report.selected_init, cheapest.init_name, "{context}");
     }
-    assert_eq!(report.local_search_cost, report.final_cost, "{context}");
 }
 
 #[test]

@@ -206,9 +206,7 @@ fn hyperdag_round_trip_preserves_the_dag() {
 /// On a chain the trivial schedule meets it.
 #[test]
 fn costs_respect_lower_bounds() {
-    let mut pipeline = PipelineConfig::fast();
-    pipeline.ilp_stage_budget = Duration::from_millis(200);
-    let schedulers: [&dyn Scheduler; 9] = [
+    let schedulers: [&dyn Scheduler; 8] = [
         &TrivialScheduler,
         &CilkScheduler::default(),
         &BlEstScheduler,
@@ -216,8 +214,7 @@ fn costs_respect_lower_bounds() {
         &HDaggScheduler::default(),
         &BspgScheduler,
         &SourceScheduler,
-        &Pipeline::new(pipeline),
-        &Pipeline::new(PipelineConfig::heuristics_only()),
+        &Pipeline::new(PipelineConfig::fast()),
     ];
     for case in 0..CASES {
         let mut rng = rng_for_case(0xF666, case);
@@ -238,7 +235,7 @@ fn costs_respect_lower_bounds() {
                 "{} cost {cost} below lower bound {lower} (case {case})",
                 scheduler.name()
             );
-            // Both pipelines end on the trivial-schedule floor.
+            // The pipeline ends on the trivial-schedule floor.
             assert!(
                 scheduler.name() != "Pipeline" || cost <= trivial,
                 "pipeline cost {cost} above the trivial schedule's {trivial} (case {case})"

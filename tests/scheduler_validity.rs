@@ -8,7 +8,6 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
-use bsp_sched::ilp::IlpInitScheduler;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
@@ -154,16 +153,6 @@ fn all_simple_schedulers_are_valid_on_the_dag_zoo() {
 }
 
 #[test]
-fn ilp_init_is_valid_on_small_instances() {
-    let scheduler = IlpInitScheduler::new(bsp_sched::ilp::IlpConfig::fast());
-    for (dag_name, dag) in dag_zoo().into_iter().take(4) {
-        let machine = Machine::uniform(4, 3, 5);
-        let sched = scheduler.schedule(&dag, &machine);
-        assert_valid("ILPinit", &dag_name, &machine, &dag, &sched);
-    }
-}
-
-#[test]
 fn pipeline_is_valid_across_the_machine_grid() {
     let pipeline = Pipeline::new(PipelineConfig::fast());
     for (dag_name, dag) in dag_zoo().into_iter().take(4) {
@@ -217,8 +206,7 @@ fn a_thread_budget_never_changes_the_schedule() {
         Machine::uniform(4, 3, 5),
         Machine::numa_binary_tree(8, 3, 5, 3),
     ];
-    let pipeline =
-        |budget| Pipeline::new(PipelineConfig::heuristics_only().with_thread_budget(budget));
+    let pipeline = |budget| Pipeline::new(PipelineConfig::default().with_thread_budget(budget));
     for dag in &dags {
         for machine in &machines {
             assert_eq!(
@@ -252,19 +240,16 @@ fn a_budget_of_one_runs_the_branches_back_to_back() {
         })
         .run_report(&dag, &machine)
     };
-    let wide = traced(PipelineConfig::heuristics_only().with_thread_budget(4));
+    let wide = traced(PipelineConfig::default().with_thread_budget(4));
     for (how, config) in [
         (
             "field",
             PipelineConfig {
                 solve_threads: 1,
-                ..PipelineConfig::heuristics_only()
+                ..PipelineConfig::default()
             },
         ),
-        (
-            "builder",
-            PipelineConfig::heuristics_only().with_thread_budget(1),
-        ),
+        ("builder", PipelineConfig::default().with_thread_budget(1)),
     ] {
         let report = traced(config);
         let window = |name: &str| {

@@ -6,7 +6,8 @@
 //! trace whose span tree shows the router dispatch, the shard's queue wait,
 //! the cache miss, and every pipeline phase — also when it asks for the
 //! retired `multilevel` mode, which the wire still accepts and reads as
-//! `heuristics`.
+//! `heuristics`, or for `default`, which differs from it in the local-search
+//! budget alone.
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
@@ -170,36 +171,64 @@ fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u
     (trace_id, reply.body)
 }
 
-/// `OPTION mode multilevel` is still a legal request: it is answered by the
-/// pipeline, with the schedule `heuristics` gives byte for byte, and its trace
-/// names the pipeline's phases and none of the retired `ml_*` ones.
-#[test]
-fn a_multilevel_mode_request_is_a_heuristics_request() {
+/// Sends a raw `OPTION mode <mode>` request through a router and holds that
+/// the one pipeline answered it: the schedule lines are the ones `heuristics`
+/// gives, byte for byte (the DAG is small enough for `HC` to reach its local
+/// minimum inside any mode's time limit), and the trace names every pipeline
+/// phase.  Returns the trace's span names.
+fn spans_of_a_request_the_pipeline_answered(mode: &str) -> Vec<String> {
     let (shards, router) = routed_deployment();
     let machine = Machine::uniform(4, 1, 2);
     let dag = layered_dag(4);
 
-    let (ml_trace, ml_schedule) = raw_request(router.addr(), &dag, &machine, "multilevel");
-    let (_, schedule) = raw_request(router.addr(), &dag, &machine, "heuristics");
-    assert_eq!(ml_schedule, schedule);
+    let (trace_id, schedule) = raw_request(router.addr(), &dag, &machine, mode);
+    let (_, heuristics) = raw_request(router.addr(), &dag, &machine, "heuristics");
+    assert_eq!(schedule, heuristics, "mode {mode}");
 
     let mut client = Client::connect(router.addr()).expect("connect via router");
-    let trace = client.trace(ml_trace).expect("TRACE answers");
+    let trace = client.trace(trace_id).expect("TRACE answers");
     assert_eq!(trace.source, "cold");
-    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-    for expected in ["solve", "funnel", "BSPg", "Source", "hc", "hccs"] {
+    let names: Vec<String> = trace.spans.into_iter().map(|s| s.name).collect();
+    for expected in [
+        "solve",
+        "funnel",
+        "BSPg",
+        "Source",
+        "init_schedule",
+        "hc",
+        "hccs",
+    ] {
         assert!(
-            names.contains(&expected),
-            "the trace is missing the {expected} span; got {names:?}"
+            names.iter().any(|n| n == expected),
+            "mode {mode}: the trace is missing the {expected} span; got {names:?}"
         );
     }
-    assert!(!names.iter().any(|n| n.starts_with("ml_")), "{names:?}");
 
     drop(client);
     router.shutdown();
     for shard in shards {
         shard.shutdown();
     }
+    names
+}
+
+/// `OPTION mode multilevel` is still a legal request: it is answered by the
+/// pipeline, and its trace names none of the retired `ml_*` phases.
+#[test]
+fn a_multilevel_mode_request_is_a_heuristics_request() {
+    let names = spans_of_a_request_the_pipeline_answered("multilevel");
+    assert!(!names.iter().any(|n| n.starts_with("ml_")), "{names:?}");
+}
+
+/// `OPTION mode default` asks for a longer local search, not another
+/// pipeline: no ILP stage after `HCcs`, no `ILPinit` branch.
+#[test]
+fn a_default_mode_request_runs_the_same_pipeline_as_heuristics() {
+    let names = spans_of_a_request_the_pipeline_answered("default");
+    assert!(
+        !names.iter().any(|n| n == "ilp_stage" || n == "ILPinit"),
+        "{names:?}"
+    );
 }
 
 /// The acceptance scenario: a cold request through the router, traced end to
