@@ -12,11 +12,12 @@
 //! says what it did (`funnel_nodes`).
 //!
 //! Per row: wall-clock of `Pipeline::run_report` (fastest of `--reps`), the
-//! final cost against the trivial schedule's, the branch that won and the
-//! width it placed on, and the seconds per phase (`funnel`, the branches'
-//! `init_schedule` and `hc`, `hccs`), written as JSON in the same envelope as
-//! `BENCH_hc.json` (default `BENCH_multilevel.json`).  `--huge` switches to
-//! ≈100k-node instances, `--quick` to ≈1k.
+//! final cost against the trivial schedule's and against the lower bound
+//! (`gap`), the start that was searched and the width it placed on, and the
+//! seconds — on stderr also µs/node — per phase (`funnel`, the two sweeps'
+//! `init_schedule`, the one `hc`, `hccs`), written as JSON in the same
+//! envelope as `BENCH_hc.json` (default `BENCH_multilevel.json`).  `--huge`
+//! switches to ≈100k-node instances, `--quick` to ≈1k.
 //!
 //! `--smoke` turns the run into a CI gate: every schedule validates, its
 //! reported cost equals a recompute, and no row costs more than the trivial
@@ -40,10 +41,10 @@ use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
 use std::time::{Duration, Instant};
 
-/// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`
-/// and `hccs` are depth-0 samples, `init_schedule` and `hc` the two children
-/// of every branch (summed over the branches, which may overlap on the wall
-/// clock).
+/// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
+/// `hc` and `hccs` are depth-0 samples, one each; `init_schedule` is the child
+/// of either initializer's sweep (summed over the two, which may overlap on
+/// the wall clock).
 const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
 
 /// Two seconds of local search, auto thread budget, phase clock on.
@@ -166,10 +167,11 @@ fn main() {
             }
             let phases = PHASES.map(|name| phase_seconds(&run, name));
             eprintln!(
-                "   {seconds:.3}s, cost {} ({:.3}x trivial), selected {} at width {}, \
-                 funnel {} nodes",
+                "   {seconds:.3}s, cost {} ({:.3}x trivial, gap {:.2}), selected {} at width \
+                 {}, funnel {} nodes",
                 run.final_cost,
                 run.final_cost as f64 / trivial.max(1) as f64,
+                run.gap(),
                 run.selected_init,
                 run.placement_width,
                 run.funnel_nodes
@@ -177,6 +179,12 @@ fn main() {
             eprintln!(
                 "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, hccs {:.3}s",
                 phases[0], phases[1], phases[2], phases[3]
+            );
+            let [funnel, init, hc, hccs] = phases.map(|s| s * 1e6 / dag.n() as f64);
+            eprintln!(
+                "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, hccs {hccs:.3}, \
+                 run {:.3}",
+                seconds * 1e6 / dag.n() as f64
             );
             let phases: Vec<String> = PHASES
                 .iter()
@@ -186,11 +194,14 @@ fn main() {
             report.push_result_json(format!(
                 "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                  \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
-                 \"final_cost\": {}, \"trivial_cost\": {trivial}, \"selected_init\": \"{}\", \
+                 \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
+                 \"gap\": {:.4}, \"selected_init\": \"{}\", \
                  \"placement_width\": {}, \"funnel_nodes\": {}, \"phases\": {{{}}}}}}}",
                 dag.n(),
                 dag.num_edges(),
                 run.final_cost,
+                run.lower_bound,
+                run.gap(),
                 run.selected_init,
                 run.placement_width,
                 run.funnel_nodes,

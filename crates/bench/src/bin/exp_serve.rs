@@ -25,8 +25,8 @@
 //! A fourth **huge** phase (skipped under `--smoke`) submits one ~10⁵-node
 //! `spmv` request in `heuristics` mode (the one solver: the pipeline) under
 //! a realistic deadline, reads the request's trace back over the wire, and
-//! records the per-phase solve breakdown (`funnel`, the branches with their
-//! `init_schedule` / `hc`, `hccs`) as a `huge` row plus a `huge` summary
+//! records the per-phase solve breakdown (`funnel`, the two sweeps with their
+//! `init_schedule`, `hc`, `hccs`) as a `huge` row plus a `huge` summary
 //! object.
 //!
 //! Flags:
@@ -624,7 +624,7 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
         .expect("read the huge request's trace");
     server.shutdown();
     // `solve` and the subtree the pipeline's phases hang beneath it, one
-    // entry per name (every branch has an `init_schedule` and an `hc`).
+    // entry per name (either sweep has an `init_schedule`).
     let from_solve = trace.spans.iter().skip_while(|s| s.name != "solve");
     let solve_depth = from_solve.clone().next().map_or(0, |s| s.depth);
     let subtree = from_solve

@@ -70,11 +70,11 @@ pub struct InstanceResult {
     pub nodes: usize,
     /// Costs of all schedulers.
     pub costs: AlgoCosts,
-    /// Per pipeline branch, the processors its initializer placed nodes on
-    /// (the width that branch's sweep over processor prefixes kept).
+    /// Per initializer, the processors it placed nodes on (the width its
+    /// sweep over processor prefixes kept).
     pub branch_widths: Vec<(String, usize)>,
-    /// The pipeline branch whose schedule was selected, `"trivial"` when the
-    /// floor replaced it.
+    /// The initializer whose start the pipeline searched, `"trivial"` when
+    /// the floor replaced the result.
     pub selected_init: String,
 }
 
@@ -140,11 +140,11 @@ pub fn evaluate_instance(
     }
 }
 
-/// How the pipeline's branches placed and what it selected over `results`,
-/// for the progress line of an experiment cell: `width BSPg 8×3 4×5, Source
-/// 8×1 2×7, selected BSPg×6 trivial×2`.
+/// How the pipeline's initializers placed and which start it searched over
+/// `results`, for the progress line of an experiment cell: `width BSPg 8×3
+/// 4×5, Source 8×1 2×7, selected BSPg×6 trivial×2`.
 pub fn placement_summary(results: &[InstanceResult]) -> String {
-    // Per branch, widest first — the order the sweep goes in.
+    // Per initializer, widest first — the order the sweep goes in.
     let mut widths: BTreeMap<&str, BTreeMap<Reverse<usize>, usize>> = BTreeMap::new();
     let mut selected: BTreeMap<&str, usize> = BTreeMap::new();
     for r in results {

@@ -57,7 +57,7 @@ pub fn evaluate(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> (u64
 /// per available core, anything else passes through.  The single definition
 /// every budget layer shares ([`pipeline::PipelineConfig::solve_threads`] and
 /// `bsp_serve`'s derived per-worker budget).  A budget means one thing — how
-/// many of the pipeline's init branches may run at once — and no search
+/// many of the pipeline's width sweeps may run at once — and no search
 /// reads it.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested == 0 {
@@ -69,7 +69,7 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// The fork rule of the pipeline's branch fan-out: maps `f` over `items` on
+/// The fork rule of the pipeline's sweep fan-out: maps `f` over `items` on
 /// `min(budget, items)` lanes of the rayon pool, each lane taking the next
 /// item nobody has started, so a budget that covers only some of the items
 /// still keeps that many cores busy.  One lane is the calling thread going

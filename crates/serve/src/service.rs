@@ -53,7 +53,7 @@ pub struct ServiceConfig {
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
     /// Thread budget of one solve.  `1` (the default) runs each request
-    /// fully sequentially — branch fan-out included — so a pool of workers
+    /// fully sequentially — sweep fan-out included — so a pool of workers
     /// never oversubscribes the host; the server derives this from its
     /// worker count (see `ServerConfig::solve_threads`).  `0` budgets one
     /// thread per available core (only sensible for a single-worker
@@ -656,7 +656,7 @@ impl ScheduleService {
         if schedule.validate(&request.dag, &request.machine).is_err() {
             return None;
         }
-        // The same 90/10 HC/HCcs split as the pipeline branches.
+        // The same 90/10 HC/HCcs split as the pipeline's cold path.
         let budget = self.config.warm_budget;
         let hc_cfg = HillClimbConfig {
             time_limit: budget.mul_f64(0.9),
@@ -692,7 +692,7 @@ impl ScheduleService {
     /// Cold path: the pipeline with the request mode's `HC` + `HCcs` budget
     /// (the one thing the modes differ in), deadline-aware and
     /// constrained to this worker's per-request thread budget (a budget of
-    /// one runs the branch fan-out sequentially too, so `workers ×
+    /// one runs the two width sweeps back to back too, so `workers ×
     /// solve-threads` bounds the server's total parallelism).  Per-phase
     /// durations always feed the `bsp_solve_phase_micros_total` counters;
     /// with `spans` given they are also recorded under a `solve` span.

@@ -6,8 +6,8 @@
 //! loses to the trivial "everything on one processor" schedule.  The paper
 //! answers with coarsen–solve–refine.  Here two steps of the pipeline do the
 //! work: the funnel reduction contracts the DAG *exactly* (a coarse node is
-//! the multi-node move single-node `HC` lacks), and each branch sweeps the
-//! processor prefix its initializer places on, so the search starts on the
+//! the multi-node move single-node `HC` lacks), and each initializer sweeps
+//! the processor prefix it places on, so the search starts on the
 //! part of the machine that pays.  (The paper's inexact coarsening was tried
 //! on top of that and lost on this instance, 764 against 488 with the trivial
 //! schedule at 1259; README has the record.)

@@ -26,7 +26,7 @@ fn main() {
     println!("machine: P = 8, g = 3, l = 5 (uniform)\n");
 
     // --- Manual walk through the stages -----------------------------------
-    println!("manual walk through one branch (Source initializer):");
+    println!("manual walk from one start (Source initializer):");
     let mut schedule = SourceScheduler.schedule(&dag, &machine);
     println!(
         "  Source initial schedule : {}",
@@ -49,27 +49,34 @@ fn main() {
     assert!(schedule.validate(&dag, &machine).is_ok());
 
     // --- The same thing through the combined pipeline ---------------------
-    println!("\nthe combined pipeline (all branches, Figure 3):");
+    println!("\nthe combined pipeline (both starts, one search; Figure 3):");
     let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
     println!(
         "  solved a DAG of {} nodes (the funnel reduction of {})",
         report.funnel_nodes,
         dag.n()
     );
-    for branch in &report.branches {
+    for start in &report.branches {
         println!(
-            "  branch {:<8}: placed on {} of {} processors (its width sweep), \
-             start {} -> after HC {}",
-            branch.init_name,
-            branch.width,
+            "  start {:<8}: placed on {} of {} processors (its width sweep), cost {}",
+            start.init_name,
+            start.width,
             machine.p(),
-            branch.init_cost,
-            branch.local_search_cost
+            start.init_cost
         );
     }
     println!(
-        "  selected branch: {} (width {}) ; after HCcs {}",
-        report.selected_init, report.placement_width, report.final_cost
+        "  searched {} (width {}): start {} -> after HC {} -> after HCcs {}",
+        report.selected_init,
+        report.placement_width,
+        report.init_cost,
+        report.local_search_cost,
+        report.final_cost
+    );
+    println!(
+        "  no schedule costs less than {}: gap {:.2}",
+        report.lower_bound,
+        report.gap()
     );
 
     // The run ends at HCcs.  ILPcs is the exact check on it: the cheapest

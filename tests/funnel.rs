@@ -282,11 +282,11 @@ fn layered_dag(rng: &mut ChaCha8Rng) -> Dag {
 }
 
 /// With nothing to contract `Pipeline::run_report` solves the DAG it was
-/// handed: every branch starts from its initializer's schedule of *that* DAG
-/// (on the width it reports, sources placed), and the answer keeps the bounds
-/// of any other.  (What a report stands for in general — the width rule per
-/// branch, the floor, `par == seq` — is `tests/placement_width.rs`, which
-/// counts its uncontracted inputs.)
+/// handed: each initializer's start is its schedule of *that* DAG (on the
+/// width it reports, sources placed), and the answer keeps the bounds of any
+/// other.  (What a report stands for in general — the width rule per
+/// initializer, the one search, the floor, `par == seq` — is
+/// `tests/placement_width.rs`, which counts its uncontracted inputs.)
 #[test]
 fn a_dag_with_nothing_to_contract_takes_the_pipeline_as_it_stood() {
     let pipeline = pipeline(2000);
@@ -312,7 +312,7 @@ fn a_dag_with_nothing_to_contract_takes_the_pipeline_as_it_stood() {
                 "case {case}: {} did not start on the DAG itself",
                 init.name()
             );
-            assert!(report.final_cost <= branch.local_search_cost, "case {case}");
+            assert!(report.final_cost <= branch.init_cost, "case {case}");
         }
     }
 }

@@ -165,8 +165,8 @@ fn pipeline_is_valid_across_the_machine_grid() {
 
 #[test]
 fn pipeline_never_loses_to_its_own_initializers() {
-    // The pipeline selects the best branch after local search, so it can never
-    // be worse than the raw BSPg or Source schedules.
+    // The pipeline searches the cheaper of its two starts, neither of which
+    // costs more than the raw BSPg or Source schedule it was placed from.
     let pipeline = Pipeline::new(PipelineConfig::fast());
     for (_, dag) in dag_zoo().into_iter().take(4) {
         for machine in machine_grid().into_iter().take(2) {
@@ -182,7 +182,7 @@ fn pipeline_never_loses_to_its_own_initializers() {
 
 #[test]
 fn a_thread_budget_never_changes_the_schedule() {
-    // A budget decides how many init branches run at once and nothing else
+    // A budget decides how many initializers sweep at once and nothing else
     // reads it.  The DAGs are small enough that no time limit binds, so
     // every run is deterministic.
     let dags = [
@@ -223,9 +223,9 @@ fn a_thread_budget_never_changes_the_schedule() {
 #[test]
 fn a_budget_of_one_runs_the_branches_back_to_back() {
     // One rule decides the fan-out, however the budget was set: a budget of
-    // one never has two initialization branches in flight, so the `BSPg` and
-    // `Source` windows of the phase report cannot overlap.  The DAG is large
-    // enough for each branch to take milliseconds (an overlap would show) and
+    // one never has two sweeps in flight, so the `BSPg` and `Source` windows
+    // of the phase report cannot overlap.  The DAG is large enough for each
+    // sweep to take a good part of a millisecond (an overlap would show) and
     // small enough that no time limit binds (the schedules are comparable).
     let dag = spmv(&SpmvConfig {
         n: 150,
@@ -264,7 +264,7 @@ fn a_budget_of_one_runs_the_branches_back_to_back() {
         assert!(bspg.1 > bspg.0 && source.1 > source.0, "{how}: empty span");
         assert!(
             bspg.1 <= source.0 || source.1 <= bspg.0,
-            "{how}: branches overlap at budget 1: BSPg {bspg:?}, Source {source:?}"
+            "{how}: sweeps overlap at budget 1: BSPg {bspg:?}, Source {source:?}"
         );
         assert_eq!(report.schedule, wide.schedule, "{how}: schedule differs");
     }

@@ -203,6 +203,9 @@ fn spans_of_a_request_the_pipeline_answered(mode: &str) -> Vec<String> {
             "mode {mode}: the trace is missing the {expected} span; got {names:?}"
         );
     }
+    // One search a solve: the sweeps' `init_schedule` twice, `hc` once.
+    let count = |name: &str| names.iter().filter(|n| *n == name).count();
+    assert_eq!((count("init_schedule"), count("hc")), (2, 1), "{names:?}");
 
     drop(client);
     router.shutdown();

@@ -199,6 +199,7 @@ fn the_thread_budget_does_not_show_in_the_placed_schedules() {
                 let other = run(budget);
                 assert_eq!(other.schedule, one.schedule, "case {case}, budget {budget}");
                 assert_eq!(other.branches, one.branches, "case {case}, budget {budget}");
+                assert_eq!(other.local_search_cost, one.local_search_cost);
             }
         }
     }
