@@ -470,7 +470,6 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
 /// The second-search table; `true` if one search stays within
 /// [`MAX_SECOND_SEARCH_GAIN`] of the better of two.
 fn second_search_buys_little(config: &PipelineConfig) -> bool {
-    let config = config.clone().with_thread_budget(1);
     let (dags, machines) = (second_search_dags(), second_search_machines());
     let pairs: Vec<_> = (dags.iter())
         .flat_map(|dag| machines.iter().map(move |machine| (dag, machine)))
@@ -478,7 +477,7 @@ fn second_search_buys_little(config: &PipelineConfig) -> bool {
     let rows: Vec<SecondSearch> = pairs
         .par_iter()
         .map(|((dag_name, dag), (machine_name, machine))| {
-            let (one, other) = other_start_answer(dag, machine, &config);
+            let (one, other) = other_start_answer(dag, machine, config);
             SecondSearch {
                 dag: dag_name,
                 machine: machine_name,

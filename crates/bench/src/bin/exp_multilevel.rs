@@ -43,11 +43,11 @@ use std::time::{Duration, Instant};
 
 /// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
 /// `hc` and `hccs` are depth-0 samples, one each; `init_schedule` is the child
-/// of either initializer's sweep (summed over the two, which may overlap on
-/// the wall clock).
+/// of either initializer's sweep (summed over the two, which run one after the
+/// other).
 const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
 
-/// Two seconds of local search, auto thread budget, phase clock on.
+/// Two seconds of local search, phase clock on.
 fn sweep_config() -> PipelineConfig {
     PipelineConfig {
         hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
@@ -137,8 +137,7 @@ fn main() {
         ("numa_p8_g3_l5_d3", Machine::numa_binary_tree(8, 3, 5, 3)),
     ];
 
-    let config = sweep_config();
-    let pipeline = Pipeline::new(config.clone());
+    let pipeline = Pipeline::new(sweep_config());
     let mut report = BenchReport::new("pipeline_scale");
     let mut total_seconds = 0.0f64;
     let mut failures = Vec::new();
@@ -225,9 +224,8 @@ fn main() {
     let runs = instances.len() * machines.len();
     report.set_config_json(format!(
         "{{\"target_nodes\": {target}, \"base\": \"heuristics-only\", \"reps\": {reps}, \
-         \"host_cores\": {}, \"threads\": {}}}",
+         \"host_cores\": {}}}",
         bsp_bench::stats::host_cores(),
-        config.effective_solve_threads(),
     ));
     report.set_summary_json(format!(
         "{{\"runs\": {runs}, \"total_seconds\": {total_seconds:.6}, \"failed_rows\": {}}}",

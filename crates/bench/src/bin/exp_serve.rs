@@ -412,9 +412,6 @@ fn server_config(
         max_connections: 4 * clients.max(1) + 8,
         admission_batch: 8,
         idle_timeout: Duration::from_secs(30),
-        // Derived per-request budget: max(1, host_cores / workers), so the
-        // worker pool as a whole never oversubscribes the host.
-        solve_threads: 0,
         service: ServiceConfig {
             cache_bytes: cache_mb << 20,
             // Cold runs get 80% of the deadline for local search (the rest
@@ -424,12 +421,10 @@ fn server_config(
             local_search_budget: deadline.mul_f64(0.8),
             warm_budget: deadline / 4,
             default_deadline: Some(deadline),
-            solve_threads: 1, // overwritten by the server's derived budget
-            store: None,
             placement: None, // per-shard scopes are set in spawn_deployment
             ..ServiceConfig::default()
         },
-        store_dir: None,
+        ..ServerConfig::default()
     }
 }
 

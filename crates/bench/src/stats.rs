@@ -92,7 +92,7 @@ impl BenchReport {
 /// object records it: wall-clock numbers (and especially parallel speedups)
 /// are unreproducible without knowing how much hardware the run had.
 pub fn host_cores() -> usize {
-    bsp_sched::resolve_threads(0)
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Geometric mean of a sequence of positive values; `NaN` for an empty input.

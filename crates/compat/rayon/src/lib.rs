@@ -2,9 +2,9 @@
 //! `slice.par_iter().map(f).collect::<Vec<_>>()`.
 //!
 //! Unlike most of the compat crates this is not a sequential fake — the
-//! map fans the closure out over `std::thread::scope`, so the pipeline's
-//! parallel initialization branches and the experiment harness's
-//! per-instance parallelism genuinely run concurrently.  Work distribution is **stealing**, not static
+//! map fans the closure out over `std::thread::scope`, so the experiment
+//! harness's per-instance parallelism (its one user) genuinely runs
+//! concurrently.  Work distribution is **stealing**, not static
 //! chunking: every worker claims small index blocks from one shared atomic
 //! cursor, so a skewed batch (one expensive element among cheap ones) keeps
 //! the remaining lanes busy instead of idling them behind a pre-assigned

@@ -13,6 +13,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelConfig {
     pub base: PipelineConfig,
+    /// Read by nothing (a solve is one thread); delete with ROADMAP item 2.
     pub threads: usize,
 }
 
@@ -77,9 +78,9 @@ pub struct MultilevelScheduler {
 }
 
 impl MultilevelScheduler {
-    /// `base` on `threads` solve threads, `collect_phases` on.
+    /// `base` with `collect_phases` on.
     pub fn new(config: MultilevelConfig) -> Self {
-        let mut base = config.base.with_thread_budget(config.threads);
+        let mut base = config.base;
         base.collect_phases = true;
         let pipeline = Pipeline::new(base);
         MultilevelScheduler { pipeline }

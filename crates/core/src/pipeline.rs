@@ -77,15 +77,6 @@ pub struct PipelineConfig {
     /// the cheaper start, with nine tenths of the time; `HCcs` once on what
     /// it returns with the rest).
     pub hill_climb: HillClimbConfig,
-    /// Thread budget of one pipeline run: how many initializers' sweeps may
-    /// run at once.  The sweeps run on `min(budget, initializers)` lanes,
-    /// each lane taking the next sweep nobody has started, so peak
-    /// concurrency never exceeds the budget; no search reads it, so the
-    /// schedule is the same for every value.  `0` (the default) budgets one
-    /// thread per available core.  Serving workers set this from the
-    /// server-wide budget so `workers × solve-threads` never oversubscribes
-    /// the host.
-    pub solve_threads: usize,
     /// Collect a per-phase wall-clock breakdown ([`PipelineReport::phases`])
     /// during the run.  `false` (the default) is zero-cost: no clock is read
     /// and nothing is allocated for phase accounting.  The serving layer
@@ -107,7 +98,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             hill_climb: HillClimbConfig::default(),
-            solve_threads: 0,
             collect_phases: false,
             deadline: None,
             cancel: CancelToken::inert(),
@@ -156,18 +146,11 @@ impl PipelineConfig {
         }
     }
 
-    /// Sets the thread budget ([`Self::solve_threads`]) and returns the
-    /// configuration.  This is the knob serving workers derive from the
-    /// server-wide budget.
-    pub fn with_thread_budget(mut self, budget: usize) -> Self {
-        self.solve_threads = budget;
+    /// Identity: a solve is one thread.  Kept because the frozen
+    /// `benchmark/` package calls it; delete with ROADMAP item 2.
+    #[doc(hidden)]
+    pub fn with_thread_budget(self, _budget: usize) -> Self {
         self
-    }
-
-    /// The concrete solve-thread budget: `solve_threads`, or one per
-    /// available core when `0`.
-    pub fn effective_solve_threads(&self) -> usize {
-        crate::resolve_threads(self.solve_threads)
     }
 }
 
@@ -252,8 +235,8 @@ pub struct PipelineReport {
     /// [`Dag::lower_bound`] of the caller's DAG: no schedule costs less.
     pub lower_bound: u64,
     /// Per-phase wall-clock breakdown (empty unless
-    /// [`PipelineConfig::collect_phases`] is set).  Sweeps that ran in
-    /// parallel have overlapping spans.
+    /// [`PipelineConfig::collect_phases`] is set).  The depth-0 samples
+    /// follow each other: a run is one thread.
     pub phases: Vec<PhaseSample>,
     /// The final schedule.
     pub schedule: BspSchedule,
@@ -436,10 +419,10 @@ impl Pipeline {
         report
     }
 
-    /// Both initializers' width sweeps, on the thread budget's lanes, then
-    /// `HC` once on the cheaper start — ties to the earlier — with the nine
-    /// tenths of the local-search budget the paper gives it.  The report's
-    /// schedule and `final_cost` are what that search returned.
+    /// Both initializers' width sweeps, one after the other on the calling
+    /// thread, then `HC` once on the cheaper start — ties to the earlier —
+    /// with the nine tenths of the local-search budget the paper gives it.
+    /// The report's schedule and `final_cost` are what that search returned.
     fn start_search(
         &self,
         dag: &Dag,
@@ -447,9 +430,8 @@ impl Pipeline {
         origin: Option<Instant>,
         lower_bound: u64,
     ) -> PipelineReport {
-        let heuristics: [&(dyn Scheduler + Sync); 2] = [&BspgScheduler, &SourceScheduler];
-        let lanes = self.config.effective_solve_threads();
-        let sweeps = crate::map_within_budget(lanes, &heuristics, |&init| {
+        let heuristics: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+        let sweeps = heuristics.map(|init| {
             let started = origin.map(|o| o.elapsed());
             let start = width_sweep(init, dag, machine);
             (start, PhaseSample::since(init.name(), origin, started))
@@ -637,7 +619,6 @@ mod tests {
         // child, then one `hc` once both sweeps have ended, then `hccs`.
         let mut config = PipelineConfig::fast();
         config.collect_phases = true;
-        config.solve_threads = 1;
         let report = Pipeline::new(config).run_report(&dag, &machine);
         let shape: Vec<(&str, u8)> = report.phases.iter().map(|p| (p.name, p.depth)).collect();
         let expected = [
@@ -661,39 +642,9 @@ mod tests {
             );
             assert!(ends(&sweep) <= hc.start_us);
         }
-        assert!(ends(&bspg) <= source.start_us, "one lane at budget 1");
+        assert!(ends(&bspg) <= source.start_us);
         assert!(ends(&hc) <= hccs.start_us);
         assert!(report.funnel_nodes < dag.n());
-    }
-
-    #[test]
-    fn sequential_and_parallel_branch_execution_agree() {
-        let dag = spmv(&SpmvConfig {
-            n: 14,
-            density: 0.25,
-            seed: 13,
-        });
-        let mut cfg = PipelineConfig::fast();
-        // Remove the time dependence so both runs are deterministic.
-        cfg.hill_climb = HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps: 200,
-            ..Default::default()
-        };
-        // On the tree the sweeps narrow the placement, on one lane or two.
-        for machine in [
-            Machine::uniform(4, 3, 5),
-            Machine::numa_binary_tree(8, 3, 5, 3),
-        ] {
-            let par = Pipeline::new(cfg.clone().with_thread_budget(2)).run_report(&dag, &machine);
-            let seq = Pipeline::new(cfg.clone().with_thread_budget(1)).run_report(&dag, &machine);
-            assert_eq!(par.schedule, seq.schedule);
-            assert_eq!(par.final_cost, seq.final_cost);
-            assert_eq!(par.selected_init, seq.selected_init);
-            assert_eq!(par.placement_width, seq.placement_width);
-            assert_eq!(par.branches, seq.branches);
-            assert_eq!(par.local_search_cost, seq.local_search_cost);
-        }
     }
 
     #[test]

@@ -1441,16 +1441,14 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
             // The schedule is parsed from bytes: no UTF-8 pass and no
             // tokenizer over what can be megabytes of digits.
             let mut line: Vec<u8> = Vec::new();
-            reader.read_until(b'\n', &mut line)?;
+            next_line(reader, &mut line)?;
             let proc = parse_usize_list(&line, "PROC")?;
-            line.clear();
-            reader.read_until(b'\n', &mut line)?;
+            next_line(reader, &mut line)?;
             let superstep = parse_usize_list(&line, "STEP")?;
             if proc.len() != superstep.len() {
                 return Err(malformed_bytes(&line, "PROC and STEP lengths differ"));
             }
-            line.clear();
-            reader.read_until(b'\n', &mut line)?;
+            next_line(reader, &mut line)?;
             let comm_header = String::from_utf8_lossy(&line).trim().to_string();
             let mut cit = comm_header.split_whitespace();
             if cit.next() != Some("COMM") {
@@ -1462,10 +1460,7 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
             }
             let mut steps = Vec::with_capacity(k.min(1 << 20));
             for _ in 0..k {
-                line.clear();
-                if reader.read_until(b'\n', &mut line)? == 0 {
-                    return Err(ServeError::UnexpectedEof);
-                }
+                next_line(reader, &mut line)?;
                 // Tokens beyond the four are ignored, as everywhere.
                 let mut fields = Numbers(&line);
                 let mut field = |what: &str| match fields.next() {
@@ -1480,8 +1475,7 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
                     step: field("comm step")?,
                 });
             }
-            line.clear();
-            reader.read_until(b'\n', &mut line)?;
+            next_line(reader, &mut line)?;
             if line.trim_ascii() != b"END" {
                 return Err(malformed_bytes(&line, "expected END after response body"));
             }
@@ -1499,6 +1493,16 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
             }))
         }
         _ => Err(malformed(&header, "expected OK or ERR")),
+    }
+}
+
+/// Replaces `line` with the next line of `reader`; the stream ending first is
+/// [`ServeError::UnexpectedEof`], as in [`read_raw_reply`].
+fn next_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> Result<(), ServeError> {
+    line.clear();
+    match reader.read_until(b'\n', line)? {
+        0 => Err(ServeError::UnexpectedEof),
+        _ => Ok(()),
     }
 }
 
@@ -1559,8 +1563,9 @@ mod tests {
         assert!(read_incoming(&mut reader).unwrap().is_none());
     }
 
-    #[test]
-    fn response_roundtrips_through_the_wire_encoding() {
+    /// A response on [`diamond`] whose lazy `Γ` sends two values (nodes 0 and
+    /// 2 to processor 1): two `COMM` lines on the wire.
+    fn diamond_response() -> ScheduleResponse {
         let dag = diamond();
         let schedule = BspSchedule::from_assignment_lazy(
             &dag,
@@ -1569,7 +1574,7 @@ mod tests {
                 superstep: vec![0, 1, 1, 2],
             },
         );
-        let response = ScheduleResponse {
+        ScheduleResponse {
             id: 7,
             cost: 1234,
             supersteps: 3,
@@ -1577,7 +1582,12 @@ mod tests {
             micros: 987,
             trace_id: 0xabc123,
             schedule,
-        };
+        }
+    }
+
+    #[test]
+    fn response_roundtrips_through_the_wire_encoding() {
+        let response = diamond_response();
         let mut wire = String::new();
         encode_response(&mut wire, &response);
         match read_reply(&mut BufReader::new(wire.as_bytes())).unwrap() {
@@ -1706,9 +1716,26 @@ mod tests {
         ]
     }
 
+    /// One `OK` frame with two `COMM` lines and both readers of it, reduced
+    /// as in [`control_replies`].  `read_raw_reply`'s `None` is the clean end
+    /// between frames; to a caller owed this frame it is the EOF.
+    fn ok_replies() -> [(String, fn(&[u8]) -> Option<ServeError>); 2] {
+        let mut wire = String::new();
+        encode_response(&mut wire, &diamond_response());
+        assert_eq!(wire.matches('\n').count(), 7, "{wire:?}");
+        [
+            (wire.clone(), |mut wire| read_reply(&mut wire).err()),
+            (wire, |mut wire| match read_raw_reply(&mut wire) {
+                Ok(Some(_)) => None,
+                Ok(None) => Some(ServeError::UnexpectedEof),
+                Err(e) => Some(e),
+            }),
+        ]
+    }
+
     #[test]
     fn a_control_reply_cut_off_at_any_line_boundary_is_an_unexpected_eof() {
-        for (wire, read) in control_replies() {
+        for (wire, read) in control_replies().into_iter().chain(ok_replies()) {
             assert_eq!(read(wire.as_bytes()), None, "{wire:?}");
             let boundaries = wire.match_indices('\n').map(|(i, _)| i + 1);
             for cut in std::iter::once(0).chain(boundaries.filter(|&cut| cut < wire.len())) {

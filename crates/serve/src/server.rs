@@ -62,7 +62,8 @@ pub(crate) const SLOW_LOG_CAP: usize = 16;
 /// Configuration of the TCP serving layer.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of worker threads.
+    /// Number of worker threads.  A worker runs one solve at a time on its
+    /// own thread, so this is how many solves run at once.
     pub workers: usize,
     /// Pending-request (job) queue capacity; requests beyond it are refused
     /// with a per-request `busy` error.  This bounds the total in-flight
@@ -78,22 +79,17 @@ pub struct ServerConfig {
     /// A connection idle for this long is closed (also bounds how long
     /// shutdown can wait for a reader stuck on a silent peer).
     pub idle_timeout: Duration,
-    /// Per-request solve-thread budget handed to the service.  `0` (the
-    /// default) derives it from the host: `max(1, host_cores / workers)`, so
-    /// `workers × solve-threads` never oversubscribes the machine — the
-    /// pipeline's init-branch fan-out would otherwise spread to
-    /// `available_parallelism` *per worker*.  A nonzero
-    /// value overrides the derivation (it is passed through verbatim).
-    pub solve_threads: usize,
-    /// Configuration of the underlying [`ScheduleService`].  Its
-    /// `solve_threads` is overwritten with the derived per-request budget
-    /// (see [`ServerConfig::solve_threads`]).
+    /// Configuration of the underlying [`ScheduleService`].
     pub service: ServiceConfig,
     /// Directory of the durable schedule store ([`crate::store`]); `None`
     /// (the default) serves memory-only.  Shorthand for setting
     /// [`ServiceConfig::store`] with default budgets — an explicit
     /// `service.store` wins over this field.
     pub store_dir: Option<PathBuf>,
+    /// Read by nothing: a solve is one thread.  The frozen `benchmark/`
+    /// names it in a struct literal; delete with ROADMAP item 2.
+    #[doc(hidden)]
+    pub solve_threads: usize,
 }
 
 impl Default for ServerConfig {
@@ -104,23 +100,10 @@ impl Default for ServerConfig {
             max_connections: 128,
             admission_batch: 8,
             idle_timeout: Duration::from_secs(30),
-            solve_threads: 0,
             service: ServiceConfig::default(),
             store_dir: None,
+            solve_threads: 0,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The per-request thread budget this configuration resolves to: the
-    /// explicit `solve_threads`, or the host's cores split evenly across the
-    /// workers.
-    pub fn effective_solve_threads(&self) -> usize {
-        if self.solve_threads != 0 {
-            return self.solve_threads;
-        }
-        let cores = bsp_sched::resolve_threads(0);
-        (cores / self.workers.max(1)).max(1)
     }
 }
 
@@ -175,7 +158,6 @@ impl Server {
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let mut service_config = config.service.clone();
-        service_config.solve_threads = config.effective_solve_threads();
         if service_config.store.is_none() {
             if let Some(dir) = &config.store_dir {
                 service_config.store = Some(StoreConfig::at(dir.clone()));
@@ -686,41 +668,17 @@ mod tests {
             max_connections: 16,
             admission_batch: 4,
             idle_timeout: Duration::from_secs(5),
-            solve_threads: 0,
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(40),
                 warm_budget: Duration::from_millis(40),
                 ..Default::default()
             },
-            store_dir: None,
+            ..Default::default()
         };
         Server::bind("127.0.0.1:0", config)
             .expect("bind loopback")
             .spawn()
             .expect("spawn server threads")
-    }
-
-    #[test]
-    fn solve_thread_budget_divides_cores_across_workers() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // More workers than cores: every request solves single-threaded.
-        let oversubscribed = ServerConfig {
-            workers: cores * 2,
-            ..Default::default()
-        };
-        assert_eq!(oversubscribed.effective_solve_threads(), 1);
-        // One worker gets the whole machine.
-        let single = ServerConfig {
-            workers: 1,
-            ..Default::default()
-        };
-        assert_eq!(single.effective_solve_threads(), cores);
-        // An explicit budget passes through verbatim.
-        let explicit = ServerConfig {
-            solve_threads: 3,
-            ..Default::default()
-        };
-        assert_eq!(explicit.effective_solve_threads(), 3);
     }
 
     fn small_dag(work: u64) -> Dag {
@@ -844,13 +802,12 @@ mod tests {
             max_connections: 4,
             admission_batch: 1,
             idle_timeout: Duration::from_secs(5),
-            solve_threads: 0,
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(30),
                 warm_budget: Duration::from_millis(30),
                 ..Default::default()
             },
-            store_dir: None,
+            ..Default::default()
         };
         let server = Server::bind("127.0.0.1:0", config)
             .expect("bind")
@@ -908,13 +865,12 @@ mod tests {
                 max_connections: 4,
                 admission_batch: 1,
                 idle_timeout,
-                solve_threads: 0,
                 service: ServiceConfig {
                     local_search_budget: Duration::from_secs(5),
                     warm_budget: Duration::from_millis(40),
                     ..Default::default()
                 },
-                store_dir: None,
+                ..Default::default()
             };
             Server::bind("127.0.0.1:0", config)
                 .expect("bind")

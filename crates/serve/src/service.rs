@@ -52,13 +52,6 @@ pub struct ServiceConfig {
     pub warm_budget: Duration,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
-    /// Thread budget of one solve.  `1` (the default) runs each request
-    /// fully sequentially — sweep fan-out included — so a pool of workers
-    /// never oversubscribes the host; the server derives this from its
-    /// worker count (see `ServerConfig::solve_threads`).  `0` budgets one
-    /// thread per available core (only sensible for a single-worker
-    /// deployment).
-    pub solve_threads: usize,
     /// The durable store under the cache ([`crate::store`]); `None` (the
     /// default) runs memory-only.  With a store, cache inserts write through
     /// asynchronously, evictions drop only the RAM copy, and startup replays
@@ -74,6 +67,10 @@ pub struct ServiceConfig {
     /// literal; delete with ROADMAP item 2.
     #[doc(hidden)]
     pub min_coarse_nodes: usize,
+    /// Read by nothing: a solve is one thread.  The frozen `benchmark/`
+    /// names it in a struct literal; delete with ROADMAP item 2.
+    #[doc(hidden)]
+    pub solve_threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -83,10 +80,10 @@ impl Default for ServiceConfig {
             local_search_budget: Duration::from_secs(2),
             warm_budget: Duration::from_millis(500),
             default_deadline: None,
-            solve_threads: 1,
             store: None,
             placement: None,
             min_coarse_nodes: 0,
+            solve_threads: 1,
         }
     }
 }
@@ -690,11 +687,8 @@ impl ScheduleService {
     }
 
     /// Cold path: the pipeline with the request mode's `HC` + `HCcs` budget
-    /// (the one thing the modes differ in), deadline-aware and
-    /// constrained to this worker's per-request thread budget (a budget of
-    /// one runs the two width sweeps back to back too, so `workers ×
-    /// solve-threads` bounds the server's total parallelism).  Per-phase
-    /// durations always feed the `bsp_solve_phase_micros_total` counters;
+    /// (the one thing the modes differ in), deadline-aware, on this worker's
+    /// thread.  Per-phase durations always feed the `bsp_solve_phase_micros_total` counters;
     /// with `spans` given they are also recorded under a `solve` span.
     fn solve_cold(
         &self,
@@ -710,8 +704,7 @@ impl ScheduleService {
             Mode::HeuristicsOnly => {
                 PipelineConfig::default().with_hill_climb_time(self.config.local_search_budget)
             }
-        }
-        .with_thread_budget(self.config.solve_threads);
+        };
         config.cancel = cancel.clone();
         config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);

@@ -110,16 +110,16 @@ fn cluster_bound(dag: &Dag, p: usize) -> u64 {
     dag.total_work() / (2 * p as u64)
 }
 
-/// Heuristics only, one thread, a local search bounded by steps rather than
-/// by the clock.
+/// A local search bounded by steps rather than by the clock.
 fn pipeline(max_steps: usize) -> Pipeline {
-    let mut config = PipelineConfig::default().with_thread_budget(1);
-    config.hill_climb = HillClimbConfig {
-        time_limit: Duration::from_secs(3600),
-        max_steps,
-        ..HillClimbConfig::default()
-    };
-    Pipeline::new(config)
+    Pipeline::new(PipelineConfig {
+        hill_climb: HillClimbConfig {
+            time_limit: Duration::from_secs(3600),
+            max_steps,
+            ..HillClimbConfig::default()
+        },
+        ..PipelineConfig::default()
+    })
 }
 
 #[test]
@@ -345,7 +345,7 @@ fn a_pure_in_tree_does_not_fold_into_one_node() {
 /// is the trivial schedule at width 8).
 #[test]
 fn guard_rows_keep_the_gain_and_the_source_bound() {
-    let pipeline = Pipeline::new(PipelineConfig::default().with_thread_budget(1));
+    let pipeline = Pipeline::default();
 
     let dag = fine_spmv(350, 1);
     let machine = Machine::uniform(4, 3, 5);

@@ -119,12 +119,12 @@ fn multilevel_report_is_consistent_on_a_medium_instance() {
     ] {
         let ml = MultilevelScheduler::new(MultilevelConfig {
             base: base.clone(),
-            threads: 1,
+            ..MultilevelConfig::default()
         });
         let clock = std::time::Instant::now();
         let report = ml.run_report(&dag, &machine);
         let wall = clock.elapsed().as_secs_f64();
-        let flat = Pipeline::new(base.clone().with_thread_budget(1)).run_report(&dag, &machine);
+        let flat = Pipeline::new(base.clone()).run_report(&dag, &machine);
         assert_eq!(report.schedule, flat.schedule);
         assert_eq!(report.final_cost, flat.final_cost);
         assert!(report.schedule.validate(&dag, &machine).is_ok());

@@ -12,9 +12,9 @@
 //! full machine, its `final_cost` is a from-scratch recompute and no more than
 //! the trivial cost or any start's, every initializer's width follows the
 //! stated rule and its `init_cost` is that start's, the searched start is the
-//! arg-min, `HC` runs once and after both sweeps, and neither the thread
-//! budget nor the phase clock shows in the answer.  All of it is judged on the
-//! DAG the pipeline solves — what the funnel reduction leaves of the input.
+//! arg-min, `HC` runs once and after both sweeps, and the phase clock does not
+//! show in the answer.  All of it is judged on the DAG the pipeline solves —
+//! what the funnel reduction leaves of the input.
 
 mod common;
 
@@ -29,16 +29,17 @@ use dag_gen::{cg, coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, S
 use rand::Rng;
 use std::time::Duration;
 
-/// Heuristics only, one thread, and a local search bounded by steps rather
-/// than by the clock, so a run is a function of its input.
+/// A local search bounded by steps rather than by the clock, so a run is a
+/// function of its input.
 fn config() -> PipelineConfig {
-    let mut config = PipelineConfig::default().with_thread_budget(1);
-    config.hill_climb = HillClimbConfig {
-        time_limit: Duration::from_secs(3600),
-        max_steps: 2000,
-        ..HillClimbConfig::default()
-    };
-    config
+    PipelineConfig {
+        hill_climb: HillClimbConfig {
+            time_limit: Duration::from_secs(3600),
+            max_steps: 2000,
+            ..HillClimbConfig::default()
+        },
+        ..PipelineConfig::default()
+    }
 }
 
 fn trivial_cost(dag: &Dag, machine: &Machine) -> u64 {
@@ -64,7 +65,7 @@ fn rows_that_lost_to_one_processor_no_longer_do() {
         iterations: 200,
     });
     let uniform = Machine::uniform(4, 3, 5);
-    let pipeline = Pipeline::new(PipelineConfig::default().with_thread_budget(1));
+    let pipeline = Pipeline::default();
     for (name, dag, machine) in [("cg", &fine, &tree), ("pagerank", &kernel, &uniform)] {
         let report = pipeline.run_report(dag, machine);
         assert!(report.schedule.validate(dag, machine).is_ok(), "{name}");
@@ -83,7 +84,7 @@ fn rows_that_lost_to_one_processor_no_longer_do() {
 
 #[test]
 fn the_rows_on_record_for_one_search() {
-    let pipeline = Pipeline::new(PipelineConfig::default().with_thread_budget(1));
+    let pipeline = Pipeline::default();
 
     // A hub DAG: `BSPg`'s start is more than twice `Source`'s, and `HC` from
     // it used to walk past the `n/2`-successor matrix node step by step.  The
@@ -256,19 +257,17 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
                 assert_eq!(report.schedule, floor, "{context}");
             }
 
-            // The thread budget and the phase clock show nowhere in the answer.
-            for budget in [2, 4] {
-                let mut config = config().with_thread_budget(budget);
-                config.collect_phases = budget == 4;
-                let par = Pipeline::new(config).run_report(&dag, &machine);
-                assert_eq!(par.schedule, report.schedule, "{context}: par == seq");
-                assert_eq!(par.branches, report.branches, "{context}: par == seq");
-                assert_eq!(par.selected_init, report.selected_init, "{context}");
-                assert_eq!(par.local_search_cost, report.local_search_cost);
-                if budget == 4 {
-                    assert_one_search_after_both_sweeps(&context, &par);
-                }
-            }
+            // The phase clock shows nowhere in the answer.
+            let traced = Pipeline::new(PipelineConfig {
+                collect_phases: true,
+                ..config()
+            })
+            .run_report(&dag, &machine);
+            assert_eq!(traced.schedule, report.schedule, "{context}: traced");
+            assert_eq!(traced.branches, report.branches, "{context}: traced");
+            assert_eq!(traced.selected_init, report.selected_init, "{context}");
+            assert_eq!(traced.local_search_cost, report.local_search_cost);
+            assert_one_search_after_both_sweeps(&context, &traced);
 
             // A token fired before the run stops `HC` at its first visit:
             // the cheaper start comes back, or the floor under it.

@@ -181,91 +181,38 @@ fn pipeline_never_loses_to_its_own_initializers() {
 }
 
 #[test]
-fn a_thread_budget_never_changes_the_schedule() {
-    // A budget decides how many initializers sweep at once and nothing else
-    // reads it.  The DAGs are small enough that no time limit binds, so
-    // every run is deterministic.
-    let dags = [
-        spmv(&SpmvConfig {
-            n: 40,
-            density: 0.15,
-            seed: 21,
-        }),
-        cg(&IterConfig {
-            n: 12,
-            density: 0.3,
-            iterations: 2,
-            seed: 22,
-        }),
-        coarse(&CoarseConfig {
-            algorithm: CoarseAlgorithm::PageRank,
-            iterations: 12,
-        }),
-    ];
-    let machines = [
-        Machine::uniform(4, 3, 5),
-        Machine::numa_binary_tree(8, 3, 5, 3),
-    ];
-    let pipeline = |budget| Pipeline::new(PipelineConfig::default().with_thread_budget(budget));
-    for dag in &dags {
-        for machine in &machines {
-            assert_eq!(
-                pipeline(1).run(dag, machine),
-                pipeline(4).run(dag, machine),
-                "pipeline, n={} P={}",
-                dag.n(),
-                machine.p()
-            );
-        }
-    }
-}
-
-#[test]
-fn a_budget_of_one_runs_the_branches_back_to_back() {
-    // One rule decides the fan-out, however the budget was set: a budget of
-    // one never has two sweeps in flight, so the `BSPg` and `Source` windows
-    // of the phase report cannot overlap.  The DAG is large enough for each
-    // sweep to take a good part of a millisecond (an overlap would show) and
-    // small enough that no time limit binds (the schedules are comparable).
+fn the_sweeps_run_back_to_back() {
+    // A solve is one thread: the default configuration never has two sweeps
+    // in flight, so the `BSPg` and `Source` windows of the phase report
+    // cannot overlap.  The DAG is large enough for each sweep to take a good
+    // part of a millisecond (an overlap would show) and small enough that no
+    // time limit binds (the schedules are comparable).
     let dag = spmv(&SpmvConfig {
         n: 150,
         density: 0.05,
         seed: 33,
     });
     let machine = Machine::uniform(4, 3, 5);
-    let traced = |config: PipelineConfig| {
-        Pipeline::new(PipelineConfig {
-            collect_phases: true,
-            ..config
-        })
-        .run_report(&dag, &machine)
+    let report = Pipeline::new(PipelineConfig {
+        collect_phases: true,
+        ..PipelineConfig::default()
+    })
+    .run_report(&dag, &machine);
+    let window = |name: &str| {
+        let span = report
+            .phases
+            .iter()
+            .find(|p| p.name == name && p.depth == 0)
+            .unwrap_or_else(|| panic!("no {name} span"));
+        (span.start_us, span.start_us + span.dur_us)
     };
-    let wide = traced(PipelineConfig::default().with_thread_budget(4));
-    for (how, config) in [
-        (
-            "field",
-            PipelineConfig {
-                solve_threads: 1,
-                ..PipelineConfig::default()
-            },
-        ),
-        ("builder", PipelineConfig::default().with_thread_budget(1)),
-    ] {
-        let report = traced(config);
-        let window = |name: &str| {
-            let span = report
-                .phases
-                .iter()
-                .find(|p| p.name == name && p.depth == 0)
-                .unwrap_or_else(|| panic!("{how}: no {name} span"));
-            (span.start_us, span.start_us + span.dur_us)
-        };
-        let (bspg, source) = (window("BSPg"), window("Source"));
-        assert!(bspg.1 > bspg.0 && source.1 > source.0, "{how}: empty span");
-        assert!(
-            bspg.1 <= source.0 || source.1 <= bspg.0,
-            "{how}: sweeps overlap at budget 1: BSPg {bspg:?}, Source {source:?}"
-        );
-        assert_eq!(report.schedule, wide.schedule, "{how}: schedule differs");
-    }
+    let (bspg, source) = (window("BSPg"), window("Source"));
+    assert!(bspg.1 > bspg.0 && source.1 > source.0, "empty span");
+    assert!(
+        bspg.1 <= source.0,
+        "sweeps overlap: BSPg {bspg:?}, Source {source:?}"
+    );
+    // The phase clock reads the run and changes nothing in it.
+    let untraced = Pipeline::default().run(&dag, &machine);
+    assert_eq!(report.schedule, untraced, "schedule differs");
 }

@@ -23,7 +23,6 @@ fn service(cache_bytes: usize) -> ScheduleService {
         local_search_budget: Duration::from_secs(30),
         warm_budget: Duration::from_secs(30),
         default_deadline: None,
-        solve_threads: 1,
         ..Default::default()
     })
 }

@@ -29,13 +29,12 @@ fn shard_server() -> ServerHandle {
         max_connections: 16,
         admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
-        solve_threads: 0,
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
             warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
-        store_dir: None,
+        ..Default::default()
     };
     Server::bind("127.0.0.1:0", config)
         .expect("bind shard")
@@ -195,13 +194,12 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         max_connections: 16,
         admission_batch: 4,
         idle_timeout: Duration::from_millis(150),
-        solve_threads: 0,
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
             warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
-        store_dir: None,
+        ..Default::default()
     };
     let shard = Server::bind("127.0.0.1:0", config)
         .expect("bind shard")
@@ -433,13 +431,13 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         max_connections: 16,
         admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
-        solve_threads: 0,
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
             warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
         store_dir: Some(store_dir.clone()),
+        ..Default::default()
     };
     let stored_shard = Server::bind("127.0.0.1:0", stored_config())
         .expect("bind stored shard")

@@ -76,9 +76,8 @@ fn shard_server() -> ServerHandle {
         max_connections: 16,
         admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
-        solve_threads: 0,
         service: service_config(),
-        store_dir: None,
+        ..Default::default()
     };
     Server::bind("127.0.0.1:0", config)
         .expect("bind shard")
@@ -97,8 +96,7 @@ fn routed_deployment() -> (Vec<ServerHandle>, RouterHandle) {
     (shards, router)
 }
 
-/// Property: with a sequential solve (`solve_threads == 1`), the spans a
-/// traced request records are consistent — every span fits inside the
+/// Property: the spans a traced request records are consistent — every span fits inside the
 /// measured wall-clock, and the solver's child phases sum to no more than
 /// their parent `solve` span.
 #[test]

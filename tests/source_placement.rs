@@ -13,7 +13,7 @@ mod common;
 
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::Pipeline;
 use bsp_sched::{Funnel, Scheduler};
 use common::{random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
@@ -182,29 +182,6 @@ fn placement_starts_from_any_communication_schedule() {
     }
 }
 
-#[test]
-fn the_thread_budget_does_not_show_in_the_placed_schedules() {
-    let mut config = PipelineConfig::default();
-    config.hill_climb.time_limit = std::time::Duration::from_secs(3600);
-    config.hill_climb.max_steps = 500;
-    for case in 0..6 {
-        let mut rng = rng_for_case(0x50AE, case);
-        let dag = source_heavy_dag(&mut rng);
-        for machine in machines(&mut rng) {
-            let run = |budget| {
-                Pipeline::new(config.clone().with_thread_budget(budget)).run_report(&dag, &machine)
-            };
-            let one = run(1);
-            for budget in [2, 4] {
-                let other = run(budget);
-                assert_eq!(other.schedule, one.schedule, "case {case}, budget {budget}");
-                assert_eq!(other.branches, one.branches, "case {case}, budget {budget}");
-                assert_eq!(other.local_search_cost, one.local_search_cost);
-            }
-        }
-    }
-}
-
 /// The instance of the issue: three iterations of `exp` on a 180-row matrix,
 /// 2377 nodes of which the funnel reduction leaves the 1620 matrix and vector
 /// entries as sources.
@@ -216,7 +193,7 @@ fn pinned_rows_keep_the_gain() {
         iterations: 3,
         seed: 1,
     });
-    let pipeline = Pipeline::new(PipelineConfig::default().with_thread_budget(1));
+    let pipeline = Pipeline::default();
 
     // Was 4691 with the sources where `BSPg` and `Source` drop them; 3802.
     let uniform = Machine::uniform(4, 3, 5);
