@@ -51,7 +51,9 @@
 //!                      router, depth-4 pipelined clients, zero invalid
 //!                      schedules, every FP replay on its owning shard,
 //!                      live placement counters in the mid-workload scrape,
-//!                      sharded warm hits >= 0.9x the serial baseline)
+//!                      sharded warm hits >= 0.9x the serial baseline,
+//!                      cached bytes per node within 25% of the 32-bit
+//!                      schedule's; exit 1 above it)
 
 use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
@@ -64,11 +66,16 @@ use bsp_serve::{
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The `--smoke` ceiling on cached bytes per node: 12.54 measured at the
+/// default seed with 32-bit `π`, `τ` and `Γ` (12.2–12.7 on seeds 1–3), plus
+/// 25 %.  `usize` maps and transfers read ~24.8.
+const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 15.7;
 
 /// One schedulable instance of the workload.
 struct WorkItem {
@@ -821,6 +828,21 @@ fn main() {
          {solve_phase_micros}us of attributed solver phase time",
         metrics.counter_sum("bsp_requests_total"),
     );
+    // Bytes per cached node: the shards' pooled cache gauges over the mean
+    // size n̄ of the distinct instances the stream asked for (one cache
+    // entry each; the caches are far larger than the workload).
+    let distinct: HashSet<usize> = stream.iter().copied().collect();
+    let mean_nodes =
+        distinct.iter().map(|&i| pool[i].dag.n()).sum::<usize>() as f64 / distinct.len() as f64;
+    let gauge = |key: &str| metrics.gauges.get(key).copied().unwrap_or(0) as f64;
+    let cache_bytes_per_node =
+        gauge("bsp_cache_bytes") / gauge("bsp_cache_entries").max(1.0) / mean_nodes;
+    eprintln!(
+        "cache: {} entries in {} bytes, n̄ {mean_nodes:.1}: {cache_bytes_per_node:.2} bytes per \
+         cached node",
+        gauge("bsp_cache_entries"),
+        gauge("bsp_cache_bytes"),
+    );
 
     // ---- Phase 4: huge-instance request ---------------------------------
     // Skipped under --smoke: a 10⁵-node cold solve is minutes of CI time.
@@ -1018,7 +1040,8 @@ fn main() {
          \"restart_store\": {{\"appended\": {}, \"loaded\": {}, \"recovered_bytes\": {}, \
          \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}}}, \
          \"router_metrics\": {{\"requests_total\": {}, \"queue_wait_p50_us\": {qw_p50}, \
-         \"queue_wait_p99_us\": {qw_p99}, \"solve_phase_micros\": {solve_phase_micros}}}, \
+         \"queue_wait_p99_us\": {qw_p99}, \"solve_phase_micros\": {solve_phase_micros}, \
+         \"cache_bytes_per_node\": {cache_bytes_per_node:.2}}}, \
          \"huge\": {huge_json}, \
          \"warm_locality\": {warm_locality}, \
          \"reps\": [{}]}}",
@@ -1133,6 +1156,15 @@ fn main() {
                 "smoke: sharded warm hits {agg_warm} fell below 0.9x the serial \
                  baseline {serial_warm}"
             );
+        }
+        // Footprint gate: a cached answer is `8·n + 16·|Γ|` bytes; a wider
+        // schedule representation would show up here first.
+        if cache_bytes_per_node > SMOKE_MAX_CACHE_BYTES_PER_NODE {
+            eprintln!(
+                "smoke: {cache_bytes_per_node:.2} cached bytes per node exceed \
+                 {SMOKE_MAX_CACHE_BYTES_PER_NODE}"
+            );
+            std::process::exit(1);
         }
         eprintln!("smoke assertions passed");
     }

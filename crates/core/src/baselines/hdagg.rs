@@ -30,7 +30,7 @@ impl Default for HDaggScheduler {
 impl HDaggScheduler {
     /// Computes the processor assignment and (un-aggregated) wavefront index
     /// of every node.
-    fn assign(&self, dag: &Dag, machine: &Machine) -> (Vec<usize>, Vec<usize>) {
+    fn assign(&self, dag: &Dag, machine: &Machine) -> (Vec<u32>, Vec<usize>) {
         let n = dag.n();
         let p = machine.p();
         let levels = dag.levels();
@@ -40,7 +40,7 @@ impl HDaggScheduler {
             wavefronts[levels[v]].push(v);
         }
 
-        let mut proc = vec![0usize; n];
+        let mut proc = vec![0u32; n];
         for wavefront in &wavefronts {
             let total_work: u64 = wavefront.iter().map(|&v| dag.work(v)).sum();
             let ideal = (total_work as f64 / p as f64).max(1.0);
@@ -53,7 +53,7 @@ impl HDaggScheduler {
                 // placed on each processor.
                 let mut affinity = vec![0u64; p];
                 for &u in dag.predecessors(v) {
-                    affinity[proc[u]] += dag.comm(u);
+                    affinity[proc[u] as usize] += dag.comm(u);
                 }
                 let within_slack =
                     |q: usize| (load[q] + dag.work(v)) as f64 <= ideal * self.balance_slack;
@@ -67,7 +67,7 @@ impl HDaggScheduler {
                         .min_by_key(|&q| (load[q], std::cmp::Reverse(affinity[q])))
                         .expect("at least one processor")
                 });
-                proc[v] = q;
+                proc[v] = q as u32;
                 load[q] += dag.work(v);
             }
         }
@@ -77,15 +77,15 @@ impl HDaggScheduler {
     /// Aggregates consecutive wavefronts into supersteps: a wavefront joins the
     /// current superstep if none of its nodes has a predecessor inside the
     /// current superstep that lives on a different processor.
-    fn aggregate(&self, dag: &Dag, proc: &[usize], levels: &[usize]) -> Vec<usize> {
+    fn aggregate(&self, dag: &Dag, proc: &[u32], levels: &[usize]) -> Vec<u32> {
         let n = dag.n();
         let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
         let mut level_nodes: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
         for v in 0..n {
             level_nodes[levels[v]].push(v);
         }
-        let mut level_to_superstep = vec![0usize; num_levels];
-        let mut current = 0usize;
+        let mut level_to_superstep = vec![0u32; num_levels];
+        let mut current = 0u32;
         let mut current_first_level = 0usize;
         for l in 0..num_levels {
             if l > 0 {

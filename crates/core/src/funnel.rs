@@ -153,7 +153,7 @@ impl Funnel {
                 .collect(),
         };
         let steps = coarse_schedule.comm.steps().iter().map(|step| CommStep {
-            node: self.roots[step.node],
+            node: self.roots[step.node as usize] as u32,
             ..*step
         });
         BspSchedule {

@@ -15,7 +15,7 @@
 //! move touched), with a verification sweep certifying the local minimum.
 
 use super::{HillClimbConfig, HillClimbOutcome};
-use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
+use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -196,13 +196,13 @@ pub fn hccs_improve(
     for r in &requirements {
         let earliest = r.earliest_step();
         let latest = r.latest_step();
-        let key = (r.node, r.source, r.target);
+        let key = (r.node as u32, r.source as u32, r.target as u32);
         let mut placed = None;
         while let Some(cs) = existing.get(cursor) {
             match (cs.node, cs.from, cs.to).cmp(&key) {
                 Ordering::Less => {}
                 // Of several transfers of one value the latest counts.
-                Ordering::Equal => placed = Some(cs.step),
+                Ordering::Equal => placed = Some(cs.step as usize),
                 Ordering::Greater => break,
             }
             cursor += 1;
@@ -241,15 +241,10 @@ pub fn hccs_improve(
     let (steps, reached_local_minimum) = cs_search(&mut state, &phase_reqs, config, start);
 
     // Materialize the optimized communication schedule.
-    let comm_steps: Vec<CommStep> = requirements
+    let comm_steps = requirements
         .iter()
         .zip(&state.reqs)
-        .map(|(r, req)| CommStep {
-            node: r.node,
-            from: r.source,
-            to: r.target,
-            step: req.current,
-        })
+        .map(|(r, req)| r.send_at(req.current))
         .collect();
     schedule.comm = CommSchedule::from_steps(comm_steps);
     let final_cost = schedule.cost(dag, machine);
@@ -264,7 +259,7 @@ pub fn hccs_improve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsp_model::Assignment;
+    use bsp_model::{Assignment, CommStep};
 
     /// Processor 0 must send the value of node 0 to processor 1 in phase 0
     /// (it is needed in superstep 1), and processor 1 must send the value of
@@ -293,7 +288,7 @@ mod tests {
         assert!(outcome.final_cost < before, "no improvement over {before}");
         assert_eq!(outcome.final_cost, sched.cost(&dag, &machine));
         // Both transfers now share phase 0 (the second one moved forward).
-        let steps: Vec<usize> = sched.comm.steps().iter().map(|s| s.step).collect();
+        let steps: Vec<u32> = sched.comm.steps().iter().map(|s| s.step).collect();
         assert_eq!(steps, vec![0, 0]);
     }
 

@@ -455,6 +455,11 @@ fn push_contributions(
     }
 }
 
+/// A 32-bit assignment map as the `usize` array the core indexes with.
+fn widen(xs: &[u32]) -> Vec<usize> {
+    xs.iter().map(|&x| x as usize).collect()
+}
+
 impl<'a> HcCore<'a> {
     /// Builds the shared core from an assignment, using `scratch` for the
     /// initial tally construction.  See [`HcState::new`] for the feasibility
@@ -480,10 +485,10 @@ impl<'a> HcCore<'a> {
             });
         }
         for (v, &q) in assignment.proc.iter().enumerate() {
-            if q >= p {
+            if q as usize >= p {
                 return Err(ValidityError::ProcessorOutOfRange {
                     node: v,
-                    proc: q,
+                    proc: q as usize,
                     p,
                 });
             }
@@ -508,8 +513,8 @@ impl<'a> HcCore<'a> {
         let contrib_bound = (max_in + 1) * p;
         let mut core = HcCore {
             machine,
-            proc: assignment.proc,
-            step: assignment.superstep,
+            proc: widen(&assignment.proc),
+            step: widen(&assignment.superstep),
             nodes_in_step: vec![0; capacity],
             step_nodes: vec![Vec::new(); capacity],
             bucket_pos: vec![0; n],
@@ -640,9 +645,10 @@ impl<'a> HcCore<'a> {
 
     /// A snapshot of the current assignment.
     pub fn assignment(&self) -> Assignment {
+        let narrow = |xs: &[usize]| xs.iter().map(|&x| x as u32).collect();
         Assignment {
-            proc: self.proc.clone(),
-            superstep: self.step.clone(),
+            proc: narrow(&self.proc),
+            superstep: narrow(&self.step),
         }
     }
 
@@ -1456,10 +1462,7 @@ impl<'a> HcState<'a> {
 
     /// Consumes the state and returns the assignment.
     pub fn into_assignment(self) -> Assignment {
-        Assignment {
-            proc: self.core.proc,
-            superstep: self.core.step,
-        }
+        self.core.assignment()
     }
 
     /// Total schedule cost under the lazy communication schedule.  `O(1)`.

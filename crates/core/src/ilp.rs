@@ -109,7 +109,10 @@ pub fn ilp_cs_improve(
         .comm
         .steps()
         .iter()
-        .map(|cs| ((cs.node, cs.from, cs.to), cs.step))
+        .map(|cs| {
+            let key = (cs.node as usize, cs.from as usize, cs.to as usize);
+            (key, cs.step as usize)
+        })
         .collect();
     let mut warm = vec![0.0; model.num_vars()];
     for (i, r) in requirements.iter().enumerate() {
@@ -152,12 +155,7 @@ pub fn ilp_cs_improve(
             let k = (0..choice[i].len())
                 .find(|&k| result.values[choice[i][k].index()] > 0.5)
                 .unwrap_or(choice[i].len() - 1);
-            CommStep {
-                node: r.node,
-                from: r.source,
-                to: r.target,
-                step: r.earliest_step() + k,
-            }
+            r.send_at(r.earliest_step() + k)
         })
         .collect();
     let mut candidate = schedule.clone();

@@ -39,8 +39,9 @@ const NO_POOL: usize = usize::MAX;
 struct Pools<'a> {
     dag: &'a Dag,
     p: usize,
-    proc: Vec<usize>,
-    superstep_of: Vec<usize>,
+    /// `π` and `τ` so far, `u32::MAX` while unassigned.
+    proc: Vec<u32>,
+    superstep_of: Vec<u32>,
     /// `succ_on[u * p + q]`: a direct successor of `u` is assigned to `q`.
     succ_on: Vec<bool>,
     /// Pool of each node: `q < p` for `ready_proc[q]` (at most one, the
@@ -61,7 +62,7 @@ impl Pools<'_> {
         let dag = self.dag;
         let mut s = 0.0;
         for &u in dag.predecessors(v) {
-            if self.proc[u] == q || self.succ_on[u * self.p + q] {
+            if self.proc[u] as usize == q || self.succ_on[u * self.p + q] {
                 s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
             }
         }
@@ -113,10 +114,12 @@ impl Pools<'_> {
         let dag = self.dag;
         self.len[self.pool[v]] -= 1;
         self.pool[v] = NO_POOL;
-        self.proc[v] = q;
-        self.superstep_of[v] = superstep;
+        self.proc[v] = q as u32;
+        self.superstep_of[v] = superstep as u32;
         for &u in dag.predecessors(v) {
-            if std::mem::replace(&mut self.succ_on[u * self.p + q], true) || self.proc[u] == q {
+            if std::mem::replace(&mut self.succ_on[u * self.p + q], true)
+                || self.proc[u] as usize == q
+            {
                 continue;
             }
             for &w in dag.successors(u) {
@@ -134,7 +137,7 @@ impl Pools<'_> {
         self.ready_all.iter_mut().for_each(BinaryHeap::clear);
         self.len.fill(0);
         for v in ready.drain(..) {
-            if self.proc[v] == usize::MAX {
+            if self.proc[v] == u32::MAX {
                 self.insert(v, self.p);
             }
         }
@@ -157,8 +160,8 @@ impl BspgScheduler {
         let mut pools = Pools {
             dag,
             p,
-            proc: vec![usize::MAX; n],
-            superstep_of: vec![usize::MAX; n],
+            proc: vec![u32::MAX; n],
+            superstep_of: vec![u32::MAX; n],
             succ_on: vec![false; n * p],
             pool: vec![NO_POOL; n],
             ready_proc: vec![BinaryHeap::new(); p],
@@ -196,16 +199,16 @@ impl BspgScheduler {
                 .expect("finish event queue cannot be empty here");
 
             for &v in &finishing {
-                let q = pools.proc[v];
+                let q = pools.proc[v] as usize;
                 free[q] = true;
                 for &u in dag.successors(v) {
                     unfinished_preds[u] -= 1;
                     if unfinished_preds[u] == 0 {
                         ready.push(u);
-                        let assignable_here = dag
-                            .predecessors(u)
-                            .iter()
-                            .all(|&u0| pools.proc[u0] == q || pools.superstep_of[u0] < superstep);
+                        let assignable_here = dag.predecessors(u).iter().all(|&u0| {
+                            pools.proc[u0] as usize == q
+                                || (pools.superstep_of[u0] as usize) < superstep
+                        });
                         if assignable_here {
                             pools.insert(u, q);
                         }
@@ -293,7 +296,7 @@ mod tests {
         let a = BspgScheduler.assignment(&dag, &machine);
         assert_eq!(a.proc.len(), dag.n());
         assert!(a.proc.iter().all(|&q| q < 4));
-        assert!(a.superstep.iter().all(|&s| s != usize::MAX));
+        assert!(a.superstep.iter().all(|&s| s != u32::MAX));
     }
 
     #[test]
@@ -301,8 +304,7 @@ mod tests {
         let dag = layered(2, 12);
         let machine = Machine::uniform(4, 1, 1);
         let sched = BspgScheduler.schedule(&dag, &machine);
-        let used: std::collections::HashSet<usize> =
-            sched.assignment.proc.iter().copied().collect();
+        let used: std::collections::HashSet<u32> = sched.assignment.proc.iter().copied().collect();
         assert!(used.len() > 1, "BSPg never used a second processor");
         // It should comfortably beat the trivial sequential schedule here.
         assert!(sched.cost(&dag, &machine) < BspSchedule::trivial(&dag).cost(&dag, &machine));
@@ -318,8 +320,7 @@ mod tests {
         let machine = Machine::uniform(4, 3, 5);
         let sched = BspgScheduler.schedule(&dag, &machine);
         assert!(sched.validate(&dag, &machine).is_ok());
-        let procs: std::collections::HashSet<usize> =
-            sched.assignment.proc.iter().copied().collect();
+        let procs: std::collections::HashSet<u32> = sched.assignment.proc.iter().copied().collect();
         assert_eq!(procs.len(), 1, "chain was split across processors");
         assert!(sched.comm.is_empty());
         assert!(sched.num_supersteps() <= dag.n());

@@ -40,9 +40,6 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
     if p < 2 {
         return false;
     }
-    let step = &schedule.assignment.superstep;
-    let proc = &schedule.assignment.proc;
-
     // One walk over the successors of every source: is it movable, which
     // processors host a consumer, and what would each processor cost
     // (`costs[i·P + q]` for `sources[i]`).  No consumer is a source, so the
@@ -58,9 +55,10 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
         hosts.clear();
         let mut movable = dag.out_degree(v) > 0;
         for &w in dag.successors(v) {
-            movable &= step[w] > step[v];
-            if std::mem::replace(&mut hosted[proc[w]], v) != v {
-                hosts.push(proc[w]);
+            movable &= schedule.superstep(w) > schedule.superstep(v);
+            let q = schedule.proc(w);
+            if std::mem::replace(&mut hosted[q], v) != v {
+                hosts.push(q);
             }
         }
         if !movable {
@@ -81,7 +79,7 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
             regret: Reverse(second - cheapest),
             node: v,
             index: sources.len(),
-            from: proc[v],
+            from: schedule.proc(v),
         });
     }
     if sources.is_empty() {
@@ -93,21 +91,21 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
     // work of processor `q` in it.
     let mut room = vec![0u64; schedule.assignment.num_supersteps() * p];
     for v in 0..dag.n() {
-        room[step[v] * p + proc[v]] += dag.work(v);
+        room[schedule.superstep(v) * p + schedule.proc(v)] += dag.work(v);
     }
     for row in room.chunks_mut(p) {
         let max = row.iter().copied().max().unwrap_or(0);
         row.iter_mut().for_each(|load| *load = max - *load);
     }
     for source in &sources {
-        room[step[source.node] * p + source.from] += dag.work(source.node);
+        room[schedule.superstep(source.node) * p + source.from] += dag.work(source.node);
     }
 
     // A superstep in which a source found no room keeps all of its own.
-    let mut proc = proc.clone();
+    let mut proc = schedule.assignment.proc.clone();
     let mut stuck = vec![false; room.len() / p];
     for source in &sources {
-        let (v, from, s) = (source.node, source.from, step[source.node]);
+        let (v, from, s) = (source.node, source.from, schedule.superstep(source.node));
         if stuck[s] {
             continue;
         }
@@ -116,17 +114,17 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
         match fits.min_by_key(|&q| (cost[q], q != from, q)) {
             Some(q) => {
                 room[q] -= dag.work(v);
-                proc[v] = q;
+                proc[v] = q as u32;
             }
             None => stuck[s] = true,
         }
     }
     let mut moved = false;
     for source in &sources {
-        if stuck[step[source.node]] {
-            proc[source.node] = source.from;
+        if stuck[schedule.superstep(source.node)] {
+            proc[source.node] = source.from as u32;
         }
-        moved |= proc[source.node] != source.from;
+        moved |= proc[source.node] as usize != source.from;
     }
     if !moved {
         return false;
@@ -164,7 +162,7 @@ mod tests {
 
     /// Sources 0–3 feed the consumers 4 and 5, which sit on processors 0
     /// and 1 in superstep 1; `proc` places the sources in superstep 0.
-    fn two_consumers(proc: [usize; 4]) -> (Dag, BspSchedule) {
+    fn two_consumers(proc: [u32; 4]) -> (Dag, BspSchedule) {
         let edges = [(0, 4), (1, 4), (2, 5), (3, 5)];
         let dag = Dag::from_edges(6, &edges, vec![1; 6], vec![2; 6]).unwrap();
         let assignment = Assignment {

@@ -33,8 +33,9 @@ pub struct SourceScheduler;
 /// The assignment so far and the "shrinking" DAG of the unassigned nodes.
 struct Shrinking<'a> {
     dag: &'a Dag,
-    proc: Vec<usize>,
-    superstep_of: Vec<usize>,
+    /// `π` and `τ` so far, `u32::MAX` while unassigned.
+    proc: Vec<u32>,
+    superstep_of: Vec<u32>,
     /// In-degree of each node counting unassigned predecessors only.
     remaining_indeg: Vec<usize>,
     /// Nodes whose remaining in-degree hit 0 and that the pull-in has not
@@ -45,8 +46,8 @@ struct Shrinking<'a> {
 impl Shrinking<'_> {
     /// Assigns `v` and removes it from the remaining DAG.
     fn assign(&mut self, v: usize, q: usize, superstep: usize) {
-        self.proc[v] = q;
-        self.superstep_of[v] = superstep;
+        self.proc[v] = q as u32;
+        self.superstep_of[v] = superstep as u32;
         for &w in self.dag.successors(v) {
             self.remaining_indeg[w] -= 1;
             if self.remaining_indeg[w] == 0 {
@@ -63,8 +64,8 @@ impl SourceScheduler {
         let p = machine.p();
         let mut st = Shrinking {
             dag,
-            proc: vec![usize::MAX; n],
-            superstep_of: vec![usize::MAX; n],
+            proc: vec![u32::MAX; n],
+            superstep_of: vec![u32::MAX; n],
             remaining_indeg: (0..n).map(|v| dag.in_degree(v)).collect(),
             freed: Vec::new(),
         };
@@ -155,7 +156,7 @@ impl SourceScheduler {
                 let preds = dag.predecessors(u);
                 let target = st.proc[preds[0]];
                 if preds.iter().all(|&w| st.proc[w] == target) {
-                    st.assign(u, target, superstep);
+                    st.assign(u, target as usize, superstep);
                 } else {
                     sources.push(u);
                 }
@@ -222,7 +223,7 @@ mod tests {
         let machine = Machine::uniform(4, 1, 5);
         let a = SourceScheduler.assignment(&dag, &machine);
         assert!(a.proc.iter().all(|&q| q < 4));
-        assert!(a.superstep.iter().all(|&s| s != usize::MAX));
+        assert!(a.superstep.iter().all(|&s| s != u32::MAX));
     }
 
     #[test]

@@ -81,10 +81,10 @@ impl ClassicalSchedule {
 
     /// `true` if `v` has a predecessor on a different processor that has no
     /// superstep yet.
-    fn is_blocked(&self, dag: &Dag, v: usize, superstep: &[usize]) -> bool {
+    fn is_blocked(&self, dag: &Dag, v: usize, superstep: &[u32]) -> bool {
         dag.predecessors(v)
             .iter()
-            .any(|&u| superstep[u] == usize::MAX && self.proc[u] != self.proc[v])
+            .any(|&u| superstep[u] == u32::MAX && self.proc[u] != self.proc[v])
     }
 
     /// Converts this classical schedule into a BSP assignment by cutting the
@@ -95,8 +95,10 @@ impl ClassicalSchedule {
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&v| (self.start[v], v));
 
-        let mut superstep = vec![usize::MAX; n];
-        let mut current = 0usize;
+        // `current < n ≤ u32::MAX` (one node per superstep at least), so the
+        // sentinel is never a real superstep.
+        let mut superstep = vec![u32::MAX; n];
+        let mut current = 0u32;
         // `order[begin..]` is unassigned.  `order[begin..scan]` is known to be
         // unblocked, and stays so as more nodes get assigned, so each node is
         // examined once, plus once per cut made at it.
@@ -135,7 +137,7 @@ impl ClassicalSchedule {
             current += 1;
         }
         Assignment {
-            proc: self.proc.clone(),
+            proc: self.proc.iter().map(|&p| p as u32).collect(),
             superstep,
         }
     }

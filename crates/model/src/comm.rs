@@ -12,18 +12,22 @@ use crate::dag::{Dag, NodeId};
 use crate::schedule::Assignment;
 use serde::{Deserialize, Serialize};
 
-/// One entry `(v, p1, p2, s)` of a communication schedule.
+/// One entry `(v, p1, p2, s)` of a communication schedule, in 32-bit fields
+/// like the [`Assignment`] it is derived from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct CommStep {
     /// The node whose output value is transferred.
-    pub node: NodeId,
+    pub node: u32,
     /// Sending processor `p1`.
-    pub from: usize,
+    pub from: u32,
     /// Receiving processor `p2`.
-    pub to: usize,
+    pub to: u32,
     /// Superstep in whose communication phase the transfer happens.
-    pub step: usize,
+    pub step: u32,
 }
+
+// Four `u32`s and no padding: a cached `Γ` costs 16 bytes a transfer.
+const _: () = assert!(std::mem::size_of::<CommStep>() == 16);
 
 /// A communication requirement implied by an assignment: the value of `node`
 /// (computed on `π(node)` in superstep `computed`) must be available on
@@ -51,6 +55,17 @@ impl CommRequirement {
     /// Earliest communication phase that can carry the value.
     pub fn earliest_step(&self) -> usize {
         self.computed
+    }
+
+    /// The transfer that meets this requirement directly from `source` in
+    /// the communication phase of superstep `step`.
+    pub fn send_at(&self, step: usize) -> CommStep {
+        CommStep {
+            node: self.node as u32,
+            from: self.source as u32,
+            to: self.target as u32,
+            step: step as u32,
+        }
     }
 }
 
@@ -81,20 +96,20 @@ impl CommSchedule {
         // One slot per processor, reused for every node: `seen[q] == u + 1`
         // while the successors of `u` are walked and one of them lives on
         // `q`, and `needed[q]` is then the earliest superstep of those.
-        let p = assignment.proc.iter().max().map_or(0, |&q| q + 1);
+        let p = assignment.proc.iter().max().map_or(0, |&q| q as usize + 1);
         let mut seen = vec![0usize; p];
         let mut needed = vec![0usize; p];
         let mut targets: Vec<usize> = Vec::new();
         let mut requirements = Vec::new();
         for u in 0..dag.n() {
-            let source = assignment.proc[u];
+            let source = assignment.proc[u] as usize;
             targets.clear();
             for &v in dag.successors(u) {
-                let q = assignment.proc[v];
+                let q = assignment.proc[v] as usize;
                 if q == source {
                     continue;
                 }
-                let step = assignment.superstep[v];
+                let step = assignment.superstep[v] as usize;
                 if seen[q] != u + 1 {
                     seen[q] = u + 1;
                     needed[q] = step;
@@ -109,7 +124,7 @@ impl CommSchedule {
                 node: u,
                 source,
                 target,
-                computed: assignment.superstep[u],
+                computed: assignment.superstep[u] as usize,
                 needed_by: needed[target],
             }));
         }
@@ -121,13 +136,8 @@ impl CommSchedule {
     /// possible communication phase (superstep `needed_by - 1`).
     pub fn lazy(dag: &Dag, assignment: &Assignment) -> Self {
         let steps = Self::requirements(dag, assignment)
-            .into_iter()
-            .map(|r| CommStep {
-                node: r.node,
-                from: r.source,
-                to: r.target,
-                step: r.latest_step(),
-            })
+            .iter()
+            .map(|r| r.send_at(r.latest_step()))
             .collect();
         CommSchedule::from_steps(steps)
     }
@@ -137,13 +147,8 @@ impl CommSchedule {
     /// tests and as an alternative starting point for `HCcs`.
     pub fn eager(dag: &Dag, assignment: &Assignment) -> Self {
         let steps = Self::requirements(dag, assignment)
-            .into_iter()
-            .map(|r| CommStep {
-                node: r.node,
-                from: r.source,
-                to: r.target,
-                step: r.earliest_step(),
-            })
+            .iter()
+            .map(|r| r.send_at(r.earliest_step()))
             .collect();
         CommSchedule::from_steps(steps)
     }
@@ -165,22 +170,12 @@ impl CommSchedule {
 
     /// Largest superstep index appearing in any communication step.
     pub fn max_step(&self) -> Option<usize> {
-        self.steps.iter().map(|s| s.step).max()
+        self.steps.iter().map(|s| s.step as usize).max()
     }
 
     /// Total communicated volume `Σ c(v)` over all steps (NUMA-unweighted).
     pub fn total_volume(&self, dag: &Dag) -> u64 {
-        self.steps.iter().map(|s| dag.comm(s.node)).sum()
-    }
-
-    /// Mutable access for in-place optimizers (`HCcs`).
-    pub fn steps_mut(&mut self) -> &mut [CommStep] {
-        &mut self.steps
-    }
-
-    /// Replaces the superstep of the `idx`-th step.
-    pub fn set_step(&mut self, idx: usize, step: usize) {
-        self.steps[idx].step = step;
+        self.steps.iter().map(|s| dag.comm(s.node as usize)).sum()
     }
 
     /// Re-sorts and dedups after in-place modification.
@@ -191,9 +186,9 @@ impl CommSchedule {
 
     /// Remaps all superstep indices through `map` (used when empty supersteps
     /// are removed from a schedule).
-    pub fn remap_steps(&mut self, map: &[usize]) {
+    pub fn remap_steps(&mut self, map: &[u32]) {
         for s in &mut self.steps {
-            s.step = map[s.step];
+            s.step = map[s.step as usize];
         }
         self.renormalize();
     }

@@ -91,9 +91,10 @@ pub fn comm_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64>
     // cells per superstep, whose maximum is the `h`-relation.
     let mut traffic = vec![0u64; sched.num_supersteps() * 2 * p];
     for cs in sched.comm.steps() {
-        let weighted = dag.comm(cs.node) * machine.lambda(cs.from, cs.to);
-        traffic[2 * (cs.step * p + cs.from)] += weighted;
-        traffic[2 * (cs.step * p + cs.to) + 1] += weighted;
+        let (from, to, row) = (cs.from as usize, cs.to as usize, cs.step as usize * p);
+        let weighted = dag.comm(cs.node as usize) * machine.lambda(from, to);
+        traffic[2 * (row + from)] += weighted;
+        traffic[2 * (row + to) + 1] += weighted;
     }
     traffic
         .chunks(2 * p)

@@ -144,13 +144,18 @@ fn first_edge_defect(n: usize, edges: &[(NodeId, NodeId)]) -> DagError {
 }
 
 impl Dag {
-    /// Builds a DAG from an explicit edge list and weight vectors.
+    /// Builds a DAG from an explicit edge list and weight vectors.  At most
+    /// `u32::MAX` nodes: schedules name nodes, processors and supersteps in
+    /// 32 bits.
     pub fn from_edges(
         n: usize,
         edges: &[(NodeId, NodeId)],
         work: Vec<u64>,
         comm: Vec<u64>,
     ) -> Result<Self, DagError> {
+        if u32::try_from(n).is_err() {
+            return Err(DagError::TooManyNodes { n });
+        }
         if work.len() != n {
             return Err(DagError::WeightLengthMismatch {
                 expected: n,
@@ -589,6 +594,16 @@ mod tests {
         assert_eq!(
             Dag::from_edge_list_unit_weights(2, &[(0, 1), (0, 1)]).unwrap_err(),
             DagError::DuplicateEdge { from: 0, to: 1 }
+        );
+    }
+
+    #[test]
+    fn more_nodes_than_u32_can_name_are_refused_before_the_weights() {
+        // The weight vectors are empty: the node count is checked first.
+        let n = 1usize << 32;
+        assert_eq!(
+            Dag::from_edges(n, &[], Vec::new(), Vec::new()).unwrap_err(),
+            DagError::TooManyNodes { n }
         );
     }
 

@@ -15,6 +15,8 @@ pub enum DagError {
     Cycle,
     /// A weight vector had the wrong length.
     WeightLengthMismatch { expected: usize, got: usize },
+    /// More nodes than a 32-bit schedule index can name (`n > u32::MAX`).
+    TooManyNodes { n: usize },
 }
 
 impl fmt::Display for DagError {
@@ -30,6 +32,9 @@ impl fmt::Display for DagError {
             DagError::Cycle => write!(f, "the directed graph contains a cycle"),
             DagError::WeightLengthMismatch { expected, got } => {
                 write!(f, "weight vector has length {got}, expected {expected}")
+            }
+            DagError::TooManyNodes { n } => {
+                write!(f, "{n} nodes exceed the limit of {}", u32::MAX)
             }
         }
     }

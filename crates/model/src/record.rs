@@ -135,10 +135,10 @@ pub fn encode_record(record: &StoreRecord, out: &mut Vec<u8>) -> Result<(), Reco
     body.extend_from_slice(&record.dag_bytes);
     put_u32(&mut body, n as u32);
     for &p in &record.assignment.proc {
-        put_u32(&mut body, p as u32);
+        put_u32(&mut body, p);
     }
     for &s in &record.assignment.superstep {
-        put_u32(&mut body, s as u32);
+        put_u32(&mut body, s);
     }
     if body.len() > MAX_RECORD_BYTES {
         return Err(RecordError::Unsupported(format!(
@@ -257,11 +257,11 @@ pub fn decode_record(bytes: &[u8]) -> Result<(StoreRecord, usize), RecordError> 
     }
     let mut proc = Vec::with_capacity(n);
     for _ in 0..n {
-        proc.push(cur.u32()? as usize);
+        proc.push(cur.u32()?);
     }
     let mut superstep = Vec::with_capacity(n);
     for _ in 0..n {
-        superstep.push(cur.u32()? as usize);
+        superstep.push(cur.u32()?);
     }
     if cur.pos != body.len() {
         return Err(RecordError::Malformed("trailing bytes in body".into()));
@@ -313,6 +313,39 @@ mod tests {
         let mut frame = Vec::new();
         encode_record(&record, &mut frame).unwrap();
         assert_eq!(decode_record(&frame).unwrap().0, record);
+    }
+
+    /// A frame written when the in-memory assignment was still `Vec<usize>`:
+    /// stores from then must recover unchanged, and the same record must
+    /// still encode to exactly these bytes.
+    #[test]
+    fn frames_written_by_the_usize_assignment_still_decode() {
+        #[rustfmt::skip]
+        const GOLDEN: [u8; 119] = [
+            0x6b, 0x00, 0x00, 0x00, 0x1a, 0x94, 0xa1, 0x85, 0x0e, 0xc1, 0x83, 0xcc, 0x10, 0x32, 0x54, 0x76,
+            0x98, 0xba, 0xdc, 0xfe, 0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x0d, 0xf0, 0xed, 0xfe,
+            0x00, 0x00, 0x00, 0x00, 0xd2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x04, 0x00, 0x00,
+            0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00, 0x33, 0x20, 0x32,
+            0x20, 0x32, 0x0a, 0x30, 0x20, 0x30, 0x0a, 0x31, 0x20, 0x31, 0x0a, 0x03, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+            0x00, 0x00, 0x00, 0x70, 0x11, 0x01, 0x00,
+        ];
+        let record = StoreRecord {
+            full_fp: 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+            structure_fp: 0xfeed_f00d,
+            cost: 1234,
+            machine: Machine::numa_binary_tree(4, 2, 5, 3),
+            dag_bytes: b"3 2 2\n0 0\n1 1\n".to_vec(),
+            assignment: Assignment {
+                proc: vec![0, 3, 1],
+                superstep: vec![0, 2, 70_000],
+            },
+        };
+        assert_eq!(decode_record(&GOLDEN), Ok((record.clone(), GOLDEN.len())));
+        let mut frame = Vec::new();
+        encode_record(&record, &mut frame).unwrap();
+        assert_eq!(frame, GOLDEN);
     }
 
     #[test]

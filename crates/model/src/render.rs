@@ -59,15 +59,15 @@ pub fn ascii_schedule(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> S
             .comm
             .steps()
             .iter()
-            .filter(|c| c.step == s)
+            .filter(|c| c.step as usize == s)
             .map(|c| {
                 format!(
                     "v{} {}→{} ({}·λ{})",
                     c.node,
                     c.from,
                     c.to,
-                    dag.comm(c.node),
-                    machine.lambda(c.from, c.to)
+                    dag.comm(c.node as usize),
+                    machine.lambda(c.from as usize, c.to as usize)
                 )
             })
             .collect();

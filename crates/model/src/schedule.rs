@@ -10,12 +10,18 @@ use crate::validity;
 use serde::{Deserialize, Serialize};
 
 /// The node-to-processor map `π` and node-to-superstep map `τ`.
+///
+/// Both maps hold `u32`, half the bytes of `usize`: a DAG has at most
+/// `u32::MAX` nodes ([`Dag::from_edges`] refuses more) and a schedule needs
+/// no more supersteps than nodes, while processor counts are far smaller.
+/// Index arrays through [`BspSchedule::proc`] / [`BspSchedule::superstep`],
+/// which widen to `usize`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
     /// `proc[v] = π(v)`.
-    pub proc: Vec<usize>,
+    pub proc: Vec<u32>,
     /// `superstep[v] = τ(v)`.
-    pub superstep: Vec<usize>,
+    pub superstep: Vec<u32>,
 }
 
 impl Assignment {
@@ -34,7 +40,11 @@ impl Assignment {
 
     /// Number of supersteps used, i.e. `1 + max τ(v)` (0 for an empty DAG).
     pub fn num_supersteps(&self) -> usize {
-        self.superstep.iter().copied().max().map_or(0, |s| s + 1)
+        self.superstep
+            .iter()
+            .copied()
+            .max()
+            .map_or(0, |s| s as usize + 1)
     }
 }
 
@@ -62,13 +72,15 @@ impl BspSchedule {
     }
 
     /// Processor of node `v`.
+    #[inline]
     pub fn proc(&self, v: usize) -> usize {
-        self.assignment.proc[v]
+        self.assignment.proc[v] as usize
     }
 
     /// Superstep of node `v`.
+    #[inline]
     pub fn superstep(&self, v: usize) -> usize {
-        self.assignment.superstep[v]
+        self.assignment.superstep[v] as usize
     }
 
     /// Number of supersteps spanned by the schedule (computation or communication).
@@ -105,12 +117,12 @@ impl BspSchedule {
         }
         let mut used = vec![false; total];
         for v in 0..n {
-            used[self.assignment.superstep[v]] = true;
+            used[self.superstep(v)] = true;
         }
         // Build old -> new index map.  Empty supersteps collapse onto the next
         // *lower* used index for communication purposes.
-        let mut map = vec![0usize; total];
-        let mut next = 0usize;
+        let mut map = vec![0u32; total];
+        let mut next = 0u32;
         for (s, item) in map.iter_mut().enumerate() {
             if used[s] {
                 *item = next;
@@ -121,12 +133,12 @@ impl BspSchedule {
                 *item = next.saturating_sub(1);
             }
         }
-        let removed = total - next;
+        let removed = total - next as usize;
         if removed == 0 {
             return 0;
         }
         for v in 0..n {
-            self.assignment.superstep[v] = map[self.assignment.superstep[v]];
+            self.assignment.superstep[v] = map[self.superstep(v)];
         }
         self.comm.remap_steps(&map);
         removed
@@ -143,7 +155,7 @@ impl BspSchedule {
         let steps = self.assignment.num_supersteps();
         let mut m = vec![vec![0u64; machine.p()]; steps];
         for v in 0..dag.n() {
-            m[self.assignment.superstep[v]][self.assignment.proc[v]] += dag.work(v);
+            m[self.superstep(v)][self.proc(v)] += dag.work(v);
         }
         m
     }

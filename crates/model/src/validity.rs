@@ -21,7 +21,7 @@
 use crate::dag::Dag;
 use crate::error::ValidityError;
 use crate::machine::Machine;
-use crate::schedule::{Assignment, BspSchedule};
+use crate::schedule::BspSchedule;
 
 /// A node's arrivals: `at[q]` is the earliest superstep in which `q`
 /// receives the value of the node `stamp[q] - 1`; slots stamped for another
@@ -52,16 +52,16 @@ impl Arrivals {
 /// `u`'s value arrives at `π(v)`.
 #[inline]
 fn check_edge(
-    assignment: &Assignment,
+    sched: &BspSchedule,
     u: usize,
     v: usize,
     arrival: impl FnOnce(usize) -> Option<usize>,
 ) -> Result<(), ValidityError> {
-    if assignment.proc[u] == assignment.proc[v] {
-        if assignment.superstep[u] > assignment.superstep[v] {
+    if sched.proc(u) == sched.proc(v) {
+        if sched.superstep(u) > sched.superstep(v) {
             return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: v });
         }
-    } else if arrival(assignment.proc[v]).is_none_or(|s| s >= assignment.superstep[v]) {
+    } else if arrival(sched.proc(v)).is_none_or(|s| s >= sched.superstep(v)) {
         return Err(ValidityError::MissingCommunication { pred: u, node: v });
     }
     Ok(())
@@ -85,10 +85,10 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
         });
     }
     for v in 0..n {
-        if assignment.proc[v] >= p {
+        if sched.proc(v) >= p {
             return Err(ValidityError::ProcessorOutOfRange {
                 node: v,
-                proc: assignment.proc[v],
+                proc: sched.proc(v),
                 p,
             });
         }
@@ -96,30 +96,24 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     // The same pass counts Γ per node for the grouping below.
     let mut offset = vec![0usize; n + 1];
     for cs in steps {
-        if cs.node >= n {
-            return Err(ValidityError::CommNodeOutOfRange { node: cs.node, n });
+        let (node, from, to) = (cs.node as usize, cs.from as usize, cs.to as usize);
+        if node >= n {
+            return Err(ValidityError::CommNodeOutOfRange { node, n });
         }
-        if cs.from >= p {
+        if from >= p {
             return Err(ValidityError::CommProcessorOutOfRange {
-                node: cs.node,
-                proc: cs.from,
+                node,
+                proc: from,
                 p,
             });
         }
-        if cs.to >= p {
-            return Err(ValidityError::CommProcessorOutOfRange {
-                node: cs.node,
-                proc: cs.to,
-                p,
-            });
+        if to >= p {
+            return Err(ValidityError::CommProcessorOutOfRange { node, proc: to, p });
         }
-        if cs.from == cs.to {
-            return Err(ValidityError::CommSelfSend {
-                node: cs.node,
-                proc: cs.from,
-            });
+        if from == to {
+            return Err(ValidityError::CommSelfSend { node, proc: from });
         }
-        offset[cs.node + 1] += 1;
+        offset[node + 1] += 1;
     }
 
     // Group Γ by node (counting sort); `offset[v]..offset[v + 1]` is node
@@ -127,10 +121,11 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     for v in 0..n {
         offset[v + 1] += offset[v];
     }
-    let mut grouped = vec![(0usize, 0usize, 0usize); steps.len()];
+    let mut grouped = vec![(0u32, 0u32, 0u32); steps.len()];
     for cs in steps {
-        grouped[offset[cs.node]] = (cs.step, cs.from, cs.to);
-        offset[cs.node] += 1;
+        let node = cs.node as usize;
+        grouped[offset[node]] = (cs.step, cs.from, cs.to);
+        offset[node] += 1;
     }
     offset.copy_within(0..n, 1);
     offset[0] = 0;
@@ -153,12 +148,12 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
         }
         let mut i = 0;
         while i < run.len() {
-            let s = run[i].0;
+            let s = run[i].0 as usize;
             // Validate the whole group of steps with superstep == s first.
             let mut j = i;
-            while j < run.len() && run[j].0 == s {
-                let from = run[j].1;
-                let computed_here = assignment.proc[v] == from && assignment.superstep[v] <= s;
+            while j < run.len() && run[j].0 as usize == s {
+                let from = run[j].1 as usize;
+                let computed_here = sched.proc(v) == from && sched.superstep(v) <= s;
                 let received_here = arrivals.get(v, from).is_some_and(|r| r < s);
                 if !computed_here && !received_here {
                     return Err(ValidityError::SourceValueNotPresent {
@@ -171,7 +166,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
             }
             // Now record this group's receptions.
             for &(step, _, to) in &run[i..j] {
-                arrivals.record(v, to, step);
+                arrivals.record(v, to as usize, step as usize);
             }
             i = j;
         }
@@ -181,7 +176,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
         // order, so only the lowest consumer is remembered here.
         for &w in dag.successors(v) {
             if broken.is_none_or(|b| w < b)
-                && check_edge(assignment, v, w, |q| arrivals.get(v, q)).is_err()
+                && check_edge(sched, v, w, |q| arrivals.get(v, q)).is_err()
             {
                 broken = Some(w);
             }
@@ -194,8 +189,10 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     if let Some(v) = broken {
         for &u in dag.predecessors(v) {
             let run = &grouped[offset[u]..offset[u + 1]];
-            check_edge(assignment, u, v, |q| {
-                run.iter().find(|&&(_, _, to)| to == q).map(|&(s, _, _)| s)
+            check_edge(sched, u, v, |q| {
+                run.iter()
+                    .find(|&&(_, _, to)| to as usize == q)
+                    .map(|&(s, _, _)| s as usize)
             })?;
         }
     }

@@ -57,11 +57,12 @@ pub struct CacheStats {
 }
 
 /// Estimated heap footprint of a cached schedule (the quantity the byte
-/// budget is enforced against).
+/// budget is enforced against): the `π`, `τ` and `Γ` slices as stored, plus
+/// the schedule's own header.
 pub fn schedule_footprint(schedule: &BspSchedule) -> usize {
-    let n = schedule.assignment.proc.len();
-    // Two usize vectors plus the communication steps plus fixed overhead.
-    n * 2 * mem::size_of::<usize>()
+    let assignment = &schedule.assignment;
+    mem::size_of_val(assignment.proc.as_slice())
+        + mem::size_of_val(assignment.superstep.as_slice())
         + mem::size_of_val(schedule.comm.steps())
         + mem::size_of::<BspSchedule>()
 }
@@ -473,6 +474,25 @@ mod tests {
             &dag,
             Assignment::trivial(n),
         ))
+    }
+
+    #[test]
+    fn the_footprint_is_four_bytes_a_map_entry_and_sixteen_a_transfer() {
+        // A chain split over two processors: every edge is one transfer.
+        let n = 10;
+        let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+        let dag = Dag::from_edge_list_unit_weights(n, &edges).unwrap();
+        let assignment = Assignment {
+            proc: (0..n as u32).map(|v| v % 2).collect(),
+            superstep: (0..n as u32).collect(),
+        };
+        let schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        let transfers = schedule.comm.len();
+        assert_eq!(transfers, n - 1);
+        assert_eq!(
+            schedule_footprint(&schedule),
+            8 * n + 16 * transfers + mem::size_of::<BspSchedule>()
+        );
     }
 
     #[test]

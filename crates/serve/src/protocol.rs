@@ -1262,9 +1262,16 @@ fn malformed_bytes(line: &[u8], reason: impl Into<String>) -> ServeError {
     malformed(String::from_utf8_lossy(line).trim(), reason)
 }
 
+/// One schedule value of a reply line: `π`, `τ` and every `Γ` field are
+/// `u32`, so a number of 2³² or more is refused rather than truncated.
+fn schedule_entry(entry: Option<u64>) -> Result<u32, &'static str> {
+    let entry = entry.ok_or("is not a number")?;
+    u32::try_from(entry).map_err(|_| "is out of range")
+}
+
 /// Parses `<expect> <x0> <x1> ...`.  The list is sized from the line it is
 /// read from, never from a count the peer declares.
-fn parse_usize_list(line: &[u8], expect: &str) -> Result<Vec<usize>, ServeError> {
+fn parse_u32_list(line: &[u8], expect: &str) -> Result<Vec<u32>, ServeError> {
     let body = line
         .trim_ascii_start()
         .strip_prefix(expect.as_bytes())
@@ -1272,8 +1279,9 @@ fn parse_usize_list(line: &[u8], expect: &str) -> Result<Vec<usize>, ServeError>
         .ok_or_else(|| malformed_bytes(line, format!("expected {expect} line")))?;
     let mut list = Vec::with_capacity(body.len() / 2);
     for entry in Numbers(body) {
-        let entry = entry.ok_or_else(|| malformed_bytes(line, format!("bad {expect} entry")))?;
-        list.push(entry as usize);
+        let entry = schedule_entry(entry)
+            .map_err(|why| malformed_bytes(line, format!("{expect} entry {why}")))?;
+        list.push(entry);
     }
     Ok(list)
 }
@@ -1442,9 +1450,9 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
             // tokenizer over what can be megabytes of digits.
             let mut line: Vec<u8> = Vec::new();
             next_line(reader, &mut line)?;
-            let proc = parse_usize_list(&line, "PROC")?;
+            let proc = parse_u32_list(&line, "PROC")?;
             next_line(reader, &mut line)?;
-            let superstep = parse_usize_list(&line, "STEP")?;
+            let superstep = parse_u32_list(&line, "STEP")?;
             if proc.len() != superstep.len() {
                 return Err(malformed_bytes(&line, "PROC and STEP lengths differ"));
             }
@@ -1464,8 +1472,8 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
                 // Tokens beyond the four are ignored, as everywhere.
                 let mut fields = Numbers(&line);
                 let mut field = |what: &str| match fields.next() {
-                    Some(Some(x)) => Ok(x as usize),
-                    Some(None) => Err(malformed_bytes(&line, format!("{what} is not a number"))),
+                    Some(entry) => schedule_entry(entry)
+                        .map_err(|why| malformed_bytes(&line, format!("{what} {why}"))),
                     None => Err(malformed_bytes(&line, format!("missing {what}"))),
                 };
                 steps.push(CommStep {
@@ -1592,6 +1600,37 @@ mod tests {
         encode_response(&mut wire, &response);
         match read_reply(&mut BufReader::new(wire.as_bytes())).unwrap() {
             Reply::Ok(parsed) => assert_eq!(parsed, response),
+            other => panic!("expected the response back, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn schedule_entries_past_u32_are_malformed_not_truncated() {
+        // 2³² would read back as 0 under a cast: each of the six fields is
+        // set to it in turn, next to the largest value that still fits.
+        let big = 1u64 << 32;
+        let max = u32::MAX;
+        let bodies = [
+            format!("PROC 0 {big}\nSTEP 0 1\nCOMM 0\n"),
+            format!("PROC 0 1\nSTEP {max} {big}\nCOMM 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n{big} 0 1 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 {big} 1 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 0 {big} 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 0 1 {big}\n"),
+        ];
+        for body in bodies {
+            let wire = format!("OK 7 cost 5 supersteps 2\n{body}END\n");
+            match read_reply(&mut wire.as_bytes()) {
+                Err(ServeError::Malformed { reason, .. }) => {
+                    assert!(reason.contains("out of range"), "{body:?}: {reason}")
+                }
+                other => panic!("{body:?}: expected a malformed reply, got {other:?}"),
+            }
+        }
+        // The largest value that fits still reads back as itself.
+        let wire = format!("OK 7 cost 5 supersteps 2\nPROC 0 {max}\nSTEP 0 1\nCOMM 0\nEND\n");
+        match read_reply(&mut wire.as_bytes()).unwrap() {
+            Reply::Ok(parsed) => assert_eq!(parsed.schedule.assignment.proc, [0, max]),
             other => panic!("expected the response back, got {other:?}"),
         }
     }

@@ -747,7 +747,12 @@ fn adopt_record(record: &StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u
     if record.assignment.n() != dag.n() {
         return None;
     }
-    if record.assignment.superstep.iter().any(|&s| s > dag.n()) {
+    if record
+        .assignment
+        .superstep
+        .iter()
+        .any(|&s| s as usize > dag.n())
+    {
         return None;
     }
     let schedule = BspSchedule::from_assignment_lazy(&dag, record.assignment.clone());

@@ -463,7 +463,7 @@ fn validate_agrees_with_the_reference_on_valid_and_corrupted_schedules() {
                 let v = rng.gen_range(0..dag.n());
                 let mut steps: Vec<CommStep> = bad.comm.steps().to_vec();
                 match k % 6 {
-                    0 => bad.assignment.proc[v] = rng.gen_range(0..p + 1),
+                    0 => bad.assignment.proc[v] = rng.gen_range(0..p + 1) as u32,
                     1 => bad.assignment.superstep[v] = rng.gen_range(0..6),
                     2 => {
                         bad.assignment.proc.pop();
@@ -476,9 +476,9 @@ fn validate_agrees_with_the_reference_on_valid_and_corrupted_schedules() {
                     4 => {
                         let i = rng.gen_range(0..steps.len());
                         match rng.gen_range(0..3u32) {
-                            0 => steps[i].from = rng.gen_range(0..p + 1),
-                            1 => steps[i].to = rng.gen_range(0..p + 1),
-                            _ => steps[i].node = rng.gen_range(0..dag.n()),
+                            0 => steps[i].from = rng.gen_range(0..p + 1) as u32,
+                            1 => steps[i].to = rng.gen_range(0..p + 1) as u32,
+                            _ => steps[i].node = rng.gen_range(0..dag.n()) as u32,
                         }
                     }
                     _ => {

@@ -13,7 +13,7 @@ pub mod reference_codec;
 pub mod reference_comm;
 pub mod reference_source;
 
-use bsp_model::{BspSchedule, Dag, Machine};
+use bsp_model::{Assignment, BspSchedule, Dag, Machine};
 use bsp_sched::init::place_sources;
 use bsp_sched::Scheduler;
 use rand::Rng;
@@ -85,4 +85,13 @@ pub fn placed_start(
     let mut schedule = init.schedule(dag, &machine.prefix(width));
     place_sources(dag, machine, &mut schedule);
     schedule
+}
+
+/// The [`Assignment`] of the `usize` maps a reference routine builds.
+pub fn narrow_assignment(proc: &[usize], superstep: &[usize]) -> Assignment {
+    let narrow = |xs: &[usize]| xs.iter().map(|&x| u32::try_from(x).unwrap()).collect();
+    Assignment {
+        proc: narrow(proc),
+        superstep: narrow(superstep),
+    }
 }

@@ -200,44 +200,48 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
         });
     }
     for v in 0..n {
-        if assignment.proc[v] >= p {
+        if sched.proc(v) >= p {
             return Err(ValidityError::ProcessorOutOfRange {
                 node: v,
-                proc: assignment.proc[v],
+                proc: sched.proc(v),
                 p,
             });
         }
     }
-    for cs in sched.comm.steps() {
-        if cs.from >= p {
+    // Γ's 32-bit fields as `(node, from, to, step)`.
+    let gamma = || {
+        sched.comm.steps().iter().map(|cs| {
+            (
+                cs.node as usize,
+                cs.from as usize,
+                cs.to as usize,
+                cs.step as usize,
+            )
+        })
+    };
+    for (node, from, to, _) in gamma() {
+        if from >= p {
             return Err(ValidityError::CommProcessorOutOfRange {
-                node: cs.node,
-                proc: cs.from,
+                node,
+                proc: from,
                 p,
             });
         }
-        if cs.to >= p {
-            return Err(ValidityError::CommProcessorOutOfRange {
-                node: cs.node,
-                proc: cs.to,
-                p,
-            });
+        if to >= p {
+            return Err(ValidityError::CommProcessorOutOfRange { node, proc: to, p });
         }
-        if cs.from == cs.to {
-            return Err(ValidityError::CommSelfSend {
-                node: cs.node,
-                proc: cs.from,
-            });
+        if from == to {
+            return Err(ValidityError::CommSelfSend { node, proc: from });
         }
     }
 
     // earliest_arrival[(v, q)] = earliest superstep s such that (v, *, q, s) ∈ Γ.
     let mut earliest_arrival: HashMap<(usize, usize), usize> = HashMap::new();
-    for cs in sched.comm.steps() {
+    for (node, _, to, step) in gamma() {
         earliest_arrival
-            .entry((cs.node, cs.to))
-            .and_modify(|s| *s = (*s).min(cs.step))
-            .or_insert(cs.step);
+            .entry((node, to))
+            .and_modify(|s| *s = (*s).min(step))
+            .or_insert(step);
     }
 
     // Condition 2: every communication step sends a value that is present on
@@ -246,11 +250,8 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     // if it was computed there (π(v) = q, τ(v) ≤ s) or received there in some
     // strictly earlier superstep.
     let mut by_node: HashMap<usize, Vec<(usize, usize, usize)>> = HashMap::new();
-    for cs in sched.comm.steps() {
-        by_node
-            .entry(cs.node)
-            .or_default()
-            .push((cs.step, cs.from, cs.to));
+    for (node, from, to, step) in gamma() {
+        by_node.entry(node).or_default().push((step, from, to));
     }
     for (&v, steps) in by_node.iter_mut() {
         steps.sort_unstable();
@@ -264,7 +265,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
             let mut j = i;
             while j < steps.len() && steps[j].0 == s {
                 let (_, from, _) = steps[j];
-                let computed_here = assignment.proc[v] == from && assignment.superstep[v] <= s;
+                let computed_here = sched.proc(v) == from && sched.superstep(v) <= s;
                 let received_here = received_before.get(&from).is_some_and(|&r| r < s);
                 if !computed_here && !received_here {
                     return Err(ValidityError::SourceValueNotPresent {
@@ -289,14 +290,14 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     // Condition 1: precedence constraints.
     for v in 0..n {
         for &u in dag.predecessors(v) {
-            if assignment.proc[u] == assignment.proc[v] {
-                if assignment.superstep[u] > assignment.superstep[v] {
+            if sched.proc(u) == sched.proc(v) {
+                if sched.superstep(u) > sched.superstep(v) {
                     return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: v });
                 }
             } else {
                 let ok = earliest_arrival
-                    .get(&(u, assignment.proc[v]))
-                    .is_some_and(|&s| s < assignment.superstep[v]);
+                    .get(&(u, sched.proc(v)))
+                    .is_some_and(|&s| s < sched.superstep(v));
                 if !ok {
                     return Err(ValidityError::MissingCommunication { pred: u, node: v });
                 }

@@ -13,10 +13,10 @@ pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> 
     // (node, target) -> earliest superstep in which it is needed there.
     let mut needed: BTreeMap<(NodeId, usize), usize> = BTreeMap::new();
     for v in 0..dag.n() {
-        let pv = assignment.proc[v];
-        let sv = assignment.superstep[v];
+        let pv = assignment.proc[v] as usize;
+        let sv = assignment.superstep[v] as usize;
         for &u in dag.predecessors(v) {
-            if assignment.proc[u] != pv {
+            if assignment.proc[u] as usize != pv {
                 needed
                     .entry((u, pv))
                     .and_modify(|s| *s = (*s).min(sv))
@@ -28,9 +28,9 @@ pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> 
         .into_iter()
         .map(|((node, target), needed_by)| CommRequirement {
             node,
-            source: assignment.proc[node],
+            source: assignment.proc[node] as usize,
             target,
-            computed: assignment.superstep[node],
+            computed: assignment.superstep[node] as usize,
             needed_by,
         })
         .collect()

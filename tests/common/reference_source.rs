@@ -158,8 +158,5 @@ fn assignment_with_bound(dag: &Dag, machine: &Machine, bound: u64) -> Assignment
         superstep += 1;
     }
 
-    Assignment {
-        proc,
-        superstep: superstep_of,
-    }
+    super::narrow_assignment(&proc, &superstep_of)
 }

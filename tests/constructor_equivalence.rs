@@ -151,10 +151,7 @@ mod oracle {
             }
         }
 
-        Assignment {
-            proc,
-            superstep: superstep_of,
-        }
+        crate::common::narrow_assignment(&proc, &superstep_of)
     }
 
     /// `ClassicalSchedule::to_bsp_assignment`.
@@ -208,10 +205,7 @@ mod oracle {
                 }
             }
         }
-        Assignment {
-            proc: cs.proc.clone(),
-            superstep,
-        }
+        crate::common::narrow_assignment(&cs.proc, &superstep)
     }
 
     /// `CilkScheduler::classical_schedule`.

@@ -197,15 +197,15 @@ fn a_cluster_has_one_exit_and_the_quotient_is_built_by_the_stated_rule() {
 /// A random valid `(π, τ)` of `dag`: any processor, and a superstep late
 /// enough for every predecessor's value to have arrived.
 fn random_assignment(rng: &mut ChaCha8Rng, dag: &Dag, p: usize) -> Assignment {
-    let mut proc = vec![0usize; dag.n()];
-    let mut superstep = vec![0usize; dag.n()];
+    let mut proc = vec![0u32; dag.n()];
+    let mut superstep = vec![0u32; dag.n()];
     for v in dag.topological_order().expect("a DAG") {
-        proc[v] = rng.gen_range(0..p);
+        proc[v] = rng.gen_range(0..p) as u32;
         let earliest = dag
             .predecessors(v)
             .iter()
-            .map(|&u| superstep[u] + usize::from(proc[u] != proc[v]));
-        superstep[v] = earliest.max().unwrap_or(0) + rng.gen_range(0usize..2);
+            .map(|&u| superstep[u] + u32::from(proc[u] != proc[v]));
+        superstep[v] = earliest.max().unwrap_or(0) + rng.gen_range(0usize..2) as u32;
     }
     Assignment { proc, superstep }
 }
@@ -333,7 +333,7 @@ fn a_pure_in_tree_does_not_fold_into_one_node() {
     let report = pipeline(usize::MAX).run_report(&dag, &machine);
     assert_eq!(report.funnel_nodes, clusters);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
-    let used: HashSet<usize> = report.schedule.assignment.proc.iter().copied().collect();
+    let used: HashSet<u32> = report.schedule.assignment.proc.iter().copied().collect();
     assert!(used.len() > 1, "the in-tree ended on one processor");
     assert!(report.final_cost < BspSchedule::trivial(&dag).cost(&dag, &machine));
 }
@@ -395,7 +395,7 @@ fn source_spreads_a_funnel_dag_and_leaves_fine_dags_as_they_were() {
         let unbounded = source_assignment_unbounded(coarse, machine);
         assert!(unbounded.proc.iter().all(|&q| q == unbounded.proc[0]));
         let assignment = SourceScheduler.assignment(coarse, machine);
-        let used: HashSet<usize> = assignment.proc.iter().copied().collect();
+        let used: HashSet<u32> = assignment.proc.iter().copied().collect();
         assert!(used.len() > 1, "Source collapsed on P = {}", machine.p());
     }
     // On the fine DAGs themselves a cluster is a matrix column and the bound

@@ -104,11 +104,11 @@ fn lazy_schedules_are_valid_and_normalization_helps() {
         // Build a valid assignment: topological order, one node per superstep
         // (optionally spread over processors round-robin).
         let order = dag.topological_order().unwrap();
-        let mut proc = vec![0usize; dag.n()];
-        let mut superstep = vec![0usize; dag.n()];
+        let mut proc = vec![0u32; dag.n()];
+        let mut superstep = vec![0u32; dag.n()];
         for (i, &v) in order.iter().enumerate() {
-            proc[v] = if spread { i % machine.p() } else { 0 };
-            superstep[v] = 2 * i; // deliberately leave empty supersteps
+            proc[v] = if spread { (i % machine.p()) as u32 } else { 0 };
+            superstep[v] = 2 * i as u32; // deliberately leave empty supersteps
         }
         let assignment = Assignment { proc, superstep };
         let mut sched = BspSchedule::from_assignment_lazy(&dag, assignment);
@@ -156,8 +156,10 @@ fn requirements_match_the_btreemap_reference_on_random_assignments() {
         let p = random_machine(&mut rng).p();
         let steps = rng.gen_range(1usize..=6);
         let assignment = Assignment {
-            proc: (0..dag.n()).map(|_| rng.gen_range(0..p)).collect(),
-            superstep: (0..dag.n()).map(|_| rng.gen_range(0..steps)).collect(),
+            proc: (0..dag.n()).map(|_| rng.gen_range(0..p) as u32).collect(),
+            superstep: (0..dag.n())
+                .map(|_| rng.gen_range(0..steps) as u32)
+                .collect(),
         };
         assert_eq!(
             CommSchedule::requirements(&dag, &assignment),
@@ -366,8 +368,10 @@ fn lift_drop_case(rng: &mut rand_chacha::ChaCha8Rng, case: u64) -> (Dag, Machine
         SourceScheduler.schedule(&dag, &machine).assignment
     } else {
         Assignment {
-            proc: (0..n).map(|_| rng.gen_range(0..machine.p())).collect(),
-            superstep: (0..n).collect(),
+            proc: (0..n)
+                .map(|_| rng.gen_range(0..machine.p()) as u32)
+                .collect(),
+            superstep: (0..n as u32).collect(),
         }
     };
     (dag, machine, assignment)
@@ -441,8 +445,8 @@ fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
                 core.lift(scratch, &dag, v);
                 for &(p_new, s_new) in &dests {
                     let mut moved = before.clone();
-                    moved.proc[v] = p_new;
-                    moved.superstep[v] = s_new;
+                    moved.proc[v] = p_new as u32;
+                    moved.superstep[v] = s_new as u32;
                     let recomputed =
                         BspSchedule::from_assignment_lazy(&dag, moved).cost(&dag, &machine) as i64;
                     let what = format!(

@@ -150,7 +150,9 @@ fn placement_is_valid_monotone_work_neutral_and_idempotent() {
                     let mut placed = input.clone();
                     if place_sources(&dag, &machine, &mut placed) {
                         moved += 1;
-                        let idle = |s: &BspSchedule| s.assignment.proc.iter().any(|&q| q >= width);
+                        let idle = |s: &BspSchedule| {
+                            s.assignment.proc.iter().any(|&q| q as usize >= width)
+                        };
                         spilled += usize::from(idle(&placed));
                     } else {
                         kept += 1;
