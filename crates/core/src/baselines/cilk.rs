@@ -99,7 +99,7 @@ impl CilkScheduler {
                     if t == now {
                         busy_until[q] = None;
                         finished += 1;
-                        for &w in dag.successors(v) {
+                        for w in dag.successors(v) {
                             remaining_preds[w] -= 1;
                             if remaining_preds[w] == 0 {
                                 stacks[q].push_back(w);

@@ -52,7 +52,7 @@ impl HDaggScheduler {
                 // Affinity: communication weight of predecessors already
                 // placed on each processor.
                 let mut affinity = vec![0u64; p];
-                for &u in dag.predecessors(v) {
+                for u in dag.predecessors(v) {
                     affinity[proc[u] as usize] += dag.comm(u);
                 }
                 let within_slack =
@@ -92,8 +92,7 @@ impl HDaggScheduler {
                 // Can level l join the superstep started at current_first_level?
                 let conflict = level_nodes[l].iter().any(|&v| {
                     dag.predecessors(v)
-                        .iter()
-                        .any(|&u| levels[u] >= current_first_level && proc[u] != proc[v])
+                        .any(|u| levels[u] >= current_first_level && proc[u] != proc[v])
                 });
                 if conflict {
                     current += 1;

@@ -55,7 +55,7 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
     // Earliest start time of node v on processor q given current assignments.
     let est = |v: usize, q: usize, proc: &[usize], finish: &[u64], proc_free: &[u64]| -> u64 {
         let mut t = proc_free[q];
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             let arrival = if proc[u] == q {
                 finish[u]
             } else {
@@ -101,7 +101,7 @@ fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> Classica
         finish[v] = t + dag.work(v);
         proc_free[q] = finish[v];
         scheduled += 1;
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             remaining_preds[w] -= 1;
             if remaining_preds[w] == 0 {
                 ready.push((bottom_level[w], Reverse(w)));

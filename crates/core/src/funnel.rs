@@ -90,12 +90,12 @@ impl Funnel {
         let mut root_of: Vec<NodeId> = (0..n).collect();
         let mut cluster_work: Vec<u64> = dag.work_weights().to_vec();
         for &u in order.iter().rev() {
-            let Some((&first, rest)) = dag.successors(u).split_first() else {
+            let mut successors = dag.successors(u);
+            let Some(first) = successors.next() else {
                 continue;
             };
             let root = root_of[first];
-            if rest.iter().all(|&v| root_of[v] == root) && cluster_work[root] + dag.work(u) <= bound
-            {
+            if successors.all(|v| root_of[v] == root) && cluster_work[root] + dag.work(u) <= bound {
                 root_of[u] = root;
                 cluster_work[root] += dag.work(u);
             }
@@ -216,6 +216,7 @@ fn quotient_of(
     }
     let mut keep = first.iter();
     mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
+    drop((grouped, first, stamp));
     Dag::from_edges(k, &mapped, work, comm).expect("the clusters form a DAG")
 }
 

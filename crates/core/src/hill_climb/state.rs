@@ -55,7 +55,7 @@
 //!
 //! * [`HcCore`] is the **snapshot**: the assignment, the superstep
 //!   membership lists, the flat tally matrices with their row-max caches, and
-//!   the persistent per-node consumer-summary caches — what a candidate is
+//!   the persistent per-node consumer-summary arena — what a candidate is
 //!   costed against.
 //! * [`EvalScratch`] is the **work area**: the generation-stamped need maps,
 //!   the contribution gather buffers, the lift/drop op logs and the
@@ -68,6 +68,16 @@
 //! [`HcState`] owns one core plus one scratch and exposes the classical
 //! API; [`HcState::try_move`] is lift → exact drop → unlift.
 //!
+//! ## Footprint
+//!
+//! The state is `O(n + m)` bytes whatever the degrees.  A node's consumer
+//! summaries (one per processor hosting a consumer) live in one arena in
+//! which node `u` owns `min(out_degree(u), P)` slots of 16 bytes.  The scratch
+//! is reserved to the largest gather one node's moves can make,
+//! `max_v Σ_{u ∈ {v} ∪ pred(v)} min(out_degree(u), P − 1)` contributions of
+//! 24 bytes, and its undo logs to `max_v min(out_degree(v), P − 1) + 2 ·
+//! in_degree(v)` patches.
+//!
 //! ## Graph-per-call
 //!
 //! The state does **not** borrow the DAG: every graph-touching method takes
@@ -78,13 +88,42 @@ use bsp_model::{Assignment, Dag, Machine, ValidityError};
 
 /// One lazy-communication contribution: the value of some node is sent
 /// `from -> to` in the communication phase of `step`, with NUMA-weighted
-/// volume `weight`.
+/// volume `weight`.  Supersteps and processors are 32-bit, as in the
+/// schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Contribution {
-    step: usize,
-    from: usize,
-    to: usize,
     weight: u64,
+    step: u32,
+    from: u32,
+    to: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Contribution>() == 24);
+
+impl Contribution {
+    #[inline(always)]
+    fn new(step: usize, from: usize, to: usize, weight: u64) -> Self {
+        Contribution {
+            weight,
+            step: step as u32,
+            from: from as u32,
+            to: to as u32,
+        }
+    }
+
+    /// The superstep whose communication phase carries the transfer.
+    #[inline(always)]
+    fn step(self) -> usize {
+        self.step as usize
+    }
+
+    /// The send cell and the receive cell in the flat `[superstep ×
+    /// processor]` tallies of a `p`-processor machine.
+    #[inline(always)]
+    fn cells(self, p: usize) -> (usize, usize) {
+        let row = self.step() * p;
+        (row + self.from as usize, row + self.to as usize)
+    }
 }
 
 /// Which communication tally a patch applies to.
@@ -100,27 +139,51 @@ enum Side {
 /// enough information to answer "what if one consumer moved away / arrived?"
 /// in `O(1)`, which is what lets candidate evaluation transform cached
 /// summaries instead of rescanning successor lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ConsumerSummary {
     /// The consuming processor (may equal the producer's processor).
-    to: usize,
+    to: u32,
     /// Earliest superstep a consumer on `to` runs in.
-    min_step: usize,
+    min_step: u32,
     /// Number of consumers on `to` running in `min_step`.
     min_cnt: u32,
-    /// Second-smallest distinct consuming superstep (`usize::MAX` if none).
-    runner_up: usize,
+    /// Second-smallest distinct consuming superstep ([`NO_STEP`] if none).
+    runner_up: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<ConsumerSummary>() == 16);
+
+/// "No such superstep" in 32 bits; read out as `usize::MAX`.
+const NO_STEP: u32 = u32::MAX;
+
+/// `summary_len` of a node whose summaries a committed move invalidated.
+const STALE: u32 = u32::MAX;
+
 impl ConsumerSummary {
+    /// The consuming processor.
+    #[inline(always)]
+    fn to(self) -> usize {
+        self.to as usize
+    }
+
+    /// Earliest superstep a consumer on [`ConsumerSummary::to`] runs in.
+    #[inline(always)]
+    fn min_step(self) -> usize {
+        self.min_step as usize
+    }
+
     /// Earliest consuming superstep on `to` once one consumer at `(q, s)` is
     /// taken away (`usize::MAX` if it was the only consumer there).
     #[inline(always)]
-    fn min_without(&self, q: usize, s: usize) -> usize {
-        if self.to == q && self.min_step == s && self.min_cnt == 1 {
-            self.runner_up
+    fn min_without(self, q: usize, s: usize) -> usize {
+        if self.to() == q && self.min_step() == s && self.min_cnt == 1 {
+            if self.runner_up == NO_STEP {
+                usize::MAX
+            } else {
+                self.runner_up as usize
+            }
         } else {
-            self.min_step
+            self.min_step()
         }
     }
 }
@@ -186,11 +249,11 @@ impl MoveWindow {
 pub struct EvalScratch {
     /// Earliest consuming superstep per processor for the value currently
     /// being summarized; valid iff `need_mark[q] == need_stamp`.
-    need_step: Vec<usize>,
+    need_step: Vec<u32>,
     /// Consumers attaining `need_step[q]`.
     need_cnt: Vec<u32>,
-    /// Second-smallest distinct consuming superstep.
-    need_second: Vec<usize>,
+    /// Second-smallest distinct consuming superstep ([`NO_STEP`] if none).
+    need_second: Vec<u32>,
     need_mark: Vec<u64>,
     /// Processors touched by the current summary computation.
     need_touched: Vec<usize>,
@@ -225,27 +288,26 @@ impl EvalScratch {
         Self::default()
     }
 
-    /// Grows every buffer to match `core`'s processor count and superstep
-    /// capacity.  Idempotent and cheap once sized; evaluation calls it
-    /// internally, so explicit calls are only an optimization to front-load
-    /// the allocations.
+    /// Grows every buffer to match `core`'s processor count, superstep
+    /// capacity and gather bounds.  Idempotent and cheap once sized;
+    /// evaluation calls it internally, so explicit calls are only an
+    /// optimization to front-load the allocations.
     pub fn fit(&mut self, core: &HcCore<'_>) {
+        fn reserve_to<T>(buf: &mut Vec<T>, bound: usize) {
+            buf.reserve(bound.saturating_sub(buf.len()));
+        }
         self.fit_procs(core.machine.p());
-        self.fit_steps(core.body.len() + 1);
-        let bound = core.contrib_bound;
-        if self.contribs_old.capacity() < bound {
-            self.contribs_old.reserve(bound - self.contribs_old.len());
-        }
-        if self.contribs_new.capacity() < bound {
-            self.contribs_new.reserve(bound - self.contribs_new.len());
-        }
-        let step_bound = (2 + 2 * bound).min(core.body.len() + 1);
-        if self.affected.capacity() < step_bound {
-            self.affected.reserve(step_bound);
-        }
-        for log in &mut self.logs {
-            log.rows.reserve(step_bound.saturating_sub(log.rows.len()));
-            log.ops.reserve(bound.saturating_sub(log.ops.len()));
+        let steps = core.body.len() + 1;
+        self.fit_steps(steps);
+        let (gather, log) = (core.contrib_bound, core.log_bound);
+        reserve_to(&mut self.contribs_old, gather);
+        reserve_to(&mut self.contribs_new, gather);
+        // Two rows of the move itself plus one per gathered contribution;
+        // a log touches the row of its work patch plus one per patch.
+        reserve_to(&mut self.affected, (2 + 2 * gather).min(steps));
+        for entry in &mut self.logs {
+            reserve_to(&mut entry.rows, (1 + log).min(steps));
+            reserve_to(&mut entry.ops, log);
         }
     }
 
@@ -274,7 +336,7 @@ impl EvalScratch {
         self.affected.clear();
         self.step_stamp += 1;
         let contribs = self.contribs_old.iter().chain(&self.contribs_new);
-        for s in [s_old, s_new].into_iter().chain(contribs.map(|c| c.step)) {
+        for s in [s_old, s_new].into_iter().chain(contribs.map(|c| c.step())) {
             if self.step_mark[s] != self.step_stamp {
                 self.step_mark[s] = self.step_stamp;
                 self.affected.push(s);
@@ -287,6 +349,53 @@ impl EvalScratch {
         self.step_stamp += 1;
         self.logs[which].rows.clear();
         self.logs[which].ops.clear();
+    }
+
+    /// Writes into `out` the consumer summaries of node `u` — per processor
+    /// hosting at least one successor of `u`: the earliest consuming
+    /// superstep, the number of consumers attaining it, and the runner-up
+    /// superstep — and returns how many there are.  `out` needs a slot per
+    /// processor the successors can occupy, `min(out_degree(u), P)`.
+    fn summarize(
+        &mut self,
+        graph: &Dag,
+        proc: &[usize],
+        step: &[usize],
+        u: usize,
+        out: &mut [ConsumerSummary],
+    ) -> usize {
+        self.need_stamp += 1;
+        let stamp = self.need_stamp;
+        self.need_touched.clear();
+        for w in graph.successors(u) {
+            let q = proc[w];
+            let s = step[w] as u32;
+            if self.need_mark[q] != stamp {
+                self.need_mark[q] = stamp;
+                self.need_step[q] = s;
+                self.need_cnt[q] = 1;
+                self.need_second[q] = NO_STEP;
+                self.need_touched.push(q);
+            } else if s < self.need_step[q] {
+                self.need_second[q] = self.need_step[q];
+                self.need_step[q] = s;
+                self.need_cnt[q] = 1;
+            } else if s == self.need_step[q] {
+                self.need_cnt[q] += 1;
+            } else if s < self.need_second[q] {
+                self.need_second[q] = s;
+            }
+        }
+        debug_assert!(self.need_touched.len() <= out.len());
+        for (slot, &q) in out.iter_mut().zip(&self.need_touched) {
+            *slot = ConsumerSummary {
+                to: q as u32,
+                min_step: self.need_step[q],
+                min_cnt: self.need_cnt[q],
+                runner_up: self.need_second[q],
+            };
+        }
+        self.need_touched.len()
     }
 }
 
@@ -327,17 +436,27 @@ pub struct HcCore<'a> {
     /// Running sum of `body` (steps past `num_steps` are always zero).
     body_sum: u64,
     num_steps: usize,
-    /// Persistent per-node consumer-summary cache (one entry per processor
-    /// with at least one consumer, including the producer's own).  Node `u`'s
-    /// entry depends only on `u`'s successors' positions, so a committed move
-    /// of `v` invalidates exactly `v` and `v`'s predecessors; everything else
-    /// survives across visits, which is what makes the verification sweep
-    /// cheap on mostly-converged schedules.
-    contrib_cache: Vec<Vec<ConsumerSummary>>,
-    contrib_valid: Vec<bool>,
-    /// Worst-case contribution gather size, `(max_in_deg + 1) · P`; scratch
-    /// buffers are pre-reserved to it.
+    /// Persistent per-node consumer summaries (one per processor with at
+    /// least one consumer, including the producer's own) in one arena: node
+    /// `u` owns the slots `summary_off[u] .. summary_off[u + 1]`, which are
+    /// `min(out_degree(u), P)`, and its summaries are the first
+    /// `summary_len[u]` of them.  Node `u`'s summaries depend only on `u`'s
+    /// successors' positions, so a committed move of `v` marks exactly `v`
+    /// and `v`'s predecessors [`STALE`]; everything else survives across
+    /// visits, which is what makes the verification sweep cheap on
+    /// mostly-converged schedules.
+    summaries: Vec<ConsumerSummary>,
+    summary_off: Vec<u32>,
+    summary_len: Vec<u32>,
+    /// Largest contribution gather of one node's moves,
+    /// `max_v Σ_{u ∈ {v} ∪ pred(v)} min(out_degree(u), P − 1)`; the gather
+    /// buffers are reserved to it.
     contrib_bound: usize,
+    /// Most patches one lift or drop logs,
+    /// `max_v min(out_degree(v), P − 1) + 2 · in_degree(v)`: `v`'s own
+    /// sends, then per predecessor at most a removal and an addition.  The
+    /// undo logs are reserved to it.
+    log_bound: usize,
 }
 
 /// Maintains a cached row maximum (`max`, with `cnt` cells attaining it)
@@ -375,57 +494,6 @@ fn bump_row_max(max: &mut u64, cnt: &mut u32, row: &[u64], old: u64, new: u64) {
     }
 }
 
-/// Collects the consumer summaries of node `u` — per processor hosting at
-/// least one successor of `u`: the earliest consuming superstep, the number
-/// of consumers attaining it, and the runner-up superstep.
-///
-/// A free function over disjoint field borrows so callers can stream into the
-/// scratch's own vec without fighting the borrow checker.
-#[allow(clippy::too_many_arguments)]
-fn collect_summaries(
-    graph: &Dag,
-    proc: &[usize],
-    step: &[usize],
-    need_step: &mut [usize],
-    need_cnt: &mut [u32],
-    need_second: &mut [usize],
-    need_mark: &mut [u64],
-    need_touched: &mut Vec<usize>,
-    stamp: u64,
-    u: usize,
-    out: &mut Vec<ConsumerSummary>,
-) {
-    need_touched.clear();
-    for &w in graph.successors(u) {
-        let q = proc[w];
-        let s = step[w];
-        if need_mark[q] != stamp {
-            need_mark[q] = stamp;
-            need_step[q] = s;
-            need_cnt[q] = 1;
-            need_second[q] = usize::MAX;
-            need_touched.push(q);
-        } else if s < need_step[q] {
-            need_second[q] = need_step[q];
-            need_step[q] = s;
-            need_cnt[q] = 1;
-        } else if s == need_step[q] {
-            need_cnt[q] += 1;
-        } else if s < need_second[q] && s != need_step[q] {
-            need_second[q] = s;
-        }
-    }
-    out.clear();
-    for &q in need_touched.iter() {
-        out.push(ConsumerSummary {
-            to: q,
-            min_step: need_step[q],
-            min_cnt: need_cnt[q],
-            runner_up: need_second[q],
-        });
-    }
-}
-
 /// Materializes the lazy contributions of a value produced on `pu` with
 /// communication weight `cu`, given its consumer summaries: one transfer per
 /// consuming processor other than `pu`, in the phase right before the
@@ -438,7 +506,7 @@ fn push_contributions(
     out: &mut Vec<Contribution>,
 ) {
     for sm in summaries {
-        if sm.to == pu {
+        if sm.to() == pu {
             continue;
         }
         debug_assert!(
@@ -446,12 +514,8 @@ fn push_contributions(
             "a cross-processor consumer sits in superstep 0; the lazy schedule \
              cannot deliver the value in time"
         );
-        out.push(Contribution {
-            step: sm.min_step - 1,
-            from: pu,
-            to: sm.to,
-            weight: cu * machine.lambda(pu, sm.to),
-        });
+        let weight = cu * machine.lambda(pu, sm.to());
+        out.push(Contribution::new(sm.min_step() - 1, pu, sm.to(), weight));
     }
 }
 
@@ -494,7 +558,7 @@ impl<'a> HcCore<'a> {
             }
         }
         for u in 0..n {
-            for &w in graph.successors(u) {
+            for w in graph.successors(u) {
                 if assignment.proc[u] == assignment.proc[w] {
                     if assignment.superstep[u] > assignment.superstep[w] {
                         return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: w });
@@ -509,8 +573,20 @@ impl<'a> HcCore<'a> {
         // One spare superstep so the common "move to s+1" candidate at the
         // schedule frontier does not have to grow the arrays.
         let capacity = num_steps.max(1) + 1;
-        let max_in = (0..n).map(|v| graph.in_degree(v)).max().unwrap_or(0);
-        let contrib_bound = (max_in + 1) * p;
+        // A value is sent to at most `P − 1` other processors, and to no
+        // more than it has consumers.  The arena's size is at most `m`, so
+        // its offsets fit the DAG's own 32 bits.
+        let sends = |u: usize| graph.out_degree(u).min(p - 1);
+        let (mut contrib_bound, mut log_bound) = (0, 0);
+        let mut summary_off = Vec::with_capacity(n + 1);
+        summary_off.push(0u32);
+        for v in 0..n {
+            let slots = summary_off[v] as usize + graph.out_degree(v).min(p);
+            summary_off.push(slots as u32);
+            let gather = sends(v) + graph.predecessors(v).map(sends).sum::<usize>();
+            contrib_bound = contrib_bound.max(gather);
+            log_bound = log_bound.max(sends(v) + 2 * graph.in_degree(v));
+        }
         let mut core = HcCore {
             machine,
             proc: widen(&assignment.proc),
@@ -529,10 +605,11 @@ impl<'a> HcCore<'a> {
             body: vec![0; capacity],
             body_sum: 0,
             num_steps,
-            // Reserved to `p` entries: one summary per consuming processor.
-            contrib_cache: (0..n).map(|_| Vec::with_capacity(p)).collect(),
-            contrib_valid: vec![false; n],
+            summaries: vec![ConsumerSummary::default(); summary_off[n] as usize],
+            summary_off,
+            summary_len: vec![STALE; n],
             contrib_bound,
+            log_bound,
         };
         scratch.fit(&core);
         core.build_tallies(scratch, graph);
@@ -569,12 +646,11 @@ impl<'a> HcCore<'a> {
                 self.machine,
                 self.proc[u],
                 graph.comm(u),
-                &self.contrib_cache[u],
+                self.summaries_of(u),
                 &mut materialized,
             );
             for &c in &materialized {
-                let from = c.step * p + c.from;
-                let to = c.step * p + c.to;
+                let (from, to) = c.cells(p);
                 self.send[from] += c.weight;
                 self.recv[to] += c.weight;
                 self.hrel[from] = self.send[from].max(self.recv[from]);
@@ -681,37 +757,41 @@ impl<'a> HcCore<'a> {
             && self.num_steps == other.num_steps
     }
 
+    /// The arena slots of node `u`'s live consumer summaries.
+    #[inline(always)]
+    fn summary_slots(&self, u: usize) -> std::ops::Range<usize> {
+        debug_assert!(
+            self.summary_len[u] != STALE,
+            "summary cache of {u} is stale"
+        );
+        let start = self.summary_off[u] as usize;
+        start..start + self.summary_len[u] as usize
+    }
+
+    /// Node `u`'s cached consumer summaries; they must be fresh
+    /// ([`HcCore::warm_summaries`]).
+    #[inline(always)]
+    fn summaries_of(&self, u: usize) -> &[ConsumerSummary] {
+        &self.summaries[self.summary_slots(u)]
+    }
+
     /// Rebuilds node `u`'s cached consumer summaries if a committed move
     /// invalidated them.
     fn refresh_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, u: usize) {
-        if self.contrib_valid[u] {
+        if self.summary_len[u] != STALE {
             return;
         }
         scratch.fit_procs(self.machine.p());
-        let mut entry = std::mem::take(&mut self.contrib_cache[u]);
-        scratch.need_stamp += 1;
-        collect_summaries(
-            graph,
-            &self.proc,
-            &self.step,
-            &mut scratch.need_step,
-            &mut scratch.need_cnt,
-            &mut scratch.need_second,
-            &mut scratch.need_mark,
-            &mut scratch.need_touched,
-            scratch.need_stamp,
-            u,
-            &mut entry,
-        );
-        self.contrib_cache[u] = entry;
-        self.contrib_valid[u] = true;
+        let slots = self.summary_off[u] as usize..self.summary_off[u + 1] as usize;
+        let out = &mut self.summaries[slots];
+        self.summary_len[u] = scratch.summarize(graph, &self.proc, &self.step, u, out) as u32;
     }
 
     /// Refreshes the consumer-summary caches of `v` and its predecessors —
     /// everything the evaluation of `v`'s candidate moves reads.
     pub fn warm_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
         self.refresh_summaries(scratch, graph, v);
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             self.refresh_summaries(scratch, graph, u);
         }
     }
@@ -728,27 +808,18 @@ impl<'a> HcCore<'a> {
         if scratch.prepared_node == Some(v) {
             return;
         }
-        debug_assert!(self.contrib_valid[v], "summary cache of {v} is stale");
-        let mut gathered = std::mem::take(&mut scratch.contribs_old);
+        let gathered = &mut scratch.contribs_old;
         gathered.clear();
-        push_contributions(
-            self.machine,
-            self.proc[v],
-            graph.comm(v),
-            &self.contrib_cache[v],
-            &mut gathered,
-        );
-        for &u in graph.predecessors(v) {
-            debug_assert!(self.contrib_valid[u], "summary cache of {u} is stale");
-            push_contributions(
-                self.machine,
-                self.proc[u],
-                graph.comm(u),
-                &self.contrib_cache[u],
-                &mut gathered,
-            );
+        let own = self.summaries_of(v);
+        push_contributions(self.machine, self.proc[v], graph.comm(v), own, gathered);
+        for u in graph.predecessors(v) {
+            let theirs = self.summaries_of(u);
+            push_contributions(self.machine, self.proc[u], graph.comm(u), theirs, gathered);
         }
-        scratch.contribs_old = gathered;
+        debug_assert!(
+            gathered.len() <= self.contrib_bound,
+            "gather past its bound"
+        );
         scratch.prepared_node = Some(v);
     }
 
@@ -780,60 +851,43 @@ impl<'a> HcCore<'a> {
         //   leaves (`p_old`) and joins (`p_new`): exclude v via
         //   (`min_cnt`, `runner_up`), include v at `s_new`.
         let machine = self.machine;
-        let mut new_out = std::mem::take(&mut scratch.contribs_new);
+        let new_out = &mut scratch.contribs_new;
         new_out.clear();
-        {
-            let cv = graph.comm(v);
-            for sm in &self.contrib_cache[v] {
-                if sm.to == p_new {
-                    continue;
-                }
-                debug_assert!(sm.min_step > 0, "consumer of a moved value in superstep 0");
-                new_out.push(Contribution {
-                    step: sm.min_step - 1,
-                    from: p_new,
-                    to: sm.to,
-                    weight: cv * machine.lambda(p_new, sm.to),
-                });
-            }
-        }
-        for &u in graph.predecessors(v) {
+        push_contributions(machine, p_new, graph.comm(v), self.summaries_of(v), new_out);
+        for u in graph.predecessors(v) {
             let pu = self.proc[u];
             let cu = graph.comm(u);
             let mut saw_p_new = false;
-            for sm in &self.contrib_cache[u] {
-                if sm.to == p_new {
+            for &sm in self.summaries_of(u) {
+                let to = sm.to();
+                if to == p_new {
                     saw_p_new = true;
                 }
-                if sm.to == pu {
+                if to == pu {
                     continue;
                 }
                 let mut eff = sm.min_without(p_old, s_old);
-                if sm.to == p_new {
+                if to == p_new {
                     eff = eff.min(s_new);
                 }
                 if eff == usize::MAX {
                     continue; // v was the only consumer on this processor
                 }
                 debug_assert!(eff > 0, "consumer in superstep 0 after a move");
-                new_out.push(Contribution {
-                    step: eff - 1,
-                    from: pu,
-                    to: sm.to,
-                    weight: cu * machine.lambda(pu, sm.to),
-                });
+                new_out.push(Contribution::new(
+                    eff - 1,
+                    pu,
+                    to,
+                    cu * machine.lambda(pu, to),
+                ));
             }
             if !saw_p_new && p_new != pu {
                 debug_assert!(s_new > 0, "cross-processor predecessor with s_new == 0");
-                new_out.push(Contribution {
-                    step: s_new - 1,
-                    from: pu,
-                    to: p_new,
-                    weight: cu * machine.lambda(pu, p_new),
-                });
+                let weight = cu * machine.lambda(pu, p_new);
+                new_out.push(Contribution::new(s_new - 1, pu, p_new, weight));
             }
         }
-        scratch.contribs_new = new_out;
+        debug_assert!(new_out.len() <= self.contrib_bound, "gather past its bound");
     }
 
     /// Sound pruning gate: `false` guarantees that *no* candidate move of `v`
@@ -871,20 +925,22 @@ impl<'a> HcCore<'a> {
         let mut m = 0usize;
         for i in 0..scratch.contribs_old.len() {
             let c = scratch.contribs_old[i];
-            let row_max = self.hrel_max[c.step];
-            let cnt = self.hrel_max_cnt[c.step];
-            for cell in [c.step * p + c.from, c.step * p + c.to] {
+            let step = c.step();
+            let row_max = self.hrel_max[step];
+            let cnt = self.hrel_max_cnt[step];
+            let (from, to) = c.cells(p);
+            for cell in [from, to] {
                 if self.hrel[cell] != row_max {
                     continue;
                 }
                 if cnt == 1 {
                     return true;
                 }
-                if !max_cells[..m].contains(&(c.step, cell)) {
+                if !max_cells[..m].contains(&(step, cell)) {
                     if m == CAP {
                         return true; // overflow: be conservative
                     }
-                    max_cells[m] = (c.step, cell);
+                    max_cells[m] = (step, cell);
                     m += 1;
                 }
             }
@@ -904,7 +960,7 @@ impl<'a> HcCore<'a> {
     pub fn move_window(&self, graph: &Dag, v: usize) -> MoveWindow {
         let mut pred_step = None;
         let mut pred_proc = None;
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             let su = self.step[u];
             match pred_step {
                 None => {
@@ -923,7 +979,7 @@ impl<'a> HcCore<'a> {
         }
         let mut succ_step = None;
         let mut succ_proc = None;
-        for &w in graph.successors(v) {
+        for w in graph.successors(v) {
             let sw = self.step[w];
             match succ_step {
                 None => {
@@ -953,7 +1009,7 @@ impl<'a> HcCore<'a> {
     /// the same superstep on the same processor), and symmetrically for
     /// successors.
     pub fn move_is_valid(&self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> bool {
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             let ok = if self.proc[u] == p_new {
                 self.step[u] <= s_new
             } else {
@@ -963,7 +1019,7 @@ impl<'a> HcCore<'a> {
                 return false;
             }
         }
-        for &w in graph.successors(v) {
+        for w in graph.successors(v) {
             let ok = if self.proc[w] == p_new {
                 self.step[w] >= s_new
             } else {
@@ -1047,9 +1103,9 @@ impl<'a> HcCore<'a> {
     /// Adds (`add`) or removes one lazy contribution on both of its tallies.
     #[inline(always)]
     fn patch_contrib(&mut self, c: Contribution, add: bool) {
-        let row = c.step * self.machine.p();
-        self.patch_comm(Side::Send, c.step, row + c.from, c.weight, add);
-        self.patch_comm(Side::Recv, c.step, row + c.to, c.weight, add);
+        let (from, to) = c.cells(self.machine.p());
+        self.patch_comm(Side::Send, c.step(), from, c.weight, add);
+        self.patch_comm(Side::Recv, c.step(), to, c.weight, add);
     }
 
     /// The superstep count after moving `v` to superstep `s_new`: the
@@ -1095,7 +1151,7 @@ impl<'a> HcCore<'a> {
         c: Contribution,
         add: bool,
     ) {
-        self.touch_row(scratch, which, c.step);
+        self.touch_row(scratch, which, c.step());
         self.patch_contrib(c, add);
         scratch.logs[which].ops.push((c, add));
     }
@@ -1111,17 +1167,12 @@ impl<'a> HcCore<'a> {
         cv: u64,
         from: usize,
     ) {
-        for i in 0..self.contrib_cache[v].len() {
-            let sm = self.contrib_cache[v][i];
-            if sm.to != from {
+        for i in self.summary_slots(v) {
+            let sm = self.summaries[i];
+            if sm.to() != from {
                 debug_assert!(sm.min_step > 0, "consumer of a moved value in superstep 0");
-                let weight = cv * self.machine.lambda(from, sm.to);
-                let c = Contribution {
-                    step: sm.min_step - 1,
-                    from,
-                    to: sm.to,
-                    weight,
-                };
+                let weight = cv * self.machine.lambda(from, sm.to());
+                let c = Contribution::new(sm.min_step() - 1, from, sm.to(), weight);
                 self.patch_logged(scratch, which, c, which == DROP);
             }
         }
@@ -1145,7 +1196,7 @@ impl<'a> HcCore<'a> {
     fn undo_log(&mut self, log: &OpLog) {
         let p = self.machine.p();
         for &(c, added) in log.ops.iter().rev() {
-            let (from, to) = (c.step * p + c.from, c.step * p + c.to);
+            let (from, to) = c.cells(p);
             if added {
                 self.send[from] -= c.weight;
                 self.recv[to] -= c.weight;
@@ -1181,34 +1232,31 @@ impl<'a> HcCore<'a> {
         self.touch_row(scratch, LIFT, s_old);
         self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - graph.work(v));
         self.patch_own_sends(scratch, LIFT, v, graph.comm(v), p_old);
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             let pu = self.proc[u];
-            for i in 0..self.contrib_cache[u].len() {
-                let sm = self.contrib_cache[u][i];
-                if sm.to == pu {
+            for i in self.summary_slots(u) {
+                let sm = self.summaries[i];
+                if sm.to() == pu {
                     continue;
                 }
                 let eff = sm.min_without(p_old, s_old);
-                if eff != sm.min_step {
+                if eff != sm.min_step() {
                     // v alone anchored u's send to `p_old`.
                     let weight = graph.comm(u) * self.machine.lambda(pu, p_old);
-                    let mut c = Contribution {
-                        step: s_old - 1,
-                        from: pu,
-                        to: p_old,
-                        weight,
-                    };
+                    let c = Contribution::new(s_old - 1, pu, p_old, weight);
                     self.patch_logged(scratch, LIFT, c, false);
                     if eff != usize::MAX {
-                        c.step = eff - 1;
+                        let c = Contribution::new(eff - 1, pu, p_old, weight);
                         self.patch_logged(scratch, LIFT, c, true);
                     }
                 }
                 if eff != usize::MAX {
-                    scratch.move_below[sm.to] = scratch.move_below[sm.to].max(eff);
+                    let below = &mut scratch.move_below[sm.to()];
+                    *below = (*below).max(eff);
                 }
             }
         }
+        debug_assert!(scratch.logs[LIFT].ops.len() <= self.log_bound);
         scratch.lift_gain = self.log_delta(&scratch.logs[LIFT]);
     }
 
@@ -1272,30 +1320,26 @@ impl<'a> HcCore<'a> {
         self.touch_row(scratch, DROP, s_new);
         self.patch_work(s_new, p_new, self.work[cell] + wv);
         self.patch_own_sends(scratch, DROP, v, graph.comm(v), p_new);
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             let pu = self.proc[u];
             if pu == p_new {
                 continue;
             }
             // Where u's send to `p_new` is anchored with v lifted, if any.
-            let eff = (self.contrib_cache[u].iter().find(|sm| sm.to == p_new))
+            let eff = (self.summaries_of(u).iter().find(|sm| sm.to() == p_new))
                 .map_or(usize::MAX, |sm| sm.min_without(p_old, s_old));
             if s_new < eff {
                 debug_assert!(s_new > 0, "cross-processor predecessor with s_new == 0");
                 let weight = graph.comm(u) * self.machine.lambda(pu, p_new);
-                let mut c = Contribution {
-                    step: s_new - 1,
-                    from: pu,
-                    to: p_new,
-                    weight,
-                };
+                let c = Contribution::new(s_new - 1, pu, p_new, weight);
                 self.patch_logged(scratch, DROP, c, true);
                 if eff != usize::MAX {
-                    c.step = eff - 1;
+                    let c = Contribution::new(eff - 1, pu, p_new, weight);
                     self.patch_logged(scratch, DROP, c, false);
                 }
             }
         }
+        debug_assert!(scratch.logs[DROP].ops.len() <= self.log_bound);
         let rows_delta = self.log_delta(&scratch.logs[DROP]);
         self.work[cell] -= wv;
         self.undo_log(&scratch.logs[DROP]);
@@ -1373,9 +1417,9 @@ impl<'a> HcCore<'a> {
         // The committed move changed v's position: the cached contributions
         // of v (sender moved) and of its predecessors (consumer moved) are
         // stale.
-        self.contrib_valid[v] = false;
-        for &u in graph.predecessors(v) {
-            self.contrib_valid[u] = false;
+        self.summary_len[v] = STALE;
+        for u in graph.predecessors(v) {
+            self.summary_len[u] = STALE;
         }
         scratch.prepared_node = None;
         delta
@@ -1655,6 +1699,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_scratch_reserved_at_construction_holds_every_gather_of_a_hub() {
+        // The funnel reduction of a coarse `bicgstab`: hubs of 57
+        // predecessors whose values have up to 81 consumers, on P = 8.
+        let kernel = dag_gen::coarse::coarse(&dag_gen::coarse::CoarseConfig {
+            algorithm: dag_gen::coarse::CoarseAlgorithm::BiCgStab,
+            iterations: 40,
+        });
+        let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+        let funnel = crate::Funnel::contract(&kernel, machine.p()).expect("bicgstab contracts");
+        let dag = funnel.dag();
+        // Consumers spread over every processor, two supersteps per level
+        // so every edge may cross: the gathers come close to the bound.
+        let levels = dag.levels();
+        let assignment = Assignment {
+            proc: (0..dag.n()).map(|v| (v * 5 % machine.p()) as u32).collect(),
+            superstep: levels.iter().map(|&l| 2 * l as u32).collect(),
+        };
+        let mut state = HcState::new(dag, &machine, assignment).unwrap();
+        let capacities = |s: &EvalScratch| {
+            let [lift, drop] = &s.logs;
+            let logs = [&lift.ops, &drop.ops].map(Vec::capacity);
+            (s.contribs_old.capacity(), s.contribs_new.capacity(), logs)
+        };
+        let reserved = capacities(&state.scratch);
+        let (gather, log) = (state.core.contrib_bound, state.core.log_bound);
+        assert_eq!(reserved, (gather, gather, [log, log]), "reserved exactly");
+        let mut largest = 0;
+        for v in 0..dag.n() {
+            let s_old = state.step_of(v);
+            for s_new in s_old.saturating_sub(1)..=s_old + 1 {
+                for p_new in 0..machine.p() {
+                    if state.move_is_valid(dag, v, p_new, s_new) {
+                        state.try_move(dag, v, p_new, s_new);
+                        let (core, scratch) = state.parts_mut();
+                        core.gather_move_contribs(scratch, dag, v, p_new, s_new);
+                        largest = largest.max(scratch.contribs_old.len());
+                        largest = largest.max(scratch.contribs_new.len());
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            capacities(&state.scratch),
+            reserved,
+            "a buffer outgrew its bound"
+        );
+        assert!(
+            largest * 2 > gather,
+            "the gathers stay far below {gather}: {largest}"
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Pools<'_> {
     fn entry(&self, v: usize, q: usize) -> Entry {
         let dag = self.dag;
         let mut s = 0.0;
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             if self.proc[u] as usize == q || self.succ_on[u * self.p + q] {
                 s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
             }
@@ -116,13 +116,13 @@ impl Pools<'_> {
         self.pool[v] = NO_POOL;
         self.proc[v] = q as u32;
         self.superstep_of[v] = superstep as u32;
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             if std::mem::replace(&mut self.succ_on[u * self.p + q], true)
                 || self.proc[u] as usize == q
             {
                 continue;
             }
-            for &w in dag.successors(u) {
+            for w in dag.successors(u) {
                 if self.pool[w] == q || self.pool[w] == self.p {
                     self.push(w, q);
                 }
@@ -201,11 +201,11 @@ impl BspgScheduler {
             for &v in &finishing {
                 let q = pools.proc[v] as usize;
                 free[q] = true;
-                for &u in dag.successors(v) {
+                for u in dag.successors(v) {
                     unfinished_preds[u] -= 1;
                     if unfinished_preds[u] == 0 {
                         ready.push(u);
-                        let assignable_here = dag.predecessors(u).iter().all(|&u0| {
+                        let assignable_here = dag.predecessors(u).all(|u0| {
                             pools.proc[u0] as usize == q
                                 || (pools.superstep_of[u0] as usize) < superstep
                         });

@@ -54,7 +54,7 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
         }
         hosts.clear();
         let mut movable = dag.out_degree(v) > 0;
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             movable &= schedule.superstep(w) > schedule.superstep(v);
             let q = schedule.proc(w);
             if std::mem::replace(&mut hosted[q], v) != v {

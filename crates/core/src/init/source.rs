@@ -48,7 +48,7 @@ impl Shrinking<'_> {
     fn assign(&mut self, v: usize, q: usize, superstep: usize) {
         self.proc[v] = q as u32;
         self.superstep_of[v] = superstep as u32;
-        for &w in self.dag.successors(v) {
+        for w in self.dag.successors(v) {
             self.remaining_indeg[w] -= 1;
             if self.remaining_indeg[w] == 0 {
                 self.freed.push(w);
@@ -92,8 +92,8 @@ impl SourceScheduler {
                     // The first cluster with room for v among those of the
                     // sources v shares an out-neighbour with.
                     let mut target_cluster: Option<usize> = None;
-                    'outer: for &succ in dag.successors(v) {
-                        for &u in dag.predecessors(succ) {
+                    'outer: for succ in dag.successors(v) {
+                        for u in dag.predecessors(succ) {
                             if u != v && dag.in_degree(u) == 0 {
                                 if let Some(c) = cluster_of[u] {
                                     if cluster_work[c] + dag.work(v) <= bound {
@@ -117,8 +117,8 @@ impl SourceScheduler {
                             clusters.push(vec![v]);
                             cluster_of[v] = Some(c);
                             cluster_work.push(dag.work(v));
-                            for &succ in dag.successors(v) {
-                                for &u in dag.predecessors(succ) {
+                            for succ in dag.successors(v) {
+                                for u in dag.predecessors(succ) {
                                     if u != v
                                         && dag.in_degree(u) == 0
                                         && cluster_of[u].is_none()
@@ -153,9 +153,9 @@ impl SourceScheduler {
             // the rest are the sources of the next superstep.  (A pulled-in
             // node frees its own successors, so chains are absorbed.)
             while let Some(u) = st.freed.pop() {
-                let preds = dag.predecessors(u);
-                let target = st.proc[preds[0]];
-                if preds.iter().all(|&w| st.proc[w] == target) {
+                let mut preds = dag.predecessors(u);
+                let target = st.proc[preds.next().expect("a freed node has a predecessor")];
+                if preds.all(|w| st.proc[w] == target) {
                     st.assign(u, target as usize, superstep);
                 } else {
                     sources.push(u);

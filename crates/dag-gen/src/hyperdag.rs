@@ -113,11 +113,11 @@ pub fn append_hyperdag(out: &mut Vec<u8>, dag: &Dag) {
     let mut h = 0u64;
     for v in 0..n {
         let successors = dag.successors(v);
-        if successors.is_empty() {
+        if successors.len() == 0 {
             continue;
         }
         push_line(out, [h, v as u64]);
-        for &w in successors {
+        for w in successors {
             push_line(out, [h, w as u64]);
         }
         h += 1;

@@ -53,7 +53,7 @@ impl ClassicalSchedule {
     /// *not* checked here — baselines model them in their own EST computation.
     pub fn is_consistent(&self, dag: &Dag) -> bool {
         for v in 0..self.n() {
-            for &u in dag.predecessors(v) {
+            for u in dag.predecessors(v) {
                 if self.finish(dag, u) > self.start[v] {
                     return false;
                 }
@@ -83,8 +83,7 @@ impl ClassicalSchedule {
     /// superstep yet.
     fn is_blocked(&self, dag: &Dag, v: usize, superstep: &[u32]) -> bool {
         dag.predecessors(v)
-            .iter()
-            .any(|&u| superstep[u] == u32::MAX && self.proc[u] != self.proc[v])
+            .any(|u| superstep[u] == u32::MAX && self.proc[u] != self.proc[v])
     }
 
     /// Converts this classical schedule into a BSP assignment by cutting the

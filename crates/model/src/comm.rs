@@ -104,7 +104,7 @@ impl CommSchedule {
         for u in 0..dag.n() {
             let source = assignment.proc[u] as usize;
             targets.clear();
-            for &v in dag.successors(u) {
+            for v in dag.successors(u) {
                 let q = assignment.proc[v] as usize;
                 if q == source {
                     continue;

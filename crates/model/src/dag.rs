@@ -10,6 +10,11 @@
 //! local searches walk `successors`/`predecessors` for every candidate move,
 //! so neighbour lists being contiguous (two arrays per direction instead of
 //! `n` separate heap allocations) is what keeps that hot path cache-friendly.
+//!
+//! Offsets and neighbour ids are `u32` — [`Dag::from_edges`] refuses more
+//! than `u32::MAX` nodes or edges — so a DAG takes 24 bytes per node (two
+//! `u64` weights, two offsets) plus 8 per edge.  The neighbour iterators
+//! widen each id to [`NodeId`].
 
 use crate::error::DagError;
 use crate::machine::Machine;
@@ -28,14 +33,13 @@ pub struct Dag {
     work: Vec<u64>,
     comm: Vec<u64>,
     /// CSR offsets into `succ_adj`; length `n + 1`.
-    succ_off: Vec<usize>,
+    succ_off: Vec<u32>,
     /// Packed successor lists, in edge insertion order per node.
-    succ_adj: Vec<NodeId>,
+    succ_adj: Vec<u32>,
     /// CSR offsets into `pred_adj`; length `n + 1`.
-    pred_off: Vec<usize>,
+    pred_off: Vec<u32>,
     /// Packed predecessor lists, in edge insertion order per node.
-    pred_adj: Vec<NodeId>,
-    num_edges: usize,
+    pred_adj: Vec<u32>,
 }
 
 /// Incremental builder for [`Dag`].
@@ -82,16 +86,6 @@ impl DagBuilder {
     /// `true` if no node has been added yet.
     pub fn is_empty(&self) -> bool {
         self.work.is_empty()
-    }
-
-    /// Overwrites the work weight of an existing node.
-    pub fn set_work(&mut self, node: NodeId, work: u64) {
-        self.work[node] = work;
-    }
-
-    /// Overwrites the communication weight of an existing node.
-    pub fn set_comm(&mut self, node: NodeId, comm: u64) {
-        self.comm[node] = comm;
     }
 
     /// Finalizes the builder into an immutable [`Dag`].
@@ -143,19 +137,37 @@ fn first_edge_defect(n: usize, edges: &[(NodeId, NodeId)]) -> DagError {
     unreachable!("first_edge_defect is only called on an edge list with a defect")
 }
 
+/// The ids of one CSR row, widened to [`NodeId`].
+#[inline]
+fn widen(row: &[u32]) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+    row.iter().map(|&x| x as NodeId)
+}
+
 impl Dag {
+    /// `Ok` if a DAG of `n` nodes and `m` edges fits the 32-bit layout: at
+    /// most `u32::MAX` of each (schedules name nodes in 32 bits too).  Every
+    /// constructor asks this before it allocates anything sized by `n` or `m`.
+    fn check_size(n: usize, m: usize) -> Result<(), DagError> {
+        if u32::try_from(n).is_err() {
+            return Err(DagError::TooManyNodes { n });
+        }
+        if u32::try_from(m).is_err() {
+            return Err(DagError::TooManyEdges { m });
+        }
+        Ok(())
+    }
+
     /// Builds a DAG from an explicit edge list and weight vectors.  At most
-    /// `u32::MAX` nodes: schedules name nodes, processors and supersteps in
-    /// 32 bits.
+    /// `u32::MAX` nodes and `u32::MAX` edges: more is refused with
+    /// [`DagError::TooManyNodes`] / [`DagError::TooManyEdges`] before
+    /// anything is allocated.
     pub fn from_edges(
         n: usize,
         edges: &[(NodeId, NodeId)],
         work: Vec<u64>,
         comm: Vec<u64>,
     ) -> Result<Self, DagError> {
-        if u32::try_from(n).is_err() {
-            return Err(DagError::TooManyNodes { n });
-        }
+        Self::check_size(n, edges.len())?;
         if work.len() != n {
             return Err(DagError::WeightLengthMismatch {
                 expected: n,
@@ -176,8 +188,8 @@ impl Dag {
         // comes *first* in the list only matters once there is one:
         // `first_edge_defect` walks the list again to name it.
         let num_edges = edges.len();
-        let mut succ_off = vec![0usize; n + 1];
-        let mut pred_off = vec![0usize; n + 1];
+        let mut succ_off = vec![0u32; n + 1];
+        let mut pred_off = vec![0u32; n + 1];
         for &(u, v) in edges {
             if u >= n || v >= n || u == v {
                 return Err(first_edge_defect(n, edges));
@@ -189,29 +201,18 @@ impl Dag {
             succ_off[i + 1] += succ_off[i];
             pred_off[i + 1] += pred_off[i];
         }
-        let mut succ_adj = vec![0 as NodeId; num_edges];
-        let mut pred_adj = vec![0 as NodeId; num_edges];
+        // `check_size` bounds every id and offset by `u32::MAX`, so the
+        // narrowing casts below are exact.
+        let mut succ_adj = vec![0u32; num_edges];
+        let mut pred_adj = vec![0u32; num_edges];
         let mut succ_cursor = succ_off.clone();
         let mut pred_cursor = pred_off.clone();
         for &(u, v) in edges {
-            succ_adj[succ_cursor[u]] = v;
+            succ_adj[succ_cursor[u] as usize] = v as u32;
             succ_cursor[u] += 1;
-            pred_adj[pred_cursor[v]] = u;
+            pred_adj[pred_cursor[v] as usize] = u as u32;
             pred_cursor[v] += 1;
         }
-        // `succ_cursor` has done its job; reuse it as the stamp array
-        // (`stamp[v] == u + 1` iff `v` was already seen in `u`'s row).
-        let stamp = &mut succ_cursor;
-        stamp.fill(0);
-        for u in 0..n {
-            for &v in &succ_adj[succ_off[u]..succ_off[u + 1]] {
-                if stamp[v] == u + 1 {
-                    return Err(first_edge_defect(n, edges));
-                }
-                stamp[v] = u + 1;
-            }
-        }
-
         let dag = Dag {
             work,
             comm,
@@ -219,8 +220,21 @@ impl Dag {
             succ_adj,
             pred_off,
             pred_adj,
-            num_edges,
         };
+        // `succ_cursor` has done its job; reuse it as the stamp array
+        // (`stamp[v] == u + 1` iff `v` was already seen in `u`'s row).
+        let stamp = &mut succ_cursor;
+        stamp.fill(0);
+        for u in 0..n {
+            let mark = u as u32 + 1;
+            for v in dag.successors(u) {
+                if stamp[v] == mark {
+                    return Err(first_edge_defect(n, edges));
+                }
+                stamp[v] = mark;
+            }
+        }
+
         if dag.topological_order().is_none() {
             return Err(DagError::Cycle);
         }
@@ -244,7 +258,7 @@ impl Dag {
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.succ_adj.len()
     }
 
     /// Work weight `w(v)`.
@@ -269,33 +283,33 @@ impl Dag {
         &self.comm
     }
 
-    /// Direct successors (out-neighbours) of `v`.
+    /// Direct successors (out-neighbours) of `v`, in edge insertion order.
     #[inline]
-    pub fn successors(&self, v: NodeId) -> &[NodeId] {
-        &self.succ_adj[self.succ_off[v]..self.succ_off[v + 1]]
+    pub fn successors(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        widen(&self.succ_adj[self.succ_off[v] as usize..self.succ_off[v + 1] as usize])
     }
 
-    /// Direct predecessors (in-neighbours) of `v`.
+    /// Direct predecessors (in-neighbours) of `v`, in edge insertion order.
     #[inline]
-    pub fn predecessors(&self, v: NodeId) -> &[NodeId] {
-        &self.pred_adj[self.pred_off[v]..self.pred_off[v + 1]]
+    pub fn predecessors(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        widen(&self.pred_adj[self.pred_off[v] as usize..self.pred_off[v + 1] as usize])
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.succ_off[v + 1] - self.succ_off[v]
+        (self.succ_off[v + 1] - self.succ_off[v]) as usize
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.pred_off[v + 1] - self.pred_off[v]
+        (self.pred_off[v + 1] - self.pred_off[v]) as usize
     }
 
     /// Iterator over all directed edges `(u, v)`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.n()).flat_map(move |u| self.successors(u).iter().map(move |&v| (u, v)))
+        (0..self.n()).flat_map(move |u| self.successors(u).map(move |v| (u, v)))
     }
 
     /// Nodes without predecessors.
@@ -318,15 +332,6 @@ impl Dag {
         self.comm.iter().sum()
     }
 
-    /// Communication-to-computation ratio `Σ c(v) / Σ w(v)` (see §A.5 of the paper).
-    pub fn ccr(&self) -> f64 {
-        let w = self.total_work();
-        if w == 0 {
-            return f64::INFINITY;
-        }
-        self.total_comm() as f64 / w as f64
-    }
-
     /// Kahn topological order, or `None` if the graph has a cycle.
     ///
     /// Runs in `O(n + m)`.
@@ -340,7 +345,7 @@ impl Dag {
         let mut head = 0;
         while let Some(&v) = order.get(head) {
             head += 1;
-            for &w in self.successors(v) {
+            for w in self.successors(v) {
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
                     order.push(w);
@@ -354,18 +359,6 @@ impl Dag {
         }
     }
 
-    /// Position of every node in a fixed topological order.
-    pub fn topological_rank(&self) -> Vec<usize> {
-        let order = self
-            .topological_order()
-            .expect("Dag invariant: always acyclic");
-        let mut rank = vec![0usize; self.n()];
-        for (i, &v) in order.iter().enumerate() {
-            rank[v] = i;
-        }
-        rank
-    }
-
     /// Topological *level* of each node: sources have level 0, every other node
     /// has level `1 + max(level of predecessors)`.  These levels are the
     /// "wavefronts" used by the `HDagg` baseline.
@@ -375,7 +368,7 @@ impl Dag {
             .expect("Dag invariant: always acyclic");
         let mut level = vec![0usize; self.n()];
         for &v in &order {
-            for &u in self.predecessors(v) {
+            for u in self.predecessors(v) {
                 level[v] = level[v].max(level[u] + 1);
             }
         }
@@ -390,12 +383,7 @@ impl Dag {
             .expect("Dag invariant: always acyclic");
         let mut tl = vec![0u64; self.n()];
         for &v in &order {
-            let best = self
-                .predecessors(v)
-                .iter()
-                .map(|&u| tl[u])
-                .max()
-                .unwrap_or(0);
+            let best = self.predecessors(v).map(|u| tl[u]).max().unwrap_or(0);
             tl[v] = best + self.work[v];
         }
         tl
@@ -410,7 +398,7 @@ impl Dag {
             .expect("Dag invariant: always acyclic");
         let mut bl = vec![0u64; self.n()];
         for &v in order.iter().rev() {
-            let best = self.successors(v).iter().map(|&w| bl[w]).max().unwrap_or(0);
+            let best = self.successors(v).map(|w| bl[w]).max().unwrap_or(0);
             bl[v] = best + self.work[v];
         }
         bl
@@ -435,42 +423,6 @@ impl Dag {
         share.max(self.critical_path_work()) + machine.latency()
     }
 
-    /// `true` if there is a directed path from `u` to `v` (including `u == v`).
-    ///
-    /// Runs a BFS pruned by topological rank; `O(n + m)` worst case.
-    pub fn has_path(&self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
-            return true;
-        }
-        let rank = self.topological_rank();
-        self.has_path_with_rank(u, v, &rank)
-    }
-
-    /// Same as [`Dag::has_path`] but reuses a precomputed topological rank.
-    pub fn has_path_with_rank(&self, u: NodeId, v: NodeId, rank: &[usize]) -> bool {
-        if u == v {
-            return true;
-        }
-        if rank[u] > rank[v] {
-            return false;
-        }
-        let mut visited = vec![false; self.n()];
-        let mut stack = vec![u];
-        visited[u] = true;
-        while let Some(x) = stack.pop() {
-            for &y in self.successors(x) {
-                if y == v {
-                    return true;
-                }
-                if !visited[y] && rank[y] < rank[v] {
-                    visited[y] = true;
-                    stack.push(y);
-                }
-            }
-        }
-        false
-    }
-
     /// Nodes of the largest weakly connected component (used when coarse-grained
     /// extraction leaves isolated fragments, cf. Appendix B.1).
     pub fn largest_weakly_connected_component(&self) -> Vec<NodeId> {
@@ -487,7 +439,7 @@ impl Dag {
             comp[start] = next_comp;
             while let Some(v) = stack.pop() {
                 nodes.push(v);
-                for &w in self.successors(v).iter().chain(self.predecessors(v).iter()) {
+                for w in self.successors(v).chain(self.predecessors(v)) {
                     if comp[w] == usize::MAX {
                         comp[w] = next_comp;
                         stack.push(w);
@@ -502,30 +454,6 @@ impl Dag {
         let mut nodes = best.1;
         nodes.sort_unstable();
         nodes
-    }
-
-    /// The sub-DAG induced by `nodes` (which must be distinct).  Returns the
-    /// sub-DAG and the mapping from new node ids to original node ids.
-    pub fn induced_subdag(&self, nodes: &[NodeId]) -> (Dag, Vec<NodeId>) {
-        let mut index = vec![usize::MAX; self.n()];
-        for (i, &v) in nodes.iter().enumerate() {
-            index[v] = i;
-        }
-        let mut builder = DagBuilder::new();
-        for &v in nodes {
-            builder.add_node(self.work[v], self.comm[v]);
-        }
-        for &v in nodes {
-            for &w in self.successors(v) {
-                if index[w] != usize::MAX {
-                    builder.add_edge(index[v], index[w]);
-                }
-            }
-        }
-        (
-            builder.build().expect("induced subgraph of a DAG is a DAG"),
-            nodes.to_vec(),
-        )
     }
 
     /// A human-readable one-line summary (useful in experiment logs).
@@ -608,6 +536,18 @@ mod tests {
     }
 
     #[test]
+    fn more_edges_than_u32_can_count_are_refused() {
+        // A slice of 2^32 edges cannot be built in a test; the one size
+        // check every constructor runs first is called directly.
+        let m = 1usize << 32;
+        assert_eq!(Dag::check_size(1, m), Err(DagError::TooManyEdges { m }));
+        assert_eq!(
+            Dag::check_size(u32::MAX as usize, u32::MAX as usize),
+            Ok(())
+        );
+    }
+
+    #[test]
     fn builder_dedups_edges() {
         let mut b = DagBuilder::new();
         b.add_node(1, 1);
@@ -621,7 +561,10 @@ mod tests {
     fn topological_order_respects_edges() {
         let d = diamond();
         let order = d.topological_order().unwrap();
-        let rank = d.topological_rank();
+        let mut rank = vec![0; d.n()];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v] = i;
+        }
         for (u, v) in d.edges() {
             assert!(rank[u] < rank[v], "edge ({u},{v}) violated in {order:?}");
         }
@@ -641,34 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn path_queries() {
-        let d = diamond();
-        assert!(d.has_path(0, 3));
-        assert!(d.has_path(1, 3));
-        assert!(!d.has_path(1, 2));
-        assert!(!d.has_path(3, 0));
-        assert!(d.has_path(2, 2));
-    }
-
-    #[test]
-    fn induced_subdag_keeps_inner_edges() {
-        let d = diamond();
-        let (sub, map) = d.induced_subdag(&[0, 1, 3]);
-        assert_eq!(sub.n(), 3);
-        assert_eq!(map, vec![0, 1, 3]);
-        // edges 0->1 and 1->3 survive, 0->2->3 path does not.
-        assert_eq!(sub.num_edges(), 2);
-    }
-
-    #[test]
     fn largest_component_of_disconnected_graph() {
         let d = Dag::from_edge_list_unit_weights(5, &[(0, 1), (1, 2)]).unwrap();
         assert_eq!(d.largest_weakly_connected_component(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn ccr_matches_definition() {
-        let d = diamond();
-        assert!((d.ccr() - 26.0 / 10.0).abs() < 1e-12);
     }
 }

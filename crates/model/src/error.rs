@@ -17,6 +17,8 @@ pub enum DagError {
     WeightLengthMismatch { expected: usize, got: usize },
     /// More nodes than a 32-bit schedule index can name (`n > u32::MAX`).
     TooManyNodes { n: usize },
+    /// More edges than the 32-bit CSR offsets can count (`m > u32::MAX`).
+    TooManyEdges { m: usize },
 }
 
 impl fmt::Display for DagError {
@@ -35,6 +37,9 @@ impl fmt::Display for DagError {
             }
             DagError::TooManyNodes { n } => {
                 write!(f, "{n} nodes exceed the limit of {}", u32::MAX)
+            }
+            DagError::TooManyEdges { m } => {
+                write!(f, "{m} edges exceed the limit of {}", u32::MAX)
             }
         }
     }

@@ -169,7 +169,7 @@ pub fn request_key(dag: &Dag, machine: &Machine) -> RequestKey {
     for v in 0..dag.n() {
         let row = dag.successors(v);
         lanes.write_shared(row.len() as u64);
-        for &w in row {
+        for w in row {
             lanes.write_shared(w as u64);
         }
     }
@@ -302,5 +302,44 @@ mod tests {
         let d1 = b1.build().unwrap();
         let d2 = b2.build().unwrap();
         assert_eq!(request_key(&d1, &m), request_key(&d2, &m));
+    }
+
+    /// A fixed DAG drawn from a 64-bit LCG: 300 nodes, up to five edges
+    /// from each node to one of the next 40, plus a hub (node 0) feeding
+    /// every seventh node, with drawn weights.
+    fn generated() -> Dag {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let n = 300;
+        let mut edges: Vec<(usize, usize)> = (1..n / 7).map(|k| (0, 7 * k)).collect();
+        for u in 1..n {
+            for _ in 0..draw(6) {
+                let v = u + 1 + draw(40) as usize;
+                if v < n && !edges.contains(&(u, v)) {
+                    edges.push((u, v));
+                }
+            }
+        }
+        let work = (0..n).map(|_| 1 + draw(50)).collect();
+        let comm = (0..n).map(|_| 1 + draw(9)).collect();
+        Dag::from_edges(n, &edges, work, comm).unwrap()
+    }
+
+    #[test]
+    fn keys_of_a_fixed_request_do_not_drift() {
+        // The cache, the durable store and router placement are indexed by
+        // these keys; a change of the DAG's memory layout that moved them
+        // would orphan every stored answer.  The literals were computed while
+        // the CSR still stored `usize` offsets and ids.
+        let dag = generated();
+        let key = request_key(&dag, &Machine::numa_binary_tree(8, 3, 5, 3));
+        assert_eq!((dag.n(), dag.num_edges()), (300, 693));
+        assert_eq!(key.structure, 0x3418_568f_68d8_3e23);
+        assert_eq!(key.full, 0xd8a4_67d3_558a_dc1c_150f_2f00_d069_2a7c);
     }
 }

@@ -174,7 +174,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
         // hand.  A failure must not pre-empt a condition-2 failure of a
         // later node, and the edge to report is the first in *consumer*
         // order, so only the lowest consumer is remembered here.
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             if broken.is_none_or(|b| w < b)
                 && check_edge(sched, v, w, |q| arrivals.get(v, q)).is_err()
             {
@@ -187,7 +187,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     // first failing predecessor of the lowest failing node.  Γ is grouped
     // and sorted by now, so one edge's arrival is a scan of one run.
     if let Some(v) = broken {
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             let run = &grouped[offset[u]..offset[u + 1]];
             check_edge(sched, u, v, |q| {
                 run.iter()

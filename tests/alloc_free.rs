@@ -6,11 +6,12 @@
 //! pass over a set of valid moves, replaying the same moves must not allocate
 //! or deallocate at all.
 
-use bsp_model::Machine;
-use bsp_sched::baselines::CilkScheduler;
+use bsp_model::{BspSchedule, Dag, Machine};
+use bsp_sched::baselines::{CilkScheduler, HDaggScheduler};
 use bsp_sched::hill_climb::{hc_search, HcState, HillClimbConfig, SearchScratch};
 use bsp_sched::init::SourceScheduler;
-use bsp_sched::Scheduler;
+use bsp_sched::{Funnel, Scheduler};
+use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,18 +79,60 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
     guard
 }
 
-#[test]
-fn try_move_is_allocation_free_after_warmup() {
-    let _serial = one_at_a_time();
-    let dag = spmv(&SpmvConfig {
+/// What every `HC` proof runs on: a DAG, a machine, and the schedule a
+/// search phase starts from (one with more than ten improving moves).
+struct HcCase {
+    name: &'static str,
+    dag: Dag,
+    machine: Machine,
+    search_start: fn(&Dag, &Machine) -> BspSchedule,
+}
+
+/// A fine `spmv`, whose in-degrees stay small, on a uniform and a NUMA
+/// machine, and the funnel reduction of a small coarse `bicgstab` — the DAG
+/// the pipeline searches — whose hubs have 57 predecessors and 81 successors
+/// against `P = 8`.  The scratch is reserved to the exact gather bound of
+/// the DAG, which only a hub comes near.
+fn hc_cases() -> Vec<HcCase> {
+    let fine = spmv(&SpmvConfig {
         n: 48,
         density: 0.2,
         seed: 9,
     });
-    for machine in [
-        Machine::uniform(4, 3, 5),
-        Machine::numa_binary_tree(8, 2, 5, 3),
-    ] {
+    let kernel = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::BiCgStab,
+        iterations: 40,
+    });
+    let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+    let hub = Funnel::contract(&kernel, machine.p()).expect("bicgstab contracts");
+    let max_in = (0..hub.dag().n()).map(|v| hub.dag().in_degree(v)).max();
+    assert!(
+        max_in >= Some(6 * machine.p()),
+        "no hub: max in-degree {max_in:?}"
+    );
+    let cilk = |dag: &Dag, machine: &Machine| CilkScheduler::default().schedule(dag, machine);
+    // From `Cilk` the hub reaches its local minimum after 7 moves.
+    let hdagg = |dag: &Dag, machine: &Machine| HDaggScheduler::default().schedule(dag, machine);
+    let case = |name, dag, machine, search_start| HcCase {
+        name,
+        dag,
+        machine,
+        search_start,
+    };
+    vec![
+        case("spmv48", fine.clone(), Machine::uniform(4, 3, 5), cilk),
+        case("spmv48", fine, machine.clone(), cilk),
+        case("bicgstab-hub", hub.dag().clone(), machine, hdagg),
+    ]
+}
+
+#[test]
+fn try_move_is_allocation_free_after_warmup() {
+    let _serial = one_at_a_time();
+    for HcCase {
+        name, dag, machine, ..
+    } in hc_cases()
+    {
         let init = SourceScheduler.schedule(&dag, &machine);
         let mut state = HcState::new(&dag, &machine, init.assignment.clone())
             .expect("scheduler output is feasible");
@@ -132,7 +175,7 @@ fn try_move_is_allocation_free_after_warmup() {
         assert_eq!(
             (allocs, deallocs),
             (0, 0),
-            "try_move allocated on machine P={}: {} allocs / {} deallocs over {} evaluations",
+            "try_move allocated on {name}, P={}: {} allocs / {} deallocs over {} evaluations",
             machine.p(),
             allocs,
             deallocs,
@@ -149,15 +192,13 @@ fn try_move_is_allocation_free_after_warmup() {
 #[test]
 fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
     let _serial = one_at_a_time();
-    let dag = spmv(&SpmvConfig {
-        n: 48,
-        density: 0.2,
-        seed: 9,
-    });
-    for machine in [
-        Machine::uniform(4, 3, 5),
-        Machine::numa_binary_tree(8, 2, 5, 3),
-    ] {
+    for HcCase {
+        name,
+        dag,
+        machine,
+        search_start,
+    } in hc_cases()
+    {
         let init = SourceScheduler.schedule(&dag, &machine);
         let mut state = HcState::new(&dag, &machine, init.assignment.clone())
             .expect("scheduler output is feasible");
@@ -205,14 +246,14 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
         assert_eq!(
             (allocs, deallocs),
             (0, 0),
-            "lift/drop/unlift allocated on machine P={}: {allocs} allocs / {deallocs} deallocs \
+            "lift/drop/unlift allocated on {name}, P={}: {allocs} allocs / {deallocs} deallocs \
              over {measured} drops",
             machine.p(),
         );
 
         // A bounded search phase, from a start with more to improve: warm
         // one up, measure the next.
-        let init = CilkScheduler::default().schedule(&dag, &machine);
+        let init = search_start(&dag, &machine);
         let mut state = HcState::new(&dag, &machine, init.assignment.clone())
             .expect("scheduler output is feasible");
         let config = HillClimbConfig::with_max_steps(10);
@@ -225,18 +266,24 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
             hc_search(&dag, &machine, state, &config, scratch, false)
         };
         let warm = phase(&mut state, &mut scratch);
-        assert_eq!(warm.steps, 10, "warm-up phase ran out of improving moves");
+        assert_eq!(
+            warm.steps, 10,
+            "{name}: warm-up phase ran out of improving moves"
+        );
 
         let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
         let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
         let measured = phase(&mut state, &mut scratch);
         let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
         let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
-        assert!(measured.steps > 0, "measured phase accepted nothing");
+        assert!(
+            measured.steps > 0,
+            "{name}: measured phase accepted nothing"
+        );
         assert_eq!(
             (allocs, deallocs),
             (0, 0),
-            "warm hc_search phase allocated on machine P={}: {allocs} allocs / {deallocs} \
+            "warm hc_search phase allocated on {name}, P={}: {allocs} allocs / {deallocs} \
              deallocs over {} accepted moves",
             machine.p(),
             measured.steps,

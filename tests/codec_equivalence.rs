@@ -397,10 +397,10 @@ fn from_edges_names_the_first_defect_of_many_in_any_order() {
                     for u in 0..n {
                         let row: Vec<usize> =
                             edges.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
-                        assert_eq!(dag.successors(u), row);
+                        assert_eq!(dag.successors(u).collect::<Vec<_>>(), row);
                         let col: Vec<usize> =
                             edges.iter().filter(|e| e.1 == u).map(|e| e.0).collect();
-                        assert_eq!(dag.predecessors(u), col);
+                        assert_eq!(dag.predecessors(u).collect::<Vec<_>>(), col);
                     }
                 }
                 Err(err) => assert_eq!(err, DagError::Cycle, "case {case}: {edges:?}"),

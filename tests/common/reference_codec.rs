@@ -29,7 +29,7 @@ pub fn write_hyperdag(dag: &Dag) -> String {
     let _ = writeln!(out, "{} {} {}", hyperedges.len(), n, num_pins);
     for (h, &v) in hyperedges.iter().enumerate() {
         let _ = writeln!(out, "{h} {v}");
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             let _ = writeln!(out, "{h} {w}");
         }
     }
@@ -289,7 +289,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
 
     // Condition 1: precedence constraints.
     for v in 0..n {
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             if sched.proc(u) == sched.proc(v) {
                 if sched.superstep(u) > sched.superstep(v) {
                     return Err(ValidityError::PrecedenceSameProcessor { pred: u, node: v });

@@ -15,7 +15,7 @@ pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> 
     for v in 0..dag.n() {
         let pv = assignment.proc[v] as usize;
         let sv = assignment.superstep[v] as usize;
-        for &u in dag.predecessors(v) {
+        for u in dag.predecessors(v) {
             if assignment.proc[u] as usize != pv {
                 needed
                     .entry((u, pv))

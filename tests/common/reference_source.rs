@@ -39,7 +39,7 @@ fn assignment_with_bound(dag: &Dag, machine: &Machine, bound: u64) -> Assignment
 
     // Removes an assigned node from the remaining DAG.
     fn remove_node(dag: &Dag, v: usize, remaining_indeg: &mut [usize]) {
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             remaining_indeg[w] = remaining_indeg[w].saturating_sub(1);
         }
     }
@@ -68,8 +68,8 @@ fn assignment_with_bound(dag: &Dag, machine: &Machine, bound: u64) -> Assignment
                 // Does v share an out-neighbour with an already-clustered
                 // source whose cluster has room?
                 let mut target_cluster: Option<usize> = None;
-                'outer: for &succ in dag.successors(v) {
-                    for &u in dag.predecessors(succ) {
+                'outer: for succ in dag.successors(v) {
+                    for u in dag.predecessors(succ) {
                         if u != v && proc[u] == usize::MAX && remaining_indeg[u] == 0 {
                             if let Some(c) = cluster_of[u] {
                                 if fits(&clusters[c], v) {
@@ -91,8 +91,8 @@ fn assignment_with_bound(dag: &Dag, machine: &Machine, bound: u64) -> Assignment
                         let c = clusters.len();
                         clusters.push(vec![v]);
                         cluster_of[v] = Some(c);
-                        for &succ in dag.successors(v) {
-                            for &u in dag.predecessors(succ) {
+                        for succ in dag.successors(v) {
+                            for u in dag.predecessors(succ) {
                                 if u != v
                                     && proc[u] == usize::MAX
                                     && remaining_indeg[u] == 0
@@ -137,12 +137,12 @@ fn assignment_with_bound(dag: &Dag, machine: &Machine, bound: u64) -> Assignment
                 if proc[u] != usize::MAX || remaining_indeg[u] != 0 {
                     continue;
                 }
-                let preds = dag.predecessors(u);
-                if preds.is_empty() {
+                let mut preds = dag.predecessors(u);
+                let Some(first) = preds.next() else {
                     continue;
-                }
-                let target = proc[preds[0]];
-                if preds.iter().all(|&w| proc[w] == target) {
+                };
+                let target = proc[first];
+                if preds.all(|w| proc[w] == target) {
                     proc[u] = target;
                     superstep_of[u] = superstep;
                     assigned_count += 1;

@@ -64,9 +64,9 @@ mod oracle {
         // Score of assigning `v` to processor `q` (higher is better).
         let score = |v: usize, q: usize, proc: &[usize]| -> f64 {
             let mut s = 0.0;
-            for &u in dag.predecessors(v) {
+            for u in dag.predecessors(v) {
                 let u_here = proc[u] == q;
-                let succ_here = dag.successors(u).iter().any(|&w| proc[w] == q);
+                let succ_here = dag.successors(u).any(|w| proc[w] == q);
                 if u_here || succ_here {
                     s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
                 }
@@ -94,14 +94,13 @@ mod oracle {
 
             for &v in &finishing {
                 free[proc[v]] = true;
-                for &u in dag.successors(v) {
+                for u in dag.successors(v) {
                     unfinished_preds[u] -= 1;
                     if unfinished_preds[u] == 0 {
                         ready.insert(u);
                         let assignable_here = dag
                             .predecessors(u)
-                            .iter()
-                            .all(|&u0| proc[u0] == proc[v] || superstep_of[u0] < superstep);
+                            .all(|u0| proc[u0] == proc[v] || superstep_of[u0] < superstep);
                         if assignable_here {
                             ready_proc[proc[v]].insert(u);
                         }
@@ -170,8 +169,7 @@ mod oracle {
             for &v in &remaining {
                 let blocked = dag
                     .predecessors(v)
-                    .iter()
-                    .any(|&u| superstep[u] == usize::MAX && cs.proc[u] != cs.proc[v]);
+                    .any(|u| superstep[u] == usize::MAX && cs.proc[u] != cs.proc[v]);
                 if blocked {
                     cut = Some(cs.start[v]);
                     break;
@@ -276,7 +274,7 @@ mod oracle {
                     if t == now {
                         busy_until[q] = None;
                         finished += 1;
-                        for &w in dag.successors(v) {
+                        for w in dag.successors(v) {
                             remaining_preds[w] -= 1;
                             if remaining_preds[w] == 0 {
                                 stacks[q].push(w);
@@ -320,7 +318,7 @@ mod oracle {
         // Earliest start time of node v on processor q given current assignments.
         let est = |v: usize, q: usize, proc: &[usize], finish: &[u64], proc_free: &[u64]| -> u64 {
             let mut t = proc_free[q];
-            for &u in dag.predecessors(v) {
+            for u in dag.predecessors(v) {
                 let arrival = if proc[u] == q {
                     finish[u]
                 } else {
@@ -370,7 +368,7 @@ mod oracle {
             finish[v] = t + dag.work(v);
             proc_free[q] = finish[v];
             scheduled += 1;
-            for &w in dag.successors(v) {
+            for w in dag.successors(v) {
                 remaining_preds[w] -= 1;
                 if remaining_preds[w] == 0 {
                     ready.push(w);

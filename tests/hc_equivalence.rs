@@ -66,10 +66,10 @@ mod oracle {
             }
         };
         push(v, queue, in_queue);
-        for &u in graph.predecessors(v) {
+        for u in graph.predecessors(v) {
             push(u, queue, in_queue);
         }
-        for &w in graph.successors(v) {
+        for w in graph.successors(v) {
             push(w, queue, in_queue);
         }
         for &s in state.last_affected_steps() {
