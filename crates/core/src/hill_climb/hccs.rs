@@ -8,11 +8,11 @@
 //! `h`-relation cost, until a local minimum or the time limit is reached.
 //! Like the paper, transfers are always sent directly from `π(v)`.
 //!
-//! The state uses the same scratch-buffer treatment as [`super::HcState`]:
-//! flat `[phase × processor]` tallies, a cached per-phase h-relation cost
-//! patched incrementally, and a dirty work-list over requirements (re-enqueue
-//! only the transfers whose placement window covers a phase the last accepted
-//! move touched), with a verification sweep certifying the local minimum.
+//! The state is kept the way [`super::HcState`] keeps its tallies: flat
+//! `[phase × processor]` tallies, a cached per-phase h-relation cost patched
+//! incrementally, and a dirty work-list over requirements (re-enqueue only
+//! the transfers whose placement window covers a phase the last accepted move
+//! touched), with a verification sweep certifying the local minimum.
 
 use super::{HillClimbConfig, HillClimbOutcome};
 use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};

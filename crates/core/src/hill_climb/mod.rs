@@ -38,7 +38,7 @@ mod hccs;
 mod state;
 
 pub use hccs::hccs_improve;
-pub use state::{EvalScratch, HcCore, HcState, MoveWindow};
+pub use state::{HcState, MoveWindow};
 
 use bsp_model::{BspSchedule, Dag, Machine};
 use std::collections::VecDeque;
@@ -164,11 +164,6 @@ impl SearchScratch {
             self.enqueue(v);
         }
     }
-
-    /// Number of nodes currently enqueued.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Bumps one of the [`debug_counters`]; compiles to nothing without the
@@ -197,19 +192,18 @@ fn destination_improves(
     s_new: usize,
 ) -> bool {
     count!(EVALS);
-    let (core, scratch) = state.parts_mut();
     if !*lifted {
-        core.lift(scratch, graph, v);
+        state.lift(graph, v);
         *lifted = true;
         count!(LIFTS);
     }
-    let bound = core.drop_lower_bound(scratch, graph, v, p_new, s_new);
+    let bound = state.drop_lower_bound(graph, v, p_new, s_new);
     if bound.is_some_and(|b| b >= 0) {
         count!(PRUNED);
         return false;
     }
     count!(DROPS);
-    core.drop_eval(scratch, graph, v, p_new, s_new) < 0
+    state.drop_eval(graph, v, p_new, s_new) < 0
 }
 
 /// Tries the candidate moves of node `v` in the canonical order (superstep
@@ -244,8 +238,7 @@ fn try_improve_node(graph: &Dag, state: &mut HcState<'_>, v: usize, p: usize) ->
         }
     }
     if lifted {
-        let (core, scratch) = state.parts_mut();
-        core.unlift(scratch, graph, v);
+        state.unlift(graph, v);
     }
     if let Some((p_new, s_new)) = found {
         state.apply_move(graph, v, p_new, s_new);
@@ -306,7 +299,7 @@ pub fn hc_improve(
         .expect("hc_improve requires a precedence-feasible assignment");
     let mut scratch = SearchScratch::new();
     scratch.enqueue_all(dag);
-    let mut outcome = hc_search(dag, machine, &mut state, config, &mut scratch, true);
+    let mut outcome = hc_search(dag, machine, &mut state, config, &mut scratch);
     schedule.assignment = state.into_assignment();
     schedule.relax_to_lazy(dag);
     schedule.normalize(dag);
@@ -317,20 +310,15 @@ pub fn hc_improve(
 /// The work-list `HC` search itself, operating on an existing [`HcState`]:
 /// the caller seeds `scratch` with the nodes whose best move may have changed
 /// (or [`SearchScratch::enqueue_all`] for a cold start) and the search
-/// examines only those plus whatever accepted moves dirty.
-///
-/// With `full_sweep` set, a drained work-list triggers verification sweeps
-/// over all nodes until one accepts nothing, which certifies the local
-/// minimum; without it the search stops as soon as the work-list drains
-/// (`reached_local_minimum` is then always `false`), keeping the cost
-/// proportional to the local change.
+/// examines those plus whatever accepted moves dirty.  A drained work-list
+/// triggers verification sweeps over all nodes until one accepts nothing,
+/// which certifies the local minimum.
 pub fn hc_search(
     graph: &Dag,
     machine: &Machine,
     state: &mut HcState<'_>,
     config: &HillClimbConfig,
     scratch: &mut SearchScratch,
-    full_sweep: bool,
 ) -> HillClimbOutcome {
     let start = Instant::now();
     let initial_cost = state.total_cost();
@@ -364,9 +352,6 @@ pub fn hc_search(
                 steps += 1;
                 enqueue_dirty(state, graph, v, queue, in_queue);
             }
-        }
-        if !full_sweep {
-            break;
         }
         let mut sweep_improved = false;
         for v in 0..n {

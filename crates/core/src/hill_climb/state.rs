@@ -13,60 +13,53 @@
 //! `v`'s own sends, and the sends of predecessors that `v` alone anchored —
 //! is the same for every destination, so it is done once:
 //!
-//! * [`HcCore::lift`] takes `v` out of the tallies.  Its sends are removed;
+//! * [`HcState::lift`] takes `v` out of the tallies.  Its sends are removed;
 //!   a predecessor whose unique earliest consumer on `π(v)` was `v` has that
 //!   one send re-anchored for the runner-up consumer (read off the cached
 //!   `ConsumerSummary`, no successor scan).  The tallies then describe the
 //!   schedule of `G ∖ {v}`, and the exact cost change — the *lift gain* — is
 //!   kept.
-//! * [`HcCore::drop_eval`] costs one destination on that lifted state: one
+//! * [`HcState::drop_eval`] costs one destination on that lifted state: one
 //!   work patch, `v`'s sends re-anchored at the new processor, and per
 //!   predecessor at most "pull its send to the new processor earlier" or
 //!   "add one".  It returns `lift gain + Δrows + latency term` — exactly the
 //!   delta of the whole move — and undoes only its own few patches.
-//! * [`HcCore::drop_lower_bound`] needs no patch at all.  When no
+//! * [`HcState::drop_lower_bound`] needs no patch at all.  When no
 //!   predecessor send would move earlier, a drop only *adds* to the lifted
 //!   tallies, so no row gets cheaper and the destination row pays at least
 //!   the rise of its work maximum.  Because the lift gain is exact, `lift
 //!   gain + rise + latency term ≥ 0` rejects most destinations in `O(1)`.
 //!   The driver only asks `delta < 0`, so pruning never changes which move
 //!   is accepted.
-//! * [`HcCore::unlift`] puts `v` back, bit for bit.
+//! * [`HcState::unlift`] puts `v` back, bit for bit.
 //!
 //! Lift and drop log their patches and the row-max caches of the rows they
 //! touch, so undoing is exact inverse arithmetic plus restoring saved caches:
 //! a rejected candidate never rescans a row.  `body`, `body_sum` and the
-//! assignment are not touched until a move commits.
+//! assignment are not touched until a move commits.  [`HcState::try_move`] is
+//! lift → exact drop → unlift; property tests pin each delta against a full
+//! recomputation.
 //!
-//! [`HcCore::apply_move`] is the only commit path, and it deliberately does
+//! [`HcState::apply_move`] is the only commit path, and it deliberately does
 //! *not* go through lift/drop: it patches the full old and new contribution
 //! sets of `v` and its predecessors, so the `affected` superstep set it
 //! leaves behind names every superstep such a contribution sits in, changed
 //! or not.  The work-list re-enqueues the nodes of exactly those supersteps;
 //! narrowing the set would reorder the queue and with it the trajectory.
 //!
-//! Every step of this performs **zero heap allocation** once the scratch is
-//! sized: need maps and touched-superstep marks are generation-stamped
-//! arrays, and contribution gathers and op logs are reusable vecs.
+//! ## One private scratch
 //!
-//! ## The snapshot/scratch split
-//!
-//! The state is held in two halves that lift and drop borrow disjointly:
-//!
-//! * [`HcCore`] is the **snapshot**: the assignment, the superstep
-//!   membership lists, the flat tally matrices with their row-max caches, and
-//!   the persistent per-node consumer-summary arena — what a candidate is
-//!   costed against.
-//! * [`EvalScratch`] is the **work area**: the generation-stamped need maps,
-//!   the contribution gather buffers, the lift/drop op logs and the
-//!   touched-superstep dedup marks — what costing one fills and undoes from.
-//!
-//! The driver mutates the core in place (lift / drop / unlift, then
-//! [`HcCore::apply_move`]); property tests pin each delta against a full
-//! recomputation.
-//!
-//! [`HcState`] owns one core plus one scratch and exposes the classical
-//! API; [`HcState::try_move`] is lift → exact drop → unlift.
+//! Costing a candidate fills and undoes a work area — generation-stamped need
+//! maps and touched-superstep marks, contribution gathers, the lift/drop op
+//! logs — that the state keeps in a private field beside its tallies and its
+//! summary arena.  [`HcState::new`] sizes all of it once: the
+//! processor-indexed buffers to `P`, the gathers and logs to the bounds under
+//! *Footprint*, the superstep marks to the tallies' capacity, which has one
+//! spare superstep.  After that `ensure_capacity` is the one place arrays are
+//! resized, every superstep-indexed one at once, when a commit or a drop
+//! reaches past the capacity (the row logs and the affected set, reserved up
+//! to the capacity, may then grow too).  So on a freshly built state lift,
+//! drop and unlift perform **zero heap allocation** from the first call.
 //!
 //! ## Footprint
 //!
@@ -156,7 +149,7 @@ const _: () = assert!(std::mem::size_of::<ConsumerSummary>() == 16);
 /// "No such superstep" in 32 bits; read out as `usize::MAX`.
 const NO_STEP: u32 = u32::MAX;
 
-/// `summary_len` of a node whose summaries a committed move invalidated.
+/// `len` of a node whose summaries a committed move invalidated.
 const STALE: u32 = u32::MAX;
 
 impl ConsumerSummary {
@@ -188,6 +181,37 @@ impl ConsumerSummary {
     }
 }
 
+/// Persistent per-node consumer summaries (one per processor with at least
+/// one consumer, including the producer's own) in one arena: node `u` owns
+/// the slots `off[u] .. off[u + 1]`, which are `min(out_degree(u), P)`, and
+/// its summaries are the first `len[u]` of them.  Node `u`'s summaries depend
+/// only on `u`'s successors' positions, so a committed move of `v` marks
+/// exactly `v` and `v`'s predecessors [`STALE`]; everything else survives
+/// across visits, which is what makes the verification sweep cheap on
+/// mostly-converged schedules.
+#[derive(Debug, Clone)]
+struct SummaryArena {
+    slots: Vec<ConsumerSummary>,
+    off: Vec<u32>,
+    len: Vec<u32>,
+}
+
+impl SummaryArena {
+    /// The arena slots of node `u`'s live consumer summaries.
+    #[inline(always)]
+    fn live(&self, u: usize) -> std::ops::Range<usize> {
+        debug_assert!(self.len[u] != STALE, "summary cache of {u} is stale");
+        let start = self.off[u] as usize;
+        start..start + self.len[u] as usize
+    }
+
+    /// Node `u`'s cached consumer summaries; they must be fresh.
+    #[inline(always)]
+    fn of(&self, u: usize) -> &[ConsumerSummary] {
+        &self.slots[self.live(u)]
+    }
+}
+
 /// Undo record of one lift or one drop: the row-max caches of every touched
 /// superstep as they were on first touch, `(row, work_max, work_max_cnt,
 /// hrel_max, hrel_max_cnt)`, and the contribution patches in application
@@ -198,7 +222,7 @@ struct OpLog {
     ops: Vec<(Contribution, bool)>,
 }
 
-/// Indices into [`EvalScratch::logs`].
+/// Indices into [`Scratch::logs`].
 const LIFT: usize = 0;
 const DROP: usize = 1;
 
@@ -206,7 +230,7 @@ const DROP: usize = 1;
 /// binding predecessor/successor superstep and, when every binding neighbour
 /// sits on one processor, that processor (which then also admits the equal
 /// superstep).  [`MoveWindow::allows`] answers validity in `O(1)`, replacing
-/// the `O(deg)` scan of [`HcCore::move_is_valid`] in the driver's inner loop
+/// the `O(deg)` scan of [`HcState::move_is_valid`] in the driver's inner loop
 /// over `3 · P` candidate destinations.
 #[derive(Debug, Clone, Copy)]
 pub struct MoveWindow {
@@ -222,7 +246,7 @@ pub struct MoveWindow {
 
 impl MoveWindow {
     /// `true` if moving the node to `(p_new, s_new)` keeps the lazy schedule
-    /// valid.  Equivalent to [`HcCore::move_is_valid`].
+    /// valid.  Equivalent to [`HcState::move_is_valid`].
     #[inline]
     pub fn allows(&self, p_new: usize, s_new: usize) -> bool {
         if let Some(ps) = self.pred_step {
@@ -241,12 +265,10 @@ impl MoveWindow {
 
 /// Work area of candidate-move evaluation: generation-stamped need maps,
 /// contribution gather buffers, touched-superstep dedup marks, and the
-/// lift/drop undo logs.
-///
-/// Buffers grow on demand ([`EvalScratch::fit`]) and are reused across moves,
-/// so steady-state evaluation performs zero heap allocation.
+/// lift/drop undo logs.  Sized by [`HcState::new`]; `step_mark` is resized
+/// with the tallies.
 #[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
+struct Scratch {
     /// Earliest consuming superstep per processor for the value currently
     /// being summarized; valid iff `need_mark[q] == need_stamp`.
     need_step: Vec<u32>,
@@ -281,53 +303,7 @@ pub struct EvalScratch {
     prepared_node: Option<usize>,
 }
 
-impl EvalScratch {
-    /// An empty scratch; size it with [`EvalScratch::fit`] (or let the first
-    /// evaluation do it) before use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows every buffer to match `core`'s processor count, superstep
-    /// capacity and gather bounds.  Idempotent and cheap once sized;
-    /// evaluation calls it internally, so explicit calls are only an
-    /// optimization to front-load the allocations.
-    pub fn fit(&mut self, core: &HcCore<'_>) {
-        fn reserve_to<T>(buf: &mut Vec<T>, bound: usize) {
-            buf.reserve(bound.saturating_sub(buf.len()));
-        }
-        self.fit_procs(core.machine.p());
-        let steps = core.body.len() + 1;
-        self.fit_steps(steps);
-        let (gather, log) = (core.contrib_bound, core.log_bound);
-        reserve_to(&mut self.contribs_old, gather);
-        reserve_to(&mut self.contribs_new, gather);
-        // Two rows of the move itself plus one per gathered contribution;
-        // a log touches the row of its work patch plus one per patch.
-        reserve_to(&mut self.affected, (2 + 2 * gather).min(steps));
-        for entry in &mut self.logs {
-            reserve_to(&mut entry.rows, (1 + log).min(steps));
-            reserve_to(&mut entry.ops, log);
-        }
-    }
-
-    fn fit_procs(&mut self, p: usize) {
-        if self.need_mark.len() < p {
-            self.need_step.resize(p, 0);
-            self.need_cnt.resize(p, 0);
-            self.need_second.resize(p, 0);
-            self.need_mark.resize(p, 0);
-            self.need_touched.reserve(p);
-            self.move_below.resize(p, 0);
-        }
-    }
-
-    fn fit_steps(&mut self, cap: usize) {
-        if self.step_mark.len() < cap {
-            self.step_mark.resize(cap, 0);
-        }
-    }
-
+impl Scratch {
     /// Fills `affected` with the supersteps a move between `s_old` and
     /// `s_new` touches given the gathered contributions — those two first,
     /// then the old and the new contributions' — deduplicated with the
@@ -399,12 +375,15 @@ impl EvalScratch {
     }
 }
 
-/// The snapshot of the incremental cost state: assignment, superstep
-/// membership, flat tallies with row-max caches, cached body costs, and the
-/// persistent per-node consumer-summary caches.  Every operation takes an
-/// [`EvalScratch`] for its intermediate buffers.
+/// Incremental cost state of an assignment under the lazy communication
+/// rule: the assignment, superstep membership, flat tallies with row-max
+/// caches and cached body costs, the consumer-summary arena, and a private
+/// scratch for costing candidates.  [`HcState::try_move`] evaluates a move
+/// and leaves the state as it was; [`HcState::apply_move`] commits it.  Both
+/// return the exact cost delta, and applying the inverse move restores the
+/// previous state exactly.
 #[derive(Debug, Clone)]
-pub struct HcCore<'a> {
+pub struct HcState<'a> {
     machine: &'a Machine,
     proc: Vec<usize>,
     step: Vec<usize>,
@@ -436,18 +415,7 @@ pub struct HcCore<'a> {
     /// Running sum of `body` (steps past `num_steps` are always zero).
     body_sum: u64,
     num_steps: usize,
-    /// Persistent per-node consumer summaries (one per processor with at
-    /// least one consumer, including the producer's own) in one arena: node
-    /// `u` owns the slots `summary_off[u] .. summary_off[u + 1]`, which are
-    /// `min(out_degree(u), P)`, and its summaries are the first
-    /// `summary_len[u]` of them.  Node `u`'s summaries depend only on `u`'s
-    /// successors' positions, so a committed move of `v` marks exactly `v`
-    /// and `v`'s predecessors [`STALE`]; everything else survives across
-    /// visits, which is what makes the verification sweep cheap on
-    /// mostly-converged schedules.
-    summaries: Vec<ConsumerSummary>,
-    summary_off: Vec<u32>,
-    summary_len: Vec<u32>,
+    summaries: SummaryArena,
     /// Largest contribution gather of one node's moves,
     /// `max_v Σ_{u ∈ {v} ∪ pred(v)} min(out_degree(u), P − 1)`; the gather
     /// buffers are reserved to it.
@@ -457,6 +425,7 @@ pub struct HcCore<'a> {
     /// sends, then per predecessor at most a removal and an addition.  The
     /// undo logs are reserved to it.
     log_bound: usize,
+    scratch: Scratch,
 }
 
 /// Maintains a cached row maximum (`max`, with `cnt` cells attaining it)
@@ -519,20 +488,25 @@ fn push_contributions(
     }
 }
 
-/// A 32-bit assignment map as the `usize` array the core indexes with.
+/// A 32-bit assignment map as the `usize` array the state indexes with.
 fn widen(xs: &[u32]) -> Vec<usize> {
     xs.iter().map(|&x| x as usize).collect()
 }
 
-impl<'a> HcCore<'a> {
-    /// Builds the shared core from an assignment, using `scratch` for the
-    /// initial tally construction.  See [`HcState::new`] for the feasibility
-    /// contract.
+impl<'a> HcState<'a> {
+    /// Builds the incremental state from an assignment, with every buffer the
+    /// search needs sized.
+    ///
+    /// The assignment must be feasible for the *lazy* communication schedule:
+    /// every edge `(u, w)` needs `τ(u) ≤ τ(w)` on the same processor and
+    /// `τ(u) < τ(w)` across processors (otherwise the value of `u` cannot
+    /// reach `π(w)` in time — for `τ(w) = 0` this is the case that used to
+    /// underflow `s - 1`).  Infeasible assignments yield a [`ValidityError`]
+    /// naming the offending edge.
     pub fn new(
         graph: &Dag,
         machine: &'a Machine,
         assignment: Assignment,
-        scratch: &mut EvalScratch,
     ) -> Result<Self, ValidityError> {
         let n = graph.n();
         let p = machine.p();
@@ -570,8 +544,8 @@ impl<'a> HcCore<'a> {
         }
 
         let num_steps = assignment.num_supersteps();
-        // One spare superstep so the common "move to s+1" candidate at the
-        // schedule frontier does not have to grow the arrays.
+        // One spare superstep so no candidate of the driver (`s_new ≤
+        // num_steps`) has to grow the arrays.
         let capacity = num_steps.max(1) + 1;
         // A value is sent to at most `P − 1` other processors, and to no
         // more than it has consumers.  The arena's size is at most `m`, so
@@ -587,7 +561,12 @@ impl<'a> HcCore<'a> {
             contrib_bound = contrib_bound.max(gather);
             log_bound = log_bound.max(sends(v) + 2 * graph.in_degree(v));
         }
-        let mut core = HcCore {
+        // A log touches the row of its work patch plus one per patch.
+        let log = || OpLog {
+            rows: Vec::with_capacity((1 + log_bound).min(capacity)),
+            ops: Vec::with_capacity(log_bound),
+        };
+        let mut state = HcState {
             machine,
             proc: widen(&assignment.proc),
             step: widen(&assignment.superstep),
@@ -605,25 +584,41 @@ impl<'a> HcCore<'a> {
             body: vec![0; capacity],
             body_sum: 0,
             num_steps,
-            summaries: vec![ConsumerSummary::default(); summary_off[n] as usize],
-            summary_off,
-            summary_len: vec![STALE; n],
+            summaries: SummaryArena {
+                slots: vec![ConsumerSummary::default(); summary_off[n] as usize],
+                off: summary_off,
+                len: vec![STALE; n],
+            },
             contrib_bound,
             log_bound,
+            scratch: Scratch {
+                need_step: vec![0; p],
+                need_cnt: vec![0; p],
+                need_second: vec![0; p],
+                need_mark: vec![0; p],
+                need_touched: Vec::with_capacity(p),
+                step_mark: vec![0; capacity],
+                contribs_old: Vec::with_capacity(contrib_bound),
+                contribs_new: Vec::with_capacity(contrib_bound),
+                // Two rows of the move itself plus one per contribution.
+                affected: Vec::with_capacity((2 + 2 * contrib_bound).min(capacity)),
+                logs: [log(), log()],
+                move_below: vec![0; p],
+                ..Scratch::default()
+            },
         };
-        scratch.fit(&core);
-        core.build_tallies(scratch, graph);
+        state.build_tallies(graph);
         // Headroom so the first moves into a bucket don't reallocate.
-        for bucket in &mut core.step_nodes {
+        for bucket in &mut state.step_nodes {
             bucket.reserve(bucket.len() + 8);
         }
-        Ok(core)
+        Ok(state)
     }
 
     /// Builds every derived tally — superstep buckets, work and communication
-    /// matrices, row-max caches, body costs — of a freshly zeroed core from
+    /// matrices, row-max caches, body costs — of a freshly zeroed state from
     /// its `proc`/`step` arrays.  `O(n + m + steps · P)`.
-    fn build_tallies(&mut self, scratch: &mut EvalScratch, graph: &Dag) {
+    fn build_tallies(&mut self, graph: &Dag) {
         let p = self.machine.p();
         let n = graph.n();
         let capacity = self.body.len();
@@ -637,19 +632,13 @@ impl<'a> HcCore<'a> {
             num_steps = num_steps.max(s + 1);
         }
         self.num_steps = num_steps;
-        scratch.prepared_node = None;
-        let mut materialized = std::mem::take(&mut scratch.contribs_new);
         for u in 0..n {
-            self.refresh_summaries(scratch, graph, u);
+            self.refresh_summaries(graph, u);
+            let materialized = &mut self.scratch.contribs_new;
             materialized.clear();
-            push_contributions(
-                self.machine,
-                self.proc[u],
-                graph.comm(u),
-                self.summaries_of(u),
-                &mut materialized,
-            );
-            for &c in &materialized {
+            let (pu, cu) = (self.proc[u], graph.comm(u));
+            push_contributions(self.machine, pu, cu, self.summaries.of(u), materialized);
+            for &c in materialized.iter() {
                 let (from, to) = c.cells(p);
                 self.send[from] += c.weight;
                 self.recv[to] += c.weight;
@@ -657,7 +646,6 @@ impl<'a> HcCore<'a> {
                 self.hrel[to] = self.send[to].max(self.recv[to]);
             }
         }
-        scratch.contribs_new = materialized;
         self.body_sum = 0;
         let g = self.machine.g();
         for s in 0..capacity {
@@ -708,15 +696,16 @@ impl<'a> HcCore<'a> {
         self.num_steps
     }
 
-    /// The machine the state is costed against.
-    #[inline]
-    pub fn machine(&self) -> &'a Machine {
-        self.machine
-    }
-
     /// The nodes currently assigned to superstep `s` (in no particular order).
     pub fn nodes_in_superstep(&self, s: usize) -> &[usize] {
         self.step_nodes.get(s).map_or(&[], Vec::as_slice)
+    }
+
+    /// The supersteps whose tallies the most recent `apply_move` touched
+    /// (deduplicated, unordered).  The work-list driver re-enqueues the nodes
+    /// of these supersteps after an accepted move.
+    pub fn last_affected_steps(&self) -> &[usize] {
+        &self.scratch.affected
     }
 
     /// A snapshot of the current assignment.
@@ -728,14 +717,19 @@ impl<'a> HcCore<'a> {
         }
     }
 
+    /// Consumes the state and returns the assignment.
+    pub fn into_assignment(self) -> Assignment {
+        self.assignment()
+    }
+
     /// Total schedule cost under the lazy communication schedule.  `O(1)`.
     pub fn total_cost(&self) -> u64 {
         self.body_sum + self.machine.latency() * self.num_steps as u64
     }
 
-    /// `true` if both cores hold bit-equal derived state: tally and fused
+    /// `true` if both states hold bit-equal derived state: tally and fused
     /// h-relation cells, row-max caches with their attain counts, body costs,
-    /// their sum and the superstep count.  Rows past a core's capacity count
+    /// their sum and the superstep count.  Rows past a state's capacity count
     /// as empty.  Test support: pins the incremental state against a fresh
     /// rebuild of the same assignment.
     #[doc(hidden)]
@@ -757,42 +751,25 @@ impl<'a> HcCore<'a> {
             && self.num_steps == other.num_steps
     }
 
-    /// The arena slots of node `u`'s live consumer summaries.
-    #[inline(always)]
-    fn summary_slots(&self, u: usize) -> std::ops::Range<usize> {
-        debug_assert!(
-            self.summary_len[u] != STALE,
-            "summary cache of {u} is stale"
-        );
-        let start = self.summary_off[u] as usize;
-        start..start + self.summary_len[u] as usize
-    }
-
-    /// Node `u`'s cached consumer summaries; they must be fresh
-    /// ([`HcCore::warm_summaries`]).
-    #[inline(always)]
-    fn summaries_of(&self, u: usize) -> &[ConsumerSummary] {
-        &self.summaries[self.summary_slots(u)]
-    }
-
     /// Rebuilds node `u`'s cached consumer summaries if a committed move
     /// invalidated them.
-    fn refresh_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, u: usize) {
-        if self.summary_len[u] != STALE {
+    fn refresh_summaries(&mut self, graph: &Dag, u: usize) {
+        let arena = &mut self.summaries;
+        if arena.len[u] != STALE {
             return;
         }
-        scratch.fit_procs(self.machine.p());
-        let slots = self.summary_off[u] as usize..self.summary_off[u + 1] as usize;
-        let out = &mut self.summaries[slots];
-        self.summary_len[u] = scratch.summarize(graph, &self.proc, &self.step, u, out) as u32;
+        let out = &mut arena.slots[arena.off[u] as usize..arena.off[u + 1] as usize];
+        arena.len[u] = self
+            .scratch
+            .summarize(graph, &self.proc, &self.step, u, out) as u32;
     }
 
     /// Refreshes the consumer-summary caches of `v` and its predecessors —
     /// everything the evaluation of `v`'s candidate moves reads.
-    pub fn warm_summaries(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
-        self.refresh_summaries(scratch, graph, v);
+    fn warm_summaries(&mut self, graph: &Dag, v: usize) {
+        self.refresh_summaries(graph, v);
         for u in graph.predecessors(v) {
-            self.refresh_summaries(scratch, graph, u);
+            self.refresh_summaries(graph, u);
         }
     }
 
@@ -803,44 +780,35 @@ impl<'a> HcCore<'a> {
     /// `3 · P` evaluations of one node gather it only once.
     ///
     /// Requires the summary caches of `v` and its predecessors to be valid
-    /// ([`HcCore::warm_summaries`]).
-    fn prepare_node(&self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
-        if scratch.prepared_node == Some(v) {
+    /// (`warm_summaries`).
+    fn prepare_node(&mut self, graph: &Dag, v: usize) {
+        if self.scratch.prepared_node == Some(v) {
             return;
         }
-        let gathered = &mut scratch.contribs_old;
+        let gathered = &mut self.scratch.contribs_old;
         gathered.clear();
-        let own = self.summaries_of(v);
-        push_contributions(self.machine, self.proc[v], graph.comm(v), own, gathered);
-        for u in graph.predecessors(v) {
-            let theirs = self.summaries_of(u);
-            push_contributions(self.machine, self.proc[u], graph.comm(u), theirs, gathered);
+        for u in std::iter::once(v).chain(graph.predecessors(v)) {
+            let (pu, cu) = (self.proc[u], graph.comm(u));
+            push_contributions(self.machine, pu, cu, self.summaries.of(u), gathered);
         }
         debug_assert!(
             gathered.len() <= self.contrib_bound,
             "gather past its bound"
         );
-        scratch.prepared_node = Some(v);
+        self.scratch.prepared_node = Some(v);
     }
 
     /// Fills `scratch.contribs_old` / `scratch.contribs_new` with the lazy
     /// contributions removed and added by moving `v` to `(p_new, s_new)`.
-    /// Pure with respect to the core.
-    fn gather_move_contribs(
-        &self,
-        scratch: &mut EvalScratch,
-        graph: &Dag,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) {
+    /// Leaves the tallies alone.
+    fn gather_move_contribs(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) {
         let p_old = self.proc[v];
         let s_old = self.step[v];
 
         // Values whose lazy communication steps can change: v and its
         // predecessors.  Old contributions under the current assignment
         // (cached across the candidate destinations of `v`):
-        self.prepare_node(scratch, graph, v);
+        self.prepare_node(graph, v);
 
         // New contributions, derived from the cached consumer summaries in
         // `O(1)` per summary — no successor list is scanned per candidate.
@@ -851,14 +819,14 @@ impl<'a> HcCore<'a> {
         //   leaves (`p_old`) and joins (`p_new`): exclude v via
         //   (`min_cnt`, `runner_up`), include v at `s_new`.
         let machine = self.machine;
-        let new_out = &mut scratch.contribs_new;
+        let new_out = &mut self.scratch.contribs_new;
         new_out.clear();
-        push_contributions(machine, p_new, graph.comm(v), self.summaries_of(v), new_out);
+        push_contributions(machine, p_new, graph.comm(v), self.summaries.of(v), new_out);
         for u in graph.predecessors(v) {
             let pu = self.proc[u];
             let cu = graph.comm(u);
             let mut saw_p_new = false;
-            for &sm in self.summaries_of(u) {
+            for &sm in self.summaries.of(u) {
                 let to = sm.to();
                 if to == p_new {
                     saw_p_new = true;
@@ -892,8 +860,8 @@ impl<'a> HcCore<'a> {
 
     /// Sound pruning gate: `false` guarantees that *no* candidate move of `v`
     /// can lower the total cost, so the driver may skip all `3 · P`
-    /// destinations outright.  `O(deg)`.  Requires warm summary caches
-    /// ([`HcCore::warm_summaries`]).
+    /// destinations outright.  `O(deg)`; it warms the summary caches and
+    /// gathers the old contributions that candidate evaluation reuses.
     ///
     /// Soundness: a move only removes tallies at `v`'s own work cell and at
     /// the cells of the old lazy contributions of `v` and its predecessors;
@@ -902,7 +870,8 @@ impl<'a> HcCore<'a> {
     /// of those removed-from cells currently attains its row maximum.  The
     /// latency term can only decrease when `v`'s superstep empties, i.e. `v`
     /// is alone in it.  If none of these hold, every candidate has `delta ≥ 0`.
-    pub fn can_gain(&self, scratch: &mut EvalScratch, graph: &Dag, v: usize) -> bool {
+    pub fn node_can_gain(&mut self, graph: &Dag, v: usize) -> bool {
+        self.warm_summaries(graph, v);
         let p = self.machine.p();
         let s_old = self.step[v];
         let p_old = self.proc[v];
@@ -919,12 +888,11 @@ impl<'a> HcCore<'a> {
         // max drops only if the removable max-attaining cells cover *all*
         // cells attaining it, so collect distinct removable max cells per
         // phase and compare against the attain-count.
-        self.prepare_node(scratch, graph, v);
+        self.prepare_node(graph, v);
         const CAP: usize = 16;
         let mut max_cells = [(0usize, 0usize); CAP];
         let mut m = 0usize;
-        for i in 0..scratch.contribs_old.len() {
-            let c = scratch.contribs_old[i];
+        for &c in &self.scratch.contribs_old {
             let step = c.step();
             let row_max = self.hrel_max[step];
             let cnt = self.hrel_max_cnt[step];
@@ -1032,7 +1000,9 @@ impl<'a> HcCore<'a> {
         true
     }
 
-    /// Grows the tally matrices to hold at least `steps` supersteps.
+    /// Grows every superstep-indexed array — the tallies, their row caches,
+    /// the buckets and the scratch's superstep marks — to hold at least
+    /// `steps` supersteps; nothing else resizes them.
     fn ensure_capacity(&mut self, steps: usize) {
         let current = self.body.len();
         if steps <= current {
@@ -1050,6 +1020,7 @@ impl<'a> HcCore<'a> {
         self.nodes_in_step.resize(steps, 0);
         self.step_nodes.resize_with(steps, Vec::new);
         self.body.resize(steps, 0);
+        self.scratch.step_mark.resize(steps, 0);
     }
 
     /// Adds/subtracts `weight` on the send (`Side::Send`) or receive tally at
@@ -1133,7 +1104,8 @@ impl<'a> HcCore<'a> {
 
     /// Saves row `s`'s max caches in log `which` the first time it is touched.
     #[inline(always)]
-    fn touch_row(&self, scratch: &mut EvalScratch, which: usize, s: usize) {
+    fn touch_row(&mut self, which: usize, s: usize) {
+        let scratch = &mut self.scratch;
         if scratch.step_mark[s] != scratch.step_stamp {
             scratch.step_mark[s] = scratch.step_stamp;
             let (wm, hm) = (self.work_max[s], self.hrel_max[s]);
@@ -1144,57 +1116,45 @@ impl<'a> HcCore<'a> {
 
     /// Applies one contribution patch and records it in log `which`.
     #[inline(always)]
-    fn patch_logged(
-        &mut self,
-        scratch: &mut EvalScratch,
-        which: usize,
-        c: Contribution,
-        add: bool,
-    ) {
-        self.touch_row(scratch, which, c.step());
+    fn patch_logged(&mut self, which: usize, c: Contribution, add: bool) {
+        self.touch_row(which, c.step());
         self.patch_contrib(c, add);
-        scratch.logs[which].ops.push((c, add));
+        self.scratch.logs[which].ops.push((c, add));
     }
 
     /// Removes (`LIFT`) or adds (`DROP`) the sends of `v`'s value, weight
     /// `cv`, from processor `from` to every other processor hosting a consumer.
     #[inline(always)]
-    fn patch_own_sends(
-        &mut self,
-        scratch: &mut EvalScratch,
-        which: usize,
-        v: usize,
-        cv: u64,
-        from: usize,
-    ) {
-        for i in self.summary_slots(v) {
-            let sm = self.summaries[i];
+    fn patch_own_sends(&mut self, which: usize, v: usize, cv: u64, from: usize) {
+        for i in self.summaries.live(v) {
+            let sm = self.summaries.slots[i];
             if sm.to() != from {
                 debug_assert!(sm.min_step > 0, "consumer of a moved value in superstep 0");
                 let weight = cv * self.machine.lambda(from, sm.to());
                 let c = Contribution::new(sm.min_step() - 1, from, sm.to(), weight);
-                self.patch_logged(scratch, which, c, which == DROP);
+                self.patch_logged(which, c, which == DROP);
             }
         }
     }
 
-    /// Body-cost change of the rows in `log` since their first touch.
+    /// Body-cost change of the rows in log `which` since their first touch.
     #[inline]
-    fn log_delta(&self, log: &OpLog) -> i64 {
+    fn log_delta(&self, which: usize) -> i64 {
         let g = self.machine.g();
         let mut delta = 0i64;
-        for &(s, wm, _, hm, _) in &log.rows {
+        for &(s, wm, _, hm, _) in &self.scratch.logs[which].rows {
             delta += (self.work_max[s] + g * self.hrel_max[s]) as i64 - (wm + g * hm) as i64;
         }
         delta
     }
 
-    /// Reverts the contribution patches of `log` (cells by exact inverse
-    /// arithmetic, newest first) and restores the saved row-max caches, so no
-    /// row is ever rescanned on the way back.
+    /// Reverts the contribution patches of log `which` (cells by exact
+    /// inverse arithmetic, newest first) and restores the saved row-max
+    /// caches, so no row is ever rescanned on the way back.
     #[inline]
-    fn undo_log(&mut self, log: &OpLog) {
+    fn undo_log(&mut self, which: usize) {
         let p = self.machine.p();
+        let log = &self.scratch.logs[which];
         for &(c, added) in log.ops.iter().rev() {
             let (from, to) = c.cells(p);
             if added {
@@ -1217,25 +1177,23 @@ impl<'a> HcCore<'a> {
     /// sends are removed, and each predecessor send that `v` alone anchored
     /// is re-anchored for the runner-up consumer.  The tallies then describe
     /// the schedule of `G ∖ {v}`; the exact cost change is kept as the lift
-    /// gain every [`HcCore::drop_eval`] of `v` starts from.  `body`,
+    /// gain every [`HcState::drop_eval`] of `v` starts from.  `body`,
     /// `body_sum` and the assignment are left alone.  Must be paired with
-    /// [`HcCore::unlift`] before any other mutation.  `O(deg)`.
-    pub fn lift(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
+    /// [`HcState::unlift`] before any other mutation.  `O(deg)`.
+    pub fn lift(&mut self, graph: &Dag, v: usize) {
         let p = self.machine.p();
-        scratch.fit_procs(p);
-        scratch.fit_steps(self.body.len() + 1);
-        self.warm_summaries(scratch, graph, v);
+        self.warm_summaries(graph, v);
         let (p_old, s_old) = (self.proc[v], self.step[v]);
-        scratch.begin_log(LIFT);
-        scratch.move_below[..p].fill(0);
+        self.scratch.begin_log(LIFT);
+        self.scratch.move_below.fill(0);
 
-        self.touch_row(scratch, LIFT, s_old);
+        self.touch_row(LIFT, s_old);
         self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - graph.work(v));
-        self.patch_own_sends(scratch, LIFT, v, graph.comm(v), p_old);
+        self.patch_own_sends(LIFT, v, graph.comm(v), p_old);
         for u in graph.predecessors(v) {
             let pu = self.proc[u];
-            for i in self.summary_slots(u) {
-                let sm = self.summaries[i];
+            for i in self.summaries.live(u) {
+                let sm = self.summaries.slots[i];
                 if sm.to() == pu {
                     continue;
                 }
@@ -1244,28 +1202,28 @@ impl<'a> HcCore<'a> {
                     // v alone anchored u's send to `p_old`.
                     let weight = graph.comm(u) * self.machine.lambda(pu, p_old);
                     let c = Contribution::new(s_old - 1, pu, p_old, weight);
-                    self.patch_logged(scratch, LIFT, c, false);
+                    self.patch_logged(LIFT, c, false);
                     if eff != usize::MAX {
                         let c = Contribution::new(eff - 1, pu, p_old, weight);
-                        self.patch_logged(scratch, LIFT, c, true);
+                        self.patch_logged(LIFT, c, true);
                     }
                 }
                 if eff != usize::MAX {
-                    let below = &mut scratch.move_below[sm.to()];
+                    let below = &mut self.scratch.move_below[sm.to()];
                     *below = (*below).max(eff);
                 }
             }
         }
-        debug_assert!(scratch.logs[LIFT].ops.len() <= self.log_bound);
-        scratch.lift_gain = self.log_delta(&scratch.logs[LIFT]);
+        debug_assert!(self.scratch.logs[LIFT].ops.len() <= self.log_bound);
+        self.scratch.lift_gain = self.log_delta(LIFT);
     }
 
     /// Puts the lifted node `v` back where it was; every tally and row cache
-    /// is bit-equal to the state before [`HcCore::lift`].
-    pub fn unlift(&mut self, scratch: &mut EvalScratch, graph: &Dag, v: usize) {
+    /// is bit-equal to the state before [`HcState::lift`].
+    pub fn unlift(&mut self, graph: &Dag, v: usize) {
         let cell = self.step[v] * self.machine.p() + self.proc[v];
         self.work[cell] += graph.work(v);
-        self.undo_log(&scratch.logs[LIFT]);
+        self.undo_log(LIFT);
     }
 
     /// `O(1)` lower bound on the cost change of dropping the lifted node `v`
@@ -1276,13 +1234,12 @@ impl<'a> HcCore<'a> {
     #[inline]
     pub fn drop_lower_bound(
         &self,
-        scratch: &EvalScratch,
         graph: &Dag,
         v: usize,
         p_new: usize,
         s_new: usize,
     ) -> Option<i64> {
-        if s_new < scratch.move_below[p_new] {
+        if s_new < self.scratch.move_below[p_new] {
             return None;
         }
         // Rows past the allocated capacity are empty.
@@ -1290,7 +1247,7 @@ impl<'a> HcCore<'a> {
         let cell = s_new * self.machine.p() + p_new;
         let work = self.work.get(cell).copied().unwrap_or(0);
         let rise = (work + graph.work(v)).saturating_sub(row_max);
-        Some(scratch.lift_gain + rise as i64 + self.latency_delta(v, s_new))
+        Some(self.scratch.lift_gain + rise as i64 + self.latency_delta(v, s_new))
     }
 
     /// Costs destination `(p_new, s_new)` for the lifted node `v`: patches
@@ -1298,103 +1255,100 @@ impl<'a> HcCore<'a> {
     /// at `p_new`, and per predecessor at most "pull its send to `p_new`
     /// earlier" or "add one for `s_new`" — reads the exact change in total
     /// cost of the whole move (negative = improvement) off the row caches,
-    /// and undoes its own patches.  No heap allocation once the scratch is
-    /// sized.
-    pub fn drop_eval(
-        &mut self,
-        scratch: &mut EvalScratch,
-        graph: &Dag,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> i64 {
+    /// and undoes its own patches.  No heap allocation unless `s_new` lies
+    /// past the tallies' capacity.
+    pub fn drop_eval(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
         let (p_old, s_old) = (self.proc[v], self.step[v]);
         if p_old == p_new && s_old == s_new {
             return 0;
         }
         self.ensure_capacity(s_new + 1);
-        scratch.fit_steps(self.body.len() + 1);
-        scratch.begin_log(DROP);
+        self.scratch.begin_log(DROP);
 
         let (wv, cell) = (graph.work(v), s_new * self.machine.p() + p_new);
-        self.touch_row(scratch, DROP, s_new);
+        self.touch_row(DROP, s_new);
         self.patch_work(s_new, p_new, self.work[cell] + wv);
-        self.patch_own_sends(scratch, DROP, v, graph.comm(v), p_new);
+        self.patch_own_sends(DROP, v, graph.comm(v), p_new);
         for u in graph.predecessors(v) {
             let pu = self.proc[u];
             if pu == p_new {
                 continue;
             }
             // Where u's send to `p_new` is anchored with v lifted, if any.
-            let eff = (self.summaries_of(u).iter().find(|sm| sm.to() == p_new))
+            let eff = (self.summaries.of(u).iter().find(|sm| sm.to() == p_new))
                 .map_or(usize::MAX, |sm| sm.min_without(p_old, s_old));
             if s_new < eff {
                 debug_assert!(s_new > 0, "cross-processor predecessor with s_new == 0");
                 let weight = graph.comm(u) * self.machine.lambda(pu, p_new);
                 let c = Contribution::new(s_new - 1, pu, p_new, weight);
-                self.patch_logged(scratch, DROP, c, true);
+                self.patch_logged(DROP, c, true);
                 if eff != usize::MAX {
                     let c = Contribution::new(eff - 1, pu, p_new, weight);
-                    self.patch_logged(scratch, DROP, c, false);
+                    self.patch_logged(DROP, c, false);
                 }
             }
         }
-        debug_assert!(scratch.logs[DROP].ops.len() <= self.log_bound);
-        let rows_delta = self.log_delta(&scratch.logs[DROP]);
+        debug_assert!(self.scratch.logs[DROP].ops.len() <= self.log_bound);
+        let rows_delta = self.log_delta(DROP);
         self.work[cell] -= wv;
-        self.undo_log(&scratch.logs[DROP]);
-        scratch.lift_gain + rows_delta + self.latency_delta(v, s_new)
+        self.undo_log(DROP);
+        self.scratch.lift_gain + rows_delta + self.latency_delta(v, s_new)
     }
 
-    /// Commits the move of node `v` to `(p_new, s_new)` and returns the exact
-    /// change in total cost; see [`HcState::apply_move`].  Patches the full
-    /// old/new contribution sets, so [`HcState::last_affected_steps`] names
-    /// every superstep a contribution of `v` or a predecessor sits in — the
-    /// work-list's dirty rule depends on that set, not only on changed rows.
-    pub fn apply_move(
-        &mut self,
-        scratch: &mut EvalScratch,
-        graph: &Dag,
-        v: usize,
-        p_new: usize,
-        s_new: usize,
-    ) -> i64 {
+    /// Evaluates the move of node `v` to `(p_new, s_new)` without committing
+    /// it — [`HcState::lift`], one exact [`HcState::drop_eval`],
+    /// [`HcState::unlift`] — and returns the exact change in total cost
+    /// (negative = improvement).  The driver's inner loop shares one lift
+    /// across all destinations of `v` instead.
+    pub fn try_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
+        self.lift(graph, v);
+        let delta = self.drop_eval(graph, v, p_new, s_new);
+        self.unlift(graph, v);
+        delta
+    }
+
+    /// Applies the move of node `v` to `(p_new, s_new)` and returns the change
+    /// in total cost (negative = improvement).  Applying the inverse move
+    /// afterwards restores the exact previous state and returns the negated
+    /// delta.  Patches the full old/new contribution sets, so
+    /// [`HcState::last_affected_steps`] names every superstep a contribution
+    /// of `v` or a predecessor sits in — the work-list's dirty rule depends
+    /// on that set, not only on changed rows.
+    pub fn apply_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
         let p_old = self.proc[v];
         let s_old = self.step[v];
         if p_old == p_new && s_old == s_new {
             return 0;
         }
         self.ensure_capacity(s_new + 1);
-        scratch.fit_procs(self.machine.p());
-        scratch.fit_steps(self.body.len() + 1);
         let p = self.machine.p();
 
-        self.warm_summaries(scratch, graph, v);
-        self.gather_move_contribs(scratch, graph, v, p_new, s_new);
+        self.warm_summaries(graph, v);
+        self.gather_move_contribs(graph, v, p_new, s_new);
         let new_num_steps = self.steps_after_move(v, s_new);
 
         // Mutate the assignment.
         self.proc[v] = p_new;
         self.step[v] = s_new;
 
-        scratch.mark_affected(s_old, s_new);
+        self.scratch.mark_affected(s_old, s_new);
 
         // Patch the tallies, maintaining the row-max caches.
         let wv = graph.work(v);
         self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - wv);
         self.patch_work(s_new, p_new, self.work[s_new * p + p_new] + wv);
-        for &c in &scratch.contribs_old {
-            self.patch_contrib(c, false);
+        for i in 0..self.scratch.contribs_old.len() {
+            self.patch_contrib(self.scratch.contribs_old[i], false);
         }
-        for &c in &scratch.contribs_new {
-            self.patch_contrib(c, true);
+        for i in 0..self.scratch.contribs_new.len() {
+            self.patch_contrib(self.scratch.contribs_new[i], true);
         }
 
         // Body costs straight from the row-max caches (`O(1)` per step).
         let g = self.machine.g();
         let mut delta =
             self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64);
-        for &s in &scratch.affected {
+        for &s in &self.scratch.affected {
             let cost = self.work_max[s] + g * self.hrel_max[s];
             delta += cost as i64 - self.body[s] as i64;
             self.body_sum = self.body_sum - self.body[s] + cost;
@@ -1417,147 +1371,12 @@ impl<'a> HcCore<'a> {
         // The committed move changed v's position: the cached contributions
         // of v (sender moved) and of its predecessors (consumer moved) are
         // stale.
-        self.summary_len[v] = STALE;
+        self.summaries.len[v] = STALE;
         for u in graph.predecessors(v) {
-            self.summary_len[u] = STALE;
+            self.summaries.len[u] = STALE;
         }
-        scratch.prepared_node = None;
+        self.scratch.prepared_node = None;
         delta
-    }
-}
-
-/// Incremental cost state of an assignment under the lazy communication rule:
-/// one [`HcCore`] snapshot plus one [`EvalScratch`], exposing the classical
-/// API.  [`HcState::try_move`] evaluates a move and leaves the state as it
-/// was; [`HcState::apply_move`] commits it.  Both return the exact cost
-/// delta, and applying the inverse move restores the previous state exactly.
-#[derive(Debug, Clone)]
-pub struct HcState<'a> {
-    core: HcCore<'a>,
-    scratch: EvalScratch,
-}
-
-impl<'a> HcState<'a> {
-    /// Builds the incremental state from an assignment.
-    ///
-    /// The assignment must be feasible for the *lazy* communication schedule:
-    /// every edge `(u, w)` needs `τ(u) ≤ τ(w)` on the same processor and
-    /// `τ(u) < τ(w)` across processors (otherwise the value of `u` cannot
-    /// reach `π(w)` in time — for `τ(w) = 0` this is the case that used to
-    /// underflow `s - 1`).  Infeasible assignments yield a [`ValidityError`]
-    /// naming the offending edge.
-    pub fn new(
-        graph: &Dag,
-        machine: &'a Machine,
-        assignment: Assignment,
-    ) -> Result<Self, ValidityError> {
-        let mut scratch = EvalScratch::new();
-        let core = HcCore::new(graph, machine, assignment, &mut scratch)?;
-        Ok(HcState { core, scratch })
-    }
-
-    /// The snapshot half of the state.
-    #[inline]
-    pub fn core(&self) -> &HcCore<'a> {
-        &self.core
-    }
-
-    /// Mutable access to the snapshot and the state's own scratch as separate
-    /// borrows (lift / drop / unlift take the two halves disjointly).
-    #[inline]
-    pub fn parts_mut(&mut self) -> (&mut HcCore<'a>, &mut EvalScratch) {
-        (&mut self.core, &mut self.scratch)
-    }
-
-    /// Current processor of a node.
-    #[inline]
-    pub fn proc_of(&self, v: usize) -> usize {
-        self.core.proc_of(v)
-    }
-
-    /// Current superstep of a node.
-    #[inline]
-    pub fn step_of(&self, v: usize) -> usize {
-        self.core.step_of(v)
-    }
-
-    /// Current number of supersteps.
-    #[inline]
-    pub fn num_supersteps(&self) -> usize {
-        self.core.num_supersteps()
-    }
-
-    /// The nodes currently assigned to superstep `s` (in no particular order).
-    pub fn nodes_in_superstep(&self, s: usize) -> &[usize] {
-        self.core.nodes_in_superstep(s)
-    }
-
-    /// The supersteps whose tallies the most recent `apply_move` touched
-    /// (deduplicated, unordered).  The work-list driver re-enqueues the nodes
-    /// of these supersteps after an accepted move.
-    pub fn last_affected_steps(&self) -> &[usize] {
-        &self.scratch.affected
-    }
-
-    /// A snapshot of the current assignment.
-    pub fn assignment(&self) -> Assignment {
-        self.core.assignment()
-    }
-
-    /// Consumes the state and returns the assignment.
-    pub fn into_assignment(self) -> Assignment {
-        self.core.assignment()
-    }
-
-    /// Total schedule cost under the lazy communication schedule.  `O(1)`.
-    pub fn total_cost(&self) -> u64 {
-        self.core.total_cost()
-    }
-
-    /// Sound pruning gate: `false` guarantees that *no* candidate move of `v`
-    /// can lower the total cost (see [`HcCore::can_gain`]).  `O(deg)` (and it
-    /// warms the per-node contribution cache that candidate evaluation
-    /// reuses).
-    pub fn node_can_gain(&mut self, graph: &Dag, v: usize) -> bool {
-        self.core.warm_summaries(&mut self.scratch, graph, v);
-        self.core.can_gain(&mut self.scratch, graph, v)
-    }
-
-    /// Precomputes the feasibility window of node `v`'s candidate moves in
-    /// one `O(deg)` scan; check candidates with [`MoveWindow::allows`].
-    pub fn move_window(&self, graph: &Dag, v: usize) -> MoveWindow {
-        self.core.move_window(graph, v)
-    }
-
-    /// `true` if moving node `v` to `(p_new, s_new)` keeps the lazy schedule
-    /// valid (see [`HcCore::move_is_valid`]).
-    pub fn move_is_valid(&self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> bool {
-        self.core.move_is_valid(graph, v, p_new, s_new)
-    }
-
-    /// Evaluates the move of node `v` to `(p_new, s_new)` without committing
-    /// it — [`HcCore::lift`], one exact [`HcCore::drop_eval`],
-    /// [`HcCore::unlift`] — and returns the exact change in total cost
-    /// (negative = improvement).  The driver's inner loop shares one lift
-    /// across all destinations of `v` instead ([`HcState::parts_mut`]).
-    ///
-    /// Performs no heap allocation (after the state's scratch buffers have
-    /// warmed up to the move's superstep range).
-    pub fn try_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
-        let (core, scratch) = (&mut self.core, &mut self.scratch);
-        core.lift(scratch, graph, v);
-        let delta = core.drop_eval(scratch, graph, v, p_new, s_new);
-        core.unlift(scratch, graph, v);
-        delta
-    }
-
-    /// Applies the move of node `v` to `(p_new, s_new)` and returns the change
-    /// in total cost (negative = improvement).  Applying the inverse move
-    /// afterwards restores the exact previous state and returns the negated
-    /// delta.
-    pub fn apply_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
-        self.core
-            .apply_move(&mut self.scratch, graph, v, p_new, s_new)
     }
 }
 
@@ -1720,13 +1539,13 @@ mod tests {
             superstep: levels.iter().map(|&l| 2 * l as u32).collect(),
         };
         let mut state = HcState::new(dag, &machine, assignment).unwrap();
-        let capacities = |s: &EvalScratch| {
+        let capacities = |s: &Scratch| {
             let [lift, drop] = &s.logs;
             let logs = [&lift.ops, &drop.ops].map(Vec::capacity);
             (s.contribs_old.capacity(), s.contribs_new.capacity(), logs)
         };
         let reserved = capacities(&state.scratch);
-        let (gather, log) = (state.core.contrib_bound, state.core.log_bound);
+        let (gather, log) = (state.contrib_bound, state.log_bound);
         assert_eq!(reserved, (gather, gather, [log, log]), "reserved exactly");
         let mut largest = 0;
         for v in 0..dag.n() {
@@ -1735,10 +1554,9 @@ mod tests {
                 for p_new in 0..machine.p() {
                     if state.move_is_valid(dag, v, p_new, s_new) {
                         state.try_move(dag, v, p_new, s_new);
-                        let (core, scratch) = state.parts_mut();
-                        core.gather_move_contribs(scratch, dag, v, p_new, s_new);
-                        largest = largest.max(scratch.contribs_old.len());
-                        largest = largest.max(scratch.contribs_new.len());
+                        state.gather_move_contribs(dag, v, p_new, s_new);
+                        largest = largest.max(state.scratch.contribs_old.len());
+                        largest = largest.max(state.scratch.contribs_new.len());
                     }
                 }
             }

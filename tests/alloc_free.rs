@@ -79,6 +79,17 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
     guard
 }
 
+/// Runs `f` and returns its result with the allocations and deallocations
+/// made meanwhile.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
+    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
+    let out = f();
+    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
+    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+    (out, allocs, deallocs)
+}
+
 /// What every `HC` proof runs on: a DAG, a machine, and the schedule a
 /// search phase starts from (one with more than ten improving moves).
 struct HcCase {
@@ -163,15 +174,14 @@ fn try_move_is_allocation_free_after_warmup() {
             std::hint::black_box(state.try_move(&dag, v, p_new, s_new));
         }
 
-        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-        let mut checksum = 0i64;
-        for &(v, p_new, s_new) in &moves {
-            checksum = checksum.wrapping_add(state.try_move(&dag, v, p_new, s_new));
-        }
+        let (checksum, allocs, deallocs) = counted(|| {
+            let mut checksum = 0i64;
+            for &(v, p_new, s_new) in &moves {
+                checksum = checksum.wrapping_add(state.try_move(&dag, v, p_new, s_new));
+            }
+            checksum
+        });
         std::hint::black_box(checksum);
-        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
         assert_eq!(
             (allocs, deallocs),
             (0, 0),
@@ -184,11 +194,12 @@ fn try_move_is_allocation_free_after_warmup() {
     }
 }
 
-/// The serial driver's evaluation kernel — gate, one [`HcCore::lift`], the
-/// `O(1)` bound and a [`HcCore::drop_eval`] for each of the `3 · P`
-/// destinations, [`HcCore::unlift`] — performs **zero** heap allocation in
-/// steady state, and so does a complete bounded [`hc_search`] phase built on
-/// it (accepted moves, dirty re-enqueues and all).
+/// The serial driver's evaluation kernel — gate, one [`HcState::lift`], the
+/// `O(1)` bound and a [`HcState::drop_eval`] for each of the `3 · P`
+/// destinations, [`HcState::unlift`] — performs **zero** heap allocation
+/// from the state's construction on, and a complete bounded [`hc_search`]
+/// phase built on it (accepted moves, dirty re-enqueues, the verification
+/// sweep and all) performs none in steady state.
 #[test]
 fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
     let _serial = one_at_a_time();
@@ -211,8 +222,7 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
                 }
                 let s_old = state.step_of(v);
                 let window = state.move_window(&dag, v);
-                let (core, scratch) = state.parts_mut();
-                core.lift(scratch, &dag, v);
+                state.lift(&dag, v);
                 for s_new in [s_old.wrapping_sub(1), s_old, s_old + 1] {
                     if s_new == usize::MAX {
                         continue;
@@ -221,27 +231,32 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
                         if !window.allows(p_new, s_new) {
                             continue;
                         }
-                        let bound = core.drop_lower_bound(scratch, &dag, v, p_new, s_new);
+                        let bound = state.drop_lower_bound(&dag, v, p_new, s_new);
                         checksum = checksum.wrapping_add(bound.unwrap_or(0));
-                        checksum =
-                            checksum.wrapping_add(core.drop_eval(scratch, &dag, v, p_new, s_new));
+                        checksum = checksum.wrapping_add(state.drop_eval(&dag, v, p_new, s_new));
                         drops += 1;
                     }
                 }
-                core.unlift(scratch, &dag, v);
+                state.unlift(&dag, v);
             }
             std::hint::black_box(checksum);
             drops
         };
+        // From construction: `HcState::new` sized every buffer, and each
+        // destination's `s_new ≤ num_steps` fits the spare superstep.
+        let (cold, allocs, deallocs) = counted(|| cycle_all(&mut state));
+        assert_eq!(
+            (allocs, deallocs),
+            (0, 0),
+            "lift/drop/unlift allocated on a fresh state on {name}, P={}: {allocs} allocs / \
+             {deallocs} deallocs over {cold} drops",
+            machine.p(),
+        );
         // Warm-up: the op logs and tally matrices reach steady-state capacity.
         let warm = cycle_all(&mut state);
         assert!(warm > 100, "not enough destinations to be meaningful");
 
-        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-        let measured = cycle_all(&mut state);
-        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+        let (measured, allocs, deallocs) = counted(|| cycle_all(&mut state));
         assert_eq!(measured, warm);
         assert_eq!(
             (allocs, deallocs),
@@ -263,7 +278,7 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
             for v in 0..dag.n() {
                 scratch.enqueue(v);
             }
-            hc_search(&dag, &machine, state, &config, scratch, false)
+            hc_search(&dag, &machine, state, &config, scratch)
         };
         let warm = phase(&mut state, &mut scratch);
         assert_eq!(
@@ -271,11 +286,7 @@ fn lift_drop_cycle_and_search_phase_are_allocation_free_after_warmup() {
             "{name}: warm-up phase ran out of improving moves"
         );
 
-        let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-        let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-        let measured = phase(&mut state, &mut scratch);
-        let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-        let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+        let (measured, allocs, deallocs) = counted(|| phase(&mut state, &mut scratch));
         assert!(
             measured.steps > 0,
             "{name}: measured phase accepted nothing"

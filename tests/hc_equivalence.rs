@@ -86,7 +86,6 @@ mod oracle {
         state: &mut HcState<'_>,
         max_steps: usize,
         seeds: &[usize],
-        full_sweep: bool,
     ) -> HillClimbOutcome {
         let initial_cost = state.total_cost();
         let n = graph.n();
@@ -111,9 +110,6 @@ mod oracle {
                     steps += 1;
                     enqueue_dirty(state, graph, v, &mut queue, &mut in_queue);
                 }
-            }
-            if !full_sweep {
-                break;
             }
             let mut sweep_improved = false;
             for v in 0..n {
@@ -149,7 +145,6 @@ fn assert_same_trajectory<'a>(
     state: &HcState<'a>,
     max_steps: usize,
     seeds: &[usize],
-    full_sweep: bool,
     what: &str,
 ) -> (HcState<'a>, usize) {
     let mut ours = state.clone();
@@ -158,17 +153,10 @@ fn assert_same_trajectory<'a>(
         scratch.enqueue(v);
     }
     let config = HillClimbConfig::with_max_steps(max_steps);
-    let got = hc_search(graph, machine, &mut ours, &config, &mut scratch, full_sweep);
+    let got = hc_search(graph, machine, &mut ours, &config, &mut scratch);
 
     let mut theirs = state.clone();
-    let want = oracle::hc_search(
-        graph,
-        machine.p(),
-        &mut theirs,
-        max_steps,
-        seeds,
-        full_sweep,
-    );
+    let want = oracle::hc_search(graph, machine.p(), &mut theirs, max_steps, seeds);
 
     assert_eq!(got, want, "{what}: outcome");
     assert_eq!(
@@ -233,14 +221,14 @@ fn driver_matches_the_oracle_on_the_benchmark_families() {
                         machine.p()
                     );
                     let (_, steps) =
-                        assert_same_trajectory(dag, &machine, &state, max_steps, &all, true, &what);
+                        assert_same_trajectory(dag, &machine, &state, max_steps, &all, &what);
                     accepted += steps;
                 }
-                // A seeded work-list without the verification sweep: only a
-                // third of the nodes and whatever their moves dirty.
+                // A seeded work-list: a third of the nodes and whatever their
+                // moves dirty, then the verification sweeps.
                 let what = format!("{family}, P = {}, {start} start, seeded", machine.p());
                 let seeds = &all[..dag.n() / 3];
-                assert_same_trajectory(dag, &machine, &state, usize::MAX, seeds, false, &what);
+                assert_same_trajectory(dag, &machine, &state, usize::MAX, seeds, &what);
             }
         }
     }

@@ -441,8 +441,7 @@ fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
                 let before = state.assignment();
                 let alone_now = state.nodes_in_superstep(state.step_of(v)).len() == 1;
                 let last = state.num_supersteps();
-                let (core, scratch) = state.parts_mut();
-                core.lift(scratch, &dag, v);
+                state.lift(&dag, v);
                 for &(p_new, s_new) in &dests {
                     let mut moved = before.clone();
                     moved.proc[v] = p_new as u32;
@@ -453,8 +452,8 @@ fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
                         "case {case} round {round}: node {v} -> (p{p_new}, s{s_new}) on P = {}",
                         machine.p()
                     );
-                    let bound = core.drop_lower_bound(scratch, &dag, v, p_new, s_new);
-                    let delta = core.drop_eval(scratch, &dag, v, p_new, s_new);
+                    let bound = state.drop_lower_bound(&dag, v, p_new, s_new);
+                    let delta = state.drop_eval(&dag, v, p_new, s_new);
                     assert_eq!(delta, recomputed - cost, "{what}: drop_eval");
                     if let Some(bound) = bound {
                         assert!(delta >= bound, "{what}: delta {delta} < bound {bound}");
@@ -466,7 +465,7 @@ fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
                     opened += usize::from(s_new == last);
                     zero_work += usize::from(dag.work(v) == 0);
                 }
-                core.unlift(scratch, &dag, v);
+                state.unlift(&dag, v);
                 assert_eq!(state.total_cost() as i64, cost, "case {case}: unlift");
             }
             random_walk_step(&mut rng, &dag, &machine, &mut state);
@@ -495,21 +494,20 @@ fn lift_unlift_restores_the_state_bit_for_bit() {
         for round in 0..8 {
             let fresh = HcState::new(&dag, &machine, state.assignment()).expect("still feasible");
             assert!(
-                state.core().same_tallies(fresh.core()),
+                state.same_tallies(&fresh),
                 "case {case} round {round}: walked state diverged from a fresh one"
             );
             for v in 0..dag.n() {
                 let dests = window_destinations(&dag, &machine, &state, v);
-                let (core, scratch) = state.parts_mut();
-                core.lift(scratch, &dag, v);
+                state.lift(&dag, v);
                 for _ in 0..rng.gen_range(0usize..4) {
                     if let Some(&(p_new, s_new)) = dests.get(rng.gen_range(0..dests.len().max(1))) {
-                        core.drop_eval(scratch, &dag, v, p_new, s_new);
+                        state.drop_eval(&dag, v, p_new, s_new);
                     }
                 }
-                core.unlift(scratch, &dag, v);
+                state.unlift(&dag, v);
                 assert!(
-                    state.core().same_tallies(fresh.core()),
+                    state.same_tallies(&fresh),
                     "case {case} round {round}: lift/unlift of node {v} left a trace"
                 );
                 assert_eq!(state.assignment(), fresh.assignment());
