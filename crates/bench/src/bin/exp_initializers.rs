@@ -22,13 +22,14 @@
 //!         [--scale smoke|reduced|full] [--seed N]`
 //!
 //! With `--scaling [--smoke]` it instead checks that schedule construction
-//! is near-linear: `BSPg`, `Source`, `Cilk` (simulation + BSP conversion),
-//! `HDagg`, the funnel reduction (`Funnel::contract` + `project`) and
-//! `place_sources` (on `BSPg`'s schedule) are timed on a fine-grained `spmv`
-//! and a coarse-grained `pagerank` DAG — whose matrix source has n/2
-//! successors — at size n and 4n, and the run fails if any µs/node grows by
-//! more than 2x (a quadratic routine gives about 4x).  The ratio compares the
-//! host with itself, so the check does not depend on how fast the host is.
+//! is near-linear: `BSPg`, `Source`, the four baselines `Cilk`, `BL-EST`,
+//! `ETF` (each simulation + BSP conversion) and `HDagg`, the funnel reduction
+//! (`Funnel::contract` + `project`) and `place_sources` (on `BSPg`'s
+//! schedule) are timed on a fine-grained `spmv` and a coarse-grained
+//! `pagerank` DAG — whose matrix source has n/2 successors — at size n and
+//! 4n, and the run fails if any µs/node grows by more than 2x (a quadratic
+//! routine gives about 4x).  The ratio compares the host with itself, so the
+//! check does not depend on how fast the host is.
 
 use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
@@ -36,7 +37,7 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
-use bsp_sched::{CilkScheduler, Funnel, HDaggScheduler, Scheduler};
+use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{
     cg, coarse_dag, exp, knn, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig,
@@ -140,10 +141,12 @@ fn scaling_holds(smoke: bool, seed: u64) -> bool {
             }),
         ),
     ];
-    let schedulers: [&dyn Scheduler; 5] = [
+    let schedulers: [&dyn Scheduler; 7] = [
         &BspgScheduler,
         &SourceScheduler,
         &CilkScheduler::default(),
+        &BlEstScheduler,
+        &EtfScheduler,
         &HDaggScheduler::default(),
         &FunnelRoundTrip,
     ];

@@ -49,6 +49,10 @@ impl CilkScheduler {
         let mut sources = dag.sources();
         sources.reverse();
         stacks[0].extend(sources);
+        // How many stacks hold work.  With none, a thief finds no victim,
+        // and `choose` on an empty slice draws no random number, so the
+        // victim scan is skipped without changing the random sequence.
+        let mut nonempty = usize::from(!stacks[0].is_empty());
 
         // Per-processor state: what it is running and until when.
         let mut busy_until: Vec<Option<(u64, usize)>> = vec![None; p];
@@ -62,22 +66,29 @@ impl CilkScheduler {
             loop {
                 let mut progress = false;
                 for q in 0..p {
-                    if busy_until[q].is_some() {
+                    if busy_until[q].is_some() || nonempty == 0 {
                         continue;
                     }
-                    let task = stacks[q].pop_back().or_else(|| {
-                        // Steal from the bottom of a random non-empty stack.
+                    // Own stack first, else steal from the bottom of a
+                    // random non-empty stack (there is one, and not `q`'s).
+                    let from = if stacks[q].is_empty() {
                         victims.clear();
                         victims.extend((0..p).filter(|&r| r != q && !stacks[r].is_empty()));
-                        let &victim = victims.choose(&mut rng)?;
-                        stacks[victim].pop_front()
-                    });
-                    if let Some(v) = task {
-                        start[v] = now;
-                        proc[v] = q;
-                        busy_until[q] = Some((now + dag.work(v), v));
-                        progress = true;
-                    }
+                        *victims.choose(&mut rng).expect("a stack holds work")
+                    } else {
+                        q
+                    };
+                    let v = if from == q {
+                        stacks[q].pop_back()
+                    } else {
+                        stacks[from].pop_front()
+                    };
+                    let v = v.expect("the stack holds work");
+                    nonempty -= usize::from(stacks[from].is_empty());
+                    start[v] = now;
+                    proc[v] = q;
+                    busy_until[q] = Some((now + dag.work(v), v));
+                    progress = true;
                 }
                 if !progress {
                     break;
@@ -102,6 +113,7 @@ impl CilkScheduler {
                         for w in dag.successors(v) {
                             remaining_preds[w] -= 1;
                             if remaining_preds[w] == 0 {
+                                nonempty += usize::from(stacks[q].is_empty());
                                 stacks[q].push_back(w);
                             }
                         }

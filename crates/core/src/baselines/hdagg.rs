@@ -27,31 +27,71 @@ impl Default for HDaggScheduler {
     }
 }
 
-impl HDaggScheduler {
-    /// Computes the processor assignment and (un-aggregated) wavefront index
-    /// of every node.
-    fn assign(&self, dag: &Dag, machine: &Machine) -> (Vec<u32>, Vec<usize>) {
-        let n = dag.n();
-        let p = machine.p();
+/// The nodes bucketed by wavefront (topological level), in id order within
+/// one: a counting sort that `assign` and `aggregate` share.
+struct Wavefronts {
+    levels: Vec<usize>,
+    /// Wavefront `l` is `nodes[offsets[l]..offsets[l + 1]]`.
+    offsets: Vec<usize>,
+    nodes: Vec<usize>,
+}
+
+impl Wavefronts {
+    fn new(dag: &Dag) -> Self {
         let levels = dag.levels();
         let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
-        let mut wavefronts: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
-        for v in 0..n {
-            wavefronts[levels[v]].push(v);
+        let mut offsets = vec![0usize; num_levels + 1];
+        for &l in &levels {
+            offsets[l + 1] += 1;
         }
+        for l in 0..num_levels {
+            offsets[l + 1] += offsets[l];
+        }
+        let mut next = offsets.clone();
+        let mut nodes = vec![0usize; levels.len()];
+        for (v, &l) in levels.iter().enumerate() {
+            nodes[next[l]] = v;
+            next[l] += 1;
+        }
+        Wavefronts {
+            levels,
+            offsets,
+            nodes,
+        }
+    }
 
-        let mut proc = vec![0u32; n];
-        for wavefront in &wavefronts {
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn get(&self, l: usize) -> &[usize] {
+        &self.nodes[self.offsets[l]..self.offsets[l + 1]]
+    }
+}
+
+impl HDaggScheduler {
+    /// Computes the processor assignment of every node, one wavefront after
+    /// the other.
+    fn assign(&self, dag: &Dag, machine: &Machine, wavefronts: &Wavefronts) -> Vec<u32> {
+        let p = machine.p();
+        let mut proc = vec![0u32; dag.n()];
+        let mut load = vec![0u64; p];
+        let mut affinity = vec![0u64; p];
+        let mut order = Vec::new();
+        for l in 0..wavefronts.len() {
+            let wavefront = wavefronts.get(l);
             let total_work: u64 = wavefront.iter().map(|&v| dag.work(v)).sum();
             let ideal = (total_work as f64 / p as f64).max(1.0);
-            let mut load = vec![0u64; p];
-            // Heaviest nodes first, so load balancing has room to correct.
-            let mut order = wavefront.clone();
-            order.sort_by_key(|&v| std::cmp::Reverse(dag.work(v)));
-            for v in order {
+            load.fill(0);
+            // Heaviest nodes first, so load balancing has room to correct
+            // (ties in id order: the wavefront is, and ids are unique).
+            order.clear();
+            order.extend_from_slice(wavefront);
+            order.sort_unstable_by_key(|&v| (std::cmp::Reverse(dag.work(v)), v));
+            for &v in &order {
                 // Affinity: communication weight of predecessors already
                 // placed on each processor.
-                let mut affinity = vec![0u64; p];
+                affinity.fill(0);
                 for u in dag.predecessors(v) {
                     affinity[proc[u] as usize] += dag.comm(u);
                 }
@@ -71,26 +111,21 @@ impl HDaggScheduler {
                 load[q] += dag.work(v);
             }
         }
-        (proc, levels)
+        proc
     }
 
     /// Aggregates consecutive wavefronts into supersteps: a wavefront joins the
     /// current superstep if none of its nodes has a predecessor inside the
     /// current superstep that lives on a different processor.
-    fn aggregate(&self, dag: &Dag, proc: &[u32], levels: &[usize]) -> Vec<u32> {
-        let n = dag.n();
-        let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
-        let mut level_nodes: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
-        for v in 0..n {
-            level_nodes[levels[v]].push(v);
-        }
-        let mut level_to_superstep = vec![0u32; num_levels];
+    fn aggregate(&self, dag: &Dag, proc: &[u32], wavefronts: &Wavefronts) -> Vec<u32> {
+        let levels = &wavefronts.levels;
+        let mut superstep = vec![0u32; dag.n()];
         let mut current = 0u32;
         let mut current_first_level = 0usize;
-        for l in 0..num_levels {
+        for l in 0..wavefronts.len() {
             if l > 0 {
                 // Can level l join the superstep started at current_first_level?
-                let conflict = level_nodes[l].iter().any(|&v| {
+                let conflict = wavefronts.get(l).iter().any(|&v| {
                     dag.predecessors(v)
                         .any(|u| levels[u] >= current_first_level && proc[u] != proc[v])
                 });
@@ -99,9 +134,11 @@ impl HDaggScheduler {
                     current_first_level = l;
                 }
             }
-            level_to_superstep[l] = current;
+            for &v in wavefronts.get(l) {
+                superstep[v] = current;
+            }
         }
-        (0..n).map(|v| level_to_superstep[levels[v]]).collect()
+        superstep
     }
 }
 
@@ -114,8 +151,9 @@ impl Scheduler for HDaggScheduler {
         if dag.n() == 0 {
             return BspSchedule::trivial(dag);
         }
-        let (proc, levels) = self.assign(dag, machine);
-        let superstep = self.aggregate(dag, &proc, &levels);
+        let wavefronts = Wavefronts::new(dag);
+        let proc = self.assign(dag, machine, &wavefronts);
+        let superstep = self.aggregate(dag, &proc, &wavefronts);
         let assignment = Assignment { proc, superstep };
         let mut sched = BspSchedule::from_assignment_lazy(dag, assignment);
         sched.normalize(dag);

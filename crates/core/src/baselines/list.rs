@@ -18,97 +18,173 @@ use bsp_model::{BspSchedule, ClassicalSchedule, Dag, Machine};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Node-selection rule of a list scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Selection {
-    BottomLevelFirst,
-    EarliestTaskFirst,
+/// The list schedulers' common state: where and when every placed node runs.
+struct Timeline<'a> {
+    dag: &'a Dag,
+    /// `c(u)·g·max(avg λ, 1)`, rounded: what a value costs to reach another
+    /// processor.  Baselines fold NUMA into an average coefficient (Appendix
+    /// A.1); in the uniform case avg_lambda < 1 because of the zero diagonal,
+    /// so it is clamped to 1.
+    delay: Vec<u64>,
+    remaining_preds: Vec<usize>,
+    proc_free: Vec<u64>,
+    /// `usize::MAX` until the node is placed.
+    proc: Vec<usize>,
+    start: Vec<u64>,
+    finish: Vec<u64>,
 }
 
-fn comm_delay(dag: &Dag, machine: &Machine, u: usize) -> u64 {
-    // Baselines fold NUMA into an average coefficient (Appendix A.1); in the
-    // uniform case avg_lambda < 1 because of the zero diagonal, so clamp to 1.
-    let factor = machine.avg_lambda().max(1.0);
-    (dag.comm(u) as f64 * machine.g() as f64 * factor).round() as u64
-}
-
-/// Runs the list scheduler and returns the classical schedule.
-fn list_schedule(dag: &Dag, machine: &Machine, selection: Selection) -> ClassicalSchedule {
-    let n = dag.n();
-    let p = machine.p();
-    let bottom_level = dag.bottom_level();
-
-    let mut remaining_preds: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();
-    // Keyed for `BL-EST`, which pops the highest bottom level (ties: smaller
-    // node id); `ETF` re-evaluates every ready node and ignores the order.
-    let mut ready: BinaryHeap<(u64, Reverse<usize>)> = dag
-        .sources()
-        .into_iter()
-        .map(|v| (bottom_level[v], Reverse(v)))
-        .collect();
-    let mut proc_free = vec![0u64; p];
-    let mut start = vec![0u64; n];
-    let mut proc = vec![usize::MAX; n];
-    let mut finish = vec![0u64; n];
-    let mut scheduled = 0usize;
-
-    // Earliest start time of node v on processor q given current assignments.
-    let est = |v: usize, q: usize, proc: &[usize], finish: &[u64], proc_free: &[u64]| -> u64 {
-        let mut t = proc_free[q];
-        for u in dag.predecessors(v) {
-            let arrival = if proc[u] == q {
-                finish[u]
-            } else {
-                finish[u] + comm_delay(dag, machine, u)
-            };
-            t = t.max(arrival);
+impl<'a> Timeline<'a> {
+    fn new(dag: &'a Dag, machine: &Machine) -> Self {
+        let n = dag.n();
+        let factor = machine.avg_lambda().max(1.0);
+        let delay = (dag.comm_weights().iter())
+            .map(|&c| (c as f64 * machine.g() as f64 * factor).round() as u64)
+            .collect();
+        Timeline {
+            dag,
+            delay,
+            remaining_preds: (0..n).map(|v| dag.in_degree(v)).collect(),
+            proc_free: vec![0; machine.p()],
+            proc: vec![usize::MAX; n],
+            start: vec![0; n],
+            finish: vec![0; n],
         }
-        t
-    };
+    }
 
-    while scheduled < n {
-        // Select (node, processor).
-        let (v, q, t) = match selection {
-            Selection::BottomLevelFirst => {
-                // Highest bottom level first (ties: smaller node id).
-                let (_, Reverse(v)) = ready.pop().expect("ready list is non-empty");
-                let (q, t) = (0..p)
-                    .map(|q| (q, est(v, q, &proc, &finish, &proc_free)))
-                    .min_by_key(|&(q, t)| (t, q))
-                    .expect("at least one processor");
-                (v, q, t)
-            }
-            Selection::EarliestTaskFirst => {
-                let mut best: Option<(u64, Reverse<u64>, usize, usize)> = None;
-                for &(_, Reverse(v)) in &ready {
-                    for q in 0..p {
-                        let t = est(v, q, &proc, &finish, &proc_free);
-                        let key = (t, Reverse(bottom_level[v]), v, q);
-                        if best.is_none_or(|b| key < b) {
-                            best = Some(key);
-                        }
-                    }
+    fn is_placed(&self, v: usize) -> bool {
+        self.proc[v] != usize::MAX
+    }
+
+    /// When every input of `v`, all of whose predecessors are placed, is
+    /// on processor `q`.
+    fn data_ready(&self, v: usize, q: usize) -> u64 {
+        (self.dag.predecessors(v))
+            .map(|u| {
+                if self.proc[u] == q {
+                    self.finish[u]
+                } else {
+                    self.finish[u] + self.delay[u]
                 }
-                let (t, _, v, q) = best.expect("ready list is non-empty");
-                ready.retain(|&(_, Reverse(x))| x != v);
-                (v, q, t)
-            }
-        };
+            })
+            .max()
+            .unwrap_or(0)
+    }
 
-        // Place the node.
-        proc[v] = q;
-        start[v] = t;
-        finish[v] = t + dag.work(v);
-        proc_free[q] = finish[v];
-        scheduled += 1;
-        for w in dag.successors(v) {
-            remaining_preds[w] -= 1;
-            if remaining_preds[w] == 0 {
-                ready.push((bottom_level[w], Reverse(w)));
+    /// Earliest start time of `v` on processor `q`.
+    fn est(&self, v: usize, q: usize) -> u64 {
+        self.proc_free[q].max(self.data_ready(v, q))
+    }
+
+    /// Runs `v` on `q` from `t`, and hands every successor this makes ready
+    /// to `ready`.
+    fn place(&mut self, v: usize, q: usize, t: u64, mut ready: impl FnMut(usize)) {
+        self.proc[v] = q;
+        self.start[v] = t;
+        self.finish[v] = t + self.dag.work(v);
+        self.proc_free[q] = self.finish[v];
+        for w in self.dag.successors(v) {
+            self.remaining_preds[w] -= 1;
+            if self.remaining_preds[w] == 0 {
+                ready(w);
             }
         }
     }
-    ClassicalSchedule::new(proc, start)
+
+    fn into_schedule(self) -> ClassicalSchedule {
+        ClassicalSchedule::new(self.proc, self.start)
+    }
+}
+
+/// `BL-EST`: the ready node of highest bottom level (ties: smaller id) goes
+/// to the processor of earliest start time (ties: smaller index).
+fn bl_est(dag: &Dag, machine: &Machine) -> ClassicalSchedule {
+    let bottom_level = dag.bottom_level();
+    let mut timeline = Timeline::new(dag, machine);
+    let mut ready: BinaryHeap<(u64, Reverse<usize>)> = (dag.sources().into_iter())
+        .map(|v| (bottom_level[v], Reverse(v)))
+        .collect();
+    while let Some((_, Reverse(v))) = ready.pop() {
+        let (q, t) = (0..machine.p())
+            .map(|q| (q, timeline.est(v, q)))
+            .min_by_key(|&(q, t)| (t, q))
+            .expect("at least one processor");
+        timeline.place(v, q, t, |w| ready.push((bottom_level[w], Reverse(w))));
+    }
+    timeline.into_schedule()
+}
+
+/// `ETF`: of every (ready node, processor) pair, the one of earliest start
+/// time, ties to the higher bottom level, then the smaller node, then the
+/// smaller processor.
+///
+/// Event-driven rather than by re-evaluating every pair per pick.  Once `v`
+/// is ready its data-ready time `dr(v, q)` is fixed, and `free[q]` only
+/// grows, so per processor the ready nodes split into *released* ones
+/// (`dr ≤ free[q]`, start time `free[q]`, best by bottom level and id) and
+/// *pending* ones (start time `dr > free[q]`, best by `dr` first), which are
+/// released as `free[q]` passes them.  A released node beats every pending
+/// one, so each processor's best pair is the top of one heap, and the pick
+/// is the least of `P` tops.  Placed nodes leave the heaps lazily.  That is
+/// `O(n·P·log n + m·P)` for the `O(n²·P)` pair scan, with the same pick.
+fn etf(dag: &Dag, machine: &Machine) -> ClassicalSchedule {
+    let p = machine.p();
+    let bottom_level = dag.bottom_level();
+    let mut timeline = Timeline::new(dag, machine);
+    let mut released: Vec<BinaryHeap<(u64, Reverse<usize>)>> = vec![BinaryHeap::new(); p];
+    let mut pending: Vec<BinaryHeap<Reverse<(u64, Reverse<u64>, usize)>>> =
+        vec![BinaryHeap::new(); p];
+    let mut newly_ready = dag.sources();
+    for _ in 0..dag.n() {
+        for v in newly_ready.drain(..) {
+            let bl = bottom_level[v];
+            for q in 0..p {
+                match timeline.data_ready(v, q) {
+                    dr if dr <= timeline.proc_free[q] => released[q].push((bl, Reverse(v))),
+                    dr => pending[q].push(Reverse((dr, Reverse(bl), v))),
+                }
+            }
+        }
+        let mut best: Option<(u64, Reverse<u64>, usize, usize)> = None;
+        for q in 0..p {
+            while released[q]
+                .peek()
+                .is_some_and(|&(_, Reverse(v))| timeline.is_placed(v))
+            {
+                released[q].pop();
+            }
+            let key = if let Some(&(bl, Reverse(v))) = released[q].peek() {
+                (timeline.proc_free[q], Reverse(bl), v, q)
+            } else {
+                while pending[q]
+                    .peek()
+                    .is_some_and(|&Reverse((_, _, v))| timeline.is_placed(v))
+                {
+                    pending[q].pop();
+                }
+                let Some(&Reverse((dr, bl, v))) = pending[q].peek() else {
+                    continue;
+                };
+                (dr, bl, v, q)
+            };
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        let (t, _, v, q) = best.expect("ready list is non-empty");
+        timeline.place(v, q, t, |w| newly_ready.push(w));
+        // `q` is busy for longer now: release what it waited on meanwhile.
+        while let Some(&Reverse((dr, Reverse(bl), w))) = pending[q].peek() {
+            if dr > timeline.proc_free[q] {
+                break;
+            }
+            pending[q].pop();
+            if !timeline.is_placed(w) {
+                released[q].push((bl, Reverse(w)));
+            }
+        }
+    }
+    timeline.into_schedule()
 }
 
 /// The `BL-EST` list scheduler.
@@ -118,7 +194,7 @@ pub struct BlEstScheduler;
 impl BlEstScheduler {
     /// The classical (time-based) schedule before BSP conversion.
     pub fn classical_schedule(&self, dag: &Dag, machine: &Machine) -> ClassicalSchedule {
-        list_schedule(dag, machine, Selection::BottomLevelFirst)
+        bl_est(dag, machine)
     }
 }
 
@@ -142,7 +218,7 @@ pub struct EtfScheduler;
 impl EtfScheduler {
     /// The classical (time-based) schedule before BSP conversion.
     pub fn classical_schedule(&self, dag: &Dag, machine: &Machine) -> ClassicalSchedule {
-        list_schedule(dag, machine, Selection::EarliestTaskFirst)
+        etf(dag, machine)
     }
 }
 

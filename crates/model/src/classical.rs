@@ -91,8 +91,9 @@ impl ClassicalSchedule {
     /// assignment unchanged.
     pub fn to_bsp_assignment(&self, dag: &Dag) -> Assignment {
         let n = self.n();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| (self.start[v], v));
+        // The pairs are unique, so an unstable sort gives the stable order.
+        let mut order: Vec<(u64, usize)> = (0..n).map(|v| (self.start[v], v)).collect();
+        order.sort_unstable();
 
         // `current < n ≤ u32::MAX` (one node per superstep at least), so the
         // sentinel is never a real superstep.
@@ -106,20 +107,20 @@ impl ClassicalSchedule {
         while begin < n {
             // Earliest start time t of an unassigned node with an unassigned
             // predecessor on a different processor.
-            while scan < n && !self.is_blocked(dag, order[scan], &superstep) {
+            while scan < n && !self.is_blocked(dag, order[scan].1, &superstep) {
                 scan += 1;
             }
             if scan == n {
                 // No more communication needed: everything left goes into
                 // the current superstep.
-                for &v in &order[begin..] {
+                for &(_, v) in &order[begin..] {
                     superstep[v] = current;
                 }
                 break;
             }
-            let t = self.start[order[scan]];
+            let t = order[scan].0;
             let mut end = begin;
-            while self.start[order[end]] < t {
+            while order[end].0 < t {
                 end += 1;
             }
             if end == begin {
@@ -128,7 +129,7 @@ impl ClassicalSchedule {
                 // remaining node.
                 end += 1;
             }
-            for &v in &order[begin..end] {
+            for &(_, v) in &order[begin..end] {
                 superstep[v] = current;
             }
             begin = end;

@@ -93,6 +93,13 @@ impl CommSchedule {
     /// pair such that some direct successor of `node` lives on a different
     /// processor than `node`, sorted by `(node, target)`.
     pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> {
+        let mut requirements = Vec::new();
+        Self::each_requirement(dag, assignment, |r| requirements.push(r));
+        requirements
+    }
+
+    /// Hands `requirements`' entries to `f`, in the same order.
+    fn each_requirement(dag: &Dag, assignment: &Assignment, mut f: impl FnMut(CommRequirement)) {
         // One slot per processor, reused for every node: `seen[q] == u + 1`
         // while the successors of `u` are walked and one of them lives on
         // `q`, and `needed[q]` is then the earliest superstep of those.
@@ -100,7 +107,6 @@ impl CommSchedule {
         let mut seen = vec![0usize; p];
         let mut needed = vec![0usize; p];
         let mut targets: Vec<usize> = Vec::new();
-        let mut requirements = Vec::new();
         for u in 0..dag.n() {
             let source = assignment.proc[u] as usize;
             targets.clear();
@@ -120,26 +126,30 @@ impl CommSchedule {
             }
             // Ascending `(node, target)`, the order every consumer relies on.
             targets.sort_unstable();
-            requirements.extend(targets.iter().map(|&target| CommRequirement {
-                node: u,
-                source,
-                target,
-                computed: assignment.superstep[u] as usize,
-                needed_by: needed[target],
-            }));
+            for &target in &targets {
+                f(CommRequirement {
+                    node: u,
+                    source,
+                    target,
+                    computed: assignment.superstep[u] as usize,
+                    needed_by: needed[target],
+                });
+            }
         }
-        requirements
     }
 
     /// The *lazy* communication schedule for an assignment: every required
     /// value is sent directly from the processor that computed it, in the last
-    /// possible communication phase (superstep `needed_by - 1`).
+    /// possible communication phase (superstep `needed_by - 1`).  The
+    /// requirements come in `(node, target)` order, one per pair, and the
+    /// sender is the node's own processor, so the steps are already in
+    /// `(node, from, to, step)` order without duplicates.
     pub fn lazy(dag: &Dag, assignment: &Assignment) -> Self {
-        let steps = Self::requirements(dag, assignment)
-            .iter()
-            .map(|r| r.send_at(r.latest_step()))
-            .collect();
-        CommSchedule::from_steps(steps)
+        let mut steps = Vec::new();
+        Self::each_requirement(dag, assignment, |r| steps.push(r.send_at(r.latest_step())));
+        // Cached answers keep `Γ`: hold no growth slack.
+        steps.shrink_to_fit();
+        CommSchedule { steps }
     }
 
     /// An *eager* communication schedule: every required value is sent in the

@@ -1,11 +1,12 @@
 //! Differential tests for the schedule-construction layer.
 //!
-//! `BSPg`, `Source`, the `Cilk` simulation, the list schedulers and the
-//! classical→BSP conversion were rewritten from their textbook (quadratic)
-//! form to near-linear time under the promise that their output does not
-//! change by a single bit.  The [`oracle`] module below keeps the replaced
-//! routines verbatim; every test asserts that the library's constructors
-//! return exactly the oracle's `Assignment` / `ClassicalSchedule`.  `Source`'s
+//! `BSPg`, `Source`, the `Cilk` simulation, the list schedulers, `HDagg`,
+//! the classical→BSP conversion and the lazy communication schedule were
+//! rewritten from their textbook (quadratic) form to near-linear time under
+//! the promise that their output does not change by a single bit.  The
+//! [`oracle`] module below keeps the replaced routines verbatim; every test
+//! asserts that the library's constructors return exactly the oracle's
+//! `Assignment` / `ClassicalSchedule` / `BspSchedule`.  `Source`'s
 //! old form lives in [`common::reference_source`] and applies the same
 //! first-superstep cluster bound as the library: the claim is "the
 //! near-linear constructor equals the straightforward one", not "clusters
@@ -14,8 +15,9 @@
 mod common;
 
 use bsp_model::{ClassicalSchedule, Dag, Machine};
-use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler};
+use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
+use bsp_sched::Scheduler;
 use common::reference_source::{source_assignment, source_assignment_unbounded};
 use common::rng_for_case;
 use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
@@ -26,7 +28,7 @@ use rand_chacha::ChaCha8Rng;
 /// The constructors as they were before the rewrite, moved here unchanged
 /// (methods became free functions; nothing else differs).
 mod oracle {
-    use bsp_model::{Assignment, ClassicalSchedule, Dag, Machine};
+    use bsp_model::{Assignment, BspSchedule, ClassicalSchedule, CommSchedule, Dag, Machine};
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -204,6 +206,112 @@ mod oracle {
             }
         }
         crate::common::narrow_assignment(&cs.proc, &superstep)
+    }
+
+    /// `CommSchedule::lazy`: the requirements, mapped, sorted and deduplicated.
+    pub fn lazy(dag: &Dag, assignment: &Assignment) -> CommSchedule {
+        let steps = CommSchedule::requirements(dag, assignment)
+            .iter()
+            .map(|r| r.send_at(r.latest_step()))
+            .collect();
+        CommSchedule::from_steps(steps)
+    }
+
+    /// The assignment with the old lazy `Γ`, normalized: how both
+    /// `ClassicalSchedule::to_bsp` and `HDaggScheduler::schedule` end.
+    fn normalized_lazy(dag: &Dag, assignment: Assignment) -> BspSchedule {
+        let comm = lazy(dag, &assignment);
+        let mut sched = BspSchedule { assignment, comm };
+        sched.normalize(dag);
+        sched
+    }
+
+    /// `ClassicalSchedule::to_bsp`.
+    pub fn to_bsp(cs: &ClassicalSchedule, dag: &Dag) -> BspSchedule {
+        normalized_lazy(dag, to_bsp_assignment(cs, dag))
+    }
+
+    /// `HDaggScheduler::schedule`.
+    pub fn hdagg_schedule(balance_slack: f64, dag: &Dag, machine: &Machine) -> BspSchedule {
+        if dag.n() == 0 {
+            return BspSchedule::trivial(dag);
+        }
+        let (proc, levels) = hdagg_assign(balance_slack, dag, machine);
+        let superstep = hdagg_aggregate(dag, &proc, &levels);
+        normalized_lazy(dag, Assignment { proc, superstep })
+    }
+
+    /// `HDaggScheduler::assign`.
+    fn hdagg_assign(balance_slack: f64, dag: &Dag, machine: &Machine) -> (Vec<u32>, Vec<usize>) {
+        let n = dag.n();
+        let p = machine.p();
+        let levels = dag.levels();
+        let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
+        let mut wavefronts: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+        for v in 0..n {
+            wavefronts[levels[v]].push(v);
+        }
+
+        let mut proc = vec![0u32; n];
+        for wavefront in &wavefronts {
+            let total_work: u64 = wavefront.iter().map(|&v| dag.work(v)).sum();
+            let ideal = (total_work as f64 / p as f64).max(1.0);
+            let mut load = vec![0u64; p];
+            // Heaviest nodes first, so load balancing has room to correct.
+            let mut order = wavefront.clone();
+            order.sort_by_key(|&v| std::cmp::Reverse(dag.work(v)));
+            for v in order {
+                // Affinity: communication weight of predecessors already
+                // placed on each processor.
+                let mut affinity = vec![0u64; p];
+                for u in dag.predecessors(v) {
+                    affinity[proc[u] as usize] += dag.comm(u);
+                }
+                let within_slack =
+                    |q: usize| (load[q] + dag.work(v)) as f64 <= ideal * balance_slack;
+                // Best-affinity processor that still respects the balance
+                // slack; fall back to the least-loaded processor.
+                let candidate = (0..p)
+                    .filter(|&q| within_slack(q))
+                    .max_by_key(|&q| (affinity[q], std::cmp::Reverse(load[q])));
+                let q = candidate.unwrap_or_else(|| {
+                    (0..p)
+                        .min_by_key(|&q| (load[q], std::cmp::Reverse(affinity[q])))
+                        .expect("at least one processor")
+                });
+                proc[v] = q as u32;
+                load[q] += dag.work(v);
+            }
+        }
+        (proc, levels)
+    }
+
+    /// `HDaggScheduler::aggregate`.
+    fn hdagg_aggregate(dag: &Dag, proc: &[u32], levels: &[usize]) -> Vec<u32> {
+        let n = dag.n();
+        let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
+        let mut level_nodes: Vec<Vec<usize>> = vec![Vec::new(); num_levels];
+        for v in 0..n {
+            level_nodes[levels[v]].push(v);
+        }
+        let mut level_to_superstep = vec![0u32; num_levels];
+        let mut current = 0u32;
+        let mut current_first_level = 0usize;
+        for l in 0..num_levels {
+            if l > 0 {
+                // Can level l join the superstep started at current_first_level?
+                let conflict = level_nodes[l].iter().any(|&v| {
+                    dag.predecessors(v)
+                        .any(|u| levels[u] >= current_first_level && proc[u] != proc[v])
+                });
+                if conflict {
+                    current += 1;
+                    current_first_level = l;
+                }
+            }
+            level_to_superstep[l] = current;
+        }
+        (0..n).map(|v| level_to_superstep[levels[v]]).collect()
     }
 
     /// `CilkScheduler::classical_schedule`.
@@ -478,6 +586,55 @@ fn random_dag(rng: &mut ChaCha8Rng, shape: Shape) -> Dag {
     Dag::from_edges(n, &edges, work, comm).expect("edges follow one topological order")
 }
 
+/// The list schedulers against their oracle, with the conversion and the
+/// lazy communication schedule of their output.
+fn assert_list_schedulers_match(dag: &Dag, machine: &Machine, what: &str) {
+    let classical = [
+        (
+            "BL-EST",
+            BlEstScheduler.classical_schedule(dag, machine),
+            oracle::list_schedule(dag, machine, oracle::Selection::BottomLevelFirst),
+        ),
+        (
+            "ETF",
+            EtfScheduler.classical_schedule(dag, machine),
+            oracle::list_schedule(dag, machine, oracle::Selection::EarliestTaskFirst),
+        ),
+    ];
+    assert_classical_match(&classical, dag, what);
+}
+
+/// Each `(name, library, oracle)` classical schedule equal, and equal again
+/// after the conversion, with and without its lazy communication schedule.
+/// The last needs a converted assignment that keeps every predecessor on
+/// another processor in an earlier superstep: the conversion's degenerate
+/// branch can break that (zero-work nodes), and then neither side has a
+/// communication phase to send in.
+fn assert_classical_match(
+    classical: &[(&str, ClassicalSchedule, ClassicalSchedule)],
+    dag: &Dag,
+    what: &str,
+) {
+    for (name, new, old) in classical {
+        assert_eq!(new, old, "{name} differs on {what}");
+        let converted = oracle::to_bsp_assignment(old, dag);
+        assert_eq!(
+            new.to_bsp_assignment(dag),
+            converted,
+            "conversion of {name} differs on {what}"
+        );
+        let (proc, step) = (&converted.proc, &converted.superstep);
+        if !(dag.edges()).all(|(u, v)| step[u] < step[v] || proc[u] == proc[v]) {
+            continue;
+        }
+        assert_eq!(
+            new.to_bsp(dag),
+            oracle::to_bsp(old, dag),
+            "BSP schedule of {name} differs on {what}"
+        );
+    }
+}
+
 /// Asserts that every constructor agrees with its oracle on `(dag, machine)`.
 fn assert_all_match(dag: &Dag, machine: &Machine, what: &str) {
     assert_eq!(
@@ -501,25 +658,15 @@ fn assert_all_match(dag: &Dag, machine: &Machine, what: &str) {
             CilkScheduler::new(7).classical_schedule(dag, machine),
             oracle::cilk_classical_schedule(7, dag, machine),
         ),
-        (
-            "BL-EST",
-            BlEstScheduler.classical_schedule(dag, machine),
-            oracle::list_schedule(dag, machine, oracle::Selection::BottomLevelFirst),
-        ),
-        (
-            "ETF",
-            EtfScheduler.classical_schedule(dag, machine),
-            oracle::list_schedule(dag, machine, oracle::Selection::EarliestTaskFirst),
-        ),
     ];
-    for (name, new, old) in &classical {
-        assert_eq!(new, old, "{name} differs on {what}");
-        assert_eq!(
-            new.to_bsp_assignment(dag),
-            oracle::to_bsp_assignment(old, dag),
-            "conversion of {name} differs on {what}"
-        );
-    }
+    assert_classical_match(&classical, dag, what);
+    assert_list_schedulers_match(dag, machine, what);
+    let hdagg = HDaggScheduler::default();
+    assert_eq!(
+        hdagg.schedule(dag, machine),
+        oracle::hdagg_schedule(hdagg.balance_slack, dag, machine),
+        "HDagg differs on {what}"
+    );
 }
 
 #[test]
@@ -641,6 +788,52 @@ fn constructors_match_the_oracle_on_the_benchmark_families() {
         ] {
             let what = format!("{family} (n = {}), P = {}", dag.n(), machine.p());
             assert_all_match(dag, &machine, &what);
+        }
+    }
+}
+
+/// The list schedulers on DAGs of 500–800 nodes, whose ready sets run to
+/// hundreds of nodes: `ETF` keeps most of them waiting on a processor and
+/// releases them as the processor's time passes their data-ready time,
+/// which the small random DAGs above barely exercise.
+#[test]
+fn list_schedulers_match_the_oracle_on_wide_ready_sets() {
+    let dags = [
+        (
+            "spmv",
+            spmv(&SpmvConfig {
+                n: 36,
+                density: 8.0 / 36.0,
+                seed: 5,
+            }),
+        ),
+        (
+            "pagerank",
+            coarse_dag(&CoarseConfig {
+                algorithm: CoarseAlgorithm::PageRank,
+                iterations: 120,
+            }),
+        ),
+    ];
+    for (family, dag) in &dags {
+        assert!(
+            (500..=800).contains(&dag.n()),
+            "{family} has {} nodes",
+            dag.n()
+        );
+        for machine in [
+            Machine::uniform(4, 3, 5),
+            Machine::numa_binary_tree(4, 1, 5, 3),
+            Machine::uniform(8, 1, 5),
+            Machine::numa_binary_tree(8, 3, 5, 3),
+        ] {
+            let what = format!(
+                "{family} (n = {}), P = {}, numa = {}",
+                dag.n(),
+                machine.p(),
+                machine.is_numa()
+            );
+            assert_list_schedulers_match(dag, &machine, &what);
         }
     }
 }
