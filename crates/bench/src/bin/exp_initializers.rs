@@ -24,12 +24,14 @@
 //! With `--scaling [--smoke]` it instead checks that schedule construction
 //! is near-linear: `BSPg`, `Source`, the four baselines `Cilk`, `BL-EST`,
 //! `ETF` (each simulation + BSP conversion) and `HDagg`, the funnel reduction
-//! (`Funnel::contract` + `project`) and `place_sources` (on `BSPg`'s
-//! schedule) are timed on a fine-grained `spmv` and a coarse-grained
-//! `pagerank` DAG — whose matrix source has n/2 successors — at size n and
-//! 4n, and the run fails if any µs/node grows by more than 2x (a quadratic
-//! routine gives about 4x).  The ratio compares the host with itself, so the
-//! check does not depend on how fast the host is.
+//! (`Funnel::contract` + `project`), `place_sources` (on `BSPg`'s schedule),
+//! and the constructors of the DAG itself — `Dag::from_edges` (from the
+//! DAG's edge list) and the hyperDAG text both ways, `write_hyperdag` and
+//! `read_hyperdag` — are timed on a fine-grained `spmv` and a
+//! coarse-grained `pagerank` DAG — whose matrix source has n/2 successors —
+//! at size n and 4n, and the run fails if any µs/node grows by more than 2x
+//! (a quadratic routine gives about 4x).  The ratio compares the host with
+//! itself, so the check does not depend on how fast the host is.
 
 use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
@@ -40,7 +42,8 @@ use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
 use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{
-    cg, coarse_dag, exp, knn, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig,
+    cg, coarse_dag, exp, knn, read_hyperdag, spmv, write_hyperdag, CoarseAlgorithm, CoarseConfig,
+    IterConfig, SpmvConfig,
 };
 use rayon::prelude::*;
 use std::time::Instant;
@@ -94,7 +97,7 @@ impl Scheduler for FunnelRoundTrip {
 
 /// µs/node of `construct` on a DAG of `nodes` nodes: the fastest of five
 /// runs, since interference from the host only ever adds time.
-fn us_per_node(nodes: usize, construct: impl Fn() -> BspSchedule) -> f64 {
+fn us_per_node<T>(nodes: usize, construct: impl Fn() -> T) -> f64 {
     let fastest = (0..5)
         .map(|_| {
             let clock = Instant::now();
@@ -196,6 +199,24 @@ fn scaling_holds(smoke: bool, seed: u64) -> bool {
             })
         };
         add_row("place_sources", [time(&dags[0]), time(&dags[1])]);
+        // The DAG's own constructors, each from an input built outside the
+        // clock (the weight copies `from_edges` takes are inside, and linear).
+        let time = |dag: &Dag| {
+            let edges: Vec<(usize, usize)> = dag.edges().collect();
+            let (work, comm) = (dag.work_weights(), dag.comm_weights());
+            us_per_node(dag.n(), || {
+                Dag::from_edges(dag.n(), &edges, work.to_vec(), comm.to_vec())
+                    .expect("the edges of a DAG")
+            })
+        };
+        add_row("from_edges", [time(&dags[0]), time(&dags[1])]);
+        let time = |dag: &Dag| us_per_node(dag.n(), || write_hyperdag(dag));
+        add_row("write_hyperdag", [time(&dags[0]), time(&dags[1])]);
+        let time = |dag: &Dag| {
+            let text = write_hyperdag(dag);
+            us_per_node(dag.n(), || read_hyperdag(&text).expect("its own text"))
+        };
+        add_row("read_hyperdag", [time(&dags[0]), time(&dags[1])]);
     }
     table.print();
     holds

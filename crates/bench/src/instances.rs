@@ -70,7 +70,7 @@ impl Scale {
 pub fn scaled_dataset(kind: DatasetKind, scale: Scale, seed: u64) -> Vec<NamedDag> {
     match scale {
         Scale::Full => Dataset::generate(kind, seed).instances,
-        Scale::Reduced => Dataset::generate(kind, seed).reduced().instances,
+        Scale::Reduced => Dataset::generate_reduced(kind, seed).instances,
         Scale::Smoke => smoke_instances(kind, seed),
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::Scheduler;
 use bsp_model::{Assignment, BspSchedule, Dag, Machine};
+use std::cmp::Reverse;
 
 /// The wavefront-aggregation scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -27,8 +28,9 @@ impl Default for HDaggScheduler {
     }
 }
 
-/// The nodes bucketed by wavefront (topological level), in id order within
-/// one: a counting sort that `assign` and `aggregate` share.
+/// The nodes bucketed by wavefront (topological level, as
+/// [`Dag::levels`]), in no particular order within one: what `assign` and
+/// `aggregate` share.
 struct Wavefronts {
     levels: Vec<usize>,
     /// Wavefront `l` is `nodes[offsets[l]..offsets[l + 1]]`.
@@ -37,21 +39,29 @@ struct Wavefronts {
 }
 
 impl Wavefronts {
+    /// One Kahn pass, a wavefront at a time: a node becomes ready while the
+    /// wavefront of its deepest predecessor is processed, so the nodes that
+    /// wavefront `l` makes ready are exactly wavefront `l + 1`.
     fn new(dag: &Dag) -> Self {
-        let levels = dag.levels();
-        let num_levels = levels.iter().copied().max().map_or(0, |l| l + 1);
-        let mut offsets = vec![0usize; num_levels + 1];
-        for &l in &levels {
-            offsets[l + 1] += 1;
-        }
-        for l in 0..num_levels {
-            offsets[l + 1] += offsets[l];
-        }
-        let mut next = offsets.clone();
-        let mut nodes = vec![0usize; levels.len()];
-        for (v, &l) in levels.iter().enumerate() {
-            nodes[next[l]] = v;
-            next[l] += 1;
+        let n = dag.n();
+        let mut indeg: Vec<u32> = (0..n).map(|v| dag.in_degree(v) as u32).collect();
+        let mut levels = vec![0usize; n];
+        let mut offsets = vec![0usize];
+        let mut nodes = Vec::with_capacity(n);
+        nodes.extend((0..n).filter(|&v| indeg[v] == 0));
+        while offsets[offsets.len() - 1] < nodes.len() {
+            let (start, end) = (offsets[offsets.len() - 1], nodes.len());
+            offsets.push(end);
+            let next = offsets.len() - 1;
+            for i in start..end {
+                for w in dag.successors(nodes[i]) {
+                    indeg[w] -= 1;
+                    if indeg[w] == 0 {
+                        levels[w] = next;
+                        nodes.push(w);
+                    }
+                }
+            }
         }
         Wavefronts {
             levels,
@@ -77,38 +87,52 @@ impl HDaggScheduler {
         let mut proc = vec![0u32; dag.n()];
         let mut load = vec![0u64; p];
         let mut affinity = vec![0u64; p];
-        let mut order = Vec::new();
+        let mut order: Vec<(Reverse<u64>, usize)> = Vec::new();
         for l in 0..wavefronts.len() {
             let wavefront = wavefronts.get(l);
-            let total_work: u64 = wavefront.iter().map(|&v| dag.work(v)).sum();
-            let ideal = (total_work as f64 / p as f64).max(1.0);
-            load.fill(0);
-            // Heaviest nodes first, so load balancing has room to correct
-            // (ties in id order: the wavefront is, and ids are unique).
             order.clear();
-            order.extend_from_slice(wavefront);
-            order.sort_unstable_by_key(|&v| (std::cmp::Reverse(dag.work(v)), v));
-            for &v in &order {
+            order.extend(wavefront.iter().map(|&v| (Reverse(dag.work(v)), v)));
+            let total_work: u64 = order.iter().map(|&(Reverse(w), _)| w).sum();
+            let ideal = (total_work as f64 / p as f64).max(1.0);
+            let limit = ideal * self.balance_slack;
+            // Heaviest nodes first, so load balancing has room to correct
+            // (ties in id order: ids are unique).
+            order.sort_unstable();
+            for &(Reverse(work), v) in &order {
                 // Affinity: communication weight of predecessors already
                 // placed on each processor.
-                affinity.fill(0);
                 for u in dag.predecessors(v) {
                     affinity[proc[u] as usize] += dag.comm(u);
                 }
-                let within_slack =
-                    |q: usize| (load[q] + dag.work(v)) as f64 <= ideal * self.balance_slack;
-                // Best-affinity processor that still respects the balance
-                // slack; fall back to the least-loaded processor.
-                let candidate = (0..p)
-                    .filter(|&q| within_slack(q))
-                    .max_by_key(|&q| (affinity[q], std::cmp::Reverse(load[q])));
-                let q = candidate.unwrap_or_else(|| {
-                    (0..p)
-                        .min_by_key(|&q| (load[q], std::cmp::Reverse(affinity[q])))
-                        .expect("at least one processor")
-                });
+                // The best processor by `(affinity, Reverse(load))` that
+                // stays within the balance slack, ties to the larger index;
+                // failing that, the least loaded by `(load,
+                // Reverse(affinity))`, ties to the smaller index.
+                let mut best: Option<(usize, (u64, Reverse<u64>))> = None;
+                for (q, (&a, &l)) in affinity.iter().zip(&load).enumerate() {
+                    let key = (a, Reverse(l));
+                    if (l + work) as f64 <= limit && best.is_none_or(|(_, b)| key >= b) {
+                        best = Some((q, key));
+                    }
+                }
+                let q = best.map_or_else(
+                    || {
+                        (0..p)
+                            .min_by_key(|&q| (load[q], Reverse(affinity[q])))
+                            .expect("at least one processor")
+                    },
+                    |(q, _)| q,
+                );
                 proc[v] = q as u32;
-                load[q] += dag.work(v);
+                load[q] += work;
+                // Only the processors of `v`'s predecessors hold affinity.
+                for u in dag.predecessors(v) {
+                    affinity[proc[u] as usize] = 0;
+                }
+            }
+            // Only the wavefront's processors hold load.
+            for &(_, v) in &order {
+                load[proc[v] as usize] = 0;
             }
         }
         proc

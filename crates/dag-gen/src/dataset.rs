@@ -12,9 +12,10 @@
 //! | huge     | 50 000 – 100 000  | 7 fine-grained + 3 coarse-grained         |
 //!
 //! Instances are regenerated deterministically from a seed (the paper ships
-//! concrete instance files; see the substitution notes in `DESIGN.md`).  The
-//! [`Dataset::reduced`] view keeps roughly a third of the instances and is
-//! what the quick experiment harness uses by default.
+//! concrete instance files; see the substitution notes in `DESIGN.md`).
+//! [`Dataset::generate_reduced`] builds roughly a third of the instances,
+//! the same ones bit for bit, and is what the quick experiment harness uses
+//! by default.
 
 use crate::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use crate::fine::{cg, exp, knn, spmv, IterConfig, SpmvConfig};
@@ -197,23 +198,67 @@ fn coarse_instance(algorithm: CoarseAlgorithm, target_n: usize) -> Dag {
     })
 }
 
-impl Dataset {
-    /// Generates the full (paper-sized) dataset of the given kind.
-    pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
-        let (lo, hi) = kind.node_range();
-        let positions = [lo, (lo + hi) / 2, hi];
-        let mut instances = Vec::new();
-        let mut inst_seed = seed;
-        let mut push_fine =
-            |instances: &mut Vec<NamedDag>, method: FineMethod, target: usize, deep: bool| {
-                inst_seed = inst_seed.wrapping_add(1);
-                let dag = fine_instance(method, target, deep, inst_seed);
+/// How one instance of a dataset is made: enough to name and build it,
+/// nothing built yet.
+#[derive(Debug)]
+enum Recipe {
+    Fine {
+        method: FineMethod,
+        target: usize,
+        deep: bool,
+        seed: u64,
+    },
+    Coarse {
+        algorithm: CoarseAlgorithm,
+        target: usize,
+    },
+}
+
+impl Recipe {
+    fn build(self, kind: DatasetKind) -> NamedDag {
+        match self {
+            Recipe::Fine {
+                method,
+                target,
+                deep,
+                seed,
+            } => {
+                let dag = fine_instance(method, target, deep, seed);
                 let shape = if deep { "deep" } else { "wide" };
-                instances.push(NamedDag {
+                NamedDag {
                     name: format!("{}-{}-{}-n{}", kind.name(), method.name(), shape, dag.n()),
                     dag,
-                });
-            };
+                }
+            }
+            Recipe::Coarse { algorithm, target } => {
+                let dag = coarse_instance(algorithm, target);
+                NamedDag {
+                    name: format!("{}-coarse-{}-n{}", kind.name(), algorithm.name(), dag.n()),
+                    dag,
+                }
+            }
+        }
+    }
+}
+
+impl Dataset {
+    /// The instances of the dataset `kind`, in order.  The `i`-th fine-grained
+    /// one is seeded `seed + i` (1-based, wrapping), whichever of them is built.
+    fn recipes(kind: DatasetKind, seed: u64) -> Vec<Recipe> {
+        let (lo, hi) = kind.node_range();
+        let positions = [lo, (lo + hi) / 2, hi];
+        let mut recipes = Vec::new();
+        let mut inst_seed = seed;
+        let mut push_fine = |recipes: &mut Vec<Recipe>, method, target, deep| {
+            inst_seed = inst_seed.wrapping_add(1);
+            recipes.push(Recipe::Fine {
+                method,
+                target,
+                deep,
+                seed: inst_seed,
+            });
+        };
+        let coarse = |algorithm, target| Recipe::Coarse { algorithm, target };
 
         match kind {
             DatasetKind::Training => {
@@ -227,7 +272,7 @@ impl Dataset {
                 ];
                 for (i, &t) in targets.iter().enumerate() {
                     let method = methods[i % methods.len()];
-                    push_fine(&mut instances, method, t, i % 2 == 0);
+                    push_fine(&mut recipes, method, t, i % 2 == 0);
                 }
             }
             DatasetKind::Tiny => {
@@ -239,7 +284,7 @@ impl Dataset {
                     FineMethod::Knn,
                 ] {
                     for &t in &positions {
-                        push_fine(&mut instances, method, t, false);
+                        push_fine(&mut recipes, method, t, false);
                     }
                 }
                 for algorithm in [
@@ -248,23 +293,19 @@ impl Dataset {
                     CoarseAlgorithm::LabelPropagation,
                     CoarseAlgorithm::KNearestNeighbours,
                 ] {
-                    let dag = coarse_instance(algorithm, (lo + hi) / 2);
-                    instances.push(NamedDag {
-                        name: format!("{}-coarse-{}-n{}", kind.name(), algorithm.name(), dag.n()),
-                        dag,
-                    });
+                    recipes.push(coarse(algorithm, (lo + hi) / 2));
                 }
             }
             DatasetKind::Small | DatasetKind::Medium | DatasetKind::Large => {
                 // spmv × 3 positions, the iterative methods × 3 positions ×
                 // {deep, wide} = 21 fine instances.
                 for &t in &positions {
-                    push_fine(&mut instances, FineMethod::Spmv, t, false);
+                    push_fine(&mut recipes, FineMethod::Spmv, t, false);
                 }
                 for method in [FineMethod::Exp, FineMethod::Cg, FineMethod::Knn] {
                     for &t in &positions {
-                        push_fine(&mut instances, method, t, true);
-                        push_fine(&mut instances, method, t, false);
+                        push_fine(&mut recipes, method, t, true);
+                        push_fine(&mut recipes, method, t, false);
                     }
                 }
                 if kind == DatasetKind::Small {
@@ -273,56 +314,46 @@ impl Dataset {
                         CoarseAlgorithm::BiCgStab,
                         CoarseAlgorithm::PageRank,
                     ] {
-                        let dag = coarse_instance(algorithm, (lo + hi) / 2);
-                        instances.push(NamedDag {
-                            name: format!(
-                                "{}-coarse-{}-n{}",
-                                kind.name(),
-                                algorithm.name(),
-                                dag.n()
-                            ),
-                            dag,
-                        });
+                        recipes.push(coarse(algorithm, (lo + hi) / 2));
                     }
                 }
             }
             DatasetKind::Huge => {
                 // 1 spmv + 2 of each iterative method = 7 fine, plus 3 coarse.
-                push_fine(&mut instances, FineMethod::Spmv, (lo + hi) / 2, false);
+                push_fine(&mut recipes, FineMethod::Spmv, (lo + hi) / 2, false);
                 for method in [FineMethod::Exp, FineMethod::Cg, FineMethod::Knn] {
-                    push_fine(&mut instances, method, lo, true);
-                    push_fine(&mut instances, method, hi, false);
+                    push_fine(&mut recipes, method, lo, true);
+                    push_fine(&mut recipes, method, hi, false);
                 }
                 for algorithm in [
                     CoarseAlgorithm::ConjugateGradient,
                     CoarseAlgorithm::BiCgStab,
                     CoarseAlgorithm::PageRank,
                 ] {
-                    let dag = coarse_instance(algorithm, lo);
-                    instances.push(NamedDag {
-                        name: format!("{}-coarse-{}-n{}", kind.name(), algorithm.name(), dag.n()),
-                        dag,
-                    });
+                    recipes.push(coarse(algorithm, lo));
                 }
             }
         }
+        recipes
+    }
+
+    /// Generates the full (paper-sized) dataset of the given kind.
+    pub fn generate(kind: DatasetKind, seed: u64) -> Dataset {
+        let instances = (Self::recipes(kind, seed).into_iter())
+            .map(|recipe| recipe.build(kind))
+            .collect();
         Dataset { kind, instances }
     }
 
-    /// A reduced view keeping roughly every third instance (always at least
-    /// two); used by the quick experiment harness.
-    pub fn reduced(&self) -> Dataset {
-        let step = 3;
-        let instances: Vec<NamedDag> = self.instances.iter().step_by(step).cloned().collect();
-        let instances = if instances.len() < 2 && self.instances.len() >= 2 {
-            self.instances[..2].to_vec()
-        } else {
-            instances
-        };
-        Dataset {
-            kind: self.kind,
-            instances,
-        }
+    /// Every third instance of [`Dataset::generate`]`(kind, seed)`, from the
+    /// first (at least four: every dataset has ten or more), each equal to
+    /// its counterpart there; the others are never built.  Used by the
+    /// quick experiment harness.
+    pub fn generate_reduced(kind: DatasetKind, seed: u64) -> Dataset {
+        let instances = (Self::recipes(kind, seed).into_iter().step_by(3))
+            .map(|recipe| recipe.build(kind))
+            .collect();
+        Dataset { kind, instances }
     }
 
     /// Number of instances.
@@ -340,6 +371,24 @@ impl Dataset {
 mod tests {
     use super::*;
 
+    /// `generate_reduced` against the full dataset filtered by the rule it
+    /// replaced: every third instance from the first, or the first two if
+    /// that keeps fewer than two.
+    fn assert_reduced_is_filtered(full: &Dataset, seed: u64) {
+        let mut expected: Vec<&NamedDag> = full.instances.iter().step_by(3).collect();
+        if expected.len() < 2 && full.len() >= 2 {
+            expected = full.instances[..2].iter().collect();
+        }
+        let reduced = Dataset::generate_reduced(full.kind, seed);
+        assert_eq!(reduced.kind, full.kind);
+        assert!(reduced.len() >= 2 && reduced.len() < full.len());
+        assert_eq!(reduced.len(), expected.len(), "{:?}", full.kind);
+        for (got, want) in reduced.instances.iter().zip(expected) {
+            assert_eq!(got.name, want.name);
+            assert_eq!(got.dag, want.dag, "{}", want.name);
+        }
+    }
+
     #[test]
     fn tiny_dataset_has_paper_composition() {
         let d = Dataset::generate(DatasetKind::Tiny, 1);
@@ -354,6 +403,7 @@ mod tests {
                 n
             );
         }
+        assert_reduced_is_filtered(&d, 1);
     }
 
     #[test]
@@ -367,6 +417,7 @@ mod tests {
             .filter(|i| i.dag.n() >= lo * 7 / 10 && i.dag.n() <= hi * 13 / 10)
             .count();
         assert!(in_range * 10 >= d.len() * 8, "too many instances off-range");
+        assert_reduced_is_filtered(&d, 2);
     }
 
     #[test]
@@ -377,15 +428,7 @@ mod tests {
         let max = d.instances.iter().map(|i| i.dag.n()).max().unwrap();
         assert!(min < 120, "smallest training instance too big: {min}");
         assert!(max > 800, "largest training instance too small: {max}");
-    }
-
-    #[test]
-    fn reduced_view_is_smaller_but_nonempty() {
-        let d = Dataset::generate(DatasetKind::Tiny, 4);
-        let r = d.reduced();
-        assert!(r.len() >= 2);
-        assert!(r.len() < d.len());
-        assert_eq!(r.kind, DatasetKind::Tiny);
+        assert_reduced_is_filtered(&d, 3);
     }
 
     #[test]

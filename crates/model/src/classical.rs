@@ -126,7 +126,14 @@ impl ClassicalSchedule {
             if end == begin {
                 // Degenerate case (zero-length predecessors starting at
                 // the same instant): force progress by taking the first
-                // remaining node.
+                // remaining node whose predecessors all have a superstep
+                // (one exists: the DAG is acyclic), moved to the front.
+                // Taking a node with a predecessor still to come would put
+                // it before that predecessor.
+                let ready = (begin..n)
+                    .find(|&i| (dag.predecessors(order[i].1)).all(|u| superstep[u] != u32::MAX))
+                    .expect("an acyclic DAG has a node with every predecessor placed");
+                order[begin..=ready].rotate_right(1);
                 end += 1;
             }
             for &(_, v) in &order[begin..end] {

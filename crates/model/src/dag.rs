@@ -161,6 +161,13 @@ impl Dag {
     /// `u32::MAX` nodes and `u32::MAX` edges: more is refused with
     /// [`DagError::TooManyNodes`] / [`DagError::TooManyEdges`] before
     /// anything is allocated.
+    ///
+    /// Errors are checked in this order: sizes, weight lengths, the first
+    /// edge that is out of range, a self-loop or a repeat, then a cycle.
+    /// When every edge `(u, v)` has `u < v` (the ids are a topological
+    /// order, as every generator of the workspace numbers them), the list
+    /// cannot hold a cycle and the `O(n + m)` cycle search is skipped; any
+    /// other numbering pays for it.  The result is the same either way.
     pub fn from_edges(
         n: usize,
         edges: &[(NodeId, NodeId)],
@@ -186,14 +193,17 @@ impl Dag {
         // shows up as a repeated entry of one successor row, found with a
         // stamp per node instead of a hash set of all edges.  Which defect
         // comes *first* in the list only matters once there is one:
-        // `first_edge_defect` walks the list again to name it.
+        // `first_edge_defect` walks the list again to name it.  The same
+        // pass notes whether every edge points to a larger id.
         let num_edges = edges.len();
         let mut succ_off = vec![0u32; n + 1];
         let mut pred_off = vec![0u32; n + 1];
+        let mut forward = true;
         for &(u, v) in edges {
             if u >= n || v >= n || u == v {
                 return Err(first_edge_defect(n, edges));
             }
+            forward &= u < v;
             succ_off[u + 1] += 1;
             pred_off[v + 1] += 1;
         }
@@ -235,7 +245,8 @@ impl Dag {
             }
         }
 
-        if dag.topological_order().is_none() {
+        // Ids increase along every path of a forward list, so it has no cycle.
+        if !forward && dag.topological_order().is_none() {
             return Err(DagError::Cycle);
         }
         Ok(dag)

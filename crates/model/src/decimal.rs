@@ -45,31 +45,36 @@ pub fn scan_u64(bytes: &[u8]) -> Option<(u64, usize)> {
     (len > start).then_some((value, len))
 }
 
+/// Appends the `D` low decimal digits of `value`, leading zeros included, as
+/// one fixed-size array: each digit divides `value` by its own constant
+/// power of ten, so no division waits for another and the array compiles
+/// to plain stores.
+#[inline]
+fn push_fixed<const D: usize>(out: &mut Vec<u8>, value: u64) {
+    let mut digits = [0u8; D];
+    let mut power = 1;
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (value / power % 10) as u8;
+        power *= 10;
+    }
+    out.extend_from_slice(&digits);
+}
+
 /// Appends `value` in decimal.
 #[inline]
-pub fn push_u64(out: &mut Vec<u8>, mut value: u64) {
-    // Node ids and weights are mostly one to four digits: those are pushed
-    // as fixed-size arrays, which compile to plain stores.
-    let digit = |x: u64| b'0' + (x % 10) as u8;
+pub fn push_u64(out: &mut Vec<u8>, value: u64) {
+    // Node ids and weights are mostly one to five digits, each length one
+    // fixed-size push.  A longer number is its leading part, then five
+    // digits with their zeros.
     match value {
-        0..=9 => out.push(digit(value)),
-        10..=99 => out.extend_from_slice(&[digit(value / 10), digit(value)]),
-        100..=999 => out.extend_from_slice(&[digit(value / 100), digit(value / 10), digit(value)]),
-        1000..=9999 => out.extend_from_slice(&[
-            digit(value / 1000),
-            digit(value / 100),
-            digit(value / 10),
-            digit(value),
-        ]),
+        0..=9 => push_fixed::<1>(out, value),
+        10..=99 => push_fixed::<2>(out, value),
+        100..=999 => push_fixed::<3>(out, value),
+        1000..=9999 => push_fixed::<4>(out, value),
+        10_000..=99_999 => push_fixed::<5>(out, value),
         _ => {
-            let mut buf = [0u8; 20];
-            let mut i = buf.len();
-            while value > 0 {
-                i -= 1;
-                buf[i] = digit(value);
-                value /= 10;
-            }
-            out.extend_from_slice(&buf[i..]);
+            push_u64(out, value / 100_000);
+            push_fixed::<5>(out, value % 100_000);
         }
     }
 }

@@ -14,6 +14,7 @@
 
 mod common;
 
+use bsp_model::decimal::{push_line, push_u64};
 use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, DagError, Machine, ValidityError};
 use bsp_sched::baselines::CilkScheduler;
 use bsp_sched::hill_climb::{hccs_improve, HillClimbConfig};
@@ -114,6 +115,49 @@ fn writer_is_byte_identical_and_reader_agrees_on_every_family() {
         assert_eq!(text, reference::write_hyperdag(&dag));
         assert!(assert_same_parse(&text, "edgeless"));
     }
+}
+
+/// Both sides of every change in digit count of a `u64`: 0, 9, 10, 99, 100,
+/// …, 10¹⁹ − 1, 10¹⁹, and `u64::MAX`.
+fn digit_boundaries() -> Vec<u64> {
+    let mut values = vec![0];
+    for digits in 1..20 {
+        let power = 10u64.pow(digits);
+        values.extend([power - 1, power]);
+    }
+    values.push(u64::MAX);
+    values
+}
+
+/// The decimal writers against `fmt`, which the reference writer formats
+/// with, at every digit count: a number alone, a line of them, and the
+/// hyperDAG text of DAGs whose weights, node ids and hyperedge indices
+/// cross the boundaries.
+#[test]
+fn codec_bytes_match_the_reference_at_every_digit_count() {
+    let values = digit_boundaries();
+    assert_eq!(values.len(), 40);
+    for &x in &values {
+        let mut out = b"x ".to_vec();
+        push_u64(&mut out, x);
+        assert_eq!(out, format!("x {x}").into_bytes());
+        let mut line = Vec::new();
+        push_line(&mut line, [x, 7, x]);
+        assert_eq!(line, format!("{x} 7 {x}\n").into_bytes());
+    }
+    // Every boundary as a work and as a communication weight.
+    let n = values.len();
+    let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+    let reversed: Vec<u64> = values.iter().rev().copied().collect();
+    let weighted = Dag::from_edges(n, &edges, values.clone(), reversed).unwrap();
+    let text = write_hyperdag(&weighted);
+    assert_eq!(text, reference::write_hyperdag(&weighted));
+    assert!(assert_same_parse(&text, "boundary weights"));
+    // Node ids and hyperedge indices from 0 to 10⁵: a chain past 100 000.
+    let n = 100_002;
+    let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
+    let chain = Dag::from_edges(n, &edges, vec![1; n], vec![2; n]).unwrap();
+    assert_eq!(write_hyperdag(&chain), reference::write_hyperdag(&chain));
 }
 
 /// The numbers of `line`, as (start, end) byte ranges.
@@ -362,6 +406,7 @@ fn non_ascii_outside_a_comment_is_malformed() {
 
 #[test]
 fn from_edges_names_the_first_defect_of_many_in_any_order() {
+    let (mut forward, mut relabelled, mut cyclic) = (0usize, 0usize, 0usize);
     for case in 0..400u64 {
         let mut rng = rng_for_case(0xED6E5, case);
         let n = rng.gen_range(2usize..14);
@@ -374,7 +419,7 @@ fn from_edges_names_the_first_defect_of_many_in_any_order() {
             }
         }
         for _ in 0..rng.gen_range(0..4u32) {
-            let defect = match rng.gen_range(0..5u32) {
+            let defect = match rng.gen_range(0..6u32) {
                 0 => (n + rng.gen_range(0..3), rng.gen_range(0..n)),
                 1 => (rng.gen_range(0..n), n + rng.gen_range(0..3)),
                 2 => {
@@ -382,31 +427,97 @@ fn from_edges_names_the_first_defect_of_many_in_any_order() {
                     (v, v)
                 }
                 3 if !edges.is_empty() => *edges.choose(&mut rng).unwrap(),
-                // A back edge: no defect of the list, but (usually) a cycle.
+                // An edge reversed: no defect of the list, but a cycle.
+                4 if !edges.is_empty() => {
+                    let &(u, v) = edges.choose(&mut rng).unwrap();
+                    (v, u)
+                }
+                // A back edge: no defect of the list, and a cycle or not.
                 _ => (rng.gen_range(1..n), 0),
             };
             edges.push(defect);
         }
         edges.shuffle(&mut rng);
         let built = Dag::from_edges(n, &edges, vec![1; n], vec![1; n]);
-        match reference::first_edge_defect(n, &edges) {
-            Some(defect) => assert_eq!(built.unwrap_err(), defect, "case {case}: {edges:?}"),
-            None => match built {
-                Ok(dag) => {
-                    // CSR rows keep insertion order.
-                    for u in 0..n {
-                        let row: Vec<usize> =
-                            edges.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
-                        assert_eq!(dag.successors(u).collect::<Vec<_>>(), row);
-                        let col: Vec<usize> =
-                            edges.iter().filter(|e| e.1 == u).map(|e| e.0).collect();
-                        assert_eq!(dag.predecessors(u).collect::<Vec<_>>(), col);
-                    }
+        if let Some(defect) = reference::first_edge_defect(n, &edges) {
+            assert_eq!(built.unwrap_err(), defect, "case {case}: {edges:?}");
+            continue;
+        }
+        // A defect-free list is a DAG exactly when it has no cycle.
+        let is_acyclic = acyclic(n, &edges);
+        match &built {
+            Ok(dag) => {
+                assert!(is_acyclic, "case {case}: a cycle was accepted: {edges:?}");
+                // CSR rows keep insertion order.
+                for u in 0..n {
+                    let row: Vec<usize> = edges.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
+                    assert_eq!(dag.successors(u).collect::<Vec<_>>(), row);
+                    let col: Vec<usize> = edges.iter().filter(|e| e.1 == u).map(|e| e.0).collect();
+                    assert_eq!(dag.predecessors(u).collect::<Vec<_>>(), col);
                 }
-                Err(err) => assert_eq!(err, DagError::Cycle, "case {case}: {edges:?}"),
-            },
+            }
+            Err(err) => {
+                assert_eq!(*err, DagError::Cycle, "case {case}: {edges:?}");
+                assert!(!is_acyclic, "case {case}: a DAG was refused: {edges:?}");
+            }
+        }
+        cyclic += usize::from(!is_acyclic);
+        // The same list under shuffled ids: a forward list usually stops
+        // being one, which must change neither the verdict nor the rows.
+        let mut label: Vec<usize> = (0..n).collect();
+        label.shuffle(&mut rng);
+        let moved: Vec<(usize, usize)> = edges.iter().map(|&(u, v)| (label[u], label[v])).collect();
+        if edges.iter().all(|&(u, v)| u < v) {
+            forward += 1;
+            relabelled += usize::from(moved.iter().any(|&(u, v)| u > v));
+        }
+        match (built, Dag::from_edges(n, &moved, vec![1; n], vec![1; n])) {
+            (Ok(dag), Ok(moved_dag)) => {
+                let relabel = |row: &mut dyn Iterator<Item = usize>| {
+                    row.map(|v| label[v]).collect::<Vec<_>>()
+                };
+                for u in 0..n {
+                    assert_eq!(
+                        moved_dag.successors(label[u]).collect::<Vec<_>>(),
+                        relabel(&mut dag.successors(u))
+                    );
+                    assert_eq!(
+                        moved_dag.predecessors(label[u]).collect::<Vec<_>>(),
+                        relabel(&mut dag.predecessors(u))
+                    );
+                }
+            }
+            (Err(err), Err(moved_err)) => assert_eq!(err, moved_err, "case {case}"),
+            (a, b) => panic!("case {case}: relabelling changed the verdict: {a:?} vs {b:?}"),
         }
     }
+    assert!(
+        forward >= 80 && relabelled >= 60 && cyclic >= 30,
+        "{forward} forward lists, {relabelled} relabelled to non-forward, {cyclic} cyclic"
+    );
+}
+
+/// Whether an edge list is free of cycles, by taking away nodes without
+/// incoming edges until none is left (no `Dag` involved).
+fn acyclic(n: usize, edges: &[(usize, usize)]) -> bool {
+    let mut indeg = vec![0usize; n];
+    let mut out = vec![Vec::new(); n];
+    for &(u, v) in edges {
+        indeg[v] += 1;
+        out[u].push(v);
+    }
+    let mut free: Vec<usize> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let mut taken = 0;
+    while let Some(u) = free.pop() {
+        taken += 1;
+        for &v in &out[u] {
+            indeg[v] -= 1;
+            if indeg[v] == 0 {
+                free.push(v);
+            }
+        }
+    }
+    taken == n
 }
 
 /// Same verdict; `SourceValueNotPresent` is compared by variant only, since

@@ -192,8 +192,12 @@ mod oracle {
                     if now.is_empty() {
                         // Degenerate case (zero-length predecessors starting at
                         // the same instant): force progress by taking the first
-                        // remaining node.
-                        let v = remaining.remove(0);
+                        // remaining node whose predecessors all have a superstep.
+                        let ready = remaining
+                            .iter()
+                            .position(|&v| dag.predecessors(v).all(|u| superstep[u] != usize::MAX))
+                            .expect("an acyclic DAG has a ready node");
+                        let v = remaining.remove(ready);
                         superstep[v] = current;
                     } else {
                         for &v in &now {
@@ -606,10 +610,6 @@ fn assert_list_schedulers_match(dag: &Dag, machine: &Machine, what: &str) {
 
 /// Each `(name, library, oracle)` classical schedule equal, and equal again
 /// after the conversion, with and without its lazy communication schedule.
-/// The last needs a converted assignment that keeps every predecessor on
-/// another processor in an earlier superstep: the conversion's degenerate
-/// branch can break that (zero-work nodes), and then neither side has a
-/// communication phase to send in.
 fn assert_classical_match(
     classical: &[(&str, ClassicalSchedule, ClassicalSchedule)],
     dag: &Dag,
@@ -617,16 +617,11 @@ fn assert_classical_match(
 ) {
     for (name, new, old) in classical {
         assert_eq!(new, old, "{name} differs on {what}");
-        let converted = oracle::to_bsp_assignment(old, dag);
         assert_eq!(
             new.to_bsp_assignment(dag),
-            converted,
+            oracle::to_bsp_assignment(old, dag),
             "conversion of {name} differs on {what}"
         );
-        let (proc, step) = (&converted.proc, &converted.superstep);
-        if !(dag.edges()).all(|(u, v)| step[u] < step[v] || proc[u] == proc[v]) {
-            continue;
-        }
         assert_eq!(
             new.to_bsp(dag),
             oracle::to_bsp(old, dag),
@@ -699,6 +694,75 @@ fn constructors_match_the_oracle_on_random_dags() {
     );
 }
 
+/// How often `HDagg`'s balance slack shut out some of the `p` processors
+/// (`binds`) and all of them (`fallbacks`, the least-loaded rule) while it
+/// assigned `proc`, replayed wavefront by wavefront.
+fn hdagg_slack_events(dag: &Dag, p: usize, slack: f64, proc: &[u32]) -> (usize, usize) {
+    let levels = dag.levels();
+    let mut wavefronts = vec![Vec::new(); levels.iter().max().map_or(0, |l| l + 1)];
+    for (v, &l) in levels.iter().enumerate() {
+        wavefronts[l].push(v);
+    }
+    let (mut binds, mut fallbacks) = (0, 0);
+    for mut wavefront in wavefronts {
+        let total: u64 = wavefront.iter().map(|&v| dag.work(v)).sum();
+        let limit = (total as f64 / p as f64).max(1.0) * slack;
+        wavefront.sort_by_key(|&v| std::cmp::Reverse(dag.work(v)));
+        let mut load = vec![0u64; p];
+        for v in wavefront {
+            let fit = (load.iter())
+                .filter(|&&l| (l + dag.work(v)) as f64 <= limit)
+                .count();
+            binds += usize::from(0 < fit && fit < p);
+            fallbacks += usize::from(fit == 0);
+            load[proc[v] as usize] += dag.work(v);
+        }
+    }
+    (binds, fallbacks)
+}
+
+/// `HDagg` where its choices tie: every work and communication weight of a
+/// DAG equal, so wavefronts order by id alone and affinities tie, under a
+/// slack that binds as soon as a processor passes its share (1.0) and one
+/// that leaves room (2.0), on 1, 3 and 8 processors.
+#[test]
+fn hdagg_matches_the_oracle_where_everything_ties() {
+    let (mut binds, mut fallbacks) = (0, 0);
+    for case in 0..60 {
+        let mut rng = rng_for_case(0x4DA6, case);
+        let shape = if case % 2 == 0 {
+            Shape::Ties
+        } else {
+            Shape::Fans
+        };
+        let unit = random_dag(&mut rng, shape);
+        let (n, weight) = (unit.n(), [1u64, 2, 5][case as usize % 3]);
+        let edges: Vec<(usize, usize)> = unit.edges().collect();
+        let dag = Dag::from_edges(n, &edges, vec![weight; n], vec![weight; n]).unwrap();
+        for slack in [1.0, 2.0] {
+            for p in [1, 3, 8] {
+                let machine = Machine::uniform(p, 3, 5);
+                let sched = HDaggScheduler {
+                    balance_slack: slack,
+                }
+                .schedule(&dag, &machine);
+                assert_eq!(
+                    sched,
+                    oracle::hdagg_schedule(slack, &dag, &machine),
+                    "case {case} (n = {n}, weight {weight}), slack {slack}, P = {p}"
+                );
+                let events = hdagg_slack_events(&dag, p, slack, &sched.assignment.proc);
+                binds += events.0;
+                fallbacks += events.1;
+            }
+        }
+    }
+    assert!(
+        binds >= 1000 && fallbacks >= 500,
+        "the slack bound {binds} choices and ruled out every processor {fallbacks} times"
+    );
+}
+
 /// The smallest input on which `Source`'s cluster bound binds: four unit
 /// sources that all feed both sinks.  Unbounded they are one cluster and the
 /// pull-in makes the schedule the one-processor one; bounded at
@@ -741,14 +805,18 @@ fn conversion_matches_the_oracle_on_arbitrary_classical_schedules() {
 
 /// The smallest input that takes the degenerate branch: node 0 starts at the
 /// same instant as its zero-work predecessor 1 on the other processor, sorts
-/// before it, and is blocked with nothing before it to cut off.
+/// before it, and is blocked with nothing before it to cut off.  The branch
+/// takes node 1, the first node with every predecessor placed, so node 0
+/// follows it a superstep later and the schedule is valid.
 #[test]
 fn conversion_keeps_the_degenerate_branch() {
     let dag = Dag::from_edges(2, &[(1, 0)], vec![1, 0], vec![1, 1]).unwrap();
     let cs = ClassicalSchedule::new(vec![0, 1], vec![0, 0]);
     let converted = cs.to_bsp_assignment(&dag);
     assert_eq!(converted, oracle::to_bsp_assignment(&cs, &dag));
-    assert_eq!(converted.superstep, vec![0, 1]);
+    assert_eq!(converted.superstep, vec![1, 0]);
+    let machine = Machine::uniform(2, 1, 1);
+    assert_eq!(cs.to_bsp(&dag).validate(&dag, &machine), Ok(()));
 }
 
 /// Every family of the benchmark's workloads, at its `--smoke` sizes, on the
