@@ -1,11 +1,14 @@
 //! A minimal command-line flag parser for the experiment binaries.
 //!
 //! The binaries only need a handful of flags (`--scale smoke|reduced|full`,
-//! `--seed N`, plus a few boolean switches such as `--detailed` or
-//! `--stages`), so a dependency-free parser keeps the harness self-contained.
+//! `--seed N`, `--out PATH`, plus a few boolean switches such as `--quick` or
+//! `--smoke`), so a dependency-free parser keeps the harness self-contained.
+//! A value that does not parse is a usage error: the binary prints it and
+//! exits 2 rather than running something other than what was asked.
 
 use crate::instances::Scale;
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default)]
@@ -57,34 +60,60 @@ impl CliArgs {
         self.flags.get(name).and_then(|v| v.as_deref())
     }
 
-    /// The value of `--name` parsed as `u64`, or `default`.
-    pub fn u64_or(&self, name: &str, default: u64) -> u64 {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// The value of `--name` parsed as `usize`, or `default`.
-    pub fn usize_or(&self, name: &str, default: usize) -> usize {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// The experiment scale selected with `--scale smoke|reduced|full`
-    /// (default: smoke).
-    pub fn scale(&self) -> Scale {
-        match self.value("scale") {
-            Some("full") => Scale::Full,
-            Some("reduced") => Scale::Reduced,
-            _ => Scale::Smoke,
+    /// The value of `--name` parsed as `T`, `default` when the flag is
+    /// absent, and an error naming the value when it does not parse.
+    fn parse_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{name}: cannot parse {v:?}")),
         }
     }
 
-    /// The RNG seed selected with `--seed N` (default 2024, the paper's year).
+    /// The value of `--name` parsed as `u64`, or `default`; exits 2 on a
+    /// value that does not parse.
+    pub fn u64_or(&self, name: &str, default: u64) -> u64 {
+        self.parse_or(name, default)
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// The value of `--name` parsed as `usize`, or `default`; exits 2 on a
+    /// value that does not parse.
+    pub fn usize_or(&self, name: &str, default: usize) -> usize {
+        self.parse_or(name, default)
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// The experiment scale named by `--scale smoke|reduced|full` (smoke
+    /// when absent), or an error naming any other value.
+    fn try_scale(&self) -> Result<Scale, String> {
+        match self.value("scale") {
+            None | Some("smoke") => Ok(Scale::Smoke),
+            Some("reduced") => Ok(Scale::Reduced),
+            Some("full") => Ok(Scale::Full),
+            Some(other) => Err(format!(
+                "--scale: unknown value {other:?} (smoke, reduced or full)"
+            )),
+        }
+    }
+
+    /// The experiment scale selected with `--scale`; exits 2 on an unknown
+    /// value.
+    pub fn scale(&self) -> Scale {
+        self.try_scale().unwrap_or_else(|e| usage_error(&e))
+    }
+
+    /// The RNG seed selected with `--seed N` (default 2024, the paper's
+    /// year); exits 2 on a value that does not parse.
     pub fn seed(&self) -> u64 {
         self.u64_or("seed", 2024)
     }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -93,9 +122,9 @@ mod tests {
 
     #[test]
     fn parses_switches_values_and_equals_forms() {
-        let args = CliArgs::parse(["--detailed", "--seed", "7", "--scale=reduced"]);
-        assert!(args.flag("detailed"));
-        assert!(!args.flag("stages"));
+        let args = CliArgs::parse(["--quick", "--seed", "7", "--scale=reduced"]);
+        assert!(args.flag("quick"));
+        assert!(!args.flag("smoke"));
         assert_eq!(args.seed(), 7);
         assert_eq!(args.scale(), Scale::Reduced);
     }
@@ -110,9 +139,28 @@ mod tests {
 
     #[test]
     fn boolean_switch_before_another_flag_takes_no_value() {
-        let args = CliArgs::parse(["--stages", "--seed", "3"]);
-        assert!(args.flag("stages"));
-        assert_eq!(args.value("stages"), None);
+        let args = CliArgs::parse(["--smoke", "--seed", "3"]);
+        assert!(args.flag("smoke"));
+        assert_eq!(args.value("smoke"), None);
         assert_eq!(args.seed(), 3);
+    }
+
+    #[test]
+    fn an_unknown_scale_is_an_error_naming_the_value() {
+        let err = CliArgs::parse(["--scale", "reduce"])
+            .try_scale()
+            .unwrap_err();
+        assert!(err.contains("\"reduce\""), "{err}");
+        let full = CliArgs::parse(["--scale", "full"]).try_scale();
+        assert_eq!(full, Ok(Scale::Full));
+    }
+
+    #[test]
+    fn a_seed_that_does_not_parse_is_an_error_naming_the_value() {
+        let args = CliArgs::parse(["--seed", "abc", "--reps", "-1"]);
+        let err = args.parse_or("seed", 2024u64).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("\"abc\""), "{err}");
+        assert!(args.parse_or("reps", 1usize).is_err());
+        assert_eq!(args.parse_or("missing", 5u64), Ok(5));
     }
 }

@@ -1,42 +1,13 @@
 //! Per-instance evaluation of every scheduler the paper compares.
 
 use bsp_model::{Dag, Machine};
-use bsp_sched::baselines::{
-    BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
-};
+use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use dag_gen::dataset::NamedDag;
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-
-/// Which schedulers to run on each instance.
-#[derive(Debug, Clone)]
-pub struct EvalOptions {
-    /// Configuration of our pipeline (Figure 3).
-    pub pipeline: PipelineConfig,
-    /// Whether to also run the `BL-EST` and `ETF` list-scheduler baselines
-    /// (needed only by the Table 7/8 experiments; `HDagg` dominates them
-    /// elsewhere).
-    pub list_baselines: bool,
-}
-
-impl EvalOptions {
-    /// Options running the pipeline and the `Cilk`/`HDagg` baselines only.
-    pub fn pipeline_only(pipeline: PipelineConfig) -> Self {
-        EvalOptions {
-            pipeline,
-            list_baselines: false,
-        }
-    }
-
-    /// Adds the `BL-EST` / `ETF` baselines.
-    pub fn with_list_baselines(mut self) -> Self {
-        self.list_baselines = true;
-        self
-    }
-}
 
 /// Schedule costs of every algorithm on one (DAG, machine) instance.
 ///
@@ -45,13 +16,11 @@ impl EvalOptions {
 /// the tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlgoCosts {
-    /// Everything on one processor in one superstep.
-    pub trivial: u64,
     /// The `Cilk` work-stealing baseline.
     pub cilk: u64,
-    /// The `BL-EST` list scheduler (`u64::MAX` when not run).
+    /// The `BL-EST` list scheduler.
     pub bl_est: u64,
-    /// The `ETF` list scheduler (`u64::MAX` when not run).
+    /// The `ETF` list scheduler.
     pub etf: u64,
     /// The `HDagg` wavefront baseline.
     pub hdagg: u64,
@@ -64,10 +33,6 @@ pub struct AlgoCosts {
 /// One evaluated instance.
 #[derive(Debug, Clone)]
 pub struct InstanceResult {
-    /// Instance name (from the dataset).
-    pub name: String,
-    /// Number of DAG nodes.
-    pub nodes: usize,
     /// Costs of all schedulers.
     pub costs: AlgoCosts,
     /// Per initializer, the processors it placed nodes on (the width its
@@ -78,12 +43,12 @@ pub struct InstanceResult {
     pub selected_init: String,
 }
 
-/// Runs every configured scheduler on one instance and collects the costs.
+/// Runs every baseline and `pipeline` on one instance and collects the costs.
 pub fn evaluate_instance(
     name: &str,
     dag: &Dag,
     machine: &Machine,
-    options: &EvalOptions,
+    pipeline: &PipelineConfig,
 ) -> InstanceResult {
     let cost_of = |s: &dyn Scheduler| {
         let start = std::time::Instant::now();
@@ -100,17 +65,13 @@ pub fn evaluate_instance(
         cost
     };
 
-    let trivial = cost_of(&TrivialScheduler);
     let cilk = cost_of(&CilkScheduler::default());
     let hdagg = cost_of(&HDaggScheduler::default());
-    let (bl_est, etf) = if options.list_baselines {
-        (cost_of(&BlEstScheduler), cost_of(&EtfScheduler))
-    } else {
-        (u64::MAX, u64::MAX)
-    };
+    let bl_est = cost_of(&BlEstScheduler);
+    let etf = cost_of(&EtfScheduler);
 
     let pipeline_start = std::time::Instant::now();
-    let report = Pipeline::new(options.pipeline.clone()).run_report(dag, machine);
+    let report = Pipeline::new(pipeline.clone()).run_report(dag, machine);
     if pipeline_start.elapsed() > std::time::Duration::from_secs(30) {
         eprintln!(
             "    [slow] pipeline took {:.1}s on {name} (n={}, P={})",
@@ -120,10 +81,7 @@ pub fn evaluate_instance(
         );
     }
     InstanceResult {
-        name: name.to_string(),
-        nodes: dag.n(),
         costs: AlgoCosts {
-            trivial,
             cilk,
             bl_est,
             etf,
@@ -177,11 +135,11 @@ pub fn placement_summary(results: &[InstanceResult]) -> String {
 pub fn evaluate_dataset(
     instances: &[NamedDag],
     machine: &Machine,
-    options: &EvalOptions,
+    pipeline: &PipelineConfig,
 ) -> Vec<InstanceResult> {
     instances
         .par_iter()
-        .map(|inst| evaluate_instance(&inst.name, &inst.dag, machine, options))
+        .map(|inst| evaluate_instance(&inst.name, &inst.dag, machine, pipeline))
         .collect()
 }
 
@@ -190,24 +148,22 @@ mod tests {
     use super::*;
     use dag_gen::fine::{spmv, SpmvConfig};
 
-    fn fast_options() -> EvalOptions {
-        EvalOptions::pipeline_only(PipelineConfig::fast())
+    fn dag(n: usize, seed: u64) -> Dag {
+        spmv(&SpmvConfig {
+            n,
+            density: 0.3,
+            seed,
+        })
     }
 
     #[test]
     fn evaluates_all_baselines_and_pipeline_stages() {
-        let dag = spmv(&SpmvConfig {
-            n: 12,
-            density: 0.3,
-            seed: 5,
-        });
+        let dag = dag(12, 5);
         let machine = Machine::uniform(4, 3, 5);
-        let result = evaluate_instance("t", &dag, &machine, &fast_options());
+        let result = evaluate_instance("t", &dag, &machine, &PipelineConfig::fast());
         let c = result.costs;
-        assert!(c.trivial > 0 && c.cilk > 0 && c.hdagg > 0);
-        assert_eq!(c.bl_est, u64::MAX);
+        assert!(c.cilk > 0 && c.hdagg > 0 && c.bl_est > 0 && c.etf > 0);
         assert!(c.ours <= c.init);
-        assert_eq!(result.nodes, dag.n());
         let widths: Vec<usize> = result.branch_widths.iter().map(|(_, w)| *w).collect();
         assert!(widths.iter().all(|w| (2..=machine.p()).contains(w)));
         assert_eq!(
@@ -220,43 +176,21 @@ mod tests {
     }
 
     #[test]
-    fn list_baselines_are_opt_in() {
-        let dag = spmv(&SpmvConfig {
-            n: 10,
-            density: 0.3,
-            seed: 8,
-        });
+    fn dataset_evaluation_keeps_the_instance_order() {
+        let instances: Vec<NamedDag> = [(8, 1), (10, 2)]
+            .into_iter()
+            .map(|(n, seed)| NamedDag {
+                name: format!("n{n}"),
+                dag: dag(n, seed),
+            })
+            .collect();
         let machine = Machine::numa_binary_tree(8, 1, 5, 2);
-        let options = fast_options().with_list_baselines();
-        let result = evaluate_instance("t", &dag, &machine, &options);
-        assert_ne!(result.costs.bl_est, u64::MAX);
-        assert_ne!(result.costs.etf, u64::MAX);
-    }
-
-    #[test]
-    fn dataset_evaluation_covers_every_instance() {
-        let instances = vec![
-            NamedDag {
-                name: "a".into(),
-                dag: spmv(&SpmvConfig {
-                    n: 8,
-                    density: 0.3,
-                    seed: 1,
-                }),
-            },
-            NamedDag {
-                name: "b".into(),
-                dag: spmv(&SpmvConfig {
-                    n: 10,
-                    density: 0.3,
-                    seed: 2,
-                }),
-            },
-        ];
-        let machine = Machine::uniform(4, 1, 5);
-        let results = evaluate_dataset(&instances, &machine, &fast_options());
+        let config = PipelineConfig::fast();
+        let results = evaluate_dataset(&instances, &machine, &config);
         assert_eq!(results.len(), 2);
-        assert_eq!(results[0].name, "a");
-        assert_eq!(results[1].name, "b");
+        for (inst, result) in instances.iter().zip(&results) {
+            let alone = evaluate_instance(&inst.name, &inst.dag, &machine, &config);
+            assert_eq!(result.costs, alone.costs);
+        }
     }
 }

@@ -1,14 +1,12 @@
 //! Scaled versions of the paper's datasets.
 //!
 //! The paper's experiments run for days on a workstation (DAGs up to 100 000
-//! nodes, 1-hour budgets for an ILP stage this repository no longer has).  The
-//! experiment binaries therefore support three scales:
+//! nodes).  The experiment binaries therefore support three scales:
 //!
 //! * [`Scale::Smoke`] — surrogate instances whose node counts are capped but
-//!   whose *relative* sizes (tiny < small < medium < large < huge) and shapes
-//!   (the same four fine-grained generator families plus the coarse-grained
-//!   kernels) are preserved.  Runs in seconds to a few minutes; this is the
-//!   scale used to populate `EXPERIMENTS.md`.
+//!   whose *relative* sizes (tiny < small < medium < large < huge) and the
+//!   four fine-grained generator families are preserved.  Runs in seconds; this is the scale CI gates
+//!   `exp_paper` at and `BENCH_paper.json` is recorded at.
 //! * [`Scale::Reduced`] — the paper's real node ranges but only every third
 //!   instance per dataset.
 //! * [`Scale::Full`] — the complete regenerated datasets.

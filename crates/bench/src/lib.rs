@@ -4,7 +4,8 @@
 //! Scheduling in Increasingly Realistic Models"* (SPAA 2024).
 //!
 //! The library provides the shared plumbing used by the experiment binaries in
-//! `src/bin/` (one per paper table/figure, see `DESIGN.md` §4):
+//! `src/bin/` (`exp_paper` regenerates the paper's result tables; the others
+//! measure throughput, initializers and the serving stack):
 //!
 //! * [`args`] — a tiny command-line flag parser (`--scale`, `--seed`, …).
 //! * [`instances`] — scaled versions of the paper's datasets so the
@@ -22,7 +23,7 @@ pub mod stats;
 pub mod table;
 
 pub use args::CliArgs;
-pub use eval::{AlgoCosts, EvalOptions, InstanceResult};
+pub use eval::{AlgoCosts, InstanceResult};
 pub use instances::{scaled_dataset, size_to_target, Scale};
-pub use stats::{geo_mean, geo_mean_ratio, reduction_pct, Aggregate, BenchReport};
+pub use stats::{geo_mean, geo_mean_ratio, reduction_pct, BenchReport};
 pub use table::Table;

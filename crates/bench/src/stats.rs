@@ -6,10 +6,12 @@
 //! mean, §7), and reports either the mean ratio itself (figures, normalized to
 //! `Cilk`) or the corresponding percentage reduction `1 − ratio` (tables).
 
+use crate::eval::AlgoCosts;
+
 /// Shared assembler for the repo's `BENCH_*.json` benchmark reports.
 ///
-/// Every throughput experiment (`exp_hc`, `exp_multilevel --speedup`,
-/// `exp_serve`) writes the same envelope — bench name, UNIX timestamp, a
+/// Every recorded experiment (`exp_hc`, `exp_multilevel --speedup`,
+/// `exp_serve`, `exp_paper`) writes the same envelope — bench name, UNIX timestamp, a
 /// config object, a result array, an optional summary object — and used to
 /// hand-roll it.  The builder takes the per-experiment pieces as
 /// already-encoded JSON fragments (the rows differ per experiment and stay
@@ -114,17 +116,20 @@ where
     }
 }
 
-/// Geometric mean of the ratios `ours[i] / baseline[i]`.
+/// Geometric mean over `rows` of the cost ratio `ours(row) / baseline(row)`,
+/// e.g. `geo_mean_ratio(rows, |c| c.ours, |c| c.cilk)`.
 ///
-/// Instances where the baseline cost is zero are skipped (cannot happen for
+/// Rows where the baseline cost is zero are skipped (cannot happen for
 /// non-empty DAGs, but keeps the harness robust).
-pub fn geo_mean_ratio(ours: &[u64], baseline: &[u64]) -> f64 {
-    assert_eq!(ours.len(), baseline.len());
+pub fn geo_mean_ratio(
+    rows: &[AlgoCosts],
+    ours: impl Fn(&AlgoCosts) -> u64,
+    baseline: impl Fn(&AlgoCosts) -> u64,
+) -> f64 {
     geo_mean(
-        ours.iter()
-            .zip(baseline)
-            .filter(|&(_, &b)| b > 0)
-            .map(|(&o, &b)| o.max(1) as f64 / b as f64),
+        rows.iter()
+            .filter(|&c| baseline(c) > 0)
+            .map(|c| ours(c).max(1) as f64 / baseline(c) as f64),
     )
 }
 
@@ -132,91 +137,6 @@ pub fn geo_mean_ratio(ours: &[u64], baseline: &[u64]) -> f64 {
 /// `100 · (1 − ratio)` — the quantity printed in the paper's tables.
 pub fn reduction_pct(ratio: f64) -> f64 {
     100.0 * (1.0 - ratio)
-}
-
-/// An incrementally built collection of per-instance costs for one experiment
-/// cell (one parameter combination), with ratio queries against any column.
-#[derive(Debug, Clone, Default)]
-pub struct Aggregate {
-    columns: Vec<(String, Vec<u64>)>,
-}
-
-impl Aggregate {
-    /// Creates an empty aggregate with the given column names.
-    pub fn new<S: Into<String>>(columns: impl IntoIterator<Item = S>) -> Self {
-        Aggregate {
-            columns: columns
-                .into_iter()
-                .map(|c| (c.into(), Vec::new()))
-                .collect(),
-        }
-    }
-
-    /// Appends one instance's costs; `costs` must match the column order.
-    pub fn push(&mut self, costs: &[u64]) {
-        assert_eq!(costs.len(), self.columns.len(), "column count mismatch");
-        for (col, &c) in self.columns.iter_mut().zip(costs) {
-            col.1.push(c);
-        }
-    }
-
-    /// Number of instances recorded.
-    pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.1.len())
-    }
-
-    /// `true` when no instance has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn column(&self, name: &str) -> &[u64] {
-        &self
-            .columns
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("unknown column {name}"))
-            .1
-    }
-
-    /// The raw per-instance costs recorded under `name`.
-    pub fn raw_column(&self, name: &str) -> &[u64] {
-        self.column(name)
-    }
-
-    /// Appends every row of `other` (which must have the same columns in the
-    /// same order); used to merge per-cell aggregates into coarser ones.
-    pub fn extend_from(&mut self, other: &Aggregate) {
-        assert_eq!(
-            self.columns.len(),
-            other.columns.len(),
-            "column count mismatch"
-        );
-        for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
-            assert_eq!(mine.0, theirs.0, "column name mismatch");
-            mine.1.extend_from_slice(&theirs.1);
-        }
-    }
-
-    /// Geometric-mean ratio of column `ours` against column `baseline`.
-    pub fn ratio(&self, ours: &str, baseline: &str) -> f64 {
-        geo_mean_ratio(self.column(ours), self.column(baseline))
-    }
-
-    /// Percentage reduction of column `ours` against column `baseline`.
-    pub fn reduction(&self, ours: &str, baseline: &str) -> f64 {
-        reduction_pct(self.ratio(ours, baseline))
-    }
-
-    /// Number of instances where column `ours` is strictly cheaper than
-    /// column `other`.
-    pub fn wins(&self, ours: &str, other: &str) -> usize {
-        self.column(ours)
-            .iter()
-            .zip(self.column(other))
-            .filter(|&(&a, &b)| a < b)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -271,42 +191,18 @@ mod tests {
 
     #[test]
     fn ratio_and_reduction_match_by_hand() {
-        let ours = [50, 80];
-        let base = [100, 100];
-        let r = geo_mean_ratio(&ours, &base);
+        let row = |ours, cilk| AlgoCosts {
+            cilk,
+            bl_est: 0,
+            etf: 0,
+            hdagg: 0,
+            init: ours,
+            ours,
+        };
+        let rows = [row(50, 100), row(80, 100)];
+        let r = geo_mean_ratio(&rows, |c| c.ours, |c| c.cilk);
         assert!((r - (0.5f64 * 0.8).sqrt()).abs() < 1e-12);
+        assert!(geo_mean_ratio(&rows, |c| c.ours, |c| c.etf).is_nan());
         assert!((reduction_pct(0.75) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_tracks_columns_and_wins() {
-        let mut agg = Aggregate::new(["ours", "cilk"]);
-        agg.push(&[60, 100]);
-        agg.push(&[90, 100]);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg.wins("ours", "cilk"), 2);
-        let expected = (0.6f64 * 0.9).sqrt();
-        assert!((agg.ratio("ours", "cilk") - expected).abs() < 1e-12);
-        assert!((agg.reduction("ours", "cilk") - 100.0 * (1.0 - expected)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn aggregate_rejects_mismatched_rows() {
-        let mut agg = Aggregate::new(["a", "b"]);
-        agg.push(&[1]);
-    }
-
-    #[test]
-    fn extend_from_merges_rows_and_raw_column_exposes_them() {
-        let mut a = Aggregate::new(["ours", "cilk"]);
-        a.push(&[50, 100]);
-        let mut b = Aggregate::new(["ours", "cilk"]);
-        b.push(&[75, 100]);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.raw_column("ours"), &[50, 75]);
-        let expected = (0.5f64 * 0.75).sqrt();
-        assert!((a.ratio("ours", "cilk") - expected).abs() < 1e-12);
     }
 }

@@ -30,11 +30,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as a string.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -96,7 +91,7 @@ mod tests {
         assert!(text.contains("Table X"));
         assert!(text.contains("param"));
         assert!(text.contains("32% / 20%"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(text.lines().count(), 5);
         // All rendered rows have equal width.
         let lines: Vec<&str> = text.lines().skip(1).collect();
         let widths: Vec<usize> = lines.iter().map(|l| l.len()).collect();

@@ -1,9 +1,9 @@
-//! Smoke tests of the experiment harness (`bsp-bench`): the same plumbing the
-//! table/figure binaries use, exercised end-to-end at a miniature scale.
+//! Smoke tests of the experiment harness (`bsp-bench`): the same plumbing
+//! `exp_paper` uses, exercised end-to-end at a miniature scale.
 
-use bsp_bench::eval::{evaluate_dataset, EvalOptions};
+use bsp_bench::eval::{evaluate_dataset, AlgoCosts};
 use bsp_bench::instances::{scaled_dataset, Scale};
-use bsp_bench::stats::Aggregate;
+use bsp_bench::stats::{geo_mean_ratio, reduction_pct};
 use bsp_bench::table::Table;
 use bsp_bench::CliArgs;
 use bsp_model::Machine;
@@ -15,17 +15,15 @@ fn smoke_scale_no_numa_cell_produces_sensible_reductions() {
     let instances = scaled_dataset(DatasetKind::Tiny, Scale::Smoke, 7);
     assert!(!instances.is_empty());
     let machine = Machine::uniform(8, 3, 5);
-    let options = EvalOptions::pipeline_only(PipelineConfig::fast());
-    let results = evaluate_dataset(&instances, &machine, &options);
+    let results = evaluate_dataset(&instances, &machine, &PipelineConfig::fast());
     assert_eq!(results.len(), instances.len());
 
-    let mut agg = Aggregate::new(["cilk", "hdagg", "ours"]);
-    for r in &results {
-        assert!(r.costs.ours <= r.costs.init);
-        agg.push(&[r.costs.cilk, r.costs.hdagg, r.costs.ours]);
+    let costs: Vec<AlgoCosts> = results.iter().map(|r| r.costs).collect();
+    for c in &costs {
+        assert!(c.ours <= c.init);
     }
-    let vs_cilk = agg.reduction("ours", "cilk");
-    let vs_hdagg = agg.reduction("ours", "hdagg");
+    let vs_cilk = reduction_pct(geo_mean_ratio(&costs, |c| c.ours, |c| c.cilk));
+    let vs_hdagg = reduction_pct(geo_mean_ratio(&costs, |c| c.ours, |c| c.hdagg));
     // Our scheduler must not be worse than the baselines on aggregate; the
     // paper reports 30–50% gains, but the smoke scale only needs the sign.
     assert!(vs_cilk >= 0.0, "vs Cilk reduction {vs_cilk}");
@@ -39,15 +37,10 @@ fn numa_cell_shows_larger_gains_than_the_uniform_cell() {
     // effects are enabled (Table 1 vs Table 2).  Allow a generous slack since
     // the smoke instances are small.
     let instances = scaled_dataset(DatasetKind::Tiny, Scale::Smoke, 11);
-    let options = EvalOptions::pipeline_only(PipelineConfig::fast());
-
     let run = |machine: &Machine| {
-        let results = evaluate_dataset(&instances, machine, &options);
-        let mut agg = Aggregate::new(["cilk", "ours"]);
-        for r in &results {
-            agg.push(&[r.costs.cilk, r.costs.ours]);
-        }
-        agg.reduction("ours", "cilk")
+        let results = evaluate_dataset(&instances, machine, &PipelineConfig::fast());
+        let costs: Vec<AlgoCosts> = results.iter().map(|r| r.costs).collect();
+        reduction_pct(geo_mean_ratio(&costs, |c| c.ours, |c| c.cilk))
     };
     let uniform = run(&Machine::uniform(8, 1, 5));
     let numa = run(&Machine::numa_binary_tree(8, 1, 5, 4));
@@ -59,10 +52,10 @@ fn numa_cell_shows_larger_gains_than_the_uniform_cell() {
 
 #[test]
 fn cli_args_scale_and_table_rendering_work_together() {
-    let args = CliArgs::parse(["--scale", "smoke", "--seed", "5", "--detailed"]);
+    let args = CliArgs::parse(["--scale", "smoke", "--seed", "5", "--quick"]);
     assert_eq!(args.scale(), Scale::Smoke);
     assert_eq!(args.seed(), 5);
-    assert!(args.flag("detailed"));
+    assert!(args.flag("quick"));
 
     let mut table = Table::new("Table 1", ["P \\ g", "g = 1"]);
     table.add_row(["P = 4".to_string(), "32% / 20%".to_string()]);

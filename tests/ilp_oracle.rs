@@ -1,9 +1,10 @@
 //! `ILPcs` as the exact reference for `HCcs`.
 //!
-//! Over the 36 (instance, machine) cells `exp_algorithm_breakdown --scale
-//! smoke` evaluates plus two NUMA trees: wherever the solver proves the
-//! optimal communication schedule of the assignment the pipeline returned,
-//! that optimum is what `HCcs` had already found.  The solve is capped by
+//! Over the 36 (instance, machine) pairs behind `exp_paper --scale smoke`'s
+//! Table 7 and Table 8 cells (every main dataset at g = 5, tiny at every g)
+//! plus two NUMA trees: wherever the solver proves the optimal communication
+//! schedule of the assignment the pipeline returned, that optimum is what
+//! `HCcs` had already found.  The solve is capped by
 //! branch-&-bound nodes under a wall clock that never binds, so the set of
 //! proven rows repeats from run to run.
 
@@ -15,7 +16,7 @@ use dag_gen::dataset::DatasetKind;
 use micro_ilp::MipConfig;
 use std::time::Duration;
 
-/// The seed the `exp_*` binaries default to.
+/// The seed `exp_paper` and the other `exp_*` binaries default to.
 const SEED: u64 = 2024;
 
 #[test]
