@@ -36,9 +36,9 @@
 use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
+use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
 use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{
@@ -483,12 +483,9 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
         time_limit: config.hill_climb.time_limit.mul_f64(share),
         ..config.hill_climb.clone()
     };
-    let mut cost = hc_improve(dag, machine, &mut schedule, &search(0.9)).final_cost;
-    if !trivial_floor(dag, machine, &mut schedule, &mut cost) {
-        hccs_improve(dag, machine, &mut schedule, &search(0.1));
-    }
-    schedule.normalize(dag);
-    (report.final_cost, schedule.cost(dag, machine))
+    let (cost, bound) = (other.init_cost, report.lower_bound);
+    let improved = improve_start(dag, machine, &mut schedule, cost, bound, search, None);
+    (report.final_cost, improved.final_cost)
 }
 
 /// The second-search table; `true` if one search stays within

@@ -45,17 +45,12 @@
 //!   to the wider — one sweep, generic over the initializer.  The width is a
 //!   result ([`BranchReport::width`], [`PipelineReport::placement_width`]),
 //!   not a setting.
-//! * **`HC` once.**  The sweeps judge the two starts on the full machine and
-//!   only the cheaper one — ties to `BSPg` — is searched
-//!   ([`PipelineReport::selected_init`]); the other start's `HcState` is
-//!   never built.  `HC` and `HCcs` run on the full machine, free to move
-//!   nodes onto the processors an initializer left idle.
-//! * **The trivial-schedule floor.**  The schedule `HC` returns meets
-//!   [`BspSchedule::trivial`], which replaces it when strictly cheaper
-//!   ([`trivial_floor`]), so the pipeline never answers with more than the
-//!   one-processor cost.
-//! * **`HCcs` once.**  Only a schedule that survived the floor has its
-//!   communication schedule optimised; the trivial schedule has none.
+//! * **`HC` once, the floor, `HCcs` once** ([`improve_start`]).  Only the
+//!   cheaper start — ties to `BSPg` — is searched
+//!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
+//!   built), on the full machine.  [`BspSchedule::trivial`] replaces what
+//!   `HC` returns when strictly cheaper, so no answer costs more than one
+//!   processor, and only a survivor goes through `HCcs`.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved, and the
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`],
@@ -223,7 +218,7 @@ pub struct PipelineReport {
     pub final_cost: u64,
     /// Name of the initializer whose start was searched — the arg-min of
     /// `branches` by cost, ties to the earlier; `"trivial"` when the floor
-    /// replaced the result ([`trivial_floor`]) or no initializer ran.
+    /// replaced the result ([`improve_start`]) or no initializer ran.
     pub selected_init: String,
     /// The searched start's [`BranchReport::width`] (also when the floor
     /// replaced it): `P` when no narrower prefix was cheaper.
@@ -266,24 +261,56 @@ impl PipelineReport {
     }
 }
 
-/// Replaces `schedule` (of cost `cost`) by [`BspSchedule::trivial`] when that
-/// is strictly cheaper and says whether it did.  `O(n)`.  This is the floor
-/// under every schedule that leaves the solver: [`Pipeline::run_report`]
-/// applies it after `HC`, the serving layer to its warm-started answers.
-pub fn trivial_floor(
+/// What [`improve_start`] did: the cost after `HC` (the start's own at the
+/// bound) and at the end, whether the trivial schedule replaced `HC`'s
+/// result, and the `hc` / `hccs` samples (none without a phase clock).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Improved {
+    pub local_search_cost: u64,
+    pub final_cost: u64,
+    pub floored: bool,
+    pub phases: Vec<PhaseSample>,
+}
+
+/// `HC` → trivial floor → `HCcs` → `normalize` on a start of cost `cost`:
+/// the tail of every solve, the serving layer's warm starts included.  `HC`
+/// is skipped at `lower_bound`; [`BspSchedule::trivial`] replaces its result
+/// when strictly cheaper, `O(n)`, so no schedule leaves the solver above the
+/// one-processor cost; `HCcs` runs on a survivor above the bound.
+/// `search(share)` configures a search with `share` of the budget (0.9 for
+/// `HC`, 0.1 for `HCcs`) as it starts; `origin` is the phase clock.
+pub fn improve_start(
     dag: &Dag,
     machine: &Machine,
     schedule: &mut BspSchedule,
-    cost: &mut u64,
-) -> bool {
-    let trivial = BspSchedule::trivial(dag);
-    let trivial_cost = trivial.cost(dag, machine);
-    let cheaper = trivial_cost < *cost;
-    if cheaper {
-        *schedule = trivial;
-        *cost = trivial_cost;
+    mut cost: u64,
+    lower_bound: u64,
+    search: impl Fn(f64) -> HillClimbConfig,
+    origin: Option<Instant>,
+) -> Improved {
+    let mut phases = Vec::new();
+    if cost > lower_bound {
+        let started = origin.map(|o| o.elapsed());
+        cost = hc_improve(dag, machine, schedule, &search(0.9)).final_cost;
+        phases.extend(PhaseSample::since("hc", origin, started));
     }
-    cheaper
+    let trivial = BspSchedule::trivial(dag);
+    let floored = trivial.cost(dag, machine) < cost;
+    if floored {
+        *schedule = trivial;
+    } else if cost > lower_bound {
+        let started = origin.map(|o| o.elapsed());
+        hccs_improve(dag, machine, schedule, &search(0.1));
+        phases.extend(PhaseSample::since("hccs", origin, started));
+    }
+    // The searches can leave a superstep without computation.
+    schedule.normalize(dag);
+    Improved {
+        local_search_cost: cost,
+        final_cost: schedule.cost(dag, machine),
+        floored,
+        phases,
+    }
 }
 
 /// What `HC` can start from: an initializer's schedule on the machine's first
@@ -377,27 +404,7 @@ impl Pipeline {
         let funnel = Funnel::contract(dag, machine.p());
         let contracted = origin.map(|o| o.elapsed());
         let solved_dag = funnel.as_ref().map_or(dag, Funnel::dag);
-        let mut report = self.start_search(solved_dag, machine, origin, lower_bound);
-        if trivial_floor(
-            solved_dag,
-            machine,
-            &mut report.schedule,
-            &mut report.final_cost,
-        ) {
-            report.selected_init = "trivial".to_string();
-        } else if report.final_cost > lower_bound {
-            // `HCcs`, with the tenth of the local-search budget the paper
-            // gives it.
-            let started = origin.map(|o| o.elapsed());
-            let config = self.search_config(0.1);
-            hccs_improve(solved_dag, machine, &mut report.schedule, &config);
-            report
-                .phases
-                .extend(PhaseSample::since("hccs", origin, started));
-        }
-        // The searches can leave a superstep without computation.
-        report.schedule.normalize(solved_dag);
-        report.final_cost = report.schedule.cost(solved_dag, machine);
+        let mut report = self.solve(solved_dag, machine, origin, lower_bound);
         let solved = origin.map(|o| o.elapsed());
         if let Some(funnel) = &funnel {
             report.schedule = funnel.project(&report.schedule);
@@ -420,10 +427,9 @@ impl Pipeline {
     }
 
     /// Both initializers' width sweeps, one after the other on the calling
-    /// thread, then `HC` once on the cheaper start — ties to the earlier —
-    /// with the nine tenths of the local-search budget the paper gives it.
-    /// The report's schedule and `final_cost` are what that search returned.
-    fn start_search(
+    /// thread, then [`improve_start`] on the cheaper start — ties to the
+    /// earlier — with the budget shares the paper gives `HC` and `HCcs`.
+    fn solve(
         &self,
         dag: &Dag,
         machine: &Machine,
@@ -455,25 +461,23 @@ impl Pipeline {
         }
         // `min_by_key` keeps the first of equal minima, and the other
         // start's schedule goes before the search allocates.
-        let best = (sweeps.into_iter().map(|(start, _)| start))
+        let mut best = (sweeps.into_iter().map(|(start, _)| start))
             .min_by_key(|start| start.cost)
             .expect("two initializers always run");
-        let mut report = PipelineReport {
+        let search = |share| self.search_config(share);
+        let (schedule, cost) = (&mut best.schedule, best.cost);
+        let improved = improve_start(dag, machine, schedule, cost, lower_bound, search, origin);
+        phases.extend(improved.phases);
+        if improved.floored {
+            best.init_name = "trivial";
+        }
+        PipelineReport {
             branches,
             phases,
+            local_search_cost: improved.local_search_cost,
+            final_cost: improved.final_cost,
             ..PipelineReport::at(best, lower_bound)
-        };
-        if report.init_cost > lower_bound {
-            let started = origin.map(|o| o.elapsed());
-            let config = self.search_config(0.9);
-            let outcome = hc_improve(dag, machine, &mut report.schedule, &config);
-            report.local_search_cost = outcome.final_cost;
-            report.final_cost = outcome.final_cost;
-            report
-                .phases
-                .extend(PhaseSample::since("hc", origin, started));
         }
-        report
     }
 
     /// The local-search configuration with `share` of its time limit (the
@@ -654,21 +658,19 @@ mod tests {
         let machine = Machine::uniform(2, 1, 5);
         let trivial = BspSchedule::trivial(&dag);
         let trivial_cost = trivial.cost(&dag, &machine);
-
-        let mut schedule = BspgScheduler.schedule(&dag, &machine);
-        let spread = schedule.clone();
-        let mut cost = schedule.cost(&dag, &machine);
-        assert!(cost < trivial_cost);
-        assert!(!trivial_floor(&dag, &machine, &mut schedule, &mut cost));
-        assert_eq!(schedule, spread);
-
+        let spread = BspgScheduler.schedule(&dag, &machine);
+        assert!(spread.cost(&dag, &machine) < trivial_cost);
+        // A bound above every cost skips both searches: the floor alone,
+        // judging the cost it is handed.
+        let floor = |cost| {
+            let mut s = spread.clone();
+            let no_search = |_| -> HillClimbConfig { unreachable!() };
+            let improved = improve_start(&dag, &machine, &mut s, cost, u64::MAX, no_search, None);
+            (improved.floored, s)
+        };
+        assert_eq!(floor(spread.cost(&dag, &machine)), (false, spread.clone()));
         // Equal cost is not cheaper: the schedule at hand stays.
-        let mut cost = trivial_cost;
-        assert!(!trivial_floor(&dag, &machine, &mut schedule, &mut cost));
-        assert_eq!(schedule, spread);
-
-        let mut cost = trivial_cost + 1;
-        assert!(trivial_floor(&dag, &machine, &mut schedule, &mut cost));
-        assert_eq!((schedule, cost), (trivial, trivial_cost));
+        assert_eq!(floor(trivial_cost), (false, spread.clone()));
+        assert_eq!(floor(trivial_cost + 1), (true, trivial));
     }
 }

@@ -9,8 +9,9 @@
 //!    the LRU bump, the `Arc` clone and the histogram update all stay off
 //!    the allocator) — certified by the repo's counting-allocator test;
 //! 3. **warm hit** (same structure, different weights) → the cached
-//!    assignment seeds `hc_improve`/`hccs_improve` instead of running the
-//!    pipeline cold (PR 2's warm-start machinery, reused across requests);
+//!    assignment goes through the pipeline's improvement tail
+//!    ([`bsp_sched::pipeline::improve_start`]) instead of running the
+//!    pipeline cold;
 //! 4. **miss** → run the configured pipeline.
 //!
 //! Every solve runs under a [`CancelToken`] that combines the request
@@ -30,8 +31,8 @@ use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
-use bsp_sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
-use bsp_sched::pipeline::{trivial_floor, Pipeline, PipelineConfig};
+use bsp_sched::hill_climb::HillClimbConfig;
+use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -636,40 +637,33 @@ impl ScheduleService {
         }
     }
 
-    /// Warm path: improve the cached assignment with `HC` + `HCcs` under the
-    /// warm budget, then apply the pipeline's trivial-schedule floor.
-    /// Returns `None` when the seed does not actually fit the request
-    /// (fingerprint collision paranoia) so the caller can run cold.
+    /// Warm path: the cached assignment through the pipeline's improvement
+    /// tail (`HC` → trivial floor → `HCcs`) under the warm budget; the floor
+    /// matters here, as re-weighting can leave the seed costlier than one
+    /// processor doing everything.  Returns `None` when the seed does not
+    /// actually fit the request (fingerprint collision paranoia) so the
+    /// caller can run cold.
     fn solve_warm(
         &self,
         request: &ScheduleRequest,
         seed: &BspSchedule,
         cancel: &CancelToken,
     ) -> Option<BspSchedule> {
-        if seed.assignment.n() != request.dag.n() {
+        let (dag, machine) = (&request.dag, &request.machine);
+        if seed.assignment.n() != dag.n() {
             return None;
         }
-        let mut schedule = BspSchedule::from_assignment_lazy(&request.dag, seed.assignment.clone());
-        if schedule.validate(&request.dag, &request.machine).is_err() {
+        let mut schedule = BspSchedule::from_assignment_lazy(dag, seed.assignment.clone());
+        if schedule.validate(dag, machine).is_err() {
             return None;
         }
-        // The same 90/10 HC/HCcs split as the pipeline's cold path.
-        let budget = self.config.warm_budget;
-        let hc_cfg = HillClimbConfig {
-            time_limit: budget.mul_f64(0.9),
+        let search = |share: f64| HillClimbConfig {
+            time_limit: self.config.warm_budget.mul_f64(share),
             max_steps: usize::MAX,
             cancel: cancel.clone(),
         };
-        let hccs_cfg = HillClimbConfig {
-            time_limit: budget.mul_f64(0.1),
-            ..hc_cfg.clone()
-        };
-        hc_improve(&request.dag, &request.machine, &mut schedule, &hc_cfg);
-        let mut cost =
-            hccs_improve(&request.dag, &request.machine, &mut schedule, &hccs_cfg).final_cost;
-        // The same floor a cold run ends on: re-weighting can leave the seed
-        // costlier than one processor doing everything.
-        trivial_floor(&request.dag, &request.machine, &mut schedule, &mut cost);
+        let (cost, bound) = (schedule.cost(dag, machine), dag.lower_bound(machine));
+        improve_start(dag, machine, &mut schedule, cost, bound, search, None);
         Some(schedule)
     }
 

@@ -19,9 +19,11 @@ use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::{Funnel, Scheduler};
-use common::reference_source::source_assignment_unbounded;
-use common::{placed_start, random_dag, random_machine, rng_for_case};
-use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
+use common::{
+    benchmark_families, benchmark_machines, fine_spmv, placed_start, random_dag, random_machine,
+    rng_for_case, source_bound, source_groups,
+};
+use dag_gen::{exp, IterConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -48,37 +50,6 @@ fn sparse_dag(rng: &mut ChaCha8Rng, max_nodes: usize) -> Dag {
     Dag::from_edges(n, &edges, work, comm).expect("edges run from smaller to larger ids")
 }
 
-/// The benchmark's five generator families at its `--smoke` sizes.
-fn families() -> Vec<(&'static str, Dag)> {
-    let fine = |n: usize, iterations: usize, seed: u64| IterConfig {
-        n,
-        density: 8.0 / n as f64,
-        iterations,
-        seed,
-    };
-    let coarse = |algorithm, iterations| {
-        coarse_dag(&CoarseConfig {
-            algorithm,
-            iterations,
-        })
-    };
-    vec![
-        ("spmv", fine_spmv(60, 1)),
-        ("cg", cg(&fine(30, 2, 2))),
-        ("exp", exp(&fine(30, 3, 3))),
-        ("pagerank", coarse(CoarseAlgorithm::PageRank, 100)),
-        ("bicgstab", coarse(CoarseAlgorithm::BiCgStab, 100)),
-    ]
-}
-
-fn fine_spmv(n: usize, seed: u64) -> Dag {
-    spmv(&SpmvConfig {
-        n,
-        density: 8.0 / n as f64,
-        seed,
-    })
-}
-
 /// Random dense and sparse DAGs on random machines, and every family on the
 /// benchmark's two machines.
 fn inputs() -> Vec<(String, Dag, Machine)> {
@@ -93,11 +64,8 @@ fn inputs() -> Vec<(String, Dag, Machine)> {
         let machine = random_machine(&mut rng);
         inputs.push((format!("case {case} (n = {})", dag.n()), dag, machine));
     }
-    for (family, dag) in families() {
-        for machine in [
-            Machine::uniform(4, 3, 5),
-            Machine::numa_binary_tree(8, 3, 5, 3),
-        ] {
+    for (family, dag) in benchmark_families() {
+        for machine in benchmark_machines() {
             let name = format!("{family} (n = {}), P = {}", dag.n(), machine.p());
             inputs.push((name, dag.clone(), machine));
         }
@@ -385,32 +353,30 @@ fn guard_rows_keep_the_gain_and_the_source_bound() {
 
 #[test]
 fn source_spreads_a_funnel_dag_and_leaves_fine_dags_as_they_were() {
-    let machines = [
-        Machine::uniform(4, 3, 5),
-        Machine::numa_binary_tree(8, 3, 5, 3),
-    ];
     // On a funnel DAG the sources are the shared inputs: every one reaches
-    // every other through a shared row sum.  Unbounded that is one cluster
-    // and the one-processor schedule.
+    // every other through a shared row sum, so they are one group of
+    // sources sharing successors.  Without the bound that group is one
+    // cluster and the schedule the one-processor one.
     let dag = fine_spmv(60, 1);
-    for machine in &machines {
+    for machine in &benchmark_machines() {
         let funnel = Funnel::contract(&dag, machine.p()).expect("spmv is all funnels");
         let coarse = funnel.dag();
-        let unbounded = source_assignment_unbounded(coarse, machine);
-        assert!(unbounded.proc.iter().all(|&q| q == unbounded.proc[0]));
+        let groups = source_groups(coarse);
+        assert_eq!(groups, [(coarse.sources().len(), groups[0].1)]);
         let assignment = SourceScheduler.assignment(coarse, machine);
         let used: HashSet<u32> = assignment.proc.iter().copied().collect();
         assert!(used.len() > 1, "Source collapsed on P = {}", machine.p());
     }
-    // On the fine DAGs themselves a cluster is a matrix column and the bound
-    // never binds.
-    let plain = [("spmv", dag), ("exp", families().swap_remove(2).1)];
-    for (family, dag) in &plain {
-        for machine in &machines {
-            assert_eq!(
-                SourceScheduler.assignment(dag, machine),
-                source_assignment_unbounded(dag, machine),
-                "{family}, P = {}",
+    // On the fine DAGs themselves a group is a matrix column, within the
+    // bound, so the bound never binds.
+    let families = benchmark_families();
+    for (family, dag) in [&families[0], &families[2]] {
+        for machine in &benchmark_machines() {
+            let bound = source_bound(dag, machine.p());
+            let largest = source_groups(dag).into_iter().map(|(_, work)| work).max();
+            assert!(
+                largest.is_some_and(|work| work <= bound),
+                "{family}, P = {}: a group of {largest:?} against the bound {bound}",
                 machine.p()
             );
         }

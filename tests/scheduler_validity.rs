@@ -11,11 +11,9 @@ use bsp_sched::baselines::{
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
-use common::{machine_grid, rng_for_case};
+use common::{machine_grid, rng_for_case, zero_work_dag};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, knn, spmv, IterConfig, SpmvConfig};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A representative collection of small DAGs covering every generator family
 /// plus hand-built corner cases.
@@ -166,29 +164,7 @@ fn classical_baselines_are_valid_on_zero_work_dags() {
     let schedulers: [&dyn Scheduler; 3] =
         [&CilkScheduler::default(), &BlEstScheduler, &EtfScheduler];
     for case in 0..40 {
-        let mut rng = rng_for_case(0x2E_40, case);
-        let n = rng.gen_range(2usize..=40);
-        let mut label: Vec<usize> = (0..n).collect();
-        label.shuffle(&mut rng);
-        let mut edges = Vec::new();
-        for v in 1..n {
-            for u in v.saturating_sub(6)..v {
-                if rng.gen_bool(0.3) {
-                    edges.push((label[u], label[v]));
-                }
-            }
-        }
-        let work = (0..n)
-            .map(|_| {
-                if rng.gen_bool(0.4) {
-                    0
-                } else {
-                    rng.gen_range(1u64..4)
-                }
-            })
-            .collect();
-        let comm = (0..n).map(|_| rng.gen_range(0u64..3)).collect();
-        let dag = Dag::from_edges(n, &edges, work, comm).unwrap();
+        let dag = zero_work_dag(&mut rng_for_case(0x2E_40, case));
         for machine in machine_grid() {
             for scheduler in schedulers {
                 let sched = scheduler.schedule(&dag, &machine);

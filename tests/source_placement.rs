@@ -15,7 +15,7 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::Pipeline;
 use bsp_sched::{Funnel, Scheduler};
-use common::{random_dag, rng_for_case};
+use common::{machine_grid, placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -182,6 +182,68 @@ fn placement_starts_from_any_communication_schedule() {
             assert_placement_holds(&context, &dag, &machine, &input);
         }
     }
+}
+
+/// What a width-sweep candidate costs at least: the initializer leaves every
+/// node with a predecessor on the first `width` processors, where
+/// `place_sources` does not move it, so the fullest of them carries at least
+/// a `width`-th of that work; the critical path and one latency hold as
+/// ever.  The sources may go anywhere.
+fn placed_bound(dag: &Dag, machine: &Machine, width: usize) -> u64 {
+    let fed: u64 = (0..dag.n())
+        .filter(|&v| dag.in_degree(v) > 0)
+        .map(|v| dag.work(v))
+        .sum();
+    fed.div_ceil(width as u64).max(dag.critical_path_work()) + machine.latency()
+}
+
+/// `lower_bound(prefix(w))` is no bound on a placed candidate: a source can
+/// leave the prefix.  `BSPg` on two of eight processors, sources placed,
+/// costs 13 against the prefix's 14 (total work 27 over two processors); the
+/// bound above reads 8 (the path 4 → 8).
+#[test]
+fn a_placed_candidate_can_cost_less_than_its_prefix_bound() {
+    let edges = [(1, 8), (2, 7), (4, 8), (6, 7)];
+    let work = vec![4, 3, 2, 1, 4, 4, 1, 4, 4];
+    let comm = vec![1, 3, 1, 1, 1, 1, 3, 0, 1];
+    let dag = Dag::from_edges(9, &edges, work, comm).unwrap();
+    let machine = Machine::uniform(8, 1, 0);
+    let placed = placed_start(&BspgScheduler, &dag, &machine, 2);
+    assert_eq!(placed.validate(&dag, &machine), Ok(()));
+    let prefix_bound = dag.lower_bound(&machine.prefix(2));
+    assert_eq!((placed.cost(&dag, &machine), prefix_bound), (13, 14));
+    assert_eq!(placed_bound(&dag, &machine, 2), 8);
+}
+
+/// Every candidate the sweep can judge — either initializer on any prefix,
+/// sources placed — costs at least [`placed_bound`].
+#[test]
+fn a_placed_candidate_costs_at_least_the_bound_of_what_stays_on_the_prefix() {
+    let mut candidates = 0;
+    for case in 0..36 {
+        let mut rng = rng_for_case(0x50AE, case);
+        let dag = match case % 3 {
+            0 => random_dag(&mut rng, 24),
+            1 => source_heavy_dag(&mut rng),
+            _ => funnel_dag(&mut rng, case),
+        };
+        for machine in machine_grid() {
+            let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+            for init in initializers {
+                for width in 1..=machine.p() {
+                    let cost = placed_start(init, &dag, &machine, width).cost(&dag, &machine);
+                    let bound = placed_bound(&dag, &machine, width);
+                    assert!(
+                        cost >= bound,
+                        "case {case}, {} on {width} of {machine:?}: {cost} < {bound}",
+                        init.name()
+                    );
+                    candidates += 1;
+                }
+            }
+        }
+    }
+    assert!(candidates > 4000, "{candidates} candidates");
 }
 
 /// The instance of the issue: three iterations of `exp` on a 180-row matrix,
