@@ -12,7 +12,8 @@
 //!
 //! A fourth says what a second search would buy: the pipeline runs `HC` once,
 //! from the cheaper start, and here the start it did not search goes through
-//! the same `HC` → floor → `HCcs` on a grid of 51 small DAGs × 36 machines.
+//! the same `HC` → merge → floor → `HCcs` on a grid of 51 small DAGs × 36
+//! machines.
 //! Printed are the rows on which that ends below the pipeline's answer, the
 //! geometric mean of answer / best-of-both over all rows and the worst row;
 //! the run fails when the mean passes 1.002 — one search has to stay within
@@ -37,7 +38,7 @@ use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
+use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
 use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
@@ -464,8 +465,9 @@ impl SecondSearch<'_> {
 }
 
 /// The pipeline's answer, and what it would answer from the start it did not
-/// search: the other initializer on the width its sweep kept, sources placed,
-/// then the same `HC` → floor → `HCcs` on the funnel DAG.
+/// search: the other initializer on the width its sweep kept, sources placed
+/// and supersteps merged, then the same `HC` → merge → floor → `HCcs` on the
+/// funnel DAG.
 fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> (u64, u64) {
     let report = Pipeline::new(config.clone()).run_report(dag, machine);
     let Some(searched) = (report.branches.iter()).position(|b| b.init_cost == report.init_cost)
@@ -479,6 +481,9 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
     let other = &report.branches[1 - searched];
     let mut schedule = initializers[1 - searched].schedule(dag, &machine.prefix(other.width));
     place_sources(dag, machine, &mut schedule);
+    if merge_supersteps(dag, &mut schedule.assignment) > 0 {
+        schedule.relax_to_lazy(dag);
+    }
     let search = |share: f64| HillClimbConfig {
         time_limit: config.hill_climb.time_limit.mul_f64(share),
         ..config.hill_climb.clone()

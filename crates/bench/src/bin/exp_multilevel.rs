@@ -6,10 +6,9 @@
 //! The binary keeps the name it had when it timed the paper's multilevel
 //! scheduler (§4.5 / §7.3).  That scheduler's ratio members — coarsener and
 //! refinement walk — won 0 of these 20 rows against the funnel reduction in
-//! front of the flat pipeline and were deleted; their last recording is the
-//! `frozen_ratio_members` block of `BENCH_multilevel.json`, carried over as
-//! data.  What is left of "multilevel" is the funnel reduction, and every row
-//! says what it did (`funnel_nodes`).
+//! front of the flat pipeline and were deleted (CHANGES.md keeps their last
+//! recording).  What is left of "multilevel" is the funnel reduction, and
+//! every row says what it did (`funnel_nodes`).
 //!
 //! Per row: wall-clock of `Pipeline::run_report` (fastest of `--reps`), the
 //! final cost against the trivial schedule's and against the lower bound
@@ -18,15 +17,22 @@
 //! `init_schedule`, the one `hc`, `hccs`), and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by this binary's global allocator (the largest of
-//! `--reps`).  Written as JSON in the same envelope as `BENCH_hc.json`
-//! (default `BENCH_multilevel.json`).  `--huge` switches to ≈100k-node
-//! instances, `--quick` to ≈1k.
+//! `--reps`).  Beside them, `sweep` splits the two width sweeps: every
+//! candidate either initializer builds (each width `P, P/2, …` ≥ 2, on the
+//! funnel DAG) with its four stages — construct, `place_sources`,
+//! `merge_supersteps`, cost — timed by calling those public functions
+//! directly (fastest of `--reps`, µs per node of the DAG), the superstep
+//! count the merge removed, its cost and whether the sweep kept it.  Written
+//! as JSON in the same envelope as `BENCH_hc.json` (default
+//! `BENCH_pipeline.json`, at ≈10k and ≈100k nodes).  `--huge` runs ≈100k
+//! alone, `--quick` ≈1k, and `--target N` the size `N`.
 //!
 //! `--smoke` turns the run into a CI gate: every schedule validates, its
-//! reported cost equals a recompute, and no row costs more than the trivial
+//! reported cost equals a recompute, no row costs more than the trivial
 //! single-processor schedule (the pipeline ends on that floor, so a violation
-//! means the floor broke); the binary exits 1 if a row's solve peak exceeds
-//! [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
+//! means the floor broke), and no answer holds two adjacent supersteps that
+//! `merge_supersteps` would merge; the binary exits 1 if one of these fails
+//! or a row's solve peak exceeds [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
 //! Usage:
 //!
@@ -40,7 +46,9 @@ use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
+use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig, PipelineReport};
+use bsp_sched::{Funnel, Scheduler};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -159,21 +167,70 @@ fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
     of_name.map(|p| p.dur_us).sum::<u64>() as f64 / 1e6
 }
 
-fn main() {
-    let args = CliArgs::from_env();
-    let (quick, huge, smoke) = (args.flag("quick"), args.flag("huge"), args.flag("smoke"));
-    let out_path = args.value("out").unwrap_or("BENCH_multilevel.json");
-    let default_target = match (huge, quick) {
-        (true, _) => 100_000,
-        (false, true) => 1_000,
-        (false, false) => 10_000,
-    };
-    let target = args.u64_or("target", default_target) as usize;
-    let reps = args.usize_or("reps", 1);
-    let nnz_per_row = args.u64_or("nnz-per-row", 16) as f64;
-    let density = |n: usize| nnz_per_row / n as f64;
+/// The stages of one width-sweep candidate, in the order the pipeline runs
+/// them (`merge` includes rebuilding the lazy `Γ` when something merged).
+const STAGES: [&str; 4] = ["construct", "place_sources", "merge", "cost"];
 
-    eprintln!("exp_multilevel --speedup: target {target} nodes, reps {reps}");
+/// One candidate of an initializer's width sweep: the fastest seconds of each
+/// of [`STAGES`] over the repetitions, the supersteps the merge removed and
+/// the cost the sweep compares.
+struct Candidate {
+    init: &'static str,
+    width: usize,
+    seconds: [f64; 4],
+    merged: usize,
+    cost: u64,
+}
+
+/// Every candidate both width sweeps build on `dag` (the funnel DAG, as the
+/// pipeline solves it), each built `reps` times by calling the pipeline's
+/// public stages one by one.
+fn sweep_split(dag: &Dag, machine: &Machine, reps: usize) -> Vec<Candidate> {
+    let funnel = Funnel::contract(dag, machine.p());
+    let dag = funnel.as_ref().map_or(dag, Funnel::dag);
+    let mut candidates = Vec::new();
+    let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+    for init in initializers {
+        let narrower = |&width: &usize| (width / 2 >= 2).then_some(width / 2);
+        for width in std::iter::successors(Some(machine.p()), narrower) {
+            let mut candidate = Candidate {
+                init: init.name(),
+                width,
+                seconds: [f64::INFINITY; 4],
+                merged: 0,
+                cost: 0,
+            };
+            for _ in 0..reps.max(1) {
+                let start = Instant::now();
+                let mut schedule = init.schedule(dag, &machine.prefix(width));
+                let built = Instant::now();
+                place_sources(dag, machine, &mut schedule);
+                let placed = Instant::now();
+                candidate.merged = merge_supersteps(dag, &mut schedule.assignment);
+                if candidate.merged > 0 {
+                    schedule.relax_to_lazy(dag);
+                }
+                let merged = Instant::now();
+                candidate.cost = schedule.cost(dag, machine);
+                let laps = [
+                    built - start,
+                    placed - built,
+                    merged - placed,
+                    merged.elapsed(),
+                ];
+                for (best, lap) in candidate.seconds.iter_mut().zip(laps) {
+                    *best = best.min(lap.as_secs_f64());
+                }
+            }
+            candidates.push(candidate);
+        }
+    }
+    candidates
+}
+
+/// The five instances of a row block, each sized to about `target` nodes.
+fn instances(target: usize, nnz_per_row: f64) -> [(&'static str, Dag); 5] {
+    let density = |n: usize| nnz_per_row / n as f64;
     let iterative = |iterations| {
         move |n| IterConfig {
             n,
@@ -197,7 +254,7 @@ fn main() {
         eprintln!("sizing {name} instance...");
         (name, size_to_target(target, make))
     };
-    let instances = [
+    [
         sized("spmv", &|n| {
             spmv(&SpmvConfig {
                 n,
@@ -209,7 +266,22 @@ fn main() {
         sized("exp", &|n| exp(&iterative(3)(n))),
         sized("pagerank", &kernel(CoarseAlgorithm::PageRank)),
         sized("bicgstab", &kernel(CoarseAlgorithm::BiCgStab)),
-    ];
+    ]
+}
+
+fn main() {
+    let args = CliArgs::from_env();
+    let (quick, huge, smoke) = (args.flag("quick"), args.flag("huge"), args.flag("smoke"));
+    let out_path = args.value("out").unwrap_or("BENCH_pipeline.json");
+    let targets = match (args.value("target"), huge, quick) {
+        (Some(_), ..) => vec![args.u64_or("target", 0) as usize],
+        (None, true, _) => vec![100_000],
+        (None, false, true) => vec![1_000],
+        (None, false, false) => vec![10_000, 100_000],
+    };
+    let reps = args.usize_or("reps", 1);
+    let nnz_per_row = args.u64_or("nnz-per-row", 16) as f64;
+    eprintln!("exp_multilevel --speedup: targets {targets:?} nodes, reps {reps}");
     let machines = [
         ("uniform_p4_g3_l5", Machine::uniform(4, 3, 5)),
         ("uniform_p8_g3_l5", Machine::uniform(8, 3, 5)),
@@ -219,85 +291,130 @@ fn main() {
 
     let pipeline = Pipeline::new(sweep_config());
     let mut report = BenchReport::new("pipeline_scale");
-    let mut total_seconds = 0.0f64;
+    let (mut runs, mut total_seconds) = (0, 0.0f64);
     let mut failures = Vec::new();
-    for (inst_name, dag) in &instances {
-        for (machine_name, machine) in &machines {
-            eprintln!("== {inst_name} ({} nodes) on {machine_name}", dag.n());
-            let trivial = BspSchedule::trivial(dag).cost(dag, machine);
-            let (seconds, run, peak) = measure(reps, || pipeline.run_report(dag, machine));
-            let peak_per_node = peak as f64 / dag.n() as f64;
-            total_seconds += seconds;
-            let row = format!("{inst_name}/{machine_name}");
-            if let Err(e) = run.schedule.validate(dag, machine) {
-                failures.push(format!("{row}: invalid schedule: {e:?}"));
-            }
-            let recomputed = run.schedule.cost(dag, machine);
-            if recomputed != run.final_cost {
-                failures.push(format!(
-                    "{row}: reported cost {} != recomputed {recomputed}",
-                    run.final_cost
+    for &target in &targets {
+        for (inst_name, dag) in &instances(target, nnz_per_row) {
+            for (machine_name, machine) in &machines {
+                runs += 1;
+                let row = format!("{inst_name}/{machine_name}");
+                eprintln!("== {row} ({} nodes)", dag.n());
+                let trivial = BspSchedule::trivial(dag).cost(dag, machine);
+                let (seconds, run, peak) = measure(reps, || pipeline.run_report(dag, machine));
+                let per_node = |s: f64| s * 1e6 / dag.n() as f64;
+                let peak_per_node = peak as f64 / dag.n() as f64;
+                total_seconds += seconds;
+                if let Err(e) = run.schedule.validate(dag, machine) {
+                    failures.push(format!("{row}: invalid schedule: {e:?}"));
+                }
+                let recomputed = run.schedule.cost(dag, machine);
+                if recomputed != run.final_cost {
+                    failures.push(format!(
+                        "{row}: reported cost {} != recomputed {recomputed}",
+                        run.final_cost
+                    ));
+                }
+                if run.final_cost > trivial {
+                    failures.push(format!(
+                        "{row}: cost {} above the trivial schedule's {trivial}",
+                        run.final_cost
+                    ));
+                }
+                let left = merge_supersteps(dag, &mut run.schedule.assignment.clone());
+                if left > 0 {
+                    failures.push(format!(
+                        "{row}: {left} superstep(s) behind a barrier no value crosses"
+                    ));
+                }
+                if peak_per_node > SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE {
+                    failures.push(format!(
+                        "{row}: solve peak {peak_per_node:.1} heap bytes per node above \
+                         {SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE}"
+                    ));
+                }
+                let phases = PHASES.map(|name| phase_seconds(&run, name));
+                eprintln!(
+                    "   {seconds:.3}s, cost {} ({:.3}x trivial, gap {:.2}), selected {} at \
+                     width {}, funnel {} nodes",
+                    run.final_cost,
+                    run.final_cost as f64 / trivial.max(1) as f64,
+                    run.gap(),
+                    run.selected_init,
+                    run.placement_width,
+                    run.funnel_nodes
+                );
+                eprintln!(
+                    "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, hccs {:.3}s",
+                    phases[0], phases[1], phases[2], phases[3]
+                );
+                let [funnel, init, hc, hccs] = phases.map(per_node);
+                eprintln!(
+                    "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, \
+                     hccs {hccs:.3}, run {:.3}",
+                    per_node(seconds)
+                );
+                eprintln!(
+                    "     solve peak: {:.2} MB above the start, {peak_per_node:.1} bytes/node",
+                    peak as f64 / 1e6
+                );
+                let mut sweep = Vec::new();
+                for c in sweep_split(dag, machine, reps) {
+                    let kept = run
+                        .branches
+                        .iter()
+                        .any(|b| (b.init_name == c.init) && b.width == c.width);
+                    let us = c.seconds.map(per_node);
+                    eprintln!(
+                        "     sweep {} width {}{}: construct {:.3}, place {:.3}, merge {:.3}, \
+                         cost {:.3} us/node; {} steps merged, cost {}",
+                        c.init,
+                        c.width,
+                        if kept { " (kept)" } else { "" },
+                        us[0],
+                        us[1],
+                        us[2],
+                        us[3],
+                        c.merged,
+                        c.cost
+                    );
+                    let stages: Vec<String> = (STAGES.iter().zip(us))
+                        .map(|(name, us)| format!("\"{name}\": {us:.4}"))
+                        .collect();
+                    sweep.push(format!(
+                        "{{\"init\": \"{}\", \"width\": {}, \"kept\": {kept}, \"cost\": {}, \
+                         \"merged_supersteps\": {}, \"us_per_node\": {{{}}}}}",
+                        c.init,
+                        c.width,
+                        c.cost,
+                        c.merged,
+                        stages.join(", ")
+                    ));
+                }
+                let phases: Vec<String> = PHASES
+                    .iter()
+                    .zip(phases)
+                    .map(|(name, s)| format!("\"{name}\": {s:.6}"))
+                    .collect();
+                report.push_result_json(format!(
+                    "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
+                     \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
+                     \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
+                     \"gap\": {:.4}, \"selected_init\": \"{}\", \
+                     \"placement_width\": {}, \"funnel_nodes\": {}, \
+                     \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
+                     \"sweep\": [{}]}}",
+                    dag.n(),
+                    dag.num_edges(),
+                    run.final_cost,
+                    run.lower_bound,
+                    run.gap(),
+                    run.selected_init,
+                    run.placement_width,
+                    run.funnel_nodes,
+                    phases.join(", "),
+                    sweep.join(", ")
                 ));
             }
-            if run.final_cost > trivial {
-                failures.push(format!(
-                    "{row}: cost {} above the trivial schedule's {trivial}",
-                    run.final_cost
-                ));
-            }
-            if peak_per_node > SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE {
-                failures.push(format!(
-                    "{row}: solve peak {peak_per_node:.1} heap bytes per node above \
-                     {SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE}"
-                ));
-            }
-            let phases = PHASES.map(|name| phase_seconds(&run, name));
-            eprintln!(
-                "   {seconds:.3}s, cost {} ({:.3}x trivial, gap {:.2}), selected {} at width \
-                 {}, funnel {} nodes",
-                run.final_cost,
-                run.final_cost as f64 / trivial.max(1) as f64,
-                run.gap(),
-                run.selected_init,
-                run.placement_width,
-                run.funnel_nodes
-            );
-            eprintln!(
-                "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, hccs {:.3}s",
-                phases[0], phases[1], phases[2], phases[3]
-            );
-            let [funnel, init, hc, hccs] = phases.map(|s| s * 1e6 / dag.n() as f64);
-            eprintln!(
-                "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, hccs {hccs:.3}, \
-                 run {:.3}",
-                seconds * 1e6 / dag.n() as f64
-            );
-            eprintln!(
-                "     solve peak: {:.2} MB above the start, {peak_per_node:.1} bytes/node",
-                peak as f64 / 1e6
-            );
-            let phases: Vec<String> = PHASES
-                .iter()
-                .zip(phases)
-                .map(|(name, s)| format!("\"{name}\": {s:.6}"))
-                .collect();
-            report.push_result_json(format!(
-                "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
-                 \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
-                 \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
-                 \"gap\": {:.4}, \"selected_init\": \"{}\", \
-                 \"placement_width\": {}, \"funnel_nodes\": {}, \
-                 \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}}}",
-                dag.n(),
-                dag.num_edges(),
-                run.final_cost,
-                run.lower_bound,
-                run.gap(),
-                run.selected_init,
-                run.placement_width,
-                run.funnel_nodes,
-                phases.join(", ")
-            ));
         }
     }
 
@@ -305,10 +422,11 @@ fn main() {
         eprintln!("   FAILED {failure}");
     }
 
-    let runs = instances.len() * machines.len();
+    let targets: Vec<String> = targets.iter().map(usize::to_string).collect();
     report.set_config_json(format!(
-        "{{\"target_nodes\": {target}, \"base\": \"heuristics-only\", \"reps\": {reps}, \
+        "{{\"target_nodes\": [{}], \"base\": \"heuristics-only\", \"reps\": {reps}, \
          \"host_cores\": {}}}",
+        targets.join(", "),
         bsp_bench::stats::host_cores(),
     ));
     report.set_summary_json(format!(

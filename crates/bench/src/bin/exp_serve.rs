@@ -423,7 +423,7 @@ fn server_config(
             cache_bytes: cache_mb << 20,
             // Cold runs get 80% of the deadline for local search (the rest
             // is headroom for the non-cancellable fringes: initializers,
-            // normalize, cost/validate, response encoding); warm runs a
+            // merges, cost/validate, response encoding); warm runs a
             // quarter (they start near a local minimum).
             local_search_budget: deadline.mul_f64(0.8),
             warm_budget: deadline / 4,

@@ -75,8 +75,8 @@ impl BenchReport {
 
     /// Writes the document to `path`.  The `"frozen_…"` lines of the file
     /// being replaced — numbers recorded with engines that no longer exist to
-    /// be re-run (`frozen_seed`, `frozen_ratio_members`) — are carried into
-    /// the new document verbatim.
+    /// be re-run (`BENCH_hc.json`'s `frozen_seed`) — are carried into the new
+    /// document verbatim.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         let mut json = self.to_json();
         let old = std::fs::read_to_string(path).unwrap_or_default();

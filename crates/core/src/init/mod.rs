@@ -10,9 +10,10 @@
 //!   layer of source nodes into a superstep with round-robin, work-balanced
 //!   processor assignment.
 //!
-//! [`place_sources`] is the pass the pipeline sends each of their schedules
-//! through before the local search: it moves the sources next to the nodes
-//! that read them.
+//! [`place_sources`] and [`merge_supersteps`] are the passes the pipeline
+//! sends each of their schedules through before the local search: the first
+//! moves the sources next to the nodes that read them, the second closes the
+//! barriers that then carry no value.
 //!
 //! (The third initializer of the paper, `ILPinit`, was deleted with the ILP
 //! stage: README, *ILP: a negative result*.)
@@ -22,5 +23,5 @@ mod place;
 mod source;
 
 pub use bspg::BspgScheduler;
-pub use place::place_sources;
+pub use place::{merge_supersteps, place_sources};
 pub use source::SourceScheduler;

@@ -11,8 +11,12 @@
 //! [`place_sources`] re-places them all at once, each next to the nodes that
 //! read it (the rule of the hypergraph model of sparse matrix–vector
 //! multiplication: a vector entry lives with the rows that read it).
+//!
+//! Once the sources sit with their readers, many barriers carry no value at
+//! all, and every superstep is charged `ℓ` regardless: [`merge_supersteps`]
+//! closes each barrier no value crosses, which no single-node move can do.
 
-use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
+use bsp_model::{Assignment, BspSchedule, CommSchedule, Dag, Machine};
 use std::cmp::Reverse;
 
 /// Moves the sources of `schedule` to the processors of their consumers and
@@ -144,6 +148,51 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
     false
 }
 
+/// Merges adjacent supersteps that no value needs to cross and returns how
+/// many supersteps it removed; the assignment is untouched when it returns 0.
+///
+/// Superstep `b` joins the group of supersteps before it when every
+/// predecessor on another processor of a node in `b` lies in an earlier
+/// group; otherwise `b` opens a new group.  The groups are renumbered
+/// `0, 1, …`, so an empty superstep joins the group before it as
+/// [`BspSchedule::normalize`] would remove it.  Processors do not change.
+///
+/// Every edge between processors still crosses a group boundary, so the
+/// assignment stays valid under its lazy `Γ`, which the caller rebuilds when
+/// something merged.  Against the lazy `Γ` of the assignment as it came in,
+/// the cost falls by at least `ℓ` per removed superstep: a merged work row
+/// and the communication phase before a group are sums of old rows, and the
+/// maximum of a sum is at most the sum of the maxima.  A second application
+/// returns 0.  `O(n + m)`; `assignment` must be valid for `dag`, as the
+/// schedule of every scheduler of this crate is.
+pub fn merge_supersteps(dag: &Dag, assignment: &mut Assignment) -> usize {
+    let steps = assignment.num_supersteps();
+    // `group[b]` first holds one more than the latest superstep of a
+    // predecessor on another processor of a node in `b` (0 for none), then
+    // the group `b` joins.
+    let mut group = vec![0u32; steps];
+    for v in 0..dag.n() {
+        let (q, b) = (assignment.proc[v], assignment.superstep[v] as usize);
+        for u in dag.predecessors(v).filter(|&u| assignment.proc[u] != q) {
+            group[b] = group[b].max(assignment.superstep[u] + 1);
+        }
+    }
+    let (mut first, mut current) = (0u32, 0u32);
+    for (b, slot) in (0u32..).zip(&mut group) {
+        if *slot > first {
+            (first, current) = (b, current + 1);
+        }
+        *slot = current;
+    }
+    let removed = steps.saturating_sub(current as usize + 1);
+    if removed > 0 {
+        for s in &mut assignment.superstep {
+            *s = group[*s as usize];
+        }
+    }
+    removed
+}
+
 /// A movable source, ordered by regret (most first), then by node id.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Movable {
@@ -204,6 +253,59 @@ mod tests {
         // Equal regret: the smaller node ids go first and fill the room.
         assert_eq!(schedule.assignment.proc, [0, 0, 0, 1, 0, 1]);
         assert!(schedule.validate(&dag, &machine).is_ok());
+    }
+
+    /// Merges `schedule`'s supersteps, rebuilding the lazy `Γ` if any went.
+    fn merged(dag: &Dag, schedule: &BspSchedule) -> (usize, BspSchedule) {
+        let mut merged = schedule.clone();
+        let removed = merge_supersteps(dag, &mut merged.assignment);
+        if removed > 0 {
+            merged.relax_to_lazy(dag);
+        }
+        (removed, merged)
+    }
+
+    #[test]
+    fn placed_sources_free_the_barrier_between_supersteps_0_and_1() {
+        let machine = Machine::uniform(2, 3, 5);
+        let (dag, mut schedule) = two_consumers([1, 1, 0, 0]);
+        // Four values cross the barrier: it stays.
+        assert_eq!(merged(&dag, &schedule), (0, schedule.clone()));
+        assert!(place_sources(&dag, &machine, &mut schedule));
+        let placed = schedule.cost(&dag, &machine);
+        // None crosses it now: one superstep, `ℓ` saved and nothing added.
+        let (removed, once) = merged(&dag, &schedule);
+        assert_eq!(removed, 1);
+        assert_eq!(once.assignment.superstep, [0; 6]);
+        assert!(once.validate(&dag, &machine).is_ok());
+        assert_eq!(once.cost(&dag, &machine), placed - 5);
+        assert_eq!(merged(&dag, &once).0, 0);
+    }
+
+    #[test]
+    fn one_value_across_a_barrier_keeps_it() {
+        let machine = Machine::uniform(2, 3, 5);
+        // Source 3 on processor 0 feeds node 5 on processor 1: one value
+        // crosses between supersteps 0 and 1, the others stay home.
+        let (dag, schedule) = two_consumers([0, 0, 1, 0]);
+        assert!(schedule.validate(&dag, &machine).is_ok());
+        assert_eq!(schedule.comm.len(), 1);
+        assert_eq!(merged(&dag, &schedule), (0, schedule));
+    }
+
+    #[test]
+    fn an_empty_superstep_goes_as_normalize_removes_it() {
+        // A chain across processors in supersteps 0, 2, 3: superstep 1 is
+        // empty, and each of the others reads a value from the one before.
+        let dag = Dag::from_edges(3, &[(0, 1), (1, 2)], vec![1; 3], vec![2; 3]).unwrap();
+        let assignment = Assignment {
+            proc: vec![0, 1, 0],
+            superstep: vec![0, 2, 3],
+        };
+        let schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        let mut normalized = schedule.clone();
+        assert_eq!(normalized.normalize(&dag), 1);
+        assert_eq!(merged(&dag, &schedule), (1, normalized));
     }
 
     #[test]

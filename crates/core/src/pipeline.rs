@@ -9,9 +9,10 @@
 //! `ILPinit`; README, *ILP: a negative result*) — `ILPcs` stays as the exact
 //! check on `HCcs` ([`crate::ilp`]).
 //!
-//! The order of a run is bound → funnel → per-initializer sweep with source
-//! placement → `HC` → floor → `HCcs`; everything around the paper's
-//! `initializer → HC → HCcs` is this repository's own:
+//! The order of a run is bound → funnel → per-initializer sweep over every
+//! width (source placement, merge) → `HC` → merge → floor → `HCcs`;
+//! everything around the paper's `initializer → HC → HCcs` is this
+//! repository's own:
 //!
 //! * **The bound.**  [`Dag::lower_bound`] of the caller's DAG is on every
 //!   report ([`PipelineReport::lower_bound`], [`PipelineReport::gap`]), and a
@@ -34,23 +35,31 @@
 //!   initial schedule therefore goes through [`place_sources`], which moves
 //!   each source next to its consumers without raising any superstep's work
 //!   maximum and keeps the result only when it is strictly cheaper.
+//! * **Barriers only where a value crosses.**  Every superstep costs `ℓ`,
+//!   yet the initializers open supersteps no value needs — after placement
+//!   most of them — and single-node `HC` moves cannot close one.
+//!   [`merge_supersteps`] merges each run of adjacent supersteps that no
+//!   transfer separates, in `O(n + m)`, and lowers the cost by at least `ℓ`
+//!   per superstep it removes.  It runs on every start and again after `HC`,
+//!   so no answer, cold or warm, keeps a barrier no value crosses.
 //! * **The placement-width sweep, per initializer.**  `BSPg` and `Source`
 //!   read neither `λ` nor `g`: they spread the DAG over all `P` processors,
 //!   and single-node `HC` moves cannot pull such a schedule back together
 //!   when communication is what it pays for.  So each initializer builds its
-//!   schedule on the machine's processor prefixes `P`, `P/2`, `P/4`, … ≥ 2
+//!   schedule on every processor prefix `P`, `P/2`, `P/4`, … ≥ 2
 //!   ([`Machine::prefix`]; on a binary tree these are subtrees), places the
-//!   sources and costs the result on the *full* machine, stops at the first
-//!   width that does not lower the cost and keeps the cheapest, ties going
-//!   to the wider — one sweep, generic over the initializer.  The width is a
-//!   result ([`BranchReport::width`], [`PipelineReport::placement_width`]),
-//!   not a setting.
+//!   sources, merges supersteps, costs the result on the *full* machine and
+//!   keeps the cheapest, ties going to the wider — one sweep, generic over
+//!   the initializer.  Merged starts are not monotone in the width (a width
+//!   can lose to the wider one and the next win), so the sweep builds every
+//!   width.  The width is a result ([`BranchReport::width`],
+//!   [`PipelineReport::placement_width`]), not a setting.
 //! * **`HC` once, the floor, `HCcs` once** ([`improve_start`]).  Only the
 //!   cheaper start — ties to `BSPg` — is searched
 //!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
-//!   built), on the full machine.  [`BspSchedule::trivial`] replaces what
-//!   `HC` returns when strictly cheaper, so no answer costs more than one
-//!   processor, and only a survivor goes through `HCcs`.
+//!   built), on the full machine.  What `HC` returns is merged again, then
+//!   [`BspSchedule::trivial`] replaces it when strictly cheaper, so no answer
+//!   costs more than one processor, and only a survivor goes through `HCcs`.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved, and the
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`],
@@ -60,7 +69,7 @@
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
 use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
-use crate::init::{place_sources, BspgScheduler, SourceScheduler};
+use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
 use std::time::{Duration, Instant};
@@ -197,7 +206,7 @@ pub struct BranchReport {
     /// sweep kept (see the module docs).
     pub width: usize,
     /// Cost of that start: the initializer's schedule on `prefix(width)`
-    /// after [`place_sources`], on the full machine.
+    /// after [`place_sources`] and [`merge_supersteps`], on the full machine.
     pub init_cost: u64,
 }
 
@@ -211,7 +220,8 @@ pub struct PipelineReport {
     /// Cost of the cheaper start ([`BranchReport::init_cost`]), which `HC`
     /// searched — the `Init` bars of Figures 5–7.
     pub init_cost: u64,
-    /// Cost after the one `HC`; `init_cost` when the start met the bound.
+    /// Cost after the one `HC` and the merge behind it; `init_cost` when the
+    /// start met the bound.
     pub local_search_cost: u64,
     /// Cost of the final schedule: the start after `HC` + `HCcs` — the `HCcs`
     /// bars — or the trivial schedule when the floor replaced it.
@@ -261,9 +271,9 @@ impl PipelineReport {
     }
 }
 
-/// What [`improve_start`] did: the cost after `HC` (the start's own at the
-/// bound) and at the end, whether the trivial schedule replaced `HC`'s
-/// result, and the `hc` / `hccs` samples (none without a phase clock).
+/// What [`improve_start`] did: the cost after `HC` and the merge (the start's
+/// own at the bound) and at the end, whether the trivial schedule replaced
+/// that result, and the `hc` / `hccs` samples (none without a phase clock).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
     pub local_search_cost: u64,
@@ -272,13 +282,16 @@ pub struct Improved {
     pub phases: Vec<PhaseSample>,
 }
 
-/// `HC` → trivial floor → `HCcs` → `normalize` on a start of cost `cost`:
-/// the tail of every solve, the serving layer's warm starts included.  `HC`
-/// is skipped at `lower_bound`; [`BspSchedule::trivial`] replaces its result
-/// when strictly cheaper, `O(n)`, so no schedule leaves the solver above the
-/// one-processor cost; `HCcs` runs on a survivor above the bound.
-/// `search(share)` configures a search with `share` of the budget (0.9 for
-/// `HC`, 0.1 for `HCcs`) as it starts; `origin` is the phase clock.
+/// `HC` → merge → trivial floor → `HCcs` on a start of cost `cost` under its
+/// lazy `Γ`: the tail of every solve, the serving layer's warm starts
+/// included.  `HC` is skipped at `lower_bound`; [`merge_supersteps`] then
+/// closes every barrier no value crosses (single-node moves cannot, and `HC`
+/// can leave a superstep empty), so no answer keeps one;
+/// [`BspSchedule::trivial`] replaces the result when strictly cheaper,
+/// `O(n)`, so no schedule leaves the solver above the one-processor cost;
+/// `HCcs` runs on a survivor above the bound.  `search(share)` configures a
+/// search with `share` of the budget (0.9 for `HC`, 0.1 for `HCcs`) as it
+/// starts; `origin` is the phase clock.
 pub fn improve_start(
     dag: &Dag,
     machine: &Machine,
@@ -294,6 +307,10 @@ pub fn improve_start(
         cost = hc_improve(dag, machine, schedule, &search(0.9)).final_cost;
         phases.extend(PhaseSample::since("hc", origin, started));
     }
+    if merge_supersteps(dag, &mut schedule.assignment) > 0 {
+        schedule.relax_to_lazy(dag);
+        cost = schedule.cost(dag, machine);
+    }
     let trivial = BspSchedule::trivial(dag);
     let floored = trivial.cost(dag, machine) < cost;
     if floored {
@@ -303,8 +320,6 @@ pub fn improve_start(
         hccs_improve(dag, machine, schedule, &search(0.1));
         phases.extend(PhaseSample::since("hccs", origin, started));
     }
-    // The searches can leave a superstep without computation.
-    schedule.normalize(dag);
     Improved {
         local_search_cost: cost,
         final_cost: schedule.cost(dag, machine),
@@ -314,8 +329,8 @@ pub fn improve_start(
 }
 
 /// What `HC` can start from: an initializer's schedule on the machine's first
-/// `width` processors after [`place_sources`], with its cost on the full
-/// machine.
+/// `width` processors after [`place_sources`] and [`merge_supersteps`] (lazy
+/// `Γ`), with its cost on the full machine.
 struct Start {
     init_name: &'static str,
     width: usize,
@@ -333,6 +348,10 @@ impl Start {
             init.name()
         );
         place_sources(dag, machine, &mut schedule);
+        // Placement is what leaves most barriers without a value to carry.
+        if merge_supersteps(dag, &mut schedule.assignment) > 0 {
+            schedule.relax_to_lazy(dag);
+        }
         let cost = schedule.cost(dag, machine);
         Start {
             init_name: init.name(),
@@ -343,20 +362,17 @@ impl Start {
     }
 }
 
-/// The placement-width sweep (see the module docs): `init` on the machine's
-/// processor prefixes `P`, `P/2`, `P/4`, … ≥ 2, sources placed, costed on the
-/// full machine, until a width does not lower the cost.  Returns the
-/// cheapest start, ties to the wider.
+/// The placement-width sweep (see the module docs): `init` on every
+/// processor prefix `P`, `P/2`, `P/4`, … ≥ 2, sources placed, supersteps
+/// merged, costed on the full machine.  Returns the cheapest start, ties to
+/// the wider (`min_by_key` keeps the first of equal minima); one candidate
+/// is held beside the best at a time.
 fn width_sweep(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> Start {
-    let mut best = Start::on_prefix(init, dag, machine, machine.p());
-    while best.width / 2 >= 2 {
-        let candidate = Start::on_prefix(init, dag, machine, best.width / 2);
-        if candidate.cost >= best.cost {
-            break;
-        }
-        best = candidate;
-    }
-    best
+    let narrower = |&width: &usize| (width / 2 >= 2).then_some(width / 2);
+    std::iter::successors(Some(machine.p()), narrower)
+        .map(|width| Start::on_prefix(init, dag, machine, width))
+        .min_by_key(|start| start.cost)
+        .expect("the full width is always built")
 }
 
 /// The combined scheduling framework of Figure 3.

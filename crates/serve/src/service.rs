@@ -638,7 +638,7 @@ impl ScheduleService {
     }
 
     /// Warm path: the cached assignment through the pipeline's improvement
-    /// tail (`HC` → trivial floor → `HCcs`) under the warm budget; the floor
+    /// tail (`HC` → merge → trivial floor → `HCcs`) under the warm budget; the floor
     /// matters here, as re-weighting can leave the seed costlier than one
     /// processor doing everything.  Returns `None` when the seed does not
     /// actually fit the request (fingerprint collision paranoia) so the
@@ -1052,7 +1052,7 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(reply.schedule.validate(&dag, &machine).is_ok());
         // Anytime contract: the request returns promptly (2x covers the
-        // non-cancellable fringes: initializers, final normalize, cost).
+        // non-cancellable fringes: initializers, merges, cost).
         assert!(
             elapsed < deadline * 2 + Duration::from_millis(50),
             "request took {elapsed:?} against a {deadline:?} deadline"

@@ -1,8 +1,10 @@
-//! Golden schedule digests: every schedule constructor, `HC`, `HCcs`, the
-//! funnel round trip and `Pipeline::run_report`, pinned bit for bit by one
-//! committed table, `tests/golden/schedules.tsv`.  The table is the oracle:
-//! it was recorded from the routines as they stood before their rewrites,
-//! and every rewrite since has left it alone.
+//! Golden schedule digests: every schedule constructor, `place_sources` and
+//! `merge_supersteps`, `HC`, `HCcs`, the funnel round trip and
+//! `Pipeline::run_report`, pinned bit for bit by one committed table,
+//! `tests/golden/schedules.tsv`.  The table is the oracle: it was recorded
+//! from the routines as they stood before their rewrites, and every rewrite
+//! since has left it alone; a change that means to move schedules re-pastes
+//! it and names the rows that moved.
 //!
 //! A row is one routine over one case set.  It holds the summed cost of the
 //! routine's outputs and a 64-bit FNV-1a digest of all of them: `π`, `τ` and
@@ -29,7 +31,7 @@ use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler, HDaggSch
 use bsp_sched::hill_climb::{
     hc_improve, hc_search, hccs_improve, HcState, HillClimbConfig, HillClimbOutcome, SearchScratch,
 };
-use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
+use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::{coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, SpmvConfig};
@@ -337,6 +339,26 @@ fn placed(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
     cost
 }
 
+/// Both initializers on every prefix width, sources placed, then supersteps
+/// merged, with how many went and the schedule under its lazy `Γ`.
+fn merged(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
+    let mut cost = 0;
+    for init in [&BspgScheduler as &dyn Scheduler, &SourceScheduler] {
+        for width in 1..=machine.p() {
+            let mut schedule = init.schedule(dag, &machine.prefix(width));
+            place_sources(dag, machine, &mut schedule);
+            let removed = merge_supersteps(dag, &mut schedule.assignment);
+            if removed > 0 {
+                schedule.relax_to_lazy(dag);
+            }
+            d.u64(removed as u64);
+            d.schedule(&schedule);
+            cost += schedule.cost(dag, machine);
+        }
+    }
+    cost
+}
+
 /// The reduction's clusters, and `BSPg`'s schedule of the funnel DAG
 /// projected back; nothing when nothing contracts.
 fn funnel(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
@@ -604,8 +626,11 @@ fn rows() -> Vec<Row> {
     let to_bsp = Row::new("to_bsp", "conversion", conversion.clone(), to_bsp);
     let lazy = Row::new("lazy", "conversion", conversion, lazy);
     let (bench, grid) = (benchmark_machines(), machine_grid());
+    let merge: Routines = vec![("merge_supersteps", Box::new(merged))];
+    let random = random_dags();
     [
-        over("random", &random_dags(), &random_machines(), constructors()),
+        over("random", &random, &random_machines(), constructors()),
+        over("random", &random, &random_machines(), merge),
         over("families", &families, &bench, constructors()),
         over("families", &families, &bench, searches),
         over("families", &families, &bench, pipeline()),

@@ -13,7 +13,7 @@ pub mod golden;
 pub mod reference_codec;
 
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::init::place_sources;
+use bsp_sched::init::{merge_supersteps, place_sources};
 use bsp_sched::Scheduler;
 use dag_gen::{cg, coarse_dag, exp, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
 use rand::seq::SliceRandom;
@@ -145,7 +145,8 @@ pub fn benchmark_machines() -> [Machine; 2] {
 
 /// What a pipeline branch of `init` starts its `HC` from at `width`: the
 /// initializer's schedule on the machine's first `width` processors with the
-/// sources placed on the full machine.
+/// sources placed on the full machine and the supersteps no value needs
+/// merged (lazy `Γ`).
 pub fn placed_start(
     init: &dyn Scheduler,
     dag: &Dag,
@@ -154,6 +155,9 @@ pub fn placed_start(
 ) -> BspSchedule {
     let mut schedule = init.schedule(dag, &machine.prefix(width));
     place_sources(dag, machine, &mut schedule);
+    if merge_supersteps(dag, &mut schedule.assignment) > 0 {
+        schedule.relax_to_lazy(dag);
+    }
     schedule
 }
 

@@ -10,7 +10,7 @@ use common::golden::{check, Check};
 
 /// 220 random DAGs of five shapes (layered, chains, fans, tied scores,
 /// zero-work nodes) with shuffled ids, on 1, 2, 4 and 8 processors, uniform
-/// and NUMA.
+/// and NUMA; also the superstep merge after placement, at every width.
 #[test]
 fn constructors_match_the_oracle_on_random_dags() {
     check(Check::Random);

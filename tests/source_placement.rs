@@ -1,24 +1,32 @@
 //! `init::place_sources`, the consumer-aware source placement the pipeline
-//! sends every initial schedule through.
+//! sends every initial schedule through, and `init::merge_supersteps`, which
+//! follows it.
 //!
 //! Over random DAGs (dense, source-heavy, and the funnel DAGs of the fine
 //! families) × uniform, tree and explicit machines, and both initializers at
-//! every prefix width: the result validates on the full
+//! every prefix width: the placement validates on the full
 //! machine, costs no more than the input, raises no superstep's work
 //! maximum, moves only in-degree-0 nodes and only between processors, and is
-//! a fixed point of a second application.  Two pinned rows hold the gain on
-//! the instance the pass was built for, on either benchmark machine.
+//! a fixed point of a second application.  The merge, over the same DAGs ×
+//! `machine_grid()`, validates, saves at least `ℓ` per superstep it removes,
+//! keeps every processor and the order of the supersteps, and finds nothing
+//! the second time; no answer of the pipeline or of its improvement tail has
+//! a barrier left to merge.  Two pinned rows hold the gain on the instance
+//! the placement was built for, on either benchmark machine.
 
 mod common;
 
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::Pipeline;
+use bsp_sched::baselines::CilkScheduler;
+use bsp_sched::hill_climb::HillClimbConfig;
+use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
+use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
 use bsp_sched::{Funnel, Scheduler};
 use common::{machine_grid, placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::time::Duration;
 
 /// Many sources over a few layers of consumers: each source feeds one to
 /// three nodes of the first layer, each later node reads two of the layer
@@ -66,6 +74,16 @@ fn funnel_dag(rng: &mut ChaCha8Rng, case: u64) -> Dag {
     };
     let funnel = Funnel::contract(&dag, 4).expect("the fine families are all funnels");
     funnel.dag().clone()
+}
+
+/// One of the three DAG kinds of the properties, by case: dense random,
+/// source-heavy, a funnel DAG.
+fn case_dag(rng: &mut ChaCha8Rng, case: u64) -> Dag {
+    match case % 3 {
+        0 => random_dag(rng, 24),
+        1 => source_heavy_dag(rng),
+        _ => funnel_dag(rng, case),
+    }
 }
 
 /// Uniform, a tree, and an explicit matrix that is neither.
@@ -130,11 +148,7 @@ fn placement_is_valid_monotone_work_neutral_and_idempotent() {
     let (mut moved, mut kept, mut spilled) = (0, 0, 0);
     for case in 0..36 {
         let mut rng = rng_for_case(0x50AC, case);
-        let dag = match case % 3 {
-            0 => random_dag(&mut rng, 24),
-            1 => source_heavy_dag(&mut rng),
-            _ => funnel_dag(&mut rng, case),
-        };
+        let dag = case_dag(&mut rng, case);
         for machine in machines(&mut rng) {
             let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
             for init in initializers {
@@ -186,7 +200,7 @@ fn placement_starts_from_any_communication_schedule() {
 
 /// What a width-sweep candidate costs at least: the initializer leaves every
 /// node with a predecessor on the first `width` processors, where
-/// `place_sources` does not move it, so the fullest of them carries at least
+/// `place_sources` and the merge do not move it, so the fullest of them carries at least
 /// a `width`-th of that work; the critical path and one latency hold as
 /// ever.  The sources may go anywhere.
 fn placed_bound(dag: &Dag, machine: &Machine, width: usize) -> u64 {
@@ -215,18 +229,138 @@ fn a_placed_candidate_can_cost_less_than_its_prefix_bound() {
     assert_eq!(placed_bound(&dag, &machine, 2), 8);
 }
 
+/// Merges `input` as the pipeline does and checks the result: valid on the
+/// full machine, at least `ℓ` cheaper per removed superstep than `input`
+/// (whose `Γ` is lazy), the same processors, whole supersteps kept in order,
+/// and nothing left for a second application.  Returns how many went.
+fn assert_merge_holds(context: &str, dag: &Dag, machine: &Machine, input: &BspSchedule) -> usize {
+    let mut merged = input.clone();
+    let removed = merge_supersteps(dag, &mut merged.assignment);
+    if removed == 0 {
+        assert_eq!(&merged, input, "{context}: said 0 and changed it");
+        return 0;
+    }
+    merged.relax_to_lazy(dag);
+    merged
+        .validate(dag, machine)
+        .unwrap_or_else(|e| panic!("{context}: invalid after the merge: {e}"));
+    let (before, after) = (input.cost(dag, machine), merged.cost(dag, machine));
+    let saved = machine.latency() * removed as u64;
+    assert!(
+        after + saved <= before,
+        "{context}: {before} -> {after}, {removed} supersteps"
+    );
+    assert_eq!(merged.assignment.proc, input.assignment.proc, "{context}");
+    let steps = |s: &BspSchedule| s.assignment.num_supersteps();
+    assert_eq!(steps(&merged) + removed, steps(input), "{context}");
+    // Each old superstep goes whole into one new one, in order.
+    let (old, new) = (&input.assignment.superstep, &merged.assignment.superstep);
+    let mut moves: Vec<(u32, u32)> = old.iter().copied().zip(new.iter().copied()).collect();
+    moves.sort_unstable();
+    moves.dedup();
+    assert!(
+        moves
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+        "{context}: superstep order"
+    );
+    let again = merged.clone();
+    assert_eq!(
+        merge_supersteps(dag, &mut merged.assignment),
+        0,
+        "{context}"
+    );
+    assert_eq!(merged, again, "{context}: a second application changed it");
+    removed
+}
+
+#[test]
+fn merging_is_valid_saves_a_latency_per_superstep_and_is_idempotent() {
+    // The property must not hold vacuously.
+    let (mut merged, mut kept, mut removed) = (0, 0, 0);
+    for case in 0..36 {
+        let mut rng = rng_for_case(0x3E26, case);
+        let dag = case_dag(&mut rng, case);
+        for machine in machine_grid() {
+            let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+            for init in initializers {
+                for width in 1..=machine.p() {
+                    let mut input = init.schedule(&dag, &machine.prefix(width));
+                    for stage in ["built", "placed"] {
+                        let context = format!(
+                            "case {case}, n = {}, {} on {width} of {machine:?}, {stage}",
+                            dag.n(),
+                            init.name()
+                        );
+                        match assert_merge_holds(&context, &dag, &machine, &input) {
+                            0 => kept += 1,
+                            r => (merged, removed) = (merged + 1, removed + r),
+                        }
+                        place_sources(&dag, &machine, &mut input);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        merged > 1000 && kept > 1000 && removed > 2 * merged,
+        "a regime hardly came up: merged {merged} ({removed} supersteps), kept {kept}"
+    );
+}
+
+/// No answer keeps a barrier no value crosses: the pipeline's, cold, and
+/// the improvement tail's from a start the sweep never builds, as a warm
+/// start is.
+#[test]
+fn no_answer_has_a_barrier_left_to_merge() {
+    let config = PipelineConfig {
+        hill_climb: HillClimbConfig {
+            time_limit: Duration::from_secs(3600),
+            max_steps: 500,
+            ..HillClimbConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let pipeline = Pipeline::new(config.clone());
+    let search = |share: f64| HillClimbConfig {
+        time_limit: config.hill_climb.time_limit.mul_f64(share),
+        ..config.hill_climb.clone()
+    };
+    let mut answers = 0;
+    for case in 0..24 {
+        let mut rng = rng_for_case(0x3E27, case);
+        let dag = case_dag(&mut rng, case);
+        for machine in machine_grid() {
+            let context = format!("case {case}, n = {}, {machine:?}", dag.n());
+            let report = pipeline.run_report(&dag, &machine);
+            let mut warm = CilkScheduler::default().schedule(&dag, &machine);
+            let (cost, bound) = (warm.cost(&dag, &machine), dag.lower_bound(&machine));
+            let improved = improve_start(&dag, &machine, &mut warm, cost, bound, search, None);
+            assert!(improved.final_cost <= cost, "{context}: warm");
+            for (kind, answer, reported) in [
+                ("cold", &report.schedule, report.final_cost),
+                ("warm", &warm, improved.final_cost),
+            ] {
+                assert!(answer.validate(&dag, &machine).is_ok(), "{context}: {kind}");
+                assert_eq!(answer.cost(&dag, &machine), reported, "{context}: {kind}");
+                let mut again = answer.assignment.clone();
+                let left = merge_supersteps(&dag, &mut again);
+                assert_eq!(left, 0, "{context}: {kind} answer");
+                answers += 1;
+            }
+        }
+    }
+    assert_eq!(answers, 24 * 6 * 2);
+}
+
 /// Every candidate the sweep can judge — either initializer on any prefix,
-/// sources placed — costs at least [`placed_bound`].
+/// sources placed, supersteps merged — costs at least [`placed_bound`].
 #[test]
 fn a_placed_candidate_costs_at_least_the_bound_of_what_stays_on_the_prefix() {
     let mut candidates = 0;
     for case in 0..36 {
         let mut rng = rng_for_case(0x50AE, case);
-        let dag = match case % 3 {
-            0 => random_dag(&mut rng, 24),
-            1 => source_heavy_dag(&mut rng),
-            _ => funnel_dag(&mut rng, case),
-        };
+        let dag = case_dag(&mut rng, case);
         for machine in machine_grid() {
             let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
             for init in initializers {
