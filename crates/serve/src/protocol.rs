@@ -1593,6 +1593,149 @@ mod tests {
         }
     }
 
+    /// [`diamond`] as the hyperDAG text of a `DAG` block (13 lines).
+    const DIAMOND_DAG_BLOCK: &str = "DAG 13\n% hyperDAG export: 4 nodes, 3 hyperedges\n3 4 7\n\
+        0 0\n0 1\n0 2\n1 1\n1 3\n2 2\n2 3\n0 1 5\n1 2 6\n2 3 7\n3 4 8\n";
+
+    #[test]
+    fn request_encoders_write_these_bytes() {
+        let request = |id, machine: Machine, options: RequestOptions| {
+            let mut wire = String::new();
+            encode_request(&mut wire, id, &diamond(), &machine, &options).unwrap();
+            wire
+        };
+        let expect = |head: &str| format!("{head}{DIAMOND_DAG_BLOCK}END\n");
+        assert_eq!(
+            request(1, Machine::uniform(2, 1, 1), RequestOptions::new()),
+            expect("REQ 1\nMACHINE uniform 2 1 1\nOPTION mode heuristics\nOPTION cache on\n")
+        );
+        let options = RequestOptions::new()
+            .with_deadline(Duration::from_millis(250))
+            .with_mode(Mode::Fast)
+            .with_cache(false)
+            .with_trace(0xf00d);
+        assert_eq!(
+            request(42, Machine::numa_binary_tree(8, 3, 5, 2), options),
+            expect(
+                "REQ 42\nMACHINE tree 8 3 5 2\nOPTION deadline_ms 250\nOPTION mode fast\n\
+                 OPTION cache off\nOPTION trace f00d\n"
+            )
+        );
+        let options = RequestOptions::new()
+            .with_deadline(Duration::from_micros(500))
+            .with_mode(Mode::Default);
+        assert_eq!(
+            request(2, Machine::uniform(3, 4, 5), options),
+            expect(
+                "REQ 2\nMACHINE uniform 3 4 5\nOPTION deadline_ms 1\nOPTION mode default\n\
+                 OPTION cache on\n"
+            )
+        );
+
+        let fingerprint = |id, structure, trace| {
+            let mut wire = String::new();
+            encode_fingerprint_request(&mut wire, id, 0xdead_beef_0123_4567, structure, trace);
+            wire
+        };
+        assert_eq!(
+            fingerprint(9, Some(0xfeed), Some(0x77)),
+            "REQ 9\nFP 0000000000000000deadbeef01234567 000000000000feed\nOPTION trace 77\nEND\n"
+        );
+        assert_eq!(
+            fingerprint(3, None, None),
+            "REQ 3\nFP 0000000000000000deadbeef01234567\nEND\n"
+        );
+        assert_eq!(
+            fingerprint(5, None, Some(0x1f)),
+            "REQ 5\nFP 0000000000000000deadbeef01234567\nOPTION trace 1f\nEND\n"
+        );
+        assert_eq!(
+            fingerprint(6, Some(1), None),
+            "REQ 6\nFP 0000000000000000deadbeef01234567 0000000000000001\nEND\n"
+        );
+
+        // The forwarded body is every byte between the `REQ` and `END`
+        // lines, blank lines and `\r\n` endings included.
+        let raw = b"\r\n  REQ 5\r\nMACHINE uniform 2 1 1\r\n\nDAG 1\r\n% x\r\n END \r\n\n";
+        assert_eq!(
+            reframe_request(raw, 9, Some(0x1f)),
+            b"REQ 9\nMACHINE uniform 2 1 1\r\n\nDAG 1\r\n% x\r\nOPTION trace 1f\nEND\n"
+        );
+        assert_eq!(
+            reframe_request(raw, 10, None),
+            b"REQ 10\nMACHINE uniform 2 1 1\r\n\nDAG 1\r\n% x\r\nEND\n"
+        );
+    }
+
+    #[test]
+    fn reply_encoders_write_these_bytes() {
+        let mut response = diamond_response();
+        let body = "PROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM 2\n0 0 1 0\n2 0 1 1\nEND\n";
+        let mut wire = String::new();
+        encode_response(&mut wire, &response);
+        assert_eq!(
+            wire,
+            format!("OK 7 cost 1234 supersteps 3 source warm micros 987 trace abc123\n{body}")
+        );
+        response.trace_id = 0;
+        response.source = ScheduleSource::Cold;
+        wire.clear();
+        encode_response(&mut wire, &response);
+        assert_eq!(
+            wire,
+            format!("OK 7 cost 1234 supersteps 3 source cold micros 987\n{body}")
+        );
+
+        wire.clear();
+        encode_error(
+            &mut wire,
+            3,
+            &ServeError::Machine("P is\nnot\na power".into()),
+        );
+        assert_eq!(
+            wire,
+            "ERR 3 machine bad machine description: P is not a power\n"
+        );
+
+        let records = journal_records();
+        let mut trace = WireTrace::from_record(&records[0]);
+        wire.clear();
+        encode_trace_reply(&mut wire, &trace);
+        assert_eq!(
+            wire,
+            "TRACE 10 source cold shard 1 total_us 900 spans 2\n\
+             SPAN 0 0 12 queue_wait\nSPAN 1 12 900 funnel\nEND\n"
+        );
+        trace.truncated = true;
+        trace.spans.clear();
+        wire.clear();
+        encode_trace_reply(&mut wire, &trace);
+        assert_eq!(
+            wire,
+            "TRACE 10 source cold shard 1 total_us 900 spans 0 truncated 1\nEND\n"
+        );
+
+        for (exposition, expected) in [
+            (
+                EXPOSITION,
+                "METRICS 4\n# TYPE x counter\nx 7\n# TYPE lat histogram\nlat_bucket{le=\"40\"} 2\nEND\n",
+            ),
+            ("a 1\nb 2", "METRICS 2\na 1\nb 2\nEND\n"),
+            ("", "METRICS 0\nEND\n"),
+        ] {
+            wire.clear();
+            encode_metrics_reply(&mut wire, exposition);
+            assert_eq!(wire, expected);
+        }
+
+        wire.clear();
+        encode_slow_reply(&mut wire, &records);
+        assert_eq!(
+            wire,
+            "SLOW 2\nTRACESUM 10 cold 1 900\nTRACESUM 11 warm -1 300\nEND\n"
+        );
+    }
+
     #[test]
     fn response_roundtrips_through_the_wire_encoding() {
         let response = diamond_response();
