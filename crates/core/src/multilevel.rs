@@ -1,4 +1,4 @@
-//! Names the frozen `benchmark/` compiles against; delete with ROADMAP item 2.
+//! Names the frozen `benchmark/` compiles against; delete with ROADMAP item 1 (benchmark v2).
 //!
 //! The one coarsening that pays is the exact funnel reduction, which opens
 //! [`Pipeline::run_report`]: a "multilevel" solve *is* a pipeline run, told
@@ -13,7 +13,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct MultilevelConfig {
     pub base: PipelineConfig,
-    /// Read by nothing (a solve is one thread); delete with ROADMAP item 2.
+    /// Read by nothing (a solve is one thread); delete with ROADMAP item 1 (benchmark v2).
     pub threads: usize,
 }
 

@@ -151,7 +151,7 @@ impl PipelineConfig {
     }
 
     /// Identity: a solve is one thread.  Kept because the frozen
-    /// `benchmark/` package calls it; delete with ROADMAP item 2.
+    /// `benchmark/` package calls it; delete with ROADMAP item 1 (benchmark v2).
     #[doc(hidden)]
     pub fn with_thread_budget(self, _budget: usize) -> Self {
         self

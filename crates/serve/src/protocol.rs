@@ -85,10 +85,11 @@
 //! lines that arrive.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
-use bsp_model::{BspSchedule, CommStep, Dag, Machine, NumaTopology};
+use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine, NumaTopology};
 use dag_gen::hyperdag::{append_hyperdag, hyperdag_line_count, read_hyperdag, HyperDagError};
-use std::fmt;
-use std::io::{self, BufRead, Read};
+use std::fmt::{self, Write as _};
+use std::io::{self, BufRead, Read, Write as _};
+use std::str::FromStr;
 use std::time::Duration;
 
 /// How the service solved (or retrieved) a schedule.
@@ -113,13 +114,11 @@ impl ScheduleSource {
         }
     }
 
-    fn parse(tok: &str) -> Option<Self> {
-        match tok {
-            "cold" => Some(ScheduleSource::Cold),
-            "exact" => Some(ScheduleSource::CacheExact),
-            "warm" => Some(ScheduleSource::CacheWarm),
-            _ => None,
-        }
+    fn parse(token: &str) -> Option<Self> {
+        use ScheduleSource::*;
+        [Cold, CacheExact, CacheWarm]
+            .into_iter()
+            .find(|source| source.as_str() == token)
     }
 }
 
@@ -149,16 +148,18 @@ impl Mode {
         }
     }
 
-    fn parse(tok: &str) -> Option<Self> {
-        match tok {
-            "default" => Some(Mode::Default),
-            "fast" => Some(Mode::Fast),
-            // `multilevel` named the coarsen–solve–refine scheduler, which
-            // was the pipeline plus members that never won; old clients may
-            // still send it.
-            "heuristics" | "multilevel" => Some(Mode::HeuristicsOnly),
-            _ => None,
-        }
+    fn parse(token: &str) -> Option<Self> {
+        // `multilevel` named the coarsen–solve–refine scheduler, which was
+        // the pipeline plus members that never won; old clients may still
+        // send it.
+        let token = if token == "multilevel" {
+            "heuristics"
+        } else {
+            token
+        };
+        [Mode::Default, Mode::Fast, Mode::HeuristicsOnly]
+            .into_iter()
+            .find(|mode| mode.as_str() == token)
     }
 }
 
@@ -376,23 +377,80 @@ fn malformed(line: &str, reason: impl Into<String>) -> ServeError {
     }
 }
 
-fn parse_u64(line: &str, tok: Option<&str>, what: &str) -> Result<u64, ServeError> {
-    tok.ok_or_else(|| malformed(line, format!("missing {what}")))?
-        .parse()
-        .map_err(|_| malformed(line, format!("{what} is not a number")))
+/// The whitespace-separated tokens of one text line — a request line, a
+/// reply header, a control reply's body line — read front to back.  Every
+/// error names the whole line: `missing <what>`, `<what> is not a number`,
+/// `<what> is not hex`.
+struct Tokens<'a> {
+    line: &'a str,
+    rest: &'a str,
 }
 
-/// The hex trace id of a control line (`TRACE <hex>`, `TRACESUM <hex> ...`).
-fn parse_trace_id(line: &str, tok: Option<&str>) -> Result<u64, ServeError> {
-    let hex = tok.ok_or_else(|| malformed(line, "missing trace id"))?;
-    u64::from_str_radix(hex, 16).map_err(|_| malformed(line, "trace id is not hex"))
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest.trim_start();
+        let end = rest.find(char::is_whitespace).unwrap_or(rest.len());
+        self.rest = &rest[end..];
+        (end > 0).then_some(&rest[..end])
+    }
 }
 
-/// The shard index of a control line (`-1` = unsharded).
-fn parse_shard(line: &str, tok: Option<&str>) -> Result<i32, ServeError> {
-    tok.ok_or_else(|| malformed(line, "missing shard"))?
-        .parse()
-        .map_err(|_| malformed(line, "shard is not a number"))
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Self {
+        Tokens { line, rest: line }
+    }
+
+    fn malformed(&self, reason: impl Into<String>) -> ServeError {
+        malformed(self.line, reason)
+    }
+
+    /// What is left of the line, without its leading blanks.
+    fn rest(&self) -> &'a str {
+        self.rest.trim_start()
+    }
+
+    fn word(&mut self, what: &str) -> Result<&'a str, ServeError> {
+        self.next()
+            .ok_or_else(|| self.malformed(format!("missing {what}")))
+    }
+
+    fn number<T: FromStr>(&mut self, what: &str) -> Result<T, ServeError> {
+        let token = self.word(what)?;
+        self.parse(token, what)
+    }
+
+    fn hex<T: TryFrom<u128>>(&mut self, what: &str) -> Result<T, ServeError> {
+        let token = self.word(what)?;
+        self.parse_hex(token, what)
+    }
+
+    fn parse<T: FromStr>(&self, token: &str, what: &str) -> Result<T, ServeError> {
+        token
+            .parse()
+            .map_err(|_| self.malformed(format!("{what} is not a number")))
+    }
+
+    /// `token` as a hex number of type `T` (a `u64` or the `u128`
+    /// fingerprint); a value `T` does not hold is not hex either.
+    fn parse_hex<T: TryFrom<u128>>(&self, token: &str, what: &str) -> Result<T, ServeError> {
+        u128::from_str_radix(token, 16)
+            .ok()
+            .and_then(|value| T::try_from(value).ok())
+            .ok_or_else(|| self.malformed(format!("{what} is not hex")))
+    }
+
+    /// The next `<key> <value>` pair of a header line (`None` at its end).
+    fn pair(&mut self) -> Result<Option<(&'a str, &'a str)>, ServeError> {
+        let Some(key) = self.next() else {
+            return Ok(None);
+        };
+        match self.next() {
+            Some(value) => Ok(Some((key, value))),
+            None => Err(self.malformed(format!("missing value for {key}"))),
+        }
+    }
 }
 
 /// Longest protocol line the *request* parser accepts.  Every legitimate
@@ -482,23 +540,37 @@ pub fn encode_machine(machine: &Machine) -> Result<String, ServeError> {
     }
 }
 
-fn parse_machine_line(line: &str) -> Result<Machine, ServeError> {
-    let mut it = line.split_whitespace();
-    let _verb = it.next();
-    let kind = it
-        .next()
-        .ok_or_else(|| malformed(line, "missing machine kind"))?;
-    let p = parse_u64(line, it.next(), "P")?;
-    let g = parse_u64(line, it.next(), "g")?;
-    let l = parse_u64(line, it.next(), "l")?;
-    let delta = match it.next() {
-        Some(tok) => Some(
-            tok.parse()
-                .map_err(|_| malformed(line, "delta is not a number"))?,
-        ),
+/// The machine of a `MACHINE <kind> <p> <g> <l> [<delta>]` line, its verb
+/// read.
+fn parse_machine(line: &mut Tokens<'_>) -> Result<Machine, ServeError> {
+    let kind = line.word("machine kind")?;
+    let (p, g, l) = (line.number("P")?, line.number("g")?, line.number("l")?);
+    let delta = match line.next() {
+        Some(token) => Some(line.parse(token, "delta")?),
         None => None,
     };
     build_machine(kind, p, g, l, delta)
+}
+
+/// Writes the envelope every request shares into `out`: `REQ <id>`, the
+/// lines `head` writes, `OPTION trace <hex>` when traced, the lines `tail`
+/// writes, `END`.
+fn write_request(
+    out: &mut Vec<u8>,
+    id: u64,
+    trace: Option<u64>,
+    head: impl FnOnce(&mut Vec<u8>),
+    tail: impl FnOnce(&mut Vec<u8>),
+) {
+    out.extend_from_slice(b"REQ ");
+    push_u64(out, id);
+    out.push(b'\n');
+    head(out);
+    if let Some(trace_id) = trace {
+        let _ = writeln!(out, "OPTION trace {trace_id:x}");
+    }
+    tail(out);
+    out.extend_from_slice(b"END\n");
 }
 
 /// Writes a request in wire form into `out` (borrowing its parts, so the
@@ -510,33 +582,27 @@ pub fn encode_request(
     machine: &Machine,
     options: &RequestOptions,
 ) -> Result<(), ServeError> {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "REQ {id}");
-    let _ = writeln!(out, "MACHINE {}", encode_machine(machine)?);
-    if let Some(d) = options.deadline {
-        // Round up so a sub-millisecond deadline becomes 1 ms rather than
-        // the wire's "0 = unbounded".
-        let _ = writeln!(
-            out,
-            "OPTION deadline_ms {}",
-            d.as_micros().div_ceil(1000).max(1)
-        );
-    }
-    let _ = writeln!(out, "OPTION mode {}", options.mode.as_str());
-    let _ = writeln!(
-        out,
-        "OPTION cache {}",
-        if options.use_cache { "on" } else { "off" }
-    );
-    if let Some(trace_id) = options.trace {
-        let _ = writeln!(out, "OPTION trace {trace_id:x}");
-    }
-    with_bytes(out, |bytes| {
-        bytes.extend_from_slice(b"DAG ");
-        push_u64(bytes, hyperdag_line_count(dag) as u64);
-        bytes.push(b'\n');
-        append_hyperdag(bytes, dag);
-        bytes.extend_from_slice(b"END\n");
+    let machine = encode_machine(machine)?;
+    let head = |out: &mut Vec<u8>| {
+        let _ = writeln!(out, "MACHINE {machine}");
+        if let Some(d) = options.deadline {
+            // Round up so a sub-millisecond deadline becomes 1 ms rather
+            // than the wire's "0 = unbounded".
+            let ms = d.as_micros().div_ceil(1000).max(1);
+            let _ = writeln!(out, "OPTION deadline_ms {ms}");
+        }
+        let cache = if options.use_cache { "on" } else { "off" };
+        let _ = writeln!(out, "OPTION mode {}", options.mode.as_str());
+        let _ = writeln!(out, "OPTION cache {cache}");
+    };
+    let dag_block = |out: &mut Vec<u8>| {
+        out.extend_from_slice(b"DAG ");
+        push_u64(out, hyperdag_line_count(dag) as u64);
+        out.push(b'\n');
+        append_hyperdag(out, dag);
+    };
+    with_bytes(out, |out| {
+        write_request(out, id, options.trace, head, dag_block)
     });
     Ok(())
 }
@@ -544,30 +610,24 @@ pub fn encode_request(
 /// Reads the next protocol message from `reader`.  Returns `Ok(None)` on a
 /// clean end of stream (peer closed between messages).
 pub fn read_incoming<R: BufRead>(reader: &mut R) -> Result<Option<Incoming>, ServeError> {
-    let first = loop {
-        let mut line = String::new();
+    let mut line = String::new();
+    while line.trim().is_empty() {
+        line.clear();
         if read_request_line(reader, &mut line)? == 0 {
             return Ok(None);
         }
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            break trimmed.to_string();
-        }
-    };
-    let mut it = first.split_whitespace();
-    match it.next() {
-        Some("STATS") if it.next() == Some("SLOW") => Ok(Some(Incoming::SlowStats)),
+    }
+    let mut first = Tokens::new(line.trim());
+    match first.next() {
+        Some("STATS") if first.next() == Some("SLOW") => Ok(Some(Incoming::SlowStats)),
         Some("METRICS") => Ok(Some(Incoming::Metrics)),
-        Some("TRACE") => Ok(Some(Incoming::Trace(parse_trace_id(&first, it.next())?))),
+        Some("TRACE") => Ok(Some(Incoming::Trace(first.hex("trace id")?))),
         Some("PING") => Ok(Some(Incoming::Ping)),
         Some("REQ") => {
-            let id = parse_u64(&first, it.next(), "request id")?;
+            let id = first.number("request id")?;
             read_request_body(reader, id).map(Some)
         }
-        _ => Err(malformed(
-            &first,
-            "expected REQ, STATS SLOW, METRICS, TRACE or PING",
-        )),
+        _ => Err(first.malformed("expected REQ, STATS SLOW, METRICS, TRACE or PING")),
     }
 }
 
@@ -626,7 +686,6 @@ pub fn read_incoming_verbatim<R: BufRead>(
 /// `OPTION trace` line before `END` (the last one wins).  `raw` must have
 /// parsed as [`Incoming::Request`].
 pub fn reframe_request(raw: &[u8], id: u64, trace: Option<u64>) -> Vec<u8> {
-    use std::io::Write as _;
     // The body starts after the first non-blank line (`REQ <id>`) and stops
     // where the last one (`END`) starts.
     let req = raw.iter().position(|b| !is_space(b)).unwrap_or(raw.len());
@@ -640,12 +699,8 @@ pub fn reframe_request(raw: &[u8], id: u64, trace: Option<u64>) -> Vec<u8> {
         .rposition(|&b| b == b'\n')
         .map_or(body_start, |i| (i + 1).max(body_start));
     let mut out = Vec::with_capacity(raw.len() + 64);
-    let _ = writeln!(out, "REQ {id}");
-    out.extend_from_slice(&raw[body_start..body_end]);
-    if let Some(trace_id) = trace {
-        let _ = writeln!(out, "OPTION trace {trace_id:x}");
-    }
-    out.extend_from_slice(b"END\n");
+    let body = |out: &mut Vec<u8>| out.extend_from_slice(&raw[body_start..body_end]);
+    write_request(&mut out, id, trace, body, |_| {});
     out
 }
 
@@ -657,72 +712,56 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
     let mut dag: Option<Dag> = None;
     let mut fingerprint: Option<u128> = None;
     let mut structure: Option<u64> = None;
+    let mut text = String::new();
     loop {
-        let mut line = String::new();
-        if read_request_line(reader, &mut line)? == 0 {
+        text.clear();
+        if read_request_line(reader, &mut text)? == 0 {
             return Err(ServeError::UnexpectedEof);
         }
-        let line = line.trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        match it.next() {
+        let mut line = Tokens::new(text.trim());
+        match line.next() {
+            None => continue,
             Some("END") => break,
             Some("FP") => {
-                let hex = it
-                    .next()
-                    .ok_or_else(|| malformed(&line, "missing fingerprint"))?;
-                fingerprint = Some(
-                    u128::from_str_radix(hex, 16)
-                        .map_err(|_| malformed(&line, "fingerprint is not hex"))?,
-                );
+                fingerprint = Some(line.hex("fingerprint")?);
                 // Optional second token: the structure key.  Tokens beyond
                 // it are ignored for forward compatibility.
-                if let Some(hex) = it.next() {
-                    structure = Some(
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|_| malformed(&line, "structure key is not hex"))?,
-                    );
+                if let Some(hex) = line.next() {
+                    structure = Some(line.parse_hex(hex, "structure key")?);
                 }
             }
-            Some("MACHINE") => machine = Some(parse_machine_line(&line)?),
-            Some("OPTION") => match it.next() {
+            Some("MACHINE") => machine = Some(parse_machine(&mut line)?),
+            Some("OPTION") => match line.next() {
                 Some("deadline_ms") => {
-                    let ms = parse_u64(&line, it.next(), "deadline")?;
+                    let ms = line.number("deadline")?;
                     options.deadline = (ms > 0).then(|| Duration::from_millis(ms));
                 }
                 Some("mode") => {
-                    let tok = it.next().ok_or_else(|| malformed(&line, "missing mode"))?;
-                    options.mode =
-                        Mode::parse(tok).ok_or_else(|| malformed(&line, "unknown mode"))?;
+                    let mode = Mode::parse(line.word("mode")?);
+                    options.mode = mode.ok_or_else(|| line.malformed("unknown mode"))?;
                 }
                 Some("cache") => {
-                    options.use_cache = match it.next() {
+                    options.use_cache = match line.next() {
                         Some("on") => true,
                         Some("off") => false,
-                        _ => return Err(malformed(&line, "cache must be on|off")),
+                        _ => return Err(line.malformed("cache must be on|off")),
                     };
                 }
                 Some("trace") => {
-                    let hex = it
-                        .next()
-                        .ok_or_else(|| malformed(&line, "missing trace id"))?;
-                    let trace_id = u64::from_str_radix(hex, 16)
-                        .map_err(|_| malformed(&line, "trace id is not hex"))?;
+                    let trace_id = line.hex("trace id")?;
                     options.trace = (trace_id != 0).then_some(trace_id);
                 }
-                _ => return Err(malformed(&line, "unknown option")),
+                _ => return Err(line.malformed("unknown option")),
             },
             Some("DAG") => {
-                let n_lines = parse_u64(&line, it.next(), "DAG line count")? as usize;
+                let n_lines: u64 = line.number("DAG line count")?;
                 if n_lines > 4_000_000 {
-                    return Err(malformed(&line, "DAG payload exceeds the service limit"));
+                    return Err(line.malformed("DAG payload exceeds the service limit"));
                 }
-                let text = read_dag_block(reader, n_lines)?;
+                let text = read_dag_block(reader, n_lines as usize)?;
                 dag = Some(read_hyperdag(&text)?);
             }
-            _ => return Err(malformed(&line, "unknown request line")),
+            _ => return Err(line.malformed("unknown request line")),
         }
     }
     if let Some(fingerprint) = fingerprint {
@@ -757,8 +796,8 @@ fn invalid_utf8() -> ServeError {
 /// The per-line checks of a `DAG` block: the line is UTF-8 (looked at only
 /// when `ascii` could not vouch for it) and is not an early `END`.
 fn check_dag_line(line: &[u8], ascii: bool) -> Result<(), ServeError> {
-    if !ascii && std::str::from_utf8(line).is_err() {
-        return Err(invalid_utf8());
+    if !ascii {
+        utf8(line)?;
     }
     // `END` and blanks around it; a hyperDAG line starts with a digit or a
     // `%`, so this is settled at the first non-blank byte.
@@ -872,20 +911,14 @@ pub fn encode_fingerprint_request(
     structure: Option<u64>,
     trace: Option<u64>,
 ) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "REQ {id}");
-    match structure {
-        Some(s) => {
-            let _ = writeln!(out, "FP {fingerprint:032x} {s:016x}");
+    let fp_line = |out: &mut Vec<u8>| {
+        let _ = write!(out, "FP {fingerprint:032x}");
+        if let Some(s) = structure {
+            let _ = write!(out, " {s:016x}");
         }
-        None => {
-            let _ = writeln!(out, "FP {fingerprint:032x}");
-        }
-    }
-    if let Some(trace_id) = trace {
-        let _ = writeln!(out, "OPTION trace {trace_id:x}");
-    }
-    out.push_str("END\n");
+        out.push(b'\n');
+    };
+    with_bytes(out, |out| write_request(out, id, trace, fp_line, |_| {}));
 }
 
 /// Writes a response in wire form into `out` (borrowing the schedule, so
@@ -899,7 +932,6 @@ pub fn encode_response_parts(
     trace_id: u64,
     schedule: &BspSchedule,
 ) {
-    use std::fmt::Write as _;
     let _ = write!(
         out,
         "OK {id} cost {cost} supersteps {} source {} micros {micros}",
@@ -950,7 +982,6 @@ pub fn encode_response(out: &mut String, response: &ScheduleResponse) {
 
 /// Writes an error reply for request `id` into `out`.
 pub fn encode_error(out: &mut String, id: u64, error: &ServeError) {
-    use std::fmt::Write as _;
     // The message is flattened to one line (the protocol is line-delimited).
     let msg: String = error
         .to_string()
@@ -1017,7 +1048,6 @@ impl WireTrace {
 
 /// Writes a `TRACE` reply in wire form into `out`.
 pub fn encode_trace_reply(out: &mut String, trace: &WireTrace) {
-    use std::fmt::Write as _;
     let _ = write!(
         out,
         "TRACE {:x} source {} shard {} total_us {} spans {}",
@@ -1041,119 +1071,194 @@ pub fn encode_trace_reply(out: &mut String, trace: &WireTrace) {
     out.push_str("END\n");
 }
 
-/// Reads one control reply — the frame the `TRACE`, `METRICS` and
-/// `STATS SLOW` answers share: a header `<verb> ...`, from which `head` takes
-/// the verb's state and the declared number of body lines (at most
-/// `max_lines`), that many lines, each handed to `body` as read, and `END`.
-/// An `ERR` line in place of the header is the server's error; a stream that
-/// ends anywhere before `END` is [`ServeError::UnexpectedEof`].  Nothing is
-/// sized from the declared count: the state grows with the lines that arrive.
-fn read_control_reply<R: BufRead, T>(
+/// One body line of a reply frame, as [`walk_reply`] hands it on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Part {
+    /// `PROC <π(0)> ...` of an `OK` frame.
+    Proc,
+    /// `STEP <τ(0)> ...`.
+    Step,
+    /// `COMM <k>`, with its `k`.
+    Comm(usize),
+    /// One of the k `<node> <from> <to> <step>` lines of an `OK` frame, or
+    /// of the lines a control header declares.
+    Line,
+    /// The closing `END`.
+    End,
+}
+
+/// A reply frame as [`walk_reply`] read it.
+enum Frame<T> {
+    /// The expected verb: the reader's state after the whole body.
+    Body(T),
+    /// An `ERR <id> <kind> <message...>` line in place of the header.
+    Err {
+        /// The id, or why it is not one.
+        id: Result<u64, ServeError>,
+        /// The line after the id, verbatim.
+        rest: String,
+        /// `<kind> <message...>` as a [`ServeError::Remote`].
+        error: ServeError,
+    },
+}
+
+/// Reads one reply frame: the header, then the body its verb announces —
+/// `PROC`, `STEP`, `COMM <k>` and k lines for `OK`, the number of lines the
+/// header declares (at most `max_lines`) for `TRACE`, `METRICS` and `SLOW`,
+/// nothing for `ERR` — and `END`.  `head` reads the header after `verb`,
+/// returning the reader's state and the declared count (0 for `OK`); `body`
+/// takes every body line as it is read, `END` included.  `Ok(None)` is a
+/// clean end of stream before the header; a stream that ends anywhere later
+/// is [`ServeError::UnexpectedEof`].  One line buffer serves the frame, and
+/// nothing is sized from a count the header declares.
+fn walk_reply<R: BufRead, T>(
     reader: &mut R,
     verb: &str,
     max_lines: u64,
-    head: impl FnOnce(&str, &mut std::str::SplitWhitespace<'_>) -> Result<(T, u64), ServeError>,
-    mut body: impl FnMut(&mut T, &str) -> Result<(), ServeError>,
-) -> Result<T, ServeError> {
-    let mut next_line = |line: &mut String| -> Result<(), ServeError> {
+    head: impl FnOnce(&mut Tokens<'_>) -> Result<(T, u64), ServeError>,
+    mut body: impl FnMut(&mut T, Part, &[u8]) -> Result<(), ServeError>,
+) -> Result<Option<Frame<T>>, ServeError> {
+    let mut line = Vec::new();
+    let mut next = |line: &mut Vec<u8>| {
         line.clear();
-        match reader.read_line(line)? {
+        match reader.read_until(b'\n', line)? {
             0 => Err(ServeError::UnexpectedEof),
             _ => Ok(()),
         }
     };
-    let mut line = String::new();
-    next_line(&mut line)?;
-    let header = line.trim().to_string();
-    let mut it = header.split_whitespace();
-    let (mut state, declared) = match it.next() {
+    match next(&mut line) {
+        Err(ServeError::UnexpectedEof) => return Ok(None),
+        read => read?,
+    }
+    let mut header = Tokens::new(utf8(&line)?.trim());
+    let (mut state, mut lines) = match header.next() {
         Some("ERR") => {
-            let _id = it.next();
-            let kind = it.next().unwrap_or("unknown").to_string();
-            if kind == "unknown-trace" {
-                return Err(ServeError::UnknownTrace);
-            }
-            let message = it.collect::<Vec<_>>().join(" ");
-            return Err(ServeError::Remote { kind, message });
+            let (id, rest) = (header.number("reply id"), header.rest().to_string());
+            let kind = header.next().unwrap_or("unknown").to_string();
+            let message = header.collect::<Vec<_>>().join(" ");
+            let error = ServeError::Remote { kind, message };
+            return Ok(Some(Frame::Err { id, rest, error }));
         }
-        Some(tok) if tok == verb => head(&header, &mut it)?,
-        _ => return Err(malformed(&header, format!("expected {verb} or ERR"))),
+        Some(first) if first == verb => head(&mut header)?,
+        _ => return Err(header.malformed(format!("expected {verb} or ERR"))),
     };
-    if declared > max_lines {
-        return Err(malformed(
-            &header,
-            format!("{verb} line count exceeds sanity limit"),
+    if lines > max_lines {
+        return Err(header.malformed(format!("{verb} line count exceeds sanity limit")));
+    }
+    if verb == "OK" {
+        for (part, list) in [(Part::Proc, "PROC"), (Part::Step, "STEP")] {
+            next(&mut line)?;
+            list_body(&line, list)?;
+            body(&mut state, part, &line)?;
+        }
+        next(&mut line)?;
+        let k = comm_count(&line)?;
+        body(&mut state, Part::Comm(k), &line)?;
+        lines = k as u64;
+    }
+    for _ in 0..lines {
+        next(&mut line)?;
+        body(&mut state, Part::Line, &line)?;
+    }
+    next(&mut line)?;
+    if line.trim_ascii() != b"END" {
+        let after = match verb {
+            "OK" => "response body".to_string(),
+            verb => format!("{verb} reply"),
+        };
+        return Err(malformed_bytes(
+            &line,
+            format!("expected END after {after}"),
         ));
     }
-    for _ in 0..declared {
-        next_line(&mut line)?;
-        body(&mut state, &line)?;
+    body(&mut state, Part::End, &line)?;
+    Ok(Some(Frame::Body(state)))
+}
+
+/// A line of text; bytes that are not UTF-8 are the error `read_line`
+/// raises on them.
+fn utf8(line: &[u8]) -> Result<&str, ServeError> {
+    std::str::from_utf8(line).map_err(|_| invalid_utf8())
+}
+
+/// [`walk_reply`] for a control verb: each body line is handed to `body`
+/// as text, and an `ERR` line is the error it carries.
+fn walk_control<R: BufRead, T>(
+    reader: &mut R,
+    verb: &str,
+    max_lines: u64,
+    head: impl FnOnce(&mut Tokens<'_>) -> Result<(T, u64), ServeError>,
+    mut body: impl FnMut(&mut T, &str) -> Result<(), ServeError>,
+) -> Result<T, ServeError> {
+    let frame = walk_reply(
+        reader,
+        verb,
+        max_lines,
+        head,
+        |state, part, line| match part {
+            Part::End => Ok(()),
+            _ => body(state, utf8(line)?),
+        },
+    )?;
+    match frame.ok_or(ServeError::UnexpectedEof)? {
+        Frame::Body(state) => Ok(state),
+        Frame::Err { error, .. } => Err(match error {
+            ServeError::Remote { kind, .. } if kind == "unknown-trace" => ServeError::UnknownTrace,
+            error => error,
+        }),
     }
-    next_line(&mut line)?;
-    if line.trim() != "END" {
-        return Err(malformed(
-            line.trim(),
-            format!("expected END after {verb} reply"),
-        ));
+}
+
+/// The tokens of a control reply's body line, whose first must be `verb`.
+fn control_line<'l>(line: &'l str, verb: &str) -> Result<Tokens<'l>, ServeError> {
+    let mut tokens = Tokens::new(line.trim());
+    match tokens.next() {
+        Some(first) if first == verb => Ok(tokens),
+        _ => Err(tokens.malformed(format!("expected {verb} line"))),
     }
-    Ok(state)
 }
 
 /// Reads a `TRACE` reply (or the `ERR` line answering an unknown id).
 pub fn read_trace_reply<R: BufRead>(reader: &mut R) -> Result<WireTrace, ServeError> {
-    read_control_reply(
-        reader,
-        "TRACE",
-        100_000,
-        |header, it| {
-            let mut trace = WireTrace {
-                trace_id: parse_trace_id(header, it.next())?,
-                source: String::new(),
-                shard: -1,
-                total_us: 0,
-                truncated: false,
-                spans: Vec::new(),
-            };
-            let mut n_spans = 0;
-            while let Some(key) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| malformed(header, format!("missing value for {key}")))?;
-                match key {
-                    "source" => trace.source = value.to_string(),
-                    "shard" => trace.shard = parse_shard(header, Some(value))?,
-                    "total_us" => trace.total_us = parse_u64(header, Some(value), "total_us")?,
-                    "spans" => n_spans = parse_u64(header, Some(value), "spans")?,
-                    "truncated" => trace.truncated = value != "0",
-                    _ => {} // forward-compatible: ignore unknown keys
-                }
+    let head = |header: &mut Tokens<'_>| {
+        let mut trace = WireTrace {
+            trace_id: header.hex("trace id")?,
+            source: String::new(),
+            shard: -1,
+            total_us: 0,
+            truncated: false,
+            spans: Vec::new(),
+        };
+        let mut n_spans = 0;
+        while let Some((key, value)) = header.pair()? {
+            match key {
+                "source" => trace.source = value.to_string(),
+                "shard" => trace.shard = header.parse(value, "shard")?,
+                "total_us" => trace.total_us = header.parse(value, "total_us")?,
+                "spans" => n_spans = header.parse(value, "spans")?,
+                "truncated" => trace.truncated = value != "0",
+                _ => {} // forward-compatible: ignore unknown keys
             }
-            Ok((trace, n_spans))
-        },
-        |trace, line| {
-            let line = line.trim();
-            let mut it = line.split_whitespace();
-            if it.next() != Some("SPAN") {
-                return Err(malformed(line, "expected SPAN line"));
-            }
-            trace.spans.push(WireSpan {
-                depth: parse_u64(line, it.next(), "span depth")? as u8,
-                start_us: parse_u64(line, it.next(), "span start")?,
-                dur_us: parse_u64(line, it.next(), "span duration")?,
-                name: it
-                    .next()
-                    .ok_or_else(|| malformed(line, "missing span name"))?
-                    .to_string(),
-            });
-            Ok(())
-        },
-    )
+        }
+        Ok((trace, n_spans))
+    };
+    walk_control(reader, "TRACE", 100_000, head, |trace, line| {
+        let mut span = control_line(line, "SPAN")?;
+        // A depth past `u8` is refused, not truncated.
+        let depth: u64 = span.number("span depth")?;
+        trace.spans.push(WireSpan {
+            depth: u8::try_from(depth).map_err(|_| span.malformed("span depth is out of range"))?,
+            start_us: span.number("span start")?,
+            dur_us: span.number("span duration")?,
+            name: span.word("span name")?.to_string(),
+        });
+        Ok(())
+    })
 }
 
 /// Writes a `METRICS` reply (the exposition text, framed by a line count) in
 /// wire form into `out`.
 pub fn encode_metrics_reply(out: &mut String, exposition: &str) {
-    use std::fmt::Write as _;
     let _ = writeln!(out, "METRICS {}", exposition.lines().count());
     out.push_str(exposition);
     if !exposition.is_empty() && !exposition.ends_with('\n') {
@@ -1164,19 +1269,11 @@ pub fn encode_metrics_reply(out: &mut String, exposition: &str) {
 
 /// Reads a `METRICS` reply, returning the exposition text.
 pub fn read_metrics_reply<R: BufRead>(reader: &mut R) -> Result<String, ServeError> {
-    read_control_reply(
-        reader,
-        "METRICS",
-        1_000_000,
-        |header, it| {
-            let n_lines = parse_u64(header, it.next(), "METRICS line count")?;
-            Ok((String::new(), n_lines))
-        },
-        |text, line| {
-            text.push_str(line);
-            Ok(())
-        },
-    )
+    let head = |header: &mut Tokens<'_>| Ok((String::new(), header.number("METRICS line count")?));
+    walk_control(reader, "METRICS", 1_000_000, head, |text, line| {
+        text.push_str(line);
+        Ok(())
+    })
 }
 
 /// One entry of the slow-request journal summary (`STATS SLOW`).
@@ -1194,7 +1291,6 @@ pub struct SlowEntry {
 
 /// Writes a `STATS SLOW` reply in wire form into `out`.
 pub fn encode_slow_reply(out: &mut String, entries: &[crate::obs::TraceRecord]) {
-    use std::fmt::Write as _;
     let _ = writeln!(out, "SLOW {}", entries.len());
     for rec in entries {
         let _ = writeln!(
@@ -1208,29 +1304,17 @@ pub fn encode_slow_reply(out: &mut String, entries: &[crate::obs::TraceRecord]) 
 
 /// Reads a `STATS SLOW` reply.
 pub fn read_slow_reply<R: BufRead>(reader: &mut R) -> Result<Vec<SlowEntry>, ServeError> {
-    read_control_reply(
-        reader,
-        "SLOW",
-        100_000,
-        |header, it| Ok((Vec::new(), parse_u64(header, it.next(), "SLOW count")?)),
-        |entries, line| {
-            let line = line.trim();
-            let mut it = line.split_whitespace();
-            if it.next() != Some("TRACESUM") {
-                return Err(malformed(line, "expected TRACESUM line"));
-            }
-            entries.push(SlowEntry {
-                trace_id: parse_trace_id(line, it.next())?,
-                source: it
-                    .next()
-                    .ok_or_else(|| malformed(line, "missing source"))?
-                    .to_string(),
-                shard: parse_shard(line, it.next())?,
-                total_us: parse_u64(line, it.next(), "total_us")?,
-            });
-            Ok(())
-        },
-    )
+    let head = |header: &mut Tokens<'_>| Ok((Vec::new(), header.number("SLOW count")?));
+    walk_control(reader, "SLOW", 100_000, head, |entries, line| {
+        let mut entry = control_line(line, "TRACESUM")?;
+        entries.push(SlowEntry {
+            trace_id: entry.hex("trace id")?,
+            source: entry.word("source")?.to_string(),
+            shard: entry.number("shard")?,
+            total_us: entry.number("total_us")?,
+        });
+        Ok(())
+    })
 }
 
 /// The blank-separated tokens of one reply line, read off its bytes as
@@ -1269,21 +1353,87 @@ fn schedule_entry(entry: Option<u64>) -> Result<u32, &'static str> {
     u32::try_from(entry).map_err(|_| "is out of range")
 }
 
-/// Parses `<expect> <x0> <x1> ...`.  The list is sized from the line it is
-/// read from, never from a count the peer declares.
-fn parse_u32_list(line: &[u8], expect: &str) -> Result<Vec<u32>, ServeError> {
-    let body = line
-        .trim_ascii_start()
-        .strip_prefix(expect.as_bytes())
+/// The numbers of a `<verb> <x0> <x1> ...` line, after its verb.
+fn list_body<'l>(line: &'l [u8], verb: &str) -> Result<&'l [u8], ServeError> {
+    line.trim_ascii_start()
+        .strip_prefix(verb.as_bytes())
         .filter(|rest| rest.first().is_none_or(is_space))
-        .ok_or_else(|| malformed_bytes(line, format!("expected {expect} line")))?;
+        .ok_or_else(|| malformed_bytes(line, format!("expected {verb} line")))
+}
+
+/// Parses `<verb> <x0> <x1> ...`.  The list is sized from the line it is
+/// read from, never from a count the peer declares.
+fn parse_u32_list(line: &[u8], verb: &str) -> Result<Vec<u32>, ServeError> {
+    let body = list_body(line, verb)?;
     let mut list = Vec::with_capacity(body.len() / 2);
     for entry in Numbers(body) {
         let entry = schedule_entry(entry)
-            .map_err(|why| malformed_bytes(line, format!("{expect} entry {why}")))?;
+            .map_err(|why| malformed_bytes(line, format!("{verb} entry {why}")))?;
         list.push(entry);
     }
     Ok(list)
+}
+
+/// The `k` of a `COMM <k>` line.
+fn comm_count(line: &[u8]) -> Result<usize, ServeError> {
+    let text = String::from_utf8_lossy(line);
+    let mut comm = Tokens::new(text.trim());
+    if comm.next() != Some("COMM") {
+        return Err(comm.malformed("expected COMM line"));
+    }
+    let k: u64 = comm.number("COMM count")?;
+    if k > 64_000_000 {
+        return Err(comm.malformed("COMM count exceeds sanity limit"));
+    }
+    Ok(k as usize)
+}
+
+/// One `<node> <from> <to> <step>` line; tokens beyond the four are
+/// ignored, as everywhere.
+fn comm_step(line: &[u8]) -> Result<CommStep, ServeError> {
+    let mut fields = Numbers(line);
+    let mut field = |what: &str| match fields.next() {
+        Some(entry) => {
+            schedule_entry(entry).map_err(|why| malformed_bytes(line, format!("{what} {why}")))
+        }
+        None => Err(malformed_bytes(line, format!("missing {what}"))),
+    };
+    Ok(CommStep {
+        node: field("comm node")?,
+        from: field("comm from")?,
+        to: field("comm to")?,
+        step: field("comm step")?,
+    })
+}
+
+/// An `OK` header's `<key> <value>` pairs after its id, as a response with
+/// an empty schedule.  Keys this side does not know are skipped, so a newer
+/// server can add fields.
+fn read_ok_header(id: u64, header: &mut Tokens<'_>) -> Result<ScheduleResponse, ServeError> {
+    let (assignment, comm) = (Assignment::default(), CommSchedule::empty());
+    let mut ok = ScheduleResponse {
+        id,
+        cost: 0,
+        supersteps: 0,
+        source: ScheduleSource::Cold,
+        micros: 0,
+        trace_id: 0,
+        schedule: BspSchedule { assignment, comm },
+    };
+    while let Some((key, value)) = header.pair()? {
+        match key {
+            "cost" => ok.cost = header.parse(value, "cost")?,
+            "supersteps" => ok.supersteps = header.parse(value, "supersteps")?,
+            "source" => {
+                let source = ScheduleSource::parse(value);
+                ok.source = source.ok_or_else(|| header.malformed("unknown source"))?;
+            }
+            "micros" => ok.micros = header.parse(value, "micros")?,
+            "trace" => ok.trace_id = header.parse_hex(value, "trace id")?,
+            _ => {}
+        }
+    }
+    Ok(ok)
 }
 
 /// A reply frame captured verbatim for proxying: the router reads a frame
@@ -1300,86 +1450,57 @@ pub struct RawReply {
     /// Every body line (`PROC` through `END`), verbatim, newline-terminated;
     /// empty for `ERR` frames.
     pub body: String,
+    /// The `OK` header's `source` (`None` for `ERR`).
+    pub(crate) source: Option<ScheduleSource>,
 }
 
 impl RawReply {
     /// Re-encodes the frame with a different correlation id.
     pub fn encode_with_id(&self, id: u64) -> String {
         let verb = if self.is_err { "ERR" } else { "OK" };
-        if self.header_rest.is_empty() {
-            format!("{verb} {id}\n{}", self.body)
-        } else {
-            format!("{verb} {id} {}\n{}", self.header_rest, self.body)
-        }
+        let blank = if self.header_rest.is_empty() { "" } else { " " };
+        format!("{verb} {id}{blank}{}\n{}", self.header_rest, self.body)
     }
 }
 
-/// Reads one reply frame without parsing the schedule (see [`RawReply`]).
-/// Returns `Ok(None)` on a clean end of stream between frames.
+/// Reads one reply frame without parsing the schedule (see [`RawReply`]):
+/// the frames [`read_reply`] reads, the body kept as text.  Returns
+/// `Ok(None)` on a clean end of stream between frames.
 pub fn read_raw_reply<R: BufRead>(reader: &mut R) -> Result<Option<RawReply>, ServeError> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Ok(None);
-    }
-    let header = header.trim_end().to_string();
-    let mut it = header.splitn(3, ' ');
-    let verb = it.next().unwrap_or("");
-    let is_err = match verb {
-        "OK" => false,
-        "ERR" => true,
-        _ => return Err(malformed(&header, "expected OK or ERR")),
+    let head = |header: &mut Tokens<'_>| {
+        let id = header.number("reply id")?;
+        let header_rest = header.rest().to_string();
+        let source = Some(read_ok_header(id, header)?.source);
+        let body = String::new();
+        Ok((
+            RawReply {
+                id,
+                is_err: false,
+                header_rest,
+                body,
+                source,
+            },
+            0,
+        ))
     };
-    let id = parse_u64(&header, it.next(), "reply id")?;
-    let header_rest = it.next().unwrap_or("").to_string();
-    let mut body = String::new();
-    if !is_err {
-        for expect in ["PROC", "STEP"] {
-            let before = body.len();
-            if reader.read_line(&mut body)? == 0 {
-                return Err(ServeError::UnexpectedEof);
-            }
-            if !body[before..].starts_with(expect) {
-                return Err(malformed(
-                    body[before..].trim(),
-                    format!("expected {expect} line"),
-                ));
-            }
+    let frame = walk_reply(reader, "OK", 0, head, |raw, _, line| {
+        raw.body.push_str(utf8(line)?);
+        Ok(())
+    })?;
+    Ok(match frame {
+        Some(Frame::Body(raw)) => Some(raw),
+        Some(Frame::Err { id, rest, .. }) => {
+            let (id, body) = (id?, String::new());
+            Some(RawReply {
+                id,
+                is_err: true,
+                header_rest: rest,
+                body,
+                source: None,
+            })
         }
-        let before = body.len();
-        if reader.read_line(&mut body)? == 0 {
-            return Err(ServeError::UnexpectedEof);
-        }
-        let comm_header = body[before..].trim().to_string();
-        let mut cit = comm_header.split_whitespace();
-        if cit.next() != Some("COMM") {
-            return Err(malformed(&comm_header, "expected COMM line"));
-        }
-        let k = parse_u64(&comm_header, cit.next(), "COMM count")? as usize;
-        if k > 64_000_000 {
-            return Err(malformed(&comm_header, "COMM count exceeds sanity limit"));
-        }
-        for _ in 0..k {
-            if reader.read_line(&mut body)? == 0 {
-                return Err(ServeError::UnexpectedEof);
-            }
-        }
-        let before = body.len();
-        if reader.read_line(&mut body)? == 0 {
-            return Err(ServeError::UnexpectedEof);
-        }
-        if body[before..].trim() != "END" {
-            return Err(malformed(
-                body[before..].trim(),
-                "expected END after response body",
-            ));
-        }
-    }
-    Ok(Some(RawReply {
-        id,
-        is_err,
-        header_rest,
-        body,
-    }))
+        None => None,
+    })
 }
 
 /// One complete reply as seen by a pipelined reader: a schedule response, or
@@ -1400,117 +1521,35 @@ pub enum Reply {
 }
 
 /// Reads the next reply (in wire order, which under pipelining is completion
-/// order, not submission order) from `reader`.
+/// order, not submission order) from `reader`.  The schedule is parsed from
+/// bytes: no UTF-8 pass and no tokenizer over what can be megabytes of
+/// digits.
 pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
-    let mut header = String::new();
-    if reader.read_line(&mut header)? == 0 {
-        return Err(ServeError::UnexpectedEof);
-    }
-    let header = header.trim().to_string();
-    let mut it = header.split_whitespace();
-    match it.next() {
-        Some("ERR") => {
-            let id = it.next().and_then(|tok| tok.parse().ok()).unwrap_or(0);
-            let kind = it.next().unwrap_or("unknown").to_string();
-            let message = it.collect::<Vec<_>>().join(" ");
-            Ok(Reply::Err {
-                id,
-                error: ServeError::Remote { kind, message },
-            })
-        }
-        Some("OK") => {
-            let id = parse_u64(&header, it.next(), "response id")?;
-            let mut cost = 0u64;
-            let mut supersteps = 0usize;
-            let mut source = ScheduleSource::Cold;
-            let mut micros = 0u64;
-            let mut trace_id = 0u64;
-            while let Some(key) = it.next() {
-                let value = it
-                    .next()
-                    .ok_or_else(|| malformed(&header, format!("missing value for {key}")))?;
-                match key {
-                    "cost" => cost = parse_u64(&header, Some(value), "cost")?,
-                    "supersteps" => {
-                        supersteps = parse_u64(&header, Some(value), "supersteps")? as usize
-                    }
-                    "source" => {
-                        source = ScheduleSource::parse(value)
-                            .ok_or_else(|| malformed(&header, "unknown source"))?
-                    }
-                    "micros" => micros = parse_u64(&header, Some(value), "micros")?,
-                    "trace" => {
-                        trace_id = u64::from_str_radix(value, 16)
-                            .map_err(|_| malformed(&header, "trace id is not hex"))?
-                    }
-                    _ => {} // forward-compatible: ignore unknown keys
+    let mut steps = Vec::new();
+    let head =
+        |header: &mut Tokens<'_>| Ok((read_ok_header(header.number("response id")?, header)?, 0));
+    let frame = walk_reply(reader, "OK", 0, head, |response, part, line| {
+        let schedule = &mut response.schedule;
+        match part {
+            Part::Proc => schedule.assignment.proc = parse_u32_list(line, "PROC")?,
+            Part::Step => {
+                schedule.assignment.superstep = parse_u32_list(line, "STEP")?;
+                if schedule.assignment.proc.len() != schedule.assignment.superstep.len() {
+                    return Err(malformed_bytes(line, "PROC and STEP lengths differ"));
                 }
             }
-            // The schedule is parsed from bytes: no UTF-8 pass and no
-            // tokenizer over what can be megabytes of digits.
-            let mut line: Vec<u8> = Vec::new();
-            next_line(reader, &mut line)?;
-            let proc = parse_u32_list(&line, "PROC")?;
-            next_line(reader, &mut line)?;
-            let superstep = parse_u32_list(&line, "STEP")?;
-            if proc.len() != superstep.len() {
-                return Err(malformed_bytes(&line, "PROC and STEP lengths differ"));
-            }
-            next_line(reader, &mut line)?;
-            let comm_header = String::from_utf8_lossy(&line).trim().to_string();
-            let mut cit = comm_header.split_whitespace();
-            if cit.next() != Some("COMM") {
-                return Err(malformed(&comm_header, "expected COMM line"));
-            }
-            let k = parse_u64(&comm_header, cit.next(), "COMM count")? as usize;
-            if k > 64_000_000 {
-                return Err(malformed(&comm_header, "COMM count exceeds sanity limit"));
-            }
-            let mut steps = Vec::with_capacity(k.min(1 << 20));
-            for _ in 0..k {
-                next_line(reader, &mut line)?;
-                // Tokens beyond the four are ignored, as everywhere.
-                let mut fields = Numbers(&line);
-                let mut field = |what: &str| match fields.next() {
-                    Some(entry) => schedule_entry(entry)
-                        .map_err(|why| malformed_bytes(&line, format!("{what} {why}"))),
-                    None => Err(malformed_bytes(&line, format!("missing {what}"))),
-                };
-                steps.push(CommStep {
-                    node: field("comm node")?,
-                    from: field("comm from")?,
-                    to: field("comm to")?,
-                    step: field("comm step")?,
-                });
-            }
-            next_line(reader, &mut line)?;
-            if line.trim_ascii() != b"END" {
-                return Err(malformed_bytes(&line, "expected END after response body"));
-            }
-            Ok(Reply::Ok(ScheduleResponse {
-                id,
-                cost,
-                supersteps,
-                source,
-                micros,
-                trace_id,
-                schedule: BspSchedule {
-                    assignment: bsp_model::Assignment { proc, superstep },
-                    comm: bsp_model::CommSchedule::from_steps(steps),
-                },
-            }))
+            Part::Comm(k) => steps.reserve(k.min(1 << 20)),
+            Part::Line => steps.push(comm_step(line)?),
+            Part::End => schedule.comm = CommSchedule::from_steps(std::mem::take(&mut steps)),
         }
-        _ => Err(malformed(&header, "expected OK or ERR")),
-    }
-}
-
-/// Replaces `line` with the next line of `reader`; the stream ending first is
-/// [`ServeError::UnexpectedEof`], as in [`read_raw_reply`].
-fn next_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> Result<(), ServeError> {
-    line.clear();
-    match reader.read_until(b'\n', line)? {
-        0 => Err(ServeError::UnexpectedEof),
-        _ => Ok(()),
+        Ok(())
+    })?;
+    match frame.ok_or(ServeError::UnexpectedEof)? {
+        Frame::Body(response) => Ok(Reply::Ok(response)),
+        Frame::Err { id, error, .. } => Ok(Reply::Err {
+            id: id.unwrap_or(0),
+            error,
+        }),
     }
 }
 
@@ -1928,6 +1967,90 @@ mod tests {
                     &wire[..cut]
                 );
             }
+        }
+    }
+
+    /// How far `read` got into `wire` followed by a second, canonical frame:
+    /// the bytes it consumed, or its error.
+    fn consumed<T, E>(wire: &str, read: impl Fn(&mut &[u8]) -> Result<T, E>) -> Result<usize, E> {
+        let stream = format!("{wire}OK 9 cost 1 supersteps 1\nPROC 0\nSTEP 0\nCOMM 0\nEND\n");
+        let mut rest = stream.as_bytes();
+        read(&mut rest).map(|_| stream.len() - rest.len())
+    }
+
+    #[test]
+    fn the_router_and_the_client_accept_the_same_ok_frames() {
+        let mut canonical = String::new();
+        encode_response(&mut canonical, &diamond_response());
+        let (header, body) = canonical.split_once('\n').unwrap();
+        let mut frames = vec![
+            canonical.clone(),
+            format!("{}\n{body}", header.replace(' ', "\t")),
+            format!(
+                "  {header}\n {}",
+                body.replace('\n', "\n ").trim_end_matches(' ')
+            ),
+            format!("{header} \r\n{}", body.replace('\n', " \r\n")),
+            format!("{header}\nPROCX 0 1 0 1\nSTEP 0 1 1 2\nCOMM 0\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEPS 0 1 1 2\nCOMM 0\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMMA 0\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM 2\n0 0 1 0\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM 1\n0 0 1 0\n2 0 1 1\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM 0\nEND\n"),
+            format!("{header}\nPROC\nSTEP\nCOMM 0\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM\nEND\n"),
+            format!("{header}\nPROC 0 1 0 1\nSTEP 0 1 1 2\nCOMM 0\nEND x\n"),
+            format!("{header} bogus\n{body}"),
+            format!("{header} source bogus\n{body}"),
+            format!("OKAY 7\n{body}"),
+            format!("OK\n{body}"),
+            format!("OK 7 cost\n{body}"),
+        ];
+        let boundaries = canonical.match_indices('\n').map(|(i, _)| i + 1);
+        frames.extend(
+            boundaries
+                .filter(|&cut| cut < canonical.len())
+                .map(|cut| canonical[..cut].to_string()),
+        );
+        let mut accepted = 0;
+        for wire in &frames {
+            let client = consumed(wire, |r| read_reply(r));
+            let router = consumed(wire, |r| read_raw_reply(r).map(Option::unwrap));
+            assert_eq!(
+                client.is_ok(),
+                router.is_ok(),
+                "{wire:?}: {client:?} / {router:?}"
+            );
+            if let (Ok(client), Ok(router)) = (client, router) {
+                assert_eq!((client, router), (wire.len(), wire.len()), "{wire:?}");
+                accepted += 1;
+            }
+        }
+        assert_eq!(
+            accepted, 6,
+            "the canonical frame, its three respacings and two bodies"
+        );
+        // What the router forwards of an accepted frame is what it read.
+        let raw = read_raw_reply(&mut canonical.as_bytes()).unwrap().unwrap();
+        assert_eq!(raw.encode_with_id(7), canonical);
+        assert_eq!(raw.source, Some(ScheduleSource::CacheWarm));
+    }
+
+    #[test]
+    fn span_depths_past_u8_are_malformed_not_truncated() {
+        let trace = |depth: u64| {
+            let wire = format!("TRACE 10 spans 1\nSPAN {depth} 0 5 solve\nEND\n");
+            read_trace_reply(&mut wire.as_bytes())
+        };
+        assert_eq!(trace(255).unwrap().spans[0].depth, 255);
+        match trace(300) {
+            Err(ServeError::Malformed { line, reason }) => {
+                assert_eq!(
+                    (&*line, &*reason),
+                    ("SPAN 300 0 5 solve", "span depth is out of range")
+                )
+            }
+            other => panic!("depth 300 was not refused: {other:?}"),
         }
     }
 

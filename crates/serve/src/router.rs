@@ -85,7 +85,7 @@ use crate::placement::{Decision, LoadView, Placement};
 use crate::protocol::{
     encode_error, encode_fingerprint_request, encode_metrics_reply, encode_slow_reply,
     encode_trace_reply, read_incoming_verbatim, read_raw_reply, reframe_request, Incoming,
-    RawReply, ServeError, WireSpan, WireTrace,
+    ServeError, WireSpan, WireTrace,
 };
 use crate::server::{
     acceptor_loop, frame_ready, register_conn_thread, writer_loop, AcceptState, SLOW_LOG_CAP,
@@ -792,27 +792,6 @@ fn journal_route(shared: &RouterShared, entry: &PendingRoute, source: &'static s
     });
 }
 
-/// Maps a raw reply's OK-header `source` token to the journal's static
-/// label; errors and unrecognized tokens both read as `"error"`.
-fn reply_source_token(raw: &RawReply) -> &'static str {
-    if raw.is_err {
-        return "error";
-    }
-    let mut it = raw.header_rest.split_whitespace();
-    while let Some(key) = it.next() {
-        let value = it.next();
-        if key == "source" {
-            return match value {
-                Some("cold") => "cold",
-                Some("exact") => "exact",
-                Some("warm") => "warm",
-                _ => "error",
-            };
-        }
-    }
-    "error"
-}
-
 /// Re-runs everything pending on a dead shard on the remaining live ones.
 /// `generation` scopes the teardown: only the writer of the connection the
 /// exiting demux belonged to is cleared, never a newer revival's.
@@ -860,7 +839,8 @@ fn demux_loop(shared: &Arc<RouterShared>, shard: usize, generation: u64, stream:
         // An unknown id can only be a duplicate from a raced failover
         // re-run; the first answer already won.
         if let Some(entry) = entry {
-            journal_route(shared, &entry, reply_source_token(&raw), shard as i32);
+            let source = raw.source.map_or("error", |source| source.as_str());
+            journal_route(shared, &entry, source, shard as i32);
             let text = raw.encode_with_id(entry.client_id);
             entry.finish(text);
         }

@@ -87,7 +87,7 @@ pub struct ServerConfig {
     /// `service.store` wins over this field.
     pub store_dir: Option<PathBuf>,
     /// Read by nothing: a solve is one thread.  The frozen `benchmark/`
-    /// names it in a struct literal; delete with ROADMAP item 2.
+    /// names it in a struct literal; delete with ROADMAP item 1 (benchmark v2).
     #[doc(hidden)]
     pub solve_threads: usize,
 }

@@ -65,11 +65,11 @@ pub struct ServiceConfig {
     /// not the range owner of (`adopted_foreign`).
     pub placement: Option<PlacementScope>,
     /// Read by nothing.  The frozen `benchmark/` names it in a struct
-    /// literal; delete with ROADMAP item 2.
+    /// literal; delete with ROADMAP item 1 (benchmark v2).
     #[doc(hidden)]
     pub min_coarse_nodes: usize,
     /// Read by nothing: a solve is one thread.  The frozen `benchmark/`
-    /// names it in a struct literal; delete with ROADMAP item 2.
+    /// names it in a struct literal; delete with ROADMAP item 1 (benchmark v2).
     #[doc(hidden)]
     pub solve_threads: usize,
 }
