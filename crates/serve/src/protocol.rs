@@ -64,25 +64,37 @@
 //! end in `\n` or `\r\n`.  Inside a `DAG` block the hyperDAG grammar applies
 //! (blank lines and `%` comments anywhere, non-ASCII text only in comments).
 //!
-//! ## Cost and allocation bounds
+//! ## Readers, cost and allocation bounds
 //!
-//! Every byte of a message is looked at once.  On the request side (the
-//! trust boundary) nothing is sized from a number the peer declares: a line
-//! is read into a buffer that stops growing at `MAX_REQUEST_LINE_BYTES`,
-//! a `DAG <n>` block (`n` ≤ 4 M lines) is copied out of the reader's buffer
-//! a buffer-full at a time into a text that grows only with the bytes that
-//! have arrived — one ASCII test per buffer-full and one UTF-8 check per
-//! block instead of one per line, the line cap and the early-`END` check
-//! kept per line — and [`read_hyperdag`] bounds its own buffers by that
-//! text's length.  [`read_incoming_verbatim`] keeps one copy of the
-//! message's bytes so a proxy can forward a request as it was received
-//! ([`reframe_request`]) instead of encoding it again.  On the response
-//! side (a trusted server) `PROC` / `STEP` / `COMM` are parsed from bytes
-//! into vectors sized from the line being parsed, `COMM <k>` reserves at
-//! most 2^20 steps up front, and the encoders push decimals straight into
-//! the output buffer without `fmt`.  A control reply (`TRACE`, `METRICS`,
-//! `SLOW`) caps the line count its header declares and grows only with the
-//! lines that arrive.
+//! Each wire direction has one reader.  Every byte of a message is looked
+//! at once, and no reader copies a line or a token just to parse it.
+//!
+//! **Requests** (the trust boundary).  Nothing is sized from a number the
+//! peer declares.  A line is read into a buffer that stops growing at
+//! `MAX_REQUEST_LINE_BYTES` and split by one token cursor that borrows it
+//! (words, decimal and hex numbers, `<key> <value>` pairs; every error names
+//! the line).  A `DAG <n>` block (`n` ≤ 4 M lines) is copied out of the
+//! reader's buffer a buffer-full at a time into a text that grows only with
+//! the bytes that have arrived — one ASCII test per buffer-full and one
+//! UTF-8 check per block instead of one per line, the line cap and the
+//! early-`END` check kept per line — and [`read_hyperdag`] bounds its own
+//! buffers by that text's length.  [`read_incoming_verbatim`] keeps one
+//! copy of the message's bytes so a proxy can forward a request as it was
+//! received ([`reframe_request`]) instead of encoding it again; it and the
+//! two request encoders write one `REQ` … `END` envelope.
+//!
+//! **Replies** (from a trusted server).  One walker reads every frame: the
+//! header verb decides the body — `PROC`, `STEP`, `COMM <k>` and k lines for
+//! `OK`, the line count a `TRACE`, `METRICS` or `SLOW` header declares
+//! (capped per verb), nothing for `ERR` — and one line buffer serves the
+//! whole frame.  Each body line is handed to the reader as bytes:
+//! [`read_reply`] parses `PROC` / `STEP` / `COMM` from them into vectors
+//! sized from the line being parsed (`COMM <k>` reserves at most 2^20 steps
+//! up front), [`read_raw_reply`] copies them verbatim for the router after
+//! reading only the header, so the router accepts exactly the frames the
+//! client does, and the control readers grow only with the lines that
+//! arrive.  The encoders push decimals straight into the output buffer
+//! without `fmt`.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
 use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine, NumaTopology};
@@ -461,20 +473,30 @@ impl<'a> Tokens<'a> {
 /// side reads from a trusted server.
 const MAX_REQUEST_LINE_BYTES: u64 = 1 << 20;
 
-/// `read_line` with the request-boundary length cap.
-fn read_request_line<R: BufRead>(reader: &mut R, line: &mut String) -> Result<usize, ServeError> {
-    let before = line.len();
-    let n = reader
-        .by_ref()
-        .take(MAX_REQUEST_LINE_BYTES)
-        .read_line(line)?;
-    if n as u64 == MAX_REQUEST_LINE_BYTES && !line[before..].ends_with('\n') {
-        return Err(malformed(
-            "",
-            format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-        ));
+/// The tokens of the next non-blank line of a request, read into `text`
+/// with the request-boundary length cap (`None` at the end of the stream).
+fn request_line<'t, R: BufRead>(
+    reader: &mut R,
+    text: &'t mut String,
+) -> Result<Option<Tokens<'t>>, ServeError> {
+    text.clear();
+    while text.trim().is_empty() {
+        text.clear();
+        let n = reader
+            .by_ref()
+            .take(MAX_REQUEST_LINE_BYTES)
+            .read_line(text)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if n as u64 == MAX_REQUEST_LINE_BYTES && !text.ends_with('\n') {
+            return Err(malformed(
+                "",
+                format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+            ));
+        }
     }
-    Ok(n)
+    Ok(Some(Tokens::new(text.trim())))
 }
 
 /// Validates machine parameters *before* constructing a [`Machine`] (whose
@@ -610,14 +632,10 @@ pub fn encode_request(
 /// Reads the next protocol message from `reader`.  Returns `Ok(None)` on a
 /// clean end of stream (peer closed between messages).
 pub fn read_incoming<R: BufRead>(reader: &mut R) -> Result<Option<Incoming>, ServeError> {
-    let mut line = String::new();
-    while line.trim().is_empty() {
-        line.clear();
-        if read_request_line(reader, &mut line)? == 0 {
-            return Ok(None);
-        }
-    }
-    let mut first = Tokens::new(line.trim());
+    let mut text = String::new();
+    let Some(mut first) = request_line(reader, &mut text)? else {
+        return Ok(None);
+    };
     match first.next() {
         Some("STATS") if first.next() == Some("SLOW") => Ok(Some(Incoming::SlowStats)),
         Some("METRICS") => Ok(Some(Incoming::Metrics)),
@@ -714,13 +732,10 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
     let mut structure: Option<u64> = None;
     let mut text = String::new();
     loop {
-        text.clear();
-        if read_request_line(reader, &mut text)? == 0 {
+        let Some(mut line) = request_line(reader, &mut text)? else {
             return Err(ServeError::UnexpectedEof);
-        }
-        let mut line = Tokens::new(text.trim());
+        };
         match line.next() {
-            None => continue,
             Some("END") => break,
             Some("FP") => {
                 fingerprint = Some(line.hex("fingerprint")?);
@@ -788,7 +803,7 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
     })))
 }
 
-/// The error `read_line` raises on bytes that are not UTF-8.
+/// The error the standard line reader raises on bytes that are not UTF-8.
 fn invalid_utf8() -> ServeError {
     ServeError::Io("stream did not contain valid UTF-8".into())
 }
@@ -1175,8 +1190,7 @@ fn walk_reply<R: BufRead, T>(
     Ok(Some(Frame::Body(state)))
 }
 
-/// A line of text; bytes that are not UTF-8 are the error `read_line`
-/// raises on them.
+/// A line of text; bytes that are not UTF-8 are `invalid_utf8`.
 fn utf8(line: &[u8]) -> Result<&str, ServeError> {
     std::str::from_utf8(line).map_err(|_| invalid_utf8())
 }
