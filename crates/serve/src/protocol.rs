@@ -1204,17 +1204,11 @@ fn walk_control<R: BufRead, T>(
     head: impl FnOnce(&mut Tokens<'_>) -> Result<(T, u64), ServeError>,
     mut body: impl FnMut(&mut T, &str) -> Result<(), ServeError>,
 ) -> Result<T, ServeError> {
-    let frame = walk_reply(
-        reader,
-        verb,
-        max_lines,
-        head,
-        |state, part, line| match part {
-            Part::End => Ok(()),
-            _ => body(state, utf8(line)?),
-        },
-    )?;
-    match frame.ok_or(ServeError::UnexpectedEof)? {
+    let text = |state: &mut T, part, line: &[u8]| match part {
+        Part::End => Ok(()),
+        _ => body(state, utf8(line)?),
+    };
+    match walk_reply(reader, verb, max_lines, head, text)?.ok_or(ServeError::UnexpectedEof)? {
         Frame::Body(state) => Ok(state),
         Frame::Err { error, .. } => Err(match error {
             ServeError::Remote { kind, .. } if kind == "unknown-trace" => ServeError::UnknownTrace,
@@ -1483,38 +1477,27 @@ impl RawReply {
 pub fn read_raw_reply<R: BufRead>(reader: &mut R) -> Result<Option<RawReply>, ServeError> {
     let head = |header: &mut Tokens<'_>| {
         let id = header.number("reply id")?;
-        let header_rest = header.rest().to_string();
-        let source = Some(read_ok_header(id, header)?.source);
-        let body = String::new();
-        Ok((
-            RawReply {
-                id,
-                is_err: false,
-                header_rest,
-                body,
-                source,
-            },
-            0,
-        ))
+        let rest = header.rest().to_string();
+        let source = read_ok_header(id, header)?.source;
+        Ok(((id, rest, Some(source), String::new()), 0))
     };
-    let frame = walk_reply(reader, "OK", 0, head, |raw, _, line| {
-        raw.body.push_str(utf8(line)?);
+    let frame = walk_reply(reader, "OK", 0, head, |(.., body), _, line| {
+        body.push_str(utf8(line)?);
         Ok(())
     })?;
-    Ok(match frame {
-        Some(Frame::Body(raw)) => Some(raw),
-        Some(Frame::Err { id, rest, .. }) => {
-            let (id, body) = (id?, String::new());
-            Some(RawReply {
-                id,
-                is_err: true,
-                header_rest: rest,
-                body,
-                source: None,
-            })
-        }
-        None => None,
-    })
+    let (id, header_rest, source, body) = match frame {
+        Some(Frame::Body(raw)) => raw,
+        Some(Frame::Err { id, rest, .. }) => (id?, rest, None, String::new()),
+        None => return Ok(None),
+    };
+    let is_err = source.is_none();
+    Ok(Some(RawReply {
+        id,
+        is_err,
+        header_rest,
+        body,
+        source,
+    }))
 }
 
 /// One complete reply as seen by a pipelined reader: a schedule response, or
