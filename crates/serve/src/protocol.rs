@@ -160,18 +160,16 @@ impl Mode {
         }
     }
 
-    fn parse(token: &str) -> Option<Self> {
-        // `multilevel` named the coarsen–solve–refine scheduler, which was
-        // the pipeline plus members that never won; old clients may still
-        // send it.
-        let token = if token == "multilevel" {
-            "heuristics"
-        } else {
-            token
-        };
-        [Mode::Default, Mode::Fast, Mode::HeuristicsOnly]
-            .into_iter()
-            .find(|mode| mode.as_str() == token)
+    fn parse(tok: &str) -> Option<Self> {
+        match tok {
+            "default" => Some(Mode::Default),
+            "fast" => Some(Mode::Fast),
+            // `multilevel` named the coarsen–solve–refine scheduler, which
+            // was the pipeline plus members that never won; old clients may
+            // still send it.
+            "heuristics" | "multilevel" => Some(Mode::HeuristicsOnly),
+            _ => None,
+        }
     }
 }
 
@@ -1087,7 +1085,6 @@ pub fn encode_trace_reply(out: &mut String, trace: &WireTrace) {
 }
 
 /// One body line of a reply frame, as [`walk_reply`] hands it on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Part {
     /// `PROC <π(0)> ...` of an `OK` frame.
     Proc,
