@@ -421,18 +421,21 @@ fn hc(max_steps: usize, part: usize) -> Routine {
     })
 }
 
-/// `HCcs` on each start after `HC` at its local minimum.
-fn hccs(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
-    let mut cost = 0;
-    for start in starts() {
-        let mut schedule = start.schedule(dag, machine);
-        hc_improve(dag, machine, &mut schedule, &by_steps(usize::MAX));
-        let outcome = hccs_improve(dag, machine, &mut schedule, &by_steps(usize::MAX));
-        d.schedule(&schedule);
-        d.outcome(&outcome);
-        cost += outcome.final_cost;
-    }
-    cost
+/// `HCcs` on each start after `HC` at its local minimum, stopped after
+/// `max_steps` moves or at its own.
+fn hccs(max_steps: usize) -> Routine {
+    Box::new(move |dag, machine, d| {
+        let mut cost = 0;
+        for start in starts() {
+            let mut schedule = start.schedule(dag, machine);
+            hc_improve(dag, machine, &mut schedule, &by_steps(usize::MAX));
+            let outcome = hccs_improve(dag, machine, &mut schedule, &by_steps(max_steps));
+            d.schedule(&schedule);
+            d.outcome(&outcome);
+            cost += outcome.final_cost;
+        }
+        cost
+    })
 }
 
 fn pipeline(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
@@ -606,7 +609,9 @@ fn rows() -> Vec<Row> {
         ("HC 7 moves", hc(7, 1)),
         ("HC", hc(usize::MAX, 1)),
         ("HC seeded", hc(usize::MAX, 3)),
-        ("HCcs", Box::new(hccs)),
+        ("HCcs 1 move", hccs(1)),
+        ("HCcs 7 moves", hccs(7)),
+        ("HCcs", hccs(usize::MAX)),
     ];
     let pipeline = || -> Routines { vec![("Pipeline", Box::new(pipeline))] };
     let slack = |balance_slack| bsp(HDaggScheduler { balance_slack });
