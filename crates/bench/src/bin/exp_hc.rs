@@ -20,7 +20,8 @@
 //!   --reps N          repetitions per run, fastest kept (default 3)
 //!   --nnz-per-row K   average nonzeros per matrix row (default 16)
 //!
-//! Built with `--features hc-debug-counters`, every row additionally reports
+//! Every row also carries the search's counts from its outcome (visits, gated
+//! visits, candidate destinations costed, pruned, verification sweeps), the
 //! candidate destinations per accepted move and the share of them the
 //! driver's `O(1)` lower bound pruned (`evals_per_accepted_move`,
 //! `prune_share`).
@@ -28,12 +29,11 @@
 use bsp_bench::stats::{host_cores, BenchReport};
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::{hc_improve, HillClimbConfig, HillClimbOutcome};
+use bsp_sched::hill_climb::{hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts};
 use bsp_sched::init::SourceScheduler;
 use bsp_sched::Scheduler;
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// One measured hill-climbing run.
@@ -43,6 +43,7 @@ struct RunStats {
     initial_cost: u64,
     final_cost: u64,
     reached_local_minimum: bool,
+    counts: SearchCounts,
 }
 
 impl RunStats {
@@ -54,10 +55,27 @@ impl RunStats {
         }
     }
 
+    /// Candidate destinations costed per accepted move, and the share of
+    /// them the `O(1)` lower bound pruned before any tally was touched.
+    fn evals_per_move_and_prune_share(&self) -> (f64, f64) {
+        let evaluated = self.counts.evaluated as f64;
+        let per_move = evaluated / self.steps.max(1) as f64;
+        (per_move, self.counts.pruned as f64 / evaluated.max(1.0))
+    }
+
     fn to_json(&self) -> String {
+        let SearchCounts {
+            visits,
+            gated,
+            evaluated,
+            pruned,
+            sweeps,
+        } = self.counts;
         format!(
             "{{\"seconds\": {:.6}, \"steps\": {}, \"moves_per_sec\": {:.1}, \
-             \"initial_cost\": {}, \"final_cost\": {}, \"reached_local_minimum\": {}}}",
+             \"initial_cost\": {}, \"final_cost\": {}, \"reached_local_minimum\": {}, \
+             \"visits\": {visits}, \"gated\": {gated}, \"evaluated\": {evaluated}, \
+             \"pruned\": {pruned}, \"sweeps\": {sweeps}}}",
             self.seconds,
             self.steps,
             self.moves_per_sec(),
@@ -74,13 +92,16 @@ impl RunStats {
             initial_cost: outcome.initial_cost,
             final_cost: outcome.final_cost,
             reached_local_minimum: outcome.reached_local_minimum,
+            counts: outcome.counts,
         }
     }
 }
 
 fn log_run(stats: &RunStats) {
+    let (per_move, pruned) = stats.evals_per_move_and_prune_share();
     eprintln!(
-        "   {:.3}s, {} moves ({:.0}/s), cost {} -> {}{}",
+        "   {:.3}s, {} moves ({:.0}/s), cost {} -> {}{}; {per_move:.1} destinations per \
+         accepted move, {:.1}% pruned by the bound",
         stats.seconds,
         stats.steps,
         stats.moves_per_sec(),
@@ -91,6 +112,7 @@ fn log_run(stats: &RunStats) {
         } else {
             " [TIME LIMIT]"
         },
+        100.0 * pruned,
     );
 }
 
@@ -125,20 +147,6 @@ fn measure(
         }
     }
     best.expect("at least one repetition runs")
-}
-
-/// Drains the driver's debug counters, accumulated over the
-/// (deterministic) repetitions that accepted `steps` moves in total: candidate
-/// destinations per accepted move, and the share of them the `O(1)` lower
-/// bound pruned before any tally was touched.  Reads zeros under
-/// `HC_DEBUG_TIMING`, which makes the search drain them itself.
-#[cfg(feature = "hc-debug-counters")]
-fn drain_eval_counters(steps: usize) -> (f64, f64) {
-    use bsp_sched::hill_climb::debug_counters::{EVALS, PRUNED};
-    use std::sync::atomic::Ordering::Relaxed;
-    let evals = EVALS.swap(0, Relaxed) as f64;
-    let pruned = PRUNED.swap(0, Relaxed) as f64;
-    (evals / steps.max(1) as f64, pruned / evals.max(1.0))
 }
 
 fn main() {
@@ -238,35 +246,19 @@ fn main() {
             let init = SourceScheduler.schedule(dag, machine);
             let init_cost = init.cost(dag, machine);
 
-            let mut row = String::new();
             let current = measure(dag, machine, &init, limit, reps);
             log_run(&current);
             total_seconds += current.seconds;
-            write!(
-                row,
+            let (per_move, pruned) = current.evals_per_move_and_prune_share();
+            rows.push(format!(
                 "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                  \"machine\": \"{machine_name}\", \"init_cost\": {init_cost}, \
-                 \"worklist\": {}",
+                 \"worklist\": {}, \"evals_per_accepted_move\": {per_move:.2}, \
+                 \"prune_share\": {pruned:.4}}}",
                 dag.n(),
                 dag.num_edges(),
                 current.to_json(),
-            )
-            .unwrap();
-            #[cfg(feature = "hc-debug-counters")]
-            {
-                let (per_move, pruned) = drain_eval_counters(current.steps * reps.max(1));
-                eprintln!(
-                    "   {per_move:.1} destinations per accepted move, {:.1}% pruned by the bound",
-                    100.0 * pruned
-                );
-                write!(
-                    row,
-                    ", \"evals_per_accepted_move\": {per_move:.2}, \"prune_share\": {pruned:.4}"
-                )
-                .unwrap();
-            }
-            row.push('}');
-            rows.push(row);
+            ));
         }
     }
 

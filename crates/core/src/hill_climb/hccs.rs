@@ -9,15 +9,15 @@
 //! Like the paper, transfers are always sent directly from `π(v)`.
 //!
 //! The state is kept the way [`super::HcState`] keeps its tallies: flat
-//! `[phase × processor]` tallies, a cached per-phase h-relation cost patched
-//! incrementally, and a dirty work-list over requirements (re-enqueue only
-//! the transfers whose placement window covers a phase the last accepted move
-//! touched), with a verification sweep certifying the local minimum.
+//! `[phase × processor]` tallies and a cached per-phase h-relation cost
+//! patched incrementally.  The search is `HC`'s work-list driver over
+//! transfers: an accepted move re-enqueues the transfers whose placement
+//! window covers one of the two phases it touched, and a verification sweep
+//! certifies the local minimum.
 
-use super::{HillClimbConfig, HillClimbOutcome};
+use super::{drive, HillClimbConfig, HillClimbOutcome, Neighbourhood, SearchCounts, SearchScratch};
 use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One value transfer to place: NUMA-weighted volume, endpoints, and the
@@ -41,6 +41,12 @@ struct CsState<'a> {
     recv: Vec<u64>,
     /// Cached h-relation cost per communication phase.
     phase_cost: Vec<u64>,
+    /// The requirements whose window covers each phase (windows never
+    /// change): after a move touches phases a and b, only these can have
+    /// gained an improving move.
+    phase_reqs: Vec<Vec<usize>>,
+    /// The two phases the last accepted move touched.
+    touched: [usize; 2],
 }
 
 impl<'a> CsState<'a> {
@@ -74,87 +80,42 @@ impl<'a> CsState<'a> {
         let after = self.phase_cost[s_old] + self.phase_cost[s_new];
         after as i64 - before as i64
     }
+}
 
-    /// Tries all phases in requirement `i`'s window and commits the first
-    /// improving one.  Returns the touched `(old, new)` phases on acceptance.
-    fn try_improve_req(&mut self, i: usize) -> Option<(usize, usize)> {
+impl Neighbourhood for CsState<'_> {
+    fn entities(&self) -> usize {
+        self.reqs.len()
+    }
+
+    /// Tries the phases of requirement `i`'s window in order and commits the
+    /// first improving one.
+    fn try_improve(&mut self, i: usize, counts: &mut SearchCounts) -> bool {
         let CsReq {
             earliest,
             latest,
             current,
             ..
         } = self.reqs[i];
-        for s_new in earliest..=latest {
-            if s_new == current {
-                continue;
-            }
+        if earliest == latest {
+            counts.gated += 1;
+            return false;
+        }
+        for s_new in (earliest..=latest).filter(|&s| s != current) {
+            counts.evaluated += 1;
             if self.apply(i, s_new) < 0 {
-                return Some((current, s_new));
+                self.touched = [current, s_new];
+                return true;
             }
             self.apply(i, current);
         }
-        None
+        false
     }
-}
 
-/// The first-improvement search: dirty work-list plus verification sweeps.
-/// Returns `(steps, certified)`.
-fn cs_search(
-    state: &mut CsState<'_>,
-    phase_reqs: &[Vec<usize>],
-    config: &HillClimbConfig,
-    start: Instant,
-) -> (usize, bool) {
-    let num_reqs = state.reqs.len();
-    let mut queue: VecDeque<usize> = (0..num_reqs).collect();
-    let mut in_queue = vec![true; num_reqs];
-    let enqueue_phase = |s: usize, queue: &mut VecDeque<usize>, in_queue: &mut [bool]| {
-        for &i in &phase_reqs[s] {
-            if !in_queue[i] {
-                in_queue[i] = true;
-                queue.push_back(i);
-            }
-        }
-    };
-
-    let mut steps = 0usize;
-    let mut reached_local_minimum = false;
-    'outer: loop {
-        while let Some(i) = queue.pop_front() {
-            in_queue[i] = false;
-            if steps >= config.max_steps
-                || start.elapsed() > config.time_limit
-                || config.cancel.is_cancelled()
-            {
-                break 'outer;
-            }
-            if let Some((a, b)) = state.try_improve_req(i) {
-                steps += 1;
-                enqueue_phase(a, &mut queue, &mut in_queue);
-                enqueue_phase(b, &mut queue, &mut in_queue);
-            }
-        }
-        let mut sweep_improved = false;
-        for i in 0..num_reqs {
-            if steps >= config.max_steps
-                || start.elapsed() > config.time_limit
-                || config.cancel.is_cancelled()
-            {
-                break 'outer;
-            }
-            if let Some((a, b)) = state.try_improve_req(i) {
-                steps += 1;
-                sweep_improved = true;
-                enqueue_phase(a, &mut queue, &mut in_queue);
-                enqueue_phase(b, &mut queue, &mut in_queue);
-            }
-        }
-        if !sweep_improved {
-            reached_local_minimum = true;
-            break;
+    fn enqueue_dirty(&self, _: usize, list: &mut SearchScratch) {
+        for s in self.touched {
+            self.phase_reqs[s].iter().for_each(|&j| list.push(j));
         }
     }
-    (steps, reached_local_minimum)
 }
 
 /// Optimizes the communication schedule of `schedule` in place; `π` and `τ`
@@ -169,14 +130,6 @@ pub fn hccs_improve(
     let start = Instant::now();
     let initial_cost = schedule.cost(dag, machine);
     let requirements = CommSchedule::requirements(dag, &schedule.assignment);
-    if requirements.is_empty() {
-        return HillClimbOutcome {
-            steps: 0,
-            initial_cost,
-            final_cost: initial_cost,
-            reached_local_minimum: true,
-        };
-    }
 
     // Where does the existing schedule place each requirement?  Both lists
     // are sorted by `(node, from, to)` — a requirement's `from` is `π(node)`
@@ -192,6 +145,8 @@ pub fn hccs_improve(
         send: vec![0; num_steps * p],
         recv: vec![0; num_steps * p],
         phase_cost: vec![0; num_steps],
+        phase_reqs: vec![Vec::new(); num_steps],
+        touched: [0; 2],
     };
     for r in &requirements {
         let earliest = r.earliest_step();
@@ -227,18 +182,16 @@ pub fn hccs_improve(
     for s in 0..num_steps {
         state.phase_cost[s] = state.compute_phase_cost(s);
     }
-
-    // Static phase -> requirements index (windows never change): after a move
-    // touches phases a and b, only requirements whose window covers a or b can
-    // have gained an improving move.
-    let mut phase_reqs: Vec<Vec<usize>> = vec![Vec::new(); num_steps];
     for (i, r) in state.reqs.iter().enumerate() {
         for s in r.earliest..=r.latest {
-            phase_reqs[s].push(i);
+            state.phase_reqs[s].push(i);
         }
     }
 
-    let (steps, reached_local_minimum) = cs_search(&mut state, &phase_reqs, config, start);
+    let mut list = SearchScratch::new();
+    list.reserve(state.reqs.len());
+    (0..state.reqs.len()).for_each(|i| list.push(i));
+    let outcome = drive(&mut state, config, start, &mut list);
 
     // Materialize the optimized communication schedule.
     let comm_steps = requirements
@@ -247,18 +200,17 @@ pub fn hccs_improve(
         .map(|(r, req)| r.send_at(req.current))
         .collect();
     schedule.comm = CommSchedule::from_steps(comm_steps);
-    let final_cost = schedule.cost(dag, machine);
     HillClimbOutcome {
-        steps,
         initial_cost,
-        final_cost,
-        reached_local_minimum,
+        final_cost: schedule.cost(dag, machine),
+        ..outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hill_climb::hc_improve;
     use bsp_model::{Assignment, CommStep};
 
     /// Processor 0 must send the value of node 0 to processor 1 in phase 0
@@ -343,6 +295,60 @@ mod tests {
         let third = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
         assert_eq!(third.steps, 1);
         assert_eq!(sched, placed);
+    }
+
+    #[test]
+    fn hc_hands_back_a_gamma_cheaper_than_lazy_unless_it_gets_below_it() {
+        // After `HCcs` the example costs less than the lazy schedule of its
+        // assignment.  `HC` searches that lazy schedule; whether it stops at
+        // once (a fired token) or runs to its local minimum, it may not return
+        // anything costlier than it was given.
+        let (dag, machine, mut sched) = spreading_example();
+        hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        let given = sched.clone();
+        let given_cost = given.cost(&dag, &machine);
+        let lazy = BspSchedule::from_assignment_lazy(&dag, given.assignment.clone());
+        assert!(given_cost < lazy.cost(&dag, &machine));
+
+        let cancel = crate::cancel::CancelToken::new();
+        cancel.cancel();
+        let stopped = HillClimbConfig {
+            cancel,
+            ..HillClimbConfig::default()
+        };
+        for config in [stopped, HillClimbConfig::default()] {
+            let mut sched = given.clone();
+            let outcome = hc_improve(&dag, &machine, &mut sched, &config);
+            assert_eq!(outcome.initial_cost, given_cost);
+            assert_eq!(outcome.final_cost, sched.cost(&dag, &machine));
+            assert!(outcome.final_cost <= given_cost, "{outcome:?}");
+            assert!(sched.validate(&dag, &machine).is_ok());
+            if outcome.final_cost == given_cost {
+                assert_eq!(sched, given);
+            }
+        }
+    }
+
+    #[test]
+    fn hccs_counts_what_it_visits_and_costs() {
+        let (dag, machine, mut sched) = spreading_example();
+        let outcome = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        // Two transfers: node 0's window is phase 0 alone, node 1's phases
+        // 0 and 1.  The cold work-list visits both (the second moves,
+        // dirtying both phases), both are revisited, and one sweep over both
+        // certifies the minimum.
+        let c = outcome.counts;
+        assert_eq!((outcome.steps, c.sweeps, c.pruned), (1, 1, 0));
+        assert_eq!(c.visits, 2 + 2 + 2);
+        assert_eq!(c.gated, 3, "node 0's value has one phase to go in");
+        assert_eq!(c.evaluated, 3, "node 1's has one other phase");
+        // A repeat finds nothing: one sweep over both transfers after the
+        // work-list's two visits.
+        let again = hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
+        assert_eq!(
+            (again.steps, again.counts.visits, again.counts.sweeps),
+            (0, 4, 1)
+        );
     }
 
     #[test]

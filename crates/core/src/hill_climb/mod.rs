@@ -13,26 +13,35 @@
 //!
 //! Both searches use the greedy first-improvement rule the paper selected
 //! after its preliminary experiments, and stop at a local minimum or when the
-//! time limit expires.
+//! time limit expires.  Both are anytime: a stopped or cancelled search
+//! returns a valid schedule no costlier than the one it was given.
 //!
-//! [`hc_improve`] is the entry point; [`hc_search`] is the work-list driver
-//! under it, over an existing [`HcState`] and a caller-seeded queue (what the
-//! oracle and allocation tests drive directly).
+//! [`hc_improve`] is the entry point; [`hc_search`] runs `HC` over an existing
+//! [`HcState`] and a caller-seeded work-list (what the oracle and allocation
+//! tests drive directly).
 //!
-//! ## Work-list driving
+//! ## One work-list driver
 //!
-//! A naive driver rescans all `n` nodes every pass even when a pass changed
+//! A naive driver rescans every entity each pass even when a pass changed
 //! almost nothing, so the tail of the search — many passes, few accepted
-//! moves — costs `O(n · P)` per pass.  Both searches here instead keep an
-//! FM-style dirty work-list: after an accepted move only the entities whose
-//! best move can actually have changed are re-enqueued (for `HC`: the moved
-//! node, its DAG neighbours, and the nodes of every superstep whose tallies
-//! the move touched; for `HCcs`: the transfers whose placement window covers
-//! a touched communication phase).  Because the dirty-set rule is a sound
-//! over-approximation *per move* but the body-cost `max` can hide
-//! second-order interactions, a full verification sweep runs whenever the
-//! work-list drains; the search only reports a local minimum when that sweep
-//! accepts nothing.
+//! moves — costs a full scan per pass.  Both searches instead run one
+//! FM-style dirty work-list, `drive`, over their own neighbourhood: the
+//! entities are nodes for `HC` and required transfers for `HCcs`, and after
+//! an accepted move only the entities whose best move can have changed are
+//! re-enqueued (for `HC`: the moved node, its DAG neighbours, and the nodes
+//! of every superstep whose tallies the move touched; for `HCcs`: the
+//! transfers whose placement window covers one of the two phases the move
+//! touched).  Because the dirty-set rule is a sound over-approximation *per
+//! move* but the body-cost `max` can hide second-order interactions, a full
+//! verification sweep runs whenever the work-list drains; the search only
+//! reports a local minimum when that sweep accepts nothing.
+//!
+//! The driver checks the step limit before every visit and reads the clock
+//! and the cancel token on the first visit and every 64th after it, so a
+//! token fired before a search starts stops it before its first move.  It
+//! counts what it does on every run ([`SearchCounts`], on the outcome):
+//! visits, visits an `O(1)` gate turned away, candidate moves costed and
+//! moves an `O(1)` bound pruned, and verification sweeps.
 
 mod hccs;
 mod state;
@@ -99,32 +108,41 @@ impl HillClimbConfig {
 pub struct HillClimbOutcome {
     /// Number of accepted improvement steps.
     pub steps: usize,
-    /// Cost before the search.
+    /// Cost of the schedule the search was given.
     pub initial_cost: u64,
-    /// Cost after the search.
+    /// Cost of the schedule it returned; never above `initial_cost`.
     pub final_cost: u64,
     /// `true` if the search stopped because it reached a local minimum (rather
     /// than the time or step limit).
     pub reached_local_minimum: bool,
+    /// What the search did to get there.
+    pub counts: SearchCounts,
 }
 
-/// Atomic instrumentation counters for perf work, compiled in only with the
-/// `hc-debug-counters` feature: node visits, pruning-gate passes, lifts, and
-/// candidate destinations of the `HC` driver (`EVALS` = `PRUNED` + `DROPS`).
-#[cfg(feature = "hc-debug-counters")]
-pub mod debug_counters {
-    use std::sync::atomic::AtomicU64;
-    pub static VISITS: AtomicU64 = AtomicU64::new(0);
-    pub static GATE_PASS: AtomicU64 = AtomicU64::new(0);
-    pub static EVALS: AtomicU64 = AtomicU64::new(0);
-    pub static LIFTS: AtomicU64 = AtomicU64::new(0);
-    pub static DROPS: AtomicU64 = AtomicU64::new(0);
-    pub static PRUNED: AtomicU64 = AtomicU64::new(0);
+/// What one search did, counted by the work-list driver on every run.  An
+/// entity is a node for `HC` and a required transfer for `HCcs`; the accepted
+/// moves are [`HillClimbOutcome::steps`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounts {
+    /// Entities taken off the work-list or visited by a verification sweep.
+    pub visits: u64,
+    /// Visits turned away before any move was costed: for `HC` by the sound
+    /// [`HcState::node_can_gain`] gate, for `HCcs` because the transfer's
+    /// window is a single phase.
+    pub gated: u64,
+    /// Candidate moves costed, pruned ones included.
+    pub evaluated: u64,
+    /// Of those, the moves `HC`'s `O(1)` bound
+    /// ([`HcState::drop_lower_bound`]) ruled out without touching a tally;
+    /// `HCcs` has no bound and prunes none.
+    pub pruned: u64,
+    /// Verification sweeps begun: one each time the work-list drained.
+    pub sweeps: u64,
 }
 
-/// Reusable work-list buffers for [`hc_search`].  Owning these outside the
-/// search lets a caller run search after search without re-allocating the
-/// queue each time.
+/// The work-list: a FIFO of entities with a membership flag per entity, so
+/// that an entity is queued at most once.  Owning it outside the search lets
+/// a caller run [`hc_search`] after [`hc_search`] without re-allocating it.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     queue: VecDeque<usize>,
@@ -137,7 +155,7 @@ impl SearchScratch {
         Self::default()
     }
 
-    /// Pre-sizes the buffers for graphs of `n` nodes, so later enqueues never
+    /// Pre-sizes the buffers for `n` entities, so later enqueues never
     /// reallocate.
     pub fn reserve(&mut self, n: usize) {
         if self.in_queue.len() < n {
@@ -151,28 +169,107 @@ impl SearchScratch {
         if self.in_queue.len() <= v {
             self.in_queue.resize(v + 1, false);
         }
+        self.push(v);
+    }
+
+    /// Enqueues every node of `graph`.
+    pub fn enqueue_all(&mut self, graph: &Dag) {
+        self.reserve(graph.n());
+        (0..graph.n()).for_each(|v| self.push(v));
+    }
+
+    /// Enqueues `v`, already within the reserved range, unless it is queued.
+    fn push(&mut self, v: usize) {
         if !self.in_queue[v] {
             self.in_queue[v] = true;
             self.queue.push_back(v);
         }
     }
 
-    /// Enqueues every node of `graph`.
-    pub fn enqueue_all(&mut self, graph: &Dag) {
-        self.reserve(graph.n());
-        for v in 0..graph.n() {
-            self.enqueue(v);
-        }
+    fn pop(&mut self) -> Option<usize> {
+        let v = self.queue.pop_front()?;
+        self.in_queue[v] = false;
+        Some(v)
     }
 }
 
-/// Bumps one of the [`debug_counters`]; compiles to nothing without the
-/// `hc-debug-counters` feature.
-macro_rules! count {
-    ($counter:ident) => {
-        #[cfg(feature = "hc-debug-counters")]
-        debug_counters::$counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+/// One search's moves as [`drive`] sees them: entities `0..entities()`, each
+/// with a first-improvement move, and the dirty rule of an accepted move.
+trait Neighbourhood {
+    fn entities(&self) -> usize;
+
+    /// Applies the first improving move of entity `i`, counting what it
+    /// gated, costed and pruned; `true` if a move was accepted.
+    fn try_improve(&mut self, i: usize, counts: &mut SearchCounts) -> bool;
+
+    /// Enqueues every entity whose best move the move `i` just accepted can
+    /// have changed.
+    fn enqueue_dirty(&self, i: usize, list: &mut SearchScratch);
+}
+
+/// The work-list driver of both searches (module docs): drains `list`, then
+/// sweeps every entity, until a sweep accepts nothing or a limit stops it.
+/// `start` is when the search's time budget began.  Returns the steps, the
+/// local-minimum flag and the counts, the costs left to the caller; `list`
+/// is left empty.
+fn drive(
+    search: &mut impl Neighbourhood,
+    config: &HillClimbConfig,
+    start: Instant,
+    list: &mut SearchScratch,
+) -> HillClimbOutcome {
+    let n = search.entities();
+    list.reserve(n);
+    let mut outcome = HillClimbOutcome::default();
+    let counts = &mut outcome.counts;
+    let mut steps = 0usize;
+
+    // Reading the clock (or the cancel token) per visit would dominate gated
+    // visits; poll both on the first visit and every 64th after it.
+    let mut visit = 0u32;
+    let mut over_limit = |steps: usize| {
+        visit = visit.wrapping_add(1);
+        steps >= config.max_steps
+            || (visit & 63 == 1
+                && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
     };
+    let mut visit_one = |i: usize, list: &mut SearchScratch, counts: &mut SearchCounts| {
+        counts.visits += 1;
+        let accepted = search.try_improve(i, counts);
+        if accepted {
+            search.enqueue_dirty(i, list);
+        }
+        accepted
+    };
+
+    'outer: loop {
+        while let Some(i) = list.pop() {
+            if over_limit(steps) {
+                break 'outer;
+            }
+            steps += usize::from(visit_one(i, list, counts));
+        }
+        counts.sweeps += 1;
+        let mut sweep_improved = false;
+        for i in 0..n {
+            if over_limit(steps) {
+                break 'outer;
+            }
+            if visit_one(i, list, counts) {
+                steps += 1;
+                sweep_improved = true;
+            }
+        }
+        if !sweep_improved {
+            outcome.reached_local_minimum = true;
+            break;
+        }
+    }
+    // Whatever a limit left queued is drained, so the next search starts
+    // from the caller's seeds alone.
+    while list.pop().is_some() {}
+    outcome.steps = steps;
+    outcome
 }
 
 /// Costs one admissible destination of `v`; `true` if moving there lowers the
@@ -180,107 +277,104 @@ macro_rules! count {
 /// destination (on chain-like DAGs most gated nodes have none) and every
 /// destination is costed as a drop onto that lifted state; one whose `O(1)`
 /// lower bound is already non-negative cannot improve and is not evaluated.
-/// Out of line: keeps the enumeration loop of [`try_improve_node`], which most
-/// visits never leave, small.
+/// Out of line: keeps the enumeration loop of [`NodeMoves::try_improve`],
+/// which most visits never leave, small.
 #[inline(never)]
 fn destination_improves(
     graph: &Dag,
     state: &mut HcState<'_>,
     lifted: &mut bool,
-    v: usize,
-    p_new: usize,
-    s_new: usize,
+    (v, p_new, s_new): (usize, usize, usize),
+    counts: &mut SearchCounts,
 ) -> bool {
-    count!(EVALS);
+    counts.evaluated += 1;
     if !*lifted {
         state.lift(graph, v);
         *lifted = true;
-        count!(LIFTS);
     }
     let bound = state.drop_lower_bound(graph, v, p_new, s_new);
     if bound.is_some_and(|b| b >= 0) {
-        count!(PRUNED);
+        counts.pruned += 1;
         return false;
     }
-    count!(DROPS);
     state.drop_eval(graph, v, p_new, s_new) < 0
 }
 
-/// Tries the candidate moves of node `v` in the canonical order (superstep
-/// `s−1`, `s`, `s+1`; processors ascending) and applies the first improving
-/// one.  Returns `true` if a move was accepted.
-fn try_improve_node(graph: &Dag, state: &mut HcState<'_>, v: usize, p: usize) -> bool {
-    count!(VISITS);
-    if !state.node_can_gain(graph, v) {
-        return false;
-    }
-    count!(GATE_PASS);
-    let (p_old, s_old) = (state.proc_of(v), state.step_of(v));
-    let window = state.move_window(graph, v);
-    let mut lifted = false;
-    let mut found = None;
-    let s_candidates = [s_old.wrapping_sub(1), s_old, s_old + 1];
-    'search: for &s_new in &s_candidates {
-        if s_new == usize::MAX {
-            continue; // wrapped below superstep 0
-        }
-        for p_new in 0..p {
-            if p_new == p_old && s_new == s_old {
-                continue;
-            }
-            if !window.allows(p_new, s_new) {
-                continue;
-            }
-            if destination_improves(graph, state, &mut lifted, v, p_new, s_new) {
-                found = Some((p_new, s_new));
-                break 'search;
-            }
-        }
-    }
-    if lifted {
-        state.unlift(graph, v);
-    }
-    if let Some((p_new, s_new)) = found {
-        state.apply_move(graph, v, p_new, s_new);
-    }
-    found.is_some()
+/// `HC`'s neighbourhood: the node moves of an [`HcState`].
+struct NodeMoves<'g, 's, 'a> {
+    graph: &'g Dag,
+    state: &'s mut HcState<'a>,
+    p: usize,
 }
 
-/// Re-enqueues everything whose best move can have changed after an accepted
-/// move of `v`: the node itself, its DAG neighbours, and every node of the
-/// supersteps whose tallies the move touched.
-fn enqueue_dirty(
-    state: &HcState<'_>,
-    graph: &Dag,
-    v: usize,
-    queue: &mut VecDeque<usize>,
-    in_queue: &mut [bool],
-) {
-    let push = |x: usize, queue: &mut VecDeque<usize>, in_queue: &mut [bool]| {
-        if !in_queue[x] {
-            in_queue[x] = true;
-            queue.push_back(x);
+impl Neighbourhood for NodeMoves<'_, '_, '_> {
+    fn entities(&self) -> usize {
+        self.graph.n()
+    }
+
+    /// Tries the candidate moves of node `v` in the canonical order
+    /// (superstep `s−1`, `s`, `s+1`; processors ascending) and applies the
+    /// first improving one.
+    fn try_improve(&mut self, v: usize, counts: &mut SearchCounts) -> bool {
+        let (graph, state) = (self.graph, &mut *self.state);
+        if !state.node_can_gain(graph, v) {
+            counts.gated += 1;
+            return false;
         }
-    };
-    push(v, queue, in_queue);
-    for u in graph.predecessors(v) {
-        push(u, queue, in_queue);
+        let (p_old, s_old) = (state.proc_of(v), state.step_of(v));
+        let window = state.move_window(graph, v);
+        let mut lifted = false;
+        let mut found = None;
+        let s_candidates = [s_old.wrapping_sub(1), s_old, s_old + 1];
+        'search: for &s_new in &s_candidates {
+            if s_new == usize::MAX {
+                continue; // wrapped below superstep 0
+            }
+            for p_new in 0..self.p {
+                if p_new == p_old && s_new == s_old {
+                    continue;
+                }
+                if !window.allows(p_new, s_new) {
+                    continue;
+                }
+                let mv = (v, p_new, s_new);
+                if destination_improves(graph, state, &mut lifted, mv, counts) {
+                    found = Some((p_new, s_new));
+                    break 'search;
+                }
+            }
+        }
+        if lifted {
+            state.unlift(graph, v);
+        }
+        if let Some((p_new, s_new)) = found {
+            state.apply_move(graph, v, p_new, s_new);
+        }
+        found.is_some()
     }
-    for w in graph.successors(v) {
-        push(w, queue, in_queue);
-    }
-    for &s in state.last_affected_steps() {
-        for &x in state.nodes_in_superstep(s) {
-            push(x, queue, in_queue);
+
+    /// The node itself, its DAG neighbours, and every node of the supersteps
+    /// whose tallies the move touched.
+    fn enqueue_dirty(&self, v: usize, list: &mut SearchScratch) {
+        list.push(v);
+        self.graph.predecessors(v).for_each(|u| list.push(u));
+        self.graph.successors(v).for_each(|w| list.push(w));
+        for &s in self.state.last_affected_steps() {
+            for &x in self.state.nodes_in_superstep(s) {
+                list.push(x);
+            }
         }
     }
 }
 
 /// Improves `schedule` in place with the `HC` node-move hill climbing.
 ///
-/// The schedule's communication part is replaced by the lazy schedule of its
-/// assignment (HC is defined on lazy schedules, Appendix A); run
-/// [`hccs_improve`] afterwards to optimize the communication schedule.
+/// `HC` is defined on lazy schedules (Appendix A): the search runs on the
+/// lazy communication schedule of the assignment, and what it returns
+/// carries that schedule's lazy `Γ` (run [`hccs_improve`] afterwards to
+/// optimize it).  A schedule whose own `Γ` is cheaper than the lazy one —
+/// what [`hccs_improve`] returns — is handed back unchanged unless the search
+/// gets strictly below its cost.
 ///
 /// # Panics
 ///
@@ -293,18 +387,29 @@ pub fn hc_improve(
     schedule: &mut BspSchedule,
     config: &HillClimbConfig,
 ) -> HillClimbOutcome {
+    let initial_cost = schedule.cost(dag, machine);
     // Taken rather than copied: `schedule.assignment` is rewritten from the
     // state below, and the lazy `Γ` of that assignment replaces `comm`.
     let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
         .expect("hc_improve requires a precedence-feasible assignment");
+    let given = (initial_cost < state.total_cost())
+        .then(|| (state.assignment(), std::mem::take(&mut schedule.comm)));
     let mut scratch = SearchScratch::new();
     scratch.enqueue_all(dag);
-    let mut outcome = hc_search(dag, machine, &mut state, config, &mut scratch);
+    let outcome = hc_search(dag, machine, &mut state, config, &mut scratch);
     schedule.assignment = state.into_assignment();
     schedule.relax_to_lazy(dag);
     schedule.normalize(dag);
-    outcome.final_cost = schedule.cost(dag, machine);
-    outcome
+    let mut final_cost = schedule.cost(dag, machine);
+    if let Some((assignment, comm)) = given.filter(|_| final_cost >= initial_cost) {
+        (schedule.assignment, schedule.comm) = (assignment, comm);
+        final_cost = initial_cost;
+    }
+    HillClimbOutcome {
+        initial_cost,
+        final_cost,
+        ..outcome
+    }
 }
 
 /// The work-list `HC` search itself, operating on an existing [`HcState`]:
@@ -312,7 +417,7 @@ pub fn hc_improve(
 /// (or [`SearchScratch::enqueue_all`] for a cold start) and the search
 /// examines those plus whatever accepted moves dirty.  A drained work-list
 /// triggers verification sweeps over all nodes until one accepts nothing,
-/// which certifies the local minimum.
+/// which certifies the local minimum.  The costs are the state's lazy ones.
 pub fn hc_search(
     graph: &Dag,
     machine: &Machine,
@@ -322,77 +427,13 @@ pub fn hc_search(
 ) -> HillClimbOutcome {
     let start = Instant::now();
     let initial_cost = state.total_cost();
-    let n = graph.n();
     let p = machine.p();
-    if scratch.in_queue.len() < n {
-        scratch.in_queue.resize(n, false);
-    }
-    let SearchScratch { queue, in_queue } = scratch;
-    let mut steps = 0usize;
-    let mut reached_local_minimum = false;
-
-    // Reading the clock (or the cancel token) per visit would dominate gated
-    // visits; poll both on the first visit — a token fired before the search
-    // moves nothing — and every 64th after it (the step limit stays exact).
-    let mut visit = 0u32;
-    let over_limit = |visit: &mut u32, steps: usize| {
-        *visit = visit.wrapping_add(1);
-        steps >= config.max_steps
-            || (*visit & 63 == 1
-                && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
-    };
-
-    'outer: loop {
-        while let Some(v) = queue.pop_front() {
-            in_queue[v] = false;
-            if over_limit(&mut visit, steps) {
-                break 'outer;
-            }
-            if try_improve_node(graph, state, v, p) {
-                steps += 1;
-                enqueue_dirty(state, graph, v, queue, in_queue);
-            }
-        }
-        let mut sweep_improved = false;
-        for v in 0..n {
-            if over_limit(&mut visit, steps) {
-                break 'outer;
-            }
-            if try_improve_node(graph, state, v, p) {
-                steps += 1;
-                sweep_improved = true;
-                enqueue_dirty(state, graph, v, queue, in_queue);
-            }
-        }
-        if !sweep_improved {
-            reached_local_minimum = true;
-            break;
-        }
-    }
-    // Leave the scratch clean for the next phase: whatever is still marked
-    // enqueued (after a limit-triggered early exit) is drained here.
-    while let Some(v) = queue.pop_front() {
-        in_queue[v] = false;
-    }
-    #[cfg(feature = "hc-debug-counters")]
-    if std::env::var_os("HC_DEBUG_TIMING").is_some() {
-        use std::sync::atomic::Ordering::Relaxed;
-        eprintln!("[hc] search done at {:?}, steps {steps}", start.elapsed());
-        eprintln!(
-            "[hc] visits {} gate-pass {} evals {} lifts {} drops {} pruned {}",
-            debug_counters::VISITS.swap(0, Relaxed),
-            debug_counters::GATE_PASS.swap(0, Relaxed),
-            debug_counters::EVALS.swap(0, Relaxed),
-            debug_counters::LIFTS.swap(0, Relaxed),
-            debug_counters::DROPS.swap(0, Relaxed),
-            debug_counters::PRUNED.swap(0, Relaxed),
-        );
-    }
+    let mut moves = NodeMoves { graph, state, p };
+    let outcome = drive(&mut moves, config, start, scratch);
     HillClimbOutcome {
-        steps,
         initial_cost,
-        final_cost: state.total_cost(),
-        reached_local_minimum,
+        final_cost: moves.state.total_cost(),
+        ..outcome
     }
 }
 
@@ -483,6 +524,38 @@ mod tests {
         let mut sched = BspgScheduler.schedule(&dag, &machine);
         let outcome = hc_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
         assert!(outcome.reached_local_minimum);
+    }
+
+    #[test]
+    fn hc_counts_add_up_and_repeat() {
+        let dag = cg(&IterConfig {
+            n: 10,
+            density: 0.3,
+            iterations: 2,
+            seed: 4,
+        });
+        for machine in [
+            Machine::uniform(4, 3, 5),
+            Machine::numa_binary_tree(8, 1, 5, 3),
+        ] {
+            let start = CilkScheduler::default().schedule(&dag, &machine);
+            let run = || {
+                let mut sched = start.clone();
+                hc_improve(&dag, &machine, &mut sched, &HillClimbConfig::default())
+            };
+            let outcome = run();
+            assert_eq!(outcome, run(), "the counts of a search repeat exactly");
+            let (c, steps, n) = (outcome.counts, outcome.steps as u64, dag.n() as u64);
+            assert!(outcome.reached_local_minimum && steps > 0);
+            // The cold work-list and the certifying sweep visit every node.
+            assert!(c.sweeps >= 1 && c.visits >= 2 * n, "{c:?}");
+            // An accepted move passed the gate, was costed and not pruned.
+            assert!(c.gated + steps <= c.visits, "{c:?}");
+            assert!(c.pruned + steps <= c.evaluated, "{c:?}");
+            // At most `3 · P` destinations per visit past the gate.
+            let past_gate = c.visits - c.gated;
+            assert!(c.evaluated <= 3 * machine.p() as u64 * past_gate, "{c:?}");
+        }
     }
 
     #[test]

@@ -92,6 +92,44 @@ fn hill_climbing_is_monotone_and_consistent() {
     }
 }
 
+/// The counts on a search's outcome add up on arbitrary inputs, for both
+/// searches the one work-list driver runs: an accepted move passed the gate
+/// and was costed and not pruned, a certified local minimum swept every
+/// entity (nodes for `HC`, required transfers for `HCcs`), `HCcs` prunes
+/// nothing, and a second run repeats every count.
+#[test]
+fn search_counts_add_up_on_random_inputs() {
+    let unlimited = HillClimbConfig {
+        time_limit: Duration::from_secs(3600),
+        ..Default::default()
+    };
+    for case in 0..CASES {
+        let mut rng = rng_for_case(0x5EA2C, case);
+        let dag = random_dag(&mut rng, 14);
+        let machine = random_machine(&mut rng);
+        let start = SourceScheduler.schedule(&dag, &machine);
+        let run = |sched: &mut BspSchedule| {
+            let hc = hc_improve(&dag, &machine, sched, &unlimited);
+            (hc, hccs_improve(&dag, &machine, sched, &unlimited))
+        };
+        let (mut sched, mut again) = (start.clone(), start);
+        let (hc, hccs) = run(&mut sched);
+        assert_eq!((hc, hccs), run(&mut again), "case {case}");
+        let transfers = CommSchedule::requirements(&dag, &sched.assignment).len();
+        assert_eq!(hccs.counts.pruned, 0, "case {case}");
+        for (o, entities) in [(hc, dag.n()), (hccs, transfers)] {
+            let (c, steps) = (o.counts, o.steps as u64);
+            assert!(o.reached_local_minimum, "case {case}: {o:?}");
+            assert!(
+                c.sweeps >= 1 && c.visits >= entities as u64,
+                "case {case}: {o:?}"
+            );
+            assert!(c.gated + steps <= c.visits, "case {case}: {o:?}");
+            assert!(c.pruned + steps <= c.evaluated, "case {case}: {o:?}");
+        }
+    }
+}
+
 /// The lazy communication schedule of any valid assignment yields a valid
 /// BSP schedule, and normalization never increases its cost.
 #[test]
