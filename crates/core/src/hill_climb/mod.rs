@@ -222,7 +222,6 @@ fn drive(
     list.reserve(n);
     let mut outcome = HillClimbOutcome::default();
     let counts = &mut outcome.counts;
-    let mut steps = 0usize;
 
     // Reading the clock (or the cancel token) per visit would dominate gated
     // visits; poll both on the first visit and every 64th after it.
@@ -244,19 +243,19 @@ fn drive(
 
     'outer: loop {
         while let Some(i) = list.pop() {
-            if over_limit(steps) {
+            if over_limit(outcome.steps) {
                 break 'outer;
             }
-            steps += usize::from(visit_one(i, list, counts));
+            outcome.steps += usize::from(visit_one(i, list, counts));
         }
         counts.sweeps += 1;
         let mut sweep_improved = false;
         for i in 0..n {
-            if over_limit(steps) {
+            if over_limit(outcome.steps) {
                 break 'outer;
             }
             if visit_one(i, list, counts) {
-                steps += 1;
+                outcome.steps += 1;
                 sweep_improved = true;
             }
         }
@@ -268,7 +267,6 @@ fn drive(
     // Whatever a limit left queued is drained, so the next search starts
     // from the caller's seeds alone.
     while list.pop().is_some() {}
-    outcome.steps = steps;
     outcome
 }
 
@@ -392,6 +390,9 @@ pub fn hc_improve(
     // state below, and the lazy `Γ` of that assignment replaces `comm`.
     let mut state = HcState::new(dag, machine, std::mem::take(&mut schedule.assignment))
         .expect("hc_improve requires a precedence-feasible assignment");
+    // The search starts from the lazy cost; when the given `Γ` beats it, the
+    // given schedule is kept aside, since no search returns anything costlier
+    // than it was given.
     let given = (initial_cost < state.total_cost())
         .then(|| (state.assignment(), std::mem::take(&mut schedule.comm)));
     let mut scratch = SearchScratch::new();

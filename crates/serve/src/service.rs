@@ -673,8 +673,8 @@ impl ScheduleService {
     /// `pruned` by a bound without touching a tally, `accepted` — and counts
     /// the run in `bsp_search_runs_total{search, stop}` by how it stopped.
     fn note_searches(&self, hc: Option<HillClimbOutcome>, hccs: Option<HillClimbOutcome>) {
-        let runs = [("hc", hc), ("hccs", hccs)];
-        for (search, outcome) in runs.into_iter().filter_map(|(s, o)| Some((s, o?))) {
+        for (search, outcome) in [("hc", hc), ("hccs", hccs)] {
+            let Some(outcome) = outcome else { continue };
             let c = outcome.counts;
             let moves = [
                 ("evaluated", c.evaluated),

@@ -35,15 +35,23 @@ fn main() {
 
     let hc_cfg = HillClimbConfig::default();
     let outcome = hc_improve(&dag, &machine, &mut schedule, &hc_cfg);
+    let c = outcome.counts;
     println!(
-        "  after HC ({} moves)     : {}",
+        "  after HC ({} moves)     : {} ({} visits, {} gated, {} moves costed, {} pruned)",
         outcome.steps,
-        schedule.cost(&dag, &machine)
+        schedule.cost(&dag, &machine),
+        c.visits,
+        c.gated,
+        c.evaluated,
+        c.pruned
     );
-    hccs_improve(&dag, &machine, &mut schedule, &hc_cfg);
+    let outcome = hccs_improve(&dag, &machine, &mut schedule, &hc_cfg);
     println!(
-        "  after HCcs              : {}",
-        schedule.cost(&dag, &machine)
+        "  after HCcs ({} moves)   : {} ({} transfer visits, {} moves costed)",
+        outcome.steps,
+        schedule.cost(&dag, &machine),
+        outcome.counts.visits,
+        outcome.counts.evaluated
     );
 
     assert!(schedule.validate(&dag, &machine).is_ok());
