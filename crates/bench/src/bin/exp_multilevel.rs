@@ -17,9 +17,7 @@
 //! `init_schedule`, the one `hc`, `hccs`), and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by this binary's global allocator (the largest of
-//! `--reps`), and what the one `HC` and `HCcs` did (`hc` / `hccs`: moves,
-//! local minimum and the search counts of their outcomes, `null` for a
-//! search that did not run).  Beside them, `sweep` splits the two width sweeps: every
+//! `--reps`).  Beside them, `sweep` splits the two width sweeps: every
 //! candidate either initializer builds (each width `P, P/2, …` ≥ 2, on the
 //! funnel DAG) with its four stages — construct, `place_sources`,
 //! `merge_supersteps`, cost — timed by calling those public functions
@@ -47,7 +45,7 @@
 use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::{HillClimbConfig, HillClimbOutcome, SearchCounts};
+use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use bsp_sched::{Funnel, Scheduler};
@@ -167,27 +165,6 @@ fn measure(reps: usize, run: impl Fn() -> PipelineReport) -> (f64, PipelineRepor
 fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
     let of_name = report.phases.iter().filter(|p| p.name == name);
     of_name.map(|p| p.dur_us).sum::<u64>() as f64 / 1e6
-}
-
-/// What a search of the run did, as a JSON object (`null` when it did not
-/// run): accepted moves, whether it ended at a local minimum, and the counts
-/// its outcome carries.
-fn search_json(outcome: Option<HillClimbOutcome>) -> String {
-    let Some(o) = outcome else {
-        return "null".to_string();
-    };
-    let SearchCounts {
-        visits,
-        gated,
-        evaluated,
-        pruned,
-        sweeps,
-    } = o.counts;
-    format!(
-        "{{\"steps\": {}, \"local_minimum\": {}, \"visits\": {visits}, \"gated\": {gated}, \
-         \"evaluated\": {evaluated}, \"pruned\": {pruned}, \"sweeps\": {sweeps}}}",
-        o.steps, o.reached_local_minimum
-    )
 }
 
 /// The stages of one width-sweep candidate, in the order the pipeline runs
@@ -380,14 +357,6 @@ fn main() {
                     "     solve peak: {:.2} MB above the start, {peak_per_node:.1} bytes/node",
                     peak as f64 / 1e6
                 );
-                if let Some(hc) = run.hc {
-                    let c = hc.counts;
-                    eprintln!(
-                        "     hc: {} moves, {} visits ({} gated), {} destinations costed, \
-                         {} pruned, {} sweeps",
-                        hc.steps, c.visits, c.gated, c.evaluated, c.pruned, c.sweeps
-                    );
-                }
                 let mut sweep = Vec::new();
                 for c in sweep_split(dag, machine, reps) {
                     let kept = run
@@ -432,8 +401,8 @@ fn main() {
                      \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
                      \"gap\": {:.4}, \"selected_init\": \"{}\", \
                      \"placement_width\": {}, \"funnel_nodes\": {}, \
-                     \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}, \
-                     \"hc\": {}, \"hccs\": {}}}, \"sweep\": [{}]}}",
+                     \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
+                     \"sweep\": [{}]}}",
                     dag.n(),
                     dag.num_edges(),
                     run.final_cost,
@@ -443,8 +412,6 @@ fn main() {
                     run.placement_width,
                     run.funnel_nodes,
                     phases.join(", "),
-                    search_json(run.hc),
-                    search_json(run.hccs),
                     sweep.join(", ")
                 ));
             }

@@ -68,7 +68,7 @@
 
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
-use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig, HillClimbOutcome};
+use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
@@ -239,12 +239,6 @@ pub struct PipelineReport {
     pub funnel_nodes: usize,
     /// [`Dag::lower_bound`] of the caller's DAG: no schedule costs less.
     pub lower_bound: u64,
-    /// What the one `HC` did, its [`HillClimbOutcome::counts`] included;
-    /// `None` when it did not run (the start met the bound).
-    pub hc: Option<HillClimbOutcome>,
-    /// What `HCcs` did; `None` when it did not run (the floor replaced the
-    /// answer, or it met the bound).
-    pub hccs: Option<HillClimbOutcome>,
     /// Per-phase wall-clock breakdown (empty unless
     /// [`PipelineConfig::collect_phases`] is set).  The depth-0 samples
     /// follow each other: a run is one thread.
@@ -265,8 +259,6 @@ impl PipelineReport {
             placement_width: start.width,
             funnel_nodes: start.schedule.assignment.n(),
             lower_bound,
-            hc: None,
-            hccs: None,
             phases: Vec::new(),
             schedule: start.schedule,
         }
@@ -281,15 +273,12 @@ impl PipelineReport {
 
 /// What [`improve_start`] did: the cost after `HC` and the merge (the start's
 /// own at the bound) and at the end, whether the trivial schedule replaced
-/// that result, the outcome of each search that ran, and the `hc` / `hccs`
-/// samples (none without a phase clock).
+/// that result, and the `hc` / `hccs` samples (none without a phase clock).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
     pub local_search_cost: u64,
     pub final_cost: u64,
     pub floored: bool,
-    pub hc: Option<HillClimbOutcome>,
-    pub hccs: Option<HillClimbOutcome>,
     pub phases: Vec<PhaseSample>,
 }
 
@@ -312,13 +301,11 @@ pub fn improve_start(
     search: impl Fn(f64) -> HillClimbConfig,
     origin: Option<Instant>,
 ) -> Improved {
-    let (mut phases, mut hc, mut hccs) = (Vec::new(), None, None);
+    let mut phases = Vec::new();
     if cost > lower_bound {
         let started = origin.map(|o| o.elapsed());
-        let outcome = hc_improve(dag, machine, schedule, &search(0.9));
+        cost = hc_improve(dag, machine, schedule, &search(0.9)).final_cost;
         phases.extend(PhaseSample::since("hc", origin, started));
-        cost = outcome.final_cost;
-        hc = Some(outcome);
     }
     if merge_supersteps(dag, &mut schedule.assignment) > 0 {
         schedule.relax_to_lazy(dag);
@@ -330,15 +317,13 @@ pub fn improve_start(
         *schedule = trivial;
     } else if cost > lower_bound {
         let started = origin.map(|o| o.elapsed());
-        hccs = Some(hccs_improve(dag, machine, schedule, &search(0.1)));
+        hccs_improve(dag, machine, schedule, &search(0.1));
         phases.extend(PhaseSample::since("hccs", origin, started));
     }
     Improved {
         local_search_cost: cost,
         final_cost: schedule.cost(dag, machine),
         floored,
-        hc,
-        hccs,
         phases,
     }
 }
@@ -507,8 +492,6 @@ impl Pipeline {
             phases,
             local_search_cost: improved.local_search_cost,
             final_cost: improved.final_cost,
-            hc: improved.hc,
-            hccs: improved.hccs,
             ..PipelineReport::at(best, lower_bound)
         }
     }
@@ -610,29 +593,6 @@ mod tests {
         let report = pipeline.run_report(&wide, &Machine::uniform(4, 1, 5));
         assert!(report.gap() > 1.0);
         assert_eq!(report.phases.iter().filter(|p| p.name == "hc").count(), 1);
-    }
-
-    #[test]
-    fn the_report_carries_the_outcome_of_each_search_that_ran() {
-        let dag = cg(&IterConfig {
-            n: 10,
-            density: 0.3,
-            iterations: 2,
-            seed: 4,
-        });
-        let machine = Machine::uniform(4, 3, 5);
-        let report = fast_pipeline().run_report(&dag, &machine);
-        let hc = report.hc.expect("HC ran on a start above the bound");
-        assert_eq!(hc.initial_cost, report.init_cost);
-        assert!(report.local_search_cost <= hc.final_cost);
-        assert!(hc.counts.visits >= report.funnel_nodes as u64);
-        let hccs = report.hccs.expect("HCcs ran on the survivor");
-        assert_eq!(hccs.final_cost, report.final_cost);
-        // A chain is answered before any search.
-        let edges: Vec<(usize, usize)> = (1..30).map(|v| (v - 1, v)).collect();
-        let chain = Dag::from_edge_list_unit_weights(30, &edges).unwrap();
-        let report = fast_pipeline().run_report(&chain, &machine);
-        assert_eq!((report.hc, report.hccs), (None, None));
     }
 
     #[test]

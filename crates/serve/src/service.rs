@@ -31,7 +31,7 @@ use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
-use bsp_sched::hill_climb::{HillClimbConfig, HillClimbOutcome};
+use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
@@ -663,46 +663,8 @@ impl ScheduleService {
             cancel: cancel.clone(),
         };
         let (cost, bound) = (schedule.cost(dag, machine), dag.lower_bound(machine));
-        let improved = improve_start(dag, machine, &mut schedule, cost, bound, search, None);
-        self.note_searches(improved.hc, improved.hccs);
+        improve_start(dag, machine, &mut schedule, cost, bound, search, None);
         Some(schedule)
-    }
-
-    /// Adds what `HC` and `HCcs` did (those that ran) to
-    /// `bsp_search_moves_total{search, kind}` — candidate moves `evaluated`,
-    /// `pruned` by a bound without touching a tally, `accepted` — and counts
-    /// the run in `bsp_search_runs_total{search, stop}` by how it stopped.
-    fn note_searches(&self, hc: Option<HillClimbOutcome>, hccs: Option<HillClimbOutcome>) {
-        for (search, outcome) in [("hc", hc), ("hccs", hccs)] {
-            let Some(outcome) = outcome else { continue };
-            let c = outcome.counts;
-            let moves = [
-                ("evaluated", c.evaluated),
-                ("pruned", c.pruned),
-                ("accepted", outcome.steps as u64),
-            ];
-            for (kind, n) in moves {
-                self.registry
-                    .counter(
-                        "bsp_search_moves_total",
-                        "local-search candidate moves: evaluated, pruned by a bound, accepted",
-                        &[("search", search), ("kind", kind)],
-                    )
-                    .fetch_add(n, Ordering::Relaxed);
-            }
-            let stop = if outcome.reached_local_minimum {
-                "local_minimum"
-            } else {
-                "limit"
-            };
-            self.registry
-                .counter(
-                    "bsp_search_runs_total",
-                    "local-search runs by how they stopped",
-                    &[("search", search), ("stop", stop)],
-                )
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Adds `micros` to the `bsp_solve_phase_micros_total{phase=…}` counter.
@@ -740,7 +702,6 @@ impl ScheduleService {
         config.cancel = cancel.clone();
         config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);
-        self.note_searches(report.hc, report.hccs);
         let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);
         if let Some(spans) = spans.as_deref_mut() {
             spans.push("solve", 0, solve_start, solve_dur);

@@ -35,23 +35,15 @@ fn main() {
 
     let hc_cfg = HillClimbConfig::default();
     let outcome = hc_improve(&dag, &machine, &mut schedule, &hc_cfg);
-    let c = outcome.counts;
     println!(
-        "  after HC ({} moves)     : {} ({} visits, {} gated, {} moves costed, {} pruned)",
+        "  after HC ({} moves)     : {}",
         outcome.steps,
-        schedule.cost(&dag, &machine),
-        c.visits,
-        c.gated,
-        c.evaluated,
-        c.pruned
+        schedule.cost(&dag, &machine)
     );
-    let outcome = hccs_improve(&dag, &machine, &mut schedule, &hc_cfg);
+    hccs_improve(&dag, &machine, &mut schedule, &hc_cfg);
     println!(
-        "  after HCcs ({} moves)   : {} ({} transfer visits, {} moves costed)",
-        outcome.steps,
-        schedule.cost(&dag, &machine),
-        outcome.counts.visits,
-        outcome.counts.evaluated
+        "  after HCcs              : {}",
+        schedule.cost(&dag, &machine)
     );
 
     assert!(schedule.validate(&dag, &machine).is_ok());

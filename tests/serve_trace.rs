@@ -366,12 +366,6 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     let snap = MetricsSnapshot::parse(&exposition).expect("exposition parses");
     assert_eq!(snap.counter("bsp_requests_total{source=\"cold\"}"), Some(1));
     assert!(snap.counter_sum("bsp_solve_phase_micros_total") > 0);
-    // The cold solve's `HC` costed candidate moves, and each search that
-    // ran counted one run.
-    let evaluated = "bsp_search_moves_total{search=\"hc\",kind=\"evaluated\"}";
-    assert!(snap.counter(evaluated) > Some(0), "{evaluated}");
-    let runs = snap.counter_sum("bsp_search_runs_total");
-    assert!((1..=2).contains(&runs), "{runs} search runs");
     assert!(
         snap.histograms.contains_key("bsp_queue_wait_micros"),
         "queue-wait histogram is registered"
