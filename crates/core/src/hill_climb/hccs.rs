@@ -87,6 +87,11 @@ impl Neighbourhood for CsState<'_> {
         self.reqs.len()
     }
 
+    /// A transfer whose window is a single phase has nowhere to go.
+    fn may_improve(&mut self, i: usize) -> bool {
+        self.reqs[i].earliest != self.reqs[i].latest
+    }
+
     /// Tries the phases of requirement `i`'s window in order and commits the
     /// first improving one.
     fn try_improve(&mut self, i: usize, counts: &mut SearchCounts) -> bool {
@@ -96,10 +101,6 @@ impl Neighbourhood for CsState<'_> {
             current,
             ..
         } = self.reqs[i];
-        if earliest == latest {
-            counts.gated += 1;
-            return false;
-        }
         for s_new in (earliest..=latest).filter(|&s| s != current) {
             counts.evaluated += 1;
             if self.apply(i, s_new) < 0 {
@@ -189,8 +190,7 @@ pub fn hccs_improve(
     }
 
     let mut list = SearchScratch::new();
-    list.reserve(state.reqs.len());
-    (0..state.reqs.len()).for_each(|i| list.push(i));
+    list.push_all(state.reqs.len());
     let outcome = drive(&mut state, config, start, &mut list);
 
     // Materialize the optimized communication schedule.
@@ -301,7 +301,8 @@ mod tests {
     fn hc_hands_back_a_gamma_cheaper_than_lazy_unless_it_gets_below_it() {
         // After `HCcs` the example costs less than the lazy schedule of its
         // assignment.  `HC` searches that lazy schedule; whether it stops at
-        // once (a fired token) or runs to its local minimum, it may not return
+        // once (a fired token), after one move (which lowers the lazy cost,
+        // not below the given one) or at its local minimum, it may not return
         // anything costlier than it was given.
         let (dag, machine, mut sched) = spreading_example();
         hccs_improve(&dag, &machine, &mut sched, &HillClimbConfig::default());
@@ -316,15 +317,22 @@ mod tests {
             cancel,
             ..HillClimbConfig::default()
         };
-        for config in [stopped, HillClimbConfig::default()] {
+        for (config, hands_back) in [
+            (stopped, true),
+            (HillClimbConfig::with_max_steps(1), true),
+            (HillClimbConfig::default(), false),
+        ] {
             let mut sched = given.clone();
             let outcome = hc_improve(&dag, &machine, &mut sched, &config);
             assert_eq!(outcome.initial_cost, given_cost);
             assert_eq!(outcome.final_cost, sched.cost(&dag, &machine));
             assert!(outcome.final_cost <= given_cost, "{outcome:?}");
             assert!(sched.validate(&dag, &machine).is_ok());
-            if outcome.final_cost == given_cost {
+            assert_eq!(outcome.final_cost == given_cost, hands_back, "{outcome:?}");
+            if hands_back {
                 assert_eq!(sched, given);
+                // The one move was made on the lazy schedule, which is gone.
+                assert_eq!(outcome.steps, 0, "{outcome:?}");
             }
         }
     }

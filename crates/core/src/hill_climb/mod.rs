@@ -106,7 +106,8 @@ impl HillClimbConfig {
 /// Statistics returned by a hill-climbing run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HillClimbOutcome {
-    /// Number of accepted improvement steps.
+    /// Number of accepted improvement steps on the schedule returned (0 when
+    /// [`hc_improve`] hands back the schedule it was given).
     pub steps: usize,
     /// Cost of the schedule the search was given.
     pub initial_cost: u64,
@@ -174,8 +175,13 @@ impl SearchScratch {
 
     /// Enqueues every node of `graph`.
     pub fn enqueue_all(&mut self, graph: &Dag) {
-        self.reserve(graph.n());
-        (0..graph.n()).for_each(|v| self.push(v));
+        self.push_all(graph.n());
+    }
+
+    /// Enqueues every entity `0..n`, reserving room for them first.
+    fn push_all(&mut self, n: usize) {
+        self.reserve(n);
+        (0..n).for_each(|v| self.push(v));
     }
 
     /// Enqueues `v`, already within the reserved range, unless it is queued.
@@ -198,8 +204,13 @@ impl SearchScratch {
 trait Neighbourhood {
     fn entities(&self) -> usize;
 
-    /// Applies the first improving move of entity `i`, counting what it
-    /// gated, costed and pruned; `true` if a move was accepted.
+    /// The `O(1)` gate: `false` if entity `i` has no improving move, so the
+    /// driver passes it by without costing one.
+    fn may_improve(&mut self, i: usize) -> bool;
+
+    /// Applies the first improving move of an entity past the gate, adding
+    /// the moves it costed and pruned to `counts` once; `true` if a move was
+    /// accepted.
     fn try_improve(&mut self, i: usize, counts: &mut SearchCounts) -> bool;
 
     /// Enqueues every entity whose best move the move `i` just accepted can
@@ -220,20 +231,25 @@ fn drive(
 ) -> HillClimbOutcome {
     let n = search.entities();
     list.reserve(n);
-    let mut outcome = HillClimbOutcome::default();
-    let counts = &mut outcome.counts;
+    // What every visit touches is a plain local; `counts` is written only by
+    // visits past the gate and by a sweep.
+    let (mut steps, mut polls, mut gated) = (0usize, 0u64, 0u64);
+    let mut counts = SearchCounts::default();
 
-    // Reading the clock (or the cancel token) per visit would dominate gated
-    // visits; poll both on the first visit and every 64th after it.
-    let mut visit = 0u32;
-    let mut over_limit = |steps: usize| {
-        visit = visit.wrapping_add(1);
+    // Every visit is polled first.  Reading the clock (or the cancel token)
+    // per visit would dominate gated visits; read both on the first poll and
+    // every 64th after it.
+    let over_limit = |polls: &mut u64, steps: usize| {
+        *polls += 1;
         steps >= config.max_steps
-            || (visit & 63 == 1
+            || (*polls & 63 == 1
                 && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
     };
-    let mut visit_one = |i: usize, list: &mut SearchScratch, counts: &mut SearchCounts| {
-        counts.visits += 1;
+    let mut moved = |i: usize, list: &mut SearchScratch, counts: &mut SearchCounts| {
+        if !search.may_improve(i) {
+            gated += 1;
+            return false;
+        }
         let accepted = search.try_improve(i, counts);
         if accepted {
             search.enqueue_dirty(i, list);
@@ -241,33 +257,55 @@ fn drive(
         accepted
     };
 
-    'outer: loop {
+    let stopped = 'outer: loop {
         while let Some(i) = list.pop() {
-            if over_limit(outcome.steps) {
-                break 'outer;
+            if over_limit(&mut polls, steps) {
+                break 'outer true;
             }
-            outcome.steps += usize::from(visit_one(i, list, counts));
+            steps += usize::from(moved(i, list, &mut counts));
         }
         counts.sweeps += 1;
         let mut sweep_improved = false;
         for i in 0..n {
-            if over_limit(outcome.steps) {
-                break 'outer;
+            if over_limit(&mut polls, steps) {
+                break 'outer true;
             }
-            if visit_one(i, list, counts) {
-                outcome.steps += 1;
+            if moved(i, list, &mut counts) {
+                steps += 1;
                 sweep_improved = true;
             }
         }
         if !sweep_improved {
-            outcome.reached_local_minimum = true;
-            break;
+            break false;
         }
-    }
+    };
     // Whatever a limit left queued is drained, so the next search starts
     // from the caller's seeds alone.
     while list.pop().is_some() {}
-    outcome
+    HillClimbOutcome {
+        steps,
+        reached_local_minimum: !stopped,
+        counts: SearchCounts {
+            // The poll that stopped the search visited nothing.
+            visits: polls - u64::from(stopped),
+            gated,
+            ..counts
+        },
+        ..HillClimbOutcome::default()
+    }
+}
+
+/// One node visit's costing state: whether the node is lifted out of the
+/// tallies, and the destinations costed and pruned so far.  A local of the
+/// visit, added to [`SearchCounts`] once when the visit ends.  The counts sit
+/// beside the flag the out-of-line costing call already takes: counters in
+/// the enumeration loop itself keep the compiler from specializing that
+/// loop per superstep, which slows the visits that cost nothing.
+#[derive(Default)]
+struct Costing {
+    lifted: bool,
+    evaluated: u64,
+    pruned: u64,
 }
 
 /// Costs one admissible destination of `v`; `true` if moving there lowers the
@@ -281,18 +319,19 @@ fn drive(
 fn destination_improves(
     graph: &Dag,
     state: &mut HcState<'_>,
-    lifted: &mut bool,
-    (v, p_new, s_new): (usize, usize, usize),
-    counts: &mut SearchCounts,
+    costing: &mut Costing,
+    v: usize,
+    p_new: usize,
+    s_new: usize,
 ) -> bool {
-    counts.evaluated += 1;
-    if !*lifted {
+    costing.evaluated += 1;
+    if !costing.lifted {
         state.lift(graph, v);
-        *lifted = true;
+        costing.lifted = true;
     }
     let bound = state.drop_lower_bound(graph, v, p_new, s_new);
     if bound.is_some_and(|b| b >= 0) {
-        counts.pruned += 1;
+        costing.pruned += 1;
         return false;
     }
     state.drop_eval(graph, v, p_new, s_new) < 0
@@ -310,18 +349,19 @@ impl Neighbourhood for NodeMoves<'_, '_, '_> {
         self.graph.n()
     }
 
+    /// [`HcState::node_can_gain`].
+    fn may_improve(&mut self, v: usize) -> bool {
+        self.state.node_can_gain(self.graph, v)
+    }
+
     /// Tries the candidate moves of node `v` in the canonical order
     /// (superstep `s−1`, `s`, `s+1`; processors ascending) and applies the
     /// first improving one.
     fn try_improve(&mut self, v: usize, counts: &mut SearchCounts) -> bool {
         let (graph, state) = (self.graph, &mut *self.state);
-        if !state.node_can_gain(graph, v) {
-            counts.gated += 1;
-            return false;
-        }
         let (p_old, s_old) = (state.proc_of(v), state.step_of(v));
         let window = state.move_window(graph, v);
-        let mut lifted = false;
+        let mut costing = Costing::default();
         let mut found = None;
         let s_candidates = [s_old.wrapping_sub(1), s_old, s_old + 1];
         'search: for &s_new in &s_candidates {
@@ -335,14 +375,15 @@ impl Neighbourhood for NodeMoves<'_, '_, '_> {
                 if !window.allows(p_new, s_new) {
                     continue;
                 }
-                let mv = (v, p_new, s_new);
-                if destination_improves(graph, state, &mut lifted, mv, counts) {
+                if destination_improves(graph, state, &mut costing, v, p_new, s_new) {
                     found = Some((p_new, s_new));
                     break 'search;
                 }
             }
         }
-        if lifted {
+        counts.evaluated += costing.evaluated;
+        counts.pruned += costing.pruned;
+        if costing.lifted {
             state.unlift(graph, v);
         }
         if let Some((p_new, s_new)) = found {
@@ -401,16 +442,18 @@ pub fn hc_improve(
     schedule.assignment = state.into_assignment();
     schedule.relax_to_lazy(dag);
     schedule.normalize(dag);
-    let mut final_cost = schedule.cost(dag, machine);
-    if let Some((assignment, comm)) = given.filter(|_| final_cost >= initial_cost) {
-        (schedule.assignment, schedule.comm) = (assignment, comm);
-        final_cost = initial_cost;
-    }
-    HillClimbOutcome {
+    let mut outcome = HillClimbOutcome {
         initial_cost,
-        final_cost,
+        final_cost: schedule.cost(dag, machine),
         ..outcome
+    };
+    if let Some((assignment, comm)) = given.filter(|_| outcome.final_cost >= initial_cost) {
+        // The given schedule goes back, and none of the search's moves are
+        // on it; its counts still say what the search did.
+        (schedule.assignment, schedule.comm) = (assignment, comm);
+        (outcome.final_cost, outcome.steps) = (initial_cost, 0);
     }
+    outcome
 }
 
 /// The work-list `HC` search itself, operating on an existing [`HcState`]:
