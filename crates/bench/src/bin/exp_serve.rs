@@ -14,7 +14,10 @@
 //!    clients with `--depth` requests in flight per connection.
 //!
 //! Every response is validated client-side; per-source latency and the
-//! throughput ratio land in the JSON written to `--out`.
+//! throughput ratio land in the JSON written to `--out`, and
+//! `summary.warm_locality` sets the sharded warm hits beside the serial
+//! ones with `placement_decisions`, the router's `bsp_placement_total`
+//! count per decision label (`structure_owner`, `fp_legacy`, `failover`).
 //!
 //! A third **restart** phase measures the durable store: a store-backed
 //! server is populated, shut down, and restarted on the same directory;
@@ -59,9 +62,9 @@ use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Completion, LatencyHistogram, MetricsSnapshot, Mode, PipelinedClient, PlacementScope,
-    RequestOptions, Router, RouterConfig, RouterHandle, ScheduleSource, Server, ServerConfig,
-    ServerHandle, ServiceConfig, ServiceStats,
+    Client, Completion, Decision, LatencyHistogram, MetricsSnapshot, Mode, PipelinedClient,
+    PlacementScope, RequestOptions, Router, RouterConfig, RouterHandle, ScheduleSource, Server,
+    ServerConfig, ServerHandle, ServiceConfig, ServiceStats,
 };
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
@@ -556,8 +559,8 @@ fn spawn_deployment(shards: usize, config: &ServerConfig) -> (Vec<ServerHandle>,
         .map(|shard| {
             let mut config = config.clone();
             // Each shard knows its slice of the placement policy, so adoption
-            // of steered/failed-over entries is counted and an epoch change
-            // compacts foreign durable state.
+            // of failed-over entries is counted and an epoch change compacts
+            // foreign durable state.
             config.service.placement = Some(PlacementScope { shards, shard });
             Server::bind("127.0.0.1:0", config)
                 .expect("bind a shard")
@@ -974,31 +977,30 @@ fn main() {
     let agg_warm: u64 = shard_stats.iter().map(|s| s.cache.warm_hits).sum();
     let agg_warm_fallbacks: u64 = shard_stats.iter().map(|s| s.cache.warm_fallbacks).sum();
     let agg_misses: u64 = shard_stats.iter().map(|s| s.cache.misses).sum();
-    // The placement tentpole's success metric: structure-affinity routing
-    // should make sharded warm hits track the serial baseline (full-key
-    // ranges scattered warm families across shards and lost most of them).
+    // The placement policy's success metric: structure-range routing should
+    // make sharded warm hits track the serial baseline (full-key ranges
+    // scattered warm families across shards and lost most of them).
     let serial_warm = serial_stats.cache.warm_hits;
     let warm_ratio = if serial_warm > 0 {
         agg_warm as f64 / serial_warm as f64
     } else {
         1.0
     };
-    let placement_decision = |name: &str| {
-        metrics
-            .counter(&format!("bsp_placement_total{{decision=\"{name}\"}}"))
-            .unwrap_or(0)
-    };
+    // One field per `bsp_placement_total` decision label.
+    let placement_decisions: Vec<String> = Decision::ALL
+        .iter()
+        .map(|d| {
+            let name = d.as_str();
+            let count = metrics
+                .counter(&format!("bsp_placement_total{{decision=\"{name}\"}}"))
+                .unwrap_or(0);
+            format!("\"{name}\": {count}")
+        })
+        .collect();
     let warm_locality = format!(
         "{{\"serial_warm_hits\": {serial_warm}, \"sharded_warm_hits\": {agg_warm}, \
-         \"warm_ratio\": {warm_ratio:.3}, \"placement_decisions\": {{\
-         \"affinity\": {}, \"load_steered\": {}, \"range_cold\": {}, \
-         \"fp_probe\": {}, \"fp_legacy\": {}, \"failover\": {}}}}}",
-        placement_decision("affinity"),
-        placement_decision("load_steered"),
-        placement_decision("range_cold"),
-        placement_decision("fp_probe"),
-        placement_decision("fp_legacy"),
-        placement_decision("failover"),
+         \"warm_ratio\": {warm_ratio:.3}, \"placement_decisions\": {{{}}}}}",
+        placement_decisions.join(", "),
     );
     eprintln!(
         "warm locality: {agg_warm} sharded vs {serial_warm} serial warm hits ({warm_ratio:.2}x)"
@@ -1144,7 +1146,7 @@ fn main() {
             "smoke: a solver result was discarded, or the series is missing"
         );
         // Placement gates: the router's decision counters were live in the
-        // mid-workload scrape, and structure-affinity routing kept sharded
+        // mid-workload scrape, and structure-range routing kept sharded
         // warm hits within 10% of the serial baseline.
         assert!(
             metrics.counter_sum("bsp_placement_total") > 0,

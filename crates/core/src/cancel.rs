@@ -52,11 +52,6 @@ impl CancelToken {
         }
     }
 
-    /// A token that fires `budget` from now (and on [`CancelToken::cancel`]).
-    pub fn with_budget(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
-    }
-
     /// Returns this token with its deadline tightened to `deadline` (keeps
     /// the earlier of the two if one is already set).  Shares the flag with
     /// `self`, so an explicit [`CancelToken::cancel`] still fires both.
@@ -126,7 +121,7 @@ mod tests {
     fn past_deadline_fires() {
         let t = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(t.is_cancelled());
-        let u = CancelToken::with_budget(Duration::from_secs(3600));
+        let u = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!u.is_cancelled());
         assert!(u.remaining().unwrap() > Duration::from_secs(3000));
     }

@@ -43,13 +43,6 @@ pub trait Scheduler {
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule;
 }
 
-/// Convenience: runs a scheduler and returns `(cost, schedule)`.
-pub fn evaluate(scheduler: &dyn Scheduler, dag: &Dag, machine: &Machine) -> (u64, BspSchedule) {
-    let sched = scheduler.schedule(dag, machine);
-    let cost = sched.cost(dag, machine);
-    (cost, sched)
-}
-
 pub use baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };

@@ -19,24 +19,6 @@ pub struct SparsePattern {
 }
 
 impl SparsePattern {
-    /// Builds a pattern from explicit (row, column) coordinates.  Duplicates
-    /// are removed; out-of-range coordinates panic.
-    pub fn from_coordinates(n: usize, coords: &[(usize, usize)]) -> Self {
-        let mut rows = vec![Vec::new(); n];
-        for &(i, j) in coords {
-            assert!(
-                i < n && j < n,
-                "coordinate ({i},{j}) out of range for N={n}"
-            );
-            rows[i].push(j);
-        }
-        for row in &mut rows {
-            row.sort_unstable();
-            row.dedup();
-        }
-        SparsePattern { n, rows }
-    }
-
     /// An Erdős–Rényi random pattern: every entry is nonzero independently
     /// with probability `density`.  Deterministic in `seed`.
     pub fn random(n: usize, density: f64, seed: u64) -> Self {
@@ -67,20 +49,6 @@ impl SparsePattern {
         p
     }
 
-    /// A banded pattern with the given half-bandwidth (useful for "deep"
-    /// structured DAG shapes in tests and examples).
-    pub fn banded(n: usize, half_bandwidth: usize) -> Self {
-        let mut rows = vec![Vec::new(); n];
-        for (i, row) in rows.iter_mut().enumerate() {
-            let lo = i.saturating_sub(half_bandwidth);
-            let hi = (i + half_bandwidth).min(n - 1);
-            for j in lo..=hi {
-                row.push(j);
-            }
-        }
-        SparsePattern { n, rows }
-    }
-
     /// Matrix dimension `N`.
     pub fn n(&self) -> usize {
         self.n
@@ -94,14 +62,6 @@ impl SparsePattern {
     /// Column indices of the nonzeros of row `i`.
     pub fn row(&self, i: usize) -> &[usize] {
         &self.rows[i]
-    }
-
-    /// Iterator over all nonzero coordinates `(row, col)`.
-    pub fn coordinates(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cols)| cols.iter().map(move |&j| (i, j)))
     }
 
     /// `true` if entry `(i, j)` is nonzero.
@@ -121,16 +81,6 @@ impl SparsePattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_coordinates_sorts_and_dedups() {
-        let p = SparsePattern::from_coordinates(3, &[(0, 2), (0, 1), (0, 2), (2, 0)]);
-        assert_eq!(p.row(0), &[1, 2]);
-        assert_eq!(p.row(2), &[0]);
-        assert_eq!(p.nnz(), 3);
-        assert!(p.contains(0, 2));
-        assert!(!p.contains(1, 1));
-    }
 
     #[test]
     fn random_is_deterministic_in_seed() {
@@ -154,13 +104,5 @@ mod tests {
         for i in 0..50 {
             assert!(p.contains(i, i));
         }
-    }
-
-    #[test]
-    fn banded_pattern_shape() {
-        let p = SparsePattern::banded(5, 1);
-        assert_eq!(p.row(0), &[0, 1]);
-        assert_eq!(p.row(2), &[1, 2, 3]);
-        assert_eq!(p.row(4), &[3, 4]);
     }
 }

@@ -160,19 +160,6 @@ impl Model {
         self.vars.len()
     }
 
-    /// Number of integer (including binary) variables.
-    pub fn num_integer_vars(&self) -> usize {
-        self.vars
-            .iter()
-            .filter(|v| v.kind == VarKind::Integer)
-            .count()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Variable metadata.
     pub fn variable(&self, id: VarId) -> &Variable {
         &self.vars[id.0]
@@ -239,8 +226,6 @@ mod tests {
         let y = m.add_continuous("y", 0.0, 10.0, 2.0);
         m.add_le("cap", vec![(x, 1.0), (y, 1.0)], 5.0);
         assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_integer_vars(), 1);
-        assert_eq!(m.num_constraints(), 1);
         assert_eq!(m.variable(x).name, "x");
         assert!((m.objective_value(&[1.0, 2.0]) - 5.0).abs() < 1e-12);
     }

@@ -89,23 +89,6 @@ impl Fnv64 {
         self.state = s;
     }
 
-    /// Feeds a slice of `u64` values (length-prefixed, so `[1][2]` and
-    /// `[1, 2]` hash differently across adjacent fields).
-    pub fn write_u64_slice(&mut self, values: &[u64]) {
-        self.write_usize(values.len());
-        for &v in values {
-            self.write_u64(v);
-        }
-    }
-
-    /// Feeds a slice of `usize` values (length-prefixed).
-    pub fn write_usize_slice(&mut self, values: &[usize]) {
-        self.write_usize(values.len());
-        for &v in values {
-            self.write_usize(v);
-        }
-    }
-
     /// The current hash value.
     #[inline]
     pub fn finish(&self) -> u64 {

@@ -25,7 +25,6 @@
 //!   format, wire protocol) share.
 //! * [`classical`] — conversion of classical time-based schedules (as produced
 //!   by `Cilk`, `BL-EST`, `ETF`) into BSP schedules.
-//! * [`render`] — plain-text rendering of schedules for debugging and examples.
 
 pub mod classical;
 pub mod comm;
@@ -36,7 +35,6 @@ pub mod error;
 pub mod fingerprint;
 pub mod machine;
 pub mod record;
-pub mod render;
 pub mod schedule;
 pub mod validity;
 

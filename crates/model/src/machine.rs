@@ -116,7 +116,7 @@ impl Machine {
             y >>= 1;
             levels += 1;
         }
-        delta.pow(levels - 1)
+        delta.saturating_pow(levels - 1)
     }
 
     /// Number of processors `P`.
@@ -207,21 +207,6 @@ impl Machine {
             lambda: block(&self.lambda),
         }
     }
-
-    /// Returns a copy of this machine with a different latency (used by the
-    /// latency sweep of Table 9).
-    pub fn with_latency(&self, l: u64) -> Self {
-        let mut m = self.clone();
-        m.latency = l;
-        m
-    }
-
-    /// Returns a copy of this machine with a different `g`.
-    pub fn with_g(&self, g: u64) -> Self {
-        let mut m = self.clone();
-        m.g = g;
-        m
-    }
 }
 
 #[cfg(test)]
@@ -284,14 +269,6 @@ mod tests {
         assert_eq!(m.lambda(1, 1), 0);
         assert_eq!(m.lambda(0, 1), 2);
         assert_eq!(m.lambda(1, 0), 3);
-    }
-
-    #[test]
-    fn with_latency_and_g_modifiers() {
-        let m = Machine::uniform(4, 1, 5);
-        assert_eq!(m.with_latency(20).latency(), 20);
-        assert_eq!(m.with_g(7).g(), 7);
-        assert_eq!(m.with_g(7).latency(), 5);
     }
 
     #[test]

@@ -44,6 +44,11 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 8;
 /// length field must not send the scanner astray.
 pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
+/// The largest `P` a record may carry, and the service limit on a request's
+/// machine: `λ` is a dense `P × P` table, so a bigger `P` read off a damaged
+/// frame would allocate without bound before anything else is checked.
+pub const MAX_PROCESSORS: usize = 512;
+
 /// One durable cache entry, ready to re-validate and re-insert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreRecord {
@@ -225,10 +230,10 @@ pub fn decode_record(bytes: &[u8]) -> Result<(StoreRecord, usize), RecordError> 
     let g = cur.u64()?;
     let l = cur.u64()?;
     let delta = cur.u64()?;
-    if p == 0 {
-        return Err(RecordError::Malformed(
-            "machine with zero processors".into(),
-        ));
+    if p == 0 || p > MAX_PROCESSORS {
+        return Err(RecordError::Malformed(format!(
+            "machine with {p} processors (1 to {MAX_PROCESSORS})"
+        )));
     }
     let machine = match kind {
         0 => Machine::uniform(p, g, l),

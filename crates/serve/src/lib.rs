@@ -31,10 +31,8 @@
 //!   [`PipelinedClient`] (`submit`/`recv`), one connection engine with the
 //!   transparent `FP <hex>` content-addressed replay fast path.
 //! * [`placement`] — the ownership policy: the **only** code that maps a
-//!   request key to a shard.  A structure-key range map with a sticky
-//!   affinity directory keeps warm structural families on one shard, a
-//!   load-aware cold path steers first sightings to the least-loaded shard
-//!   (hysteretic, falls back to range ownership on stale scrapes), and
+//!   request key to a shard.  A pure range map over the structure key keeps
+//!   warm structural families on one shard, and
 //!   [`placement::PlacementScope`] lets each shard's store and adoption
 //!   path answer "do I own this key?" with the same map.
 //! * [`router`] — `bsp_router`: a placement-driven router fronting N

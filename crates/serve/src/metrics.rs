@@ -41,9 +41,9 @@ pub struct StoreCounters {
     /// structure key to another shard (re-sharding, policy version bump).
     pub dropped_foreign: AtomicU64,
     /// Recovered records adopted although this shard is not their
-    /// structure-range owner (load-steered or failed-over entries).  A
-    /// count, not an error: affinity may legitimately home a family off its
-    /// range owner within an epoch.
+    /// structure-range owner (failed-over entries).  A count, not an error:
+    /// failover legitimately solves a family off its range owner within an
+    /// epoch.
     pub adopted_foreign: AtomicU64,
 }
 
@@ -81,7 +81,7 @@ pub struct StoreStats {
     pub appended: u64,
     /// Records dropped on open by a placement-epoch change.
     pub dropped_foreign: u64,
-    /// Foreign-structure records adopted anyway (steered/failed-over).
+    /// Foreign-structure records adopted anyway (failed-over).
     pub adopted_foreign: u64,
 }
 

@@ -355,7 +355,7 @@ fn render_histogram_series(
     let bucket_name = format!("{name}_bucket");
     let mut cumulative = 0u64;
     for &(le, n) in buckets {
-        cumulative += n;
+        cumulative = cumulative.saturating_add(n);
         let body = if labels.is_empty() {
             format!("le=\"{le}\"")
         } else {
@@ -548,11 +548,12 @@ impl HistogramSnapshot {
     fn merge_from(&mut self, other: &HistogramSnapshot) {
         let mut merged: BTreeMap<u64, u64> = self.buckets.iter().copied().collect();
         for &(le, n) in &other.buckets {
-            *merged.entry(le).or_insert(0) += n;
+            let slot = merged.entry(le).or_insert(0);
+            *slot = slot.saturating_add(n);
         }
         self.buckets = merged.into_iter().collect();
-        self.sum += other.sum;
-        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.count = self.count.saturating_add(other.count);
     }
 }
 
@@ -685,15 +686,18 @@ impl MetricsSnapshot {
         Ok(snapshot)
     }
 
-    /// Pools another snapshot into this one: counters and gauges sum,
+    /// Pools another snapshot into this one: counters and gauges sum
+    /// (saturating: a shard's reply is input, not a trusted total),
     /// histograms merge bucket-wise (quantiles of the merge are quantiles of
     /// the pooled observations).
     pub fn merge_from(&mut self, other: &MetricsSnapshot) {
-        for (key, value) in &other.counters {
-            *self.counters.entry(key.clone()).or_insert(0) += value;
+        for (key, &value) in &other.counters {
+            let slot = self.counters.entry(key.clone()).or_insert(0);
+            *slot = slot.saturating_add(value);
         }
-        for (key, value) in &other.gauges {
-            *self.gauges.entry(key.clone()).or_insert(0) += value;
+        for (key, &value) in &other.gauges {
+            let slot = self.gauges.entry(key.clone()).or_insert(0);
+            *slot = slot.saturating_add(value);
         }
         for (key, hist) in &other.histograms {
             self.histograms

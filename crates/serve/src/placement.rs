@@ -16,41 +16,20 @@
 //!
 //! ## The policy
 //!
-//! [`Placement`] routes in three tiers, most specific first:
+//! [`Placement`] is a pure function of the key, with no state:
 //!
-//! 1. **Affinity** — a bounded directory remembers the home shard chosen
-//!    for each structure key the router has seen.  Every later request of
-//!    the family (exact replays included, via the structure token on the
-//!    `FP` wire line) goes home, so a family's exact entries *and* its warm
-//!    alias co-locate.
-//! 2. **Load-aware cold placement** — the first sighting of a structure is
-//!    owned by nobody's cache yet, so it may be steered to the shard with
-//!    the lowest pooled queue-wait p50 (from the router's METRICS scrapes)
-//!    instead of its range owner.  Steering is hysteretic: the range owner
-//!    keeps the request unless it is **more than 2× and ≥ 10 ms** worse
-//!    than the best shard, so a quiet cluster places purely by range and
-//!    stays deterministic.  Stale scrapes (no refresh within 3 probe
-//!    intervals, e.g. a shard in probe backoff) disable steering entirely.
-//! 3. **Range ownership** — a multiply-shift range map over the structure
-//!    key (`(structure * shards) >> 64`), the deterministic fallback that
-//!    needs no state.  Legacy `FP` lines without a structure token fall
-//!    back to the same map over the high lane of the full key — the
-//!    pre-placement routing — so old clients keep their exact hits.
-//!
-//! The tie-break when full-key and structure-key owners disagree is
-//! one-sided by design: **the structure owner always wins** for full
-//! requests.  Exact-hit routing is preserved not by the full-key map but by
-//! the per-entry cache population on the owning shard.
-//!
-//! ## Failover and restarts
-//!
-//! The directory is runtime state.  After a router restart it is empty:
-//! replays probe the structure range owner, and a miss surfaces as the
-//! ordinary `unknown-fp` dance (the client transparently resends the full
-//! request, which re-homes the family).  During failover the router
-//! re-runs on [`Placement::failover_successor`]; the directory keeps the
-//! dead shard as home, so the family *re-homes automatically* once the
-//! shard rejoins.
+//! * a full request, and an `FP` replay that carries a structure token, go
+//!   to the **structure-range owner** — a multiply-shift range map over the
+//!   structure key (`(structure * shards) >> 64`).  Every reweighted
+//!   instance of a DAG shares the structure key, so a family's exact
+//!   entries *and* its warm alias live on one shard, and an exact replay
+//!   finds its entry there, across router restarts too;
+//! * an `FP` line without a structure token (the legacy wire) goes to the
+//!   same map over the high lane of the full key — the pre-placement
+//!   routing — so old clients keep their exact hits;
+//! * a request whose shard is dead re-runs on
+//!   [`Placement::failover_successor`].  Nothing records the detour, so the
+//!   family is back on its owner as soon as the owner rejoins.
 //!
 //! ## Epochs
 //!
@@ -61,37 +40,17 @@
 //! and compacted away (counted as `dropped_foreign`) — re-sharding is an
 //! explicit, observable event instead of silently serving foreign keys.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 /// Bump when the placement function changes shape incompatibly; part of the
 /// store epoch, so a policy change re-filters durable state on next open.
 pub const PLACEMENT_VERSION: u64 = 1;
-
-/// Directory capacity: one entry per *structure* (not per request), so this
-/// comfortably covers any realistic working set; beyond it, cold placements
-/// stop being sticky and fall back to pure range ownership.
-const DIRECTORY_CAP: usize = 65_536;
-
-/// Steering hysteresis: the range owner keeps a cold request unless its
-/// queue-wait p50 is worse than the best shard by **both** this factor...
-const STEER_RATIO: u64 = 2;
-/// ...and this absolute gap (µs).  Keeps idle clusters deterministic.
-const STEER_MIN_GAP_US: u64 = 10_000;
 
 /// Why the policy picked the shard it picked.  Rendered as the `decision`
 /// label on `bsp_placement_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
-    /// Directory hit: the structure already has a home shard.
-    Affinity,
-    /// Cold structure steered off its range owner by the load signal.
-    LoadSteered,
-    /// Cold structure placed on its structure-range owner (no steer).
-    RangeCold,
-    /// FP replay with a structure token for an unknown structure: probe the
-    /// structure range owner (a restart-emptied directory lands here).
-    FpProbe,
+    /// A full request, or an `FP` replay with a structure token, on its
+    /// structure-range owner.
+    StructureOwner,
     /// FP replay without a structure token (legacy wire): full-key range
     /// owner, the pre-placement routing.
     FpLegacy,
@@ -101,11 +60,8 @@ pub enum Decision {
 
 impl Decision {
     /// Every variant, for registering counters up front.
-    pub const ALL: [Decision; 6] = [
-        Decision::Affinity,
-        Decision::LoadSteered,
-        Decision::RangeCold,
-        Decision::FpProbe,
+    pub const ALL: [Decision; 3] = [
+        Decision::StructureOwner,
         Decision::FpLegacy,
         Decision::Failover,
     ];
@@ -113,53 +69,33 @@ impl Decision {
     /// The stable label used on metrics.
     pub fn as_str(self) -> &'static str {
         match self {
-            Decision::Affinity => "affinity",
-            Decision::LoadSteered => "load_steered",
-            Decision::RangeCold => "range_cold",
-            Decision::FpProbe => "fp_probe",
+            Decision::StructureOwner => "structure_owner",
             Decision::FpLegacy => "fp_legacy",
             Decision::Failover => "failover",
         }
     }
 }
 
-/// Per-shard pooled queue-wait p50s from the router's latest METRICS
-/// scrape; `None` for shards that did not answer (dead, in probe backoff,
-/// or not yet serving traffic).  Staleness is the *router's* judgement —
-/// pass `None` for the whole view rather than an old one.
-#[derive(Debug, Clone, Default)]
-pub struct LoadView {
-    /// Indexed by shard; `queue_wait_p50_us[s]` is shard `s`'s pooled
-    /// `bsp_queue_wait_micros` p50 in microseconds.
-    pub queue_wait_p50_us: Vec<Option<u64>>,
-}
+/// The type of [`Placement::place_request`]'s ignored `load` argument.
+/// Kept because the frozen `benchmark/` package passes `None` there; delete
+/// with ROADMAP item 1 (benchmark v2).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LoadView;
 
-/// The placement policy plus its runtime affinity directory.
-///
-/// Pure functions ([`Placement::structure_owner`], [`Placement::full_owner`])
-/// carry the deterministic range maps; [`Placement::place_request`] and
-/// [`Placement::place_replay`] layer the directory and the load signal on
-/// top.  One instance lives in the router's shared state.
-#[derive(Debug)]
+/// The placement policy over a fixed shard count: the two deterministic
+/// range maps and the failover ring.  One instance lives in the router's
+/// shared state; it holds no lock and no map.
+#[derive(Debug, Clone, Copy)]
 pub struct Placement {
     shards: usize,
-    /// structure key → home shard, populated at cold placement.
-    directory: Mutex<HashMap<u64, usize>>,
 }
 
 impl Placement {
     /// A policy over `shards` shards (`shards >= 1`).
     pub fn new(shards: usize) -> Placement {
         assert!(shards > 0, "placement needs at least one shard");
-        Placement {
-            shards,
-            directory: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The shard count this policy partitions over.
-    pub fn shards(&self) -> usize {
-        self.shards
+        Placement { shards }
     }
 
     /// Deterministic structure-range owner: multiply-shift over the 64-bit
@@ -175,54 +111,25 @@ impl Placement {
         range_owner((full >> 64) as u64, self.shards)
     }
 
-    /// Places a full scheduling request.  `load` is the router's current
-    /// view when fresh, `None` when stale or probing is disabled.
-    pub fn place_request(&self, structure: u64, load: Option<&LoadView>) -> (usize, Decision) {
-        let mut directory = self.directory.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&home) = directory.get(&structure) {
-            return (home, Decision::Affinity);
-        }
-        let owner = self.structure_owner(structure);
-        let (shard, decision) = match load.and_then(|view| steer_target(view, owner)) {
-            Some(best) => (best, Decision::LoadSteered),
-            None => (owner, Decision::RangeCold),
-        };
-        if directory.len() < DIRECTORY_CAP {
-            directory.insert(structure, shard);
-        }
-        (shard, decision)
+    /// Places a full scheduling request on its structure-range owner.
+    /// `_load` is ignored: the frozen `benchmark/` package passes it; delete
+    /// with ROADMAP item 1 (benchmark v2).
+    pub fn place_request(&self, structure: u64, _load: Option<&LoadView>) -> (usize, Decision) {
+        (self.structure_owner(structure), Decision::StructureOwner)
     }
 
-    /// Places a fingerprint replay.  With a structure token the directory
-    /// decides (probing the structure range owner on a miss, **without**
-    /// inserting — a replay proves nothing about where the entry lives);
-    /// without one, the legacy full-key range map.
+    /// Places a fingerprint replay: on the structure-range owner with a
+    /// structure token, on the legacy full-key range owner without one.
     pub fn place_replay(&self, full: u128, structure: Option<u64>) -> (usize, Decision) {
         match structure {
-            Some(s) => {
-                let directory = self.directory.lock().unwrap_or_else(|e| e.into_inner());
-                match directory.get(&s) {
-                    Some(&home) => (home, Decision::Affinity),
-                    None => (self.structure_owner(s), Decision::FpProbe),
-                }
-            }
+            Some(s) => (self.structure_owner(s), Decision::StructureOwner),
             None => (self.full_owner(full), Decision::FpLegacy),
         }
     }
 
-    /// The shard a dead shard's traffic re-runs on.  The directory is
-    /// deliberately *not* rewritten: the family re-homes when the owner
-    /// rejoins.
+    /// The shard a dead shard's traffic re-runs on.
     pub fn failover_successor(&self, dead: usize) -> usize {
         (dead + 1) % self.shards
-    }
-
-    /// The number of structures currently pinned in the affinity directory.
-    pub fn directory_len(&self) -> usize {
-        self.directory
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
     }
 }
 
@@ -233,36 +140,10 @@ fn range_owner(key: u64, shards: usize) -> usize {
     ((u128::from(key) * shards as u128) >> 64) as usize
 }
 
-/// Where a cold request should steer, if anywhere: the argmin-p50 shard,
-/// but only when the owner's p50 is known and worse than the best by both
-/// the ratio and the absolute hysteresis gap.  Shards with `None` p50
-/// (dead / in backoff / unscraped) are never steered *to*; an owner with
-/// `None` p50 is never steered *away from* (range ownership is the safe
-/// default when the signal is partial).
-fn steer_target(view: &LoadView, owner: usize) -> Option<usize> {
-    let owner_p50 = view.queue_wait_p50_us.get(owner).copied().flatten()?;
-    let (best, best_p50) = view
-        .queue_wait_p50_us
-        .iter()
-        .enumerate()
-        .filter_map(|(s, p50)| p50.map(|v| (s, v)))
-        .min_by_key(|&(_, v)| v)?;
-    if best == owner {
-        return None;
-    }
-    if owner_p50 > best_p50.saturating_mul(STEER_RATIO)
-        && owner_p50.saturating_sub(best_p50) >= STEER_MIN_GAP_US
-    {
-        Some(best)
-    } else {
-        None
-    }
-}
-
 /// One shard's view of the policy: enough to answer "do I own this key?"
-/// without the router's directory.  Handed to the service and store so
-/// adoption and epoch-change compaction consult the same range map as the
-/// router — the single-ownership-site property the module exists for.
+/// without the router.  Handed to the service and store so adoption and
+/// epoch-change compaction consult the same range map as the router — the
+/// single-ownership-site property the module exists for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementScope {
     /// Total shards in the deployment.
@@ -273,9 +154,9 @@ pub struct PlacementScope {
 
 impl PlacementScope {
     /// Whether this shard is the structure-range owner of `structure`.
-    /// Affinity/steering can place *live* entries elsewhere (those are
-    /// adopted and counted, not dropped); range ownership is what survives
-    /// an epoch change.
+    /// Failover can place *live* entries elsewhere (those are adopted and
+    /// counted, not dropped); range ownership is what survives an epoch
+    /// change.
     pub fn owns_structure(&self, structure: u64) -> bool {
         range_owner(structure, self.shards) == self.shard
     }
@@ -342,101 +223,45 @@ mod tests {
         assert_eq!(p.structure_owner(0), 0);
         assert_eq!(p.structure_owner(u64::MAX), 2);
         assert_eq!(p.full_owner(u128::MAX), 2);
+        // The ranges are contiguous: a larger key never maps lower.
+        let owners: Vec<usize> = (0..64)
+            .map(|i| p.structure_owner(u64::MAX / 64 * i))
+            .collect();
+        assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
     }
 
+    /// The contract: for random keys, a full request and a structure-token
+    /// replay both land on the structure-range owner, with or without a
+    /// `load` argument, after a failover to the successor, and on a
+    /// restarted policy.
     #[test]
-    fn affinity_sticks_and_survives_load_changes() {
-        let p = Placement::new(4);
-        let structure = 0xabcd_ef12_3456_7890u64;
-        let (home, d) = p.place_request(structure, None);
-        assert_eq!(d, Decision::RangeCold);
-        assert_eq!(home, p.structure_owner(structure));
-        // A later sighting is an affinity hit even with a hostile load view.
-        let view = LoadView {
-            queue_wait_p50_us: vec![Some(1); 4],
-        };
-        let (again, d) = p.place_request(structure, Some(&view));
-        assert_eq!((again, d), (home, Decision::Affinity));
-    }
-
-    #[test]
-    fn cold_requests_steer_only_past_the_hysteresis() {
-        let p = Placement::new(2);
-        // Structure owned by shard 1 (high key).
-        let structure = u64::MAX - 7;
-        assert_eq!(p.structure_owner(structure), 1);
-        // Owner barely worse: no steer (ratio not met).
-        let mild = LoadView {
-            queue_wait_p50_us: vec![Some(10_000), Some(15_000)],
-        };
-        assert_eq!(
-            p.place_replay(structure as u128, None).1,
-            Decision::FpLegacy
-        );
-        let (shard, d) = p.place_request(structure, Some(&mild));
-        assert_eq!((shard, d), (1, Decision::RangeCold));
-
-        // Owner far worse on a *different* structure (same range owner):
-        // steers to the idle shard.
-        let p = Placement::new(2);
-        let bad = LoadView {
-            queue_wait_p50_us: vec![Some(1_000), Some(50_000)],
-        };
-        let (shard, d) = p.place_request(structure, Some(&bad));
-        assert_eq!((shard, d), (0, Decision::LoadSteered));
-        // ...and the steered home sticks.
-        let (again, d) = p.place_request(structure, None);
-        assert_eq!((again, d), (0, Decision::Affinity));
-    }
-
-    #[test]
-    fn partial_or_missing_load_views_fall_back_to_range_ownership() {
-        let p = Placement::new(2);
-        let structure = u64::MAX - 99;
-        assert_eq!(p.structure_owner(structure), 1);
-        // Owner unscraped: never steered away from.
-        let owner_unknown = LoadView {
-            queue_wait_p50_us: vec![Some(5), None],
-        };
-        assert_eq!(
-            p.place_request(structure, Some(&owner_unknown)),
-            (1, Decision::RangeCold)
-        );
-        // Big gap but absolute threshold unmet: no steer.
-        let p = Placement::new(2);
-        let small_gap = LoadView {
-            queue_wait_p50_us: vec![Some(10), Some(5_000)],
-        };
-        assert_eq!(
-            p.place_request(structure, Some(&small_gap)),
-            (1, Decision::RangeCold)
-        );
-    }
-
-    #[test]
-    fn replays_follow_the_directory_and_probe_on_misses() {
-        let p = Placement::new(2);
-        let structure = u64::MAX - 3;
-        let full = 0x1234_5678_9abc_def0_1122_3344_5566_7788u128;
-        // Unknown structure: probe its range owner, do not pin it.
-        let (shard, d) = p.place_replay(full, Some(structure));
-        assert_eq!((shard, d), (1, Decision::FpProbe));
-        assert_eq!(p.directory_len(), 0);
-        // After the family is homed (steered to 0), replays follow it.
-        let view = LoadView {
-            queue_wait_p50_us: vec![Some(1_000), Some(50_000)],
-        };
-        assert_eq!(
-            p.place_request(structure, Some(&view)),
-            (0, Decision::LoadSteered)
-        );
-        assert_eq!(
-            p.place_replay(full, Some(structure)),
-            (0, Decision::Affinity)
-        );
-        // Legacy replays (no token) use the full-key range map regardless.
-        assert_eq!(p.place_replay(full, None).1, Decision::FpLegacy);
-        assert_eq!(p.place_replay(full, None).0, p.full_owner(full));
+    fn requests_and_token_replays_go_to_the_structure_owner() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(36);
+        for shards in [1usize, 2, 3, 5, 8] {
+            let p = Placement::new(shards);
+            for _ in 0..2_000 {
+                let structure: u64 = rng.gen();
+                let full = u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>());
+                let owner = p.structure_owner(structure);
+                let placed = (owner, Decision::StructureOwner);
+                assert_eq!(p.place_request(structure, None), placed);
+                assert_eq!(p.place_request(structure, Some(&LoadView)), placed);
+                assert_eq!(p.place_replay(full, Some(structure)), placed);
+                let successor = p.failover_successor(owner);
+                assert_eq!(successor, (owner + 1) % shards);
+                assert_eq!(p.place_request(structure, None), placed);
+                assert_eq!(p.place_replay(full, Some(structure)), placed);
+                assert_eq!(
+                    Placement::new(shards).place_request(structure, None),
+                    placed
+                );
+                assert_eq!(
+                    p.place_replay(full, None),
+                    (p.full_owner(full), Decision::FpLegacy)
+                );
+            }
+        }
     }
 
     #[test]
@@ -468,17 +293,5 @@ mod tests {
             "epoch is per-deployment, not per-shard"
         );
         assert_ne!(a.epoch(), c.epoch(), "resharding changes the epoch");
-    }
-
-    #[test]
-    fn failover_successor_wraps_and_the_directory_keeps_the_old_home() {
-        let p = Placement::new(2);
-        assert_eq!(p.failover_successor(0), 1);
-        assert_eq!(p.failover_successor(1), 0);
-        let structure = 42u64;
-        let (home, _) = p.place_request(structure, None);
-        // Failover does not rewrite affinity: the family re-homes on rejoin.
-        let _ = p.failover_successor(home);
-        assert_eq!(p.place_request(structure, None), (home, Decision::Affinity));
     }
 }

@@ -97,6 +97,7 @@
 //! without `fmt`.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
+use bsp_model::record::MAX_PROCESSORS;
 use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine, NumaTopology};
 use dag_gen::hyperdag::{append_hyperdag, hyperdag_line_count, read_hyperdag, HyperDagError};
 use std::fmt::{self, Write as _};
@@ -516,9 +517,9 @@ pub fn build_machine(
     // request, so the boundary bounds P tightly: 512² coefficients is ~2 MB,
     // while the old 4096 limit would have let a 25-byte request line force a
     // ~134 MB allocation before any deadline applied.
-    if p > 512 {
+    if p > MAX_PROCESSORS {
         return Err(ServeError::Machine(format!(
-            "P = {p} exceeds the service limit of 512 processors"
+            "P = {p} exceeds the service limit of {MAX_PROCESSORS} processors"
         )));
     }
     match kind {

@@ -7,12 +7,10 @@
 //! shared with the shards' stores: requests route by their **structure
 //! key** ([`bsp_model::RequestKey::structure`]), so reweighted instances of
 //! the same DAG co-locate and the owning shard's warm alias fires for the
-//! whole family.  A bounded affinity directory pins each structure to the
-//! home shard chosen at its first sighting; that first (cold) placement may
-//! be steered to the least-loaded shard when the health probe's pooled
-//! queue-wait view is fresh.  `FP <hex> [<structure-hex>]` replays follow
-//! the same directory via the structure token; legacy one-token replays
-//! fall back to the full-key range map, the pre-placement routing.
+//! whole family.  Placement is a pure range map over that key: `FP <hex>
+//! [<structure-hex>]` replays reach the same shard via the structure token,
+//! and legacy one-token replays fall back to the full-key range map, the
+//! pre-placement routing.
 //! Content addressing is what makes any of this safe — re-running a
 //! request on any shard yields a valid schedule for the same key.
 //!
@@ -39,9 +37,9 @@
 //! the placement policy's failover successor**
 //! ([`crate::placement::Placement::failover_successor`]; the router keeps
 //! each full payload until its response arrives, so re-running is a
-//! resend).  The affinity directory is deliberately not rewritten, so a
-//! structure family re-homes automatically when its owner rejoins.  Replayed `FP` requests
-//! fail over too; the stand-in shard typically answers `unknown-fp`, which
+//! resend).  Nothing records the detour, so a structure family is back on
+//! its owner as soon as the owner rejoins.  Replayed `FP` requests fail over
+//! too; the stand-in shard typically answers `unknown-fp`, which
 //! the client's fingerprint fallback turns into a full resend — degraded to
 //! one extra round trip, never an error.  This is safe *because* requests
 //! are content addressed: re-running a request on any shard yields a valid
@@ -63,10 +61,9 @@
 //! (`bsp_shard_store_*{shard="i"}`), the health probe's view of every backend
 //! (`bsp_backend_up`, `bsp_backend_probe_failures`,
 //! `bsp_backend_probe_backoff_ms`, all `{backend="i"}`), and the placement
-//! policy's decision counts (`bsp_placement_total{decision=…}`, plus
-//! `bsp_placement_scrape_age_ms`, the age of the load view steering
-//! consults), so one scrape shows the aggregate, which shard is misbehaving,
-//! and why traffic went where it went.  A *live* shard that fails to answer
+//! policy's decision counts (`bsp_placement_total{decision=…}`), so one
+//! scrape shows the aggregate, which shard is misbehaving, and why traffic
+//! went where it went.  Shards are scraped only to answer a `METRICS`.  A *live* shard that fails to answer
 //! turns the aggregate into an error rather than a silently partial sum.
 //! `PING` is answered locally.
 //!
@@ -81,7 +78,7 @@ use crate::client::Client;
 use crate::obs::{
     split_key, MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal, TraceRecord,
 };
-use crate::placement::{Decision, LoadView, Placement};
+use crate::placement::{Decision, Placement};
 use crate::protocol::{
     encode_error, encode_fingerprint_request, encode_metrics_reply, encode_slow_reply,
     encode_trace_reply, read_incoming_verbatim, read_raw_reply, reframe_request, Incoming,
@@ -252,13 +249,6 @@ struct RouterSeries {
     placement: [Arc<AtomicU64>; Decision::ALL.len()],
 }
 
-/// The router's view of per-shard load, written by the health-probe thread
-/// each tick, read (and staleness-judged) by placement on the request path.
-struct LoadState {
-    view: LoadView,
-    refreshed_at: Option<Instant>,
-}
-
 struct RouterShared {
     config: RouterConfig,
     backends: Vec<Backend>,
@@ -282,8 +272,6 @@ struct RouterShared {
     /// The single ownership site: every dispatch, replay, and failover
     /// target comes from here.
     placement: Placement,
-    /// Latest per-shard queue-wait view for load-aware cold placement.
-    load: Mutex<LoadState>,
 }
 
 /// A bound-but-not-yet-running router.
@@ -365,10 +353,6 @@ impl Router {
             registry,
             series,
             placement: Placement::new(shards),
-            load: Mutex::new(LoadState {
-                view: LoadView::default(),
-                refreshed_at: None,
-            }),
         });
         // Every backend starts dead and is connected the way a dead one is
         // revived later, demux thread included.
@@ -442,11 +426,6 @@ impl RouterHandle {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Number of shards the router fronts (live or dead).
-    pub fn num_shards(&self) -> usize {
-        self.shared.backends.len()
     }
 
     /// Which shards still have a live backend connection.
@@ -645,12 +624,6 @@ fn probe_loop(shared: &Arc<RouterShared>, interval: Duration) {
                 set_probe_status(shared, shard, failures, next);
             }
         }
-        // Same tick, second duty: refresh the queue-wait view that feeds
-        // load-aware cold placement.  Skipped when shutdown has begun so the
-        // probe joins without paying a scrape round.
-        if !shared.shutting_down.load(Ordering::SeqCst) {
-            refresh_load_view(shared);
-        }
     }
 }
 
@@ -661,63 +634,6 @@ fn set_probe_status(shared: &RouterShared, shard: usize, failures: u32, next_att
         slot.failures = failures;
         slot.next_attempt = next_attempt;
     }
-}
-
-/// Bound on each per-shard load scrape; a wedged shard costs one slot of the
-/// probe tick, never the request path (placement just sees a `None` p50).
-const LOAD_SCRAPE_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Refreshes the load view from every live shard's `METRICS` exposition.
-/// Unlike [`scrape_shards`], this is deliberately *partial-tolerant*: a
-/// shard that is dead or does not answer gets a `None` slot (placement
-/// never steers *to* an unknown shard and never steers *away* from an
-/// unknown owner), because a mostly-fresh view beats no view for load
-/// balancing, while an aggregate exposition must never be silently partial.
-fn refresh_load_view(shared: &RouterShared) {
-    let p50s: Vec<Option<u64>> = shared
-        .backends
-        .iter()
-        .map(|backend| {
-            if !backend.is_live() {
-                return None;
-            }
-            let snap = scrape_shard(backend, LOAD_SCRAPE_TIMEOUT)?;
-            let queue_wait = snap.histogram("bsp_queue_wait_micros")?;
-            Some(queue_wait.quantile_micros(0.5))
-        })
-        .collect();
-    let mut load = shared.load.lock().unwrap_or_else(|e| e.into_inner());
-    load.view = LoadView {
-        queue_wait_p50_us: p50s,
-    };
-    load.refreshed_at = Some(Instant::now());
-}
-
-/// The load view, iff it is *fresh*: refreshed within three base probe
-/// intervals and carrying at least one known p50.  With probing disabled
-/// there is never a fresh view, so placement degrades to pure (and fully
-/// deterministic) range ownership — exactly the behaviour a test or a
-/// single-box deployment wants.
-fn fresh_load_view(shared: &RouterShared) -> Option<LoadView> {
-    let interval = shared.config.health_probe_interval?;
-    let load = shared.load.lock().unwrap_or_else(|e| e.into_inner());
-    let refreshed = load.refreshed_at?;
-    if refreshed.elapsed() > interval * 3 {
-        return None;
-    }
-    if load.view.queue_wait_p50_us.iter().all(Option::is_none) {
-        return None;
-    }
-    Some(load.view.clone())
-}
-
-/// Milliseconds since the last load scrape; `u64::MAX` before the first
-/// (rendered as-is — "never" must not read as "perfectly fresh").
-fn load_scrape_age_ms(shared: &RouterShared) -> u64 {
-    let load = shared.load.lock().unwrap_or_else(|e| e.into_inner());
-    load.refreshed_at.map_or(u64::MAX, |at| {
-        u64::try_from(at.elapsed().as_millis()).unwrap_or(u64::MAX)
-    })
 }
 
 /// Counts one placement decision on `bsp_placement_total`.
@@ -848,16 +764,10 @@ fn demux_loop(shared: &Arc<RouterShared>, shard: usize, generation: u64, stream:
     fail_over(shared, shard, generation);
 }
 
-/// One shard's parsed `METRICS` exposition, fetched over a fresh control
-/// connection (the multiplexed backend connections carry only id-tagged
-/// frames) whose connect and reads are bounded by `timeout`, so a wedged
-/// shard cannot hang the caller.  `None` if it does not answer.
-fn scrape_shard(backend: &Backend, timeout: Duration) -> Option<MetricsSnapshot> {
-    let mut client = Client::connect_with_timeout(backend.addr, timeout).ok()?;
-    MetricsSnapshot::parse(&client.metrics().ok()?).ok()
-}
-
-/// Scrapes every live shard.  A live shard that fails to answer makes the
+/// Scrapes every live shard's `METRICS` over a fresh control connection
+/// (the multiplexed backend connections carry only id-tagged frames) whose
+/// connect and reads are bounded by the idle timeout, so a wedged shard
+/// cannot hang the caller.  A live shard that fails to answer makes the
 /// scrape an error, never a silently partial aggregate a dashboard would
 /// misread as a traffic drop.
 fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>, ServeError> {
@@ -866,7 +776,11 @@ fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>,
         if !backend.is_live() {
             continue;
         }
-        let Some(snap) = scrape_shard(backend, shared.config.idle_timeout) else {
+        let snap = Client::connect_with_timeout(backend.addr, shared.config.idle_timeout)
+            .ok()
+            .and_then(|mut client| client.metrics().ok())
+            .and_then(|text| MetricsSnapshot::parse(&text).ok());
+        let Some(snap) = snap else {
             return Err(ServeError::Io(format!(
                 "live shard {i} did not answer METRICS; refusing a partial aggregate"
             )));
@@ -915,10 +829,6 @@ fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
         }
     }
     drop(probe);
-    merged.gauges.insert(
-        "bsp_placement_scrape_age_ms".to_string(),
-        load_scrape_age_ms(shared),
-    );
     let mut out = String::new();
     merged.render(&mut out);
     shared.registry.render(&mut out);
@@ -1032,9 +942,7 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                 let minted = request.options.trace.is_none().then_some(trace);
                 shared.series.full.fetch_add(1, Ordering::Relaxed);
                 let payload = reframe_request(&raw, backend_id, minted);
-                let load = fresh_load_view(shared);
-                let (shard, decision) =
-                    shared.placement.place_request(key.structure, load.as_ref());
+                let (shard, decision) = shared.placement.place_request(key.structure, None);
                 admit(
                     shared,
                     backend_id,
@@ -1091,33 +999,6 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn placement_range_maps_partition_the_key_space_evenly_and_totally() {
-        for shards in 1..=5usize {
-            let placement = Placement::new(shards);
-            // Every key maps to a valid shard, under both range maps.
-            for fp in [0u128, 1, u128::MAX, u128::MAX / 2, 0xdead_beef << 64] {
-                assert!(placement.full_owner(fp) < shards);
-                assert!(placement.structure_owner(fp as u64) < shards);
-            }
-            // Range boundaries are monotone: a larger key never maps to a
-            // smaller shard.
-            let mut last = 0;
-            for i in 0..64u32 {
-                let structure = (u64::MAX / 64) * u64::from(i);
-                let s = placement.structure_owner(structure);
-                assert!(s >= last, "owner map must be monotone in the key");
-                assert_eq!(
-                    s,
-                    Placement::new(shards).structure_owner(structure),
-                    "the range map is deterministic across router restarts"
-                );
-                last = s;
-            }
-            assert_eq!(last, shards - 1, "top of the range reaches the last shard");
-        }
-    }
 
     #[test]
     fn probe_backoff_grows_exponentially_and_saturates_at_the_cap() {

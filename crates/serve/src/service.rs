@@ -293,8 +293,8 @@ impl ScheduleService {
                             cache.repopulate(key.full, key.structure, schedule, cost);
                             store.counters().loaded.fetch_add(1, Ordering::Relaxed);
                             // Within an epoch, foreign-structure residents
-                            // (load-steered or failed-over families) are
-                            // adopted — counted, never dropped.
+                            // (solved here while their owner was failed
+                            // over) are adopted — counted, never dropped.
                             if let Some(scope) = config.placement {
                                 if !scope.owns_structure(key.structure) {
                                     store
@@ -326,11 +326,6 @@ impl ScheduleService {
             metrics,
             store,
         })
-    }
-
-    /// The service's shutdown token; in-flight solves poll it.
-    pub fn shutdown_token(&self) -> &CancelToken {
-        &self.shutdown
     }
 
     /// Asks in-flight solves to wrap up; subsequent requests are refused

@@ -35,8 +35,8 @@
 //!   (counted in [`StoreCounters::dropped_foreign`]) and a startup
 //!   compaction physically removes their frames, then the marker is
 //!   rewritten.  Within an epoch, foreign-structure entries are *kept* —
-//!   load steering and failover legitimately home families off their range
-//!   owner — the service merely counts them as `adopted_foreign`.
+//!   failover legitimately solves families off their range owner — the
+//!   service merely counts them as `adopted_foreign`.
 //! * **Fault injection.**  A test-only [`FailPoint`] trips the next append
 //!   mid-write ([`FailPoint::AfterBytes`]) or between the flush and the
 //!   index update ([`FailPoint::BeforeIndexUpdate`]), so the recovery

@@ -16,12 +16,20 @@
 //! and every reply reader — are fuzzed with seeded mutants (byte flips,
 //! dropped and doubled tokens, a cut at every byte, numbers past `u8`,
 //! `u32`, `u64` and `u128`): each must return a value or a typed
-//! `ServeError`, never panic.
+//! `ServeError`, never panic.  So are the two readers of bytes that come
+//! from elsewhere than a client: `MetricsSnapshot::parse`, which the router
+//! runs on every shard's `METRICS` reply before pooling and re-rendering it,
+//! and the store's `decode_record`, fed frames whose fields are set to edge
+//! values and then checksummed again.
 
 mod common;
 
 use bsp_model::decimal::{push_line, push_u64};
-use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, DagError, Machine, ValidityError};
+use bsp_model::record::{FRAME_HEADER_BYTES, MAX_PROCESSORS, MAX_RECORD_BYTES};
+use bsp_model::{
+    decode_record, encode_record, BspSchedule, CommSchedule, CommStep, Dag, DagError, Fnv64,
+    Machine, RecordError, StoreRecord, ValidityError,
+};
 use bsp_sched::baselines::CilkScheduler;
 use bsp_sched::hill_climb::{hccs_improve, HillClimbConfig};
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
@@ -30,7 +38,7 @@ use bsp_serve::protocol::{
     encode_error, encode_metrics_reply, encode_response, encode_slow_reply, encode_trace_reply,
     read_incoming, Incoming, ScheduleResponse, WireTrace,
 };
-use bsp_serve::{Router, RouterConfig, ServeError};
+use bsp_serve::{MetricsRegistry, MetricsSnapshot, Router, RouterConfig, ServeError};
 use common::reference_codec as reference;
 use common::{random_dag, random_machine, rng_for_case};
 use dag_gen::{
@@ -1110,5 +1118,243 @@ fn protocol_readers_return_a_value_or_a_typed_error_on_every_mutant() {
     assert!(
         read > 500 && refused > 10_000,
         "the corpus must exercise both outcomes: {read} read, {refused} refused"
+    );
+}
+
+/// `METRICS` expositions as a shard renders them (counters, a gauge and a
+/// histogram with observations in linear and log buckets) and as a router
+/// renders the pooled snapshot.
+fn exposition_seeds() -> Vec<String> {
+    use std::sync::atomic::Ordering;
+    let registry = MetricsRegistry::new();
+    registry
+        .counter("bsp_requests_total", "requests", &[("source", "cold")])
+        .fetch_add(5, Ordering::Relaxed);
+    registry
+        .gauge("bsp_cache_bytes", "bytes", &[])
+        .store(4096, Ordering::Relaxed);
+    let wait = registry.histogram("bsp_queue_wait_micros", "wait", &[]);
+    for us in [3, 40, 900, 70_000] {
+        wait.record(Duration::from_micros(us));
+    }
+    let mut shard = String::new();
+    registry.render(&mut shard);
+    let mut pooled = String::new();
+    MetricsSnapshot::parse(&shard)
+        .expect("a rendered registry parses")
+        .render(&mut pooled);
+    vec![shard, pooled]
+}
+
+/// What the router does with one shard's `METRICS` reply: parse it, pool it
+/// into the aggregate (twice, so sums grow), and render the aggregate, which
+/// must parse again.  Reports whether the reply parsed.
+fn pools(text: &str, aggregate: &mut MetricsSnapshot) -> bool {
+    let Ok(snapshot) = MetricsSnapshot::parse(text) else {
+        return false;
+    };
+    aggregate.merge_from(&snapshot);
+    aggregate.merge_from(&snapshot);
+    let mut out = String::new();
+    aggregate.render(&mut out);
+    assert!(MetricsSnapshot::parse(&out).is_ok(), "{text:?} -> {out:?}");
+    true
+}
+
+#[test]
+fn metrics_parser_returns_a_snapshot_or_an_error_on_every_mutant() {
+    let (mut read, mut refused) = (0usize, 0usize);
+    for (s, seed) in exposition_seeds().iter().enumerate() {
+        let mut aggregate = MetricsSnapshot::default();
+        assert!(pools(seed, &mut aggregate), "{seed:?}");
+        let mut count = |ok: bool| {
+            read += usize::from(ok);
+            refused += usize::from(!ok);
+        };
+        for cut in 0..seed.len() {
+            count(pools(&seed[..cut], &mut aggregate));
+        }
+        for case in 0..400u64 {
+            let mut rng = rng_for_case(0x3E7 + s as u64, case);
+            let mut lines: Vec<&str> = seed.lines().collect();
+            let mutant = match rng.gen_range(0..4u32) {
+                // Byte flips, tokens dropped or doubled, numbers past `u64`.
+                0 => String::from_utf8_lossy(&mutate_message(seed, &mut rng)).into_owned(),
+                // Lines in any order: samples before their `# TYPE`, buckets
+                // out of `le` order.
+                1 => {
+                    lines.shuffle(&mut rng);
+                    lines.join("\n")
+                }
+                // A line dropped or doubled.
+                2 => {
+                    let at = rng.gen_range(0..lines.len());
+                    if rng.gen_range(0..2u32) == 1 {
+                        lines.remove(at);
+                    } else {
+                        lines.insert(at, lines[at]);
+                    }
+                    lines.join("\n")
+                }
+                // A number at the edge of `u64`, or not a number.
+                _ => {
+                    let mut text = seed.clone();
+                    if let Some(&(b, e)) = number_spans(seed).choose(&mut rng) {
+                        let edge = ["0", "18446744073709551615", "-1", "+Inf", "1e3", ""];
+                        text.replace_range(b..e, edge.choose(&mut rng).unwrap());
+                    }
+                    text
+                }
+            };
+            count(pools(&mutant, &mut aggregate));
+        }
+    }
+    assert!(
+        read > 500 && refused > 500,
+        "the corpus must exercise both outcomes: {read} parsed, {refused} refused"
+    );
+}
+
+/// Framed store records: a uniform and a tree machine, an empty and a
+/// non-empty assignment.
+fn record_seeds() -> Vec<Vec<u8>> {
+    let record = |machine: Machine, n: u32| StoreRecord {
+        full_fp: u128::MAX / 7,
+        structure_fp: 0xfeed,
+        cost: 42,
+        machine,
+        dag_bytes: b"% hyperdag\n1 2 1\n0 0\n0 1 1\n1 1 1\n".to_vec(),
+        assignment: bsp_model::Assignment {
+            proc: (0..n).map(|i| i % 4).collect(),
+            superstep: (0..n).collect(),
+        },
+    };
+    [
+        record(Machine::uniform(4, 1, 5), 2),
+        record(Machine::numa_binary_tree(8, 2, 5, 3), 9),
+        record(Machine::uniform(1, 0, 0), 0),
+    ]
+    .iter()
+    .map(|r| {
+        let mut frame = Vec::new();
+        encode_record(r, &mut frame).expect("a persistable record");
+        frame
+    })
+    .collect()
+}
+
+/// Rewrites a frame's length and checksum over `body`, so the decoder gets
+/// past the checksum and reads the fields.
+fn reframe(body: &[u8]) -> Vec<u8> {
+    let mut hasher = Fnv64::new();
+    hasher.write_bytes(body);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&hasher.finish().to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// One seeded mutation of a framed record: bytes flipped under the old
+/// checksum, a length header at an edge, or a body whose fields are flipped,
+/// set to edge values, cut or extended and then framed again.
+fn mutate_record(frame: &[u8], rng: &mut ChaCha8Rng) -> Vec<u8> {
+    let mut bytes = frame.to_vec();
+    let mut body = frame[FRAME_HEADER_BYTES..].to_vec();
+    match rng.gen_range(0..5u32) {
+        0 => {
+            for _ in 0..rng.gen_range(1..4u32) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = rng.gen::<u32>() as u8;
+            }
+            bytes
+        }
+        1 => {
+            let len = (body.len() as u32).saturating_sub(1);
+            let edge = [0, len, len + 2, MAX_RECORD_BYTES as u32 + 1, u32::MAX];
+            bytes[..4].copy_from_slice(&edge.choose(rng).unwrap().to_le_bytes());
+            bytes
+        }
+        2 => {
+            for _ in 0..rng.gen_range(1..4u32) {
+                let at = rng.gen_range(0..body.len());
+                body[at] = rng.gen::<u32>() as u8;
+            }
+            reframe(&body)
+        }
+        // The machine kind, `P`, `g`, `ℓ`, `Δ`, the DAG length or `n` at an
+        // edge: the fields after `full_fp`, `structure_fp` and `cost`.
+        3 => {
+            let dag_len = u32::from_le_bytes(body[61..65].try_into().unwrap()) as usize;
+            let fields: [(usize, usize); 7] = [
+                (32, 1),
+                (33, 4),
+                (37, 8),
+                (45, 8),
+                (53, 8),
+                (61, 4),
+                (65 + dag_len, 4),
+            ];
+            let &(at, width) = fields.choose(rng).unwrap();
+            let edges = [0, 1, 2, 3, 8, 511, 512, 513, 1 << 16, u64::MAX];
+            let value = edges.choose(rng).unwrap().to_le_bytes();
+            body[at..at + width].copy_from_slice(&value[..width]);
+            reframe(&body)
+        }
+        _ => {
+            if rng.gen_range(0..2u32) == 1 {
+                body.truncate(rng.gen_range(0..body.len()));
+            } else {
+                body.extend((0..rng.gen_range(1..9u32)).map(|_| rng.gen::<u32>() as u8));
+            }
+            reframe(&body)
+        }
+    }
+}
+
+/// Whether `bytes` decoded; a refusal must be one of the decoder's errors
+/// and a decoded frame must stay inside `bytes` with maps of equal length.
+fn decodes(bytes: &[u8]) -> bool {
+    match decode_record(bytes) {
+        Ok((record, used)) => {
+            assert!(used <= bytes.len());
+            assert_eq!(
+                record.assignment.proc.len(),
+                record.assignment.superstep.len()
+            );
+            assert!(record.machine.p() <= MAX_PROCESSORS);
+            true
+        }
+        Err(RecordError::Truncated | RecordError::ChecksumMismatch | RecordError::Malformed(_)) => {
+            false
+        }
+        Err(err @ RecordError::Unsupported(_)) => panic!("a decode-side {err}"),
+    }
+}
+
+#[test]
+fn record_decoder_returns_a_record_or_a_typed_error_on_every_mutant() {
+    let seeds = record_seeds();
+    let (mut read, mut refused) = (0usize, 0usize);
+    let mut count = |ok: bool| {
+        read += usize::from(ok);
+        refused += usize::from(!ok);
+    };
+    for (s, seed) in seeds.iter().enumerate() {
+        assert!(decodes(seed));
+        // A frame followed by the next one decodes as the first alone.
+        let next = &seeds[(s + 1) % seeds.len()];
+        let (_, used) = decode_record(&[seed.as_slice(), next].concat()).unwrap();
+        assert_eq!(used, seed.len());
+        for cut in 0..seed.len() {
+            assert_eq!(decode_record(&seed[..cut]), Err(RecordError::Truncated));
+        }
+        for case in 0..2_000u64 {
+            let mut rng = rng_for_case(0x5EC + s as u64, case);
+            count(decodes(&mutate_record(seed, &mut rng)));
+        }
+    }
+    assert!(
+        read > 1_000 && refused > 3_000,
+        "the corpus must exercise both outcomes: {read} decoded, {refused} refused"
     );
 }

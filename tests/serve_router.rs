@@ -283,8 +283,8 @@ fn a_dead_shard_fails_over_to_the_survivor_and_the_family_rehomes_on_rejoin() {
     let agg = client.stats().expect("stats with a dead shard");
     assert!(agg.requests >= 2);
 
-    // Restart a shard on the freed address.  The affinity directory was
-    // never rewritten during failover, so the family's next variant re-homes
+    // Restart a shard on the freed address.  Placement is a pure range map
+    // and failover records nothing, so the family's next variant re-homes
     // on the rejoined owner (the lazy request-path revival reconnects).
     let mut restarted = None;
     for _ in 0..50 {
