@@ -691,13 +691,14 @@ impl MetricsSnapshot {
     /// histograms merge bucket-wise (quantiles of the merge are quantiles of
     /// the pooled observations).
     pub fn merge_from(&mut self, other: &MetricsSnapshot) {
-        for (key, &value) in &other.counters {
-            let slot = self.counters.entry(key.clone()).or_insert(0);
-            *slot = slot.saturating_add(value);
-        }
-        for (key, &value) in &other.gauges {
-            let slot = self.gauges.entry(key.clone()).or_insert(0);
-            *slot = slot.saturating_add(value);
+        for (mine, theirs) in [
+            (&mut self.counters, &other.counters),
+            (&mut self.gauges, &other.gauges),
+        ] {
+            for (key, &value) in theirs {
+                let slot = mine.entry(key.clone()).or_insert(0);
+                *slot = slot.saturating_add(value);
+            }
         }
         for (key, hist) in &other.histograms {
             self.histograms

@@ -80,7 +80,7 @@ impl Decision {
 /// Kept because the frozen `benchmark/` package passes `None` there; delete
 /// with ROADMAP item 1 (benchmark v2).
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug)]
 pub struct LoadView;
 
 /// The placement policy over a fixed shard count: the two deterministic

@@ -39,9 +39,9 @@
 //! each full payload until its response arrives, so re-running is a
 //! resend).  Nothing records the detour, so a structure family is back on
 //! its owner as soon as the owner rejoins.  Replayed `FP` requests fail over
-//! too; the stand-in shard typically answers `unknown-fp`, which
-//! the client's fingerprint fallback turns into a full resend — degraded to
-//! one extra round trip, never an error.  This is safe *because* requests
+//! too; the stand-in shard typically answers `unknown-fp`, which the
+//! client's fingerprint fallback turns into a full resend — degraded to one
+//! extra round trip, never an error.  This is safe *because* requests
 //! are content addressed: re-running a request on any shard yields a valid
 //! schedule for the same key.  Dead backends are **revived lazily**: the
 //! next request owned by a dead shard attempts a bounded reconnect before
@@ -63,9 +63,9 @@
 //! `bsp_backend_probe_backoff_ms`, all `{backend="i"}`), and the placement
 //! policy's decision counts (`bsp_placement_total{decision=…}`), so one
 //! scrape shows the aggregate, which shard is misbehaving, and why traffic
-//! went where it went.  Shards are scraped only to answer a `METRICS`.  A *live* shard that fails to answer
-//! turns the aggregate into an error rather than a silently partial sum.
-//! `PING` is answered locally.
+//! went where it went.  Shards are scraped only to answer a `METRICS`.  A
+//! *live* shard that fails to answer turns the aggregate into an error
+//! rather than a silently partial sum.  `PING` is answered locally.
 //!
 //! Every routed request gets a **trace id** (minted here unless the client
 //! supplied one via `OPTION trace`), injected into the forwarded payload so
