@@ -17,7 +17,7 @@
 //! throughput ratio land in the JSON written to `--out`, and
 //! `summary.warm_locality` sets the sharded warm hits beside the serial
 //! ones with `placement_decisions`, the router's `bsp_placement_total`
-//! count per decision label (`structure_owner`, `fp_legacy`, `failover`).
+//! count per decision label (`affinity`, `fp_legacy`, `failover`).
 //!
 //! A third **restart** phase measures the durable store: a store-backed
 //! server is populated, shut down, and restarted on the same directory;

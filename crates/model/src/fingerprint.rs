@@ -72,12 +72,6 @@ impl Fnv64 {
         self.state = s;
     }
 
-    /// Feeds one `usize`.
-    #[inline]
-    pub fn write_usize(&mut self, value: usize) {
-        self.write_u64(value as u64);
-    }
-
     /// Feeds raw bytes (the durable-store record checksum walks the encoded
     /// frame body byte by byte; see [`crate::record`]).
     pub fn write_bytes(&mut self, bytes: &[u8]) {

@@ -107,11 +107,18 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends one framed record to `out`.  Fails only for entries with no
-/// durable form ([`RecordError::Unsupported`]) or an assignment whose maps
-/// disagree in length ([`RecordError::Malformed`]); `out` is untouched on
-/// error.
+/// durable form ([`RecordError::Unsupported`]: an explicit `λ` matrix, or
+/// more than [`MAX_PROCESSORS`] processors, which [`decode_record`] would
+/// refuse) or an assignment whose maps disagree in length
+/// ([`RecordError::Malformed`]); `out` is untouched on error.
 pub fn encode_record(record: &StoreRecord, out: &mut Vec<u8>) -> Result<(), RecordError> {
     use crate::machine::NumaTopology;
+    if record.machine.p() > MAX_PROCESSORS {
+        return Err(RecordError::Unsupported(format!(
+            "machine with {} processors (at most {MAX_PROCESSORS} are persisted)",
+            record.machine.p()
+        )));
+    }
     let (kind, delta) = match record.machine.topology() {
         NumaTopology::Uniform => (0u8, 0u64),
         NumaTopology::BinaryTree { delta } => (1u8, *delta),
@@ -404,17 +411,28 @@ mod tests {
     }
 
     #[test]
-    fn explicit_numa_machines_are_refused_at_encode_time() {
-        let record = StoreRecord {
-            machine: Machine::with_numa_matrix(2, 1, 1, vec![vec![0, 5], vec![5, 0]]),
+    fn machines_without_a_durable_form_are_refused_at_encode_time() {
+        let explicit = Machine::with_numa_matrix(2, 1, 1, vec![vec![0, 5], vec![5, 0]]);
+        // Over `MAX_PROCESSORS` the decoder would refuse the frame.
+        for machine in [explicit, Machine::uniform(MAX_PROCESSORS + 1, 1, 1)] {
+            let record = StoreRecord {
+                machine,
+                ..sample(1)
+            };
+            let mut frame = Vec::new();
+            assert!(matches!(
+                encode_record(&record, &mut frame),
+                Err(RecordError::Unsupported(_))
+            ));
+            assert!(frame.is_empty(), "failed encode must not emit bytes");
+        }
+        let at_limit = StoreRecord {
+            machine: Machine::uniform(MAX_PROCESSORS, 1, 1),
             ..sample(1)
         };
         let mut frame = Vec::new();
-        assert!(matches!(
-            encode_record(&record, &mut frame),
-            Err(RecordError::Unsupported(_))
-        ));
-        assert!(frame.is_empty(), "failed encode must not emit bytes");
+        encode_record(&at_limit, &mut frame).unwrap();
+        assert_eq!(decode_record(&frame).unwrap().0, at_limit);
     }
 
     #[test]

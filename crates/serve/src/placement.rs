@@ -45,7 +45,9 @@
 pub const PLACEMENT_VERSION: u64 = 1;
 
 /// Why the policy picked the shard it picked.  Rendered as the `decision`
-/// label on `bsp_placement_total`.
+/// label on `bsp_placement_total`.  The structure-owned label stays
+/// `affinity`, the name the frozen `benchmark/` package reads; rename it
+/// with ROADMAP item 1 (benchmark v2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// A full request, or an `FP` replay with a structure token, on its
@@ -69,7 +71,7 @@ impl Decision {
     /// The stable label used on metrics.
     pub fn as_str(self) -> &'static str {
         match self {
-            Decision::StructureOwner => "structure_owner",
+            Decision::StructureOwner => "affinity",
             Decision::FpLegacy => "fp_legacy",
             Decision::Failover => "failover",
         }
@@ -217,51 +219,42 @@ mod tests {
                     );
                 }
             }
+            // Boundary keys are owned too (totality at the extremes).
+            assert_eq!(placement.structure_owner(0), 0);
+            assert_eq!(placement.structure_owner(u64::MAX), shards - 1);
+            assert_eq!(placement.full_owner(u128::MAX), shards - 1);
+            // The ranges are contiguous: a larger key never maps lower.
+            let owners: Vec<usize> = (0..64)
+                .map(|i| placement.structure_owner(u64::MAX / 64 * i))
+                .collect();
+            assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
         }
-        // Boundary keys are owned too (totality at the extremes).
-        let p = Placement::new(3);
-        assert_eq!(p.structure_owner(0), 0);
-        assert_eq!(p.structure_owner(u64::MAX), 2);
-        assert_eq!(p.full_owner(u128::MAX), 2);
-        // The ranges are contiguous: a larger key never maps lower.
-        let owners: Vec<usize> = (0..64)
-            .map(|i| p.structure_owner(u64::MAX / 64 * i))
-            .collect();
-        assert!(owners.windows(2).all(|w| w[0] <= w[1]), "{owners:?}");
     }
 
     /// The contract: for random keys, a full request and a structure-token
     /// replay both land on the structure-range owner, with or without a
-    /// `load` argument, after a failover to the successor, and on a
-    /// restarted policy.
+    /// `load` argument; a tokenless replay lands on the full-key owner.
     #[test]
     fn requests_and_token_replays_go_to_the_structure_owner() {
         use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(36);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5eed);
         for shards in [1usize, 2, 3, 5, 8] {
             let p = Placement::new(shards);
             for _ in 0..2_000 {
                 let structure: u64 = rng.gen();
                 let full = u128::from(rng.gen::<u64>()) << 64 | u128::from(rng.gen::<u64>());
-                let owner = p.structure_owner(structure);
-                let placed = (owner, Decision::StructureOwner);
+                let placed = (p.structure_owner(structure), Decision::StructureOwner);
                 assert_eq!(p.place_request(structure, None), placed);
                 assert_eq!(p.place_request(structure, Some(&LoadView)), placed);
                 assert_eq!(p.place_replay(full, Some(structure)), placed);
-                let successor = p.failover_successor(owner);
-                assert_eq!(successor, (owner + 1) % shards);
-                assert_eq!(p.place_request(structure, None), placed);
-                assert_eq!(p.place_replay(full, Some(structure)), placed);
-                assert_eq!(
-                    Placement::new(shards).place_request(structure, None),
-                    placed
-                );
                 assert_eq!(
                     p.place_replay(full, None),
                     (p.full_owner(full), Decision::FpLegacy)
                 );
             }
         }
+        // Failover wraps from the last shard to the first.
+        assert_eq!(Placement::new(2).failover_successor(1), 0);
     }
 
     #[test]

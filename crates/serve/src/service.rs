@@ -620,8 +620,9 @@ impl ScheduleService {
         let mut frame = Vec::new();
         match encode_record(&record, &mut frame) {
             Ok(()) => store.offer(key.full, frame),
-            // Explicit-λ machines are not persisted (mirroring the wire
-            // protocol); that is a policy, not a failure.
+            // Explicit-λ machines and machines over `MAX_PROCESSORS` are
+            // not persisted (mirroring the wire protocol); that is a
+            // policy, not a failure.
             Err(RecordError::Unsupported(_)) => {}
             Err(_) => {
                 store

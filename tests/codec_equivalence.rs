@@ -1285,7 +1285,7 @@ fn mutate_record(frame: &[u8], rng: &mut ChaCha8Rng) -> Vec<u8> {
         // edge: the fields after `full_fp`, `structure_fp` and `cost`.
         3 => {
             let dag_len = u32::from_le_bytes(body[61..65].try_into().unwrap()) as usize;
-            let fields: [(usize, usize); 7] = [
+            let fields = [
                 (32, 1),
                 (33, 4),
                 (37, 8),
@@ -1316,11 +1316,9 @@ fn mutate_record(frame: &[u8], rng: &mut ChaCha8Rng) -> Vec<u8> {
 fn decodes(bytes: &[u8]) -> bool {
     match decode_record(bytes) {
         Ok((record, used)) => {
+            let assignment = &record.assignment;
             assert!(used <= bytes.len());
-            assert_eq!(
-                record.assignment.proc.len(),
-                record.assignment.superstep.len()
-            );
+            assert_eq!(assignment.proc.len(), assignment.superstep.len());
             assert!(record.machine.p() <= MAX_PROCESSORS);
             true
         }
