@@ -1,7 +1,8 @@
 //! The scale sweep of the one scheduler: how long the pipeline takes, what
 //! it answers and where the time goes on ≈10k-node `spmv` / `cg` / `exp`
 //! fine-grained instances plus the `pagerank` / `bicgstab` coarse-grained
-//! GraphBLAS instances, on 4- and 8-processor uniform and NUMA machines.
+//! GraphBLAS instances, on 4-, 8- and 16-processor uniform and NUMA
+//! machines.
 //!
 //! The binary keeps the name it had when it timed the paper's multilevel
 //! scheduler (§4.5 / §7.3).  That scheduler's ratio members — coarsener and
@@ -21,8 +22,10 @@
 //! candidate either initializer builds (each width `P, P/2, …` ≥ 2, on the
 //! funnel DAG) with its four stages — construct, `place_sources`,
 //! `merge_supersteps`, cost — timed by calling those public functions
-//! directly (fastest of `--reps`, µs per node of the DAG), the superstep
-//! count the merge removed, its cost and whether the sweep kept it.  Written
+//! directly (fastest of `--reps`, µs per node of the DAG) and each stage's
+//! heap peak above the level it started from (`peak_bytes_per_node`, the
+//! largest of `--reps`), the superstep count the merge removed, its cost and
+//! whether the sweep kept it.  Written
 //! as JSON in the same envelope as `BENCH_hc.json` (default
 //! `BENCH_pipeline.json`, at ≈10k and ≈100k nodes).  `--huge` runs ≈100k
 //! alone, `--quick` ≈1k, and `--target N` the size `N`.
@@ -56,10 +59,13 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// The `--smoke` ceiling on a row's solve peak, in heap bytes per DAG node:
-/// 185.3 measured (`bicgstab` at ~1k nodes; 182.6 at 40k) plus 25 %.  With
-/// a `usize` CSR and a `Vec` of consumer summaries per node the same rows
-/// read 413.4 (407.4 at 40k).
-const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 232.0;
+/// 147.1 measured (`bicgstab` at ~1k nodes, `P = 16`; 143.7 at 40k, `cg` on
+/// `uniform_p16`) plus 25 %.  A supersteps × processors table in the cost
+/// function and `place_sources`, 24- and 32-byte `HcState` records and a
+/// `BSPg` ready entry per processor read 303.1 on the same rows (300.7 at
+/// 40k; 184.8 and 182.6 on the machines of `P ≤ 8`), a `usize` CSR and a
+/// `Vec` of consumer summaries per node 413.4 (407.4) at `P ≤ 8`.
+const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 184.0;
 
 /// The system allocator, counting the bytes this process holds and the most
 /// it held since [`heap_peak_of`] last reset the mark.
@@ -172,14 +178,23 @@ fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
 const STAGES: [&str; 4] = ["construct", "place_sources", "merge", "cost"];
 
 /// One candidate of an initializer's width sweep: the fastest seconds of each
-/// of [`STAGES`] over the repetitions, the supersteps the merge removed and
-/// the cost the sweep compares.
+/// of [`STAGES`] over the repetitions and the most heap each held above the
+/// level it started from, the supersteps the merge removed and the cost the
+/// sweep compares.
 struct Candidate {
     init: &'static str,
     width: usize,
     seconds: [f64; 4],
+    peak_bytes: [usize; 4],
     merged: usize,
     cost: u64,
+}
+
+/// Runs one stage of a candidate: its result, seconds and heap peak.
+fn stage<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
+    let start = Instant::now();
+    let (out, peak) = heap_peak_of(f);
+    (out, start.elapsed().as_secs_f64(), peak)
 }
 
 /// Every candidate both width sweeps build on `dag` (the funnel DAG, as the
@@ -197,29 +212,30 @@ fn sweep_split(dag: &Dag, machine: &Machine, reps: usize) -> Vec<Candidate> {
                 init: init.name(),
                 width,
                 seconds: [f64::INFINITY; 4],
+                peak_bytes: [0; 4],
                 merged: 0,
                 cost: 0,
             };
             for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let mut schedule = init.schedule(dag, &machine.prefix(width));
-                let built = Instant::now();
-                place_sources(dag, machine, &mut schedule);
-                let placed = Instant::now();
-                candidate.merged = merge_supersteps(dag, &mut schedule.assignment);
-                if candidate.merged > 0 {
-                    schedule.relax_to_lazy(dag);
-                }
-                let merged = Instant::now();
-                candidate.cost = schedule.cost(dag, machine);
-                let laps = [
-                    built - start,
-                    placed - built,
-                    merged - placed,
-                    merged.elapsed(),
-                ];
+                let (mut schedule, built, built_peak) =
+                    stage(|| init.schedule(dag, &machine.prefix(width)));
+                let (_, placed, placed_peak) = stage(|| place_sources(dag, machine, &mut schedule));
+                let (merged, merge, merge_peak) = stage(|| {
+                    let merged = merge_supersteps(dag, &mut schedule.assignment);
+                    if merged > 0 {
+                        schedule.relax_to_lazy(dag);
+                    }
+                    merged
+                });
+                let (cost, costed, cost_peak) = stage(|| schedule.cost(dag, machine));
+                (candidate.merged, candidate.cost) = (merged, cost);
+                let laps = [built, placed, merge, costed];
                 for (best, lap) in candidate.seconds.iter_mut().zip(laps) {
-                    *best = best.min(lap.as_secs_f64());
+                    *best = best.min(lap);
+                }
+                let peaks = [built_peak, placed_peak, merge_peak, cost_peak];
+                for (most, peak) in candidate.peak_bytes.iter_mut().zip(peaks) {
+                    *most = (*most).max(peak);
                 }
             }
             candidates.push(candidate);
@@ -287,6 +303,8 @@ fn main() {
         ("uniform_p8_g3_l5", Machine::uniform(8, 3, 5)),
         ("numa_p4_g3_l5_d3", Machine::numa_binary_tree(4, 3, 5, 3)),
         ("numa_p8_g3_l5_d3", Machine::numa_binary_tree(8, 3, 5, 3)),
+        ("uniform_p16_g3_l5", Machine::uniform(16, 3, 5)),
+        ("numa_p16_g3_l5_d3", Machine::numa_binary_tree(16, 3, 5, 3)),
     ];
 
     let pipeline = Pipeline::new(sweep_config());
@@ -364,9 +382,11 @@ fn main() {
                         .iter()
                         .any(|b| (b.init_name == c.init) && b.width == c.width);
                     let us = c.seconds.map(per_node);
+                    let bytes = c.peak_bytes.map(|b| b as f64 / dag.n() as f64);
                     eprintln!(
                         "     sweep {} width {}{}: construct {:.3}, place {:.3}, merge {:.3}, \
-                         cost {:.3} us/node; {} steps merged, cost {}",
+                         cost {:.3} us/node; peak {:.1} / {:.1} / {:.1} / {:.1} bytes/node; \
+                         {} steps merged, cost {}",
                         c.init,
                         c.width,
                         if kept { " (kept)" } else { "" },
@@ -374,20 +394,28 @@ fn main() {
                         us[1],
                         us[2],
                         us[3],
+                        bytes[0],
+                        bytes[1],
+                        bytes[2],
+                        bytes[3],
                         c.merged,
                         c.cost
                     );
-                    let stages: Vec<String> = (STAGES.iter().zip(us))
-                        .map(|(name, us)| format!("\"{name}\": {us:.4}"))
-                        .collect();
+                    let by_stage = |values: [f64; 4], digits: usize| {
+                        let stages = STAGES.iter().zip(values);
+                        let fields = stages.map(|(name, x)| format!("\"{name}\": {x:.digits$}"));
+                        fields.collect::<Vec<_>>().join(", ")
+                    };
                     sweep.push(format!(
                         "{{\"init\": \"{}\", \"width\": {}, \"kept\": {kept}, \"cost\": {}, \
-                         \"merged_supersteps\": {}, \"us_per_node\": {{{}}}}}",
+                         \"merged_supersteps\": {}, \"us_per_node\": {{{}}}, \
+                         \"peak_bytes_per_node\": {{{}}}}}",
                         c.init,
                         c.width,
                         c.cost,
                         c.merged,
-                        stages.join(", ")
+                        by_stage(us, 4),
+                        by_stage(bytes, 2)
                     ));
                 }
                 let phases: Vec<String> = PHASES

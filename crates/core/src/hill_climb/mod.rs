@@ -399,7 +399,7 @@ impl Neighbourhood for NodeMoves<'_, '_, '_> {
         self.graph.predecessors(v).for_each(|u| list.push(u));
         self.graph.successors(v).for_each(|w| list.push(w));
         for &s in self.state.last_affected_steps() {
-            for &x in self.state.nodes_in_superstep(s) {
+            for x in self.state.nodes_in_superstep(s) {
                 list.push(x);
             }
         }

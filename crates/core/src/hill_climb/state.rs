@@ -63,13 +63,16 @@
 //!
 //! ## Footprint
 //!
-//! The state is `O(n + m)` bytes whatever the degrees.  A node's consumer
-//! summaries (one per processor hosting a consumer) live in one arena in
-//! which node `u` owns `min(out_degree(u), P)` slots of 16 bytes.  The scratch
-//! is reserved to the largest gather one node's moves can make,
+//! The state is `O(n + m)` bytes whatever the degrees.  Per node it holds
+//! `u32`s only: processor, superstep, bucket entry and bucket position, and
+//! the arena's offset and length.  A node's consumer summaries (one per
+//! processor hosting a consumer) live in that arena, in which node `u` owns
+//! `min(out_degree(u), P)` slots of 16 bytes.  The scratch is reserved to the
+//! largest gather one node's moves can make,
 //! `max_v Σ_{u ∈ {v} ∪ pred(v)} min(out_degree(u), P − 1)` contributions of
-//! 24 bytes, and its undo logs to `max_v min(out_degree(v), P − 1) + 2 ·
-//! in_degree(v)` patches.
+//! 16 bytes, and its undo logs to `max_v min(out_degree(v), P − 1) + 2 ·
+//! in_degree(v)` patches of 16 bytes.  Only the tallies are per superstep
+//! and processor, and `HC` runs on merged starts of a few supersteps.
 //!
 //! ## Graph-per-call
 //!
@@ -81,17 +84,23 @@ use bsp_model::{Assignment, Dag, Machine, ValidityError};
 
 /// One lazy-communication contribution: the value of some node is sent
 /// `from -> to` in the communication phase of `step`, with NUMA-weighted
-/// volume `weight`.  Supersteps and processors are 32-bit, as in the
-/// schedule.
+/// volume `weight`.  Supersteps are 32-bit, as in the schedule, and
+/// processors 16-bit ([`HcState::new`] panics on a machine past
+/// [`MAX_PROCESSORS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Contribution {
     weight: u64,
     step: u32,
-    from: u32,
-    to: u32,
+    from: u16,
+    to: u16,
 }
 
-const _: () = assert!(std::mem::size_of::<Contribution>() == 24);
+// Gathers and undo logs hold one per entry: 16 bytes, no padding.
+const _: () = assert!(std::mem::size_of::<Contribution>() == 16);
+
+/// The most processors the state handles, one per 16-bit index.  A
+/// [`Machine`] materializes its `P × P` matrix of `λ`: 32 GiB at this size.
+const MAX_PROCESSORS: usize = 1 << 16;
 
 impl Contribution {
     #[inline(always)]
@@ -99,9 +108,21 @@ impl Contribution {
         Contribution {
             weight,
             step: step as u32,
-            from: from as u32,
-            to: to as u32,
+            from: from as u16,
+            to: to as u16,
         }
+    }
+
+    /// The same transfer as a logged patch: its weight negated (mod
+    /// `2^64`) when it was removed, so undoing any patch subtracts it.
+    #[inline(always)]
+    fn patch(self, add: bool) -> Self {
+        let weight = if add {
+            self.weight
+        } else {
+            self.weight.wrapping_neg()
+        };
+        Contribution { weight, ..self }
     }
 
     /// The superstep whose communication phase carries the transfer.
@@ -215,11 +236,11 @@ impl SummaryArena {
 /// Undo record of one lift or one drop: the row-max caches of every touched
 /// superstep as they were on first touch, `(row, work_max, work_max_cnt,
 /// hrel_max, hrel_max_cnt)`, and the contribution patches in application
-/// order (`true` = added).
+/// order ([`Contribution::patch`]).
 #[derive(Debug, Clone, Default)]
 struct OpLog {
     rows: Vec<(usize, u64, u32, u64, u32)>,
-    ops: Vec<(Contribution, bool)>,
+    ops: Vec<Contribution>,
 }
 
 /// Indices into [`Scratch::logs`].
@@ -335,8 +356,8 @@ impl Scratch {
     fn summarize(
         &mut self,
         graph: &Dag,
-        proc: &[usize],
-        step: &[usize],
+        proc: &[u32],
+        step: &[u32],
         u: usize,
         out: &mut [ConsumerSummary],
     ) -> usize {
@@ -344,8 +365,7 @@ impl Scratch {
         let stamp = self.need_stamp;
         self.need_touched.clear();
         for w in graph.successors(u) {
-            let q = proc[w];
-            let s = step[w] as u32;
+            let (q, s) = (proc[w] as usize, step[w]);
             if self.need_mark[q] != stamp {
                 self.need_mark[q] = stamp;
                 self.need_step[q] = s;
@@ -385,14 +405,14 @@ impl Scratch {
 #[derive(Debug, Clone)]
 pub struct HcState<'a> {
     machine: &'a Machine,
-    proc: Vec<usize>,
-    step: Vec<usize>,
+    proc: Vec<u32>,
+    step: Vec<u32>,
     /// Number of nodes per superstep (tracks the number of supersteps).
     nodes_in_step: Vec<usize>,
     /// The nodes of each superstep (membership lists for the work-list driver).
-    step_nodes: Vec<Vec<usize>>,
+    step_nodes: Vec<Vec<u32>>,
     /// Position of node `v` inside `step_nodes[step[v]]`.
-    bucket_pos: Vec<usize>,
+    bucket_pos: Vec<u32>,
     /// Flat `[superstep × processor]` work tallies, indexed `s * P + q`.
     work: Vec<u64>,
     /// Flat NUMA-weighted send tallies, indexed `s * P + q`.
@@ -488,11 +508,6 @@ fn push_contributions(
     }
 }
 
-/// A 32-bit assignment map as the `usize` array the state indexes with.
-fn widen(xs: &[u32]) -> Vec<usize> {
-    xs.iter().map(|&x| x as usize).collect()
-}
-
 impl<'a> HcState<'a> {
     /// Builds the incremental state from an assignment, with every buffer the
     /// search needs sized.
@@ -503,6 +518,10 @@ impl<'a> HcState<'a> {
     /// reach `π(w)` in time — for `τ(w) = 0` this is the case that used to
     /// underflow `s - 1`).  Infeasible assignments yield a [`ValidityError`]
     /// naming the offending edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a machine of more than `2^16` processors.
     pub fn new(
         graph: &Dag,
         machine: &'a Machine,
@@ -510,6 +529,10 @@ impl<'a> HcState<'a> {
     ) -> Result<Self, ValidityError> {
         let n = graph.n();
         let p = machine.p();
+        assert!(
+            p <= MAX_PROCESSORS,
+            "HC handles at most 2^16 processors, not {p}"
+        );
         if assignment.proc.len() != n {
             return Err(ValidityError::AssignmentLengthMismatch {
                 expected: n,
@@ -568,8 +591,8 @@ impl<'a> HcState<'a> {
         };
         let mut state = HcState {
             machine,
-            proc: widen(&assignment.proc),
-            step: widen(&assignment.superstep),
+            proc: assignment.proc,
+            step: assignment.superstep,
             nodes_in_step: vec![0; capacity],
             step_nodes: vec![Vec::new(); capacity],
             bucket_pos: vec![0; n],
@@ -624,11 +647,11 @@ impl<'a> HcState<'a> {
         let capacity = self.body.len();
         let mut num_steps = 0usize;
         for v in 0..n {
-            let s = self.step[v];
+            let s = self.step_of(v);
             self.nodes_in_step[s] += 1;
-            self.bucket_pos[v] = self.step_nodes[s].len();
-            self.step_nodes[s].push(v);
-            self.work[s * p + self.proc[v]] += graph.work(v);
+            self.bucket_pos[v] = self.step_nodes[s].len() as u32;
+            self.step_nodes[s].push(v as u32);
+            self.work[s * p + self.proc[v] as usize] += graph.work(v);
             num_steps = num_steps.max(s + 1);
         }
         self.num_steps = num_steps;
@@ -636,7 +659,7 @@ impl<'a> HcState<'a> {
             self.refresh_summaries(graph, u);
             let materialized = &mut self.scratch.contribs_new;
             materialized.clear();
-            let (pu, cu) = (self.proc[u], graph.comm(u));
+            let (pu, cu) = (self.proc[u] as usize, graph.comm(u));
             push_contributions(self.machine, pu, cu, self.summaries.of(u), materialized);
             for &c in materialized.iter() {
                 let (from, to) = c.cells(p);
@@ -681,13 +704,13 @@ impl<'a> HcState<'a> {
     /// Current processor of a node.
     #[inline]
     pub fn proc_of(&self, v: usize) -> usize {
-        self.proc[v]
+        self.proc[v] as usize
     }
 
     /// Current superstep of a node.
     #[inline]
     pub fn step_of(&self, v: usize) -> usize {
-        self.step[v]
+        self.step[v] as usize
     }
 
     /// Current number of supersteps.
@@ -697,8 +720,9 @@ impl<'a> HcState<'a> {
     }
 
     /// The nodes currently assigned to superstep `s` (in no particular order).
-    pub fn nodes_in_superstep(&self, s: usize) -> &[usize] {
-        self.step_nodes.get(s).map_or(&[], Vec::as_slice)
+    pub fn nodes_in_superstep(&self, s: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let nodes = self.step_nodes.get(s).map_or(&[][..], Vec::as_slice);
+        nodes.iter().map(|&v| v as usize)
     }
 
     /// The supersteps whose tallies the most recent `apply_move` touched
@@ -710,16 +734,18 @@ impl<'a> HcState<'a> {
 
     /// A snapshot of the current assignment.
     pub fn assignment(&self) -> Assignment {
-        let narrow = |xs: &[usize]| xs.iter().map(|&x| x as u32).collect();
         Assignment {
-            proc: narrow(&self.proc),
-            superstep: narrow(&self.step),
+            proc: self.proc.clone(),
+            superstep: self.step.clone(),
         }
     }
 
     /// Consumes the state and returns the assignment.
     pub fn into_assignment(self) -> Assignment {
-        self.assignment()
+        Assignment {
+            proc: self.proc,
+            superstep: self.step,
+        }
     }
 
     /// Total schedule cost under the lazy communication schedule.  `O(1)`.
@@ -788,7 +814,7 @@ impl<'a> HcState<'a> {
         let gathered = &mut self.scratch.contribs_old;
         gathered.clear();
         for u in std::iter::once(v).chain(graph.predecessors(v)) {
-            let (pu, cu) = (self.proc[u], graph.comm(u));
+            let (pu, cu) = (self.proc[u] as usize, graph.comm(u));
             push_contributions(self.machine, pu, cu, self.summaries.of(u), gathered);
         }
         debug_assert!(
@@ -802,8 +828,8 @@ impl<'a> HcState<'a> {
     /// contributions removed and added by moving `v` to `(p_new, s_new)`.
     /// Leaves the tallies alone.
     fn gather_move_contribs(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) {
-        let p_old = self.proc[v];
-        let s_old = self.step[v];
+        let p_old = self.proc_of(v);
+        let s_old = self.step_of(v);
 
         // Values whose lazy communication steps can change: v and its
         // predecessors.  Old contributions under the current assignment
@@ -823,7 +849,7 @@ impl<'a> HcState<'a> {
         new_out.clear();
         push_contributions(machine, p_new, graph.comm(v), self.summaries.of(v), new_out);
         for u in graph.predecessors(v) {
-            let pu = self.proc[u];
+            let pu = self.proc[u] as usize;
             let cu = graph.comm(u);
             let mut saw_p_new = false;
             for &sm in self.summaries.of(u) {
@@ -873,8 +899,8 @@ impl<'a> HcState<'a> {
     pub fn node_can_gain(&mut self, graph: &Dag, v: usize) -> bool {
         self.warm_summaries(graph, v);
         let p = self.machine.p();
-        let s_old = self.step[v];
-        let p_old = self.proc[v];
+        let s_old = self.step_of(v);
+        let p_old = self.proc_of(v);
         if self.nodes_in_step[s_old] == 1 {
             return true;
         }
@@ -929,17 +955,17 @@ impl<'a> HcState<'a> {
         let mut pred_step = None;
         let mut pred_proc = None;
         for u in graph.predecessors(v) {
-            let su = self.step[u];
+            let su = self.step_of(u);
             match pred_step {
                 None => {
                     pred_step = Some(su);
-                    pred_proc = Some(self.proc[u]);
+                    pred_proc = Some(self.proc_of(u));
                 }
                 Some(cur) if su > cur => {
                     pred_step = Some(su);
-                    pred_proc = Some(self.proc[u]);
+                    pred_proc = Some(self.proc_of(u));
                 }
-                Some(cur) if su == cur && pred_proc != Some(self.proc[u]) => {
+                Some(cur) if su == cur && pred_proc != Some(self.proc_of(u)) => {
                     pred_proc = None;
                 }
                 _ => {}
@@ -948,17 +974,17 @@ impl<'a> HcState<'a> {
         let mut succ_step = None;
         let mut succ_proc = None;
         for w in graph.successors(v) {
-            let sw = self.step[w];
+            let sw = self.step_of(w);
             match succ_step {
                 None => {
                     succ_step = Some(sw);
-                    succ_proc = Some(self.proc[w]);
+                    succ_proc = Some(self.proc_of(w));
                 }
                 Some(cur) if sw < cur => {
                     succ_step = Some(sw);
-                    succ_proc = Some(self.proc[w]);
+                    succ_proc = Some(self.proc_of(w));
                 }
-                Some(cur) if sw == cur && succ_proc != Some(self.proc[w]) => {
+                Some(cur) if sw == cur && succ_proc != Some(self.proc_of(w)) => {
                     succ_proc = None;
                 }
                 _ => {}
@@ -978,20 +1004,20 @@ impl<'a> HcState<'a> {
     /// successors.
     pub fn move_is_valid(&self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> bool {
         for u in graph.predecessors(v) {
-            let ok = if self.proc[u] == p_new {
-                self.step[u] <= s_new
+            let ok = if self.proc_of(u) == p_new {
+                self.step_of(u) <= s_new
             } else {
-                self.step[u] < s_new
+                self.step_of(u) < s_new
             };
             if !ok {
                 return false;
             }
         }
         for w in graph.successors(v) {
-            let ok = if self.proc[w] == p_new {
-                self.step[w] >= s_new
+            let ok = if self.proc_of(w) == p_new {
+                self.step_of(w) >= s_new
             } else {
-                self.step[w] > s_new
+                self.step_of(w) > s_new
             };
             if !ok {
                 return false;
@@ -1083,7 +1109,7 @@ impl<'a> HcState<'a> {
     /// occupancy shift may open a superstep at the end or drain trailing ones.
     #[inline]
     fn steps_after_move(&self, v: usize, s_new: usize) -> usize {
-        let s_old = self.step[v];
+        let s_old = self.step_of(v);
         let occupancy = |s: usize| {
             self.nodes_in_step.get(s).copied().unwrap_or(0) + usize::from(s == s_new)
                 - usize::from(s == s_old)
@@ -1119,7 +1145,7 @@ impl<'a> HcState<'a> {
     fn patch_logged(&mut self, which: usize, c: Contribution, add: bool) {
         self.touch_row(which, c.step());
         self.patch_contrib(c, add);
-        self.scratch.logs[which].ops.push((c, add));
+        self.scratch.logs[which].ops.push(c.patch(add));
     }
 
     /// Removes (`LIFT`) or adds (`DROP`) the sends of `v`'s value, weight
@@ -1155,15 +1181,10 @@ impl<'a> HcState<'a> {
     fn undo_log(&mut self, which: usize) {
         let p = self.machine.p();
         let log = &self.scratch.logs[which];
-        for &(c, added) in log.ops.iter().rev() {
+        for &c in log.ops.iter().rev() {
             let (from, to) = c.cells(p);
-            if added {
-                self.send[from] -= c.weight;
-                self.recv[to] -= c.weight;
-            } else {
-                self.send[from] += c.weight;
-                self.recv[to] += c.weight;
-            }
+            self.send[from] = self.send[from].wrapping_sub(c.weight);
+            self.recv[to] = self.recv[to].wrapping_sub(c.weight);
             self.hrel[from] = self.send[from].max(self.recv[from]);
             self.hrel[to] = self.send[to].max(self.recv[to]);
         }
@@ -1183,7 +1204,7 @@ impl<'a> HcState<'a> {
     pub fn lift(&mut self, graph: &Dag, v: usize) {
         let p = self.machine.p();
         self.warm_summaries(graph, v);
-        let (p_old, s_old) = (self.proc[v], self.step[v]);
+        let (p_old, s_old) = (self.proc_of(v), self.step_of(v));
         self.scratch.begin_log(LIFT);
         self.scratch.move_below.fill(0);
 
@@ -1191,7 +1212,7 @@ impl<'a> HcState<'a> {
         self.patch_work(s_old, p_old, self.work[s_old * p + p_old] - graph.work(v));
         self.patch_own_sends(LIFT, v, graph.comm(v), p_old);
         for u in graph.predecessors(v) {
-            let pu = self.proc[u];
+            let pu = self.proc_of(u);
             for i in self.summaries.live(u) {
                 let sm = self.summaries.slots[i];
                 if sm.to() == pu {
@@ -1221,7 +1242,7 @@ impl<'a> HcState<'a> {
     /// Puts the lifted node `v` back where it was; every tally and row cache
     /// is bit-equal to the state before [`HcState::lift`].
     pub fn unlift(&mut self, graph: &Dag, v: usize) {
-        let cell = self.step[v] * self.machine.p() + self.proc[v];
+        let cell = self.step_of(v) * self.machine.p() + self.proc_of(v);
         self.work[cell] += graph.work(v);
         self.undo_log(LIFT);
     }
@@ -1258,7 +1279,7 @@ impl<'a> HcState<'a> {
     /// and undoes its own patches.  No heap allocation unless `s_new` lies
     /// past the tallies' capacity.
     pub fn drop_eval(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
-        let (p_old, s_old) = (self.proc[v], self.step[v]);
+        let (p_old, s_old) = (self.proc_of(v), self.step_of(v));
         if p_old == p_new && s_old == s_new {
             return 0;
         }
@@ -1270,7 +1291,7 @@ impl<'a> HcState<'a> {
         self.patch_work(s_new, p_new, self.work[cell] + wv);
         self.patch_own_sends(DROP, v, graph.comm(v), p_new);
         for u in graph.predecessors(v) {
-            let pu = self.proc[u];
+            let pu = self.proc_of(u);
             if pu == p_new {
                 continue;
             }
@@ -1315,8 +1336,8 @@ impl<'a> HcState<'a> {
     /// of `v` or a predecessor sits in — the work-list's dirty rule depends
     /// on that set, not only on changed rows.
     pub fn apply_move(&mut self, graph: &Dag, v: usize, p_new: usize, s_new: usize) -> i64 {
-        let p_old = self.proc[v];
-        let s_old = self.step[v];
+        let p_old = self.proc_of(v);
+        let s_old = self.step_of(v);
         if p_old == p_new && s_old == s_new {
             return 0;
         }
@@ -1328,8 +1349,8 @@ impl<'a> HcState<'a> {
         let new_num_steps = self.steps_after_move(v, s_new);
 
         // Mutate the assignment.
-        self.proc[v] = p_new;
-        self.step[v] = s_new;
+        self.proc[v] = p_new as u32;
+        self.step[v] = s_new as u32;
 
         self.scratch.mark_affected(s_old, s_new);
 
@@ -1356,15 +1377,15 @@ impl<'a> HcState<'a> {
         }
 
         // Move v between superstep buckets (swap-remove + push).
-        let pos = self.bucket_pos[v];
+        let pos = self.bucket_pos[v] as usize;
         let bucket = &mut self.step_nodes[s_old];
         bucket.swap_remove(pos);
         if pos < bucket.len() {
-            let moved = bucket[pos];
-            self.bucket_pos[moved] = pos;
+            let moved = bucket[pos] as usize;
+            self.bucket_pos[moved] = pos as u32;
         }
-        self.bucket_pos[v] = self.step_nodes[s_new].len();
-        self.step_nodes[s_new].push(v);
+        self.bucket_pos[v] = self.step_nodes[s_new].len() as u32;
+        self.step_nodes[s_new].push(v as u32);
         self.nodes_in_step[s_old] -= 1;
         self.nodes_in_step[s_new] += 1;
         self.num_steps = new_num_steps;
@@ -1492,12 +1513,12 @@ mod tests {
     fn superstep_membership_tracks_moves() {
         let (dag, machine, assignment) = sample();
         let mut state = HcState::new(&dag, &machine, assignment).unwrap();
-        let mut step2: Vec<usize> = state.nodes_in_superstep(2).to_vec();
+        let mut step2: Vec<usize> = state.nodes_in_superstep(2).collect();
         step2.sort_unstable();
         assert_eq!(step2, vec![3, 4]);
         state.apply_move(&dag, 4, 1, 3);
-        assert_eq!(state.nodes_in_superstep(2), &[3]);
-        let mut step3: Vec<usize> = state.nodes_in_superstep(3).to_vec();
+        assert_eq!(state.nodes_in_superstep(2).collect::<Vec<_>>(), [3]);
+        let mut step3: Vec<usize> = state.nodes_in_superstep(3).collect();
         step3.sort_unstable();
         assert_eq!(step3, vec![4, 5]);
     }

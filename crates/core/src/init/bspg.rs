@@ -42,40 +42,59 @@ struct Pools<'a> {
     /// `π` and `τ` so far, `u32::MAX` while unassigned.
     proc: Vec<u32>,
     superstep_of: Vec<u32>,
-    /// `succ_on[u * p + q]`: a direct successor of `u` is assigned to `q`.
-    succ_on: Vec<bool>,
+    /// Bit `u * p + q`: a direct successor of `u` is assigned to `q`.  One
+    /// bit a pair, so the `n · P` flags take `n · P / 8` bytes.
+    succ_on: Vec<u64>,
     /// Pool of each node: `q < p` for `ready_proc[q]` (at most one, the
     /// processor it became ready on), `p` for `ready_all`, else [`NO_POOL`].
     pool: Vec<usize>,
     /// Nodes assignable to a specific processor within the current superstep.
     ready_proc: Vec<BinaryHeap<Entry>>,
-    /// Nodes assignable to every processor within the current superstep,
-    /// once per processor because the score depends on it.
+    /// Nodes assignable to every processor within the current superstep:
+    /// each once in `ready_any`, which stands for its score 0, and in
+    /// `ready_all[q]` once its score on `q` is positive.  A node scores 0
+    /// on every processor that holds none of its predecessors and none of
+    /// their successors — a source on all of them — so the pools hold no
+    /// `n · P` entries.
     ready_all: Vec<BinaryHeap<Entry>>,
+    ready_any: BinaryHeap<Reverse<usize>>,
     /// Live size of each `ready_proc[q]`, and of `ready_all` at index `p`.
     len: Vec<usize>,
 }
 
 impl Pools<'_> {
+    /// The word of `succ_on` holding the flag of `(u, q)`, and its mask.
+    fn succ_on_bit(&self, u: usize, q: usize) -> (usize, u64) {
+        let bit = u * self.p + q;
+        (bit / 64, 1 << (bit % 64))
+    }
+
+    /// `true` if a direct successor of `u` is assigned to `q`.
+    fn succ_on(&self, u: usize, q: usize) -> bool {
+        let (word, mask) = self.succ_on_bit(u, q);
+        self.succ_on[word] & mask != 0
+    }
+
     /// Score of assigning `v` to processor `q` (higher is better).
     fn entry(&self, v: usize, q: usize) -> Entry {
         let dag = self.dag;
         let mut s = 0.0;
         for u in dag.predecessors(v) {
-            if self.proc[u] as usize == q || self.succ_on[u * self.p + q] {
+            if self.proc[u] as usize == q || self.succ_on(u, q) {
                 s += dag.comm(u) as f64 / dag.out_degree(u).max(1) as f64;
             }
         }
         (s.to_bits(), Reverse(v))
     }
 
-    /// Pushes the current score of the pooled node `w` on processor `q`.
+    /// Pushes the current score of the pooled node `w` on processor `q`
+    /// (for `ready_all`, only a positive one: `ready_any` holds the 0).
     fn push(&mut self, w: usize, q: usize) {
         let entry = self.entry(w, q);
-        if self.pool[w] == self.p {
-            self.ready_all[q].push(entry);
-        } else {
+        if self.pool[w] != self.p {
             self.ready_proc[q].push(entry);
+        } else if entry.0 != 0 {
+            self.ready_all[q].push(entry);
         }
     }
 
@@ -86,24 +105,24 @@ impl Pools<'_> {
         if pool < self.p {
             self.push(v, pool);
         } else {
+            self.ready_any.push(Reverse(v));
             (0..self.p).for_each(|q| self.push(v, q));
         }
     }
 
     /// The best node for the free processor `q`: from `ready_proc[q]` if it
-    /// has any, else from `ready_all`.
+    /// has any, else from `ready_all` — the better of `ready_all[q]`'s top
+    /// and the smallest id in `ready_any` at score 0.
     fn pick(&mut self, q: usize) -> usize {
-        let (heap, pool) = if self.len[q] > 0 {
-            (&mut self.ready_proc[q], q)
-        } else {
-            (&mut self.ready_all[q], self.p)
-        };
-        loop {
-            let &(_, Reverse(v)) = heap.peek().expect("pool is non-empty");
-            if self.pool[v] == pool {
-                return v;
-            }
-            heap.pop();
+        if self.len[q] > 0 {
+            let top = live_top(&mut self.ready_proc[q], |e| e.1 .0, &self.pool, q);
+            return top.expect("pool is non-empty").1 .0;
+        }
+        let any = live_top(&mut self.ready_any, |e| e.0, &self.pool, self.p);
+        let Reverse(any) = any.expect("pool is non-empty");
+        match live_top(&mut self.ready_all[q], |e| e.1 .0, &self.pool, self.p) {
+            Some((score, Reverse(v))) if (score, Reverse(v)) > (0, Reverse(any)) => v,
+            _ => any,
         }
     }
 
@@ -117,9 +136,10 @@ impl Pools<'_> {
         self.proc[v] = q as u32;
         self.superstep_of[v] = superstep as u32;
         for u in dag.predecessors(v) {
-            if std::mem::replace(&mut self.succ_on[u * self.p + q], true)
-                || self.proc[u] as usize == q
-            {
+            let (word, mask) = self.succ_on_bit(u, q);
+            let had = self.succ_on[word] & mask != 0;
+            self.succ_on[word] |= mask;
+            if had || self.proc[u] as usize == q {
                 continue;
             }
             for w in dag.successors(u) {
@@ -135,6 +155,7 @@ impl Pools<'_> {
     fn start_superstep(&mut self, ready: &mut Vec<usize>) {
         self.ready_proc.iter_mut().for_each(BinaryHeap::clear);
         self.ready_all.iter_mut().for_each(BinaryHeap::clear);
+        self.ready_any.clear();
         self.len.fill(0);
         for v in ready.drain(..) {
             if self.proc[v] == u32::MAX {
@@ -142,6 +163,23 @@ impl Pools<'_> {
             }
         }
     }
+}
+
+/// The topmost entry of `heap` whose node (`node_of`) is still in `pool`,
+/// after dropping the entries above it of nodes that left.
+fn live_top<T: Ord + Copy>(
+    heap: &mut BinaryHeap<T>,
+    node_of: impl Fn(T) -> usize,
+    pools: &[usize],
+    pool: usize,
+) -> Option<T> {
+    while let Some(&entry) = heap.peek() {
+        if pools[node_of(entry)] == pool {
+            return Some(entry);
+        }
+        heap.pop();
+    }
+    None
 }
 
 impl BspgScheduler {
@@ -162,10 +200,11 @@ impl BspgScheduler {
             p,
             proc: vec![u32::MAX; n],
             superstep_of: vec![u32::MAX; n],
-            succ_on: vec![false; n * p],
+            succ_on: vec![0; (n * p).div_ceil(64)],
             pool: vec![NO_POOL; n],
             ready_proc: vec![BinaryHeap::new(); p],
             ready_all: vec![BinaryHeap::new(); p],
+            ready_any: BinaryHeap::new(),
             len: vec![0; p + 1],
         };
         let mut unfinished_preds: Vec<usize> = (0..n).map(|v| dag.in_degree(v)).collect();

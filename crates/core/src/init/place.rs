@@ -37,103 +37,14 @@ use std::cmp::Reverse;
 /// sources where they were.  `Γ` is rebuilt lazily.
 ///
 /// Only in-degree-0 nodes change processor and no node changes superstep; a
-/// second application returns `false`.  `O(n + m + S·P)` plus `O(P · hosts)`
-/// per movable source and the sort by regret.
+/// second application returns `false`.  `O(n + m + S)` plus `O(P · hosts)`
+/// per movable source, the sort by regret and a binary search per node; it
+/// holds `O(n + |Γ| + S)` bytes plus `O(P)` per movable source, whatever
+/// `S · P` is.
 pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -> bool {
-    let p = machine.p();
-    if p < 2 {
+    let Some(proc) = placed(dag, machine, schedule) else {
         return false;
-    }
-    // One walk over the successors of every source: is it movable, which
-    // processors host a consumer, and what would each processor cost
-    // (`costs[i·P + q]` for `sources[i]`).  No consumer is a source, so the
-    // costs stand while sources move.
-    let mut sources: Vec<Movable> = Vec::new();
-    let mut costs: Vec<u64> = Vec::new();
-    let mut hosts: Vec<usize> = Vec::with_capacity(p);
-    let mut hosted = vec![usize::MAX; p];
-    for v in 0..dag.n() {
-        if dag.in_degree(v) > 0 || dag.comm(v) == 0 {
-            continue;
-        }
-        hosts.clear();
-        let mut movable = dag.out_degree(v) > 0;
-        for w in dag.successors(v) {
-            movable &= schedule.superstep(w) > schedule.superstep(v);
-            let q = schedule.proc(w);
-            if std::mem::replace(&mut hosted[q], v) != v {
-                hosts.push(q);
-            }
-        }
-        if !movable {
-            continue;
-        }
-        let (mut cheapest, mut second) = (u64::MAX, u64::MAX);
-        for q in 0..p {
-            let others = hosts.iter().filter(|&&r| r != q);
-            let cost = dag.comm(v) * others.map(|&r| machine.lambda(q, r)).sum::<u64>();
-            costs.push(cost);
-            if cost < cheapest {
-                (cheapest, second) = (cost, cheapest);
-            } else if cost < second {
-                second = cost;
-            }
-        }
-        sources.push(Movable {
-            regret: Reverse(second - cheapest),
-            node: v,
-            index: sources.len(),
-            from: schedule.proc(v),
-        });
-    }
-    if sources.is_empty() {
-        return false;
-    }
-    sources.sort_unstable();
-
-    // room[s·P + q]: the work maximum of superstep `s` minus the non-movable
-    // work of processor `q` in it.
-    let mut room = vec![0u64; schedule.assignment.num_supersteps() * p];
-    for v in 0..dag.n() {
-        room[schedule.superstep(v) * p + schedule.proc(v)] += dag.work(v);
-    }
-    for row in room.chunks_mut(p) {
-        let max = row.iter().copied().max().unwrap_or(0);
-        row.iter_mut().for_each(|load| *load = max - *load);
-    }
-    for source in &sources {
-        room[schedule.superstep(source.node) * p + source.from] += dag.work(source.node);
-    }
-
-    // A superstep in which a source found no room keeps all of its own.
-    let mut proc = schedule.assignment.proc.clone();
-    let mut stuck = vec![false; room.len() / p];
-    for source in &sources {
-        let (v, from, s) = (source.node, source.from, schedule.superstep(source.node));
-        if stuck[s] {
-            continue;
-        }
-        let (room, cost) = (&mut room[s * p..][..p], &costs[source.index * p..][..p]);
-        let fits = (0..p).filter(|&q| room[q] >= dag.work(v));
-        match fits.min_by_key(|&q| (cost[q], q != from, q)) {
-            Some(q) => {
-                room[q] -= dag.work(v);
-                proc[v] = q as u32;
-            }
-            None => stuck[s] = true,
-        }
-    }
-    let mut moved = false;
-    for source in &sources {
-        if stuck[schedule.superstep(source.node)] {
-            proc[source.node] = source.from as u32;
-        }
-        moved |= proc[source.node] as usize != source.from;
-    }
-    if !moved {
-        return false;
-    }
-
+    };
     // Keep the result only when it is strictly cheaper than the schedule as
     // it came in, bespoke `Γ` included.
     let before = schedule.cost(dag, machine);
@@ -146,6 +57,101 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
     schedule.assignment.proc = old_proc;
     schedule.comm = old_comm;
     false
+}
+
+/// The processors [`place_sources`] gives the nodes of `schedule`, if any
+/// source moves.
+fn placed(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> Option<Vec<u32>> {
+    let p = machine.p();
+    if p < 2 {
+        return None;
+    }
+    // One walk over the successors of every source: is it movable, and
+    // what is its regret.  The processor costs are priced again when the
+    // source is placed, so no table of them is kept; no consumer is a
+    // source, so they stand while sources move.
+    let mut prices = Prices::new(p);
+    let mut sources: Vec<Movable> = Vec::new();
+    for v in 0..dag.n() {
+        if !prices.price(dag, machine, schedule, v) {
+            continue;
+        }
+        let (mut cheapest, mut second) = (u64::MAX, u64::MAX);
+        for &cost in &prices.cost {
+            if cost < cheapest {
+                (cheapest, second) = (cost, cheapest);
+            } else if cost < second {
+                second = cost;
+            }
+        }
+        sources.push(Movable {
+            regret: Reverse(second - cheapest),
+            node: v as u32,
+            from: schedule.assignment.proc[v],
+        });
+    }
+    if sources.is_empty() {
+        return None;
+    }
+    sources.sort_unstable();
+
+    // The supersteps holding a movable source, ascending: `room` and `stuck`
+    // have a row for each of them and for no other.
+    let mut held: Vec<u32> = sources
+        .iter()
+        .map(|s| schedule.assignment.superstep[s.node as usize])
+        .collect();
+    held.sort_unstable();
+    held.dedup();
+    let held_row = |v: usize| held.binary_search(&schedule.assignment.superstep[v]).ok();
+
+    // room[r·P + q]: the work maximum of the superstep of row `r` minus the
+    // non-movable work of processor `q` in it.
+    let mut room = vec![0u64; held.len() * p];
+    for v in 0..dag.n() {
+        if let Some(r) = held_row(v) {
+            room[r * p + schedule.proc(v)] += dag.work(v);
+        }
+    }
+    for row in room.chunks_mut(p) {
+        let max = row.iter().copied().max().unwrap_or(0);
+        row.iter_mut().for_each(|load| *load = max - *load);
+    }
+    let row_of = |v: usize| held_row(v).expect("a movable source's superstep has a row");
+    for source in &sources {
+        let v = source.node as usize;
+        room[row_of(v) * p + source.from as usize] += dag.work(v);
+    }
+
+    // A superstep in which a source found no room keeps all of its own.
+    let mut proc = schedule.assignment.proc.clone();
+    let mut stuck = vec![false; held.len()];
+    for source in &sources {
+        let (v, from) = (source.node as usize, source.from as usize);
+        let r = row_of(v);
+        if stuck[r] {
+            continue;
+        }
+        prices.price(dag, machine, schedule, v);
+        let (room, cost) = (&mut room[r * p..][..p], &prices.cost);
+        let fits = (0..p).filter(|&q| room[q] >= dag.work(v));
+        match fits.min_by_key(|&q| (cost[q], q != from, q)) {
+            Some(q) => {
+                room[q] -= dag.work(v);
+                proc[v] = q as u32;
+            }
+            None => stuck[r] = true,
+        }
+    }
+    let mut moved = false;
+    for source in &sources {
+        let v = source.node as usize;
+        if stuck[row_of(v)] {
+            proc[v] = source.from;
+        }
+        moved |= proc[v] != source.from;
+    }
+    moved.then_some(proc)
 }
 
 /// Merges adjacent supersteps that no value needs to cross and returns how
@@ -197,11 +203,59 @@ pub fn merge_supersteps(dag: &Dag, assignment: &mut Assignment) -> usize {
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Movable {
     regret: Reverse<u64>,
-    node: usize,
-    /// Row of the cost table.
-    index: usize,
+    node: u32,
     /// The processor it came from.
-    from: usize,
+    from: u32,
+}
+
+/// What each processor would cost a source: `c(v) · Σ λ(q, r)` over the
+/// other processors `r` hosting a consumer of `v`.
+struct Prices {
+    /// `cost[q]` for the source last priced.
+    cost: Vec<u64>,
+    /// The processors hosting a consumer of the source last priced, each
+    /// once: `hosted[q]` is the last pricing that found a consumer on `q`,
+    /// `pricings` counts them.
+    hosts: Vec<usize>,
+    hosted: Vec<usize>,
+    pricings: usize,
+}
+
+impl Prices {
+    fn new(p: usize) -> Self {
+        Prices {
+            cost: vec![0; p],
+            hosts: Vec::with_capacity(p),
+            hosted: vec![0; p],
+            pricings: 0,
+        }
+    }
+
+    /// Prices every processor for `v` if `v` is a movable source (a source
+    /// with a value to send whose consumers all lie in later supersteps)
+    /// and says whether it is.
+    fn price(&mut self, dag: &Dag, machine: &Machine, schedule: &BspSchedule, v: usize) -> bool {
+        if dag.in_degree(v) > 0 || dag.comm(v) == 0 {
+            return false;
+        }
+        self.hosts.clear();
+        self.pricings += 1;
+        let mut movable = dag.out_degree(v) > 0;
+        for w in dag.successors(v) {
+            movable &= schedule.superstep(w) > schedule.superstep(v);
+            let q = schedule.proc(w);
+            if std::mem::replace(&mut self.hosted[q], self.pricings) != self.pricings {
+                self.hosts.push(q);
+            }
+        }
+        if movable {
+            for (q, cost) in self.cost.iter_mut().enumerate() {
+                let others = self.hosts.iter().filter(|&&r| r != q);
+                *cost = dag.comm(v) * others.map(|&r| machine.lambda(q, r)).sum::<u64>();
+            }
+        }
+        movable
+    }
 }
 
 #[cfg(test)]

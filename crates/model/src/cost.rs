@@ -11,6 +11,7 @@
 //!
 //! The total cost of a schedule is the sum over all supersteps it spans.
 
+use crate::comm::CommStep;
 use crate::dag::Dag;
 use crate::machine::Machine;
 use crate::schedule::BspSchedule;
@@ -71,64 +72,196 @@ impl CostBreakdown {
 
 /// Computes the per-superstep work costs `C_work(s)` of a schedule.
 pub fn work_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let p = machine.p();
-    // One row of `p` cells per superstep.
-    let mut per_proc = vec![0u64; sched.num_supersteps() * p];
-    for v in 0..dag.n() {
-        per_proc[sched.superstep(v) * p + sched.proc(v)] += dag.work(v);
-    }
-    per_proc
-        .chunks(p)
-        .map(|row| row.iter().copied().max().unwrap_or(0))
-        .collect()
+    let rows = Rows::of(dag, machine, sched);
+    let mut costs = Vec::with_capacity(rows.steps);
+    work_rows(dag, machine, sched, rows, |work| costs.push(work));
+    costs
 }
 
 /// Computes the per-superstep communication costs `C_comm(s)` (NUMA-weighted
 /// `h`-relations, not yet multiplied by `g`).
 pub fn comm_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let p = machine.p();
-    // Sends in the even cells, receives in the odd ones: one row of `2p`
-    // cells per superstep, whose maximum is the `h`-relation.
-    let mut traffic = vec![0u64; sched.num_supersteps() * 2 * p];
-    for cs in sched.comm.steps() {
-        let (from, to, row) = (cs.from as usize, cs.to as usize, cs.step as usize * p);
-        let weighted = dag.comm(cs.node as usize) * machine.lambda(from, to);
-        traffic[2 * (row + from)] += weighted;
-        traffic[2 * (row + to) + 1] += weighted;
-    }
-    traffic
-        .chunks(2 * p)
-        .map(|row| row.iter().copied().max().unwrap_or(0))
-        .collect()
+    let rows = Rows::of(dag, machine, sched);
+    let mut costs = Vec::with_capacity(rows.steps);
+    comm_rows(dag, machine, sched, rows, |comm| costs.push(comm));
+    costs
 }
 
 /// Full cost breakdown of a schedule.
 pub fn cost_breakdown(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> CostBreakdown {
-    let work = work_costs(dag, machine, sched);
-    let comm = comm_costs(dag, machine, sched);
-    let steps = work.len().max(comm.len());
-    let mut breakdown = CostBreakdown::default();
-    for s in 0..steps {
-        let w = work.get(s).copied().unwrap_or(0);
-        let c = comm.get(s).copied().unwrap_or(0);
-        let sc = SuperstepCost {
-            work: w,
-            comm: c,
-            latency: machine.latency(),
-        };
-        breakdown.total_work += w;
-        breakdown.total_comm += machine.g() * c;
-        breakdown.total_latency += machine.latency();
-        breakdown.supersteps.push(sc);
+    let (latency, rows) = (machine.latency(), Rows::of(dag, machine, sched));
+    let mut supersteps = Vec::with_capacity(rows.steps);
+    work_rows(dag, machine, sched, rows, |work| {
+        supersteps.push(SuperstepCost {
+            work,
+            comm: 0,
+            latency,
+        })
+    });
+    let mut costs = supersteps.iter_mut();
+    comm_rows(dag, machine, sched, rows, |comm| {
+        costs.next().expect("one row per superstep").comm = comm
+    });
+    CostBreakdown {
+        total_work: supersteps.iter().map(|s| s.work).sum(),
+        total_comm: machine.g() * supersteps.iter().map(|s| s.comm).sum::<u64>(),
+        total_latency: latency * supersteps.len() as u64,
+        supersteps,
     }
-    breakdown
 }
 
 /// Total cost of a schedule: `Σ_s (C_work(s) + g · C_comm(s) + ℓ)`.
 pub fn total_cost(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> u64 {
-    let work: u64 = work_costs(dag, machine, sched).iter().sum();
-    let comm: u64 = comm_costs(dag, machine, sched).iter().sum();
-    work + machine.g() * comm + machine.latency() * sched.num_supersteps() as u64
+    let (rows, mut work, mut comm) = (Rows::of(dag, machine, sched), 0u64, 0u64);
+    work_rows(dag, machine, sched, rows, |w| work += w);
+    comm_rows(dag, machine, sched, rows, |c| comm += c);
+    work + machine.g() * comm + machine.latency() * rows.steps as u64
+}
+
+// Each superstep's row of `P` tallies is summed either in one dense
+// `supersteps × P` table or, when that table would outgrow the schedule,
+// one superstep at a time over the entries bucketed by superstep.  Both
+// report every superstep `0..num_supersteps()` in order, an empty one as 0,
+// so the layout never shows in a result.  Dense is the faster of the two;
+// bucketing holds `O(n + |Γ| + S + P)` bytes whatever `S · P` is.
+
+/// The supersteps of a schedule and the layout its rows are summed in.
+#[derive(Clone, Copy)]
+struct Rows {
+    steps: usize,
+    /// `true` when a `steps × P` table holds no more cells than the
+    /// schedule has nodes and transfers.
+    dense: bool,
+}
+
+impl Rows {
+    fn of(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Self {
+        let steps = sched.num_supersteps();
+        let dense = steps.saturating_mul(machine.p()) <= dag.n() + sched.comm.len();
+        Rows { steps, dense }
+    }
+}
+
+/// Hands `C_work(s)` of every superstep to `row`, in superstep order.
+fn work_rows(
+    dag: &Dag,
+    machine: &Machine,
+    sched: &BspSchedule,
+    Rows { steps, dense }: Rows,
+    mut row: impl FnMut(u64),
+) {
+    let p = machine.p();
+    if dense {
+        let mut per_proc = vec![0u64; steps * p];
+        for v in 0..dag.n() {
+            per_proc[sched.superstep(v) * p + sched.proc(v)] += dag.work(v);
+        }
+        for cells in per_proc.chunks(p) {
+            row(cells.iter().copied().max().unwrap_or(0));
+        }
+        return;
+    }
+    let mut load = vec![0u64; p];
+    each_bucket(
+        steps,
+        dag.n(),
+        |v| sched.superstep(v),
+        |nodes| {
+            for &v in nodes {
+                load[sched.proc(v as usize)] += dag.work(v as usize);
+            }
+            let mut max = 0;
+            for &v in nodes {
+                max = max.max(std::mem::take(&mut load[sched.proc(v as usize)]));
+            }
+            row(max);
+        },
+    );
+}
+
+/// Calls `f` once per superstep `0..steps`, in order, with the entries `i`
+/// of `0..len` for which `step_of(i)` is that superstep, ascending.  A
+/// counting sort: `4 · (steps + 1 + len)` bytes.
+fn each_bucket(
+    steps: usize,
+    len: usize,
+    step_of: impl Fn(usize) -> usize,
+    mut f: impl FnMut(&[u32]),
+) {
+    assert!(
+        u32::try_from(len).is_ok(),
+        "{len} entries overflow a u32 index"
+    );
+    // `end[s + 1]` counts superstep `s`'s entries, then the prefix sums make
+    // `end[s]` where bucket `s` starts; filling the buckets advances each to
+    // where it ends.
+    let mut end = vec![0u32; steps + 1];
+    for i in 0..len {
+        end[step_of(i) + 1] += 1;
+    }
+    for s in 0..steps {
+        end[s + 1] += end[s];
+    }
+    let mut order = vec![0u32; len];
+    for i in 0..len {
+        let slot = &mut end[step_of(i)];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &end[..steps] {
+        f(&order[start..end as usize]);
+        start = end as usize;
+    }
+}
+
+/// Hands `C_comm(s)` of every superstep to `row`, in superstep order.
+fn comm_rows(
+    dag: &Dag,
+    machine: &Machine,
+    sched: &BspSchedule,
+    Rows { steps, dense }: Rows,
+    mut row: impl FnMut(u64),
+) {
+    let (p, gamma) = (machine.p(), sched.comm.steps());
+    let weight = |cs: &CommStep| {
+        dag.comm(cs.node as usize) * machine.lambda(cs.from as usize, cs.to as usize)
+    };
+    if dense {
+        // Sends in the even cells, receives in the odd ones: one row of `2p`
+        // cells per superstep, whose maximum is the `h`-relation.
+        let mut traffic = vec![0u64; steps * 2 * p];
+        for cs in gamma {
+            let (from, to, at) = (cs.from as usize, cs.to as usize, cs.step as usize * p);
+            let weighted = weight(cs);
+            traffic[2 * (at + from)] += weighted;
+            traffic[2 * (at + to) + 1] += weighted;
+        }
+        for cells in traffic.chunks(2 * p) {
+            row(cells.iter().copied().max().unwrap_or(0));
+        }
+        return;
+    }
+    let (mut send, mut recv) = (vec![0u64; p], vec![0u64; p]);
+    each_bucket(
+        steps,
+        gamma.len(),
+        |i| gamma[i].step as usize,
+        |transfers| {
+            let transfers = transfers.iter().map(|&i| &gamma[i as usize]);
+            for cs in transfers.clone() {
+                let weighted = weight(cs);
+                send[cs.from as usize] += weighted;
+                recv[cs.to as usize] += weighted;
+            }
+            let mut max = 0;
+            for cs in transfers {
+                max = max.max(std::mem::take(&mut send[cs.from as usize]));
+                max = max.max(std::mem::take(&mut recv[cs.to as usize]));
+            }
+            row(max);
+        },
+    );
 }
 
 #[cfg(test)]

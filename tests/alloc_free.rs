@@ -4,17 +4,18 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! pass over a set of valid moves, replaying the same moves must not allocate
-//! or deallocate at all.
+//! or deallocate at all.  It also counts the bytes held, for the bounds on
+//! what the cost function and source placement hold.
 
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::baselines::{CilkScheduler, HDaggScheduler};
 use bsp_sched::hill_climb::{hc_search, HcState, HillClimbConfig, SearchScratch};
-use bsp_sched::init::SourceScheduler;
+use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -22,20 +23,34 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes held, and the most held since [`held_peak`] last reset the mark.
+static HELD: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let held = HELD.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(held, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        HELD.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        match new_size.checked_sub(layout.size()) {
+            Some(more) => grew(more),
+            None => _ = HELD.fetch_sub(layout.size() - new_size, Ordering::Relaxed),
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -88,6 +103,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
     let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
     (out, allocs, deallocs)
+}
+
+/// Runs `f` and returns its result with the most heap it held above the
+/// level it started from.
+fn held_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = HELD.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
+    let out = f();
+    (out, PEAK.load(Ordering::SeqCst) - start)
 }
 
 /// What every `HC` proof runs on: a DAG, a machine, and the schedule a
@@ -347,4 +371,41 @@ fn read_hyperdag_and_validate_allocation_counts_do_not_grow_with_n() {
         small_validate <= 4,
         "validate made {small_validate} allocations"
     );
+}
+
+/// Neither the cost function nor source placement holds a table of
+/// supersteps × processors.  `BSPg` gives the funnel reduction of a
+/// 1 500-iteration `bicgstab` one superstep per node, about 12 000 of them;
+/// at `P = 16` such tables take 3.2 MB in a `cost` call and 4.8 MB in
+/// `place_sources`, and each must stay below `16 · (n + |Γ|) + 64 · P`
+/// bytes above what it started with (0.19 MB).
+#[test]
+fn cost_and_source_placement_hold_no_superstep_by_processor_table() {
+    let _serial = one_at_a_time();
+    let kernel = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::BiCgStab,
+        iterations: 1500,
+    });
+    let machine = Machine::uniform(16, 3, 5);
+    let funnel = Funnel::contract(&kernel, machine.p()).expect("bicgstab contracts");
+    let dag = funnel.dag();
+    let schedule = BspgScheduler.schedule(dag, &machine);
+    let (n, gamma, p) = (dag.n(), schedule.comm.len(), machine.p());
+    let steps = schedule.num_supersteps();
+    assert!(
+        steps * p > 10 * (n + gamma),
+        "{steps} supersteps at P = {p} for {n} nodes and {gamma} transfers: nothing to avoid"
+    );
+    let bound = 16 * (n + gamma) + 64 * p;
+
+    let (cost, cost_bytes) = held_peak(|| schedule.cost(dag, &machine));
+    std::hint::black_box(cost);
+    let mut placed = schedule.clone();
+    let (_, place_bytes) = held_peak(|| place_sources(dag, &machine, &mut placed));
+    for (what, bytes) in [("cost", cost_bytes), ("place_sources", place_bytes)] {
+        assert!(
+            bytes < bound,
+            "{what} held {bytes} bytes on {steps} supersteps × {p} processors, bound {bound}"
+        );
+    }
 }

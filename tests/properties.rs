@@ -305,6 +305,115 @@ fn costs_respect_lower_bounds() {
     assert_eq!(empty.lower_bound(&machine), 0);
 }
 
+/// `C_work(s)` and `C_comm(s)` of every superstep `0..num_supersteps()`,
+/// from one `supersteps × P` table each for work, sends and receives: the
+/// cost model of §3.3–3.4 as written, kept here as the reference for
+/// `bsp_model::cost`.
+fn dense_rows(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<(u64, u64)> {
+    let (steps, p) = (sched.num_supersteps(), machine.p());
+    let mut work = vec![vec![0u64; p]; steps];
+    let (mut send, mut recv) = (work.clone(), work.clone());
+    for v in 0..dag.n() {
+        work[sched.superstep(v)][sched.proc(v)] += dag.work(v);
+    }
+    for cs in sched.comm.steps() {
+        let (from, to, s) = (cs.from as usize, cs.to as usize, cs.step as usize);
+        let weight = dag.comm(cs.node as usize) * machine.lambda(from, to);
+        send[s][from] += weight;
+        recv[s][to] += weight;
+    }
+    let max = |row: &[u64]| row.iter().copied().max().unwrap_or(0);
+    (0..steps)
+        .map(|s| (max(&work[s]), max(&send[s]).max(max(&recv[s]))))
+        .collect()
+}
+
+/// `cost` and `cost_breakdown` equal the dense reference whichever layout
+/// the cost function picks (a `supersteps × P` table when it holds no more
+/// cells than `n + |Γ|`, else per-superstep buckets; both occur here), on
+/// schedules with far more supersteps than `n / P`, empty supersteps, `Γ`
+/// steps in the phases after the last computing superstep, and machines
+/// with an explicit `λ`.  `Γ` is the lazy one or arbitrary: the cost is
+/// defined on any.
+#[test]
+fn cost_and_breakdown_equal_a_dense_reference() {
+    let mut layouts = [0; 2];
+    for case in 0..8 * CASES {
+        let mut rng = rng_for_case(0xC057, case);
+        let dag = random_dag(&mut rng, 24);
+        let machine = if rng.gen::<bool>() {
+            random_machine(&mut rng)
+        } else {
+            let p = rng.gen_range(1usize..=6);
+            let lambda = (0..p)
+                .map(|_| (0..p).map(|_| rng.gen_range(0u64..7)).collect())
+                .collect();
+            let (g, l) = (rng.gen_range(0u64..5), rng.gen_range(0u64..9));
+            Machine::with_numa_matrix(p, g, l, lambda)
+        };
+        let (n, p) = (dag.n(), machine.p());
+        // Valid for the lazy `Γ` (ids are topological): each node at or
+        // after its predecessors' supersteps, past them across processors,
+        // plus a gap of up to 4 supersteps (so most are empty) or none.
+        let gap = if rng.gen::<bool>() { 4 } else { 0 };
+        let proc: Vec<u32> = (0..n).map(|_| rng.gen_range(0..p) as u32).collect();
+        let mut superstep = vec![0u32; n];
+        for v in 0..n {
+            let after = dag
+                .predecessors(v)
+                .map(|u| superstep[u] + u32::from(proc[u] != proc[v]));
+            superstep[v] = after.max().unwrap_or(0) + rng.gen_range(0..=gap);
+        }
+        let assignment = Assignment { proc, superstep };
+        let sched = if rng.gen::<bool>() {
+            BspSchedule::from_assignment_lazy(&dag, assignment)
+        } else {
+            // Up to three phases past the last computing superstep.
+            let last = assignment.num_supersteps() + 2;
+            let transfers = (0..rng.gen_range(0..3 * n)).map(|_| bsp_model::CommStep {
+                node: rng.gen_range(0..n) as u32,
+                from: rng.gen_range(0..p) as u32,
+                to: rng.gen_range(0..p) as u32,
+                step: rng.gen_range(0..last) as u32,
+            });
+            let comm = CommSchedule::from_steps(transfers.collect());
+            BspSchedule { assignment, comm }
+        };
+        let rows = dense_rows(&dag, &machine, &sched);
+        let steps = rows.len() as u64;
+        let (g, l) = (machine.g(), machine.latency());
+        let work: u64 = rows.iter().map(|r| r.0).sum();
+        let comm: u64 = rows.iter().map(|r| r.1).sum();
+        assert_eq!(
+            sched.cost(&dag, &machine),
+            work + g * comm + l * steps,
+            "case {case}"
+        );
+        let breakdown = sched.cost_breakdown(&dag, &machine);
+        let per_step: Vec<(u64, u64, u64)> = breakdown
+            .supersteps
+            .iter()
+            .map(|s| (s.work, s.comm, s.latency))
+            .collect();
+        let expected: Vec<(u64, u64, u64)> = rows.iter().map(|&(w, c)| (w, c, l)).collect();
+        assert_eq!(per_step, expected, "case {case}");
+        assert_eq!(
+            (
+                breakdown.total_work,
+                breakdown.total_comm,
+                breakdown.total_latency
+            ),
+            (work, g * comm, l * steps),
+            "case {case}"
+        );
+        layouts[usize::from(rows.len() * p <= n + sched.comm.len())] += 1;
+    }
+    assert!(
+        layouts.iter().all(|&k| k > 0),
+        "one layout never ran: {layouts:?}"
+    );
+}
+
 /// The incremental `try_move`/`apply_move` deltas equal a full
 /// `BspSchedule::from_assignment_lazy(..).cost(..)` recomputation across
 /// hundreds of random valid moves on random spmv/CG DAGs, under uniform and
