@@ -3,8 +3,10 @@
 //! The binaries only need a handful of flags (`--scale smoke|reduced|full`,
 //! `--seed N`, `--out PATH`, plus a few boolean switches such as `--quick` or
 //! `--smoke`), so a dependency-free parser keeps the harness self-contained.
-//! A value that does not parse is a usage error: the binary prints it and
-//! exits 2 rather than running something other than what was asked.
+//! Each binary names the flags it reads once, in [`CliArgs::from_env`].  Any
+//! other flag, and a value that does not parse, is a usage error: the binary
+//! prints it and exits 2 rather than running something other than what was
+//! asked.
 
 use crate::instances::Scale;
 use std::collections::BTreeMap;
@@ -17,9 +19,27 @@ pub struct CliArgs {
 }
 
 impl CliArgs {
-    /// Parses `std::env::args()` (skipping the program name).
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+    /// Parses `std::env::args()` (skipping the program name) for a binary
+    /// that reads the flags `known`; exits 2 naming any other flag.
+    pub fn from_env(known: &[&str]) -> Self {
+        let args = Self::parse(std::env::args().skip(1));
+        args.only(known).unwrap_or_else(|e| usage_error(&e));
+        args
+    }
+
+    /// An error naming a flag that was given but is not in `known`.
+    fn only(&self, known: &[&str]) -> Result<(), String> {
+        match self
+            .flags
+            .keys()
+            .find(|flag| !known.contains(&flag.as_str()))
+        {
+            None => Ok(()),
+            Some(flag) => Err(format!(
+                "--{flag}: unknown flag (known: --{})",
+                known.join(", --")
+            )),
+        }
     }
 
     /// Parses an explicit argument list; `--key value` and `--key=value` are
@@ -153,6 +173,17 @@ mod tests {
         assert!(err.contains("\"reduce\""), "{err}");
         let full = CliArgs::parse(["--scale", "full"]).try_scale();
         assert_eq!(full, Ok(Scale::Full));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error_naming_it() {
+        let known = ["smoke", "out"];
+        let err = CliArgs::parse(["--smok", "--out", "x"])
+            .only(&known)
+            .unwrap_err();
+        assert!(err.starts_with("--smok: unknown flag"), "{err}");
+        assert_eq!(CliArgs::parse(["--smoke", "--out=x"]).only(&known), Ok(()));
+        assert_eq!(CliArgs::parse(Vec::<String>::new()).only(&[]), Ok(()));
     }
 
     #[test]

@@ -150,7 +150,15 @@ fn measure(
 }
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(&[
+        "quick",
+        "out",
+        "huge",
+        "target",
+        "time-limit",
+        "reps",
+        "nnz-per-row",
+    ]);
     let quick = args.flag("quick");
     let out_path = args.value("out").unwrap_or("BENCH_hc.json").to_string();
     let huge = args.flag("huge");

@@ -224,7 +224,7 @@ fn scaling_holds(smoke: bool, seed: u64) -> bool {
 }
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(&["scaling", "smoke", "scale", "seed"]);
     if args.flag("scaling") {
         if !scaling_holds(args.flag("smoke"), args.seed()) {
             eprintln!(

@@ -40,7 +40,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p bsp_bench --release --bin exp_multilevel -- --speedup
+//! cargo run -p bsp_bench --release --bin exp_multilevel --
 //!     [--out PATH] [--target N] [--reps N] [--nnz-per-row K] [--quick]
 //!     [--huge] [--smoke]
 //! ```
@@ -286,7 +286,15 @@ fn instances(target: usize, nnz_per_row: f64) -> [(&'static str, Dag); 5] {
 }
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(&[
+        "quick",
+        "huge",
+        "smoke",
+        "out",
+        "target",
+        "reps",
+        "nnz-per-row",
+    ]);
     let (quick, huge, smoke) = (args.flag("quick"), args.flag("huge"), args.flag("smoke"));
     let out_path = args.value("out").unwrap_or("BENCH_pipeline.json");
     let targets = match (args.value("target"), huge, quick) {
@@ -297,7 +305,7 @@ fn main() {
     };
     let reps = args.usize_or("reps", 1);
     let nnz_per_row = args.u64_or("nnz-per-row", 16) as f64;
-    eprintln!("exp_multilevel --speedup: targets {targets:?} nodes, reps {reps}");
+    eprintln!("exp_multilevel: targets {targets:?} nodes, reps {reps}");
     let machines = [
         ("uniform_p4_g3_l5", Machine::uniform(4, 3, 5)),
         ("uniform_p8_g3_l5", Machine::uniform(8, 3, 5)),

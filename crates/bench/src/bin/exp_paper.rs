@@ -286,7 +286,7 @@ fn gate(cells: &[Cell]) -> Vec<String> {
 }
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(&["scale", "seed", "out"]);
     let (scale, seed) = (args.scale(), args.seed());
     let out = args.value("out").unwrap_or("BENCH_paper.json");
     let config = scale.pipeline_config();

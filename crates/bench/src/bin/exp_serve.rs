@@ -671,7 +671,24 @@ struct Measured {
 }
 
 fn main() {
-    let args = CliArgs::from_env();
+    let args = CliArgs::from_env(&[
+        "smoke",
+        "out",
+        "target",
+        "requests",
+        "clients",
+        "workers",
+        "repeat-pct",
+        "warm-pct",
+        "deadline-ms",
+        "cache-mb",
+        "depth",
+        "shards",
+        "reps",
+        "seed",
+        "huge-target",
+        "huge-deadline-ms",
+    ]);
     let smoke = args.flag("smoke");
     let out_path = args.value("out").unwrap_or("BENCH_serve.json").to_string();
     let target = args.usize_or("target", if smoke { 120 } else { 4000 });

@@ -1,7 +1,7 @@
 //! The `HCcs` hill climbing over communication schedules (§4.3).
 //!
 //! The assignment `(π, τ)` is fixed; only the superstep in which each required
-//! value transfer happens is optimized.  Every requirement (value of `v` must
+//! value transfer happens is optimized.  Every transfer (value of `v` must
 //! reach processor `q`) may be scheduled in any communication phase between
 //! `τ(v)` and the superstep before the value is first used on `q`; the search
 //! greedily moves single transfers to the phase that lowers the maximum
@@ -10,41 +10,35 @@
 //!
 //! The state is kept the way [`super::HcState`] keeps its tallies: flat
 //! `[phase × processor]` tallies and a cached per-phase h-relation cost
-//! patched incrementally.  The search is `HC`'s work-list driver over
-//! transfers: an accepted move re-enqueues the transfers whose placement
-//! window covers one of the two phases it touched, and a verification sweep
-//! certifies the local minimum.
+//! patched incrementally.  The transfers are the `CommStep`s of
+//! [`CommSchedule::transfers`], searched in place and handed back as the
+//! answer's `Γ`.  The search is `HC`'s work-list driver over transfers: an
+//! accepted move re-enqueues the transfers whose placement window covers one
+//! of the two phases it touched, and a verification sweep certifies the
+//! local minimum.
 
 use super::{drive, HillClimbConfig, HillClimbOutcome, Neighbourhood, SearchCounts, SearchScratch};
-use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
-use std::cmp::Ordering;
+use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
 use std::time::Instant;
 
-/// One value transfer to place: NUMA-weighted volume, endpoints, and the
-/// placement window `[earliest, latest]`.
-#[derive(Debug, Clone, Copy)]
-struct CsReq {
-    weight: u64,
-    from: usize,
-    to: usize,
-    earliest: usize,
-    latest: usize,
-    current: usize,
-}
-
 struct CsState<'a> {
+    dag: &'a Dag,
     machine: &'a Machine,
-    reqs: Vec<CsReq>,
+    /// The transfers, each at its current phase.
+    steps: Vec<CommStep>,
+    /// Each transfer's placement window `[earliest, latest]`.
+    windows: Vec<[u32; 2]>,
     /// Flat send tallies, indexed `s * P + q`.
     send: Vec<u64>,
     /// Flat receive tallies, indexed `s * P + q`.
     recv: Vec<u64>,
     /// Cached h-relation cost per communication phase.
     phase_cost: Vec<u64>,
-    /// The requirements whose window covers each phase (windows never
-    /// change): after a move touches phases a and b, only these can have
-    /// gained an improving move.
-    phase_reqs: Vec<Vec<usize>>,
+    /// `covering[first[s]..first[s + 1]]` are the transfers whose window
+    /// covers phase `s`, ascending (windows never change): after a move
+    /// touches phases a and b, only these can have gained an improving move.
+    first: Vec<u32>,
+    covering: Vec<u32>,
     /// The two phases the last accepted move touched.
     touched: [usize; 2],
 }
@@ -60,21 +54,17 @@ impl<'a> CsState<'a> {
             .unwrap_or(0)
     }
 
-    /// Moves requirement `i` to communication phase `s_new`, returning the
-    /// change in the total h-relation cost (unscaled by `g`).
-    fn apply(&mut self, i: usize, s_new: usize) -> i64 {
-        let req = self.reqs[i];
-        let s_old = req.current;
-        if s_new == s_old {
-            return 0;
-        }
-        let p = self.machine.p();
+    /// Moves transfer `i`, of volume `w`, to communication phase `s_new`,
+    /// returning the change in the total h-relation cost (unscaled by `g`).
+    fn apply(&mut self, i: usize, w: u64, s_new: usize) -> i64 {
+        let CommStep { from, to, step, .. } = self.steps[i];
+        let (p, s_old, from, to) = (self.machine.p(), step as usize, from as usize, to as usize);
         let before = self.phase_cost[s_old] + self.phase_cost[s_new];
-        self.send[s_old * p + req.from] -= req.weight;
-        self.recv[s_old * p + req.to] -= req.weight;
-        self.send[s_new * p + req.from] += req.weight;
-        self.recv[s_new * p + req.to] += req.weight;
-        self.reqs[i].current = s_new;
+        self.send[s_old * p + from] -= w;
+        self.recv[s_old * p + to] -= w;
+        self.send[s_new * p + from] += w;
+        self.recv[s_new * p + to] += w;
+        self.steps[i].step = s_new as u32;
         self.phase_cost[s_old] = self.compute_phase_cost(s_old);
         self.phase_cost[s_new] = self.compute_phase_cost(s_new);
         let after = self.phase_cost[s_old] + self.phase_cost[s_new];
@@ -84,44 +74,44 @@ impl<'a> CsState<'a> {
 
 impl Neighbourhood for CsState<'_> {
     fn entities(&self) -> usize {
-        self.reqs.len()
+        self.steps.len()
     }
 
     /// A transfer whose window is a single phase has nowhere to go.
     fn may_improve(&mut self, i: usize) -> bool {
-        self.reqs[i].earliest != self.reqs[i].latest
+        self.windows[i][0] != self.windows[i][1]
     }
 
-    /// Tries the phases of requirement `i`'s window in order and commits the
+    /// Tries the phases of transfer `i`'s window in order and commits the
     /// first improving one.
     fn try_improve(&mut self, i: usize, counts: &mut SearchCounts) -> bool {
-        let CsReq {
-            earliest,
-            latest,
-            current,
-            ..
-        } = self.reqs[i];
-        for s_new in (earliest..=latest).filter(|&s| s != current) {
+        let [earliest, latest] = self.windows[i];
+        let current = self.steps[i].step as usize;
+        let w = self.steps[i].volume(self.dag, self.machine);
+        for s_new in (earliest as usize..=latest as usize).filter(|&s| s != current) {
             counts.evaluated += 1;
-            if self.apply(i, s_new) < 0 {
+            if self.apply(i, w, s_new) < 0 {
                 self.touched = [current, s_new];
                 return true;
             }
-            self.apply(i, current);
+            self.apply(i, w, current);
         }
         false
     }
 
     fn enqueue_dirty(&self, _: usize, list: &mut SearchScratch) {
         for s in self.touched {
-            self.phase_reqs[s].iter().for_each(|&j| list.push(j));
+            let covering = &self.covering[self.first[s] as usize..self.first[s + 1] as usize];
+            covering.iter().for_each(|&j| list.push(j as usize));
         }
     }
 }
 
 /// Optimizes the communication schedule of `schedule` in place; `π` and `τ`
-/// are left untouched.  Returns the outcome statistics (costs are full
-/// schedule costs, so they are comparable with [`super::hc_improve`]).
+/// are left untouched.  The search starts where `schedule`'s own `Γ` places
+/// each transfer (see [`CommSchedule::transfers`]).  Returns the outcome
+/// statistics (costs are full schedule costs, so they are comparable with
+/// [`super::hc_improve`]).
 pub fn hccs_improve(
     dag: &Dag,
     machine: &Machine,
@@ -130,76 +120,59 @@ pub fn hccs_improve(
 ) -> HillClimbOutcome {
     let start = Instant::now();
     let initial_cost = schedule.cost(dag, machine);
-    let requirements = CommSchedule::requirements(dag, &schedule.assignment);
-
-    // Where does the existing schedule place each requirement?  Both lists
-    // are sorted by `(node, from, to)` — a requirement's `from` is `π(node)`
-    // — so one cursor over the schedule's steps finds them all.
-    let existing = schedule.comm.steps();
-    let mut cursor = 0usize;
-
+    let (steps, windows) = CommSchedule::transfers(dag, &schedule.assignment, &schedule.comm);
     let num_steps = schedule.num_supersteps().max(1);
     let p = machine.p();
-    let mut state = CsState {
-        machine,
-        reqs: Vec::with_capacity(requirements.len()),
-        send: vec![0; num_steps * p],
-        recv: vec![0; num_steps * p],
-        phase_cost: vec![0; num_steps],
-        phase_reqs: vec![Vec::new(); num_steps],
-        touched: [0; 2],
-    };
-    for r in &requirements {
-        let earliest = r.earliest_step();
-        let latest = r.latest_step();
-        let key = (r.node as u32, r.source as u32, r.target as u32);
-        let mut placed = None;
-        while let Some(cs) = existing.get(cursor) {
-            match (cs.node, cs.from, cs.to).cmp(&key) {
-                Ordering::Less => {}
-                // Of several transfers of one value the latest counts.
-                Ordering::Equal => placed = Some(cs.step as usize),
-                Ordering::Greater => break,
-            }
-            cursor += 1;
-        }
-        // Fall back to the lazy placement if the transfer is missing or sits
-        // outside its window (for a fresh lazy schedule they coincide anyway).
-        let current = placed
-            .filter(|&s| s >= earliest && s <= latest)
-            .unwrap_or(latest);
-        let w = dag.comm(r.node) * machine.lambda(r.source, r.target);
-        state.send[current * p + r.source] += w;
-        state.recv[current * p + r.target] += w;
-        state.reqs.push(CsReq {
-            weight: w,
-            from: r.source,
-            to: r.target,
-            earliest,
-            latest,
-            current,
-        });
+
+    // A counting sort of the windows by the phases they cover: count each
+    // phase's transfers into `first[s + 1]`, sum so `first[s]` is where phase
+    // `s`'s run begins, fill (which advances each `first[s]` to where its run
+    // ends), and shift back.
+    let mut first = vec![0u32; num_steps + 1];
+    for &[earliest, latest] in &windows {
+        (earliest..=latest).for_each(|s| first[s as usize + 1] += 1);
     }
     for s in 0..num_steps {
-        state.phase_cost[s] = state.compute_phase_cost(s);
+        first[s + 1] += first[s];
     }
-    for (i, r) in state.reqs.iter().enumerate() {
-        for s in r.earliest..=r.latest {
-            state.phase_reqs[s].push(i);
+    let mut covering = vec![0u32; first[num_steps] as usize];
+    for (i, &[earliest, latest]) in windows.iter().enumerate() {
+        for s in earliest..=latest {
+            covering[first[s as usize] as usize] = i as u32;
+            first[s as usize] += 1;
         }
     }
+    first.copy_within(0..num_steps, 1);
+    first[0] = 0;
 
-    let mut list = SearchScratch::new();
-    list.push_all(state.reqs.len());
-    let outcome = drive(&mut state, config, start, &mut list);
-
-    // Materialize the optimized communication schedule.
-    let comm_steps = requirements
-        .iter()
-        .zip(&state.reqs)
-        .map(|(r, req)| r.send_at(req.current))
-        .collect();
-    schedule.comm = CommSchedule::from_steps(comm_steps);
+    let (steps, outcome) = {
+        let mut state = CsState {
+            dag,
+            machine,
+            steps,
+            windows,
+            send: vec![0; num_steps * p],
+            recv: vec![0; num_steps * p],
+            phase_cost: vec![0; num_steps],
+            first,
+            covering,
+            touched: [0; 2],
+        };
+        for cs in &state.steps {
+            let (w, row) = (cs.volume(dag, machine), cs.step as usize * p);
+            state.send[row + cs.from as usize] += w;
+            state.recv[row + cs.to as usize] += w;
+        }
+        for s in 0..num_steps {
+            state.phase_cost[s] = state.compute_phase_cost(s);
+        }
+        let mut list = SearchScratch::new();
+        list.push_all(state.steps.len());
+        let outcome = drive(&mut state, config, start, &mut list);
+        (state.steps, outcome)
+    };
+    // The transfers are already sorted and one per `(node, from, to)`.
+    schedule.comm = CommSchedule::from_steps(steps);
     HillClimbOutcome {
         initial_cost,
         final_cost: schedule.cost(dag, machine),
@@ -211,7 +184,7 @@ pub fn hccs_improve(
 mod tests {
     use super::*;
     use crate::hill_climb::hc_improve;
-    use bsp_model::{Assignment, CommStep};
+    use bsp_model::Assignment;
 
     /// Processor 0 must send the value of node 0 to processor 1 in phase 0
     /// (it is needed in superstep 1), and processor 1 must send the value of
@@ -282,7 +255,7 @@ mod tests {
         assert_eq!(sched, placed);
 
         // A transfer outside its window, and one the assignment does not
-        // call for, are ignored: the requirement starts at its lazy phase.
+        // call for, are ignored: the transfer starts at its lazy phase.
         let mut steps = placed.comm.steps().to_vec();
         steps[1].step = 7;
         steps.push(CommStep {

@@ -11,7 +11,7 @@
 //! (`tests/ilp_oracle.rs` holds that; README, *ILP: a negative result*, has
 //! what `ILPfull`, `ILPpart` and `ILPinit` measured before they were deleted).
 
-use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
+use bsp_model::{BspSchedule, CommSchedule, Dag, Machine};
 use micro_ilp::{MipConfig, MipStatus, Model, VarId};
 
 /// Largest model (choice plus `h`-relation variables) handed to the solver.
@@ -44,17 +44,19 @@ pub fn ilp_cs_improve(
         cost: schedule.cost(dag, machine),
         proven,
     };
-    let requirements = CommSchedule::requirements(dag, &schedule.assignment);
-    if requirements.is_empty() {
+    // Each transfer with its window, at the phase the warm start puts it in:
+    // the schedule's own, or lazy where that is missing or outside.
+    let (mut steps, windows) = CommSchedule::transfers(dag, &schedule.assignment, &schedule.comm);
+    if steps.is_empty() {
         return outcome(schedule, true);
     }
     let num_steps = schedule.num_supersteps().max(1);
     let p = machine.p();
     let g = machine.g() as f64;
 
-    let estimated_vars: usize = requirements
+    let estimated_vars: usize = windows
         .iter()
-        .map(|r| r.latest_step() - r.earliest_step() + 1)
+        .map(|&[earliest, latest]| (latest - earliest) as usize + 1)
         .sum::<usize>()
         + num_steps;
     if estimated_vars > MAX_VARIABLES {
@@ -63,9 +65,9 @@ pub fn ilp_cs_improve(
 
     let mut model = Model::new();
     // x[r][s - earliest] = transfer r happens in phase s.
-    let mut choice: Vec<Vec<VarId>> = Vec::with_capacity(requirements.len());
-    for (i, r) in requirements.iter().enumerate() {
-        let vars: Vec<VarId> = (r.earliest_step()..=r.latest_step())
+    let mut choice: Vec<Vec<VarId>> = Vec::with_capacity(steps.len());
+    for (i, &[earliest, latest]) in windows.iter().enumerate() {
+        let vars: Vec<VarId> = (earliest..=latest)
             .map(|s| model.add_binary(format!("x_{i}_{s}"), 0.0))
             .collect();
         model.add_eq(
@@ -82,16 +84,16 @@ pub fn ilp_cs_improve(
         for q in 0..p {
             let mut send_terms = vec![(h[s], 1.0)];
             let mut recv_terms = vec![(h[s], 1.0)];
-            for (i, r) in requirements.iter().enumerate() {
-                if s < r.earliest_step() || s > r.latest_step() {
+            for (i, (cs, &[earliest, latest])) in steps.iter().zip(&windows).enumerate() {
+                if s < earliest as usize || s > latest as usize {
                     continue;
                 }
-                let var = choice[i][s - r.earliest_step()];
-                let w = (dag.comm(r.node) * machine.lambda(r.source, r.target)) as f64;
-                if r.source == q {
+                let var = choice[i][s - earliest as usize];
+                let w = cs.volume(dag, machine) as f64;
+                if cs.from as usize == q {
                     send_terms.push((var, -w));
                 }
-                if r.target == q {
+                if cs.to as usize == q {
                     recv_terms.push((var, -w));
                 }
             }
@@ -104,36 +106,15 @@ pub fn ilp_cs_improve(
         }
     }
 
-    // Warm start from the existing communication schedule (or its lazy default).
-    let existing: std::collections::HashMap<(usize, usize, usize), usize> = schedule
-        .comm
-        .steps()
-        .iter()
-        .map(|cs| {
-            let key = (cs.node as usize, cs.from as usize, cs.to as usize);
-            (key, cs.step as usize)
-        })
-        .collect();
+    // Warm start, with the per-superstep h-relation it implies.
     let mut warm = vec![0.0; model.num_vars()];
-    for (i, r) in requirements.iter().enumerate() {
-        let s = existing
-            .get(&(r.node, r.source, r.target))
-            .copied()
-            .filter(|&s| s >= r.earliest_step() && s <= r.latest_step())
-            .unwrap_or_else(|| r.latest_step());
-        warm[choice[i][s - r.earliest_step()].index()] = 1.0;
-    }
-    // Per-superstep h-relation of the warm start.
     let mut send = vec![vec![0u64; p]; num_steps];
     let mut recv = vec![vec![0u64; p]; num_steps];
-    for (i, r) in requirements.iter().enumerate() {
-        let s = (0..choice[i].len())
-            .find(|&k| warm[choice[i][k].index()] > 0.5)
-            .map(|k| k + r.earliest_step())
-            .expect("warm start places every transfer");
-        let w = dag.comm(r.node) * machine.lambda(r.source, r.target);
-        send[s][r.source] += w;
-        recv[s][r.target] += w;
+    for (i, (cs, window)) in steps.iter().zip(&windows).enumerate() {
+        let s = cs.step as usize;
+        warm[choice[i][s - window[0] as usize].index()] = 1.0;
+        send[s][cs.from as usize] += cs.volume(dag, machine);
+        recv[s][cs.to as usize] += cs.volume(dag, machine);
     }
     for s in 0..num_steps {
         let hmax = (0..p)
@@ -148,16 +129,12 @@ pub fn ilp_cs_improve(
         return outcome(schedule, false);
     }
     // Build the candidate communication schedule.
-    let steps: Vec<CommStep> = requirements
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let k = (0..choice[i].len())
-                .find(|&k| result.values[choice[i][k].index()] > 0.5)
-                .unwrap_or(choice[i].len() - 1);
-            r.send_at(r.earliest_step() + k)
-        })
-        .collect();
+    for ((cs, window), vars) in steps.iter_mut().zip(&windows).zip(&choice) {
+        let k = (0..vars.len())
+            .find(|&k| result.values[vars[k].index()] > 0.5)
+            .unwrap_or(vars.len() - 1);
+        cs.step = window[0] + k as u32;
+    }
     let mut candidate = schedule.clone();
     candidate.comm = CommSchedule::from_steps(steps);
     if candidate.validate(dag, machine).is_err() {

@@ -8,9 +8,11 @@
 //! processor that computed it, in the last possible communication phase
 //! (immediately before it is first needed).
 
-use crate::dag::{Dag, NodeId};
+use crate::dag::Dag;
+use crate::machine::Machine;
 use crate::schedule::Assignment;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// One entry `(v, p1, p2, s)` of a communication schedule, in 32-bit fields
 /// like the [`Assignment`] it is derived from.
@@ -29,43 +31,12 @@ pub struct CommStep {
 // Four `u32`s and no padding: a cached `Γ` costs 16 bytes a transfer.
 const _: () = assert!(std::mem::size_of::<CommStep>() == 16);
 
-/// A communication requirement implied by an assignment: the value of `node`
-/// (computed on `π(node)` in superstep `computed`) must be available on
-/// processor `target` strictly before superstep `needed_by`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommRequirement {
-    pub node: NodeId,
-    pub source: usize,
-    pub target: usize,
-    /// Superstep in which `node` is computed, `τ(node)` — the earliest
-    /// communication phase that can carry the value.
-    pub computed: usize,
-    /// First superstep in which some successor of `node` on `target` is
-    /// computed; the value must arrive in a communication phase `< needed_by`,
-    /// i.e. at the latest in superstep `needed_by - 1`.
-    pub needed_by: usize,
-}
-
-impl CommRequirement {
-    /// Latest communication phase that still satisfies this requirement.
-    pub fn latest_step(&self) -> usize {
-        self.needed_by - 1
-    }
-
-    /// Earliest communication phase that can carry the value.
-    pub fn earliest_step(&self) -> usize {
-        self.computed
-    }
-
-    /// The transfer that meets this requirement directly from `source` in
-    /// the communication phase of superstep `step`.
-    pub fn send_at(&self, step: usize) -> CommStep {
-        CommStep {
-            node: self.node as u32,
-            from: self.source as u32,
-            to: self.target as u32,
-            step: step as u32,
-        }
+impl CommStep {
+    /// The NUMA-weighted volume `c(v) · λ(p1, p2)` the transfer adds to both
+    /// ends' `h`-relation.
+    #[inline]
+    pub fn volume(&self, dag: &Dag, machine: &Machine) -> u64 {
+        dag.comm(self.node as usize) * machine.lambda(self.from as usize, self.to as usize)
     }
 }
 
@@ -88,18 +59,78 @@ impl CommSchedule {
         CommSchedule { steps }
     }
 
-    /// The communication requirements implied by an assignment under direct
-    /// (source-to-target) sending: one entry per `(node, target processor)`
-    /// pair such that some direct successor of `node` lives on a different
-    /// processor than `node`, sorted by `(node, target)`.
-    pub fn requirements(dag: &Dag, assignment: &Assignment) -> Vec<CommRequirement> {
-        let mut requirements = Vec::new();
-        Self::each_requirement(dag, assignment, |r| requirements.push(r));
-        requirements
+    /// The transfers `assignment` requires under direct sending, each where
+    /// a search over `Γ` starts it, with its window beside it.  A transfer
+    /// is one `(node, π(node), target)` triple such that some successor of
+    /// `node` lives on `target ≠ π(node)`, and the steps come sorted by that
+    /// triple.  Its window `[earliest, latest]` runs from `τ(node)` to the
+    /// superstep before the first successor on `target`.  The transfer starts
+    /// where `given` places it when that phase is inside the window (of
+    /// several placements the latest counts), else lazily at `latest`.  Both
+    /// vectors hold no growth slack; a `given` of one step per transfer, such
+    /// as a lazy `Γ`, sizes them exactly from the start.
+    pub fn transfers(
+        dag: &Dag,
+        assignment: &Assignment,
+        given: &CommSchedule,
+    ) -> (Vec<CommStep>, Vec<[u32; 2]>) {
+        let len = given.len();
+        let (mut steps, mut windows) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        // `given` is sorted by `(node, from, to, step)` like the transfers,
+        // so one cursor over it finds every placement.
+        let mut cursor = 0;
+        Self::walk(dag, assignment, |mut cs| {
+            let window = [assignment.superstep[cs.node as usize], cs.step];
+            let key = (cs.node, cs.from, cs.to);
+            while let Some(placed) = given.steps.get(cursor) {
+                match (placed.node, placed.from, placed.to).cmp(&key) {
+                    Ordering::Less => {}
+                    Ordering::Equal => cs.step = placed.step,
+                    Ordering::Greater => break,
+                }
+                cursor += 1;
+            }
+            if cs.step < window[0] || cs.step > window[1] {
+                cs.step = window[1];
+            }
+            steps.push(cs);
+            windows.push(window);
+        });
+        steps.shrink_to_fit();
+        windows.shrink_to_fit();
+        (steps, windows)
     }
 
-    /// Hands `requirements`' entries to `f`, in the same order.
-    fn each_requirement(dag: &Dag, assignment: &Assignment, mut f: impl FnMut(CommRequirement)) {
+    /// The *lazy* communication schedule for an assignment: every required
+    /// value is sent directly from the processor that computed it, in the last
+    /// possible communication phase, the `latest` of its
+    /// [`transfers`](Self::transfers) window.
+    pub fn lazy(dag: &Dag, assignment: &Assignment) -> Self {
+        Self::collect(dag, assignment, |cs| cs)
+    }
+
+    /// An *eager* communication schedule: every required value is sent in the
+    /// communication phase of the superstep in which it is computed.
+    pub fn eager(dag: &Dag, assignment: &Assignment) -> Self {
+        Self::collect(dag, assignment, |cs| CommStep {
+            step: assignment.superstep[cs.node as usize],
+            ..cs
+        })
+    }
+
+    /// The lazy transfers, each placed by `place`.  They come sorted and one
+    /// per `(node, from, to)`, so the steps need no sort.
+    fn collect(dag: &Dag, assignment: &Assignment, place: impl Fn(CommStep) -> CommStep) -> Self {
+        let mut steps = Vec::new();
+        Self::walk(dag, assignment, |cs| steps.push(place(cs)));
+        // Cached answers keep `Γ`: hold no growth slack.
+        steps.shrink_to_fit();
+        CommSchedule { steps }
+    }
+
+    /// Hands `f` the transfers `assignment` requires, each at its lazy step,
+    /// sorted by `(node, from, to)`.
+    fn walk(dag: &Dag, assignment: &Assignment, mut f: impl FnMut(CommStep)) {
         // One slot per processor, reused for every node: `seen[q] == u + 1`
         // while the successors of `u` are walked and one of them lives on
         // `q`, and `needed[q]` is then the earliest superstep of those.
@@ -127,40 +158,16 @@ impl CommSchedule {
             // Ascending `(node, target)`, the order every consumer relies on.
             targets.sort_unstable();
             for &target in &targets {
-                f(CommRequirement {
-                    node: u,
-                    source,
-                    target,
-                    computed: assignment.superstep[u] as usize,
-                    needed_by: needed[target],
+                // A value first needed in superstep 0 elsewhere has no phase
+                // to go in; it is sent in phase 0, which validation rejects.
+                f(CommStep {
+                    node: u as u32,
+                    from: source as u32,
+                    to: target as u32,
+                    step: needed[target].saturating_sub(1) as u32,
                 });
             }
         }
-    }
-
-    /// The *lazy* communication schedule for an assignment: every required
-    /// value is sent directly from the processor that computed it, in the last
-    /// possible communication phase (superstep `needed_by - 1`).  The
-    /// requirements come in `(node, target)` order, one per pair, and the
-    /// sender is the node's own processor, so the steps are already in
-    /// `(node, from, to, step)` order without duplicates.
-    pub fn lazy(dag: &Dag, assignment: &Assignment) -> Self {
-        let mut steps = Vec::new();
-        Self::each_requirement(dag, assignment, |r| steps.push(r.send_at(r.latest_step())));
-        // Cached answers keep `Γ`: hold no growth slack.
-        steps.shrink_to_fit();
-        CommSchedule { steps }
-    }
-
-    /// An *eager* communication schedule: every required value is sent in the
-    /// communication phase of the superstep in which it is computed.  Used in
-    /// tests and as an alternative starting point for `HCcs`.
-    pub fn eager(dag: &Dag, assignment: &Assignment) -> Self {
-        let steps = Self::requirements(dag, assignment)
-            .iter()
-            .map(|r| r.send_at(r.earliest_step()))
-            .collect();
-        CommSchedule::from_steps(steps)
     }
 
     /// All communication steps, sorted by `(node, from, to, step)`.
@@ -271,19 +278,27 @@ mod tests {
     }
 
     #[test]
-    fn requirements_capture_earliest_and_latest_step() {
+    fn transfers_capture_their_window_and_start_where_given_places_them() {
         let dag = chain();
         let assignment = Assignment {
             proc: vec![0, 1, 0],
             superstep: vec![0, 2, 5],
         };
-        let reqs = CommSchedule::requirements(&dag, &assignment);
-        assert_eq!(reqs.len(), 2);
-        let r0 = reqs.iter().find(|r| r.node == 0).unwrap();
-        assert_eq!(r0.earliest_step(), 0);
-        assert_eq!(r0.latest_step(), 1);
-        let r1 = reqs.iter().find(|r| r.node == 1).unwrap();
-        assert_eq!(r1.earliest_step(), 2);
-        assert_eq!(r1.latest_step(), 4);
+        let send = |node, from, to, step| CommStep {
+            node,
+            from,
+            to,
+            step,
+        };
+        let lazy = CommSchedule::transfers(&dag, &assignment, &CommSchedule::empty());
+        assert_eq!(lazy.0, [send(0, 0, 1, 1), send(1, 1, 0, 4)]);
+        assert_eq!(lazy.1, [[0, 1], [2, 4]]);
+        // Node 0's latest placement (phase 0) is in its window; node 1's
+        // (phase 1) is not, so it starts lazy.
+        let given = CommSchedule::from_steps(vec![send(0, 0, 1, 0), send(1, 1, 0, 1)]);
+        let placed = CommSchedule::transfers(&dag, &assignment, &given);
+        assert_eq!(placed.0, [send(0, 0, 1, 0), send(1, 1, 0, 4)]);
+        assert_eq!(placed.1, lazy.1);
+        assert_eq!(CommSchedule::lazy(&dag, &assignment).steps(), lazy.0);
     }
 }

@@ -11,7 +11,6 @@
 //!
 //! The total cost of a schedule is the sum over all supersteps it spans.
 
-use crate::comm::CommStep;
 use crate::dag::Dag;
 use crate::machine::Machine;
 use crate::schedule::BspSchedule;
@@ -224,16 +223,13 @@ fn comm_rows(
     mut row: impl FnMut(u64),
 ) {
     let (p, gamma) = (machine.p(), sched.comm.steps());
-    let weight = |cs: &CommStep| {
-        dag.comm(cs.node as usize) * machine.lambda(cs.from as usize, cs.to as usize)
-    };
     if dense {
         // Sends in the even cells, receives in the odd ones: one row of `2p`
         // cells per superstep, whose maximum is the `h`-relation.
         let mut traffic = vec![0u64; steps * 2 * p];
         for cs in gamma {
             let (from, to, at) = (cs.from as usize, cs.to as usize, cs.step as usize * p);
-            let weighted = weight(cs);
+            let weighted = cs.volume(dag, machine);
             traffic[2 * (at + from)] += weighted;
             traffic[2 * (at + to) + 1] += weighted;
         }
@@ -250,7 +246,7 @@ fn comm_rows(
         |transfers| {
             let transfers = transfers.iter().map(|&i| &gamma[i as usize]);
             for cs in transfers.clone() {
-                let weighted = weight(cs);
+                let weighted = cs.volume(dag, machine);
                 send[cs.from as usize] += weighted;
                 recv[cs.to as usize] += weighted;
             }

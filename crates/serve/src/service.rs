@@ -443,26 +443,14 @@ impl ScheduleService {
         }
         let key = request_key(&request.dag, &request.machine);
 
-        let mut warm_seed = None;
-        if request.options.use_cache {
-            let mut cache = self.lock_cache();
-            if let Some((schedule, cost)) = cache.lookup_exact(key.full) {
-                drop(cache);
-                let elapsed = start.elapsed();
-                if let Some(spans) = spans.as_deref_mut() {
-                    // No extra clock read: the exact hit *is* the lookup.
-                    spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
-                }
-                self.metrics.observe(ScheduleSource::CacheExact, elapsed);
-                return Ok(ServeReply {
-                    schedule,
-                    cost,
-                    source: ScheduleSource::CacheExact,
-                    elapsed,
-                });
+        let warm_seed = if request.options.use_cache {
+            match self.exact_hit(key.full, start, spans.as_deref_mut()) {
+                Ok(reply) => return Ok(reply),
+                Err(mut cache) => cache.lookup_warm(key.structure),
             }
-            warm_seed = cache.lookup_warm(key.structure);
-        }
+        } else {
+            None
+        };
         if let Some(spans) = spans.as_deref_mut() {
             let name = if warm_seed.is_some() {
                 "cache_warm_hit"
@@ -576,27 +564,39 @@ impl ScheduleService {
         if self.shutdown.is_cancelled() {
             return Err(ServeError::ShuttingDown);
         }
-        let mut cache = self.lock_cache();
-        match cache.lookup_exact(fingerprint) {
-            Some((schedule, cost)) => {
-                drop(cache);
-                let elapsed = start.elapsed();
-                if let Some(spans) = spans {
-                    spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
-                }
-                self.metrics.observe(ScheduleSource::CacheExact, elapsed);
-                Ok(ServeReply {
-                    schedule,
-                    cost,
-                    source: ScheduleSource::CacheExact,
-                    elapsed,
-                })
-            }
-            None => {
+        self.exact_hit(fingerprint, start, spans)
+            .map_err(|mut cache| {
                 cache.note_miss();
-                Err(ServeError::UnknownFingerprint)
-            }
+                ServeError::UnknownFingerprint
+            })
+    }
+
+    /// The exact-hit reply for `full_fp`, traced and counted, with the cache
+    /// released before the span and the reply are made; on a miss the cache
+    /// comes back still locked.
+    fn exact_hit(
+        &self,
+        full_fp: u128,
+        start: Instant,
+        spans: Option<&mut SpanSet>,
+    ) -> Result<ServeReply, std::sync::MutexGuard<'_, ScheduleCache>> {
+        let mut cache = self.lock_cache();
+        let Some((schedule, cost)) = cache.lookup_exact(full_fp) else {
+            return Err(cache);
+        };
+        drop(cache);
+        let elapsed = start.elapsed();
+        if let Some(spans) = spans {
+            // No extra clock read: the exact hit *is* the lookup.
+            spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
         }
+        self.metrics.observe(ScheduleSource::CacheExact, elapsed);
+        Ok(ServeReply {
+            schedule,
+            cost,
+            source: ScheduleSource::CacheExact,
+            elapsed,
+        })
     }
 
     /// Hands the freshly solved entry to the store's writer thread (never

@@ -9,11 +9,11 @@
 
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::baselines::{CilkScheduler, HDaggScheduler};
-use bsp_sched::hill_climb::{hc_search, HcState, HillClimbConfig, SearchScratch};
+use bsp_sched::hill_climb::{hc_search, hccs_improve, HcState, HillClimbConfig, SearchScratch};
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
-use dag_gen::fine::{spmv, SpmvConfig};
+use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -408,4 +408,38 @@ fn cost_and_source_placement_hold_no_superstep_by_processor_table() {
             "{what} held {bytes} bytes on {steps} supersteps × {p} processors, bound {bound}"
         );
     }
+}
+
+/// `HCcs` holds each required transfer once, as the `CommStep` that becomes
+/// the answer's `Γ`, beside its window, its entries in the per-phase index
+/// and its place on the work-list: below `56 · |Γ| + 32 · S · P + 4096`
+/// bytes above what it started with, the `S × P` send and receive tallies
+/// included.  A `cg` funnel DAG at `P = 16` requires 8 211 transfers from
+/// `BSPg`'s start (38 bytes each; 169 with a copy of every requirement and
+/// a `Vec` of `usize` per phase).
+#[test]
+fn hccs_holds_one_record_per_transfer() {
+    let _serial = one_at_a_time();
+    let n = 200;
+    let kernel = cg(&IterConfig {
+        n,
+        density: 16.0 / n as f64,
+        iterations: 2,
+        seed: 42,
+    });
+    let machine = Machine::uniform(16, 3, 5);
+    let funnel = Funnel::contract(&kernel, machine.p()).expect("cg contracts");
+    let dag = funnel.dag();
+    let mut schedule = BspgScheduler.schedule(dag, &machine);
+    let (gamma, steps, p) = (schedule.comm.len(), schedule.num_supersteps(), machine.p());
+    assert!(gamma >= 2000, "{gamma} transfers on {} nodes", dag.n());
+    let bound = 56 * gamma + 32 * steps * p + 4096;
+
+    let config = HillClimbConfig::default();
+    let (outcome, bytes) = held_peak(|| hccs_improve(dag, &machine, &mut schedule, &config));
+    assert!(outcome.steps > 0, "{outcome:?}: nothing to search");
+    assert!(
+        bytes < bound,
+        "HCcs held {bytes} bytes for {gamma} transfers on {steps} supersteps × {p} processors, bound {bound}"
+    );
 }

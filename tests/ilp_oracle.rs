@@ -59,7 +59,7 @@ fn hccs_returns_the_ilpcs_optimum_wherever_the_solver_proves_one() {
         assert!(schedule.validate(dag, machine).is_ok(), "{context}");
         assert_eq!(outcome.cost, schedule.cost(dag, machine), "{context}");
 
-        if CommSchedule::requirements(dag, &report.schedule.assignment).is_empty() {
+        if CommSchedule::lazy(dag, &report.schedule.assignment).is_empty() {
             let lazy = BspSchedule::from_assignment_lazy(dag, report.schedule.assignment.clone());
             let expected = IlpCsOutcome {
                 cost: lazy.cost(dag, machine),

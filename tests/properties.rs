@@ -6,7 +6,7 @@
 
 mod common;
 
-use bsp_model::{Assignment, BspSchedule, CommSchedule, Dag, Machine};
+use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine};
 use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
@@ -115,7 +115,7 @@ fn search_counts_add_up_on_random_inputs() {
         let (mut sched, mut again) = (start.clone(), start);
         let (hc, hccs) = run(&mut sched);
         assert_eq!((hc, hccs), run(&mut again), "case {case}");
-        let transfers = CommSchedule::requirements(&dag, &sched.assignment).len();
+        let transfers = CommSchedule::lazy(&dag, &sched.assignment).len();
         assert_eq!(hccs.counts.pruned, 0, "case {case}");
         for (o, entities) in [(hc, dag.n()), (hccs, transfers)] {
             let (c, steps) = (o.counts, o.steps as u64);
@@ -182,36 +182,97 @@ fn eager_and_lazy_communication_schedules_agree_on_volume() {
     }
 }
 
-/// `CommSchedule::requirements` follows its rule for `assignment`: one entry
-/// per `(node, target)` pair with a successor of `node` on `target ≠ π(node)`,
-/// in ascending order of that pair, computed in `τ(node)` and needed by the
-/// first superstep of a successor on `target`.
-fn assert_requirements_follow_their_rule(dag: &Dag, assignment: &Assignment, what: &str) {
+/// `CommSchedule::transfers` follows its rule for `assignment` and a given
+/// `Γ`: one transfer per `(node, target)` pair with a successor of `node` on
+/// `target ≠ π(node)`, sent from `π(node)`, in ascending order of that pair,
+/// with the window `[τ(node), first superstep of a successor on target − 1]`;
+/// it starts at the latest of `given`'s placements of it when that one lies
+/// in the window, and lazily at the window's end when there is none or it
+/// lies outside.
+fn assert_transfers_follow_their_rule(
+    dag: &Dag,
+    assignment: &Assignment,
+    given: &CommSchedule,
+    what: &str,
+) {
     let (proc, step) = (&assignment.proc, &assignment.superstep);
-    let requirements = CommSchedule::requirements(dag, assignment);
-    let keys: Vec<(usize, usize)> = requirements.iter().map(|r| (r.node, r.target)).collect();
+    let (steps, windows) = CommSchedule::transfers(dag, assignment, given);
+    assert_eq!(steps.len(), windows.len(), "{what}");
+    assert_eq!(steps.capacity(), steps.len(), "{what}: sized exactly");
+    assert_eq!(windows.capacity(), windows.len(), "{what}: sized exactly");
+    let keys: Vec<(u32, u32)> = steps.iter().map(|cs| (cs.node, cs.to)).collect();
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "{what}: order");
-    for r in &requirements {
-        let consumers = dag
-            .successors(r.node)
-            .filter(|&v| proc[v] as usize == r.target);
-        let first = consumers.map(|v| step[v] as usize).min();
-        assert_eq!(first, Some(r.needed_by), "{what}: {r:?}");
-        assert_eq!(r.source, proc[r.node] as usize, "{what}: {r:?}");
-        assert_ne!(r.source, r.target, "{what}: {r:?}");
-        assert_eq!(r.computed, step[r.node] as usize, "{what}: {r:?}");
+    for (cs, &[earliest, latest]) in steps.iter().zip(&windows) {
+        let node = cs.node as usize;
+        let first = dag
+            .successors(node)
+            .filter(|&v| proc[v] == cs.to)
+            .map(|v| step[v])
+            .min();
+        // A successor in superstep 0 leaves no phase: the window closes at 0.
+        assert_eq!(
+            first.map(|s| s.saturating_sub(1)),
+            Some(latest),
+            "{what}: {cs:?}"
+        );
+        assert_eq!(earliest, step[node], "{what}: {cs:?}");
+        assert_eq!(cs.from, proc[node], "{what}: {cs:?}");
+        assert_ne!(cs.from, cs.to, "{what}: {cs:?}");
+        let placed = given
+            .steps()
+            .iter()
+            .filter(|g| (g.node, g.from, g.to) == (cs.node, cs.from, cs.to))
+            .map(|g| g.step)
+            .max();
+        let start = placed
+            .filter(|s| (earliest..=latest).contains(s))
+            .unwrap_or(latest);
+        assert_eq!(cs.step, start, "{what}: {cs:?} given {placed:?}");
     }
     for (u, v) in dag.edges().filter(|&(u, v)| proc[u] != proc[v]) {
-        let key = (u, proc[v] as usize);
+        let key = (u as u32, proc[v]);
         assert!(keys.binary_search(&key).is_ok(), "{what}: no {key:?}");
     }
 }
 
-/// The rule holds for any assignment, valid or not, and for the benchmark's
-/// families under a real initializer, where one node has successors on many
-/// processors.
+/// A `Γ` for `assignment` that places each required transfer zero, one or
+/// two times, in or up to a phase or two outside its window, plus a transfer
+/// the assignment does not call for.
+fn scrambled_gamma(rng: &mut impl Rng, dag: &Dag, assignment: &Assignment) -> CommSchedule {
+    let (lazy, windows) = CommSchedule::transfers(dag, assignment, &CommSchedule::empty());
+    let mut given = vec![CommStep {
+        node: 0,
+        from: assignment.proc[0],
+        to: assignment.proc[0],
+        step: 0,
+    }];
+    for (cs, &[earliest, latest]) in lazy.iter().zip(&windows) {
+        let (lo, hi) = (
+            earliest.min(latest).saturating_sub(1),
+            earliest.max(latest) + 2,
+        );
+        for _ in 0..rng.gen_range(0usize..3) {
+            let step = rng.gen_range(lo..=hi);
+            given.push(CommStep { step, ..*cs });
+        }
+    }
+    CommSchedule::from_steps(given)
+}
+
+/// The rule holds for any assignment, valid or not, and any given `Γ`, and
+/// for the benchmark's families under a real initializer, where one node
+/// has successors on many processors.  With nothing given, the transfers are
+/// the lazy schedule.
 #[test]
 fn requirements_follow_their_rule_on_random_assignments() {
+    fn check(rng: &mut impl Rng, dag: &Dag, assignment: &Assignment, what: &str) {
+        let empty = CommSchedule::empty();
+        assert_transfers_follow_their_rule(dag, assignment, &empty, what);
+        let lazy = CommSchedule::transfers(dag, assignment, &empty).0;
+        assert_eq!(lazy, CommSchedule::lazy(dag, assignment).steps(), "{what}");
+        let given = scrambled_gamma(rng, dag, assignment);
+        assert_transfers_follow_their_rule(dag, assignment, &given, what);
+    }
     for case in 0..4 * CASES {
         let mut rng = rng_for_case(0xD555, case);
         let dag = random_dag(&mut rng, 24);
@@ -223,7 +284,7 @@ fn requirements_follow_their_rule_on_random_assignments() {
                 .map(|_| rng.gen_range(0..steps) as u32)
                 .collect(),
         };
-        assert_requirements_follow_their_rule(&dag, &assignment, &format!("case {case}"));
+        check(&mut rng, &dag, &assignment, &format!("case {case}"));
     }
     let dag = cg(&IterConfig {
         n: 12,
@@ -233,7 +294,7 @@ fn requirements_follow_their_rule_on_random_assignments() {
     });
     let machine = Machine::numa_binary_tree(8, 3, 5, 3);
     let assignment = BspgScheduler.schedule(&dag, &machine).assignment;
-    assert_requirements_follow_their_rule(&dag, &assignment, "cg");
+    check(&mut rng_for_case(0xD556, 0), &dag, &assignment, "cg");
 }
 
 /// The hyperDAG text format round-trips every DAG exactly.
