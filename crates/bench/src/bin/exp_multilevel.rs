@@ -17,25 +17,28 @@
 //! seconds — on stderr also µs/node — per phase (`funnel`, the two sweeps'
 //! `init_schedule`, the one `hc`, `hccs`), and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
-//! the DAG, counted by this binary's global allocator (the largest of
-//! `--reps`).  Beside them, `sweep` splits the two width sweeps: every
-//! candidate either initializer builds (each width `P, P/2, …` ≥ 2, on the
-//! funnel DAG) with its four stages — construct, `place_sources`,
-//! `merge_supersteps`, cost — timed by calling those public functions
-//! directly (fastest of `--reps`, µs per node of the DAG) and each stage's
-//! heap peak above the level it started from (`peak_bytes_per_node`, the
-//! largest of `--reps`), the superstep count the merge removed, its cost and
-//! whether the sweep kept it.  Written
-//! as JSON in the same envelope as `BENCH_hc.json` (default
-//! `BENCH_pipeline.json`, at ≈10k and ≈100k nodes).  `--huge` runs ≈100k
-//! alone, `--quick` ≈1k, and `--target N` the size `N`.
+//! the DAG, counted by [`bsp_bench::heap`] (the largest of `--reps`).
+//! Beside them, `sweep` splits the two width sweeps: every candidate either
+//! initializer builds (each width `P, P/2, …` ≥ 2, on the funnel DAG) with
+//! its four stages — construct, `place_sources`, `merge_supersteps`, cost —
+//! timed by calling those public functions directly (fastest of `--reps`, µs
+//! per node of the DAG) and each stage's heap peak above the level it started
+//! from (`peak_bytes_per_node`, the largest of `--reps`), the superstep count
+//! the merge removed, its cost and whether the sweep kept it.  `hc_from_source` is `HC` alone (§4.3) from
+//! `Source`'s schedule to a local minimum: moves per second, costs, search
+//! counts, destinations costed per accepted move and the share the `O(1)`
+//! bound pruned.  Written as JSON (default `BENCH_pipeline.json`, at ≈10k
+//! and ≈100k nodes), keeping the `frozen_…` lines of the file it overwrites.
+//! `--huge` runs ≈100k alone, `--quick` ≈1k, and `--target N` the size `N`.
 //!
 //! `--smoke` turns the run into a CI gate: every schedule validates, its
 //! reported cost equals a recompute, no row costs more than the trivial
 //! single-processor schedule (the pipeline ends on that floor, so a violation
-//! means the floor broke), and no answer holds two adjacent supersteps that
-//! `merge_supersteps` would merge; the binary exits 1 if one of these fails
-//! or a row's solve peak exceeds [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
+//! means the floor broke), no answer holds two adjacent supersteps that
+//! `merge_supersteps` would merge, and every `hc_from_source` run ends valid
+//! at a local minimum, no costlier than its start, with a cost equal to a
+//! recompute; the binary exits 1 if one of these fails or a row's solve peak
+//! exceeds [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
 //! Usage:
 //!
@@ -45,17 +48,16 @@
 //!     [--huge] [--smoke]
 //! ```
 
+use bsp_bench::heap::{held_peak, CountingAllocator};
 use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::HillClimbConfig;
+use bsp_sched::hill_climb::{hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts};
 use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig, PipelineReport};
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// The `--smoke` ceiling on a row's solve peak, in heap bytes per DAG node:
@@ -67,70 +69,8 @@ use std::time::{Duration, Instant};
 /// `Vec` of consumer summaries per node 413.4 (407.4) at `P ≤ 8`.
 const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 184.0;
 
-/// The system allocator, counting the bytes this process holds and the most
-/// it held since [`heap_peak_of`] last reset the mark.
-struct CountingAllocator;
-
-static HELD: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let held = HELD.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(held, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so the
-// caller's guarantees are exactly those `System` requires; the counters are
-// statistics and never decide what is allocated.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: forwarded as received (see the impl).
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: forwarded as received (see the impl).
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded as received (see the impl).
-        unsafe { System.dealloc(ptr, layout) };
-        HELD.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: forwarded as received (see the impl).
-        let moved = unsafe { System.realloc(ptr, layout, new_size) };
-        if !moved.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => _ = HELD.fetch_sub(layout.size() - new_size, Relaxed),
-            }
-        }
-        moved
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Runs `f`, returning its result and the most heap it held above the level
-/// it started from.  The solve is one thread, so nothing else moves the mark.
-fn heap_peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = HELD.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - start)
-}
 
 /// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
 /// `hc` and `hccs` are depth-0 samples, one each; `init_schedule` is the child
@@ -138,34 +78,27 @@ fn heap_peak_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// other).
 const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
 
-/// Two seconds of local search, phase clock on.
-fn sweep_config() -> PipelineConfig {
-    PipelineConfig {
-        hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
-        collect_phases: true,
-        ..PipelineConfig::default()
-    }
-}
-
 /// Runs the pipeline `reps` times; the fastest wall-clock (the runs repeat
 /// their work exactly, so the minimum isolates OS noise) with its report,
 /// and the largest heap peak of the runs.
 fn measure(reps: usize, run: impl Fn() -> PipelineReport) -> (f64, PipelineReport, usize) {
-    let timed = || {
-        let start = Instant::now();
-        let (report, peak) = heap_peak_of(&run);
-        (start.elapsed().as_secs_f64(), report, peak)
-    };
-    let mut best = timed();
+    let mut best = stage(&run);
     for _ in 1..reps {
-        let next = timed();
+        let next = stage(&run);
         let peak = best.2.max(next.2);
-        if next.0 < best.0 {
+        if next.1 < best.1 {
             best = next;
         }
         best.2 = peak;
     }
-    best
+    (best.1, best.0, best.2)
+}
+
+/// Runs `f` once: its result, seconds and heap peak.
+fn stage<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
+    let start = Instant::now();
+    let (out, peak) = held_peak(f);
+    (out, start.elapsed().as_secs_f64(), peak)
 }
 
 fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
@@ -188,13 +121,6 @@ struct Candidate {
     peak_bytes: [usize; 4],
     merged: usize,
     cost: u64,
-}
-
-/// Runs one stage of a candidate: its result, seconds and heap peak.
-fn stage<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
-    let start = Instant::now();
-    let (out, peak) = heap_peak_of(f);
-    (out, start.elapsed().as_secs_f64(), peak)
 }
 
 /// Every candidate both width sweeps build on `dag` (the funnel DAG, as the
@@ -242,6 +168,82 @@ fn sweep_split(dag: &Dag, machine: &Machine, reps: usize) -> Vec<Candidate> {
         }
     }
     candidates
+}
+
+/// The wall-clock cap of an `hc_from_source` run, far above what any row
+/// takes to reach its local minimum.
+const HC_TIME_LIMIT: Duration = Duration::from_secs(600);
+
+/// `HC` alone (§4.3), outside the solve's heap window: `hc_improve` from
+/// `Source`'s schedule of the DAG to a local minimum, the fastest of `reps`
+/// runs (they repeat their work exactly).  Logs the run, pushes each smoke
+/// gate it fails onto `failures` (labelled `row`) and returns the row's
+/// `hc_from_source` block.
+fn hc_from_source(
+    dag: &Dag,
+    machine: &Machine,
+    reps: usize,
+    row: &str,
+    failures: &mut Vec<String>,
+) -> String {
+    let init = SourceScheduler.schedule(dag, machine);
+    let config = HillClimbConfig::with_time_limit(HC_TIME_LIMIT);
+    let run = || {
+        let mut schedule = init.clone();
+        let start = Instant::now();
+        let outcome = hc_improve(dag, machine, &mut schedule, &config);
+        (start.elapsed().as_secs_f64(), outcome, schedule)
+    };
+    let fastest = |best: (f64, _, _), next: (f64, _, _)| if next.0 < best.0 { next } else { best };
+    let (seconds, outcome, schedule) = (1..reps).map(|_| run()).fold(run(), fastest);
+    let HillClimbOutcome {
+        steps,
+        initial_cost,
+        final_cost,
+        reached_local_minimum,
+        counts:
+            SearchCounts {
+                visits,
+                gated,
+                evaluated,
+                pruned,
+                sweeps,
+            },
+    } = outcome;
+    if let Err(e) = schedule.validate(dag, machine) {
+        failures.push(format!("{row}: hc_from_source: invalid schedule: {e:?}"));
+    }
+    let recomputed = schedule.cost(dag, machine);
+    if final_cost > initial_cost || final_cost != recomputed || !reached_local_minimum {
+        failures.push(format!(
+            "{row}: hc_from_source: cost {initial_cost} -> {final_cost}, recomputed \
+             {recomputed}, local minimum {reached_local_minimum}"
+        ));
+    }
+    let moves_per_sec = if seconds > 0.0 {
+        steps as f64 / seconds
+    } else {
+        0.0
+    };
+    // Candidate destinations costed per accepted move, and the share of them
+    // the `O(1)` lower bound pruned before any tally was touched.
+    let per_move = evaluated as f64 / steps.max(1) as f64;
+    let prune_share = pruned as f64 / evaluated.max(1) as f64;
+    eprintln!(
+        "     hc from Source: {seconds:.3}s, {steps} moves ({moves_per_sec:.0}/s), cost \
+         {initial_cost} -> {final_cost}; {per_move:.1} destinations per accepted move, {:.1}% \
+         pruned",
+        100.0 * prune_share
+    );
+    format!(
+        "{{\"init_cost\": {}, \"seconds\": {seconds:.6}, \"steps\": {steps}, \
+         \"moves_per_sec\": {moves_per_sec:.1}, \"initial_cost\": {initial_cost}, \
+         \"final_cost\": {final_cost}, \"reached_local_minimum\": {reached_local_minimum}, \
+         \"visits\": {visits}, \"gated\": {gated}, \"evaluated\": {evaluated}, \
+         \"pruned\": {pruned}, \"sweeps\": {sweeps}, \
+         \"evals_per_accepted_move\": {per_move:.2}, \"prune_share\": {prune_share:.4}}}",
+        init.cost(dag, machine)
+    )
 }
 
 /// The five instances of a row block, each sized to about `target` nodes.
@@ -315,7 +317,12 @@ fn main() {
         ("numa_p16_g3_l5_d3", Machine::numa_binary_tree(16, 3, 5, 3)),
     ];
 
-    let pipeline = Pipeline::new(sweep_config());
+    // Two seconds of local search, phase clock on.
+    let pipeline = Pipeline::new(PipelineConfig {
+        hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
+        collect_phases: true,
+        ..PipelineConfig::default()
+    });
     let mut report = BenchReport::new("pipeline_scale");
     let (mut runs, mut total_seconds) = (0, 0.0f64);
     let mut failures = Vec::new();
@@ -334,15 +341,9 @@ fn main() {
                     failures.push(format!("{row}: invalid schedule: {e:?}"));
                 }
                 let recomputed = run.schedule.cost(dag, machine);
-                if recomputed != run.final_cost {
+                if recomputed != run.final_cost || run.final_cost > trivial {
                     failures.push(format!(
-                        "{row}: reported cost {} != recomputed {recomputed}",
-                        run.final_cost
-                    ));
-                }
-                if run.final_cost > trivial {
-                    failures.push(format!(
-                        "{row}: cost {} above the trivial schedule's {trivial}",
+                        "{row}: reported cost {}, recomputed {recomputed}, trivial {trivial}",
                         run.final_cost
                     ));
                 }
@@ -383,47 +384,34 @@ fn main() {
                     "     solve peak: {:.2} MB above the start, {peak_per_node:.1} bytes/node",
                     peak as f64 / 1e6
                 );
+                let hc = hc_from_source(dag, machine, reps, &row, &mut failures);
+                let by_stage = |values: [f64; 4], digits: usize| {
+                    let stages = STAGES.iter().zip(values);
+                    let fields = stages.map(|(name, x)| format!("\"{name}\": {x:.digits$}"));
+                    fields.collect::<Vec<_>>().join(", ")
+                };
                 let mut sweep = Vec::new();
                 for c in sweep_split(dag, machine, reps) {
                     let kept = run
                         .branches
                         .iter()
                         .any(|b| (b.init_name == c.init) && b.width == c.width);
-                    let us = c.seconds.map(per_node);
-                    let bytes = c.peak_bytes.map(|b| b as f64 / dag.n() as f64);
+                    let us = by_stage(c.seconds.map(per_node), 4);
+                    let bytes = by_stage(c.peak_bytes.map(|b| b as f64 / dag.n() as f64), 2);
                     eprintln!(
-                        "     sweep {} width {}{}: construct {:.3}, place {:.3}, merge {:.3}, \
-                         cost {:.3} us/node; peak {:.1} / {:.1} / {:.1} / {:.1} bytes/node; \
+                        "     sweep {} width {}{}: us/node {{{us}}}; peak bytes/node {{{bytes}}}; \
                          {} steps merged, cost {}",
                         c.init,
                         c.width,
                         if kept { " (kept)" } else { "" },
-                        us[0],
-                        us[1],
-                        us[2],
-                        us[3],
-                        bytes[0],
-                        bytes[1],
-                        bytes[2],
-                        bytes[3],
                         c.merged,
                         c.cost
                     );
-                    let by_stage = |values: [f64; 4], digits: usize| {
-                        let stages = STAGES.iter().zip(values);
-                        let fields = stages.map(|(name, x)| format!("\"{name}\": {x:.digits$}"));
-                        fields.collect::<Vec<_>>().join(", ")
-                    };
                     sweep.push(format!(
                         "{{\"init\": \"{}\", \"width\": {}, \"kept\": {kept}, \"cost\": {}, \
-                         \"merged_supersteps\": {}, \"us_per_node\": {{{}}}, \
-                         \"peak_bytes_per_node\": {{{}}}}}",
-                        c.init,
-                        c.width,
-                        c.cost,
-                        c.merged,
-                        by_stage(us, 4),
-                        by_stage(bytes, 2)
+                         \"merged_supersteps\": {}, \"us_per_node\": {{{us}}}, \
+                         \"peak_bytes_per_node\": {{{bytes}}}}}",
+                        c.init, c.width, c.cost, c.merged,
                     ));
                 }
                 let phases: Vec<String> = PHASES
@@ -438,7 +426,7 @@ fn main() {
                      \"gap\": {:.4}, \"selected_init\": \"{}\", \
                      \"placement_width\": {}, \"funnel_nodes\": {}, \
                      \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
-                     \"sweep\": [{}]}}",
+                     \"hc_from_source\": {}, \"sweep\": [{}]}}",
                     dag.n(),
                     dag.num_edges(),
                     run.final_cost,
@@ -448,6 +436,7 @@ fn main() {
                     run.placement_width,
                     run.funnel_nodes,
                     phases.join(", "),
+                    hc,
                     sweep.join(", ")
                 ));
             }

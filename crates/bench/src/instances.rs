@@ -128,7 +128,7 @@ fn matrix_dim_for(target: usize, density: f64, iterations: usize) -> usize {
 
 /// Picks a generator parameter so the produced DAG lands close to `target`
 /// nodes (the generator's size must grow monotonically with the parameter).
-/// Shared by the throughput experiments (`exp_hc`, `exp_multilevel`) that
+/// Shared by the throughput experiments (`exp_multilevel`, `exp_serve`) that
 /// size their benchmark instances by node count rather than matrix dimension.
 pub fn size_to_target(target: usize, make: impl Fn(usize) -> bsp_model::Dag) -> bsp_model::Dag {
     let (mut lo, mut hi) = (8usize, 16usize);

@@ -12,12 +12,15 @@
 //!   experiments run anywhere from seconds (smoke) to hours (full).
 //! * [`eval`] — evaluates every scheduler of the paper on one instance and
 //!   returns the per-algorithm costs.
+//! * [`heap`] — the counting global allocator behind the heap measurements
+//!   and the allocation-free proofs.
 //! * [`stats`] — geometric-mean aggregation of cost ratios and the
 //!   "% reduction vs baseline" quantities the paper reports.
 //! * [`table`] — plain-text table rendering for the binaries' output.
 
 pub mod args;
 pub mod eval;
+pub mod heap;
 pub mod instances;
 pub mod stats;
 pub mod table;

@@ -10,8 +10,8 @@ use crate::eval::AlgoCosts;
 
 /// Shared assembler for the repo's `BENCH_*.json` benchmark reports.
 ///
-/// Every recorded experiment (`exp_hc`, `exp_multilevel --speedup`,
-/// `exp_serve`, `exp_paper`) writes the same envelope — bench name, UNIX timestamp, a
+/// Every recorded experiment (`exp_multilevel`, `exp_serve`, `exp_paper`)
+/// writes the same envelope — bench name, UNIX timestamp, a
 /// config object, a result array, an optional summary object — and used to
 /// hand-roll it.  The builder takes the per-experiment pieces as
 /// already-encoded JSON fragments (the rows differ per experiment and stay
@@ -75,7 +75,7 @@ impl BenchReport {
 
     /// Writes the document to `path`.  The `"frozen_…"` lines of the file
     /// being replaced — numbers recorded with engines that no longer exist to
-    /// be re-run (`BENCH_hc.json`'s `frozen_seed`) — are carried into the new
+    /// be re-run (`BENCH_pipeline.json`'s `frozen_seed`) — are carried into the new
     /// document verbatim.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         let mut json = self.to_json();

@@ -86,15 +86,13 @@ pub struct PipelineConfig {
     /// and nothing is allocated for phase accounting.  The serving layer
     /// enables this per traced request.
     pub collect_phases: bool,
-    /// Absolute wall-clock deadline for the whole run.  The pipeline is
-    /// *anytime*: it clips every stage budget to the remaining time, skips
-    /// stages whose budget is exhausted, and always returns the best valid
-    /// schedule found so far (at minimum the cheaper start: the sweeps are
-    /// not deadline-gated).  `None` disables deadline awareness.
-    pub deadline: Option<Instant>,
     /// Cooperative cancellation threaded through both searches (`HC`,
-    /// `HCcs`).  The effective token of a run is this one tightened to
-    /// [`Self::deadline`].
+    /// `HCcs`).  A deadline is a token that fires then
+    /// ([`CancelToken::with_deadline`]), and the pipeline is *anytime*: it
+    /// clips every search budget to the time the token leaves, skips stages
+    /// whose budget is exhausted, and always returns the best valid schedule
+    /// found so far (at minimum the cheaper start: the sweeps are not
+    /// deadline-gated).
     pub cancel: CancelToken,
 }
 
@@ -103,7 +101,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             hill_climb: HillClimbConfig::default(),
             collect_phases: false,
-            deadline: None,
             cancel: CancelToken::inert(),
         }
     }
@@ -129,25 +126,10 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the wall-clock deadline and returns the configuration.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets the cancellation token and returns the configuration.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
-    }
-
-    /// The token a run under this configuration polls: the configured cancel
-    /// token tightened to the configured deadline.
-    pub fn effective_cancel(&self) -> CancelToken {
-        match self.deadline {
-            Some(d) => self.cancel.tightened(d),
-            None => self.cancel.clone(),
-        }
     }
 
     /// Identity: a solve is one thread.  Kept because the frozen
@@ -500,7 +482,7 @@ impl Pipeline {
     /// paper gives nine tenths to `HC`, one to `HCcs`), additionally clipped
     /// to the wall clock the run's token leaves; the search polls that token.
     fn search_config(&self, share: f64) -> HillClimbConfig {
-        let cancel = self.config.effective_cancel();
+        let cancel = self.config.cancel.clone();
         HillClimbConfig {
             time_limit: clip_budget(self.config.hill_climb.time_limit.mul_f64(share), &cancel),
             cancel,

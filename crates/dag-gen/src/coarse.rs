@@ -12,7 +12,8 @@
 //! ≥ 1 (sources get 1, representing the cost of loading the container) and
 //! `c(v) = 1` for every node.
 
-use bsp_model::{Dag, NodeId};
+use crate::Assembler;
+use bsp_model::Dag;
 
 /// Which GraphBLAS-style algorithm to generate a coarse-grained DAG for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,49 +60,6 @@ pub struct CoarseConfig {
     pub iterations: usize,
 }
 
-struct Assembler {
-    edges: Vec<(NodeId, NodeId)>,
-    next: NodeId,
-}
-
-impl Assembler {
-    fn new() -> Self {
-        Assembler {
-            edges: Vec::new(),
-            next: 0,
-        }
-    }
-    fn node(&mut self, preds: &[NodeId]) -> NodeId {
-        let id = self.next;
-        self.next += 1;
-        // The same operand may appear twice (e.g. a dot product of a vector
-        // with itself); the dependency edge exists only once.  Duplicates can
-        // only come from this call's own operand list (the target id is
-        // fresh), so only the edges appended here need checking — the
-        // generator stays linear in the iteration count.
-        let start = self.edges.len();
-        for &p in preds {
-            if !self.edges[start..].contains(&(p, id)) {
-                self.edges.push((p, id));
-            }
-        }
-        id
-    }
-    fn finish(self) -> Dag {
-        let n = self.next;
-        let mut indeg = vec![0u64; n];
-        for &(_, v) in &self.edges {
-            indeg[v] += 1;
-        }
-        let work: Vec<u64> = indeg
-            .iter()
-            .map(|&d| if d <= 1 { 1 } else { d - 1 })
-            .collect();
-        let comm = vec![1; n];
-        Dag::from_edges(n, &self.edges, work, comm).expect("coarse generator produced a cycle")
-    }
-}
-
 /// Generates the coarse-grained computational DAG of the configured algorithm.
 pub fn coarse(config: &CoarseConfig) -> Dag {
     match config.algorithm {
@@ -121,14 +79,14 @@ fn coarse_cg(iterations: usize) -> Dag {
     let ax0 = asm.node(&[a, x]);
     let mut r = asm.node(&[b, ax0]); // r = b - A x
     let mut p = asm.node(&[r]); // p = r
-    let mut rr = asm.node(&[r, r]); // ρ = r·r
+    let mut rr = asm.node(&[r]); // ρ = r·r
     for _ in 0..iterations {
         let q = asm.node(&[a, p]); // q = A p
         let pq = asm.node(&[p, q]); // p·q
         let alpha = asm.node(&[rr, pq]);
         x = asm.node(&[x, p, alpha]);
         r = asm.node(&[r, q, alpha]);
-        let rr_new = asm.node(&[r, r]);
+        let rr_new = asm.node(&[r]); // r·r
         let beta = asm.node(&[rr_new, rr]);
         p = asm.node(&[r, p, beta]);
         rr = rr_new;
@@ -153,7 +111,7 @@ fn coarse_bicgstab(iterations: usize) -> Dag {
         let s = asm.node(&[r, v, alpha]);
         let t = asm.node(&[a, s]);
         let ts = asm.node(&[t, s]);
-        let tt = asm.node(&[t, t]);
+        let tt = asm.node(&[t]); // t·t
         let omega = asm.node(&[ts, tt]);
         x = asm.node(&[x, p, s, alpha, omega]);
         r = asm.node(&[s, t, omega]);

@@ -13,6 +13,7 @@
 //!   sparse frontier).
 
 use crate::sparse::SparsePattern;
+use crate::Assembler;
 use bsp_model::{Dag, NodeId};
 
 /// Parameters of the [`spmv`] generator.
@@ -39,58 +40,6 @@ pub struct IterConfig {
     pub seed: u64,
 }
 
-/// Assigns the GraphBLAS-style weights of the paper: `w(v) = indeg(v) − 1`
-/// (clamped to ≥ 1, so sources get 1) and `c(v) = 1` for every node.
-fn graphblas_weights(n: usize, edges: &[(NodeId, NodeId)]) -> (Vec<u64>, Vec<u64>) {
-    let mut indeg = vec![0u64; n];
-    for &(_, v) in edges {
-        indeg[v] += 1;
-    }
-    let work = indeg
-        .iter()
-        .map(|&d| if d <= 1 { 1 } else { d - 1 })
-        .collect();
-    (work, vec![1; n])
-}
-
-fn build(n: usize, edges: Vec<(NodeId, NodeId)>) -> Dag {
-    let (work, comm) = graphblas_weights(n, &edges);
-    Dag::from_edges(n, &edges, work, comm).expect("generator produced an invalid DAG")
-}
-
-/// Internal helper for assembling generator DAGs node-by-node.
-struct Assembler {
-    edges: Vec<(NodeId, NodeId)>,
-    next: NodeId,
-}
-
-impl Assembler {
-    fn new() -> Self {
-        Assembler {
-            edges: Vec::new(),
-            next: 0,
-        }
-    }
-
-    fn node(&mut self) -> NodeId {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-
-    fn node_with_preds(&mut self, preds: &[NodeId]) -> NodeId {
-        let id = self.node();
-        for &p in preds {
-            self.edges.push((p, id));
-        }
-        id
-    }
-
-    fn finish(self) -> Dag {
-        build(self.next, self.edges)
-    }
-}
-
 /// One sparse matrix–vector multiplication `y = A·u`.
 ///
 /// Level 0: one node per vector entry `u[j]` and one per nonzero `A[i,j]`;
@@ -100,20 +49,20 @@ impl Assembler {
 pub fn spmv(config: &SpmvConfig) -> Dag {
     let pattern = SparsePattern::random_with_diagonal(config.n, config.density, config.seed);
     let mut asm = Assembler::new();
-    let u: Vec<NodeId> = (0..config.n).map(|_| asm.node()).collect();
+    let u: Vec<NodeId> = (0..config.n).map(|_| asm.node(&[])).collect();
     let mut a = vec![Vec::new(); config.n];
     for i in 0..config.n {
         for &j in pattern.row(i) {
-            a[i].push((j, asm.node()));
+            a[i].push((j, asm.node(&[])));
         }
     }
     for i in 0..config.n {
         let mut products = Vec::new();
         for &(j, a_node) in &a[i] {
-            products.push(asm.node_with_preds(&[a_node, u[j]]));
+            products.push(asm.node(&[a_node, u[j]]));
         }
         if !products.is_empty() {
-            asm.node_with_preds(&products);
+            asm.node(&products);
         }
     }
     asm.finish()
@@ -124,11 +73,11 @@ pub fn spmv(config: &SpmvConfig) -> Dag {
 pub fn exp(config: &IterConfig) -> Dag {
     let pattern = SparsePattern::random_with_diagonal(config.n, config.density, config.seed);
     let mut asm = Assembler::new();
-    let mut current: Vec<NodeId> = (0..config.n).map(|_| asm.node()).collect();
+    let mut current: Vec<NodeId> = (0..config.n).map(|_| asm.node(&[])).collect();
     let mut a = vec![Vec::new(); config.n];
     for i in 0..config.n {
         for &j in pattern.row(i) {
-            a[i].push((j, asm.node()));
+            a[i].push((j, asm.node(&[])));
         }
     }
     for _ in 0..config.iterations {
@@ -136,10 +85,10 @@ pub fn exp(config: &IterConfig) -> Dag {
         for i in 0..config.n {
             let mut products = Vec::new();
             for &(j, a_node) in &a[i] {
-                products.push(asm.node_with_preds(&[a_node, current[j]]));
+                products.push(asm.node(&[a_node, current[j]]));
             }
             // `random_with_diagonal` guarantees at least one nonzero per row.
-            next.push(asm.node_with_preds(&products));
+            next.push(asm.node(&products));
         }
         current = next;
     }
@@ -156,44 +105,44 @@ pub fn cg(config: &IterConfig) -> Dag {
     let n = config.n;
     let pattern = SparsePattern::random_with_diagonal(n, config.density, config.seed);
     let mut asm = Assembler::new();
-    let mut x: Vec<NodeId> = (0..n).map(|_| asm.node()).collect();
-    let mut r: Vec<NodeId> = (0..n).map(|_| asm.node()).collect();
-    let mut p: Vec<NodeId> = (0..n).map(|_| asm.node()).collect();
+    let mut x: Vec<NodeId> = (0..n).map(|_| asm.node(&[])).collect();
+    let mut r: Vec<NodeId> = (0..n).map(|_| asm.node(&[])).collect();
+    let mut p: Vec<NodeId> = (0..n).map(|_| asm.node(&[])).collect();
     let mut a = vec![Vec::new(); n];
     for i in 0..n {
         for &j in pattern.row(i) {
-            a[i].push((j, asm.node()));
+            a[i].push((j, asm.node(&[])));
         }
     }
     // r·r of the initial residual.
-    let mut rr = asm.node_with_preds(&r);
+    let mut rr = asm.node(&r);
     for _ in 0..config.iterations {
         // q = A p (fine-grained spmv).
         let mut q = Vec::with_capacity(n);
         for i in 0..n {
             let mut products = Vec::new();
             for &(j, a_node) in &a[i] {
-                products.push(asm.node_with_preds(&[a_node, p[j]]));
+                products.push(asm.node(&[a_node, p[j]]));
             }
-            q.push(asm.node_with_preds(&products));
+            q.push(asm.node(&products));
         }
         // p·q and α = rr / p·q.
         let pq_preds: Vec<NodeId> = p.iter().chain(q.iter()).copied().collect();
-        let pq = asm.node_with_preds(&pq_preds);
-        let alpha = asm.node_with_preds(&[rr, pq]);
+        let pq = asm.node(&pq_preds);
+        let alpha = asm.node(&[rr, pq]);
         // x ← x + α p,  r ← r − α q.
         let mut x_new = Vec::with_capacity(n);
         let mut r_new = Vec::with_capacity(n);
         for i in 0..n {
-            x_new.push(asm.node_with_preds(&[x[i], p[i], alpha]));
-            r_new.push(asm.node_with_preds(&[r[i], q[i], alpha]));
+            x_new.push(asm.node(&[x[i], p[i], alpha]));
+            r_new.push(asm.node(&[r[i], q[i], alpha]));
         }
         // β = (r'·r') / (r·r), p ← r' + β p.
-        let rr_new = asm.node_with_preds(&r_new);
-        let beta = asm.node_with_preds(&[rr_new, rr]);
+        let rr_new = asm.node(&r_new);
+        let beta = asm.node(&[rr_new, rr]);
         let mut p_new = Vec::with_capacity(n);
         for i in 0..n {
-            p_new.push(asm.node_with_preds(&[r_new[i], p[i], beta]));
+            p_new.push(asm.node(&[r_new[i], p[i], beta]));
         }
         x = x_new;
         r = r_new;
@@ -216,7 +165,7 @@ pub fn knn(config: &IterConfig) -> Dag {
     // Current frontier values: index -> node id of the current value of u[j].
     let source_index = (config.seed as usize) % n;
     let mut current: Vec<Option<NodeId>> = vec![None; n];
-    current[source_index] = Some(asm.node());
+    current[source_index] = Some(asm.node(&[]));
     // Matrix entry source nodes, created lazily when first used.
     let mut a_nodes: Vec<Vec<Option<NodeId>>> =
         (0..n).map(|i| vec![None; pattern.row(i).len()]).collect();
@@ -226,16 +175,12 @@ pub fn knn(config: &IterConfig) -> Dag {
             let mut products = Vec::new();
             for (idx, &j) in pattern.row(i).iter().enumerate() {
                 if let Some(u_node) = current[j] {
-                    let a_node = *a_nodes[i][idx].get_or_insert_with(|| {
-                        let id = asm.next;
-                        asm.next += 1;
-                        id
-                    });
-                    products.push(asm.node_with_preds(&[a_node, u_node]));
+                    let a_node = *a_nodes[i][idx].get_or_insert_with(|| asm.node(&[]));
+                    products.push(asm.node(&[a_node, u_node]));
                 }
             }
             if !products.is_empty() {
-                next[i] = Some(asm.node_with_preds(&products));
+                next[i] = Some(asm.node(&products));
             }
         }
         current = next;

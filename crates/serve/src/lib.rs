@@ -85,9 +85,7 @@ pub mod store;
 pub use cache::{schedule_footprint, CacheStats, ScheduleCache};
 pub use client::{Client, Completion, PipelinedClient};
 pub use metrics::{LatencyHistogram, StoreCounters, StoreStats};
-pub use obs::{
-    MetricsRegistry, MetricsSnapshot, SpanRec, SpanSet, TraceIdGen, TraceJournal, TraceRecord,
-};
+pub use obs::{MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal, TraceRecord};
 pub use placement::{Decision, LoadView, Placement, PlacementScope};
 pub use protocol::{
     Mode, Reply, RequestOptions, ScheduleRequest, ScheduleResponse, ScheduleSource, ServeError,

@@ -22,6 +22,7 @@
 //!   recording a span nor journaling a finished trace allocates, so the
 //!   exact-cache-hit path stays allocation-free with tracing enabled.
 
+use bsp_sched::PhaseSample;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -34,34 +35,22 @@ use crate::metrics::LatencyHistogram;
 /// the cap sets the `truncated` flag instead of allocating.
 pub const MAX_SPANS: usize = 48;
 
-/// One timed region of a request's lifetime.  `start_us` is the offset from
-/// the moment the request was accepted (by the router when sharded, by the
-/// server otherwise), so spans from different layers compose by offsetting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRec {
-    /// Static span name (e.g. `"queue_wait"`, `"funnel"`).
-    pub name: &'static str,
-    /// Nesting depth: 0 for top-level request phases, children below.
-    pub depth: u8,
-    /// Microseconds from request acceptance to span start.
-    pub start_us: u64,
-    /// Span duration in microseconds.
-    pub dur_us: u64,
-}
-
-const EMPTY_SPAN: SpanRec = SpanRec {
+const EMPTY_SPAN: PhaseSample = PhaseSample {
     name: "",
     depth: 0,
     start_us: 0,
     dur_us: 0,
 };
 
-/// A bounded, stack-allocated collection of [`SpanRec`]s.  `Copy`, no heap.
+/// A bounded, stack-allocated collection of spans, each a [`PhaseSample`]
+/// whose `start_us` is the offset from the moment the request was accepted
+/// (by the router when sharded, by the server otherwise), so spans from
+/// different layers compose by offsetting.  `Copy`, no heap.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanSet {
     len: u8,
     truncated: bool,
-    spans: [SpanRec; MAX_SPANS],
+    spans: [PhaseSample; MAX_SPANS],
 }
 
 impl Default for SpanSet {
@@ -83,12 +72,25 @@ impl SpanSet {
     /// Appends a span; sets the truncation flag instead of growing past
     /// [`MAX_SPANS`].
     pub fn push(&mut self, name: &'static str, depth: u8, start_us: u64, dur_us: u64) {
+        let span = PhaseSample {
+            name,
+            depth,
+            start_us,
+            dur_us,
+        };
+        self.push_shifted(span, 0, 0);
+    }
+
+    /// Appends `span` as a child: shifted by `offset_us` and deepened by
+    /// `extra_depth`.  Used to graft a shard's spans under the router's
+    /// dispatch span, and the solver's phase samples under the service's
+    /// solve span.
+    pub fn push_shifted(&mut self, span: PhaseSample, extra_depth: u8, offset_us: u64) {
         if (self.len as usize) < MAX_SPANS {
-            self.spans[self.len as usize] = SpanRec {
-                name,
-                depth,
-                start_us,
-                dur_us,
+            self.spans[self.len as usize] = PhaseSample {
+                depth: span.depth.saturating_add(extra_depth),
+                start_us: span.start_us.saturating_add(offset_us),
+                ..span
             };
             self.len += 1;
         } else {
@@ -97,7 +99,7 @@ impl SpanSet {
     }
 
     /// The recorded spans, in push order.
-    pub fn spans(&self) -> &[SpanRec] {
+    pub fn spans(&self) -> &[PhaseSample] {
         &self.spans[..self.len as usize]
     }
 
@@ -122,18 +124,10 @@ impl SpanSet {
         self.truncated
     }
 
-    /// Splices `other`'s spans in as children: each is shifted by
-    /// `offset_us` and deepened by `extra_depth`.  Used to graft a shard's
-    /// spans under the router's dispatch span, and the solver's phase spans
-    /// under the service's solve span.
+    /// Splices `other`'s spans in as children (see [`Self::push_shifted`]).
     pub fn extend_offset(&mut self, other: &SpanSet, extra_depth: u8, offset_us: u64) {
-        for span in other.spans() {
-            self.push(
-                span.name,
-                span.depth.saturating_add(extra_depth),
-                span.start_us.saturating_add(offset_us),
-                span.dur_us,
-            );
+        for &span in other.spans() {
+            self.push_shifted(span, extra_depth, offset_us);
         }
         if other.truncated {
             self.truncated = true;

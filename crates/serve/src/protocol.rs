@@ -283,6 +283,8 @@ pub enum ServeError {
     UnexpectedEof,
     /// Transport failure.
     Io(String),
+    /// The solve panicked; the worker answered this request and lives on.
+    Internal(String),
     /// The server answered `ERR` with a kind the client does not know.
     Remote { kind: String, message: String },
 }
@@ -308,6 +310,7 @@ impl fmt::Display for ServeError {
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::UnexpectedEof => write!(f, "connection closed mid-request"),
             ServeError::Io(msg) => write!(f, "transport error: {msg}"),
+            ServeError::Internal(msg) => write!(f, "solver panicked: {msg}"),
             ServeError::Remote { kind, message } => write!(f, "server error [{kind}]: {message}"),
         }
     }
@@ -340,6 +343,7 @@ impl ServeError {
             ServeError::ShuttingDown => "shutting-down",
             ServeError::UnexpectedEof => "eof",
             ServeError::Io(_) => "io",
+            ServeError::Internal(_) => "internal",
             ServeError::Remote { .. } => "remote",
         }
     }

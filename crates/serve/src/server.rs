@@ -45,6 +45,7 @@ use crate::store::StoreConfig;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -145,6 +146,9 @@ struct Shared {
     trace_ids: TraceIdGen,
     /// `bsp_queue_wait_micros`, registered in the service's registry.
     queue_wait: Arc<LatencyHistogram>,
+    /// `bsp_worker_panics_total`: solves that panicked and were answered
+    /// with `ERR internal`.
+    worker_panics: Arc<AtomicU64>,
 }
 
 /// A bound-but-not-yet-running server.
@@ -169,6 +173,11 @@ impl Server {
             "time from request admission to a worker picking the job up",
             &[],
         );
+        let worker_panics = service.registry().counter(
+            "bsp_worker_panics_total",
+            "solves that panicked on a worker and were answered with ERR internal",
+            &[],
+        );
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -182,6 +191,7 @@ impl Server {
                 journal: TraceJournal::new(TRACE_RING_CAP, SLOW_LOG_CAP),
                 trace_ids: TraceIdGen::new(),
                 queue_wait,
+                worker_panics,
             }),
         })
     }
@@ -600,18 +610,28 @@ fn worker_loop(shared: &Shared) {
             let mut spans = SpanSet::new();
             spans.push("queue_wait", 0, 0, qw_us);
             let mut svc_spans = SpanSet::new();
-            let (id, result) = match &job.kind {
-                JobKind::Full(request) => (
-                    request.id,
-                    shared.service.handle_traced(request, Some(&mut svc_spans)),
-                ),
-                JobKind::Fingerprint { id, fingerprint } => (
-                    *id,
-                    shared
-                        .service
-                        .handle_fingerprint_traced(*fingerprint, Some(&mut svc_spans)),
-                ),
+            let id = match &job.kind {
+                JobKind::Full(request) => request.id,
+                JobKind::Fingerprint { id, .. } => *id,
             };
+            // A panicking solve answers its own request with `ERR internal`;
+            // the worker lives on and serves the rest of its batch.
+            let handled = panic::catch_unwind(AssertUnwindSafe(|| match &job.kind {
+                JobKind::Full(request) => {
+                    #[cfg(test)]
+                    tests::panic_if_marked(request);
+                    shared.service.handle_traced(request, Some(&mut svc_spans))
+                }
+                JobKind::Fingerprint { fingerprint, .. } => shared
+                    .service
+                    .handle_fingerprint_traced(*fingerprint, Some(&mut svc_spans)),
+            }));
+            let result = handled.unwrap_or_else(|payload| {
+                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                Err(ServeError::Internal(message.unwrap_or_default()))
+            });
             spans.extend_offset(&svc_spans, 0, qw_us);
             let (source, total_us) = match &result {
                 Ok(reply) => {
@@ -654,6 +674,7 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use crate::client::{Client, Completion, PipelinedClient};
+    use crate::obs::MetricsSnapshot;
     use crate::protocol::{
         encode_request, read_reply, Mode, Reply, RequestOptions, ScheduleSource,
     };
@@ -662,8 +683,12 @@ mod tests {
     use std::time::Duration;
 
     fn test_server() -> ServerHandle {
+        test_server_with_workers(2)
+    }
+
+    fn test_server_with_workers(workers: usize) -> ServerHandle {
         let config = ServerConfig {
-            workers: 2,
+            workers,
             queue_capacity: 32,
             max_connections: 16,
             admission_batch: 4,
@@ -978,6 +1003,65 @@ mod tests {
         let _client = Client::connect(server.addr()).expect("connect");
         // The reader is blocked on this idle connection; shutdown must still
         // join promptly (socket shutdown, not the 5 s idle timeout).
+        server.shutdown();
+    }
+
+    /// The work weight on node 0 that makes a worker's solve panic.  The
+    /// trigger rides on the request because this crate's tests run in
+    /// parallel against servers of their own.
+    const PANIC_WORK: u64 = 4093;
+
+    pub(super) fn panic_if_marked(request: &ScheduleRequest) {
+        if request.dag.n() > 0 && request.dag.work(0) == PANIC_WORK {
+            panic!("solver panic planted on request {}", request.id);
+        }
+    }
+
+    #[test]
+    fn a_panicking_solve_is_answered_and_its_worker_serves_on() {
+        let server = test_server_with_workers(1);
+        let addr = server.addr();
+        let (done, answers) = mpsc::channel();
+        // Pipelined from a thread, so a worker that died fails the test at
+        // the timeout below instead of hanging it.
+        let client = std::thread::spawn(move || {
+            let machine = Machine::uniform(4, 1, 2);
+            let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+            let mut client = PipelinedClient::connect(addr).expect("connect");
+            let ids: Vec<u64> = [PANIC_WORK, 3, 4]
+                .map(|work| Arc::new(small_dag(work)))
+                .iter()
+                .map(|dag| client.submit(dag, &machine, &options).expect("submit"))
+                .collect();
+            let outcomes: Vec<_> = (0..ids.len())
+                .map(|_| match client.recv().expect("recv") {
+                    Completion::Ok(response) => (response.id, Ok(())),
+                    Completion::Failed { id, error } => (id, Err(error)),
+                })
+                .collect();
+            let _ = done.send((ids, outcomes));
+        });
+        let (ids, mut outcomes) = answers
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every request is answered");
+        client.join().expect("the client thread ends cleanly");
+        outcomes.sort_by_key(|(id, _)| *id);
+        assert_eq!(outcomes.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
+        for (id, outcome) in outcomes {
+            match outcome {
+                Err(ServeError::Remote { kind, .. }) if id == ids[0] => {
+                    assert_eq!(kind, "internal")
+                }
+                Ok(()) => assert_ne!(id, ids[0], "the marked request answered OK"),
+                Err(error) => panic!("request {id}: {error}"),
+            }
+        }
+
+        let mut client = Client::connect(addr).expect("connect");
+        let exposition = client.metrics().expect("metrics");
+        let snapshot = MetricsSnapshot::parse(&exposition).expect("parse");
+        assert_eq!(snapshot.counter("bsp_worker_panics_total"), Some(1));
+        drop(client);
         server.shutdown();
     }
 }

@@ -705,12 +705,7 @@ impl ScheduleService {
         for sample in &report.phases {
             self.note_phase_micros(sample.name, sample.dur_us);
             if let Some(spans) = spans.as_deref_mut() {
-                spans.push(
-                    sample.name,
-                    sample.depth.saturating_add(1),
-                    solve_start.saturating_add(sample.start_us),
-                    sample.dur_us,
-                );
+                spans.push_shifted(*sample, 1, solve_start);
             }
         }
         report.schedule

@@ -2,11 +2,13 @@
 //! candidate move with [`HcState::try_move`] performs **zero heap allocation**
 //! once the state's scratch buffers are warm.
 //!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! pass over a set of valid moves, replaying the same moves must not allocate
-//! or deallocate at all.  It also counts the bytes held, for the bounds on
-//! what the cost function and source placement hold.
+//! The harness's counting global allocator ([`bsp_bench::heap`]) wraps the
+//! system allocator; after a warm-up pass over a set of valid moves,
+//! replaying the same moves must not allocate or deallocate at all.  It also
+//! counts the bytes held, for the bounds on what the cost function and
+//! source placement hold.
 
+use bsp_bench::heap::{counted, held_peak, one_at_a_time, CountingAllocator};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::baselines::{CilkScheduler, HDaggScheduler};
 use bsp_sched::hill_climb::{hc_search, hccs_improve, HcState, HillClimbConfig, SearchScratch};
@@ -14,105 +16,9 @@ use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes held, and the most held since [`held_peak`] last reset the mark.
-static HELD: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let held = HELD.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(held, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        HELD.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        match new_size.checked_sub(layout.size()) {
-            Some(more) => grew(more),
-            None => _ = HELD.fetch_sub(layout.size() - new_size, Ordering::Relaxed),
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The counters are process-wide (threads a solve spawns must be counted
-/// too), so a test that allocates while another measures would be counted
-/// against it.
-/// Every test holds this lock from its first allocation to its last assert.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock must not fail the others.
-    let guard = ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    // The lock changes hands when a test ends, which is also when the harness
-    // tears that test's thread down and starts the next one — both allocate,
-    // on threads this file cannot fence.  Every test body runs under the
-    // lock, so that burst is the only foreign activity there is: give the
-    // counters up to half a second to stand still before the new holder
-    // measures.  The wait is bounded — if something keeps allocating, the
-    // test goes ahead and fails on its own count instead of hanging.
-    let counts = || {
-        (
-            ALLOCATIONS.load(Ordering::SeqCst),
-            DEALLOCATIONS.load(Ordering::SeqCst),
-        )
-    };
-    let mut seen = counts();
-    for _ in 0..50 {
-        std::thread::sleep(Duration::from_millis(10));
-        let now = counts();
-        if now == seen {
-            break;
-        }
-        seen = now;
-    }
-    guard
-}
-
-/// Runs `f` and returns its result with the allocations and deallocations
-/// made meanwhile.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-    let out = f();
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
-    (out, allocs, deallocs)
-}
-
-/// Runs `f` and returns its result with the most heap it held above the
-/// level it started from.
-fn held_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = HELD.load(Ordering::SeqCst);
-    PEAK.store(start, Ordering::SeqCst);
-    let out = f();
-    (out, PEAK.load(Ordering::SeqCst) - start)
-}
 
 /// What every `HC` proof runs on: a DAG, a machine, and the schedule a
 /// search phase starts from (one with more than ten improving moves).
@@ -344,14 +250,10 @@ fn read_hyperdag_and_validate_allocation_counts_do_not_grow_with_n() {
         let schedule = SourceScheduler.schedule(&dag, &machine);
         assert!(!schedule.comm.is_empty(), "the schedule must carry a Γ");
 
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let parsed = dag_gen::read_hyperdag(&text).expect("own output parses");
-        let parse_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
-        assert_eq!(parsed.n(), dag.n());
+        let (parsed, parse_allocs, _) = counted(|| dag_gen::read_hyperdag(&text));
+        assert_eq!(parsed.expect("own output parses").n(), dag.n());
 
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let verdict = schedule.validate(&dag, &machine);
-        let validate_allocs = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        let (verdict, validate_allocs, _) = counted(|| schedule.validate(&dag, &machine));
         assert!(verdict.is_ok());
         (dag.n(), parse_allocs, validate_allocs)
     };

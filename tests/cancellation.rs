@@ -66,7 +66,7 @@ fn pipeline_with_an_already_expired_deadline_still_returns_a_valid_schedule() {
         let mut rng = rng_for_case(0xDEAD, case);
         let dag = random_dag(&mut rng, 20);
         let machine = random_machine(&mut rng);
-        let config = PipelineConfig::fast().with_deadline(Instant::now());
+        let config = PipelineConfig::fast().with_cancel(CancelToken::with_deadline(Instant::now()));
         let report = Pipeline::new(config).run_report(&dag, &machine);
         assert!(
             report.schedule.validate(&dag, &machine).is_ok(),

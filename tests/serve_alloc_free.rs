@@ -4,54 +4,18 @@
 //! update — encoding excluded, which is the wire layer's business).
 //!
 //! This lives in its own integration-test binary so the counting global
-//! allocator only observes this test's thread.
+//! allocator ([`bsp_bench::heap`]) only observes this test's thread.
 
+use bsp_bench::heap::{counted, one_at_a_time, CountingAllocator};
 use bsp_model::Machine;
 use bsp_serve::{
     Mode, RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig, SpanSet,
 };
 use dag_gen::fine::{spmv, SpmvConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The counters are process-wide, so a second test in this binary that
-/// allocated while this one measures would be counted against it.  Every
-/// test here holds this lock from its first allocation to its last assert.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    // A test that failed while holding the lock must not fail the others.
-    ONE_AT_A_TIME
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 #[test]
 fn exact_cache_hit_response_path_is_allocation_free() {
@@ -84,20 +48,18 @@ fn exact_cache_hit_response_path_is_allocation_free() {
     // Measured: full-request exact hits and fingerprint-replay hits,
     // including dropping the replies.
     let fingerprint = bsp_model::request_key(&request.dag, &request.machine).full;
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..100 {
-        let reply = service.handle(&request).expect("hit succeeds");
-        std::hint::black_box(reply.cost);
-        drop(reply);
-        let reply = service
-            .handle_fingerprint(fingerprint)
-            .expect("fingerprint hit succeeds");
-        std::hint::black_box(reply.cost);
-        drop(reply);
-    }
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
+    let ((), allocs, deallocs) = counted(|| {
+        for _ in 0..100 {
+            let reply = service.handle(&request).expect("hit succeeds");
+            std::hint::black_box(reply.cost);
+            drop(reply);
+            let reply = service
+                .handle_fingerprint(fingerprint)
+                .expect("fingerprint hit succeeds");
+            std::hint::black_box(reply.cost);
+            drop(reply);
+        }
+    });
     assert_eq!(
         (allocs, deallocs),
         (0, 0),
@@ -109,28 +71,26 @@ fn exact_cache_hit_response_path_is_allocation_free() {
     // `Copy`-only writes into a caller-owned fixed array, so an exact hit
     // that produces a full span tree still never touches the allocator.
     let mut spans = SpanSet::new();
-    let allocs_before = ALLOCATIONS.load(Ordering::SeqCst);
-    let deallocs_before = DEALLOCATIONS.load(Ordering::SeqCst);
-    for _ in 0..100 {
-        spans.clear();
-        let reply = service
-            .handle_traced(&request, Some(&mut spans))
-            .expect("traced hit succeeds");
-        std::hint::black_box(reply.cost);
-        drop(reply);
-        spans.clear();
-        let reply = service
-            .handle_fingerprint_traced(fingerprint, Some(&mut spans))
-            .expect("traced fingerprint hit succeeds");
-        std::hint::black_box(reply.cost);
-        drop(reply);
-    }
+    let ((), allocs, deallocs) = counted(|| {
+        for _ in 0..100 {
+            spans.clear();
+            let reply = service
+                .handle_traced(&request, Some(&mut spans))
+                .expect("traced hit succeeds");
+            std::hint::black_box(reply.cost);
+            drop(reply);
+            spans.clear();
+            let reply = service
+                .handle_fingerprint_traced(fingerprint, Some(&mut spans))
+                .expect("traced fingerprint hit succeeds");
+            std::hint::black_box(reply.cost);
+            drop(reply);
+        }
+    });
     assert!(
         !spans.spans().is_empty(),
         "tracing actually recorded spans on the hit path"
     );
-    let allocs = ALLOCATIONS.load(Ordering::SeqCst) - allocs_before;
-    let deallocs = DEALLOCATIONS.load(Ordering::SeqCst) - deallocs_before;
     assert_eq!(
         (allocs, deallocs),
         (0, 0),
