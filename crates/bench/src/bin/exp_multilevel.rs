@@ -44,7 +44,7 @@
 //!
 //! ```text
 //! cargo run -p bsp_bench --release --bin exp_multilevel --
-//!     [--out PATH] [--target N] [--reps N] [--nnz-per-row K] [--quick]
+//!     [--out PATH] [--target N] [--reps N] [--quick]
 //!     [--huge] [--smoke]
 //! ```
 
@@ -246,9 +246,12 @@ fn hc_from_source(
     )
 }
 
+/// Non-zeros per row of the fine-grained instances' sparsity pattern.
+const NNZ_PER_ROW: f64 = 16.0;
+
 /// The five instances of a row block, each sized to about `target` nodes.
-fn instances(target: usize, nnz_per_row: f64) -> [(&'static str, Dag); 5] {
-    let density = |n: usize| nnz_per_row / n as f64;
+fn instances(target: usize) -> [(&'static str, Dag); 5] {
+    let density = |n: usize| NNZ_PER_ROW / n as f64;
     let iterative = |iterations| {
         move |n| IterConfig {
             n,
@@ -288,15 +291,7 @@ fn instances(target: usize, nnz_per_row: f64) -> [(&'static str, Dag); 5] {
 }
 
 fn main() {
-    let args = CliArgs::from_env(&[
-        "quick",
-        "huge",
-        "smoke",
-        "out",
-        "target",
-        "reps",
-        "nnz-per-row",
-    ]);
+    let args = CliArgs::from_env(&["quick", "huge", "smoke", "out", "target", "reps"]);
     let (quick, huge, smoke) = (args.flag("quick"), args.flag("huge"), args.flag("smoke"));
     let out_path = args.value("out").unwrap_or("BENCH_pipeline.json");
     let targets = match (args.value("target"), huge, quick) {
@@ -306,7 +301,6 @@ fn main() {
         (None, false, false) => vec![10_000, 100_000],
     };
     let reps = args.usize_or("reps", 1);
-    let nnz_per_row = args.u64_or("nnz-per-row", 16) as f64;
     eprintln!("exp_multilevel: targets {targets:?} nodes, reps {reps}");
     let machines = [
         ("uniform_p4_g3_l5", Machine::uniform(4, 3, 5)),
@@ -327,7 +321,7 @@ fn main() {
     let (mut runs, mut total_seconds) = (0, 0.0f64);
     let mut failures = Vec::new();
     for &target in &targets {
-        for (inst_name, dag) in &instances(target, nnz_per_row) {
+        for (inst_name, dag) in &instances(target) {
             for (machine_name, machine) in &machines {
                 runs += 1;
                 let row = format!("{inst_name}/{machine_name}");

@@ -1,77 +1,61 @@
-//! `exp_serve` — throughput and latency of the `bsp_serve` deployment under
-//! a mixed open-loop workload, comparing the **serial single-process
-//! baseline** against the **pipelined, fingerprint-sharded front end**.
+//! `exp_serve` — throughput and latency of the `bsp_serve` deployments under
+//! one mixed request stream, and whether sharding pays.
 //!
-//! The harness drives the same deterministic mixed instance stream (`spmv`,
-//! `cg` and `knn` DAGs on uniform and NUMA machines; a configurable
-//! fraction repeats earlier requests verbatim — exact cache hits / `FP`
-//! replays — and another re-sends re-weighted variants — warm starts)
-//! through two deployments:
+//! The harness builds one deterministic stream (`spmv`, `cg` and `knn` DAGs
+//! on a uniform and a NUMA machine; 40 % of the requests repeat an earlier
+//! one verbatim — exact cache hits, replayed by fingerprint — and 15 %
+//! re-weight one — warm starts) and [`drive`]s it through each deployment:
 //!
-//! 1. **serial**: one server, blocking clients, one request in flight per
-//!    connection (the PR 3 shape);
-//! 2. **sharded**: `--shards` servers behind a `bsp_router`, pipelined
-//!    clients with `--depth` requests in flight per connection.
+//! | deployment  | what runs                 | depth per client          |
+//! |-------------|---------------------------|---------------------------|
+//! | `serial`    | one `Server`              | 1                         |
+//! | `one_shard` | the router over 1 shard   | 4 under `--smoke`, 8 else |
+//! | `sharded`   | the router over 2 shards  | 4 under `--smoke`, 8 else |
 //!
-//! Every response is validated client-side; per-source latency and the
-//! throughput ratio land in the JSON written to `--out`, and
-//! `summary.warm_locality` sets the sharded warm hits beside the serial
-//! ones with `placement_decisions`, the router's `bsp_placement_total`
-//! count per decision label (`affinity`, `fp_legacy`, `failover`).
+//! `one_shard` against `serial` prices the router hop and the pipelining;
+//! `sharded` against `one_shard` prices the second shard.  Every answer is
+//! validated client-side; per-source latency rows, throughput and the
+//! ratios to `serial` land in the JSON written to `--out`, beside the
+//! two-shard router's pooled `METRICS` scrape.
 //!
-//! A third **restart** phase measures the durable store: a store-backed
-//! server is populated, shut down, and restarted on the same directory;
-//! every request then replays by fingerprint (`FP <hex>`) against the
-//! recovered cache.  The JSON gains pre- vs post-restart exact-hit
-//! latencies and the `store_*` counters.
+//! The **restart** phase measures the durable store: a store-backed server
+//! is populated, replayed by fingerprint, shut down, restarted on the same
+//! directory, and replayed again against the recovered cache (the
+//! `restart_pre` and `restart_post` rows and `summary.restart_store`).
 //!
-//! A fourth **huge** phase (skipped under `--smoke`) submits one ~10⁵-node
-//! `spmv` request in `heuristics` mode (the one solver: the pipeline) under
-//! a realistic deadline, reads the request's trace back over the wire, and
-//! records the per-phase solve breakdown (`funnel`, the two sweeps with their
-//! `init_schedule`, `hc`, `hccs`) as a `huge` row plus a `huge` summary
-//! object.
+//! The **huge** phase (skipped under `--smoke`) sends one ~10⁵-node `spmv`
+//! request with a trace id, reads the trace back over the wire and records
+//! the per-phase solve breakdown as a `huge` row and summary object.
 //!
-//! Flags:
-//!   --out PATH         output JSON path (default BENCH_serve.json)
-//!   --target N         approximate DAG size in nodes (default 4000)
-//!   --requests N       total requests across all clients (default 240)
-//!   --clients N        concurrent client connections (default: cores, 2..4)
-//!   --workers N        worker threads per server (default: cores, 2..4)
-//!   --repeat-pct P     % of requests repeating an earlier one (default 40)
-//!   --warm-pct P       % of requests re-weighting an earlier one (default 15)
-//!   --deadline-ms MS   per-request deadline (default 1000)
-//!   --cache-mb MB      schedule-cache byte budget per shard (default 64)
-//!   --depth N          pipeline depth per client, sharded phase (default 8)
-//!   --shards N         shard servers behind the router (default 2)
-//!   --reps N           repetitions of the serial, sharded and restart phases
-//!                      (default 1); the rows are those of the repetition
-//!                      with the median sharded throughput, every
-//!                      repetition's headline numbers go to `summary.reps`
-//!   --huge-target N    huge-phase DAG size in nodes (default 100000)
-//!   --huge-deadline-ms huge-phase request deadline (default 15000)
-//!   --smoke            tiny workload + hard assertions (CI gate: 2-shard
-//!                      router, depth-4 pipelined clients, zero invalid
-//!                      schedules, every FP replay on its owning shard,
-//!                      live placement counters in the mid-workload scrape,
-//!                      sharded warm hits >= 0.9x the serial baseline,
-//!                      cached bytes per node within 25% of the 32-bit
-//!                      schedule's; exit 1 above it)
+//! Flags (every other setting is a constant of [`Preset`], recorded in the
+//! JSON's `config` block):
+//!   --out PATH   output JSON path (default BENCH_serve.json)
+//!   --reps N     repetitions of the three deployments and the restart phase
+//!                (default 1); the rows are those of the repetition with the
+//!                median two-shard throughput, and every repetition's
+//!                headline numbers go to `summary.reps`
+//!   --smoke      tiny workload and hard checks; exits 1 if one fails (no
+//!                errors, no invalid schedules and no FP fallbacks anywhere,
+//!                exact hits on every deployment, the serial worst latency
+//!                within 2x the deadline; on both routers the six `METRICS`
+//!                series checks, warm hits >= 0.9x serial and cached bytes
+//!                per node within 25 % of the 32-bit schedule's; traffic
+//!                spread across the two shards; the store recovered, replayed
+//!                exactly and without fallback)
 
-use bsp_bench::stats::BenchReport;
+use bsp_bench::stats::{host_cores, BenchReport};
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
     Client, Completion, Decision, LatencyHistogram, MetricsSnapshot, Mode, PipelinedClient,
-    PlacementScope, RequestOptions, Router, RouterConfig, RouterHandle, ScheduleSource, Server,
-    ServerConfig, ServerHandle, ServiceConfig, ServiceStats,
+    PlacementScope, RequestOptions, Router, RouterConfig, ScheduleSource, Server, ServerConfig,
+    ServerHandle, ServiceConfig, ServiceStats, StoreStats,
 };
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,6 +63,82 @@ use std::time::{Duration, Instant};
 /// default seed with 32-bit `π`, `τ` and `Γ` (12.2–12.7 on seeds 1–3), plus
 /// 25 %.  `usize` maps and transfers read ~24.8.
 const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 15.7;
+
+/// The schedule sources, in the order of [`Outcome::by_source`].
+const SOURCES: [ScheduleSource; 3] = [
+    ScheduleSource::Cold,
+    ScheduleSource::CacheExact,
+    ScheduleSource::CacheWarm,
+];
+
+/// The workload and the deployments' sizes: a smoke preset and a full one.
+struct Preset {
+    /// Approximate DAG size in nodes.
+    target: usize,
+    requests: usize,
+    /// Concurrent client connections.  On small hosts a couple of concurrent
+    /// cold solves already saturate the CPU, so more clients would measure
+    /// queueing rather than service time.
+    clients: usize,
+    /// Worker threads per server.
+    workers: usize,
+    /// Share (%) of requests repeating an earlier one.
+    repeat_pct: u64,
+    /// Share (%) of requests re-weighting an earlier one.
+    warm_pct: u64,
+    deadline: Duration,
+    /// Schedule-cache byte budget per server.
+    cache_mb: usize,
+    /// Requests in flight per client on the routers.
+    depth: usize,
+    /// Shards behind the `sharded` deployment's router.
+    shards: usize,
+    seed: u64,
+    /// The huge phase's DAG size and deadline (`None`: skipped).
+    huge: Option<(usize, Duration)>,
+}
+
+impl Preset {
+    fn new(smoke: bool) -> Self {
+        let cores = host_cores();
+        Preset {
+            target: if smoke { 120 } else { 4000 },
+            requests: if smoke { 60 } else { 240 },
+            clients: if smoke { 2 } else { cores.clamp(2, 4) },
+            workers: cores.clamp(2, 4),
+            repeat_pct: 40,
+            warm_pct: 15,
+            deadline: Duration::from_millis(if smoke { 200 } else { 1000 }),
+            cache_mb: 64,
+            depth: if smoke { 4 } else { 8 },
+            shards: 2,
+            seed: 2024,
+            huge: (!smoke).then_some((100_000, Duration::from_secs(15))),
+        }
+    }
+
+    fn server_config(&self) -> ServerConfig {
+        ServerConfig {
+            workers: self.workers,
+            queue_capacity: 16 * self.clients,
+            max_connections: 4 * self.clients + 8,
+            admission_batch: 8,
+            idle_timeout: Duration::from_secs(30),
+            service: ServiceConfig {
+                cache_bytes: self.cache_mb << 20,
+                // Cold runs get 80% of the deadline for local search (the
+                // rest is headroom for the non-cancellable fringes:
+                // initializers, merges, cost/validate, response encoding);
+                // warm runs a quarter (they start near a local minimum).
+                local_search_budget: self.deadline.mul_f64(0.8),
+                warm_budget: self.deadline / 4,
+                default_deadline: Some(self.deadline),
+                ..ServiceConfig::default()
+            },
+            ..ServerConfig::default()
+        }
+    }
+}
 
 /// One schedulable instance of the workload.
 struct WorkItem {
@@ -155,33 +215,24 @@ fn reweight(dag: &Dag, rng: &mut ChaCha8Rng) -> Dag {
 /// A warm variant only re-weights an entry its *own* client finished at
 /// least `depth` share positions earlier.  The pipelining window guarantees
 /// that entry's request completed — and was cached — before the variant is
-/// submitted, so the phases' warm-hit counts measure the placement policy,
-/// not submission timing.
-fn build_stream(
-    pool: &mut Vec<WorkItem>,
-    requests: usize,
-    repeat_pct: u64,
-    warm_pct: u64,
-    clients: usize,
-    depth: usize,
-    seed: u64,
-) -> Vec<usize> {
+/// submitted, so the deployments' warm-hit counts measure the placement
+/// policy, not submission timing.
+fn build_stream(pool: &mut Vec<WorkItem>, p: &Preset) -> Vec<usize> {
     let base_len = pool.len();
-    let clients = clients.max(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut stream = Vec::with_capacity(requests);
+    let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
+    let mut stream = Vec::with_capacity(p.requests);
     let mut used: Vec<usize> = Vec::new();
-    // Per-client history of pool indices, in share order (the phases split
-    // the stream round-robin: position p runs on client p % clients).
-    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); clients];
-    for position in 0..requests {
-        let client = position % clients;
-        let settled = per_client[client].len().saturating_sub(depth);
+    // Per-client history of pool indices, in share order ([`drive`] splits
+    // the stream round-robin: position i runs on client i % clients).
+    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); p.clients];
+    for position in 0..p.requests {
+        let client = position % p.clients;
+        let settled = per_client[client].len().saturating_sub(p.depth);
         let roll = rng.gen_range(0u64..100);
-        let idx = if roll < repeat_pct && !used.is_empty() {
+        let idx = if roll < p.repeat_pct && !used.is_empty() {
             // Exact repeat of something already requested.
             used[rng.gen_range(0..used.len())]
-        } else if roll < repeat_pct + warm_pct && settled > 0 {
+        } else if roll < p.repeat_pct + p.warm_pct && settled > 0 {
             // Re-weighted variant of a settled entry: same structure,
             // different weights, base guaranteed cached by submission time.
             let base = per_client[client][rng.gen_range(0..settled)];
@@ -205,383 +256,253 @@ fn build_stream(
     stream
 }
 
+/// What driving one request stream through a deployment measured.
 #[derive(Default)]
-struct ClientOutcome {
-    histograms: [LatencyHistogram; 3], // cold, exact, warm
+struct Outcome {
+    /// Latency from submit to completion, per source (see [`SOURCES`]).
+    by_source: [LatencyHistogram; 3],
+    /// Answers that failed client-side validation.
     invalid: u64,
+    /// Requests answered with an error, or lost with their connection.
     errors: u64,
+    /// Fingerprint replays answered `unknown-fp` and resent in full.
     fp_fallbacks: u64,
-    worst_deadline_ratio: f64,
-}
-
-/// Pooled outcome of one whole phase.
-struct PhaseOutcome {
-    merged: [LatencyHistogram; 3],
-    invalid: u64,
-    errors: u64,
-    fp_fallbacks: u64,
+    /// The largest latency over the deadline.
     worst_deadline_ratio: f64,
     wall: Duration,
     throughput_rps: f64,
 }
 
-fn source_slot(source: ScheduleSource) -> usize {
-    match source {
-        ScheduleSource::Cold => 0,
-        ScheduleSource::CacheExact => 1,
-        ScheduleSource::CacheWarm => 2,
+impl Outcome {
+    fn of(&self, source: ScheduleSource) -> &LatencyHistogram {
+        let slot = SOURCES.iter().position(|&s| s == source);
+        &self.by_source[slot.expect("every source has a slot")]
     }
-}
 
-fn pool_outcomes(outcomes: Vec<ClientOutcome>, requests: usize, wall: Duration) -> PhaseOutcome {
-    let merged: [LatencyHistogram; 3] = Default::default();
-    let mut phase = PhaseOutcome {
-        merged,
-        invalid: 0,
-        errors: 0,
-        fp_fallbacks: 0,
-        worst_deadline_ratio: 0.0,
-        wall,
-        throughput_rps: requests as f64 / wall.as_secs_f64(),
-    };
-    for outcome in &outcomes {
-        phase.invalid += outcome.invalid;
-        phase.errors += outcome.errors;
-        phase.fp_fallbacks += outcome.fp_fallbacks;
-        phase.worst_deadline_ratio = phase.worst_deadline_ratio.max(outcome.worst_deadline_ratio);
-        for (pooled, client) in phase.merged.iter().zip(&outcome.histograms) {
+    fn p50(&self, source: ScheduleSource) -> u64 {
+        self.of(source).quantile_micros(0.5)
+    }
+
+    fn merge(&mut self, other: &Outcome) {
+        for (pooled, client) in self.by_source.iter().zip(&other.by_source) {
             pooled.merge_from(client);
         }
+        self.invalid += other.invalid;
+        self.errors += other.errors;
+        self.fp_fallbacks += other.fp_fallbacks;
+        self.worst_deadline_ratio = self.worst_deadline_ratio.max(other.worst_deadline_ratio);
     }
-    phase
 }
 
-/// Phase 1: blocking clients against a single server, one request in flight
-/// per connection.
-fn run_serial_phase(
+/// Sends `stream` (indices into `pool`) to `addr` from `clients`
+/// connections, request `i` on connection `i % clients`, each keeping up to
+/// `depth` requests in flight, and validates every answer against its
+/// request.  With `assume_cached` each request replays by fingerprint from
+/// its first send.
+fn drive(
     addr: SocketAddr,
-    pool: &Arc<Vec<WorkItem>>,
-    stream: &[usize],
-    clients: usize,
-    deadline: Duration,
-    progress_label: &str,
-) -> PhaseOutcome {
-    let requests = stream.len();
-    let progress = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let share: Vec<usize> = stream.iter().copied().skip(c).step_by(clients).collect();
-            let pool = Arc::clone(pool);
-            let progress = Arc::clone(&progress);
-            handles.push(scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect to the server");
-                let options = RequestOptions::new()
-                    .with_mode(Mode::HeuristicsOnly)
-                    .with_deadline(deadline);
-                let mut outcome = ClientOutcome::default();
-                for idx in share {
-                    let item = &pool[idx];
-                    let start = Instant::now();
-                    match client.schedule(&item.dag, &item.machine, &options) {
-                        Ok(response) => {
-                            let latency = start.elapsed();
-                            outcome.histograms[source_slot(response.source)].record(latency);
-                            let ratio = latency.as_secs_f64() / deadline.as_secs_f64();
-                            outcome.worst_deadline_ratio = outcome.worst_deadline_ratio.max(ratio);
-                            if response
-                                .schedule
-                                .validate(&item.dag, &item.machine)
-                                .is_err()
-                            {
-                                outcome.invalid += 1;
-                            }
-                        }
-                        Err(err) => {
-                            eprintln!("request failed: {err}");
-                            outcome.errors += 1;
-                        }
-                    }
-                    let done = progress.fetch_add(1, Ordering::Relaxed) + 1;
-                    if done.is_multiple_of(50) {
-                        eprintln!("  [serial] {done}/{requests} requests");
-                    }
-                }
-                outcome
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = start.elapsed();
-    eprintln!("{progress_label} done in {wall:.2?}");
-    pool_outcomes(outcomes, requests, wall)
-}
-
-/// Phase 2: pipelined clients (up to `depth` requests in flight each)
-/// against the router.
-fn run_pipelined_phase(
-    addr: SocketAddr,
-    pool: &Arc<Vec<WorkItem>>,
+    pool: &[WorkItem],
     stream: &[usize],
     clients: usize,
     depth: usize,
     deadline: Duration,
-    progress_label: &str,
-) -> PhaseOutcome {
-    let requests = stream.len();
-    let progress = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..clients {
-            let share: Vec<usize> = stream.iter().copied().skip(c).step_by(clients).collect();
-            let pool = Arc::clone(pool);
-            let progress = Arc::clone(&progress);
-            handles.push(scope.spawn(move || {
-                let mut client = PipelinedClient::connect(addr).expect("connect to the router");
-                let options = RequestOptions::new()
-                    .with_mode(Mode::HeuristicsOnly)
-                    .with_deadline(deadline);
-                let mut outcome = ClientOutcome::default();
-                let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
-                let mut next = 0usize;
-                loop {
-                    // Keep the window full.
-                    while next < share.len() && in_flight.len() < depth.max(1) {
-                        let idx = share[next];
-                        next += 1;
-                        let item = &pool[idx];
-                        match client.submit(&item.dag, &item.machine, &options) {
-                            Ok(id) => {
-                                in_flight.insert(id, (idx, Instant::now()));
-                            }
-                            Err(err) => {
-                                eprintln!("submit failed: {err}");
-                                outcome.errors += 1;
-                            }
-                        }
-                    }
-                    if in_flight.is_empty() {
-                        break;
-                    }
-                    match client.recv() {
-                        Ok(Completion::Ok(response)) => {
-                            let (idx, submitted) = in_flight
-                                .remove(&response.id)
-                                .expect("completion for an unknown id");
-                            let latency = submitted.elapsed();
-                            outcome.histograms[source_slot(response.source)].record(latency);
-                            let ratio = latency.as_secs_f64() / deadline.as_secs_f64();
-                            outcome.worst_deadline_ratio = outcome.worst_deadline_ratio.max(ratio);
-                            let item = &pool[idx];
-                            if response
-                                .schedule
-                                .validate(&item.dag, &item.machine)
-                                .is_err()
-                            {
-                                outcome.invalid += 1;
-                            }
-                        }
-                        Ok(Completion::Failed { id, error }) => {
-                            in_flight.remove(&id);
-                            eprintln!("request {id} failed: {error}");
-                            outcome.errors += 1;
-                        }
-                        Err(err) => {
-                            eprintln!("connection failed: {err}");
-                            outcome.errors += in_flight.len() as u64;
-                            break;
-                        }
-                    }
-                    let done = progress.fetch_add(1, Ordering::Relaxed) + 1;
-                    if done.is_multiple_of(50) {
-                        eprintln!("  [sharded] {done}/{requests} requests");
-                    }
-                }
-                outcome.fp_fallbacks = client.fp_fallbacks();
-                outcome
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = start.elapsed();
-    eprintln!("{progress_label} done in {wall:.2?}");
-    pool_outcomes(outcomes, requests, wall)
-}
-
-fn server_config(
-    workers: usize,
-    clients: usize,
-    deadline: Duration,
-    cache_mb: usize,
-) -> ServerConfig {
-    ServerConfig {
-        workers,
-        queue_capacity: 16 * clients.max(1),
-        max_connections: 4 * clients.max(1) + 8,
-        admission_batch: 8,
-        idle_timeout: Duration::from_secs(30),
-        service: ServiceConfig {
-            cache_bytes: cache_mb << 20,
-            // Cold runs get 80% of the deadline for local search (the rest
-            // is headroom for the non-cancellable fringes: initializers,
-            // merges, cost/validate, response encoding); warm runs a
-            // quarter (they start near a local minimum).
-            local_search_budget: deadline.mul_f64(0.8),
-            warm_budget: deadline / 4,
-            default_deadline: Some(deadline),
-            placement: None, // per-shard scopes are set in spawn_deployment
-            ..ServiceConfig::default()
-        },
-        ..ServerConfig::default()
-    }
-}
-
-/// Outcome of the restart phase: exact-hit latencies before and after the
-/// restart, plus the store counters that certify what happened.
-struct RestartOutcome {
-    pre_exact: LatencyHistogram,
-    post_exact: LatencyHistogram,
-    /// Post-restart replays that did *not* come back as exact hits (each one
-    /// is an entry the store failed to bring back warm).
-    post_non_exact: u64,
-    fp_fallbacks: u64,
-    invalid: u64,
-    appended: u64,
-    loaded: u64,
-    recovered_bytes: u64,
-    dropped_corrupt: u64,
-}
-
-/// Phase 3: populate a store-backed server, shut it down gracefully, restart
-/// it on the same directory, and replay every request by fingerprint against
-/// the pre-warmed cache.  (Torn-write and `kill -9` recovery are covered by
-/// the crash tests; the bench measures the happy restart's cost.)
-fn run_restart_phase(
-    config: &ServerConfig,
-    pool: &[WorkItem],
-    deadline: Duration,
-) -> RestartOutcome {
-    let dir = std::env::temp_dir().join(format!("bsp-exp-serve-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut stored = config.clone();
-    stored.store_dir = Some(dir.clone());
+    assume_cached: bool,
+) -> Outcome {
     let options = RequestOptions::new()
         .with_mode(Mode::HeuristicsOnly)
         .with_deadline(deadline);
-    let mut outcome = RestartOutcome {
-        pre_exact: LatencyHistogram::new(),
-        post_exact: LatencyHistogram::new(),
-        post_non_exact: 0,
-        fp_fallbacks: 0,
-        invalid: 0,
-        appended: 0,
-        loaded: 0,
-        recovered_bytes: 0,
-        dropped_corrupt: 0,
-    };
-
-    // Populate, then measure the pre-restart exact-hit baseline (the second
-    // pass replays by fingerprint: the client already knows every key).
-    let server = Server::bind("127.0.0.1:0", stored.clone())
-        .expect("bind the store-backed server")
-        .spawn()
-        .expect("spawn server threads");
-    {
-        let mut client = Client::connect(server.addr()).expect("connect");
-        for item in pool {
-            let response = client
-                .schedule(&item.dag, &item.machine, &options)
-                .expect("populate request");
-            if response
-                .schedule
-                .validate(&item.dag, &item.machine)
-                .is_err()
-            {
-                outcome.invalid += 1;
+    let client_loop = |first: usize| {
+        let mut client = PipelinedClient::connect(addr).expect("connect to the deployment");
+        let mut share = stream.iter().skip(first).step_by(clients);
+        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
+        let mut outcome = Outcome::default();
+        loop {
+            while in_flight.len() < depth {
+                let Some(&idx) = share.next() else { break };
+                let item = &pool[idx];
+                if assume_cached {
+                    client.assume_cached(&item.dag, &item.machine);
+                }
+                let submitted = Instant::now();
+                match client.submit(&item.dag, &item.machine, &options) {
+                    Ok(id) => {
+                        in_flight.insert(id, (idx, submitted));
+                    }
+                    Err(err) => {
+                        eprintln!("submit failed: {err}");
+                        outcome.errors += 1;
+                    }
+                }
             }
-        }
-        for item in pool {
-            let start = Instant::now();
-            let response = client
-                .schedule(&item.dag, &item.machine, &options)
-                .expect("pre-restart replay");
-            if response.source == ScheduleSource::CacheExact {
-                outcome.pre_exact.record(start.elapsed());
+            if in_flight.is_empty() {
+                break;
             }
-        }
-    }
-    outcome.appended = server.stats().store.appended;
-    server.shutdown(); // graceful: every accepted write is flushed
-
-    // Restart on the same directory: recovery replays the segments into the
-    // cache, and a *fresh* client replays by fingerprint only because it is
-    // told the entries survived (`assume_cached`).
-    let server = Server::bind("127.0.0.1:0", stored)
-        .expect("rebind on the same store directory")
-        .spawn()
-        .expect("respawn server threads");
-    let stats = server.stats();
-    outcome.loaded = stats.store.loaded;
-    outcome.recovered_bytes = stats.store.recovered_bytes;
-    outcome.dropped_corrupt = stats.store.dropped_corrupt;
-    {
-        let mut client = Client::connect(server.addr()).expect("reconnect");
-        for item in pool {
-            client.assume_cached(&item.dag, &item.machine);
-            let start = Instant::now();
-            let response = client
-                .schedule(&item.dag, &item.machine, &options)
-                .expect("post-restart replay");
-            if response.source == ScheduleSource::CacheExact {
-                outcome.post_exact.record(start.elapsed());
-            } else {
-                outcome.post_non_exact += 1;
-            }
-            if response
-                .schedule
-                .validate(&item.dag, &item.machine)
-                .is_err()
-            {
-                outcome.invalid += 1;
+            match client.recv() {
+                Ok(Completion::Ok(response)) => {
+                    let (idx, submitted) = in_flight
+                        .remove(&response.id)
+                        .expect("completion for an unknown id");
+                    let latency = submitted.elapsed();
+                    let ratio = latency.as_secs_f64() / deadline.as_secs_f64();
+                    outcome.worst_deadline_ratio = outcome.worst_deadline_ratio.max(ratio);
+                    outcome.of(response.source).record(latency);
+                    let item = &pool[idx];
+                    let valid = response.schedule.validate(&item.dag, &item.machine);
+                    outcome.invalid += u64::from(valid.is_err());
+                }
+                Ok(Completion::Failed { id, error }) => {
+                    in_flight.remove(&id);
+                    eprintln!("request {id} failed: {error}");
+                    outcome.errors += 1;
+                }
+                Err(err) => {
+                    eprintln!("connection failed: {err}");
+                    outcome.errors += in_flight.len() as u64;
+                    break;
+                }
             }
         }
         outcome.fp_fallbacks = client.fp_fallbacks();
-    }
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    outcome
+        outcome
+    };
+    let client_loop = &client_loop;
+    let start = Instant::now();
+    let mut pooled = Outcome::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|first| scope.spawn(move || client_loop(first)))
+            .collect();
+        for handle in handles {
+            pooled.merge(&handle.join().expect("a client thread panicked"));
+        }
+    });
+    pooled.wall = start.elapsed();
+    pooled.throughput_rps = stream.len() as f64 / pooled.wall.as_secs_f64();
+    pooled
 }
 
-fn spawn_deployment(shards: usize, config: &ServerConfig) -> (Vec<ServerHandle>, RouterHandle) {
-    let shard_handles: Vec<ServerHandle> = (0..shards)
+/// Binds and spawns one server.
+fn spawn_server(config: ServerConfig) -> ServerHandle {
+    Server::bind("127.0.0.1:0", config)
+        .expect("bind an ephemeral loopback port")
+        .spawn()
+        .expect("spawn server threads")
+}
+
+/// One deployment's run: what its clients saw, and what it said about itself.
+struct Run {
+    outcome: Outcome,
+    /// The deployment's `METRICS`, scraped after the stream (on a router,
+    /// pooled across its shards).
+    metrics: MetricsSnapshot,
+    /// Requests each shard answered.
+    shard_requests: Vec<u64>,
+}
+
+impl Run {
+    fn stats(&self) -> ServiceStats {
+        ServiceStats::from_snapshot(&self.metrics)
+    }
+}
+
+/// Drives the stream through one server (`shards: None`, one request in
+/// flight per client) or through the router over `shards` shards, each of
+/// which knows its slice of the placement (`p.depth` in flight per client).
+fn run_deployment(shards: Option<usize>, p: &Preset, pool: &[WorkItem], stream: &[usize]) -> Run {
+    let servers: Vec<ServerHandle> = (0..shards.unwrap_or(1))
         .map(|shard| {
-            let mut config = config.clone();
-            // Each shard knows its slice of the placement policy, so adoption
-            // of failed-over entries is counted and an epoch change compacts
-            // foreign durable state.
-            config.service.placement = Some(PlacementScope { shards, shard });
-            Server::bind("127.0.0.1:0", config)
-                .expect("bind a shard")
-                .spawn()
-                .expect("spawn shard threads")
+            let mut config = p.server_config();
+            config.service.placement = shards.map(|shards| PlacementScope { shards, shard });
+            spawn_server(config)
         })
         .collect();
-    let addrs: Vec<SocketAddr> = shard_handles.iter().map(|s| s.addr()).collect();
-    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
-        .expect("bind the router")
-        .spawn()
-        .expect("spawn router threads");
-    (shard_handles, router)
+    let router = shards.map(|_| {
+        let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
+        Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
+            .expect("bind the router")
+            .spawn()
+            .expect("spawn router threads")
+    });
+    let (addr, depth) = match &router {
+        Some(router) => (router.addr(), p.depth),
+        None => (servers[0].addr(), 1),
+    };
+    let outcome = drive(addr, pool, stream, p.clients, depth, p.deadline, false);
+    let mut scraper = Client::connect(addr).expect("connect a metrics scraper");
+    let exposition = scraper.metrics().expect("scrape METRICS");
+    let metrics = MetricsSnapshot::parse(&exposition).expect("the exposition parses");
+    let shard_requests = servers.iter().map(|s| s.stats().requests).collect();
+    if let Some(router) = router {
+        router.shutdown();
+    }
+    for server in servers {
+        server.shutdown();
+    }
+    Run {
+        outcome,
+        metrics,
+        shard_requests,
+    }
 }
 
-/// Outcome of the huge-instance phase: one ~10⁵-node cold request in
-/// `heuristics` mode under a realistic deadline, plus the server-side trace
-/// spans that break the solve down per pipeline phase.
+/// What the restart phase measured: its three passes and the store
+/// counters that certify what happened.
+struct RestartOutcome {
+    populate: Outcome,
+    /// Fingerprint replays against the populated server.
+    pre: Outcome,
+    /// Fingerprint replays against the server restarted on the same store.
+    post: Outcome,
+    /// Records the first server appended.
+    appended: u64,
+    /// The restarted server's store counters (what recovery loaded).
+    recovered: StoreStats,
+}
+
+/// Populates a store-backed server with every instance of `pool`, replays
+/// them by fingerprint, shuts it down gracefully, restarts it on the same
+/// directory, and replays them again against the recovered cache.
+/// (Torn-write and `kill -9` recovery are covered by the crash tests; this
+/// measures the happy restart's cost.)
+fn run_restart_phase(p: &Preset, pool: &[WorkItem]) -> RestartOutcome {
+    let dir = std::env::temp_dir().join(format!("bsp-exp-serve-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = p.server_config();
+    config.store_dir = Some(dir.clone());
+    let every: Vec<usize> = (0..pool.len()).collect();
+    let pass = |server: &ServerHandle, assume_cached| {
+        drive(server.addr(), pool, &every, 1, 1, p.deadline, assume_cached)
+    };
+
+    let server = spawn_server(config.clone());
+    let populate = pass(&server, false);
+    let pre = pass(&server, true);
+    let appended = server.stats().store.appended;
+    server.shutdown(); // graceful: every accepted write is flushed
+
+    // A fresh client replays by fingerprint only because it is told the
+    // entries survived (`assume_cached`).
+    let server = spawn_server(config);
+    let recovered = server.stats().store;
+    let post = pass(&server, true);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    RestartOutcome {
+        populate,
+        pre,
+        post,
+        appended,
+        recovered,
+    }
+}
+
+/// Outcome of the huge-instance phase: one cold request in `heuristics` mode
+/// under its own deadline, plus the server-side trace spans that break the
+/// solve down per pipeline phase.
 struct HugeOutcome {
     nodes: usize,
     latency: Duration,
+    deadline: Duration,
     valid: bool,
     source: ScheduleSource,
     /// Durations (µs) of `solve` and the spans beneath it, summed per name, in
@@ -589,11 +510,10 @@ struct HugeOutcome {
     spans: Vec<(String, u64)>,
 }
 
-/// Phase 4: a single huge request against a dedicated server.  The request
-/// carries a trace id, so the span breakdown comes back over the wire
-/// (`TRACE <hex>`) — the same telemetry an operator would pull from a live
-/// deployment.
-fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> HugeOutcome {
+/// A single huge request against a dedicated server.  The request carries a
+/// trace id, so the span breakdown comes back over the wire (`TRACE <hex>`)
+/// — the same telemetry an operator would pull from a live deployment.
+fn run_huge_phase(p: &Preset, target: usize, deadline: Duration) -> HugeOutcome {
     let dag = size_to_target(target, |n| {
         spmv(&SpmvConfig {
             n,
@@ -602,15 +522,11 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
         })
     });
     let machine = Machine::numa_binary_tree(8, 1, 5, 3);
-    eprintln!("  huge instance: {} nodes, deadline {deadline:?}", dag.n());
-    let mut config = base.clone();
+    let mut config = p.server_config();
     config.service.default_deadline = Some(deadline);
     config.service.local_search_budget = deadline.mul_f64(0.8);
     config.service.warm_budget = deadline / 4;
-    let server = Server::bind("127.0.0.1:0", config)
-        .expect("bind the huge-phase server")
-        .spawn()
-        .expect("spawn the huge-phase server");
+    let server = spawn_server(config);
     let mut client = Client::connect(server.addr()).expect("connect to the huge-phase server");
     // Any non-zero id works: the trace is read back on the same connection.
     let trace_id = 0xb16u64;
@@ -645,363 +561,220 @@ fn run_huge_phase(base: &ServerConfig, target: usize, deadline: Duration) -> Hug
     HugeOutcome {
         nodes: dag.n(),
         latency,
+        deadline,
         valid,
         source: response.source,
         spans,
     }
 }
 
-fn source_name(source: ScheduleSource) -> &'static str {
-    match source {
-        ScheduleSource::Cold => "cold",
-        ScheduleSource::CacheExact => "exact",
-        ScheduleSource::CacheWarm => "warm",
-    }
-}
-
-/// What one repetition of the serial, sharded and restart phases measured.
+/// What one repetition measured.
 struct Measured {
-    serial: PhaseOutcome,
-    serial_stats: ServiceStats,
-    sharded: PhaseOutcome,
-    shard_stats: Vec<ServiceStats>,
-    /// The router's merged exposition, scraped while the deployment was live.
-    metrics: MetricsSnapshot,
+    serial: Run,
+    one_shard: Run,
+    sharded: Run,
     restart: RestartOutcome,
 }
 
+impl Measured {
+    fn deployments(&self) -> [(&'static str, &Run); 3] {
+        [
+            ("serial", &self.serial),
+            ("one_shard", &self.one_shard),
+            ("sharded", &self.sharded),
+        ]
+    }
+}
+
 fn main() {
-    let args = CliArgs::from_env(&[
-        "smoke",
-        "out",
-        "target",
-        "requests",
-        "clients",
-        "workers",
-        "repeat-pct",
-        "warm-pct",
-        "deadline-ms",
-        "cache-mb",
-        "depth",
-        "shards",
-        "reps",
-        "seed",
-        "huge-target",
-        "huge-deadline-ms",
-    ]);
+    let args = CliArgs::from_env(&["smoke", "out", "reps"]);
     let smoke = args.flag("smoke");
     let out_path = args.value("out").unwrap_or("BENCH_serve.json").to_string();
-    let target = args.usize_or("target", if smoke { 120 } else { 4000 });
-    let requests = args.usize_or("requests", if smoke { 60 } else { 240 });
-    // Defaults scale with the host: on small CI boxes a couple of concurrent
-    // cold solves already saturate the CPU and queueing (not service time)
-    // would dominate the tail.
-    let cores = bsp_bench::stats::host_cores();
-    let clients = args
-        .usize_or("clients", if smoke { 2 } else { cores.clamp(2, 4) })
-        .max(1);
-    let workers = args.usize_or("workers", cores.clamp(2, 4)).max(1);
-    let repeat_pct = args.u64_or("repeat-pct", 40).min(100);
-    let warm_pct = args
-        .u64_or("warm-pct", 15)
-        .min(100u64.saturating_sub(repeat_pct));
-    let deadline =
-        Duration::from_millis(args.u64_or("deadline-ms", if smoke { 200 } else { 1000 }));
-    let cache_mb = args.u64_or("cache-mb", 64) as usize;
-    let depth = args.usize_or("depth", if smoke { 4 } else { 8 }).max(1);
-    let shards = args.usize_or("shards", 2).max(1);
     let reps = args.usize_or("reps", 1).max(1);
-
-    eprintln!(
-        "exp_serve: target {target} nodes, {requests} requests, {clients} clients, \
-         {workers} workers, repeat {repeat_pct}%, warm {warm_pct}%, deadline {deadline:?}, \
-         depth {depth}, {shards} shards"
+    let p = Preset::new(smoke);
+    let (huge_target, huge_deadline) = p.huge.unwrap_or_default();
+    let config = format!(
+        "{{\"target_nodes\": {}, \"requests\": {}, \"clients\": {}, \"workers\": {}, \
+         \"repeat_pct\": {}, \"warm_pct\": {}, \"deadline_ms\": {}, \"cache_mb\": {}, \
+         \"depth\": {}, \"shards\": {}, \"seed\": {}, \"huge_target_nodes\": {huge_target}, \
+         \"huge_deadline_ms\": {}, \"host_cores\": {}, \"reps\": {reps}}}",
+        p.target,
+        p.requests,
+        p.clients,
+        p.workers,
+        p.repeat_pct,
+        p.warm_pct,
+        p.deadline.as_millis(),
+        p.cache_mb,
+        p.depth,
+        p.shards,
+        p.seed,
+        huge_deadline.as_millis(),
+        host_cores(),
     );
-
+    eprintln!("exp_serve: {config}");
     eprintln!("building instance pool...");
-    let mut pool = base_pool(target);
+    let mut pool = base_pool(p.target);
     let base_len = pool.len();
-    let stream = build_stream(
-        &mut pool,
-        requests,
-        repeat_pct,
-        warm_pct,
-        clients,
-        depth,
-        args.seed(),
-    );
-    let pool = Arc::new(pool);
-    let config = server_config(workers, clients, deadline, cache_mb);
+    let stream = build_stream(&mut pool, &p);
 
     let measure = |rep: usize| -> Measured {
         eprintln!("---- repetition {} of {reps} ----", rep + 1);
-        // ---- Phase 1: serial single-process baseline -------------------------
-        let server = Server::bind("127.0.0.1:0", config.clone())
-            .expect("bind an ephemeral loopback port")
-            .spawn()
-            .expect("spawn server threads");
-        eprintln!("serial baseline on {}", server.addr());
-        let serial = run_serial_phase(
-            server.addr(),
-            &pool,
-            &stream,
-            clients,
-            deadline,
-            "serial baseline",
-        );
-        let serial_stats = server.stats();
-        server.shutdown();
-
-        // ---- Phase 2: pipelined clients against the sharded router ----------
-        let (shard_handles, router) = spawn_deployment(shards, &config);
-        eprintln!(
-            "{shards}-shard router on {} (shards: {:?})",
-            router.addr(),
-            shard_handles.iter().map(|s| s.addr()).collect::<Vec<_>>()
-        );
-        let sharded = run_pipelined_phase(
-            router.addr(),
-            &pool,
-            &stream,
-            clients,
-            depth,
-            deadline,
-            "sharded pipelined",
-        );
-        let shard_stats: Vec<_> = shard_handles.iter().map(|s| s.stats()).collect();
-        // Scrape the router's merged exposition while the deployment is live:
-        // the same series a Prometheus scraper would pull, pooled across shards.
-        let metrics = Client::connect(router.addr())
-            .expect("connect a metrics scraper to the router")
-            .metrics()
-            .expect("scrape METRICS through the router");
-        let metrics = MetricsSnapshot::parse(&metrics).expect("the exposition parses");
-        router.shutdown();
-        for shard in shard_handles {
-            shard.shutdown();
+        let run = |shards| run_deployment(shards, &p, &pool, &stream);
+        let measured = Measured {
+            serial: run(None),
+            one_shard: run(Some(1)),
+            sharded: run(Some(p.shards)),
+            restart: run_restart_phase(&p, &pool[..base_len]),
+        };
+        for (name, run) in measured.deployments() {
+            let o = &run.outcome;
+            let by_source =
+                SOURCES.map(|s| format!("{} {} (p50 {}us)", s.as_str(), o.of(s).count(), o.p50(s)));
+            eprintln!(
+                "{name}: {:.1} req/s in {:.2?} | {} | fp fallbacks {} | invalid {} | errors {}",
+                o.throughput_rps,
+                o.wall,
+                by_source.join(" | "),
+                o.fp_fallbacks,
+                o.invalid,
+                o.errors,
+            );
         }
-
-        // ---- Phase 3: durable-store restart ---------------------------------
-        eprintln!("restart phase: populate a store-backed server, restart it, replay");
-        let restart = run_restart_phase(&config, &pool[..base_len], deadline);
+        let r = &measured.restart;
         eprintln!(
-            "restart: {} appended, {} loaded back ({} bytes, {} dropped), \
-             exact p50 {}us before vs {}us after, {} fp fallbacks, {} non-exact replays",
-            restart.appended,
-            restart.loaded,
-            restart.recovered_bytes,
-            restart.dropped_corrupt,
-            restart.pre_exact.quantile_micros(0.5),
-            restart.post_exact.quantile_micros(0.5),
-            restart.fp_fallbacks,
-            restart.post_non_exact,
+            "restart: {} appended, {} loaded back, exact p50 {}us before vs {}us after",
+            r.appended,
+            r.recovered.loaded,
+            r.pre.p50(ScheduleSource::CacheExact),
+            r.post.p50(ScheduleSource::CacheExact),
         );
-
-        Measured {
-            serial,
-            serial_stats,
-            sharded,
-            shard_stats,
-            metrics,
-            restart,
-        }
+        measured
     };
-    // The rows come from the repetition with the median sharded throughput;
-    // every repetition's headline numbers are kept beside them.
+    // The rows come from the repetition with the median two-shard
+    // throughput; every repetition's headline numbers are kept beside them.
     let mut runs: Vec<Measured> = (0..reps).map(measure).collect();
-    let exact_p50 = |phase: &PhaseOutcome| phase.merged[1].quantile_micros(0.5);
     let reps_json: Vec<String> = runs
         .iter()
         .map(|m| {
+            let exact = |run: &Run| run.outcome.p50(ScheduleSource::CacheExact);
             format!(
-                "{{\"serial_throughput_rps\": {:.1}, \"sharded_throughput_rps\": {:.1}, \
-                 \"serial_exact_p50_us\": {}, \"sharded_exact_p50_us\": {}, \
-                 \"restart_post_exact_p50_us\": {}}}",
-                m.serial.throughput_rps,
-                m.sharded.throughput_rps,
-                exact_p50(&m.serial),
-                exact_p50(&m.sharded),
-                m.restart.post_exact.quantile_micros(0.5),
+                "{{\"serial_throughput_rps\": {:.1}, \"one_shard_throughput_rps\": {:.1}, \
+                 \"sharded_throughput_rps\": {:.1}, \"serial_exact_p50_us\": {}, \
+                 \"sharded_exact_p50_us\": {}, \"restart_post_exact_p50_us\": {}}}",
+                m.serial.outcome.throughput_rps,
+                m.one_shard.outcome.throughput_rps,
+                m.sharded.outcome.throughput_rps,
+                exact(&m.serial),
+                exact(&m.sharded),
+                m.restart.post.p50(ScheduleSource::CacheExact),
             )
         })
         .collect();
     runs.sort_by(|a, b| {
-        a.sharded
-            .throughput_rps
-            .total_cmp(&b.sharded.throughput_rps)
+        let rps = |m: &Measured| m.sharded.outcome.throughput_rps;
+        rps(a).total_cmp(&rps(b))
     });
-    let Measured {
-        serial,
-        serial_stats,
-        sharded,
-        shard_stats,
-        metrics,
-        restart,
-    } = runs.swap_remove(runs.len() / 2);
-    let queue_wait = metrics.histogram("bsp_queue_wait_micros");
-    let (qw_p50, qw_p99) = queue_wait.map_or((0, 0), |h| {
-        (h.quantile_micros(0.5), h.quantile_micros(0.99))
-    });
+    let m = runs.swap_remove(runs.len() / 2);
+    let (serial, sharded, restart) = (&m.serial.outcome, &m.sharded.outcome, &m.restart);
+    let (serial_stats, sharded_stats) = (m.serial.stats(), m.sharded.stats());
+    let metrics = &m.sharded.metrics;
+    let queue_wait = |metrics: &MetricsSnapshot| {
+        metrics
+            .histogram("bsp_queue_wait_micros")
+            .map_or((0, 0, 0), |h| {
+                (h.count, h.quantile_micros(0.5), h.quantile_micros(0.99))
+            })
+    };
+    let (_, qw_p50, qw_p99) = queue_wait(metrics);
     let solve_phase_micros = metrics.counter_sum("bsp_solve_phase_micros_total");
-    eprintln!(
-        "router metrics: {} requests, queue wait p50 {qw_p50}us / p99 {qw_p99}us, \
-         {solve_phase_micros}us of attributed solver phase time",
-        metrics.counter_sum("bsp_requests_total"),
-    );
-    // Bytes per cached node: the shards' pooled cache gauges over the mean
-    // size n̄ of the distinct instances the stream asked for (one cache
+    // Bytes per cached node: a deployment's pooled cache gauges over the
+    // mean size n̄ of the distinct instances the stream asked for (one cache
     // entry each; the caches are far larger than the workload).
     let distinct: HashSet<usize> = stream.iter().copied().collect();
     let mean_nodes =
         distinct.iter().map(|&i| pool[i].dag.n()).sum::<usize>() as f64 / distinct.len() as f64;
-    let gauge = |key: &str| metrics.gauges.get(key).copied().unwrap_or(0) as f64;
-    let cache_bytes_per_node =
-        gauge("bsp_cache_bytes") / gauge("bsp_cache_entries").max(1.0) / mean_nodes;
+    let bytes_per_node = |metrics: &MetricsSnapshot| {
+        let gauge = |key: &str| metrics.gauges.get(key).copied().unwrap_or(0) as f64;
+        gauge("bsp_cache_bytes") / gauge("bsp_cache_entries").max(1.0) / mean_nodes
+    };
+    let cache_bytes_per_node = bytes_per_node(metrics);
     eprintln!(
-        "cache: {} entries in {} bytes, n̄ {mean_nodes:.1}: {cache_bytes_per_node:.2} bytes per \
-         cached node",
-        gauge("bsp_cache_entries"),
-        gauge("bsp_cache_bytes"),
+        "two-shard router: {} requests, queue wait p50 {qw_p50}us / p99 {qw_p99}us, \
+         {solve_phase_micros}us of attributed solver phase time, {cache_bytes_per_node:.2} \
+         bytes per cached node (n̄ {mean_nodes:.1}), shard requests {:?}",
+        metrics.counter_sum("bsp_requests_total"),
+        m.sharded.shard_requests,
     );
 
-    // ---- Phase 4: huge-instance request ---------------------------------
     // Skipped under --smoke: a 10⁵-node cold solve is minutes of CI time.
-    let huge = if smoke {
-        None
-    } else {
-        let huge_target = args.usize_or("huge-target", 100_000);
-        let huge_deadline = Duration::from_millis(args.u64_or("huge-deadline-ms", 15_000));
-        eprintln!("huge phase: one cold heuristics-mode request with a trace");
-        let outcome = run_huge_phase(&config, huge_target, huge_deadline);
-        let span_us = |name: &str| {
-            outcome
-                .spans
-                .iter()
-                .find(|(n, _)| n == name)
-                .map_or(0, |(_, d)| *d)
-        };
-        let solve_us = span_us("solve");
-        let funnel_us = span_us("funnel");
+    let huge = p.huge.map(|(target, deadline)| {
+        let outcome = run_huge_phase(&p, target, deadline);
         eprintln!(
-            "huge: {} nodes in {:.2?} ({}, valid: {}) | solve {solve_us}us, \
-             funnel {funnel_us}us ({:.1}% of solve)",
+            "huge: {} nodes in {:.2?} ({}, valid: {}), spans {:?}",
             outcome.nodes,
             outcome.latency,
-            source_name(outcome.source),
+            outcome.source.as_str(),
             outcome.valid,
-            funnel_us as f64 / solve_us.max(1) as f64 * 100.0,
+            outcome.spans,
         );
-        Some((outcome, huge_deadline))
-    };
+        outcome
+    });
 
-    let speedup = if serial.throughput_rps > 0.0 {
-        sharded.throughput_rps / serial.throughput_rps
-    } else {
-        0.0
-    };
-    let q =
-        |phase: &PhaseOutcome, slot: usize, quant: f64| phase.merged[slot].quantile_micros(quant);
-    let n_of = |phase: &PhaseOutcome, slot: usize| phase.merged[slot].count();
+    let over_serial = |run: &Outcome| run.throughput_rps / serial.throughput_rps;
     let exact_speedup = {
-        let (cold_p50, exact_p50) = (q(&serial, 0, 0.5), q(&serial, 1, 0.5));
+        let exact_p50 = serial.p50(ScheduleSource::CacheExact);
         if exact_p50 > 0 {
-            cold_p50 as f64 / exact_p50 as f64
+            serial.p50(ScheduleSource::Cold) as f64 / exact_p50 as f64
         } else {
             0.0
         }
     };
 
-    eprintln!(
-        "serial:  {:.1} req/s | cold {} (p50 {}us) | exact {} (p50 {}us) | warm {} (p50 {}us)",
-        serial.throughput_rps,
-        n_of(&serial, 0),
-        q(&serial, 0, 0.5),
-        n_of(&serial, 1),
-        q(&serial, 1, 0.5),
-        n_of(&serial, 2),
-        q(&serial, 2, 0.5),
-    );
-    eprintln!(
-        "sharded: {:.1} req/s ({speedup:.2}x) | cold {} (p50 {}us) | exact {} (p50 {}us) | \
-         fp fallbacks {} | invalid {} | errors {}",
-        sharded.throughput_rps,
-        n_of(&sharded, 0),
-        q(&sharded, 0, 0.5),
-        n_of(&sharded, 1),
-        q(&sharded, 1, 0.5),
-        sharded.fp_fallbacks,
-        sharded.invalid,
-        sharded.errors,
-    );
-    for (i, stats) in shard_stats.iter().enumerate() {
-        eprintln!(
-            "  shard {i}: {} requests, {} hits / {} warm / {} warm-fallbacks / {} misses, \
-             {} entries",
-            stats.requests,
-            stats.cache.hits,
-            stats.cache.warm_hits,
-            stats.cache.warm_fallbacks,
-            stats.cache.misses,
-            stats.cache.entries,
-        );
-    }
-
     let mut report = BenchReport::new("serve_throughput");
-    // `host_cores` contextualizes `sharded_over_serial`: the sharded
+    // `host_cores` contextualizes the ratios to serial: the sharded
     // deployment adds parallel capacity (one shard per core/box is the
     // deployment model), so on a single-core host the same CPU-bound solve
     // work is merely time-sliced and the ratio cannot exceed ~1.
-    report.set_config_json(format!(
-        "{{\"target_nodes\": {target}, \"requests\": {requests}, \"clients\": {clients}, \
-         \"workers\": {workers}, \"repeat_pct\": {repeat_pct}, \"warm_pct\": {warm_pct}, \
-         \"deadline_ms\": {}, \"cache_mb\": {cache_mb}, \"depth\": {depth}, \
-         \"shards\": {shards}, \"host_cores\": {cores}, \"reps\": {reps}}}",
-        deadline.as_millis()
-    ));
-    for (phase_name, phase) in [("serial", &serial), ("sharded", &sharded)] {
-        for (name, slot) in [("cold", 0), ("exact", 1), ("warm", 2)] {
-            report.push_result_json(format!(
-                "    {{\"phase\": \"{phase_name}\", \"source\": \"{name}\", \"count\": {}, \
-                 \"p50_us\": {}, \"p99_us\": {}}}",
-                n_of(phase, slot),
-                q(phase, slot, 0.5),
-                q(phase, slot, 0.99),
-            ));
-        }
-    }
-    for (phase_name, hist) in [
-        ("restart_pre", &restart.pre_exact),
-        ("restart_post", &restart.post_exact),
-    ] {
-        report.push_result_json(format!(
-            "    {{\"phase\": \"{phase_name}\", \"source\": \"exact\", \"count\": {}, \
+    report.set_config_json(config);
+    let row = |phase: &str, source: &str, hist: &LatencyHistogram| {
+        format!(
+            "    {{\"phase\": \"{phase}\", \"source\": \"{source}\", \"count\": {}, \
              \"p50_us\": {}, \"p99_us\": {}}}",
             hist.count(),
             hist.quantile_micros(0.5),
             hist.quantile_micros(0.99),
-        ));
+        )
+    };
+    for (name, run) in m.deployments() {
+        for source in SOURCES {
+            report.push_result_json(row(name, source.as_str(), run.outcome.of(source)));
+        }
     }
-    if let Some((outcome, _)) = &huge {
-        let lat_us = outcome.latency.as_micros();
+    for (name, pass) in [
+        ("restart_pre", &restart.pre),
+        ("restart_post", &restart.post),
+    ] {
+        report.push_result_json(row(name, "exact", pass.of(ScheduleSource::CacheExact)));
+    }
+    if let Some(huge) = &huge {
+        let us = huge.latency.as_micros();
         report.push_result_json(format!(
             "    {{\"phase\": \"huge\", \"source\": \"{}\", \"count\": 1, \
-             \"p50_us\": {lat_us}, \"p99_us\": {lat_us}}}",
-            source_name(outcome.source),
+             \"p50_us\": {us}, \"p99_us\": {us}}}",
+            huge.source.as_str(),
         ));
     }
-    let shard_requests: Vec<String> = shard_stats.iter().map(|s| s.requests.to_string()).collect();
-    let agg_hits: u64 = shard_stats.iter().map(|s| s.cache.hits).sum();
-    let agg_warm: u64 = shard_stats.iter().map(|s| s.cache.warm_hits).sum();
-    let agg_warm_fallbacks: u64 = shard_stats.iter().map(|s| s.cache.warm_fallbacks).sum();
-    let agg_misses: u64 = shard_stats.iter().map(|s| s.cache.misses).sum();
     // The placement policy's success metric: structure-range routing should
     // make sharded warm hits track the serial baseline (full-key ranges
     // scattered warm families across shards and lost most of them).
     let serial_warm = serial_stats.cache.warm_hits;
-    let warm_ratio = if serial_warm > 0 {
-        agg_warm as f64 / serial_warm as f64
-    } else {
-        1.0
+    let warm_ratio = |stats: &ServiceStats| {
+        if serial_warm > 0 {
+            stats.cache.warm_hits as f64 / serial_warm as f64
+        } else {
+            1.0
+        }
     };
     // One field per `bsp_placement_total` decision label.
     let placement_decisions: Vec<String> = Decision::ALL
@@ -1014,177 +787,200 @@ fn main() {
             format!("\"{name}\": {count}")
         })
         .collect();
-    let warm_locality = format!(
-        "{{\"serial_warm_hits\": {serial_warm}, \"sharded_warm_hits\": {agg_warm}, \
-         \"warm_ratio\": {warm_ratio:.3}, \"placement_decisions\": {{{}}}}}",
-        placement_decisions.join(", "),
-    );
-    eprintln!(
-        "warm locality: {agg_warm} sharded vs {serial_warm} serial warm hits ({warm_ratio:.2}x)"
-    );
     // The huge phase's summary entry: latency against its own deadline plus
     // the per-phase solve breakdown recovered from the wire trace.
-    let huge_json = match &huge {
-        None => "null".to_string(),
-        Some((outcome, huge_deadline)) => {
-            let spans: Vec<String> = outcome
-                .spans
-                .iter()
-                .map(|(name, dur)| format!("\"{name}\": {dur}"))
-                .collect();
-            format!(
-                "{{\"nodes\": {}, \"latency_ms\": {:.1}, \"deadline_ms\": {}, \
-                 \"valid\": {}, \"source\": \"{}\", \"span_us\": {{{}}}}}",
-                outcome.nodes,
-                outcome.latency.as_secs_f64() * 1e3,
-                huge_deadline.as_millis(),
-                outcome.valid,
-                source_name(outcome.source),
-                spans.join(", "),
-            )
-        }
+    let huge_json = huge.as_ref().map_or("null".to_string(), |huge| {
+        let spans: Vec<String> = huge
+            .spans
+            .iter()
+            .map(|(name, dur)| format!("\"{name}\": {dur}"))
+            .collect();
+        format!(
+            "{{\"nodes\": {}, \"latency_ms\": {:.1}, \"deadline_ms\": {}, \
+             \"valid\": {}, \"source\": \"{}\", \"span_us\": {{{}}}}}",
+            huge.nodes,
+            huge.latency.as_secs_f64() * 1e3,
+            huge.deadline.as_millis(),
+            huge.valid,
+            huge.source.as_str(),
+            spans.join(", "),
+        )
+    });
+    let cache_json = |stats: &ServiceStats| {
+        format!(
+            "{{\"hits\": {}, \"warm_hits\": {}, \"warm_fallbacks\": {}, \"misses\": {}}}",
+            stats.cache.hits, stats.cache.warm_hits, stats.cache.warm_fallbacks, stats.cache.misses,
+        )
+    };
+    let sum = |field: fn(&Outcome) -> u64| -> u64 {
+        m.deployments()
+            .iter()
+            .map(|(_, run)| field(&run.outcome))
+            .sum()
     };
     report.set_summary_json(format!(
-        "{{\"serial_throughput_rps\": {:.1}, \"sharded_throughput_rps\": {:.1}, \
+        "{{\"serial_throughput_rps\": {:.1}, \"one_shard_throughput_rps\": {:.1}, \
+         \"sharded_throughput_rps\": {:.1}, \
          \"serial_wall_secs\": {:.3}, \"sharded_wall_secs\": {:.3}, \
-         \"sharded_over_serial\": {speedup:.2}, \
+         \"one_shard_over_serial\": {:.2}, \"sharded_over_serial\": {:.2}, \
          \"exact_hit_p50_speedup\": {exact_speedup:.1}, \
          \"serial_worst_latency_over_deadline\": {:.3}, \
          \"invalid_schedules\": {}, \"request_errors\": {}, \"fp_fallbacks\": {}, \
-         \"shard_requests\": [{}], \
-         \"sharded_cache\": {{\"hits\": {agg_hits}, \"warm_hits\": {agg_warm}, \
-         \"warm_fallbacks\": {agg_warm_fallbacks}, \"misses\": {agg_misses}}}, \
-         \"serial_cache\": {{\"hits\": {}, \"warm_hits\": {}, \"warm_fallbacks\": {}, \
-         \"misses\": {}}}, \
+         \"shard_requests\": {:?}, \"sharded_cache\": {}, \"serial_cache\": {}, \
          \"restart_store\": {{\"appended\": {}, \"loaded\": {}, \"recovered_bytes\": {}, \
          \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}}}, \
          \"router_metrics\": {{\"requests_total\": {}, \"queue_wait_p50_us\": {qw_p50}, \
          \"queue_wait_p99_us\": {qw_p99}, \"solve_phase_micros\": {solve_phase_micros}, \
          \"cache_bytes_per_node\": {cache_bytes_per_node:.2}}}, \
          \"huge\": {huge_json}, \
-         \"warm_locality\": {warm_locality}, \
+         \"warm_locality\": {{\"serial_warm_hits\": {serial_warm}, \
+         \"sharded_warm_hits\": {}, \"warm_ratio\": {:.3}, \"placement_decisions\": {{{}}}}}, \
          \"reps\": [{}]}}",
         serial.throughput_rps,
+        m.one_shard.outcome.throughput_rps,
         sharded.throughput_rps,
         serial.wall.as_secs_f64(),
         sharded.wall.as_secs_f64(),
+        over_serial(&m.one_shard.outcome),
+        over_serial(sharded),
         serial.worst_deadline_ratio,
-        serial.invalid + sharded.invalid,
-        serial.errors + sharded.errors,
-        sharded.fp_fallbacks,
-        shard_requests.join(", "),
-        serial_stats.cache.hits,
-        serial_stats.cache.warm_hits,
-        serial_stats.cache.warm_fallbacks,
-        serial_stats.cache.misses,
+        sum(|o| o.invalid),
+        sum(|o| o.errors),
+        sum(|o| o.fp_fallbacks),
+        m.sharded.shard_requests,
+        cache_json(&sharded_stats),
+        cache_json(&serial_stats),
         restart.appended,
-        restart.loaded,
-        restart.recovered_bytes,
-        restart.dropped_corrupt,
-        restart.fp_fallbacks,
-        restart.post_non_exact,
+        restart.recovered.loaded,
+        restart.recovered.recovered_bytes,
+        restart.recovered.dropped_corrupt,
+        restart.post.fp_fallbacks,
+        restart.post.of(ScheduleSource::Cold).count()
+            + restart.post.of(ScheduleSource::CacheWarm).count(),
         metrics.counter_sum("bsp_requests_total"),
+        sharded_stats.cache.warm_hits,
+        warm_ratio(&sharded_stats),
+        placement_decisions.join(", "),
         reps_json.join(", "),
     ));
     report
         .write(&out_path)
         .expect("failed to write the benchmark JSON");
     eprintln!("wrote {out_path}");
-
-    if smoke {
-        assert_eq!(serial.errors + sharded.errors, 0, "smoke: requests failed");
-        assert_eq!(
-            serial.invalid + sharded.invalid,
-            0,
-            "smoke: invalid schedules"
-        );
-        assert!(serial_stats.cache.hits > 0, "smoke: no exact cache hits");
-        assert!(
-            serial.worst_deadline_ratio <= 2.0,
-            "smoke: serial worst latency/deadline ratio {:.3} exceeds 2.0",
-            serial.worst_deadline_ratio
-        );
-        // Routing correctness: with caches far larger than the workload no
-        // replay may miss — zero fallbacks means every `FP` frame landed on
-        // the shard that owns (and therefore cached) its key.
-        assert_eq!(
-            sharded.fp_fallbacks, 0,
-            "smoke: an FP replay missed its owning shard"
-        );
-        assert!(
-            shard_stats.iter().map(|s| s.requests).sum::<u64>() > 0
-                && shard_stats.iter().filter(|s| s.requests > 0).count() >= 2.min(shards),
-            "smoke: routing did not spread traffic across shards"
-        );
-        assert!(
-            shard_stats.iter().map(|s| s.cache.hits).sum::<u64>() > 0,
-            "smoke: no exact hits through the router"
-        );
-        // Durability gates: the restarted server serves exact hits straight
-        // from the recovered store, and every fingerprint replay lands (zero
-        // fallbacks = no recovered entry went missing).
-        assert!(restart.loaded > 0, "smoke: restart recovered no entries");
-        assert!(
-            restart.post_exact.count() > 0,
-            "smoke: no exact hits after the restart"
-        );
-        assert_eq!(
-            restart.fp_fallbacks, 0,
-            "smoke: an FP replay fell back after the restart"
-        );
-        assert_eq!(
-            restart.invalid, 0,
-            "smoke: the restart phase served an invalid schedule"
-        );
-        // Observability gates: the scraped exposition parsed (asserted at
-        // scrape time) and the core series are present and non-zero.
-        assert!(
-            metrics.counter_sum("bsp_requests_total") >= requests as u64,
-            "smoke: the pooled bsp_requests_total undercounts the workload"
-        );
-        assert!(
-            metrics
-                .counter("bsp_cache_ops_total{op=\"hit\"}")
-                .unwrap_or(0)
-                > 0,
-            "smoke: no cache hits in the scraped metrics"
-        );
-        assert!(
-            solve_phase_micros > 0,
-            "smoke: no solver phase time attributed in the scraped metrics"
-        );
-        assert!(
-            queue_wait.is_some_and(|h| h.count > 0),
-            "smoke: the queue-wait histogram recorded nothing"
-        );
-        assert_eq!(
-            metrics.counter("bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}"),
-            Some(0),
-            "smoke: a solver result was discarded, or the series is missing"
-        );
-        // Placement gates: the router's decision counters were live in the
-        // mid-workload scrape, and structure-range routing kept sharded
-        // warm hits within 10% of the serial baseline.
-        assert!(
-            metrics.counter_sum("bsp_placement_total") > 0,
-            "smoke: the scraped exposition carries no placement decisions"
-        );
-        if serial_warm > 0 {
-            assert!(
-                agg_warm * 10 >= serial_warm * 9,
-                "smoke: sharded warm hits {agg_warm} fell below 0.9x the serial \
-                 baseline {serial_warm}"
-            );
-        }
-        // Footprint gate: a cached answer is `8·n + 16·|Γ|` bytes; a wider
-        // schedule representation would show up here first.
-        if cache_bytes_per_node > SMOKE_MAX_CACHE_BYTES_PER_NODE {
-            eprintln!(
-                "smoke: {cache_bytes_per_node:.2} cached bytes per node exceed \
-                 {SMOKE_MAX_CACHE_BYTES_PER_NODE}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("smoke assertions passed");
+    if !smoke {
+        return;
     }
+
+    // Every check is (passed, what failed), per deployment.
+    let mut checks: Vec<(&str, bool, &str)> = Vec::new();
+    for (name, run) in m.deployments() {
+        let (o, stats, metrics) = (&run.outcome, run.stats(), &run.metrics);
+        checks.extend([
+            (name, o.errors == 0, "requests failed"),
+            (name, o.invalid == 0, "invalid schedules"),
+            // Routing correctness: with caches far larger than the workload
+            // no replay may miss — zero fallbacks means every `FP` frame
+            // landed on the shard that owns (and therefore cached) its key.
+            (name, o.fp_fallbacks == 0, "an FP replay missed its owner"),
+            (name, stats.cache.hits > 0, "no exact cache hits"),
+        ]);
+        if name == "serial" {
+            let in_time = o.worst_deadline_ratio <= 2.0;
+            checks.push((name, in_time, "worst latency over 2x the deadline"));
+            continue;
+        }
+        let counter = |key: &str| metrics.counter(key).unwrap_or(0);
+        let invalid_fallbacks = "bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}";
+        checks.extend([
+            // Observability: the scrape parsed (asserted at scrape time) and
+            // the core series are present and non-zero.
+            (
+                name,
+                metrics.counter_sum("bsp_requests_total") >= p.requests as u64,
+                "the pooled bsp_requests_total undercounts the workload",
+            ),
+            (
+                name,
+                counter("bsp_cache_ops_total{op=\"hit\"}") > 0,
+                "no cache hits in the scraped metrics",
+            ),
+            (
+                name,
+                metrics.counter_sum("bsp_solve_phase_micros_total") > 0,
+                "no solver phase time in the scraped metrics",
+            ),
+            (
+                name,
+                queue_wait(metrics).0 > 0,
+                "the queue-wait histogram is empty",
+            ),
+            (
+                name,
+                metrics.counter(invalid_fallbacks) == Some(0),
+                "a solver result was discarded, or the series is missing",
+            ),
+            (
+                name,
+                metrics.counter_sum("bsp_placement_total") > 0,
+                "the scrape carries no placement decisions",
+            ),
+            // Placement: structure-range routing keeps warm hits within 10%
+            // of the serial baseline.
+            (
+                name,
+                warm_ratio(&stats) >= 0.9,
+                "warm hits below 0.9x serial",
+            ),
+            // Footprint: a cached answer is `8·n + 16·|Γ|` bytes; a wider
+            // schedule representation would show up here first.
+            (
+                name,
+                bytes_per_node(metrics) <= SMOKE_MAX_CACHE_BYTES_PER_NODE,
+                "cached bytes per node above the ceiling",
+            ),
+        ]);
+    }
+    let spread = m.sharded.shard_requests.iter().filter(|&&n| n > 0).count();
+    let restart_bad: u64 = [&restart.populate, &restart.pre, &restart.post]
+        .iter()
+        .map(|o| o.invalid + o.errors)
+        .sum();
+    checks.extend([
+        (
+            "sharded",
+            spread >= 2.min(p.shards),
+            "routing did not spread traffic across shards",
+        ),
+        // Durability: the restarted server serves exact hits straight from
+        // the recovered store, and every fingerprint replay lands (zero
+        // fallbacks = no recovered entry went missing).
+        (
+            "restart",
+            restart.recovered.loaded > 0,
+            "no entries recovered",
+        ),
+        (
+            "restart",
+            restart.post.of(ScheduleSource::CacheExact).count() > 0,
+            "no exact hits after the restart",
+        ),
+        (
+            "restart",
+            restart.post.fp_fallbacks == 0,
+            "an FP replay fell back after the restart",
+        ),
+        (
+            "restart",
+            restart_bad == 0,
+            "an invalid schedule or a failed request",
+        ),
+    ]);
+    let failed: Vec<_> = checks.iter().filter(|(_, ok, _)| !ok).collect();
+    for (name, _, what) in &failed {
+        eprintln!("smoke: {name}: {what}");
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
+    }
+    eprintln!("smoke checks passed");
 }

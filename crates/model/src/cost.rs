@@ -69,23 +69,6 @@ impl CostBreakdown {
     }
 }
 
-/// Computes the per-superstep work costs `C_work(s)` of a schedule.
-pub fn work_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let rows = Rows::of(dag, machine, sched);
-    let mut costs = Vec::with_capacity(rows.steps);
-    work_rows(dag, machine, sched, rows, |work| costs.push(work));
-    costs
-}
-
-/// Computes the per-superstep communication costs `C_comm(s)` (NUMA-weighted
-/// `h`-relations, not yet multiplied by `g`).
-pub fn comm_costs(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Vec<u64> {
-    let rows = Rows::of(dag, machine, sched);
-    let mut costs = Vec::with_capacity(rows.steps);
-    comm_rows(dag, machine, sched, rows, |comm| costs.push(comm));
-    costs
-}
-
 /// Full cost breakdown of a schedule.
 pub fn cost_breakdown(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> CostBreakdown {
     let (latency, rows) = (machine.latency(), Rows::of(dag, machine, sched));
@@ -293,7 +276,11 @@ mod tests {
     #[test]
     fn work_cost_is_max_over_processors() {
         let (dag, machine, sched) = two_proc_example();
-        let w = work_costs(&dag, &machine, &sched);
+        let w: Vec<u64> = cost_breakdown(&dag, &machine, &sched)
+            .supersteps
+            .iter()
+            .map(|s| s.work)
+            .collect();
         // Superstep 0: proc 0 has 4 nodes, proc 1 has 5 nodes -> max 5.
         // Superstep 1: one node each -> 1.
         assert_eq!(w, vec![5, 1]);
@@ -302,7 +289,11 @@ mod tests {
     #[test]
     fn comm_cost_is_h_relation() {
         let (dag, machine, sched) = two_proc_example();
-        let c = comm_costs(&dag, &machine, &sched);
+        let c: Vec<u64> = cost_breakdown(&dag, &machine, &sched)
+            .supersteps
+            .iter()
+            .map(|s| s.comm)
+            .collect();
         // Superstep 0: proc 0 sends 1 (node 2), receives 2 (nodes 5, 6);
         // proc 1 sends 2, receives 1 -> h-relation = 2.  Superstep 1: none.
         assert_eq!(c, vec![2, 0]);
@@ -366,9 +357,9 @@ mod tests {
             },
         ]);
         let sched = BspSchedule { assignment, comm };
-        let c = comm_costs(&dag, &machine, &sched);
+        let c = cost_breakdown(&dag, &machine, &sched).supersteps[0].comm;
         // proc 0 sends 5 + 7 = 12; receivers get 5 and 7.
-        assert_eq!(c[0], 12);
+        assert_eq!(c, 12);
     }
 
     #[test]

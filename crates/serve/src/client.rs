@@ -346,6 +346,11 @@ impl PipelinedClient {
         Ok(sent.id)
     }
 
+    /// [`Client::assume_cached`] on the connection this client drives.
+    pub fn assume_cached(&mut self, dag: &Dag, machine: &Machine) {
+        self.conn.assume_cached(dag, machine);
+    }
+
     /// Number of requests submitted but not yet completed.
     pub fn in_flight(&self) -> usize {
         self.pending.len()

@@ -515,7 +515,10 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Rebuilds a [`LatencyHistogram`] holding these observations.
+    /// Rebuilds a [`LatencyHistogram`] holding these observations.  The
+    /// rebuild is lossless: every bucket edge maps back to its own bucket
+    /// ([`LatencyHistogram::add_bucket_with_le`]), so counts, sum and every
+    /// quantile equal those of the histogram that was rendered.
     pub fn to_histogram(&self) -> LatencyHistogram {
         let h = LatencyHistogram::new();
         for &(le, n) in &self.buckets {

@@ -88,13 +88,13 @@
 //! `OK`, the line count a `TRACE`, `METRICS` or `SLOW` header declares
 //! (capped per verb), nothing for `ERR` — and one line buffer serves the
 //! whole frame.  Each body line is handed to the reader as bytes:
-//! [`read_reply`] parses `PROC` / `STEP` / `COMM` from them into vectors
-//! sized from the line being parsed (`COMM <k>` reserves at most 2^20 steps
-//! up front), [`read_raw_reply`] copies them verbatim for the router after
-//! reading only the header, so the router accepts exactly the frames the
-//! client does, and the control readers grow only with the lines that
-//! arrive.  The encoders push decimals straight into the output buffer
-//! without `fmt`.
+//! [`read_reply`] parses `PROC` / `STEP` from them into vectors sized from
+//! the line being parsed and grows `Γ` one `COMM` line at a time,
+//! [`read_raw_reply`] copies them verbatim for the router after reading only
+//! the header, so the router accepts exactly the frames the client does, and
+//! the control readers likewise grow only with the lines that arrive: no
+//! reply reader sizes anything from a count the header declares.  The
+//! encoders push decimals straight into the output buffer without `fmt`.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
 use bsp_model::record::MAX_PROCESSORS;
@@ -1095,8 +1095,8 @@ enum Part {
     Proc,
     /// `STEP <τ(0)> ...`.
     Step,
-    /// `COMM <k>`, with its `k`.
-    Comm(usize),
+    /// `COMM <k>` (the walker then reads its k lines).
+    Comm,
     /// One of the k `<node> <from> <to> <step>` lines of an `OK` frame, or
     /// of the lines a control header declares.
     Line,
@@ -1170,7 +1170,7 @@ fn walk_reply<R: BufRead, T>(
         }
         next(&mut line)?;
         let k = comm_count(&line)?;
-        body(&mut state, Part::Comm(k), &line)?;
+        body(&mut state, Part::Comm, &line)?;
         lines = k as u64;
     }
     for _ in 0..lines {
@@ -1537,7 +1537,7 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
                     return Err(malformed_bytes(line, "PROC and STEP lengths differ"));
                 }
             }
-            Part::Comm(k) => steps.reserve(k.min(1 << 20)),
+            Part::Comm => {}
             Part::Line => steps.push(comm_step(line)?),
             Part::End => schedule.comm = CommSchedule::from_steps(std::mem::take(&mut steps)),
         }

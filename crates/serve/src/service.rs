@@ -177,9 +177,9 @@ impl ServiceMetrics {
     }
 }
 
-/// A point-in-time statistics snapshot: what [`ScheduleService::stats`]
-/// reads off the live counters and [`crate::Client::stats`] off a `METRICS`
-/// scrape.
+/// A point-in-time statistics snapshot, read out of a `METRICS`
+/// exposition: the service's own ([`ScheduleService::stats`]) or a scrape
+/// ([`crate::Client::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests answered (all sources).
@@ -381,22 +381,15 @@ impl ScheduleService {
         );
     }
 
-    /// A statistics snapshot (cache counters + latency quantiles).
+    /// A statistics snapshot (cache counters + latency quantiles): this
+    /// service's own `METRICS` exposition read as a [`ServiceStats`], the
+    /// same reader [`crate::Client::stats`] applies to a scrape.
     pub fn stats(&self) -> ServiceStats {
-        let cache = self.lock_cache().stats();
-        let m = &self.metrics;
-        ServiceStats {
-            requests: m.cold.count() + m.exact.count() + m.warm.count(),
-            cache,
-            cold_us: m.cold.p50_p99_micros(),
-            exact_us: m.exact.p50_p99_micros(),
-            warm_us: m.warm.p50_p99_micros(),
-            store: self
-                .store
-                .as_ref()
-                .map(|s| s.counters().snapshot())
-                .unwrap_or_default(),
-        }
+        let mut exposition = String::new();
+        self.render_metrics(&mut exposition);
+        let snapshot =
+            MetricsSnapshot::parse(&exposition).expect("a service's own exposition parses");
+        ServiceStats::from_snapshot(&snapshot)
     }
 
     /// The durable store, when configured (tests arm fault injection through

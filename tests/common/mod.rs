@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 pub mod golden;
+pub mod protocol_fuzz;
 pub mod reference_codec;
 
 use bsp_model::{BspSchedule, Dag, Machine};
