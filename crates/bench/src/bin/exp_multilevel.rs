@@ -29,7 +29,7 @@
 //! counts, destinations costed per accepted move and the share the `O(1)`
 //! bound pruned.  Written as JSON (default `BENCH_pipeline.json`, at ≈10k
 //! and ≈100k nodes), keeping the `frozen_…` lines of the file it overwrites.
-//! `--huge` runs ≈100k alone, `--quick` ≈1k, and `--target N` the size `N`.
+//! `--target N` runs the size `N` alone.
 //!
 //! `--smoke` turns the run into a CI gate: every schedule validates, its
 //! reported cost equals a recompute, no row costs more than the trivial
@@ -44,8 +44,7 @@
 //!
 //! ```text
 //! cargo run -p bsp_bench --release --bin exp_multilevel --
-//!     [--out PATH] [--target N] [--reps N] [--quick]
-//!     [--huge] [--smoke]
+//!     [--out PATH] [--target N] [--reps N] [--smoke]
 //! ```
 
 use bsp_bench::heap::{held_peak, CountingAllocator};
@@ -291,14 +290,12 @@ fn instances(target: usize) -> [(&'static str, Dag); 5] {
 }
 
 fn main() {
-    let args = CliArgs::from_env(&["quick", "huge", "smoke", "out", "target", "reps"]);
-    let (quick, huge, smoke) = (args.flag("quick"), args.flag("huge"), args.flag("smoke"));
+    let args = CliArgs::from_env(&["smoke", "out", "target", "reps"]);
+    let smoke = args.flag("smoke");
     let out_path = args.value("out").unwrap_or("BENCH_pipeline.json");
-    let targets = match (args.value("target"), huge, quick) {
-        (Some(_), ..) => vec![args.u64_or("target", 0) as usize],
-        (None, true, _) => vec![100_000],
-        (None, false, true) => vec![1_000],
-        (None, false, false) => vec![10_000, 100_000],
+    let targets = match args.value("target") {
+        Some(_) => vec![args.u64_or("target", 0) as usize],
+        None => vec![10_000, 100_000],
     };
     let reps = args.usize_or("reps", 1);
     eprintln!("exp_multilevel: targets {targets:?} nodes, reps {reps}");
@@ -315,7 +312,6 @@ fn main() {
     let pipeline = Pipeline::new(PipelineConfig {
         hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
         collect_phases: true,
-        ..PipelineConfig::default()
     });
     let mut report = BenchReport::new("pipeline_scale");
     let (mut runs, mut total_seconds) = (0, 0.0f64);

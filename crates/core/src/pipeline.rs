@@ -75,35 +75,23 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use std::time::{Duration, Instant};
 
 /// Configuration of the combined pipeline (Figure 3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
     /// Time/step limits of the `HC` + `HCcs` local searches (`HC` once, on
     /// the cheaper start, with nine tenths of the time; `HCcs` once on what
-    /// it returns with the rest).
+    /// it returns with the rest), and the run's cancellation token
+    /// ([`HillClimbConfig::cancel`]).  A deadline is a token that fires then
+    /// ([`CancelToken::with_deadline`]), and the pipeline is *anytime*: it
+    /// clips every search budget to the time the token leaves, skips stages
+    /// whose budget is exhausted, and always returns the best valid schedule
+    /// found so far (at minimum the cheaper start: the sweeps are not
+    /// deadline-gated).
     pub hill_climb: HillClimbConfig,
     /// Collect a per-phase wall-clock breakdown ([`PipelineReport::phases`])
     /// during the run.  `false` (the default) is zero-cost: no clock is read
     /// and nothing is allocated for phase accounting.  The serving layer
     /// enables this per traced request.
     pub collect_phases: bool,
-    /// Cooperative cancellation threaded through both searches (`HC`,
-    /// `HCcs`).  A deadline is a token that fires then
-    /// ([`CancelToken::with_deadline`]), and the pipeline is *anytime*: it
-    /// clips every search budget to the time the token leaves, skips stages
-    /// whose budget is exhausted, and always returns the best valid schedule
-    /// found so far (at minimum the cheaper start: the sweeps are not
-    /// deadline-gated).
-    pub cancel: CancelToken,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig {
-            hill_climb: HillClimbConfig::default(),
-            collect_phases: false,
-            cancel: CancelToken::inert(),
-        }
-    }
 }
 
 impl PipelineConfig {
@@ -126,9 +114,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the cancellation token and returns the configuration.
+    /// Sets the searches' cancellation token and returns the configuration.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+        self.hill_climb.cancel = cancel;
         self
     }
 
@@ -482,11 +470,10 @@ impl Pipeline {
     /// paper gives nine tenths to `HC`, one to `HCcs`), additionally clipped
     /// to the wall clock the run's token leaves; the search polls that token.
     fn search_config(&self, share: f64) -> HillClimbConfig {
-        let cancel = self.config.cancel.clone();
+        let search = &self.config.hill_climb;
         HillClimbConfig {
-            time_limit: clip_budget(self.config.hill_climb.time_limit.mul_f64(share), &cancel),
-            cancel,
-            ..self.config.hill_climb.clone()
+            time_limit: clip_budget(search.time_limit.mul_f64(share), &search.cancel),
+            ..search.clone()
         }
     }
 }

@@ -104,8 +104,12 @@ pub fn total_cost(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> u64 {
 // `supersteps × P` table or, when that table would outgrow the schedule,
 // one superstep at a time over the entries bucketed by superstep.  Both
 // report every superstep `0..num_supersteps()` in order, an empty one as 0,
-// so the layout never shows in a result.  Dense is the faster of the two;
-// bucketing holds `O(n + |Γ| + S + P)` bytes whatever `S · P` is.
+// so the layout never shows in a result.  Dense is the faster of the two,
+// 3.2–4.6× (2.0–3.1 ns/node against 8.9–10.9): pipeline answers to the five
+// ≈10⁴-node `exp_multilevel` DAGs on `uniform_p4`, `numa_p8` and `numa_p16`,
+// fastest of 6 alternating rounds of 200 `cost` calls, 2-core Xeon; all 15
+// select dense.  Bucketing holds `O(n + |Γ| + S + P)` bytes whatever `S · P`
+// is.
 
 /// The supersteps of a schedule and the layout its rows are summed in.
 #[derive(Clone, Copy)]

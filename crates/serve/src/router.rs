@@ -43,11 +43,11 @@
 //! client's fingerprint fallback turns into a full resend — degraded to one
 //! extra round trip, never an error.  This is safe *because* requests
 //! are content addressed: re-running a request on any shard yields a valid
-//! schedule for the same key.  Dead backends are **revived lazily**: the
-//! next request owned by a dead shard attempts a bounded reconnect before
-//! failing over, so a backend connection closed by the shard server's own
-//! idle timeout (or a restarted shard process) rejoins on first use instead
-//! of staying dead until the router is rebuilt.
+//! schedule for the same key.  A dead backend comes back one way, on the
+//! request that needs it: the next request owned by a dead shard attempts a
+//! bounded reconnect before failing over, so a backend connection closed by
+//! the shard server's own idle timeout (or a restarted shard process)
+//! rejoins on first use instead of staying dead until the router is rebuilt.
 //!
 //! ## Observability
 //!
@@ -58,12 +58,11 @@
 //! approximated from per-shard quantiles ([`crate::Client::stats`] reads
 //! this exposition, so it works through a router as against one server).  It
 //! additionally carries every shard's own store counters
-//! (`bsp_shard_store_*{shard="i"}`), the health probe's view of every backend
-//! (`bsp_backend_up`, `bsp_backend_probe_failures`,
-//! `bsp_backend_probe_backoff_ms`, all `{backend="i"}`), and the placement
-//! policy's decision counts (`bsp_placement_total{decision=…}`), so one
-//! scrape shows the aggregate, which shard is misbehaving, and why traffic
-//! went where it went.  Shards are scraped only to answer a `METRICS`.  A
+//! (`bsp_shard_store_*{shard="i"}`), whether every backend is connected
+//! (`bsp_backend_up{backend="i"}`), and the placement policy's decision
+//! counts (`bsp_placement_total{decision=…}`), so one scrape shows the
+//! aggregate, which shard is misbehaving, and why traffic went where it
+//! went.  Shards are scraped only to answer a `METRICS`.  A
 //! *live* shard that fails to answer turns the aggregate into an error
 //! rather than a silently partial sum.  `PING` is answered locally.
 //!
@@ -94,7 +93,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -105,24 +104,13 @@ pub struct RouterConfig {
     pub max_connections: usize,
     /// A client connection idle for this long is closed.
     pub idle_timeout: Duration,
-    /// Cadence of the proactive shard health probe: a background thread
-    /// wakes at this interval and attempts a bounded reconnect to every dead
-    /// backend, so a restarted shard rejoins *before* its first owned
-    /// request instead of paying the reconnect on the request path (and a
-    /// quiet shard's key range does not stay in failover until traffic
-    /// happens to touch it).  `None` disables the probe and keeps the purely
-    /// lazy revival.
-    ///
-    /// This is the probe's *base* cadence: a backend that keeps refusing is
-    /// retried with exponential backoff (doubling per consecutive failure,
-    /// jittered, capped at [`RouterConfig::health_probe_backoff_cap`]) so a
-    /// long-dead shard costs a connect attempt every cap interval, not every
-    /// tick — while a freshly dead shard is still probed within one base
-    /// interval of dying.
+    /// Read by nothing: a dead backend is revived by the next request it
+    /// owns.  The frozen `benchmark/` names it in a struct literal; delete
+    /// with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     pub health_probe_interval: Option<Duration>,
-    /// Upper bound on the per-backend probe backoff.  Once a dead backend
-    /// has failed enough consecutive probes, retries settle at roughly this
-    /// cadence (±25 % jitter) until the backend answers again.
+    /// Read by nothing; delete with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     pub health_probe_backoff_cap: Duration,
 }
 
@@ -228,16 +216,6 @@ impl Backend {
     }
 }
 
-/// The health probe's current view of one backend, kept shared (not probe-
-/// thread-local) so `METRICS` can report how hard each backend is backing off.
-#[derive(Clone, Copy)]
-struct ProbeStatus {
-    /// Consecutive failed probes since the backend was last seen live.
-    failures: u32,
-    /// Earliest moment the next probe attempt is due.
-    next_attempt: Instant,
-}
-
 /// The router's own registry series (shard registries are scraped, these are
 /// router-side): routed-request counters by kind, failover re-runs, and the
 /// placement policy's decision counters.
@@ -257,12 +235,6 @@ struct RouterShared {
     shutting_down: AtomicBool,
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Parking spot of the health-probe thread; shutdown notifies it so the
-    /// probe exits without waiting out its interval.
-    probe_lock: Mutex<()>,
-    probe_wakeup: Condvar,
-    /// Per-backend probe state, written by the probe thread, read by `METRICS`.
-    probe_state: Mutex<Vec<ProbeStatus>>,
     /// Router-side trace journal: one record per routed request, with the
     /// owning shard recorded so `TRACE` can graft the shard's span tree.
     journal: TraceJournal,
@@ -330,12 +302,6 @@ impl Router {
                 )
             }),
         };
-        let probe_state = (0..backends.len())
-            .map(|_| ProbeStatus {
-                failures: 0,
-                next_attempt: Instant::now(),
-            })
-            .collect();
         let shards = backends.len();
         let shared = Arc::new(RouterShared {
             config,
@@ -345,9 +311,6 @@ impl Router {
             shutting_down: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
-            probe_lock: Mutex::new(()),
-            probe_wakeup: Condvar::new(),
-            probe_state: Mutex::new(probe_state),
             journal: TraceJournal::new(TRACE_RING_CAP, SLOW_LOG_CAP),
             trace_ids: TraceIdGen::new(),
             registry,
@@ -373,8 +336,7 @@ impl Router {
         self.listener.local_addr()
     }
 
-    /// Starts the acceptor and health-probe threads; returns the controlling
-    /// handle.
+    /// Starts the acceptor thread; returns the controlling handle.
     pub fn spawn(self) -> io::Result<RouterHandle> {
         let addr = self.listener.local_addr()?;
         let shared = self.shared;
@@ -398,18 +360,10 @@ impl Router {
                     )
                 })?
         };
-        let probe = shared.config.health_probe_interval.map(|interval| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("bsp-router-health-probe".into())
-                .spawn(move || probe_loop(&shared, interval))
-        });
-        let probe = probe.transpose()?;
         Ok(RouterHandle {
             addr,
             shared,
             acceptor: Some(acceptor),
-            probe,
         })
     }
 }
@@ -419,7 +373,6 @@ pub struct RouterHandle {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
     acceptor: Option<JoinHandle<()>>,
-    probe: Option<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -440,22 +393,6 @@ impl RouterHandle {
     /// deployment, not to the router.
     pub fn shutdown(mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Take the probe's mutex before notifying: the probe holds it except
-        // while parked in `wait_timeout`, so acquiring it first means the
-        // notify can never fall between the probe's flag check and its
-        // re-park (a bare notify would be lost there and shutdown would wait
-        // out a whole probe interval).
-        {
-            let _parked = self
-                .shared
-                .probe_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            self.shared.probe_wakeup.notify_all();
-        }
-        if let Some(probe) = self.probe.take() {
-            let _ = probe.join();
-        }
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
@@ -543,96 +480,6 @@ fn ensure_live(shared: &Arc<RouterShared>, shard: usize) {
         if let Some(stream) = guard.as_ref() {
             let _ = stream.shutdown(Shutdown::Both);
         }
-    }
-}
-
-/// How long until the `failures`-th consecutive failed probe of a backend is
-/// retried: `base · 2^(failures-1)`, capped at `cap`, with ±25 % deterministic
-/// jitter derived from `seed` (xorshift) so a fleet of routers probing the
-/// same dead shard does not reconnect in lockstep.  `failures == 0` means the
-/// backend has not failed a probe yet and is due immediately.  The result
-/// never drops below `base` (for `failures > 0`) and never exceeds `cap`.
-pub fn probe_backoff(base: Duration, cap: Duration, failures: u32, seed: u64) -> Duration {
-    if failures == 0 {
-        return Duration::ZERO;
-    }
-    let base_ns = base.as_nanos().max(1);
-    let cap_ns = cap.as_nanos().max(base_ns);
-    let shift = (failures - 1).min(32);
-    let raw_ns = base_ns.saturating_mul(1u128 << shift).min(cap_ns);
-    // xorshift64*: cheap, stateless, and good enough to de-correlate probes.
-    let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    let span = raw_ns / 4;
-    let jitter = if span == 0 {
-        0
-    } else {
-        u128::from(x) % (2 * span + 1)
-    };
-    let jittered = (raw_ns - span + jitter).clamp(base_ns, cap_ns);
-    Duration::from_nanos(u64::try_from(jittered).unwrap_or(u64::MAX))
-}
-
-/// The proactive shard health probe: wakes every `interval` (the base
-/// cadence) and attempts a bounded reconnect ([`ensure_live`]) to each dead
-/// backend that is *due* — consecutive failures push a backend's next
-/// attempt out exponentially ([`probe_backoff`]), so a shard that stays down
-/// for minutes is probed at the cap cadence instead of hammered every tick.
-/// The failure count resets the moment the backend is observed live (by the
-/// probe or by the lazy request-path revival), so a fresh death is probed
-/// within one base interval again.  Revival restores the multiplexed writer
-/// and spawns a fresh demux generation, exactly as the lazy request-path
-/// revival does — the probe just pays that cost off the request path.
-fn probe_loop(shared: &Arc<RouterShared>, interval: Duration) {
-    let cap = shared.config.health_probe_backoff_cap.max(interval);
-    let n = shared.backends.len();
-    let mut guard = shared.probe_lock.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        let (g, _) = shared
-            .probe_wakeup
-            .wait_timeout(guard, interval)
-            .unwrap_or_else(|e| e.into_inner());
-        guard = g;
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        for shard in 0..n {
-            if shared.backends[shard].is_live() {
-                set_probe_status(shared, shard, 0, now);
-                continue;
-            }
-            let due = {
-                let state = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
-                state.get(shard).is_none_or(|s| now >= s.next_attempt)
-            };
-            if !due {
-                continue;
-            }
-            ensure_live(shared, shard);
-            if shared.backends[shard].is_live() {
-                set_probe_status(shared, shard, 0, now);
-            } else {
-                let failures = {
-                    let state = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
-                    state.get(shard).map_or(1, |s| s.failures.saturating_add(1))
-                };
-                let seed = (shard as u64) << 32 | u64::from(failures);
-                let next = now + probe_backoff(interval, cap, failures, seed);
-                set_probe_status(shared, shard, failures, next);
-            }
-        }
-    }
-}
-
-/// Writes one backend's probe view; `METRICS` renders it (`router_metrics`).
-fn set_probe_status(shared: &RouterShared, shard: usize, failures: u32, next_attempt: Instant) {
-    let mut state = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(slot) = state.get_mut(shard) {
-        slot.failures = failures;
-        slot.next_attempt = next_attempt;
     }
 }
 
@@ -795,8 +642,8 @@ fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>,
 
 /// Builds the router's `METRICS` exposition: the pooled shard series, every
 /// shard's own store counters under a `shard` label (a shard-local
-/// write-error burst must not hide inside the fleet sum), the health probe's
-/// view of every backend, and the router's own registry.
+/// write-error burst must not hide inside the fleet sum), whether every
+/// backend is connected, and the router's own registry.
 fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
     let snaps = scrape_shards(shared)?;
     // Counters and gauges sum, histogram buckets pool.
@@ -814,21 +661,12 @@ fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
             }
         }
     }
-    let now = Instant::now();
-    let probe = shared.probe_state.lock().unwrap_or_else(|e| e.into_inner());
-    for (i, (backend, status)) in shared.backends.iter().zip(probe.iter()).enumerate() {
-        let backoff = status.next_attempt.saturating_duration_since(now);
-        for (name, value) in [
-            ("up", u64::from(backend.is_live())),
-            ("probe_failures", u64::from(status.failures)),
-            ("probe_backoff_ms", backoff.as_millis() as u64),
-        ] {
-            merged
-                .gauges
-                .insert(format!("bsp_backend_{name}{{backend=\"{i}\"}}"), value);
-        }
+    for (i, backend) in shared.backends.iter().enumerate() {
+        merged.gauges.insert(
+            format!("bsp_backend_up{{backend=\"{i}\"}}"),
+            u64::from(backend.is_live()),
+        );
     }
-    drop(probe);
     let mut out = String::new();
     merged.render(&mut out);
     shared.registry.render(&mut out);
@@ -994,75 +832,4 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn probe_backoff_grows_exponentially_and_saturates_at_the_cap() {
-        let base = Duration::from_millis(100);
-        let cap = Duration::from_secs(30);
-        assert_eq!(probe_backoff(base, cap, 0, 7), Duration::ZERO);
-        let mut last = Duration::ZERO;
-        for failures in 1..=20u32 {
-            let d = probe_backoff(base, cap, failures, 7);
-            assert!(d >= base, "backoff never drops below the base interval");
-            assert!(d <= cap, "backoff never exceeds the cap");
-            // The nominal (un-jittered) value doubles; ±25 % jitter cannot
-            // undo a doubling, so consecutive backoffs are non-decreasing
-            // until both sides sit at the cap.
-            if last < cap.mul_f64(0.74) {
-                assert!(
-                    d >= last,
-                    "failure {failures}: backoff {d:?} regressed below {last:?}"
-                );
-            }
-            last = d;
-        }
-        assert!(
-            last >= cap.mul_f64(0.75),
-            "after 20 failures the backoff sits at the cap (minus jitter): {last:?}"
-        );
-    }
-
-    #[test]
-    fn probe_backoff_jitter_is_deterministic_in_the_seed_and_bounded() {
-        let base = Duration::from_millis(100);
-        let cap = Duration::from_secs(30);
-        for failures in 1..=8u32 {
-            let nominal = base.saturating_mul(1 << (failures - 1)).min(cap).as_nanos() as f64;
-            let mut distinct = std::collections::HashSet::new();
-            for seed in 0..32u64 {
-                let a = probe_backoff(base, cap, failures, seed);
-                let b = probe_backoff(base, cap, failures, seed);
-                assert_eq!(a, b, "same seed, same backoff");
-                let ns = a.as_nanos() as f64;
-                assert!(
-                    ns >= nominal * 0.74 && ns <= nominal * 1.26,
-                    "jitter stays within ±25% of nominal: {ns} vs {nominal}"
-                );
-                distinct.insert(a);
-            }
-            assert!(
-                distinct.len() > 1,
-                "different seeds spread the probes (failures = {failures})"
-            );
-        }
-    }
-
-    #[test]
-    fn probe_backoff_survives_extreme_inputs() {
-        // A huge failure count must not overflow the shift or the multiply:
-        // the result sits at the cap, minus at most the 25% jitter.
-        let d = probe_backoff(Duration::from_secs(1), Duration::from_secs(30), u32::MAX, 1);
-        assert!(d >= Duration::from_secs(22) && d <= Duration::from_secs(30));
-        // A cap below the base is lifted to the base.
-        let d = probe_backoff(Duration::from_secs(2), Duration::from_millis(1), 5, 1);
-        assert_eq!(d, Duration::from_secs(2));
-        // Zero-duration base degenerates gracefully.
-        let d = probe_backoff(Duration::ZERO, Duration::ZERO, 3, 1);
-        assert!(d <= Duration::from_nanos(8));
-    }
 }

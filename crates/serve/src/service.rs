@@ -688,7 +688,7 @@ impl ScheduleService {
                 PipelineConfig::default().with_hill_climb_time(self.config.local_search_budget)
             }
         };
-        config.cancel = cancel.clone();
+        config.hill_climb.cancel = cancel.clone();
         config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);
         let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);

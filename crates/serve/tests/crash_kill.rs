@@ -175,8 +175,8 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
     // process, shard 1 an in-process survivor.  Shard 0 is SIGKILLed in the
     // middle of a write burst; every in-flight and subsequent request must
     // still be answered (failover), and after a restart on the same store
-    // directory the health probe rejoins the shard with its durable cache
-    // intact.
+    // directory the first replay it owns rejoins the shard with its durable
+    // cache intact.
     let dir = temp_dir("router");
     let machine = Machine::uniform(4, 1, 2);
     let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
@@ -188,11 +188,7 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
         .spawn()
         .expect("spawn survivor");
     let addrs = [shard0_addr, survivor.addr()];
-    let router_config = RouterConfig {
-        health_probe_interval: Some(Duration::from_millis(50)),
-        ..Default::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &addrs, router_config)
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
         .expect("bind router")
         .spawn()
         .expect("spawn router");
@@ -229,17 +225,8 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
         assert!(reply.schedule.validate(dag, &machine).is_ok());
     }
 
-    // Restart shard 0 on its old address and store; the probe must rejoin it
-    // with no traffic.
+    // Restart shard 0 on its old address and store.
     let restarted = Shard::spawn(&shard0_addr.to_string(), &dir);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while router.live_shards() != vec![0, 1] {
-        assert!(
-            Instant::now() < deadline,
-            "health probe did not rejoin the restarted shard"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
 
     // The restarted shard recovered everything it had acknowledged...
     let mut direct = Client::connect(restarted.addr).expect("connect to restarted shard");
@@ -249,7 +236,8 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
         "restarted shard adopted {} of {acknowledged} acknowledged frames",
         stats.store.loaded
     );
-    // ...and serves them as exact hits through the router again.
+    // ...and serves them as exact hits through the router again: the first
+    // replay it owns reconnects it.
     let mut replayer = Client::connect(router.addr()).expect("reconnect via router");
     for dag in &owned[..mid] {
         replayer.assume_cached(dag, &machine);
@@ -262,6 +250,7 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
         assert!(reply.schedule.validate(dag, &machine).is_ok());
     }
     assert_eq!(replayer.fp_fallbacks(), 0);
+    assert_eq!(router.live_shards(), vec![0, 1]);
 
     drop(client);
     drop(direct);

@@ -183,3 +183,37 @@ fn hill_climbing_respects_a_pre_fired_token() {
         // asserts above would hang for an hour if polling were broken).
     }
 }
+
+/// `hill_climb.cancel` is the run's one token: a pipeline built with a fired
+/// token there returns its start untouched, on an instance where the same
+/// pipeline without it finds an improving move.
+#[test]
+fn a_token_set_on_the_hill_climb_config_stops_the_pipelines_search() {
+    use bsp_model::Machine;
+    use bsp_sched::hill_climb::HillClimbConfig;
+    let dag = dag_gen::spmv(&dag_gen::SpmvConfig {
+        n: 40,
+        density: 0.2,
+        seed: 0,
+    });
+    let machine = Machine::uniform(4, 3, 5);
+    let searched = Pipeline::new(PipelineConfig::default()).run_report(&dag, &machine);
+    assert!(
+        searched.local_search_cost < searched.init_cost,
+        "HC improves this start: {} vs {}",
+        searched.local_search_cost,
+        searched.init_cost
+    );
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let config = PipelineConfig {
+        hill_climb: HillClimbConfig {
+            cancel,
+            ..HillClimbConfig::default()
+        },
+        ..PipelineConfig::default()
+    };
+    let stopped = Pipeline::new(config).run_report(&dag, &machine);
+    assert_eq!(stopped.init_cost, searched.init_cost);
+    assert_eq!(stopped.local_search_cost, stopped.init_cost);
+}

@@ -866,11 +866,7 @@ fn router_forwards_request_bodies_verbatim_and_failover_resends_the_same_bytes()
             })
         })
         .collect();
-    let config = RouterConfig {
-        health_probe_interval: None,
-        ..RouterConfig::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &addrs, config)
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
         .expect("bind router")
         .spawn()
         .expect("spawn router");

@@ -205,13 +205,7 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         .expect("bind shard")
         .spawn()
         .expect("spawn shard");
-    // Probe off: this test pins down the *lazy* request-path revival, so the
-    // background health probe must not race it to the reconnect.
-    let router_config = RouterConfig {
-        health_probe_interval: None,
-        ..Default::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &[shard.addr()], router_config)
+    let router = Router::bind("127.0.0.1:0", &[shard.addr()], RouterConfig::default())
         .expect("bind router")
         .spawn()
         .expect("spawn router");
@@ -317,25 +311,14 @@ fn a_dead_shard_fails_over_to_the_survivor_and_the_family_rehomes_on_rejoin() {
 }
 
 #[test]
-fn health_probe_rejoins_a_restarted_shard_without_traffic() {
-    // ROADMAP follow-on (PR 4): a shard that gets no traffic used to stay
-    // unprobed — a restarted shard rejoined only when its first owned request
-    // paid the reconnect.  The periodic health probe must revive it with no
-    // request in flight at all.
-    let (mut shards, _) = (vec![shard_server(), shard_server()], ());
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr()).collect();
-    let router_config = RouterConfig {
-        health_probe_interval: Some(Duration::from_millis(50)),
-        ..Default::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &addrs, router_config)
-        .expect("bind router")
-        .spawn()
-        .expect("spawn router");
+fn a_restarted_shard_rejoins_on_its_first_owned_request() {
+    // A dead backend comes back one way: the next request it owns reconnects
+    // it.  Until then it stays dead, and the router's exposition says so.
+    let (mut shards, router) = two_shard_deployment();
     assert_eq!(router.live_shards(), vec![0, 1]);
 
     // Kill shard 1 and wait for the demux to notice the EOF.
-    let dead_addr = addrs[1];
+    let dead_addr = shards[1].addr();
     shards.remove(1).shutdown();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while router.live_shards() != vec![0] {
@@ -346,42 +329,38 @@ fn health_probe_rejoins_a_restarted_shard_without_traffic() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // The router's exposition says so: the backend is down, its failed
-    // probes are counted, and the survivor's store counters are its own.
+    // The backend is down, and the survivor's store counters are its own.
     let mut client = Client::connect(router.addr()).expect("connect via router");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
+    let scrape = |client: &mut Client| {
         let exposition = client.metrics().expect("router METRICS");
         let snap = MetricsSnapshot::parse(&exposition).expect("exposition parses");
-        let gauge = |name: &str, backend: usize| {
-            let key = format!("bsp_backend_{name}{{backend=\"{backend}\"}}");
-            *snap.gauges.get(&key).unwrap_or_else(|| panic!("no {key}"))
-        };
-        assert_eq!((gauge("up", 0), gauge("up", 1)), (1, 0));
-        assert_eq!(gauge("probe_failures", 0), 0);
-        assert_eq!(gauge("probe_backoff_ms", 0), 0);
-        assert_eq!(
-            snap.counter("bsp_shard_store_events_total{shard=\"0\",event=\"write_error\"}"),
-            Some(0)
-        );
-        assert_eq!(
-            snap.counter("bsp_shard_store_recovered_bytes_total{shard=\"0\"}"),
-            Some(0)
-        );
         assert!(
-            !snap.counters.keys().any(|key| key.contains("shard=\"1\"")),
-            "a dead shard has no series of its own"
+            !snap
+                .gauges
+                .keys()
+                .any(|key| key.starts_with("bsp_backend_probe")),
+            "no probe series"
         );
-        if gauge("probe_failures", 1) >= 1 {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the failed probes of the dead backend were never counted"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    drop(client);
+        snap
+    };
+    let up = |snap: &MetricsSnapshot, backend: usize| {
+        let key = format!("bsp_backend_up{{backend=\"{backend}\"}}");
+        *snap.gauges.get(&key).unwrap_or_else(|| panic!("no {key}"))
+    };
+    let snap = scrape(&mut client);
+    assert_eq!((up(&snap, 0), up(&snap, 1)), (1, 0));
+    assert_eq!(
+        snap.counter("bsp_shard_store_events_total{shard=\"0\",event=\"write_error\"}"),
+        Some(0)
+    );
+    assert_eq!(
+        snap.counter("bsp_shard_store_recovered_bytes_total{shard=\"0\"}"),
+        Some(0)
+    );
+    assert!(
+        !snap.counters.keys().any(|key| key.contains("shard=\"1\"")),
+        "a dead shard has no series of its own"
+    );
 
     // Restart a shard process on the same address.  The port was just freed,
     // but give the OS a few tries to hand it back.
@@ -396,17 +375,23 @@ fn health_probe_rejoins_a_restarted_shard_without_traffic() {
         }
     }
     let restarted = restarted.expect("rebind the freed shard address");
+    assert_eq!(router.live_shards(), vec![0], "nothing revives it unasked");
 
-    // No request is ever sent: the probe alone must rejoin the shard.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.live_shards() != vec![0, 1] {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "health probe did not rejoin the restarted shard"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    // One request shard 1 owns: it reconnects the backend and runs there.
+    let machine = Machine::uniform(4, 1, 2);
+    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let dag = dag_with_seed(seed_owned_by(1, &machine));
+    let reply = client.schedule(&dag, &machine, &options).expect("owned");
+    assert!(reply.schedule.validate(&dag, &machine).is_ok());
+    assert_eq!(
+        restarted.stats().requests,
+        1,
+        "answered by the rejoined shard"
+    );
+    assert_eq!(router.live_shards(), vec![0, 1]);
+    assert_eq!(up(&scrape(&mut client), 1), 1);
 
+    drop(client);
     router.shutdown();
     restarted.shutdown();
     for shard in shards {
@@ -445,11 +430,7 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         .expect("spawn stored shard");
     let survivor = shard_server();
     let addrs = [stored_shard.addr(), survivor.addr()];
-    let router_config = RouterConfig {
-        health_probe_interval: Some(Duration::from_millis(50)),
-        ..Default::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &addrs, router_config)
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
         .expect("bind router")
         .spawn()
         .expect("spawn router");
@@ -489,17 +470,10 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         1,
         "the restarted shard adopted its durable schedule"
     );
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.live_shards() != vec![0, 1] {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "health probe did not rejoin the restarted shard"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
 
-    // A fresh client replays by fingerprint only; the rejoined shard must
-    // answer exactly, with no fallback and no survivor involvement.
+    // A fresh client replays by fingerprint only; the replay reconnects the
+    // restarted shard, which must answer exactly, with no fallback and no
+    // survivor involvement.
     let survivor_hits = survivor.stats().cache.hits;
     let mut replayer = Client::connect(router.addr()).expect("reconnect via router");
     replayer.assume_cached(&dag, &machine);
@@ -512,6 +486,7 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
     assert_eq!(replay.cost, cold.cost);
     assert_eq!(replayer.fp_fallbacks(), 0);
     assert_eq!(survivor.stats().cache.hits, survivor_hits);
+    assert_eq!(router.live_shards(), vec![0, 1]);
 
     // The aggregate carries the summed store counters.
     let agg = replayer.stats().expect("aggregated stats");
@@ -524,69 +499,4 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
     restarted.shutdown();
     survivor.shutdown();
     let _ = std::fs::remove_dir_all(&store_dir);
-}
-
-#[test]
-fn rejoin_after_a_short_death_stays_within_the_base_probe_cadence() {
-    // Regression for the probe backoff: exponential backoff must only tax
-    // backends that *keep* failing.  A shard that dies and comes right back
-    // has accumulated at most one failed probe, so it must rejoin within
-    // roughly one base interval — not the old fixed 2 s retry, and not a
-    // stale unreset backoff.
-    let base = Duration::from_millis(400);
-    let (mut shards, _) = (vec![shard_server(), shard_server()], ());
-    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.addr()).collect();
-    let router_config = RouterConfig {
-        health_probe_interval: Some(base),
-        ..Default::default()
-    };
-    let router = Router::bind("127.0.0.1:0", &addrs, router_config)
-        .expect("bind router")
-        .spawn()
-        .expect("spawn router");
-    assert_eq!(router.live_shards(), vec![0, 1]);
-
-    let dead_addr = addrs[1];
-    shards.remove(1).shutdown();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while router.live_shards() != vec![0] {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "shard death unnoticed"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    // Restart immediately: a *short* death.
-    let mut restarted = None;
-    for _ in 0..50 {
-        match Server::bind(dead_addr, ServerConfig::default()) {
-            Ok(server) => {
-                restarted = Some(server.spawn().expect("spawn restarted shard"));
-                break;
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-    let restarted = restarted.expect("rebind the freed shard address");
-
-    let back_up = std::time::Instant::now();
-    // Worst case: one probe tick failed in the death window, pushing the
-    // next attempt out by one jittered base interval on top of the tick
-    // cadence — still under three base intervals.  The pre-backoff default
-    // (fixed 2 s) and any unreset accumulated backoff both blow this bound.
-    let bound = base * 3;
-    while router.live_shards() != vec![0, 1] {
-        assert!(
-            back_up.elapsed() < bound,
-            "a short death must rejoin within ~one base interval, took > {bound:?}"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    router.shutdown();
-    restarted.shutdown();
-    for shard in shards {
-        shard.shutdown();
-    }
 }
