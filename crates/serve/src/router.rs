@@ -43,11 +43,12 @@
 //! client's fingerprint fallback turns into a full resend — degraded to one
 //! extra round trip, never an error.  This is safe *because* requests
 //! are content addressed: re-running a request on any shard yields a valid
-//! schedule for the same key.  A dead backend comes back one way, on the
-//! request that needs it: the next request owned by a dead shard attempts a
-//! bounded reconnect before failing over, so a backend connection closed by
-//! the shard server's own idle timeout (or a restarted shard process)
-//! rejoins on first use instead of staying dead until the router is rebuilt.
+//! schedule for the same key.  A dead backend comes back one way, through
+//! `ensure_live`, when something needs it: the next request owned by a dead
+//! shard, or a `METRICS` scrape, attempts a bounded reconnect first, so a
+//! backend connection closed by the shard server's own idle timeout (or a
+//! restarted shard process) rejoins on first use instead of staying dead
+//! until the router is rebuilt.
 //!
 //! ## Observability
 //!
@@ -105,13 +106,10 @@ pub struct RouterConfig {
     /// A client connection idle for this long is closed.
     pub idle_timeout: Duration,
     /// Read by nothing: a dead backend is revived by the next request it
-    /// owns.  The frozen `benchmark/` names it in a struct literal; delete
+    /// owns or the next `METRICS` scrape.  The frozen `benchmark/` names it in a struct literal; delete
     /// with ROADMAP item 1 (benchmark v2).
     #[doc(hidden)]
     pub health_probe_interval: Option<Duration>,
-    /// Read by nothing; delete with ROADMAP item 1 (benchmark v2).
-    #[doc(hidden)]
-    pub health_probe_backoff_cap: Duration,
 }
 
 impl Default for RouterConfig {
@@ -120,7 +118,6 @@ impl Default for RouterConfig {
             max_connections: 128,
             idle_timeout: Duration::from_secs(30),
             health_probe_interval: Some(Duration::from_secs(2)),
-            health_probe_backoff_cap: Duration::from_secs(30),
         }
     }
 }
@@ -441,7 +438,8 @@ const RECONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Backend connections die for mundane reasons — the shard server's own idle
 /// timeout closes a quiet multiplexed connection, shard processes get
 /// restarted — and the router must not treat either as permanent: the next
-/// request owned by the shard reconnects instead of failing over forever.
+/// request owned by the shard, or the next `METRICS` scrape, reconnects
+/// instead of failing over forever.
 fn ensure_live(shared: &Arc<RouterShared>, shard: usize) {
     let backend = &shared.backends[shard];
     if backend.is_live() || shared.shutting_down.load(Ordering::SeqCst) {
@@ -614,12 +612,15 @@ fn demux_loop(shared: &Arc<RouterShared>, shard: usize, generation: u64, stream:
 /// Scrapes every live shard's `METRICS` over a fresh control connection
 /// (the multiplexed backend connections carry only id-tagged frames) whose
 /// connect and reads are bounded by the idle timeout, so a wedged shard
-/// cannot hang the caller.  A live shard that fails to answer makes the
-/// scrape an error, never a silently partial aggregate a dashboard would
-/// misread as a traffic drop.
-fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>, ServeError> {
+/// cannot hang the caller.  A dead backend is first revived through
+/// [`ensure_live`]: a quiet shard whose idle timeout closed the backend
+/// connection is up, and its series must stay in the aggregate.  A live
+/// shard that fails to answer makes the scrape an error, never a silently
+/// partial aggregate a dashboard would misread as a traffic drop.
+fn scrape_shards(shared: &Arc<RouterShared>) -> Result<Vec<(usize, MetricsSnapshot)>, ServeError> {
     let mut snaps = Vec::new();
     for (i, backend) in shared.backends.iter().enumerate() {
+        ensure_live(shared, i);
         if !backend.is_live() {
             continue;
         }
@@ -644,7 +645,7 @@ fn scrape_shards(shared: &RouterShared) -> Result<Vec<(usize, MetricsSnapshot)>,
 /// shard's own store counters under a `shard` label (a shard-local
 /// write-error burst must not hide inside the fleet sum), whether every
 /// backend is connected, and the router's own registry.
-fn router_metrics(shared: &RouterShared) -> Result<String, ServeError> {
+fn router_metrics(shared: &Arc<RouterShared>) -> Result<String, ServeError> {
     let snaps = scrape_shards(shared)?;
     // Counters and gauges sum, histogram buckets pool.
     let mut merged = MetricsSnapshot::default();

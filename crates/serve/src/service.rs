@@ -687,8 +687,8 @@ impl ScheduleService {
             Mode::HeuristicsOnly => {
                 PipelineConfig::default().with_hill_climb_time(self.config.local_search_budget)
             }
-        };
-        config.hill_climb.cancel = cancel.clone();
+        }
+        .with_cancel(cancel.clone());
         config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);
         let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);

@@ -227,6 +227,22 @@ fn idle_closed_backend_connections_revive_on_next_request() {
     assert!(response.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(router.live_shards(), vec![0], "backend connection revived");
 
+    // Quiet again: a METRICS scrape revives the backend too, so an idle
+    // shard keeps its series and reads as up.
+    std::thread::sleep(Duration::from_millis(600));
+    assert!(router.live_shards().is_empty(), "closed again while idle");
+    let exposition = client
+        .metrics()
+        .expect("router METRICS after an idle period");
+    let snap = MetricsSnapshot::parse(&exposition).expect("exposition parses");
+    assert_eq!(snap.gauges.get("bsp_backend_up{backend=\"0\"}"), Some(&1));
+    assert_eq!(
+        snap.counter("bsp_shard_store_events_total{shard=\"0\",event=\"write_error\"}"),
+        Some(0)
+    );
+    assert_eq!(client.stats().expect("stats via router").requests, 1);
+    assert_eq!(router.live_shards(), vec![0]);
+
     drop(client);
     router.shutdown();
     shard.shutdown();
@@ -312,8 +328,9 @@ fn a_dead_shard_fails_over_to_the_survivor_and_the_family_rehomes_on_rejoin() {
 
 #[test]
 fn a_restarted_shard_rejoins_on_its_first_owned_request() {
-    // A dead backend comes back one way: the next request it owns reconnects
-    // it.  Until then it stays dead, and the router's exposition says so.
+    // A dead backend comes back one way: the next request it owns (or the
+    // next METRICS) reconnects it.  While the process is down it stays dead,
+    // and the router's exposition says so.
     let (mut shards, router) = two_shard_deployment();
     assert_eq!(router.live_shards(), vec![0, 1]);
 
