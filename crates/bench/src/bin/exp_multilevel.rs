@@ -24,7 +24,12 @@
 //! timed by calling those public functions directly (fastest of `--reps`, µs
 //! per node of the DAG) and each stage's heap peak above the level it started
 //! from (`peak_bytes_per_node`, the largest of `--reps`), the superstep count
-//! the merge removed, its cost and whether the sweep kept it.  `hc_from_source` is `HC` alone (§4.3) from
+//! the merge removed, its cost and whether the sweep kept it;
+//! `sweep_dropped_share` is the share of those stage seconds spent on the
+//! candidates the sweeps dropped.  The row's `pipeline` object also carries
+//! the stage ledger of the run: each initializer's kept start (`branches`:
+//! init, width, init_cost), the searched start's `init_cost` and the
+//! `local_search_cost` after `HC`.  `hc_from_source` is `HC` alone (§4.3) from
 //! `Source`'s schedule to a local minimum: moves per second, costs, search
 //! counts, destinations costed per accepted move and the share the `O(1)`
 //! bound pruned.  Written as JSON (default `BENCH_pipeline.json`, at ≈10k
@@ -381,11 +386,17 @@ fn main() {
                     fields.collect::<Vec<_>>().join(", ")
                 };
                 let mut sweep = Vec::new();
+                let (mut dropped_seconds, mut sweep_seconds) = (0.0, 0.0);
                 for c in sweep_split(dag, machine, reps) {
                     let kept = run
                         .branches
                         .iter()
                         .any(|b| (b.init_name == c.init) && b.width == c.width);
+                    let stage_seconds: f64 = c.seconds.iter().sum();
+                    sweep_seconds += stage_seconds;
+                    if !kept {
+                        dropped_seconds += stage_seconds;
+                    }
                     let us = by_stage(c.seconds.map(per_node), 4);
                     let bytes = by_stage(c.peak_bytes.map(|b| b as f64 / dag.n() as f64), 2);
                     eprintln!(
@@ -404,6 +415,14 @@ fn main() {
                         c.init, c.width, c.cost, c.merged,
                     ));
                 }
+                let branches: Vec<String> = (run.branches.iter())
+                    .map(|b| {
+                        format!(
+                            "{{\"init\": \"{}\", \"width\": {}, \"init_cost\": {}}}",
+                            b.init_name, b.width, b.init_cost
+                        )
+                    })
+                    .collect();
                 let phases: Vec<String> = PHASES
                     .iter()
                     .zip(phases)
@@ -412,13 +431,17 @@ fn main() {
                 report.push_result_json(format!(
                     "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                      \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
+                     \"init_cost\": {}, \"local_search_cost\": {}, \"branches\": [{}], \
                      \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
                      \"gap\": {:.4}, \"selected_init\": \"{}\", \
                      \"placement_width\": {}, \"funnel_nodes\": {}, \
                      \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
-                     \"hc_from_source\": {}, \"sweep\": [{}]}}",
+                     \"hc_from_source\": {}, \"sweep\": [{}], \"sweep_dropped_share\": {:.4}}}",
                     dag.n(),
                     dag.num_edges(),
+                    run.init_cost,
+                    run.local_search_cost,
+                    branches.join(", "),
                     run.final_cost,
                     run.lower_bound,
                     run.gap(),
@@ -427,7 +450,8 @@ fn main() {
                     run.funnel_nodes,
                     phases.join(", "),
                     hc,
-                    sweep.join(", ")
+                    sweep.join(", "),
+                    dropped_seconds / sweep_seconds.max(f64::MIN_POSITIVE)
                 ));
             }
         }

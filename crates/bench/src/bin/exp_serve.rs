@@ -122,7 +122,6 @@ impl Preset {
             workers: self.workers,
             queue_capacity: 16 * self.clients,
             max_connections: 4 * self.clients + 8,
-            admission_batch: 8,
             idle_timeout: Duration::from_secs(30),
             service: ServiceConfig {
                 cache_bytes: self.cache_mb << 20,

@@ -131,9 +131,6 @@ impl Scheduler for CilkScheduler {
     }
 
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule {
-        if dag.n() == 0 {
-            return BspSchedule::trivial(dag);
-        }
         self.classical_schedule(dag, machine).to_bsp(dag)
     }
 }

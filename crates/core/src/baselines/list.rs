@@ -204,9 +204,6 @@ impl Scheduler for BlEstScheduler {
     }
 
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule {
-        if dag.n() == 0 {
-            return BspSchedule::trivial(dag);
-        }
         self.classical_schedule(dag, machine).to_bsp(dag)
     }
 }
@@ -228,9 +225,6 @@ impl Scheduler for EtfScheduler {
     }
 
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule {
-        if dag.n() == 0 {
-            return BspSchedule::trivial(dag);
-        }
         self.classical_schedule(dag, machine).to_bsp(dag)
     }
 }

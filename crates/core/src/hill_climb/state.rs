@@ -98,8 +98,8 @@ struct Contribution {
 // Gathers and undo logs hold one per entry: 16 bytes, no padding.
 const _: () = assert!(std::mem::size_of::<Contribution>() == 16);
 
-/// The most processors the state handles, one per 16-bit index.  A
-/// [`Machine`] materializes its `P × P` matrix of `λ`: 32 GiB at this size.
+/// The most processors the state handles: a [`Contribution`] names its
+/// sender and receiver by 16-bit index.
 const MAX_PROCESSORS: usize = 1 << 16;
 
 impl Contribution {

@@ -188,13 +188,6 @@ impl BspgScheduler {
     pub fn assignment(&self, dag: &Dag, machine: &Machine) -> Assignment {
         let n = dag.n();
         let p = machine.p();
-        if n == 0 {
-            return Assignment {
-                proc: vec![],
-                superstep: vec![],
-            };
-        }
-
         let mut pools = Pools {
             dag,
             p,
@@ -289,9 +282,6 @@ impl Scheduler for BspgScheduler {
     }
 
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule {
-        if dag.n() == 0 {
-            return BspSchedule::trivial(dag);
-        }
         let assignment = self.assignment(dag, machine);
         let mut sched = BspSchedule::from_assignment_lazy(dag, assignment);
         sched.normalize(dag);

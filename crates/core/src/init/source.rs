@@ -85,25 +85,21 @@ impl SourceScheduler {
                 let mut cluster_of: Vec<Option<usize>> = vec![None; n];
                 let mut clusters: Vec<Vec<usize>> = Vec::new();
                 let mut cluster_work: Vec<u64> = Vec::new();
+                // The sources v shares an out-neighbour with, in successor
+                // order.
+                let partners = move |v: usize| {
+                    dag.successors(v)
+                        .flat_map(move |succ| dag.predecessors(succ))
+                        .filter(move |&u| u != v && dag.in_degree(u) == 0)
+                };
                 for &v in &sources {
                     if cluster_of[v].is_some() {
                         continue;
                     }
-                    // The first cluster with room for v among those of the
-                    // sources v shares an out-neighbour with.
-                    let mut target_cluster: Option<usize> = None;
-                    'outer: for succ in dag.successors(v) {
-                        for u in dag.predecessors(succ) {
-                            if u != v && dag.in_degree(u) == 0 {
-                                if let Some(c) = cluster_of[u] {
-                                    if cluster_work[c] + dag.work(v) <= bound {
-                                        target_cluster = Some(c);
-                                        break 'outer;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    // The first partner's cluster with room for v.
+                    let target_cluster = partners(v)
+                        .filter_map(|u| cluster_of[u])
+                        .find(|&c| cluster_work[c] + dag.work(v) <= bound);
                     match target_cluster {
                         Some(c) => {
                             clusters[c].push(v);
@@ -111,23 +107,18 @@ impl SourceScheduler {
                             cluster_work[c] += dag.work(v);
                         }
                         None => {
-                            // Start a new cluster; pull in the sharing
-                            // partners that are not yet clustered and fit.
+                            // Start a new cluster; pull in the partners that
+                            // are not yet clustered and fit.
                             let c = clusters.len();
                             clusters.push(vec![v]);
                             cluster_of[v] = Some(c);
                             cluster_work.push(dag.work(v));
-                            for succ in dag.successors(v) {
-                                for u in dag.predecessors(succ) {
-                                    if u != v
-                                        && dag.in_degree(u) == 0
-                                        && cluster_of[u].is_none()
-                                        && cluster_work[c] + dag.work(u) <= bound
-                                    {
-                                        clusters[c].push(u);
-                                        cluster_of[u] = Some(c);
-                                        cluster_work[c] += dag.work(u);
-                                    }
+                            for u in partners(v) {
+                                if cluster_of[u].is_none() && cluster_work[c] + dag.work(u) <= bound
+                                {
+                                    clusters[c].push(u);
+                                    cluster_of[u] = Some(c);
+                                    cluster_work[c] += dag.work(u);
                                 }
                             }
                         }
@@ -178,9 +169,6 @@ impl Scheduler for SourceScheduler {
     }
 
     fn schedule(&self, dag: &Dag, machine: &Machine) -> BspSchedule {
-        if dag.n() == 0 {
-            return BspSchedule::trivial(dag);
-        }
         let assignment = self.assignment(dag, machine);
         let mut sched = BspSchedule::from_assignment_lazy(dag, assignment);
         sched.normalize(dag);

@@ -25,7 +25,7 @@ pub type NodeId = usize;
 
 /// An immutable computational DAG.
 ///
-/// Construct one through [`DagBuilder`], [`Dag::from_edges`] or
+/// Construct one through [`Dag::from_edges`] or
 /// [`Dag::from_edge_list_unit_weights`].  All accessors are `O(1)` except
 /// where noted.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,78 +40,6 @@ pub struct Dag {
     pred_off: Vec<u32>,
     /// Packed predecessor lists, in edge insertion order per node.
     pred_adj: Vec<u32>,
-}
-
-/// Incremental builder for [`Dag`].
-#[derive(Debug, Clone, Default)]
-pub struct DagBuilder {
-    work: Vec<u64>,
-    comm: Vec<u64>,
-    edges: Vec<(NodeId, NodeId)>,
-}
-
-impl DagBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a node with the given work and communication weight, returning its id.
-    pub fn add_node(&mut self, work: u64, comm: u64) -> NodeId {
-        self.work.push(work);
-        self.comm.push(comm);
-        self.work.len() - 1
-    }
-
-    /// Adds `count` nodes that all share the same weights; returns the id of the first.
-    pub fn add_nodes(&mut self, count: usize, work: u64, comm: u64) -> NodeId {
-        let first = self.work.len();
-        for _ in 0..count {
-            self.add_node(work, comm);
-        }
-        first
-    }
-
-    /// Adds a directed edge `from -> to`.
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> &mut Self {
-        self.edges.push((from, to));
-        self
-    }
-
-    /// Number of nodes added so far.
-    pub fn len(&self) -> usize {
-        self.work.len()
-    }
-
-    /// `true` if no node has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.work.is_empty()
-    }
-
-    /// Finalizes the builder into an immutable [`Dag`].
-    ///
-    /// Duplicate edges are silently deduplicated; self-loops and cycles are
-    /// rejected.
-    pub fn build(self) -> Result<Dag, DagError> {
-        let n = self.work.len();
-        let mut seen = std::collections::HashSet::with_capacity(self.edges.len());
-        let mut edges = Vec::with_capacity(self.edges.len());
-        for &(u, v) in &self.edges {
-            if u >= n {
-                return Err(DagError::NodeOutOfRange { node: u, n });
-            }
-            if v >= n {
-                return Err(DagError::NodeOutOfRange { node: v, n });
-            }
-            if u == v {
-                return Err(DagError::SelfLoop { node: u });
-            }
-            if seen.insert((u, v)) {
-                edges.push((u, v));
-            }
-        }
-        Dag::from_edges(n, &edges, self.work, self.comm)
-    }
 }
 
 /// The error of the first edge of `edges` that is out of range, a self-loop
@@ -556,16 +484,6 @@ mod tests {
             Dag::check_size(u32::MAX as usize, u32::MAX as usize),
             Ok(())
         );
-    }
-
-    #[test]
-    fn builder_dedups_edges() {
-        let mut b = DagBuilder::new();
-        b.add_node(1, 1);
-        b.add_node(1, 1);
-        b.add_edge(0, 1).add_edge(0, 1);
-        let d = b.build().unwrap();
-        assert_eq!(d.num_edges(), 1);
     }
 
     #[test]

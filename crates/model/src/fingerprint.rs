@@ -160,9 +160,9 @@ pub fn request_key(dag: &Dag, machine: &Machine) -> RequestKey {
         lanes.write_full(c);
     }
 
-    // Machine (shared): hash the materialized λ matrix rather than the
-    // topology enum — two descriptions producing identical coefficients are
-    // the same machine as far as the cost model is concerned.
+    // Machine (shared): hash every coefficient λ rather than the topology
+    // enum — two descriptions producing identical coefficients are the same
+    // machine as far as the cost model is concerned.
     let p = machine.p();
     lanes.write_shared(p as u64);
     lanes.write_shared(machine.g());
@@ -182,7 +182,6 @@ pub fn request_key(dag: &Dag, machine: &Machine) -> RequestKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::DagBuilder;
 
     fn diamond(work: &[u64], comm: &[u64]) -> Dag {
         Dag::from_edges(
@@ -265,19 +264,12 @@ mod tests {
 
     #[test]
     fn node_order_matters_but_adjacency_grouping_is_canonical() {
-        // Same edge set inserted in a different order produces the same CSR
-        // per-node successor lists only if per-node insertion order matches;
-        // the builder preserves insertion order, so key equality here
-        // certifies that `from_edges` canonicalizes by source node.
-        let mut b1 = DagBuilder::new();
-        b1.add_nodes(3, 1, 1);
-        b1.add_edge(0, 1).add_edge(0, 2).add_edge(1, 2);
-        let mut b2 = DagBuilder::new();
-        b2.add_nodes(3, 1, 1);
-        b2.add_edge(1, 2).add_edge(0, 1).add_edge(0, 2);
+        // The same edge set in two insertion orders: `from_edges` groups the
+        // CSR by source node, keeping each node's successors in insertion
+        // order, so key equality certifies the grouping is canonical.
         let m = Machine::uniform(2, 1, 1);
-        let d1 = b1.build().unwrap();
-        let d2 = b2.build().unwrap();
+        let [d1, d2] = [[(0, 1), (0, 2), (1, 2)], [(1, 2), (0, 1), (0, 2)]]
+            .map(|edges| Dag::from_edge_list_unit_weights(3, &edges).unwrap());
         assert_eq!(request_key(&d1, &m), request_key(&d2, &m));
     }
 

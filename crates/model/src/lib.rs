@@ -41,7 +41,7 @@ pub mod validity;
 pub use classical::ClassicalSchedule;
 pub use comm::{CommSchedule, CommStep};
 pub use cost::{CostBreakdown, SuperstepCost};
-pub use dag::{Dag, DagBuilder, NodeId};
+pub use dag::{Dag, NodeId};
 pub use error::{DagError, ValidityError};
 pub use fingerprint::{request_key, Fnv64, RequestKey};
 pub use machine::{Machine, NumaTopology};

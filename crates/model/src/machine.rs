@@ -11,6 +11,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The most processors a machine arriving from outside (a request on the
+/// wire, a record on disk) may have: [`crate::request_key`] hashes all `P²`
+/// coefficients of every request, 262 144 at this size.
+pub const MAX_PROCESSORS: usize = 512;
+
 /// How the NUMA coefficients of a [`Machine`] are defined.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NumaTopology {
@@ -19,7 +24,8 @@ pub enum NumaTopology {
     /// A complete binary-tree hierarchy over the processors; communicating over
     /// each additional level multiplies the cost by `delta`.
     BinaryTree { delta: u64 },
-    /// Fully explicit `P × P` coefficient matrix (row = sender, column = receiver).
+    /// Fully explicit `P × P` coefficient matrix (row = sender, column =
+    /// receiver), zero on the diagonal.
     Explicit(Vec<Vec<u64>>),
 }
 
@@ -30,23 +36,37 @@ pub struct Machine {
     g: u64,
     latency: u64,
     topology: NumaTopology,
-    /// Materialized `λ` matrix (always present so lookups are O(1)).
-    lambda: Vec<Vec<u64>>,
+    /// `λ` between distinct processors `a`, `b` of a uniform or tree machine,
+    /// indexed by the highest set bit of `a ^ b` (the tree level at which
+    /// they meet): `⌈log₂P⌉` entries, all ones or `Δ^i`.  Empty for an
+    /// explicit matrix.
+    level_cost: Vec<u64>,
 }
 
 impl Machine {
-    /// A uniform (non-NUMA) BSP machine with `p` processors, communication
-    /// gap `g` and superstep latency `l`.
-    pub fn uniform(p: usize, g: u64, l: u64) -> Self {
+    fn new(p: usize, g: u64, latency: u64, topology: NumaTopology) -> Self {
         assert!(p >= 1, "a machine needs at least one processor");
-        let lambda = Self::uniform_matrix(p);
+        let levels = (usize::BITS - (p - 1).leading_zeros()) as usize;
+        let level_cost = match topology {
+            NumaTopology::Uniform => vec![1; levels],
+            NumaTopology::BinaryTree { delta } => (0..levels as u32)
+                .map(|i| delta.saturating_pow(i))
+                .collect(),
+            NumaTopology::Explicit(_) => Vec::new(),
+        };
         Machine {
             p,
             g,
-            latency: l,
-            topology: NumaTopology::Uniform,
-            lambda,
+            latency,
+            topology,
+            level_cost,
         }
+    }
+
+    /// A uniform (non-NUMA) BSP machine with `p` processors, communication
+    /// gap `g` and superstep latency `l`.
+    pub fn uniform(p: usize, g: u64, l: u64) -> Self {
+        Self::new(p, g, l, NumaTopology::Uniform)
     }
 
     /// A NUMA machine whose processors form the leaves of a complete binary
@@ -54,69 +74,42 @@ impl Machine {
     /// where `levels` is the number of tree levels one has to climb to reach a
     /// common ancestor.  `p` must be a power of two.
     pub fn numa_binary_tree(p: usize, g: u64, l: u64, delta: u64) -> Self {
-        assert!(p >= 1, "a machine needs at least one processor");
         assert!(
             p.is_power_of_two(),
             "binary-tree NUMA requires P to be a power of two"
         );
-        let mut lambda = vec![vec![0u64; p]; p];
-        for (a, row) in lambda.iter_mut().enumerate() {
-            for (b, cell) in row.iter_mut().enumerate() {
-                *cell = Self::tree_lambda(a, b, delta);
-            }
-        }
-        Machine {
-            p,
-            g,
-            latency: l,
-            topology: NumaTopology::BinaryTree { delta },
-            lambda,
-        }
+        Self::new(p, g, l, NumaTopology::BinaryTree { delta })
     }
 
     /// A machine with a fully explicit NUMA coefficient matrix.
     ///
     /// The matrix must be `p × p`; the diagonal is forced to zero.
-    pub fn with_numa_matrix(p: usize, g: u64, l: u64, matrix: Vec<Vec<u64>>) -> Self {
-        assert!(p >= 1, "a machine needs at least one processor");
+    pub fn with_numa_matrix(p: usize, g: u64, l: u64, mut matrix: Vec<Vec<u64>>) -> Self {
         assert_eq!(matrix.len(), p, "NUMA matrix must have P rows");
-        for row in &matrix {
+        for (i, row) in matrix.iter_mut().enumerate() {
             assert_eq!(row.len(), p, "NUMA matrix must have P columns");
-        }
-        let mut lambda = matrix.clone();
-        for (i, row) in lambda.iter_mut().enumerate() {
             row[i] = 0;
         }
-        Machine {
-            p,
-            g,
-            latency: l,
-            topology: NumaTopology::Explicit(matrix),
-            lambda,
-        }
+        Self::new(p, g, l, NumaTopology::Explicit(matrix))
     }
 
-    fn uniform_matrix(p: usize) -> Vec<Vec<u64>> {
-        let mut lambda = vec![vec![1u64; p]; p];
-        for (i, row) in lambda.iter_mut().enumerate() {
-            row[i] = 0;
+    /// The machine described from outside the process — a request on the
+    /// wire, a record on disk: uniform, or a binary tree of per-level
+    /// multiplier `tree_delta`.  The fallible face of the asserting
+    /// constructors: `P` must lie in `1..=`[`MAX_PROCESSORS`] and be a power
+    /// of two on a tree.
+    pub fn checked(p: u64, g: u64, l: u64, tree_delta: Option<u64>) -> Result<Self, String> {
+        let p = match usize::try_from(p) {
+            Ok(p) if (1..=MAX_PROCESSORS).contains(&p) => p,
+            _ => return Err(format!("P = {p} is outside 1..={MAX_PROCESSORS}")),
+        };
+        match tree_delta {
+            None => Ok(Self::uniform(p, g, l)),
+            Some(_) if !p.is_power_of_two() => Err(format!(
+                "binary-tree NUMA requires P to be a power of two, got {p}"
+            )),
+            Some(delta) => Ok(Self::numa_binary_tree(p, g, l, delta)),
         }
-        lambda
-    }
-
-    fn tree_lambda(a: usize, b: usize, delta: u64) -> u64 {
-        if a == b {
-            return 0;
-        }
-        // Number of levels to climb until a and b share a subtree.
-        let mut levels = 0u32;
-        let (mut x, mut y) = (a, b);
-        while x != y {
-            x >>= 1;
-            y >>= 1;
-            levels += 1;
-        }
-        delta.saturating_pow(levels - 1)
     }
 
     /// Number of processors `P`.
@@ -145,7 +138,17 @@ impl Machine {
     /// NUMA coefficient `λ_{p1,p2}` for sending one unit of data from `p1` to `p2`.
     #[inline]
     pub fn lambda(&self, p1: usize, p2: usize) -> u64 {
-        self.lambda[p1][p2]
+        debug_assert!(p1 < self.p && p2 < self.p, "processor out of range");
+        match &self.topology {
+            NumaTopology::Explicit(matrix) => matrix[p1][p2],
+            _ if p1 == p2 => 0,
+            _ => self.level_cost[(p1 ^ p2).ilog2() as usize],
+        }
+    }
+
+    /// `λ_{a,b}` for every ordered pair, row by row.
+    fn lambdas(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.p).flat_map(move |a| (0..self.p).map(move |b| self.lambda(a, b)))
     }
 
     /// `true` if this machine has non-uniform communication costs.
@@ -158,18 +161,13 @@ impl Machine {
     /// to fold NUMA effects into their earliest-start-time computation
     /// (Appendix A.1).
     pub fn avg_lambda(&self) -> f64 {
-        let total: u64 = self.lambda.iter().flat_map(|r| r.iter()).sum();
+        let total: u64 = self.lambdas().sum();
         total as f64 / (self.p * self.p) as f64
     }
 
     /// Maximum NUMA coefficient between any pair of processors.
     pub fn max_lambda(&self) -> u64 {
-        self.lambda
-            .iter()
-            .flat_map(|r| r.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.lambdas().max().unwrap_or(0)
     }
 
     /// The machine restricted to its first `k` processors: same `g` and `ℓ`,
@@ -188,24 +186,18 @@ impl Machine {
             (1..=self.p).contains(&k),
             "a prefix keeps between 1 and P processors"
         );
-        let block = |matrix: &[Vec<u64>]| -> Vec<Vec<u64>> {
-            matrix[..k].iter().map(|row| row[..k].to_vec()).collect()
-        };
         let topology = match &self.topology {
             NumaTopology::Uniform => NumaTopology::Uniform,
             NumaTopology::BinaryTree { delta } if k.is_power_of_two() => {
                 NumaTopology::BinaryTree { delta: *delta }
             }
-            NumaTopology::BinaryTree { .. } => NumaTopology::Explicit(block(&self.lambda)),
-            NumaTopology::Explicit(matrix) => NumaTopology::Explicit(block(matrix)),
+            _ => NumaTopology::Explicit(
+                (0..k)
+                    .map(|a| (0..k).map(|b| self.lambda(a, b)).collect())
+                    .collect(),
+            ),
         };
-        Machine {
-            p: k,
-            g: self.g,
-            latency: self.latency,
-            topology,
-            lambda: block(&self.lambda),
-        }
+        Self::new(k, self.g, self.latency, topology)
     }
 }
 
@@ -327,6 +319,22 @@ mod tests {
     #[should_panic]
     fn prefix_rejects_more_processors_than_the_machine_has() {
         let _ = Machine::uniform(4, 1, 5).prefix(5);
+    }
+
+    #[test]
+    fn checked_refuses_what_the_constructors_would_assert_on() {
+        assert!(Machine::checked(0, 1, 1, None).is_err());
+        assert!(Machine::checked(MAX_PROCESSORS as u64 + 1, 1, 1, None).is_err());
+        assert!(Machine::checked(u64::MAX, 1, 1, Some(2)).is_err());
+        assert!(Machine::checked(6, 1, 1, Some(2)).is_err());
+        assert_eq!(
+            Machine::checked(6, 2, 3, None),
+            Ok(Machine::uniform(6, 2, 3))
+        );
+        assert_eq!(
+            Machine::checked(MAX_PROCESSORS as u64, 1, 5, Some(3)),
+            Ok(Machine::numa_binary_tree(MAX_PROCESSORS, 1, 5, 3))
+        );
     }
 
     #[test]

@@ -44,10 +44,9 @@ pub const FRAME_HEADER_BYTES: usize = 4 + 8;
 /// length field must not send the scanner astray.
 pub const MAX_RECORD_BYTES: usize = 64 << 20;
 
-/// The largest `P` a record may carry, and the service limit on a request's
-/// machine: `λ` is a dense `P × P` table, so a bigger `P` read off a damaged
-/// frame would allocate without bound before anything else is checked.
-pub const MAX_PROCESSORS: usize = 512;
+/// The largest `P` a record may carry: the limit on every machine that
+/// arrives from outside, checked by [`Machine::checked`].
+pub use crate::machine::MAX_PROCESSORS;
 
 /// One durable cache entry, ready to re-validate and re-insert.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,31 +232,20 @@ pub fn decode_record(bytes: &[u8]) -> Result<(StoreRecord, usize), RecordError> 
     let structure_fp = cur.u64()?;
     let cost = cur.u64()?;
     let kind = cur.u8()?;
-    let p = cur.u32()? as usize;
+    let p = u64::from(cur.u32()?);
     let g = cur.u64()?;
     let l = cur.u64()?;
     let delta = cur.u64()?;
-    if p == 0 || p > MAX_PROCESSORS {
-        return Err(RecordError::Malformed(format!(
-            "machine with {p} processors (1 to {MAX_PROCESSORS})"
-        )));
-    }
-    let machine = match kind {
-        0 => Machine::uniform(p, g, l),
-        1 => {
-            if !p.is_power_of_two() {
-                return Err(RecordError::Malformed(
-                    "tree machine with non-power-of-two P".into(),
-                ));
-            }
-            Machine::numa_binary_tree(p, g, l, delta)
-        }
+    let tree_delta = match kind {
+        0 => None,
+        1 => Some(delta),
         other => {
             return Err(RecordError::Malformed(format!(
                 "unknown machine kind {other}"
             )))
         }
     };
+    let machine = Machine::checked(p, g, l, tree_delta).map_err(RecordError::Malformed)?;
     let dag_len = cur.u32()? as usize;
     let dag_bytes = cur.take(dag_len)?.to_vec();
     let n = cur.u32()? as usize;

@@ -149,16 +149,6 @@ impl BspSchedule {
     pub fn relax_to_lazy(&mut self, dag: &Dag) {
         self.comm = CommSchedule::lazy(dag, &self.assignment);
     }
-
-    /// Work assigned to each (superstep, processor) pair; indexed `[s][p]`.
-    pub fn work_matrix(&self, dag: &Dag, machine: &Machine) -> Vec<Vec<u64>> {
-        let steps = self.assignment.num_supersteps();
-        let mut m = vec![vec![0u64; machine.p()]; steps];
-        for v in 0..dag.n() {
-            m[self.superstep(v)][self.proc(v)] += dag.work(v);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -215,18 +205,5 @@ mod tests {
         // Computation uses 1 superstep but communication in step 0 implies the
         // superstep structure extends past it.
         assert_eq!(sched.num_supersteps(), 2);
-    }
-
-    #[test]
-    fn work_matrix_sums_work_per_cell() {
-        let dag = chain();
-        let machine = Machine::uniform(2, 1, 0);
-        let assignment = Assignment {
-            proc: vec![0, 1, 1],
-            superstep: vec![0, 1, 1],
-        };
-        let sched = BspSchedule::from_assignment_lazy(&dag, assignment);
-        let m = sched.work_matrix(&dag, &machine);
-        assert_eq!(m, vec![vec![2, 0], vec![0, 7]]);
     }
 }

@@ -97,7 +97,6 @@
 //! encoders push decimals straight into the output buffer without `fmt`.
 
 use bsp_model::decimal::{is_blank, push_line, push_u64, scan_u64, with_bytes};
-use bsp_model::record::MAX_PROCESSORS;
 use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine, NumaTopology};
 use dag_gen::hyperdag::{append_hyperdag, hyperdag_line_count, read_hyperdag, HyperDagError};
 use std::fmt::{self, Write as _};
@@ -502,8 +501,8 @@ fn request_line<'t, R: BufRead>(
     Ok(Some(Tokens::new(text.trim())))
 }
 
-/// Validates machine parameters *before* constructing a [`Machine`] (whose
-/// constructors assert).  This is the typed-error face of those assertions.
+/// The machine of a `MACHINE` line's fields: the wire's kind names over
+/// [`Machine::checked`], the typed-error face of the asserting constructors.
 pub fn build_machine(
     kind: &str,
     p: u64,
@@ -511,37 +510,18 @@ pub fn build_machine(
     l: u64,
     delta: Option<u64>,
 ) -> Result<Machine, ServeError> {
-    let p = usize::try_from(p).map_err(|_| ServeError::Machine("P does not fit usize".into()))?;
-    if p == 0 {
-        return Err(ServeError::Machine(
-            "a machine needs at least one processor".into(),
-        ));
-    }
-    // The λ matrix is materialized as a dense P × P table and hashed per
-    // request, so the boundary bounds P tightly: 512² coefficients is ~2 MB,
-    // while the old 4096 limit would have let a 25-byte request line force a
-    // ~134 MB allocation before any deadline applied.
-    if p > MAX_PROCESSORS {
-        return Err(ServeError::Machine(format!(
-            "P = {p} exceeds the service limit of {MAX_PROCESSORS} processors"
-        )));
-    }
-    match kind {
-        "uniform" => Ok(Machine::uniform(p, g, l)),
+    let tree_delta = match kind {
+        "uniform" => None,
         "tree" => {
-            if !p.is_power_of_two() {
-                return Err(ServeError::Machine(format!(
-                    "binary-tree NUMA requires P to be a power of two, got {p}"
-                )));
-            }
-            let delta =
-                delta.ok_or_else(|| ServeError::Machine("tree machine needs a delta".into()))?;
-            Ok(Machine::numa_binary_tree(p, g, l, delta))
+            Some(delta.ok_or_else(|| ServeError::Machine("tree machine needs a delta".into()))?)
         }
-        other => Err(ServeError::Machine(format!(
-            "unknown machine kind {other:?} (expected uniform|tree)"
-        ))),
-    }
+        other => {
+            return Err(ServeError::Machine(format!(
+                "unknown machine kind {other:?} (expected uniform|tree)"
+            )))
+        }
+    };
+    Machine::checked(p, g, l, tree_delta).map_err(ServeError::Machine)
 }
 
 /// Serializes a machine description as its wire line (without `MACHINE `).
@@ -2195,8 +2175,8 @@ mod tests {
             build_machine("mesh", 4, 1, 1, None),
             Err(ServeError::Machine(_))
         ));
-        // The λ matrix is P × P, so the boundary rejects huge P before any
-        // allocation is sized from it.
+        // Every request key hashes all P² coefficients, so the boundary
+        // bounds P.
         assert!(matches!(
             build_machine("uniform", 4096, 1, 1, None),
             Err(ServeError::Machine(_))

@@ -9,9 +9,8 @@
 //! with `ERR 0 busy ...` and dropped).  The reader parses incoming messages
 //! and pushes each scheduling request as a *job* into a bounded shared
 //! queue — so a client may have **many id-tagged requests in flight on one
-//! connection**.  `N` **worker** threads drain the queue (in batches of up
-//! to [`ServerConfig::admission_batch`] jobs per lock acquisition, load
-//! balanced across workers) and hand each finished response to the owning
+//! connection**.  `N` **worker** threads take the queue's jobs one at a
+//! time, in arrival order, and hand each finished response to the owning
 //! connection's **writer** thread over a channel; since several workers can
 //! be solving jobs of the same connection concurrently, responses complete
 //! **out of order** and the id tags are what lets the client match them up
@@ -73,9 +72,9 @@ pub struct ServerConfig {
     /// Maximum concurrently served connections; further connections are
     /// refused with `ERR 0 busy`.
     pub max_connections: usize,
-    /// Maximum jobs a worker drains per queue-lock acquisition (jobs are
-    /// also load balanced across workers, so a short queue is never drained
-    /// into one worker).
+    /// Read by nothing: a worker takes one job per pop.  The frozen
+    /// `benchmark/` names it in a struct literal; delete with ROADMAP item 1.
+    #[doc(hidden)]
     pub admission_batch: usize,
     /// A connection idle for this long is closed (also bounds how long
     /// shutdown can wait for a reader stuck on a silent peer).
@@ -570,15 +569,12 @@ pub(crate) fn writer_loop(stream: TcpStream, rx: &Receiver<String>) {
 }
 
 fn worker_loop(shared: &Shared) {
-    let batch_cap = shared.config.admission_batch.max(1);
-    let workers = shared.config.workers.max(1);
-    let mut batch: Vec<Job> = Vec::with_capacity(batch_cap);
     loop {
-        {
+        let job = {
             let mut jobs = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if !jobs.is_empty() {
-                    break;
+                if let Some(job) = jobs.pop_front() {
+                    break job;
                 }
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     return;
@@ -588,85 +584,73 @@ fn worker_loop(shared: &Shared) {
                     .wait(jobs)
                     .unwrap_or_else(|e| e.into_inner());
             }
-            // Batched draining amortizes the lock under bursts, but never
-            // starves parallelism: a worker takes at most its fair share of
-            // the current queue.
-            let take = jobs.len().div_ceil(workers).min(batch_cap);
-            for _ in 0..take {
-                match jobs.pop_front() {
-                    Some(job) => batch.push(job),
-                    None => break,
-                }
+        };
+        let mut out = String::new();
+        let queue_wait = job.enqueued.elapsed();
+        shared.queue_wait.record(queue_wait);
+        let qw_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
+        // Spans are offsets from admission: queue wait first, then the
+        // service's handling spans shifted past it.  All `Copy`-only —
+        // the exact-hit path stays allocation-free with tracing on.
+        let mut spans = SpanSet::new();
+        spans.push("queue_wait", 0, 0, qw_us);
+        let mut svc_spans = SpanSet::new();
+        let id = match &job.kind {
+            JobKind::Full(request) => request.id,
+            JobKind::Fingerprint { id, .. } => *id,
+        };
+        // A panicking solve answers its own request with `ERR internal`;
+        // the worker lives on and serves the next job.
+        let handled = panic::catch_unwind(AssertUnwindSafe(|| match &job.kind {
+            JobKind::Full(request) => {
+                #[cfg(test)]
+                tests::panic_if_marked(request);
+                shared.service.handle_traced(request, Some(&mut svc_spans))
             }
-        }
-        for job in batch.drain(..) {
-            let mut out = String::new();
-            let queue_wait = job.enqueued.elapsed();
-            shared.queue_wait.record(queue_wait);
-            let qw_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
-            // Spans are offsets from admission: queue wait first, then the
-            // service's handling spans shifted past it.  All `Copy`-only —
-            // the exact-hit path stays allocation-free with tracing on.
-            let mut spans = SpanSet::new();
-            spans.push("queue_wait", 0, 0, qw_us);
-            let mut svc_spans = SpanSet::new();
-            let id = match &job.kind {
-                JobKind::Full(request) => request.id,
-                JobKind::Fingerprint { id, .. } => *id,
-            };
-            // A panicking solve answers its own request with `ERR internal`;
-            // the worker lives on and serves the rest of its batch.
-            let handled = panic::catch_unwind(AssertUnwindSafe(|| match &job.kind {
-                JobKind::Full(request) => {
-                    #[cfg(test)]
-                    tests::panic_if_marked(request);
-                    shared.service.handle_traced(request, Some(&mut svc_spans))
-                }
-                JobKind::Fingerprint { fingerprint, .. } => shared
-                    .service
-                    .handle_fingerprint_traced(*fingerprint, Some(&mut svc_spans)),
-            }));
-            let result = handled.unwrap_or_else(|payload| {
-                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
-                    .or_else(|| payload.downcast_ref::<String>().cloned());
-                Err(ServeError::Internal(message.unwrap_or_default()))
-            });
-            spans.extend_offset(&svc_spans, 0, qw_us);
-            let (source, total_us) = match &result {
-                Ok(reply) => {
-                    let handled_us = reply.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-                    let respond_start = job.enqueued.elapsed().as_micros() as u64;
-                    encode_response_parts(
-                        &mut out,
-                        id,
-                        reply.cost,
-                        reply.source,
-                        handled_us,
-                        job.trace,
-                        &reply.schedule,
-                    );
-                    let respond_dur =
-                        (job.enqueued.elapsed().as_micros() as u64).saturating_sub(respond_start);
-                    spans.push("respond", 0, respond_start, respond_dur);
-                    (reply.source.as_str(), qw_us.saturating_add(handled_us))
-                }
-                Err(err) => {
-                    encode_error(&mut out, id, err);
-                    ("error", job.enqueued.elapsed().as_micros() as u64)
-                }
-            };
-            shared.journal.record(TraceRecord {
-                trace_id: job.trace,
-                source,
-                shard: -1,
-                total_us,
-                spans,
-            });
-            // A send error just means the connection is gone.
-            let _ = job.reply.send(out);
-            job.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+            JobKind::Fingerprint { fingerprint, .. } => shared
+                .service
+                .handle_fingerprint_traced(*fingerprint, Some(&mut svc_spans)),
+        }));
+        let result = handled.unwrap_or_else(|payload| {
+            shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+            let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                .or_else(|| payload.downcast_ref::<String>().cloned());
+            Err(ServeError::Internal(message.unwrap_or_default()))
+        });
+        spans.extend_offset(&svc_spans, 0, qw_us);
+        let (source, total_us) = match &result {
+            Ok(reply) => {
+                let handled_us = reply.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+                let respond_start = job.enqueued.elapsed().as_micros() as u64;
+                encode_response_parts(
+                    &mut out,
+                    id,
+                    reply.cost,
+                    reply.source,
+                    handled_us,
+                    job.trace,
+                    &reply.schedule,
+                );
+                let respond_dur =
+                    (job.enqueued.elapsed().as_micros() as u64).saturating_sub(respond_start);
+                spans.push("respond", 0, respond_start, respond_dur);
+                (reply.source.as_str(), qw_us.saturating_add(handled_us))
+            }
+            Err(err) => {
+                encode_error(&mut out, id, err);
+                ("error", job.enqueued.elapsed().as_micros() as u64)
+            }
+        };
+        shared.journal.record(TraceRecord {
+            trace_id: job.trace,
+            source,
+            shard: -1,
+            total_us,
+            spans,
+        });
+        // A send error just means the connection is gone.
+        let _ = job.reply.send(out);
+        job.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -691,7 +675,6 @@ mod tests {
             workers,
             queue_capacity: 32,
             max_connections: 16,
-            admission_batch: 4,
             idle_timeout: Duration::from_secs(5),
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(40),
@@ -825,7 +808,6 @@ mod tests {
             workers: 1,
             queue_capacity: 1,
             max_connections: 4,
-            admission_batch: 1,
             idle_timeout: Duration::from_secs(5),
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(30),
@@ -888,7 +870,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 4,
                 max_connections: 4,
-                admission_batch: 1,
                 idle_timeout,
                 service: ServiceConfig {
                     local_search_budget: Duration::from_secs(5),

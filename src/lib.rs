@@ -41,9 +41,7 @@ pub use micro_ilp as ilp;
 
 /// Convenience prelude re-exporting the most commonly used types.
 pub mod prelude {
-    pub use bsp_model::{
-        BspSchedule, CommSchedule, CommStep, CostBreakdown, Dag, DagBuilder, Machine, NodeId,
-    };
+    pub use bsp_model::{BspSchedule, CommSchedule, CommStep, CostBreakdown, Dag, Machine, NodeId};
     pub use bsp_sched::pipeline::{Pipeline, PipelineConfig};
     pub use bsp_sched::Scheduler;
     pub use dag_gen::dataset::{Dataset, DatasetKind};

@@ -152,6 +152,23 @@ fn all_simple_schedulers_are_valid_on_the_dag_zoo() {
     }
 }
 
+/// The empty DAG takes each constructor's general path, which must return
+/// the trivial schedule field for field.
+#[test]
+fn every_scheduler_returns_the_trivial_schedule_of_the_empty_dag() {
+    let dag = Dag::from_edge_list_unit_weights(0, &[]).unwrap();
+    let machines = [
+        Machine::uniform(4, 3, 5),
+        Machine::numa_binary_tree(8, 3, 5, 3),
+    ];
+    for machine in &machines {
+        for scheduler in schedulers() {
+            let sched = scheduler.schedule(&dag, machine);
+            assert_eq!(sched, BspSchedule::trivial(&dag), "{}", scheduler.name());
+        }
+    }
+}
+
 /// Work-0 nodes, which no generator emits (they clamp work to ≥ 1): such a
 /// node finishes the instant it starts, so a classical schedule may start
 /// its consumers, on its own processor or another, at that same instant.

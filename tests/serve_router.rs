@@ -27,7 +27,6 @@ fn shard_server() -> ServerHandle {
         workers: 2,
         queue_capacity: 64,
         max_connections: 16,
-        admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
@@ -192,7 +191,6 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         workers: 2,
         queue_capacity: 64,
         max_connections: 16,
-        admission_batch: 4,
         idle_timeout: Duration::from_millis(150),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
@@ -431,7 +429,6 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         workers: 2,
         queue_capacity: 64,
         max_connections: 16,
-        admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),

@@ -74,7 +74,6 @@ fn shard_server() -> ServerHandle {
         workers: 2,
         queue_capacity: 64,
         max_connections: 16,
-        admission_batch: 4,
         idle_timeout: Duration::from_secs(5),
         service: service_config(),
         ..Default::default()

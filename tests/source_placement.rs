@@ -101,9 +101,11 @@ fn machines(rng: &mut ChaCha8Rng) -> Vec<Machine> {
 }
 
 fn work_maxima(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> Vec<u64> {
-    let rows = schedule.work_matrix(dag, machine);
-    rows.iter()
-        .map(|row| row.iter().copied().max().unwrap_or(0))
+    let steps = schedule.assignment.num_supersteps();
+    let breakdown = schedule.cost_breakdown(dag, machine);
+    breakdown.supersteps[..steps]
+        .iter()
+        .map(|s| s.work)
         .collect()
 }
 
