@@ -1,22 +1,15 @@
-//! `exp_serve` — throughput and latency of the `bsp_serve` deployments under
-//! one mixed request stream, and whether sharding pays.
+//! `exp_serve` — throughput and latency of one `bsp_serve` server under one
+//! mixed request stream, and of its durable store across a restart.
 //!
 //! The harness builds one deterministic stream (`spmv`, `cg` and `knn` DAGs
 //! on a uniform and a NUMA machine; 40 % of the requests repeat an earlier
 //! one verbatim — exact cache hits, replayed by fingerprint — and 15 %
-//! re-weight one — warm starts) and [`drive`]s it through each deployment:
-//!
-//! | deployment  | what runs                 | depth per client          |
-//! |-------------|---------------------------|---------------------------|
-//! | `serial`    | one `Server`              | 1                         |
-//! | `one_shard` | the router over 1 shard   | 4 under `--smoke`, 8 else |
-//! | `sharded`   | the router over 2 shards  | 4 under `--smoke`, 8 else |
-//!
-//! `one_shard` against `serial` prices the router hop and the pipelining;
-//! `sharded` against `one_shard` prices the second shard.  Every answer is
-//! validated client-side; per-source latency rows, throughput and the
-//! ratios to `serial` land in the JSON written to `--out`, beside the
-//! two-shard router's pooled `METRICS` scrape.
+//! re-weight one — warm starts) and [`drive`]s it through the `serial`
+//! deployment: one `Server`, each client with one request in flight.
+//! Every answer is validated client-side; per-source latency rows and the
+//! throughput land in the JSON written to `--out`, beside the server's
+//! `METRICS` scrape.  (The router over shards is measured by the repo's
+//! benchmark, workloads `serve_mixed` and `serve_replay`.)
 //!
 //! The **restart** phase measures the durable store: a store-backed server
 //! is populated, replayed by fingerprint, shut down, restarted on the same
@@ -30,38 +23,34 @@
 //! Flags (every other setting is a constant of [`Preset`], recorded in the
 //! JSON's `config` block):
 //!   --out PATH   output JSON path (default BENCH_serve.json)
-//!   --reps N     repetitions of the three deployments and the restart phase
+//!   --reps N     repetitions of the serial run and the restart phase
 //!                (default 1); the rows are those of the repetition with the
-//!                median two-shard throughput, and every repetition's
-//!                headline numbers go to `summary.reps`
+//!                median serial throughput, and every repetition's headline
+//!                numbers go to `summary.reps`
 //!   --smoke      tiny workload and hard checks; exits 1 if one fails (no
-//!                errors, no invalid schedules and no FP fallbacks anywhere,
-//!                exact hits on every deployment, the serial worst latency
-//!                within 2x the deadline; on both routers the six `METRICS`
-//!                series checks, warm hits >= 0.9x serial and cached bytes
-//!                per node within 25 % of the 32-bit schedule's; traffic
-//!                spread across the two shards; the store recovered, replayed
+//!                errors, no invalid schedules and no FP fallbacks, the worst
+//!                latency within 2x the deadline, six `METRICS` checks with
+//!                exact hits among them; the store recovered, replayed
 //!                exactly and without fallback)
 
 use bsp_bench::stats::{host_cores, BenchReport};
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Completion, Decision, LatencyHistogram, MetricsSnapshot, Mode, PipelinedClient,
-    PlacementScope, RequestOptions, Router, RouterConfig, ScheduleSource, Server, ServerConfig,
-    ServerHandle, ServiceConfig, ServiceStats, StoreStats,
+    Client, LatencyHistogram, MetricsSnapshot, Mode, RequestOptions, ScheduleSource, Server,
+    ServerConfig, ServerHandle, ServiceConfig, ServiceStats, StoreStats,
 };
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The `--smoke` ceiling on cached bytes per node: 12.54 measured at the
-/// default seed with 32-bit `π`, `τ` and `Γ` (12.2–12.7 on seeds 1–3), plus
-/// 25 %.  `usize` maps and transfers read ~24.8.
+/// The `--smoke` ceiling on cached bytes per node: 12.46 measured at the
+/// default seed with 32-bit `π`, `τ` and `Γ`, plus 25 %.  `usize` maps and
+/// transfers read ~24.8.
 const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 15.7;
 
 /// The schedule sources, in the order of [`Outcome::by_source`].
@@ -71,7 +60,7 @@ const SOURCES: [ScheduleSource; 3] = [
     ScheduleSource::CacheWarm,
 ];
 
-/// The workload and the deployments' sizes: a smoke preset and a full one.
+/// The workload and the server's sizes: a smoke preset and a full one.
 struct Preset {
     /// Approximate DAG size in nodes.
     target: usize,
@@ -89,10 +78,9 @@ struct Preset {
     deadline: Duration,
     /// Schedule-cache byte budget per server.
     cache_mb: usize,
-    /// Requests in flight per client on the routers.
-    depth: usize,
-    /// Shards behind the `sharded` deployment's router.
-    shards: usize,
+    /// A warm variant re-weights an earlier request of its own client, at
+    /// least this many of that client's requests back (see [`build_stream`]).
+    warm_lag: usize,
     seed: u64,
     /// The huge phase's DAG size and deadline (`None`: skipped).
     huge: Option<(usize, Duration)>,
@@ -110,8 +98,7 @@ impl Preset {
             warm_pct: 15,
             deadline: Duration::from_millis(if smoke { 200 } else { 1000 }),
             cache_mb: 64,
-            depth: if smoke { 4 } else { 8 },
-            shards: 2,
+            warm_lag: if smoke { 4 } else { 8 },
             seed: 2024,
             huge: (!smoke).then_some((100_000, Duration::from_secs(15))),
         }
@@ -211,11 +198,9 @@ fn reweight(dag: &Dag, rng: &mut ChaCha8Rng) -> Dag {
 /// instances (cold on first use, exact hits on repeats) and re-weighted
 /// variants (warm hits when their base is cached).
 ///
-/// A warm variant only re-weights an entry its *own* client finished at
-/// least `depth` share positions earlier.  The pipelining window guarantees
-/// that entry's request completed — and was cached — before the variant is
-/// submitted, so the deployments' warm-hit counts measure the placement
-/// policy, not submission timing.
+/// A warm variant only re-weights an entry its *own* client sent at least
+/// `warm_lag` share positions earlier, so that entry was answered — and
+/// cached — before the variant is sent.
 fn build_stream(pool: &mut Vec<WorkItem>, p: &Preset) -> Vec<usize> {
     let base_len = pool.len();
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
@@ -226,7 +211,7 @@ fn build_stream(pool: &mut Vec<WorkItem>, p: &Preset) -> Vec<usize> {
     let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); p.clients];
     for position in 0..p.requests {
         let client = position % p.clients;
-        let settled = per_client[client].len().saturating_sub(p.depth);
+        let settled = per_client[client].len().saturating_sub(p.warm_lag);
         let roll = rng.gen_range(0u64..100);
         let idx = if roll < p.repeat_pct && !used.is_empty() {
             // Exact repeat of something already requested.
@@ -294,16 +279,15 @@ impl Outcome {
 }
 
 /// Sends `stream` (indices into `pool`) to `addr` from `clients`
-/// connections, request `i` on connection `i % clients`, each keeping up to
-/// `depth` requests in flight, and validates every answer against its
-/// request.  With `assume_cached` each request replays by fingerprint from
-/// its first send.
+/// connections, request `i` on connection `i % clients`, one request in
+/// flight per connection, and validates every answer against its request.
+/// With `assume_cached` each request replays by fingerprint from its first
+/// send.
 fn drive(
     addr: SocketAddr,
     pool: &[WorkItem],
     stream: &[usize],
     clients: usize,
-    depth: usize,
     deadline: Duration,
     assume_cached: bool,
 ) -> Outcome {
@@ -311,53 +295,26 @@ fn drive(
         .with_mode(Mode::HeuristicsOnly)
         .with_deadline(deadline);
     let client_loop = |first: usize| {
-        let mut client = PipelinedClient::connect(addr).expect("connect to the deployment");
-        let mut share = stream.iter().skip(first).step_by(clients);
-        let mut in_flight: HashMap<u64, (usize, Instant)> = HashMap::new();
+        let mut client = Client::connect(addr).expect("connect to the server");
         let mut outcome = Outcome::default();
-        loop {
-            while in_flight.len() < depth {
-                let Some(&idx) = share.next() else { break };
-                let item = &pool[idx];
-                if assume_cached {
-                    client.assume_cached(&item.dag, &item.machine);
-                }
-                let submitted = Instant::now();
-                match client.submit(&item.dag, &item.machine, &options) {
-                    Ok(id) => {
-                        in_flight.insert(id, (idx, submitted));
-                    }
-                    Err(err) => {
-                        eprintln!("submit failed: {err}");
-                        outcome.errors += 1;
-                    }
-                }
+        for &idx in stream.iter().skip(first).step_by(clients) {
+            let item = &pool[idx];
+            if assume_cached {
+                client.assume_cached(&item.dag, &item.machine);
             }
-            if in_flight.is_empty() {
-                break;
-            }
-            match client.recv() {
-                Ok(Completion::Ok(response)) => {
-                    let (idx, submitted) = in_flight
-                        .remove(&response.id)
-                        .expect("completion for an unknown id");
+            let submitted = Instant::now();
+            match client.schedule(&item.dag, &item.machine, &options) {
+                Ok(response) => {
                     let latency = submitted.elapsed();
                     let ratio = latency.as_secs_f64() / deadline.as_secs_f64();
                     outcome.worst_deadline_ratio = outcome.worst_deadline_ratio.max(ratio);
                     outcome.of(response.source).record(latency);
-                    let item = &pool[idx];
                     let valid = response.schedule.validate(&item.dag, &item.machine);
                     outcome.invalid += u64::from(valid.is_err());
                 }
-                Ok(Completion::Failed { id, error }) => {
-                    in_flight.remove(&id);
-                    eprintln!("request {id} failed: {error}");
-                    outcome.errors += 1;
-                }
                 Err(err) => {
-                    eprintln!("connection failed: {err}");
-                    outcome.errors += in_flight.len() as u64;
-                    break;
+                    eprintln!("request failed: {err}");
+                    outcome.errors += 1;
                 }
             }
         }
@@ -388,60 +345,23 @@ fn spawn_server(config: ServerConfig) -> ServerHandle {
         .expect("spawn server threads")
 }
 
-/// One deployment's run: what its clients saw, and what it said about itself.
+/// The serial run: what its clients saw, and what the server said about
+/// itself.
 struct Run {
     outcome: Outcome,
-    /// The deployment's `METRICS`, scraped after the stream (on a router,
-    /// pooled across its shards).
+    /// The server's `METRICS`, scraped after the stream.
     metrics: MetricsSnapshot,
-    /// Requests each shard answered.
-    shard_requests: Vec<u64>,
 }
 
-impl Run {
-    fn stats(&self) -> ServiceStats {
-        ServiceStats::from_snapshot(&self.metrics)
-    }
-}
-
-/// Drives the stream through one server (`shards: None`, one request in
-/// flight per client) or through the router over `shards` shards, each of
-/// which knows its slice of the placement (`p.depth` in flight per client).
-fn run_deployment(shards: Option<usize>, p: &Preset, pool: &[WorkItem], stream: &[usize]) -> Run {
-    let servers: Vec<ServerHandle> = (0..shards.unwrap_or(1))
-        .map(|shard| {
-            let mut config = p.server_config();
-            config.service.placement = shards.map(|shards| PlacementScope { shards, shard });
-            spawn_server(config)
-        })
-        .collect();
-    let router = shards.map(|_| {
-        let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.addr()).collect();
-        Router::bind("127.0.0.1:0", &addrs, RouterConfig::default())
-            .expect("bind the router")
-            .spawn()
-            .expect("spawn router threads")
-    });
-    let (addr, depth) = match &router {
-        Some(router) => (router.addr(), p.depth),
-        None => (servers[0].addr(), 1),
-    };
-    let outcome = drive(addr, pool, stream, p.clients, depth, p.deadline, false);
-    let mut scraper = Client::connect(addr).expect("connect a metrics scraper");
+/// Drives the stream through one server.
+fn run_serial(p: &Preset, pool: &[WorkItem], stream: &[usize]) -> Run {
+    let server = spawn_server(p.server_config());
+    let outcome = drive(server.addr(), pool, stream, p.clients, p.deadline, false);
+    let mut scraper = Client::connect(server.addr()).expect("connect a metrics scraper");
     let exposition = scraper.metrics().expect("scrape METRICS");
     let metrics = MetricsSnapshot::parse(&exposition).expect("the exposition parses");
-    let shard_requests = servers.iter().map(|s| s.stats().requests).collect();
-    if let Some(router) = router {
-        router.shutdown();
-    }
-    for server in servers {
-        server.shutdown();
-    }
-    Run {
-        outcome,
-        metrics,
-        shard_requests,
-    }
+    server.shutdown();
+    Run { outcome, metrics }
 }
 
 /// What the restart phase measured: its three passes and the store
@@ -470,7 +390,7 @@ fn run_restart_phase(p: &Preset, pool: &[WorkItem]) -> RestartOutcome {
     config.store_dir = Some(dir.clone());
     let every: Vec<usize> = (0..pool.len()).collect();
     let pass = |server: &ServerHandle, assume_cached| {
-        drive(server.addr(), pool, &every, 1, 1, p.deadline, assume_cached)
+        drive(server.addr(), pool, &every, 1, p.deadline, assume_cached)
     };
 
     let server = spawn_server(config.clone());
@@ -570,19 +490,7 @@ fn run_huge_phase(p: &Preset, target: usize, deadline: Duration) -> HugeOutcome 
 /// What one repetition measured.
 struct Measured {
     serial: Run,
-    one_shard: Run,
-    sharded: Run,
     restart: RestartOutcome,
-}
-
-impl Measured {
-    fn deployments(&self) -> [(&'static str, &Run); 3] {
-        [
-            ("serial", &self.serial),
-            ("one_shard", &self.one_shard),
-            ("sharded", &self.sharded),
-        ]
-    }
 }
 
 fn main() {
@@ -595,7 +503,7 @@ fn main() {
     let config = format!(
         "{{\"target_nodes\": {}, \"requests\": {}, \"clients\": {}, \"workers\": {}, \
          \"repeat_pct\": {}, \"warm_pct\": {}, \"deadline_ms\": {}, \"cache_mb\": {}, \
-         \"depth\": {}, \"shards\": {}, \"seed\": {}, \"huge_target_nodes\": {huge_target}, \
+         \"warm_lag\": {}, \"seed\": {}, \"huge_target_nodes\": {huge_target}, \
          \"huge_deadline_ms\": {}, \"host_cores\": {}, \"reps\": {reps}}}",
         p.target,
         p.requests,
@@ -605,8 +513,7 @@ fn main() {
         p.warm_pct,
         p.deadline.as_millis(),
         p.cache_mb,
-        p.depth,
-        p.shards,
+        p.warm_lag,
         p.seed,
         huge_deadline.as_millis(),
         host_cores(),
@@ -619,27 +526,22 @@ fn main() {
 
     let measure = |rep: usize| -> Measured {
         eprintln!("---- repetition {} of {reps} ----", rep + 1);
-        let run = |shards| run_deployment(shards, &p, &pool, &stream);
         let measured = Measured {
-            serial: run(None),
-            one_shard: run(Some(1)),
-            sharded: run(Some(p.shards)),
+            serial: run_serial(&p, &pool, &stream),
             restart: run_restart_phase(&p, &pool[..base_len]),
         };
-        for (name, run) in measured.deployments() {
-            let o = &run.outcome;
-            let by_source =
-                SOURCES.map(|s| format!("{} {} (p50 {}us)", s.as_str(), o.of(s).count(), o.p50(s)));
-            eprintln!(
-                "{name}: {:.1} req/s in {:.2?} | {} | fp fallbacks {} | invalid {} | errors {}",
-                o.throughput_rps,
-                o.wall,
-                by_source.join(" | "),
-                o.fp_fallbacks,
-                o.invalid,
-                o.errors,
-            );
-        }
+        let o = &measured.serial.outcome;
+        let by_source =
+            SOURCES.map(|s| format!("{} {} (p50 {}us)", s.as_str(), o.of(s).count(), o.p50(s)));
+        eprintln!(
+            "serial: {:.1} req/s in {:.2?} | {} | fp fallbacks {} | invalid {} | errors {}",
+            o.throughput_rps,
+            o.wall,
+            by_source.join(" | "),
+            o.fp_fallbacks,
+            o.invalid,
+            o.errors,
+        );
         let r = &measured.restart;
         eprintln!(
             "restart: {} appended, {} loaded back, exact p50 {}us before vs {}us after",
@@ -650,60 +552,48 @@ fn main() {
         );
         measured
     };
-    // The rows come from the repetition with the median two-shard
-    // throughput; every repetition's headline numbers are kept beside them.
+    // The rows come from the repetition with the median serial throughput;
+    // every repetition's headline numbers are kept beside them.
     let mut runs: Vec<Measured> = (0..reps).map(measure).collect();
     let reps_json: Vec<String> = runs
         .iter()
         .map(|m| {
-            let exact = |run: &Run| run.outcome.p50(ScheduleSource::CacheExact);
             format!(
-                "{{\"serial_throughput_rps\": {:.1}, \"one_shard_throughput_rps\": {:.1}, \
-                 \"sharded_throughput_rps\": {:.1}, \"serial_exact_p50_us\": {}, \
-                 \"sharded_exact_p50_us\": {}, \"restart_post_exact_p50_us\": {}}}",
+                "{{\"serial_throughput_rps\": {:.1}, \"serial_exact_p50_us\": {}, \
+                 \"restart_post_exact_p50_us\": {}}}",
                 m.serial.outcome.throughput_rps,
-                m.one_shard.outcome.throughput_rps,
-                m.sharded.outcome.throughput_rps,
-                exact(&m.serial),
-                exact(&m.sharded),
+                m.serial.outcome.p50(ScheduleSource::CacheExact),
                 m.restart.post.p50(ScheduleSource::CacheExact),
             )
         })
         .collect();
     runs.sort_by(|a, b| {
-        let rps = |m: &Measured| m.sharded.outcome.throughput_rps;
+        let rps = |m: &Measured| m.serial.outcome.throughput_rps;
         rps(a).total_cmp(&rps(b))
     });
     let m = runs.swap_remove(runs.len() / 2);
-    let (serial, sharded, restart) = (&m.serial.outcome, &m.sharded.outcome, &m.restart);
-    let (serial_stats, sharded_stats) = (m.serial.stats(), m.sharded.stats());
-    let metrics = &m.sharded.metrics;
-    let queue_wait = |metrics: &MetricsSnapshot| {
-        metrics
-            .histogram("bsp_queue_wait_micros")
-            .map_or((0, 0, 0), |h| {
-                (h.count, h.quantile_micros(0.5), h.quantile_micros(0.99))
-            })
-    };
-    let (_, qw_p50, qw_p99) = queue_wait(metrics);
+    let (serial, restart, metrics) = (&m.serial.outcome, &m.restart, &m.serial.metrics);
+    let stats = ServiceStats::from_snapshot(metrics);
+    let (qw_count, qw_p50, qw_p99) = metrics
+        .histogram("bsp_queue_wait_micros")
+        .map_or((0, 0, 0), |h| {
+            (h.count, h.quantile_micros(0.5), h.quantile_micros(0.99))
+        });
     let solve_phase_micros = metrics.counter_sum("bsp_solve_phase_micros_total");
-    // Bytes per cached node: a deployment's pooled cache gauges over the
-    // mean size n̄ of the distinct instances the stream asked for (one cache
-    // entry each; the caches are far larger than the workload).
+    let requests_total = metrics.counter_sum("bsp_requests_total");
+    // Bytes per cached node: the cache gauges over the mean size n̄ of the
+    // distinct instances the stream asked for (one cache entry each; the
+    // cache is far larger than the workload).
     let distinct: HashSet<usize> = stream.iter().copied().collect();
     let mean_nodes =
         distinct.iter().map(|&i| pool[i].dag.n()).sum::<usize>() as f64 / distinct.len() as f64;
-    let bytes_per_node = |metrics: &MetricsSnapshot| {
-        let gauge = |key: &str| metrics.gauges.get(key).copied().unwrap_or(0) as f64;
-        gauge("bsp_cache_bytes") / gauge("bsp_cache_entries").max(1.0) / mean_nodes
-    };
-    let cache_bytes_per_node = bytes_per_node(metrics);
+    let gauge = |key: &str| metrics.gauges.get(key).copied().unwrap_or(0) as f64;
+    let cache_bytes_per_node =
+        gauge("bsp_cache_bytes") / gauge("bsp_cache_entries").max(1.0) / mean_nodes;
     eprintln!(
-        "two-shard router: {} requests, queue wait p50 {qw_p50}us / p99 {qw_p99}us, \
+        "serial server: {requests_total} requests, queue wait p50 {qw_p50}us / p99 {qw_p99}us, \
          {solve_phase_micros}us of attributed solver phase time, {cache_bytes_per_node:.2} \
-         bytes per cached node (n̄ {mean_nodes:.1}), shard requests {:?}",
-        metrics.counter_sum("bsp_requests_total"),
-        m.sharded.shard_requests,
+         bytes per cached node (n̄ {mean_nodes:.1})",
     );
 
     // Skipped under --smoke: a 10⁵-node cold solve is minutes of CI time.
@@ -720,7 +610,6 @@ fn main() {
         outcome
     });
 
-    let over_serial = |run: &Outcome| run.throughput_rps / serial.throughput_rps;
     let exact_speedup = {
         let exact_p50 = serial.p50(ScheduleSource::CacheExact);
         if exact_p50 > 0 {
@@ -731,10 +620,6 @@ fn main() {
     };
 
     let mut report = BenchReport::new("serve_throughput");
-    // `host_cores` contextualizes the ratios to serial: the sharded
-    // deployment adds parallel capacity (one shard per core/box is the
-    // deployment model), so on a single-core host the same CPU-bound solve
-    // work is merely time-sliced and the ratio cannot exceed ~1.
     report.set_config_json(config);
     let row = |phase: &str, source: &str, hist: &LatencyHistogram| {
         format!(
@@ -745,10 +630,8 @@ fn main() {
             hist.quantile_micros(0.99),
         )
     };
-    for (name, run) in m.deployments() {
-        for source in SOURCES {
-            report.push_result_json(row(name, source.as_str(), run.outcome.of(source)));
-        }
+    for source in SOURCES {
+        report.push_result_json(row("serial", source.as_str(), serial.of(source)));
     }
     for (name, pass) in [
         ("restart_pre", &restart.pre),
@@ -764,28 +647,6 @@ fn main() {
             huge.source.as_str(),
         ));
     }
-    // The placement policy's success metric: structure-range routing should
-    // make sharded warm hits track the serial baseline (full-key ranges
-    // scattered warm families across shards and lost most of them).
-    let serial_warm = serial_stats.cache.warm_hits;
-    let warm_ratio = |stats: &ServiceStats| {
-        if serial_warm > 0 {
-            stats.cache.warm_hits as f64 / serial_warm as f64
-        } else {
-            1.0
-        }
-    };
-    // One field per `bsp_placement_total` decision label.
-    let placement_decisions: Vec<String> = Decision::ALL
-        .iter()
-        .map(|d| {
-            let name = d.as_str();
-            let count = metrics
-                .counter(&format!("bsp_placement_total{{decision=\"{name}\"}}"))
-                .unwrap_or(0);
-            format!("\"{name}\": {count}")
-        })
-        .collect();
     // The huge phase's summary entry: latency against its own deadline plus
     // the per-phase solve breakdown recovered from the wire trace.
     let huge_json = huge.as_ref().map_or("null".to_string(), |huge| {
@@ -805,50 +666,30 @@ fn main() {
             spans.join(", "),
         )
     });
-    let cache_json = |stats: &ServiceStats| {
-        format!(
-            "{{\"hits\": {}, \"warm_hits\": {}, \"warm_fallbacks\": {}, \"misses\": {}}}",
-            stats.cache.hits, stats.cache.warm_hits, stats.cache.warm_fallbacks, stats.cache.misses,
-        )
-    };
-    let sum = |field: fn(&Outcome) -> u64| -> u64 {
-        m.deployments()
-            .iter()
-            .map(|(_, run)| field(&run.outcome))
-            .sum()
-    };
     report.set_summary_json(format!(
-        "{{\"serial_throughput_rps\": {:.1}, \"one_shard_throughput_rps\": {:.1}, \
-         \"sharded_throughput_rps\": {:.1}, \
-         \"serial_wall_secs\": {:.3}, \"sharded_wall_secs\": {:.3}, \
-         \"one_shard_over_serial\": {:.2}, \"sharded_over_serial\": {:.2}, \
+        "{{\"serial_throughput_rps\": {:.1}, \"serial_wall_secs\": {:.3}, \
          \"exact_hit_p50_speedup\": {exact_speedup:.1}, \
          \"serial_worst_latency_over_deadline\": {:.3}, \
          \"invalid_schedules\": {}, \"request_errors\": {}, \"fp_fallbacks\": {}, \
-         \"shard_requests\": {:?}, \"sharded_cache\": {}, \"serial_cache\": {}, \
+         \"serial_cache\": {{\"hits\": {}, \"warm_hits\": {}, \"warm_fallbacks\": {}, \
+         \"misses\": {}}}, \
          \"restart_store\": {{\"appended\": {}, \"loaded\": {}, \"recovered_bytes\": {}, \
          \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}}}, \
-         \"router_metrics\": {{\"requests_total\": {}, \"queue_wait_p50_us\": {qw_p50}, \
-         \"queue_wait_p99_us\": {qw_p99}, \"solve_phase_micros\": {solve_phase_micros}, \
+         \"server_metrics\": {{\"requests_total\": {requests_total}, \
+         \"queue_wait_p50_us\": {qw_p50}, \"queue_wait_p99_us\": {qw_p99}, \
+         \"solve_phase_micros\": {solve_phase_micros}, \
          \"cache_bytes_per_node\": {cache_bytes_per_node:.2}}}, \
-         \"huge\": {huge_json}, \
-         \"warm_locality\": {{\"serial_warm_hits\": {serial_warm}, \
-         \"sharded_warm_hits\": {}, \"warm_ratio\": {:.3}, \"placement_decisions\": {{{}}}}}, \
-         \"reps\": [{}]}}",
+         \"huge\": {huge_json}, \"reps\": [{}]}}",
         serial.throughput_rps,
-        m.one_shard.outcome.throughput_rps,
-        sharded.throughput_rps,
         serial.wall.as_secs_f64(),
-        sharded.wall.as_secs_f64(),
-        over_serial(&m.one_shard.outcome),
-        over_serial(sharded),
         serial.worst_deadline_ratio,
-        sum(|o| o.invalid),
-        sum(|o| o.errors),
-        sum(|o| o.fp_fallbacks),
-        m.sharded.shard_requests,
-        cache_json(&sharded_stats),
-        cache_json(&serial_stats),
+        serial.invalid,
+        serial.errors,
+        serial.fp_fallbacks,
+        stats.cache.hits,
+        stats.cache.warm_hits,
+        stats.cache.warm_fallbacks,
+        stats.cache.misses,
         restart.appended,
         restart.recovered.loaded,
         restart.recovered.recovered_bytes,
@@ -856,10 +697,6 @@ fn main() {
         restart.post.fp_fallbacks,
         restart.post.of(ScheduleSource::Cold).count()
             + restart.post.of(ScheduleSource::CacheWarm).count(),
-        metrics.counter_sum("bsp_requests_total"),
-        sharded_stats.cache.warm_hits,
-        warm_ratio(&sharded_stats),
-        placement_decisions.join(", "),
         reps_json.join(", "),
     ));
     report
@@ -870,85 +707,51 @@ fn main() {
         return;
     }
 
-    // Every check is (passed, what failed), per deployment.
-    let mut checks: Vec<(&str, bool, &str)> = Vec::new();
-    for (name, run) in m.deployments() {
-        let (o, stats, metrics) = (&run.outcome, run.stats(), &run.metrics);
-        checks.extend([
-            (name, o.errors == 0, "requests failed"),
-            (name, o.invalid == 0, "invalid schedules"),
-            // Routing correctness: with caches far larger than the workload
-            // no replay may miss — zero fallbacks means every `FP` frame
-            // landed on the shard that owns (and therefore cached) its key.
-            (name, o.fp_fallbacks == 0, "an FP replay missed its owner"),
-            (name, stats.cache.hits > 0, "no exact cache hits"),
-        ]);
-        if name == "serial" {
-            let in_time = o.worst_deadline_ratio <= 2.0;
-            checks.push((name, in_time, "worst latency over 2x the deadline"));
-            continue;
-        }
-        let counter = |key: &str| metrics.counter(key).unwrap_or(0);
-        let invalid_fallbacks = "bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}";
-        checks.extend([
-            // Observability: the scrape parsed (asserted at scrape time) and
-            // the core series are present and non-zero.
-            (
-                name,
-                metrics.counter_sum("bsp_requests_total") >= p.requests as u64,
-                "the pooled bsp_requests_total undercounts the workload",
-            ),
-            (
-                name,
-                counter("bsp_cache_ops_total{op=\"hit\"}") > 0,
-                "no cache hits in the scraped metrics",
-            ),
-            (
-                name,
-                metrics.counter_sum("bsp_solve_phase_micros_total") > 0,
-                "no solver phase time in the scraped metrics",
-            ),
-            (
-                name,
-                queue_wait(metrics).0 > 0,
-                "the queue-wait histogram is empty",
-            ),
-            (
-                name,
-                metrics.counter(invalid_fallbacks) == Some(0),
-                "a solver result was discarded, or the series is missing",
-            ),
-            (
-                name,
-                metrics.counter_sum("bsp_placement_total") > 0,
-                "the scrape carries no placement decisions",
-            ),
-            // Placement: structure-range routing keeps warm hits within 10%
-            // of the serial baseline.
-            (
-                name,
-                warm_ratio(&stats) >= 0.9,
-                "warm hits below 0.9x serial",
-            ),
-            // Footprint: a cached answer is `8·n + 16·|Γ|` bytes; a wider
-            // schedule representation would show up here first.
-            (
-                name,
-                bytes_per_node(metrics) <= SMOKE_MAX_CACHE_BYTES_PER_NODE,
-                "cached bytes per node above the ceiling",
-            ),
-        ]);
-    }
-    let spread = m.sharded.shard_requests.iter().filter(|&&n| n > 0).count();
+    // Every check is (phase, passed, what failed).
+    let invalid_fallbacks = "bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}";
     let restart_bad: u64 = [&restart.populate, &restart.pre, &restart.post]
         .iter()
         .map(|o| o.invalid + o.errors)
         .sum();
-    checks.extend([
+    let checks = [
+        ("serial", serial.errors == 0, "requests failed"),
+        ("serial", serial.invalid == 0, "invalid schedules"),
+        // With a cache far larger than the workload no replay may miss.
+        ("serial", serial.fp_fallbacks == 0, "an FP replay fell back"),
         (
-            "sharded",
-            spread >= 2.min(p.shards),
-            "routing did not spread traffic across shards",
+            "serial",
+            serial.worst_deadline_ratio <= 2.0,
+            "worst latency over 2x the deadline",
+        ),
+        // Observability: the scrape parsed (asserted at scrape time) and the
+        // core series are present and non-zero.
+        (
+            "serial",
+            requests_total >= p.requests as u64,
+            "bsp_requests_total undercounts the workload",
+        ),
+        (
+            "serial",
+            stats.cache.hits > 0,
+            "no exact cache hits in the scraped metrics",
+        ),
+        (
+            "serial",
+            solve_phase_micros > 0,
+            "no solver phase time in the scraped metrics",
+        ),
+        ("serial", qw_count > 0, "the queue-wait histogram is empty"),
+        (
+            "serial",
+            metrics.counter(invalid_fallbacks) == Some(0),
+            "a solver result was discarded, or the series is missing",
+        ),
+        // Footprint: a cached answer is `8·n + 16·|Γ|` bytes; a wider
+        // schedule representation would show up here first.
+        (
+            "serial",
+            cache_bytes_per_node <= SMOKE_MAX_CACHE_BYTES_PER_NODE,
+            "cached bytes per node above the ceiling",
         ),
         // Durability: the restarted server serves exact hits straight from
         // the recovered store, and every fingerprint replay lands (zero
@@ -973,7 +776,7 @@ fn main() {
             restart_bad == 0,
             "an invalid schedule or a failed request",
         ),
-    ]);
+    ];
     let failed: Vec<_> = checks.iter().filter(|(_, ok, _)| !ok).collect();
     for (name, _, what) in &failed {
         eprintln!("smoke: {name}: {what}");

@@ -18,12 +18,10 @@
 //! structure; the service wraps it in a `Mutex`.
 //!
 //! The cache itself is placement-agnostic: it caches whatever its shard is
-//! asked to solve, including entries the [`crate::placement`] policy failed
-//! over from another shard's range (the service counts those as
-//! `adopted_foreign`).  The warm alias keyed by the structure fingerprint is
-//! exactly what structure-range routing exists to exploit — co-locating a
-//! structural family on one shard makes the alias fire for every reweighted
-//! variant, where full-key range routing scattered them.
+//! asked to solve.  The warm alias keyed by the structure fingerprint is
+//! what the [`crate::placement`] policy's structure ranges exploit — a
+//! structural family on one shard makes the alias fire for every
+//! reweighted variant.
 
 use bsp_model::BspSchedule;
 use std::collections::HashMap;

@@ -32,9 +32,8 @@
 //!   transparent `FP <hex>` content-addressed replay fast path.
 //! * [`placement`] — the ownership policy: the **only** code that maps a
 //!   request key to a shard.  A pure range map over the structure key keeps
-//!   warm structural families on one shard, and
-//!   [`placement::PlacementScope`] lets each shard's store and adoption
-//!   path answer "do I own this key?" with the same map.
+//!   warm structural families on one shard; a shard itself keeps whatever
+//!   its store recovers.
 //! * [`router`] — `bsp_router`: a placement-driven router fronting N
 //!   `bsp_serve` shard processes.  Requests and `FP` replays consult the
 //!   shared [`placement::Placement`] policy and dispatch onto multiplexed

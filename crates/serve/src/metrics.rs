@@ -37,14 +37,6 @@ pub struct StoreCounters {
     /// required counter set, but the fault-injection harness needs a lower
     /// bound on the durable set observable over the wire.
     pub appended: AtomicU64,
-    /// Records dropped on open because a placement-epoch change moved their
-    /// structure key to another shard (re-sharding, policy version bump).
-    pub dropped_foreign: AtomicU64,
-    /// Recovered records adopted although this shard is not their
-    /// structure-range owner (failed-over entries).  A count, not an error:
-    /// failover legitimately solves a family off its range owner within an
-    /// epoch.
-    pub adopted_foreign: AtomicU64,
 }
 
 impl StoreCounters {
@@ -57,8 +49,6 @@ impl StoreCounters {
             compactions: self.compactions.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
             appended: self.appended.load(Ordering::Relaxed),
-            dropped_foreign: self.dropped_foreign.load(Ordering::Relaxed),
-            adopted_foreign: self.adopted_foreign.load(Ordering::Relaxed),
         }
     }
 }
@@ -79,10 +69,6 @@ pub struct StoreStats {
     pub write_errors: u64,
     /// Records durably appended (written and flushed).
     pub appended: u64,
-    /// Records dropped on open by a placement-epoch change.
-    pub dropped_foreign: u64,
-    /// Foreign-structure records adopted anyway (failed-over).
-    pub adopted_foreign: u64,
 }
 
 /// Values below this are counted in exact 1 µs buckets.

@@ -1,18 +1,12 @@
 //! The placement policy: the **only** code in the workspace that maps a
 //! request key to a shard.
 //!
-//! ## Why a policy layer
-//!
-//! Before this module, "which shard owns this request" was re-derived
-//! independently in four places — the router's dispatch (`owner_shard` over
-//! the full fingerprint), the FP replay path, the failover re-run, and the
-//! store/cache adoption checks — and they only agreed by construction.
-//! Full-key ranges also scatter *warm structural families* across shards:
+//! A shard never consults it: it keeps whatever its store recovers.
+//! Ranges are taken over the *structure* key, not the full one:
 //! [`bsp_model::RequestKey`] hashes structure+weights into both 64-bit
-//! lanes of `full`, so two reweighted instances of the same DAG land on
-//! unrelated shards and the warm alias on the shard that solved the first
-//! one never fires for the second.  The serve bench measured that directly
-//! (29 sharded vs 41 serial warm hits on the same workload).
+//! lanes of `full`, so full-key ranges would scatter the reweighted
+//! instances of one DAG across shards and the warm alias on the shard that
+//! solved the first would never fire for the second.
 //!
 //! ## The policy
 //!
@@ -30,19 +24,6 @@
 //! * a request whose shard is dead re-runs on
 //!   [`Placement::failover_successor`].  Nothing records the detour, so the
 //!   family is back on its owner as soon as the owner rejoins.
-//!
-//! ## Epochs
-//!
-//! A shard's durable store records the placement epoch
-//! ([`PlacementScope::epoch`], a hash of the policy version and shard
-//! count) it was written under.  When a store opens under a different
-//! epoch, entries whose structure key the shard no longer owns are dropped
-//! and compacted away (counted as `dropped_foreign`) — re-sharding is an
-//! explicit, observable event instead of silently serving foreign keys.
-
-/// Bump when the placement function changes shape incompatibly; part of the
-/// store epoch, so a policy change re-filters durable state on next open.
-pub const PLACEMENT_VERSION: u64 = 1;
 
 /// Why the policy picked the shard it picked.  Rendered as the `decision`
 /// label on `bsp_placement_total`.  The structure-owned label stays
@@ -142,41 +123,16 @@ fn range_owner(key: u64, shards: usize) -> usize {
     ((u128::from(key) * shards as u128) >> 64) as usize
 }
 
-/// One shard's view of the policy: enough to answer "do I own this key?"
-/// without the router.  Handed to the service and store so adoption and
-/// epoch-change compaction consult the same range map as the router — the
-/// single-ownership-site property the module exists for.
+/// Read by nothing.  The frozen `benchmark/` builds one for
+/// `ServiceConfig::placement`; delete with ROADMAP item 1
+/// (benchmark v2).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementScope {
     /// Total shards in the deployment.
     pub shards: usize,
     /// This shard's index.
     pub shard: usize,
-}
-
-impl PlacementScope {
-    /// Whether this shard is the structure-range owner of `structure`.
-    /// Failover can place *live* entries elsewhere (those are adopted and
-    /// counted, not dropped); range ownership is what survives an epoch
-    /// change.
-    pub fn owns_structure(&self, structure: u64) -> bool {
-        range_owner(structure, self.shards) == self.shard
-    }
-
-    /// The placement epoch: a deterministic hash of the policy version and
-    /// the shard count.  Stores stamp it; a mismatch on open means the
-    /// range map moved under the durable state.
-    pub fn epoch(&self) -> u64 {
-        // FNV-1a over the two u64s — stable across platforms and builds.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [PLACEMENT_VERSION, self.shards as u64] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -255,36 +211,5 @@ mod tests {
         }
         // Failover wraps from the last shard to the first.
         assert_eq!(Placement::new(2).failover_successor(1), 0);
-    }
-
-    #[test]
-    fn scopes_agree_with_the_policy_and_epochs_track_the_shard_count() {
-        let p = Placement::new(3);
-        for i in 0..2_000u64 {
-            let key = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let owner = p.structure_owner(key);
-            for shard in 0..3 {
-                let scope = PlacementScope { shards: 3, shard };
-                assert_eq!(scope.owns_structure(key), shard == owner);
-            }
-        }
-        let a = PlacementScope {
-            shards: 2,
-            shard: 0,
-        };
-        let b = PlacementScope {
-            shards: 2,
-            shard: 1,
-        };
-        let c = PlacementScope {
-            shards: 3,
-            shard: 0,
-        };
-        assert_eq!(
-            a.epoch(),
-            b.epoch(),
-            "epoch is per-deployment, not per-shard"
-        );
-        assert_ne!(a.epoch(), c.epoch(), "resharding changes the epoch");
     }
 }

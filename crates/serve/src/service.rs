@@ -58,11 +58,9 @@ pub struct ServiceConfig {
     /// asynchronously, evictions drop only the RAM copy, and startup replays
     /// the segments to pre-warm the cache.
     pub store: Option<StoreConfig>,
-    /// This shard's view of the placement policy ([`crate::placement`]).
-    /// `None` (the default) is the single-server deployment: no ownership
-    /// to assert.  When set it is forwarded to the store (placement-epoch
-    /// marker) and the adoption path counts recovered entries this shard is
-    /// not the range owner of (`adopted_foreign`).
+    /// Read by nothing: a shard keeps whatever its store recovers.  The
+    /// frozen `benchmark/` sets it; delete with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     pub placement: Option<PlacementScope>,
     /// Read by nothing.  The frozen `benchmark/` names it in a struct
     /// literal; delete with ROADMAP item 1 (benchmark v2).
@@ -126,12 +124,10 @@ const CACHE_OPS: [(&str, fn(&mut CacheStats) -> &mut u64); 6] = [
 ];
 
 /// `bsp_store_events_total{event=…}`, likewise for [`StoreStats`].
-const STORE_EVENTS: [(&str, fn(&mut StoreStats) -> &mut u64); 7] = [
-    ("adopted_foreign", |s| &mut s.adopted_foreign),
+const STORE_EVENTS: [(&str, fn(&mut StoreStats) -> &mut u64); 5] = [
     ("appended", |s| &mut s.appended),
     ("compaction", |s| &mut s.compactions),
     ("dropped_corrupt", |s| &mut s.dropped_corrupt),
-    ("dropped_foreign", |s| &mut s.dropped_foreign),
     ("loaded", |s| &mut s.loaded),
     ("write_error", |s| &mut s.write_errors),
 ];
@@ -276,13 +272,7 @@ impl ScheduleService {
         let mut cache = ScheduleCache::new(config.cache_bytes);
         let store = match &config.store {
             Some(store_config) => {
-                let mut store_config = store_config.clone();
-                // The service's placement scope wins: the store's epoch
-                // marker and the router's routing must agree on ownership.
-                if store_config.placement.is_none() {
-                    store_config.placement = config.placement;
-                }
-                let (store, recovered) = Store::open(store_config)?;
+                let (store, recovered) = Store::open(store_config.clone())?;
                 for record in &recovered {
                     // Recovery trusts nothing: a checksum-valid record is
                     // re-validated end to end (fingerprints recomputed from
@@ -292,17 +282,6 @@ impl ScheduleService {
                         Some((key, schedule, cost)) => {
                             cache.repopulate(key.full, key.structure, schedule, cost);
                             store.counters().loaded.fetch_add(1, Ordering::Relaxed);
-                            // Within an epoch, foreign-structure residents
-                            // (solved here while their owner was failed
-                            // over) are adopted — counted, never dropped.
-                            if let Some(scope) = config.placement {
-                                if !scope.owns_structure(key.structure) {
-                                    store
-                                        .counters()
-                                        .adopted_foreign
-                                        .fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
                         }
                         None => {
                             store
@@ -910,41 +889,58 @@ mod tests {
     fn a_restarted_service_serves_exact_hits_from_the_store() {
         let dir = store_dir("restart");
         let machine = Machine::uniform(4, 1, 2);
-        let (first_cost, first_stats) = {
-            let service = ScheduleService::new(stored_config(&dir));
-            let reply = service
-                .handle(&request(
-                    chain(12, 3),
-                    machine.clone(),
-                    RequestOptions::new(),
-                ))
-                .unwrap();
-            assert_eq!(reply.source, ScheduleSource::Cold);
+        // Two stored requests; the second is a chain whose structure a
+        // two-shard placement homes on shard 0.
+        let homed_on_shard_0 = (13..64)
+            .map(|n| chain(n, 3))
+            .find(|dag| {
+                let structure = bsp_model::request_key(dag, &machine).structure;
+                crate::Placement::new(2).structure_owner(structure) == 0
+            })
+            .expect("some chain length is homed on shard 0");
+        let dags = [chain(12, 3), homed_on_shard_0];
+        let scoped = |shards, shard| ServiceConfig {
+            placement: Some(PlacementScope { shards, shard }),
+            ..stored_config(&dir)
+        };
+        let (first_costs, first_stats) = {
+            let service = ScheduleService::new(scoped(1, 0));
+            let costs: Vec<u64> = dags
+                .iter()
+                .map(|dag| {
+                    let req = request(dag.clone(), machine.clone(), RequestOptions::new());
+                    let reply = service.handle(&req).unwrap();
+                    assert_eq!(reply.source, ScheduleSource::Cold);
+                    reply.cost
+                })
+                .collect();
             service.flush_store();
-            (reply.cost, service.stats())
+            (costs, service.stats())
         }; // drop: the writer drains and joins
-        assert_eq!(first_stats.store.appended, 1);
+        assert_eq!(first_stats.store.appended, 2);
         assert_eq!(first_stats.store.loaded, 0, "a fresh dir loads nothing");
 
-        let service = ScheduleService::new(stored_config(&dir));
-        let stats = service.stats();
-        assert_eq!(stats.store.loaded, 1, "restart recovered the entry");
-        assert_eq!(stats.cache.insertions, 0, "repopulation is not traffic");
-        let reply = service
-            .handle(&request(
-                chain(12, 3),
-                machine.clone(),
-                RequestOptions::new(),
-            ))
-            .unwrap();
-        assert_eq!(
-            reply.source,
-            ScheduleSource::CacheExact,
-            "the recovered entry answers without solving"
-        );
-        assert_eq!(reply.cost, first_cost);
-        assert!(reply.schedule.validate(&chain(12, 3), &machine).is_ok());
-        drop(service);
+        // Restart under the same placement, then re-sharded 1 → 2 as shard
+        // 1: a shard keeps whatever its store recovers, so both times every
+        // stored request answers without solving.
+        for (shards, shard) in [(1, 0), (2, 1)] {
+            let service = ScheduleService::new(scoped(shards, shard));
+            let stats = service.stats();
+            assert_eq!(stats.store.loaded, 2, "restart recovered every entry");
+            assert_eq!(stats.cache.insertions, 0, "repopulation is not traffic");
+            for (dag, &cost) in dags.iter().zip(&first_costs) {
+                let req = request(dag.clone(), machine.clone(), RequestOptions::new());
+                let reply = service.handle(&req).unwrap();
+                assert_eq!(
+                    reply.source,
+                    ScheduleSource::CacheExact,
+                    "the recovered entry of {} nodes answers without solving ({shards} shards)",
+                    dag.n()
+                );
+                assert_eq!(reply.cost, cost);
+                assert!(reply.schedule.validate(dag, &machine).is_ok());
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,16 +27,6 @@
 //!   are rewritten newest-first into fresh segments (oldest entries beyond
 //!   the budget are dropped), superseded and torn frames disappear, and the
 //!   old segments are deleted.
-//! * **Placement epochs.**  When opened with a [`PlacementScope`], the
-//!   store stamps the placement epoch (policy version + shard count) into a
-//!   `placement.epoch` marker file.  A mismatch on a later open means the
-//!   range map moved under the durable state (re-sharding): recovered
-//!   entries whose structure key this shard no longer owns are dropped
-//!   (counted in [`StoreCounters::dropped_foreign`]) and a startup
-//!   compaction physically removes their frames, then the marker is
-//!   rewritten.  Within an epoch, foreign-structure entries are *kept* —
-//!   failover legitimately solves families off their range owner — the
-//!   service merely counts them as `adopted_foreign`.
 //! * **Fault injection.**  A test-only [`FailPoint`] trips the next append
 //!   mid-write ([`FailPoint::AfterBytes`]) or between the flush and the
 //!   index update ([`FailPoint::BeforeIndexUpdate`]), so the recovery
@@ -45,7 +35,6 @@
 //!   them) but inert unless armed.
 
 use crate::metrics::StoreCounters;
-use crate::placement::PlacementScope;
 use bsp_model::record::{decode_record, RecordError, StoreRecord, FRAME_HEADER_BYTES};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
@@ -66,8 +55,7 @@ const SEGMENT_VERSION: u32 = 1;
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Directory holding the segment files (created if missing).  One store
-    /// per directory; the placement policy's range ownership means shards
-    /// never share one.
+    /// per directory.
     pub dir: PathBuf,
     /// Total segment-file byte budget; exceeding it triggers compaction.
     pub disk_budget_bytes: u64,
@@ -76,10 +64,6 @@ pub struct StoreConfig {
     /// Bound of the writer channel; a full queue drops the write instead of
     /// blocking the response worker.
     pub queue_depth: usize,
-    /// This shard's view of the placement policy; enables the placement
-    /// epoch marker (see the module docs).  `None` (the default, and the
-    /// single-server deployment) keeps every recovered entry.
-    pub placement: Option<PlacementScope>,
 }
 
 impl StoreConfig {
@@ -91,7 +75,6 @@ impl StoreConfig {
             disk_budget_bytes: 128 << 20,
             segment_bytes: 8 << 20,
             queue_depth: 256,
-            placement: None,
         }
     }
 }
@@ -174,41 +157,6 @@ impl Store {
             }
         }
 
-        // Placement epoch check: a marker mismatch means the range map
-        // moved under this durable state — drop the entries this shard no
-        // longer owns and compact their frames away once the writer is up.
-        let mut compact_on_start = false;
-        if let Some(scope) = config.placement {
-            let marker = config.dir.join("placement.epoch");
-            let current = scope.epoch();
-            let recorded: Option<u64> = fs::read_to_string(&marker)
-                .ok()
-                .and_then(|s| s.trim().parse().ok());
-            match recorded {
-                Some(epoch) if epoch == current => {}
-                recorded => {
-                    if recorded.is_some() {
-                        let before = entries.len();
-                        entries.retain(|r| {
-                            let owned = scope.owns_structure(r.structure_fp);
-                            if !owned {
-                                index.remove(&r.full_fp);
-                            }
-                            owned
-                        });
-                        let dropped = (before - entries.len()) as u64;
-                        if dropped > 0 {
-                            counters
-                                .dropped_foreign
-                                .fetch_add(dropped, Ordering::Relaxed);
-                            compact_on_start = true;
-                        }
-                    }
-                    fs::write(&marker, format!("{current}\n"))?;
-                }
-            }
-        }
-
         // A fresh active segment per boot: recovery never appends to an old
         // file, so a boot right after a torn write cannot interleave with
         // the damage it just truncated.
@@ -228,7 +176,6 @@ impl Store {
             next_seq: next_seq + 1,
             index,
             total_bytes,
-            compact_on_start,
         };
         let handle = std::thread::Builder::new()
             .name("bsp-store-writer".into())
@@ -384,16 +331,10 @@ struct Writer {
     index: HashMap<u128, LiveRef>,
     /// Total bytes across all segment files (live + superseded + headers).
     total_bytes: u64,
-    /// A placement-epoch change disowned recovered frames: compact once
-    /// before serving appends, so the foreign frames are physically gone.
-    compact_on_start: bool,
 }
 
 impl Writer {
     fn run(&mut self, rx: &Receiver<Job>) {
-        if self.compact_on_start {
-            self.compact();
-        }
         while let Ok(job) = rx.recv() {
             match job {
                 Job::Append { full_fp, frame } => self.append(full_fp, &frame),
@@ -825,68 +766,6 @@ mod tests {
         let (_store, entries) = Store::open(StoreConfig::at(&dir)).unwrap();
         let fps: Vec<u128> = entries.iter().map(|r| r.full_fp).collect();
         assert_eq!(fps, vec![1, 2], "fully flushed means recovered");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_epoch_change_drops_and_compacts_foreign_structure_entries() {
-        let dir = temp_store_dir("epoch");
-        // fp 1 → small structure key (owned by shard 0 of 2); u64::MAX →
-        // structure near the top of the key space (owned by shard 1 of 2).
-        let owned_fp = 1u128;
-        let foreign_fp = u128::from(u64::MAX);
-        let one_shard = PlacementScope {
-            shards: 1,
-            shard: 0,
-        };
-        let resharded = PlacementScope {
-            shards: 2,
-            shard: 0,
-        };
-        assert!(resharded.owns_structure(record(owned_fp, 16).structure_fp));
-        assert!(!resharded.owns_structure(record(foreign_fp, 16).structure_fp));
-        {
-            let config = StoreConfig {
-                placement: Some(one_shard),
-                ..StoreConfig::at(&dir)
-            };
-            let (store, _) = Store::open(config).unwrap();
-            store.offer(owned_fp, frame(owned_fp, 16));
-            store.offer(foreign_fp, frame(foreign_fp, 16));
-            store.flush();
-        }
-        // Same epoch: everything is kept, no marker churn.
-        {
-            let config = StoreConfig {
-                placement: Some(one_shard),
-                ..StoreConfig::at(&dir)
-            };
-            let (store, entries) = Store::open(config).unwrap();
-            assert_eq!(entries.len(), 2);
-            assert_eq!(store.counters().snapshot().dropped_foreign, 0);
-        }
-        // Resharded: the foreign-structure entry is dropped and its frame
-        // compacted away.
-        let config = StoreConfig {
-            placement: Some(resharded),
-            ..StoreConfig::at(&dir)
-        };
-        {
-            let (store, entries) = Store::open(config.clone()).unwrap();
-            let fps: Vec<u128> = entries.iter().map(|r| r.full_fp).collect();
-            assert_eq!(fps, vec![owned_fp]);
-            let snap = store.counters().snapshot();
-            assert_eq!(snap.dropped_foreign, 1);
-            store.flush(); // the startup compaction precedes this barrier
-            assert!(store.counters().snapshot().compactions >= 1);
-        }
-        // The next open under the new epoch sees only the owned entry on
-        // disk — the foreign frame is physically gone, not just filtered.
-        let (store, entries) = Store::open(config).unwrap();
-        assert_eq!(entries.len(), 1);
-        let snap = store.counters().snapshot();
-        assert_eq!(snap.dropped_foreign, 0);
-        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -112,6 +112,25 @@ fn requests_and_fp_replays_land_on_the_owning_shard() {
             "owning shard served the hit"
         );
         assert_eq!(after[1 - shard], before[1 - shard], "other shard untouched");
+
+        // A re-weighted variant shares the structure key, so it lands on the
+        // same shard and warm-starts from the cached family there.
+        let warm_before: Vec<u64> = shards.iter().map(|s| s.stats().cache.warm_hits).collect();
+        let variant = reweighted(&dag, 1);
+        let warm = client.schedule(&variant, &machine, &options).expect("warm");
+        assert_eq!(
+            warm.source,
+            ScheduleSource::CacheWarm,
+            "re-weighted variant for shard {shard} missed its family"
+        );
+        assert!(warm.schedule.validate(&variant, &machine).is_ok());
+        let warm_after: Vec<u64> = shards.iter().map(|s| s.stats().cache.warm_hits).collect();
+        assert_eq!(warm_after[shard], warm_before[shard] + 1);
+        assert_eq!(
+            warm_after[1 - shard],
+            warm_before[1 - shard],
+            "other shard untouched"
+        );
     }
 
     // Aggregated stats sum the per-shard counters.
@@ -119,6 +138,15 @@ fn requests_and_fp_replays_land_on_the_owning_shard() {
     let sum_requests: u64 = shards.iter().map(|s| s.stats().requests).sum();
     assert_eq!(agg.requests, sum_requests);
     assert_eq!(agg.cache.hits, 2);
+    assert_eq!(agg.cache.warm_hits, 2);
+
+    // Every routed request (cold, replay, warm per shard) was placed on its
+    // structure owner; none failed over.
+    let snap = MetricsSnapshot::parse(&client.metrics().expect("METRICS")).unwrap();
+    let placed =
+        |decision: &str| snap.counter(&format!("bsp_placement_total{{decision=\"{decision}\"}}"));
+    assert_eq!(placed("affinity"), Some(6));
+    assert_eq!(placed("failover"), Some(0));
 
     drop(client);
     router.shutdown();
