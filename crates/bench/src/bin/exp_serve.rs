@@ -3,8 +3,8 @@
 //!
 //! The harness builds one deterministic stream (`spmv`, `cg` and `knn` DAGs
 //! on a uniform and a NUMA machine; 40 % of the requests repeat an earlier
-//! one verbatim — exact cache hits, replayed by fingerprint — and 15 %
-//! re-weight one — warm starts) and [`drive`]s it through the `serial`
+//! one verbatim — exact cache hits, replayed by fingerprint — and the rest
+//! draw from the pool, cold on first use) and [`drive`]s it through the `serial`
 //! deployment: one `Server`, each client with one request in flight.
 //! Every answer is validated client-side; per-source latency rows and the
 //! throughput land in the JSON written to `--out`, beside the server's
@@ -48,17 +48,14 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The `--smoke` ceiling on cached bytes per node: 12.46 measured at the
-/// default seed with 32-bit `π`, `τ` and `Γ`, plus 25 %.  `usize` maps and
+/// The `--smoke` ceiling on cached bytes per node: 12.46 plus 25 %, measured
+/// at the default seed with 32-bit `π`, `τ` and `Γ` when the stream still
+/// carried re-weighted variants (it reads 12.31 now).  `usize` maps and
 /// transfers read ~24.8.
 const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 15.7;
 
 /// The schedule sources, in the order of [`Outcome::by_source`].
-const SOURCES: [ScheduleSource; 3] = [
-    ScheduleSource::Cold,
-    ScheduleSource::CacheExact,
-    ScheduleSource::CacheWarm,
-];
+const SOURCES: [ScheduleSource; 2] = [ScheduleSource::Cold, ScheduleSource::CacheExact];
 
 /// The workload and the server's sizes: a smoke preset and a full one.
 struct Preset {
@@ -73,14 +70,9 @@ struct Preset {
     workers: usize,
     /// Share (%) of requests repeating an earlier one.
     repeat_pct: u64,
-    /// Share (%) of requests re-weighting an earlier one.
-    warm_pct: u64,
     deadline: Duration,
     /// Schedule-cache byte budget per server.
     cache_mb: usize,
-    /// A warm variant re-weights an earlier request of its own client, at
-    /// least this many of that client's requests back (see [`build_stream`]).
-    warm_lag: usize,
     seed: u64,
     /// The huge phase's DAG size and deadline (`None`: skipped).
     huge: Option<(usize, Duration)>,
@@ -95,10 +87,8 @@ impl Preset {
             clients: if smoke { 2 } else { cores.clamp(2, 4) },
             workers: cores.clamp(2, 4),
             repeat_pct: 40,
-            warm_pct: 15,
             deadline: Duration::from_millis(if smoke { 200 } else { 1000 }),
             cache_mb: 64,
-            warm_lag: if smoke { 4 } else { 8 },
             seed: 2024,
             huge: (!smoke).then_some((100_000, Duration::from_secs(15))),
         }
@@ -114,10 +104,8 @@ impl Preset {
                 cache_bytes: self.cache_mb << 20,
                 // Cold runs get 80% of the deadline for local search (the
                 // rest is headroom for the non-cancellable fringes:
-                // initializers, merges, cost/validate, response encoding);
-                // warm runs a quarter (they start near a local minimum).
+                // initializers, merges, cost/validate, response encoding).
                 local_search_budget: self.deadline.mul_f64(0.8),
-                warm_budget: self.deadline / 4,
                 default_deadline: Some(self.deadline),
                 ..ServiceConfig::default()
             },
@@ -181,60 +169,17 @@ fn base_pool(target: usize) -> Vec<WorkItem> {
     pool
 }
 
-/// A re-weighted copy of `dag`: same structure (so the service sees the same
-/// structural fingerprint), work weights scaled node-wise.
-fn reweight(dag: &Dag, rng: &mut ChaCha8Rng) -> Dag {
-    let edges: Vec<_> = dag.edges().collect();
-    let work: Vec<u64> = dag
-        .work_weights()
-        .iter()
-        .map(|&w| (w + rng.gen_range(1u64..4)).max(1))
-        .collect();
-    let comm = dag.comm_weights().to_vec();
-    Dag::from_edges(dag.n(), &edges, work, comm).expect("reweighting preserves the DAG")
-}
-
-/// The deterministic request stream: indices into a pool that mixes base
-/// instances (cold on first use, exact hits on repeats) and re-weighted
-/// variants (warm hits when their base is cached).
-///
-/// A warm variant only re-weights an entry its *own* client sent at least
-/// `warm_lag` share positions earlier, so that entry was answered — and
-/// cached — before the variant is sent.
-fn build_stream(pool: &mut Vec<WorkItem>, p: &Preset) -> Vec<usize> {
-    let base_len = pool.len();
+/// The deterministic request stream: indices into the pool, each a repeat
+/// of an earlier request (an exact hit) or a fresh draw (cold on first use).
+fn build_stream(pool_len: usize, p: &Preset) -> Vec<usize> {
     let mut rng = ChaCha8Rng::seed_from_u64(p.seed);
-    let mut stream = Vec::with_capacity(p.requests);
-    let mut used: Vec<usize> = Vec::new();
-    // Per-client history of pool indices, in share order ([`drive`] splits
-    // the stream round-robin: position i runs on client i % clients).
-    let mut per_client: Vec<Vec<usize>> = vec![Vec::new(); p.clients];
-    for position in 0..p.requests {
-        let client = position % p.clients;
-        let settled = per_client[client].len().saturating_sub(p.warm_lag);
-        let roll = rng.gen_range(0u64..100);
-        let idx = if roll < p.repeat_pct && !used.is_empty() {
-            // Exact repeat of something already requested.
-            used[rng.gen_range(0..used.len())]
-        } else if roll < p.repeat_pct + p.warm_pct && settled > 0 {
-            // Re-weighted variant of a settled entry: same structure,
-            // different weights, base guaranteed cached by submission time.
-            let base = per_client[client][rng.gen_range(0..settled)];
-            let dag = reweight(&pool[base].dag, &mut rng);
-            let machine = pool[base].machine.clone();
-            pool.push(WorkItem {
-                dag: Arc::new(dag),
-                machine,
-            });
-            let idx = pool.len() - 1;
-            used.push(idx);
-            idx
+    let mut stream: Vec<usize> = Vec::with_capacity(p.requests);
+    for _ in 0..p.requests {
+        let idx = if rng.gen_range(0u64..100) < p.repeat_pct && !stream.is_empty() {
+            stream[rng.gen_range(0..stream.len())]
         } else {
-            let idx = rng.gen_range(0..base_len);
-            used.push(idx);
-            idx
+            rng.gen_range(0..pool_len)
         };
-        per_client[client].push(idx);
         stream.push(idx);
     }
     stream
@@ -244,7 +189,7 @@ fn build_stream(pool: &mut Vec<WorkItem>, p: &Preset) -> Vec<usize> {
 #[derive(Default)]
 struct Outcome {
     /// Latency from submit to completion, per source (see [`SOURCES`]).
-    by_source: [LatencyHistogram; 3],
+    by_source: [LatencyHistogram; 2],
     /// Answers that failed client-side validation.
     invalid: u64,
     /// Requests answered with an error, or lost with their connection.
@@ -444,7 +389,6 @@ fn run_huge_phase(p: &Preset, target: usize, deadline: Duration) -> HugeOutcome 
     let mut config = p.server_config();
     config.service.default_deadline = Some(deadline);
     config.service.local_search_budget = deadline.mul_f64(0.8);
-    config.service.warm_budget = deadline / 4;
     let server = spawn_server(config);
     let mut client = Client::connect(server.addr()).expect("connect to the huge-phase server");
     // Any non-zero id works: the trace is read back on the same connection.
@@ -502,33 +446,30 @@ fn main() {
     let (huge_target, huge_deadline) = p.huge.unwrap_or_default();
     let config = format!(
         "{{\"target_nodes\": {}, \"requests\": {}, \"clients\": {}, \"workers\": {}, \
-         \"repeat_pct\": {}, \"warm_pct\": {}, \"deadline_ms\": {}, \"cache_mb\": {}, \
-         \"warm_lag\": {}, \"seed\": {}, \"huge_target_nodes\": {huge_target}, \
+         \"repeat_pct\": {}, \"deadline_ms\": {}, \"cache_mb\": {}, \
+         \"seed\": {}, \"huge_target_nodes\": {huge_target}, \
          \"huge_deadline_ms\": {}, \"host_cores\": {}, \"reps\": {reps}}}",
         p.target,
         p.requests,
         p.clients,
         p.workers,
         p.repeat_pct,
-        p.warm_pct,
         p.deadline.as_millis(),
         p.cache_mb,
-        p.warm_lag,
         p.seed,
         huge_deadline.as_millis(),
         host_cores(),
     );
     eprintln!("exp_serve: {config}");
     eprintln!("building instance pool...");
-    let mut pool = base_pool(p.target);
-    let base_len = pool.len();
-    let stream = build_stream(&mut pool, &p);
+    let pool = base_pool(p.target);
+    let stream = build_stream(pool.len(), &p);
 
     let measure = |rep: usize| -> Measured {
         eprintln!("---- repetition {} of {reps} ----", rep + 1);
         let measured = Measured {
             serial: run_serial(&p, &pool, &stream),
-            restart: run_restart_phase(&p, &pool[..base_len]),
+            restart: run_restart_phase(&p, &pool),
         };
         let o = &measured.serial.outcome;
         let by_source =
@@ -671,8 +612,7 @@ fn main() {
          \"exact_hit_p50_speedup\": {exact_speedup:.1}, \
          \"serial_worst_latency_over_deadline\": {:.3}, \
          \"invalid_schedules\": {}, \"request_errors\": {}, \"fp_fallbacks\": {}, \
-         \"serial_cache\": {{\"hits\": {}, \"warm_hits\": {}, \"warm_fallbacks\": {}, \
-         \"misses\": {}}}, \
+         \"serial_cache\": {{\"hits\": {}, \"misses\": {}}}, \
          \"restart_store\": {{\"appended\": {}, \"loaded\": {}, \"recovered_bytes\": {}, \
          \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}}}, \
          \"server_metrics\": {{\"requests_total\": {requests_total}, \
@@ -687,16 +627,13 @@ fn main() {
         serial.errors,
         serial.fp_fallbacks,
         stats.cache.hits,
-        stats.cache.warm_hits,
-        stats.cache.warm_fallbacks,
         stats.cache.misses,
         restart.appended,
         restart.recovered.loaded,
         restart.recovered.recovered_bytes,
         restart.recovered.dropped_corrupt,
         restart.post.fp_fallbacks,
-        restart.post.of(ScheduleSource::Cold).count()
-            + restart.post.of(ScheduleSource::CacheWarm).count(),
+        restart.post.of(ScheduleSource::Cold).count(),
         reps_json.join(", "),
     ));
     report

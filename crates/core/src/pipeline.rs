@@ -41,7 +41,7 @@
 //!   [`merge_supersteps`] merges each run of adjacent supersteps that no
 //!   transfer separates, in `O(n + m)`, and lowers the cost by at least `ℓ`
 //!   per superstep it removes.  It runs on every start and again after `HC`,
-//!   so no answer, cold or warm, keeps a barrier no value crosses.
+//!   so no answer keeps a barrier no value crosses.
 //! * **The placement-width sweep, per initializer.**  `BSPg` and `Source`
 //!   read neither `λ` nor `g`: they spread the DAG over all `P` processors,
 //!   and single-node `HC` moves cannot pull such a schedule back together
@@ -253,8 +253,8 @@ pub struct Improved {
 }
 
 /// `HC` → merge → trivial floor → `HCcs` on a start of cost `cost` under its
-/// lazy `Γ`: the tail of every solve, the serving layer's warm starts
-/// included.  `HC` is skipped at `lower_bound`; [`merge_supersteps`] then
+/// lazy `Γ`: the tail of every solve, and of `exp_initializers`' search
+/// from the other start.  `HC` is skipped at `lower_bound`; [`merge_supersteps`] then
 /// closes every barrier no value crosses (single-node moves cannot, and `HC`
 /// can leave a superstep empty), so no answer keeps one;
 /// [`BspSchedule::trivial`] replaces the result when strictly cheaper,

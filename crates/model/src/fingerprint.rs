@@ -15,12 +15,10 @@
 //!   guarantee — clients that cannot accept hash keying at all can opt out
 //!   per request with `cache off`.
 //! * [`RequestKey::structure`] — covers the structure and the machine but
-//!   *not* the per-node weights.  Two requests with the same structure
-//!   fingerprint have identical precedence constraints, so any assignment
-//!   that is feasible for one is feasible for the other — which is what lets
-//!   a cached schedule *warm-start* the hill-climbing search on a re-weighted
-//!   instance.  (Warm seeds are re-validated against the request before use,
-//!   so a structural collision costs a cache miss, never correctness.)
+//!   *not* the per-node weights, so every re-weighted instance of a DAG
+//!   shares it.  The serving layer uses it as a routing token (the router
+//!   keeps a DAG's instances on one shard) and as a check on a recovered
+//!   store record; the cache itself is keyed by the full key alone.
 //!
 //! The hash is FNV-1a fed with little-endian `u64` words — simple,
 //! dependency-free, and fast enough to disappear next to even a cache-hit

@@ -11,15 +11,13 @@
 //!   format for DAG payloads; all malformed input surfaces as a typed
 //!   [`ServeError`], never a panic.
 //! * [`cache`] — a content-addressed schedule cache keyed by the
-//!   allocation-free fingerprints of [`bsp_model::fingerprint`]: exact hits
-//!   return the cached [`bsp_model::BspSchedule`] in `O(1)` *without heap
-//!   allocation*; near hits (same structure, different node weights) hand
-//!   out a precedence-feasible seed.  LRU eviction under a byte budget,
-//!   hit/miss/warm counters.
+//!   allocation-free full fingerprint of [`bsp_model::fingerprint`]: exact
+//!   hits return the cached [`bsp_model::BspSchedule`] in `O(1)` *without
+//!   heap allocation*.  LRU eviction under a byte budget, hit/miss
+//!   counters.
 //! * [`service`] — the request lifecycle: fingerprint → cache → solve.
-//!   Cold requests run the pipeline; warm requests seed the hill-climbing
-//!   search with the cached assignment (PR 2's warm-start machinery reused
-//!   across requests).  Every solve runs under a [`bsp_sched::CancelToken`]
+//!   Every miss, a re-weighted instance of a cached DAG included, runs the
+//!   pipeline cold.  Every solve runs under a [`bsp_sched::CancelToken`]
 //!   combining the request **deadline** with the service shutdown token, so
 //!   a request always returns its best-so-far *valid* schedule in time.
 //! * [`server`] — the **pipelined** TCP layer: per-connection reader/writer
@@ -32,8 +30,8 @@
 //!   transparent `FP <hex>` content-addressed replay fast path.
 //! * [`placement`] — the ownership policy: the **only** code that maps a
 //!   request key to a shard.  A pure range map over the structure key keeps
-//!   warm structural families on one shard; a shard itself keeps whatever
-//!   its store recovers.
+//!   a DAG's re-weighted instances on one shard; a shard itself keeps
+//!   whatever its store recovers.
 //! * [`router`] — `bsp_router`: a placement-driven router fronting N
 //!   `bsp_serve` shard processes.  Requests and `FP` replays consult the
 //!   shared [`placement::Placement`] policy and dispatch onto multiplexed

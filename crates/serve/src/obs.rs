@@ -141,7 +141,7 @@ impl SpanSet {
 pub struct TraceRecord {
     /// The trace id assigned at acceptance (hex on the wire).
     pub trace_id: u64,
-    /// Request outcome source token (`cold` / `exact` / `warm` / `error`).
+    /// Request outcome source token (`cold` / `exact` / `error`).
     pub source: &'static str,
     /// Shard index the request was dispatched to; -1 when unsharded or
     /// answered locally.

@@ -5,8 +5,8 @@
 //! Ranges are taken over the *structure* key, not the full one:
 //! [`bsp_model::RequestKey`] hashes structure+weights into both 64-bit
 //! lanes of `full`, so full-key ranges would scatter the reweighted
-//! instances of one DAG across shards and the warm alias on the shard that
-//! solved the first would never fire for the second.
+//! instances of one DAG across shards.  The structure key is only a routing
+//! token here: each shard caches by the full key.
 //!
 //! ## The policy
 //!
@@ -16,8 +16,8 @@
 //!   to the **structure-range owner** — a multiply-shift range map over the
 //!   structure key (`(structure * shards) >> 64`).  Every reweighted
 //!   instance of a DAG shares the structure key, so a family's exact
-//!   entries *and* its warm alias live on one shard, and an exact replay
-//!   finds its entry there, across router restarts too;
+//!   entries live on one shard, and an exact replay finds its entry there,
+//!   across router restarts too;
 //! * an `FP` line without a structure token (the legacy wire) goes to the
 //!   same map over the high lane of the full key — the pre-placement
 //!   routing — so old clients keep their exact hits;
@@ -147,7 +147,7 @@ mod tests {
         for shards in [1usize, 2, 3, 5, 8] {
             let placement = Placement::new(shards);
             let restarted = Placement::new(shards);
-            let mut structure_counts = vec![0u32; shards];
+            let mut owner_counts = vec![0u32; shards];
             let mut full_counts = vec![0u32; shards];
             let samples = 10_000u64;
             for i in 0..samples {
@@ -161,13 +161,13 @@ mod tests {
                     restarted.structure_owner(key),
                     "structure map is deterministic across restarts"
                 );
-                structure_counts[s] += 1;
+                owner_counts[s] += 1;
                 let f = placement.full_owner(u128::from(key) << 64 | 0xdead);
                 assert!(f < shards, "full owner in range");
                 full_counts[f] += 1;
             }
             let expect = samples as u32 / shards as u32;
-            for counts in [&structure_counts, &full_counts] {
+            for counts in [&owner_counts, &full_counts] {
                 for &c in counts.iter() {
                     assert!(
                         c.abs_diff(expect) < expect / 4 + 50,

@@ -20,7 +20,7 @@
 //! and the matching response:
 //!
 //! ```text
-//! OK <id> cost <c> supersteps <s> source <cold|exact|warm> micros <t> [trace <hex>]
+//! OK <id> cost <c> supersteps <s> source <cold|exact> micros <t> [trace <hex>]
 //! PROC <pi(0)> <pi(1)> ... <pi(n-1)>
 //! STEP <tau(0)> <tau(1)> ... <tau(n-1)>
 //! COMM <k>
@@ -111,8 +111,10 @@ pub enum ScheduleSource {
     Cold,
     /// Exact cache hit: the identical request was answered before.
     CacheExact,
-    /// Near hit: a cached schedule for the same structure (different node
-    /// weights) warm-started the hill-climbing search.
+    /// A wire value that still parses but that no server sends: a
+    /// re-weighted request is a cold solve.  The frozen `benchmark/` matches
+    /// on it; delete with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     CacheWarm,
 }
 
@@ -1008,7 +1010,7 @@ pub struct WireSpan {
 pub struct WireTrace {
     /// The trace id.
     pub trace_id: u64,
-    /// Outcome source token (`cold` / `exact` / `warm` / `error`).
+    /// Outcome source token (`cold` / `exact` / `error`).
     pub source: String,
     /// Shard index the request ran on (-1 = unsharded / local).
     pub shard: i32,

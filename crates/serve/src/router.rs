@@ -6,8 +6,7 @@
 //! is placed by the [`crate::placement`] policy — the single ownership site
 //! shared with the shards' stores: requests route by their **structure
 //! key** ([`bsp_model::RequestKey::structure`]), so reweighted instances of
-//! the same DAG co-locate and the owning shard's warm alias fires for the
-//! whole family.  Placement is a pure range map over that key: `FP <hex>
+//! the same DAG co-locate.  Placement is a pure range map over that key: `FP <hex>
 //! [<structure-hex>]` replays reach the same shard via the structure token,
 //! and legacy one-token replays fall back to the full-key range map, the
 //! pre-placement routing.

@@ -678,7 +678,6 @@ mod tests {
             idle_timeout: Duration::from_secs(5),
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(40),
-                warm_budget: Duration::from_millis(40),
                 ..Default::default()
             },
             ..Default::default()
@@ -717,11 +716,11 @@ mod tests {
         assert_eq!(second.source, ScheduleSource::CacheExact);
         assert_eq!(second.schedule, first.schedule);
 
-        // Reweighted instance: warm start.
-        let warm = client
+        // Reweighted instance: a miss, solved cold.
+        let reweighted = client
             .schedule(&small_dag(9), &machine, &options)
-            .expect("warm run");
-        assert_eq!(warm.source, ScheduleSource::CacheWarm);
+            .expect("reweighted run");
+        assert_eq!(reweighted.source, ScheduleSource::Cold);
 
         // A replay the server never saw: `unknown-fp`, then the full payload.
         let (unseen, narrow) = (small_dag(5), Machine::uniform(2, 1, 1));
@@ -735,8 +734,9 @@ mod tests {
         // reads off its own counters, quantiles included.
         let stats = client.stats().expect("stats");
         assert_eq!(stats, server.stats());
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.warm_hits, 1);
+        // Misses: the first run, the reweighted one, the `FP` line and its
+        // full-payload resend.
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 4));
         assert_eq!(stats.requests, 4);
         assert!(stats.cold_us.0 > 0 && stats.cold_us.1 >= stats.cold_us.0);
 
@@ -811,7 +811,6 @@ mod tests {
             idle_timeout: Duration::from_secs(5),
             service: ServiceConfig {
                 local_search_budget: Duration::from_millis(30),
-                warm_budget: Duration::from_millis(30),
                 ..Default::default()
             },
             ..Default::default()
@@ -873,7 +872,6 @@ mod tests {
                 idle_timeout,
                 service: ServiceConfig {
                     local_search_budget: Duration::from_secs(5),
-                    warm_budget: Duration::from_millis(40),
                     ..Default::default()
                 },
                 ..Default::default()

@@ -8,11 +8,8 @@
 //!    This path performs *zero heap allocation* (fingerprinting, the mutex,
 //!    the LRU bump, the `Arc` clone and the histogram update all stay off
 //!    the allocator) — certified by the repo's counting-allocator test;
-//! 3. **warm hit** (same structure, different weights) → the cached
-//!    assignment goes through the pipeline's improvement tail
-//!    ([`bsp_sched::pipeline::improve_start`]) instead of running the
-//!    pipeline cold;
-//! 4. **miss** → run the configured pipeline.
+//! 3. **miss** → run the configured pipeline cold.  A re-weighted instance
+//!    of a cached DAG is a miss like any other.
 //!
 //! Every solve runs under a [`CancelToken`] that combines the request
 //! deadline with the service's shutdown token, so a request always comes
@@ -31,8 +28,7 @@ use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
-use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,9 +43,9 @@ pub struct ServiceConfig {
     /// `HC` + `HCcs` budget of a cold run (heuristics mode); clipped to the
     /// request deadline.
     pub local_search_budget: Duration,
-    /// `HC` + `HCcs` budget of a warm-started run; clipped to the request
-    /// deadline.  Smaller than the cold budget — a near-hit seed is already
-    /// close to a local minimum.
+    /// Read by nothing: a re-weighted request is a cold solve.  The frozen
+    /// `benchmark/` sets it; delete with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     pub warm_budget: Duration,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
@@ -77,7 +73,7 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_bytes: 64 << 20,
             local_search_budget: Duration::from_secs(2),
-            warm_budget: Duration::from_millis(500),
+            warm_budget: Duration::ZERO,
             default_deadline: None,
             store: None,
             placement: None,
@@ -97,10 +93,8 @@ pub struct ServiceMetrics {
     pub cold: Arc<LatencyHistogram>,
     /// Exact cache hits.
     pub exact: Arc<LatencyHistogram>,
-    /// Warm-started requests.
-    pub warm: Arc<LatencyHistogram>,
     /// `bsp_requests_total{source=…}` counters, same order of sources.
-    requests: [Arc<AtomicU64>; 3],
+    requests: [Arc<AtomicU64>; 2],
     /// `bsp_solver_fallbacks_total{kind="invalid_schedule"}`: solver answers
     /// that failed the boundary's `validate` and were replaced by the trivial
     /// schedule.
@@ -114,13 +108,11 @@ const FALLBACKS_HELP: &str = "solver results the service had to discard, by kind
 /// `bsp_cache_ops_total{op=…}`: each label and the [`CacheStats`] counter it
 /// carries — the one mapping [`ScheduleService::render_metrics`] writes and
 /// [`ServiceStats::from_snapshot`] reads back.
-const CACHE_OPS: [(&str, fn(&mut CacheStats) -> &mut u64); 6] = [
+const CACHE_OPS: [(&str, fn(&mut CacheStats) -> &mut u64); 4] = [
     ("eviction", |c| &mut c.evictions),
     ("hit", |c| &mut c.hits),
     ("insertion", |c| &mut c.insertions),
     ("miss", |c| &mut c.misses),
-    ("warm_fallback", |c| &mut c.warm_fallbacks),
-    ("warm_hit", |c| &mut c.warm_hits),
 ];
 
 /// `bsp_store_events_total{event=…}`, likewise for [`StoreStats`].
@@ -155,8 +147,7 @@ impl ServiceMetrics {
         ServiceMetrics {
             cold: hist("cold"),
             exact: hist("exact"),
-            warm: hist("warm"),
-            requests: [counter("cold"), counter("exact"), counter("warm")],
+            requests: [counter("cold"), counter("exact")],
             invalid_schedules: fallback("invalid_schedule"),
         }
     }
@@ -164,9 +155,9 @@ impl ServiceMetrics {
     /// Records one answered request: latency histogram + request counter.
     fn observe(&self, source: ScheduleSource, elapsed: Duration) {
         let (histogram, requests) = match source {
-            ScheduleSource::Cold => (&self.cold, &self.requests[0]),
             ScheduleSource::CacheExact => (&self.exact, &self.requests[1]),
-            ScheduleSource::CacheWarm => (&self.warm, &self.requests[2]),
+            // No service answers `CacheWarm`; it is a wire value only.
+            _ => (&self.cold, &self.requests[0]),
         };
         histogram.record(elapsed);
         requests.fetch_add(1, Ordering::Relaxed);
@@ -186,8 +177,6 @@ pub struct ServiceStats {
     pub cold_us: (u64, u64),
     /// `(p50, p99)` latency in µs of exact cache hits.
     pub exact_us: (u64, u64),
-    /// `(p50, p99)` latency in µs of warm-started requests.
-    pub warm_us: (u64, u64),
     /// Durable-store counters (all zero when running memory-only).
     pub store: StoreStats,
 }
@@ -210,7 +199,6 @@ impl ServiceStats {
             requests: snapshot.counter_sum("bsp_requests_total"),
             cold_us: quantiles("cold"),
             exact_us: quantiles("exact"),
-            warm_us: quantiles("warm"),
             ..Default::default()
         };
         for (op, field) in CACHE_OPS {
@@ -280,7 +268,7 @@ impl ScheduleService {
                     // before the cache may serve it.
                     match adopt_record(record) {
                         Some((key, schedule, cost)) => {
-                            cache.repopulate(key.full, key.structure, schedule, cost);
+                            cache.repopulate(key.full, schedule, cost);
                             store.counters().loaded.fetch_add(1, Ordering::Relaxed);
                         }
                         None => {
@@ -399,8 +387,8 @@ impl ScheduleService {
     }
 
     /// [`ScheduleService::handle`] with request tracing: when `spans` is
-    /// given, the handling phases (cache-lookup outcome, warm start, every
-    /// solver phase) are recorded into it, microsecond offsets relative to
+    /// given, the handling phases (cache-lookup outcome, every solver
+    /// phase) are recorded into it, microsecond offsets relative to
     /// the start of handling.  Recording is `Copy`-only — the exact-hit path
     /// stays allocation-free with tracing enabled, certified by the repo's
     /// counting-allocator test.
@@ -415,62 +403,21 @@ impl ScheduleService {
         }
         let key = request_key(&request.dag, &request.machine);
 
-        let warm_seed = if request.options.use_cache {
+        if request.options.use_cache {
             match self.exact_hit(key.full, start, spans.as_deref_mut()) {
                 Ok(reply) => return Ok(reply),
-                Err(mut cache) => cache.lookup_warm(key.structure),
+                Err(mut cache) => cache.note_miss(),
             }
-        } else {
-            None
-        };
+        }
         if let Some(spans) = spans.as_deref_mut() {
-            let name = if warm_seed.is_some() {
-                "cache_warm_hit"
-            } else {
-                "cache_miss"
-            };
-            spans.push(name, 0, 0, start.elapsed().as_micros() as u64);
+            spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
         }
 
         let cancel = match request.options.deadline.or(self.config.default_deadline) {
             Some(budget) => self.shutdown.tightened(Instant::now() + budget),
             None => self.shutdown.clone(),
         };
-
-        // Whether a warm seed was found AND accepted decides both the
-        // response source and the cache attribution: a rejected seed is a
-        // `warm_fallback`, never a `warm_hit`, so the `warm_hits` counter
-        // always equals the warm histogram's population.
-        let mut warm_fallback = false;
-        let (schedule, source) = match &warm_seed {
-            Some(seed) => {
-                let warm_start = start.elapsed().as_micros() as u64;
-                match self.solve_warm(request, seed, &cancel) {
-                    Some(schedule) => {
-                        if let Some(spans) = spans.as_deref_mut() {
-                            let dur =
-                                (start.elapsed().as_micros() as u64).saturating_sub(warm_start);
-                            spans.push("warm_start", 0, warm_start, dur);
-                        }
-                        (schedule, ScheduleSource::CacheWarm)
-                    }
-                    // Structural-fingerprint collision or stale seed: fall
-                    // back to a cold run rather than serving anything
-                    // unchecked.
-                    None => {
-                        warm_fallback = true;
-                        (
-                            self.solve_cold(request, &cancel, &start, &mut spans),
-                            ScheduleSource::Cold,
-                        )
-                    }
-                }
-            }
-            None => (
-                self.solve_cold(request, &cancel, &start, &mut spans),
-                ScheduleSource::Cold,
-            ),
-        };
+        let schedule = self.solve_cold(request, &cancel, &start, &mut spans);
 
         // The solvers uphold validity by construction; this is the service
         // boundary's independent check so an invalid schedule can never
@@ -487,16 +434,8 @@ impl ScheduleService {
         let schedule = Arc::new(schedule);
         if request.options.use_cache {
             let insert_start = start.elapsed().as_micros() as u64;
-            let mut cache = self.lock_cache();
-            if warm_seed.is_some() {
-                if warm_fallback {
-                    cache.note_warm_fallback();
-                } else {
-                    cache.note_warm_hit();
-                }
-            }
-            cache.insert(key.full, key.structure, Arc::clone(&schedule), cost);
-            drop(cache);
+            self.lock_cache()
+                .insert(key.full, 0, Arc::clone(&schedule), cost);
             // Write-through is asynchronous and happens only on the solve
             // path (which already allocates); the exact-hit and FP-replay
             // paths stay allocation-free and never touch the store.
@@ -507,11 +446,11 @@ impl ScheduleService {
             }
         }
         let elapsed = start.elapsed();
-        self.metrics.observe(source, elapsed);
+        self.metrics.observe(ScheduleSource::Cold, elapsed);
         Ok(ServeReply {
             schedule,
             cost,
-            source,
+            source: ScheduleSource::Cold,
             elapsed,
         })
     }
@@ -603,36 +542,6 @@ impl ScheduleService {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Warm path: the cached assignment through the pipeline's improvement
-    /// tail (`HC` → merge → trivial floor → `HCcs`) under the warm budget; the floor
-    /// matters here, as re-weighting can leave the seed costlier than one
-    /// processor doing everything.  Returns `None` when the seed does not
-    /// actually fit the request (fingerprint collision paranoia) so the
-    /// caller can run cold.
-    fn solve_warm(
-        &self,
-        request: &ScheduleRequest,
-        seed: &BspSchedule,
-        cancel: &CancelToken,
-    ) -> Option<BspSchedule> {
-        let (dag, machine) = (&request.dag, &request.machine);
-        if seed.assignment.n() != dag.n() {
-            return None;
-        }
-        let mut schedule = BspSchedule::from_assignment_lazy(dag, seed.assignment.clone());
-        if schedule.validate(dag, machine).is_err() {
-            return None;
-        }
-        let search = |share: f64| HillClimbConfig {
-            time_limit: self.config.warm_budget.mul_f64(share),
-            max_steps: usize::MAX,
-            cancel: cancel.clone(),
-        };
-        let (cost, bound) = (schedule.cost(dag, machine), dag.lower_bound(machine));
-        improve_start(dag, machine, &mut schedule, cost, bound, search, None);
-        Some(schedule)
     }
 
     /// Adds `micros` to the `bsp_solve_phase_micros_total{phase=…}` counter.
@@ -763,65 +672,60 @@ mod tests {
     }
 
     #[test]
-    fn reweighted_requests_warm_start() {
-        let service = ScheduleService::new(ServiceConfig {
+    fn reweighted_requests_are_solved_cold() {
+        let config = ServiceConfig {
             local_search_budget: Duration::from_millis(50),
-            warm_budget: Duration::from_millis(50),
             ..Default::default()
-        });
+        };
+        let service = ScheduleService::new(config.clone());
         let machine = Machine::uniform(4, 1, 2);
-        let cold = service
-            .handle(&request(
-                chain(12, 3),
-                machine.clone(),
-                RequestOptions::new(),
-            ))
-            .unwrap();
-        assert_eq!(cold.source, ScheduleSource::Cold);
-        let warm = service
-            .handle(&request(chain(12, 5), machine, RequestOptions::new()))
-            .unwrap();
-        assert_eq!(warm.source, ScheduleSource::CacheWarm);
-        assert_eq!(service.stats().cache.warm_hits, 1);
+        let base = request(chain(12, 3), machine.clone(), RequestOptions::new());
+        assert_eq!(service.handle(&base).unwrap().source, ScheduleSource::Cold);
+        // Same structure key, new weights: a miss, solved like a fresh one.
+        let variant = request(chain(12, 5), machine, RequestOptions::new());
+        let reply = service.handle(&variant).unwrap();
+        assert_eq!(reply.source, ScheduleSource::Cold);
+        let fresh = ScheduleService::new(config).handle(&variant).unwrap();
+        assert_eq!(reply.cost, fresh.cost);
+        let stats = service.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (0, 2));
     }
 
     #[test]
-    fn rejected_warm_seeds_count_as_fallbacks_not_warm_hits() {
-        // Regression: a structurally matching seed that `solve_warm` rejects
-        // used to count a `warm_hit` while the latency landed in the *cold*
-        // histogram, so `warm_hits` and the warm histogram silently diverged.
+    fn cache_op_counters_match_the_request_counts() {
         let service = ScheduleService::new(ServiceConfig {
-            local_search_budget: Duration::from_millis(50),
+            local_search_budget: Duration::from_millis(20),
             ..Default::default()
         });
-        let req = request(
-            chain(12, 3),
-            Machine::uniform(4, 1, 2),
-            RequestOptions::new(),
-        );
-        // Plant a colliding cache entry: same structural fingerprint as the
-        // request, but a schedule for a different node count — exactly what a
-        // structural-fingerprint collision looks like to the warm path.
-        let key = request_key(&req.dag, &req.machine);
-        let bogus_dag = chain(5, 1);
-        let bogus = Arc::new(BspSchedule::trivial(&bogus_dag));
-        service.lock_cache().insert(0xbad, key.structure, bogus, 0);
+        let machine = Machine::uniform(4, 1, 2);
+        // Cold, exact, re-weighted cold, FP hit, FP miss, exact, FP miss.
+        let a = request(chain(10, 3), machine.clone(), RequestOptions::new());
+        let b = request(chain(10, 4), machine.clone(), RequestOptions::new());
+        let key_a = request_key(&a.dag, &machine).full;
+        service.handle(&a).unwrap();
+        service.handle(&a).unwrap();
+        service.handle(&b).unwrap();
+        service.handle_fingerprint(key_a).unwrap();
+        let fp_misses = [0xbad, 0xbad + 1];
+        assert!(matches!(
+            service.handle_fingerprint(fp_misses[0]),
+            Err(ServeError::UnknownFingerprint)
+        ));
+        service.handle(&b).unwrap();
+        assert!(service.handle_fingerprint(fp_misses[1]).is_err());
 
-        let reply = service.handle(&req).unwrap();
+        let mut exposition = String::new();
+        service.render_metrics(&mut exposition);
+        let snapshot = MetricsSnapshot::parse(&exposition).unwrap();
+        let count = |key: &str| snapshot.counter(key).unwrap_or(0);
+        let cold = count("bsp_requests_total{source=\"cold\"}");
+        let exact = count("bsp_requests_total{source=\"exact\"}");
+        assert_eq!((cold, exact), (2, 3));
         assert_eq!(
-            reply.source,
-            ScheduleSource::Cold,
-            "rejected seed runs cold"
+            count("bsp_cache_ops_total{op=\"miss\"}"),
+            cold + fp_misses.len() as u64
         );
-        let stats = service.stats();
-        assert_eq!(stats.cache.warm_fallbacks, 1);
-        assert_eq!(
-            stats.cache.warm_hits,
-            service.metrics().warm.count(),
-            "warm_hits must equal the warm histogram population"
-        );
-        assert_eq!(stats.cache.warm_hits, 0);
-        assert_eq!(service.metrics().cold.count(), 1);
+        assert_eq!(count("bsp_cache_ops_total{op=\"hit\"}"), exact);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! [`ScheduleCache::check_invariants`]:
 //! * `bytes_used` equals the sum of live entry footprints;
 //! * the byte budget is never exceeded;
-//! * `by_structure` points at a live entry with that structure fingerprint
-//!   whenever *any* live entry has it (the eviction-repoint regression
-//!   class: before PR 4 evicting a newer sibling orphaned the older one);
 //! * the LRU list, `by_full` and the free list are mutually consistent.
 //!
-//! On top of the structural invariants, two behavioural properties: a key
-//! that was never inserted never hits, and a fitting insert is immediately
-//! retrievable (inserts only ever evict *other* entries).
+//! On top of the structural invariants, three behavioural properties: a key
+//! that was never inserted never hits, a fitting insert is immediately
+//! retrievable (inserts only ever evict *other* entries), and every lookup
+//! counts exactly one hit or one miss when misses are noted as the service
+//! notes them.
 
 use bsp_model::{Assignment, BspSchedule, Dag};
 use bsp_serve::{schedule_footprint, ScheduleCache};
@@ -36,63 +35,51 @@ fn random_operation_sequences_preserve_every_cache_invariant() {
     const OPS: usize = 400;
     for case in 0..CASES {
         let mut rng = ChaCha8Rng::seed_from_u64(0xCAC4E + case);
-        // A budget of a few small entries forces constant eviction; small
-        // key spaces force alias collisions and in-place replacements.
+        // A budget of a few small entries forces constant eviction; a small
+        // key space forces in-place replacements.
         let per_entry = schedule_footprint(&schedule_of(8));
         let budget = per_entry * (2 + (case as usize % 5));
         let mut cache = ScheduleCache::new(budget);
         let mut ever_inserted: HashSet<u128> = HashSet::new();
+        let mut lookups = 0u64;
         for op in 0..OPS {
-            match rng.gen_range(0u32..100) {
+            if rng.gen_range(0u32..100) < 50 {
                 // Insert (or replace in place).
-                0..=49 => {
-                    let full = u128::from(rng.gen_range(0u64..24));
-                    let structure = rng.gen_range(0u64..6);
-                    let n = rng.gen_range(1usize..40);
-                    let schedule = schedule_of(n);
-                    let fits = schedule_footprint(&schedule) <= budget;
-                    cache.insert(full, structure, Arc::clone(&schedule), 7);
-                    if fits {
-                        ever_inserted.insert(full);
-                        // A fitting insert never evicts itself.
-                        let (hit, cost) = cache
-                            .lookup_exact(full)
-                            .unwrap_or_else(|| panic!("case {case} op {op}: lost fresh insert"));
-                        assert!(Arc::ptr_eq(&hit, &schedule), "case {case} op {op}");
-                        assert_eq!(cost, 7, "case {case} op {op}");
-                    }
+                let full = u128::from(rng.gen_range(0u64..24));
+                let n = rng.gen_range(1usize..40);
+                let schedule = schedule_of(n);
+                let fits = schedule_footprint(&schedule) <= budget;
+                cache.insert(full, 0, Arc::clone(&schedule), 7);
+                if fits {
+                    ever_inserted.insert(full);
+                    // A fitting insert never evicts itself.
+                    lookups += 1;
+                    let (hit, cost) = cache
+                        .lookup_exact(full)
+                        .unwrap_or_else(|| panic!("case {case} op {op}: lost fresh insert"));
+                    assert!(Arc::ptr_eq(&hit, &schedule), "case {case} op {op}");
+                    assert_eq!(cost, 7, "case {case} op {op}");
                 }
-                // Exact lookup: never hits a key that was never inserted.
-                50..=79 => {
-                    let full = u128::from(rng.gen_range(0u64..32));
-                    if cache.lookup_exact(full).is_some() {
-                        assert!(
-                            ever_inserted.contains(&full),
-                            "case {case} op {op}: phantom hit for {full:#x}"
-                        );
-                    }
+            } else {
+                // Exact lookup, a miss noted as the service notes it: never
+                // hits a key that was never inserted.
+                let full = u128::from(rng.gen_range(0u64..32));
+                lookups += 1;
+                if cache.lookup_exact(full).is_some() {
+                    assert!(
+                        ever_inserted.contains(&full),
+                        "case {case} op {op}: phantom hit for {full:#x}"
+                    );
+                } else {
+                    cache.note_miss();
                 }
-                // Warm lookup + outcome attribution.
-                80..=94 => {
-                    let structure = rng.gen_range(0u64..8);
-                    if cache.lookup_warm(structure).is_some() {
-                        if rng.gen_bool(0.5) {
-                            cache.note_warm_hit();
-                        } else {
-                            cache.note_warm_fallback();
-                        }
-                    }
-                }
-                _ => cache.note_miss(),
             }
             if let Err(violation) = cache.check_invariants() {
                 panic!("case {case} op {op}: {violation}");
             }
         }
         let stats = cache.stats();
-        assert!(
-            stats.insertions + stats.hits + stats.misses > 0,
-            "case {case} exercised nothing"
-        );
+        assert_eq!(stats.hits + stats.misses, lookups, "case {case}");
+        assert!(stats.insertions > 0, "case {case} inserted nothing");
     }
 }

@@ -32,7 +32,6 @@ fn temp_dir(name: &str) -> PathBuf {
 fn service_at(dir: &Path) -> ScheduleService {
     ScheduleService::try_new(ServiceConfig {
         local_search_budget: Duration::from_millis(40),
-        warm_budget: Duration::from_millis(40),
         store: Some(StoreConfig::at(dir.to_path_buf())),
         ..Default::default()
     })
@@ -52,8 +51,7 @@ fn chain_request(id: u64, n: usize, work: u64) -> ScheduleRequest {
 #[test]
 fn a_torn_write_costs_one_schedule_and_is_counted_never_served() {
     let dir = temp_dir("torn");
-    // Different node counts: structurally distinct, so neither request can
-    // warm-start off the other and every first solve is honestly `Cold`.
+    // Different keys, so every first solve is `Cold`.
     let survivor = chain_request(1, 12, 3);
     let torn = chain_request(2, 10, 5);
     {

@@ -1,6 +1,6 @@
 //! Spin up the scheduling service on an ephemeral loopback port, schedule a
-//! DAG three ways — cold, exact cache hit, warm (re-weighted) hit — and show
-//! the server-side statistics.
+//! DAG three ways — cold, exact cache hit, and re-weighted (cold again) — and
+//! show the server-side statistics.
 //!
 //! Run with: `cargo run --example serve_quickstart`
 
@@ -14,7 +14,6 @@ fn main() {
         workers: 2,
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(200),
-            warm_budget: Duration::from_millis(100),
             ..Default::default()
         },
         ..Default::default()
@@ -55,29 +54,25 @@ fn main() {
         hit.source.as_str()
     );
 
-    // Warm hit: same structure, different work weights — the cached
-    // assignment seeds the hill climbing instead of a cold pipeline run.
+    // Re-weighted: same structure, different work weights — a different
+    // request, so a cache miss and another cold pipeline run.
     let edges: Vec<_> = dag.edges().collect();
     let work: Vec<u64> = dag.work_weights().iter().map(|&w| w + 2).collect();
     let reweighted = Dag::from_edges(dag.n(), &edges, work, dag.comm_weights().to_vec()).unwrap();
-    let warm = client
+    let again = client
         .schedule(&reweighted, &machine, &options)
-        .expect("warm");
+        .expect("re-weighted");
     println!(
-        "warm : cost {} in {} us ({})",
-        warm.cost,
-        warm.micros,
-        warm.source.as_str()
+        "reweighted: cost {} in {} us ({})",
+        again.cost,
+        again.micros,
+        again.source.as_str()
     );
 
     let stats = client.stats().expect("stats");
     println!(
-        "cache: {} hit / {} warm / {} miss, {} entries, {} bytes",
-        stats.cache.hits,
-        stats.cache.warm_hits,
-        stats.cache.misses,
-        stats.cache.entries,
-        stats.cache.bytes_used
+        "cache: {} hit / {} miss, {} entries, {} bytes",
+        stats.cache.hits, stats.cache.misses, stats.cache.entries, stats.cache.bytes_used
     );
 
     drop(client);

@@ -30,7 +30,6 @@ fn shard_server() -> ServerHandle {
         idle_timeout: Duration::from_secs(5),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
-            warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
         ..Default::default()
@@ -60,8 +59,8 @@ fn dag_with_seed(seed: u64) -> Dag {
     Dag::from_edges(n, &edges, vec![seed + 1; n], vec![2; n]).unwrap()
 }
 
-/// A re-weighted copy of `dag`: same structure key, different full key — a
-/// warm request for whatever shard the family is homed on.
+/// A re-weighted copy of `dag`: same structure key, different full key, so
+/// it is routed to the shard the family is homed on and solved cold there.
 fn reweighted(dag: &Dag, bump: u64) -> Dag {
     let edges: Vec<_> = dag.edges().collect();
     let work: Vec<u64> = dag.work_weights().iter().map(|&w| w + bump).collect();
@@ -114,21 +113,23 @@ fn requests_and_fp_replays_land_on_the_owning_shard() {
         assert_eq!(after[1 - shard], before[1 - shard], "other shard untouched");
 
         // A re-weighted variant shares the structure key, so it lands on the
-        // same shard and warm-starts from the cached family there.
-        let warm_before: Vec<u64> = shards.iter().map(|s| s.stats().cache.warm_hits).collect();
+        // same shard, where it is a miss and runs cold.
+        let misses_before: Vec<u64> = shards.iter().map(|s| s.stats().cache.misses).collect();
         let variant = reweighted(&dag, 1);
-        let warm = client.schedule(&variant, &machine, &options).expect("warm");
+        let answer = client
+            .schedule(&variant, &machine, &options)
+            .expect("variant");
+        assert_eq!(answer.source, ScheduleSource::Cold);
+        assert!(answer.schedule.validate(&variant, &machine).is_ok());
+        let misses_after: Vec<u64> = shards.iter().map(|s| s.stats().cache.misses).collect();
         assert_eq!(
-            warm.source,
-            ScheduleSource::CacheWarm,
-            "re-weighted variant for shard {shard} missed its family"
+            misses_after[shard],
+            misses_before[shard] + 1,
+            "re-weighted variant for shard {shard} missed its owning shard"
         );
-        assert!(warm.schedule.validate(&variant, &machine).is_ok());
-        let warm_after: Vec<u64> = shards.iter().map(|s| s.stats().cache.warm_hits).collect();
-        assert_eq!(warm_after[shard], warm_before[shard] + 1);
         assert_eq!(
-            warm_after[1 - shard],
-            warm_before[1 - shard],
+            misses_after[1 - shard],
+            misses_before[1 - shard],
             "other shard untouched"
         );
     }
@@ -138,9 +139,9 @@ fn requests_and_fp_replays_land_on_the_owning_shard() {
     let sum_requests: u64 = shards.iter().map(|s| s.stats().requests).sum();
     assert_eq!(agg.requests, sum_requests);
     assert_eq!(agg.cache.hits, 2);
-    assert_eq!(agg.cache.warm_hits, 2);
+    assert_eq!(agg.cache.misses, 4);
 
-    // Every routed request (cold, replay, warm per shard) was placed on its
+    // Every routed request (cold, replay, variant per shard) was placed on its
     // structure owner; none failed over.
     let snap = MetricsSnapshot::parse(&client.metrics().expect("METRICS")).unwrap();
     let placed =
@@ -222,7 +223,6 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         idle_timeout: Duration::from_millis(150),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
-            warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
         ..Default::default()
@@ -294,23 +294,19 @@ fn a_dead_shard_fails_over_to_the_survivor_and_the_family_rehomes_on_rejoin() {
     shards.remove(0).shutdown();
     std::thread::sleep(Duration::from_millis(50)); // let the demux notice
 
-    // A burst of re-weighted variants of the dead owner's family: each is a
-    // warm request that must degrade to the survivor — valid schedules,
+    // A burst of re-weighted variants of the dead owner's family: each must
+    // degrade to the survivor — valid schedules,
     // zero FP fallbacks (full payloads never pay the unknown-fp round trip).
     let base = dag_with_seed(seed0);
     for bump in 1..=3u64 {
         let variant = reweighted(&base, bump);
         let degraded = client
             .schedule(&variant, &machine, &options)
-            .expect("a warm request degrades to the survivor");
+            .expect("a re-weighted request degrades to the survivor");
         assert!(degraded.schedule.validate(&variant, &machine).is_ok());
     }
-    assert_eq!(
-        client.fp_fallbacks(),
-        0,
-        "degraded warm traffic never fell back"
-    );
-    // The survivor really did the work: its own warm-up request plus the
+    assert_eq!(client.fp_fallbacks(), 0, "degraded traffic never fell back");
+    // The survivor really did the work: its own first request plus the
     // three failed-over variants.
     assert!(shards[0].stats().requests >= 4);
     assert_eq!(router.live_shards(), vec![1]);
@@ -460,7 +456,6 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         idle_timeout: Duration::from_secs(5),
         service: ServiceConfig {
             local_search_budget: Duration::from_millis(40),
-            warm_budget: Duration::from_millis(40),
             ..Default::default()
         },
         store_dir: Some(store_dir.clone()),

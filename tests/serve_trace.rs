@@ -64,7 +64,6 @@ fn layered_dag(seed: u64) -> Dag {
 fn service_config() -> ServiceConfig {
     ServiceConfig {
         local_search_budget: Duration::from_millis(40),
-        warm_budget: Duration::from_millis(40),
         ..Default::default()
     }
 }
@@ -102,8 +101,8 @@ fn routed_deployment() -> (Vec<ServerHandle>, RouterHandle) {
 fn traced_phase_durations_fit_inside_the_wall_clock() {
     let machine = Machine::uniform(4, 1, 2);
     for seed in [1u64, 2] {
-        // Fresh service per DAG: a shared cache would turn the second
-        // request into a warm structural hit instead of a cold solve.
+        // Fresh service per DAG: each request is a cold solve on an empty
+        // cache.
         let service = ScheduleService::new(service_config());
         let request = ScheduleRequest {
             id: seed,
