@@ -38,8 +38,8 @@ use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::HillClimbConfig;
-use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
+use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
+use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig, Start};
 use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{
@@ -465,31 +465,26 @@ impl SecondSearch<'_> {
 }
 
 /// The pipeline's answer, and what it would answer from the start it did not
-/// search: the other initializer on the width its sweep kept, sources placed
-/// and supersteps merged, then the same `HC` → merge → floor → `HCcs` on the
-/// funnel DAG.
+/// search: [`Start::build`] of the other initializer on the width its sweep
+/// kept, then the same `HC` → merge → floor → `HCcs` on the funnel DAG.
 fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> (u64, u64) {
     let report = Pipeline::new(config.clone()).run_report(dag, machine);
-    let Some(searched) = (report.branches.iter()).position(|b| b.init_cost == report.init_cost)
-    else {
+    let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
+    let Some(searched) = kept.iter().position(|b| b.init_cost == report.init_cost) else {
         // No initializer ran: the trivial schedule met the bound.
         return (report.final_cost, report.final_cost);
     };
     let funnel = Funnel::contract(dag, machine.p());
     let dag = funnel.as_ref().map_or(dag, Funnel::dag);
     let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
-    let other = &report.branches[1 - searched];
-    let mut schedule = initializers[1 - searched].schedule(dag, &machine.prefix(other.width));
-    place_sources(dag, machine, &mut schedule);
-    if merge_supersteps(dag, &mut schedule.assignment) > 0 {
-        schedule.relax_to_lazy(dag);
-    }
+    let width = kept[1 - searched].width;
+    let mut other = Start::build(initializers[1 - searched], dag, machine, width, None);
     let search = |share: f64| HillClimbConfig {
         time_limit: config.hill_climb.time_limit.mul_f64(share),
         ..config.hill_climb.clone()
     };
-    let (cost, bound) = (other.init_cost, report.lower_bound);
-    let improved = improve_start(dag, machine, &mut schedule, cost, bound, search, None);
+    let (cost, bound) = (other.branch.init_cost, report.lower_bound);
+    let improved = improve_start(dag, machine, &mut other.schedule, cost, bound, search, None);
     (report.final_cost, improved.final_cost)
 }
 

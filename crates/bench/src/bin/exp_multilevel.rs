@@ -18,23 +18,21 @@
 //! `init_schedule`, the one `hc`, `hccs`), and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by [`bsp_bench::heap`] (the largest of `--reps`).
-//! Beside them, `sweep` splits the two width sweeps: every candidate either
-//! initializer builds (each width `P, P/2, …` ≥ 2, on the funnel DAG) with
-//! its four stages — construct, `place_sources`, `merge_supersteps`, cost —
-//! timed by calling those public functions directly (fastest of `--reps`, µs
-//! per node of the DAG) and each stage's heap peak above the level it started
-//! from (`peak_bytes_per_node`, the largest of `--reps`), the superstep count
-//! the merge removed, its cost and whether the sweep kept it;
-//! `sweep_dropped_share` is the share of those stage seconds spent on the
-//! candidates the sweeps dropped.  The row's `pipeline` object also carries
-//! the stage ledger of the run: each initializer's kept start (`branches`:
-//! init, width, init_cost), the searched start's `init_cost` and the
-//! `local_search_cost` after `HC`.  `hc_from_source` is `HC` alone (§4.3) from
-//! `Source`'s schedule to a local minimum: moves per second, costs, search
-//! counts, destinations costed per accepted move and the share the `O(1)`
-//! bound pruned.  Written as JSON (default `BENCH_pipeline.json`, at ≈10k
-//! and ≈100k nodes), keeping the `frozen_…` lines of the file it overwrites.
-//! `--target N` runs the size `N` alone.
+//! Beside them, `sweep` is the timed run's own candidate list
+//! (`PipelineReport::branches`): every start either initializer built (each
+//! width `P, P/2, …` ≥ 2, on the funnel DAG) with its four stages' times on
+//! the run's phase clock (µs per node of the DAG), the superstep count the
+//! merge removed, its cost and whether the sweep kept it;
+//! `sweep_dropped_share` is the share of those stage times spent on the
+//! candidates the sweeps dropped.  Heap is not split by stage (it can only be
+//! counted around a separate rebuild); the solve peak covers the sweeps.  The
+//! row's `pipeline` object also carries the searched start's `init_cost` and
+//! the `local_search_cost` after `HC`.  `hc_from_source` is `HC` alone (§4.3)
+//! from `Source`'s schedule to a local minimum: moves per second, costs,
+//! search counts, destinations costed per accepted move and the share the
+//! `O(1)` bound pruned.  Written as JSON (default `BENCH_pipeline.json`, at
+//! ≈10k and ≈100k nodes), keeping the `frozen_…` lines of the file it
+//! overwrites.  `--target N` runs the size `N` alone.
 //!
 //! `--smoke` turns the run into a CI gate: every schedule validates, its
 //! reported cost equals a recompute, no row costs more than the trivial
@@ -42,8 +40,9 @@
 //! means the floor broke), no answer holds two adjacent supersteps that
 //! `merge_supersteps` would merge, and every `hc_from_source` run ends valid
 //! at a local minimum, no costlier than its start, with a cost equal to a
-//! recompute; the binary exits 1 if one of these fails or a row's solve peak
-//! exceeds [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
+//! recompute, and every candidate list passes [`sweep_gate`]; the binary
+//! exits 1 if one of these fails or a row's solve peak exceeds
+//! [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
 //! Usage:
 //!
@@ -57,9 +56,9 @@ use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts};
-use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig, PipelineReport};
-use bsp_sched::{Funnel, Scheduler};
+use bsp_sched::init::{merge_supersteps, SourceScheduler};
+use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineConfig, PipelineReport};
+use bsp_sched::Scheduler;
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
 use std::time::{Duration, Instant};
@@ -86,23 +85,21 @@ const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
 /// their work exactly, so the minimum isolates OS noise) with its report,
 /// and the largest heap peak of the runs.
 fn measure(reps: usize, run: impl Fn() -> PipelineReport) -> (f64, PipelineReport, usize) {
-    let mut best = stage(&run);
+    let once = || {
+        let start = Instant::now();
+        let (report, peak) = held_peak(&run);
+        (start.elapsed().as_secs_f64(), report, peak)
+    };
+    let mut best = once();
     for _ in 1..reps {
-        let next = stage(&run);
+        let next = once();
         let peak = best.2.max(next.2);
-        if next.1 < best.1 {
+        if next.0 < best.0 {
             best = next;
         }
         best.2 = peak;
     }
-    (best.1, best.0, best.2)
-}
-
-/// Runs `f` once: its result, seconds and heap peak.
-fn stage<T>(f: impl FnOnce() -> T) -> (T, f64, usize) {
-    let start = Instant::now();
-    let (out, peak) = held_peak(f);
-    (out, start.elapsed().as_secs_f64(), peak)
+    best
 }
 
 fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
@@ -110,68 +107,19 @@ fn phase_seconds(report: &PipelineReport, name: &str) -> f64 {
     of_name.map(|p| p.dur_us).sum::<u64>() as f64 / 1e6
 }
 
-/// The stages of one width-sweep candidate, in the order the pipeline runs
-/// them (`merge` includes rebuilding the lazy `Γ` when something merged).
-const STAGES: [&str; 4] = ["construct", "place_sources", "merge", "cost"];
-
-/// One candidate of an initializer's width sweep: the fastest seconds of each
-/// of [`STAGES`] over the repetitions and the most heap each held above the
-/// level it started from, the supersteps the merge removed and the cost the
-/// sweep compares.
-struct Candidate {
-    init: &'static str,
-    width: usize,
-    seconds: [f64; 4],
-    peak_bytes: [usize; 4],
-    merged: usize,
-    cost: u64,
-}
-
-/// Every candidate both width sweeps build on `dag` (the funnel DAG, as the
-/// pipeline solves it), each built `reps` times by calling the pipeline's
-/// public stages one by one.
-fn sweep_split(dag: &Dag, machine: &Machine, reps: usize) -> Vec<Candidate> {
-    let funnel = Funnel::contract(dag, machine.p());
-    let dag = funnel.as_ref().map_or(dag, Funnel::dag);
-    let mut candidates = Vec::new();
-    let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
-    for init in initializers {
-        let narrower = |&width: &usize| (width / 2 >= 2).then_some(width / 2);
-        for width in std::iter::successors(Some(machine.p()), narrower) {
-            let mut candidate = Candidate {
-                init: init.name(),
-                width,
-                seconds: [f64::INFINITY; 4],
-                peak_bytes: [0; 4],
-                merged: 0,
-                cost: 0,
-            };
-            for _ in 0..reps.max(1) {
-                let (mut schedule, built, built_peak) =
-                    stage(|| init.schedule(dag, &machine.prefix(width)));
-                let (_, placed, placed_peak) = stage(|| place_sources(dag, machine, &mut schedule));
-                let (merged, merge, merge_peak) = stage(|| {
-                    let merged = merge_supersteps(dag, &mut schedule.assignment);
-                    if merged > 0 {
-                        schedule.relax_to_lazy(dag);
-                    }
-                    merged
-                });
-                let (cost, costed, cost_peak) = stage(|| schedule.cost(dag, machine));
-                (candidate.merged, candidate.cost) = (merged, cost);
-                let laps = [built, placed, merge, costed];
-                for (best, lap) in candidate.seconds.iter_mut().zip(laps) {
-                    *best = best.min(lap);
-                }
-                let peaks = [built_peak, placed_peak, merge_peak, cost_peak];
-                for (most, peak) in candidate.peak_bytes.iter_mut().zip(peaks) {
-                    *most = (*most).max(peak);
-                }
-            }
-            candidates.push(candidate);
-        }
-    }
-    candidates
+/// The `--smoke` gate on a row's candidate list: `log₂ P` candidates per
+/// initializer, widest first, exactly one of them kept, and the searched start
+/// the cheapest kept one (ties to the earlier, `BSPg`).
+fn sweep_gate(run: &PipelineReport, p: usize) -> bool {
+    let per_init = p.ilog2() as usize;
+    let widths = |name: &'static str| (0..per_init).map(move |k| (name, p >> k));
+    let listed = run.branches.iter().map(|b| (b.init_name, b.width));
+    let one_kept = |of_init: &[BranchReport]| of_init.iter().filter(|b| b.kept).count() == 1;
+    let kept = run.branches.iter().filter(|b| b.kept);
+    let searched = kept.min_by_key(|b| b.init_cost);
+    listed.eq(widths("BSPg").chain(widths("Source")))
+        && run.branches.chunks(per_init).all(one_kept)
+        && searched.map(|b| (b.init_cost, b.width)) == Some((run.init_cost, run.placement_width))
 }
 
 /// The wall-clock cap of an `hc_from_source` run, far above what any row
@@ -380,49 +328,27 @@ fn main() {
                     peak as f64 / 1e6
                 );
                 let hc = hc_from_source(dag, machine, reps, &row, &mut failures);
-                let by_stage = |values: [f64; 4], digits: usize| {
-                    let stages = STAGES.iter().zip(values);
-                    let fields = stages.map(|(name, x)| format!("\"{name}\": {x:.digits$}"));
-                    fields.collect::<Vec<_>>().join(", ")
-                };
-                let mut sweep = Vec::new();
-                let (mut dropped_seconds, mut sweep_seconds) = (0.0, 0.0);
-                for c in sweep_split(dag, machine, reps) {
-                    let kept = run
-                        .branches
-                        .iter()
-                        .any(|b| (b.init_name == c.init) && b.width == c.width);
-                    let stage_seconds: f64 = c.seconds.iter().sum();
-                    sweep_seconds += stage_seconds;
-                    if !kept {
-                        dropped_seconds += stage_seconds;
-                    }
-                    let us = by_stage(c.seconds.map(per_node), 4);
-                    let bytes = by_stage(c.peak_bytes.map(|b| b as f64 / dag.n() as f64), 2);
-                    eprintln!(
-                        "     sweep {} width {}{}: us/node {{{us}}}; peak bytes/node {{{bytes}}}; \
-                         {} steps merged, cost {}",
-                        c.init,
-                        c.width,
-                        if kept { " (kept)" } else { "" },
-                        c.merged,
-                        c.cost
-                    );
-                    sweep.push(format!(
-                        "{{\"init\": \"{}\", \"width\": {}, \"kept\": {kept}, \"cost\": {}, \
-                         \"merged_supersteps\": {}, \"us_per_node\": {{{us}}}, \
-                         \"peak_bytes_per_node\": {{{bytes}}}}}",
-                        c.init, c.width, c.cost, c.merged,
-                    ));
+                if !sweep_gate(&run, machine.p()) {
+                    failures.push(format!("{row}: candidate list {:?}", run.branches));
                 }
-                let branches: Vec<String> = (run.branches.iter())
-                    .map(|b| {
-                        format!(
-                            "{{\"init\": \"{}\", \"width\": {}, \"init_cost\": {}}}",
-                            b.init_name, b.width, b.init_cost
-                        )
-                    })
-                    .collect();
+                let mut sweep = Vec::new();
+                let (mut dropped_us, mut sweep_us) = (0, 0);
+                for b in &run.branches {
+                    let stage_us: u64 = b.stage_us.iter().sum();
+                    sweep_us += stage_us;
+                    dropped_us += u64::from(!b.kept) * stage_us;
+                    let stages = BranchReport::STAGES.iter().zip(b.stage_us);
+                    let us = stages
+                        .map(|(name, t)| format!("\"{name}\": {:.4}", per_node(t as f64 / 1e6)));
+                    let us = us.collect::<Vec<_>>().join(", ");
+                    let candidate = format!(
+                        "{{\"init\": \"{}\", \"width\": {}, \"kept\": {}, \"cost\": {}, \
+                         \"merged_supersteps\": {}, \"us_per_node\": {{{us}}}}}",
+                        b.init_name, b.width, b.kept, b.init_cost, b.merged,
+                    );
+                    eprintln!("     sweep {candidate}");
+                    sweep.push(candidate);
+                }
                 let phases: Vec<String> = PHASES
                     .iter()
                     .zip(phases)
@@ -431,17 +357,15 @@ fn main() {
                 report.push_result_json(format!(
                     "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                      \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
-                     \"init_cost\": {}, \"local_search_cost\": {}, \"branches\": [{}], \
-                     \"final_cost\": {}, \"trivial_cost\": {trivial}, \"lower_bound\": {}, \
-                     \"gap\": {:.4}, \"selected_init\": \"{}\", \
-                     \"placement_width\": {}, \"funnel_nodes\": {}, \
+                     \"init_cost\": {}, \"local_search_cost\": {}, \"final_cost\": {}, \
+                     \"trivial_cost\": {trivial}, \"lower_bound\": {}, \"gap\": {:.4}, \
+                     \"selected_init\": \"{}\", \"placement_width\": {}, \"funnel_nodes\": {}, \
                      \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
                      \"hc_from_source\": {}, \"sweep\": [{}], \"sweep_dropped_share\": {:.4}}}",
                     dag.n(),
                     dag.num_edges(),
                     run.init_cost,
                     run.local_search_cost,
-                    branches.join(", "),
                     run.final_cost,
                     run.lower_bound,
                     run.gap(),
@@ -451,7 +375,7 @@ fn main() {
                     phases.join(", "),
                     hc,
                     sweep.join(", "),
-                    dropped_seconds / sweep_seconds.max(f64::MIN_POSITIVE)
+                    dropped_us as f64 / sweep_us.max(1) as f64
                 ));
             }
         }

@@ -37,10 +37,10 @@ pub struct InstanceResult {
     pub costs: AlgoCosts,
     /// Per initializer, the processors it placed nodes on (the width its
     /// sweep over processor prefixes kept).
-    pub branch_widths: Vec<(String, usize)>,
+    pub branch_widths: Vec<(&'static str, usize)>,
     /// The initializer whose start the pipeline searched, `"trivial"` when
     /// the floor replaced the result.
-    pub selected_init: String,
+    pub selected_init: &'static str,
 }
 
 /// Runs every baseline and `pipeline` on one instance and collects the costs.
@@ -89,10 +89,9 @@ pub fn evaluate_instance(
             init: report.init_cost,
             ours: report.final_cost,
         },
-        branch_widths: report
-            .branches
-            .iter()
-            .map(|b| (b.init_name.clone(), b.width))
+        branch_widths: (report.branches.iter())
+            .filter(|b| b.kept)
+            .map(|b| (b.init_name, b.width))
             .collect(),
         selected_init: report.selected_init,
     }
@@ -110,7 +109,7 @@ pub fn placement_summary(results: &[InstanceResult]) -> String {
             let of_branch = widths.entry(init).or_default();
             *of_branch.entry(Reverse(*width)).or_default() += 1;
         }
-        *selected.entry(&r.selected_init).or_default() += 1;
+        *selected.entry(r.selected_init).or_default() += 1;
     }
     let widths: Vec<String> = widths
         .iter()

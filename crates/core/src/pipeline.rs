@@ -52,8 +52,11 @@
 //!   keeps the cheapest, ties going to the wider — one sweep, generic over
 //!   the initializer.  Merged starts are not monotone in the width (a width
 //!   can lose to the wider one and the next win), so the sweep builds every
-//!   width.  The width is a result ([`BranchReport::width`],
-//!   [`PipelineReport::placement_width`]), not a setting.
+//!   width.  A candidate is one call, [`Start::build`], and every candidate
+//!   built is on the report ([`PipelineReport::branches`], with the merge's
+//!   count and, on a phase clock, each stage's time).  The width is a result
+//!   ([`BranchReport::width`], [`PipelineReport::placement_width`]), not a
+//!   setting.
 //! * **`HC` once, the floor, `HCcs` once** ([`improve_start`]).  Only the
 //!   cheaper start — ties to `BSPg` — is searched
 //!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
@@ -167,28 +170,44 @@ impl PhaseSample {
     }
 }
 
-/// Where one initializer's width sweep ended: a start `HC` could take.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One candidate of an initializer's width sweep ([`Start::build`]): a start
+/// `HC` could take.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchReport {
     /// Name of the initialization heuristic (`"BSPg"`, `"Source"`).
-    pub init_name: String,
-    /// Number of processors the initializer placed nodes on: the width its
-    /// sweep kept (see the module docs).
+    pub init_name: &'static str,
+    /// Number of processors the initializer placed nodes on.
     pub width: usize,
-    /// Cost of that start: the initializer's schedule on `prefix(width)`
+    /// Cost of the start: the initializer's schedule on `prefix(width)`
     /// after [`place_sources`] and [`merge_supersteps`], on the full machine.
     pub init_cost: u64,
+    /// Whether the initializer's sweep kept this candidate: its arg-min by
+    /// `init_cost`, ties to the wider (see the module docs).
+    pub kept: bool,
+    /// Supersteps [`merge_supersteps`] removed.
+    pub merged: usize,
+    /// Microseconds of each of [`BranchReport::STAGES`], all zero without
+    /// [`PipelineConfig::collect_phases`].
+    pub stage_us: [u64; 4],
+}
+
+impl BranchReport {
+    /// The stages of a candidate, in the order [`Start::build`] runs them
+    /// (`merge` includes rebuilding the lazy `Γ` when something merged).
+    pub const STAGES: [&'static str; 4] = ["construct", "place_sources", "merge", "cost"];
 }
 
 /// The result of a full pipeline run, including the intermediate costs that
 /// the paper's figures report.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
-    /// The start of each initializer, `BSPg` first; empty when the trivial
-    /// schedule met the bound and none ran.
+    /// Every candidate the sweeps built, in build order: `BSPg`'s widths `P`,
+    /// `P/2`, …, then `Source`'s; one of each initializer's is
+    /// [`BranchReport::kept`].  Empty when the trivial schedule met the bound
+    /// and no initializer ran.
     pub branches: Vec<BranchReport>,
-    /// Cost of the cheaper start ([`BranchReport::init_cost`]), which `HC`
-    /// searched — the `Init` bars of Figures 5–7.
+    /// Cost of the cheaper kept start ([`BranchReport::init_cost`]), which
+    /// `HC` searched — the `Init` bars of Figures 5–7.
     pub init_cost: u64,
     /// Cost after the one `HC` and the merge behind it; `init_cost` when the
     /// start met the bound.
@@ -196,10 +215,10 @@ pub struct PipelineReport {
     /// Cost of the final schedule: the start after `HC` + `HCcs` — the `HCcs`
     /// bars — or the trivial schedule when the floor replaced it.
     pub final_cost: u64,
-    /// Name of the initializer whose start was searched — the arg-min of
-    /// `branches` by cost, ties to the earlier; `"trivial"` when the floor
-    /// replaced the result ([`improve_start`]) or no initializer ran.
-    pub selected_init: String,
+    /// Name of the initializer whose start was searched — the arg-min of the
+    /// kept `branches` by cost, ties to the earlier; `"trivial"` when the
+    /// floor replaced the result ([`improve_start`]) or no initializer ran.
+    pub selected_init: &'static str,
     /// The searched start's [`BranchReport::width`] (also when the floor
     /// replaced it): `P` when no narrower prefix was cheaper.
     pub placement_width: usize,
@@ -218,19 +237,19 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// The report of a run that holds `start` and has searched nothing.
-    fn at(start: Start, lower_bound: u64) -> Self {
+    /// The report of a run that holds one start and has searched nothing.
+    fn at(branch: BranchReport, schedule: BspSchedule, lower_bound: u64) -> Self {
         PipelineReport {
             branches: Vec::new(),
-            init_cost: start.cost,
-            local_search_cost: start.cost,
-            final_cost: start.cost,
-            selected_init: start.init_name.to_string(),
-            placement_width: start.width,
-            funnel_nodes: start.schedule.assignment.n(),
+            init_cost: branch.init_cost,
+            local_search_cost: branch.init_cost,
+            final_cost: branch.init_cost,
+            selected_init: branch.init_name,
+            placement_width: branch.width,
+            funnel_nodes: schedule.assignment.n(),
             lower_bound,
             phases: Vec::new(),
-            schedule: start.schedule,
+            schedule,
         }
     }
 
@@ -300,16 +319,36 @@ pub fn improve_start(
 
 /// What `HC` can start from: an initializer's schedule on the machine's first
 /// `width` processors after [`place_sources`] and [`merge_supersteps`] (lazy
-/// `Γ`), with its cost on the full machine.
-struct Start {
-    init_name: &'static str,
-    width: usize,
-    schedule: BspSchedule,
-    cost: u64,
+/// `Γ`), with what the report says of it.
+#[derive(Debug)]
+pub struct Start {
+    /// The candidate's report entry (`kept` is set on the sweep's list).
+    pub branch: BranchReport,
+    /// The placed, merged schedule under its lazy `Γ`.
+    pub schedule: BspSchedule,
 }
 
 impl Start {
-    fn on_prefix(init: &dyn Scheduler, dag: &Dag, machine: &Machine, width: usize) -> Self {
+    /// One sweep candidate: `init` on `machine.prefix(width)`, sources
+    /// placed, supersteps merged, costed on the full machine.  With a phase
+    /// clock `origin`, each of [`BranchReport::STAGES`] is timed into
+    /// [`BranchReport::stage_us`].
+    pub fn build(
+        init: &dyn Scheduler,
+        dag: &Dag,
+        machine: &Machine,
+        width: usize,
+        origin: Option<Instant>,
+    ) -> Self {
+        let mut stage_us = [0; 4];
+        let mut last = origin.map(|o| o.elapsed());
+        let mut lap = |stage: usize| {
+            if let (Some(o), Some(last)) = (origin, last.as_mut()) {
+                let now = o.elapsed();
+                stage_us[stage] = now.saturating_sub(*last).as_micros() as u64;
+                *last = now;
+            }
+        };
         let mut schedule = init.schedule(dag, &machine.prefix(width));
         debug_assert_eq!(
             schedule.normalize(dag),
@@ -317,32 +356,52 @@ impl Start {
             "{} must return a normalized schedule",
             init.name()
         );
+        lap(0);
         place_sources(dag, machine, &mut schedule);
+        lap(1);
         // Placement is what leaves most barriers without a value to carry.
-        if merge_supersteps(dag, &mut schedule.assignment) > 0 {
+        let merged = merge_supersteps(dag, &mut schedule.assignment);
+        if merged > 0 {
             schedule.relax_to_lazy(dag);
         }
-        let cost = schedule.cost(dag, machine);
-        Start {
+        lap(2);
+        let init_cost = schedule.cost(dag, machine);
+        lap(3);
+        let branch = BranchReport {
             init_name: init.name(),
             width,
-            schedule,
-            cost,
-        }
+            init_cost,
+            kept: false,
+            merged,
+            stage_us,
+        };
+        Start { branch, schedule }
     }
 }
 
-/// The placement-width sweep (see the module docs): `init` on every
-/// processor prefix `P`, `P/2`, `P/4`, … ≥ 2, sources placed, supersteps
-/// merged, costed on the full machine.  Returns the cheapest start, ties to
-/// the wider (`min_by_key` keeps the first of equal minima); one candidate
-/// is held beside the best at a time.
-fn width_sweep(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> Start {
+/// The placement-width sweep (see the module docs): [`Start::build`] on
+/// every processor prefix `P`, `P/2`, `P/4`, … ≥ 2, each candidate's entry
+/// pushed onto `branches`.  Returns the cheapest start, ties to the wider
+/// (`min_by_key` keeps the first of equal minima), and marks its entry
+/// `kept`; one candidate is held beside the best at a time.
+fn width_sweep(
+    init: &dyn Scheduler,
+    dag: &Dag,
+    machine: &Machine,
+    origin: Option<Instant>,
+    branches: &mut Vec<BranchReport>,
+) -> Start {
     let narrower = |&width: &usize| (width / 2 >= 2).then_some(width / 2);
-    std::iter::successors(Some(machine.p()), narrower)
-        .map(|width| Start::on_prefix(init, dag, machine, width))
-        .min_by_key(|start| start.cost)
-        .expect("the full width is always built")
+    let best = std::iter::successors(Some(machine.p()), narrower)
+        .map(|width| Start::build(init, dag, machine, width, origin))
+        .inspect(|start| branches.push(start.branch))
+        .min_by_key(|start| start.branch.init_cost)
+        .expect("the full width is always built");
+    // The sweep's own entries are the last ones pushed.
+    let width = best.branch.width;
+    let kept = branches.iter_mut().rev().find(|b| b.width == width);
+    kept.expect("the kept start was built").kept = true;
+    best
 }
 
 /// The combined scheduling framework of Figure 3.
@@ -378,13 +437,13 @@ impl Pipeline {
         let trivial_cost = trivial.cost(dag, machine);
         // Optimal as it stands (a chain, one processor, the empty DAG).
         if trivial_cost <= lower_bound {
-            let start = Start {
+            let branch = BranchReport {
                 init_name: "trivial",
                 width: machine.p(),
-                schedule: trivial,
-                cost: trivial_cost,
+                init_cost: trivial_cost,
+                ..BranchReport::default()
             };
-            return PipelineReport::at(start, lower_bound);
+            return PipelineReport::at(branch, trivial, lower_bound);
         }
         drop(trivial);
         let funnel = Funnel::contract(dag, machine.p());
@@ -423,19 +482,11 @@ impl Pipeline {
         lower_bound: u64,
     ) -> PipelineReport {
         let heuristics: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
-        let sweeps = heuristics.map(|init| {
-            let started = origin.map(|o| o.elapsed());
-            let start = width_sweep(init, dag, machine);
-            (start, PhaseSample::since(init.name(), origin, started))
-        });
         let (mut branches, mut phases) = (Vec::new(), Vec::new());
-        for (start, sweep) in &sweeps {
-            branches.push(BranchReport {
-                init_name: start.init_name.to_string(),
-                width: start.width,
-                init_cost: start.cost,
-            });
-            if let Some(sweep) = *sweep {
+        let starts = heuristics.map(|init| {
+            let started = origin.map(|o| o.elapsed());
+            let start = width_sweep(init, dag, machine, origin, &mut branches);
+            if let Some(sweep) = PhaseSample::since(init.name(), origin, started) {
                 // The frozen benchmark reads the sweep under both names.
                 let child = PhaseSample {
                     name: "init_schedule",
@@ -444,25 +495,26 @@ impl Pipeline {
                 };
                 phases.extend([sweep, child]);
             }
-        }
+            start
+        });
         // `min_by_key` keeps the first of equal minima, and the other
         // start's schedule goes before the search allocates.
-        let mut best = (sweeps.into_iter().map(|(start, _)| start))
-            .min_by_key(|start| start.cost)
+        let mut best = (starts.into_iter())
+            .min_by_key(|start| start.branch.init_cost)
             .expect("two initializers always run");
         let search = |share| self.search_config(share);
-        let (schedule, cost) = (&mut best.schedule, best.cost);
+        let (schedule, cost) = (&mut best.schedule, best.branch.init_cost);
         let improved = improve_start(dag, machine, schedule, cost, lower_bound, search, origin);
         phases.extend(improved.phases);
         if improved.floored {
-            best.init_name = "trivial";
+            best.branch.init_name = "trivial";
         }
         PipelineReport {
             branches,
             phases,
             local_search_cost: improved.local_search_cost,
             final_cost: improved.final_cost,
-            ..PipelineReport::at(best, lower_bound)
+            ..PipelineReport::at(best.branch, best.schedule, lower_bound)
         }
     }
 
@@ -600,9 +652,10 @@ mod tests {
             seed: 7,
         });
         let machine = Machine::uniform(4, 3, 5);
-        // Off by default: no samples.
+        // Off by default: no samples, no stage times.
         let silent = fast_pipeline().run_report(&dag, &machine);
         assert!(silent.phases.is_empty());
+        assert!(silent.branches.iter().all(|b| b.stage_us == [0; 4]));
         // On: the reduction (contraction plus projection) first, then each
         // initializer's sweep under its own name with its `init_schedule`
         // child, then one `hc` once both sweeps have ended, then `hccs`.
@@ -632,6 +685,12 @@ mod tests {
             assert!(ends(&sweep) <= hc.start_us);
         }
         assert!(ends(&bspg) <= source.start_us);
+        // Each candidate's stages lie inside its initializer's sweep.
+        for sweep in [bspg, source] {
+            let of_sweep = report.branches.iter().filter(|b| b.init_name == sweep.name);
+            let staged: u64 = of_sweep.flat_map(|b| b.stage_us).sum();
+            assert!(staged <= sweep.dur_us, "{}: {staged} us", sweep.name);
+        }
         assert!(ends(&hc) <= hccs.start_us);
         assert!(report.funnel_nodes < dag.n());
     }

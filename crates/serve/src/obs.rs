@@ -29,10 +29,11 @@ use std::sync::{Arc, Mutex};
 
 use crate::metrics::LatencyHistogram;
 
-/// Maximum spans kept per trace.  A cold solve uses ~16 (router dispatch,
-/// queue wait, cache lookup, solve, funnel, three spans for each of the two
-/// branches, hccs, validate, insert, store offer, respond); anything beyond
-/// the cap sets the `truncated` flag instead of allocating.
+/// Maximum spans kept per trace.  A routed cold solve uses 13 (router
+/// dispatch, queue wait, cache miss, solve and the pipeline's seven samples
+/// under it — funnel, each initializer's sweep and its `init_schedule` child,
+/// `hc`, `hccs` — then cache insert and respond); anything beyond the cap sets
+/// the `truncated` flag instead of allocating.
 pub const MAX_SPANS: usize = 48;
 
 const EMPTY_SPAN: PhaseSample = PhaseSample {

@@ -56,13 +56,16 @@ fn main() {
         report.funnel_nodes,
         dag.n()
     );
+    // Every candidate of both width sweeps; each sweep keeps its cheapest.
     for start in &report.branches {
         println!(
-            "  start {:<8}: placed on {} of {} processors (its width sweep), cost {}",
+            "  start {:<8}: placed on {:>2} of {} processors, {} supersteps merged, cost {}{}",
             start.init_name,
             start.width,
             machine.p(),
-            start.init_cost
+            start.merged,
+            start.init_cost,
+            if start.kept { " (kept)" } else { "" }
         );
     }
     println!(

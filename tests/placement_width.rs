@@ -96,7 +96,8 @@ fn the_rows_on_record_for_one_search() {
     });
     let uniform = Machine::uniform(4, 3, 5);
     let report = pipeline.run_report(&kernel, &uniform);
-    let [bspg, source] = [0, 1].map(|i| &report.branches[i]);
+    let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
+    let [bspg, source] = [0, 1].map(|i| kept[i]);
     assert!(source.init_cost < bspg.init_cost, "{:?}", report.branches);
     assert_eq!(report.init_cost, source.init_cost);
     assert_eq!(report.placement_width, source.width);
@@ -152,24 +153,34 @@ fn expected_width(init: &dyn Scheduler, dag: &Dag, machine: &Machine) -> usize {
 }
 
 /// The properties of a report for `dag` (what the reduction left of the
-/// caller's DAG): both starts obey the sweep rule, the searched one is their
-/// arg-min by (cost, array order), and every stage is no costlier than the
-/// one before.
+/// caller's DAG): each initializer built every width `P, P/2, …` ≥ 2 in that
+/// order, each candidate costs what the independent restatement of its start
+/// costs, each sweep kept one start and it obeys the width rule, the searched
+/// one is the kept starts' arg-min by (cost, array order), and every stage is
+/// no costlier than the one before.
 fn assert_starts_hold(context: &str, report: &PipelineReport, dag: &Dag, machine: &Machine) {
     let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     assert_eq!(report.funnel_nodes, dag.n(), "{context}: funnel_nodes");
-    assert_eq!(report.branches.len(), inits.len(), "{context}");
-    for (init, branch) in inits.into_iter().zip(&report.branches) {
+    let widths: Vec<usize> =
+        std::iter::successors(Some(machine.p()), |&w| (w / 2 >= 2).then_some(w / 2)).collect();
+    let sweeps = report.branches.chunks(widths.len());
+    assert_eq!(report.branches.len(), 2 * widths.len(), "{context}");
+    for (init, built) in inits.into_iter().zip(sweeps) {
         let name = init.name();
-        assert_eq!(branch.init_name, name, "{context}");
+        for (branch, &width) in built.iter().zip(&widths) {
+            let start = (name, width, start_cost(init, dag, machine, width));
+            let listed = (branch.init_name, branch.width, branch.init_cost);
+            assert_eq!(listed, start, "{context}: candidate");
+        }
+        let kept: Vec<_> = built.iter().filter(|b| b.kept).map(|b| b.width).collect();
         let width = expected_width(init, dag, machine);
-        assert_eq!(branch.width, width, "{context}: {name} width");
-        let start = start_cost(init, dag, machine, branch.width);
-        assert_eq!(branch.init_cost, start, "{context}: {name} start");
+        assert_eq!(kept, [width], "{context}: {name} kept");
+        let start = start_cost(init, dag, machine, width);
         assert!(report.final_cost <= start, "{context}: above {name}");
     }
     // `min_by_key` keeps the first of equal minima: ties go to `BSPg`.
-    let searched = report.branches.iter().min_by_key(|b| b.init_cost).unwrap();
+    let kept = report.branches.iter().filter(|b| b.kept);
+    let searched = kept.min_by_key(|b| b.init_cost).unwrap();
     assert_eq!(report.init_cost, searched.init_cost, "{context}");
     assert_eq!(report.placement_width, searched.width, "{context}");
     if report.selected_init != "trivial" {
@@ -253,13 +264,15 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
                 assert_eq!(report.schedule, floor, "{context}");
             }
 
-            // The phase clock shows nowhere in the answer.
-            let traced = Pipeline::new(PipelineConfig {
+            // The phase clock shows nowhere in the answer, and in the
+            // candidates only as their stage times.
+            let mut traced = Pipeline::new(PipelineConfig {
                 collect_phases: true,
                 ..config()
             })
             .run_report(&dag, &machine);
             assert_eq!(traced.schedule, report.schedule, "{context}: traced");
+            traced.branches.iter_mut().for_each(|b| b.stage_us = [0; 4]);
             assert_eq!(traced.branches, report.branches, "{context}: traced");
             assert_eq!(traced.selected_init, report.selected_init, "{context}");
             assert_eq!(traced.local_search_cost, report.local_search_cost);
@@ -272,7 +285,8 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
             let stopped = Pipeline::new(config().with_cancel(cancel)).run_report(&dag, &machine);
             assert_eq!(stopped.branches, report.branches, "{context}: cancelled");
             assert_eq!(stopped.local_search_cost, stopped.init_cost, "{context}");
-            let cheaper = (report.branches.iter())
+            let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
+            let cheaper = (kept.iter())
                 .position(|b| b.init_cost == report.init_cost)
                 .expect("init_cost is a start's");
             let inits: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
@@ -284,7 +298,7 @@ fn every_branch_obeys_the_sweep_rule_and_the_answer_its_bounds() {
             };
             assert_eq!(stopped.schedule, expected, "{context}: cancelled");
 
-            let widths: Vec<usize> = report.branches.iter().map(|b| b.width).collect();
+            let widths: Vec<usize> = kept.iter().map(|b| b.width).collect();
             apart += usize::from(widths[0] != widths[1]);
             if report.placement_width < machine.p() {
                 narrowed += 1;
