@@ -15,7 +15,9 @@
 //! final cost against the trivial schedule's and against the lower bound
 //! (`gap`), the start that was searched and the width it placed on, the
 //! seconds — on stderr also µs/node — per phase (`funnel`, the two sweeps'
-//! `init_schedule`, the one `hc`, `hccs`), and `solve_peak_bytes_per_node`:
+//! `init_schedule`, the one `hc`, `relocate`, `hccs`), the relocation
+//! phase's candidates evaluated and kept and its cost (`relocate_evaluated`,
+//! `relocate_kept`, `relocate_cost`), and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by [`bsp_bench::heap`] (the largest of `--reps`).
 //! Beside them, `sweep` is the timed run's own candidate list
@@ -40,7 +42,8 @@
 //! means the floor broke), no answer holds two adjacent supersteps that
 //! `merge_supersteps` would merge, and every `hc_from_source` run ends valid
 //! at a local minimum, no costlier than its start, with a cost equal to a
-//! recompute, and every candidate list passes [`sweep_gate`]; the binary
+//! recompute, every candidate list passes [`sweep_gate`] and every
+//! relocation phase [`relocate_gate`]; the binary
 //! exits 1 if one of these fails or a row's solve peak exceeds
 //! [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
@@ -55,7 +58,9 @@ use bsp_bench::heap::{held_peak, CountingAllocator};
 use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::{hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts};
+use bsp_sched::hill_climb::{
+    hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts, RELOCATION_CANDIDATES,
+};
 use bsp_sched::init::{merge_supersteps, SourceScheduler};
 use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineConfig, PipelineReport};
 use bsp_sched::Scheduler;
@@ -76,10 +81,11 @@ const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 184.0;
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
-/// `hc` and `hccs` are depth-0 samples, one each; `init_schedule` is the child
+/// `hc`, `relocate` (when it evaluated a candidate) and `hccs` are depth-0
+/// samples, one each; `init_schedule` is the child
 /// of either initializer's sweep (summed over the two, which run one after the
 /// other).
-const PHASES: [&str; 4] = ["funnel", "init_schedule", "hc", "hccs"];
+const PHASES: [&str; 5] = ["funnel", "init_schedule", "hc", "relocate", "hccs"];
 
 /// Runs the pipeline `reps` times; the fastest wall-clock (the runs repeat
 /// their work exactly, so the minimum isolates OS noise) with its report,
@@ -120,6 +126,21 @@ fn sweep_gate(run: &PipelineReport, p: usize) -> bool {
     listed.eq(widths("BSPg").chain(widths("Source")))
         && run.branches.chunks(per_init).all(one_kept)
         && searched.map(|b| (b.init_cost, b.width)) == Some((run.init_cost, run.placement_width))
+}
+
+/// The smallest `--target` at which [`relocate_gate`] asks every `bicgstab`
+/// row to keep a relocation: its `HC` answers hold heavy serial supersteps
+/// from 10⁴ nodes on (ROADMAP item 16), and at 10³ some end on the floor.
+const RELOCATE_GATE_MIN_TARGET: usize = 10_000;
+
+/// The `--smoke` gate on a row's relocation phase: no costlier than the
+/// `HC` answer it was given, no more candidates than its budget, and on
+/// `bicgstab` from [`RELOCATE_GATE_MIN_TARGET`] on, at least one relocation
+/// kept.
+fn relocate_gate(run: &PipelineReport, instance: &str, target: usize) -> bool {
+    let r = run.relocation;
+    let kept = instance != "bicgstab" || target < RELOCATE_GATE_MIN_TARGET || r.kept >= 1;
+    r.final_cost <= run.local_search_cost && r.evaluated <= RELOCATION_CANDIDATES && kept
 }
 
 /// The wall-clock cap of an `hc_from_source` run, far above what any row
@@ -314,13 +335,23 @@ fn main() {
                     run.funnel_nodes
                 );
                 eprintln!(
-                    "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, hccs {:.3}s",
-                    phases[0], phases[1], phases[2], phases[3]
+                    "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, relocate {:.3}s, \
+                     hccs {:.3}s",
+                    phases[0], phases[1], phases[2], phases[3], phases[4]
                 );
-                let [funnel, init, hc, hccs] = phases.map(per_node);
+                let relocation = run.relocation;
+                eprintln!(
+                    "     relocation: {} evaluated, {} kept, {} visits, cost {} -> {}",
+                    relocation.evaluated,
+                    relocation.kept,
+                    relocation.visits,
+                    run.local_search_cost,
+                    relocation.final_cost
+                );
+                let [funnel, init, hc, relocate, hccs] = phases.map(per_node);
                 eprintln!(
                     "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, \
-                     hccs {hccs:.3}, run {:.3}",
+                     relocate {relocate:.3}, hccs {hccs:.3}, run {:.3}",
                     per_node(seconds)
                 );
                 eprintln!(
@@ -330,6 +361,12 @@ fn main() {
                 let hc = hc_from_source(dag, machine, reps, &row, &mut failures);
                 if !sweep_gate(&run, machine.p()) {
                     failures.push(format!("{row}: candidate list {:?}", run.branches));
+                }
+                if !relocate_gate(&run, inst_name, target) {
+                    failures.push(format!(
+                        "{row}: relocation {:?} after HC at {}",
+                        run.relocation, run.local_search_cost
+                    ));
                 }
                 let mut sweep = Vec::new();
                 let (mut dropped_us, mut sweep_us) = (0, 0);
@@ -357,7 +394,8 @@ fn main() {
                 report.push_result_json(format!(
                     "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                      \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
-                     \"init_cost\": {}, \"local_search_cost\": {}, \"final_cost\": {}, \
+                     \"init_cost\": {}, \"local_search_cost\": {}, \"relocate_evaluated\": {}, \
+                     \"relocate_kept\": {}, \"relocate_cost\": {}, \"final_cost\": {}, \
                      \"trivial_cost\": {trivial}, \"lower_bound\": {}, \"gap\": {:.4}, \
                      \"selected_init\": \"{}\", \"placement_width\": {}, \"funnel_nodes\": {}, \
                      \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
@@ -366,6 +404,9 @@ fn main() {
                     dag.num_edges(),
                     run.init_cost,
                     run.local_search_cost,
+                    relocation.evaluated,
+                    relocation.kept,
+                    relocation.final_cost,
                     run.final_cost,
                     run.lower_bound,
                     run.gap(),

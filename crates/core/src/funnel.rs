@@ -70,7 +70,7 @@ const MAX_CLUSTER_SHARE: u64 = 2;
 pub struct Funnel {
     coarse: Dag,
     /// `cluster_of[v]` is the coarse node `v` was merged into.
-    cluster_of: Vec<usize>,
+    cluster_of: Vec<u32>,
     /// `roots[i]` is the one member of cluster `i` with successors outside
     /// it (or none at all), in ascending node order.
     roots: Vec<NodeId>,
@@ -86,35 +86,36 @@ impl Funnel {
         let order = dag
             .topological_order()
             .expect("Dag invariant: always acyclic");
-        // Both indexed by node; `cluster_work` is only read at roots.
-        let mut root_of: Vec<NodeId> = (0..n).collect();
+        // Both indexed by node, ids in 32 bits as in the DAG's own CSR;
+        // `cluster_work` is only read at roots.
+        let mut root_of: Vec<u32> = (0..n as u32).collect();
         let mut cluster_work: Vec<u64> = dag.work_weights().to_vec();
-        for &u in order.iter().rev() {
+        for u in order.into_iter().rev().map(|u| u as usize) {
             let mut successors = dag.successors(u);
             let Some(first) = successors.next() else {
                 continue;
             };
             let root = root_of[first];
-            if successors.all(|v| root_of[v] == root) && cluster_work[root] + dag.work(u) <= bound {
+            let (r, w) = (root as usize, dag.work(u));
+            if successors.all(|v| root_of[v] == root) && cluster_work[r] + w <= bound {
                 root_of[u] = root;
-                cluster_work[root] += dag.work(u);
+                cluster_work[r] += w;
             }
         }
-        let roots: Vec<NodeId> = (0..n).filter(|&v| root_of[v] == v).collect();
+        let roots: Vec<NodeId> = (0..n).filter(|&v| root_of[v] as usize == v).collect();
         if roots.len() == n {
             return None;
         }
-        let mut index = vec![0usize; n];
+        let mut index = vec![0u32; n];
         for (i, &r) in roots.iter().enumerate() {
-            index[r] = i;
+            index[r] = i as u32;
         }
-        let cluster_of: Vec<usize> = root_of.into_iter().map(|r| index[r]).collect();
-        let coarse = quotient_of(
-            dag,
-            |v| cluster_of[v],
-            roots.iter().map(|&r| cluster_work[r]).collect(),
-            roots.iter().map(|&r| dag.comm(r)).collect(),
-        );
+        let cluster_of: Vec<u32> = root_of.into_iter().map(|r| index[r as usize]).collect();
+        drop(index);
+        let work = roots.iter().map(|&r| cluster_work[r]).collect();
+        drop(cluster_work);
+        let comm = roots.iter().map(|&r| dag.comm(r)).collect();
+        let coarse = quotient_of(dag, |v| cluster_of[v], work, comm);
         Some(Funnel {
             coarse,
             cluster_of,
@@ -130,7 +131,7 @@ impl Funnel {
 
     /// The coarse node `v` was merged into.
     pub fn cluster_of(&self, v: NodeId) -> usize {
-        self.cluster_of[v]
+        self.cluster_of[v] as usize
     }
 
     /// The root of every cluster, indexed by coarse node.
@@ -145,11 +146,13 @@ impl Funnel {
     pub fn project(&self, coarse_schedule: &BspSchedule) -> BspSchedule {
         let coarse = &coarse_schedule.assignment;
         let assignment = Assignment {
-            proc: self.cluster_of.iter().map(|&c| coarse.proc[c]).collect(),
-            superstep: self
+            proc: self
                 .cluster_of
                 .iter()
-                .map(|&c| coarse.superstep[c])
+                .map(|&c| coarse.proc[c as usize])
+                .collect(),
+            superstep: (self.cluster_of.iter())
+                .map(|&c| coarse.superstep[c as usize])
                 .collect(),
         };
         let steps = coarse_schedule.comm.steps().iter().map(|step| CommStep {
@@ -174,7 +177,7 @@ impl Funnel {
 /// Panics when the clusters do not form a DAG.
 fn quotient_of(
     dag: &Dag,
-    cluster_of: impl Fn(NodeId) -> usize,
+    cluster_of: impl Fn(NodeId) -> u32,
     work: Vec<u64>,
     comm: Vec<u64>,
 ) -> Dag {
@@ -182,42 +185,47 @@ fn quotient_of(
     // A stable counting sort groups the crossing edges by source cluster
     // without disturbing their order inside a group, so one stamp per target
     // cluster finds the repeats of each group; the survivors are then
-    // emitted in their original positions.
-    let mut offset = vec![0usize; k + 1];
-    let mut mapped = Vec::new();
+    // emitted in their original positions.  Cluster ids and positions are
+    // 32-bit, as the DAG's own CSR is.
+    let mut offset = vec![0u32; k + 1];
+    let mut mapped: Vec<(u32, u32)> = Vec::new();
     for (a, b) in dag.edges() {
         let (ca, cb) = (cluster_of(a), cluster_of(b));
         if ca != cb {
-            offset[ca + 1] += 1;
+            offset[ca as usize + 1] += 1;
             mapped.push((ca, cb));
         }
     }
     for c in 0..k {
         offset[c + 1] += offset[c];
     }
-    let mut grouped = vec![0usize; mapped.len()];
-    for (position, &(ca, _)) in mapped.iter().enumerate() {
-        grouped[offset[ca]] = position;
-        offset[ca] += 1;
+    let mut grouped = vec![0u32; mapped.len()];
+    for (position, &(ca, _)) in (0u32..).zip(&mapped) {
+        let slot = &mut offset[ca as usize];
+        grouped[*slot as usize] = position;
+        *slot += 1;
     }
     // `offset[c]` now ends group `c`; groups are walked back to back.
     let mut first = vec![false; mapped.len()];
-    let mut stamp = vec![0usize; k];
+    let mut stamp = vec![0u32; k];
     let mut begin = 0usize;
-    for (ca, &end) in offset[..k].iter().enumerate() {
-        for &position in &grouped[begin..end] {
-            let cb = mapped[position].1;
-            if stamp[cb] != ca + 1 {
-                stamp[cb] = ca + 1;
-                first[position] = true;
+    for (ca, &end) in (1u32..).zip(&offset[..k]) {
+        for &position in &grouped[begin..end as usize] {
+            let cb = mapped[position as usize].1 as usize;
+            if stamp[cb] != ca {
+                stamp[cb] = ca;
+                first[position as usize] = true;
             }
         }
-        begin = end;
+        begin = end as usize;
     }
-    let mut keep = first.iter();
-    mapped.retain(|_| *keep.next().expect("one flag per crossing edge"));
-    drop((grouped, first, stamp));
-    Dag::from_edges(k, &mapped, work, comm).expect("the clusters form a DAG")
+    drop((offset, grouped, stamp));
+    let mut keep = first.into_iter();
+    mapped.retain(|_| keep.next().expect("one flag per crossing edge"));
+    let edges: Vec<(NodeId, NodeId)> = (mapped.into_iter())
+        .map(|(ca, cb)| (ca as usize, cb as usize))
+        .collect();
+    Dag::from_edges(k, &edges, work, comm).expect("the clusters form a DAG")
 }
 
 #[cfg(test)]

@@ -44,9 +44,13 @@
 //! moves an `O(1)` bound pruned, and verification sweeps.
 
 mod hccs;
+mod relocate;
 mod state;
 
 pub use hccs::hccs_improve;
+pub use relocate::{
+    relocate_improve, RelocateOutcome, RELOCATION_CANDIDATES, RELOCATION_VISITS_PER_NODE,
+};
 pub use state::{HcState, MoveWindow};
 
 use bsp_model::{BspSchedule, Dag, Machine};
@@ -173,6 +177,16 @@ impl SearchScratch {
         self.push(v);
     }
 
+    /// Enqueues every node of `nodes` once, in ascending order whatever
+    /// order they come in, onto an empty work-list of `n` entities.  `O(n)`
+    /// beside the nodes, and no list of them is held.
+    pub(crate) fn enqueue_in_order(&mut self, n: usize, nodes: impl IntoIterator<Item = usize>) {
+        debug_assert!(self.queue.is_empty(), "the work-list is drained");
+        self.reserve(n);
+        nodes.into_iter().for_each(|v| self.in_queue[v] = true);
+        self.queue.extend((0..n).filter(|&v| self.in_queue[v]));
+    }
+
     /// Enqueues every node of `graph`.
     pub fn enqueue_all(&mut self, graph: &Dag) {
         self.push_all(graph.n());
@@ -220,14 +234,16 @@ trait Neighbourhood {
 
 /// The work-list driver of both searches (module docs): drains `list`, then
 /// sweeps every entity, until a sweep accepts nothing or a limit stops it.
-/// `start` is when the search's time budget began.  Returns the steps, the
-/// local-minimum flag and the counts, the costs left to the caller; `list`
-/// is left empty.
+/// Without `certify` it stops when `list` first drains, and reports no local
+/// minimum.  `start` is when the search's time budget began.  Returns the
+/// steps, the local-minimum flag and the counts, the costs left to the
+/// caller; `list` is left empty.
 fn drive(
     search: &mut impl Neighbourhood,
     config: &HillClimbConfig,
     start: Instant,
     list: &mut SearchScratch,
+    certify: bool,
 ) -> HillClimbOutcome {
     let n = search.entities();
     list.reserve(n);
@@ -257,12 +273,15 @@ fn drive(
         accepted
     };
 
-    let stopped = 'outer: loop {
+    let limited = 'outer: loop {
         while let Some(i) = list.pop() {
             if over_limit(&mut polls, steps) {
                 break 'outer true;
             }
             steps += usize::from(moved(i, list, &mut counts));
+        }
+        if !certify {
+            break false;
         }
         counts.sweeps += 1;
         let mut sweep_improved = false;
@@ -284,10 +303,10 @@ fn drive(
     while list.pop().is_some() {}
     HillClimbOutcome {
         steps,
-        reached_local_minimum: !stopped,
+        reached_local_minimum: certify && !limited,
         counts: SearchCounts {
             // The poll that stopped the search visited nothing.
-            visits: polls - u64::from(stopped),
+            visits: polls - u64::from(limited),
             gated,
             ..counts
         },
@@ -473,7 +492,32 @@ pub fn hc_search(
     let initial_cost = state.total_cost();
     let p = machine.p();
     let mut moves = NodeMoves { graph, state, p };
-    let outcome = drive(&mut moves, config, start, scratch);
+    let outcome = drive(&mut moves, config, start, scratch, true);
+    HillClimbOutcome {
+        initial_cost,
+        final_cost: moves.state.total_cost(),
+        ..outcome
+    }
+}
+
+/// [`hc_search`] without the verification sweeps: it visits the seeded
+/// nodes and whatever accepted moves dirty, and stops when the work-list
+/// drains, so it costs what the seeds reach, not `n` visits.  The result is
+/// not certified a local minimum.
+pub(crate) fn hc_descend(
+    graph: &Dag,
+    machine: &Machine,
+    state: &mut HcState<'_>,
+    config: &HillClimbConfig,
+    scratch: &mut SearchScratch,
+) -> HillClimbOutcome {
+    let (start, initial_cost) = (Instant::now(), state.total_cost());
+    let mut moves = NodeMoves {
+        graph,
+        state,
+        p: machine.p(),
+    };
+    let outcome = drive(&mut moves, config, start, scratch, false);
     HillClimbOutcome {
         initial_cost,
         final_cost: moves.state.total_cost(),

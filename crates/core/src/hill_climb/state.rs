@@ -40,12 +40,23 @@
 //! lift → exact drop → unlift; property tests pin each delta against a full
 //! recomputation.
 //!
-//! [`HcState::apply_move`] is the only commit path, and it deliberately does
-//! *not* go through lift/drop: it patches the full old and new contribution
-//! sets of `v` and its predecessors, so the `affected` superstep set it
-//! leaves behind names every superstep such a contribution sits in, changed
-//! or not.  The work-list re-enqueues the nodes of exactly those supersteps;
-//! narrowing the set would reorder the queue and with it the trajectory.
+//! [`HcState::apply_move`] is the search's only commit path, and it
+//! deliberately does *not* go through lift/drop: it patches the full old and
+//! new contribution sets of `v` and its predecessors, so the `affected`
+//! superstep set it leaves behind names every superstep such a contribution
+//! sits in, changed or not.  The work-list re-enqueues the nodes of exactly
+//! those supersteps; narrowing the set would reorder the queue and with it
+//! the trajectory.
+//!
+//! ## Block moves and rollback
+//!
+//! [`HcState::relocate`] commits a whole cell — a superstep's nodes on one
+//! processor — onto a processor idle in that superstep, patching the crossing
+//! tallies once.  After [`HcState::checkpoint`] every commit is journalled,
+//! and [`HcState::rollback`] undoes them newest first by their exact inverses
+//! (a move back, the cell relocated back), so the relocation phase
+//! ([`super::relocate_improve`]) tries a candidate and its climb without
+//! rebuilding the state.  The journal is off until the first checkpoint.
 //!
 //! ## One private scratch
 //!
@@ -247,6 +258,15 @@ struct OpLog {
 const LIFT: usize = 0;
 const DROP: usize = 1;
 
+/// One committed change as [`HcState::rollback`] undoes it.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// Node `v` goes back to `(proc, step)`.
+    Move { v: u32, proc: u32, step: u32 },
+    /// The nodes of cell `(step, from)` go back to `to`.
+    Relocate { step: u32, from: u32, to: u32 },
+}
+
 /// Precomputed feasibility window for all candidate moves of one node: the
 /// binding predecessor/successor superstep and, when every binding neighbour
 /// sits on one processor, that processor (which then also admits the equal
@@ -446,6 +466,9 @@ pub struct HcState<'a> {
     /// undo logs are reserved to it.
     log_bound: usize,
     scratch: Scratch,
+    /// The commits since [`HcState::checkpoint`], oldest first; `None` until
+    /// a checkpoint is taken, so a plain search records nothing.
+    journal: Option<Vec<Undo>>,
 }
 
 /// Maintains a cached row maximum (`max`, with `cnt` cells attaining it)
@@ -629,6 +652,7 @@ impl<'a> HcState<'a> {
                 move_below: vec![0; p],
                 ..Scratch::default()
             },
+            journal: None,
         };
         state.build_tallies(graph);
         // Headroom so the first moves into a bucket don't reallocate.
@@ -1365,16 +1389,8 @@ impl<'a> HcState<'a> {
             self.patch_contrib(self.scratch.contribs_new[i], true);
         }
 
-        // Body costs straight from the row-max caches (`O(1)` per step).
-        let g = self.machine.g();
-        let mut delta =
-            self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64);
-        for &s in &self.scratch.affected {
-            let cost = self.work_max[s] + g * self.hrel_max[s];
-            delta += cost as i64 - self.body[s] as i64;
-            self.body_sum = self.body_sum - self.body[s] + cost;
-            self.body[s] = cost;
-        }
+        let delta = self.machine.latency() as i64 * (new_num_steps as i64 - self.num_steps as i64)
+            + self.settle_bodies();
 
         // Move v between superstep buckets (swap-remove + push).
         let pos = self.bucket_pos[v] as usize;
@@ -1397,7 +1413,165 @@ impl<'a> HcState<'a> {
             self.summaries.len[u] = STALE;
         }
         self.scratch.prepared_node = None;
+        if let Some(journal) = &mut self.journal {
+            let (proc, step) = (p_old as u32, s_old as u32);
+            journal.push(Undo::Move {
+                v: v as u32,
+                proc,
+                step,
+            });
+        }
         delta
+    }
+
+    /// Re-reads the body cost of every superstep in `scratch.affected` off
+    /// the row-max caches (`O(1)` per superstep) and returns the change in
+    /// their sum.
+    fn settle_bodies(&mut self) -> i64 {
+        let g = self.machine.g();
+        let mut delta = 0i64;
+        for &s in &self.scratch.affected {
+            let cost = self.work_max[s] + g * self.hrel_max[s];
+            delta += cost as i64 - self.body[s] as i64;
+            self.body_sum = self.body_sum - self.body[s] + cost;
+            self.body[s] = cost;
+        }
+        delta
+    }
+
+    /// Moves every node of cell `(s, x)` to processor `y`, which must hold no
+    /// node of superstep `s`, and returns the exact change in total cost.
+    ///
+    /// The move is always precedence-valid: an edge inside the cell keeps
+    /// both ends on one processor, no edge joins the cell to another
+    /// processor's nodes of `s` (the lazy rule forbids it), and an edge to
+    /// another superstep keeps its strict order.  The work row keeps its
+    /// values, one cell's load changing processor, so only the
+    /// `h`-relations move.  Walking the nodes over one at a time would pass
+    /// through invalid states whenever the cell holds an edge, so the
+    /// crossing tallies are patched once instead: the lazy contributions of
+    /// the cell's nodes and their predecessors come off, the nodes move, and
+    /// the contributions of the new positions go on.  `relocate(s, y, x)`
+    /// undoes it exactly.  `O(Σ deg)` over the cell; the superstep buckets
+    /// keep their order.
+    pub fn relocate(&mut self, graph: &Dag, s: usize, x: usize, y: usize) -> i64 {
+        debug_assert!(x != y, "a cell relocates onto another processor");
+        let p = self.machine.p();
+        debug_assert!(
+            self.cell_nodes(s, y).next().is_none(),
+            "processor {y} holds a node of superstep {s}"
+        );
+        // The senders whose lazy contributions the move can change: the
+        // cell's nodes (sender moved) and their predecessors (consumer
+        // moved), a node with several consumers in the cell met once each.
+        // Their summaries are all made fresh, the contributions of each come
+        // off as it is first met and its summaries are marked stale, the
+        // nodes move, and each stale one goes back on, refreshed, at its
+        // first meeting: no list of senders is held.
+        self.scratch.affected.clear();
+        self.scratch.step_stamp += 1;
+        for pass in 0..3 {
+            let q = if pass < 2 { x } else { y };
+            for i in 0..self.step_nodes[s].len() {
+                let v = self.step_nodes[s][i] as usize;
+                if self.proc_of(v) != q {
+                    continue;
+                }
+                for u in std::iter::once(v).chain(graph.predecessors(v)) {
+                    match pass {
+                        0 => self.refresh_summaries(graph, u),
+                        1 if self.summaries.len[u] != STALE => {
+                            self.patch_sends(graph, u, false);
+                            self.summaries.len[u] = STALE;
+                        }
+                        2 if self.summaries.len[u] == STALE => {
+                            self.refresh_summaries(graph, u);
+                            self.patch_sends(graph, u, true);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            if pass == 1 {
+                for &v in &self.step_nodes[s] {
+                    let q = &mut self.proc[v as usize];
+                    if *q as usize == x {
+                        *q = y as u32;
+                    }
+                }
+            }
+        }
+        // Onto `y` first: the row's maximum is then never left unattained,
+        // so no row is rescanned.
+        let moved = self.work[s * p + x];
+        self.patch_work(s, y, self.work[s * p + y] + moved);
+        self.patch_work(s, x, 0);
+        self.mark_row(s);
+        self.scratch.prepared_node = None;
+        if let Some(journal) = &mut self.journal {
+            let (step, from, to) = (s as u32, y as u32, x as u32);
+            journal.push(Undo::Relocate { step, from, to });
+        }
+        self.settle_bodies()
+    }
+
+    /// The nodes of cell `(s, q)`: superstep `s`'s nodes on processor `q`.
+    pub(crate) fn cell_nodes(&self, s: usize, q: usize) -> impl Iterator<Item = usize> + '_ {
+        self.nodes_in_superstep(s)
+            .filter(move |&v| self.proc_of(v) == q)
+    }
+
+    /// Adds (`add`) or removes the lazy contributions of node `u`, whose
+    /// summaries must be fresh, through the gather buffer, marking their
+    /// supersteps in `scratch.affected`.
+    fn patch_sends(&mut self, graph: &Dag, u: usize, add: bool) {
+        let mut gathered = std::mem::take(&mut self.scratch.contribs_new);
+        gathered.clear();
+        let (pu, cu) = (self.proc[u] as usize, graph.comm(u));
+        push_contributions(self.machine, pu, cu, self.summaries.of(u), &mut gathered);
+        for &c in &gathered {
+            self.patch_contrib(c, add);
+            self.mark_row(c.step());
+        }
+        self.scratch.contribs_new = gathered;
+    }
+
+    /// Adds superstep `s` to `scratch.affected` unless the current stamp
+    /// already has it.
+    fn mark_row(&mut self, s: usize) {
+        let scratch = &mut self.scratch;
+        if scratch.step_mark[s] != scratch.step_stamp {
+            scratch.step_mark[s] = scratch.step_stamp;
+            scratch.affected.push(s);
+        }
+    }
+
+    /// Starts recording commits — [`HcState::apply_move`] and
+    /// [`HcState::relocate`] — afresh, so that [`HcState::rollback`] can
+    /// return to this point.
+    pub fn checkpoint(&mut self) {
+        self.journal.get_or_insert_with(Vec::new).clear();
+    }
+
+    /// Undoes every commit since the last [`HcState::checkpoint`], newest
+    /// first, each by its exact inverse: the assignment, every tally and
+    /// every row cache are as they were then (the superstep buckets may list
+    /// their nodes in another order).  Recording goes on from here.
+    pub fn rollback(&mut self, graph: &Dag) {
+        let Some(mut journal) = self.journal.take() else {
+            return;
+        };
+        for undo in journal.drain(..).rev() {
+            match undo {
+                Undo::Move { v, proc, step } => {
+                    self.apply_move(graph, v as usize, proc as usize, step as usize);
+                }
+                Undo::Relocate { step, from, to } => {
+                    self.relocate(graph, step as usize, from as usize, to as usize);
+                }
+            }
+        }
+        self.journal = Some(journal);
     }
 }
 

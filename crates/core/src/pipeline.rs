@@ -4,14 +4,14 @@
 //! improves the cheaper of the two starts with the `HC` local search and
 //! optimises its communication schedule with `HCcs`.  The paper improves
 //! *every* initializer's schedule and keeps the best; the second search never
-//! paid for its time here and went (README, *One search: what the second
+//! paid for its time here and went (CHANGES.md, *One search: what the second
 //! bought*), as did the ILP stage after `HCcs` (`ILPfull` / `ILPpart` /
 //! `ILPinit`; README, *ILP: a negative result*) — `ILPcs` stays as the exact
 //! check on `HCcs` ([`crate::ilp`]).
 //!
 //! The order of a run is bound → funnel → per-initializer sweep over every
-//! width (source placement, merge) → `HC` → merge → floor → `HCcs`;
-//! everything around the paper's `initializer → HC → HCcs` is this
+//! width (source placement, merge) → `HC` → merge → relocation → floor →
+//! `HCcs`; everything around the paper's `initializer → HC → HCcs` is this
 //! repository's own:
 //!
 //! * **The bound.**  [`Dag::lower_bound`] of the caller's DAG is on every
@@ -57,12 +57,18 @@
 //!   count and, on a phase clock, each stage's time).  The width is a result
 //!   ([`BranchReport::width`], [`PipelineReport::placement_width`]), not a
 //!   setting.
-//! * **`HC` once, the floor, `HCcs` once** ([`improve_start`]).  Only the
-//!   cheaper start — ties to `BSPg` — is searched
-//!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
-//!   built), on the full machine.  What `HC` returns is merged again, then
-//!   [`BspSchedule::trivial`] replaces it when strictly cheaper, so no answer
-//!   costs more than one processor, and only a survivor goes through `HCcs`.
+//! * **`HC` once, the relocation, the floor, `HCcs` once**
+//!   ([`improve_start`]).  Only the cheaper start — ties to `BSPg` — is
+//!   searched ([`PipelineReport::selected_init`]; the other's `HcState` is
+//!   never built), on the full machine.  What `HC` returns is merged again.
+//!   Its local minima can leave a superstep's work on one processor while the
+//!   others idle, and no single-node move is downhill; the relocation phase
+//!   ([`relocate_improve`]) moves each such heavy superstep whole onto an idle
+//!   processor, climbs again from there and keeps what is strictly cheaper,
+//!   bounded by a count, never the clock ([`PipelineReport::relocation`]).
+//!   Then [`BspSchedule::trivial`] replaces the result when strictly cheaper,
+//!   so no answer costs more than one processor, and only a survivor goes
+//!   through `HCcs`.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved, and the
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`],
@@ -71,7 +77,9 @@
 
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
-use crate::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
+use crate::hill_climb::{
+    hc_improve, hccs_improve, relocate_improve, HillClimbConfig, RelocateOutcome,
+};
 use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
 use bsp_model::{BspSchedule, Dag, Machine};
@@ -212,6 +220,10 @@ pub struct PipelineReport {
     /// Cost after the one `HC` and the merge behind it; `init_cost` when the
     /// start met the bound.
     pub local_search_cost: u64,
+    /// What the relocation phase after `HC` did ([`relocate_improve`]): the
+    /// candidates it evaluated and kept, and the cost after it
+    /// (`local_search_cost` when it evaluated none).
+    pub relocation: RelocateOutcome,
     /// Cost of the final schedule: the start after `HC` + `HCcs` — the `HCcs`
     /// bars — or the trivial schedule when the floor replaced it.
     pub final_cost: u64,
@@ -243,6 +255,10 @@ impl PipelineReport {
             branches: Vec::new(),
             init_cost: branch.init_cost,
             local_search_cost: branch.init_cost,
+            relocation: RelocateOutcome {
+                final_cost: branch.init_cost,
+                ..RelocateOutcome::default()
+            },
             final_cost: branch.init_cost,
             selected_init: branch.init_name,
             placement_width: branch.width,
@@ -261,21 +277,27 @@ impl PipelineReport {
 }
 
 /// What [`improve_start`] did: the cost after `HC` and the merge (the start's
-/// own at the bound) and at the end, whether the trivial schedule replaced
-/// that result, and the `hc` / `hccs` samples (none without a phase clock).
+/// own at the bound), what the relocation phase did, the cost at the end,
+/// whether the trivial schedule replaced the result, and the `hc`,
+/// `relocate` and `hccs` samples (none without a phase clock; `relocate` only
+/// when the phase evaluated a candidate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
     pub local_search_cost: u64,
+    pub relocation: RelocateOutcome,
     pub final_cost: u64,
     pub floored: bool,
     pub phases: Vec<PhaseSample>,
 }
 
-/// `HC` → merge → trivial floor → `HCcs` on a start of cost `cost` under its
-/// lazy `Γ`: the tail of every solve, and of `exp_initializers`' search
-/// from the other start.  `HC` is skipped at `lower_bound`; [`merge_supersteps`] then
-/// closes every barrier no value crosses (single-node moves cannot, and `HC`
-/// can leave a superstep empty), so no answer keeps one;
+/// `HC` → merge → relocation → trivial floor → `HCcs` on a start of cost
+/// `cost` under its lazy `Γ`: the tail of every solve, and of
+/// `exp_initializers`' search from the other start.  `HC` is skipped at
+/// `lower_bound`; [`merge_supersteps`] then closes every barrier no value
+/// crosses (single-node moves cannot, and `HC` can leave a superstep empty),
+/// so no answer keeps one; [`relocate_improve`] moves heavy serial supersteps
+/// whole above the bound, its climbs under the run's token with no time
+/// limit (its budget is a count, so a run repeats);
 /// [`BspSchedule::trivial`] replaces the result when strictly cheaper,
 /// `O(n)`, so no schedule leaves the solver above the one-processor cost;
 /// `HCcs` runs on a survivor above the bound.  `search(share)` configures a
@@ -300,6 +322,25 @@ pub fn improve_start(
         schedule.relax_to_lazy(dag);
         cost = schedule.cost(dag, machine);
     }
+    let local_search_cost = cost;
+    let mut relocation = RelocateOutcome {
+        final_cost: cost,
+        ..RelocateOutcome::default()
+    };
+    if cost > lower_bound {
+        let started = origin.map(|o| o.elapsed());
+        // The phase is bounded by counts and the token, never the clock, so
+        // its climbs get no time limit.
+        let climb = HillClimbConfig {
+            time_limit: Duration::MAX,
+            ..search(0.0)
+        };
+        relocation = relocate_improve(dag, machine, schedule, cost, &climb);
+        cost = relocation.final_cost;
+        if relocation.evaluated > 0 {
+            phases.extend(PhaseSample::since("relocate", origin, started));
+        }
+    }
     let trivial = BspSchedule::trivial(dag);
     let floored = trivial.cost(dag, machine) < cost;
     if floored {
@@ -310,7 +351,8 @@ pub fn improve_start(
         phases.extend(PhaseSample::since("hccs", origin, started));
     }
     Improved {
-        local_search_cost: cost,
+        local_search_cost,
+        relocation,
         final_cost: schedule.cost(dag, machine),
         floored,
         phases,
@@ -513,6 +555,7 @@ impl Pipeline {
             branches,
             phases,
             local_search_cost: improved.local_search_cost,
+            relocation: improved.relocation,
             final_cost: improved.final_cost,
             ..PipelineReport::at(best.branch, best.schedule, lower_bound)
         }

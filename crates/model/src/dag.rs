@@ -271,23 +271,24 @@ impl Dag {
         self.comm.iter().sum()
     }
 
-    /// Kahn topological order, or `None` if the graph has a cycle.
+    /// Kahn topological order, or `None` if the graph has a cycle.  Node ids
+    /// are 32-bit, as in the CSR: 8 bytes a node while it runs.
     ///
     /// Runs in `O(n + m)`.
-    pub fn topological_order(&self) -> Option<Vec<NodeId>> {
+    pub fn topological_order(&self) -> Option<Vec<u32>> {
         let n = self.n();
-        let mut indeg: Vec<usize> = (0..n).map(|v| self.in_degree(v)).collect();
+        let mut indeg: Vec<u32> = (0..n).map(|v| self.in_degree(v) as u32).collect();
         // `order` doubles as the FIFO queue: nodes before `head` are done,
         // the rest are ready and waiting.
         let mut order = Vec::with_capacity(n);
-        order.extend((0..n).filter(|&v| indeg[v] == 0));
+        order.extend((0..n as u32).filter(|&v| indeg[v as usize] == 0));
         let mut head = 0;
         while let Some(&v) = order.get(head) {
             head += 1;
-            for w in self.successors(v) {
+            for w in self.successors(v as usize) {
                 indeg[w] -= 1;
                 if indeg[w] == 0 {
-                    order.push(w);
+                    order.push(w as u32);
                 }
             }
         }
@@ -306,7 +307,7 @@ impl Dag {
             .topological_order()
             .expect("Dag invariant: always acyclic");
         let mut level = vec![0usize; self.n()];
-        for &v in &order {
+        for v in order.into_iter().map(|v| v as usize) {
             for u in self.predecessors(v) {
                 level[v] = level[v].max(level[u] + 1);
             }
@@ -321,7 +322,7 @@ impl Dag {
             .topological_order()
             .expect("Dag invariant: always acyclic");
         let mut tl = vec![0u64; self.n()];
-        for &v in &order {
+        for v in order.into_iter().map(|v| v as usize) {
             let best = self.predecessors(v).map(|u| tl[u]).max().unwrap_or(0);
             tl[v] = best + self.work[v];
         }
@@ -336,7 +337,7 @@ impl Dag {
             .topological_order()
             .expect("Dag invariant: always acyclic");
         let mut bl = vec![0u64; self.n()];
-        for &v in order.iter().rev() {
+        for v in order.into_iter().rev().map(|v| v as usize) {
             let best = self.successors(v).map(|w| bl[w]).max().unwrap_or(0);
             bl[v] = best + self.work[v];
         }
@@ -492,7 +493,7 @@ mod tests {
         let order = d.topological_order().unwrap();
         let mut rank = vec![0; d.n()];
         for (i, &v) in order.iter().enumerate() {
-            rank[v] = i;
+            rank[v as usize] = i;
         }
         for (u, v) in d.edges() {
             assert!(rank[u] < rank[v], "edge ({u},{v}) violated in {order:?}");

@@ -1,7 +1,7 @@
 //! Anatomy of the scheduling framework (Figure 3 of the paper): what each
-//! stage — initialization, `HC`, `HCcs` — contributes on one instance, what
-//! the individual algorithms do when invoked directly, and the exact `ILPcs`
-//! check on the communication schedule `HCcs` returns.
+//! stage — initialization, `HC`, the relocation phase, `HCcs` — contributes
+//! on one instance, what the individual algorithms do when invoked directly,
+//! and the exact `ILPcs` check on the communication schedule `HCcs` returns.
 //!
 //! Run with: `cargo run --release --example pipeline_anatomy`
 
@@ -68,13 +68,21 @@ fn main() {
             if start.kept { " (kept)" } else { "" }
         );
     }
+    let relocation = report.relocation;
     println!(
-        "  searched {} (width {}): start {} -> after HC {} -> after HCcs {}",
+        "  searched {} (width {}): start {} -> after HC {} -> after relocation {} -> after HCcs {}",
         report.selected_init,
         report.placement_width,
         report.init_cost,
         report.local_search_cost,
+        relocation.final_cost,
         report.final_cost
+    );
+    // Heavy serial supersteps moved whole, then climbed from (none on a DAG
+    // whose `HC` answer has no superstep with all its work on one processor).
+    println!(
+        "  relocation: {} candidates evaluated, {} kept, {} search visits",
+        relocation.evaluated, relocation.kept, relocation.visits
     );
     println!(
         "  no schedule costs less than {}: gap {:.2}",

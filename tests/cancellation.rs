@@ -198,3 +198,33 @@ fn hill_climbing_respects_a_pre_fired_token() {
         // asserts above would hang for an hour if polling were broken).
     }
 }
+
+/// A token fired before the run stops the relocation phase before its first
+/// candidate: on `bicgstab`, where the phase keeps a relocation without the
+/// token, it evaluates none and the answer is the pre-fired one — the
+/// cheaper start, or the trivial schedule when strictly cheaper, projected.
+#[test]
+fn a_pre_fired_token_evaluates_no_relocation() {
+    use bsp_model::{BspSchedule, Machine};
+    use bsp_sched::Funnel;
+    use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
+    let dag = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::BiCgStab,
+        iterations: 150,
+    });
+    let machine = Machine::uniform(4, 3, 5);
+    let searched = Pipeline::new(PipelineConfig::default()).run_report(&dag, &machine);
+    assert!(searched.relocation.kept > 0, "{:?}", searched.relocation);
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let report =
+        Pipeline::new(PipelineConfig::default().with_cancel(cancel)).run_report(&dag, &machine);
+    assert_eq!(report.relocation.evaluated, 0, "{:?}", report.relocation);
+    assert_eq!(report.local_search_cost, report.init_cost);
+    assert_eq!(report.relocation.final_cost, report.init_cost);
+    let funnel = Funnel::contract(&dag, machine.p()).expect("bicgstab contracts");
+    let trivial = BspSchedule::trivial(funnel.dag()).cost(funnel.dag(), &machine);
+    assert_eq!(report.final_cost, report.init_cost.min(trivial));
+    assert!(report.schedule.validate(&dag, &machine).is_ok());
+    assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+}

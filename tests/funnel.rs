@@ -173,6 +173,7 @@ fn random_assignment(rng: &mut ChaCha8Rng, dag: &Dag, p: usize) -> Assignment {
     let mut proc = vec![0u32; dag.n()];
     let mut superstep = vec![0u32; dag.n()];
     for v in dag.topological_order().expect("a DAG") {
+        let v = v as usize;
         proc[v] = rng.gen_range(0..p) as u32;
         let earliest = dag
             .predecessors(v)

@@ -165,3 +165,40 @@ fn pipeline_scheduler_trait_and_report_agree() {
     let via_report = pipeline.run_report(&dag, &machine).final_cost;
     assert_eq!(via_trait, via_report);
 }
+
+/// `bicgstab`'s `HC` answer holds heavy supersteps on one processor while
+/// the others idle; moving such a superstep whole, then climbing, ends below
+/// the cost the pipeline answered before it had the move (3442), and the
+/// phase is the one depth-0 `relocate` sample between `hc` and `hccs`.
+#[test]
+fn a_heavy_serial_superstep_moves_whole_on_bicgstab() {
+    use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
+    let dag = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::BiCgStab,
+        iterations: 150,
+    });
+    let machine = Machine::uniform(4, 3, 5);
+    let config = PipelineConfig {
+        collect_phases: true,
+        ..PipelineConfig::default()
+    };
+    let report = Pipeline::new(config).run_report(&dag, &machine);
+    assert!(report.schedule.validate(&dag, &machine).is_ok());
+    assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+    let relocation = report.relocation;
+    assert!(relocation.kept >= 1, "{relocation:?}");
+    assert!(
+        relocation.final_cost < report.local_search_cost,
+        "{relocation:?}"
+    );
+    assert!(report.final_cost <= relocation.final_cost);
+    assert!(report.final_cost < 3442, "{}", report.final_cost);
+    let depth0: Vec<&str> = (report.phases.iter())
+        .filter(|p| p.depth == 0)
+        .map(|p| p.name)
+        .collect();
+    assert_eq!(
+        depth0,
+        ["funnel", "BSPg", "Source", "hc", "relocate", "hccs"]
+    );
+}

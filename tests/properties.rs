@@ -10,8 +10,8 @@ use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine};
 use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
-use bsp_sched::hill_climb::{hc_improve, hccs_improve, HcState, HillClimbConfig};
-use bsp_sched::init::{BspgScheduler, SourceScheduler};
+use bsp_sched::hill_climb::{hc_improve, hccs_improve, relocate_improve, HcState, HillClimbConfig};
+use bsp_sched::init::{merge_supersteps, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
 use common::{random_dag, random_machine, rng_for_case};
@@ -144,7 +144,7 @@ fn lazy_schedules_are_valid_and_normalization_helps() {
         let order = dag.topological_order().unwrap();
         let mut proc = vec![0u32; dag.n()];
         let mut superstep = vec![0u32; dag.n()];
-        for (i, &v) in order.iter().enumerate() {
+        for (i, v) in order.into_iter().map(|v| v as usize).enumerate() {
             proc[v] = if spread { (i % machine.p()) as u32 } else { 0 };
             superstep[v] = 2 * i as u32; // deliberately leave empty supersteps
         }
@@ -740,4 +740,184 @@ fn lift_unlift_restores_the_state_bit_for_bit() {
         }
     }
     assert!(cycles > 1500, "only {cycles} lift/unlift cycles");
+}
+
+/// The machines of the relocation properties: uniform, a binary tree and an
+/// explicit `λ` that is neither.
+fn relocation_machines(rng: &mut rand_chacha::ChaCha8Rng) -> [Machine; 3] {
+    let (g, l) = (rng.gen_range(0u64..5), rng.gen_range(0u64..8));
+    let p = rng.gen_range(2usize..=6);
+    let lambda = (0..p)
+        .map(|_| (0..p).map(|_| rng.gen_range(1u64..6)).collect())
+        .collect();
+    [
+        Machine::uniform(1 << rng.gen_range(1usize..=3), g, l),
+        Machine::numa_binary_tree(8, g, l, rng.gen_range(2u64..5)),
+        Machine::with_numa_matrix(p, g, l, lambda),
+    ]
+}
+
+/// A valid assignment with serial supersteps: each topological level is a
+/// superstep, and each superstep sits whole on one random processor, except
+/// that every other one is spread over all of them.
+fn serial_levels(rng: &mut rand_chacha::ChaCha8Rng, dag: &Dag, p: usize) -> Assignment {
+    let levels = dag.levels();
+    let depth = levels.iter().max().map_or(0, |&l| l + 1);
+    let home: Vec<Option<u32>> = (0..depth)
+        .map(|l| (l % 2 == 0).then(|| rng.gen_range(0..p) as u32))
+        .collect();
+    Assignment {
+        proc: (0..dag.n())
+            .map(|v| home[levels[v]].unwrap_or_else(|| rng.gen_range(0..p) as u32))
+            .collect(),
+        superstep: levels.iter().map(|&l| l as u32).collect(),
+    }
+}
+
+/// Relocating a cell onto a processor without a node in its superstep keeps
+/// the schedule valid; the incremental tallies equal a fresh state's on the
+/// relocated assignment, the returned delta is the cost change, and the
+/// reverse relocation — or a rollback past it and the `HC` moves after it —
+/// restores every tally exactly.
+#[test]
+fn relocation_is_valid_exact_and_undone_exactly() {
+    let (mut serial, mut relocated, mut rolled_back) = (0usize, 0usize, 0usize);
+    for case in 0..CASES {
+        let mut rng = rng_for_case(0x4E10, case);
+        let dag = random_dag(&mut rng, 20);
+        for machine in relocation_machines(&mut rng) {
+            let what = |s, x, y| format!("case {case}, {machine:?}: cell ({s}, {x}) onto {y}");
+            let start = if rng.gen::<bool>() {
+                SourceScheduler.schedule(&dag, &machine).assignment
+            } else {
+                serial_levels(&mut rng, &dag, machine.p())
+            };
+            let mut state = HcState::new(&dag, &machine, start).expect("valid start");
+            for s in 0..state.num_supersteps() {
+                let held: Vec<usize> = state
+                    .nodes_in_superstep(s)
+                    .map(|v| state.proc_of(v))
+                    .collect();
+                let is_serial = held.windows(2).all(|w| w[0] == w[1]);
+                for x in 0..machine.p() {
+                    if !held.contains(&x) {
+                        continue;
+                    }
+                    for y in (0..machine.p()).filter(|y| !held.contains(y)) {
+                        let before = state.clone();
+                        let delta = state.relocate(&dag, s, x, y);
+                        let moved = state.assignment();
+                        let schedule = BspSchedule::from_assignment_lazy(&dag, moved.clone());
+                        assert!(
+                            schedule.validate(&dag, &machine).is_ok(),
+                            "{}",
+                            what(s, x, y)
+                        );
+                        let fresh = HcState::new(&dag, &machine, moved).expect("valid");
+                        assert!(state.same_tallies(&fresh), "{}: tallies", what(s, x, y));
+                        let change = fresh.total_cost() as i64 - before.total_cost() as i64;
+                        assert_eq!(delta, change, "{}: delta", what(s, x, y));
+                        assert_eq!(state.relocate(&dag, s, y, x), -delta, "{}", what(s, x, y));
+                        assert!(state.same_tallies(&before), "{}: undo", what(s, x, y));
+                        assert_eq!(state.assignment(), before.assignment());
+                        relocated += 1;
+                        serial += usize::from(is_serial);
+                        // The journal undoes the relocation and the moves
+                        // made after it, newest first.
+                        state.checkpoint();
+                        state.relocate(&dag, s, x, y);
+                        for _ in 0..rng.gen_range(0usize..4) {
+                            random_walk_step(&mut rng, &dag, &machine, &mut state);
+                        }
+                        state.rollback(&dag);
+                        assert!(state.same_tallies(&before), "{}: rollback", what(s, x, y));
+                        assert_eq!(state.assignment(), before.assignment());
+                        rolled_back += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        serial > 200 && relocated > serial && rolled_back == relocated,
+        "{relocated} relocations, {serial} of serial cells, {rolled_back} rolled back"
+    );
+}
+
+/// The relocation phase never returns a schedule costlier than the one it
+/// was given: what it returns is valid, merged, costs what it reports, and
+/// is the given schedule when it kept nothing.
+#[test]
+fn the_relocation_phase_never_raises_the_cost() {
+    let (mut evaluated, mut kept) = (0usize, 0usize);
+    for case in 0..2 * CASES {
+        let mut rng = rng_for_case(0x4E11, case);
+        let dag = if case % 2 == 0 {
+            random_dag(&mut rng, 28)
+        } else {
+            cg(&IterConfig {
+                n: rng.gen_range(6usize..14),
+                density: 0.3,
+                iterations: 2,
+                seed: case,
+            })
+        };
+        for machine in relocation_machines(&mut rng) {
+            let what = format!("case {case}, {machine:?}");
+            let mut assignment = serial_levels(&mut rng, &dag, machine.p());
+            merge_supersteps(&dag, &mut assignment);
+            let given = BspSchedule::from_assignment_lazy(&dag, assignment);
+            let cost = given.cost(&dag, &machine);
+            let mut schedule = given.clone();
+            let outcome = relocate_improve(&dag, &machine, &mut schedule, cost, &quick_hc());
+            assert!(schedule.validate(&dag, &machine).is_ok(), "{what}");
+            assert!(
+                outcome.final_cost <= cost,
+                "{what}: {outcome:?} from {cost}"
+            );
+            assert_eq!(outcome.final_cost, schedule.cost(&dag, &machine), "{what}");
+            assert_eq!(
+                merge_supersteps(&dag, &mut schedule.assignment.clone()),
+                0,
+                "{what}"
+            );
+            assert!(outcome.kept <= outcome.evaluated, "{what}");
+            if outcome.kept == 0 {
+                assert_eq!(schedule, given, "{what}: nothing kept, something changed");
+            }
+            evaluated += outcome.evaluated;
+            kept += outcome.kept;
+        }
+    }
+    assert!(
+        evaluated > 50 && kept > 5,
+        "{evaluated} evaluated, {kept} kept"
+    );
+}
+
+/// A run repeats: two pipeline runs of one input give identical schedules
+/// and the same relocation counts, on DAGs where the phase keeps candidates
+/// and on random ones.
+#[test]
+fn two_pipeline_runs_give_identical_schedules() {
+    let kernel = dag_gen::coarse::coarse(&dag_gen::coarse::CoarseConfig {
+        algorithm: dag_gen::coarse::CoarseAlgorithm::BiCgStab,
+        iterations: 150,
+    });
+    let pipeline = Pipeline::default();
+    let mut relocated = 0;
+    for case in 0..CASES {
+        let mut rng = rng_for_case(0x4E12, case);
+        let random = random_dag(&mut rng, 32);
+        let dag = if case < 3 { &kernel } else { &random };
+        let machine = relocation_machines(&mut rng)[case as usize % 3].clone();
+        let [first, second] = [0, 1].map(|_| pipeline.run_report(dag, &machine));
+        assert_eq!(first.schedule, second.schedule, "case {case}, {machine:?}");
+        assert_eq!(
+            first.relocation, second.relocation,
+            "case {case}, {machine:?}"
+        );
+        relocated += first.relocation.kept;
+    }
+    assert!(relocated > 0, "no run kept a relocation");
 }
