@@ -12,8 +12,8 @@
 //!
 //! A fourth says what a second search would buy: the pipeline runs `HC` once,
 //! from the cheaper start, and here the start it did not search goes through
-//! the same `HC` → merge → floor → `HCcs` on a grid of 51 small DAGs × 36
-//! machines.
+//! the same `HC` → merge → relocation → floor → `HCcs` on a grid of 51 small
+//! DAGs × 36 machines.
 //! Printed are the rows on which that ends below the pipeline's answer, the
 //! geometric mean of answer / best-of-both over all rows and the worst row;
 //! the run fails when the mean passes 1.002 — one search has to stay within
@@ -37,7 +37,6 @@
 use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
-use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig, Start};
 use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
@@ -466,7 +465,8 @@ impl SecondSearch<'_> {
 
 /// The pipeline's answer, and what it would answer from the start it did not
 /// search: [`Start::build`] of the other initializer on the width its sweep
-/// kept, then the same `HC` → merge → floor → `HCcs` on the funnel DAG.
+/// kept, then the same `HC` → merge → relocation → floor → `HCcs` on the
+/// funnel DAG.
 fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> (u64, u64) {
     let report = Pipeline::new(config.clone()).run_report(dag, machine);
     let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
@@ -478,13 +478,10 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
     let dag = funnel.as_ref().map_or(dag, Funnel::dag);
     let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     let width = kept[1 - searched].width;
-    let mut other = Start::build(initializers[1 - searched], dag, machine, width, None);
-    let search = |share: f64| HillClimbConfig {
-        time_limit: config.hill_climb.time_limit.mul_f64(share),
-        ..config.hill_climb.clone()
-    };
-    let (cost, bound) = (other.branch.init_cost, report.lower_bound);
-    let improved = improve_start(dag, machine, &mut other.schedule, cost, bound, search, None);
+    let mut other = Start::build(initializers[1 - searched], dag, machine, width);
+    let (cost, bound, now) = (other.branch.init_cost, report.lower_bound, Instant::now());
+    let search = &config.hill_climb;
+    let improved = improve_start(dag, machine, &mut other.schedule, cost, bound, search, now);
     (report.final_cost, improved.final_cost)
 }
 

@@ -282,10 +282,10 @@ fn main() {
         ("numa_p16_g3_l5_d3", Machine::numa_binary_tree(16, 3, 5, 3)),
     ];
 
-    // Two seconds of local search, phase clock on.
+    // Two seconds of local search.
     let pipeline = Pipeline::new(PipelineConfig {
         hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
-        collect_phases: true,
+        ..PipelineConfig::default()
     });
     let mut report = BenchReport::new("pipeline_scale");
     let (mut runs, mut total_seconds) = (0, 0.0f64);

@@ -78,11 +78,9 @@ pub struct MultilevelScheduler {
 }
 
 impl MultilevelScheduler {
-    /// `base` with `collect_phases` on.
+    /// The pipeline on `base`; its phase samples time the funnel.
     pub fn new(config: MultilevelConfig) -> Self {
-        let mut base = config.base;
-        base.collect_phases = true;
-        let pipeline = Pipeline::new(base);
+        let pipeline = Pipeline::new(config.base);
         MultilevelScheduler { pipeline }
     }
 

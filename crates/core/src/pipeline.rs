@@ -54,9 +54,10 @@
 //!   can lose to the wider one and the next win), so the sweep builds every
 //!   width.  A candidate is one call, [`Start::build`], and every candidate
 //!   built is on the report ([`PipelineReport::branches`], with the merge's
-//!   count and, on a phase clock, each stage's time).  The width is a result
+//!   count and each stage's time).  The width is a result
 //!   ([`BranchReport::width`], [`PipelineReport::placement_width`]), not a
-//!   setting.
+//!   setting.  Every run times its phases ([`PipelineReport::phases`]); the
+//!   clock only records, and no schedule depends on it.
 //! * **`HC` once, the relocation, the floor, `HCcs` once**
 //!   ([`improve_start`]).  Only the cheaper start — ties to `BSPg` — is
 //!   searched ([`PipelineReport::selected_init`]; the other's `HcState` is
@@ -90,18 +91,18 @@ use std::time::{Duration, Instant};
 pub struct PipelineConfig {
     /// Time/step limits of the `HC` + `HCcs` local searches (`HC` once, on
     /// the cheaper start, with nine tenths of the time; `HCcs` once on what
-    /// it returns with the rest), and the run's cancellation token
-    /// ([`HillClimbConfig::cancel`]).  A deadline is a token that fires then
-    /// ([`CancelToken::with_deadline`]), and the pipeline is *anytime*: it
-    /// clips every search budget to the time the token leaves, skips stages
-    /// whose budget is exhausted, and always returns the best valid schedule
-    /// found so far (at minimum the cheaper start: the sweeps are not
-    /// deadline-gated).
+    /// it returns with the rest; [`improve_start`] applies the shares), and
+    /// the run's cancellation token ([`HillClimbConfig::cancel`]).  A
+    /// deadline is a token that fires then ([`CancelToken::with_deadline`]),
+    /// and the pipeline is *anytime*: it clips every search budget to the
+    /// time the token leaves, skips stages whose budget is exhausted, and
+    /// always returns the best valid schedule found so far (at minimum the
+    /// cheaper start: the sweeps are not deadline-gated).
     pub hill_climb: HillClimbConfig,
-    /// Collect a per-phase wall-clock breakdown ([`PipelineReport::phases`])
-    /// during the run.  `false` (the default) is zero-cost: no clock is read
-    /// and nothing is allocated for phase accounting.  The serving layer
-    /// enables this per traced request.
+    /// Read by nothing: every run times its phases
+    /// ([`PipelineReport::phases`]).  Kept because the frozen `benchmark/`
+    /// package assigns it.
+    #[doc(hidden)]
     pub collect_phases: bool,
 }
 
@@ -149,9 +150,8 @@ fn clip_budget(budget: Duration, cancel: &CancelToken) -> Duration {
 }
 
 /// One timed solver phase, as a microsecond offset + duration relative to
-/// the start of the run.  Only collected when
-/// [`PipelineConfig::collect_phases`] is set; names are `&'static` so the
-/// serving layer can copy samples into its allocation-free span sets.
+/// the start of the run.  Every run collects them; names are `&'static` so
+/// the serving layer can copy samples into its allocation-free span sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSample {
     /// Static phase name (`"funnel"`, an initializer name, `"hc"`, `"hccs"`, …).
@@ -166,15 +166,14 @@ pub struct PhaseSample {
 
 impl PhaseSample {
     /// The depth-0 sample of a phase that began at `start` on the phase clock
-    /// `origin` and ends now; `None` when the caller did not opt in.
-    fn since(name: &'static str, origin: Option<Instant>, start: Option<Duration>) -> Option<Self> {
-        let (start, end) = (start?, origin?.elapsed());
-        Some(PhaseSample {
+    /// `origin` and ends now.
+    fn since(name: &'static str, origin: Instant, start: Duration) -> Self {
+        PhaseSample {
             name,
             depth: 0,
             start_us: start.as_micros() as u64,
-            dur_us: end.saturating_sub(start).as_micros() as u64,
-        })
+            dur_us: origin.elapsed().saturating_sub(start).as_micros() as u64,
+        }
     }
 }
 
@@ -194,8 +193,7 @@ pub struct BranchReport {
     pub kept: bool,
     /// Supersteps [`merge_supersteps`] removed.
     pub merged: usize,
-    /// Microseconds of each of [`BranchReport::STAGES`], all zero without
-    /// [`PipelineConfig::collect_phases`].
+    /// Microseconds of each of [`BranchReport::STAGES`].
     pub stage_us: [u64; 4],
 }
 
@@ -240,9 +238,9 @@ pub struct PipelineReport {
     pub funnel_nodes: usize,
     /// [`Dag::lower_bound`] of the caller's DAG: no schedule costs less.
     pub lower_bound: u64,
-    /// Per-phase wall-clock breakdown (empty unless
-    /// [`PipelineConfig::collect_phases`] is set).  The depth-0 samples
-    /// follow each other: a run is one thread.
+    /// Per-phase wall-clock breakdown (empty when the trivial schedule met
+    /// the bound and nothing ran).  The depth-0 samples follow each other: a
+    /// run is one thread.
     pub phases: Vec<PhaseSample>,
     /// The final schedule.
     pub schedule: BspSchedule,
@@ -279,7 +277,7 @@ impl PipelineReport {
 /// What [`improve_start`] did: the cost after `HC` and the merge (the start's
 /// own at the bound), what the relocation phase did, the cost at the end,
 /// whether the trivial schedule replaced the result, and the `hc`,
-/// `relocate` and `hccs` samples (none without a phase clock; `relocate` only
+/// `relocate` and `hccs` samples of the searches that ran (`relocate` only
 /// when the phase evaluated a candidate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
@@ -300,23 +298,28 @@ pub struct Improved {
 /// limit (its budget is a count, so a run repeats);
 /// [`BspSchedule::trivial`] replaces the result when strictly cheaper,
 /// `O(n)`, so no schedule leaves the solver above the one-processor cost;
-/// `HCcs` runs on a survivor above the bound.  `search(share)` configures a
-/// search with `share` of the budget (0.9 for `HC`, 0.1 for `HCcs`) as it
-/// starts; `origin` is the phase clock.
+/// `HCcs` runs on a survivor above the bound.  `HC` gets nine tenths of
+/// `config`'s time limit and `HCcs` one tenth (the paper's shares), each
+/// clipped, as it starts, to the wall clock the run's token leaves; the
+/// searches poll that token.  `origin` is the phase clock.
 pub fn improve_start(
     dag: &Dag,
     machine: &Machine,
     schedule: &mut BspSchedule,
     mut cost: u64,
     lower_bound: u64,
-    search: impl Fn(f64) -> HillClimbConfig,
-    origin: Option<Instant>,
+    config: &HillClimbConfig,
+    origin: Instant,
 ) -> Improved {
+    let search = |share: f64| HillClimbConfig {
+        time_limit: clip_budget(config.time_limit.mul_f64(share), &config.cancel),
+        ..config.clone()
+    };
     let mut phases = Vec::new();
     if cost > lower_bound {
-        let started = origin.map(|o| o.elapsed());
+        let started = origin.elapsed();
         cost = hc_improve(dag, machine, schedule, &search(0.9)).final_cost;
-        phases.extend(PhaseSample::since("hc", origin, started));
+        phases.push(PhaseSample::since("hc", origin, started));
     }
     if merge_supersteps(dag, &mut schedule.assignment) > 0 {
         schedule.relax_to_lazy(dag);
@@ -328,17 +331,17 @@ pub fn improve_start(
         ..RelocateOutcome::default()
     };
     if cost > lower_bound {
-        let started = origin.map(|o| o.elapsed());
+        let started = origin.elapsed();
         // The phase is bounded by counts and the token, never the clock, so
         // its climbs get no time limit.
         let climb = HillClimbConfig {
             time_limit: Duration::MAX,
-            ..search(0.0)
+            ..config.clone()
         };
         relocation = relocate_improve(dag, machine, schedule, cost, &climb);
         cost = relocation.final_cost;
         if relocation.evaluated > 0 {
-            phases.extend(PhaseSample::since("relocate", origin, started));
+            phases.push(PhaseSample::since("relocate", origin, started));
         }
     }
     let trivial = BspSchedule::trivial(dag);
@@ -346,9 +349,9 @@ pub fn improve_start(
     if floored {
         *schedule = trivial;
     } else if cost > lower_bound {
-        let started = origin.map(|o| o.elapsed());
+        let started = origin.elapsed();
         hccs_improve(dag, machine, schedule, &search(0.1));
-        phases.extend(PhaseSample::since("hccs", origin, started));
+        phases.push(PhaseSample::since("hccs", origin, started));
     }
     Improved {
         local_search_cost,
@@ -372,24 +375,15 @@ pub struct Start {
 
 impl Start {
     /// One sweep candidate: `init` on `machine.prefix(width)`, sources
-    /// placed, supersteps merged, costed on the full machine.  With a phase
-    /// clock `origin`, each of [`BranchReport::STAGES`] is timed into
-    /// [`BranchReport::stage_us`].
-    pub fn build(
-        init: &dyn Scheduler,
-        dag: &Dag,
-        machine: &Machine,
-        width: usize,
-        origin: Option<Instant>,
-    ) -> Self {
+    /// placed, supersteps merged, costed on the full machine; each of
+    /// [`BranchReport::STAGES`] is timed into [`BranchReport::stage_us`].
+    pub fn build(init: &dyn Scheduler, dag: &Dag, machine: &Machine, width: usize) -> Self {
         let mut stage_us = [0; 4];
-        let mut last = origin.map(|o| o.elapsed());
+        let mut last = Instant::now();
         let mut lap = |stage: usize| {
-            if let (Some(o), Some(last)) = (origin, last.as_mut()) {
-                let now = o.elapsed();
-                stage_us[stage] = now.saturating_sub(*last).as_micros() as u64;
-                *last = now;
-            }
+            let now = Instant::now();
+            stage_us[stage] = now.saturating_duration_since(last).as_micros() as u64;
+            last = now;
         };
         let mut schedule = init.schedule(dag, &machine.prefix(width));
         debug_assert_eq!(
@@ -430,12 +424,11 @@ fn width_sweep(
     init: &dyn Scheduler,
     dag: &Dag,
     machine: &Machine,
-    origin: Option<Instant>,
     branches: &mut Vec<BranchReport>,
 ) -> Start {
     let narrower = |&width: &usize| (width / 2 >= 2).then_some(width / 2);
     let best = std::iter::successors(Some(machine.p()), narrower)
-        .map(|width| Start::build(init, dag, machine, width, origin))
+        .map(|width| Start::build(init, dag, machine, width))
         .inspect(|start| branches.push(start.branch))
         .min_by_key(|start| start.branch.init_cost)
         .expect("the full width is always built");
@@ -473,7 +466,7 @@ impl Pipeline {
     /// and returns the final schedule together with the intermediate stage
     /// costs (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
-        let origin = self.config.collect_phases.then(Instant::now);
+        let origin = Instant::now();
         let lower_bound = dag.lower_bound(machine);
         let trivial = BspSchedule::trivial(dag);
         let trivial_cost = trivial.cost(dag, machine);
@@ -489,25 +482,23 @@ impl Pipeline {
         }
         drop(trivial);
         let funnel = Funnel::contract(dag, machine.p());
-        let contracted = origin.map(|o| o.elapsed());
+        let contracted = origin.elapsed();
         let solved_dag = funnel.as_ref().map_or(dag, Funnel::dag);
         let mut report = self.solve(solved_dag, machine, origin, lower_bound);
-        let solved = origin.map(|o| o.elapsed());
+        let solved = origin.elapsed();
         if let Some(funnel) = &funnel {
             report.schedule = funnel.project(&report.schedule);
         }
-        if let (Some(o), Some(contracted), Some(solved)) = (origin, contracted, solved) {
-            // One sample for both halves of the reduction, so that the
-            // depth-0 samples still add up to the run.
-            let projected = o.elapsed().saturating_sub(solved);
-            let funnel = PhaseSample {
-                name: "funnel",
-                depth: 0,
-                start_us: 0,
-                dur_us: (contracted + projected).as_micros() as u64,
-            };
-            report.phases.insert(0, funnel);
-        }
+        // One sample for both halves of the reduction, so that the depth-0
+        // samples still add up to the run.
+        let projected = origin.elapsed().saturating_sub(solved);
+        let funnel = PhaseSample {
+            name: "funnel",
+            depth: 0,
+            start_us: 0,
+            dur_us: (contracted + projected).as_micros() as u64,
+        };
+        report.phases.insert(0, funnel);
         debug_assert!(report.schedule.validate(dag, machine).is_ok());
         debug_assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
         report
@@ -515,28 +506,27 @@ impl Pipeline {
 
     /// Both initializers' width sweeps, one after the other on the calling
     /// thread, then [`improve_start`] on the cheaper start — ties to the
-    /// earlier — with the budget shares the paper gives `HC` and `HCcs`.
+    /// earlier.
     fn solve(
         &self,
         dag: &Dag,
         machine: &Machine,
-        origin: Option<Instant>,
+        origin: Instant,
         lower_bound: u64,
     ) -> PipelineReport {
         let heuristics: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
         let (mut branches, mut phases) = (Vec::new(), Vec::new());
         let starts = heuristics.map(|init| {
-            let started = origin.map(|o| o.elapsed());
-            let start = width_sweep(init, dag, machine, origin, &mut branches);
-            if let Some(sweep) = PhaseSample::since(init.name(), origin, started) {
-                // The frozen benchmark reads the sweep under both names.
-                let child = PhaseSample {
-                    name: "init_schedule",
-                    depth: 1,
-                    ..sweep
-                };
-                phases.extend([sweep, child]);
-            }
+            let started = origin.elapsed();
+            let start = width_sweep(init, dag, machine, &mut branches);
+            let sweep = PhaseSample::since(init.name(), origin, started);
+            // The frozen benchmark reads the sweep under both names.
+            let child = PhaseSample {
+                name: "init_schedule",
+                depth: 1,
+                ..sweep
+            };
+            phases.extend([sweep, child]);
             start
         });
         // `min_by_key` keeps the first of equal minima, and the other
@@ -544,8 +534,8 @@ impl Pipeline {
         let mut best = (starts.into_iter())
             .min_by_key(|start| start.branch.init_cost)
             .expect("two initializers always run");
-        let search = |share| self.search_config(share);
         let (schedule, cost) = (&mut best.schedule, best.branch.init_cost);
+        let search = &self.config.hill_climb;
         let improved = improve_start(dag, machine, schedule, cost, lower_bound, search, origin);
         phases.extend(improved.phases);
         if improved.floored {
@@ -558,17 +548,6 @@ impl Pipeline {
             relocation: improved.relocation,
             final_cost: improved.final_cost,
             ..PipelineReport::at(best.branch, best.schedule, lower_bound)
-        }
-    }
-
-    /// The local-search configuration with `share` of its time limit (the
-    /// paper gives nine tenths to `HC`, one to `HCcs`), additionally clipped
-    /// to the wall clock the run's token leaves; the search polls that token.
-    fn search_config(&self, share: f64) -> HillClimbConfig {
-        let search = &self.config.hill_climb;
-        HillClimbConfig {
-            time_limit: clip_budget(search.time_limit.mul_f64(share), &search.cancel),
-            ..search.clone()
         }
     }
 }
@@ -638,9 +617,7 @@ mod tests {
             density: 0.25,
             seed: 7,
         });
-        let mut config = PipelineConfig::fast();
-        config.collect_phases = true;
-        let pipeline = Pipeline::new(config);
+        let pipeline = fast_pipeline();
         for (dag, machine) in [
             (&chain, Machine::uniform(4, 3, 5)),
             (&chain, Machine::numa_binary_tree(8, 1, 5, 3)),
@@ -688,23 +665,17 @@ mod tests {
     }
 
     #[test]
-    fn phase_collection_is_opt_in_and_covers_the_run() {
+    fn phases_cover_the_run() {
         let dag = spmv(&SpmvConfig {
             n: 16,
             density: 0.25,
             seed: 7,
         });
         let machine = Machine::uniform(4, 3, 5);
-        // Off by default: no samples, no stage times.
-        let silent = fast_pipeline().run_report(&dag, &machine);
-        assert!(silent.phases.is_empty());
-        assert!(silent.branches.iter().all(|b| b.stage_us == [0; 4]));
-        // On: the reduction (contraction plus projection) first, then each
+        // The reduction (contraction plus projection) first, then each
         // initializer's sweep under its own name with its `init_schedule`
         // child, then one `hc` once both sweeps have ended, then `hccs`.
-        let mut config = PipelineConfig::fast();
-        config.collect_phases = true;
-        let report = Pipeline::new(config).run_report(&dag, &machine);
+        let report = fast_pipeline().run_report(&dag, &machine);
         let shape: Vec<(&str, u8)> = report.phases.iter().map(|p| (p.name, p.depth)).collect();
         let expected = [
             ("funnel", 0),
@@ -751,8 +722,8 @@ mod tests {
         // judging the cost it is handed.
         let floor = |cost| {
             let mut s = spread.clone();
-            let no_search = |_| -> HillClimbConfig { unreachable!() };
-            let improved = improve_start(&dag, &machine, &mut s, cost, u64::MAX, no_search, None);
+            let (search, now) = (HillClimbConfig::default(), Instant::now());
+            let improved = improve_start(&dag, &machine, &mut s, cost, u64::MAX, &search, now);
             (improved.floored, s)
         };
         assert_eq!(floor(spread.cost(&dag, &machine)), (false, spread.clone()));

@@ -605,11 +605,11 @@ fn worker_loop(shared: &Shared) {
             JobKind::Full(request) => {
                 #[cfg(test)]
                 tests::panic_if_marked(request);
-                shared.service.handle_traced(request, Some(&mut svc_spans))
+                shared.service.handle_traced(request, &mut svc_spans)
             }
             JobKind::Fingerprint { fingerprint, .. } => shared
                 .service
-                .handle_fingerprint_traced(*fingerprint, Some(&mut svc_spans)),
+                .handle_fingerprint_traced(*fingerprint, &mut svc_spans),
         }));
         let result = handled.unwrap_or_else(|payload| {
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);

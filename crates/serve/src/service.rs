@@ -383,19 +383,18 @@ impl ScheduleService {
 
     /// Handles one request end to end (see the module docs).
     pub fn handle(&self, request: &ScheduleRequest) -> Result<ServeReply, ServeError> {
-        self.handle_traced(request, None)
+        self.handle_traced(request, &mut SpanSet::new())
     }
 
-    /// [`ScheduleService::handle`] with request tracing: when `spans` is
-    /// given, the handling phases (cache-lookup outcome, every solver
-    /// phase) are recorded into it, microsecond offsets relative to
-    /// the start of handling.  Recording is `Copy`-only — the exact-hit path
-    /// stays allocation-free with tracing enabled, certified by the repo's
-    /// counting-allocator test.
+    /// [`ScheduleService::handle`] with request tracing: the handling
+    /// phases (cache-lookup outcome, every solver phase) are recorded into
+    /// `spans`, microsecond offsets relative to the start of handling.
+    /// Recording is `Copy`-only — the exact-hit path stays allocation-free
+    /// with tracing, certified by the repo's counting-allocator test.
     pub fn handle_traced(
         &self,
         request: &ScheduleRequest,
-        mut spans: Option<&mut SpanSet>,
+        spans: &mut SpanSet,
     ) -> Result<ServeReply, ServeError> {
         let start = Instant::now();
         if self.shutdown.is_cancelled() {
@@ -404,20 +403,18 @@ impl ScheduleService {
         let key = request_key(&request.dag, &request.machine);
 
         if request.options.use_cache {
-            match self.exact_hit(key.full, start, spans.as_deref_mut()) {
+            match self.exact_hit(key.full, start, spans) {
                 Ok(reply) => return Ok(reply),
                 Err(mut cache) => cache.note_miss(),
             }
         }
-        if let Some(spans) = spans.as_deref_mut() {
-            spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
-        }
+        spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
 
         let cancel = match request.options.deadline.or(self.config.default_deadline) {
             Some(budget) => self.shutdown.tightened(Instant::now() + budget),
             None => self.shutdown.clone(),
         };
-        let schedule = self.solve_cold(request, &cancel, &start, &mut spans);
+        let schedule = self.solve_cold(request, &cancel, &start, spans);
 
         // The solvers uphold validity by construction; this is the service
         // boundary's independent check so an invalid schedule can never
@@ -440,10 +437,8 @@ impl ScheduleService {
             // path (which already allocates); the exact-hit and FP-replay
             // paths stay allocation-free and never touch the store.
             self.offer_to_store(request, &schedule, cost, key);
-            if let Some(spans) = spans {
-                let dur = (start.elapsed().as_micros() as u64).saturating_sub(insert_start);
-                spans.push("cache_insert", 0, insert_start, dur);
-            }
+            let dur = (start.elapsed().as_micros() as u64).saturating_sub(insert_start);
+            spans.push("cache_insert", 0, insert_start, dur);
         }
         let elapsed = start.elapsed();
         self.metrics.observe(ScheduleSource::Cold, elapsed);
@@ -461,7 +456,7 @@ impl ScheduleService {
     /// [`ServeError::UnknownFingerprint`] so the client resends the full
     /// payload.
     pub fn handle_fingerprint(&self, fingerprint: u128) -> Result<ServeReply, ServeError> {
-        self.handle_fingerprint_traced(fingerprint, None)
+        self.handle_fingerprint_traced(fingerprint, &mut SpanSet::new())
     }
 
     /// [`ScheduleService::handle_fingerprint`] with tracing; like
@@ -469,7 +464,7 @@ impl ScheduleService {
     pub fn handle_fingerprint_traced(
         &self,
         fingerprint: u128,
-        spans: Option<&mut SpanSet>,
+        spans: &mut SpanSet,
     ) -> Result<ServeReply, ServeError> {
         let start = Instant::now();
         if self.shutdown.is_cancelled() {
@@ -489,7 +484,7 @@ impl ScheduleService {
         &self,
         full_fp: u128,
         start: Instant,
-        spans: Option<&mut SpanSet>,
+        spans: &mut SpanSet,
     ) -> Result<ServeReply, std::sync::MutexGuard<'_, ScheduleCache>> {
         let mut cache = self.lock_cache();
         let Some((schedule, cost)) = cache.lookup_exact(full_fp) else {
@@ -497,10 +492,8 @@ impl ScheduleService {
         };
         drop(cache);
         let elapsed = start.elapsed();
-        if let Some(spans) = spans {
-            // No extra clock read: the exact hit *is* the lookup.
-            spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
-        }
+        // No extra clock read: the exact hit *is* the lookup.
+        spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
         self.metrics.observe(ScheduleSource::CacheExact, elapsed);
         Ok(ServeReply {
             schedule,
@@ -559,17 +552,17 @@ impl ScheduleService {
 
     /// Cold path: the pipeline with the request mode's `HC` + `HCcs` budget
     /// (the one thing the modes differ in), deadline-aware, on this worker's
-    /// thread.  Per-phase durations always feed the `bsp_solve_phase_micros_total` counters;
-    /// with `spans` given they are also recorded under a `solve` span.
+    /// thread.  Per-phase durations feed the `bsp_solve_phase_micros_total`
+    /// counters and are recorded into `spans` under a `solve` span.
     fn solve_cold(
         &self,
         request: &ScheduleRequest,
         cancel: &CancelToken,
         start: &Instant,
-        spans: &mut Option<&mut SpanSet>,
+        spans: &mut SpanSet,
     ) -> BspSchedule {
         let solve_start = start.elapsed().as_micros() as u64;
-        let mut config = match request.options.mode {
+        let config = match request.options.mode {
             Mode::Default => PipelineConfig::default(),
             Mode::Fast => PipelineConfig::fast(),
             Mode::HeuristicsOnly => {
@@ -577,17 +570,12 @@ impl ScheduleService {
             }
         }
         .with_cancel(cancel.clone());
-        config.collect_phases = true;
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);
         let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);
-        if let Some(spans) = spans.as_deref_mut() {
-            spans.push("solve", 0, solve_start, solve_dur);
-        }
+        spans.push("solve", 0, solve_start, solve_dur);
         for sample in &report.phases {
             self.note_phase_micros(sample.name, sample.dur_us);
-            if let Some(spans) = spans.as_deref_mut() {
-                spans.push_shifted(*sample, 1, solve_start);
-            }
+            spans.push_shifted(*sample, 1, solve_start);
         }
         report.schedule
     }

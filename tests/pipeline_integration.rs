@@ -178,11 +178,7 @@ fn a_heavy_serial_superstep_moves_whole_on_bicgstab() {
         iterations: 150,
     });
     let machine = Machine::uniform(4, 3, 5);
-    let config = PipelineConfig {
-        collect_phases: true,
-        ..PipelineConfig::default()
-    };
-    let report = Pipeline::new(config).run_report(&dag, &machine);
+    let report = Pipeline::default().run_report(&dag, &machine);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
     let relocation = report.relocation;
@@ -201,4 +197,30 @@ fn a_heavy_serial_superstep_moves_whole_on_bicgstab() {
         depth0,
         ["funnel", "BSPg", "Source", "hc", "relocate", "hccs"]
     );
+}
+
+/// `pagerank` is the family whose searched start is `Source`'s: `BSPg`'s
+/// kept start costs more than twice as much, and `HC` from it would have far
+/// further to climb to the same answer.  This is why both initializers are
+/// swept.
+#[test]
+fn pagerank_is_searched_from_source() {
+    use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
+    let dag = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::PageRank,
+        iterations: 100,
+    });
+    assert_eq!(dag.n(), 603);
+    let machine = Machine::uniform(4, 3, 5);
+    let report = Pipeline::default().run_report(&dag, &machine);
+    assert_eq!(report.selected_init, "Source");
+    let kept = |name: &str| {
+        let mut of = report.branches.iter().filter(|b| b.kept);
+        of.find(|b| b.init_name == name)
+            .expect("one kept start each")
+            .init_cost
+    };
+    let (bspg, source) = (kept("BSPg"), kept("Source"));
+    assert!(bspg > 2 * source, "BSPg {bspg}, Source {source}");
+    assert_eq!(report.final_cost, 608);
 }

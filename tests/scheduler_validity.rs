@@ -238,11 +238,7 @@ fn the_sweeps_run_back_to_back() {
         seed: 33,
     });
     let machine = Machine::uniform(4, 3, 5);
-    let report = Pipeline::new(PipelineConfig {
-        collect_phases: true,
-        ..PipelineConfig::default()
-    })
-    .run_report(&dag, &machine);
+    let report = Pipeline::default().run_report(&dag, &machine);
     let window = |name: &str| {
         let span = report
             .phases
@@ -258,6 +254,6 @@ fn the_sweeps_run_back_to_back() {
         "sweeps overlap: BSPg {bspg:?}, Source {source:?}"
     );
     // The phase clock reads the run and changes nothing in it.
-    let untraced = Pipeline::default().run(&dag, &machine);
-    assert_eq!(report.schedule, untraced, "schedule differs");
+    let again = Pipeline::default().run(&dag, &machine);
+    assert_eq!(report.schedule, again, "schedule differs");
 }

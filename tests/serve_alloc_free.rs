@@ -83,13 +83,13 @@ fn exact_cache_hit_response_path_is_allocation_free() {
         for _ in 0..100 {
             spans.clear();
             let reply = service
-                .handle_traced(&request, Some(&mut spans))
+                .handle_traced(&request, &mut spans)
                 .expect("traced hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);
             spans.clear();
             let reply = service
-                .handle_fingerprint_traced(fingerprint, Some(&mut spans))
+                .handle_fingerprint_traced(fingerprint, &mut spans)
                 .expect("traced fingerprint hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);

@@ -113,7 +113,7 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
         let mut spans = SpanSet::new();
         let wall = Instant::now();
         let reply = service
-            .handle_traced(&request, Some(&mut spans))
+            .handle_traced(&request, &mut spans)
             .expect("cold solve succeeds");
         let wall_us = wall.elapsed().as_micros() as u64;
         assert_eq!(reply.source, ScheduleSource::Cold);

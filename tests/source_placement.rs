@@ -26,7 +26,7 @@ use common::{machine_grid, placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Many sources over a few layers of consumers: each source feeds one to
 /// three nodes of the first layer, each later node reads two of the layer
@@ -322,11 +322,7 @@ fn no_answer_has_a_barrier_left_to_merge() {
         },
         ..PipelineConfig::default()
     };
-    let pipeline = Pipeline::new(config.clone());
-    let search = |share: f64| HillClimbConfig {
-        time_limit: config.hill_climb.time_limit.mul_f64(share),
-        ..config.hill_climb.clone()
-    };
+    let (pipeline, search) = (Pipeline::new(config.clone()), &config.hill_climb);
     let mut answers = 0;
     for case in 0..24 {
         let mut rng = rng_for_case(0x3E27, case);
@@ -336,7 +332,8 @@ fn no_answer_has_a_barrier_left_to_merge() {
             let report = pipeline.run_report(&dag, &machine);
             let mut cilk = CilkScheduler::default().schedule(&dag, &machine);
             let (cost, bound) = (cilk.cost(&dag, &machine), dag.lower_bound(&machine));
-            let improved = improve_start(&dag, &machine, &mut cilk, cost, bound, search, None);
+            let now = Instant::now();
+            let improved = improve_start(&dag, &machine, &mut cilk, cost, bound, search, now);
             assert!(improved.final_cost <= cost, "{context}: Cilk start");
             for (kind, answer, reported) in [
                 ("pipeline", &report.schedule, report.final_cost),
