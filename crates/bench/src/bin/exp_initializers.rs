@@ -465,8 +465,8 @@ impl SecondSearch<'_> {
 
 /// The pipeline's answer, and what it would answer from the start it did not
 /// search: [`Start::build`] of the other initializer on the width its sweep
-/// kept, then the same `HC` → merge → relocation → floor → `HCcs` on the
-/// funnel DAG.
+/// kept on the funnel DAG, then the same tail: `HC` → merge → relocation →
+/// floor there, projection, refinement and `HCcs` on the DAG.
 fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> (u64, u64) {
     let report = Pipeline::new(config.clone()).run_report(dag, machine);
     let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
@@ -475,13 +475,12 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
         return (report.final_cost, report.final_cost);
     };
     let funnel = Funnel::contract(dag, machine.p());
-    let dag = funnel.as_ref().map_or(dag, Funnel::dag);
+    let solved = funnel.as_ref().map_or(dag, Funnel::dag);
     let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     let width = kept[1 - searched].width;
-    let mut other = Start::build(initializers[1 - searched], dag, machine, width);
-    let (cost, bound, now) = (other.branch.init_cost, report.lower_bound, Instant::now());
-    let search = &config.hill_climb;
-    let improved = improve_start(dag, machine, &mut other.schedule, cost, bound, search, now);
+    let other = Start::build(initializers[1 - searched], solved, machine, width);
+    let (bound, search, now) = (report.lower_bound, &config.hill_climb, Instant::now());
+    let improved = improve_start(dag, funnel.as_ref(), machine, other, bound, search, now);
     (report.final_cost, improved.final_cost)
 }
 

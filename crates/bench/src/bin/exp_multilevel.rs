@@ -15,9 +15,12 @@
 //! final cost against the trivial schedule's and against the lower bound
 //! (`gap`), the start that was searched and the width it placed on, the
 //! seconds — on stderr also µs/node — per phase (`funnel`, the two sweeps'
-//! `init_schedule`, the one `hc`, `relocate`, `hccs`), the relocation
-//! phase's candidates evaluated and kept and its cost (`relocate_evaluated`,
-//! `relocate_kept`, `relocate_cost`), and `solve_peak_bytes_per_node`:
+//! `init_schedule`, the one `hc`, `relocate`, `refine`, `hccs`), the
+//! relocation phase's candidates evaluated and kept and its cost
+//! (`relocate_evaluated`, `relocate_kept`, `relocate_cost`), the refinement
+//! on the DAG after the funnel projection — its seeds, accepted moves,
+//! whether it was kept and its cost (`refine_seeds`, `refine_moves`,
+//! `refine_kept`, `refine_cost`) — and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by [`bsp_bench::heap`] (the largest of `--reps`).
 //! Beside them, `sweep` is the timed run's own candidate list
@@ -42,8 +45,9 @@
 //! means the floor broke), no answer holds two adjacent supersteps that
 //! `merge_supersteps` would merge, and every `hc_from_source` run ends valid
 //! at a local minimum, no costlier than its start, with a cost equal to a
-//! recompute, every candidate list passes [`sweep_gate`] and every
-//! relocation phase [`relocate_gate`]; the binary
+//! recompute, every candidate list passes [`sweep_gate`], every
+//! relocation phase [`relocate_gate`] and every refinement [`refine_gate`];
+//! the binary
 //! exits 1 if one of these fails or a row's solve peak exceeds
 //! [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
@@ -60,6 +64,7 @@ use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{
     hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts, RELOCATION_CANDIDATES,
+    RELOCATION_VISITS_PER_NODE,
 };
 use bsp_sched::init::{merge_supersteps, SourceScheduler};
 use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineConfig, PipelineReport};
@@ -81,11 +86,18 @@ const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 184.0;
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
-/// `hc`, `relocate` (when it evaluated a candidate) and `hccs` are depth-0
-/// samples, one each; `init_schedule` is the child
-/// of either initializer's sweep (summed over the two, which run one after the
-/// other).
-const PHASES: [&str; 5] = ["funnel", "init_schedule", "hc", "relocate", "hccs"];
+/// `hc`, `relocate` (when it evaluated a candidate), `refine` (when it had a
+/// seed) and `hccs` are depth-0 samples, one each; `init_schedule` is the
+/// child of either initializer's sweep (summed over the two, which run one
+/// after the other).
+const PHASES: [&str; 6] = [
+    "funnel",
+    "init_schedule",
+    "hc",
+    "relocate",
+    "refine",
+    "hccs",
+];
 
 /// Runs the pipeline `reps` times; the fastest wall-clock (the runs repeat
 /// their work exactly, so the minimum isolates OS noise) with its report,
@@ -141,6 +153,18 @@ fn relocate_gate(run: &PipelineReport, instance: &str, target: usize) -> bool {
     let r = run.relocation;
     let kept = instance != "bicgstab" || target < RELOCATE_GATE_MIN_TARGET || r.kept >= 1;
     r.final_cost <= run.local_search_cost && r.evaluated <= RELOCATION_CANDIDATES && kept
+}
+
+/// The `--smoke` gate on a row's refinement on the caller's DAG: no
+/// costlier than the relocation phase's answer it was given, within its
+/// visit budget, and on `bicgstab` at `P ≥ 8` from
+/// [`RELOCATE_GATE_MIN_TARGET`] on, kept (the relocation leaves single-node
+/// moves there that moves of whole funnel clusters cannot make).
+fn refine_gate(run: &PipelineReport, instance: &str, p: usize, target: usize) -> bool {
+    let r = run.refinement;
+    let asked = instance == "bicgstab" && p >= 8 && target >= RELOCATE_GATE_MIN_TARGET;
+    let budget = RELOCATION_VISITS_PER_NODE * run.schedule.assignment.n() as u64;
+    r.final_cost <= run.relocation.final_cost && r.visits <= budget && (r.kept || !asked)
 }
 
 /// The wall-clock cap of an `hc_from_source` run, far above what any row
@@ -336,8 +360,8 @@ fn main() {
                 );
                 eprintln!(
                     "     phases: funnel {:.3}s, init {:.3}s, hc {:.3}s, relocate {:.3}s, \
-                     hccs {:.3}s",
-                    phases[0], phases[1], phases[2], phases[3], phases[4]
+                     refine {:.3}s, hccs {:.3}s",
+                    phases[0], phases[1], phases[2], phases[3], phases[4], phases[5]
                 );
                 let relocation = run.relocation;
                 eprintln!(
@@ -348,10 +372,20 @@ fn main() {
                     run.local_search_cost,
                     relocation.final_cost
                 );
-                let [funnel, init, hc, relocate, hccs] = phases.map(per_node);
+                let refinement = run.refinement;
+                eprintln!(
+                    "     refinement: {} seeds, {} visits, {} moves, kept {}, cost {} -> {}",
+                    refinement.seeds,
+                    refinement.visits,
+                    refinement.moves,
+                    refinement.kept,
+                    relocation.final_cost,
+                    refinement.final_cost
+                );
+                let [funnel, init, hc, relocate, refine, hccs] = phases.map(per_node);
                 eprintln!(
                     "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, \
-                     relocate {relocate:.3}, hccs {hccs:.3}, run {:.3}",
+                     relocate {relocate:.3}, refine {refine:.3}, hccs {hccs:.3}, run {:.3}",
                     per_node(seconds)
                 );
                 eprintln!(
@@ -366,6 +400,12 @@ fn main() {
                     failures.push(format!(
                         "{row}: relocation {:?} after HC at {}",
                         run.relocation, run.local_search_cost
+                    ));
+                }
+                if !refine_gate(&run, inst_name, machine.p(), target) {
+                    failures.push(format!(
+                        "{row}: refinement {:?} after the relocation at {}",
+                        run.refinement, run.relocation.final_cost
                     ));
                 }
                 let mut sweep = Vec::new();
@@ -395,7 +435,8 @@ fn main() {
                     "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                      \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
                      \"init_cost\": {}, \"local_search_cost\": {}, \"relocate_evaluated\": {}, \
-                     \"relocate_kept\": {}, \"relocate_cost\": {}, \"final_cost\": {}, \
+                     \"relocate_kept\": {}, \"relocate_cost\": {}, \"refine_seeds\": {}, \
+                     \"refine_moves\": {}, \"refine_kept\": {}, \"refine_cost\": {}, \"final_cost\": {}, \
                      \"trivial_cost\": {trivial}, \"lower_bound\": {}, \"gap\": {:.4}, \
                      \"selected_init\": \"{}\", \"placement_width\": {}, \"funnel_nodes\": {}, \
                      \"solve_peak_bytes_per_node\": {peak_per_node:.2}, \"phases\": {{{}}}}}, \
@@ -407,6 +448,10 @@ fn main() {
                     relocation.evaluated,
                     relocation.kept,
                     relocation.final_cost,
+                    refinement.seeds,
+                    refinement.moves,
+                    refinement.kept,
+                    refinement.final_cost,
                     run.final_cost,
                     run.lower_bound,
                     run.gap(),

@@ -33,8 +33,8 @@
 //! This is what sets the reduction apart from the paper's multilevel
 //! coarsening (§4.5, contraction along any edge), whose clusters have many
 //! exits and whose summed `c` over-states communication: the pipeline's width
-//! sweep, its trivial-schedule floor and its ILP stage all judge the funnel
-//! DAG, and are right to.  The quotient is a DAG: every
+//! sweep, `HC`, the relocation and the trivial-schedule floor all judge the
+//! funnel DAG, and are right to.  The quotient is a DAG: every
 //! member reaches its root inside the cluster, so a cycle through clusters
 //! would be a cycle through their roots in the DAG itself.
 //!
@@ -47,11 +47,17 @@
 //! `cost_geomean_vs_cilk` digits on `flat_hc`, `ml_fine` and `ml_kernels`,
 //! both benchmark seeds.
 //!
-//! # No polish pass
+//! # Refinement after the projection
 //!
-//! The projected schedule is not searched again on the fine DAG.  `HC` +
-//! `HCcs` on the projection was measured on `flat_hc` at +27 % `pipeline.run_s`
-//! for −0.04 % cost (geomean vs `Cilk` 0.25169 against 0.25179) and stays out.
+//! Exact is not the same as searched: a move on the coarse DAG carries a
+//! whole cluster, so the projected schedule can still go downhill by moving
+//! one member.  The pipeline ([`crate::pipeline::improve_start`]) runs one
+//! `HC` descent on the DAG after the projection, seeded with the members of
+//! multi-node clusters that have a neighbour on another processor, and
+//! `HCcs` there once — the uncoarsening step of §4.5.  A full `HC` + `HCcs`
+//! polish of every projection, certified by verification sweeps, was
+//! measured on `flat_hc` at +27 % `pipeline.run_s` for −0.04 % cost, before
+//! the relocation phase left the single-node moves the seeded descent finds.
 //!
 //! A second application contracts nothing ([`Funnel::contract`] of a funnel
 //! DAG is `None`): a root that had its successors in two clusters still has,

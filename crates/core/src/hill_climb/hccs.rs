@@ -168,7 +168,7 @@ pub fn hccs_improve(
         }
         let mut list = SearchScratch::new();
         list.push_all(state.steps.len());
-        let outcome = drive(&mut state, config, start, &mut list, true);
+        let outcome = drive(&mut state, config, start, &mut list, true, u64::MAX);
         (state.steps, outcome)
     };
     // The transfers are already sorted and one per `(node, from, to)`.

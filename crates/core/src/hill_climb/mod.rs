@@ -187,6 +187,11 @@ impl SearchScratch {
         self.queue.extend((0..n).filter(|&v| self.in_queue[v]));
     }
 
+    /// Number of entities queued.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
     /// Enqueues every node of `graph`.
     pub fn enqueue_all(&mut self, graph: &Dag) {
         self.push_all(graph.n());
@@ -235,15 +240,17 @@ trait Neighbourhood {
 /// The work-list driver of both searches (module docs): drains `list`, then
 /// sweeps every entity, until a sweep accepts nothing or a limit stops it.
 /// Without `certify` it stops when `list` first drains, and reports no local
-/// minimum.  `start` is when the search's time budget began.  Returns the
-/// steps, the local-minimum flag and the counts, the costs left to the
-/// caller; `list` is left empty.
+/// minimum.  `max_visits` is a limit beside `config`'s: the search stops
+/// after that many visits.  `start` is when the search's time budget began.
+/// Returns the steps, the local-minimum flag and the counts, the costs left
+/// to the caller; `list` is left empty.
 fn drive(
     search: &mut impl Neighbourhood,
     config: &HillClimbConfig,
     start: Instant,
     list: &mut SearchScratch,
     certify: bool,
+    max_visits: u64,
 ) -> HillClimbOutcome {
     let n = search.entities();
     list.reserve(n);
@@ -257,7 +264,8 @@ fn drive(
     // every 64th after it.
     let over_limit = |polls: &mut u64, steps: usize| {
         *polls += 1;
-        steps >= config.max_steps
+        *polls > max_visits
+            || steps >= config.max_steps
             || (*polls & 63 == 1
                 && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
     };
@@ -492,7 +500,7 @@ pub fn hc_search(
     let initial_cost = state.total_cost();
     let p = machine.p();
     let mut moves = NodeMoves { graph, state, p };
-    let outcome = drive(&mut moves, config, start, scratch, true);
+    let outcome = drive(&mut moves, config, start, scratch, true, u64::MAX);
     HillClimbOutcome {
         initial_cost,
         final_cost: moves.state.total_cost(),
@@ -502,14 +510,15 @@ pub fn hc_search(
 
 /// [`hc_search`] without the verification sweeps: it visits the seeded
 /// nodes and whatever accepted moves dirty, and stops when the work-list
-/// drains, so it costs what the seeds reach, not `n` visits.  The result is
-/// not certified a local minimum.
+/// drains or after `max_visits` visits, so it costs what the seeds reach,
+/// not `n` visits per sweep.  The result is not certified a local minimum.
 pub(crate) fn hc_descend(
     graph: &Dag,
     machine: &Machine,
     state: &mut HcState<'_>,
     config: &HillClimbConfig,
     scratch: &mut SearchScratch,
+    max_visits: u64,
 ) -> HillClimbOutcome {
     let (start, initial_cost) = (Instant::now(), state.total_cost());
     let mut moves = NodeMoves {
@@ -517,7 +526,7 @@ pub(crate) fn hc_descend(
         state,
         p: machine.p(),
     };
-    let outcome = drive(&mut moves, config, start, scratch, false);
+    let outcome = drive(&mut moves, config, start, scratch, false, max_visits);
     HillClimbOutcome {
         initial_cost,
         final_cost: moves.state.total_cost(),

@@ -28,8 +28,10 @@
 //! The relocation is always precedence-valid and leaves every work term as
 //! it was: it is pure communication restructuring, which single-node moves
 //! cannot reach.  Light serial supersteps (`cg`'s dot products) are left
-//! alone: relocating every serial superstep also lowered the `cg` rows but
-//! made serve-shaped solves five times slower.
+//! alone: relocating every serial superstep also lowers the `cg` rows (the
+//! benchmark's `flat_hc` by 0.13 %, `ml_fine` by 0.17 %, the serve workloads
+//! by 0.14–0.19 %) for about a tenth more solve time (README, *Heavy serial
+//! supersteps: what relocation bought*).
 
 use super::{hc_descend, HcState, HillClimbConfig, SearchScratch};
 use crate::init::merge_supersteps;
@@ -176,7 +178,9 @@ pub fn relocate_improve(
                 .into_iter()
                 .flat_map(|t| state.cell_nodes(t, x).chain(state.cell_nodes(t, y)));
             scratch.enqueue_in_order(dag.n(), neighbours.chain(beside));
-            let climb = hc_descend(dag, machine, &mut state, config, &mut scratch);
+            // Each climb runs to its drained work-list: the budget is checked
+            // between candidates.
+            let climb = hc_descend(dag, machine, &mut state, config, &mut scratch, u64::MAX);
             outcome.visits += climb.counts.visits;
             let mut merged = state.assignment();
             if merge_supersteps(dag, &mut merged) == 0 {

@@ -11,8 +11,8 @@
 //!
 //! The order of a run is bound → funnel → per-initializer sweep over every
 //! width (source placement, merge) → `HC` → merge → relocation → floor →
-//! `HCcs`; everything around the paper's `initializer → HC → HCcs` is this
-//! repository's own:
+//! projection → refinement → `HCcs`; everything around the paper's
+//! `initializer → HC → HCcs` is this repository's own:
 //!
 //! * **The bound.**  [`Dag::lower_bound`] of the caller's DAG is on every
 //!   report ([`PipelineReport::lower_bound`], [`PipelineReport::gap`]), and a
@@ -21,8 +21,9 @@
 //!   no search runs on a schedule that does.
 //! * **The funnel reduction.**  [`Pipeline::run_report`] then contracts the
 //!   DAG along its funnels ([`crate::funnel`]: every node whose successors
-//!   all lie in one cluster joins it), runs everything below on the funnel
-//!   DAG and projects the answer back.  The reduction is *exact* — every
+//!   all lie in one cluster joins it), runs the sweeps, `HC`, the relocation
+//!   and the floor on the funnel DAG and projects the answer back.  The
+//!   reduction is *exact* — every
 //!   schedule of the funnel DAG is a schedule of the DAG at the identical
 //!   cost — so the sweep and the floor judge the DAG that is being solved
 //!   and are right to; a coarse node is the multi-node move single-node `HC`
@@ -58,18 +59,32 @@
 //!   ([`BranchReport::width`], [`PipelineReport::placement_width`]), not a
 //!   setting.  Every run times its phases ([`PipelineReport::phases`]); the
 //!   clock only records, and no schedule depends on it.
-//! * **`HC` once, the relocation, the floor, `HCcs` once**
-//!   ([`improve_start`]).  Only the cheaper start — ties to `BSPg` — is
-//!   searched ([`PipelineReport::selected_init`]; the other's `HcState` is
-//!   never built), on the full machine.  What `HC` returns is merged again.
-//!   Its local minima can leave a superstep's work on one processor while the
-//!   others idle, and no single-node move is downhill; the relocation phase
-//!   ([`relocate_improve`]) moves each such heavy superstep whole onto an idle
-//!   processor, climbs again from there and keeps what is strictly cheaper,
-//!   bounded by a count, never the clock ([`PipelineReport::relocation`]).
-//!   Then [`BspSchedule::trivial`] replaces the result when strictly cheaper,
-//!   so no answer costs more than one processor, and only a survivor goes
-//!   through `HCcs`.
+//! * **`HC` once, the relocation, the floor** ([`improve_start`]).  Only the
+//!   cheaper start — ties to `BSPg` — is searched
+//!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
+//!   built), on the full machine.  `HC` there is the descent from every node
+//!   without the verification sweep that certifies a local minimum
+//!   ([`crate::hill_climb::hc_improve`] keeps it): on the funnel DAG the sweep
+//!   accepted no move, and the refinement below searches on.  What `HC`
+//!   returns is merged again.  Its local minima can leave a superstep's work
+//!   on one processor while the others idle, and no single-node move is
+//!   downhill; the relocation phase ([`relocate_improve`]) moves each such
+//!   heavy superstep whole onto an idle processor, climbs again from there
+//!   and keeps what is strictly cheaper, bounded by a count, never the clock
+//!   ([`PipelineReport::relocation`]).  Then [`BspSchedule::trivial`]
+//!   replaces the result when strictly cheaper, so no answer costs more than
+//!   one processor.
+//! * **The refinement on the caller's DAG, `HCcs` once.**  A move on the
+//!   funnel DAG carries a whole cluster, so the answer projected back can
+//!   still go downhill by single-node moves (on `bicgstab` after the
+//!   relocation, by 5–6 %): the uncoarsening step of the paper's multilevel
+//!   scheme (§4.5), and of multilevel partitioners.  A survivor of the floor
+//!   that the funnel contracted gets one `HC` descent on the caller's DAG,
+//!   seeded with the members of multi-node clusters that have a DAG
+//!   neighbour on another processor, then the merge, kept when strictly
+//!   cheaper and bounded by [`RELOCATION_VISITS_PER_NODE`]` · n` visits,
+//!   never the clock ([`PipelineReport::refinement`]).  `HCcs` runs last,
+//!   once, on the caller's DAG.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved, and the
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`],
@@ -79,11 +94,12 @@
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
 use crate::hill_climb::{
-    hc_improve, hccs_improve, relocate_improve, HillClimbConfig, RelocateOutcome,
+    hc_descend, hccs_improve, relocate_improve, HcState, HillClimbConfig, HillClimbOutcome,
+    RelocateOutcome, SearchScratch, RELOCATION_VISITS_PER_NODE,
 };
 use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
-use bsp_model::{BspSchedule, Dag, Machine};
+use bsp_model::{Assignment, BspSchedule, Dag, Machine};
 use std::time::{Duration, Instant};
 
 /// Configuration of the combined pipeline (Figure 3).
@@ -222,6 +238,10 @@ pub struct PipelineReport {
     /// candidates it evaluated and kept, and the cost after it
     /// (`local_search_cost` when it evaluated none).
     pub relocation: RelocateOutcome,
+    /// What the refinement on the caller's DAG after the funnel projection
+    /// did ([`RefineOutcome`]): its seeds, visits and moves, whether it was
+    /// kept, and the cost after it (`relocation`'s when it did not run).
+    pub refinement: RefineOutcome,
     /// Cost of the final schedule: the start after `HC` + `HCcs` — the `HCcs`
     /// bars — or the trivial schedule when the floor replaced it.
     pub final_cost: u64,
@@ -257,6 +277,10 @@ impl PipelineReport {
                 final_cost: branch.init_cost,
                 ..RelocateOutcome::default()
             },
+            refinement: RefineOutcome {
+                final_cost: branch.init_cost,
+                ..RefineOutcome::default()
+            },
             final_cost: branch.init_cost,
             selected_init: branch.init_name,
             placement_width: branch.width,
@@ -274,56 +298,101 @@ impl PipelineReport {
     }
 }
 
+/// What the refinement on the caller's DAG did ([`improve_start`]): one `HC`
+/// descent, without verification sweeps, from the members of multi-node
+/// funnel clusters that have a DAG neighbour on another processor, then
+/// [`merge_supersteps`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefineOutcome {
+    /// Nodes the descent was seeded with; 0 when it did not run.
+    pub seeds: usize,
+    /// Node visits it made: at most [`RELOCATION_VISITS_PER_NODE`]` · n`.
+    pub visits: u64,
+    /// Moves it accepted.
+    pub moves: usize,
+    /// Whether its result was kept: strictly cheaper than the projection.
+    pub kept: bool,
+    /// Cost of the schedule the phase returned; never above the cost it was
+    /// given.
+    pub final_cost: u64,
+}
+
 /// What [`improve_start`] did: the cost after `HC` and the merge (the start's
-/// own at the bound), what the relocation phase did, the cost at the end,
-/// whether the trivial schedule replaced the result, and the `hc`,
-/// `relocate` and `hccs` samples of the searches that ran (`relocate` only
-/// when the phase evaluated a candidate).
+/// own at the bound), what the relocation phase and the refinement on the
+/// caller's DAG did, the cost at the end, whether the trivial schedule
+/// replaced the result, the `hc`, `relocate`, `refine` and `hccs` samples of
+/// the searches that ran (`relocate` only when the phase evaluated a
+/// candidate, `refine` only when it had a seed), the microseconds the
+/// projection onto the caller's DAG took (0 without a funnel), and the
+/// answer, a schedule of the caller's DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
     pub local_search_cost: u64,
     pub relocation: RelocateOutcome,
+    pub refinement: RefineOutcome,
     pub final_cost: u64,
     pub floored: bool,
     pub phases: Vec<PhaseSample>,
+    pub projection_us: u64,
+    pub schedule: BspSchedule,
 }
 
-/// `HC` → merge → relocation → trivial floor → `HCcs` on a start of cost
-/// `cost` under its lazy `Γ`: the tail of every solve, and of
-/// `exp_initializers`' search from the other start.  `HC` is skipped at
-/// `lower_bound`; [`merge_supersteps`] then closes every barrier no value
+/// `HC` → merge → relocation → trivial floor on `start`, a schedule of the
+/// DAG that was solved (`funnel`'s when there is one, else `dag`) under its
+/// lazy `Γ`; then the projection onto `dag`, the refinement there, and
+/// `HCcs`: the tail of every solve, and of `exp_initializers`' search from
+/// the other start.  `HC` is the descent from every node without the
+/// verification sweep (the sweep accepted no move on the funnel DAG), skipped
+/// at `lower_bound`; [`merge_supersteps`] then closes every barrier no value
 /// crosses (single-node moves cannot, and `HC` can leave a superstep empty),
-/// so no answer keeps one; [`relocate_improve`] moves heavy serial supersteps
-/// whole above the bound, its climbs under the run's token with no time
-/// limit (its budget is a count, so a run repeats);
-/// [`BspSchedule::trivial`] replaces the result when strictly cheaper,
-/// `O(n)`, so no schedule leaves the solver above the one-processor cost;
-/// `HCcs` runs on a survivor above the bound.  `HC` gets nine tenths of
-/// `config`'s time limit and `HCcs` one tenth (the paper's shares), each
-/// clipped, as it starts, to the wall clock the run's token leaves; the
-/// searches poll that token.  `origin` is the phase clock.
+/// so no answer keeps one; [`relocate_improve`] moves heavy serial
+/// supersteps whole above the bound; [`BspSchedule::trivial`] replaces the
+/// result when strictly cheaper, `O(n)`, so no schedule leaves the solver
+/// above the one-processor cost.  The refinement runs on a projected
+/// survivor above the bound (see [`RefineOutcome`]): it moves single nodes
+/// of the clusters a funnel-level move carries whole.  The relocation and
+/// the refinement run under the run's token with no time limit (their
+/// budgets are counts, so a run repeats).  `HCcs` runs last, once, on a
+/// survivor above the bound.  `HC` gets nine tenths of `config`'s time limit
+/// and `HCcs` one tenth (the paper's shares), each clipped, as it starts, to
+/// the wall clock the run's token leaves; the searches poll that token.
+/// `origin` is the phase clock.
 pub fn improve_start(
     dag: &Dag,
+    funnel: Option<&Funnel>,
     machine: &Machine,
-    schedule: &mut BspSchedule,
-    mut cost: u64,
+    start: Start,
     lower_bound: u64,
     config: &HillClimbConfig,
     origin: Instant,
 ) -> Improved {
+    let solved = funnel.map_or(dag, Funnel::dag);
     let search = |share: f64| HillClimbConfig {
         time_limit: clip_budget(config.time_limit.mul_f64(share), &config.cancel),
         ..config.clone()
     };
+    // The count-bounded phases get no time limit.
+    let unclocked = HillClimbConfig {
+        time_limit: Duration::MAX,
+        ..config.clone()
+    };
+    let (mut schedule, mut cost) = (start.schedule, start.branch.init_cost);
     let mut phases = Vec::new();
     if cost > lower_bound {
         let started = origin.elapsed();
-        cost = hc_improve(dag, machine, schedule, &search(0.9)).final_cost;
+        let every_node = |_: &Assignment, _: usize| true;
+        let hc = search(0.9);
+        let (_, descent) = descend(
+            solved,
+            machine,
+            &mut schedule,
+            cost,
+            every_node,
+            &hc,
+            u64::MAX,
+        );
+        cost = descent.final_cost;
         phases.push(PhaseSample::since("hc", origin, started));
-    }
-    if merge_supersteps(dag, &mut schedule.assignment) > 0 {
-        schedule.relax_to_lazy(dag);
-        cost = schedule.cost(dag, machine);
     }
     let local_search_cost = cost;
     let mut relocation = RelocateOutcome {
@@ -332,33 +401,150 @@ pub fn improve_start(
     };
     if cost > lower_bound {
         let started = origin.elapsed();
-        // The phase is bounded by counts and the token, never the clock, so
-        // its climbs get no time limit.
-        let climb = HillClimbConfig {
-            time_limit: Duration::MAX,
-            ..config.clone()
-        };
-        relocation = relocate_improve(dag, machine, schedule, cost, &climb);
+        relocation = relocate_improve(solved, machine, &mut schedule, cost, &unclocked);
         cost = relocation.final_cost;
         if relocation.evaluated > 0 {
             phases.push(PhaseSample::since("relocate", origin, started));
         }
     }
-    let trivial = BspSchedule::trivial(dag);
-    let floored = trivial.cost(dag, machine) < cost;
+    let trivial = BspSchedule::trivial(solved);
+    let trivial_cost = trivial.cost(solved, machine);
+    let floored = trivial_cost < cost;
     if floored {
-        *schedule = trivial;
-    } else if cost > lower_bound {
+        (schedule, cost) = (trivial, trivial_cost);
+    }
+    let started = origin.elapsed();
+    if let Some(funnel) = funnel {
+        schedule = funnel.project(&schedule);
+    }
+    let projection_us = origin.elapsed().saturating_sub(started).as_micros() as u64;
+    let mut refinement = RefineOutcome {
+        final_cost: cost,
+        ..RefineOutcome::default()
+    };
+    if let Some(funnel) = funnel.filter(|_| !floored && cost > lower_bound) {
         let started = origin.elapsed();
-        hccs_improve(dag, machine, schedule, &search(0.1));
+        refinement = refine(dag, funnel, machine, &mut schedule, cost, &unclocked);
+        cost = refinement.final_cost;
+        if refinement.seeds > 0 {
+            phases.push(PhaseSample::since("refine", origin, started));
+        }
+    }
+    if !floored && cost > lower_bound {
+        let started = origin.elapsed();
+        hccs_improve(dag, machine, &mut schedule, &search(0.1));
         phases.push(PhaseSample::since("hccs", origin, started));
     }
     Improved {
         local_search_cost,
         relocation,
+        refinement,
         final_cost: schedule.cost(dag, machine),
         floored,
         phases,
+        projection_us,
+        schedule,
+    }
+}
+
+/// `HC` without verification sweeps ([`hc_descend`]) on `schedule`, a valid
+/// schedule of `dag` at cost `cost`, from the nodes `seed` picks (in node
+/// order, judged on the assignment as given), stopped after `max_visits`
+/// visits, then [`merge_supersteps`].  Returns the number of seeds and the
+/// descent's outcome, whose `final_cost` is the cost of the merged result
+/// that `schedule` then holds under its lazy `Γ`; with no seed, or no move
+/// and nothing merged, `schedule` is left alone, `Γ` included.
+fn descend(
+    dag: &Dag,
+    machine: &Machine,
+    schedule: &mut BspSchedule,
+    cost: u64,
+    seed: impl Fn(&Assignment, usize) -> bool,
+    config: &HillClimbConfig,
+    max_visits: u64,
+) -> (usize, HillClimbOutcome) {
+    let mut scratch = SearchScratch::new();
+    let picked = (0..dag.n()).filter(|&v| seed(&schedule.assignment, v));
+    scratch.enqueue_in_order(dag.n(), picked);
+    let seeds = scratch.len();
+    if seeds == 0 {
+        let unchanged = HillClimbOutcome {
+            final_cost: cost,
+            ..HillClimbOutcome::default()
+        };
+        return (0, unchanged);
+    }
+    // The state holds the one copy of the assignment; `Γ` waits beside it
+    // for a descent that moves nothing.
+    let assignment = std::mem::take(&mut schedule.assignment);
+    let comm = std::mem::take(&mut schedule.comm);
+    let mut state = HcState::new(dag, machine, assignment).expect("a valid schedule");
+    let outcome = hc_descend(dag, machine, &mut state, config, &mut scratch, max_visits);
+    schedule.assignment = state.into_assignment();
+    let merged = merge_supersteps(dag, &mut schedule.assignment);
+    if outcome.steps == 0 && merged == 0 {
+        schedule.comm = comm;
+        return (
+            seeds,
+            HillClimbOutcome {
+                final_cost: cost,
+                ..outcome
+            },
+        );
+    }
+    drop(comm);
+    schedule.relax_to_lazy(dag);
+    // Unmerged, the state's lazy cost is the schedule's.
+    let final_cost = match merged {
+        0 => outcome.final_cost,
+        _ => schedule.cost(dag, machine),
+    };
+    (
+        seeds,
+        HillClimbOutcome {
+            final_cost,
+            ..outcome
+        },
+    )
+}
+
+/// The refinement on the caller's DAG (see [`RefineOutcome`]) of
+/// `schedule`, the projection of a schedule of `funnel`'s DAG at cost
+/// `cost`.  A node lies in a multi-node cluster when a DAG neighbour shares
+/// its cluster (a member feeds its cluster; a root with members is fed by
+/// one), and a funnel-level move carries it only with the whole cluster.
+/// The descent accepts only strictly improving moves and the merge never
+/// raises the cost, so the result is kept exactly when it is strictly
+/// cheaper.
+fn refine(
+    dag: &Dag,
+    funnel: &Funnel,
+    machine: &Machine,
+    schedule: &mut BspSchedule,
+    cost: u64,
+    config: &HillClimbConfig,
+) -> RefineOutcome {
+    let seed = |assignment: &Assignment, v: usize| {
+        let (c, q) = (funnel.cluster_of(v), assignment.proc[v]);
+        let (mut merged, mut split) = (false, false);
+        for u in dag.predecessors(v).chain(dag.successors(v)) {
+            merged |= funnel.cluster_of(u) == c;
+            split |= assignment.proc[u] != q;
+            if merged && split {
+                return true;
+            }
+        }
+        false
+    };
+    let budget = RELOCATION_VISITS_PER_NODE * dag.n() as u64;
+    let (seeds, descent) = descend(dag, machine, schedule, cost, seed, config, budget);
+    debug_assert!(descent.final_cost <= cost);
+    RefineOutcome {
+        seeds,
+        visits: descent.counts.visits,
+        moves: descent.steps,
+        kept: descent.final_cost < cost,
+        final_cost: descent.final_cost,
     }
 }
 
@@ -462,9 +648,9 @@ impl Pipeline {
     }
 
     /// Runs the pipeline — bound, funnel reduction, start search (sweeps →
-    /// `HC`), trivial-schedule floor, `HCcs`, projection back onto `dag` —
-    /// and returns the final schedule together with the intermediate stage
-    /// costs (Figures 5–7).
+    /// `HC`), relocation, trivial-schedule floor, projection back onto
+    /// `dag`, refinement there, `HCcs` — and returns the final schedule
+    /// together with the intermediate stage costs (Figures 5–7).
     pub fn run_report(&self, dag: &Dag, machine: &Machine) -> PipelineReport {
         let origin = Instant::now();
         let lower_bound = dag.lower_bound(machine);
@@ -483,73 +669,77 @@ impl Pipeline {
         drop(trivial);
         let funnel = Funnel::contract(dag, machine.p());
         let contracted = origin.elapsed();
-        let solved_dag = funnel.as_ref().map_or(dag, Funnel::dag);
-        let mut report = self.solve(solved_dag, machine, origin, lower_bound);
-        let solved = origin.elapsed();
-        if let Some(funnel) = &funnel {
-            report.schedule = funnel.project(&report.schedule);
+        let solved = funnel.as_ref().map_or(dag, Funnel::dag);
+        let (branches, mut phases, best) = sweeps(solved, machine, origin);
+        let mut branch = best.branch;
+        let search = &self.config.hill_climb;
+        let improved = improve_start(
+            dag,
+            funnel.as_ref(),
+            machine,
+            best,
+            lower_bound,
+            search,
+            origin,
+        );
+        if improved.floored {
+            branch.init_name = "trivial";
         }
         // One sample for both halves of the reduction, so that the depth-0
         // samples still add up to the run.
-        let projected = origin.elapsed().saturating_sub(solved);
         let funnel = PhaseSample {
             name: "funnel",
             depth: 0,
             start_us: 0,
-            dur_us: (contracted + projected).as_micros() as u64,
+            dur_us: contracted.as_micros() as u64 + improved.projection_us,
         };
-        report.phases.insert(0, funnel);
-        debug_assert!(report.schedule.validate(dag, machine).is_ok());
-        debug_assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
-        report
-    }
-
-    /// Both initializers' width sweeps, one after the other on the calling
-    /// thread, then [`improve_start`] on the cheaper start — ties to the
-    /// earlier.
-    fn solve(
-        &self,
-        dag: &Dag,
-        machine: &Machine,
-        origin: Instant,
-        lower_bound: u64,
-    ) -> PipelineReport {
-        let heuristics: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
-        let (mut branches, mut phases) = (Vec::new(), Vec::new());
-        let starts = heuristics.map(|init| {
-            let started = origin.elapsed();
-            let start = width_sweep(init, dag, machine, &mut branches);
-            let sweep = PhaseSample::since(init.name(), origin, started);
-            // The frozen benchmark reads the sweep under both names.
-            let child = PhaseSample {
-                name: "init_schedule",
-                depth: 1,
-                ..sweep
-            };
-            phases.extend([sweep, child]);
-            start
-        });
-        // `min_by_key` keeps the first of equal minima, and the other
-        // start's schedule goes before the search allocates.
-        let mut best = (starts.into_iter())
-            .min_by_key(|start| start.branch.init_cost)
-            .expect("two initializers always run");
-        let (schedule, cost) = (&mut best.schedule, best.branch.init_cost);
-        let search = &self.config.hill_climb;
-        let improved = improve_start(dag, machine, schedule, cost, lower_bound, search, origin);
+        phases.insert(0, funnel);
         phases.extend(improved.phases);
-        if improved.floored {
-            best.branch.init_name = "trivial";
-        }
-        PipelineReport {
+        let report = PipelineReport {
             branches,
             phases,
             local_search_cost: improved.local_search_cost,
             relocation: improved.relocation,
+            refinement: improved.refinement,
             final_cost: improved.final_cost,
-            ..PipelineReport::at(best.branch, best.schedule, lower_bound)
-        }
+            funnel_nodes: solved.n(),
+            ..PipelineReport::at(branch, improved.schedule, lower_bound)
+        };
+        debug_assert!(report.schedule.validate(dag, machine).is_ok());
+        debug_assert_eq!(report.final_cost, report.schedule.cost(dag, machine));
+        report
     }
+}
+
+/// Both initializers' width sweeps on `dag`, one after the other on the
+/// calling thread: every candidate built, each sweep's samples, and the
+/// cheaper kept start — ties to the earlier.
+fn sweeps(
+    dag: &Dag,
+    machine: &Machine,
+    origin: Instant,
+) -> (Vec<BranchReport>, Vec<PhaseSample>, Start) {
+    let heuristics: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
+    let (mut branches, mut phases) = (Vec::new(), Vec::new());
+    let starts = heuristics.map(|init| {
+        let started = origin.elapsed();
+        let start = width_sweep(init, dag, machine, &mut branches);
+        let sweep = PhaseSample::since(init.name(), origin, started);
+        // The frozen benchmark reads the sweep under both names.
+        let child = PhaseSample {
+            name: "init_schedule",
+            depth: 1,
+            ..sweep
+        };
+        phases.extend([sweep, child]);
+        start
+    });
+    // `min_by_key` keeps the first of equal minima, and the other start's
+    // schedule goes before the search allocates.
+    let best = (starts.into_iter())
+        .min_by_key(|start| start.branch.init_cost)
+        .expect("two initializers always run");
+    (branches, phases, best)
 }
 
 impl Scheduler for Pipeline {
@@ -674,7 +864,8 @@ mod tests {
         let machine = Machine::uniform(4, 3, 5);
         // The reduction (contraction plus projection) first, then each
         // initializer's sweep under its own name with its `init_schedule`
-        // child, then one `hc` once both sweeps have ended, then `hccs`.
+        // child, then one `hc` once both sweeps have ended, the refinement
+        // on the DAG after the projection, then `hccs`.
         let report = fast_pipeline().run_report(&dag, &machine);
         let shape: Vec<(&str, u8)> = report.phases.iter().map(|p| (p.name, p.depth)).collect();
         let expected = [
@@ -684,13 +875,14 @@ mod tests {
             ("Source", 0),
             ("init_schedule", 1),
             ("hc", 0),
+            ("refine", 0),
             ("hccs", 0),
         ];
         assert_eq!(shape, expected);
         assert_eq!(report.phases[0].start_us, 0);
         let ends = |p: &PhaseSample| p.start_us + p.dur_us;
-        let [bspg, bspg_init, source, source_init, hc, hccs] =
-            [1, 2, 3, 4, 5, 6].map(|i| report.phases[i]);
+        let [bspg, bspg_init, source, source_init, hc, refine, hccs] =
+            [1, 2, 3, 4, 5, 6, 7].map(|i| report.phases[i]);
         for (sweep, child) in [(bspg, bspg_init), (source, source_init)] {
             assert_eq!(
                 (child.start_us, child.dur_us),
@@ -705,7 +897,8 @@ mod tests {
             let staged: u64 = of_sweep.flat_map(|b| b.stage_us).sum();
             assert!(staged <= sweep.dur_us, "{}: {staged} us", sweep.name);
         }
-        assert!(ends(&hc) <= hccs.start_us);
+        assert!(ends(&hc) <= refine.start_us);
+        assert!(ends(&refine) <= hccs.start_us);
         assert!(report.funnel_nodes < dag.n());
     }
 
@@ -720,11 +913,18 @@ mod tests {
         assert!(spread.cost(&dag, &machine) < trivial_cost);
         // A bound above every cost skips both searches: the floor alone,
         // judging the cost it is handed.
-        let floor = |cost| {
-            let mut s = spread.clone();
+        let floor = |init_cost| {
+            let branch = BranchReport {
+                init_cost,
+                ..BranchReport::default()
+            };
+            let start = Start {
+                branch,
+                schedule: spread.clone(),
+            };
             let (search, now) = (HillClimbConfig::default(), Instant::now());
-            let improved = improve_start(&dag, &machine, &mut s, cost, u64::MAX, &search, now);
-            (improved.floored, s)
+            let improved = improve_start(&dag, None, &machine, start, u64::MAX, &search, now);
+            (improved.floored, improved.schedule)
         };
         assert_eq!(floor(spread.cost(&dag, &machine)), (false, spread.clone()));
         // Equal cost is not cheaper: the schedule at hand stays.

@@ -29,11 +29,12 @@ use std::sync::{Arc, Mutex};
 
 use crate::metrics::LatencyHistogram;
 
-/// Maximum spans kept per trace.  A routed cold solve uses at most 14
-/// (router dispatch, queue wait, cache miss, solve and the pipeline's eight
+/// Maximum spans kept per trace.  A routed cold solve uses at most 15
+/// (router dispatch, queue wait, cache miss, solve and the pipeline's nine
 /// samples under it — funnel, each initializer's sweep and its
 /// `init_schedule` child, `hc`, `relocate` when that phase evaluates a
-/// candidate, `hccs` — then cache insert and respond); anything beyond the cap
+/// candidate, `refine` when the refinement after the funnel projection has
+/// a seed, `hccs` — then cache insert and respond); anything beyond the cap
 /// sets the `truncated` flag instead of allocating.
 pub const MAX_SPANS: usize = 48;
 

@@ -68,14 +68,16 @@ fn main() {
             if start.kept { " (kept)" } else { "" }
         );
     }
-    let relocation = report.relocation;
+    let (relocation, refinement) = (report.relocation, report.refinement);
     println!(
-        "  searched {} (width {}): start {} -> after HC {} -> after relocation {} -> after HCcs {}",
+        "  searched {} (width {}): start {} -> after HC {} -> after relocation {} -> after \
+         refinement {} -> after HCcs {}",
         report.selected_init,
         report.placement_width,
         report.init_cost,
         report.local_search_cost,
         relocation.final_cost,
+        refinement.final_cost,
         report.final_cost
     );
     // Heavy serial supersteps moved whole, then climbed from (none on a DAG
@@ -83,6 +85,12 @@ fn main() {
     println!(
         "  relocation: {} candidates evaluated, {} kept, {} search visits",
         relocation.evaluated, relocation.kept, relocation.visits
+    );
+    // Single-node moves on the DAG itself after the funnel projection, from
+    // the cluster members beside another processor.
+    println!(
+        "  refinement: {} seeds, {} search visits, {} moves, kept {}",
+        refinement.seeds, refinement.visits, refinement.moves, refinement.kept
     );
     println!(
         "  no schedule costs less than {}: gap {:.2}",

@@ -195,7 +195,44 @@ fn a_heavy_serial_superstep_moves_whole_on_bicgstab() {
         .collect();
     assert_eq!(
         depth0,
-        ["funnel", "BSPg", "Source", "hc", "relocate", "hccs"]
+        ["funnel", "BSPg", "Source", "hc", "relocate", "refine", "hccs"]
+    );
+}
+
+/// On the binary tree the relocation leaves `bicgstab` where single-node
+/// moves on the DAG itself go downhill, which moves of whole funnel clusters
+/// cannot make: the refinement after the projection keeps a descent and
+/// ends below the cost the pipeline answered before it had the phase
+/// (3256), and is the one depth-0 `refine` sample between `relocate` and
+/// `hccs`.
+#[test]
+fn bicgstab_is_refined_on_the_callers_dag() {
+    use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
+    let dag = coarse(&CoarseConfig {
+        algorithm: CoarseAlgorithm::BiCgStab,
+        iterations: 150,
+    });
+    assert_eq!(dag.n(), 1958);
+    let machine = Machine::numa_binary_tree(8, 3, 5, 3);
+    let report = Pipeline::default().run_report(&dag, &machine);
+    assert!(report.schedule.validate(&dag, &machine).is_ok());
+    assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+    assert!(report.funnel_nodes < dag.n());
+    let refinement = report.refinement;
+    assert!(refinement.kept && refinement.moves > 0, "{refinement:?}");
+    assert!(
+        refinement.final_cost < report.relocation.final_cost,
+        "{refinement:?}"
+    );
+    assert!(report.final_cost <= refinement.final_cost);
+    assert!(report.final_cost < 3256, "{}", report.final_cost);
+    let depth0: Vec<&str> = (report.phases.iter())
+        .filter(|p| p.depth == 0)
+        .map(|p| p.name)
+        .collect();
+    assert_eq!(
+        depth0,
+        ["funnel", "BSPg", "Source", "hc", "relocate", "refine", "hccs"]
     );
 }
 

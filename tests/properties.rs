@@ -10,7 +10,10 @@ use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep, Dag, Machine};
 use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
-use bsp_sched::hill_climb::{hc_improve, hccs_improve, relocate_improve, HcState, HillClimbConfig};
+use bsp_sched::hill_climb::{
+    hc_improve, hccs_improve, relocate_improve, HcState, HillClimbConfig,
+    RELOCATION_VISITS_PER_NODE,
+};
 use bsp_sched::init::{merge_supersteps, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
 use bsp_sched::Scheduler;
@@ -920,4 +923,55 @@ fn two_pipeline_runs_give_identical_schedules() {
         relocated += first.relocation.kept;
     }
     assert!(relocated > 0, "no run kept a relocation");
+}
+
+/// The refinement on the caller's DAG after the funnel projection never
+/// raises the cost and is kept exactly when it lowers it; the answer
+/// validates at its reported cost, and a second run repeats the schedule and
+/// the refinement's counts exactly — on fine-grained DAGs, which contract,
+/// and random ones.
+#[test]
+fn the_refinement_never_raises_the_cost_and_repeats() {
+    let pipeline = Pipeline::new(PipelineConfig {
+        hill_climb: HillClimbConfig {
+            time_limit: Duration::from_secs(3600),
+            max_steps: 400,
+            ..Default::default()
+        },
+        ..PipelineConfig::default()
+    });
+    let (mut refined, mut kept) = (0, 0);
+    for case in 0..3 * CASES {
+        let mut rng = rng_for_case(0x2EF1, case);
+        let n = rng.gen_range(8usize..=40);
+        let (density, seed) = (3.0 / n as f64, rng.gen());
+        let dag = match case % 3 {
+            0 => spmv(&SpmvConfig { n, density, seed }),
+            1 => cg(&IterConfig {
+                n,
+                density,
+                iterations: 2,
+                seed,
+            }),
+            _ => random_dag(&mut rng, 24),
+        };
+        let machine = random_machine(&mut rng);
+        let what = format!("case {case}, n = {}, {machine:?}", dag.n());
+        let [first, second] = [0, 1].map(|_| pipeline.run_report(&dag, &machine));
+        let (refinement, before) = (first.refinement, first.relocation.final_cost);
+        assert!(first.schedule.validate(&dag, &machine).is_ok(), "{what}");
+        let cost = first.schedule.cost(&dag, &machine);
+        assert_eq!(first.final_cost, cost, "{what}");
+        assert!(refinement.final_cost <= before, "{what}: {refinement:?}");
+        assert!(first.final_cost <= refinement.final_cost, "{what}");
+        let lowered = refinement.seeds > 0 && refinement.final_cost < before;
+        assert_eq!(refinement.kept, lowered, "{what}: {refinement:?}");
+        let budget = RELOCATION_VISITS_PER_NODE * dag.n() as u64;
+        assert!(refinement.visits <= budget, "{what}: {refinement:?}");
+        assert_eq!(first.schedule, second.schedule, "{what}");
+        assert_eq!(refinement, second.refinement, "{what}");
+        refined += usize::from(refinement.seeds > 0);
+        kept += usize::from(refinement.kept);
+    }
+    assert!(refined > 5 && kept > 0, "{refined} refined, {kept} kept");
 }

@@ -20,7 +20,7 @@ use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::baselines::CilkScheduler;
 use bsp_sched::hill_climb::HillClimbConfig;
 use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{improve_start, BranchReport, Pipeline, PipelineConfig, Start};
 use bsp_sched::{Funnel, Scheduler};
 use common::{machine_grid, placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
@@ -330,14 +330,19 @@ fn no_answer_has_a_barrier_left_to_merge() {
         for machine in machine_grid() {
             let context = format!("case {case}, n = {}, {machine:?}", dag.n());
             let report = pipeline.run_report(&dag, &machine);
-            let mut cilk = CilkScheduler::default().schedule(&dag, &machine);
-            let (cost, bound) = (cilk.cost(&dag, &machine), dag.lower_bound(&machine));
+            let schedule = CilkScheduler::default().schedule(&dag, &machine);
+            let (cost, bound) = (schedule.cost(&dag, &machine), dag.lower_bound(&machine));
+            let branch = BranchReport {
+                init_cost: cost,
+                ..BranchReport::default()
+            };
+            let cilk = Start { branch, schedule };
             let now = Instant::now();
-            let improved = improve_start(&dag, &machine, &mut cilk, cost, bound, search, now);
+            let improved = improve_start(&dag, None, &machine, cilk, bound, search, now);
             assert!(improved.final_cost <= cost, "{context}: Cilk start");
             for (kind, answer, reported) in [
                 ("pipeline", &report.schedule, report.final_cost),
-                ("Cilk start", &cilk, improved.final_cost),
+                ("Cilk start", &improved.schedule, improved.final_cost),
             ] {
                 assert!(answer.validate(&dag, &machine).is_ok(), "{context}: {kind}");
                 assert_eq!(answer.cost(&dag, &machine), reported, "{context}: {kind}");
