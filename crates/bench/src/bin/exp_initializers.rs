@@ -38,8 +38,10 @@ use bsp_bench::stats::geo_mean;
 use bsp_bench::{scaled_dataset, CliArgs, Table};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::init::{place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{improve_start, Pipeline, PipelineConfig, Start};
-use bsp_sched::{BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, Scheduler};
+use bsp_sched::pipeline::{improve_start, Pipeline, Start};
+use bsp_sched::{
+    BlEstScheduler, CilkScheduler, EtfScheduler, Funnel, HDaggScheduler, HillClimbConfig, Scheduler,
+};
 use dag_gen::dataset::DatasetKind;
 use dag_gen::{
     cg, coarse_dag, exp, knn, read_hyperdag, spmv, write_hyperdag, CoarseAlgorithm, CoarseConfig,
@@ -301,7 +303,7 @@ fn main() {
     print_table4(&wins);
     print_table5(&wins);
     print_placed(&wins);
-    if !second_search_buys_little(&scale.pipeline_config()) {
+    if !second_search_buys_little() {
         eprintln!(
             "FAIL: a second search is worth more than {MAX_SECOND_SEARCH_GAIN} in the geometric mean"
         );
@@ -467,8 +469,8 @@ impl SecondSearch<'_> {
 /// search: [`Start::build`] of the other initializer on the width its sweep
 /// kept on the funnel DAG, then the same tail: `HC` → merge → relocation →
 /// floor there, projection, refinement and `HCcs` on the DAG.
-fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> (u64, u64) {
-    let report = Pipeline::new(config.clone()).run_report(dag, machine);
+fn other_start_answer(dag: &Dag, machine: &Machine) -> (u64, u64) {
+    let report = Pipeline::default().run_report(dag, machine);
     let kept: Vec<_> = report.branches.iter().filter(|b| b.kept).collect();
     let Some(searched) = kept.iter().position(|b| b.init_cost == report.init_cost) else {
         // No initializer ran: the trivial schedule met the bound.
@@ -479,14 +481,15 @@ fn other_start_answer(dag: &Dag, machine: &Machine, config: &PipelineConfig) -> 
     let initializers: [&dyn Scheduler; 2] = [&BspgScheduler, &SourceScheduler];
     let width = kept[1 - searched].width;
     let other = Start::build(initializers[1 - searched], solved, machine, width);
-    let (bound, search, now) = (report.lower_bound, &config.hill_climb, Instant::now());
-    let improved = improve_start(dag, funnel.as_ref(), machine, other, bound, search, now);
+    let (bound, now) = (report.lower_bound, Instant::now());
+    let search = HillClimbConfig::default();
+    let improved = improve_start(dag, funnel.as_ref(), machine, other, bound, &search, now);
     (report.final_cost, improved.final_cost)
 }
 
 /// The second-search table; `true` if one search stays within
 /// [`MAX_SECOND_SEARCH_GAIN`] of the better of two.
-fn second_search_buys_little(config: &PipelineConfig) -> bool {
+fn second_search_buys_little() -> bool {
     let (dags, machines) = (second_search_dags(), second_search_machines());
     let pairs: Vec<_> = (dags.iter())
         .flat_map(|dag| machines.iter().map(move |machine| (dag, machine)))
@@ -494,7 +497,7 @@ fn second_search_buys_little(config: &PipelineConfig) -> bool {
     let rows: Vec<SecondSearch> = pairs
         .par_iter()
         .map(|((dag_name, dag), (machine_name, machine))| {
-            let (one, other) = other_start_answer(dag, machine, config);
+            let (one, other) = other_start_answer(dag, machine);
             SecondSearch {
                 dag: dag_name,
                 machine: machine_name,

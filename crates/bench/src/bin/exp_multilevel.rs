@@ -67,11 +67,11 @@ use bsp_sched::hill_climb::{
     RELOCATION_VISITS_PER_NODE,
 };
 use bsp_sched::init::{merge_supersteps, SourceScheduler};
-use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineConfig, PipelineReport};
+use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineReport};
 use bsp_sched::Scheduler;
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
 use dag_gen::fine::{cg, exp, spmv, IterConfig, SpmvConfig};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The `--smoke` ceiling on a row's solve peak, in heap bytes per DAG node:
 /// 147.1 measured (`bicgstab` at ~1k nodes, `P = 16`; 143.7 at 40k, `cg` on
@@ -167,10 +167,6 @@ fn refine_gate(run: &PipelineReport, instance: &str, p: usize, target: usize) ->
     r.final_cost <= run.relocation.final_cost && r.visits <= budget && (r.kept || !asked)
 }
 
-/// The wall-clock cap of an `hc_from_source` run, far above what any row
-/// takes to reach its local minimum.
-const HC_TIME_LIMIT: Duration = Duration::from_secs(600);
-
 /// `HC` alone (§4.3), outside the solve's heap window: `hc_improve` from
 /// `Source`'s schedule of the DAG to a local minimum, the fastest of `reps`
 /// runs (they repeat their work exactly).  Logs the run, pushes each smoke
@@ -184,7 +180,7 @@ fn hc_from_source(
     failures: &mut Vec<String>,
 ) -> String {
     let init = SourceScheduler.schedule(dag, machine);
-    let config = HillClimbConfig::with_time_limit(HC_TIME_LIMIT);
+    let config = HillClimbConfig::default();
     let run = || {
         let mut schedule = init.clone();
         let start = Instant::now();
@@ -306,11 +302,7 @@ fn main() {
         ("numa_p16_g3_l5_d3", Machine::numa_binary_tree(16, 3, 5, 3)),
     ];
 
-    // Two seconds of local search.
-    let pipeline = Pipeline::new(PipelineConfig {
-        hill_climb: HillClimbConfig::with_time_limit(Duration::from_secs(2)),
-        ..PipelineConfig::default()
-    });
+    let pipeline = Pipeline::default();
     let mut report = BenchReport::new("pipeline_scale");
     let (mut runs, mut total_seconds) = (0, 0.0f64);
     let mut failures = Vec::new();

@@ -289,7 +289,6 @@ fn main() {
     let args = CliArgs::from_env(&["scale", "seed", "out"]);
     let (scale, seed) = (args.scale(), args.seed());
     let out = args.value("out").unwrap_or("BENCH_paper.json");
-    let config = scale.pipeline_config();
     let name = scale.name();
     println!("# Experiment: the paper's tables, scale={name}, seed={seed}");
 
@@ -299,7 +298,7 @@ fn main() {
         let instances = scaled_dataset(dataset, scale, seed);
         let nodes = instances.iter().map(|i| i.dag.n()).sum();
         for &key in grid.iter().filter(|k| k.dataset == dataset) {
-            let results = evaluate_dataset(&instances, &key.machine(), &config);
+            let results = evaluate_dataset(&instances, &key.machine());
             calls += 1;
             eprintln!("  done {key:?}: {}", placement_summary(&results));
             let costs = results.iter().map(|r| r.costs).collect();

@@ -37,7 +37,7 @@ use bsp_bench::stats::{host_cores, BenchReport};
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, LatencyHistogram, MetricsSnapshot, Mode, RequestOptions, ScheduleSource, Server,
+    Client, LatencyHistogram, MetricsSnapshot, RequestOptions, ScheduleSource, Server,
     ServerConfig, ServerHandle, ServiceConfig, ServiceStats, StoreStats,
 };
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
@@ -102,10 +102,6 @@ impl Preset {
             idle_timeout: Duration::from_secs(30),
             service: ServiceConfig {
                 cache_bytes: self.cache_mb << 20,
-                // Cold runs get 80% of the deadline for local search (the
-                // rest is headroom for the non-cancellable fringes:
-                // initializers, merges, cost/validate, response encoding).
-                local_search_budget: self.deadline.mul_f64(0.8),
                 default_deadline: Some(self.deadline),
                 ..ServiceConfig::default()
             },
@@ -236,9 +232,7 @@ fn drive(
     deadline: Duration,
     assume_cached: bool,
 ) -> Outcome {
-    let options = RequestOptions::new()
-        .with_mode(Mode::HeuristicsOnly)
-        .with_deadline(deadline);
+    let options = RequestOptions::new().with_deadline(deadline);
     let client_loop = |first: usize| {
         let mut client = Client::connect(addr).expect("connect to the server");
         let mut outcome = Outcome::default();
@@ -360,9 +354,9 @@ fn run_restart_phase(p: &Preset, pool: &[WorkItem]) -> RestartOutcome {
     }
 }
 
-/// Outcome of the huge-instance phase: one cold request in `heuristics` mode
-/// under its own deadline, plus the server-side trace spans that break the
-/// solve down per pipeline phase.
+/// Outcome of the huge-instance phase: one cold request under its own
+/// deadline, plus the server-side trace spans that break the solve down per
+/// pipeline phase.
 struct HugeOutcome {
     nodes: usize,
     latency: Duration,
@@ -388,13 +382,11 @@ fn run_huge_phase(p: &Preset, target: usize, deadline: Duration) -> HugeOutcome 
     let machine = Machine::numa_binary_tree(8, 1, 5, 3);
     let mut config = p.server_config();
     config.service.default_deadline = Some(deadline);
-    config.service.local_search_budget = deadline.mul_f64(0.8);
     let server = spawn_server(config);
     let mut client = Client::connect(server.addr()).expect("connect to the huge-phase server");
     // Any non-zero id works: the trace is read back on the same connection.
     let trace_id = 0xb16u64;
     let options = RequestOptions::new()
-        .with_mode(Mode::HeuristicsOnly)
         .with_deadline(deadline)
         .with_trace(trace_id);
     let start = Instant::now();

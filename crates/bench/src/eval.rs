@@ -2,7 +2,7 @@
 
 use bsp_model::{Dag, Machine};
 use bsp_sched::baselines::{BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::Pipeline;
 use bsp_sched::Scheduler;
 use dag_gen::dataset::NamedDag;
 use rayon::prelude::*;
@@ -43,13 +43,9 @@ pub struct InstanceResult {
     pub selected_init: &'static str,
 }
 
-/// Runs every baseline and `pipeline` on one instance and collects the costs.
-pub fn evaluate_instance(
-    name: &str,
-    dag: &Dag,
-    machine: &Machine,
-    pipeline: &PipelineConfig,
-) -> InstanceResult {
+/// Runs every baseline and the pipeline on one instance and collects the
+/// costs.
+pub fn evaluate_instance(name: &str, dag: &Dag, machine: &Machine) -> InstanceResult {
     let cost_of = |s: &dyn Scheduler| {
         let start = std::time::Instant::now();
         let cost = s.schedule(dag, machine).cost(dag, machine);
@@ -71,7 +67,7 @@ pub fn evaluate_instance(
     let etf = cost_of(&EtfScheduler);
 
     let pipeline_start = std::time::Instant::now();
-    let report = Pipeline::new(pipeline.clone()).run_report(dag, machine);
+    let report = Pipeline::default().run_report(dag, machine);
     if pipeline_start.elapsed() > std::time::Duration::from_secs(30) {
         eprintln!(
             "    [slow] pipeline took {:.1}s on {name} (n={}, P={})",
@@ -131,14 +127,10 @@ pub fn placement_summary(results: &[InstanceResult]) -> String {
 
 /// Evaluates every instance of a dataset on the same machine, in parallel
 /// over the instances.
-pub fn evaluate_dataset(
-    instances: &[NamedDag],
-    machine: &Machine,
-    pipeline: &PipelineConfig,
-) -> Vec<InstanceResult> {
+pub fn evaluate_dataset(instances: &[NamedDag], machine: &Machine) -> Vec<InstanceResult> {
     instances
         .par_iter()
-        .map(|inst| evaluate_instance(&inst.name, &inst.dag, machine, pipeline))
+        .map(|inst| evaluate_instance(&inst.name, &inst.dag, machine))
         .collect()
 }
 
@@ -159,7 +151,7 @@ mod tests {
     fn evaluates_all_baselines_and_pipeline_stages() {
         let dag = dag(12, 5);
         let machine = Machine::uniform(4, 3, 5);
-        let result = evaluate_instance("t", &dag, &machine, &PipelineConfig::fast());
+        let result = evaluate_instance("t", &dag, &machine);
         let c = result.costs;
         assert!(c.cilk > 0 && c.hdagg > 0 && c.bl_est > 0 && c.etf > 0);
         assert!(c.ours <= c.init);
@@ -184,11 +176,10 @@ mod tests {
             })
             .collect();
         let machine = Machine::numa_binary_tree(8, 1, 5, 2);
-        let config = PipelineConfig::fast();
-        let results = evaluate_dataset(&instances, &machine, &config);
+        let results = evaluate_dataset(&instances, &machine);
         assert_eq!(results.len(), 2);
         for (inst, result) in instances.iter().zip(&results) {
-            let alone = evaluate_instance(&inst.name, &inst.dag, &machine, &config);
+            let alone = evaluate_instance(&inst.name, &inst.dag, &machine);
             assert_eq!(result.costs, alone.costs);
         }
     }

@@ -11,19 +11,17 @@
 //!   instance per dataset.
 //! * [`Scale::Full`] — the complete regenerated datasets.
 
-use bsp_sched::pipeline::PipelineConfig;
 use dag_gen::dataset::{Dataset, DatasetKind, NamedDag};
 use dag_gen::fine::{cg, exp, knn, spmv, IterConfig, SpmvConfig};
-use std::time::Duration;
 
 /// How large the experiment should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Capped surrogate instances, small algorithm budgets (seconds).
+    /// Capped surrogate instances (seconds).
     Smoke,
-    /// Paper-sized instances, every third one, moderate budgets (minutes–hours).
+    /// Paper-sized instances, every third one (minutes–hours).
     Reduced,
-    /// The complete regenerated datasets and generous budgets.
+    /// The complete regenerated datasets.
     Full,
 }
 
@@ -35,15 +33,6 @@ impl Scale {
             Scale::Reduced => "reduced",
             Scale::Full => "full",
         }
-    }
-
-    /// The pipeline configuration of this scale: its local-search budget.
-    pub fn pipeline_config(&self) -> PipelineConfig {
-        PipelineConfig::default().with_hill_climb_time(match self {
-            Scale::Smoke => Duration::from_millis(250),
-            Scale::Reduced => Duration::from_secs(3),
-            Scale::Full => Duration::from_secs(30),
-        })
     }
 
     /// Cap applied to fine-grained matrix dimensions at smoke scale, per

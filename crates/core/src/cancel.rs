@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A cloneable cooperative-cancellation handle (see the module docs).
 ///
@@ -80,23 +80,12 @@ impl CancelToken {
             }
         }
     }
-
-    /// The deadline this token fires at, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    /// Wall-clock left until the deadline (`None` when no deadline is set,
-    /// zero when it has already passed).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn inert_token_never_fires() {
@@ -104,7 +93,6 @@ mod tests {
         assert!(!t.is_cancelled());
         t.cancel(); // no-op
         assert!(!t.is_cancelled());
-        assert!(t.remaining().is_none());
     }
 
     #[test]
@@ -123,7 +111,6 @@ mod tests {
         assert!(t.is_cancelled());
         let u = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!u.is_cancelled());
-        assert!(u.remaining().unwrap() > Duration::from_secs(3000));
     }
 
     #[test]

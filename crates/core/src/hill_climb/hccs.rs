@@ -5,7 +5,8 @@
 //! reach processor `q`) may be scheduled in any communication phase between
 //! `τ(v)` and the superstep before the value is first used on `q`; the search
 //! greedily moves single transfers to the phase that lowers the maximum
-//! `h`-relation cost, until a local minimum or the time limit is reached.
+//! `h`-relation cost, until a local minimum, a step limit,
+//! [`super::VISITS_PER_ENTITY`] visits per transfer, or the cancel token.
 //! Like the paper, transfers are always sent directly from `π(v)`.
 //!
 //! The state is kept the way [`super::HcState`] keeps its tallies: flat
@@ -17,9 +18,11 @@
 //! of the two phases it touched, and a verification sweep certifies the
 //! local minimum.
 
-use super::{drive, HillClimbConfig, HillClimbOutcome, Neighbourhood, SearchCounts, SearchScratch};
+use super::{
+    drive, HillClimbConfig, HillClimbOutcome, Neighbourhood, SearchCounts, SearchScratch,
+    VISITS_PER_ENTITY,
+};
 use bsp_model::{BspSchedule, CommSchedule, CommStep, Dag, Machine};
-use std::time::Instant;
 
 struct CsState<'a> {
     dag: &'a Dag,
@@ -111,14 +114,14 @@ impl Neighbourhood for CsState<'_> {
 /// are left untouched.  The search starts where `schedule`'s own `Γ` places
 /// each transfer (see [`CommSchedule::transfers`]).  Returns the outcome
 /// statistics (costs are full schedule costs, so they are comparable with
-/// [`super::hc_improve`]).
+/// [`super::hc_improve`]).  The search stops after [`VISITS_PER_ENTITY`]
+/// visits per required transfer.
 pub fn hccs_improve(
     dag: &Dag,
     machine: &Machine,
     schedule: &mut BspSchedule,
     config: &HillClimbConfig,
 ) -> HillClimbOutcome {
-    let start = Instant::now();
     let initial_cost = schedule.cost(dag, machine);
     let (steps, windows) = CommSchedule::transfers(dag, &schedule.assignment, &schedule.comm);
     let num_steps = schedule.num_supersteps().max(1);
@@ -166,9 +169,10 @@ pub fn hccs_improve(
         for s in 0..num_steps {
             state.phase_cost[s] = state.compute_phase_cost(s);
         }
-        let mut list = SearchScratch::new();
-        list.push_all(state.steps.len());
-        let outcome = drive(&mut state, config, start, &mut list, true, u64::MAX);
+        let (mut list, transfers) = (SearchScratch::new(), state.steps.len());
+        list.push_all(transfers);
+        let max_visits = VISITS_PER_ENTITY * transfers as u64;
+        let outcome = drive(&mut state, config, &mut list, true, max_visits);
         (state.steps, outcome)
     };
     // The transfers are already sorted and one per `(node, from, to)`.

@@ -12,9 +12,12 @@
 //!   the superstep before it is first needed.
 //!
 //! Both searches use the greedy first-improvement rule the paper selected
-//! after its preliminary experiments, and stop at a local minimum or when the
-//! time limit expires.  Both are anytime: a stopped or cancelled search
-//! returns a valid schedule no costlier than the one it was given.
+//! after its preliminary experiments, and stop at a local minimum, at a count
+//! (accepted steps, or visits) or when the cancel token fires.  The paper
+//! runs them under a wall-clock limit; here no search reads the clock for a
+//! budget, so an answer depends on the DAG and the machine alone unless a
+//! token fires.  Both are anytime: a stopped or cancelled search returns a
+//! valid schedule no costlier than the one it was given.
 //!
 //! [`hc_improve`] is the entry point; [`hc_search`] runs `HC` over an existing
 //! [`HcState`] and a caller-seeded work-list (what the oracle and allocation
@@ -36,9 +39,9 @@
 //! verification sweep runs whenever the work-list drains; the search only
 //! reports a local minimum when that sweep accepts nothing.
 //!
-//! The driver checks the step limit before every visit and reads the clock
-//! and the cancel token on the first visit and every 64th after it, so a
-//! token fired before a search starts stops it before its first move.  It
+//! The driver checks the step and visit limits before every visit and polls
+//! the cancel token on the first visit and every 64th after it, so a token
+//! fired before a search starts stops it before its first move.  It
 //! counts what it does on every run ([`SearchCounts`], on the outcome):
 //! visits, visits an `O(1)` gate turned away, candidate moves costed and
 //! moves an `O(1)` bound pruned, and verification sweeps.
@@ -55,19 +58,33 @@ pub use state::{HcState, MoveWindow};
 
 use bsp_model::{BspSchedule, Dag, Machine};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// The most visits a bounded search makes per entity: the pipeline's `HC`
+/// descent stops after `VISITS_PER_ENTITY · n` visits (`n` the nodes of the
+/// DAG it searches), and [`hccs_improve`] after `VISITS_PER_ENTITY · t`
+/// (`t` the required transfers).  Set above every count on record (at most
+/// 7.36 `HC` visits per node and 3.89 `HCcs` visits per transfer), so it
+/// bounds a search's work without cutting one short; [`hc_improve`] has no
+/// visit bound, so that it can certify a local minimum.
+pub const VISITS_PER_ENTITY: u64 = 16;
 
 /// Configuration shared by the `HC` and `HCcs` local searches.
 #[derive(Debug, Clone)]
 pub struct HillClimbConfig {
-    /// Wall-clock limit for the search.
+    /// Read by nothing: no search reads the clock for a budget.  Kept
+    /// because the frozen `benchmark/` package derives a threshold from the
+    /// default (5 s) and calls [`HillClimbConfig::with_time_limit`].
+    #[doc(hidden)]
     pub time_limit: Duration,
     /// Upper bound on the number of accepted improvement steps
     /// (`usize::MAX` = unlimited).
     pub max_steps: usize,
-    /// Cooperative cancellation, polled at the same cadence as the clock.
-    /// Both searches are anytime, so a cancelled run still returns a valid
-    /// schedule no worse than its input.  Inert by default.
+    /// Cooperative cancellation: the run's only deadline
+    /// ([`crate::cancel::CancelToken::with_deadline`]), polled on a search's
+    /// first visit and every 64th after it.  Both searches are anytime, so a
+    /// cancelled run still returns a valid schedule no worse than its input.
+    /// Inert by default.
     pub cancel: crate::cancel::CancelToken,
 }
 
@@ -82,7 +99,9 @@ impl Default for HillClimbConfig {
 }
 
 impl HillClimbConfig {
-    /// A configuration with the given time limit.
+    /// The default: the time limit is read by nothing.  Kept because the
+    /// frozen `benchmark/` package calls it.
+    #[doc(hidden)]
     pub fn with_time_limit(time_limit: Duration) -> Self {
         HillClimbConfig {
             time_limit,
@@ -117,8 +136,8 @@ pub struct HillClimbOutcome {
     pub initial_cost: u64,
     /// Cost of the schedule it returned; never above `initial_cost`.
     pub final_cost: u64,
-    /// `true` if the search stopped because it reached a local minimum (rather
-    /// than the time or step limit).
+    /// `true` if the search stopped because it certified a local minimum
+    /// (rather than at a step or visit limit, or on the cancel token).
     pub reached_local_minimum: bool,
     /// What the search did to get there.
     pub counts: SearchCounts,
@@ -241,13 +260,11 @@ trait Neighbourhood {
 /// sweeps every entity, until a sweep accepts nothing or a limit stops it.
 /// Without `certify` it stops when `list` first drains, and reports no local
 /// minimum.  `max_visits` is a limit beside `config`'s: the search stops
-/// after that many visits.  `start` is when the search's time budget began.
-/// Returns the steps, the local-minimum flag and the counts, the costs left
-/// to the caller; `list` is left empty.
+/// after that many visits.  Returns the steps, the local-minimum flag and
+/// the counts, the costs left to the caller; `list` is left empty.
 fn drive(
     search: &mut impl Neighbourhood,
     config: &HillClimbConfig,
-    start: Instant,
     list: &mut SearchScratch,
     certify: bool,
     max_visits: u64,
@@ -259,15 +276,14 @@ fn drive(
     let (mut steps, mut polls, mut gated) = (0usize, 0u64, 0u64);
     let mut counts = SearchCounts::default();
 
-    // Every visit is polled first.  Reading the clock (or the cancel token)
-    // per visit would dominate gated visits; read both on the first poll and
-    // every 64th after it.
+    // Every visit is polled first.  Reading the cancel token (a deadline
+    // reads the clock) per visit would dominate gated visits; read it on the
+    // first poll and every 64th after it.
     let over_limit = |polls: &mut u64, steps: usize| {
         *polls += 1;
         *polls > max_visits
             || steps >= config.max_steps
-            || (*polls & 63 == 1
-                && (start.elapsed() > config.time_limit || config.cancel.is_cancelled()))
+            || (*polls & 63 == 1 && config.cancel.is_cancelled())
     };
     let mut moved = |i: usize, list: &mut SearchScratch, counts: &mut SearchCounts| {
         if !search.may_improve(i) {
@@ -496,11 +512,10 @@ pub fn hc_search(
     config: &HillClimbConfig,
     scratch: &mut SearchScratch,
 ) -> HillClimbOutcome {
-    let start = Instant::now();
     let initial_cost = state.total_cost();
     let p = machine.p();
     let mut moves = NodeMoves { graph, state, p };
-    let outcome = drive(&mut moves, config, start, scratch, true, u64::MAX);
+    let outcome = drive(&mut moves, config, scratch, true, u64::MAX);
     HillClimbOutcome {
         initial_cost,
         final_cost: moves.state.total_cost(),
@@ -520,13 +535,13 @@ pub(crate) fn hc_descend(
     scratch: &mut SearchScratch,
     max_visits: u64,
 ) -> HillClimbOutcome {
-    let (start, initial_cost) = (Instant::now(), state.total_cost());
+    let initial_cost = state.total_cost();
     let mut moves = NodeMoves {
         graph,
         state,
         p: machine.p(),
     };
-    let outcome = drive(&mut moves, config, start, scratch, false, max_visits);
+    let outcome = drive(&mut moves, config, scratch, false, max_visits);
     HillClimbOutcome {
         initial_cost,
         final_cost: moves.state.total_cost(),

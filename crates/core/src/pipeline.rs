@@ -95,7 +95,7 @@ use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
 use crate::hill_climb::{
     hc_descend, hccs_improve, relocate_improve, HcState, HillClimbConfig, HillClimbOutcome,
-    RelocateOutcome, SearchScratch, RELOCATION_VISITS_PER_NODE,
+    RelocateOutcome, SearchScratch, RELOCATION_VISITS_PER_NODE, VISITS_PER_ENTITY,
 };
 use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
@@ -105,15 +105,14 @@ use std::time::{Duration, Instant};
 /// Configuration of the combined pipeline (Figure 3).
 #[derive(Debug, Clone, Default)]
 pub struct PipelineConfig {
-    /// Time/step limits of the `HC` + `HCcs` local searches (`HC` once, on
-    /// the cheaper start, with nine tenths of the time; `HCcs` once on what
-    /// it returns with the rest; [`improve_start`] applies the shares), and
-    /// the run's cancellation token ([`HillClimbConfig::cancel`]).  A
-    /// deadline is a token that fires then ([`CancelToken::with_deadline`]),
-    /// and the pipeline is *anytime*: it clips every search budget to the
-    /// time the token leaves, skips stages whose budget is exhausted, and
-    /// always returns the best valid schedule found so far (at minimum the
-    /// cheaper start: the sweeps are not deadline-gated).
+    /// The searches' step limit and the run's cancellation token
+    /// ([`HillClimbConfig::cancel`]).  Every search is bounded by a count
+    /// ([`VISITS_PER_ENTITY`] and the phases' own), so the token is the only
+    /// deadline: it fires when asked to or at the deadline it carries
+    /// ([`CancelToken::with_deadline`]).  The pipeline is *anytime*: a fired
+    /// token stops the search that polls it, and the run returns the best
+    /// valid schedule found so far (at minimum the cheaper start: the sweeps
+    /// are not deadline-gated).
     pub hill_climb: HillClimbConfig,
     /// Read by nothing: every run times its phases
     /// ([`PipelineReport::phases`]).  Kept because the frozen `benchmark/`
@@ -123,23 +122,11 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A small configuration suitable for unit tests, doc tests and quick
-    /// experiments: the default with a 200 ms local search.
-    pub fn fast() -> Self {
-        Self::default().with_hill_climb_time(Duration::from_millis(200))
-    }
-
     /// The default: there is no other pipeline.  Kept because the frozen
     /// `benchmark/` package calls it.
     #[doc(hidden)]
     pub fn heuristics_only() -> Self {
         Self::default()
-    }
-
-    /// Sets the local-search time limit and returns the configuration.
-    pub fn with_hill_climb_time(mut self, time_limit: Duration) -> Self {
-        self.hill_climb.time_limit = time_limit;
-        self
     }
 
     /// Sets the searches' cancellation token and returns the configuration.
@@ -153,15 +140,6 @@ impl PipelineConfig {
     #[doc(hidden)]
     pub fn with_thread_budget(self, _budget: usize) -> Self {
         self
-    }
-}
-
-/// Clips `budget` to the time left on `cancel`'s deadline (unchanged when the
-/// token carries no deadline).
-fn clip_budget(budget: Duration, cancel: &CancelToken) -> Duration {
-    match cancel.remaining() {
-        Some(remaining) => budget.min(remaining),
-        None => budget,
     }
 }
 
@@ -342,7 +320,8 @@ pub struct Improved {
 /// lazy `Γ`; then the projection onto `dag`, the refinement there, and
 /// `HCcs`: the tail of every solve, and of `exp_initializers`' search from
 /// the other start.  `HC` is the descent from every node without the
-/// verification sweep (the sweep accepted no move on the funnel DAG), skipped
+/// verification sweep (the sweep accepted no move on the funnel DAG), at
+/// most [`VISITS_PER_ENTITY`]` · n` visits on the `n` nodes solved, skipped
 /// at `lower_bound`; [`merge_supersteps`] then closes every barrier no value
 /// crosses (single-node moves cannot, and `HC` can leave a superstep empty),
 /// so no answer keeps one; [`relocate_improve`] moves heavy serial
@@ -350,13 +329,10 @@ pub struct Improved {
 /// result when strictly cheaper, `O(n)`, so no schedule leaves the solver
 /// above the one-processor cost.  The refinement runs on a projected
 /// survivor above the bound (see [`RefineOutcome`]): it moves single nodes
-/// of the clusters a funnel-level move carries whole.  The relocation and
-/// the refinement run under the run's token with no time limit (their
-/// budgets are counts, so a run repeats).  `HCcs` runs last, once, on a
-/// survivor above the bound.  `HC` gets nine tenths of `config`'s time limit
-/// and `HCcs` one tenth (the paper's shares), each clipped, as it starts, to
-/// the wall clock the run's token leaves; the searches poll that token.
-/// `origin` is the phase clock.
+/// of the clusters a funnel-level move carries whole.  `HCcs` runs last,
+/// once, on a survivor above the bound.  Every search is bounded by a count
+/// and polls `config`'s token, the run's only deadline, so a run whose token
+/// does not fire repeats exactly.  `origin` is the phase clock.
 pub fn improve_start(
     dag: &Dag,
     funnel: Option<&Funnel>,
@@ -367,29 +343,20 @@ pub fn improve_start(
     origin: Instant,
 ) -> Improved {
     let solved = funnel.map_or(dag, Funnel::dag);
-    let search = |share: f64| HillClimbConfig {
-        time_limit: clip_budget(config.time_limit.mul_f64(share), &config.cancel),
-        ..config.clone()
-    };
-    // The count-bounded phases get no time limit.
-    let unclocked = HillClimbConfig {
-        time_limit: Duration::MAX,
-        ..config.clone()
-    };
     let (mut schedule, mut cost) = (start.schedule, start.branch.init_cost);
     let mut phases = Vec::new();
     if cost > lower_bound {
         let started = origin.elapsed();
         let every_node = |_: &Assignment, _: usize| true;
-        let hc = search(0.9);
+        let budget = VISITS_PER_ENTITY * solved.n() as u64;
         let (_, descent) = descend(
             solved,
             machine,
             &mut schedule,
             cost,
             every_node,
-            &hc,
-            u64::MAX,
+            config,
+            budget,
         );
         cost = descent.final_cost;
         phases.push(PhaseSample::since("hc", origin, started));
@@ -401,7 +368,7 @@ pub fn improve_start(
     };
     if cost > lower_bound {
         let started = origin.elapsed();
-        relocation = relocate_improve(solved, machine, &mut schedule, cost, &unclocked);
+        relocation = relocate_improve(solved, machine, &mut schedule, cost, config);
         cost = relocation.final_cost;
         if relocation.evaluated > 0 {
             phases.push(PhaseSample::since("relocate", origin, started));
@@ -424,7 +391,7 @@ pub fn improve_start(
     };
     if let Some(funnel) = funnel.filter(|_| !floored && cost > lower_bound) {
         let started = origin.elapsed();
-        refinement = refine(dag, funnel, machine, &mut schedule, cost, &unclocked);
+        refinement = refine(dag, funnel, machine, &mut schedule, cost, config);
         cost = refinement.final_cost;
         if refinement.seeds > 0 {
             phases.push(PhaseSample::since("refine", origin, started));
@@ -432,7 +399,7 @@ pub fn improve_start(
     }
     if !floored && cost > lower_bound {
         let started = origin.elapsed();
-        hccs_improve(dag, machine, &mut schedule, &search(0.1));
+        hccs_improve(dag, machine, &mut schedule, config);
         phases.push(PhaseSample::since("hccs", origin, started));
     }
     Improved {
@@ -758,10 +725,6 @@ mod tests {
     use crate::baselines::{CilkScheduler, HDaggScheduler};
     use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
 
-    fn fast_pipeline() -> Pipeline {
-        Pipeline::new(PipelineConfig::fast())
-    }
-
     #[test]
     fn pipeline_returns_valid_schedules() {
         let dag = spmv(&SpmvConfig {
@@ -774,7 +737,7 @@ mod tests {
             Machine::uniform(8, 1, 5),
             Machine::numa_binary_tree(8, 1, 5, 3),
         ] {
-            let report = fast_pipeline().run_report(&dag, &machine);
+            let report = Pipeline::default().run_report(&dag, &machine);
             assert!(report.schedule.validate(&dag, &machine).is_ok());
             assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
         }
@@ -789,7 +752,7 @@ mod tests {
             seed: 4,
         });
         let machine = Machine::uniform(4, 3, 5);
-        let report = fast_pipeline().run_report(&dag, &machine);
+        let report = Pipeline::default().run_report(&dag, &machine);
         let starts = report.branches.iter().map(|b| b.init_cost);
         assert_eq!(Some(report.init_cost), starts.min());
         assert!(report.local_search_cost <= report.init_cost);
@@ -807,7 +770,7 @@ mod tests {
             density: 0.25,
             seed: 7,
         });
-        let pipeline = fast_pipeline();
+        let pipeline = Pipeline::default();
         for (dag, machine) in [
             (&chain, Machine::uniform(4, 3, 5)),
             (&chain, Machine::numa_binary_tree(8, 1, 5, 3)),
@@ -834,7 +797,7 @@ mod tests {
             seed: 9,
         });
         let machine = Machine::uniform(4, 5, 5);
-        let ours = fast_pipeline().run(&dag, &machine).cost(&dag, &machine);
+        let ours = Pipeline::default().run(&dag, &machine).cost(&dag, &machine);
         let cilk = CilkScheduler::default()
             .schedule(&dag, &machine)
             .cost(&dag, &machine);
@@ -849,7 +812,7 @@ mod tests {
     fn empty_dag_yields_the_trivial_schedule() {
         let dag = Dag::from_edge_list_unit_weights(0, &[]).unwrap();
         let machine = Machine::uniform(4, 1, 5);
-        let report = fast_pipeline().run_report(&dag, &machine);
+        let report = Pipeline::default().run_report(&dag, &machine);
         assert_eq!(report.selected_init, "trivial");
         assert!(report.schedule.validate(&dag, &machine).is_ok());
     }
@@ -866,7 +829,7 @@ mod tests {
         // initializer's sweep under its own name with its `init_schedule`
         // child, then one `hc` once both sweeps have ended, the refinement
         // on the DAG after the projection, then `hccs`.
-        let report = fast_pipeline().run_report(&dag, &machine);
+        let report = Pipeline::default().run_report(&dag, &machine);
         let shape: Vec<(&str, u8)> = report.phases.iter().map(|p| (p.name, p.depth)).collect();
         let expected = [
             ("funnel", 0),

@@ -8,8 +8,8 @@
 //! REQ <id>
 //! MACHINE uniform <p> <g> <l>            (or: tree <p> <g> <l> <delta>)
 //! OPTION deadline_ms <n>                 (optional; 0 = no deadline)
-//! OPTION mode <default|fast|heuristics>  (optional; default heuristics;
-//!                                         `multilevel` is read as `heuristics`)
+//! OPTION mode <default|fast|heuristics>  (optional; every mode is the same
+//!                                         solve; `multilevel` is accepted too)
 //! OPTION cache <on|off>                  (optional; default on)
 //! OPTION trace <hex>                     (optional; router-assigned trace id)
 //! DAG <num_lines>
@@ -136,18 +136,16 @@ impl ScheduleSource {
     }
 }
 
-/// Which local-search budget a request asks for.  There is one pipeline
-/// (initializers → `HC` → `HCcs`); the modes differ in nothing but the
-/// `HC` + `HCcs` time limit a cold solve gets, all of them clipped to the
-/// request's deadline.
+/// A request's `OPTION mode` token, read by no solve: there is one pipeline,
+/// every search in it is bounded by a count, and the request's deadline is
+/// its only clock.  The wire keeps the three tokens so that clients sending
+/// them are understood; the frozen `benchmark/` sends `heuristics`.  Delete
+/// with ROADMAP item 1 (benchmark v2).
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Mode {
-    /// [`bsp_sched::PipelineConfig::default`]: 5 s of local search.
     Default,
-    /// [`bsp_sched::PipelineConfig::fast`]: 200 ms of local search.
     Fast,
-    /// The server's own `ServiceConfig::local_search_budget` — the right
-    /// default for latency-bounded serving.
     #[default]
     HeuristicsOnly,
 }
@@ -181,7 +179,8 @@ pub struct RequestOptions {
     /// Wall-clock budget for this request; the service returns its
     /// best-so-far valid schedule once it expires.  `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// Solver configuration.
+    /// The `OPTION mode` token, read by no solve (`Mode`).
+    #[doc(hidden)]
     pub mode: Mode,
     /// Whether the schedule cache may be consulted and populated.
     pub use_cache: bool,
@@ -208,7 +207,9 @@ impl RequestOptions {
         self
     }
 
-    /// Sets the mode and returns the options.
+    /// Sets the `OPTION mode` token, which no solve reads, and returns the
+    /// options.
+    #[doc(hidden)]
     pub fn with_mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
         self

@@ -659,9 +659,7 @@ mod tests {
     use super::*;
     use crate::client::{Client, Completion, PipelinedClient};
     use crate::obs::MetricsSnapshot;
-    use crate::protocol::{
-        encode_request, read_reply, Mode, Reply, RequestOptions, ScheduleSource,
-    };
+    use crate::protocol::{encode_request, read_reply, Reply, RequestOptions, ScheduleSource};
     use bsp_model::{Dag, Machine};
     use std::io::BufRead;
     use std::time::Duration;
@@ -676,10 +674,6 @@ mod tests {
             queue_capacity: 32,
             max_connections: 16,
             idle_timeout: Duration::from_secs(5),
-            service: ServiceConfig {
-                local_search_budget: Duration::from_millis(40),
-                ..Default::default()
-            },
             ..Default::default()
         };
         Server::bind("127.0.0.1:0", config)
@@ -706,7 +700,7 @@ mod tests {
         let mut client = Client::connect(server.addr()).expect("connect");
         client.ping().expect("ping");
 
-        let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+        let options = RequestOptions::new();
         let first = client.schedule(&dag, &machine, &options).expect("cold run");
         assert_eq!(first.source, ScheduleSource::Cold);
         assert!(first.schedule.validate(&dag, &machine).is_ok());
@@ -751,7 +745,7 @@ mod tests {
         let dags: Vec<_> = (1u64..=6)
             .map(|w| std::sync::Arc::new(small_dag(w)))
             .collect();
-        let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+        let options = RequestOptions::new();
         let mut client = PipelinedClient::connect(server.addr()).expect("connect");
 
         // Submit everything before reading a single response.
@@ -809,10 +803,6 @@ mod tests {
             queue_capacity: 1,
             max_connections: 4,
             idle_timeout: Duration::from_secs(5),
-            service: ServiceConfig {
-                local_search_budget: Duration::from_millis(30),
-                ..Default::default()
-            },
             ..Default::default()
         };
         let server = Server::bind("127.0.0.1:0", config)
@@ -820,7 +810,7 @@ mod tests {
             .spawn()
             .expect("spawn");
         let machine = Machine::uniform(2, 1, 1);
-        let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+        let options = RequestOptions::new();
         let mut client = PipelinedClient::connect(server.addr()).expect("connect");
         let dags: Vec<_> = (1u64..=8)
             .map(|w| std::sync::Arc::new(small_dag(w)))
@@ -870,10 +860,6 @@ mod tests {
                 queue_capacity: 4,
                 max_connections: 4,
                 idle_timeout,
-                service: ServiceConfig {
-                    local_search_budget: Duration::from_secs(5),
-                    ..Default::default()
-                },
                 ..Default::default()
             };
             Server::bind("127.0.0.1:0", config)
@@ -890,7 +876,7 @@ mod tests {
         let machine = Machine::numa_binary_tree(8, 2, 5, 3);
         // Encode before connecting: the idle clock starts at `connect`.
         let mut frame = String::new();
-        let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+        let options = RequestOptions::new();
         encode_request(&mut frame, 1, &dag, &machine, &options).expect("encode");
         // One cold solve on `server`; returns the server-side handling time
         // (the stretch during which the connection's reader sees no bytes).
@@ -1005,7 +991,7 @@ mod tests {
         // the timeout below instead of hanging it.
         let client = std::thread::spawn(move || {
             let machine = Machine::uniform(4, 1, 2);
-            let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+            let options = RequestOptions::new();
             let mut client = PipelinedClient::connect(addr).expect("connect");
             let ids: Vec<u64> = [PANIC_WORK, 3, 4]
                 .map(|work| Arc::new(small_dag(work)))

@@ -23,7 +23,7 @@ use crate::cache::{CacheStats, ScheduleCache};
 use crate::metrics::{LatencyHistogram, StoreStats};
 use crate::obs::{write_sample, write_type, MetricsRegistry, MetricsSnapshot, SpanSet};
 use crate::placement::PlacementScope;
-use crate::protocol::{Mode, ScheduleRequest, ScheduleSource, ServeError};
+use crate::protocol::{ScheduleRequest, ScheduleSource, ServeError};
 use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
@@ -40,8 +40,10 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Byte budget of the schedule cache.
     pub cache_bytes: usize,
-    /// `HC` + `HCcs` budget of a cold run (heuristics mode); clipped to the
-    /// request deadline.
+    /// Read by nothing: a cold solve's searches are bounded by counts, and
+    /// the request's deadline is its only clock.  The frozen `benchmark/`
+    /// sets it; delete with ROADMAP item 1 (benchmark v2).
+    #[doc(hidden)]
     pub local_search_budget: Duration,
     /// Read by nothing: a re-weighted request is a cold solve.  The frozen
     /// `benchmark/` sets it; delete with ROADMAP item 1 (benchmark v2).
@@ -72,7 +74,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_bytes: 64 << 20,
-            local_search_budget: Duration::from_secs(2),
+            local_search_budget: Duration::ZERO,
             warm_budget: Duration::ZERO,
             default_deadline: None,
             store: None,
@@ -550,9 +552,9 @@ impl ScheduleService {
             .fetch_add(micros, Ordering::Relaxed);
     }
 
-    /// Cold path: the pipeline with the request mode's `HC` + `HCcs` budget
-    /// (the one thing the modes differ in), deadline-aware, on this worker's
-    /// thread.  Per-phase durations feed the `bsp_solve_phase_micros_total`
+    /// Cold path: the pipeline under the request's token, whose deadline is
+    /// the solve's only clock (every mode is the same solve), on this
+    /// worker's thread.  Per-phase durations feed the `bsp_solve_phase_micros_total`
     /// counters and are recorded into `spans` under a `solve` span.
     fn solve_cold(
         &self,
@@ -562,14 +564,7 @@ impl ScheduleService {
         spans: &mut SpanSet,
     ) -> BspSchedule {
         let solve_start = start.elapsed().as_micros() as u64;
-        let config = match request.options.mode {
-            Mode::Default => PipelineConfig::default(),
-            Mode::Fast => PipelineConfig::fast(),
-            Mode::HeuristicsOnly => {
-                PipelineConfig::default().with_hill_climb_time(self.config.local_search_budget)
-            }
-        }
-        .with_cancel(cancel.clone());
+        let config = PipelineConfig::default().with_cancel(cancel.clone());
         let report = Pipeline::new(config).run_report(&request.dag, &request.machine);
         let solve_dur = (start.elapsed().as_micros() as u64).saturating_sub(solve_start);
         spans.push("solve", 0, solve_start, solve_dur);
@@ -639,10 +634,7 @@ mod tests {
 
     #[test]
     fn identical_requests_hit_the_cache_exactly() {
-        let service = ScheduleService::new(ServiceConfig {
-            local_search_budget: Duration::from_millis(50),
-            ..Default::default()
-        });
+        let service = ScheduleService::new(ServiceConfig::default());
         let req = request(
             chain(12, 3),
             Machine::uniform(4, 1, 2),
@@ -661,10 +653,7 @@ mod tests {
 
     #[test]
     fn reweighted_requests_are_solved_cold() {
-        let config = ServiceConfig {
-            local_search_budget: Duration::from_millis(50),
-            ..Default::default()
-        };
+        let config = ServiceConfig::default();
         let service = ScheduleService::new(config.clone());
         let machine = Machine::uniform(4, 1, 2);
         let base = request(chain(12, 3), machine.clone(), RequestOptions::new());
@@ -681,10 +670,7 @@ mod tests {
 
     #[test]
     fn cache_op_counters_match_the_request_counts() {
-        let service = ScheduleService::new(ServiceConfig {
-            local_search_budget: Duration::from_millis(20),
-            ..Default::default()
-        });
+        let service = ScheduleService::new(ServiceConfig::default());
         let machine = Machine::uniform(4, 1, 2);
         // Cold, exact, re-weighted cold, FP hit, FP miss, exact, FP miss.
         let a = request(chain(10, 3), machine.clone(), RequestOptions::new());
@@ -731,10 +717,7 @@ mod tests {
 
     #[test]
     fn cache_off_requests_never_touch_the_cache() {
-        let service = ScheduleService::new(ServiceConfig {
-            local_search_budget: Duration::from_millis(20),
-            ..Default::default()
-        });
+        let service = ScheduleService::new(ServiceConfig::default());
         let req = request(
             chain(8, 2),
             Machine::uniform(2, 1, 1),
@@ -771,7 +754,6 @@ mod tests {
 
     fn stored_config(dir: &std::path::Path) -> ServiceConfig {
         ServiceConfig {
-            local_search_budget: Duration::from_millis(50),
             store: Some(StoreConfig::at(dir)),
             ..Default::default()
         }

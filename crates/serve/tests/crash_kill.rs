@@ -16,8 +16,7 @@
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Mode, Placement, RequestOptions, Router, RouterConfig, ScheduleSource, Server,
-    ServerConfig,
+    Client, Placement, RequestOptions, Router, RouterConfig, ScheduleSource, Server, ServerConfig,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -119,7 +118,7 @@ fn wait_for_appended(addr: SocketAddr, want: u64) -> u64 {
 fn a_sigkilled_server_serves_every_acknowledged_schedule_after_restart() {
     let dir = temp_dir("direct");
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let dags: Vec<Dag> = (0..6).map(dag_with_seed).collect();
 
     let shard = Shard::spawn("127.0.0.1:0", &dir);
@@ -179,7 +178,7 @@ fn a_router_fronted_shard_killed_mid_burst_recovers_and_rejoins() {
     // cache intact.
     let dir = temp_dir("router");
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
 
     let shard0 = Shard::spawn("127.0.0.1:0", &dir);
     let shard0_addr = shard0.addr;

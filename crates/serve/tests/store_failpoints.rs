@@ -20,7 +20,6 @@ use bsp_serve::{
 };
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir =
@@ -31,7 +30,6 @@ fn temp_dir(name: &str) -> PathBuf {
 
 fn service_at(dir: &Path) -> ScheduleService {
     ScheduleService::try_new(ServiceConfig {
-        local_search_budget: Duration::from_millis(40),
         store: Some(StoreConfig::at(dir.to_path_buf())),
         ..Default::default()
     })

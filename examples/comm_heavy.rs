@@ -17,7 +17,7 @@
 use realistic_sched::gen::fine::{exp, IterConfig};
 use realistic_sched::model::Machine;
 use realistic_sched::sched::baselines::{HDaggScheduler, TrivialScheduler};
-use realistic_sched::sched::pipeline::{Pipeline, PipelineConfig};
+use realistic_sched::sched::pipeline::Pipeline;
 use realistic_sched::sched::Scheduler;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     let hdagg = HDaggScheduler::default()
         .schedule(&dag, &machine)
         .cost(&dag, &machine);
-    let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
+    let report = Pipeline::default().run_report(&dag, &machine);
 
     println!("schedule costs (lower is better):");
     println!("  trivial (1 processor) : {trivial}");

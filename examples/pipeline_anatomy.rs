@@ -1,7 +1,8 @@
 //! Anatomy of the scheduling framework (Figure 3 of the paper): what each
-//! stage — initialization, `HC`, the relocation phase, `HCcs` — contributes
-//! on one instance, what the individual algorithms do when invoked directly,
-//! and the exact `ILPcs` check on the communication schedule `HCcs` returns.
+//! stage — initialization, `HC`, the relocation phase, the refinement on the
+//! caller's DAG, `HCcs` — contributes on one instance, what the individual
+//! algorithms do when invoked directly, and the exact `ILPcs` check on the
+//! communication schedule `HCcs` returns.
 //!
 //! Run with: `cargo run --release --example pipeline_anatomy`
 
@@ -11,7 +12,7 @@ use realistic_sched::model::Machine;
 use realistic_sched::sched::hill_climb::{hc_improve, hccs_improve, HillClimbConfig};
 use realistic_sched::sched::ilp::ilp_cs_improve;
 use realistic_sched::sched::init::{BspgScheduler, SourceScheduler};
-use realistic_sched::sched::pipeline::{Pipeline, PipelineConfig};
+use realistic_sched::sched::pipeline::Pipeline;
 use realistic_sched::sched::Scheduler;
 
 fn main() {
@@ -50,7 +51,7 @@ fn main() {
 
     // --- The same thing through the combined pipeline ---------------------
     println!("\nthe combined pipeline (both starts, one search; Figure 3):");
-    let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
+    let report = Pipeline::default().run_report(&dag, &machine);
     println!(
         "  solved a DAG of {} nodes (the funnel reduction of {})",
         report.funnel_nodes,

@@ -6,7 +6,7 @@
 use realistic_sched::gen::fine::{spmv, SpmvConfig};
 use realistic_sched::model::Machine;
 use realistic_sched::sched::baselines::{CilkScheduler, HDaggScheduler};
-use realistic_sched::sched::pipeline::{Pipeline, PipelineConfig};
+use realistic_sched::sched::pipeline::Pipeline;
 use realistic_sched::sched::Scheduler;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     let hdagg = HDaggScheduler::default().schedule(&dag, &machine);
 
     // The paper's framework: initialization heuristics, then hill climbing.
-    let report = Pipeline::new(PipelineConfig::fast()).run_report(&dag, &machine);
+    let report = Pipeline::default().run_report(&dag, &machine);
     let ours = &report.schedule;
     assert!(ours.validate(&dag, &machine).is_ok());
 

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example serve_quickstart`
 
-use bsp_serve::{Client, Mode, RequestOptions, Server, ServerConfig, ServiceConfig};
+use bsp_serve::{Client, RequestOptions, Server, ServerConfig};
 use realistic_sched::gen::fine::{spmv, SpmvConfig};
 use realistic_sched::model::{Dag, Machine};
 use std::time::Duration;
@@ -12,10 +12,6 @@ use std::time::Duration;
 fn main() {
     let config = ServerConfig {
         workers: 2,
-        service: ServiceConfig {
-            local_search_budget: Duration::from_millis(200),
-            ..Default::default()
-        },
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", config)
@@ -31,9 +27,7 @@ fn main() {
         density: 0.15,
         seed: 3,
     });
-    let options = RequestOptions::new()
-        .with_mode(Mode::HeuristicsOnly)
-        .with_deadline(Duration::from_millis(500));
+    let options = RequestOptions::new().with_deadline(Duration::from_millis(500));
 
     // Cold: full pipeline run, schedule enters the cache.
     let cold = client.schedule(&dag, &machine, &options).expect("cold");

@@ -10,7 +10,7 @@
 use realistic_sched::gen::fine::{cg, IterConfig};
 use realistic_sched::model::Machine;
 use realistic_sched::sched::baselines::{CilkScheduler, HDaggScheduler, TrivialScheduler};
-use realistic_sched::sched::pipeline::{Pipeline, PipelineConfig};
+use realistic_sched::sched::pipeline::Pipeline;
 use realistic_sched::sched::Scheduler;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
         "machine", "Trivial", "Cilk", "HDagg", "ours"
     );
 
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     for (label, machine) in [
         ("P=8 uniform".to_string(), Machine::uniform(8, 1, 5)),
         (

@@ -30,7 +30,7 @@
 //! let dag = spmv(&SpmvConfig { n: 24, density: 0.2, seed: 7 });
 //! // 4 processors, g = 3, l = 5, uniform communication.
 //! let machine = Machine::uniform(4, 3, 5);
-//! let schedule = Pipeline::new(PipelineConfig::fast()).run(&dag, &machine);
+//! let schedule = Pipeline::new(PipelineConfig::default()).run(&dag, &machine);
 //! assert!(schedule.validate(&dag, &machine).is_ok());
 //! ```
 

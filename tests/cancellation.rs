@@ -37,7 +37,7 @@ fn cancelled_pipeline_runs_stay_valid_and_never_beat_the_initializer_bound() {
         let dag = random_dag(&mut rng, 24);
         let machine = random_machine(&mut rng);
         let cancel = CancelToken::new();
-        let config = PipelineConfig::fast().with_cancel(cancel.clone());
+        let config = PipelineConfig::default().with_cancel(cancel.clone());
         let delay = Duration::from_micros(rng.gen_range(0..8_000));
         let report = with_cancellation(cancel, delay, || {
             Pipeline::new(config).run_report(&dag, &machine)
@@ -66,7 +66,8 @@ fn pipeline_with_an_already_expired_deadline_still_returns_a_valid_schedule() {
         let mut rng = rng_for_case(0xDEAD, case);
         let dag = random_dag(&mut rng, 20);
         let machine = random_machine(&mut rng);
-        let config = PipelineConfig::fast().with_cancel(CancelToken::with_deadline(Instant::now()));
+        let config =
+            PipelineConfig::default().with_cancel(CancelToken::with_deadline(Instant::now()));
         let report = Pipeline::new(config).run_report(&dag, &machine);
         assert!(
             report.schedule.validate(&dag, &machine).is_ok(),
@@ -155,7 +156,7 @@ fn cancelled_heuristics_runs_on_larger_dags_stay_valid() {
         }
         let machine = random_machine(&mut rng);
         let cancel = CancelToken::new();
-        let config = PipelineConfig::fast().with_cancel(cancel.clone());
+        let config = PipelineConfig::default().with_cancel(cancel.clone());
         let delay = Duration::from_micros(rng.gen_range(0..12_000));
         let report = with_cancellation(cancel, delay, || {
             Pipeline::new(config).run_report(&dag, &machine)
@@ -181,21 +182,23 @@ fn hill_climbing_respects_a_pre_fired_token() {
         let cancel = CancelToken::new();
         cancel.cancel();
         let config = HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps: usize::MAX,
             cancel,
+            ..HillClimbConfig::default()
         };
         let mut sched = SourceScheduler.schedule(&dag, &machine);
+        let given = sched.clone();
         let before = sched.cost(&dag, &machine);
+        // Both searches poll the token on their first visit, so neither
+        // visits anything, and the schedule's cost is left as it was.
         let hc = hc_improve(&dag, &machine, &mut sched, &config);
         assert!(sched.validate(&dag, &machine).is_ok(), "case {case}");
-        assert!(hc.final_cost <= before, "case {case}");
+        assert_eq!((hc.steps, hc.counts.visits), (0, 0), "case {case}");
+        assert_eq!(hc.final_cost, before, "case {case}");
         let hccs = hccs_improve(&dag, &machine, &mut sched, &config);
         assert!(sched.validate(&dag, &machine).is_ok(), "case {case}");
-        assert!(hccs.final_cost <= hc.final_cost, "case {case}");
-        // A pre-fired token means no wall-clock burn: the searches bail at
-        // their first poll instead of running out the one-hour limit (the
-        // asserts above would hang for an hour if polling were broken).
+        assert_eq!((hccs.steps, hccs.counts.visits), (0, 0), "case {case}");
+        assert_eq!(hccs.final_cost, before, "case {case}");
+        assert_eq!(sched.assignment, given.assignment, "case {case}");
     }
 }
 
@@ -227,4 +230,34 @@ fn a_pre_fired_token_evaluates_no_relocation() {
     assert_eq!(report.final_cost, report.init_cost.min(trivial));
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
+}
+
+/// Every search is bounded by a count and the token is the run's only
+/// clock, so a deadline that does not fire changes nothing: the answer, its
+/// cost and what the relocation and the refinement did are those of a run
+/// under an inert token, on uniform and tree machines alike.
+#[test]
+fn a_deadline_that_does_not_fire_leaves_the_answer_as_an_inert_token_does() {
+    let mut tree = 0;
+    for case in 0..CASES {
+        let mut rng = rng_for_case(0xD1CE, case);
+        let dag = random_dag(&mut rng, 40);
+        let machine = random_machine(&mut rng);
+        tree += u64::from(machine.is_numa());
+        let run = |cancel: CancelToken| {
+            let config = PipelineConfig::default().with_cancel(cancel);
+            Pipeline::new(config).run_report(&dag, &machine)
+        };
+        let inert = run(CancelToken::inert());
+        let far = Instant::now() + Duration::from_secs(3600);
+        let timed = run(CancelToken::with_deadline(far));
+        assert_eq!(timed.schedule, inert.schedule, "case {case}");
+        assert_eq!(timed.final_cost, inert.final_cost, "case {case}");
+        assert_eq!(timed.relocation, inert.relocation, "case {case}");
+        assert_eq!(timed.refinement, inert.refinement, "case {case}");
+    }
+    assert!(
+        0 < tree && tree < CASES,
+        "{tree} of {CASES} machines are trees"
+    );
 }

@@ -32,14 +32,13 @@ use bsp_sched::hill_climb::{
     hc_improve, hc_search, hccs_improve, HcState, HillClimbConfig, HillClimbOutcome, SearchScratch,
 };
 use bsp_sched::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::Pipeline;
 use bsp_sched::{Funnel, Scheduler};
 use dag_gen::{coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, SpmvConfig};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::rc::Rc;
-use std::time::Duration;
 use Shape::{Chains, Fans, Layered, Ties, ZeroWork};
 
 /// The committed table.
@@ -384,15 +383,6 @@ fn funnel(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
     projected.cost(dag, machine)
 }
 
-/// A search limited by steps, never by the clock.
-fn by_steps(max_steps: usize) -> HillClimbConfig {
-    HillClimbConfig {
-        time_limit: Duration::from_secs(3600),
-        max_steps,
-        ..HillClimbConfig::default()
-    }
-}
-
 /// The three starts `HC` is run from.
 fn starts() -> [Box<dyn Scheduler>; 3] {
     [
@@ -406,13 +396,13 @@ fn starts() -> [Box<dyn Scheduler>; 3] {
 /// stopped after `max_steps` moves or at the local minimum.
 fn hc(max_steps: usize, part: usize) -> Routine {
     Box::new(move |dag, machine, d| {
-        let mut cost = 0;
+        let (mut cost, config) = (0, HillClimbConfig::with_max_steps(max_steps));
         for start in starts() {
             let assignment = start.schedule(dag, machine).assignment;
             let mut state = HcState::new(dag, machine, assignment).expect("a feasible start");
             let mut scratch = SearchScratch::new();
             (0..dag.n() / part).for_each(|v| scratch.enqueue(v));
-            let outcome = hc_search(dag, machine, &mut state, &by_steps(max_steps), &mut scratch);
+            let outcome = hc_search(dag, machine, &mut state, &config, &mut scratch);
             d.assignment(&state.assignment());
             d.outcome(&outcome);
             cost += outcome.final_cost;
@@ -425,11 +415,11 @@ fn hc(max_steps: usize, part: usize) -> Routine {
 /// `max_steps` moves or at its own.
 fn hccs(max_steps: usize) -> Routine {
     Box::new(move |dag, machine, d| {
-        let mut cost = 0;
+        let (mut cost, config) = (0, HillClimbConfig::with_max_steps(max_steps));
         for start in starts() {
             let mut schedule = start.schedule(dag, machine);
-            hc_improve(dag, machine, &mut schedule, &by_steps(usize::MAX));
-            let outcome = hccs_improve(dag, machine, &mut schedule, &by_steps(max_steps));
+            hc_improve(dag, machine, &mut schedule, &HillClimbConfig::default());
+            let outcome = hccs_improve(dag, machine, &mut schedule, &config);
             d.schedule(&schedule);
             d.outcome(&outcome);
             cost += outcome.final_cost;
@@ -439,11 +429,7 @@ fn hccs(max_steps: usize) -> Routine {
 }
 
 fn pipeline(dag: &Dag, machine: &Machine, d: &mut Fnv) -> u64 {
-    let pipeline = Pipeline::new(PipelineConfig {
-        hill_climb: by_steps(usize::MAX),
-        ..PipelineConfig::default()
-    });
-    let report = pipeline.run_report(dag, machine);
+    let report = Pipeline::default().run_report(dag, machine);
     d.schedule(&report.schedule);
     d.bytes(report.selected_init.as_bytes());
     let numbers = [report.placement_width as u64, report.funnel_nodes as u64];

@@ -27,7 +27,6 @@ use dag_gen::{exp, IterConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
-use std::time::Duration;
 
 /// A sparse random DAG: every node but the last has one successor, every
 /// third a second one, a few ids ahead — chains and in-trees with the odd
@@ -78,14 +77,10 @@ fn cluster_bound(dag: &Dag, p: usize) -> u64 {
     dag.total_work() / (2 * p as u64)
 }
 
-/// A local search bounded by steps rather than by the clock.
+/// A local search bounded by steps.
 fn pipeline(max_steps: usize) -> Pipeline {
     Pipeline::new(PipelineConfig {
-        hill_climb: HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps,
-            ..HillClimbConfig::default()
-        },
+        hill_climb: HillClimbConfig::with_max_steps(max_steps),
         ..PipelineConfig::default()
     })
 }

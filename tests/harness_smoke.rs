@@ -7,7 +7,6 @@ use bsp_bench::stats::{geo_mean_ratio, reduction_pct};
 use bsp_bench::table::Table;
 use bsp_bench::CliArgs;
 use bsp_model::Machine;
-use bsp_sched::pipeline::PipelineConfig;
 use dag_gen::dataset::DatasetKind;
 
 #[test]
@@ -15,7 +14,7 @@ fn smoke_scale_no_numa_cell_produces_sensible_reductions() {
     let instances = scaled_dataset(DatasetKind::Tiny, Scale::Smoke, 7);
     assert!(!instances.is_empty());
     let machine = Machine::uniform(8, 3, 5);
-    let results = evaluate_dataset(&instances, &machine, &PipelineConfig::fast());
+    let results = evaluate_dataset(&instances, &machine);
     assert_eq!(results.len(), instances.len());
 
     let costs: Vec<AlgoCosts> = results.iter().map(|r| r.costs).collect();
@@ -38,7 +37,7 @@ fn numa_cell_shows_larger_gains_than_the_uniform_cell() {
     // the smoke instances are small.
     let instances = scaled_dataset(DatasetKind::Tiny, Scale::Smoke, 11);
     let run = |machine: &Machine| {
-        let results = evaluate_dataset(&instances, machine, &PipelineConfig::fast());
+        let results = evaluate_dataset(&instances, machine);
         let costs: Vec<AlgoCosts> = results.iter().map(|r| r.costs).collect();
         reduction_pct(geo_mean_ratio(&costs, |c| c.ours, |c| c.cilk))
     };

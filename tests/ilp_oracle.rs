@@ -42,7 +42,7 @@ fn hccs_returns_the_ilpcs_optimum_wherever_the_solver_proves_one() {
     }
     assert_eq!(cells.len(), 38);
 
-    // No time limit binds: `HC` and `HCcs` stop at their local minima.
+    // `HCcs` stops at its local minimum.
     let pipeline = Pipeline::new(PipelineConfig::default());
     let solver = MipConfig {
         time_limit: Duration::from_secs(600),

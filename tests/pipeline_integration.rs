@@ -23,7 +23,7 @@ fn tiny_instances() -> Vec<(String, bsp_model::Dag)> {
 
 #[test]
 fn pipeline_beats_cilk_on_tiny_dataset_instances() {
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     for (name, dag) in tiny_instances() {
         for machine in [Machine::uniform(4, 3, 5), Machine::uniform(8, 5, 5)] {
             let report = pipeline.run_report(&dag, &machine);
@@ -47,7 +47,7 @@ fn pipeline_matches_or_beats_hdagg_on_most_tiny_instances() {
     // The paper reports a consistent advantage over HDagg; with the smoke
     // budgets we only require the pipeline to win on the majority of runs and
     // never lose by more than a small factor on any single one.
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     let machine = Machine::uniform(8, 3, 5);
     let mut wins = 0usize;
     let mut total = 0usize;
@@ -81,7 +81,7 @@ fn numa_improvement_grows_with_the_hierarchy_multiplier() {
         iterations: 3,
         seed: 21,
     });
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     let mut ratios = Vec::new();
     for delta in [2u64, 4u64] {
         let machine = Machine::numa_binary_tree(8, 1, 5, delta);
@@ -109,9 +109,7 @@ fn multilevel_report_is_consistent_on_a_medium_instance() {
         iterations: 3,
         seed: 5,
     });
-    // Deterministic budgets: bound by steps, not wall-clock.
     let mut base = PipelineConfig::default();
-    base.hill_climb.time_limit = std::time::Duration::from_secs(3600);
     base.hill_climb.max_steps = 2_000;
     for machine in [
         Machine::numa_binary_tree(16, 1, 5, 4),
@@ -156,9 +154,7 @@ fn pipeline_scheduler_trait_and_report_agree() {
         seed: 8,
     });
     let machine = Machine::uniform(4, 1, 5);
-    let mut config = PipelineConfig::fast();
-    // Deterministic budgets: bound by steps, not wall-clock.
-    config.hill_climb.time_limit = std::time::Duration::from_secs(3600);
+    let mut config = PipelineConfig::default();
     config.hill_climb.max_steps = 300;
     let pipeline = Pipeline::new(config);
     let via_trait = pipeline.schedule(&dag, &machine).cost(&dag, &machine);

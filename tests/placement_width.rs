@@ -27,17 +27,11 @@ use bsp_sched::{Funnel, Scheduler};
 use common::{placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, coarse_dag, spmv, CoarseAlgorithm, CoarseConfig, IterConfig, SpmvConfig};
 use rand::Rng;
-use std::time::Duration;
 
-/// A local search bounded by steps rather than by the clock, so a run is a
-/// function of its input.
+/// A local search bounded by steps.
 fn config() -> PipelineConfig {
     PipelineConfig {
-        hill_climb: HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps: 2000,
-            ..HillClimbConfig::default()
-        },
+        hill_climb: HillClimbConfig::with_max_steps(2000),
         ..PipelineConfig::default()
     }
 }

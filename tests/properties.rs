@@ -21,16 +21,11 @@ use common::{random_dag, random_machine, rng_for_case};
 use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use rand::Rng;
-use std::time::Duration;
 
 const CASES: u64 = 16;
 
 fn quick_hc() -> HillClimbConfig {
-    HillClimbConfig {
-        time_limit: Duration::from_millis(50),
-        max_steps: 200,
-        ..Default::default()
-    }
+    HillClimbConfig::with_max_steps(200)
 }
 
 /// Every heuristic scheduler produces a valid schedule on arbitrary DAGs
@@ -102,10 +97,7 @@ fn hill_climbing_is_monotone_and_consistent() {
 /// nothing, and a second run repeats every count.
 #[test]
 fn search_counts_add_up_on_random_inputs() {
-    let unlimited = HillClimbConfig {
-        time_limit: Duration::from_secs(3600),
-        ..Default::default()
-    };
+    let unlimited = HillClimbConfig::default();
     for case in 0..CASES {
         let mut rng = rng_for_case(0x5EA2C, case);
         let dag = random_dag(&mut rng, 14);
@@ -333,7 +325,7 @@ fn costs_respect_lower_bounds() {
         &HDaggScheduler::default(),
         &BspgScheduler,
         &SourceScheduler,
-        &Pipeline::new(PipelineConfig::fast()),
+        &Pipeline::default(),
     ];
     for case in 0..CASES {
         let mut rng = rng_for_case(0xF666, case);
@@ -933,11 +925,7 @@ fn two_pipeline_runs_give_identical_schedules() {
 #[test]
 fn the_refinement_never_raises_the_cost_and_repeats() {
     let pipeline = Pipeline::new(PipelineConfig {
-        hill_climb: HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps: 400,
-            ..Default::default()
-        },
+        hill_climb: HillClimbConfig::with_max_steps(400),
         ..PipelineConfig::default()
     });
     let (mut refined, mut kept) = (0, 0);

@@ -9,7 +9,7 @@ use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
 use bsp_sched::init::{BspgScheduler, SourceScheduler};
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::Pipeline;
 use bsp_sched::Scheduler;
 use common::{machine_grid, rng_for_case, zero_work_dag};
 use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
@@ -199,7 +199,7 @@ fn classical_baselines_are_valid_on_zero_work_dags() {
 
 #[test]
 fn pipeline_is_valid_across_the_machine_grid() {
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     for (dag_name, dag) in dag_zoo().into_iter().take(4) {
         for machine in machine_grid().into_iter().step_by(2) {
             let sched = pipeline.schedule(&dag, &machine);
@@ -212,7 +212,7 @@ fn pipeline_is_valid_across_the_machine_grid() {
 fn pipeline_never_loses_to_its_own_initializers() {
     // The pipeline searches the cheaper of its two starts, neither of which
     // costs more than the raw BSPg or Source schedule it was placed from.
-    let pipeline = Pipeline::new(PipelineConfig::fast());
+    let pipeline = Pipeline::default();
     for (_, dag) in dag_zoo().into_iter().take(4) {
         for machine in machine_grid().into_iter().take(2) {
             let ours = pipeline.schedule(&dag, &machine).cost(&dag, &machine);

@@ -16,11 +16,10 @@ mod common;
 use bsp_bench::heap::{counted, held_peak, one_at_a_time, CountingAllocator};
 use bsp_model::Machine;
 use bsp_serve::{
-    Mode, RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig, SpanSet,
+    RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig, SpanSet,
 };
 use common::protocol_fuzz::{corpus, readers, seeds};
 use dag_gen::fine::{spmv, SpmvConfig};
-use std::time::Duration;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -34,15 +33,12 @@ fn exact_cache_hit_response_path_is_allocation_free() {
         seed: 7,
     });
     let machine = Machine::numa_binary_tree(8, 2, 5, 3);
-    let service = ScheduleService::new(ServiceConfig {
-        local_search_budget: Duration::from_millis(50),
-        ..Default::default()
-    });
+    let service = ScheduleService::new(ServiceConfig::default());
     let request = ScheduleRequest {
         id: 1,
         dag,
         machine,
-        options: RequestOptions::new().with_mode(Mode::HeuristicsOnly),
+        options: RequestOptions::new(),
     };
 
     // Populate the cache (allocates freely), then warm the hit path once.

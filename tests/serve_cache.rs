@@ -7,19 +7,15 @@
 //! * LRU eviction respects the byte budget end to end through the service.
 
 use bsp_model::{Dag, Machine};
-use bsp_serve::{
-    Mode, RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig,
-};
+use bsp_serve::{RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig};
 use dag_gen::fine::{spmv, SpmvConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Generous budgets so every local search reaches its local minimum and the
 /// runs are deterministic (time limits never bind).
 fn service(cache_bytes: usize) -> ScheduleService {
     ScheduleService::new(ServiceConfig {
         cache_bytes,
-        local_search_budget: Duration::from_secs(30),
         default_deadline: None,
         ..Default::default()
     })
@@ -30,7 +26,7 @@ fn request(dag: Dag, machine: Machine) -> ScheduleRequest {
         id: 1,
         dag,
         machine,
-        options: RequestOptions::new().with_mode(Mode::HeuristicsOnly),
+        options: RequestOptions::new(),
     }
 }
 

@@ -15,8 +15,8 @@
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Completion, MetricsSnapshot, Mode, PipelinedClient, Placement, RequestOptions, Router,
-    RouterConfig, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig,
+    Client, Completion, MetricsSnapshot, PipelinedClient, Placement, RequestOptions, Router,
+    RouterConfig, ScheduleSource, Server, ServerConfig, ServerHandle,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -28,10 +28,6 @@ fn shard_server() -> ServerHandle {
         queue_capacity: 64,
         max_connections: 16,
         idle_timeout: Duration::from_secs(5),
-        service: ServiceConfig {
-            local_search_budget: Duration::from_millis(40),
-            ..Default::default()
-        },
         ..Default::default()
     };
     Server::bind("127.0.0.1:0", config)
@@ -83,7 +79,7 @@ fn seed_owned_by(shard: usize, machine: &Machine) -> u64 {
 fn requests_and_fp_replays_land_on_the_owning_shard() {
     let (shards, router) = two_shard_deployment();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = Client::connect(router.addr()).expect("connect via router");
     client.ping().expect("ping the router");
 
@@ -160,7 +156,7 @@ fn requests_and_fp_replays_land_on_the_owning_shard() {
 fn pipelined_clients_work_through_the_router() {
     let (shards, router) = two_shard_deployment();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = PipelinedClient::connect(router.addr()).expect("connect");
 
     let dags: Vec<Arc<Dag>> = (0..8).map(|s| Arc::new(dag_with_seed(s))).collect();
@@ -221,10 +217,6 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         queue_capacity: 64,
         max_connections: 16,
         idle_timeout: Duration::from_millis(150),
-        service: ServiceConfig {
-            local_search_budget: Duration::from_millis(40),
-            ..Default::default()
-        },
         ..Default::default()
     };
     let shard = Server::bind("127.0.0.1:0", config)
@@ -236,7 +228,7 @@ fn idle_closed_backend_connections_revive_on_next_request() {
         .spawn()
         .expect("spawn router");
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = Client::connect(router.addr()).expect("connect");
 
     // Let the shard's idle timeout close the quiet backend connection.
@@ -278,7 +270,7 @@ fn idle_closed_backend_connections_revive_on_next_request() {
 fn a_dead_shard_fails_over_to_the_survivor_and_the_family_rehomes_on_rejoin() {
     let (mut shards, router) = two_shard_deployment();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = Client::connect(router.addr()).expect("connect");
 
     // Home one structure family on each shard.
@@ -418,7 +410,7 @@ fn a_restarted_shard_rejoins_on_its_first_owned_request() {
 
     // One request shard 1 owns: it reconnects the backend and runs there.
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let dag = dag_with_seed(seed_owned_by(1, &machine));
     let reply = client.schedule(&dag, &machine, &options).expect("owned");
     assert!(reply.schedule.validate(&dag, &machine).is_ok());
@@ -454,10 +446,6 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         queue_capacity: 64,
         max_connections: 16,
         idle_timeout: Duration::from_secs(5),
-        service: ServiceConfig {
-            local_search_budget: Duration::from_millis(40),
-            ..Default::default()
-        },
         store_dir: Some(store_dir.clone()),
         ..Default::default()
     };
@@ -472,7 +460,7 @@ fn a_store_backed_shard_rejoins_warm_after_a_restart() {
         .spawn()
         .expect("spawn router");
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let seed = seed_owned_by(0, &machine);
     let dag = dag_with_seed(seed);
 

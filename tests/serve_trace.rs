@@ -5,15 +5,13 @@
 //! The headline scenario: a cold request sent **through the router** yields a
 //! trace whose span tree shows the router dispatch, the shard's queue wait,
 //! the cache miss, and every pipeline phase — also when it asks for the
-//! retired `multilevel` mode, which the wire still accepts and reads as
-//! `heuristics`, or for `default`, which differs from it in the local-search
-//! budget alone.
+//! retired `multilevel` mode, or for `default` or `fast`: the wire still
+//! accepts every mode token, and every mode is the same solve.
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, MetricsSnapshot, Mode, RequestOptions, Router, RouterConfig, RouterHandle,
-    ScheduleRequest, ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle,
-    ServiceConfig, SpanSet,
+    Client, MetricsSnapshot, RequestOptions, Router, RouterConfig, RouterHandle, ScheduleRequest,
+    ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
 };
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -62,10 +60,7 @@ fn layered_dag(seed: u64) -> Dag {
 }
 
 fn service_config() -> ServiceConfig {
-    ServiceConfig {
-        local_search_budget: Duration::from_millis(40),
-        ..Default::default()
-    }
+    ServiceConfig::default()
 }
 
 fn shard_server() -> ServerHandle {
@@ -108,7 +103,7 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
             id: seed,
             dag: layered_dag(seed),
             machine: machine.clone(),
-            options: RequestOptions::new().with_mode(Mode::HeuristicsOnly),
+            options: RequestOptions::new(),
         };
         let mut spans = SpanSet::new();
         let wall = Instant::now();
@@ -169,9 +164,8 @@ fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u
 
 /// Sends a raw `OPTION mode <mode>` request through a router and holds that
 /// the one pipeline answered it: the schedule lines are the ones `heuristics`
-/// gives, byte for byte (the DAG is small enough for `HC` to reach its local
-/// minimum inside any mode's time limit), and the trace names every pipeline
-/// phase.  Returns the trace's span names.
+/// gives, byte for byte, and the trace names every pipeline phase.  Returns
+/// the trace's span names.
 fn spans_of_a_request_the_pipeline_answered(mode: &str) -> Vec<String> {
     let (shards, router) = routed_deployment();
     let machine = Machine::uniform(4, 1, 2);
@@ -219,15 +213,18 @@ fn a_multilevel_mode_request_is_a_heuristics_request() {
     assert!(!names.iter().any(|n| n.starts_with("ml_")), "{names:?}");
 }
 
-/// `OPTION mode default` asks for a longer local search, not another
-/// pipeline: no ILP stage after `HCcs`, no `ILPinit` branch.
+/// `OPTION mode default` and `OPTION mode fast` ask for the same solve as
+/// `heuristics`, byte for byte: no ILP stage after `HCcs`, no `ILPinit`
+/// branch.
 #[test]
 fn a_default_mode_request_runs_the_same_pipeline_as_heuristics() {
-    let names = spans_of_a_request_the_pipeline_answered("default");
-    assert!(
-        !names.iter().any(|n| n == "ilp_stage" || n == "ILPinit"),
-        "{names:?}"
-    );
+    for mode in ["default", "fast"] {
+        let names = spans_of_a_request_the_pipeline_answered(mode);
+        assert!(
+            !names.iter().any(|n| n == "ilp_stage" || n == "ILPinit"),
+            "{mode}: {names:?}"
+        );
+    }
 }
 
 /// The acceptance scenario: a cold request through the router, traced end to
@@ -237,7 +234,7 @@ fn a_default_mode_request_runs_the_same_pipeline_as_heuristics() {
 fn router_trace_shows_dispatch_queue_wait_and_every_pipeline_phase() {
     let (shards, router) = routed_deployment();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = Client::connect(router.addr()).expect("connect via router");
 
     let dag = layered_dag(3);
@@ -338,7 +335,7 @@ fn router_trace_shows_dispatch_queue_wait_and_every_pipeline_phase() {
 fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     let server = shard_server();
     let machine = Machine::uniform(4, 1, 2);
-    let options = RequestOptions::new().with_mode(Mode::HeuristicsOnly);
+    let options = RequestOptions::new();
     let mut client = Client::connect(server.addr()).expect("connect");
 
     let dag = test_dag(9);

@@ -26,7 +26,7 @@ use common::{machine_grid, placed_start, random_dag, rng_for_case};
 use dag_gen::{cg, exp, spmv, IterConfig, SpmvConfig};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Many sources over a few layers of consumers: each source feeds one to
 /// three nodes of the first layer, each later node reads two of the layer
@@ -315,11 +315,7 @@ fn merging_is_valid_saves_a_latency_per_superstep_and_is_idempotent() {
 #[test]
 fn no_answer_has_a_barrier_left_to_merge() {
     let config = PipelineConfig {
-        hill_climb: HillClimbConfig {
-            time_limit: Duration::from_secs(3600),
-            max_steps: 500,
-            ..HillClimbConfig::default()
-        },
+        hill_climb: HillClimbConfig::with_max_steps(500),
         ..PipelineConfig::default()
     };
     let (pipeline, search) = (Pipeline::new(config.clone()), &config.hill_climb);
