@@ -15,12 +15,13 @@
 //! final cost against the trivial schedule's and against the lower bound
 //! (`gap`), the start that was searched and the width it placed on, the
 //! seconds — on stderr also µs/node — per phase (`funnel`, the two sweeps'
-//! `init_schedule`, the one `hc`, `relocate`, `refine`, `hccs`), the
-//! relocation phase's candidates evaluated and kept and its cost
-//! (`relocate_evaluated`, `relocate_kept`, `relocate_cost`), the refinement
-//! on the DAG after the funnel projection — its seeds, accepted moves,
-//! whether it was kept and its cost (`refine_seeds`, `refine_moves`,
-//! `refine_kept`, `refine_cost`) — and `solve_peak_bytes_per_node`:
+//! `init_schedule`, the one `hc`, `relocate`, `refine`, `hccs`), the two
+//! block-move phases of `PipelineReport::block_moves` — the relocation's
+//! proposals evaluated and kept and its cost (`relocate_evaluated`,
+//! `relocate_kept`, `relocate_cost`), the refinement on the DAG after the
+//! funnel projection: its seeds, accepted moves, whether it was kept and
+//! its cost (`refine_seeds`, `refine_moves`, `refine_kept`, `refine_cost`) —
+//! and `solve_peak_bytes_per_node`:
 //! the most heap the solve held above the level it started from, per node of
 //! the DAG, counted by [`bsp_bench::heap`] (the largest of `--reps`).
 //! Beside them, `sweep` is the timed run's own candidate list
@@ -45,9 +46,8 @@
 //! means the floor broke), no answer holds two adjacent supersteps that
 //! `merge_supersteps` would merge, and every `hc_from_source` run ends valid
 //! at a local minimum, no costlier than its start, with a cost equal to a
-//! recompute, every candidate list passes [`sweep_gate`], every
-//! relocation phase [`relocate_gate`] and every refinement [`refine_gate`];
-//! the binary
+//! recompute, every candidate list passes [`sweep_gate`] and every row's
+//! block-move phases [`block_move_gate`]; the binary
 //! exits 1 if one of these fails or a row's solve peak exceeds
 //! [`SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE`].
 //!
@@ -63,8 +63,8 @@ use bsp_bench::stats::BenchReport;
 use bsp_bench::{size_to_target, CliArgs};
 use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_sched::hill_climb::{
-    hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts, RELOCATION_CANDIDATES,
-    RELOCATION_VISITS_PER_NODE,
+    hc_improve, HillClimbConfig, HillClimbOutcome, SearchCounts, BLOCK_MOVE_VISITS_PER_NODE,
+    RELOCATION_CANDIDATES,
 };
 use bsp_sched::init::{merge_supersteps, SourceScheduler};
 use bsp_sched::pipeline::{BranchReport, Pipeline, PipelineReport};
@@ -86,8 +86,8 @@ const SMOKE_MAX_SOLVE_PEAK_BYTES_PER_NODE: f64 = 184.0;
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The phases a row reports, by [`bsp_sched::PhaseSample`] name.  `funnel`,
-/// `hc`, `relocate` (when it evaluated a candidate), `refine` (when it had a
-/// seed) and `hccs` are depth-0 samples, one each; `init_schedule` is the
+/// `hc`, `relocate` and `refine` (each when it evaluated a proposal) and
+/// `hccs` are depth-0 samples, one each; `init_schedule` is the
 /// child of either initializer's sweep (summed over the two, which run one
 /// after the other).
 const PHASES: [&str; 6] = [
@@ -140,31 +140,34 @@ fn sweep_gate(run: &PipelineReport, p: usize) -> bool {
         && searched.map(|b| (b.init_cost, b.width)) == Some((run.init_cost, run.placement_width))
 }
 
-/// The smallest `--target` at which [`relocate_gate`] asks every `bicgstab`
-/// row to keep a relocation: its `HC` answers hold heavy serial supersteps
-/// from 10⁴ nodes on (ROADMAP item 16), and at 10³ some end on the floor.
-const RELOCATE_GATE_MIN_TARGET: usize = 10_000;
+/// The smallest `--target` at which [`block_move_gate`] asks every
+/// `bicgstab` row to keep a relocation: its `HC` answers hold heavy serial
+/// supersteps from 10⁴ nodes on (ROADMAP item 16), and at 10³ some end on
+/// the floor.
+const BLOCK_MOVE_GATE_MIN_TARGET: usize = 10_000;
 
-/// The `--smoke` gate on a row's relocation phase: no costlier than the
-/// `HC` answer it was given, no more candidates than its budget, and on
-/// `bicgstab` from [`RELOCATE_GATE_MIN_TARGET`] on, at least one relocation
-/// kept.
-fn relocate_gate(run: &PipelineReport, instance: &str, target: usize) -> bool {
-    let r = run.relocation;
-    let kept = instance != "bicgstab" || target < RELOCATE_GATE_MIN_TARGET || r.kept >= 1;
-    r.final_cost <= run.local_search_cost && r.evaluated <= RELOCATION_CANDIDATES && kept
-}
-
-/// The `--smoke` gate on a row's refinement on the caller's DAG: no
-/// costlier than the relocation phase's answer it was given, within its
-/// visit budget, and on `bicgstab` at `P ≥ 8` from
-/// [`RELOCATE_GATE_MIN_TARGET`] on, kept (the relocation leaves single-node
-/// moves there that moves of whole funnel clusters cannot make).
-fn refine_gate(run: &PipelineReport, instance: &str, p: usize, target: usize) -> bool {
-    let r = run.refinement;
-    let asked = instance == "bicgstab" && p >= 8 && target >= RELOCATE_GATE_MIN_TARGET;
-    let budget = RELOCATION_VISITS_PER_NODE * run.schedule.assignment.n() as u64;
-    r.final_cost <= run.relocation.final_cost && r.visits <= budget && (r.kept || !asked)
+/// The `--smoke` gate on a row's block-move phases, in run order: each no
+/// costlier than the stage before it (`HC`'s answer, then the relocation's),
+/// the relocation within [`RELOCATION_CANDIDATES`] proposals, the
+/// refinement within its visit budget, and from
+/// [`BLOCK_MOVE_GATE_MIN_TARGET`] on every `bicgstab` row keeps a
+/// relocation and at `P ≥ 8` the refinement (the relocation leaves
+/// single-node moves there that moves of whole funnel clusters cannot make).
+fn block_move_gate(run: &PipelineReport, instance: &str, p: usize, target: usize) -> bool {
+    let bicgstab = instance == "bicgstab" && target >= BLOCK_MOVE_GATE_MIN_TARGET;
+    let budget = BLOCK_MOVE_VISITS_PER_NODE * run.schedule.assignment.n() as u64;
+    let mut before = run.local_search_cost;
+    let names = run.block_moves.iter().map(|m| m.generator);
+    names.eq(["relocate", "refine"])
+        && run.block_moves.iter().all(|m| {
+            let (within, asked) = match m.generator {
+                "relocate" => (m.evaluated <= RELOCATION_CANDIDATES, bicgstab),
+                "refine" => (m.visits <= budget, bicgstab && p >= 8),
+                _ => (false, true),
+            };
+            let cheaper = std::mem::replace(&mut before, m.final_cost) >= m.final_cost;
+            cheaper && within && (m.kept >= 1 || !asked)
+        })
 }
 
 /// `HC` alone (§4.3), outside the solve's heap window: `hc_improve` from
@@ -355,25 +358,9 @@ fn main() {
                      refine {:.3}s, hccs {:.3}s",
                     phases[0], phases[1], phases[2], phases[3], phases[4], phases[5]
                 );
-                let relocation = run.relocation;
-                eprintln!(
-                    "     relocation: {} evaluated, {} kept, {} visits, cost {} -> {}",
-                    relocation.evaluated,
-                    relocation.kept,
-                    relocation.visits,
-                    run.local_search_cost,
-                    relocation.final_cost
-                );
-                let refinement = run.refinement;
-                eprintln!(
-                    "     refinement: {} seeds, {} visits, {} moves, kept {}, cost {} -> {}",
-                    refinement.seeds,
-                    refinement.visits,
-                    refinement.moves,
-                    refinement.kept,
-                    relocation.final_cost,
-                    refinement.final_cost
-                );
+                for m in &run.block_moves {
+                    eprintln!("     {m:?}");
+                }
                 let [funnel, init, hc, relocate, refine, hccs] = phases.map(per_node);
                 eprintln!(
                     "     us/node: funnel {funnel:.3}, init {init:.3}, hc {hc:.3}, \
@@ -388,16 +375,10 @@ fn main() {
                 if !sweep_gate(&run, machine.p()) {
                     failures.push(format!("{row}: candidate list {:?}", run.branches));
                 }
-                if !relocate_gate(&run, inst_name, target) {
+                if !block_move_gate(&run, inst_name, machine.p(), target) {
                     failures.push(format!(
-                        "{row}: relocation {:?} after HC at {}",
-                        run.relocation, run.local_search_cost
-                    ));
-                }
-                if !refine_gate(&run, inst_name, machine.p(), target) {
-                    failures.push(format!(
-                        "{row}: refinement {:?} after the relocation at {}",
-                        run.refinement, run.relocation.final_cost
+                        "{row}: block moves {:?} after HC at {}",
+                        run.block_moves, run.local_search_cost
                     ));
                 }
                 let mut sweep = Vec::new();
@@ -423,6 +404,7 @@ fn main() {
                     .zip(phases)
                     .map(|(name, s)| format!("\"{name}\": {s:.6}"))
                     .collect();
+                let (relocation, refinement) = (run.block_moves[0], run.block_moves[1]);
                 report.push_result_json(format!(
                     "    {{\"instance\": \"{inst_name}\", \"nodes\": {}, \"edges\": {}, \
                      \"machine\": \"{machine_name}\", \"pipeline\": {{\"seconds\": {seconds:.6}, \
@@ -442,7 +424,7 @@ fn main() {
                     relocation.final_cost,
                     refinement.seeds,
                     refinement.moves,
-                    refinement.kept,
+                    refinement.kept > 0,
                     refinement.final_cost,
                     run.final_cost,
                     run.lower_bound,

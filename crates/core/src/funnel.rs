@@ -33,10 +33,11 @@
 //! This is what sets the reduction apart from the paper's multilevel
 //! coarsening (§4.5, contraction along any edge), whose clusters have many
 //! exits and whose summed `c` over-states communication: the pipeline's width
-//! sweep, `HC`, the relocation and the trivial-schedule floor all judge the
-//! funnel DAG, and are right to.  The quotient is a DAG: every
-//! member reaches its root inside the cluster, so a cycle through clusters
-//! would be a cycle through their roots in the DAG itself.
+//! sweep, `HC`, the relocation ([`crate::hill_climb::block_moves`]) and the
+//! trivial-schedule floor all judge the funnel DAG, and are right to.  The
+//! quotient is a DAG: every member reaches its root inside the cluster, so a
+//! cycle through clusters would be a cycle through their roots in the DAG
+//! itself.
 //!
 //! # The work bound
 //!
@@ -53,8 +54,9 @@
 //! whole cluster, so the projected schedule can still go downhill by moving
 //! one member.  The pipeline ([`crate::pipeline::improve_start`]) runs one
 //! `HC` descent on the DAG after the projection, seeded with the members of
-//! multi-node clusters that have a neighbour on another processor, and
-//! `HCcs` there once — the uncoarsening step of §4.5.  A full `HC` + `HCcs`
+//! multi-node clusters that have a neighbour on another processor (the
+//! refinement generator of [`crate::hill_climb::block_moves`]), and `HCcs`
+//! there once — the uncoarsening step of §4.5.  A full `HC` + `HCcs`
 //! polish of every projection, certified by verification sweeps, was
 //! measured on `flat_hc` at +27 % `pipeline.run_s` for −0.04 % cost, before
 //! the relocation phase left the single-node moves the seeded descent finds.

@@ -19,9 +19,11 @@
 //! token fires.  Both are anytime: a stopped or cancelled search returns a
 //! valid schedule no costlier than the one it was given.
 //!
-//! [`hc_improve`] is the entry point; [`hc_search`] runs `HC` over an existing
-//! [`HcState`] and a caller-seeded work-list (what the oracle and allocation
-//! tests drive directly).
+//! [`hc_improve`] is `HC` to a certified local minimum (what tests, micro
+//! benchmarks and `hc_from_source` call); the pipeline runs it as a descent
+//! from seeds, without verification sweeps, inside [`block_moves`];
+//! [`hc_search`] runs `HC` over an existing [`HcState`] and a caller-seeded
+//! work-list (what the oracle and allocation tests drive directly).
 //!
 //! ## One work-list driver
 //!
@@ -36,8 +38,9 @@
 //! transfers whose placement window covers one of the two phases the move
 //! touched).  Because the dirty-set rule is a sound over-approximation *per
 //! move* but the body-cost `max` can hide second-order interactions, a full
-//! verification sweep runs whenever the work-list drains; the search only
-//! reports a local minimum when that sweep accepts nothing.
+//! verification sweep runs whenever the work-list drains (not in the
+//! descent, which stops there); a search reports a local minimum only when
+//! that sweep accepts nothing.
 //!
 //! The driver checks the step and visit limits before every visit and polls
 //! the cancel token on the first visit and every 64th after it, so a token
@@ -46,14 +49,14 @@
 //! visits, visits an `O(1)` gate turned away, candidate moves costed and
 //! moves an `O(1)` bound pruned, and verification sweeps.
 
+mod block_move;
 mod hccs;
-mod relocate;
 mod state;
 
-pub use hccs::hccs_improve;
-pub use relocate::{
-    relocate_improve, RelocateOutcome, RELOCATION_CANDIDATES, RELOCATION_VISITS_PER_NODE,
+pub use block_move::{
+    block_moves, BlockMoveReport, Generator, BLOCK_MOVE_VISITS_PER_NODE, RELOCATION_CANDIDATES,
 };
+pub use hccs::hccs_improve;
 pub use state::{HcState, MoveWindow};
 
 use bsp_model::{BspSchedule, Dag, Machine};

@@ -54,9 +54,10 @@
 //! processor — onto a processor idle in that superstep, patching the crossing
 //! tallies once.  After [`HcState::checkpoint`] every commit is journalled,
 //! and [`HcState::rollback`] undoes them newest first by their exact inverses
-//! (a move back, the cell relocated back), so the relocation phase
-//! ([`super::relocate_improve`]) tries a candidate and its climb without
-//! rebuilding the state.  The journal is off until the first checkpoint.
+//! (a move back, the cell relocated back), so the block-move loop
+//! ([`super::block_moves`]) tries a relocation and the descent after it
+//! without rebuilding the state.  The journal is off until the first
+//! checkpoint, so the loop's pure descents record nothing.
 //!
 //! ## One private scratch
 //!

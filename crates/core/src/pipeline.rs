@@ -62,29 +62,28 @@
 //! * **`HC` once, the relocation, the floor** ([`improve_start`]).  Only the
 //!   cheaper start — ties to `BSPg` — is searched
 //!   ([`PipelineReport::selected_init`]; the other's `HcState` is never
-//!   built), on the full machine.  `HC` there is the descent from every node
-//!   without the verification sweep that certifies a local minimum
-//!   ([`crate::hill_climb::hc_improve`] keeps it): on the funnel DAG the sweep
-//!   accepted no move, and the refinement below searches on.  What `HC`
-//!   returns is merged again.  Its local minima can leave a superstep's work
+//!   built), on the full machine.  `HC`, the relocation and the refinement
+//!   below are one loop, [`block_moves`], over three generators: a block
+//!   move (or none), a descent without verification sweeps from its seeds,
+//!   the merge, kept when strictly cheaper.  `HC` is the descent from every
+//!   node ([`crate::hill_climb::hc_improve`] keeps the sweep that certifies a
+//!   local minimum: on the funnel DAG it accepted no move, and the
+//!   refinement searches on).  Its local minima can leave a superstep's work
 //!   on one processor while the others idle, and no single-node move is
-//!   downhill; the relocation phase ([`relocate_improve`]) moves each such
-//!   heavy superstep whole onto an idle processor, climbs again from there
-//!   and keeps what is strictly cheaper, bounded by a count, never the clock
-//!   ([`PipelineReport::relocation`]).  Then [`BspSchedule::trivial`]
-//!   replaces the result when strictly cheaper, so no answer costs more than
-//!   one processor.
+//!   downhill; the relocation moves each such heavy superstep whole onto an
+//!   idle processor and climbs again from there.  Then
+//!   [`BspSchedule::trivial`] replaces the result when strictly cheaper, so
+//!   no answer costs more than one processor.
 //! * **The refinement on the caller's DAG, `HCcs` once.**  A move on the
 //!   funnel DAG carries a whole cluster, so the answer projected back can
 //!   still go downhill by single-node moves (on `bicgstab` after the
 //!   relocation, by 5–6 %): the uncoarsening step of the paper's multilevel
 //!   scheme (§4.5), and of multilevel partitioners.  A survivor of the floor
-//!   that the funnel contracted gets one `HC` descent on the caller's DAG,
-//!   seeded with the members of multi-node clusters that have a DAG
-//!   neighbour on another processor, then the merge, kept when strictly
-//!   cheaper and bounded by [`RELOCATION_VISITS_PER_NODE`]` · n` visits,
-//!   never the clock ([`PipelineReport::refinement`]).  `HCcs` runs last,
-//!   once, on the caller's DAG.
+//!   that the funnel contracted gets one descent on the caller's DAG, seeded
+//!   with the members of multi-node clusters that have a DAG neighbour on
+//!   another processor ([`PipelineReport::block_moves`] says what the
+//!   relocation and the refinement did).  `HCcs` runs last, once, on the
+//!   caller's DAG.
 //!
 //! Sweep and floor judge a schedule of the DAG that is being solved, and the
 //! funnel DAG is exact, so there is one entry point: [`Pipeline::run_report`],
@@ -93,13 +92,10 @@
 
 use crate::cancel::CancelToken;
 use crate::funnel::Funnel;
-use crate::hill_climb::{
-    hc_descend, hccs_improve, relocate_improve, HcState, HillClimbConfig, HillClimbOutcome,
-    RelocateOutcome, SearchScratch, RELOCATION_VISITS_PER_NODE, VISITS_PER_ENTITY,
-};
+use crate::hill_climb::{block_moves, hccs_improve, BlockMoveReport, Generator, HillClimbConfig};
 use crate::init::{merge_supersteps, place_sources, BspgScheduler, SourceScheduler};
 use crate::Scheduler;
-use bsp_model::{Assignment, BspSchedule, Dag, Machine};
+use bsp_model::{BspSchedule, Dag, Machine};
 use std::time::{Duration, Instant};
 
 /// Configuration of the combined pipeline (Figure 3).
@@ -107,7 +103,7 @@ use std::time::{Duration, Instant};
 pub struct PipelineConfig {
     /// The searches' step limit and the run's cancellation token
     /// ([`HillClimbConfig::cancel`]).  Every search is bounded by a count
-    /// ([`VISITS_PER_ENTITY`] and the phases' own), so the token is the only
+    /// ([`Generator`]'s budgets and [`hccs_improve`]'s), so the token is the only
     /// deadline: it fires when asked to or at the deadline it carries
     /// ([`CancelToken::with_deadline`]).  The pipeline is *anytime*: a fired
     /// token stops the search that polls it, and the run returns the best
@@ -212,14 +208,11 @@ pub struct PipelineReport {
     /// Cost after the one `HC` and the merge behind it; `init_cost` when the
     /// start met the bound.
     pub local_search_cost: u64,
-    /// What the relocation phase after `HC` did ([`relocate_improve`]): the
-    /// candidates it evaluated and kept, and the cost after it
-    /// (`local_search_cost` when it evaluated none).
-    pub relocation: RelocateOutcome,
-    /// What the refinement on the caller's DAG after the funnel projection
-    /// did ([`RefineOutcome`]): its seeds, visits and moves, whether it was
-    /// kept, and the cost after it (`relocation`'s when it did not run).
-    pub refinement: RefineOutcome,
+    /// What the block-move phases after `HC` did, in run order: the
+    /// relocation on the DAG that was solved, then the refinement on the
+    /// caller's DAG after the floor and the projection.  Both are listed
+    /// when they evaluated nothing, at the cost they were handed.
+    pub block_moves: Vec<BlockMoveReport>,
     /// Cost of the final schedule: the start after `HC` + `HCcs` — the `HCcs`
     /// bars — or the trivial schedule when the floor replaced it.
     pub final_cost: u64,
@@ -251,14 +244,9 @@ impl PipelineReport {
             branches: Vec::new(),
             init_cost: branch.init_cost,
             local_search_cost: branch.init_cost,
-            relocation: RelocateOutcome {
-                final_cost: branch.init_cost,
-                ..RelocateOutcome::default()
-            },
-            refinement: RefineOutcome {
-                final_cost: branch.init_cost,
-                ..RefineOutcome::default()
-            },
+            block_moves: ["relocate", "refine"]
+                .map(|generator| BlockMoveReport::idle(generator, branch.init_cost))
+                .to_vec(),
             final_cost: branch.init_cost,
             selected_init: branch.init_name,
             placement_width: branch.width,
@@ -276,38 +264,18 @@ impl PipelineReport {
     }
 }
 
-/// What the refinement on the caller's DAG did ([`improve_start`]): one `HC`
-/// descent, without verification sweeps, from the members of multi-node
-/// funnel clusters that have a DAG neighbour on another processor, then
-/// [`merge_supersteps`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefineOutcome {
-    /// Nodes the descent was seeded with; 0 when it did not run.
-    pub seeds: usize,
-    /// Node visits it made: at most [`RELOCATION_VISITS_PER_NODE`]` · n`.
-    pub visits: u64,
-    /// Moves it accepted.
-    pub moves: usize,
-    /// Whether its result was kept: strictly cheaper than the projection.
-    pub kept: bool,
-    /// Cost of the schedule the phase returned; never above the cost it was
-    /// given.
-    pub final_cost: u64,
-}
-
 /// What [`improve_start`] did: the cost after `HC` and the merge (the start's
-/// own at the bound), what the relocation phase and the refinement on the
-/// caller's DAG did, the cost at the end, whether the trivial schedule
-/// replaced the result, the `hc`, `relocate`, `refine` and `hccs` samples of
-/// the searches that ran (`relocate` only when the phase evaluated a
-/// candidate, `refine` only when it had a seed), the microseconds the
-/// projection onto the caller's DAG took (0 without a funnel), and the
-/// answer, a schedule of the caller's DAG.
+/// own at the bound), what the relocation and the refinement on the caller's
+/// DAG did ([`PipelineReport::block_moves`]), the cost at the end, whether
+/// the trivial schedule replaced the result, the `hc`, `relocate`, `refine`
+/// and `hccs` samples of the searches that ran (a block-move phase's only
+/// when it evaluated a proposal), the microseconds the projection onto the
+/// caller's DAG took (0 without a funnel), and the answer, a schedule of the
+/// caller's DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Improved {
     pub local_search_cost: u64,
-    pub relocation: RelocateOutcome,
-    pub refinement: RefineOutcome,
+    pub block_moves: Vec<BlockMoveReport>,
     pub final_cost: u64,
     pub floored: bool,
     pub phases: Vec<PhaseSample>,
@@ -315,24 +283,23 @@ pub struct Improved {
     pub schedule: BspSchedule,
 }
 
-/// `HC` → merge → relocation → trivial floor on `start`, a schedule of the
-/// DAG that was solved (`funnel`'s when there is one, else `dag`) under its
-/// lazy `Γ`; then the projection onto `dag`, the refinement there, and
-/// `HCcs`: the tail of every solve, and of `exp_initializers`' search from
-/// the other start.  `HC` is the descent from every node without the
-/// verification sweep (the sweep accepted no move on the funnel DAG), at
-/// most [`VISITS_PER_ENTITY`]` · n` visits on the `n` nodes solved, skipped
-/// at `lower_bound`; [`merge_supersteps`] then closes every barrier no value
-/// crosses (single-node moves cannot, and `HC` can leave a superstep empty),
-/// so no answer keeps one; [`relocate_improve`] moves heavy serial
-/// supersteps whole above the bound; [`BspSchedule::trivial`] replaces the
-/// result when strictly cheaper, `O(n)`, so no schedule leaves the solver
-/// above the one-processor cost.  The refinement runs on a projected
-/// survivor above the bound (see [`RefineOutcome`]): it moves single nodes
-/// of the clusters a funnel-level move carries whole.  `HCcs` runs last,
-/// once, on a survivor above the bound.  Every search is bounded by a count
-/// and polls `config`'s token, the run's only deadline, so a run whose token
-/// does not fire repeats exactly.  `origin` is the phase clock.
+/// `HC` → relocation → trivial floor on `start`, a schedule of the DAG that
+/// was solved (`funnel`'s when there is one, else `dag`) under its lazy `Γ`;
+/// then the projection onto `dag`, the refinement there, and `HCcs`: the
+/// tail of every solve, and of `exp_initializers`' search from the other
+/// start.  `HC`, the relocation and the refinement are [`block_moves`] runs
+/// above `lower_bound`: `HC` the descent from every node (the verification
+/// sweep accepted no move on the funnel DAG) within [`Generator::Hc`]'s
+/// visit budget, and each run ends in [`merge_supersteps`], which closes
+/// every barrier no value crosses (single-node moves cannot, and `HC` can
+/// leave a superstep empty), so no answer keeps one.  [`BspSchedule::trivial`] replaces the result when
+/// strictly cheaper, `O(n)`, so no schedule leaves the solver above the
+/// one-processor cost.  The refinement runs on a projected survivor: it
+/// moves single nodes of the clusters a funnel-level move carries whole.
+/// `HCcs` runs last, once, on a survivor above the bound.  Every search is
+/// bounded by a count and polls `config`'s token, the run's only deadline,
+/// so a run whose token does not fire repeats exactly.  `origin` is the
+/// phase clock.
 pub fn improve_start(
     dag: &Dag,
     funnel: Option<&Funnel>,
@@ -345,35 +312,23 @@ pub fn improve_start(
     let solved = funnel.map_or(dag, Funnel::dag);
     let (mut schedule, mut cost) = (start.schedule, start.branch.init_cost);
     let mut phases = Vec::new();
-    if cost > lower_bound {
-        let started = origin.elapsed();
-        let every_node = |_: &Assignment, _: usize| true;
-        let budget = VISITS_PER_ENTITY * solved.n() as u64;
-        let (_, descent) = descend(
-            solved,
-            machine,
-            &mut schedule,
-            cost,
-            every_node,
-            config,
-            budget,
-        );
-        cost = descent.final_cost;
-        phases.push(PhaseSample::since("hc", origin, started));
-    }
-    let local_search_cost = cost;
-    let mut relocation = RelocateOutcome {
-        final_cost: cost,
-        ..RelocateOutcome::default()
-    };
-    if cost > lower_bound {
-        let started = origin.elapsed();
-        relocation = relocate_improve(solved, machine, &mut schedule, cost, config);
-        cost = relocation.final_cost;
-        if relocation.evaluated > 0 {
-            phases.push(PhaseSample::since("relocate", origin, started));
+    // A block-move phase above the bound, sampled when it evaluated a
+    // proposal; at the bound it reports the cost it was handed.
+    let mut phase = |generator: Generator, on: &Dag, schedule: &mut BspSchedule, cost| {
+        if cost <= lower_bound {
+            return BlockMoveReport::idle(generator.name(), cost);
         }
-    }
+        let started = origin.elapsed();
+        let report = block_moves(on, machine, schedule, cost, generator, config);
+        if report.evaluated > 0 {
+            phases.push(PhaseSample::since(report.generator, origin, started));
+        }
+        report
+    };
+    cost = phase(Generator::Hc, solved, &mut schedule, cost).final_cost;
+    let local_search_cost = cost;
+    let relocation = phase(Generator::Relocate, solved, &mut schedule, cost);
+    cost = relocation.final_cost;
     let trivial = BspSchedule::trivial(solved);
     let trivial_cost = trivial.cost(solved, machine);
     let floored = trivial_cost < cost;
@@ -385,133 +340,23 @@ pub fn improve_start(
         schedule = funnel.project(&schedule);
     }
     let projection_us = origin.elapsed().saturating_sub(started).as_micros() as u64;
-    let mut refinement = RefineOutcome {
-        final_cost: cost,
-        ..RefineOutcome::default()
+    let refinement = match funnel.filter(|_| !floored) {
+        Some(funnel) => phase(Generator::Refine(funnel), dag, &mut schedule, cost),
+        None => BlockMoveReport::idle("refine", cost),
     };
-    if let Some(funnel) = funnel.filter(|_| !floored && cost > lower_bound) {
-        let started = origin.elapsed();
-        refinement = refine(dag, funnel, machine, &mut schedule, cost, config);
-        cost = refinement.final_cost;
-        if refinement.seeds > 0 {
-            phases.push(PhaseSample::since("refine", origin, started));
-        }
-    }
-    if !floored && cost > lower_bound {
+    if !floored && refinement.final_cost > lower_bound {
         let started = origin.elapsed();
         hccs_improve(dag, machine, &mut schedule, config);
         phases.push(PhaseSample::since("hccs", origin, started));
     }
     Improved {
         local_search_cost,
-        relocation,
-        refinement,
+        block_moves: vec![relocation, refinement],
         final_cost: schedule.cost(dag, machine),
         floored,
         phases,
         projection_us,
         schedule,
-    }
-}
-
-/// `HC` without verification sweeps ([`hc_descend`]) on `schedule`, a valid
-/// schedule of `dag` at cost `cost`, from the nodes `seed` picks (in node
-/// order, judged on the assignment as given), stopped after `max_visits`
-/// visits, then [`merge_supersteps`].  Returns the number of seeds and the
-/// descent's outcome, whose `final_cost` is the cost of the merged result
-/// that `schedule` then holds under its lazy `Γ`; with no seed, or no move
-/// and nothing merged, `schedule` is left alone, `Γ` included.
-fn descend(
-    dag: &Dag,
-    machine: &Machine,
-    schedule: &mut BspSchedule,
-    cost: u64,
-    seed: impl Fn(&Assignment, usize) -> bool,
-    config: &HillClimbConfig,
-    max_visits: u64,
-) -> (usize, HillClimbOutcome) {
-    let mut scratch = SearchScratch::new();
-    let picked = (0..dag.n()).filter(|&v| seed(&schedule.assignment, v));
-    scratch.enqueue_in_order(dag.n(), picked);
-    let seeds = scratch.len();
-    if seeds == 0 {
-        let unchanged = HillClimbOutcome {
-            final_cost: cost,
-            ..HillClimbOutcome::default()
-        };
-        return (0, unchanged);
-    }
-    // The state holds the one copy of the assignment; `Γ` waits beside it
-    // for a descent that moves nothing.
-    let assignment = std::mem::take(&mut schedule.assignment);
-    let comm = std::mem::take(&mut schedule.comm);
-    let mut state = HcState::new(dag, machine, assignment).expect("a valid schedule");
-    let outcome = hc_descend(dag, machine, &mut state, config, &mut scratch, max_visits);
-    schedule.assignment = state.into_assignment();
-    let merged = merge_supersteps(dag, &mut schedule.assignment);
-    if outcome.steps == 0 && merged == 0 {
-        schedule.comm = comm;
-        return (
-            seeds,
-            HillClimbOutcome {
-                final_cost: cost,
-                ..outcome
-            },
-        );
-    }
-    drop(comm);
-    schedule.relax_to_lazy(dag);
-    // Unmerged, the state's lazy cost is the schedule's.
-    let final_cost = match merged {
-        0 => outcome.final_cost,
-        _ => schedule.cost(dag, machine),
-    };
-    (
-        seeds,
-        HillClimbOutcome {
-            final_cost,
-            ..outcome
-        },
-    )
-}
-
-/// The refinement on the caller's DAG (see [`RefineOutcome`]) of
-/// `schedule`, the projection of a schedule of `funnel`'s DAG at cost
-/// `cost`.  A node lies in a multi-node cluster when a DAG neighbour shares
-/// its cluster (a member feeds its cluster; a root with members is fed by
-/// one), and a funnel-level move carries it only with the whole cluster.
-/// The descent accepts only strictly improving moves and the merge never
-/// raises the cost, so the result is kept exactly when it is strictly
-/// cheaper.
-fn refine(
-    dag: &Dag,
-    funnel: &Funnel,
-    machine: &Machine,
-    schedule: &mut BspSchedule,
-    cost: u64,
-    config: &HillClimbConfig,
-) -> RefineOutcome {
-    let seed = |assignment: &Assignment, v: usize| {
-        let (c, q) = (funnel.cluster_of(v), assignment.proc[v]);
-        let (mut merged, mut split) = (false, false);
-        for u in dag.predecessors(v).chain(dag.successors(v)) {
-            merged |= funnel.cluster_of(u) == c;
-            split |= assignment.proc[u] != q;
-            if merged && split {
-                return true;
-            }
-        }
-        false
-    };
-    let budget = RELOCATION_VISITS_PER_NODE * dag.n() as u64;
-    let (seeds, descent) = descend(dag, machine, schedule, cost, seed, config, budget);
-    debug_assert!(descent.final_cost <= cost);
-    RefineOutcome {
-        seeds,
-        visits: descent.counts.visits,
-        moves: descent.steps,
-        kept: descent.final_cost < cost,
-        final_cost: descent.final_cost,
     }
 }
 
@@ -666,8 +511,7 @@ impl Pipeline {
             branches,
             phases,
             local_search_cost: improved.local_search_cost,
-            relocation: improved.relocation,
-            refinement: improved.refinement,
+            block_moves: improved.block_moves,
             final_cost: improved.final_cost,
             funnel_nodes: solved.n(),
             ..PipelineReport::at(branch, improved.schedule, lower_bound)

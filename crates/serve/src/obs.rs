@@ -32,10 +32,10 @@ use crate::metrics::LatencyHistogram;
 /// Maximum spans kept per trace.  A routed cold solve uses at most 15
 /// (router dispatch, queue wait, cache miss, solve and the pipeline's nine
 /// samples under it — funnel, each initializer's sweep and its
-/// `init_schedule` child, `hc`, `relocate` when that phase evaluates a
-/// candidate, `refine` when the refinement after the funnel projection has
-/// a seed, `hccs` — then cache insert and respond); anything beyond the cap
-/// sets the `truncated` flag instead of allocating.
+/// `init_schedule` child, `hc`, `relocate` and `refine`, each when its
+/// block-move phase evaluates a proposal, `hccs` — then cache insert and
+/// respond); anything beyond the cap sets the `truncated` flag instead of
+/// allocating.
 pub const MAX_SPANS: usize = 48;
 
 const EMPTY_SPAN: PhaseSample = PhaseSample {

@@ -69,30 +69,23 @@ fn main() {
             if start.kept { " (kept)" } else { "" }
         );
     }
-    let (relocation, refinement) = (report.relocation, report.refinement);
     println!(
-        "  searched {} (width {}): start {} -> after HC {} -> after relocation {} -> after \
-         refinement {} -> after HCcs {}",
-        report.selected_init,
-        report.placement_width,
-        report.init_cost,
-        report.local_search_cost,
-        relocation.final_cost,
-        refinement.final_cost,
-        report.final_cost
+        "  searched {} (width {}): start {} -> after HC {}",
+        report.selected_init, report.placement_width, report.init_cost, report.local_search_cost,
     );
-    // Heavy serial supersteps moved whole, then climbed from (none on a DAG
-    // whose `HC` answer has no superstep with all its work on one processor).
-    println!(
-        "  relocation: {} candidates evaluated, {} kept, {} search visits",
-        relocation.evaluated, relocation.kept, relocation.visits
-    );
-    // Single-node moves on the DAG itself after the funnel projection, from
-    // the cluster members beside another processor.
-    println!(
-        "  refinement: {} seeds, {} search visits, {} moves, kept {}",
-        refinement.seeds, refinement.visits, refinement.moves, refinement.kept
-    );
+    // The block moves after `HC`, each a larger move (or none) and a descent
+    // from its seeds, kept when strictly cheaper: heavy serial supersteps
+    // moved whole (none on a DAG whose `HC` answer has no superstep with all
+    // its work on one processor), then single-node moves on the DAG itself
+    // after the funnel projection, from the cluster members beside another
+    // processor.
+    for m in &report.block_moves {
+        println!(
+            "  {}: {} evaluated, {} kept, {} seeds, {} search visits, {} moves -> {}",
+            m.generator, m.evaluated, m.kept, m.seeds, m.visits, m.moves, m.final_cost
+        );
+    }
+    println!("  after HCcs {}", report.final_cost);
     println!(
         "  no schedule costs less than {}: gap {:.2}",
         report.lower_bound,

@@ -202,32 +202,37 @@ fn hill_climbing_respects_a_pre_fired_token() {
     }
 }
 
-/// A token fired before the run stops the relocation phase before its first
-/// candidate: on `bicgstab`, where the phase keeps a relocation without the
-/// token, it evaluates none and the answer is the pre-fired one — the
-/// cheaper start, or the trivial schedule when strictly cheaper, projected.
+/// A token fired before the run stops every block-move phase before its
+/// first proposal: on `bicgstab`, where the relocation and the refinement
+/// are both kept without the token, both evaluate nothing, and the answer is
+/// the pre-fired one — the cheaper start, or the trivial schedule when
+/// strictly cheaper, projected.
 #[test]
 fn a_pre_fired_token_evaluates_no_relocation() {
     use bsp_model::{BspSchedule, Machine};
+    use bsp_sched::hill_climb::BlockMoveReport;
     use bsp_sched::Funnel;
     use dag_gen::coarse::{coarse, CoarseAlgorithm, CoarseConfig};
     let dag = coarse(&CoarseConfig {
         algorithm: CoarseAlgorithm::BiCgStab,
         iterations: 150,
     });
-    let machine = Machine::uniform(4, 3, 5);
+    let machine = Machine::numa_binary_tree(8, 3, 5, 3);
     let searched = Pipeline::new(PipelineConfig::default()).run_report(&dag, &machine);
-    assert!(searched.relocation.kept > 0, "{:?}", searched.relocation);
+    let kept = searched.block_moves.iter().map(|m| m.kept);
+    assert!(kept.eq([1, 1]), "{:?}", searched.block_moves);
     let cancel = CancelToken::new();
     cancel.cancel();
     let report =
         Pipeline::new(PipelineConfig::default().with_cancel(cancel)).run_report(&dag, &machine);
-    assert_eq!(report.relocation.evaluated, 0, "{:?}", report.relocation);
     assert_eq!(report.local_search_cost, report.init_cost);
-    assert_eq!(report.relocation.final_cost, report.init_cost);
     let funnel = Funnel::contract(&dag, machine.p()).expect("bicgstab contracts");
     let trivial = BspSchedule::trivial(funnel.dag()).cost(funnel.dag(), &machine);
-    assert_eq!(report.final_cost, report.init_cost.min(trivial));
+    let floored = report.init_cost.min(trivial);
+    let idle = [("relocate", report.init_cost), ("refine", floored)];
+    let idle = idle.map(|(generator, cost)| BlockMoveReport::idle(generator, cost));
+    assert_eq!(report.block_moves, idle);
+    assert_eq!(report.final_cost, floored);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
 }
@@ -253,8 +258,7 @@ fn a_deadline_that_does_not_fire_leaves_the_answer_as_an_inert_token_does() {
         let timed = run(CancelToken::with_deadline(far));
         assert_eq!(timed.schedule, inert.schedule, "case {case}");
         assert_eq!(timed.final_cost, inert.final_cost, "case {case}");
-        assert_eq!(timed.relocation, inert.relocation, "case {case}");
-        assert_eq!(timed.refinement, inert.refinement, "case {case}");
+        assert_eq!(timed.block_moves, inert.block_moves, "case {case}");
     }
     assert!(
         0 < tree && tree < CASES,

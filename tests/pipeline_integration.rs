@@ -177,7 +177,7 @@ fn a_heavy_serial_superstep_moves_whole_on_bicgstab() {
     let report = Pipeline::default().run_report(&dag, &machine);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
-    let relocation = report.relocation;
+    let relocation = report.block_moves[0];
     assert!(relocation.kept >= 1, "{relocation:?}");
     assert!(
         relocation.final_cost < report.local_search_cost,
@@ -214,10 +214,13 @@ fn bicgstab_is_refined_on_the_callers_dag() {
     assert!(report.schedule.validate(&dag, &machine).is_ok());
     assert_eq!(report.final_cost, report.schedule.cost(&dag, &machine));
     assert!(report.funnel_nodes < dag.n());
-    let refinement = report.refinement;
-    assert!(refinement.kept && refinement.moves > 0, "{refinement:?}");
+    let (relocation, refinement) = (report.block_moves[0], report.block_moves[1]);
     assert!(
-        refinement.final_cost < report.relocation.final_cost,
+        refinement.kept == 1 && refinement.moves > 0,
+        "{refinement:?}"
+    );
+    assert!(
+        refinement.final_cost < relocation.final_cost,
         "{refinement:?}"
     );
     assert!(report.final_cost <= refinement.final_cost);

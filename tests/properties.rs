@@ -11,12 +11,12 @@ use bsp_sched::baselines::{
     BlEstScheduler, CilkScheduler, EtfScheduler, HDaggScheduler, TrivialScheduler,
 };
 use bsp_sched::hill_climb::{
-    hc_improve, hccs_improve, relocate_improve, HcState, HillClimbConfig,
-    RELOCATION_VISITS_PER_NODE,
+    block_moves, hc_improve, hccs_improve, BlockMoveReport, Generator, HcState, HillClimbConfig,
+    BLOCK_MOVE_VISITS_PER_NODE, RELOCATION_CANDIDATES,
 };
 use bsp_sched::init::{merge_supersteps, BspgScheduler, SourceScheduler};
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
-use bsp_sched::Scheduler;
+use bsp_sched::{Funnel, Scheduler};
 use common::{random_dag, random_machine, rng_for_case};
 use dag_gen::fine::{cg, spmv, IterConfig, SpmvConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
@@ -839,11 +839,46 @@ fn relocation_is_valid_exact_and_undone_exactly() {
     );
 }
 
-/// The relocation phase never returns a schedule costlier than the one it
-/// was given: what it returns is valid, merged, costs what it reports, and
-/// is the given schedule when it kept nothing.
+/// Runs `generator` on `given` and checks what it returns: valid, merged,
+/// at the cost it reports and no more than it was given, at most
+/// [`RELOCATION_CANDIDATES`] proposals (one for a pure descent) evaluated and
+/// no more kept, and the given schedule, `Γ` included, when it kept nothing.
+fn checked_block_moves(
+    what: &str,
+    (dag, machine): (&Dag, &Machine),
+    given: &BspSchedule,
+    generator: Generator,
+) -> BlockMoveReport {
+    let cost = given.cost(dag, machine);
+    let mut schedule = given.clone();
+    let report = block_moves(dag, machine, &mut schedule, cost, generator, &quick_hc());
+    assert!(schedule.validate(dag, machine).is_ok(), "{what}");
+    assert!(report.final_cost <= cost, "{what}: {report:?} from {cost}");
+    assert_eq!(report.final_cost, schedule.cost(dag, machine), "{what}");
+    let mut merged = schedule.assignment.clone();
+    assert_eq!(merge_supersteps(dag, &mut merged), 0, "{what}");
+    let cap = match generator {
+        Generator::Relocate => RELOCATION_CANDIDATES,
+        _ => 1,
+    };
+    assert!(report.kept <= report.evaluated, "{what}: {report:?}");
+    assert!(report.evaluated <= cap, "{what}: {report:?}");
+    if report.kept == 0 {
+        assert_eq!(schedule, *given, "{what}: nothing kept, something changed");
+    }
+    report
+}
+
+/// Block moves never return a schedule costlier than the one they were
+/// given ([`checked_block_moves`]): the relocation on schedules of heavy serial
+/// levels, and the refinement on the projection of a merged `Source`
+/// schedule of the funnel DAG, within its visit budget.  Inside the
+/// pipeline each phase ends no costlier than the stage before it, the
+/// refinement is kept exactly when it lowers the cost, and a second run
+/// repeats the schedule and both phases' reports exactly — on fine-grained
+/// DAGs, which contract, and random ones.
 #[test]
-fn the_relocation_phase_never_raises_the_cost() {
+fn block_moves_never_raise_the_cost() {
     let (mut evaluated, mut kept) = (0usize, 0usize);
     for case in 0..2 * CASES {
         let mut rng = rng_for_case(0x4E11, case);
@@ -862,73 +897,22 @@ fn the_relocation_phase_never_raises_the_cost() {
             let mut assignment = serial_levels(&mut rng, &dag, machine.p());
             merge_supersteps(&dag, &mut assignment);
             let given = BspSchedule::from_assignment_lazy(&dag, assignment);
-            let cost = given.cost(&dag, &machine);
-            let mut schedule = given.clone();
-            let outcome = relocate_improve(&dag, &machine, &mut schedule, cost, &quick_hc());
-            assert!(schedule.validate(&dag, &machine).is_ok(), "{what}");
-            assert!(
-                outcome.final_cost <= cost,
-                "{what}: {outcome:?} from {cost}"
-            );
-            assert_eq!(outcome.final_cost, schedule.cost(&dag, &machine), "{what}");
-            assert_eq!(
-                merge_supersteps(&dag, &mut schedule.assignment.clone()),
-                0,
-                "{what}"
-            );
-            assert!(outcome.kept <= outcome.evaluated, "{what}");
-            if outcome.kept == 0 {
-                assert_eq!(schedule, given, "{what}: nothing kept, something changed");
-            }
-            evaluated += outcome.evaluated;
-            kept += outcome.kept;
+            let on = (&dag, &machine);
+            let report = checked_block_moves(&what, on, &given, Generator::Relocate);
+            evaluated += report.evaluated;
+            kept += report.kept;
         }
     }
     assert!(
         evaluated > 50 && kept > 5,
         "{evaluated} evaluated, {kept} kept"
     );
-}
 
-/// A run repeats: two pipeline runs of one input give identical schedules
-/// and the same relocation counts, on DAGs where the phase keeps candidates
-/// and on random ones.
-#[test]
-fn two_pipeline_runs_give_identical_schedules() {
-    let kernel = dag_gen::coarse::coarse(&dag_gen::coarse::CoarseConfig {
-        algorithm: dag_gen::coarse::CoarseAlgorithm::BiCgStab,
-        iterations: 150,
-    });
-    let pipeline = Pipeline::default();
-    let mut relocated = 0;
-    for case in 0..CASES {
-        let mut rng = rng_for_case(0x4E12, case);
-        let random = random_dag(&mut rng, 32);
-        let dag = if case < 3 { &kernel } else { &random };
-        let machine = relocation_machines(&mut rng)[case as usize % 3].clone();
-        let [first, second] = [0, 1].map(|_| pipeline.run_report(dag, &machine));
-        assert_eq!(first.schedule, second.schedule, "case {case}, {machine:?}");
-        assert_eq!(
-            first.relocation, second.relocation,
-            "case {case}, {machine:?}"
-        );
-        relocated += first.relocation.kept;
-    }
-    assert!(relocated > 0, "no run kept a relocation");
-}
-
-/// The refinement on the caller's DAG after the funnel projection never
-/// raises the cost and is kept exactly when it lowers it; the answer
-/// validates at its reported cost, and a second run repeats the schedule and
-/// the refinement's counts exactly — on fine-grained DAGs, which contract,
-/// and random ones.
-#[test]
-fn the_refinement_never_raises_the_cost_and_repeats() {
     let pipeline = Pipeline::new(PipelineConfig {
         hill_climb: HillClimbConfig::with_max_steps(400),
         ..PipelineConfig::default()
     });
-    let (mut refined, mut kept) = (0, 0);
+    let (mut refined, mut kept, mut idle) = (0, 0, 0);
     for case in 0..3 * CASES {
         let mut rng = rng_for_case(0x2EF1, case);
         let n = rng.gen_range(8usize..=40);
@@ -945,21 +929,65 @@ fn the_refinement_never_raises_the_cost_and_repeats() {
         };
         let machine = random_machine(&mut rng);
         let what = format!("case {case}, n = {}, {machine:?}", dag.n());
+        let budget = BLOCK_MOVE_VISITS_PER_NODE * dag.n() as u64;
         let [first, second] = [0, 1].map(|_| pipeline.run_report(&dag, &machine));
-        let (refinement, before) = (first.refinement, first.relocation.final_cost);
+        let (relocation, refinement) = (first.block_moves[0], first.block_moves[1]);
         assert!(first.schedule.validate(&dag, &machine).is_ok(), "{what}");
         let cost = first.schedule.cost(&dag, &machine);
         assert_eq!(first.final_cost, cost, "{what}");
+        assert!(relocation.final_cost <= first.local_search_cost, "{what}");
+        let before = relocation.final_cost;
         assert!(refinement.final_cost <= before, "{what}: {refinement:?}");
         assert!(first.final_cost <= refinement.final_cost, "{what}");
-        let lowered = refinement.seeds > 0 && refinement.final_cost < before;
-        assert_eq!(refinement.kept, lowered, "{what}: {refinement:?}");
-        let budget = RELOCATION_VISITS_PER_NODE * dag.n() as u64;
+        let lowered = refinement.evaluated > 0 && refinement.final_cost < before;
+        assert_eq!(refinement.kept > 0, lowered, "{what}: {refinement:?}");
         assert!(refinement.visits <= budget, "{what}: {refinement:?}");
         assert_eq!(first.schedule, second.schedule, "{what}");
-        assert_eq!(refinement, second.refinement, "{what}");
-        refined += usize::from(refinement.seeds > 0);
-        kept += usize::from(refinement.kept);
+        assert_eq!(first.block_moves, second.block_moves, "{what}");
+        refined += usize::from(refinement.evaluated > 0);
+        kept += refinement.kept;
+
+        let Some(funnel) = Funnel::contract(&dag, machine.p()) else {
+            continue;
+        };
+        let mut coarse = SourceScheduler.schedule(funnel.dag(), &machine);
+        if merge_supersteps(funnel.dag(), &mut coarse.assignment) > 0 {
+            coarse.relax_to_lazy(funnel.dag());
+        }
+        let (on, given) = ((&dag, &machine), funnel.project(&coarse));
+        let report = checked_block_moves(&what, on, &given, Generator::Refine(&funnel));
+        assert!(report.visits <= budget, "{what}: {report:?}");
+        idle += usize::from(report.evaluated > report.kept);
     }
-    assert!(refined > 5 && kept > 0, "{refined} refined, {kept} kept");
+    assert!(
+        refined > 5 && kept > 0 && idle > 0,
+        "{refined} refined, {kept} kept, {idle} kept nothing"
+    );
+}
+
+/// A run repeats: two pipeline runs of one input give identical schedules
+/// and the same block-move reports, on DAGs where the relocation keeps
+/// candidates and on random ones.
+#[test]
+fn two_pipeline_runs_give_identical_schedules() {
+    let kernel = dag_gen::coarse::coarse(&dag_gen::coarse::CoarseConfig {
+        algorithm: dag_gen::coarse::CoarseAlgorithm::BiCgStab,
+        iterations: 150,
+    });
+    let pipeline = Pipeline::default();
+    let mut relocated = 0;
+    for case in 0..CASES {
+        let mut rng = rng_for_case(0x4E12, case);
+        let random = random_dag(&mut rng, 32);
+        let dag = if case < 3 { &kernel } else { &random };
+        let machine = relocation_machines(&mut rng)[case as usize % 3].clone();
+        let [first, second] = [0, 1].map(|_| pipeline.run_report(dag, &machine));
+        assert_eq!(first.schedule, second.schedule, "case {case}, {machine:?}");
+        assert_eq!(
+            first.block_moves, second.block_moves,
+            "case {case}, {machine:?}"
+        );
+        relocated += first.block_moves[0].kept;
+    }
+    assert!(relocated > 0, "no run kept a relocation");
 }
