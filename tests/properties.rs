@@ -869,16 +869,11 @@ fn checked_block_moves(
     report
 }
 
-/// Block moves never return a schedule costlier than the one they were
-/// given ([`checked_block_moves`]): the relocation on schedules of heavy serial
-/// levels, and the refinement on the projection of a merged `Source`
-/// schedule of the funnel DAG, within its visit budget.  Inside the
-/// pipeline each phase ends no costlier than the stage before it, the
-/// refinement is kept exactly when it lowers the cost, and a second run
-/// repeats the schedule and both phases' reports exactly — on fine-grained
-/// DAGs, which contract, and random ones.
+/// The relocation phase never returns a schedule costlier than the one it
+/// was given ([`checked_block_moves`] with [`Generator::Relocate`]) on
+/// schedules of heavy serial levels.
 #[test]
-fn block_moves_never_raise_the_cost() {
+fn the_relocation_phase_never_raises_the_cost() {
     let (mut evaluated, mut kept) = (0usize, 0usize);
     for case in 0..2 * CASES {
         let mut rng = rng_for_case(0x4E11, case);
@@ -907,7 +902,18 @@ fn block_moves_never_raise_the_cost() {
         evaluated > 50 && kept > 5,
         "{evaluated} evaluated, {kept} kept"
     );
+}
 
+/// The refinement never returns a schedule costlier than the one it was
+/// given: called directly ([`checked_block_moves`] with
+/// [`Generator::Refine`]) on the projection of a merged `Source` schedule of
+/// the funnel DAG, within its visit budget.  Inside the pipeline each block
+/// move ends no costlier than the stage before it, the refinement is kept
+/// exactly when it lowers the cost, and a second run repeats the schedule
+/// and both block-move reports exactly — on fine-grained DAGs, which
+/// contract, and random ones.
+#[test]
+fn the_refinement_never_raises_the_cost_and_repeats() {
     let pipeline = Pipeline::new(PipelineConfig {
         hill_climb: HillClimbConfig::with_max_steps(400),
         ..PipelineConfig::default()
