@@ -12,8 +12,8 @@
 //!   independently seeded 64-bit FNV-1a lanes (the second fed bit-rotated
 //!   words), so a crafted single-lane FNV collision does not alias two
 //!   requests; this is engineering-grade hardening, not a cryptographic
-//!   guarantee — clients that cannot accept hash keying at all can opt out
-//!   per request with `cache off`.
+//!   guarantee.  The serving layer looks every request up by this key;
+//!   there is no per-request opt-out.
 //! * [`RequestKey::structure`] — covers the structure and the machine but
 //!   *not* the per-node weights, so every re-weighted instance of a DAG
 //!   shares it.  The serving layer uses it as a routing token (the router

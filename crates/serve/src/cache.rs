@@ -155,8 +155,8 @@ impl ScheduleCache {
     }
 
     /// Records a lookup that found nothing: an exact miss before a cold
-    /// solve, or an `FP` replay of a key the cache does not hold.  Requests
-    /// with the cache off look nothing up and are not counted.
+    /// solve, or an `FP` replay of a key the cache does not hold.  Every
+    /// request is looked up once, so each counts one hit or one miss.
     pub fn note_miss(&mut self) {
         self.stats.misses += 1;
     }

@@ -116,7 +116,7 @@ impl Client {
         let sent = Sent {
             id: self.next_id,
             fingerprint: key.full,
-            fp_only: options.use_cache && self.known_fingerprints.contains(&key.full),
+            fp_only: self.known_fingerprints.contains(&key.full),
         };
         self.next_id += 1;
         self.scratch.clear();
@@ -163,20 +163,12 @@ impl Client {
         Ok(true)
     }
 
-    /// Notes that `sent` was answered `OK`: with the cache enabled the server
-    /// now holds the entry, so the next identical request replays.
-    fn answered(&mut self, sent: &Sent, options: &RequestOptions) {
-        if options.use_cache {
-            self.known_fingerprints.insert(sent.fingerprint);
-        }
-    }
-
     /// Sends one scheduling request and blocks for the response.
     ///
     /// Content-addressed fast path: when this client has already submitted
-    /// an identical request (same fingerprint) with the cache enabled, only
-    /// the fingerprint goes on the wire; if the server meanwhile evicted the
-    /// schedule, the client transparently resends the full payload.
+    /// an identical request (same fingerprint), only the fingerprint goes on
+    /// the wire; if the server meanwhile evicted the schedule, the client
+    /// transparently resends the full payload.
     pub fn schedule(
         &mut self,
         dag: &Dag,
@@ -187,7 +179,9 @@ impl Client {
         loop {
             match read_reply(&mut self.reader)? {
                 Reply::Ok(response) if response.id == sent.id => {
-                    self.answered(&sent, options);
+                    // The server now holds the entry: the next identical
+                    // request replays by fingerprint.
+                    self.known_fingerprints.insert(sent.fingerprint);
                     return Ok(response);
                 }
                 Reply::Ok(response) => {
@@ -376,7 +370,7 @@ impl PipelinedClient {
                             reason: "response id matches no in-flight request".into(),
                         });
                     };
-                    self.conn.answered(&entry.sent, &entry.options);
+                    self.conn.known_fingerprints.insert(entry.sent.fingerprint);
                     return Ok(Completion::Ok(response));
                 }
                 Reply::Err { id, error } => {

@@ -21,10 +21,11 @@
 //!   combining the request **deadline** with the service shutdown token, so
 //!   a request always returns its best-so-far *valid* schedule in time.
 //! * [`server`] — the **pipelined** TCP layer: per-connection reader/writer
-//!   threads around a bounded request-level job queue drained by a worker
-//!   pool, so any number of id-tagged requests may be in flight per
-//!   connection and completions return **out of order**; per-outcome
-//!   latency histograms ([`metrics`]) and graceful shutdown.
+//!   threads (the reader answers every cache hit) around a bounded job
+//!   queue of cold solves drained by a worker pool, so any number of
+//!   id-tagged requests may be in flight per connection and completions
+//!   return **out of order**; per-outcome latency histograms ([`metrics`])
+//!   and graceful shutdown.
 //! * [`client`] — the blocking serial [`Client`] and the windowed
 //!   [`PipelinedClient`] (`submit`/`recv`), one connection engine with the
 //!   transparent `FP <hex>` content-addressed replay fast path.

@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use crate::metrics::LatencyHistogram;
 
 /// Maximum spans kept per trace.  A routed cold solve uses at most 15
-/// (router dispatch, queue wait, cache miss, solve and the pipeline's nine
+/// (router dispatch, cache miss, queue wait, solve and the pipeline's nine
 /// samples under it — funnel, each initializer's sweep and its
 /// `init_schedule` child, `hc`, `relocate` and `refine`, each when its
 /// block-move phase evaluates a proposal, `hccs` — then cache insert and
@@ -85,9 +85,8 @@ impl SpanSet {
     }
 
     /// Appends `span` as a child: shifted by `offset_us` and deepened by
-    /// `extra_depth`.  Used to graft a shard's spans under the router's
-    /// dispatch span, and the solver's phase samples under the service's
-    /// solve span.
+    /// `extra_depth`.  Used to graft the solver's phase samples under the
+    /// service's solve span.
     pub fn push_shifted(&mut self, span: PhaseSample, extra_depth: u8, offset_us: u64) {
         if (self.len as usize) < MAX_SPANS {
             self.spans[self.len as usize] = PhaseSample {
@@ -125,16 +124,6 @@ impl SpanSet {
     /// `true` if at least one span was dropped for capacity.
     pub fn truncated(&self) -> bool {
         self.truncated
-    }
-
-    /// Splices `other`'s spans in as children (see [`Self::push_shifted`]).
-    pub fn extend_offset(&mut self, other: &SpanSet, extra_depth: u8, offset_us: u64) {
-        for &span in other.spans() {
-            self.push_shifted(span, extra_depth, offset_us);
-        }
-        if other.truncated {
-            self.truncated = true;
-        }
     }
 }
 
@@ -863,22 +852,6 @@ mod tests {
         set.push("overflow", 0, 0, 1);
         assert_eq!(set.len(), MAX_SPANS);
         assert!(set.truncated());
-    }
-
-    #[test]
-    fn span_extend_offsets_children() {
-        let mut child = SpanSet::new();
-        child.push("cache_lookup", 0, 0, 5);
-        child.push("solve", 0, 5, 100);
-        let mut parent = SpanSet::new();
-        parent.push("dispatch", 0, 0, 120);
-        parent.extend_offset(&child, 1, 10);
-        let spans = parent.spans();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[1].name, "cache_lookup");
-        assert_eq!(spans[1].depth, 1);
-        assert_eq!(spans[1].start_us, 10);
-        assert_eq!(spans[2].start_us, 15);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! OPTION deadline_ms <n>                 (optional; 0 = no deadline)
 //! OPTION mode <default|fast|heuristics>  (optional; every mode is the same
 //!                                         solve; `multilevel` is accepted too)
-//! OPTION cache <on|off>                  (optional; default on)
 //! OPTION trace <hex>                     (optional; router-assigned trace id)
 //! DAG <num_lines>
 //! <num_lines of hyperDAG text>
@@ -107,7 +106,7 @@ use std::time::Duration;
 /// How the service solved (or retrieved) a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleSource {
-    /// Full pipeline run; the request missed the cache (or bypassed it).
+    /// Full pipeline run; the request missed the cache.
     Cold,
     /// Exact cache hit: the identical request was answered before.
     CacheExact,
@@ -182,8 +181,6 @@ pub struct RequestOptions {
     /// The `OPTION mode` token, read by no solve (`Mode`).
     #[doc(hidden)]
     pub mode: Mode,
-    /// Whether the schedule cache may be consulted and populated.
-    pub use_cache: bool,
     /// Trace id this request runs under (`None` = untraced).  Assigned by
     /// the router (or the server when unsharded) and echoed in the `OK`
     /// header so clients can fetch the span tree with `TRACE <hex>`.
@@ -191,14 +188,9 @@ pub struct RequestOptions {
 }
 
 impl RequestOptions {
-    /// Options with the cache enabled and no deadline (the wire defaults).
+    /// Options with no deadline and no trace id (the wire defaults).
     pub fn new() -> Self {
-        RequestOptions {
-            deadline: None,
-            mode: Mode::default(),
-            use_cache: true,
-            trace: None,
-        }
+        RequestOptions::default()
     }
 
     /// Sets the deadline and returns the options.
@@ -212,12 +204,6 @@ impl RequestOptions {
     #[doc(hidden)]
     pub fn with_mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Enables or disables cache use and returns the options.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
         self
     }
 
@@ -599,9 +585,7 @@ pub fn encode_request(
             let ms = d.as_micros().div_ceil(1000).max(1);
             let _ = writeln!(out, "OPTION deadline_ms {ms}");
         }
-        let cache = if options.use_cache { "on" } else { "off" };
         let _ = writeln!(out, "OPTION mode {}", options.mode.as_str());
-        let _ = writeln!(out, "OPTION cache {cache}");
     };
     let dag_block = |out: &mut Vec<u8>| {
         out.extend_from_slice(b"DAG ");
@@ -740,13 +724,6 @@ fn read_request_body<R: BufRead>(reader: &mut R, id: u64) -> Result<Incoming, Se
                 Some("mode") => {
                     let mode = Mode::parse(line.word("mode")?);
                     options.mode = mode.ok_or_else(|| line.malformed("unknown mode"))?;
-                }
-                Some("cache") => {
-                    options.use_cache = match line.next() {
-                        Some("on") => true,
-                        Some("off") => false,
-                        _ => return Err(line.malformed("cache must be on|off")),
-                    };
                 }
                 Some("trace") => {
                     let trace_id = line.hex("trace id")?;
@@ -1560,7 +1537,7 @@ mod tests {
             options: RequestOptions::new()
                 .with_deadline(Duration::from_millis(250))
                 .with_mode(Mode::Fast)
-                .with_cache(false),
+                .with_trace(0xbeef),
         };
         let mut wire = String::new();
         encode_request(
@@ -1628,18 +1605,17 @@ mod tests {
         let expect = |head: &str| format!("{head}{DIAMOND_DAG_BLOCK}END\n");
         assert_eq!(
             request(1, Machine::uniform(2, 1, 1), RequestOptions::new()),
-            expect("REQ 1\nMACHINE uniform 2 1 1\nOPTION mode heuristics\nOPTION cache on\n")
+            expect("REQ 1\nMACHINE uniform 2 1 1\nOPTION mode heuristics\n")
         );
         let options = RequestOptions::new()
             .with_deadline(Duration::from_millis(250))
             .with_mode(Mode::Fast)
-            .with_cache(false)
             .with_trace(0xf00d);
         assert_eq!(
             request(42, Machine::numa_binary_tree(8, 3, 5, 2), options),
             expect(
                 "REQ 42\nMACHINE tree 8 3 5 2\nOPTION deadline_ms 250\nOPTION mode fast\n\
-                 OPTION cache off\nOPTION trace f00d\n"
+                 OPTION trace f00d\n"
             )
         );
         let options = RequestOptions::new()
@@ -1647,10 +1623,7 @@ mod tests {
             .with_mode(Mode::Default);
         assert_eq!(
             request(2, Machine::uniform(3, 4, 5), options),
-            expect(
-                "REQ 2\nMACHINE uniform 3 4 5\nOPTION deadline_ms 1\nOPTION mode default\n\
-                 OPTION cache on\n"
-            )
+            expect("REQ 2\nMACHINE uniform 3 4 5\nOPTION deadline_ms 1\nOPTION mode default\n")
         );
 
         let fingerprint = |id, structure, trace| {

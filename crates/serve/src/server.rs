@@ -1,26 +1,28 @@
-//! The loopback TCP server: pipelined connections feeding a request-level
-//! worker pool.
+//! The loopback TCP server: pipelined connections whose readers answer
+//! cache hits, feeding a worker pool that runs the cold solves.
 //!
 //! ## Threading model
 //!
 //! One **acceptor** thread takes connections off the listener and spawns a
 //! per-connection **reader** thread (bounded by
 //! [`ServerConfig::max_connections`]; beyond it a connection is answered
-//! with `ERR 0 busy ...` and dropped).  The reader parses incoming messages
-//! and pushes each scheduling request as a *job* into a bounded shared
-//! queue — so a client may have **many id-tagged requests in flight on one
-//! connection**.  `N` **worker** threads take the queue's jobs one at a
-//! time, in arrival order, and hand each finished response to the owning
-//! connection's **writer** thread over a channel; since several workers can
-//! be solving jobs of the same connection concurrently, responses complete
-//! **out of order** and the id tags are what lets the client match them up
-//! (see [`crate::PipelinedClient`]).  Cheap verbs (`PING`, `METRICS`) are
-//! answered by the reader directly, also through the writer channel so wire
-//! frames never interleave.
+//! with `ERR 0 busy ...` and dropped).  The reader answers everything that
+//! does not solve: the control verbs, an `FP <hex>` replay (a hit or
+//! `unknown-fp`) and a full-payload exact hit
+//! ([`ScheduleService::lookup_traced`]).  A miss becomes a *job* in a
+//! bounded shared queue, carrying the request key the reader computed, so a
+//! client may have **many id-tagged requests in flight on one connection**.
+//! `N` **worker** threads take the jobs one at a time, in arrival order, and
+//! solve them ([`ScheduleService::solve_traced`]).  Reader and workers make
+//! every answer through one `respond` and hand it to the connection's
+//! **writer** thread over a channel, so wire frames never interleave; since
+//! several workers can solve jobs of one connection at once, responses
+//! complete **out of order** and the id tags let the client match them up
+//! (see [`crate::PipelinedClient`]).
 //!
-//! When the job queue is full the request is refused with `ERR <id> busy`
+//! When the job queue is full a miss is refused with `ERR <id> busy`
 //! (admission control instead of unbounded buffering); the connection stays
-//! usable.
+//! usable.  A cache answer never queues, so it is never refused `busy`.
 //!
 //! All request handling goes through the shared [`ScheduleService`], so the
 //! cache and the latency histograms are global across workers.
@@ -39,8 +41,9 @@ use crate::protocol::{
     encode_error, encode_metrics_reply, encode_response_parts, encode_slow_reply,
     encode_trace_reply, read_incoming, Incoming, ScheduleRequest, ServeError, WireTrace,
 };
-use crate::service::{ScheduleService, ServiceConfig, ServiceStats};
+use crate::service::{ScheduleService, ServeReply, ServiceConfig, ServiceStats};
 use crate::store::StoreConfig;
+use bsp_model::{request_key, RequestKey};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead as _, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -65,9 +68,9 @@ pub struct ServerConfig {
     /// Number of worker threads.  A worker runs one solve at a time on its
     /// own thread, so this is how many solves run at once.
     pub workers: usize,
-    /// Pending-request (job) queue capacity; requests beyond it are refused
-    /// with a per-request `busy` error.  This bounds the total in-flight
-    /// pipelined work across all connections.
+    /// Capacity of the queue of misses waiting for a worker; a miss beyond
+    /// it is refused with a per-request `busy` error (a cache hit never
+    /// queues).  This bounds the solves waiting across all connections.
     pub queue_capacity: usize,
     /// Maximum concurrently served connections; further connections are
     /// refused with `ERR 0 busy`.
@@ -107,13 +110,35 @@ impl Default for ServerConfig {
     }
 }
 
-/// One unit of work for the pool: a request plus the channel of the writer
-/// that must carry its response.
-struct Job {
-    kind: JobKind,
+/// What a request's answer needs, wherever [`respond`] makes it.
+struct Ticket {
+    id: u64,
     /// The request's trace id: carried in on `OPTION trace` (the router
     /// assigns one when sharded), minted here otherwise.  Never 0.
     trace: u64,
+    /// When the reader took the request; span offsets count from here.
+    received: Instant,
+    spans: SpanSet,
+}
+
+impl Ticket {
+    fn new(shared: &Shared, id: u64, trace: Option<u64>) -> Self {
+        Ticket {
+            id,
+            trace: trace.unwrap_or_else(|| shared.trace_ids.mint()),
+            received: Instant::now(),
+            spans: SpanSet::new(),
+        }
+    }
+}
+
+/// One unit of work for the pool: a request whose cache lookup missed, plus
+/// the channel of the writer that must carry its response.
+struct Job {
+    request: Box<ScheduleRequest>,
+    /// The key the reader's lookup computed; the solve caches under it.
+    key: RequestKey,
+    ticket: Ticket,
     /// When the job entered the queue; the worker derives the queue-wait
     /// span and the `bsp_queue_wait_micros` histogram sample from it.
     enqueued: Instant,
@@ -122,11 +147,6 @@ struct Job {
     /// response (or error) has been handed to the writer, so the reader can
     /// tell a quiet-but-working connection from an idle one.
     in_flight: Arc<AtomicU64>,
-}
-
-enum JobKind {
-    Full(Box<ScheduleRequest>),
-    Fingerprint { id: u64, fingerprint: u128 },
 }
 
 struct Shared {
@@ -395,54 +415,31 @@ pub(crate) fn acceptor_loop<S: Send + Sync + 'static>(
     }
 }
 
-/// Enqueues one job for the worker pool, refusing with a per-request `busy`
-/// error when the queue is at capacity.  `trace` is the caller-supplied
-/// trace id; a fresh one is minted when absent, so every admitted request is
-/// traceable.
-fn submit_job(
-    shared: &Shared,
-    kind: JobKind,
-    trace: Option<u64>,
-    reply: &Sender<String>,
-    in_flight: &Arc<AtomicU64>,
-) {
-    let id = match &kind {
-        JobKind::Full(request) => request.id,
-        JobKind::Fingerprint { id, .. } => *id,
-    };
-    let trace = trace.unwrap_or_else(|| shared.trace_ids.mint());
+/// Enqueues a miss for the worker pool, or writes its refusal into `out`: a
+/// per-request `busy` error when the queue is at capacity, `shutting-down`
+/// once shutdown began.
+fn submit_job(shared: &Shared, job: Job, out: &mut String) {
     let mut jobs = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
     // The shutdown check must happen under the jobs lock: workers only exit
     // after observing the flag with an empty queue (also under the lock), so
     // a job enqueued here while the flag is unset is guaranteed a worker.
-    if shared.shutting_down.load(Ordering::SeqCst) {
+    let refusal = if shared.shutting_down.load(Ordering::SeqCst) {
+        ServeError::ShuttingDown
+    } else if jobs.len() >= shared.config.queue_capacity.max(1) {
+        ServeError::Busy
+    } else {
+        job.in_flight.fetch_add(1, Ordering::SeqCst);
+        jobs.push_back(job);
         drop(jobs);
-        let mut out = String::new();
-        encode_error(&mut out, id, &ServeError::ShuttingDown);
-        let _ = reply.send(out);
+        shared.available.notify_one();
         return;
-    }
-    if jobs.len() >= shared.config.queue_capacity.max(1) {
-        drop(jobs);
-        let mut out = String::new();
-        encode_error(&mut out, id, &ServeError::Busy);
-        let _ = reply.send(out);
-        return;
-    }
-    in_flight.fetch_add(1, Ordering::SeqCst);
-    jobs.push_back(Job {
-        kind,
-        trace,
-        enqueued: Instant::now(),
-        reply: reply.clone(),
-        in_flight: Arc::clone(in_flight),
-    });
+    };
     drop(jobs);
-    shared.available.notify_one();
+    encode_error(out, job.ticket.id, &refusal);
 }
 
-/// The per-connection reader: parses messages, answers cheap verbs, feeds
-/// scheduling requests to the worker pool, and joins its writer on exit.
+/// The per-connection reader: parses messages, answers everything that does
+/// not solve, feeds misses to the worker pool, and joins its writer on exit.
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(shared.config.idle_timeout))?;
@@ -454,8 +451,8 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let in_flight = Arc::new(AtomicU64::new(0));
     let mut reader = BufReader::new(stream);
     while frame_ready(&mut reader, &in_flight, &tx) {
-        // Cheap verbs are answered here, through the writer channel so wire
-        // frames never interleave; `out` stays empty for a scheduling request.
+        // Everything but a solve is answered here, through the writer channel
+        // so wire frames never interleave; `out` stays empty for a queued miss.
         let mut out = String::new();
         match read_incoming(&mut reader) {
             Ok(None) => break,
@@ -473,8 +470,22 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 None => encode_error(&mut out, 0, &ServeError::UnknownTrace),
             },
             Ok(Some(Incoming::Request(request))) => {
-                let trace = request.options.trace;
-                submit_job(shared, JobKind::Full(request), trace, &tx, &in_flight);
+                let mut ticket = Ticket::new(shared, request.id, request.options.trace);
+                let key = request_key(&request.dag, &request.machine);
+                match shared.service.lookup_traced(key.full, &mut ticket.spans) {
+                    Some(hit) => respond(shared, ticket, Ok(hit), &mut out),
+                    None => {
+                        let job = Job {
+                            request,
+                            key,
+                            ticket,
+                            enqueued: Instant::now(),
+                            reply: tx.clone(),
+                            in_flight: Arc::clone(&in_flight),
+                        };
+                        submit_job(shared, job, &mut out);
+                    }
+                }
             }
             Ok(Some(Incoming::FingerprintRequest {
                 id,
@@ -484,13 +495,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 structure: _,
                 trace,
             })) => {
-                submit_job(
-                    shared,
-                    JobKind::Fingerprint { id, fingerprint },
-                    trace,
-                    &tx,
-                    &in_flight,
-                );
+                let mut ticket = Ticket::new(shared, id, trace);
+                let hit = shared.service.lookup_traced(fingerprint, &mut ticket.spans);
+                let reply = hit.ok_or(ServeError::UnknownFingerprint);
+                respond(shared, ticket, reply, &mut out);
             }
             Err(err) => {
                 // Typed error back to the peer, then close: after a framing
@@ -570,7 +578,7 @@ pub(crate) fn writer_loop(stream: TcpStream, rx: &Receiver<String>) {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let job = {
+        let mut job = {
             let mut jobs = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(job) = jobs.pop_front() {
@@ -585,73 +593,69 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        let mut out = String::new();
         let queue_wait = job.enqueued.elapsed();
         shared.queue_wait.record(queue_wait);
-        let qw_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
-        // Spans are offsets from admission: queue wait first, then the
-        // service's handling spans shifted past it.  All `Copy`-only —
-        // the exact-hit path stays allocation-free with tracing on.
-        let mut spans = SpanSet::new();
-        spans.push("queue_wait", 0, 0, qw_us);
-        let mut svc_spans = SpanSet::new();
-        let id = match &job.kind {
-            JobKind::Full(request) => request.id,
-            JobKind::Fingerprint { id, .. } => *id,
-        };
+        let qw_us = queue_wait.as_micros() as u64;
+        let ticket = &mut job.ticket;
+        let picked_us = ticket.received.elapsed().as_micros() as u64;
+        ticket
+            .spans
+            .push("queue_wait", 0, picked_us.saturating_sub(qw_us), qw_us);
         // A panicking solve answers its own request with `ERR internal`;
         // the worker lives on and serves the next job.
-        let handled = panic::catch_unwind(AssertUnwindSafe(|| match &job.kind {
-            JobKind::Full(request) => {
-                #[cfg(test)]
-                tests::panic_if_marked(request);
-                shared.service.handle_traced(request, &mut svc_spans)
-            }
-            JobKind::Fingerprint { fingerprint, .. } => shared
+        let solved = panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::panic_if_marked(&job.request);
+            shared
                 .service
-                .handle_fingerprint_traced(*fingerprint, &mut svc_spans),
+                .solve_traced(&job.request, job.key, ticket.received, &mut ticket.spans)
         }));
-        let result = handled.unwrap_or_else(|payload| {
+        let result = solved.unwrap_or_else(|payload| {
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);
             let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
                 .or_else(|| payload.downcast_ref::<String>().cloned());
             Err(ServeError::Internal(message.unwrap_or_default()))
         });
-        spans.extend_offset(&svc_spans, 0, qw_us);
-        let (source, total_us) = match &result {
-            Ok(reply) => {
-                let handled_us = reply.elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-                let respond_start = job.enqueued.elapsed().as_micros() as u64;
-                encode_response_parts(
-                    &mut out,
-                    id,
-                    reply.cost,
-                    reply.source,
-                    handled_us,
-                    job.trace,
-                    &reply.schedule,
-                );
-                let respond_dur =
-                    (job.enqueued.elapsed().as_micros() as u64).saturating_sub(respond_start);
-                spans.push("respond", 0, respond_start, respond_dur);
-                (reply.source.as_str(), qw_us.saturating_add(handled_us))
-            }
-            Err(err) => {
-                encode_error(&mut out, id, err);
-                ("error", job.enqueued.elapsed().as_micros() as u64)
-            }
-        };
-        shared.journal.record(TraceRecord {
-            trace_id: job.trace,
-            source,
-            shard: -1,
-            total_us,
-            spans,
-        });
+        let mut out = String::new();
+        respond(shared, job.ticket, result, &mut out);
         // A send error just means the connection is gone.
         let _ = job.reply.send(out);
         job.in_flight.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Writes `result` into `out` as the answer to `ticket`'s request and
+/// journals its trace: the one way an answer is made, by the reader for a
+/// cache answer and by a worker for a solve.
+fn respond(
+    shared: &Shared,
+    mut ticket: Ticket,
+    result: Result<ServeReply, ServeError>,
+    out: &mut String,
+) {
+    let (id, trace, received) = (ticket.id, ticket.trace, ticket.received);
+    let respond_start = received.elapsed().as_micros() as u64;
+    let source = match &result {
+        Ok(reply) => {
+            let handled_us = reply.elapsed.as_micros() as u64;
+            let (cost, schedule) = (reply.cost, &reply.schedule);
+            encode_response_parts(out, id, cost, reply.source, handled_us, trace, schedule);
+            let respond_dur = (received.elapsed().as_micros() as u64).saturating_sub(respond_start);
+            ticket.spans.push("respond", 0, respond_start, respond_dur);
+            reply.source.as_str()
+        }
+        Err(err) => {
+            encode_error(out, id, err);
+            "error"
+        }
+    };
+    shared.journal.record(TraceRecord {
+        trace_id: trace,
+        source,
+        shard: -1,
+        total_us: respond_start,
+        spans: ticket.spans,
+    });
 }
 
 #[cfg(test)]
@@ -659,7 +663,10 @@ mod tests {
     use super::*;
     use crate::client::{Client, Completion, PipelinedClient};
     use crate::obs::MetricsSnapshot;
-    use crate::protocol::{encode_request, read_reply, Reply, RequestOptions, ScheduleSource};
+    use crate::protocol::{
+        encode_fingerprint_request, encode_request, read_reply, Reply, RequestOptions,
+        ScheduleSource,
+    };
     use bsp_model::{Dag, Machine};
     use std::io::BufRead;
     use std::time::Duration;
@@ -843,6 +850,94 @@ mod tests {
         server.shutdown();
     }
 
+    /// 20 000 nodes in layers of 100, each node above the last with two
+    /// successors in the next layer, on an 8-processor NUMA tree: the funnel
+    /// reduction leaves the DAG whole and no schedule meets the bound at
+    /// once, so its cold solve keeps a worker busy while a test acts.
+    fn slow_instance() -> (Dag, Machine) {
+        const WIDTH: usize = 100;
+        let n = 200 * WIDTH;
+        let edges: Vec<_> = (0..n - WIDTH)
+            .flat_map(|v| {
+                let next = v - v % WIDTH + WIDTH;
+                [(v, next + v % WIDTH), (v, next + (7 * v + 3) % WIDTH)]
+            })
+            .collect();
+        let work = (0..n as u64).map(|v| v % 7 + 1).collect();
+        let dag = Dag::from_edges(n, &edges, work, vec![2; n]).unwrap();
+        (dag, Machine::numa_binary_tree(8, 2, 5, 3))
+    }
+
+    #[test]
+    fn a_cache_answer_is_never_refused_busy() {
+        use ScheduleSource::{CacheExact, Cold};
+        // One worker, a queue of one: the worker solves a slow request and
+        // the queue holds another miss, so any further miss is `busy`.
+        let config = ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_connections: 4,
+            idle_timeout: Duration::from_secs(30),
+            ..Default::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config)
+            .expect("bind")
+            .spawn()
+            .expect("spawn");
+        let machine = Machine::uniform(2, 1, 1);
+        let cached = small_dag(3);
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let options = RequestOptions::new();
+        let cold = client.schedule(&cached, &machine, &options).expect("cold");
+        assert_eq!(cold.source, Cold);
+
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut frames = String::new();
+        let (slow, numa) = slow_instance();
+        encode_request(&mut frames, 10, &slow, &numa, &options).expect("encode");
+        stream.write_all(frames.as_bytes()).expect("send");
+        // Wait until the worker has taken the slow job off the queue: its
+        // queue wait is the second one observed.
+        let started = Instant::now();
+        loop {
+            let exposition = client.metrics().expect("metrics");
+            let snapshot = MetricsSnapshot::parse(&exposition).expect("parse");
+            if snapshot.histogram("bsp_queue_wait_micros").map(|h| h.count) == Some(2) {
+                break;
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "the worker starts"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // A miss fills the queue; an `FP` replay and a full-payload repeat
+        // of the cached request follow; a last miss proves the queue full.
+        frames.clear();
+        let fingerprint = bsp_model::request_key(&cached, &machine).full;
+        encode_request(&mut frames, 11, &small_dag(4), &machine, &options).expect("encode");
+        encode_fingerprint_request(&mut frames, 12, fingerprint, None, None);
+        encode_request(&mut frames, 13, &cached, &machine, &options).expect("encode");
+        encode_request(&mut frames, 14, &small_dag(5), &machine, &options).expect("encode");
+        stream.write_all(frames.as_bytes()).expect("send");
+        let mut reader = BufReader::new(&stream);
+        let mut answers = std::collections::BTreeMap::new();
+        while answers.len() < 5 {
+            match read_reply(&mut reader).expect("a reply") {
+                Reply::Ok(response) => answers.insert(response.id, Ok(response.source)),
+                Reply::Err { id, error } => answers.insert(id, Err(error)),
+            };
+        }
+        let busy = matches!(&answers[&14], Err(ServeError::Remote { kind, .. }) if kind == "busy");
+        assert!(busy, "the queue was full: {answers:?}");
+        for (id, source) in [(10, Cold), (11, Cold), (12, CacheExact), (13, CacheExact)] {
+            assert!(matches!(answers[&id], Ok(s) if s == source), "{answers:?}");
+        }
+        drop((client, stream));
+        server.shutdown();
+    }
+
     #[test]
     fn idle_timeout_spares_connections_with_requests_in_flight() {
         // Regression: the pipelined reader re-arms its read timeout between
@@ -867,13 +962,7 @@ mod tests {
                 .spawn()
                 .expect("spawn")
         };
-        let n = 20_000;
-        let edges: Vec<_> = (0..n - 1)
-            .flat_map(|i| [(i, i + 1)])
-            .chain((0..n - 2).map(|i| (i, i + 2)))
-            .collect();
-        let dag = Dag::from_edges(n, &edges, vec![3; n], vec![2; n]).unwrap();
-        let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+        let (dag, machine) = slow_instance();
         // Encode before connecting: the idle clock starts at `connect`.
         let mut frame = String::new();
         let options = RequestOptions::new();

@@ -11,6 +11,10 @@
 //! 3. **miss** → run the configured pipeline cold.  A re-weighted instance
 //!    of a cached DAG is a miss like any other.
 //!
+//! Step 2 is [`ScheduleService::lookup_traced`] and step 3
+//! [`ScheduleService::solve_traced`]: the server runs steps 1–2 on the
+//! connection reader and queues only misses for its workers.
+//!
 //! Every solve runs under a [`CancelToken`] that combines the request
 //! deadline with the service's shutdown token, so a request always comes
 //! back with its best-so-far *valid* schedule by its deadline, and shutdown
@@ -231,8 +235,9 @@ pub struct ServeReply {
     pub elapsed: Duration,
 }
 
-/// The scheduling engine: cache + solvers + metrics.  Thread-safe; the
-/// worker pool shares one instance behind an `Arc`.
+/// The scheduling engine: cache + solvers + metrics.  Thread-safe; a
+/// server's connection readers and worker pool share one instance behind an
+/// `Arc`.
 #[derive(Debug)]
 pub struct ScheduleService {
     config: ServiceConfig,
@@ -297,8 +302,8 @@ impl ScheduleService {
         })
     }
 
-    /// Asks in-flight solves to wrap up; subsequent requests are refused
-    /// with [`ServeError::ShuttingDown`].
+    /// Asks in-flight solves to wrap up; subsequent solves are refused with
+    /// [`ServeError::ShuttingDown`] (a cache hit is still answered).
     pub fn begin_shutdown(&self) {
         self.shutdown.cancel();
     }
@@ -383,40 +388,76 @@ impl ScheduleService {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Handles one request end to end (see the module docs).
+    /// Handles one request end to end (see the module docs):
+    /// [`ScheduleService::lookup_traced`], then on a miss
+    /// [`ScheduleService::solve_traced`].
     pub fn handle(&self, request: &ScheduleRequest) -> Result<ServeReply, ServeError> {
-        self.handle_traced(request, &mut SpanSet::new())
+        let received = Instant::now();
+        let mut spans = SpanSet::new();
+        let key = request_key(&request.dag, &request.machine);
+        match self.lookup_traced(key.full, &mut spans) {
+            Some(hit) => Ok(hit),
+            None => self.solve_traced(request, key, received, &mut spans),
+        }
     }
 
-    /// [`ScheduleService::handle`] with request tracing: the handling
-    /// phases (cache-lookup outcome, every solver phase) are recorded into
-    /// `spans`, microsecond offsets relative to the start of handling.
-    /// Recording is `Copy`-only — the exact-hit path stays allocation-free
-    /// with tracing, certified by the repo's counting-allocator test.
-    pub fn handle_traced(
+    /// Handles a content-addressed replay (`FP <hex>`): the lookup alone,
+    /// without any payload parsing.  A miss returns
+    /// [`ServeError::UnknownFingerprint`] so the client resends the full
+    /// payload.
+    pub fn handle_fingerprint(&self, fingerprint: u128) -> Result<ServeReply, ServeError> {
+        let hit = self.lookup_traced(fingerprint, &mut SpanSet::new());
+        hit.ok_or(ServeError::UnknownFingerprint)
+    }
+
+    /// Looks a request's full key ([`RequestKey::full`]) up in the cache:
+    /// the hit's reply, or `None`.  Either way the lookup is counted once
+    /// and traced into `spans` (`cache_exact_hit` / `cache_miss`, at offset
+    /// 0), with the cache released before the span and the reply are made.
+    /// Allocation-free, tracing included — certified by the repo's
+    /// counting-allocator test.
+    pub fn lookup_traced(&self, full_fp: u128, spans: &mut SpanSet) -> Option<ServeReply> {
+        let start = Instant::now();
+        let mut cache = self.lock_cache();
+        let Some((schedule, cost)) = cache.lookup_exact(full_fp) else {
+            cache.note_miss();
+            drop(cache);
+            spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
+            return None;
+        };
+        drop(cache);
+        let elapsed = start.elapsed();
+        // No extra clock read: the exact hit *is* the lookup.
+        spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
+        self.metrics.observe(ScheduleSource::CacheExact, elapsed);
+        Some(ServeReply {
+            schedule,
+            cost,
+            source: ScheduleSource::CacheExact,
+            elapsed,
+        })
+    }
+
+    /// Solves a request whose lookup missed under `key`: the pipeline cold,
+    /// then the answer cached and offered to the store.  Span offsets count
+    /// from `received`, the instant the request's handling began; the
+    /// reply's `elapsed` is this call's alone.
+    pub fn solve_traced(
         &self,
         request: &ScheduleRequest,
+        key: RequestKey,
+        received: Instant,
         spans: &mut SpanSet,
     ) -> Result<ServeReply, ServeError> {
         let start = Instant::now();
         if self.shutdown.is_cancelled() {
             return Err(ServeError::ShuttingDown);
         }
-        let key = request_key(&request.dag, &request.machine);
-
-        if request.options.use_cache {
-            match self.exact_hit(key.full, start, spans) {
-                Ok(reply) => return Ok(reply),
-                Err(mut cache) => cache.note_miss(),
-            }
-        }
-        spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
-
         let cancel = match request.options.deadline.or(self.config.default_deadline) {
-            Some(budget) => self.shutdown.tightened(Instant::now() + budget),
+            Some(budget) => self.shutdown.tightened(start + budget),
             None => self.shutdown.clone(),
         };
-        let schedule = self.solve_cold(request, &cancel, &start, spans);
+        let schedule = self.solve_cold(request, &cancel, &received, spans);
 
         // The solvers uphold validity by construction; this is the service
         // boundary's independent check so an invalid schedule can never
@@ -431,76 +472,21 @@ impl ScheduleService {
         };
         let cost = schedule.cost(&request.dag, &request.machine);
         let schedule = Arc::new(schedule);
-        if request.options.use_cache {
-            let insert_start = start.elapsed().as_micros() as u64;
-            self.lock_cache()
-                .insert(key.full, 0, Arc::clone(&schedule), cost);
-            // Write-through is asynchronous and happens only on the solve
-            // path (which already allocates); the exact-hit and FP-replay
-            // paths stay allocation-free and never touch the store.
-            self.offer_to_store(request, &schedule, cost, key);
-            let dur = (start.elapsed().as_micros() as u64).saturating_sub(insert_start);
-            spans.push("cache_insert", 0, insert_start, dur);
-        }
+        let insert_start = received.elapsed().as_micros() as u64;
+        self.lock_cache()
+            .insert(key.full, 0, Arc::clone(&schedule), cost);
+        // Write-through is asynchronous and happens only on the solve path
+        // (which already allocates); the exact-hit and FP-replay paths stay
+        // allocation-free and never touch the store.
+        self.offer_to_store(request, &schedule, cost, key);
+        let dur = (received.elapsed().as_micros() as u64).saturating_sub(insert_start);
+        spans.push("cache_insert", 0, insert_start, dur);
         let elapsed = start.elapsed();
         self.metrics.observe(ScheduleSource::Cold, elapsed);
         Ok(ServeReply {
             schedule,
             cost,
             source: ScheduleSource::Cold,
-            elapsed,
-        })
-    }
-
-    /// Handles a content-addressed replay (`FP <hex>`): the exact-hit path
-    /// without any payload parsing.  Allocation-free on a hit, like
-    /// [`ScheduleService::handle`]'s exact-hit path.  A miss returns
-    /// [`ServeError::UnknownFingerprint`] so the client resends the full
-    /// payload.
-    pub fn handle_fingerprint(&self, fingerprint: u128) -> Result<ServeReply, ServeError> {
-        self.handle_fingerprint_traced(fingerprint, &mut SpanSet::new())
-    }
-
-    /// [`ScheduleService::handle_fingerprint`] with tracing; like
-    /// [`ScheduleService::handle_traced`], recording stays allocation-free.
-    pub fn handle_fingerprint_traced(
-        &self,
-        fingerprint: u128,
-        spans: &mut SpanSet,
-    ) -> Result<ServeReply, ServeError> {
-        let start = Instant::now();
-        if self.shutdown.is_cancelled() {
-            return Err(ServeError::ShuttingDown);
-        }
-        self.exact_hit(fingerprint, start, spans)
-            .map_err(|mut cache| {
-                cache.note_miss();
-                ServeError::UnknownFingerprint
-            })
-    }
-
-    /// The exact-hit reply for `full_fp`, traced and counted, with the cache
-    /// released before the span and the reply are made; on a miss the cache
-    /// comes back still locked.
-    fn exact_hit(
-        &self,
-        full_fp: u128,
-        start: Instant,
-        spans: &mut SpanSet,
-    ) -> Result<ServeReply, std::sync::MutexGuard<'_, ScheduleCache>> {
-        let mut cache = self.lock_cache();
-        let Some((schedule, cost)) = cache.lookup_exact(full_fp) else {
-            return Err(cache);
-        };
-        drop(cache);
-        let elapsed = start.elapsed();
-        // No extra clock read: the exact hit *is* the lookup.
-        spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
-        self.metrics.observe(ScheduleSource::CacheExact, elapsed);
-        Ok(ServeReply {
-            schedule,
-            cost,
-            source: ScheduleSource::CacheExact,
             elapsed,
         })
     }
@@ -716,21 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_off_requests_never_touch_the_cache() {
-        let service = ScheduleService::new(ServiceConfig::default());
-        let req = request(
-            chain(8, 2),
-            Machine::uniform(2, 1, 1),
-            RequestOptions::new().with_cache(false),
-        );
-        for _ in 0..2 {
-            let reply = service.handle(&req).unwrap();
-            assert_eq!(reply.source, ScheduleSource::Cold);
-        }
-        assert_eq!(service.stats().cache.entries, 0);
-    }
-
-    #[test]
     fn shutdown_refuses_new_requests() {
         let service = ScheduleService::new(ServiceConfig::default());
         service.begin_shutdown();
@@ -815,26 +786,6 @@ mod tests {
                 assert!(reply.schedule.validate(dag, &machine).is_ok());
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_off_requests_never_reach_the_store() {
-        let dir = store_dir("cache-off");
-        {
-            let service = ScheduleService::new(stored_config(&dir));
-            let req = request(
-                chain(8, 2),
-                Machine::uniform(2, 1, 1),
-                RequestOptions::new().with_cache(false),
-            );
-            service.handle(&req).unwrap();
-            service.flush_store();
-            assert_eq!(service.stats().store.appended, 0);
-        }
-        let service = ScheduleService::new(stored_config(&dir));
-        assert_eq!(service.stats().store.loaded, 0);
-        drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -873,7 +873,7 @@ fn router_forwards_request_bodies_verbatim_and_failover_resends_the_same_bytes()
 
     // Nothing `encode_request` would write: blank lines, `\r\n`, tabs, an
     // explicit plus, comments with UTF-8 in them, options in any order.
-    let body = "MACHINE uniform 4 1 2\r\n\nOPTION cache off\nOPTION mode heuristics\n\
+    let body = "MACHINE uniform 4 1 2\r\n\nOPTION deadline_ms 0\nOPTION mode heuristics\n\
                 DAG 9\n% caf\u{e9} \u{2713}\n1 3 3\n0 0\n\t0 1\n 0 +2 \n\n0 1 1\r\n1 2 1\n2 3 1\n";
     let mut client = TcpStream::connect(router.addr()).expect("connect");
     client

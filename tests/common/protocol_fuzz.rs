@@ -69,7 +69,7 @@ fn request_seeds() -> Vec<String> {
             0xfeed
         ),
         "REQ 8\nMACHINE tree 8 3 5 2\nOPTION deadline_ms 250\nOPTION mode fast\n\
-         OPTION cache off\nOPTION trace ff\nDAG 2\n0 1 0\n0 1 1\nEND\n"
+         OPTION mode default\nOPTION trace ff\nDAG 2\n0 1 0\n0 1 1\nEND\n"
             .to_string(),
         "REQ 9\nMACHINE uniform 4 1 2\nOPTION mode heuristics\nDAG 2\n0 1 0\n0 4 1\nEND\n"
             .to_string(),

@@ -71,21 +71,24 @@ fn exact_cache_hit_response_path_is_allocation_free() {
          over 200 hits"
     );
 
-    // The same property must hold with tracing enabled: span recording is
-    // `Copy`-only writes into a caller-owned fixed array, so an exact hit
-    // that produces a full span tree still never touches the allocator.
+    // The same property must hold with tracing enabled, on the path a
+    // server's connection reader takes (key, then traced lookup): span
+    // recording is `Copy`-only writes into a caller-owned fixed array, so an
+    // exact hit that produces a full span tree still never touches the
+    // allocator.
     let mut spans = SpanSet::new();
     let ((), allocs, deallocs) = counted(|| {
         for _ in 0..100 {
             spans.clear();
+            let key = bsp_model::request_key(&request.dag, &request.machine);
             let reply = service
-                .handle_traced(&request, &mut spans)
+                .lookup_traced(key.full, &mut spans)
                 .expect("traced hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);
             spans.clear();
             let reply = service
-                .handle_fingerprint_traced(fingerprint, &mut spans)
+                .lookup_traced(fingerprint, &mut spans)
                 .expect("traced fingerprint hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);

@@ -12,6 +12,7 @@ use bsp_model::{Dag, Machine};
 use bsp_serve::{
     Client, MetricsSnapshot, RequestOptions, Router, RouterConfig, RouterHandle, ScheduleRequest,
     ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
+    WireTrace,
 };
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -105,10 +106,14 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
             machine: machine.clone(),
             options: RequestOptions::new(),
         };
+        // The server's two halves: the lookup on the connection reader, the
+        // solve on a worker.
         let mut spans = SpanSet::new();
         let wall = Instant::now();
+        let key = bsp_model::request_key(&request.dag, &request.machine);
+        assert!(service.lookup_traced(key.full, &mut spans).is_none());
         let reply = service
-            .handle_traced(&request, &mut spans)
+            .solve_traced(&request, key, wall, &mut spans)
             .expect("cold solve succeeds");
         let wall_us = wall.elapsed().as_micros() as u64;
         assert_eq!(reply.source, ScheduleSource::Cold);
@@ -141,17 +146,19 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
     }
 }
 
-/// Sends `dag` as a cache-bypassing request with the literal mode token
-/// `mode` and returns the reply's trace id and its schedule lines (`PROC`
-/// through `END`) as they came off the wire.
-fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u64, String) {
-    let options = RequestOptions::new().with_cache(false);
+/// Sends `dag` with the literal mode token `mode` through a deployment of
+/// its own, so that the answer is a cold solve and not a cache echo, and
+/// returns the reply's schedule lines (`PROC` through `END`) as they came
+/// off the wire, with the request's trace.
+fn cold_answer(dag: &Dag, machine: &Machine, mode: &str) -> (String, WireTrace) {
+    let (shards, router) = routed_deployment();
+    let options = RequestOptions::new();
     let mut wire = String::new();
     bsp_serve::protocol::encode_request(&mut wire, 1, dag, machine, &options).expect("encodes");
     let default_mode = format!("OPTION mode {}\n", options.mode.as_str());
     assert!(wire.contains(&default_mode));
     let wire = wire.replace(&default_mode, &format!("OPTION mode {mode}\n"));
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = TcpStream::connect(router.addr()).expect("connect");
     stream.write_all(wire.as_bytes()).expect("send");
     let reply = bsp_serve::protocol::read_raw_reply(&mut BufReader::new(stream))
         .expect("a reply frame")
@@ -159,7 +166,15 @@ fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u
     assert!(!reply.is_err, "{mode}: {}", reply.header_rest);
     let trace = reply.header_rest.rsplit_once("trace ").expect("traced").1;
     let trace_id = u64::from_str_radix(trace, 16).expect("a hex trace id");
-    (trace_id, reply.body)
+    let mut client = Client::connect(router.addr()).expect("connect via router");
+    let trace = client.trace(trace_id).expect("TRACE answers");
+    assert_eq!(trace.source, "cold", "{mode}");
+    drop(client);
+    router.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+    (reply.body, trace)
 }
 
 /// Sends a raw `OPTION mode <mode>` request through a router and holds that
@@ -167,17 +182,13 @@ fn raw_request(addr: SocketAddr, dag: &Dag, machine: &Machine, mode: &str) -> (u
 /// gives, byte for byte, and the trace names every pipeline phase.  Returns
 /// the trace's span names.
 fn spans_of_a_request_the_pipeline_answered(mode: &str) -> Vec<String> {
-    let (shards, router) = routed_deployment();
     let machine = Machine::uniform(4, 1, 2);
     let dag = layered_dag(4);
 
-    let (trace_id, schedule) = raw_request(router.addr(), &dag, &machine, mode);
-    let (_, heuristics) = raw_request(router.addr(), &dag, &machine, "heuristics");
+    let (schedule, trace) = cold_answer(&dag, &machine, mode);
+    let (heuristics, _) = cold_answer(&dag, &machine, "heuristics");
     assert_eq!(schedule, heuristics, "mode {mode}");
 
-    let mut client = Client::connect(router.addr()).expect("connect via router");
-    let trace = client.trace(trace_id).expect("TRACE answers");
-    assert_eq!(trace.source, "cold");
     let names: Vec<String> = trace.spans.into_iter().map(|s| s.name).collect();
     for expected in [
         "solve",
@@ -196,12 +207,6 @@ fn spans_of_a_request_the_pipeline_answered(mode: &str) -> Vec<String> {
     // One search a solve: the sweeps' `init_schedule` twice, `hc` once.
     let count = |name: &str| names.iter().filter(|n| *n == name).count();
     assert_eq!((count("init_schedule"), count("hc")), (2, 1), "{names:?}");
-
-    drop(client);
-    router.shutdown();
-    for shard in shards {
-        shard.shutdown();
-    }
     names
 }
 
@@ -330,41 +335,74 @@ fn router_trace_shows_dispatch_queue_wait_and_every_pipeline_phase() {
 
 /// Unsharded deployments answer the same verbs directly: the server mints
 /// trace ids, `TRACE` returns the span tree, and `METRICS` exposes the
-/// phase-timing counters.
+/// phase-timing counters.  A cold request waits in the queue and counts one
+/// miss; a cache answer (an `FP` replay or a full-payload repeat) is made on
+/// the connection reader and never queues.
 #[test]
 fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     let server = shard_server();
     let machine = Machine::uniform(4, 1, 2);
     let options = RequestOptions::new();
     let mut client = Client::connect(server.addr()).expect("connect");
+    let span_names =
+        |trace: WireTrace| -> Vec<String> { trace.spans.into_iter().map(|s| s.name).collect() };
 
-    let dag = test_dag(9);
-    let cold = client.schedule(&dag, &machine, &options).expect("cold");
-    assert_ne!(
-        cold.trace_id, 0,
-        "the server mints a trace id when unrouted"
-    );
-    let trace = client.trace(cold.trace_id).expect("TRACE answers");
-    let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-    for expected in ["queue_wait", "cache_miss", "solve", "respond"] {
-        assert!(
-            names.contains(&expected),
-            "server trace is missing the {expected} span; got {names:?}"
+    let dags = [test_dag(9), test_dag(10)];
+    for dag in &dags {
+        let cold = client.schedule(dag, &machine, &options).expect("cold");
+        assert_eq!(cold.source, ScheduleSource::Cold);
+        assert_ne!(
+            cold.trace_id, 0,
+            "the server mints a trace id when unrouted"
         );
+        let names = span_names(client.trace(cold.trace_id).expect("TRACE answers"));
+        for expected in ["queue_wait", "cache_miss", "solve", "respond"] {
+            assert!(
+                names.iter().any(|n| n == expected),
+                "server trace is missing the {expected} span; got {names:?}"
+            );
+        }
     }
     assert!(
         client.trace(0xdead_beef).is_err(),
         "an unknown trace id is an error, not an empty tree"
     );
 
+    // This client replays by fingerprint; a fresh one sends the full payload.
+    let mut fresh = Client::connect(server.addr()).expect("connect");
+    let hits = [
+        client
+            .schedule(&dags[0], &machine, &options)
+            .expect("FP hit"),
+        fresh
+            .schedule(&dags[0], &machine, &options)
+            .expect("full hit"),
+    ];
+    assert_eq!(client.fp_fallbacks(), 0, "the replay went out as `FP`");
+    for hit in hits {
+        assert_eq!(hit.source, ScheduleSource::CacheExact);
+        let names = span_names(client.trace(hit.trace_id).expect("TRACE answers"));
+        assert!(names.iter().any(|n| n == "cache_exact_hit"), "{names:?}");
+        assert!(!names.iter().any(|n| n == "queue_wait"), "{names:?}");
+    }
+
     let exposition = client.metrics().expect("METRICS");
     let snap = MetricsSnapshot::parse(&exposition).expect("exposition parses");
-    assert_eq!(snap.counter("bsp_requests_total{source=\"cold\"}"), Some(1));
-    assert!(snap.counter_sum("bsp_solve_phase_micros_total") > 0);
-    assert!(
-        snap.histograms.contains_key("bsp_queue_wait_micros"),
-        "queue-wait histogram is registered"
+    assert_eq!(snap.counter("bsp_requests_total{source=\"cold\"}"), Some(2));
+    assert_eq!(
+        snap.counter("bsp_requests_total{source=\"exact\"}"),
+        Some(2)
     );
+    assert!(snap.counter_sum("bsp_solve_phase_micros_total") > 0);
+    let queue_wait = snap.histograms.get("bsp_queue_wait_micros");
+    assert_eq!(
+        queue_wait.map(|h| h.count),
+        Some(2),
+        "one queue wait per cold request, none per hit"
+    );
+    // The reader's lookup counts the miss; the worker's solve counts none.
+    assert_eq!(snap.counter("bsp_cache_ops_total{op=\"miss\"}"), Some(2));
+    assert_eq!(snap.counter("bsp_cache_ops_total{op=\"hit\"}"), Some(2));
     assert_eq!(snap.counter_sum("bsp_solver_fallbacks_total"), 0);
     assert_eq!(
         snap.counter("bsp_solver_fallbacks_total{kind=\"invalid_schedule\"}"),
@@ -372,6 +410,6 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
         "the fallback series is exported before anything falls back"
     );
 
-    drop(client);
+    drop((client, fresh));
     server.shutdown();
 }
