@@ -2,8 +2,8 @@
 //! proof: `exp_multilevel`'s solve peaks and the `alloc_free` /
 //! `serve_alloc_free` test binaries, each of which installs
 //! [`CountingAllocator`] as its `#[global_allocator]` and reads it through
-//! [`counted`] and [`held_peak`].  The counters are process-wide; in a binary
-//! that installed nothing they stay at zero.
+//! [`counted`], [`held_peak`] and [`held`].  The counters are process-wide;
+//! in a binary that installed nothing they stay at zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
@@ -87,6 +87,11 @@ pub fn held_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
     PEAK.store(start, SeqCst);
     let out = f();
     (out, PEAK.load(SeqCst) - start)
+}
+
+/// The heap bytes this process holds now.
+pub fn held() -> usize {
+    HELD.load(SeqCst)
 }
 
 /// The lock every test of a counting binary holds from its first allocation

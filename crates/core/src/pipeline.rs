@@ -139,9 +139,24 @@ impl PipelineConfig {
     }
 }
 
+/// Every name a [`PhaseSample`] of a run can carry: the reduction, each
+/// initializer's sweep and its `init_schedule` copy, the three block-move
+/// phases and `HCcs`.  The serving layer's span table holds this list, so a
+/// trace stores a phase as its index.
+pub const PHASE_NAMES: [&str; 8] = [
+    "funnel",
+    "BSPg",
+    "Source",
+    "init_schedule",
+    "hc",
+    "relocate",
+    "refine",
+    "hccs",
+];
+
 /// One timed solver phase, as a microsecond offset + duration relative to
-/// the start of the run.  Every run collects them; names are `&'static` so
-/// the serving layer can copy samples into its allocation-free span sets.
+/// the start of the run.  Every run collects them; names are `&'static` and
+/// one of [`PHASE_NAMES`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseSample {
     /// Static phase name (`"funnel"`, an initializer name, `"hc"`, `"hccs"`, …).

@@ -16,12 +16,18 @@
 //!   p99 is computed over the pooled observations rather than approximated
 //!   from per-shard quantiles.
 //! - [`SpanSet`] / [`TraceRecord`] / [`TraceJournal`] — request tracing.  A
-//!   span set is a fixed, `Copy`-only array built on the stack (`&'static`
-//!   names, microsecond offsets from request acceptance); the journal is a
-//!   pre-allocated ring plus a bounded worst-N-by-latency slow log.  Neither
-//!   recording a span nor journaling a finished trace allocates, so the
-//!   exact-cache-hit path stays allocation-free with tracing enabled.
+//!   span set is a fixed, `Copy`-only array built on the stack; each
+//!   [`Span`] is 12 bytes: its name as a `u8` index into [`SPAN_NAMES`] (the
+//!   serving layer's own names, then the pipeline's [`PHASE_NAMES`]), its
+//!   depth, and a `u32` microsecond offset from request acceptance and
+//!   duration, each saturating at about 71 minutes.  A [`TraceRecord`] of
+//!   [`MAX_SPANS`] spans is at most 640 bytes, so a 256-slot journal ring is
+//!   at most 170 KB.  The journal is a pre-allocated ring plus a bounded
+//!   worst-N-by-latency slow log.  Neither recording a span nor journaling a
+//!   finished trace allocates, so the exact-cache-hit path stays
+//!   allocation-free with tracing enabled.
 
+use bsp_sched::pipeline::PHASE_NAMES;
 use bsp_sched::PhaseSample;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -38,22 +44,86 @@ use crate::metrics::LatencyHistogram;
 /// allocating.
 pub const MAX_SPANS: usize = 48;
 
-const EMPTY_SPAN: PhaseSample = PhaseSample {
-    name: "",
+/// The serving layer's own span names, the hit path's first.
+const SERVE_SPANS: [&str; 7] = [
+    "cache_exact_hit",
+    "respond",
+    "cache_miss",
+    "queue_wait",
+    "solve",
+    "cache_insert",
+    "router_dispatch",
+];
+
+/// Every name a [`Span`] can carry, in index order: the serving layer's own,
+/// then the pipeline's [`PHASE_NAMES`], then `unknown` for a name outside
+/// both (a debug build panics on one instead).
+pub const SPAN_NAMES: [&str; SERVE_SPANS.len() + PHASE_NAMES.len() + 1] = {
+    let mut names = ["unknown"; SERVE_SPANS.len() + PHASE_NAMES.len() + 1];
+    let mut i = 0;
+    while i < SERVE_SPANS.len() {
+        names[i] = SERVE_SPANS[i];
+        i += 1;
+    }
+    while i < SERVE_SPANS.len() + PHASE_NAMES.len() {
+        names[i] = PHASE_NAMES[i - SERVE_SPANS.len()];
+        i += 1;
+    }
+    names
+};
+
+/// `name`'s index in [`SPAN_NAMES`]; `unknown`'s for a name the table lacks.
+fn span_index(name: &str) -> u8 {
+    let unknown = SPAN_NAMES.len() - 1;
+    let at = SPAN_NAMES[..unknown]
+        .iter()
+        .position(|&known| known == name);
+    debug_assert!(at.is_some(), "span name {name:?} is not in SPAN_NAMES");
+    at.unwrap_or(unknown) as u8
+}
+
+/// A microsecond count as a span field: saturates at `u32::MAX` (71 min).
+fn span_micros(us: u64) -> u32 {
+    u32::try_from(us).unwrap_or(u32::MAX)
+}
+
+/// One recorded span: 12 bytes.  The offset counts from the moment the
+/// request was accepted (by the router when sharded, by the server
+/// otherwise), so spans from different layers compose by offsetting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Index into [`SPAN_NAMES`]; read through [`Span::name`].
+    name: u8,
+    /// Nesting depth (0 = a direct child of the request).
+    pub depth: u8,
+    /// Microseconds from request acceptance to span start, saturating.
+    pub start_us: u32,
+    /// Span duration in microseconds, saturating.
+    pub dur_us: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Span>() == 12);
+
+impl Span {
+    /// The span's name, read back through [`SPAN_NAMES`].
+    pub fn name(&self) -> &'static str {
+        SPAN_NAMES[self.name as usize]
+    }
+}
+
+const EMPTY_SPAN: Span = Span {
+    name: 0,
     depth: 0,
     start_us: 0,
     dur_us: 0,
 };
 
-/// A bounded, stack-allocated collection of spans, each a [`PhaseSample`]
-/// whose `start_us` is the offset from the moment the request was accepted
-/// (by the router when sharded, by the server otherwise), so spans from
-/// different layers compose by offsetting.  `Copy`, no heap.
+/// A bounded, stack-allocated collection of [`Span`]s.  `Copy`, no heap.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanSet {
     len: u8,
     truncated: bool,
-    spans: [PhaseSample; MAX_SPANS],
+    spans: [Span; MAX_SPANS],
 }
 
 impl Default for SpanSet {
@@ -72,27 +142,15 @@ impl SpanSet {
         }
     }
 
-    /// Appends a span; sets the truncation flag instead of growing past
-    /// [`MAX_SPANS`].
+    /// Appends a span named `name` (one of [`SPAN_NAMES`]); sets the
+    /// truncation flag instead of growing past [`MAX_SPANS`].
     pub fn push(&mut self, name: &'static str, depth: u8, start_us: u64, dur_us: u64) {
-        let span = PhaseSample {
-            name,
-            depth,
-            start_us,
-            dur_us,
-        };
-        self.push_shifted(span, 0, 0);
-    }
-
-    /// Appends `span` as a child: shifted by `offset_us` and deepened by
-    /// `extra_depth`.  Used to graft the solver's phase samples under the
-    /// service's solve span.
-    pub fn push_shifted(&mut self, span: PhaseSample, extra_depth: u8, offset_us: u64) {
         if (self.len as usize) < MAX_SPANS {
-            self.spans[self.len as usize] = PhaseSample {
-                depth: span.depth.saturating_add(extra_depth),
-                start_us: span.start_us.saturating_add(offset_us),
-                ..span
+            self.spans[self.len as usize] = Span {
+                name: span_index(name),
+                depth,
+                start_us: span_micros(start_us),
+                dur_us: span_micros(dur_us),
             };
             self.len += 1;
         } else {
@@ -100,8 +158,20 @@ impl SpanSet {
         }
     }
 
+    /// Appends a solver phase as a child: shifted by `offset_us` and deepened
+    /// by `extra_depth`.  Used to graft the solver's phase samples under the
+    /// service's solve span.
+    pub fn push_shifted(&mut self, sample: PhaseSample, extra_depth: u8, offset_us: u64) {
+        self.push(
+            sample.name,
+            sample.depth.saturating_add(extra_depth),
+            sample.start_us.saturating_add(offset_us),
+            sample.dur_us,
+        );
+    }
+
     /// The recorded spans, in push order.
-    pub fn spans(&self) -> &[PhaseSample] {
+    pub fn spans(&self) -> &[Span] {
         &self.spans[..self.len as usize]
     }
 
@@ -143,6 +213,9 @@ pub struct TraceRecord {
     /// The span tree.
     pub spans: SpanSet,
 }
+
+/// What a journal slot may cost: 256 slots stay within 170 KB.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 640);
 
 /// Bounded trace storage: a ring of the most recent traces plus a worst-N
 /// slow log, both pre-allocated.  [`TraceJournal::record`] never allocates.
@@ -846,12 +919,34 @@ mod tests {
     fn span_set_caps_and_flags_truncation() {
         let mut set = SpanSet::new();
         for i in 0..MAX_SPANS {
-            set.push("phase", 0, i as u64, 1);
+            set.push("solve", 0, i as u64, 1);
         }
         assert!(!set.truncated());
-        set.push("overflow", 0, 0, 1);
+        set.push("respond", 0, 0, 1);
         assert_eq!(set.len(), MAX_SPANS);
         assert!(set.truncated());
+    }
+
+    #[test]
+    fn a_span_reads_its_name_back_and_saturates_its_clock() {
+        let known = &SPAN_NAMES[..SPAN_NAMES.len() - 1];
+        let mut set = SpanSet::new();
+        for (depth, &name) in known.iter().enumerate() {
+            set.push(name, depth as u8, depth as u64, 7);
+        }
+        let names: Vec<&str> = set.spans().iter().map(Span::name).collect();
+        assert_eq!(names, known);
+        let sample = PhaseSample {
+            name: "hccs",
+            depth: 0,
+            start_us: 5,
+            dur_us: u64::from(u32::MAX) + 1,
+        };
+        set.clear();
+        set.push_shifted(sample, 1, u64::MAX - 2);
+        let span = set.spans()[0];
+        assert_eq!((span.name(), span.depth), ("hccs", 1));
+        assert_eq!((span.start_us, span.dur_us), (u32::MAX, u32::MAX));
     }
 
     #[test]
@@ -859,7 +954,7 @@ mod tests {
         let journal = TraceJournal::new(4, 2);
         let make = |id: u64, total: u64| {
             let mut spans = SpanSet::new();
-            spans.push("total", 0, 0, total);
+            spans.push("respond", 0, 0, total);
             journal.record(TraceRecord {
                 trace_id: id,
                 source: "cold",

@@ -1014,10 +1014,10 @@ impl WireTrace {
                 .spans()
                 .iter()
                 .map(|s| WireSpan {
-                    name: s.name.to_string(),
+                    name: s.name().to_string(),
                     depth: s.depth,
-                    start_us: s.start_us,
-                    dur_us: s.dur_us,
+                    start_us: u64::from(s.start_us),
+                    dur_us: u64::from(s.dur_us),
                 })
                 .collect(),
         }

@@ -33,6 +33,7 @@ use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
 use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::{hccs_improve, HillClimbConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,8 +268,11 @@ impl ScheduleService {
         let mut cache = ScheduleCache::new(config.cache_bytes);
         let store = match &config.store {
             Some(store_config) => {
-                let (store, recovered) = Store::open(store_config.clone())?;
-                for record in &recovered {
+                let (mut loaded, mut dropped) = (0, 0);
+                // One record at a time, each adopted and dropped before the
+                // scan reads the next; a later version of a fingerprint that
+                // passes replaces the earlier one in the cache.
+                let store = Store::open_with(store_config.clone(), |record| {
                     // Recovery trusts nothing: a checksum-valid record is
                     // re-validated end to end (fingerprints recomputed from
                     // the payload, schedule checked against the request)
@@ -276,16 +280,16 @@ impl ScheduleService {
                     match adopt_record(record) {
                         Some((key, schedule, cost)) => {
                             cache.repopulate(key.full, schedule, cost);
-                            store.counters().loaded.fetch_add(1, Ordering::Relaxed);
+                            loaded += 1;
                         }
-                        None => {
-                            store
-                                .counters()
-                                .dropped_corrupt
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
+                        None => dropped += 1,
                     }
-                }
+                })?;
+                let counters = store.counters();
+                counters.loaded.fetch_add(loaded, Ordering::Relaxed);
+                counters
+                    .dropped_corrupt
+                    .fetch_add(dropped, Ordering::Relaxed);
                 Some(store)
             }
             None => None,
@@ -570,10 +574,17 @@ impl ScheduleService {
 /// validity check every served schedule passes, and the cost is recomputed
 /// rather than read back.  A corrupt or crafted record therefore costs one
 /// lost cache entry, never a wrong answer.
-fn adopt_record(record: &StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u64)> {
+///
+/// The record keeps `π` and `τ`, not `Γ`, so the schedule is rebuilt with a
+/// lazy `Γ`.  When that costs more than the record's `cost` (the answer
+/// served before the restart), `HCcs` runs on it, as it ran last in the
+/// solve that produced the answer, and from the same lazy `Γ`: so a repeat
+/// after a restart costs what it cost before.
+fn adopt_record(record: StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u64)> {
     let text = std::str::from_utf8(&record.dag_bytes).ok()?;
     let dag = read_hyperdag(text).ok()?;
-    let key = request_key(&dag, &record.machine);
+    let machine = &record.machine;
+    let key = request_key(&dag, machine);
     if key.full != record.full_fp || key.structure != record.structure_fp {
         return None;
     }
@@ -590,11 +601,18 @@ fn adopt_record(record: &StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u
     {
         return None;
     }
-    let schedule = BspSchedule::from_assignment_lazy(&dag, record.assignment.clone());
-    if schedule.validate(&dag, &record.machine).is_err() {
+    let mut schedule = BspSchedule::from_assignment_lazy(&dag, record.assignment);
+    if schedule.validate(&dag, machine).is_err() {
         return None;
     }
-    let cost = schedule.cost(&dag, &record.machine);
+    let mut cost = schedule.cost(&dag, machine);
+    if cost > record.cost {
+        hccs_improve(&dag, machine, &mut schedule, &HillClimbConfig::default());
+        if schedule.validate(&dag, machine).is_err() {
+            return None;
+        }
+        cost = schedule.cost(&dag, machine);
+    }
     Some((key, Arc::new(schedule), cost))
 }
 

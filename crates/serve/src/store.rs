@@ -14,13 +14,17 @@
 //!   [`StoreCounters::write_errors`]) rather than stalling a response
 //!   worker on disk I/O.  Durability is best-effort per entry; correctness
 //!   never depends on it.
-//! * **Crash recovery.**  [`Store::open`] scans every segment in sequence
-//!   order, verifies each frame's checksum, **truncates the segment at the
-//!   first torn or corrupt record**, and returns the surviving entries
-//!   (newest version per fingerprint) for the service to re-validate and
-//!   repopulate into the cache.  A damaged tail is physically truncated so
-//!   it is not re-counted on the next boot — and can never surface as a
-//!   served schedule.
+//! * **Crash recovery, one frame at a time.**  [`Store::open_with`] scans
+//!   every segment in sequence order, frame by frame through a
+//!   `BufReader`, verifies each frame's checksum, **truncates the segment at
+//!   the first torn or corrupt record**, and hands each surviving record to
+//!   a callback in write order — the service re-validates it, adopts it
+//!   into the cache and drops it, so a boot holds one frame, not the
+//!   store.  A later version of a fingerprint comes after the earlier one,
+//!   so "newest version wins" is "last one adopted".  [`Store::open`]
+//!   collects the same scan (newest version per fingerprint).  A damaged
+//!   tail is physically truncated so it is not re-counted on the next boot
+//!   — and can never surface as a served schedule.
 //! * **Disk budget.**  The cache's LRU byte budget governs RAM only;
 //!   evictions keep the on-disk copy.  When the segment files exceed
 //!   [`StoreConfig::disk_budget_bytes`], the writer compacts: live entries
@@ -35,10 +39,10 @@
 //!   them) but inert unless armed.
 
 use crate::metrics::StoreCounters;
-use bsp_model::record::{decode_record, RecordError, StoreRecord, FRAME_HEADER_BYTES};
-use std::collections::{BTreeMap, HashMap};
+use bsp_model::record::{decode_record, StoreRecord, FRAME_HEADER_BYTES, MAX_RECORD_BYTES};
+use std::collections::{hash_map, BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, BufReader, Read, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -122,9 +126,31 @@ struct LiveRef {
 impl Store {
     /// Opens (or creates) the store at `config.dir`, runs crash recovery on
     /// every segment, and returns the handle plus the recovered entries —
-    /// newest version per full fingerprint, in write order — for the caller
-    /// to re-validate and repopulate into its cache.
+    /// newest version per full fingerprint, in the order each fingerprint
+    /// was first written.  It holds every entry at once; a server's boot
+    /// calls [`Store::open_with`], which does not.
     pub fn open(config: StoreConfig) -> io::Result<(Store, Vec<StoreRecord>)> {
+        let mut at: HashMap<u128, usize> = HashMap::new();
+        let mut entries: Vec<StoreRecord> = Vec::new();
+        let store = Store::open_with(config, |record| match at.entry(record.full_fp) {
+            hash_map::Entry::Occupied(seen) => entries[*seen.get()] = record,
+            hash_map::Entry::Vacant(new) => {
+                new.insert(entries.len());
+                entries.push(record);
+            }
+        })?;
+        Ok((store, entries))
+    }
+
+    /// Opens (or creates) the store at `config.dir`, runs crash recovery on
+    /// every segment, and hands each record that survives it to `recovered`,
+    /// in write order (every version of a fingerprint, the newest last),
+    /// for the caller to re-validate, keep what it needs of, and drop.  The
+    /// scan holds one frame at a time.
+    pub fn open_with(
+        config: StoreConfig,
+        mut recovered: impl FnMut(StoreRecord),
+    ) -> io::Result<Store> {
         let counters = Arc::new(StoreCounters::default());
         fs::create_dir_all(&config.dir)?;
         let mut segments: Vec<(u64, PathBuf)> = Vec::new();
@@ -137,24 +163,11 @@ impl Store {
         segments.sort_by_key(|&(seq, _)| seq);
 
         // Scan in sequence order; within a segment, frames are in write
-        // order, so "newest version per fingerprint" is simply "last seen".
+        // order, so the newest location of a fingerprint is the last seen.
         let mut index: HashMap<u128, LiveRef> = HashMap::new();
-        let mut records: Vec<(u128, StoreRecord)> = Vec::new();
         let mut total_bytes = 0u64;
         for &(seq, ref path) in &segments {
-            let valid_len = scan_segment(path, seq, &counters, &mut index, &mut records)?;
-            total_bytes += valid_len;
-        }
-        let mut seen: HashMap<u128, usize> = HashMap::new();
-        let mut entries: Vec<StoreRecord> = Vec::new();
-        for (fp, record) in records {
-            match seen.get(&fp) {
-                Some(&at) => entries[at] = record,
-                None => {
-                    seen.insert(fp, entries.len());
-                    entries.push(record);
-                }
-            }
+            total_bytes += scan_segment(path, seq, &counters, &mut index, &mut recovered)?;
         }
 
         // A fresh active segment per boot: recovery never appends to an old
@@ -180,15 +193,12 @@ impl Store {
         let handle = std::thread::Builder::new()
             .name("bsp-store-writer".into())
             .spawn(move || writer.run(&rx))?;
-        Ok((
-            Store {
-                tx: Some(tx),
-                writer: Some(handle),
-                counters,
-                fail,
-            },
-            entries,
-        ))
+        Ok(Store {
+            tx: Some(tx),
+            writer: Some(handle),
+            counters,
+            fail,
+        })
     }
 
     /// Hands one encoded frame to the writer.  Never blocks: a full queue
@@ -259,62 +269,75 @@ fn create_segment(dir: &Path, seq: u64) -> io::Result<(File, u64)> {
     Ok((file, SEGMENT_HEADER_BYTES))
 }
 
-/// Recovers one segment: verifies the header and every frame checksum,
-/// physically truncates the file at the first torn or corrupt record,
-/// records the survivors, and returns the number of valid bytes kept.
+/// Recovers one segment, frame by frame: verifies the header and every
+/// frame checksum, physically truncates the file at the first torn or
+/// corrupt record, hands each survivor to `recovered`, and returns the
+/// number of valid bytes kept.
 fn scan_segment(
     path: &Path,
     seq: u64,
     counters: &StoreCounters,
     index: &mut HashMap<u128, LiveRef>,
-    records: &mut Vec<(u128, StoreRecord)>,
+    recovered: &mut impl FnMut(StoreRecord),
 ) -> io::Result<u64> {
-    let bytes = fs::read(path)?;
-    let header_ok = bytes.len() >= SEGMENT_HEADER_BYTES as usize
-        && &bytes[..8] == SEGMENT_MAGIC
-        && bytes[8..12] == SEGMENT_VERSION.to_le_bytes();
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::new(file);
+    let mut header = [0u8; SEGMENT_HEADER_BYTES as usize];
+    let header_ok = file_len >= SEGMENT_HEADER_BYTES
+        && reader.read_exact(&mut header).is_ok()
+        && &header[..8] == SEGMENT_MAGIC
+        && header[8..] == SEGMENT_VERSION.to_le_bytes();
     if !header_ok {
         // The whole file is unusable; truncate it to nothing so the damage
         // is not re-reported every boot.
         counters.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
-        fs::OpenOptions::new().write(true).open(path)?.set_len(0)?;
+        OpenOptions::new().write(true).open(path)?.set_len(0)?;
         return Ok(0);
     }
-    let mut offset = SEGMENT_HEADER_BYTES as usize;
-    while offset < bytes.len() {
-        match decode_record(&bytes[offset..]) {
-            Ok((record, consumed)) => {
-                let frame_len = consumed as u64;
-                index.insert(
-                    record.full_fp,
-                    LiveRef {
-                        seq,
-                        offset: offset as u64,
-                        len: frame_len,
-                    },
-                );
-                records.push((record.full_fp, record));
-                counters
-                    .recovered_bytes
-                    .fetch_add(frame_len, Ordering::Relaxed);
-                offset += consumed;
-            }
-            Err(RecordError::Truncated)
-            | Err(RecordError::ChecksumMismatch)
-            | Err(RecordError::Malformed(_))
-            | Err(RecordError::Unsupported(_)) => {
-                // Torn tail or corruption: keep the checksum-valid prefix,
-                // drop everything from here on.
-                counters.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
-                fs::OpenOptions::new()
-                    .write(true)
-                    .open(path)?
-                    .set_len(offset as u64)?;
-                break;
-            }
-        }
+    let mut offset = SEGMENT_HEADER_BYTES;
+    let mut frame = Vec::new();
+    while offset < file_len {
+        let whole = next_frame(&mut reader, file_len - offset, &mut frame)?;
+        let decoded = if whole {
+            decode_record(&frame).ok()
+        } else {
+            None
+        };
+        let Some((record, consumed)) = decoded else {
+            // Torn tail or corruption: keep the checksum-valid prefix,
+            // drop everything from here on.
+            counters.dropped_corrupt.fetch_add(1, Ordering::Relaxed);
+            OpenOptions::new().write(true).open(path)?.set_len(offset)?;
+            break;
+        };
+        let len = consumed as u64;
+        index.insert(record.full_fp, LiveRef { seq, offset, len });
+        counters.recovered_bytes.fetch_add(len, Ordering::Relaxed);
+        offset += len;
+        recovered(record);
     }
-    Ok(offset.min(bytes.len()) as u64)
+    Ok(offset)
+}
+
+/// Reads the frame at `reader`'s position into `frame`, header included, or
+/// returns `false` when the `remaining` bytes of the segment cannot hold it:
+/// fewer than a frame header, or fewer than the header declares (a torn
+/// tail), or a length no record has (a garbled header).  `frame` never
+/// grows past the bytes the file holds.
+fn next_frame(reader: &mut impl Read, remaining: u64, frame: &mut Vec<u8>) -> io::Result<bool> {
+    if remaining < FRAME_HEADER_BYTES as u64 {
+        return Ok(false);
+    }
+    frame.resize(FRAME_HEADER_BYTES, 0);
+    reader.read_exact(frame)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+    if len > MAX_RECORD_BYTES || (FRAME_HEADER_BYTES + len) as u64 > remaining {
+        return Ok(false);
+    }
+    frame.resize(FRAME_HEADER_BYTES + len, 0);
+    reader.read_exact(&mut frame[FRAME_HEADER_BYTES..])?;
+    Ok(true)
 }
 
 /// The writer thread's whole state; single-threaded by construction.

@@ -141,3 +141,77 @@ fn wire_readers_hold_heap_in_proportion_to_the_bytes_they_read() {
     }
     eprintln!("largest peak per byte read: {worst:.1} ({worst_case})");
 }
+
+/// Recovery streams: a restarted service adopts each stored record and
+/// drops it before reading the next, so over a store of 240 records in
+/// several segments the heap it holds at its peak stays within a small
+/// multiple of the largest frame above what it keeps (the cache contents,
+/// the store's index, the metrics).  Holding every record at once, as a
+/// collecting recovery does, peaks at the whole store above that.
+#[test]
+fn store_recovery_holds_one_frame_at_a_time() {
+    use bsp_bench::heap::held;
+    use bsp_model::record::{encode_record, StoreRecord};
+    use bsp_model::{request_key, BspSchedule};
+    use bsp_serve::{Store, StoreConfig};
+    use dag_gen::hyperdag::write_hyperdag;
+
+    let _serial = one_at_a_time();
+    const RECORDS: u64 = 240;
+    let dir = std::env::temp_dir().join(format!("bsp-alloc-free-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_config = StoreConfig {
+        segment_bytes: 1 << 20,
+        ..StoreConfig::at(&dir)
+    };
+    let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+    let (mut largest, mut total) = (0, 0);
+    {
+        let (store, recovered) = Store::open(store_config.clone()).expect("fresh store");
+        assert!(recovered.is_empty());
+        for seed in 0..RECORDS {
+            let dag = spmv(&SpmvConfig {
+                n: 60,
+                density: 0.15,
+                seed,
+            });
+            let key = request_key(&dag, &machine);
+            let schedule = BspSchedule::trivial(&dag);
+            let record = StoreRecord {
+                full_fp: key.full,
+                structure_fp: key.structure,
+                cost: schedule.cost(&dag, &machine),
+                machine: machine.clone(),
+                dag_bytes: write_hyperdag(&dag).into_bytes(),
+                assignment: schedule.assignment,
+            };
+            let mut frame = Vec::new();
+            encode_record(&record, &mut frame).expect("encodes");
+            (largest, total) = (largest.max(frame.len()), total + frame.len());
+            store.offer(key.full, frame);
+        }
+        store.flush();
+    }
+    let segments = std::fs::read_dir(&dir).expect("store dir").count();
+    assert!(segments >= 3, "{segments} segments");
+
+    let config = ServiceConfig {
+        store: Some(store_config),
+        ..Default::default()
+    };
+    let before = held();
+    let (service, peak) = held_peak(|| ScheduleService::new(config));
+    let kept = held() - before;
+    assert_eq!(service.stats().store.loaded, RECORDS);
+    let transient = peak - kept;
+    eprintln!(
+        "recovery of {RECORDS} records ({total} bytes, largest frame {largest}): \
+         peak {peak} bytes, {kept} kept, {transient} above"
+    );
+    assert!(
+        transient <= 8 * largest,
+        "recovery held {transient} bytes above what it kept, more than 8 frames of {largest}"
+    );
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -142,3 +142,79 @@ fn lru_eviction_respects_the_byte_budget_through_the_service() {
         .expect("rerun of cached instance");
     assert_eq!(kept.source, ScheduleSource::CacheExact);
 }
+
+/// The store keeps `π` and `τ` but not `Γ`, and recovery rebuilds a lazy
+/// `Γ`: on these fine-grained DAGs that costs more than the answer served
+/// before the restart in some rows, and the restarted service runs `HCcs`
+/// on them.  Every repeat after the restart costs exactly what it cost
+/// before, and is the same schedule.
+#[test]
+fn a_repeat_after_a_restart_costs_its_pre_restart_answer() {
+    use dag_gen::{cg, exp, IterConfig};
+    let dir = std::env::temp_dir().join(format!("bsp-serve-cache-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServiceConfig {
+        store: Some(bsp_serve::StoreConfig::at(&dir)),
+        ..Default::default()
+    };
+    let fine = |seed: u64| IterConfig {
+        n: 24,
+        density: 0.2,
+        iterations: 2,
+        seed,
+    };
+    let machines = [
+        Machine::uniform(4, 3, 5),
+        Machine::numa_binary_tree(8, 3, 5, 3),
+    ];
+    let mut requests = Vec::new();
+    for seed in 0..4 {
+        for machine in &machines {
+            for dag in [base_dag(seed), cg(&fine(seed)), exp(&fine(seed))] {
+                requests.push(request(dag, machine.clone()));
+            }
+        }
+    }
+    let before: Vec<_> = {
+        let service = ScheduleService::new(config());
+        let replies = requests
+            .iter()
+            .map(|r| service.handle(r).unwrap())
+            .collect();
+        service.flush_store();
+        replies
+    };
+    let lazy_costlier = requests
+        .iter()
+        .zip(&before)
+        .filter(|(r, reply)| {
+            let lazy = bsp_model::BspSchedule::from_assignment_lazy(
+                &r.dag,
+                reply.schedule.assignment.clone(),
+            );
+            lazy.cost(&r.dag, &r.machine) > reply.cost
+        })
+        .count();
+    assert!(lazy_costlier > 0, "no row tests the re-run of HCcs");
+
+    let restarted = ScheduleService::new(config());
+    assert_eq!(restarted.stats().store.loaded, requests.len() as u64);
+    for (r, first) in requests.iter().zip(&before) {
+        let repeat = restarted.handle(r).unwrap();
+        assert_eq!(repeat.source, ScheduleSource::CacheExact);
+        assert_eq!(
+            repeat.cost,
+            first.cost,
+            "{} nodes on {:?}",
+            r.dag.n(),
+            r.machine
+        );
+        assert_eq!(*repeat.schedule, *first.schedule);
+    }
+    eprintln!(
+        "{lazy_costlier} of {} rows cost more with a lazy Γ",
+        requests.len()
+    );
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}

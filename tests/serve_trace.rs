@@ -8,7 +8,10 @@
 //! retired `multilevel` mode, or for `default` or `fast`: the wire still
 //! accepts every mode token, and every mode is the same solve.
 
+mod common;
+
 use bsp_model::{Dag, Machine};
+use bsp_sched::pipeline::{Pipeline, PHASE_NAMES};
 use bsp_serve::{
     Client, MetricsSnapshot, RequestOptions, Router, RouterConfig, RouterHandle, ScheduleRequest,
     ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
@@ -121,24 +124,23 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
         let solve = spans
             .spans()
             .iter()
-            .find(|s| s.name == "solve")
+            .find(|s| s.name() == "solve")
             .copied()
             .expect("a cold solve records a solve span");
         let mut child_sum = 0u64;
         for span in spans.spans() {
+            let (start_us, dur_us) = (u64::from(span.start_us), u64::from(span.dur_us));
             assert!(
-                span.start_us.saturating_add(span.dur_us) <= wall_us,
-                "span {} [{} +{}µs] overruns the measured wall clock ({wall_us}µs)",
-                span.name,
-                span.start_us,
-                span.dur_us
+                start_us + dur_us <= wall_us,
+                "span {} [{start_us} +{dur_us}µs] overruns the measured wall clock ({wall_us}µs)",
+                span.name(),
             );
             if span.depth == 1 {
-                child_sum += span.dur_us;
+                child_sum += dur_us;
             }
         }
         assert!(
-            child_sum <= solve.dur_us.max(1),
+            child_sum <= u64::from(solve.dur_us).max(1),
             "sequential solver phases ({child_sum}µs) exceed their parent solve span \
              ({}µs)",
             solve.dur_us
@@ -413,3 +415,128 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     drop((client, fresh));
     server.shutdown();
 }
+
+/// Every phase the pipeline reports on the golden table's families, on the
+/// benchmark's machines and the machine grid, is a name of the span table:
+/// a trace stores it as an index and reads the same name back.
+#[test]
+fn every_pipeline_phase_maps_into_the_span_table_and_back() {
+    let machines: Vec<Machine> = (common::benchmark_machines().into_iter())
+        .chain(common::machine_grid())
+        .collect();
+    let mut seen = Vec::new();
+    for (family, dag) in common::benchmark_families() {
+        for machine in &machines {
+            let report = Pipeline::default().run_report(&dag, machine);
+            let mut spans = SpanSet::new();
+            for &sample in &report.phases {
+                assert!(PHASE_NAMES.contains(&sample.name), "{family}: {sample:?}");
+                assert!(bsp_serve::obs::SPAN_NAMES.contains(&sample.name));
+                spans.push_shifted(sample, 1, 0);
+            }
+            let back: Vec<(&str, u8)> = spans.spans().iter().map(|s| (s.name(), s.depth)).collect();
+            let sent: Vec<(&str, u8)> = report
+                .phases
+                .iter()
+                .map(|p| (p.name, p.depth + 1))
+                .collect();
+            assert_eq!(back, sent, "{family}");
+            seen.extend(sent.into_iter().map(|(name, _)| name));
+        }
+    }
+    seen.sort_unstable();
+    seen.dedup();
+    let mut all = PHASE_NAMES.to_vec();
+    all.sort_unstable();
+    assert_eq!(seen, all, "every phase name is exercised");
+}
+
+/// The `TRACE` and `STATS SLOW` replies of fixed journal records, byte for
+/// byte: every span name a trace can carry, at depths 0-2, with offsets
+/// and durations up to `u32::MAX` µs.  The literals are what the encoders
+/// wrote when a span held its name as a `&'static str` and its clock as
+/// `u64`s; the 12-byte span must not change one byte of them.
+#[test]
+fn trace_and_slow_replies_keep_their_bytes() {
+    use bsp_serve::protocol::{encode_slow_reply, encode_trace_reply};
+    use bsp_serve::TraceRecord;
+    let names = [
+        "router_dispatch",
+        "queue_wait",
+        "cache_miss",
+        "cache_exact_hit",
+        "solve",
+        "funnel",
+        "BSPg",
+        "init_schedule",
+        "Source",
+        "hc",
+        "relocate",
+        "refine",
+        "hccs",
+        "cache_insert",
+        "respond",
+    ];
+    let mut spans = SpanSet::new();
+    for (i, name) in names.into_iter().enumerate() {
+        let i = i as u64;
+        spans.push(name, (i % 3) as u8, i * 1_000_003, i * i * 7_919);
+    }
+    spans.push("hccs", 2, u64::from(u32::MAX), u64::from(u32::MAX));
+    let cold = TraceRecord {
+        trace_id: 0x9e37_79b9_7f4a_7c15,
+        source: "cold",
+        shard: 1,
+        total_us: 4_294_967_295,
+        spans,
+    };
+    let mut exact_spans = SpanSet::new();
+    exact_spans.push("cache_exact_hit", 0, 0, 3);
+    exact_spans.push("respond", 0, 4, 11);
+    let exact = TraceRecord {
+        trace_id: 0x1,
+        source: "exact",
+        shard: -1,
+        total_us: 15,
+        spans: exact_spans,
+    };
+    let mut trace = String::new();
+    encode_trace_reply(&mut trace, &WireTrace::from_record(&cold));
+    encode_trace_reply(&mut trace, &WireTrace::from_record(&exact));
+    let mut slow = String::new();
+    encode_slow_reply(&mut slow, &[cold, exact]);
+    assert_eq!(trace, TRACE_BYTES);
+    assert_eq!(slow, SLOW_BYTES);
+}
+
+const TRACE_BYTES: &str = concat!(
+    "TRACE 9e3779b97f4a7c15 source cold shard 1 total_us 4294967295 spans 16\n",
+    "SPAN 0 0 0 router_dispatch\n",
+    "SPAN 1 1000003 7919 queue_wait\n",
+    "SPAN 2 2000006 31676 cache_miss\n",
+    "SPAN 0 3000009 71271 cache_exact_hit\n",
+    "SPAN 1 4000012 126704 solve\n",
+    "SPAN 2 5000015 197975 funnel\n",
+    "SPAN 0 6000018 285084 BSPg\n",
+    "SPAN 1 7000021 388031 init_schedule\n",
+    "SPAN 2 8000024 506816 Source\n",
+    "SPAN 0 9000027 641439 hc\n",
+    "SPAN 1 10000030 791900 relocate\n",
+    "SPAN 2 11000033 958199 refine\n",
+    "SPAN 0 12000036 1140336 hccs\n",
+    "SPAN 1 13000039 1338311 cache_insert\n",
+    "SPAN 2 14000042 1552124 respond\n",
+    "SPAN 2 4294967295 4294967295 hccs\n",
+    "END\n",
+    "TRACE 1 source exact shard -1 total_us 15 spans 2\n",
+    "SPAN 0 0 3 cache_exact_hit\n",
+    "SPAN 0 4 11 respond\n",
+    "END\n",
+);
+
+const SLOW_BYTES: &str = concat!(
+    "SLOW 2\n",
+    "TRACESUM 9e3779b97f4a7c15 cold 1 4294967295\n",
+    "TRACESUM 1 exact -1 15\n",
+    "END\n",
+);
