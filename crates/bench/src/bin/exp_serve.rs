@@ -48,11 +48,11 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The `--smoke` ceiling on cached bytes per node: 12.46 plus 25 %, measured
-/// at the default seed with 32-bit `π`, `τ` and `Γ` when the stream still
-/// carried re-weighted variants (it reads 12.31 now).  `usize` maps and
-/// transfers read ~24.8.
-const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 15.7;
+/// The `--smoke` ceiling on cached bytes per node: 9.34, measured at the
+/// default seed with 16-bit processors in `π` and `Γ` (6 bytes a node, 12 a
+/// transfer), plus 27 %.  A processor field widened back to `u32` reads
+/// ~12.35, and `usize` maps and transfers ~24.8.
+const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 11.9;
 
 /// The schedule sources, in the order of [`Outcome::by_source`].
 const SOURCES: [ScheduleSource; 2] = [ScheduleSource::Cold, ScheduleSource::CacheExact];
@@ -675,7 +675,7 @@ fn main() {
             metrics.counter(invalid_fallbacks) == Some(0),
             "a solver result was discarded, or the series is missing",
         ),
-        // Footprint: a cached answer is `8·n + 16·|Γ|` bytes; a wider
+        // Footprint: a cached answer is `6·n + 12·|Γ|` bytes; a wider
         // schedule representation would show up here first.
         (
             "serial",

@@ -82,9 +82,9 @@ impl Wavefronts {
 impl HDaggScheduler {
     /// Computes the processor assignment of every node, one wavefront after
     /// the other.
-    fn assign(&self, dag: &Dag, machine: &Machine, wavefronts: &Wavefronts) -> Vec<u32> {
+    fn assign(&self, dag: &Dag, machine: &Machine, wavefronts: &Wavefronts) -> Vec<u16> {
         let p = machine.p();
-        let mut proc = vec![0u32; dag.n()];
+        let mut proc = vec![0u16; dag.n()];
         let mut load = vec![0u64; p];
         let mut affinity = vec![0u64; p];
         let mut order: Vec<(Reverse<u64>, usize)> = Vec::new();
@@ -123,7 +123,7 @@ impl HDaggScheduler {
                     },
                     |(q, _)| q,
                 );
-                proc[v] = q as u32;
+                proc[v] = q as u16;
                 load[q] += work;
                 // Only the processors of `v`'s predecessors hold affinity.
                 for u in dag.predecessors(v) {
@@ -141,7 +141,7 @@ impl HDaggScheduler {
     /// Aggregates consecutive wavefronts into supersteps: a wavefront joins the
     /// current superstep if none of its nodes has a predecessor inside the
     /// current superstep that lives on a different processor.
-    fn aggregate(&self, dag: &Dag, proc: &[u32], wavefronts: &Wavefronts) -> Vec<u32> {
+    fn aggregate(&self, dag: &Dag, proc: &[u16], wavefronts: &Wavefronts) -> Vec<u32> {
         let levels = &wavefronts.levels;
         let mut superstep = vec![0u32; dag.n()];
         let mut current = 0u32;

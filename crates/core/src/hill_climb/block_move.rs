@@ -168,11 +168,11 @@ fn on_a_boundary(dag: &Dag, funnel: &Funnel, assignment: &Assignment, v: usize) 
 /// superstep.  A cell holding every node of the DAG is left out: moving it
 /// relabels the schedule.  `O(n + S + h · P)` for `h` heavy cells.
 fn relocations(dag: &Dag, machine: &Machine, assignment: &Assignment) -> Vec<Proposal> {
-    const MIXED: u32 = u32::MAX;
+    const MIXED: u16 = u16::MAX;
     let p = machine.p();
     // Per superstep: the one processor with work (`MIXED` when two have
     // some, `None` when none has), that work and the superstep's nodes.
-    let mut sole: Vec<(Option<u32>, u64, usize)> = vec![(None, 0, 0); assignment.num_supersteps()];
+    let mut sole: Vec<(Option<u16>, u64, usize)> = vec![(None, 0, 0); assignment.num_supersteps()];
     for v in 0..dag.n() {
         let (q, s) = (assignment.proc[v], assignment.superstep[v] as usize);
         let (worker, work, nodes) = &mut sole[s];
@@ -187,7 +187,7 @@ fn relocations(dag: &Dag, machine: &Machine, assignment: &Assignment) -> Vec<Pro
         }
     }
     let total = dag.total_work() as u128;
-    let heavy = |&(worker, work, nodes): &(Option<u32>, u64, usize)| match worker {
+    let heavy = |&(worker, work, nodes): &(Option<u16>, u64, usize)| match worker {
         Some(x) if x != MIXED && work as u128 * p as u128 > total && nodes < dag.n() => {
             Some((x as usize, work))
         }

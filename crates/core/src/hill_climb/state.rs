@@ -76,9 +76,10 @@
 //! ## Footprint
 //!
 //! The state is `O(n + m)` bytes whatever the degrees.  Per node it holds
-//! `u32`s only: processor, superstep, bucket entry and bucket position, and
-//! the arena's offset and length.  A node's consumer summaries (one per
-//! processor hosting a consumer) live in that arena, in which node `u` owns
+//! a `u16` processor and otherwise `u32`s only: superstep, bucket entry and
+//! bucket position, and the arena's offset and length.  A node's consumer
+//! summaries (one per processor hosting a consumer) live in that arena, in
+//! which node `u` owns
 //! `min(out_degree(u), P)` slots of 16 bytes.  The scratch is reserved to the
 //! largest gather one node's moves can make,
 //! `max_v Σ_{u ∈ {v} ∪ pred(v)} min(out_degree(u), P − 1)` contributions of
@@ -96,9 +97,8 @@ use bsp_model::{Assignment, Dag, Machine, ValidityError};
 
 /// One lazy-communication contribution: the value of some node is sent
 /// `from -> to` in the communication phase of `step`, with NUMA-weighted
-/// volume `weight`.  Supersteps are 32-bit, as in the schedule, and
-/// processors 16-bit ([`HcState::new`] panics on a machine past
-/// [`MAX_PROCESSORS`]).
+/// volume `weight`.  Supersteps are 32-bit and processors 16-bit, as in the
+/// schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Contribution {
     weight: u64,
@@ -109,10 +109,6 @@ struct Contribution {
 
 // Gathers and undo logs hold one per entry: 16 bytes, no padding.
 const _: () = assert!(std::mem::size_of::<Contribution>() == 16);
-
-/// The most processors the state handles: a [`Contribution`] names its
-/// sender and receiver by 16-bit index.
-const MAX_PROCESSORS: usize = 1 << 16;
 
 impl Contribution {
     #[inline(always)]
@@ -263,9 +259,9 @@ const DROP: usize = 1;
 #[derive(Debug, Clone, Copy)]
 enum Undo {
     /// Node `v` goes back to `(proc, step)`.
-    Move { v: u32, proc: u32, step: u32 },
+    Move { v: u32, proc: u16, step: u32 },
     /// The nodes of cell `(step, from)` go back to `to`.
-    Relocate { step: u32, from: u32, to: u32 },
+    Relocate { step: u32, from: u16, to: u16 },
 }
 
 /// Precomputed feasibility window for all candidate moves of one node: the
@@ -377,7 +373,7 @@ impl Scratch {
     fn summarize(
         &mut self,
         graph: &Dag,
-        proc: &[u32],
+        proc: &[u16],
         step: &[u32],
         u: usize,
         out: &mut [ConsumerSummary],
@@ -426,7 +422,7 @@ impl Scratch {
 #[derive(Debug, Clone)]
 pub struct HcState<'a> {
     machine: &'a Machine,
-    proc: Vec<u32>,
+    proc: Vec<u16>,
     step: Vec<u32>,
     /// Number of nodes per superstep (tracks the number of supersteps).
     nodes_in_step: Vec<usize>,
@@ -542,10 +538,6 @@ impl<'a> HcState<'a> {
     /// reach `π(w)` in time — for `τ(w) = 0` this is the case that used to
     /// underflow `s - 1`).  Infeasible assignments yield a [`ValidityError`]
     /// naming the offending edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine of more than `2^16` processors.
     pub fn new(
         graph: &Dag,
         machine: &'a Machine,
@@ -553,10 +545,6 @@ impl<'a> HcState<'a> {
     ) -> Result<Self, ValidityError> {
         let n = graph.n();
         let p = machine.p();
-        assert!(
-            p <= MAX_PROCESSORS,
-            "HC handles at most 2^16 processors, not {p}"
-        );
         if assignment.proc.len() != n {
             return Err(ValidityError::AssignmentLengthMismatch {
                 expected: n,
@@ -1374,7 +1362,7 @@ impl<'a> HcState<'a> {
         let new_num_steps = self.steps_after_move(v, s_new);
 
         // Mutate the assignment.
-        self.proc[v] = p_new as u32;
+        self.proc[v] = p_new as u16;
         self.step[v] = s_new as u32;
 
         self.scratch.mark_affected(s_old, s_new);
@@ -1415,7 +1403,7 @@ impl<'a> HcState<'a> {
         }
         self.scratch.prepared_node = None;
         if let Some(journal) = &mut self.journal {
-            let (proc, step) = (p_old as u32, s_old as u32);
+            let (proc, step) = (p_old as u16, s_old as u32);
             journal.push(Undo::Move {
                 v: v as u32,
                 proc,
@@ -1497,7 +1485,7 @@ impl<'a> HcState<'a> {
                 for &v in &self.step_nodes[s] {
                     let q = &mut self.proc[v as usize];
                     if *q as usize == x {
-                        *q = y as u32;
+                        *q = y as u16;
                     }
                 }
             }
@@ -1510,7 +1498,7 @@ impl<'a> HcState<'a> {
         self.mark_row(s);
         self.scratch.prepared_node = None;
         if let Some(journal) = &mut self.journal {
-            let (step, from, to) = (s as u32, y as u32, x as u32);
+            let (step, from, to) = (s as u32, y as u16, x as u16);
             journal.push(Undo::Relocate { step, from, to });
         }
         self.settle_bodies()
@@ -1731,7 +1719,7 @@ mod tests {
         // so every edge may cross: the gathers come close to the bound.
         let levels = dag.levels();
         let assignment = Assignment {
-            proc: (0..dag.n()).map(|v| (v * 5 % machine.p()) as u32).collect(),
+            proc: (0..dag.n()).map(|v| (v * 5 % machine.p()) as u16).collect(),
             superstep: levels.iter().map(|&l| 2 * l as u32).collect(),
         };
         let mut state = HcState::new(dag, &machine, assignment).unwrap();

@@ -39,8 +39,9 @@ const NO_POOL: usize = usize::MAX;
 struct Pools<'a> {
     dag: &'a Dag,
     p: usize,
-    /// `π` and `τ` so far, `u32::MAX` while unassigned.
-    proc: Vec<u32>,
+    /// `π` and `τ` so far, `u16::MAX` / `u32::MAX` while unassigned (no
+    /// machine has `u16::MAX + 1` processors).
+    proc: Vec<u16>,
     superstep_of: Vec<u32>,
     /// Bit `u * p + q`: a direct successor of `u` is assigned to `q`.  One
     /// bit a pair, so the `n · P` flags take `n · P / 8` bytes.
@@ -133,7 +134,7 @@ impl Pools<'_> {
         let dag = self.dag;
         self.len[self.pool[v]] -= 1;
         self.pool[v] = NO_POOL;
-        self.proc[v] = q as u32;
+        self.proc[v] = q as u16;
         self.superstep_of[v] = superstep as u32;
         for u in dag.predecessors(v) {
             let (word, mask) = self.succ_on_bit(u, q);
@@ -158,7 +159,7 @@ impl Pools<'_> {
         self.ready_any.clear();
         self.len.fill(0);
         for v in ready.drain(..) {
-            if self.proc[v] == u32::MAX {
+            if self.proc[v] == u16::MAX {
                 self.insert(v, self.p);
             }
         }
@@ -191,7 +192,7 @@ impl BspgScheduler {
         let mut pools = Pools {
             dag,
             p,
-            proc: vec![u32::MAX; n],
+            proc: vec![u16::MAX; n],
             superstep_of: vec![u32::MAX; n],
             succ_on: vec![0; (n * p).div_ceil(64)],
             pool: vec![NO_POOL; n],
@@ -333,7 +334,7 @@ mod tests {
         let dag = layered(2, 12);
         let machine = Machine::uniform(4, 1, 1);
         let sched = BspgScheduler.schedule(&dag, &machine);
-        let used: std::collections::HashSet<u32> = sched.assignment.proc.iter().copied().collect();
+        let used: std::collections::HashSet<u16> = sched.assignment.proc.iter().copied().collect();
         assert!(used.len() > 1, "BSPg never used a second processor");
         // It should comfortably beat the trivial sequential schedule here.
         assert!(sched.cost(&dag, &machine) < BspSchedule::trivial(&dag).cost(&dag, &machine));
@@ -349,7 +350,7 @@ mod tests {
         let machine = Machine::uniform(4, 3, 5);
         let sched = BspgScheduler.schedule(&dag, &machine);
         assert!(sched.validate(&dag, &machine).is_ok());
-        let procs: std::collections::HashSet<u32> = sched.assignment.proc.iter().copied().collect();
+        let procs: std::collections::HashSet<u16> = sched.assignment.proc.iter().copied().collect();
         assert_eq!(procs.len(), 1, "chain was split across processors");
         assert!(sched.comm.is_empty());
         assert!(sched.num_supersteps() <= dag.n());

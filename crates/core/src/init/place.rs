@@ -61,7 +61,7 @@ pub fn place_sources(dag: &Dag, machine: &Machine, schedule: &mut BspSchedule) -
 
 /// The processors [`place_sources`] gives the nodes of `schedule`, if any
 /// source moves.
-fn placed(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> Option<Vec<u32>> {
+fn placed(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> Option<Vec<u16>> {
     let p = machine.p();
     if p < 2 {
         return None;
@@ -138,7 +138,7 @@ fn placed(dag: &Dag, machine: &Machine, schedule: &BspSchedule) -> Option<Vec<u3
         match fits.min_by_key(|&q| (cost[q], q != from, q)) {
             Some(q) => {
                 room[q] -= dag.work(v);
-                proc[v] = q as u32;
+                proc[v] = q as u16;
             }
             None => stuck[r] = true,
         }
@@ -205,7 +205,7 @@ struct Movable {
     regret: Reverse<u64>,
     node: u32,
     /// The processor it came from.
-    from: u32,
+    from: u16,
 }
 
 /// What each processor would cost a source: `c(v) · Σ λ(q, r)` over the
@@ -265,7 +265,7 @@ mod tests {
 
     /// Sources 0–3 feed the consumers 4 and 5, which sit on processors 0
     /// and 1 in superstep 1; `proc` places the sources in superstep 0.
-    fn two_consumers(proc: [u32; 4]) -> (Dag, BspSchedule) {
+    fn two_consumers(proc: [u16; 4]) -> (Dag, BspSchedule) {
         let edges = [(0, 4), (1, 4), (2, 5), (3, 5)];
         let dag = Dag::from_edges(6, &edges, vec![1; 6], vec![2; 6]).unwrap();
         let assignment = Assignment {

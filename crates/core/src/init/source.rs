@@ -33,8 +33,9 @@ pub struct SourceScheduler;
 /// The assignment so far and the "shrinking" DAG of the unassigned nodes.
 struct Shrinking<'a> {
     dag: &'a Dag,
-    /// `π` and `τ` so far, `u32::MAX` while unassigned.
-    proc: Vec<u32>,
+    /// `π` and `τ` so far, `u16::MAX` / `u32::MAX` while unassigned (no
+    /// machine has `u16::MAX + 1` processors).
+    proc: Vec<u16>,
     superstep_of: Vec<u32>,
     /// In-degree of each node counting unassigned predecessors only.
     remaining_indeg: Vec<usize>,
@@ -46,7 +47,7 @@ struct Shrinking<'a> {
 impl Shrinking<'_> {
     /// Assigns `v` and removes it from the remaining DAG.
     fn assign(&mut self, v: usize, q: usize, superstep: usize) {
-        self.proc[v] = q as u32;
+        self.proc[v] = q as u16;
         self.superstep_of[v] = superstep as u32;
         for w in self.dag.successors(v) {
             self.remaining_indeg[w] -= 1;
@@ -64,7 +65,7 @@ impl SourceScheduler {
         let p = machine.p();
         let mut st = Shrinking {
             dag,
-            proc: vec![u32::MAX; n],
+            proc: vec![u16::MAX; n],
             superstep_of: vec![u32::MAX; n],
             remaining_indeg: (0..n).map(|v| dag.in_degree(v)).collect(),
             freed: Vec::new(),

@@ -144,7 +144,9 @@ impl ClassicalSchedule {
             current += 1;
         }
         Assignment {
-            proc: self.proc.iter().map(|&p| p as u32).collect(),
+            proc: (self.proc.iter())
+                .map(|&p| u16::try_from(p).expect("a Machine has at most u16::MAX processors"))
+                .collect(),
             superstep,
         }
     }

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 
 /// The most processors a machine arriving from outside (a request on the
 /// wire, a record on disk) may have: [`crate::request_key`] hashes all `P²`
-/// coefficients of every request, 262 144 at this size.
+/// coefficients of every request, 262 144 at this size.  Every constructor
+/// refuses more than `u16::MAX` processors, the model's own cap.
 pub const MAX_PROCESSORS: usize = 512;
 
 /// How the NUMA coefficients of a [`Machine`] are defined.
@@ -44,8 +45,17 @@ pub struct Machine {
 }
 
 impl Machine {
+    /// # Panics
+    ///
+    /// Panics unless `1 <= p <= u16::MAX`: a schedule names a processor in
+    /// 16 bits (`π` and `Γ`), and `u16::MAX` itself stays free as the
+    /// initializers' "unassigned" mark.
     fn new(p: usize, g: u64, latency: u64, topology: NumaTopology) -> Self {
         assert!(p >= 1, "a machine needs at least one processor");
+        assert!(
+            p <= usize::from(u16::MAX),
+            "a machine has at most u16::MAX = 65535 processors, not {p}"
+        );
         let levels = (usize::BITS - (p - 1).leading_zeros()) as usize;
         let level_cost = match topology {
             NumaTopology::Uniform => vec![1; levels],
@@ -335,6 +345,32 @@ mod tests {
             Machine::checked(MAX_PROCESSORS as u64, 1, 5, Some(3)),
             Ok(Machine::numa_binary_tree(MAX_PROCESSORS, 1, 5, 3))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u16::MAX = 65535 processors, not 65536")]
+    fn a_uniform_machine_past_u16_max_processors_panics_naming_the_cap() {
+        let _ = Machine::uniform(usize::from(u16::MAX) + 1, 1, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u16::MAX = 65535 processors, not 65536")]
+    fn a_binary_tree_past_u16_max_processors_panics_naming_the_cap() {
+        let _ = Machine::numa_binary_tree(1 << 16, 1, 5, 3);
+    }
+
+    #[test]
+    fn the_model_cap_admits_u16_max_processors_and_the_wire_cap_stays_512() {
+        let widest = Machine::uniform(usize::from(u16::MAX), 1, 5);
+        assert_eq!(widest.p(), 65535);
+        assert_eq!(widest.lambda(0, 65534), 1);
+        assert!(Machine::numa_binary_tree(1 << 15, 1, 5, 3).is_numa());
+        // The wire and the disk stay at `MAX_PROCESSORS`, far below.
+        assert!(Machine::checked(MAX_PROCESSORS as u64, 1, 5, None).is_ok());
+        for p in [MAX_PROCESSORS as u64 + 1, u64::from(u16::MAX), 1 << 16] {
+            let err = Machine::checked(p, 1, 5, None).unwrap_err();
+            assert_eq!(err, format!("P = {p} is outside 1..=512"));
+        }
     }
 
     #[test]

@@ -146,7 +146,7 @@ pub fn encode_record(record: &StoreRecord, out: &mut Vec<u8>) -> Result<(), Reco
     body.extend_from_slice(&record.dag_bytes);
     put_u32(&mut body, n as u32);
     for &p in &record.assignment.proc {
-        put_u32(&mut body, p);
+        put_u32(&mut body, u32::from(p));
     }
     for &s in &record.assignment.superstep {
         put_u32(&mut body, s);
@@ -255,9 +255,15 @@ pub fn decode_record(bytes: &[u8]) -> Result<(StoreRecord, usize), RecordError> 
             "assignment maps run past the body".into(),
         ));
     }
+    // `π` is stored in `u32` (the layout predates 16-bit processors); an
+    // entry no `Machine` can have is refused, never truncated.
     let mut proc = Vec::with_capacity(n);
     for _ in 0..n {
-        proc.push(cur.u32()?);
+        let p = cur.u32()?;
+        proc.push(
+            u16::try_from(p)
+                .map_err(|_| RecordError::Malformed(format!("processor {p} is past u16::MAX")))?,
+        );
     }
     let mut superstep = Vec::with_capacity(n);
     for _ in 0..n {
@@ -421,6 +427,31 @@ mod tests {
         let mut frame = Vec::new();
         encode_record(&at_limit, &mut frame).unwrap();
         assert_eq!(decode_record(&frame).unwrap().0, at_limit);
+    }
+
+    /// `π` is stored as `u32`: an entry past `u16::MAX` names a processor
+    /// no machine has, and is refused, never read back truncated.
+    #[test]
+    fn a_processor_past_u16_is_malformed_not_truncated() {
+        let mut record = sample(3);
+        record.assignment.proc[1] = u16::MAX;
+        let mut frame = Vec::new();
+        encode_record(&record, &mut frame).unwrap();
+        assert_eq!(decode_record(&frame).unwrap().0, record);
+        // Body: fingerprints, cost, machine (61 bytes), the DAG with its
+        // length, `n`, then `π`.
+        let at = FRAME_HEADER_BYTES + 61 + 4 + record.dag_bytes.len() + 4 + 4;
+        assert_eq!(frame[at..at + 4], u32::from(u16::MAX).to_le_bytes());
+        for past in [1u32 << 16, u32::MAX] {
+            frame[at..at + 4].copy_from_slice(&past.to_le_bytes());
+            let mut hasher = Fnv64::new();
+            hasher.write_bytes(&frame[FRAME_HEADER_BYTES..]);
+            frame[4..12].copy_from_slice(&hasher.finish().to_le_bytes());
+            match decode_record(&frame) {
+                Err(RecordError::Malformed(why)) => assert!(why.contains("past u16"), "{why}"),
+                other => panic!("π entry {past}: expected a malformed record, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,15 @@ use serde::{Deserialize, Serialize};
 
 /// The node-to-processor map `π` and node-to-superstep map `τ`.
 ///
-/// Both maps hold `u32`, half the bytes of `usize`: a DAG has at most
-/// `u32::MAX` nodes ([`Dag::from_edges`] refuses more) and a schedule needs
-/// no more supersteps than nodes, while processor counts are far smaller.
-/// Index arrays through [`BspSchedule::proc`] / [`BspSchedule::superstep`],
-/// which widen to `usize`.
+/// `τ` holds `u32`: a DAG has at most `u32::MAX` nodes ([`Dag::from_edges`]
+/// refuses more) and a schedule needs no more supersteps than nodes.  `π`
+/// holds `u16`: a [`Machine`] has at most `u16::MAX` processors (its
+/// constructors refuse more).  Six bytes a node.  Index arrays through
+/// [`BspSchedule::proc`] / [`BspSchedule::superstep`], which widen to `usize`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Assignment {
     /// `proc[v] = π(v)`.
-    pub proc: Vec<u32>,
+    pub proc: Vec<u16>,
     /// `superstep[v] = τ(v)`.
     pub superstep: Vec<u32>,
 }

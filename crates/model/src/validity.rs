@@ -121,7 +121,7 @@ pub fn validate(dag: &Dag, machine: &Machine, sched: &BspSchedule) -> Result<(),
     for v in 0..n {
         offset[v + 1] += offset[v];
     }
-    let mut grouped = vec![(0u32, 0u32, 0u32); steps.len()];
+    let mut grouped = vec![(0u32, 0u16, 0u16); steps.len()];
     for cs in steps {
         let node = cs.node as usize;
         grouped[offset[node]] = (cs.step, cs.from, cs.to);

@@ -338,13 +338,13 @@ mod tests {
     }
 
     #[test]
-    fn the_footprint_is_four_bytes_a_map_entry_and_sixteen_a_transfer() {
+    fn the_footprint_is_six_bytes_a_node_and_twelve_a_transfer() {
         // A chain split over two processors: every edge is one transfer.
         let n = 10;
         let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
         let dag = Dag::from_edge_list_unit_weights(n, &edges).unwrap();
         let assignment = Assignment {
-            proc: (0..n as u32).map(|v| v % 2).collect(),
+            proc: (0..n as u16).map(|v| v % 2).collect(),
             superstep: (0..n as u32).collect(),
         };
         let schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
@@ -352,7 +352,7 @@ mod tests {
         assert_eq!(transfers, n - 1);
         assert_eq!(
             schedule_footprint(&schedule),
-            8 * n + 16 * transfers + mem::size_of::<BspSchedule>()
+            6 * n + 12 * transfers + mem::size_of::<BspSchedule>()
         );
     }
 

@@ -921,28 +921,37 @@ pub fn encode_response_parts(
     }
     out.push('\n');
     with_bytes(out, |bytes| {
-        let steps = schedule.comm.steps();
-        let n = schedule.assignment.proc.len();
-        bytes.reserve(8 * n + 16 * steps.len() + 32);
-        for (verb, list) in [
-            (&b"PROC"[..], &schedule.assignment.proc),
-            (&b"STEP"[..], &schedule.assignment.superstep),
-        ] {
-            bytes.extend_from_slice(verb);
-            for &x in list {
-                bytes.push(b' ');
-                push_u64(bytes, x as u64);
-            }
-            bytes.push(b'\n');
-        }
+        let (assignment, steps) = (&schedule.assignment, schedule.comm.steps());
+        bytes.reserve(8 * assignment.n() + 16 * steps.len() + 32);
+        push_list(
+            bytes,
+            b"PROC",
+            assignment.proc.iter().map(|&q| u64::from(q)),
+        );
+        push_list(
+            bytes,
+            b"STEP",
+            assignment.superstep.iter().map(|&s| u64::from(s)),
+        );
         bytes.extend_from_slice(b"COMM ");
         push_u64(bytes, steps.len() as u64);
         bytes.push(b'\n');
         for cs in steps {
-            push_line(bytes, [cs.node, cs.from, cs.to, cs.step].map(|x| x as u64));
+            let (from, to) = (u64::from(cs.from), u64::from(cs.to));
+            push_line(bytes, [u64::from(cs.node), from, to, u64::from(cs.step)]);
         }
         bytes.extend_from_slice(b"END\n");
     });
+}
+
+/// Writes `<verb> <x0> <x1> ...` and its newline into `bytes`.
+fn push_list(bytes: &mut Vec<u8>, verb: &[u8], list: impl Iterator<Item = u64>) {
+    bytes.extend_from_slice(verb);
+    for x in list {
+        bytes.push(b' ');
+        push_u64(bytes, x);
+    }
+    bytes.push(b'\n');
 }
 
 /// Writes `response` in wire form into `out`.
@@ -1316,11 +1325,12 @@ fn malformed_bytes(line: &[u8], reason: impl Into<String>) -> ServeError {
     malformed(String::from_utf8_lossy(line).trim(), reason)
 }
 
-/// One schedule value of a reply line: `π`, `τ` and every `Γ` field are
-/// `u32`, so a number of 2³² or more is refused rather than truncated.
-fn schedule_entry(entry: Option<u64>) -> Result<u32, &'static str> {
+/// One schedule value of a reply line: nodes and supersteps are `u32`,
+/// processors (`π`, a `Γ` entry's `from` and `to`) `u16`, so a number past
+/// the field's width is refused rather than truncated.
+fn schedule_entry<T: TryFrom<u64>>(entry: Option<u64>) -> Result<T, &'static str> {
     let entry = entry.ok_or("is not a number")?;
-    u32::try_from(entry).map_err(|_| "is out of range")
+    T::try_from(entry).map_err(|_| "is out of range")
 }
 
 /// The numbers of a `<verb> <x0> <x1> ...` line, after its verb.
@@ -1333,7 +1343,7 @@ fn list_body<'l>(line: &'l [u8], verb: &str) -> Result<&'l [u8], ServeError> {
 
 /// Parses `<verb> <x0> <x1> ...`.  The list is sized from the line it is
 /// read from, never from a count the peer declares.
-fn parse_u32_list(line: &[u8], verb: &str) -> Result<Vec<u32>, ServeError> {
+fn parse_list<T: TryFrom<u64>>(line: &[u8], verb: &str) -> Result<Vec<T>, ServeError> {
     let body = list_body(line, verb)?;
     let mut list = Vec::with_capacity(body.len() / 2);
     for entry in Numbers(body) {
@@ -1362,18 +1372,27 @@ fn comm_count(line: &[u8]) -> Result<usize, ServeError> {
 /// ignored, as everywhere.
 fn comm_step(line: &[u8]) -> Result<CommStep, ServeError> {
     let mut fields = Numbers(line);
-    let mut field = |what: &str| match fields.next() {
+    Ok(CommStep {
+        node: comm_field(line, &mut fields, "comm node")?,
+        from: comm_field(line, &mut fields, "comm from")?,
+        to: comm_field(line, &mut fields, "comm to")?,
+        step: comm_field(line, &mut fields, "comm step")?,
+    })
+}
+
+/// The next field of a `COMM` entry `line`, in the width of its `CommStep`
+/// field.
+fn comm_field<T: TryFrom<u64>>(
+    line: &[u8],
+    fields: &mut Numbers<'_>,
+    what: &str,
+) -> Result<T, ServeError> {
+    match fields.next() {
         Some(entry) => {
             schedule_entry(entry).map_err(|why| malformed_bytes(line, format!("{what} {why}")))
         }
         None => Err(malformed_bytes(line, format!("missing {what}"))),
-    };
-    Ok(CommStep {
-        node: field("comm node")?,
-        from: field("comm from")?,
-        to: field("comm to")?,
-        step: field("comm step")?,
-    })
+    }
 }
 
 /// An `OK` header's `<key> <value>` pairs after its id, as a response with
@@ -1490,9 +1509,9 @@ pub fn read_reply<R: BufRead>(reader: &mut R) -> Result<Reply, ServeError> {
     let frame = walk_reply(reader, "OK", 0, head, |response, part, line| {
         let schedule = &mut response.schedule;
         match part {
-            Part::Proc => schedule.assignment.proc = parse_u32_list(line, "PROC")?,
+            Part::Proc => schedule.assignment.proc = parse_list(line, "PROC")?,
             Part::Step => {
-                schedule.assignment.superstep = parse_u32_list(line, "STEP")?;
+                schedule.assignment.superstep = parse_list(line, "STEP")?;
                 if schedule.assignment.proc.len() != schedule.assignment.superstep.len() {
                     return Err(malformed_bytes(line, "PROC and STEP lengths differ"));
                 }
@@ -1743,16 +1762,21 @@ mod tests {
 
     #[test]
     fn schedule_entries_past_u32_are_malformed_not_truncated() {
-        // 2³² would read back as 0 under a cast: each of the six fields is
-        // set to it in turn, next to the largest value that still fits.
-        let big = 1u64 << 32;
-        let max = u32::MAX;
+        // 2³² would read back as 0 under a `u32` cast, and 2¹⁶ under a
+        // `u16` one: each of the six fields is set past 2³² in turn, and
+        // the three processor fields (`π`, a transfer's `from` and `to`,
+        // 16-bit) past 2¹⁶, next to the largest value that still fits.
+        let (big, wide) = (1u64 << 32, 1u64 << 16);
+        let (max, proc_max) = (u32::MAX, u16::MAX);
         let bodies = [
             format!("PROC 0 {big}\nSTEP 0 1\nCOMM 0\n"),
+            format!("PROC {proc_max} {wide}\nSTEP 0 1\nCOMM 0\n"),
             format!("PROC 0 1\nSTEP {max} {big}\nCOMM 0\n"),
             format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n{big} 0 1 0\n"),
             format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 {big} 1 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 {wide} 1 0\n"),
             format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 0 {big} 0\n"),
+            format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 0 {wide} 0\n"),
             format!("PROC 0 1\nSTEP 0 1\nCOMM 1\n0 0 1 {big}\n"),
         ];
         for body in bodies {
@@ -1764,10 +1788,25 @@ mod tests {
                 other => panic!("{body:?}: expected a malformed reply, got {other:?}"),
             }
         }
-        // The largest value that fits still reads back as itself.
-        let wire = format!("OK 7 cost 5 supersteps 2\nPROC 0 {max}\nSTEP 0 1\nCOMM 0\nEND\n");
+        // The largest values that fit still read back as themselves.
+        let wire = format!(
+            "OK 7 cost 5 supersteps 2\nPROC 0 {proc_max}\nSTEP 0 {max}\n\
+             COMM 1\n{max} {proc_max} {proc_max} {max}\nEND\n"
+        );
         match read_reply(&mut wire.as_bytes()).unwrap() {
-            Reply::Ok(parsed) => assert_eq!(parsed.schedule.assignment.proc, [0, max]),
+            Reply::Ok(parsed) => {
+                let schedule = &parsed.schedule;
+                assert_eq!(schedule.assignment.proc, [0, proc_max]);
+                assert_eq!(schedule.assignment.superstep, [0, max]);
+                let (from, to) = (proc_max, proc_max);
+                let step = CommStep {
+                    node: max,
+                    from,
+                    to,
+                    step: max,
+                };
+                assert_eq!(schedule.comm.steps(), [step]);
+            }
             other => panic!("expected the response back, got {other:?}"),
         }
     }

@@ -32,7 +32,7 @@ use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
-use bsp_sched::pipeline::{Pipeline, PipelineConfig};
+use bsp_sched::pipeline::{Pipeline, PipelineConfig, PHASE_NAMES};
 use bsp_sched::{hccs_improve, HillClimbConfig};
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
@@ -106,11 +106,15 @@ pub struct ServiceMetrics {
     /// that failed the boundary's `validate` and were replaced by the trivial
     /// schedule.
     invalid_schedules: Arc<AtomicU64>,
+    /// `bsp_solve_phase_micros_total{phase=…}`, one per [`PHASE_NAMES`]
+    /// entry, in its order.
+    solve_phases: [Arc<AtomicU64>; PHASE_NAMES.len()],
 }
 
 const LATENCY_HELP: &str = "request handling latency in microseconds";
 const REQUESTS_HELP: &str = "requests answered";
 const FALLBACKS_HELP: &str = "solver results the service had to discard, by kind";
+const PHASE_HELP: &str = "cumulative solver time by phase in microseconds";
 
 /// `bsp_cache_ops_total{op=…}`: each label and the [`CacheStats`] counter it
 /// carries — the one mapping [`ScheduleService::render_metrics`] writes and
@@ -156,6 +160,13 @@ impl ServiceMetrics {
             exact: hist("exact"),
             requests: [counter("cold"), counter("exact")],
             invalid_schedules: fallback("invalid_schedule"),
+            solve_phases: PHASE_NAMES.map(|phase| {
+                registry.counter(
+                    "bsp_solve_phase_micros_total",
+                    PHASE_HELP,
+                    &[("phase", phase)],
+                )
+            }),
         }
     }
 
@@ -529,17 +540,14 @@ impl ScheduleService {
         }
     }
 
-    /// Adds `micros` to the `bsp_solve_phase_micros_total{phase=…}` counter.
-    /// Registration locks and may allocate — only ever called on the solve
-    /// path, which allocates anyway.
+    /// Adds `micros` to the `bsp_solve_phase_micros_total{phase=…}` counter,
+    /// registered with the service: no lock, no allocation.
     fn note_phase_micros(&self, phase: &'static str, micros: u64) {
-        self.registry
-            .counter(
-                "bsp_solve_phase_micros_total",
-                "cumulative solver time by phase in microseconds",
-                &[("phase", phase)],
-            )
-            .fetch_add(micros, Ordering::Relaxed);
+        let at = PHASE_NAMES.iter().position(|&name| name == phase);
+        debug_assert!(at.is_some(), "phase {phase:?} is not in PHASE_NAMES");
+        if let Some(at) = at {
+            self.metrics.solve_phases[at].fetch_add(micros, Ordering::Relaxed);
+        }
     }
 
     /// Cold path: the pipeline under the request's token, whose deadline is
@@ -634,6 +642,31 @@ mod tests {
     fn chain(n: usize, work: u64) -> Dag {
         let edges: Vec<_> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Dag::from_edges(n, &edges, vec![work; n], vec![1; n]).unwrap()
+    }
+
+    #[test]
+    fn every_solve_phase_series_is_registered_before_the_first_solve() {
+        let service = ScheduleService::new(ServiceConfig::default());
+        let phases = |service: &ScheduleService| {
+            let mut exposition = String::new();
+            service.render_metrics(&mut exposition);
+            let snapshot = MetricsSnapshot::parse(&exposition).unwrap();
+            PHASE_NAMES.map(|phase| {
+                let key = format!("bsp_solve_phase_micros_total{{phase=\"{phase}\"}}");
+                snapshot.counter(&key).unwrap_or_else(|| panic!("no {key}"))
+            })
+        };
+        assert_eq!(phases(&service), [0; PHASE_NAMES.len()]);
+        let dag = Dag::from_edges(4, &[(0, 2), (1, 2), (1, 3)], vec![9; 4], vec![1; 4]).unwrap();
+        let req = request(dag, Machine::uniform(2, 1, 2), RequestOptions::new());
+        assert_eq!(service.handle(&req).unwrap().source, ScheduleSource::Cold);
+        // The solve's samples went to those series; it registered none.
+        let mut exposition = String::new();
+        service.render_metrics(&mut exposition);
+        let series = exposition
+            .lines()
+            .filter(|line| line.starts_with("bsp_solve_phase_micros_total{"));
+        assert_eq!(series.count(), PHASE_NAMES.len());
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!   old segments are deleted.
 //! * **Fault injection.**  A test-only [`FailPoint`] trips the next append
 //!   mid-write ([`FailPoint::AfterBytes`]) or between the flush and the
-//!   index update ([`FailPoint::BeforeIndexUpdate`]), so the recovery
-//!   guarantees are tested properties, not design intentions.  The hooks
+//!   index update ([`FailPoint::BeforeIndexUpdate`]), or the next
+//!   compaction's rewrite after some frames ([`FailPoint::MidCompaction`]),
+//!   so the recovery guarantees are tested properties, not design
+//!   intentions.  The hooks
 //!   are always compiled (integration tests and the kill harness need
 //!   them) but inert unless armed.
 
@@ -83,8 +85,9 @@ impl StoreConfig {
     }
 }
 
-/// A test-only fault injected into the writer's append path.  One-shot: the
-/// armed fault trips on the next append and disarms itself.
+/// A test-only fault injected into the writer.  One-shot: the armed fault
+/// trips on the next append (or, for [`FailPoint::MidCompaction`], the next
+/// compaction) and disarms itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailPoint {
     /// No fault (the production state).
@@ -97,6 +100,10 @@ pub enum FailPoint {
     /// index records it — the entry is durable but invisible to compaction,
     /// the crash window between flush and index update.
     BeforeIndexUpdate,
+    /// Fail the next compaction's rewrite, as an I/O error would, once it
+    /// has copied `N` frames into the new segments (after the last frame
+    /// when `N` is the number it keeps).  Appends pass it by.
+    MidCompaction(usize),
 }
 
 enum Job {
@@ -376,11 +383,7 @@ impl Writer {
         {
             self.roll();
         }
-        let fail = {
-            let mut guard = self.fail.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *guard)
-        };
-        match fail {
+        match self.take_fail(|armed| !matches!(armed, FailPoint::MidCompaction(_))) {
             FailPoint::AfterBytes(n) if n < frame.len() => {
                 // A torn write: part of the frame reaches the disk, then the
                 // "crash".  The tail of this segment is now unreadable, so
@@ -406,7 +409,7 @@ impl Writer {
                 self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            FailPoint::Disabled => {}
+            FailPoint::Disabled | FailPoint::MidCompaction(_) => {}
         }
         if self.write_frame(frame) {
             self.counters.appended.fetch_add(1, Ordering::Relaxed);
@@ -426,6 +429,17 @@ impl Writer {
             // like an injected torn write.
             self.counters.write_errors.fetch_add(1, Ordering::Relaxed);
             self.roll();
+        }
+    }
+
+    /// Disarms and returns the armed fault if it `trips` this path, else
+    /// [`FailPoint::Disabled`] (leaving it armed).
+    fn take_fail(&self, trips: impl Fn(FailPoint) -> bool) -> FailPoint {
+        let mut guard = self.fail.lock().unwrap_or_else(|e| e.into_inner());
+        if trips(*guard) {
+            std::mem::take(&mut *guard)
+        } else {
+            FailPoint::Disabled
         }
     }
 
@@ -525,6 +539,15 @@ impl Writer {
         kept: &[(u128, LiveRef)],
         new_seqs: &mut Vec<u64>,
     ) -> io::Result<NewState> {
+        let trip_after = match self.take_fail(|armed| matches!(armed, FailPoint::MidCompaction(_)))
+        {
+            FailPoint::MidCompaction(frames) => Some(frames),
+            _ => None,
+        };
+        let trip = |copied: usize| match trip_after {
+            Some(frames) if frames == copied => Err(io::Error::other("injected compaction fault")),
+            _ => Ok(()),
+        };
         let mut sources: BTreeMap<u64, File> = BTreeMap::new();
         let first_seq = self.next_seq;
         self.next_seq += 1;
@@ -534,7 +557,8 @@ impl Writer {
         let mut total = len;
         let mut active_seq = first_seq;
         let mut buf = Vec::new();
-        for &(fp, r) in kept {
+        for (copied, &(fp, r)) in kept.iter().enumerate() {
+            trip(copied)?;
             if len > SEGMENT_HEADER_BYTES && len + r.len > self.config.segment_bytes {
                 file.sync_data()?;
                 let seq = self.next_seq;
@@ -575,6 +599,7 @@ impl Writer {
             len += r.len;
             total += r.len;
         }
+        trip(kept.len())?;
         file.sync_data()?;
         Ok(NewState {
             index,
@@ -789,6 +814,33 @@ mod tests {
         let (_store, entries) = Store::open(StoreConfig::at(&dir)).unwrap();
         let fps: Vec<u128> = entries.iter().map(|r| r.full_fp).collect();
         assert_eq!(fps, vec![1, 2], "fully flushed means recovered");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_naming_a_processor_past_u16_is_dropped_as_corrupt() {
+        let dir = temp_store_dir("proc-past-u16");
+        // `frame(2, 16)` with its second `π` entry set to 2¹⁶ and its
+        // checksum redone: whole and checksum-valid, but no `u16` holds it.
+        let mut wide = frame(2, 16);
+        let at = FRAME_HEADER_BYTES + 61 + 4 + 16 + 4 + 4;
+        assert_eq!(wide[at..at + 4], 1u32.to_le_bytes());
+        wide[at..at + 4].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        let mut hasher = bsp_model::Fnv64::new();
+        hasher.write_bytes(&wide[FRAME_HEADER_BYTES..]);
+        wide[4..12].copy_from_slice(&hasher.finish().to_le_bytes());
+        assert!(frame_checksum_ok(&wide));
+        {
+            let (store, _) = Store::open(StoreConfig::at(&dir)).unwrap();
+            store.offer(1, frame(1, 16));
+            store.offer(2, wide);
+            store.flush();
+        }
+        let (store, entries) = Store::open(StoreConfig::at(&dir)).unwrap();
+        let fps: Vec<u128> = entries.iter().map(|r| r.full_fp).collect();
+        assert_eq!(fps, vec![1], "the frame before it survives");
+        assert_eq!(store.counters().snapshot().dropped_corrupt, 1);
+        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 

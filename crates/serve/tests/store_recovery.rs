@@ -1,6 +1,7 @@
 //! Randomized corruption recovery over a log of several segments: for *any*
-//! truncation or single-bit flip of one segment file, and for a compaction
-//! interrupted anywhere in its rewrite, [`Store::open`] recovers exactly the
+//! truncation or single-bit flip of one segment file, for a compaction
+//! interrupted anywhere in its rewrite, and for the real rewrite failed after
+//! any frame, [`Store::open`] recovers exactly the
 //! maximal checksum-valid prefix of frames of each segment, never an entry
 //! past the damage, and the newest surviving version of every fingerprint.
 //!
@@ -14,7 +15,7 @@
 use bsp_model::record::{decode_record, encode_record, StoreRecord};
 use bsp_model::{Assignment, Machine};
 use bsp_serve::store::SEGMENT_HEADER_BYTES;
-use bsp_serve::{Store, StoreConfig};
+use bsp_serve::{FailPoint, Store, StoreConfig, StoreStats};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fs;
@@ -355,5 +356,113 @@ fn a_compaction_interrupted_mid_rewrite_loses_nothing() {
             sorted(live.clone()),
             "case {case}: deletions cut short"
         );
+    }
+}
+
+/// Every segment file of `dir`, by name, with its bytes.
+fn segment_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("list segments")
+        .map(|entry| entry.unwrap().path())
+        .map(|path| {
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            (name, fs::read(&path).expect("read segment"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Offers `frames` in order to a fresh store at `dir` with disk budget
+/// `budget`, `fail` armed from the start, and returns its counters.
+fn write_log(
+    dir: &std::path::Path,
+    frames: &[(u128, Vec<u8>)],
+    budget: u64,
+    fail: FailPoint,
+) -> StoreStats {
+    let config = StoreConfig {
+        segment_bytes: SEGMENT_BYTES,
+        disk_budget_bytes: budget,
+        ..StoreConfig::at(dir)
+    };
+    let (store, recovered) = Store::open(config).expect("open fresh store");
+    assert!(recovered.is_empty());
+    store.set_fail_point(fail);
+    for (fp, frame) in frames {
+        store.offer(*fp, frame.clone());
+    }
+    store.flush();
+    store.counters().snapshot()
+}
+
+/// The real rewrite, failed by [`FailPoint::MidCompaction`] after each
+/// number of copied frames: the compaction is all-or-nothing, so the disk
+/// is byte for byte the log without it (no half-written new segment), and
+/// a reopened store holds exactly the pre-compaction records.
+#[test]
+fn a_compaction_failing_after_any_frame_leaves_the_log_it_found() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xFA11);
+    let frames: Vec<(u128, Vec<u8>)> = (0..WRITES as u64)
+        .map(|version| {
+            let fp = u128::from(rng.gen_range(1..=FINGERPRINTS));
+            let mut frame = Vec::new();
+            let payload = rng.gen_range(1..200);
+            encode_record(&record(fp, version, payload), &mut frame).expect("encode");
+            (fp, frame)
+        })
+        .collect();
+
+    // The log no compaction touches, and a budget its last write is the
+    // first to exceed.
+    let dir = temp_dir("uncompacted");
+    write_log(&dir, &frames[..WRITES - 1], u64::MAX, FailPoint::Disabled);
+    let budget: u64 = segment_files(&dir)
+        .iter()
+        .map(|(_, b)| b.len() as u64)
+        .sum();
+    let _ = fs::remove_dir_all(&dir);
+    let stats = write_log(&dir, &frames, u64::MAX, FailPoint::Disabled);
+    assert_eq!(stats.compactions, 0);
+    let untouched = segment_files(&dir);
+    let _ = fs::remove_dir_all(&dir);
+    let (live, _) = recover(4000, &untouched);
+    assert!(live.len() >= 4, "{} live keys", live.len());
+    let sorted = |mut v: Vec<(u128, u64)>| {
+        v.sort_unstable();
+        v
+    };
+
+    // Unfailed, that budget compacts once, on the last write, and keeps
+    // every live key.
+    let dir = temp_dir("compacted");
+    let stats = write_log(&dir, &frames, budget, FailPoint::Disabled);
+    assert_eq!((stats.compactions, stats.write_errors), (1, 0));
+    let (got, _) = recover(4001, &segment_files(&dir));
+    assert_eq!(sorted(got), sorted(live.clone()));
+    assert_ne!(
+        segment_files(&dir),
+        untouched,
+        "the compaction rewrote the log"
+    );
+    let _ = fs::remove_dir_all(&dir);
+
+    for copied in 0..=live.len() {
+        let dir = temp_dir(&format!("failed-after-{copied}"));
+        let stats = write_log(&dir, &frames, budget, FailPoint::MidCompaction(copied));
+        assert_eq!(
+            (stats.compactions, stats.write_errors),
+            (0, 1),
+            "failed after {copied} frames: the fault tripped, no compaction counted"
+        );
+        assert!(
+            segment_files(&dir) == untouched,
+            "failed after {copied} frames: the disk is the log it found"
+        );
+        let (store, reopened) = Store::open(StoreConfig::at(&dir)).expect("reopen");
+        let versions: Vec<(u128, u64)> = reopened.iter().map(|r| (r.full_fp, r.cost)).collect();
+        assert_eq!(versions, live, "failed after {copied} frames: reopened");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
     }
 }

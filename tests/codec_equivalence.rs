@@ -569,7 +569,7 @@ fn validate_agrees_with_the_reference_on_valid_and_corrupted_schedules() {
                 let v = rng.gen_range(0..dag.n());
                 let mut steps: Vec<CommStep> = bad.comm.steps().to_vec();
                 match k % 6 {
-                    0 => bad.assignment.proc[v] = rng.gen_range(0..p + 1) as u32,
+                    0 => bad.assignment.proc[v] = rng.gen_range(0..p + 1) as u16,
                     1 => bad.assignment.superstep[v] = rng.gen_range(0..6),
                     2 => {
                         bad.assignment.proc.pop();
@@ -582,8 +582,8 @@ fn validate_agrees_with_the_reference_on_valid_and_corrupted_schedules() {
                     4 => {
                         let i = rng.gen_range(0..steps.len());
                         match rng.gen_range(0..3u32) {
-                            0 => steps[i].from = rng.gen_range(0..p + 1) as u32,
-                            1 => steps[i].to = rng.gen_range(0..p + 1) as u32,
+                            0 => steps[i].from = rng.gen_range(0..p + 1) as u16,
+                            1 => steps[i].to = rng.gen_range(0..p + 1) as u16,
                             _ => steps[i].node = rng.gen_range(0..dag.n()) as u32,
                         }
                     }
@@ -1063,7 +1063,7 @@ fn record_seeds() -> Vec<Vec<u8>> {
         machine,
         dag_bytes: b"% hyperdag\n1 2 1\n0 0\n0 1 1\n1 1 1\n".to_vec(),
         assignment: bsp_model::Assignment {
-            proc: (0..n).map(|i| i % 4).collect(),
+            proc: (0..n).map(|i| (i % 4) as u16).collect(),
             superstep: (0..n).collect(),
         },
     };

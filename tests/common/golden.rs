@@ -68,9 +68,11 @@ impl Fnv {
         self.0.write_u64(x);
     }
 
-    fn u32s(&mut self, xs: &[u32]) {
+    /// Each entry widened to `u32`, so a map held in 16 bits (`π`) hashes
+    /// as it did in 32.
+    fn u32s<T: Copy + Into<u32>>(&mut self, xs: &[T]) {
         self.u64(xs.len() as u64);
-        xs.iter().for_each(|&x| self.u32(x));
+        xs.iter().for_each(|&x| self.u32(x.into()));
     }
 
     fn assignment(&mut self, a: &Assignment) {
@@ -81,7 +83,7 @@ impl Fnv {
     fn comm(&mut self, comm: &CommSchedule) {
         self.u64(comm.len() as u64);
         for s in comm.steps() {
-            for x in [s.node, s.from, s.to, s.step] {
+            for x in [s.node, s.from.into(), s.to.into(), s.step] {
                 self.u32(x);
             }
         }

@@ -1,7 +1,7 @@
 //! The seeded corpus of the protocol fuzz: well-formed frames of every
 //! non-`DAG` request verb and every reply verb, their cuts at every byte and
 //! seeded mutants (byte flips, dropped and doubled tokens, numbers past
-//! `u8`, `u32`, `u64` and `u128`), and every reader of the wire.
+//! `u8`, `u16`, `u32`, `u64` and `u128`), and every reader of the wire.
 //! `codec_equivalence` holds each reader to a value or a typed error on it;
 //! `serve_alloc_free` bounds the heap each reader holds on it.
 
@@ -80,11 +80,14 @@ fn request_seeds() -> Vec<String> {
     ]
 }
 
-/// One well-formed frame per reply verb, as the encoders write them.
+/// One well-formed frame per reply verb, as the encoders write them.  The
+/// schedule names processor `u16::MAX`, the widest a `PROC` entry or a
+/// `COMM` `from` / `to` reads back as, so a flipped digit of it is past the
+/// field's width.
 fn reply_seeds() -> Vec<String> {
     let dag = Dag::from_edges(3, &[(0, 1), (0, 2)], vec![1, 2, 3], vec![4, 5, 6]).unwrap();
     let assignment = bsp_model::Assignment {
-        proc: vec![0, 1, 0],
+        proc: vec![0, u16::MAX, 0],
         superstep: vec![0, 1, 1],
     };
     let response = ScheduleResponse {
@@ -119,7 +122,7 @@ fn reply_seeds() -> Vec<String> {
 }
 
 /// One seeded mutation of a protocol message: byte flips, a token dropped
-/// or doubled, or a number past `u8`, `u32`, `u64` or `u128`.
+/// or doubled, or a number past `u8`, `u16`, `u32`, `u64` or `u128`.
 pub fn mutate_message(text: &str, rng: &mut ChaCha8Rng) -> Vec<u8> {
     let mut bytes = text.as_bytes().to_vec();
     let spans = number_spans(text);
@@ -147,6 +150,7 @@ pub fn mutate_message(text: &str, rng: &mut ChaCha8Rng) -> Vec<u8> {
             if let Some(&(s, e)) = spans.choose(rng) {
                 let big = [
                     "256",
+                    "65536",
                     "4294967296",
                     "18446744073709551616",
                     "340282366920938463463374607431768211456",

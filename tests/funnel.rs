@@ -165,11 +165,11 @@ fn a_cluster_has_one_exit_and_the_quotient_is_built_by_the_stated_rule() {
 /// A random valid `(π, τ)` of `dag`: any processor, and a superstep late
 /// enough for every predecessor's value to have arrived.
 fn random_assignment(rng: &mut ChaCha8Rng, dag: &Dag, p: usize) -> Assignment {
-    let mut proc = vec![0u32; dag.n()];
+    let mut proc = vec![0u16; dag.n()];
     let mut superstep = vec![0u32; dag.n()];
     for v in dag.topological_order().expect("a DAG") {
         let v = v as usize;
-        proc[v] = rng.gen_range(0..p) as u32;
+        proc[v] = rng.gen_range(0..p) as u16;
         let earliest = dag
             .predecessors(v)
             .map(|u| superstep[u] + u32::from(proc[u] != proc[v]));
@@ -302,7 +302,7 @@ fn a_pure_in_tree_does_not_fold_into_one_node() {
     let report = pipeline(usize::MAX).run_report(&dag, &machine);
     assert_eq!(report.funnel_nodes, clusters);
     assert!(report.schedule.validate(&dag, &machine).is_ok());
-    let used: HashSet<u32> = report.schedule.assignment.proc.iter().copied().collect();
+    let used: HashSet<u16> = report.schedule.assignment.proc.iter().copied().collect();
     assert!(used.len() > 1, "the in-tree ended on one processor");
     assert!(report.final_cost < BspSchedule::trivial(&dag).cost(&dag, &machine));
 }
@@ -361,7 +361,7 @@ fn source_spreads_a_funnel_dag_and_leaves_fine_dags_as_they_were() {
         let groups = source_groups(coarse);
         assert_eq!(groups, [(coarse.sources().len(), groups[0].1)]);
         let assignment = SourceScheduler.assignment(coarse, machine);
-        let used: HashSet<u32> = assignment.proc.iter().copied().collect();
+        let used: HashSet<u16> = assignment.proc.iter().copied().collect();
         assert!(used.len() > 1, "Source collapsed on P = {}", machine.p());
     }
     // On the fine DAGs themselves a group is a matrix column, within the

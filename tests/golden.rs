@@ -20,7 +20,7 @@ fn the_pipeline_and_the_tie_and_zero_work_rows_reproduce_the_golden_table() {
 /// How often `HDagg`'s balance slack shut out some of the `p` processors
 /// (`binds`) and all of them (`fallbacks`, the least-loaded rule) while it
 /// assigned `proc`, replayed wavefront by wavefront.
-fn hdagg_slack_events(dag: &Dag, p: usize, slack: f64, proc: &[u32]) -> (usize, usize) {
+fn hdagg_slack_events(dag: &Dag, p: usize, slack: f64, proc: &[u16]) -> (usize, usize) {
     let levels = dag.levels();
     let mut wavefronts = vec![Vec::new(); levels.iter().max().map_or(0, |l| l + 1)];
     for (v, &l) in levels.iter().enumerate() {

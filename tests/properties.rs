@@ -137,10 +137,10 @@ fn lazy_schedules_are_valid_and_normalization_helps() {
         // Build a valid assignment: topological order, one node per superstep
         // (optionally spread over processors round-robin).
         let order = dag.topological_order().unwrap();
-        let mut proc = vec![0u32; dag.n()];
+        let mut proc = vec![0u16; dag.n()];
         let mut superstep = vec![0u32; dag.n()];
         for (i, v) in order.into_iter().map(|v| v as usize).enumerate() {
-            proc[v] = if spread { (i % machine.p()) as u32 } else { 0 };
+            proc[v] = if spread { (i % machine.p()) as u16 } else { 0 };
             superstep[v] = 2 * i as u32; // deliberately leave empty supersteps
         }
         let assignment = Assignment { proc, superstep };
@@ -195,7 +195,7 @@ fn assert_transfers_follow_their_rule(
     assert_eq!(steps.len(), windows.len(), "{what}");
     assert_eq!(steps.capacity(), steps.len(), "{what}: sized exactly");
     assert_eq!(windows.capacity(), windows.len(), "{what}: sized exactly");
-    let keys: Vec<(u32, u32)> = steps.iter().map(|cs| (cs.node, cs.to)).collect();
+    let keys: Vec<(u32, u16)> = steps.iter().map(|cs| (cs.node, cs.to)).collect();
     assert!(keys.windows(2).all(|w| w[0] < w[1]), "{what}: order");
     for (cs, &[earliest, latest]) in steps.iter().zip(&windows) {
         let node = cs.node as usize;
@@ -274,7 +274,7 @@ fn requirements_follow_their_rule_on_random_assignments() {
         let p = random_machine(&mut rng).p();
         let steps = rng.gen_range(1usize..=6);
         let assignment = Assignment {
-            proc: (0..dag.n()).map(|_| rng.gen_range(0..p) as u32).collect(),
+            proc: (0..dag.n()).map(|_| rng.gen_range(0..p) as u16).collect(),
             superstep: (0..dag.n())
                 .map(|_| rng.gen_range(0..steps) as u32)
                 .collect(),
@@ -412,7 +412,7 @@ fn cost_and_breakdown_equal_a_dense_reference() {
         // after its predecessors' supersteps, past them across processors,
         // plus a gap of up to 4 supersteps (so most are empty) or none.
         let gap = if rng.gen::<bool>() { 4 } else { 0 };
-        let proc: Vec<u32> = (0..n).map(|_| rng.gen_range(0..p) as u32).collect();
+        let proc: Vec<u16> = (0..n).map(|_| rng.gen_range(0..p) as u16).collect();
         let mut superstep = vec![0u32; n];
         for v in 0..n {
             let after = dag
@@ -428,8 +428,8 @@ fn cost_and_breakdown_equal_a_dense_reference() {
             let last = assignment.num_supersteps() + 2;
             let transfers = (0..rng.gen_range(0..3 * n)).map(|_| bsp_model::CommStep {
                 node: rng.gen_range(0..n) as u32,
-                from: rng.gen_range(0..p) as u32,
-                to: rng.gen_range(0..p) as u32,
+                from: rng.gen_range(0..p) as u16,
+                to: rng.gen_range(0..p) as u16,
                 step: rng.gen_range(0..last) as u32,
             });
             let comm = CommSchedule::from_steps(transfers.collect());
@@ -587,7 +587,7 @@ fn lift_drop_case(rng: &mut rand_chacha::ChaCha8Rng, case: u64) -> (Dag, Machine
     } else {
         Assignment {
             proc: (0..n)
-                .map(|_| rng.gen_range(0..machine.p()) as u32)
+                .map(|_| rng.gen_range(0..machine.p()) as u16)
                 .collect(),
             superstep: (0..n as u32).collect(),
         }
@@ -662,7 +662,7 @@ fn lift_drop_deltas_match_full_recomputation_and_the_bound_is_sound() {
                 state.lift(&dag, v);
                 for &(p_new, s_new) in &dests {
                     let mut moved = before.clone();
-                    moved.proc[v] = p_new as u32;
+                    moved.proc[v] = p_new as u16;
                     moved.superstep[v] = s_new as u32;
                     let recomputed =
                         BspSchedule::from_assignment_lazy(&dag, moved).cost(&dag, &machine) as i64;
@@ -758,12 +758,12 @@ fn relocation_machines(rng: &mut rand_chacha::ChaCha8Rng) -> [Machine; 3] {
 fn serial_levels(rng: &mut rand_chacha::ChaCha8Rng, dag: &Dag, p: usize) -> Assignment {
     let levels = dag.levels();
     let depth = levels.iter().max().map_or(0, |&l| l + 1);
-    let home: Vec<Option<u32>> = (0..depth)
-        .map(|l| (l % 2 == 0).then(|| rng.gen_range(0..p) as u32))
+    let home: Vec<Option<u16>> = (0..depth)
+        .map(|l| (l % 2 == 0).then(|| rng.gen_range(0..p) as u16))
         .collect();
     Assignment {
         proc: (0..dag.n())
-            .map(|v| home[levels[v]].unwrap_or_else(|| rng.gen_range(0..p) as u32))
+            .map(|v| home[levels[v]].unwrap_or_else(|| rng.gen_range(0..p) as u16))
             .collect(),
         superstep: levels.iter().map(|&l| l as u32).collect(),
     }
