@@ -48,11 +48,12 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The `--smoke` ceiling on cached bytes per node: 9.34, measured at the
-/// default seed with 16-bit processors in `π` and `Γ` (6 bytes a node, 12 a
-/// transfer), plus 27 %.  A processor field widened back to `u32` reads
-/// ~12.35, and `usize` maps and transfers ~24.8.
-const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 11.9;
+/// The `--smoke` ceiling on cached bytes per node: 1.36, measured at the
+/// default seed with bit-packed answers (each field as wide as the answer's
+/// largest processor, superstep or transferred node), plus 27 %.  Unpacked,
+/// with 16-bit processors (6 bytes a node, 12 a transfer), the same stream
+/// reads 9.34.
+const SMOKE_MAX_CACHE_BYTES_PER_NODE: f64 = 1.73;
 
 /// The schedule sources, in the order of [`Outcome::by_source`].
 const SOURCES: [ScheduleSource; 2] = [ScheduleSource::Cold, ScheduleSource::CacheExact];
@@ -675,7 +676,7 @@ fn main() {
             metrics.counter(invalid_fallbacks) == Some(0),
             "a solver result was discarded, or the series is missing",
         ),
-        // Footprint: a cached answer is `6·n + 12·|Γ|` bytes; a wider
+        // Footprint: a cached answer is bit-packed; an unpacked or wider
         // schedule representation would show up here first.
         (
             "serial",

@@ -1,18 +1,29 @@
 //! The content-addressed schedule cache.
 //!
 //! Requests are keyed by [`bsp_model::RequestKey::full`] — structure,
-//! weights and machine.  A hit returns the cached schedule in `O(1)` with
-//! **zero heap allocation** (the entry is handed out as an
-//! [`Arc<BspSchedule>`]; bumping the LRU relinks pre-allocated nodes).  A
-//! request that shares only the structure key (a re-weighted instance) is a
-//! miss like any other, and the service solves it cold.
+//! weights and machine.  A request that shares only the structure key (a
+//! re-weighted instance) is a miss like any other, and the service solves
+//! it cold.
+//!
+//! An entry is a [`CachedAnswer`]: the schedule bit-packed, each field of
+//! `π`, `τ` and `Γ` as wide as the answer's largest processor, superstep or
+//! transferred node needs, in one `Box<[u64]>` (fixed-width bit packing; on
+//! the benchmark's serve mix about a byte a node, against six unpacked).  A
+//! hit hands out the entry's `Arc` in `O(1)` with **zero heap allocation**
+//! (bumping the LRU relinks pre-allocated nodes), and the wire encodes the
+//! response straight from the packed words
+//! ([`crate::protocol::ScheduleView`]).  An in-process caller that wants a
+//! [`BspSchedule`] gets the one the entry keeps beside its words: the
+//! in-process solve's own, or one built on the entry's first in-process
+//! hit.  A kept schedule is charged to the byte budget at its unpacked size.
 //!
 //! Eviction is strict LRU under a byte budget: inserting a schedule evicts
 //! least-recently-used entries until it fits, and an entry larger than the
 //! whole budget is simply not cached.  The cache is a plain (non-`Sync`)
 //! structure; the service wraps it in a `Mutex`.
 
-use bsp_model::BspSchedule;
+use crate::protocol::ScheduleView;
+use bsp_model::{Assignment, BspSchedule, CommSchedule, CommStep};
 use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
@@ -35,23 +46,234 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Estimated heap footprint of a cached schedule (the quantity the byte
-/// budget is enforced against): the `π`, `τ` and `Γ` slices as stored, plus
-/// the schedule's own header.
+/// The bytes the byte budget charges for caching `schedule`: its packed
+/// words and the [`CachedAnswer`] header in its `Arc` (what
+/// [`ScheduleCache::insert`] stores, computed without packing).
 pub fn schedule_footprint(schedule: &BspSchedule) -> usize {
+    let layout = Layout::of(schedule);
+    packed_bytes(layout.words(schedule.assignment.n(), schedule.comm.len()))
+}
+
+/// The charge of an entry of `words` packed words.
+fn packed_bytes(words: usize) -> usize {
+    8 * words + mem::size_of::<CachedAnswer>() + ARC_COUNTS
+}
+
+/// The charge of a kept, unpacked schedule: `π`, `τ` and `Γ` as
+/// [`BspSchedule`] stores them (6 bytes a node, 12 a transfer) and its
+/// header in its `Arc`.
+fn unpacked_bytes(schedule: &BspSchedule) -> usize {
     let assignment = &schedule.assignment;
     mem::size_of_val(assignment.proc.as_slice())
         + mem::size_of_val(assignment.superstep.as_slice())
         + mem::size_of_val(schedule.comm.steps())
         + mem::size_of::<BspSchedule>()
+        + ARC_COUNTS
 }
 
-/// One cached schedule, addressed by its full fingerprint.
+/// The strong and weak counts an `Arc` allocates before its value.
+const ARC_COUNTS: usize = 2 * mem::size_of::<usize>();
+
+/// The field widths of one packed answer, in bits: a processor (`π` and a
+/// transfer's ends), a superstep (`τ` and a transfer's step) and a
+/// transferred node.  A width is the bit length of the largest value the
+/// field holds, so a field that only ever holds 0 takes no bits.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    proc: u32,
+    step: u32,
+    node: u32,
+}
+
+impl Layout {
+    /// The narrowest widths that hold every field of `schedule`.  The bit
+    /// length of a maximum is that of the OR of all values.
+    fn of(schedule: &BspSchedule) -> Self {
+        let assignment = &schedule.assignment;
+        let (mut proc, mut step, mut node) = (0u32, 0u32, 0u32);
+        for &q in &assignment.proc {
+            proc |= u32::from(q);
+        }
+        for &s in &assignment.superstep {
+            step |= s;
+        }
+        for cs in schedule.comm.steps() {
+            proc |= u32::from(cs.from | cs.to);
+            step |= cs.step;
+            node |= cs.node;
+        }
+        let bits = |x: u32| u32::BITS - x.leading_zeros();
+        Layout {
+            proc: bits(proc),
+            step: bits(step),
+            node: bits(node),
+        }
+    }
+
+    /// Bits of one `Γ` row `(node, from, to, step)`.
+    fn row(self) -> usize {
+        (self.node + 2 * self.proc + self.step) as usize
+    }
+
+    /// Words holding `n` nodes' `π` and `τ` and `transfers` rows of `Γ`.
+    fn words(self, n: usize, transfers: usize) -> usize {
+        let bits = n * (self.proc + self.step) as usize + transfers * self.row();
+        bits.div_ceil(64)
+    }
+}
+
+/// A cached answer, bit-packed: `π(0..n)`, then `τ(0..n)`, then the `Γ`
+/// rows `(node, from, to, step)` in their sorted order, each field as wide
+/// as the answer's largest value of its kind needs, least significant bit
+/// first, free to straddle two words.  Read it through [`ScheduleView`]
+/// (the wire encodes from it directly) or rebuild the schedule with
+/// [`CachedAnswer::to_schedule`].
+#[derive(Debug, Clone)]
+pub struct CachedAnswer {
+    words: Box<[u64]>,
+    nodes: usize,
+    transfers: usize,
+    /// [`BspSchedule::num_supersteps`] of the packed schedule.
+    supersteps: usize,
+    layout: Layout,
+}
+
+impl CachedAnswer {
+    /// Packs `schedule`.
+    pub fn pack(schedule: &BspSchedule) -> Self {
+        let layout = Layout::of(schedule);
+        let assignment = &schedule.assignment;
+        let (nodes, steps) = (assignment.n(), schedule.comm.steps());
+        let mut words = vec![0u64; layout.words(nodes, steps.len())].into_boxed_slice();
+        let mut at = 0;
+        let mut put = |x: u64, width: u32| {
+            put_field(&mut words, at, width, x);
+            at += width as usize;
+        };
+        for &q in &assignment.proc {
+            put(u64::from(q), layout.proc);
+        }
+        for &s in &assignment.superstep {
+            put(u64::from(s), layout.step);
+        }
+        for cs in steps {
+            put(u64::from(cs.node), layout.node);
+            put(u64::from(cs.from), layout.proc);
+            put(u64::from(cs.to), layout.proc);
+            put(u64::from(cs.step), layout.step);
+        }
+        CachedAnswer {
+            words,
+            nodes,
+            transfers: steps.len(),
+            supersteps: schedule.num_supersteps(),
+            layout,
+        }
+    }
+
+    /// The schedule this answer packs, rebuilt.
+    pub fn to_schedule(&self) -> BspSchedule {
+        let assignment = Assignment {
+            proc: (0..self.nodes).map(|v| self.proc_of(v)).collect(),
+            superstep: (0..self.nodes).map(|v| self.step_of(v)).collect(),
+        };
+        let steps = (0..self.transfers).map(|i| self.transfer(i)).collect();
+        BspSchedule {
+            assignment,
+            comm: CommSchedule::from_steps(steps),
+        }
+    }
+
+    /// The bytes the byte budget charges for this answer.
+    pub fn footprint(&self) -> usize {
+        packed_bytes(self.words.len())
+    }
+
+    /// The `width`-bit field at bit `at`.
+    #[inline]
+    fn field(&self, at: usize, width: u32) -> u64 {
+        if width == 0 {
+            return 0;
+        }
+        let (word, shift) = (at / 64, (at % 64) as u32);
+        let mut x = self.words[word] >> shift;
+        if shift + width > 64 {
+            // `width` ≤ 32, so `shift` > 32 here and neither shift reaches 64.
+            x |= self.words[word + 1] << (64 - shift);
+        }
+        x & ((1 << width) - 1)
+    }
+}
+
+/// ORs the `width`-bit value `x` into `words` at bit `at`.
+fn put_field(words: &mut [u64], at: usize, width: u32, x: u64) {
+    debug_assert!(
+        width <= 32 && x >> width == 0,
+        "{x} does not fit {width} bits"
+    );
+    if width == 0 {
+        return;
+    }
+    let (word, shift) = (at / 64, (at % 64) as u32);
+    words[word] |= x << shift;
+    if shift + width > 64 {
+        words[word + 1] |= x >> (64 - shift);
+    }
+}
+
+impl ScheduleView for CachedAnswer {
+    fn supersteps(&self) -> usize {
+        self.supersteps
+    }
+
+    fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    #[inline]
+    fn proc_of(&self, v: usize) -> u16 {
+        assert!(v < self.nodes, "node {v} of {}", self.nodes);
+        let width = self.layout.proc;
+        self.field(v * width as usize, width) as u16
+    }
+
+    #[inline]
+    fn step_of(&self, v: usize) -> u32 {
+        assert!(v < self.nodes, "node {v} of {}", self.nodes);
+        let width = self.layout.step;
+        let base = self.nodes * self.layout.proc as usize;
+        self.field(base + v * width as usize, width) as u32
+    }
+
+    fn transfers(&self) -> usize {
+        self.transfers
+    }
+
+    #[inline]
+    fn transfer(&self, i: usize) -> CommStep {
+        assert!(i < self.transfers, "transfer {i} of {}", self.transfers);
+        let Layout { proc, step, node } = self.layout;
+        let base = self.nodes * (proc + step) as usize;
+        let at = base + i * self.layout.row();
+        let (from_at, to_at) = (at + node as usize, at + (node + proc) as usize);
+        CommStep {
+            node: self.field(at, node) as u32,
+            from: self.field(from_at, proc) as u16,
+            to: self.field(to_at, proc) as u16,
+            step: self.field(at + (node + 2 * proc) as usize, step) as u32,
+        }
+    }
+}
+
+/// One cached answer, addressed by its full fingerprint.
 #[derive(Debug)]
 struct Entry {
     full_fp: u128,
-    schedule: Arc<BspSchedule>,
-    /// Cost of `schedule` on its request, memoized so an exact hit can fill
+    answer: Arc<CachedAnswer>,
+    /// The answer as a [`BspSchedule`] for in-process hits, once one is
+    /// kept; charged to the budget at its unpacked size.
+    kept: Option<Arc<BspSchedule>>,
+    /// Cost of the answer on its request, memoized so an exact hit can fill
     /// its response header without recomputing (and thus allocating).
     cost: u64,
     bytes: usize,
@@ -130,20 +352,48 @@ impl ScheduleCache {
         }
     }
 
-    /// Exact lookup: `O(1)`, allocation-free, bumps the entry to the LRU
-    /// front.  Counts a hit; the caller counts a miss with
-    /// [`Self::note_miss`].
-    pub fn lookup_exact(&mut self, full_fp: u128) -> Option<(Arc<BspSchedule>, u64)> {
-        match self.by_full.get(&full_fp).copied() {
-            Some(idx) => {
-                self.stats.hits += 1;
-                self.unlink(idx);
-                self.link_front(idx);
-                let entry = self.slots[idx].as_ref().expect("indexed entry");
-                Some((Arc::clone(&entry.schedule), entry.cost))
-            }
-            None => None,
+    /// Finds `full_fp`'s entry, counts the hit and bumps it to the LRU
+    /// front.
+    fn touch(&mut self, full_fp: u128) -> Option<usize> {
+        let idx = self.by_full.get(&full_fp).copied()?;
+        self.stats.hits += 1;
+        self.unlink(idx);
+        self.link_front(idx);
+        Some(idx)
+    }
+
+    /// Exact lookup: the packed answer and its cost.  `O(1)`,
+    /// allocation-free, bumps the entry to the LRU front.  Counts a hit; the
+    /// caller counts a miss with [`Self::note_miss`].
+    pub fn lookup_exact(&mut self, full_fp: u128) -> Option<(Arc<CachedAnswer>, u64)> {
+        let idx = self.touch(full_fp)?;
+        let entry = self.slots[idx].as_ref().expect("indexed entry");
+        Some((Arc::clone(&entry.answer), entry.cost))
+    }
+
+    /// Exact lookup for an in-process caller: the answer as a
+    /// [`BspSchedule`], and its cost.  Counts and bumps as
+    /// [`Self::lookup_exact`] does.  The first such hit on an entry that
+    /// keeps no schedule builds one and keeps it, charged at its unpacked
+    /// size (evicting other entries as an insertion would; when the entry
+    /// and its schedule together exceed the whole budget, the schedule is
+    /// handed out and not kept), so later hits allocate nothing.
+    pub fn lookup_schedule(&mut self, full_fp: u128) -> Option<(Arc<BspSchedule>, u64)> {
+        let idx = self.touch(full_fp)?;
+        let entry = self.slots[idx].as_mut().expect("indexed entry");
+        if let Some(kept) = &entry.kept {
+            return Some((Arc::clone(kept), entry.cost));
         }
+        let (schedule, cost) = (Arc::new(entry.answer.to_schedule()), entry.cost);
+        let extra = unpacked_bytes(&schedule);
+        if entry.bytes + extra <= self.byte_budget {
+            entry.kept = Some(Arc::clone(&schedule));
+            entry.bytes += extra;
+            self.stats.bytes_used += extra;
+            // The entry is at the LRU front and fits alone: only others go.
+            self.enforce_budget();
+        }
+        Some((schedule, cost))
     }
 
     /// Finds nothing and counts nothing: a re-weighted request is a cold
@@ -155,8 +405,9 @@ impl ScheduleCache {
     }
 
     /// Records a lookup that found nothing: an exact miss before a cold
-    /// solve, or an `FP` replay of a key the cache does not hold.  Every
-    /// request is looked up once, so each counts one hit or one miss.
+    /// solve, or an `FP` replay of a key the cache does not hold.  A caller
+    /// notes a miss once it is final, so each request counts one hit or one
+    /// miss.
     pub fn note_miss(&mut self) {
         self.stats.misses += 1;
     }
@@ -171,10 +422,18 @@ impl ScheduleCache {
         self.stats.evictions += 1;
     }
 
-    /// Inserts (or replaces) the schedule for `full_fp`, evicting LRU entries
-    /// until the byte budget holds.  Oversized schedules are not cached.
-    /// `_structure_fp` is ignored: the frozen `benchmark/` passes one; delete
-    /// it with ROADMAP item 1 (benchmark v2).
+    /// Evicts from the LRU tail until the byte budget holds.
+    fn enforce_budget(&mut self) {
+        while self.stats.bytes_used > self.byte_budget && self.tail != NIL {
+            self.evict(self.tail);
+        }
+    }
+
+    /// Packs and inserts (or replaces) the schedule for `full_fp`, evicting
+    /// LRU entries until the byte budget holds; the `Arc` itself is not
+    /// kept.  Oversized schedules are not cached.  `_structure_fp` is
+    /// ignored: the frozen `benchmark/` passes one; delete it with ROADMAP
+    /// item 1 (benchmark v2).
     pub fn insert(
         &mut self,
         full_fp: u128,
@@ -182,20 +441,40 @@ impl ScheduleCache {
         schedule: Arc<BspSchedule>,
         cost: u64,
     ) {
-        let bytes = schedule_footprint(&schedule);
-        if bytes > self.byte_budget {
+        self.insert_packed(full_fp, CachedAnswer::pack(&schedule), None, cost);
+    }
+
+    /// [`Self::insert`] of an answer packed beforehand (so a caller can pack
+    /// outside its lock), keeping `kept` — the same schedule unpacked — for
+    /// in-process hits ([`Self::lookup_schedule`]) when the entry fits the
+    /// budget with it, and the packed answer alone otherwise.
+    pub fn insert_packed(
+        &mut self,
+        full_fp: u128,
+        answer: CachedAnswer,
+        kept: Option<Arc<BspSchedule>>,
+        cost: u64,
+    ) {
+        let packed = answer.footprint();
+        if packed > self.byte_budget {
             return;
         }
+        let kept = kept.filter(|s| packed + unpacked_bytes(s) <= self.byte_budget);
+        let bytes = packed + kept.as_deref().map_or(0, unpacked_bytes);
+        let entry = Entry {
+            full_fp,
+            answer: Arc::new(answer),
+            kept,
+            cost,
+            bytes,
+            prev: NIL,
+            next: NIL,
+        };
         if let Some(&idx) = self.by_full.get(&full_fp) {
             // Replace in place.
-            let old_bytes = {
-                let e = self.slots[idx].as_mut().expect("indexed entry");
-                e.schedule = schedule;
-                e.cost = cost;
-                mem::replace(&mut e.bytes, bytes)
-            };
-            self.stats.bytes_used = self.stats.bytes_used - old_bytes + bytes;
             self.unlink(idx);
+            let old = self.slots[idx].replace(entry).expect("indexed entry");
+            self.stats.bytes_used = self.stats.bytes_used - old.bytes + bytes;
             self.link_front(idx);
         } else {
             while self.stats.bytes_used + bytes > self.byte_budget && self.tail != NIL {
@@ -208,14 +487,7 @@ impl ScheduleCache {
                     self.slots.len() - 1
                 }
             };
-            self.slots[idx] = Some(Entry {
-                full_fp,
-                schedule,
-                cost,
-                bytes,
-                prev: NIL,
-                next: NIL,
-            });
+            self.slots[idx] = Some(entry);
             self.link_front(idx);
             self.by_full.insert(full_fp, idx);
             self.stats.bytes_used += bytes;
@@ -224,9 +496,7 @@ impl ScheduleCache {
         }
         // Evicting everything else may still be required when a replacement
         // grew: budget enforcement is unconditional.
-        while self.stats.bytes_used > self.byte_budget && self.tail != NIL {
-            self.evict(self.tail);
-        }
+        self.enforce_budget();
     }
 
     /// Inserts an entry recovered from the durable store at startup.
@@ -234,9 +504,9 @@ impl ScheduleCache {
     /// counted: repopulation is not request traffic, and keeping the counter
     /// request-only lets a restart test tell recovered entries
     /// (`store_loaded`) apart from fresh solves (`insertions`).
-    pub fn repopulate(&mut self, full_fp: u128, schedule: Arc<BspSchedule>, cost: u64) {
+    pub fn repopulate(&mut self, full_fp: u128, schedule: &BspSchedule, cost: u64) {
         let before = self.stats.insertions;
-        self.insert(full_fp, 0, schedule, cost);
+        self.insert_packed(full_fp, CachedAnswer::pack(schedule), None, cost);
         self.stats.insertions = before;
     }
 
@@ -248,8 +518,9 @@ impl ScheduleCache {
     /// Invariants checked:
     /// * the LRU list is a consistent doubly linked list over exactly the
     ///   live slots, and `stats.entries` equals its length;
-    /// * `stats.bytes_used` equals the sum of live entry footprints and never
-    ///   exceeds the byte budget;
+    /// * each entry is charged its packed footprint plus its kept
+    ///   schedule's unpacked one, `stats.bytes_used` equals the sum of those
+    ///   charges and never exceeds the byte budget;
     /// * `by_full` is a bijection onto the live slots;
     /// * the free list holds exactly the empty slots.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -266,6 +537,13 @@ impl ScheduleCache {
             }
             if !seen.insert(cur) {
                 return Err(format!("LRU list visits slot {cur} twice"));
+            }
+            let charge = e.answer.footprint() + e.kept.as_deref().map_or(0, unpacked_bytes);
+            if e.bytes != charge {
+                return Err(format!(
+                    "slot {cur} is charged {} bytes, not {charge}",
+                    e.bytes
+                ));
             }
             bytes += e.bytes;
             prev = cur;
@@ -337,36 +615,102 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn the_footprint_is_six_bytes_a_node_and_twelve_a_transfer() {
-        // A chain split over two processors: every edge is one transfer.
-        let n = 10;
+    /// A chain split over two processors: every edge is one transfer.
+    fn split_chain(n: usize) -> BspSchedule {
         let edges: Vec<(usize, usize)> = (1..n).map(|v| (v - 1, v)).collect();
         let dag = Dag::from_edge_list_unit_weights(n, &edges).unwrap();
         let assignment = Assignment {
             proc: (0..n as u16).map(|v| v % 2).collect(),
             superstep: (0..n as u32).collect(),
         };
-        let schedule = BspSchedule::from_assignment_lazy(&dag, assignment);
+        BspSchedule::from_assignment_lazy(&dag, assignment)
+    }
+
+    #[test]
+    fn the_footprint_is_the_packed_words_and_one_header() {
+        let n = 10;
+        let schedule = split_chain(n);
         let transfers = schedule.comm.len();
         assert_eq!(transfers, n - 1);
+        // One bit a processor, four a superstep (τ ≤ 9, Γ's steps ≤ 8), four
+        // a transferred node (≤ 8): 5 bits a node, 10 a transfer.
+        let layout = Layout::of(&schedule);
+        assert_eq!((layout.proc, layout.step, layout.node), (1, 4, 4));
+        let words = (5 * n + 10 * transfers).div_ceil(64);
+        let footprint = schedule_footprint(&schedule);
         assert_eq!(
-            schedule_footprint(&schedule),
-            6 * n + 12 * transfers + mem::size_of::<BspSchedule>()
+            footprint,
+            8 * words + mem::size_of::<CachedAnswer>() + ARC_COUNTS
+        );
+        assert_eq!(CachedAnswer::pack(&schedule).footprint(), footprint);
+        // Unpacked it is 6 bytes a node and 12 a transfer.
+        assert_eq!(
+            unpacked_bytes(&schedule),
+            6 * n + 12 * transfers + mem::size_of::<BspSchedule>() + ARC_COUNTS
         );
     }
 
     #[test]
-    fn exact_hits_return_the_same_allocation() {
+    fn a_packed_answer_reads_back_its_schedule() {
+        for schedule in [split_chain(10), split_chain(1), (*schedule_of(0)).clone()] {
+            let answer = CachedAnswer::pack(&schedule);
+            assert_eq!(answer.to_schedule(), schedule);
+            assert_eq!(answer.supersteps(), schedule.num_supersteps());
+        }
+    }
+
+    #[test]
+    fn exact_hits_share_the_packed_answer_and_in_process_hits_keep_one_schedule() {
         let mut cache = ScheduleCache::new(1 << 20);
-        let s = schedule_of(8);
+        let s = Arc::new(split_chain(8));
         cache.insert(1, 0, Arc::clone(&s), 17);
+        let packed = cache.stats().bytes_used;
         let (hit, cost) = cache.lookup_exact(1).expect("inserted entry hits");
-        assert!(Arc::ptr_eq(&hit, &s));
+        let (again, _) = cache.lookup_exact(1).expect("inserted entry hits");
+        assert!(Arc::ptr_eq(&hit, &again));
+        assert_eq!(hit.to_schedule(), *s);
         assert_eq!(cost, 17);
         assert!(cache.lookup_exact(2).is_none());
+        // The first in-process hit builds the schedule and keeps it.
+        let (built, _) = cache.lookup_schedule(1).expect("in-process hit");
+        assert_eq!(*built, *s);
+        assert_eq!(cache.stats().bytes_used, packed + unpacked_bytes(&s));
+        let (kept, _) = cache.lookup_schedule(1).expect("in-process hit");
+        assert!(Arc::ptr_eq(&built, &kept));
+        // An in-process insertion keeps its own.
+        cache.insert_packed(3, CachedAnswer::pack(&s), Some(Arc::clone(&s)), 5);
+        assert!(Arc::ptr_eq(&cache.lookup_schedule(3).unwrap().0, &s));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.entries, stats.insertions), (1, 1, 1));
+        assert_eq!((stats.hits, stats.entries, stats.insertions), (5, 2, 2));
+        cache.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_schedule_that_does_not_fit_beside_its_entry_is_handed_out_not_kept() {
+        let s = Arc::new(split_chain(64));
+        let budget = schedule_footprint(&s) + unpacked_bytes(&s) - 1;
+        let mut cache = ScheduleCache::new(budget);
+        cache.insert_packed(1, CachedAnswer::pack(&s), Some(Arc::clone(&s)), 0);
+        assert_eq!(cache.stats().bytes_used, schedule_footprint(&s));
+        let (first, _) = cache.lookup_schedule(1).unwrap();
+        let (second, _) = cache.lookup_schedule(1).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second) && *first == *second);
+        assert_eq!(cache.stats().bytes_used, schedule_footprint(&s));
+        cache.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn keeping_a_schedule_evicts_the_least_recent_other_entry() {
+        let s = Arc::new(split_chain(64));
+        let packed = schedule_footprint(&s);
+        let mut cache = ScheduleCache::new(packed + unpacked_bytes(&s) + packed / 2);
+        cache.insert(1, 0, Arc::clone(&s), 0);
+        cache.insert(2, 0, Arc::clone(&s), 0);
+        cache.lookup_schedule(2).unwrap();
+        assert!(cache.lookup_exact(1).is_none(), "the LRU entry made room");
+        assert!(cache.lookup_exact(2).is_some());
+        assert_eq!(cache.stats().evictions, 1);
+        cache.check_invariants().unwrap();
     }
 
     #[test]
@@ -416,7 +760,7 @@ mod tests {
     #[test]
     fn repopulation_fills_the_cache_without_counting_insertions() {
         let mut cache = ScheduleCache::new(1 << 20);
-        cache.repopulate(1, schedule_of(8), 17);
+        cache.repopulate(1, &schedule_of(8), 17);
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.insertions), (1, 0));
         let (_, cost) = cache.lookup_exact(1).expect("repopulated entry hits");
@@ -427,12 +771,13 @@ mod tests {
     #[test]
     fn replacement_updates_bytes_and_keeps_one_entry() {
         let mut cache = ScheduleCache::new(1 << 20);
-        cache.insert(1, 0, schedule_of(8), 1);
+        cache.insert(1, 0, Arc::new(split_chain(8)), 1);
         let before = cache.stats().bytes_used;
-        cache.insert(1, 0, schedule_of(512), 2);
+        cache.insert(1, 0, Arc::new(split_chain(512)), 2);
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert!(stats.bytes_used > before);
         assert_eq!(stats.insertions, 1, "replacement is not a new insertion");
+        cache.check_invariants().unwrap();
     }
 }

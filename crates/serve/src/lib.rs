@@ -80,14 +80,14 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use cache::{schedule_footprint, CacheStats, ScheduleCache};
+pub use cache::{schedule_footprint, CacheStats, CachedAnswer, ScheduleCache};
 pub use client::{Client, Completion, PipelinedClient};
 pub use metrics::{LatencyHistogram, StoreCounters, StoreStats};
 pub use obs::{MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal, TraceRecord};
 pub use placement::{Decision, LoadView, Placement, PlacementScope};
 pub use protocol::{
-    Mode, Reply, RequestOptions, ScheduleRequest, ScheduleResponse, ScheduleSource, ServeError,
-    SlowEntry, WireSpan, WireTrace,
+    Mode, Reply, RequestOptions, ScheduleRequest, ScheduleResponse, ScheduleSource, ScheduleView,
+    ServeError, SlowEntry, WireSpan, WireTrace,
 };
 pub use router::{Router, RouterConfig, RouterHandle};
 pub use server::{Server, ServerConfig, ServerHandle};

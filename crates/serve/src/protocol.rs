@@ -899,8 +899,53 @@ pub fn encode_fingerprint_request(
     with_bytes(out, |out| write_request(out, id, trace, fp_line, |_| {}));
 }
 
+/// What the response encoder reads of a schedule: a [`BspSchedule`], or a
+/// cache's bit-packed [`crate::cache::CachedAnswer`], which goes to the wire
+/// straight from its words.  One encoder serves both, so a fresh answer and
+/// a cached one are the same bytes.
+pub trait ScheduleView {
+    /// [`BspSchedule::num_supersteps`].
+    fn supersteps(&self) -> usize;
+    /// The number of nodes `n`.
+    fn nodes(&self) -> usize;
+    /// `π(v)`, for `v < n`.
+    fn proc_of(&self, v: usize) -> u16;
+    /// `τ(v)`, for `v < n`.
+    fn step_of(&self, v: usize) -> u32;
+    /// `|Γ|`.
+    fn transfers(&self) -> usize;
+    /// Row `i < |Γ|` of `Γ`, in its sorted order.
+    fn transfer(&self, i: usize) -> CommStep;
+}
+
+impl ScheduleView for BspSchedule {
+    fn supersteps(&self) -> usize {
+        self.num_supersteps()
+    }
+
+    fn nodes(&self) -> usize {
+        self.assignment.n()
+    }
+
+    fn proc_of(&self, v: usize) -> u16 {
+        self.assignment.proc[v]
+    }
+
+    fn step_of(&self, v: usize) -> u32 {
+        self.assignment.superstep[v]
+    }
+
+    fn transfers(&self) -> usize {
+        self.comm.len()
+    }
+
+    fn transfer(&self, i: usize) -> CommStep {
+        self.comm.steps()[i]
+    }
+}
+
 /// Writes a response in wire form into `out` (borrowing the schedule, so
-/// the server does not clone cached schedules to encode them).
+/// the server neither clones nor unpacks a cached answer to encode it).
 pub fn encode_response_parts(
     out: &mut String,
     id: u64,
@@ -908,12 +953,12 @@ pub fn encode_response_parts(
     source: ScheduleSource,
     micros: u64,
     trace_id: u64,
-    schedule: &BspSchedule,
+    schedule: &impl ScheduleView,
 ) {
     let _ = write!(
         out,
         "OK {id} cost {cost} supersteps {} source {} micros {micros}",
-        schedule.num_supersteps(),
+        schedule.supersteps(),
         source.as_str(),
     );
     if trace_id != 0 {
@@ -921,22 +966,23 @@ pub fn encode_response_parts(
     }
     out.push('\n');
     with_bytes(out, |bytes| {
-        let (assignment, steps) = (&schedule.assignment, schedule.comm.steps());
-        bytes.reserve(8 * assignment.n() + 16 * steps.len() + 32);
+        let (n, transfers) = (schedule.nodes(), schedule.transfers());
+        bytes.reserve(8 * n + 16 * transfers + 32);
         push_list(
             bytes,
             b"PROC",
-            assignment.proc.iter().map(|&q| u64::from(q)),
+            (0..n).map(|v| u64::from(schedule.proc_of(v))),
         );
         push_list(
             bytes,
             b"STEP",
-            assignment.superstep.iter().map(|&s| u64::from(s)),
+            (0..n).map(|v| u64::from(schedule.step_of(v))),
         );
         bytes.extend_from_slice(b"COMM ");
-        push_u64(bytes, steps.len() as u64);
+        push_u64(bytes, transfers as u64);
         bytes.push(b'\n');
-        for cs in steps {
+        for i in 0..transfers {
+            let cs = schedule.transfer(i);
             let (from, to) = (u64::from(cs.from), u64::from(cs.to));
             push_line(bytes, [u64::from(cs.node), from, to, u64::from(cs.step)]);
         }

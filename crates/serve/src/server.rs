@@ -8,17 +8,21 @@
 //! [`ServerConfig::max_connections`]; beyond it a connection is answered
 //! with `ERR 0 busy ...` and dropped).  The reader answers everything that
 //! does not solve: the control verbs, an `FP <hex>` replay (a hit or
-//! `unknown-fp`) and a full-payload exact hit
-//! ([`ScheduleService::lookup_traced`]).  A miss becomes a *job* in a
-//! bounded shared queue, carrying the request key the reader computed, so a
+//! `unknown-fp`, [`ScheduleService::lookup_traced`]) and a full-payload exact
+//! hit ([`ScheduleService::lookup_before_queue`]).  A miss becomes a *job* in
+//! a bounded shared queue, carrying the request key the reader computed, so a
 //! client may have **many id-tagged requests in flight on one connection**.
 //! `N` **worker** threads take the jobs one at a time, in arrival order, and
-//! solve them ([`ScheduleService::solve_traced`]).  Reader and workers make
-//! every answer through one `respond` and hand it to the connection's
-//! **writer** thread over a channel, so wire frames never interleave; since
-//! several workers can solve jobs of one connection at once, responses
-//! complete **out of order** and the id tags let the client match them up
-//! (see [`crate::PipelinedClient`]).
+//! solve them ([`ScheduleService::solve_traced`]) — unless a second look
+//! finds the answer cached while the job waited
+//! ([`ScheduleService::recheck_traced`]: a twin of a request solved
+//! meanwhile).  A queued request's one cache op is counted and traced by that
+//! second look, or when the queue refuses it, so a counter never takes a miss
+//! back.  Reader and workers make every answer through one `respond` and hand
+//! it to the connection's **writer** thread over a channel, so wire frames
+//! never interleave; since several workers can solve jobs of one connection
+//! at once, responses complete **out of order** and the id tags let the
+//! client match them up (see [`crate::PipelinedClient`]).
 //!
 //! When the job queue is full a miss is refused with `ERR <id> busy`
 //! (admission control instead of unbounded buffering); the connection stays
@@ -39,7 +43,8 @@ use crate::metrics::LatencyHistogram;
 use crate::obs::{SpanSet, TraceIdGen, TraceJournal, TraceRecord};
 use crate::protocol::{
     encode_error, encode_metrics_reply, encode_response_parts, encode_slow_reply,
-    encode_trace_reply, read_incoming, Incoming, ScheduleRequest, ServeError, WireTrace,
+    encode_trace_reply, read_incoming, Incoming, ScheduleRequest, ScheduleView, ServeError,
+    WireTrace,
 };
 use crate::service::{ScheduleService, ServeReply, ServiceConfig, ServiceStats};
 use crate::store::StoreConfig;
@@ -435,6 +440,8 @@ fn submit_job(shared: &Shared, job: Job, out: &mut String) {
         return;
     };
     drop(jobs);
+    // The refusal makes the reader's miss final.
+    shared.service.note_miss();
     encode_error(out, job.ticket.id, &refusal);
 }
 
@@ -472,7 +479,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Ok(Some(Incoming::Request(request))) => {
                 let mut ticket = Ticket::new(shared, request.id, request.options.trace);
                 let key = request_key(&request.dag, &request.machine);
-                match shared.service.lookup_traced(key.full, &mut ticket.spans) {
+                match shared
+                    .service
+                    .lookup_before_queue(key.full, &mut ticket.spans)
+                {
                     Some(hit) => respond(shared, ticket, Ok(hit), &mut out),
                     None => {
                         let job = Job {
@@ -601,23 +611,35 @@ fn worker_loop(shared: &Shared) {
         ticket
             .spans
             .push("queue_wait", 0, picked_us.saturating_sub(qw_us), qw_us);
-        // A panicking solve answers its own request with `ERR internal`;
-        // the worker lives on and serves the next job.
-        let solved = panic::catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(test)]
-            tests::panic_if_marked(&job.request);
-            shared
-                .service
-                .solve_traced(&job.request, job.key, ticket.received, &mut ticket.spans)
-        }));
-        let result = solved.unwrap_or_else(|payload| {
-            shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
-                .or_else(|| payload.downcast_ref::<String>().cloned());
-            Err(ServeError::Internal(message.unwrap_or_default()))
-        });
         let mut out = String::new();
-        respond(shared, job.ticket, result, &mut out);
+        // A twin of a request solved while this one waited is answered
+        // from the cache, not solved again.
+        let twin = shared
+            .service
+            .recheck_traced(job.key.full, ticket.received, &mut ticket.spans);
+        if let Some(hit) = twin {
+            respond(shared, job.ticket, Ok(hit), &mut out);
+        } else {
+            // A panicking solve answers its own request with `ERR internal`;
+            // the worker lives on and serves the next job.
+            let solved = panic::catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                tests::panic_if_marked(&job.request);
+                shared.service.solve_traced(
+                    &job.request,
+                    job.key,
+                    ticket.received,
+                    &mut ticket.spans,
+                )
+            }));
+            let result = solved.unwrap_or_else(|payload| {
+                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                let message = (payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                    .or_else(|| payload.downcast_ref::<String>().cloned());
+                Err(ServeError::Internal(message.unwrap_or_default()))
+            });
+            respond(shared, job.ticket, result, &mut out);
+        }
         // A send error just means the connection is gone.
         let _ = job.reply.send(out);
         job.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -626,11 +648,11 @@ fn worker_loop(shared: &Shared) {
 
 /// Writes `result` into `out` as the answer to `ticket`'s request and
 /// journals its trace: the one way an answer is made, by the reader for a
-/// cache answer and by a worker for a solve.
-fn respond(
+/// cache answer and by a worker for a solve or a twin's cache answer.
+fn respond<S: ScheduleView>(
     shared: &Shared,
     mut ticket: Ticket,
-    result: Result<ServeReply, ServeError>,
+    result: Result<ServeReply<S>, ServeError>,
     out: &mut String,
 ) {
     let (id, trace, received) = (ticket.id, ticket.trace, ticket.received);
@@ -638,7 +660,7 @@ fn respond(
     let source = match &result {
         Ok(reply) => {
             let handled_us = reply.elapsed.as_micros() as u64;
-            let (cost, schedule) = (reply.cost, &reply.schedule);
+            let (cost, schedule) = (reply.cost, &*reply.schedule);
             encode_response_parts(out, id, cost, reply.source, handled_us, trace, schedule);
             let respond_dur = (received.elapsed().as_micros() as u64).saturating_sub(respond_start);
             ticket.spans.push("respond", 0, respond_start, respond_dur);
@@ -934,7 +956,57 @@ mod tests {
         for (id, source) in [(10, Cold), (11, Cold), (12, CacheExact), (13, CacheExact)] {
             assert!(matches!(answers[&id], Ok(s) if s == source), "{answers:?}");
         }
+        // One cache op a request: the two hits, and the misses of the first
+        // cold request, the two solved here and the refused one.
+        let cache = server.stats().cache;
+        assert_eq!((cache.hits, cache.misses), (2, 4));
         drop((client, stream));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_queued_twin_is_answered_from_the_cache_not_solved_again() {
+        use ScheduleSource::{CacheExact, Cold};
+        // One worker: the reader queues both copies before the first one's
+        // solve ends, and the worker finds the second one's answer cached.
+        let server = test_server_with_workers(1);
+        let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+        let dag = dag_gen::fine::spmv(&dag_gen::fine::SpmvConfig {
+            n: 40,
+            density: 0.2,
+            seed: 3,
+        });
+        let mut frames = String::new();
+        for id in [1, 2] {
+            encode_request(&mut frames, id, &dag, &machine, &RequestOptions::new())
+                .expect("encode");
+        }
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.write_all(frames.as_bytes()).expect("send");
+        let mut reader = BufReader::new(&stream);
+        let mut answers = std::collections::BTreeMap::new();
+        while answers.len() < 2 {
+            match read_reply(&mut reader).expect("a reply") {
+                Reply::Ok(response) => answers.insert(response.id, response),
+                Reply::Err { id, error } => panic!("request {id}: {error}"),
+            };
+        }
+        let sources: Vec<_> = answers.values().map(|r| r.source).collect();
+        assert_eq!(sources, [Cold, CacheExact]);
+        // One solve, one insertion, and one lookup counted per request...
+        let cache = server.stats().cache;
+        assert_eq!((cache.insertions, cache.hits, cache.misses), (1, 1, 1));
+        // ...and traced once: each trace holds one cache outcome, its own.
+        for (response, outcome) in answers.values().zip(["cache_miss", "cache_exact_hit"]) {
+            let record = server.shared.journal.lookup(response.trace_id);
+            let spans = record.expect("journaled").spans;
+            let names = spans.spans().iter().map(|span| span.name());
+            let cache_spans: Vec<_> = names
+                .filter(|n| ["cache_miss", "cache_exact_hit"].contains(n))
+                .collect();
+            assert_eq!(cache_spans, [outcome], "request {}", response.id);
+        }
+        drop(stream);
         server.shutdown();
     }
 

@@ -5,15 +5,26 @@
 //!
 //! 1. fingerprint the request ([`bsp_model::fingerprint`], allocation-free);
 //! 2. **exact cache hit** → return the cached [`BspSchedule`] in `O(1)`.
-//!    This path performs *zero heap allocation* (fingerprinting, the mutex,
-//!    the LRU bump, the `Arc` clone and the histogram update all stay off
-//!    the allocator) — certified by the repo's counting-allocator test;
+//!    The schedule is the one the cache entry keeps beside its packed
+//!    answer: the in-process solve's own, or one built on the entry's first
+//!    in-process hit (see [`crate::cache`]).  From then on this path performs
+//!    *zero heap allocation* (fingerprinting, the mutex, the LRU bump, the
+//!    `Arc` clone and the histogram update all stay off the allocator) —
+//!    certified by the repo's counting-allocator test;
 //! 3. **miss** → run the configured pipeline cold.  A re-weighted instance
 //!    of a cached DAG is a miss like any other.
 //!
-//! Step 2 is [`ScheduleService::lookup_traced`] and step 3
-//! [`ScheduleService::solve_traced`]: the server runs steps 1–2 on the
-//! connection reader and queues only misses for its workers.
+//! The wire has its own two halves, which never build a [`BspSchedule`] for
+//! a hit: [`ScheduleService::lookup_traced`] hands out the packed
+//! [`CachedAnswer`], which the response encoder reads directly, and
+//! [`ScheduleService::solve_traced`] caches its answer packed alone.  The
+//! server runs the lookup on the connection reader
+//! ([`ScheduleService::lookup_before_queue`]) and queues only misses for its
+//! workers; a worker looks its job up once more
+//! ([`ScheduleService::recheck_traced`]) before it solves, so a twin queued
+//! behind its original's solve is answered from the cache.  A queued miss is
+//! counted and traced once it is final: by that second look, or when the
+//! queue refuses the job.
 //!
 //! Every solve runs under a [`CancelToken`] that combines the request
 //! deadline with the service's shutdown token, so a request always comes
@@ -23,7 +34,7 @@
 //! ship it — the service-boundary counterpart of the pipeline's debug
 //! assertions.
 
-use crate::cache::{CacheStats, ScheduleCache};
+use crate::cache::{CacheStats, CachedAnswer, ScheduleCache};
 use crate::metrics::{LatencyHistogram, StoreStats};
 use crate::obs::{write_sample, write_type, MetricsRegistry, MetricsSnapshot, SpanSet};
 use crate::placement::PlacementScope;
@@ -233,12 +244,14 @@ impl ServiceStats {
     }
 }
 
-/// The in-process reply of [`ScheduleService::handle`] (the wire layer turns
-/// it into a [`crate::protocol::ScheduleResponse`]).
+/// The reply of [`ScheduleService::handle`]: a [`BspSchedule`].  The wire's
+/// cache hits ([`ScheduleService::lookup_traced`]) reply with the packed
+/// [`CachedAnswer`] instead, which the response encoder reads as it is.
 #[derive(Debug, Clone)]
-pub struct ServeReply {
-    /// The schedule (shared with the cache on hits and after insertions).
-    pub schedule: Arc<BspSchedule>,
+pub struct ServeReply<S = BspSchedule> {
+    /// The schedule (shared with the cache on hits and after in-process
+    /// insertions).
+    pub schedule: Arc<S>,
     /// Its cost on the request's DAG and machine.
     pub cost: u64,
     /// Where it came from.
@@ -290,7 +303,7 @@ impl ScheduleService {
                     // before the cache may serve it.
                     match adopt_record(record) {
                         Some((key, schedule, cost)) => {
-                            cache.repopulate(key.full, schedule, cost);
+                            cache.repopulate(key.full, &schedule, cost);
                             loaded += 1;
                         }
                         None => dropped += 1,
@@ -403,16 +416,17 @@ impl ScheduleService {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Handles one request end to end (see the module docs):
-    /// [`ScheduleService::lookup_traced`], then on a miss
-    /// [`ScheduleService::solve_traced`].
+    /// Handles one request end to end (see the module docs): the cache
+    /// lookup, then on a miss the cold solve, whose schedule the cache
+    /// keeps for this caller's repeats.
     pub fn handle(&self, request: &ScheduleRequest) -> Result<ServeReply, ServeError> {
         let received = Instant::now();
         let mut spans = SpanSet::new();
         let key = request_key(&request.dag, &request.machine);
-        match self.lookup_traced(key.full, &mut spans) {
+        let hit = self.lookup(&mut spans, 0, true, |c| c.lookup_schedule(key.full));
+        match hit {
             Some(hit) => Ok(hit),
-            None => self.solve_traced(request, key, received, &mut spans),
+            None => self.solve(request, key, received, &mut spans, true),
         }
     }
 
@@ -421,29 +435,87 @@ impl ScheduleService {
     /// [`ServeError::UnknownFingerprint`] so the client resends the full
     /// payload.
     pub fn handle_fingerprint(&self, fingerprint: u128) -> Result<ServeReply, ServeError> {
-        let hit = self.lookup_traced(fingerprint, &mut SpanSet::new());
+        let hit = self.lookup(&mut SpanSet::new(), 0, true, |c| {
+            c.lookup_schedule(fingerprint)
+        });
         hit.ok_or(ServeError::UnknownFingerprint)
     }
 
-    /// Looks a request's full key ([`RequestKey::full`]) up in the cache:
-    /// the hit's reply, or `None`.  Either way the lookup is counted once
-    /// and traced into `spans` (`cache_exact_hit` / `cache_miss`, at offset
-    /// 0), with the cache released before the span and the reply are made.
+    /// Looks a request's full key ([`RequestKey::full`]) up in the cache
+    /// for the wire: the hit's reply, carrying the packed answer, or
+    /// `None`.  Either way the lookup is counted once and traced into
+    /// `spans` (`cache_exact_hit` / `cache_miss`, at offset 0), with the
+    /// cache released before the span and the reply are made.
     /// Allocation-free, tracing included — certified by the repo's
     /// counting-allocator test.
-    pub fn lookup_traced(&self, full_fp: u128, spans: &mut SpanSet) -> Option<ServeReply> {
+    pub fn lookup_traced(
+        &self,
+        full_fp: u128,
+        spans: &mut SpanSet,
+    ) -> Option<ServeReply<CachedAnswer>> {
+        self.lookup(spans, 0, true, |c| c.lookup_exact(full_fp))
+    }
+
+    /// [`Self::lookup_traced`] for a request that a miss sends to the job
+    /// queue: a hit is counted and traced alike, but a miss is neither, for
+    /// it is not final yet.  The caller settles it: the worker's
+    /// [`Self::recheck_traced`] counts and traces one outcome, and a job the
+    /// queue refuses counts its miss with [`Self::note_miss`].
+    pub fn lookup_before_queue(
+        &self,
+        full_fp: u128,
+        spans: &mut SpanSet,
+    ) -> Option<ServeReply<CachedAnswer>> {
+        self.lookup(spans, 0, false, |c| c.lookup_exact(full_fp))
+    }
+
+    /// The look a worker takes before it solves a queued miss: the answer
+    /// may have been cached while the job waited (a twin of a request
+    /// solved meanwhile).  Counts a hit or a miss, the request's one cache
+    /// op, and traces it at `received`'s offset.
+    pub fn recheck_traced(
+        &self,
+        full_fp: u128,
+        received: Instant,
+        spans: &mut SpanSet,
+    ) -> Option<ServeReply<CachedAnswer>> {
+        let offset_us = received.elapsed().as_micros() as u64;
+        self.lookup(spans, offset_us, true, |c| c.lookup_exact(full_fp))
+    }
+
+    /// Counts the miss of a request that [`Self::lookup_before_queue`]
+    /// missed and the job queue refused.
+    pub fn note_miss(&self) {
+        self.lock_cache().note_miss();
+    }
+
+    /// The one lookup behind every hit: `find` looks in the locked cache
+    /// (and counts a hit), and a hit is traced at `offset_us` and observed
+    /// as an exact answer.  With `count_miss` a miss is counted and traced
+    /// as `cache_miss` at `offset_us`; without, it is left to the caller.
+    fn lookup<S>(
+        &self,
+        spans: &mut SpanSet,
+        offset_us: u64,
+        count_miss: bool,
+        find: impl FnOnce(&mut ScheduleCache) -> Option<(Arc<S>, u64)>,
+    ) -> Option<ServeReply<S>> {
         let start = Instant::now();
         let mut cache = self.lock_cache();
-        let Some((schedule, cost)) = cache.lookup_exact(full_fp) else {
+        let found = find(&mut cache);
+        if found.is_none() && count_miss {
             cache.note_miss();
-            drop(cache);
-            spans.push("cache_miss", 0, 0, start.elapsed().as_micros() as u64);
-            return None;
-        };
+        }
         drop(cache);
         let elapsed = start.elapsed();
+        let Some((schedule, cost)) = found else {
+            if count_miss {
+                spans.push("cache_miss", 0, offset_us, elapsed.as_micros() as u64);
+            }
+            return None;
+        };
         // No extra clock read: the exact hit *is* the lookup.
-        spans.push("cache_exact_hit", 0, 0, elapsed.as_micros() as u64);
+        spans.push("cache_exact_hit", 0, offset_us, elapsed.as_micros() as u64);
         self.metrics.observe(ScheduleSource::CacheExact, elapsed);
         Some(ServeReply {
             schedule,
@@ -454,15 +526,29 @@ impl ScheduleService {
     }
 
     /// Solves a request whose lookup missed under `key`: the pipeline cold,
-    /// then the answer cached and offered to the store.  Span offsets count
-    /// from `received`, the instant the request's handling began; the
-    /// reply's `elapsed` is this call's alone.
+    /// then the answer cached (packed alone: a wire hit never unpacks it)
+    /// and offered to the store.  Span offsets count from `received`, the
+    /// instant the request's handling began; the reply's `elapsed` is this
+    /// call's alone.
     pub fn solve_traced(
         &self,
         request: &ScheduleRequest,
         key: RequestKey,
         received: Instant,
         spans: &mut SpanSet,
+    ) -> Result<ServeReply, ServeError> {
+        self.solve(request, key, received, spans, false)
+    }
+
+    /// [`Self::solve_traced`]; with `keep`, the cache also keeps the
+    /// schedule for in-process hits ([`ScheduleCache::insert_packed`]).
+    fn solve(
+        &self,
+        request: &ScheduleRequest,
+        key: RequestKey,
+        received: Instant,
+        spans: &mut SpanSet,
+        keep: bool,
     ) -> Result<ServeReply, ServeError> {
         let start = Instant::now();
         if self.shutdown.is_cancelled() {
@@ -488,8 +574,10 @@ impl ScheduleService {
         let cost = schedule.cost(&request.dag, &request.machine);
         let schedule = Arc::new(schedule);
         let insert_start = received.elapsed().as_micros() as u64;
+        let answer = CachedAnswer::pack(&schedule);
+        let kept = keep.then(|| Arc::clone(&schedule));
         self.lock_cache()
-            .insert(key.full, 0, Arc::clone(&schedule), cost);
+            .insert_packed(key.full, answer, kept, cost);
         // Write-through is asynchronous and happens only on the solve path
         // (which already allocates); the exact-hit and FP-replay paths stay
         // allocation-free and never touch the store.
@@ -588,7 +676,7 @@ impl ScheduleService {
 /// served before the restart), `HCcs` runs on it, as it ran last in the
 /// solve that produced the answer, and from the same lazy `Γ`: so a repeat
 /// after a restart costs what it cost before.
-fn adopt_record(record: StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u64)> {
+fn adopt_record(record: StoreRecord) -> Option<(RequestKey, BspSchedule, u64)> {
     let text = std::str::from_utf8(&record.dag_bytes).ok()?;
     let dag = read_hyperdag(text).ok()?;
     let machine = &record.machine;
@@ -621,7 +709,7 @@ fn adopt_record(record: StoreRecord) -> Option<(RequestKey, Arc<BspSchedule>, u6
         }
         cost = schedule.cost(&dag, machine);
     }
-    Some((key, Arc::new(schedule), cost))
+    Some((key, schedule, cost))
 }
 
 #[cfg(test)]

@@ -1,7 +1,10 @@
 //! Verifies the headline property of the `bsp_serve` schedule cache: an
 //! **exact cache hit performs zero heap allocation on the response path**
 //! (fingerprinting, mutex, LRU bump, `Arc` hand-out, latency-histogram
-//! update — encoding excluded, which is the wire layer's business).
+//! update — encoding excluded, which is the wire layer's business).  The
+//! wire's own hit path — a traced lookup handing out the packed answer and
+//! the response encoded from its words into a reused buffer — allocates
+//! nothing either.
 //!
 //! It also bounds what a wire reader may hold: on the protocol fuzz corpus
 //! and on frames whose headers declare the largest counts their verbs
@@ -103,6 +106,76 @@ fn exact_cache_hit_response_path_is_allocation_free() {
         (0, 0),
         "traced exact cache hits touched the allocator: {allocs} allocs / {deallocs} \
          deallocs over 200 traced hits"
+    );
+}
+
+/// A wire hit never unpacks: after one warm-up, full-key and `FP` hits go
+/// through `lookup_traced` and `encode_response_parts` into one reused
+/// `String` without touching the allocator, as the bytes of a fresh answer.
+#[test]
+fn wire_hits_encode_from_the_packed_answer_allocation_free() {
+    use bsp_serve::protocol::encode_response_parts;
+
+    let _serial = one_at_a_time();
+    let dag = spmv(&SpmvConfig {
+        n: 48,
+        density: 0.2,
+        seed: 7,
+    });
+    let machine = Machine::numa_binary_tree(8, 2, 5, 3);
+    let service = ScheduleService::new(ServiceConfig::default());
+    let request = ScheduleRequest {
+        id: 1,
+        dag,
+        machine,
+        options: RequestOptions::new(),
+    };
+
+    // Populate the cache as a worker does (allocates freely).
+    let key = bsp_model::request_key(&request.dag, &request.machine);
+    let mut spans = SpanSet::new();
+    assert!(service.lookup_traced(key.full, &mut spans).is_none());
+    let received = std::time::Instant::now();
+    let cold = service
+        .solve_traced(&request, key, received, &mut spans)
+        .expect("cold run succeeds");
+    let source = ScheduleSource::CacheExact;
+    let mut fresh = String::new();
+    encode_response_parts(&mut fresh, 1, cold.cost, source, 0, 0, &*cold.schedule);
+    drop(cold);
+
+    let encode_hit = |out: &mut String, spans: &mut SpanSet, fingerprint: u128| {
+        out.clear();
+        spans.clear();
+        let hit = service
+            .lookup_traced(fingerprint, spans)
+            .expect("wire hit succeeds");
+        encode_response_parts(out, 1, hit.cost, hit.source, 0, 0, &*hit.schedule);
+    };
+    // Warm up the reused buffer once.
+    let mut out = String::new();
+    encode_hit(&mut out, &mut spans, key.full);
+    assert_eq!(
+        out, fresh,
+        "a cached answer goes out as the fresh one's bytes"
+    );
+
+    let fingerprint = key.full;
+    let ((), allocs, deallocs) = counted(|| {
+        for _ in 0..100 {
+            let key = bsp_model::request_key(&request.dag, &request.machine);
+            encode_hit(&mut out, &mut spans, key.full);
+            std::hint::black_box(out.len());
+            encode_hit(&mut out, &mut spans, fingerprint);
+            std::hint::black_box(out.len());
+        }
+    });
+    assert_eq!(out, fresh);
+    assert_eq!(
+        (allocs, deallocs),
+        (0, 0),
+        "encoded wire hits touched the allocator: {allocs} allocs / {deallocs} deallocs \
+         over 200 hits"
     );
 }
 

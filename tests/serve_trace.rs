@@ -348,6 +348,11 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     let mut client = Client::connect(server.addr()).expect("connect");
     let span_names =
         |trace: WireTrace| -> Vec<String> { trace.spans.into_iter().map(|s| s.name).collect() };
+    // Each request's trace holds exactly one cache outcome.
+    let cache_outcomes = |names: &[String]| -> Vec<String> {
+        let outcome = |n: &&String| n.as_str() == "cache_miss" || n.as_str() == "cache_exact_hit";
+        names.iter().filter(outcome).cloned().collect()
+    };
 
     let dags = [test_dag(9), test_dag(10)];
     for dag in &dags {
@@ -364,6 +369,7 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
                 "server trace is missing the {expected} span; got {names:?}"
             );
         }
+        assert_eq!(cache_outcomes(&names), ["cache_miss"], "{names:?}");
     }
     assert!(
         client.trace(0xdead_beef).is_err(),
@@ -384,7 +390,7 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
     for hit in hits {
         assert_eq!(hit.source, ScheduleSource::CacheExact);
         let names = span_names(client.trace(hit.trace_id).expect("TRACE answers"));
-        assert!(names.iter().any(|n| n == "cache_exact_hit"), "{names:?}");
+        assert_eq!(cache_outcomes(&names), ["cache_exact_hit"], "{names:?}");
         assert!(!names.iter().any(|n| n == "queue_wait"), "{names:?}");
     }
 
@@ -402,7 +408,8 @@ fn single_server_metrics_and_trace_verbs_work_without_a_router() {
         Some(2),
         "one queue wait per cold request, none per hit"
     );
-    // The reader's lookup counts the miss; the worker's solve counts none.
+    // A cold request's miss is counted once, by the worker's look before it
+    // solves; the reader leaves it open.
     assert_eq!(snap.counter("bsp_cache_ops_total{op=\"miss\"}"), Some(2));
     assert_eq!(snap.counter("bsp_cache_ops_total{op=\"hit\"}"), Some(2));
     assert_eq!(snap.counter_sum("bsp_solver_fallbacks_total"), 0);
