@@ -12,10 +12,10 @@
 //! hit hands out the entry's `Arc` in `O(1)` with **zero heap allocation**
 //! (bumping the LRU relinks pre-allocated nodes), and the wire encodes the
 //! response straight from the packed words
-//! ([`crate::protocol::ScheduleView`]).  An in-process caller that wants a
-//! [`BspSchedule`] gets the one the entry keeps beside its words: the
-//! in-process solve's own, or one built on the entry's first in-process
-//! hit.  A kept schedule is charged to the byte budget at its unpacked size.
+//! ([`crate::protocol::ScheduleView`]).  The packed words are the entry's
+//! only form: an in-process caller that wants a [`BspSchedule`] unpacks the
+//! answer ([`CachedAnswer::to_schedule`]), and an entry is charged its packed
+//! footprint alone.
 //!
 //! Eviction is strict LRU under a byte budget: inserting a schedule evicts
 //! least-recently-used entries until it fits, and an entry larger than the
@@ -57,18 +57,6 @@ pub fn schedule_footprint(schedule: &BspSchedule) -> usize {
 /// The charge of an entry of `words` packed words.
 fn packed_bytes(words: usize) -> usize {
     8 * words + mem::size_of::<CachedAnswer>() + ARC_COUNTS
-}
-
-/// The charge of a kept, unpacked schedule: `π`, `τ` and `Γ` as
-/// [`BspSchedule`] stores them (6 bytes a node, 12 a transfer) and its
-/// header in its `Arc`.
-fn unpacked_bytes(schedule: &BspSchedule) -> usize {
-    let assignment = &schedule.assignment;
-    mem::size_of_val(assignment.proc.as_slice())
-        + mem::size_of_val(assignment.superstep.as_slice())
-        + mem::size_of_val(schedule.comm.steps())
-        + mem::size_of::<BspSchedule>()
-        + ARC_COUNTS
 }
 
 /// The strong and weak counts an `Arc` allocates before its value.
@@ -270,13 +258,9 @@ impl ScheduleView for CachedAnswer {
 struct Entry {
     full_fp: u128,
     answer: Arc<CachedAnswer>,
-    /// The answer as a [`BspSchedule`] for in-process hits, once one is
-    /// kept; charged to the budget at its unpacked size.
-    kept: Option<Arc<BspSchedule>>,
     /// Cost of the answer on its request, memoized so an exact hit can fill
     /// its response header without recomputing (and thus allocating).
     cost: u64,
-    bytes: usize,
     /// Intrusive LRU list links (slab indices; `usize::MAX` = none).
     prev: usize,
     next: usize,
@@ -352,48 +336,16 @@ impl ScheduleCache {
         }
     }
 
-    /// Finds `full_fp`'s entry, counts the hit and bumps it to the LRU
-    /// front.
-    fn touch(&mut self, full_fp: u128) -> Option<usize> {
-        let idx = self.by_full.get(&full_fp).copied()?;
-        self.stats.hits += 1;
-        self.unlink(idx);
-        self.link_front(idx);
-        Some(idx)
-    }
-
     /// Exact lookup: the packed answer and its cost.  `O(1)`,
     /// allocation-free, bumps the entry to the LRU front.  Counts a hit; the
     /// caller counts a miss with [`Self::note_miss`].
     pub fn lookup_exact(&mut self, full_fp: u128) -> Option<(Arc<CachedAnswer>, u64)> {
-        let idx = self.touch(full_fp)?;
+        let idx = self.by_full.get(&full_fp).copied()?;
+        self.stats.hits += 1;
+        self.unlink(idx);
+        self.link_front(idx);
         let entry = self.slots[idx].as_ref().expect("indexed entry");
         Some((Arc::clone(&entry.answer), entry.cost))
-    }
-
-    /// Exact lookup for an in-process caller: the answer as a
-    /// [`BspSchedule`], and its cost.  Counts and bumps as
-    /// [`Self::lookup_exact`] does.  The first such hit on an entry that
-    /// keeps no schedule builds one and keeps it, charged at its unpacked
-    /// size (evicting other entries as an insertion would; when the entry
-    /// and its schedule together exceed the whole budget, the schedule is
-    /// handed out and not kept), so later hits allocate nothing.
-    pub fn lookup_schedule(&mut self, full_fp: u128) -> Option<(Arc<BspSchedule>, u64)> {
-        let idx = self.touch(full_fp)?;
-        let entry = self.slots[idx].as_mut().expect("indexed entry");
-        if let Some(kept) = &entry.kept {
-            return Some((Arc::clone(kept), entry.cost));
-        }
-        let (schedule, cost) = (Arc::new(entry.answer.to_schedule()), entry.cost);
-        let extra = unpacked_bytes(&schedule);
-        if entry.bytes + extra <= self.byte_budget {
-            entry.kept = Some(Arc::clone(&schedule));
-            entry.bytes += extra;
-            self.stats.bytes_used += extra;
-            // The entry is at the LRU front and fits alone: only others go.
-            self.enforce_budget();
-        }
-        Some((schedule, cost))
     }
 
     /// Finds nothing and counts nothing: a re-weighted request is a cold
@@ -417,16 +369,9 @@ impl ScheduleCache {
         let entry = self.slots[idx].take().expect("evicted entry exists");
         self.free.push(idx);
         self.by_full.remove(&entry.full_fp);
-        self.stats.bytes_used -= entry.bytes;
+        self.stats.bytes_used -= entry.answer.footprint();
         self.stats.entries -= 1;
         self.stats.evictions += 1;
-    }
-
-    /// Evicts from the LRU tail until the byte budget holds.
-    fn enforce_budget(&mut self) {
-        while self.stats.bytes_used > self.byte_budget && self.tail != NIL {
-            self.evict(self.tail);
-        }
     }
 
     /// Packs and inserts (or replaces) the schedule for `full_fp`, evicting
@@ -441,45 +386,31 @@ impl ScheduleCache {
         schedule: Arc<BspSchedule>,
         cost: u64,
     ) {
-        self.insert_packed(full_fp, CachedAnswer::pack(&schedule), None, cost);
+        self.insert_packed(full_fp, CachedAnswer::pack(&schedule), cost);
     }
 
-    /// [`Self::insert`] of an answer packed beforehand (so a caller can pack
-    /// outside its lock), keeping `kept` — the same schedule unpacked — for
-    /// in-process hits ([`Self::lookup_schedule`]) when the entry fits the
-    /// budget with it, and the packed answer alone otherwise.
-    pub fn insert_packed(
-        &mut self,
-        full_fp: u128,
-        answer: CachedAnswer,
-        kept: Option<Arc<BspSchedule>>,
-        cost: u64,
-    ) {
-        let packed = answer.footprint();
-        if packed > self.byte_budget {
+    /// [`Self::insert`] of an answer packed beforehand, so a caller can pack
+    /// outside its lock.
+    pub fn insert_packed(&mut self, full_fp: u128, answer: CachedAnswer, cost: u64) {
+        let bytes = answer.footprint();
+        if bytes > self.byte_budget {
             return;
         }
-        let kept = kept.filter(|s| packed + unpacked_bytes(s) <= self.byte_budget);
-        let bytes = packed + kept.as_deref().map_or(0, unpacked_bytes);
         let entry = Entry {
             full_fp,
             answer: Arc::new(answer),
-            kept,
             cost,
-            bytes,
             prev: NIL,
             next: NIL,
         };
+        self.stats.bytes_used += bytes;
         if let Some(&idx) = self.by_full.get(&full_fp) {
             // Replace in place.
             self.unlink(idx);
             let old = self.slots[idx].replace(entry).expect("indexed entry");
-            self.stats.bytes_used = self.stats.bytes_used - old.bytes + bytes;
+            self.stats.bytes_used -= old.answer.footprint();
             self.link_front(idx);
         } else {
-            while self.stats.bytes_used + bytes > self.byte_budget && self.tail != NIL {
-                self.evict(self.tail);
-            }
             let idx = match self.free.pop() {
                 Some(idx) => idx,
                 None => {
@@ -490,13 +421,13 @@ impl ScheduleCache {
             self.slots[idx] = Some(entry);
             self.link_front(idx);
             self.by_full.insert(full_fp, idx);
-            self.stats.bytes_used += bytes;
             self.stats.entries += 1;
             self.stats.insertions += 1;
         }
-        // Evicting everything else may still be required when a replacement
-        // grew: budget enforcement is unconditional.
-        self.enforce_budget();
+        // The entry, at the LRU front, fits alone: only others go.
+        while self.stats.bytes_used > self.byte_budget {
+            self.evict(self.tail);
+        }
     }
 
     /// Inserts an entry recovered from the durable store at startup.
@@ -506,7 +437,7 @@ impl ScheduleCache {
     /// (`store_loaded`) apart from fresh solves (`insertions`).
     pub fn repopulate(&mut self, full_fp: u128, schedule: &BspSchedule, cost: u64) {
         let before = self.stats.insertions;
-        self.insert_packed(full_fp, CachedAnswer::pack(schedule), None, cost);
+        self.insert_packed(full_fp, CachedAnswer::pack(schedule), cost);
         self.stats.insertions = before;
     }
 
@@ -518,9 +449,8 @@ impl ScheduleCache {
     /// Invariants checked:
     /// * the LRU list is a consistent doubly linked list over exactly the
     ///   live slots, and `stats.entries` equals its length;
-    /// * each entry is charged its packed footprint plus its kept
-    ///   schedule's unpacked one, `stats.bytes_used` equals the sum of those
-    ///   charges and never exceeds the byte budget;
+    /// * `stats.bytes_used` equals the sum of the live entries' packed
+    ///   footprints and never exceeds the byte budget;
     /// * `by_full` is a bijection onto the live slots;
     /// * the free list holds exactly the empty slots.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -538,14 +468,7 @@ impl ScheduleCache {
             if !seen.insert(cur) {
                 return Err(format!("LRU list visits slot {cur} twice"));
             }
-            let charge = e.answer.footprint() + e.kept.as_deref().map_or(0, unpacked_bytes);
-            if e.bytes != charge {
-                return Err(format!(
-                    "slot {cur} is charged {} bytes, not {charge}",
-                    e.bytes
-                ));
-            }
-            bytes += e.bytes;
+            bytes += e.answer.footprint();
             prev = cur;
             cur = e.next;
         }
@@ -643,11 +566,6 @@ mod tests {
             8 * words + mem::size_of::<CachedAnswer>() + ARC_COUNTS
         );
         assert_eq!(CachedAnswer::pack(&schedule).footprint(), footprint);
-        // Unpacked it is 6 bytes a node and 12 a transfer.
-        assert_eq!(
-            unpacked_bytes(&schedule),
-            6 * n + 12 * transfers + mem::size_of::<BspSchedule>() + ARC_COUNTS
-        );
     }
 
     #[test]
@@ -660,56 +578,19 @@ mod tests {
     }
 
     #[test]
-    fn exact_hits_share_the_packed_answer_and_in_process_hits_keep_one_schedule() {
+    fn exact_hits_share_the_packed_answer() {
         let mut cache = ScheduleCache::new(1 << 20);
         let s = Arc::new(split_chain(8));
         cache.insert(1, 0, Arc::clone(&s), 17);
-        let packed = cache.stats().bytes_used;
         let (hit, cost) = cache.lookup_exact(1).expect("inserted entry hits");
         let (again, _) = cache.lookup_exact(1).expect("inserted entry hits");
         assert!(Arc::ptr_eq(&hit, &again));
         assert_eq!(hit.to_schedule(), *s);
         assert_eq!(cost, 17);
         assert!(cache.lookup_exact(2).is_none());
-        // The first in-process hit builds the schedule and keeps it.
-        let (built, _) = cache.lookup_schedule(1).expect("in-process hit");
-        assert_eq!(*built, *s);
-        assert_eq!(cache.stats().bytes_used, packed + unpacked_bytes(&s));
-        let (kept, _) = cache.lookup_schedule(1).expect("in-process hit");
-        assert!(Arc::ptr_eq(&built, &kept));
-        // An in-process insertion keeps its own.
-        cache.insert_packed(3, CachedAnswer::pack(&s), Some(Arc::clone(&s)), 5);
-        assert!(Arc::ptr_eq(&cache.lookup_schedule(3).unwrap().0, &s));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.entries, stats.insertions), (5, 2, 2));
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn a_schedule_that_does_not_fit_beside_its_entry_is_handed_out_not_kept() {
-        let s = Arc::new(split_chain(64));
-        let budget = schedule_footprint(&s) + unpacked_bytes(&s) - 1;
-        let mut cache = ScheduleCache::new(budget);
-        cache.insert_packed(1, CachedAnswer::pack(&s), Some(Arc::clone(&s)), 0);
-        assert_eq!(cache.stats().bytes_used, schedule_footprint(&s));
-        let (first, _) = cache.lookup_schedule(1).unwrap();
-        let (second, _) = cache.lookup_schedule(1).unwrap();
-        assert!(!Arc::ptr_eq(&first, &second) && *first == *second);
-        assert_eq!(cache.stats().bytes_used, schedule_footprint(&s));
-        cache.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn keeping_a_schedule_evicts_the_least_recent_other_entry() {
-        let s = Arc::new(split_chain(64));
-        let packed = schedule_footprint(&s);
-        let mut cache = ScheduleCache::new(packed + unpacked_bytes(&s) + packed / 2);
-        cache.insert(1, 0, Arc::clone(&s), 0);
-        cache.insert(2, 0, Arc::clone(&s), 0);
-        cache.lookup_schedule(2).unwrap();
-        assert!(cache.lookup_exact(1).is_none(), "the LRU entry made room");
-        assert!(cache.lookup_exact(2).is_some());
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!((stats.hits, stats.entries, stats.insertions), (2, 1, 1));
+        assert_eq!(stats.bytes_used, schedule_footprint(&s));
         cache.check_invariants().unwrap();
     }
 

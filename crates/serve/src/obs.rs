@@ -88,8 +88,9 @@ fn span_micros(us: u64) -> u32 {
 }
 
 /// One recorded span: 12 bytes.  The offset counts from the moment the
-/// request was accepted (by the router when sharded, by the server
-/// otherwise), so spans from different layers compose by offsetting.
+/// request's frame arrived, before it was parsed (at the router when
+/// sharded, at the server otherwise), so spans from different layers
+/// compose by offsetting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Index into [`SPAN_NAMES`]; read through [`Span::name`].

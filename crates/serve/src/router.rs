@@ -135,7 +135,8 @@ struct PendingRoute {
     /// supplied one, and injected into the forwarded payload so the shard's
     /// journal shares it.
     trace: u64,
-    /// When the router admitted the request; the journal's total latency.
+    /// When the request's frame arrived, before it was parsed; the
+    /// journal's total latency counts from here.
     accepted: Instant,
     /// The owning connection's in-flight counter (see the reader's idle
     /// gating); decremented exactly once, when the entry leaves the table
@@ -751,6 +752,7 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
     // forwarded as it was received instead of being encoded again.
     let mut raw: Vec<u8> = Vec::new();
     while frame_ready(&mut reader, &in_flight, &tx) {
+        let arrived = Instant::now();
         // Control verbs are answered here; `out` stays empty for a routed
         // request, whose answer comes back through its shard's demux.
         let mut out = String::new();
@@ -791,7 +793,7 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                         payload: Payload::Full(Arc::new(payload)),
                         shard,
                         trace,
-                        accepted: Instant::now(),
+                        accepted: arrived,
                         in_flight: Arc::clone(&in_flight),
                     },
                 );
@@ -815,7 +817,7 @@ fn route_connection(shared: &Arc<RouterShared>, stream: TcpStream) -> io::Result
                         payload: Payload::Fp(fingerprint),
                         shard,
                         trace: trace.unwrap_or_else(|| shared.trace_ids.mint()),
-                        accepted: Instant::now(),
+                        accepted: arrived,
                         in_flight: Arc::clone(&in_flight),
                     },
                 );

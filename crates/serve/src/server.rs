@@ -8,17 +8,18 @@
 //! [`ServerConfig::max_connections`]; beyond it a connection is answered
 //! with `ERR 0 busy ...` and dropped).  The reader answers everything that
 //! does not solve: the control verbs, an `FP <hex>` replay (a hit or
-//! `unknown-fp`, [`ScheduleService::lookup_traced`]) and a full-payload exact
-//! hit ([`ScheduleService::lookup_before_queue`]).  A miss becomes a *job* in
-//! a bounded shared queue, carrying the request key the reader computed, so a
+//! `unknown-fp`) and a full-payload exact hit, both through the service's one
+//! lookup, [`ScheduleService::lookup_traced`].  A miss becomes a *job* in a
+//! bounded shared queue, carrying the request key the reader computed, so a
 //! client may have **many id-tagged requests in flight on one connection**.
 //! `N` **worker** threads take the jobs one at a time, in arrival order, and
-//! solve them ([`ScheduleService::solve_traced`]) — unless a second look
-//! finds the answer cached while the job waited
-//! ([`ScheduleService::recheck_traced`]: a twin of a request solved
-//! meanwhile).  A queued request's one cache op is counted and traced by that
-//! second look, or when the queue refuses it, so a counter never takes a miss
-//! back.  Reader and workers make every answer through one `respond` and hand
+//! solve them ([`ScheduleService::solve_traced`]) — unless a second run of
+//! the same lookup finds the answer cached while the job waited (a twin of a
+//! request solved meanwhile).  A queued request's one cache op is counted and
+//! traced by that second look, or when the queue refuses it, so a counter
+//! never takes a miss back.  A request's trace starts when its frame arrives,
+//! before it is parsed and keyed, and every span is placed at its offset from
+//! there.  Reader and workers make every answer through one `respond` and hand
 //! it to the connection's **writer** thread over a channel, so wire frames
 //! never interleave; since several workers can solve jobs of one connection
 //! at once, responses complete **out of order** and the id tags let the
@@ -121,17 +122,18 @@ struct Ticket {
     /// The request's trace id: carried in on `OPTION trace` (the router
     /// assigns one when sharded), minted here otherwise.  Never 0.
     trace: u64,
-    /// When the reader took the request; span offsets count from here.
+    /// When the request's frame arrived, before it was parsed; span offsets
+    /// count from here.
     received: Instant,
     spans: SpanSet,
 }
 
 impl Ticket {
-    fn new(shared: &Shared, id: u64, trace: Option<u64>) -> Self {
+    fn new(shared: &Shared, id: u64, trace: Option<u64>, received: Instant) -> Self {
         Ticket {
             id,
             trace: trace.unwrap_or_else(|| shared.trace_ids.mint()),
-            received: Instant::now(),
+            received,
             spans: SpanSet::new(),
         }
     }
@@ -458,6 +460,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let in_flight = Arc::new(AtomicU64::new(0));
     let mut reader = BufReader::new(stream);
     while frame_ready(&mut reader, &in_flight, &tx) {
+        let arrived = Instant::now();
         // Everything but a solve is answered here, through the writer channel
         // so wire frames never interleave; `out` stays empty for a queued miss.
         let mut out = String::new();
@@ -477,11 +480,12 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 None => encode_error(&mut out, 0, &ServeError::UnknownTrace),
             },
             Ok(Some(Incoming::Request(request))) => {
-                let mut ticket = Ticket::new(shared, request.id, request.options.trace);
+                let mut ticket = Ticket::new(shared, request.id, request.options.trace, arrived);
                 let key = request_key(&request.dag, &request.machine);
+                // A miss here is not final: the job it becomes settles it.
                 match shared
                     .service
-                    .lookup_before_queue(key.full, &mut ticket.spans)
+                    .lookup_traced(key.full, arrived, false, &mut ticket.spans)
                 {
                     Some(hit) => respond(shared, ticket, Ok(hit), &mut out),
                     None => {
@@ -505,8 +509,11 @@ fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 structure: _,
                 trace,
             })) => {
-                let mut ticket = Ticket::new(shared, id, trace);
-                let hit = shared.service.lookup_traced(fingerprint, &mut ticket.spans);
+                let mut ticket = Ticket::new(shared, id, trace, arrived);
+                let spans = &mut ticket.spans;
+                let hit = shared
+                    .service
+                    .lookup_traced(fingerprint, arrived, true, spans);
                 let reply = hit.ok_or(ServeError::UnknownFingerprint);
                 respond(shared, ticket, reply, &mut out);
             }
@@ -614,9 +621,10 @@ fn worker_loop(shared: &Shared) {
         let mut out = String::new();
         // A twin of a request solved while this one waited is answered
         // from the cache, not solved again.
+        let (key, received) = (job.key.full, ticket.received);
         let twin = shared
             .service
-            .recheck_traced(job.key.full, ticket.received, &mut ticket.spans);
+            .lookup_traced(key, received, true, &mut ticket.spans);
         if let Some(hit) = twin {
             respond(shared, job.ticket, Ok(hit), &mut out);
         } else {

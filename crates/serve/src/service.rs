@@ -1,30 +1,23 @@
 //! The scheduling engine behind the wire layer: cache consultation,
 //! deadline-aware anytime solving, and per-outcome latency metrics.
 //!
-//! [`ScheduleService::handle`] is the whole request lifecycle:
+//! A request has two halves: [`ScheduleService::lookup_traced`], the one
+//! cache lookup, and on a miss [`ScheduleService::solve_traced`], the one
+//! solve, which runs the pipeline cold and caches its answer packed.  A
+//! re-weighted instance of a cached DAG is a miss like any other.  A hit
+//! hands out the packed [`CachedAnswer`] in `O(1)`, which the response
+//! encoder reads directly, with *zero heap allocation* (the mutex, the LRU
+//! bump, the `Arc` clone, the span and the histogram update all stay off the
+//! allocator) — certified by the repo's counting-allocator test.
 //!
-//! 1. fingerprint the request ([`bsp_model::fingerprint`], allocation-free);
-//! 2. **exact cache hit** → return the cached [`BspSchedule`] in `O(1)`.
-//!    The schedule is the one the cache entry keeps beside its packed
-//!    answer: the in-process solve's own, or one built on the entry's first
-//!    in-process hit (see [`crate::cache`]).  From then on this path performs
-//!    *zero heap allocation* (fingerprinting, the mutex, the LRU bump, the
-//!    `Arc` clone and the histogram update all stay off the allocator) —
-//!    certified by the repo's counting-allocator test;
-//! 3. **miss** → run the configured pipeline cold.  A re-weighted instance
-//!    of a cached DAG is a miss like any other.
-//!
-//! The wire has its own two halves, which never build a [`BspSchedule`] for
-//! a hit: [`ScheduleService::lookup_traced`] hands out the packed
-//! [`CachedAnswer`], which the response encoder reads directly, and
-//! [`ScheduleService::solve_traced`] caches its answer packed alone.  The
-//! server runs the lookup on the connection reader
-//! ([`ScheduleService::lookup_before_queue`]) and queues only misses for its
-//! workers; a worker looks its job up once more
-//! ([`ScheduleService::recheck_traced`]) before it solves, so a twin queued
-//! behind its original's solve is answered from the cache.  A queued miss is
-//! counted and traced once it is final: by that second look, or when the
-//! queue refuses the job.
+//! [`ScheduleService::handle`] runs both halves in process, fingerprinting
+//! the request first ([`bsp_model::fingerprint`]); its hit unpacks the
+//! answer into a [`BspSchedule`].  A server runs the lookup on the
+//! connection reader and queues only misses for its workers; a worker runs
+//! it once more before it solves, so a twin queued behind its original's
+//! solve is answered from the cache.  A queued miss is counted and traced
+//! once it is final: by that second look, or when the queue refuses the job
+//! ([`ScheduleService::note_miss`]).
 //!
 //! Every solve runs under a [`CancelToken`] that combines the request
 //! deadline with the service's shutdown token, so a request always comes
@@ -244,13 +237,13 @@ impl ServiceStats {
     }
 }
 
-/// The reply of [`ScheduleService::handle`]: a [`BspSchedule`].  The wire's
-/// cache hits ([`ScheduleService::lookup_traced`]) reply with the packed
-/// [`CachedAnswer`] instead, which the response encoder reads as it is.
+/// The reply of [`ScheduleService::handle`] and of a solve: a
+/// [`BspSchedule`].  A cache hit ([`ScheduleService::lookup_traced`])
+/// replies with the packed [`CachedAnswer`] instead, which the response
+/// encoder reads as it is.
 #[derive(Debug, Clone)]
 pub struct ServeReply<S = BspSchedule> {
-    /// The schedule (shared with the cache on hits and after in-process
-    /// insertions).
+    /// The schedule (a hit's is shared with the cache).
     pub schedule: Arc<S>,
     /// Its cost on the request's DAG and machine.
     pub cost: u64,
@@ -417,16 +410,15 @@ impl ScheduleService {
     }
 
     /// Handles one request end to end (see the module docs): the cache
-    /// lookup, then on a miss the cold solve, whose schedule the cache
-    /// keeps for this caller's repeats.
+    /// lookup, then on a miss the cold solve.  A hit's schedule is the
+    /// cached answer unpacked.
     pub fn handle(&self, request: &ScheduleRequest) -> Result<ServeReply, ServeError> {
         let received = Instant::now();
         let mut spans = SpanSet::new();
         let key = request_key(&request.dag, &request.machine);
-        let hit = self.lookup(&mut spans, 0, true, |c| c.lookup_schedule(key.full));
-        match hit {
-            Some(hit) => Ok(hit),
-            None => self.solve(request, key, received, &mut spans, true),
+        match self.lookup_traced(key.full, received, true, &mut spans) {
+            Some(hit) => Ok(unpacked(hit)),
+            None => self.solve_traced(request, key, received, &mut spans),
         }
     }
 
@@ -435,87 +427,45 @@ impl ScheduleService {
     /// [`ServeError::UnknownFingerprint`] so the client resends the full
     /// payload.
     pub fn handle_fingerprint(&self, fingerprint: u128) -> Result<ServeReply, ServeError> {
-        let hit = self.lookup(&mut SpanSet::new(), 0, true, |c| {
-            c.lookup_schedule(fingerprint)
-        });
-        hit.ok_or(ServeError::UnknownFingerprint)
+        let hit = self.lookup_traced(fingerprint, Instant::now(), true, &mut SpanSet::new());
+        hit.map(unpacked).ok_or(ServeError::UnknownFingerprint)
     }
 
-    /// Looks a request's full key ([`RequestKey::full`]) up in the cache
-    /// for the wire: the hit's reply, carrying the packed answer, or
-    /// `None`.  Either way the lookup is counted once and traced into
-    /// `spans` (`cache_exact_hit` / `cache_miss`, at offset 0), with the
-    /// cache released before the span and the reply are made.
-    /// Allocation-free, tracing included — certified by the repo's
-    /// counting-allocator test.
+    /// Looks a request's full key ([`RequestKey::full`]) up in the cache:
+    /// the hit's reply, carrying the packed answer, or `None`.  The lookup
+    /// is traced into `spans` at its offset from `received`, the instant the
+    /// request arrived.  A hit is counted, traced as `cache_exact_hit` and
+    /// observed as an exact answer.  A miss is counted and traced as
+    /// `cache_miss` when `final_miss` says it is final; a miss bound for the
+    /// job queue is not, and the worker's second lookup or, when the queue
+    /// refuses the job, [`Self::note_miss`] settles it.  The cache is
+    /// released before the span and the reply are made.  Allocation-free,
+    /// tracing included — certified by the repo's counting-allocator test.
     pub fn lookup_traced(
         &self,
         full_fp: u128,
-        spans: &mut SpanSet,
-    ) -> Option<ServeReply<CachedAnswer>> {
-        self.lookup(spans, 0, true, |c| c.lookup_exact(full_fp))
-    }
-
-    /// [`Self::lookup_traced`] for a request that a miss sends to the job
-    /// queue: a hit is counted and traced alike, but a miss is neither, for
-    /// it is not final yet.  The caller settles it: the worker's
-    /// [`Self::recheck_traced`] counts and traces one outcome, and a job the
-    /// queue refuses counts its miss with [`Self::note_miss`].
-    pub fn lookup_before_queue(
-        &self,
-        full_fp: u128,
-        spans: &mut SpanSet,
-    ) -> Option<ServeReply<CachedAnswer>> {
-        self.lookup(spans, 0, false, |c| c.lookup_exact(full_fp))
-    }
-
-    /// The look a worker takes before it solves a queued miss: the answer
-    /// may have been cached while the job waited (a twin of a request
-    /// solved meanwhile).  Counts a hit or a miss, the request's one cache
-    /// op, and traces it at `received`'s offset.
-    pub fn recheck_traced(
-        &self,
-        full_fp: u128,
         received: Instant,
+        final_miss: bool,
         spans: &mut SpanSet,
     ) -> Option<ServeReply<CachedAnswer>> {
-        let offset_us = received.elapsed().as_micros() as u64;
-        self.lookup(spans, offset_us, true, |c| c.lookup_exact(full_fp))
-    }
-
-    /// Counts the miss of a request that [`Self::lookup_before_queue`]
-    /// missed and the job queue refused.
-    pub fn note_miss(&self) {
-        self.lock_cache().note_miss();
-    }
-
-    /// The one lookup behind every hit: `find` looks in the locked cache
-    /// (and counts a hit), and a hit is traced at `offset_us` and observed
-    /// as an exact answer.  With `count_miss` a miss is counted and traced
-    /// as `cache_miss` at `offset_us`; without, it is left to the caller.
-    fn lookup<S>(
-        &self,
-        spans: &mut SpanSet,
-        offset_us: u64,
-        count_miss: bool,
-        find: impl FnOnce(&mut ScheduleCache) -> Option<(Arc<S>, u64)>,
-    ) -> Option<ServeReply<S>> {
         let start = Instant::now();
+        let offset_us = start.duration_since(received).as_micros() as u64;
         let mut cache = self.lock_cache();
-        let found = find(&mut cache);
-        if found.is_none() && count_miss {
+        let found = cache.lookup_exact(full_fp);
+        if found.is_none() && final_miss {
             cache.note_miss();
         }
         drop(cache);
         let elapsed = start.elapsed();
+        let dur_us = elapsed.as_micros() as u64;
         let Some((schedule, cost)) = found else {
-            if count_miss {
-                spans.push("cache_miss", 0, offset_us, elapsed.as_micros() as u64);
+            if final_miss {
+                spans.push("cache_miss", 0, offset_us, dur_us);
             }
             return None;
         };
         // No extra clock read: the exact hit *is* the lookup.
-        spans.push("cache_exact_hit", 0, offset_us, elapsed.as_micros() as u64);
+        spans.push("cache_exact_hit", 0, offset_us, dur_us);
         self.metrics.observe(ScheduleSource::CacheExact, elapsed);
         Some(ServeReply {
             schedule,
@@ -525,30 +475,22 @@ impl ScheduleService {
         })
     }
 
+    /// Counts the miss of a request that [`Self::lookup_traced`] missed
+    /// without `final_miss` and the job queue refused.
+    pub fn note_miss(&self) {
+        self.lock_cache().note_miss();
+    }
+
     /// Solves a request whose lookup missed under `key`: the pipeline cold,
-    /// then the answer cached (packed alone: a wire hit never unpacks it)
-    /// and offered to the store.  Span offsets count from `received`, the
-    /// instant the request's handling began; the reply's `elapsed` is this
-    /// call's alone.
+    /// then the answer cached packed and offered to the store.  Span offsets
+    /// count from `received`, the instant the request arrived; the reply's
+    /// `elapsed` is this call's alone.
     pub fn solve_traced(
         &self,
         request: &ScheduleRequest,
         key: RequestKey,
         received: Instant,
         spans: &mut SpanSet,
-    ) -> Result<ServeReply, ServeError> {
-        self.solve(request, key, received, spans, false)
-    }
-
-    /// [`Self::solve_traced`]; with `keep`, the cache also keeps the
-    /// schedule for in-process hits ([`ScheduleCache::insert_packed`]).
-    fn solve(
-        &self,
-        request: &ScheduleRequest,
-        key: RequestKey,
-        received: Instant,
-        spans: &mut SpanSet,
-        keep: bool,
     ) -> Result<ServeReply, ServeError> {
         let start = Instant::now();
         if self.shutdown.is_cancelled() {
@@ -572,12 +514,9 @@ impl ScheduleService {
             BspSchedule::trivial(&request.dag)
         };
         let cost = schedule.cost(&request.dag, &request.machine);
-        let schedule = Arc::new(schedule);
         let insert_start = received.elapsed().as_micros() as u64;
         let answer = CachedAnswer::pack(&schedule);
-        let kept = keep.then(|| Arc::clone(&schedule));
-        self.lock_cache()
-            .insert_packed(key.full, answer, kept, cost);
+        self.lock_cache().insert_packed(key.full, answer, cost);
         // Write-through is asynchronous and happens only on the solve path
         // (which already allocates); the exact-hit and FP-replay paths stay
         // allocation-free and never touch the store.
@@ -587,7 +526,7 @@ impl ScheduleService {
         let elapsed = start.elapsed();
         self.metrics.observe(ScheduleSource::Cold, elapsed);
         Ok(ServeReply {
-            schedule,
+            schedule: Arc::new(schedule),
             cost,
             source: ScheduleSource::Cold,
             elapsed,
@@ -599,7 +538,7 @@ impl ScheduleService {
     fn offer_to_store(
         &self,
         request: &ScheduleRequest,
-        schedule: &Arc<BspSchedule>,
+        schedule: &BspSchedule,
         cost: u64,
         key: RequestKey,
     ) {
@@ -659,6 +598,16 @@ impl ScheduleService {
             spans.push_shifted(*sample, 1, solve_start);
         }
         report.schedule
+    }
+}
+
+/// A cache hit as an in-process caller takes it: the answer unpacked.
+fn unpacked(hit: ServeReply<CachedAnswer>) -> ServeReply {
+    ServeReply {
+        schedule: Arc::new(hit.schedule.to_schedule()),
+        cost: hit.cost,
+        source: hit.source,
+        elapsed: hit.elapsed,
     }
 }
 
@@ -769,7 +718,7 @@ mod tests {
         assert_eq!(first.source, ScheduleSource::Cold);
         let second = service.handle(&req).unwrap();
         assert_eq!(second.source, ScheduleSource::CacheExact);
-        assert!(Arc::ptr_eq(&first.schedule, &second.schedule));
+        assert_eq!(*first.schedule, *second.schedule);
         assert_eq!(first.cost, second.cost);
         let stats = service.stats();
         assert_eq!(stats.cache.hits, 1);

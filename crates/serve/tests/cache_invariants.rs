@@ -4,14 +4,14 @@
 //!
 //! After **every** random operation the cache must satisfy
 //! [`ScheduleCache::check_invariants`]:
-//! * each entry is charged its packed footprint plus its kept schedule's,
-//!   and `bytes_used` equals the sum of those charges;
+//! * each entry is charged its packed footprint, and `bytes_used` equals the
+//!   sum of those charges;
 //! * the byte budget is never exceeded;
 //! * the LRU list, `by_full` and the free list are mutually consistent.
 //!
-//! On top of the structural invariants, four behavioural properties: a hit,
-//! packed or in-process, equals the schedule last inserted under its key
-//! (so a key that was never inserted never hits), a fitting insert is
+//! On top of the structural invariants, four behavioural properties: a hit
+//! unpacks to the schedule last inserted under its key (so a key that was
+//! never inserted never hits), a fitting insert is
 //! immediately retrievable (inserts only ever evict *other* entries), and
 //! every lookup counts exactly one hit or one miss when misses are noted as
 //! the service notes them.
@@ -126,9 +126,8 @@ fn random_operation_sequences_preserve_every_cache_invariant() {
                 rng, n, procs, n as u64, transfers, n as u64,
             ))
         };
-        // A budget of a few entries forces constant eviction, and keeping
-        // an unpacked schedule fits only the larger ones; a small key space
-        // forces in-place replacements.
+        // A budget of a few entries forces constant eviction; a small key
+        // space forces in-place replacements.
         let per_entry = schedule_footprint(&schedule_of(&mut rng));
         let budget = per_entry * [2, 3, 5, 8, 16][case as usize % 5];
         let mut cache = ScheduleCache::new(budget);
@@ -138,15 +137,14 @@ fn random_operation_sequences_preserve_every_cache_invariant() {
             match rng.gen_range(0u32..100) {
                 0..=49 => {
                     let full = u128::from(rng.gen_range(0u64..24));
-                    // Insert (or replace in place), packed alone or with
-                    // the schedule kept as an in-process solve keeps it.
+                    // Insert (or replace in place), packed here or by the
+                    // caller as a solve packs it.
                     let schedule = schedule_of(&mut rng);
                     let fits = schedule_footprint(&schedule) <= budget;
                     if rng.gen_bool(0.5) {
                         cache.insert(full, 0, Arc::clone(&schedule), 7);
                     } else {
-                        let answer = CachedAnswer::pack(&schedule);
-                        cache.insert_packed(full, answer, Some(Arc::clone(&schedule)), 7);
+                        cache.insert_packed(full, CachedAnswer::pack(&schedule), 7);
                     }
                     if fits {
                         // A fitting insert never evicts itself.
@@ -159,26 +157,20 @@ fn random_operation_sequences_preserve_every_cache_invariant() {
                         inserted.insert(full, schedule);
                     }
                 }
-                at => {
-                    // A packed or in-process lookup, a miss noted as the
-                    // service notes it: a hit is what was last inserted, and
-                    // a key past the inserted range never hits.
+                _ => {
+                    // A lookup, a miss noted as the service notes it: a hit
+                    // is what was last inserted, and a key past the
+                    // inserted range never hits.
                     let full = u128::from(rng.gen_range(0u64..32));
                     lookups += 1;
-                    let expected = || {
-                        let phantom = || panic!("case {case} op {op}: phantom hit for {full:#x}");
-                        inserted.get(&full).unwrap_or_else(phantom).as_ref()
-                    };
-                    let hit = if at < 75 {
-                        let hit = cache.lookup_exact(full);
-                        let packed = hit.map(|(hit, _)| hit.to_schedule());
-                        packed.map(|hit| assert_eq!(hit, *expected(), "case {case} op {op}"))
-                    } else {
-                        let hit = cache.lookup_schedule(full);
-                        hit.map(|(hit, _)| assert_eq!(*hit, *expected(), "case {case} op {op}"))
-                    };
-                    if hit.is_none() {
-                        cache.note_miss();
+                    match cache.lookup_exact(full) {
+                        Some((hit, _)) => {
+                            let phantom =
+                                || panic!("case {case} op {op}: phantom hit for {full:#x}");
+                            let expected = inserted.get(&full).unwrap_or_else(phantom);
+                            assert_eq!(hit.to_schedule(), **expected, "case {case} op {op}");
+                        }
+                        None => cache.note_miss(),
                     }
                 }
             }

@@ -1,9 +1,9 @@
 //! Verifies the headline property of the `bsp_serve` schedule cache: an
 //! **exact cache hit performs zero heap allocation on the response path**
-//! (fingerprinting, mutex, LRU bump, `Arc` hand-out, latency-histogram
+//! (fingerprinting, mutex, LRU bump, `Arc` hand-out, span, latency-histogram
 //! update — encoding excluded, which is the wire layer's business).  The
-//! wire's own hit path — a traced lookup handing out the packed answer and
-//! the response encoded from its words into a reused buffer — allocates
+//! wire's whole hit path — the traced lookup handing out the packed answer
+//! and the response encoded from its words into a reused buffer — allocates
 //! nothing either.
 //!
 //! It also bounds what a wire reader may hold: on the protocol fuzz corpus
@@ -23,6 +23,7 @@ use bsp_serve::{
 };
 use common::protocol_fuzz::{corpus, readers, seeds};
 use dag_gen::fine::{spmv, SpmvConfig};
+use std::time::Instant;
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -52,46 +53,27 @@ fn exact_cache_hit_response_path_is_allocation_free() {
     drop(warmup);
     drop(cold);
 
-    // Measured: full-request exact hits and fingerprint-replay hits,
-    // including dropping the replies.
     let fingerprint = bsp_model::request_key(&request.dag, &request.machine).full;
-    let ((), allocs, deallocs) = counted(|| {
-        for _ in 0..100 {
-            let reply = service.handle(&request).expect("hit succeeds");
-            std::hint::black_box(reply.cost);
-            drop(reply);
-            let reply = service
-                .handle_fingerprint(fingerprint)
-                .expect("fingerprint hit succeeds");
-            std::hint::black_box(reply.cost);
-            drop(reply);
-        }
-    });
-    assert_eq!(
-        (allocs, deallocs),
-        (0, 0),
-        "exact cache hits touched the allocator: {allocs} allocs / {deallocs} deallocs \
-         over 200 hits"
-    );
 
-    // The same property must hold with tracing enabled, on the path a
-    // server's connection reader takes (key, then traced lookup): span
-    // recording is `Copy`-only writes into a caller-owned fixed array, so an
-    // exact hit that produces a full span tree still never touches the
-    // allocator.
+    // Measured: full-request exact hits and fingerprint-replay hits on the
+    // path a server's connection reader takes (key, then the traced lookup),
+    // including dropping the replies.  Span recording is `Copy`-only writes
+    // into a caller-owned fixed array, so an exact hit that produces a full
+    // span tree never touches the allocator.
     let mut spans = SpanSet::new();
     let ((), allocs, deallocs) = counted(|| {
         for _ in 0..100 {
             spans.clear();
+            let received = Instant::now();
             let key = bsp_model::request_key(&request.dag, &request.machine);
             let reply = service
-                .lookup_traced(key.full, &mut spans)
+                .lookup_traced(key.full, received, true, &mut spans)
                 .expect("traced hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);
             spans.clear();
             let reply = service
-                .lookup_traced(fingerprint, &mut spans)
+                .lookup_traced(fingerprint, Instant::now(), true, &mut spans)
                 .expect("traced fingerprint hit succeeds");
             std::hint::black_box(reply.cost);
             drop(reply);
@@ -134,8 +116,10 @@ fn wire_hits_encode_from_the_packed_answer_allocation_free() {
     // Populate the cache as a worker does (allocates freely).
     let key = bsp_model::request_key(&request.dag, &request.machine);
     let mut spans = SpanSet::new();
-    assert!(service.lookup_traced(key.full, &mut spans).is_none());
-    let received = std::time::Instant::now();
+    let received = Instant::now();
+    assert!(service
+        .lookup_traced(key.full, received, true, &mut spans)
+        .is_none());
     let cold = service
         .solve_traced(&request, key, received, &mut spans)
         .expect("cold run succeeds");
@@ -148,7 +132,7 @@ fn wire_hits_encode_from_the_packed_answer_allocation_free() {
         out.clear();
         spans.clear();
         let hit = service
-            .lookup_traced(fingerprint, spans)
+            .lookup_traced(fingerprint, Instant::now(), true, spans)
             .expect("wire hit succeeds");
         encode_response_parts(out, 1, hit.cost, hit.source, 0, 0, &*hit.schedule);
     };

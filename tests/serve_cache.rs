@@ -1,15 +1,22 @@
 //! Integration tests for the `bsp_serve` schedule cache semantics:
 //!
-//! * an exact hit returns a schedule *identical* to the cold run's (the very
-//!   same shared allocation);
+//! * an exact hit returns a schedule *identical* to the cold run's, in
+//!   process and on the wire, also after a store restart;
 //! * a re-weighted request (same structure, perturbed node weights) is a
 //!   miss: it runs cold and costs exactly what a fresh service answers;
 //! * LRU eviction respects the byte budget end to end through the service.
 
+mod common;
+
 use bsp_model::{Dag, Machine};
-use bsp_serve::{RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ServiceConfig};
+use bsp_serve::protocol::{encode_response, encode_response_parts, ScheduleResponse};
+use bsp_serve::{
+    RequestOptions, ScheduleRequest, ScheduleService, ScheduleSource, ScheduleView, ServiceConfig,
+    SpanSet,
+};
 use dag_gen::fine::{spmv, SpmvConfig};
-use std::sync::Arc;
+use rand::Rng;
+use std::time::Instant;
 
 /// Generous budgets so every local search reaches its local minimum and the
 /// runs are deterministic (time limits never bind).
@@ -61,9 +68,9 @@ fn exact_hits_return_the_cold_runs_schedule_verbatim() {
     for _ in 0..3 {
         let hit = service.handle(&req).expect("exact hit");
         assert_eq!(hit.source, ScheduleSource::CacheExact);
-        assert!(
-            Arc::ptr_eq(&hit.schedule, &cold.schedule),
-            "exact hit must hand out the cached allocation itself"
+        assert_eq!(
+            *hit.schedule, *cold.schedule,
+            "an exact hit must hand out the cold run's schedule"
         );
         assert_eq!(hit.cost, cold.cost);
     }
@@ -213,6 +220,112 @@ fn a_repeat_after_a_restart_costs_its_pre_restart_answer() {
     }
     eprintln!(
         "{lazy_costlier} of {} rows cost more with a lazy Γ",
+        requests.len()
+    );
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The reply to request 1 carrying `schedule` at `cost`, as an exact hit
+/// untimed and untraced: what the wire sends for it.
+fn wire_bytes(cost: u64, schedule: &impl ScheduleView) -> String {
+    let mut out = String::new();
+    encode_response_parts(
+        &mut out,
+        1,
+        cost,
+        ScheduleSource::CacheExact,
+        0,
+        0,
+        schedule,
+    );
+    out
+}
+
+/// A hit is one answer however it is asked for.  `handle`'s hit, unpacked
+/// and encoded with `encode_response`, is byte for byte the reply a server
+/// builds from the traced lookup's packed answer with
+/// `encode_response_parts`, on random DAGs on uniform and tree machines.
+/// Both are the cold answer's bytes before a store restart.  After it they
+/// carry the cold answer's cost, `π` and `τ`; the store keeps no `Γ`, and
+/// recovery rebuilds one of that cost, which need not be the cold one.
+#[test]
+fn in_process_and_wire_hits_are_one_answer() {
+    let dir = std::env::temp_dir().join(format!("bsp-serve-one-answer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServiceConfig {
+        store: Some(bsp_serve::StoreConfig::at(&dir)),
+        ..Default::default()
+    };
+    let mut rng = common::rng_for_case(0x0ae5, 0);
+    let requests: Vec<_> = (0..12)
+        .map(|i| {
+            let dag = common::random_dag(&mut rng, 40);
+            let p = 1usize << rng.gen_range(1u32..=3);
+            let (g, l) = (rng.gen_range(0u64..6), rng.gen_range(0u64..8));
+            let machine = match i % 2 {
+                0 => Machine::uniform(p, g, l),
+                _ => Machine::numa_binary_tree(2 * p, g, l, rng.gen_range(2u64..5)),
+            };
+            request(dag, machine)
+        })
+        .collect();
+    let case = |i: usize| {
+        let r = &requests[i];
+        format!("request {i}: {} nodes on {:?}", r.dag.n(), r.machine)
+    };
+    // Request `i`'s hit bytes, the same in process and on the wire.
+    let hit_bytes = |service: &ScheduleService, i: usize| {
+        let (r, case) = (&requests[i], case(i));
+        let hit = service.handle(r).expect("in-process hit");
+        assert_eq!(hit.source, ScheduleSource::CacheExact, "{case}");
+        let response = ScheduleResponse {
+            id: 1,
+            cost: hit.cost,
+            supersteps: hit.schedule.num_supersteps(),
+            source: hit.source,
+            micros: 0,
+            trace_id: 0,
+            schedule: (*hit.schedule).clone(),
+        };
+        let mut in_process = String::new();
+        encode_response(&mut in_process, &response);
+        let key = bsp_model::request_key(&r.dag, &r.machine).full;
+        let wire = service
+            .lookup_traced(key, Instant::now(), true, &mut SpanSet::new())
+            .expect("wire hit");
+        let wire = wire_bytes(wire.cost, &*wire.schedule);
+        assert_eq!(in_process, wire, "{case}");
+        wire
+    };
+    let cold: Vec<String> = {
+        let service = ScheduleService::new(config());
+        let cold: Vec<String> = requests
+            .iter()
+            .map(|r| {
+                let reply = service.handle(r).expect("cold run");
+                assert_eq!(reply.source, ScheduleSource::Cold);
+                wire_bytes(reply.cost, &*reply.schedule)
+            })
+            .collect();
+        for (i, cold) in cold.iter().enumerate() {
+            assert_eq!(hit_bytes(&service, i), *cold, "{}", case(i));
+        }
+        service.flush_store();
+        cold
+    };
+    let restarted = ScheduleService::new(config());
+    assert_eq!(restarted.stats().store.loaded, requests.len() as u64);
+    // Everything before the `COMM` block: the header with the cost, `π`, `τ`.
+    let head = |bytes: &str| bytes[..bytes.find("COMM ").expect("a COMM block")].to_string();
+    let mut rebuilt = 0;
+    for (i, cold) in cold.iter().enumerate() {
+        let hit = hit_bytes(&restarted, i);
+        assert_eq!(head(&hit), head(cold), "after the restart, {}", case(i));
+        rebuilt += usize::from(hit != *cold);
+    }
+    eprintln!(
+        "{rebuilt} of {} answers came back with another Γ",
         requests.len()
     );
     drop(restarted);

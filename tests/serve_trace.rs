@@ -17,6 +17,7 @@ use bsp_serve::{
     ScheduleService, ScheduleSource, Server, ServerConfig, ServerHandle, ServiceConfig, SpanSet,
     WireTrace,
 };
+use dag_gen::fine::{spmv, SpmvConfig};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -114,7 +115,9 @@ fn traced_phase_durations_fit_inside_the_wall_clock() {
         let mut spans = SpanSet::new();
         let wall = Instant::now();
         let key = bsp_model::request_key(&request.dag, &request.machine);
-        assert!(service.lookup_traced(key.full, &mut spans).is_none());
+        assert!(service
+            .lookup_traced(key.full, wall, true, &mut spans)
+            .is_none());
         let reply = service
             .solve_traced(&request, key, wall, &mut spans)
             .expect("cold solve succeeds");
@@ -333,6 +336,42 @@ fn router_trace_shows_dispatch_queue_wait_and_every_pipeline_phase() {
     for shard in shards {
         shard.shutdown();
     }
+}
+
+/// A trace starts when the request's frame arrives, before the server parses
+/// and keys it.  On a full-payload hit of an `spmv` DAG of about 20k nodes
+/// that work takes a while, so the hit's span starts after it, and the
+/// trace's total covers the span.
+#[test]
+fn a_full_payload_hits_trace_starts_when_its_frame_arrives() {
+    let server = shard_server();
+    let machine = Machine::uniform(4, 1, 2);
+    let dag = spmv(&SpmvConfig {
+        n: 200,
+        density: 0.24,
+        seed: 3,
+    });
+    assert!((18_000..22_000).contains(&dag.n()), "{} nodes", dag.n());
+    // The deadline only bounds the cold solve that fills the cache.
+    let options = RequestOptions::new().with_deadline(Duration::from_millis(50));
+    let mut first = Client::connect(server.addr()).expect("connect");
+    let cold = first.schedule(&dag, &machine, &options).expect("cold");
+    assert_eq!(cold.source, ScheduleSource::Cold);
+    // A fresh client sends the full payload.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let hit = client.schedule(&dag, &machine, &options).expect("full hit");
+    assert_eq!(hit.source, ScheduleSource::CacheExact);
+    assert_eq!(client.fp_fallbacks(), 0);
+    let trace = client.trace(hit.trace_id).expect("TRACE answers");
+    let span = &trace.spans[0];
+    assert_eq!(span.name, "cache_exact_hit", "{trace:?}");
+    assert!(span.start_us > 0, "the lookup starts at 0 µs: {trace:?}");
+    assert!(
+        trace.total_us >= span.start_us + span.dur_us,
+        "the total ends before the lookup: {trace:?}"
+    );
+    drop((first, client));
+    server.shutdown();
 }
 
 /// Unsharded deployments answer the same verbs directly: the server mints
