@@ -14,7 +14,9 @@
 //! The **restart** phase measures the durable store: a store-backed server
 //! is populated, replayed by fingerprint, shut down, restarted on the same
 //! directory, and replayed again against the recovered cache (the
-//! `restart_pre` and `restart_post` rows and `summary.restart_store`).
+//! `restart_pre` and `restart_post` rows and `summary.restart_store`).  Each
+//! item's answer after the restart is held to its answer before it: the
+//! cost, `π`, `τ` and `Γ` (`restart_store.changed_answers`).
 //!
 //! The **huge** phase (skipped under `--smoke`) sends one ~10⁵-node `spmv`
 //! request with a trace id, reads the trace back over the wire and records
@@ -31,11 +33,12 @@
 //!                errors, no invalid schedules and no FP fallbacks, the worst
 //!                latency within 2x the deadline, six `METRICS` checks with
 //!                exact hits among them; the store recovered, replayed
-//!                exactly and without fallback)
+//!                exactly and without fallback, and every answer after the
+//!                restart the one served before it)
 
 use bsp_bench::stats::{host_cores, BenchReport};
 use bsp_bench::{size_to_target, CliArgs};
-use bsp_model::{Dag, Machine};
+use bsp_model::{BspSchedule, Dag, Machine};
 use bsp_serve::{
     Client, LatencyHistogram, MetricsSnapshot, RequestOptions, ScheduleSource, Server,
     ServerConfig, ServerHandle, ServiceConfig, ServiceStats, StoreStats,
@@ -43,7 +46,7 @@ use bsp_serve::{
 use dag_gen::fine::{cg, knn, spmv, IterConfig, SpmvConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -195,6 +198,8 @@ struct Outcome {
     fp_fallbacks: u64,
     /// The largest latency over the deadline.
     worst_deadline_ratio: f64,
+    /// The last valid answer to each pool item: its cost and schedule.
+    answers: HashMap<usize, (u64, BspSchedule)>,
     wall: Duration,
     throughput_rps: f64,
 }
@@ -209,7 +214,7 @@ impl Outcome {
         self.of(source).quantile_micros(0.5)
     }
 
-    fn merge(&mut self, other: &Outcome) {
+    fn merge(&mut self, other: Outcome) {
         for (pooled, client) in self.by_source.iter().zip(&other.by_source) {
             pooled.merge_from(client);
         }
@@ -217,6 +222,7 @@ impl Outcome {
         self.errors += other.errors;
         self.fp_fallbacks += other.fp_fallbacks;
         self.worst_deadline_ratio = self.worst_deadline_ratio.max(other.worst_deadline_ratio);
+        self.answers.extend(other.answers);
     }
 }
 
@@ -251,6 +257,10 @@ fn drive(
                     outcome.of(response.source).record(latency);
                     let valid = response.schedule.validate(&item.dag, &item.machine);
                     outcome.invalid += u64::from(valid.is_err());
+                    if valid.is_ok() {
+                        let answer = (response.cost, response.schedule);
+                        outcome.answers.insert(idx, answer);
+                    }
                 }
                 Err(err) => {
                     eprintln!("request failed: {err}");
@@ -269,7 +279,7 @@ fn drive(
             .map(|first| scope.spawn(move || client_loop(first)))
             .collect();
         for handle in handles {
-            pooled.merge(&handle.join().expect("a client thread panicked"));
+            pooled.merge(handle.join().expect("a client thread panicked"));
         }
     });
     pooled.wall = start.elapsed();
@@ -314,6 +324,9 @@ struct RestartOutcome {
     post: Outcome,
     /// Records the first server appended.
     appended: u64,
+    /// Items whose answer after the restart (cost, `π`, `τ` or `Γ`) is not
+    /// the one served before it, or is missing.
+    changed_answers: usize,
     /// The restarted server's store counters (what recovery loaded).
     recovered: StoreStats,
 }
@@ -346,11 +359,15 @@ fn run_restart_phase(p: &Preset, pool: &[WorkItem]) -> RestartOutcome {
     let post = pass(&server, true);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+    let changed_answers = (pre.answers.iter())
+        .filter(|(idx, answer)| post.answers.get(idx) != Some(answer))
+        .count();
     RestartOutcome {
         populate,
         pre,
         post,
         appended,
+        changed_answers,
         recovered,
     }
 }
@@ -607,7 +624,8 @@ fn main() {
          \"invalid_schedules\": {}, \"request_errors\": {}, \"fp_fallbacks\": {}, \
          \"serial_cache\": {{\"hits\": {}, \"misses\": {}}}, \
          \"restart_store\": {{\"appended\": {}, \"loaded\": {}, \"recovered_bytes\": {}, \
-         \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}}}, \
+         \"dropped_corrupt\": {}, \"fp_fallbacks\": {}, \"non_exact_replays\": {}, \
+         \"changed_answers\": {}}}, \
          \"server_metrics\": {{\"requests_total\": {requests_total}, \
          \"queue_wait_p50_us\": {qw_p50}, \"queue_wait_p99_us\": {qw_p99}, \
          \"solve_phase_micros\": {solve_phase_micros}, \
@@ -627,6 +645,7 @@ fn main() {
         restart.recovered.dropped_corrupt,
         restart.post.fp_fallbacks,
         restart.post.of(ScheduleSource::Cold).count(),
+        restart.changed_answers,
         reps_json.join(", "),
     ));
     report
@@ -705,6 +724,13 @@ fn main() {
             "restart",
             restart_bad == 0,
             "an invalid schedule or a failed request",
+        ),
+        // The store keeps `π` and `τ`; recovery rebuilds `Γ` with the
+        // solve's own last stage, so the answer survives whole.
+        (
+            "restart",
+            restart.changed_answers == 0,
+            "an answer after the restart differs from the one before it",
         ),
     ];
     let failed: Vec<_> = checks.iter().filter(|(_, ok, _)| !ok).collect();

@@ -311,7 +311,7 @@ pub struct Improved {
 /// strictly cheaper, `O(n)`, so no schedule leaves the solver above the
 /// one-processor cost.  The refinement runs on a projected survivor: it
 /// moves single nodes of the clusters a funnel-level move carries whole.
-/// `HCcs` runs last, once, on a survivor above the bound.  Every search is
+/// [`finish_comm`] runs last, once, on a survivor.  Every search is
 /// bounded by a count and polls `config`'s token, the run's only deadline,
 /// so a run whose token does not fire repeats exactly.  `origin` is the
 /// phase clock.
@@ -359,9 +359,8 @@ pub fn improve_start(
         Some(funnel) => phase(Generator::Refine(funnel), dag, &mut schedule, cost),
         None => BlockMoveReport::idle("refine", cost),
     };
-    if !floored && refinement.final_cost > lower_bound {
-        let started = origin.elapsed();
-        hccs_improve(dag, machine, &mut schedule, config);
+    let started = origin.elapsed();
+    if !floored && finish_comm(dag, machine, &mut schedule, refinement.final_cost, config) {
         phases.push(PhaseSample::since("hccs", origin, started));
     }
     Improved {
@@ -373,6 +372,26 @@ pub fn improve_start(
         projection_us,
         schedule,
     }
+}
+
+/// The pipeline's last stage, and the one rule for an answer's `Γ`: `HCcs`
+/// on `schedule`, which costs `cost` under the lazy `Γ` of its `π` and `τ`,
+/// when that is above [`Dag::lower_bound`]; reports whether it ran.  A store
+/// that keeps an answer's `π` and `τ` rebuilds the `Γ` that was served by
+/// calling it on their lazy schedule, so nothing else may decide when
+/// `HCcs` runs (`tests/pipeline_integration.rs` pins the replay).
+pub fn finish_comm(
+    dag: &Dag,
+    machine: &Machine,
+    schedule: &mut BspSchedule,
+    cost: u64,
+    config: &HillClimbConfig,
+) -> bool {
+    let above = cost > dag.lower_bound(machine);
+    if above {
+        hccs_improve(dag, machine, schedule, config);
+    }
+    above
 }
 
 /// What `HC` can start from: an initializer's schedule on the machine's first

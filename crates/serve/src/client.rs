@@ -1,14 +1,12 @@
-//! Client handles for the wire protocol: the blocking serial [`Client`] and
-//! the windowed [`PipelinedClient`].
+//! The wire protocol's client: one [`Client`] per connection.
 //!
 //! [`Client`] owns the connection: socket setup, id allocation, the set of
 //! fingerprints the server is known to hold, encode-and-send, the full
-//! resend after an `unknown-fp` answer, and the control verbs.
-//! [`Client::schedule`] sends one request and blocks for its response.
-//! [`PipelinedClient`] is the same connection plus a table of what is in
-//! flight: any number of id-tagged requests share it
-//! ([`PipelinedClient::submit`]) and complete in whatever order the server
-//! finishes them ([`PipelinedClient::recv`]).  Either way a request already
+//! resend after an `unknown-fp` answer, the table of requests in flight,
+//! and the control verbs.  [`Client::schedule`] sends one request and
+//! blocks for its response; any number of id-tagged requests may instead
+//! share the connection ([`Client::submit`]) and complete in whatever order
+//! the server finishes them ([`Client::recv`]).  Either way a request already
 //! submitted in full replays as `FP <hex>` (no DAG payload on the wire),
 //! falling back transparently when the server evicted the entry.
 
@@ -25,9 +23,16 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A blocking client for the wire protocol, usable from tests and the bench
-/// harness in the same process as the server (loopback TCP) or from another
-/// process entirely.
+/// A client for the wire protocol, usable from tests and the bench harness
+/// in the same process as the server (loopback TCP) or from another process
+/// entirely.  Pipelined, completions come in whatever order the server
+/// finishes them:
+///
+/// ```text
+/// let id_a = client.submit(&dag_a, &machine, &options)?;
+/// let id_b = client.submit(&dag_b, &machine, &options)?;   // before recv!
+/// let first = client.recv()?;   // completes whichever finished first
+/// ```
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -39,6 +44,8 @@ pub struct Client {
     /// the entry.
     known_fingerprints: HashSet<u128>,
     fp_fallbacks: u64,
+    /// What [`Client::submit`] sent and [`Client::recv`] has not completed.
+    pending: HashMap<u64, InFlight>,
 }
 
 /// One request as it went on the wire.
@@ -75,6 +82,7 @@ impl Client {
             scratch: String::new(),
             known_fingerprints: HashSet::new(),
             fp_fallbacks: 0,
+            pending: HashMap::new(),
         })
     }
 
@@ -163,7 +171,9 @@ impl Client {
         Ok(true)
     }
 
-    /// Sends one scheduling request and blocks for the response.
+    /// Sends one scheduling request and blocks for the response, on a
+    /// connection with nothing submitted: a completion of an earlier
+    /// [`Client::submit`] arriving first is an error.
     ///
     /// Content-addressed fast path: when this client has already submitted
     /// an identical request (same fingerprint), only the fingerprint goes on
@@ -197,6 +207,74 @@ impl Client {
                     if !self.resent_in_full(&mut sent, &error, dag, machine, options)? {
                         return Err(error);
                     }
+                }
+            }
+        }
+    }
+
+    /// Submits one request without waiting for any response; returns the id
+    /// its completion will carry.  The caller bounds its own pipeline depth
+    /// by balancing `submit` and [`Client::recv`] calls.
+    ///
+    /// Takes the DAG as an `Arc` because the client must be able to resend
+    /// the payload if a fingerprint replay misses (eviction or failover).
+    pub fn submit(
+        &mut self,
+        dag: &Arc<Dag>,
+        machine: &Machine,
+        options: &RequestOptions,
+    ) -> Result<u64, ServeError> {
+        let sent = self.send(dag, machine, options)?;
+        self.pending.insert(
+            sent.id,
+            InFlight {
+                dag: Arc::clone(dag),
+                machine: machine.clone(),
+                options: options.clone(),
+                sent,
+            },
+        );
+        Ok(sent.id)
+    }
+
+    /// Number of requests submitted but not yet completed.
+    pub fn in_flight(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Blocks for the next completion of a [`Client::submit`]ted request, in
+    /// whatever order the server finishes them.  The outer `Err` is a
+    /// transport/protocol failure that kills the connection; per-request
+    /// errors come back as [`Completion::Failed`].
+    pub fn recv(&mut self) -> Result<Completion, ServeError> {
+        loop {
+            match read_reply(&mut self.reader)? {
+                Reply::Ok(response) => {
+                    let Some(entry) = self.pending.remove(&response.id) else {
+                        return Err(ServeError::Malformed {
+                            line: format!("OK {}", response.id),
+                            reason: "response id matches no in-flight request".into(),
+                        });
+                    };
+                    self.known_fingerprints.insert(entry.sent.fingerprint);
+                    return Ok(Completion::Ok(response));
+                }
+                Reply::Err { id, error } => {
+                    let Some(mut entry) = self.pending.remove(&id) else {
+                        // id 0 (or unknown): a connection-level error.
+                        return Err(error);
+                    };
+                    if self.resent_in_full(
+                        &mut entry.sent,
+                        &error,
+                        &entry.dag,
+                        &entry.machine,
+                        &entry.options,
+                    )? {
+                        self.pending.insert(id, entry);
+                        continue;
+                    }
+                    return Ok(Completion::Failed { id, error });
                 }
             }
         }
@@ -267,12 +345,12 @@ impl Client {
 /// The terminal outcome of one pipelined request.
 #[derive(Debug)]
 pub enum Completion {
-    /// The request succeeded; `response.id` is the id [`PipelinedClient::submit`]
+    /// The request succeeded; `response.id` is the id [`Client::submit`]
     /// returned.
     Ok(ScheduleResponse),
     /// The server answered this request with an error.
     Failed {
-        /// The id [`PipelinedClient::submit`] returned for the failed request.
+        /// The id [`Client::submit`] returned for the failed request.
         id: u64,
         /// The server's error.
         error: ServeError,
@@ -286,111 +364,4 @@ struct InFlight {
     machine: Machine,
     options: RequestOptions,
     sent: Sent,
-}
-
-/// A pipelined client: many id-tagged requests in flight on one connection,
-/// completions collected out of order.
-///
-/// ```text
-/// let id_a = client.submit(&dag_a, &machine, &options)?;
-/// let id_b = client.submit(&dag_b, &machine, &options)?;   // before recv!
-/// let first = client.recv()?;   // completes whichever finished first
-/// ```
-///
-/// The `FP <hex>` fast path is kept: replays of known requests send only the
-/// fingerprint, and an `unknown-fp` answer (eviction, shard failover) makes
-/// the client resend the full payload *under the same id*, so callers never
-/// observe the fallback — except through [`PipelinedClient::fp_fallbacks`].
-pub struct PipelinedClient {
-    conn: Client,
-    pending: HashMap<u64, InFlight>,
-}
-
-impl PipelinedClient {
-    /// Connects to a server (or router).
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<PipelinedClient> {
-        Ok(PipelinedClient {
-            conn: Client::connect(addr)?,
-            pending: HashMap::new(),
-        })
-    }
-
-    /// Submits one request without waiting for any response; returns the id
-    /// its completion will carry.  The caller bounds its own pipeline depth
-    /// by balancing `submit` and [`Self::recv`] calls.
-    ///
-    /// Takes the DAG as an `Arc` because the client must be able to resend
-    /// the payload if a fingerprint replay misses (eviction or failover).
-    pub fn submit(
-        &mut self,
-        dag: &Arc<Dag>,
-        machine: &Machine,
-        options: &RequestOptions,
-    ) -> Result<u64, ServeError> {
-        let sent = self.conn.send(dag, machine, options)?;
-        self.pending.insert(
-            sent.id,
-            InFlight {
-                dag: Arc::clone(dag),
-                machine: machine.clone(),
-                options: options.clone(),
-                sent,
-            },
-        );
-        Ok(sent.id)
-    }
-
-    /// [`Client::assume_cached`] on the connection this client drives.
-    pub fn assume_cached(&mut self, dag: &Dag, machine: &Machine) {
-        self.conn.assume_cached(dag, machine);
-    }
-
-    /// Number of requests submitted but not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How many fingerprint replays came back `unknown-fp` and were resent
-    /// in full (see [`Client::fp_fallbacks`]).
-    pub fn fp_fallbacks(&self) -> u64 {
-        self.conn.fp_fallbacks()
-    }
-
-    /// Blocks for the next completion, in whatever order the server finishes
-    /// requests.  The outer `Err` is a transport/protocol failure that kills
-    /// the connection; per-request errors come back as
-    /// [`Completion::Failed`].
-    pub fn recv(&mut self) -> Result<Completion, ServeError> {
-        loop {
-            match read_reply(&mut self.conn.reader)? {
-                Reply::Ok(response) => {
-                    let Some(entry) = self.pending.remove(&response.id) else {
-                        return Err(ServeError::Malformed {
-                            line: format!("OK {}", response.id),
-                            reason: "response id matches no in-flight request".into(),
-                        });
-                    };
-                    self.conn.known_fingerprints.insert(entry.sent.fingerprint);
-                    return Ok(Completion::Ok(response));
-                }
-                Reply::Err { id, error } => {
-                    let Some(mut entry) = self.pending.remove(&id) else {
-                        // id 0 (or unknown): a connection-level error.
-                        return Err(error);
-                    };
-                    if self.conn.resent_in_full(
-                        &mut entry.sent,
-                        &error,
-                        &entry.dag,
-                        &entry.machine,
-                        &entry.options,
-                    )? {
-                        self.pending.insert(id, entry);
-                        continue;
-                    }
-                    return Ok(Completion::Failed { id, error });
-                }
-            }
-        }
-    }
 }

@@ -26,9 +26,9 @@
 //!   id-tagged requests may be in flight per connection and completions
 //!   return **out of order**; per-outcome latency histograms ([`metrics`])
 //!   and graceful shutdown.
-//! * [`client`] — the blocking serial [`Client`] and the windowed
-//!   [`PipelinedClient`] (`submit`/`recv`), one connection engine with the
-//!   transparent `FP <hex>` content-addressed replay fast path.
+//! * [`client`] — [`Client`], one connection: blocking (`schedule`) or
+//!   pipelined (`submit`/`recv`), with the transparent `FP <hex>`
+//!   content-addressed replay fast path.
 //! * [`placement`] — the ownership policy: the **only** code that maps a
 //!   request key to a shard.  A pure range map over the structure key keeps
 //!   a DAG's re-weighted instances on one shard; a shard itself keeps
@@ -81,7 +81,7 @@ pub mod service;
 pub mod store;
 
 pub use cache::{schedule_footprint, CacheStats, CachedAnswer, ScheduleCache};
-pub use client::{Client, Completion, PipelinedClient};
+pub use client::{Client, Completion};
 pub use metrics::{LatencyHistogram, StoreCounters, StoreStats};
 pub use obs::{MetricsRegistry, MetricsSnapshot, SpanSet, TraceIdGen, TraceJournal, TraceRecord};
 pub use placement::{Decision, LoadView, Placement, PlacementScope};

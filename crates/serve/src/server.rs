@@ -23,7 +23,7 @@
 //! it to the connection's **writer** thread over a channel, so wire frames
 //! never interleave; since several workers can solve jobs of one connection
 //! at once, responses complete **out of order** and the id tags let the
-//! client match them up (see [`crate::PipelinedClient`]).
+//! client match them up (see [`crate::Client::submit`]).
 //!
 //! When the job queue is full a miss is refused with `ERR <id> busy`
 //! (admission control instead of unbounded buffering); the connection stays
@@ -691,7 +691,7 @@ fn respond<S: ScheduleView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Client, Completion, PipelinedClient};
+    use crate::client::{Client, Completion};
     use crate::obs::MetricsSnapshot;
     use crate::protocol::{
         encode_fingerprint_request, encode_request, read_reply, Reply, RequestOptions,
@@ -783,7 +783,7 @@ mod tests {
             .map(|w| std::sync::Arc::new(small_dag(w)))
             .collect();
         let options = RequestOptions::new();
-        let mut client = PipelinedClient::connect(server.addr()).expect("connect");
+        let mut client = Client::connect(server.addr()).expect("connect");
 
         // Submit everything before reading a single response.
         let mut expected = std::collections::HashSet::new();
@@ -848,7 +848,7 @@ mod tests {
             .expect("spawn");
         let machine = Machine::uniform(2, 1, 1);
         let options = RequestOptions::new();
-        let mut client = PipelinedClient::connect(server.addr()).expect("connect");
+        let mut client = Client::connect(server.addr()).expect("connect");
         let dags: Vec<_> = (1u64..=8)
             .map(|w| std::sync::Arc::new(small_dag(w)))
             .collect();
@@ -1161,7 +1161,7 @@ mod tests {
         let client = std::thread::spawn(move || {
             let machine = Machine::uniform(4, 1, 2);
             let options = RequestOptions::new();
-            let mut client = PipelinedClient::connect(addr).expect("connect");
+            let mut client = Client::connect(addr).expect("connect");
             let ids: Vec<u64> = [PANIC_WORK, 3, 4]
                 .map(|work| Arc::new(small_dag(work)))
                 .iter()

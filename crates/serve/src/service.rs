@@ -36,8 +36,8 @@ use crate::store::{Store, StoreConfig};
 use bsp_model::record::{encode_record, RecordError, StoreRecord};
 use bsp_model::{request_key, BspSchedule, RequestKey};
 use bsp_sched::cancel::CancelToken;
-use bsp_sched::pipeline::{Pipeline, PipelineConfig, PHASE_NAMES};
-use bsp_sched::{hccs_improve, HillClimbConfig};
+use bsp_sched::pipeline::{finish_comm, Pipeline, PipelineConfig, PHASE_NAMES};
+use bsp_sched::HillClimbConfig;
 use dag_gen::hyperdag::{read_hyperdag, write_hyperdag};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -621,10 +621,9 @@ fn unpacked(hit: ServeReply<CachedAnswer>) -> ServeReply {
 /// lost cache entry, never a wrong answer.
 ///
 /// The record keeps `π` and `τ`, not `Γ`, so the schedule is rebuilt with a
-/// lazy `Γ`.  When that costs more than the record's `cost` (the answer
-/// served before the restart), `HCcs` runs on it, as it ran last in the
-/// solve that produced the answer, and from the same lazy `Γ`: so a repeat
-/// after a restart costs what it cost before.
+/// lazy `Γ` and finished by [`finish_comm`], the solve's own last stage
+/// from the same lazy `Γ`: a repeat after a restart is the answer served
+/// before it, byte for byte, unless that solve's token fired.
 fn adopt_record(record: StoreRecord) -> Option<(RequestKey, BspSchedule, u64)> {
     let text = std::str::from_utf8(&record.dag_bytes).ok()?;
     let dag = read_hyperdag(text).ok()?;
@@ -647,15 +646,16 @@ fn adopt_record(record: StoreRecord) -> Option<(RequestKey, BspSchedule, u64)> {
         return None;
     }
     let mut schedule = BspSchedule::from_assignment_lazy(&dag, record.assignment);
-    if schedule.validate(&dag, machine).is_err() {
-        return None;
-    }
+    schedule.validate(&dag, machine).ok()?;
     let mut cost = schedule.cost(&dag, machine);
-    if cost > record.cost {
-        hccs_improve(&dag, machine, &mut schedule, &HillClimbConfig::default());
-        if schedule.validate(&dag, machine).is_err() {
-            return None;
-        }
+    if finish_comm(
+        &dag,
+        machine,
+        &mut schedule,
+        cost,
+        &HillClimbConfig::default(),
+    ) {
+        schedule.validate(&dag, machine).ok()?;
         cost = schedule.cost(&dag, machine);
     }
     Some((key, schedule, cost))

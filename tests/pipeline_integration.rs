@@ -260,3 +260,63 @@ fn pagerank_is_searched_from_source() {
     assert!(bspg > 2 * source, "BSPg {bspg}, Source {source}");
     assert_eq!(report.final_cost, 608);
 }
+
+/// The rule for an answer's `Γ` is one function: every pipeline answer is
+/// [`finish_comm`] replayed on the lazy `Γ` of its own `π` and `τ`, which is
+/// how store recovery rebuilds the `Γ` it served.  Rows: 400 seeded DAGs
+/// (every fourth with zero-work nodes) on uniform and tree machines with
+/// `g` in `0..6`, and the benchmark's families on the machine grid, the
+/// benchmark's machines and their `g = 0` twins, where `HCcs` moves
+/// transfers without changing the cost.
+#[test]
+fn every_answer_is_finish_comm_on_its_lazy_comm_schedule() {
+    use bsp_model::BspSchedule;
+    use bsp_sched::hill_climb::HillClimbConfig;
+    use bsp_sched::pipeline::finish_comm;
+    use common::{benchmark_families, benchmark_machines, machine_grid, random_dag};
+    use common::{rng_for_case, zero_work_dag};
+    use rand::Rng;
+
+    let mut rows: Vec<(bsp_model::Dag, Machine)> = (0..400)
+        .map(|case| {
+            let mut rng = rng_for_case(0xC0A5, case);
+            let dag = match case % 4 {
+                3 => zero_work_dag(&mut rng),
+                _ => random_dag(&mut rng, 60),
+            };
+            let p = 1usize << rng.gen_range(1u32..=3);
+            let (g, l) = (rng.gen_range(0u64..6), rng.gen_range(0u64..8));
+            let machine = match case % 2 {
+                0 => Machine::uniform(p, g, l),
+                _ => Machine::numa_binary_tree(2 * p, g, l, rng.gen_range(2u64..5)),
+            };
+            (dag, machine)
+        })
+        .collect();
+    let mut machines = machine_grid();
+    machines.extend(benchmark_machines());
+    machines.extend([
+        Machine::uniform(4, 0, 3),
+        Machine::numa_binary_tree(8, 0, 5, 3),
+    ]);
+    for (_, dag) in benchmark_families() {
+        rows.extend(
+            machines
+                .iter()
+                .map(|machine| (dag.clone(), machine.clone())),
+        );
+    }
+    assert_eq!(rows.len(), 450);
+    let pipeline = Pipeline::default();
+    let mismatches: Vec<String> = (rows.iter())
+        .filter(|(dag, machine)| {
+            let answer = pipeline.run_report(dag, machine).schedule;
+            let mut replay = BspSchedule::from_assignment_lazy(dag, answer.assignment.clone());
+            let cost = replay.cost(dag, machine);
+            finish_comm(dag, machine, &mut replay, cost, &HillClimbConfig::default());
+            replay != answer
+        })
+        .map(|(dag, machine)| format!("{} nodes on {machine:?}", dag.n()))
+        .collect();
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}

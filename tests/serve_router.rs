@@ -15,8 +15,8 @@
 
 use bsp_model::{Dag, Machine};
 use bsp_serve::{
-    Client, Completion, MetricsSnapshot, PipelinedClient, Placement, RequestOptions, Router,
-    RouterConfig, ScheduleSource, Server, ServerConfig, ServerHandle,
+    Client, Completion, MetricsSnapshot, Placement, RequestOptions, Router, RouterConfig,
+    ScheduleSource, Server, ServerConfig, ServerHandle,
 };
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -157,7 +157,7 @@ fn pipelined_clients_work_through_the_router() {
     let (shards, router) = two_shard_deployment();
     let machine = Machine::uniform(4, 1, 2);
     let options = RequestOptions::new();
-    let mut client = PipelinedClient::connect(router.addr()).expect("connect");
+    let mut client = Client::connect(router.addr()).expect("connect");
 
     let dags: Vec<Arc<Dag>> = (0..8).map(|s| Arc::new(dag_with_seed(s))).collect();
     // Depth-4 window over 8 distinct requests, then 8 replays.
